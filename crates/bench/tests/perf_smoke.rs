@@ -15,10 +15,9 @@
 //! are tripwires against large regressions, not micro-benchmarks — the
 //! committed `BENCH_kernels.json` baseline holds the precise numbers):
 //!
-//! 1. on the 2-thread Unison kernel the ladder FEL is not materially
-//!    slower than the binary-heap reference on the fat-tree incast
-//!    workload (interleaved medians, ≥ 0.85x — measured parity, see
-//!    `BENCH_kernels.json`);
+//! 1. on the 2-thread Unison kernel the ladder FEL at least ties the
+//!    binary-heap reference on the fat-tree incast workload (interleaved
+//!    medians, ≥ 0.92x — measured 1.05–1.20x, see the test);
 //! 2. on the sequential kernel the ladder keeps a real lead over the heap
 //!    (≥ 1.05x; measured 1.2–1.45x);
 //! 3. the mailbox node pool reaches a > 90% hit rate at steady state —
@@ -67,15 +66,18 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Tripwire 1: the ladder queue must not lose materially to the heap on
-/// the incast workload. Samples are interleaved so machine drift hits
-/// both arms equally; medians defeat one-off outliers.
+/// Tripwire 1: the ladder queue must at least tie the heap on the incast
+/// workload, whose per-LP FELs are small. Samples are interleaved so
+/// machine drift hits both arms equally; medians defeat one-off outliers.
 ///
-/// Measured status (see `BENCH_kernels.json`): the ladder wins clearly on
-/// the sequential kernel (~1.3x) and sits at parity on the multi-threaded
-/// Unison kernel, whose per-LP FELs are small enough that the heap's
-/// shallow sifts are already cheap. The 0.85 threshold guards against a
-/// real regression without flaking on run-to-run noise around parity.
+/// Measured status (five invocations of this test, 2 cores): 1.05, 1.11,
+/// 1.13, 1.19, 1.20 — the ladder builds no rungs for a list of at most
+/// `LADDER_THRES` events (DESIGN.md §4.4). When it built them for every
+/// per-LP list it *lost* here (0.78, 0.79, 0.80, 0.80, 0.81), which the
+/// repository benchmark showed end to end (`kernel.unison1_over_seq` 6.48
+/// on `phold_torus`). The floor is a tie less the half-range of the five
+/// (0.08): a median ratio under 0.92 is a loss to the heap that run-to-run
+/// spread does not explain.
 #[test]
 #[ignore = "wall-clock tripwire; run explicitly in the CI perf-smoke job"]
 fn ladder_not_slower_than_heap_on_incast() {
@@ -96,10 +98,10 @@ fn ladder_not_slower_than_heap_on_incast() {
          (ratio {ratio:.3})"
     );
     assert!(
-        ratio >= 0.85,
+        ratio >= 0.92,
         "ladder FEL regressed below the binary-heap reference on the \
          fat-tree incast workload: {l:.0} vs {h:.0} events/sec \
-         (ratio {ratio:.3}, tripwire 0.85)"
+         (ratio {ratio:.3}, tripwire 0.92)"
     );
 }
 
@@ -231,7 +233,7 @@ fn steal_deque_not_slower_than_ljf_cursor_on_incast() {
 ///
 /// The contract is parity or better (≥ 1.0x medians; the committed
 /// `async_over_unison_4t` in `BENCH_kernels.json` records the measured
-/// ratio). The *enforcement* threshold is 0.85, like tripwire 1's: on
+/// ratio). The *enforcement* threshold is 0.85: on
 /// timesliced single-CPU CI runners the per-pair ratio of two kernels at
 /// true parity was measured to swing ±15% with neighbor load, so a 1.0
 /// assertion would trip on scheduler luck, not regressions. A median

@@ -9,14 +9,15 @@
 //! - [`FelImpl::BinaryHeap`]: the reference `std::collections::BinaryHeap`
 //!   min-heap — O(log n) sift per push/pop, branchy comparisons on every
 //!   level.
-//! - [`FelImpl::Ladder`] (default): a multi-rung ladder queue (after Tang &
-//!   Goh's ladder queue). Near-future events are spread over fixed-width
-//!   time buckets; a promoted bucket is either sorted into a small bottom
-//!   tier (popped O(1) from the back) or — when too large to sort cheaply —
-//!   subdivided into a finer child rung; far-future events sit in an
-//!   unsorted overflow tier until the ladder re-primes. Amortized O(1) per
-//!   event on both the kernels' windowed access pattern and the sequential
-//!   kernel's push-one/pop-one pattern.
+//! - [`FelImpl::Ladder`] (default): a size-adaptive ladder queue (after Tang
+//!   & Goh's ladder queue). A list of at most a bucket's worth of events is a
+//!   small sorted bottom tier (popped O(1) from the back) with an unsorted
+//!   far-future overflow behind it, and builds nothing else. A larger list
+//!   spreads its events over fixed-width time buckets; a promoted bucket is
+//!   either sorted into the bottom or — when too large to sort cheaply —
+//!   subdivided into a finer child rung. Amortized O(1) per event on both the
+//!   kernels' windowed access pattern (many small per-LP lists) and the
+//!   sequential kernel's push-one/pop-one pattern (one large list).
 //!
 //! Both implementations pop in exactly the same order — the total
 //! [`EventKey`] order — so simulation results are bit-identical regardless
@@ -34,7 +35,7 @@ use crate::time::Time;
 pub enum FelImpl {
     /// The reference binary min-heap.
     BinaryHeap,
-    /// The two-tier ladder/calendar queue (default).
+    /// The size-adaptive ladder queue (default).
     #[default]
     Ladder,
 }
@@ -84,6 +85,18 @@ const LADDER_BUCKETS: usize = 32;
 /// first (unless its width is already 1 ns, the resolution floor).
 const LADDER_THRES: usize = 64;
 
+/// Bound on the near tier (`bottom` + `stage`) while no rung exists: a list
+/// that outgrows it is not small after all, and is spilled into one rung so
+/// the staged re-sorts stay bounded (see [`Ladder::spill_near`]).
+const LADDER_NEAR_MAX: usize = 4 * LADDER_THRES;
+
+/// Largest staged batch merged into the bottom by insertion instead of a
+/// re-sort: `k` insertions move about `k * n / 2` events, a re-sort costs
+/// about `n * log2(n)` comparisons and as many moves, so insertion wins up
+/// to `k` of about `2 * log2(n)` — 8 is inside that for every `n` the near
+/// tier reaches.
+const LADDER_INSERT_MAX: usize = 8;
+
 /// Depth cap on the rung stack — a backstop against adversarial
 /// distributions; widths shrink by `LADDER_BUCKETS`x per level, so real
 /// workloads bottom out at width 1 long before this.
@@ -132,59 +145,73 @@ impl<P> Rung<P> {
 
 /// The multi-rung ladder queue (see module docs and DESIGN.md §4.4).
 ///
-/// Three tiers:
+/// Three tiers (and `never`, invariant 5):
 ///
-/// - **bottom**: a small vector sorted descending by [`EventKey`], popped
-///   from the back — the imminent events.
+/// - **near** (`bottom` ∪ `stage`): `bottom` is a small vector sorted
+///   descending by [`EventKey`], popped from the back — the imminent
+///   events; `stage` holds unsorted recent pushes into the same range.
 /// - **rungs**: a stack of [`Rung`]s. `rungs[0]` is the coarsest; each
 ///   deeper rung subdivides one promoted bucket of its parent, so deeper
 ///   rungs always cover *earlier* time than the shallower remainders.
 /// - **overflow**: unsorted far-future events at or beyond `top_start`
-///   (the re-prime horizon), with a cached minimum timestamp.
+///   (the horizon), with a cached minimum timestamp.
+///
+/// The rungs exist only while the list is large. The split rule
+/// (`LADDER_THRES`) decides it, on every tier: an overflow no larger than
+/// the threshold is sorted straight into the bottom (no rung, no bucket —
+/// the per-LP lists of a fine-grained partition live here and the structure
+/// is a sorted vector with an unsorted tail); a larger one is spread over
+/// a rung, and a promoted bucket above the threshold is subdivided into a
+/// child rung in O(len) instead of being re-sorted on every near-tier
+/// insert (the sequential kernel's single global list lives here).
 ///
 /// # Invariants
 ///
-/// 1. The near tier (`bottom` ∪ `stage`) holds exactly the stored events
-///    with `ts < rungs.last().threshold()` (or all events below
-///    `top_start` when no rungs exist); `bottom` is sorted descending by
-///    key and popped from the back, `stage` holds unsorted recent pushes
-///    with `stage_min` caching their minimum key.
+/// 1. The near tier holds exactly the stored events with
+///    `ts < rungs.last().threshold()`, or all events below `top_start`
+///    when no rung exists; `bottom` is sorted descending by key and popped
+///    from the back, `stage_min` caches the minimum staged key.
 /// 2. Within a rung, buckets at or after `cur` cover ascending disjoint
 ///    time ranges; buckets before `cur` are empty. Each rung's remaining
 ///    range starts at or after the end of every deeper rung's range.
-/// 3. Every overflow event has `ts >= top_start`, and `top_start` only
-///    changes at a re-prime (when the bottom and all rungs are empty).
+/// 3. Every overflow event has `top_start <= ts < Time::MAX`, and
+///    `top_start` only moves (up) when the near tier and every rung are
+///    empty: to one past the latest promoted event when a small overflow
+///    is sorted into the bottom, to the new rung's end at a re-prime.
+/// 4. While no rung exists the near tier holds at most `LADDER_NEAR_MAX`
+///    events: the push that would exceed it spills the tier into one rung
+///    over `[min ts, top_start)`.
+/// 5. Events at `Time::MAX` ("never") sit in `never` and nowhere else; they
+///    follow every other event, so no horizon ever has to rise past them.
 ///
 /// Together these give the pop rule: the global minimum is at the back of
 /// the bottom if non-empty, else in the first non-empty bucket of the
-/// deepest non-empty rung, else in the overflow.
-///
-/// The split rule (`LADDER_THRES`) is what makes the structure robust
-/// across access patterns: a promoted bucket small enough to sort goes
-/// straight to the bottom (the windowed per-LP pattern), while a huge
-/// bucket — e.g. the sequential kernel's single global FEL where one rung
-/// would hold tens of thousands of events — is subdivided into a child
-/// rung in O(len) instead of being re-sorted on every near-tier insert.
+/// deepest non-empty rung, else in the overflow, else in `never`.
 struct Ladder<P> {
     /// Imminent events, sorted descending by key; pop from the back.
     bottom: Vec<Event<P>>,
     /// Unsorted pushes below every rung threshold, merged into `bottom`
     /// lazily — only when the next pop would otherwise return a later key.
     /// Keeps batch inserts O(1) per event; the merge sort is bounded
-    /// because the split rule keeps `bottom` near `LADDER_THRES`.
+    /// because the split rule keeps `bottom` near `LADDER_THRES` and
+    /// invariant 4 bounds the tier when there is no rung to split into.
     stage: Vec<Event<P>>,
     /// Minimum key in `stage`; meaningless when `stage` is empty.
     stage_min: EventKey,
     /// Rung stack: `[0]` coarsest, last = deepest (earliest remaining).
     rungs: Vec<Rung<P>>,
-    /// Far-future tier: unsorted events at or beyond the re-prime horizon.
+    /// Far-future tier: unsorted events at or beyond the horizon.
     overflow: Vec<Event<P>>,
     /// Cached minimum timestamp in `overflow` (`Time::MAX` when empty).
     overflow_min: Time,
-    /// The re-prime horizon: pushes at or above it go to the overflow.
+    /// The horizon: pushes at or above it go to the overflow.
     top_start: Time,
-    /// Recycled bucket buffers (capacity retained across rung churn).
-    pool: Vec<Vec<Event<P>>>,
+    /// Events at `Time::MAX`, unsorted (invariant 5).
+    never: Vec<Event<P>>,
+    /// Bucket arrays of retired rungs (every bucket empty, capacity
+    /// retained), reused by the next rung: steady-state rung churn
+    /// allocates nothing.
+    spare: Vec<Vec<Vec<Event<P>>>>,
     /// Memoized minimum timestamp stored in any rung (`Time::MAX` when the
     /// rungs are empty); `None` when stale. [`Ladder::next_ts`] is called
     /// once per LP per round by the kernels' window planning, and without
@@ -211,7 +238,8 @@ impl<P> Ladder<P> {
             overflow: Vec::new(),
             overflow_min: Time::MAX,
             top_start: Time::ZERO,
-            pool: Vec::new(),
+            never: Vec::new(),
+            spare: Vec::new(),
             rung_min_memo: std::cell::Cell::new(Some(Time::MAX)),
             len: 0,
         }
@@ -222,6 +250,10 @@ impl<P> Ladder<P> {
         self.len += 1;
         let ts = ev.key.ts;
         if ts >= self.top_start {
+            if ts == Time::MAX {
+                self.never.push(ev);
+                return;
+            }
             self.overflow_min = self.overflow_min.min(ts);
             self.overflow.push(ev);
             return;
@@ -247,6 +279,9 @@ impl<P> Ladder<P> {
             self.stage_min = ev.key;
         }
         self.stage.push(ev);
+        if self.rungs.is_empty() && self.bottom.len() + self.stage.len() > LADDER_NEAR_MAX {
+            self.spill_near();
+        }
     }
 
     #[inline]
@@ -263,8 +298,8 @@ impl<P> Ladder<P> {
                 self.len -= 1;
                 return Some(ev);
             }
-            if self.len == 0 {
-                return None;
+            if self.len == self.never.len() {
+                return self.pop_never();
             }
             self.refill();
         }
@@ -275,7 +310,8 @@ impl<P> Ladder<P> {
     /// alone (bottom back, `stage_min`, the next bucket's start, the
     /// cached overflow minimum) keeps the no-more-work answer cheap: a
     /// failing call never scans bucket contents the way [`Ladder::next_ts`]
-    /// must, so the round-boundary probe is O(1) amortized.
+    /// must and never sorts the overflow, so the round-boundary probe is
+    /// O(1) amortized.
     ///
     /// The stage is flushed only when a staged event is actually *due*
     /// (`stage_min.ts < bound`), not merely earlier than the bottom head:
@@ -313,125 +349,164 @@ impl<P> Ladder<P> {
                 // below `bound` exists.
                 return None;
             }
+            // `settle` answers `Time::MAX` when only `never` events remain,
+            // which no bound exceeds.
             if self.len == 0 || self.settle() >= bound {
                 return None;
             }
-            // The next bucket starts below `bound`, so it may hold a
-            // qualifying event: promote it (the cursor work `settle` just
-            // did makes the nested call inside `refill` O(1)) and re-check.
+            // The next bucket (or the overflow) starts below `bound`, so it
+            // may hold a qualifying event: promote it (the cursor work
+            // `settle` just did makes the nested call inside `refill` O(1))
+            // and re-check.
             self.refill();
         }
     }
 
-    /// Merges the staged pushes into the sorted bottom. Appending then
-    /// re-sorting keeps the allocation and lets pdqsort exploit the
-    /// existing descending run; the split rule bounds `bottom`, so the
-    /// sort stays small.
+    /// Pops the minimum-key `Time::MAX` event. Caller guarantees every
+    /// other tier is empty. A linear scan: such events are sentinels, a
+    /// handful at most.
+    #[cold]
+    fn pop_never(&mut self) -> Option<Event<P>> {
+        let i = (0..self.never.len()).min_by_key(|&i| self.never[i].key)?;
+        self.len -= 1;
+        Some(self.never.swap_remove(i))
+    }
+
+    /// Merges the staged pushes into the sorted bottom. A few of them are
+    /// inserted in place (binary search plus one `memmove` each — what a
+    /// push-one/pop-one list of a few dozen events does all the time, where
+    /// a full re-sort per handful of pushes costs more than the heap's
+    /// sifts); a larger batch is appended and the whole tier re-sorted,
+    /// which keeps the allocation. The near tier is bounded (see `stage`),
+    /// so either stays small.
     fn flush_stage(&mut self) {
+        if self.stage.len() <= LADDER_INSERT_MAX {
+            for ev in self.stage.drain(..) {
+                let at = self.bottom.partition_point(|e| e.key > ev.key);
+                self.bottom.insert(at, ev);
+            }
+            return;
+        }
         self.bottom.append(&mut self.stage);
+        self.sort_bottom();
+    }
+
+    /// Restores `bottom`'s order (descending by key) after an append.
+    fn sort_bottom(&mut self) {
         self.bottom
             .sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
     }
 
-    /// Retires spent rungs, re-primes from the overflow when the whole
-    /// rung stack is spent, and advances the deepest live rung's cursor to
-    /// its first non-empty bucket. Returns that bucket's lower time bound —
-    /// the earliest timestamp any tier below the (empty) near tier can
-    /// still hold. Caller guarantees the near tier is empty and `len > 0`.
+    /// Retires spent rungs and advances the deepest live rung's cursor to
+    /// its first non-empty bucket. Returns the earliest timestamp any tier
+    /// below the (empty) near tier can still hold: that bucket's lower time
+    /// bound, or the cached overflow minimum when every rung is spent.
+    /// Caller guarantees the near tier is empty.
     fn settle(&mut self) -> Time {
-        loop {
-            // Retire spent rungs (recycling their bucket buffers).
-            while self.rungs.last().is_some_and(|r| r.count == 0) {
-                // INVARIANT: the `last()` check above guarantees a rung.
-                let r = self.rungs.pop().expect("rung stack non-empty");
-                for mut b in r.buckets {
-                    b.clear();
-                    self.pool.push(b);
+        while let Some(r) = self.rungs.last_mut() {
+            if r.count > 0 {
+                // INVARIANT: `count > 0` implies a non-empty bucket at or
+                // after `cur` (invariant 2), so the cursor stays in bounds.
+                while r.buckets[r.cur].is_empty() {
+                    r.cur += 1;
                 }
+                return r.threshold();
             }
-            let Some(ri) = self.rungs.len().checked_sub(1) else {
-                // `len > 0` with every rung spent: the events must be in
-                // the overflow tier.
-                self.reprime();
-                continue;
-            };
-            // INVARIANT: `count > 0` implies a non-empty bucket at or
-            // after `cur` (invariant 2), so the cursor stays in bounds.
-            while self.rungs[ri].buckets[self.rungs[ri].cur].is_empty() {
-                self.rungs[ri].cur += 1;
-            }
-            return self.rungs[ri].threshold();
+            // INVARIANT: the `last_mut()` above guarantees a rung.
+            let r = self.rungs.pop().expect("rung stack non-empty");
+            debug_assert!(r.buckets.iter().all(Vec::is_empty));
+            self.spare.push(r.buckets);
         }
+        self.overflow_min
     }
 
-    /// Refills the empty bottom tier: promotes the next non-empty bucket
-    /// of the deepest rung — splitting it into a child rung when it is too
-    /// big to sort cheaply — or re-primes from the overflow when every
-    /// rung is spent.
+    /// Refills the empty near tier from the earliest events beyond it.
+    /// With a live rung: promotes the deepest rung's next non-empty
+    /// bucket, splitting it into a child rung when it is too big to sort
+    /// cheaply. With every rung spent: sorts a small overflow straight
+    /// into the bottom, or re-primes a rung from a large one. Caller
+    /// guarantees the near tier is empty and an event below `Time::MAX`
+    /// is stored.
     fn refill(&mut self) {
         debug_assert!(self.bottom.is_empty() && self.stage.is_empty());
         loop {
             self.settle();
             let depth = self.rungs.len();
-            let ri = depth - 1;
-            let replacement = self.pool.pop().unwrap_or_default();
+            let Some(ri) = depth.checked_sub(1) else {
+                if self.overflow.len() <= LADDER_THRES {
+                    self.promote_overflow();
+                    return;
+                }
+                self.reprime();
+                continue;
+            };
             let r = &mut self.rungs[ri];
-            let bucket_start = r.threshold();
-            let bucket_width = r.width;
-            let mut bucket = std::mem::replace(&mut r.buckets[r.cur], replacement);
-            r.count -= bucket.len();
+            let (start, width, cur) = (r.threshold(), r.width, r.cur);
+            r.count -= r.buckets[cur].len();
             // The promoted bucket held the rung minimum (invariant 2).
             self.rung_min_memo.set(None);
             // Advance the cursor *before* anything re-enters this range:
             // pushes into it now fall through to the child rung or bottom.
             r.cur += 1;
-            if bucket.len() > LADDER_THRES && bucket_width > 1 && depth < LADDER_MAX_RUNGS {
-                self.spawn_rung(
-                    bucket_start,
-                    bucket_width / LADDER_BUCKETS as u64 + 1,
-                    bucket,
-                );
+            if r.buckets[cur].len() > LADDER_THRES && width > 1 && depth < LADDER_MAX_RUNGS {
+                // The one buffer that is not recycled: a bucket too big to
+                // sort is too big to keep idle in a spent slot until its
+                // rung retires (measured on `wan_rip`: 160 MB peak RSS
+                // against 56 MB), so splitting frees it — one free per
+                // split, never per event.
+                let mut bucket = std::mem::take(&mut r.buckets[cur]);
+                self.spawn_rung(start, width / LADDER_BUCKETS as u64 + 1, &mut bucket);
                 continue;
             }
-            self.bottom.append(&mut bucket);
-            self.pool.push(bucket);
-            self.bottom
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
+            self.bottom.append(&mut r.buckets[cur]);
+            self.sort_bottom();
             return;
         }
     }
 
     /// Pushes a new deepest rung covering `LADDER_BUCKETS` buckets of
-    /// `width` ns from `start` and distributes `events` into them.
-    /// Consumes the event buffer into the pool.
-    fn spawn_rung(&mut self, start: Time, width: u64, mut events: Vec<Event<P>>) {
-        let mut buckets: Vec<Vec<Event<P>>> = (0..LADDER_BUCKETS)
-            .map(|_| self.pool.pop().unwrap_or_default())
-            .collect();
-        let count = events.len();
-        for ev in events.drain(..) {
-            let idx = (((ev.key.ts.0 - start.0) / width) as usize).min(LADDER_BUCKETS - 1);
-            buckets[idx].push(ev);
-        }
-        self.pool.push(events);
-        self.rung_min_memo.set(None);
-        self.rungs.push(Rung {
+    /// `width` ns from `start` and drains `events` into them.
+    fn spawn_rung(&mut self, start: Time, width: u64, events: &mut Vec<Event<P>>) {
+        let buckets = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| (0..LADDER_BUCKETS).map(|_| Vec::new()).collect());
+        let mut rung = Rung {
             start,
             width,
             cur: 0,
-            count,
+            count: events.len(),
             buckets,
-        });
+        };
+        for ev in events.drain(..) {
+            let idx = rung.bucket_of(ev.key.ts);
+            rung.buckets[idx].push(ev);
+        }
+        self.rung_min_memo.set(None);
+        self.rungs.push(rung);
     }
 
-    /// Rebases the ladder on the overflow tier: recalibrates the bucket
-    /// width from the observed span, moves the re-prime horizon up, and
-    /// redistributes every overflow event into a fresh rung 0. Nothing
+    /// The small-list refill: the whole overflow is no larger than a
+    /// bucket the split rule would sort, so sort it straight into the
+    /// bottom and raise the horizon to one past its latest event. No rung,
+    /// no bucket; what is pushed below the new horizon is staged, what is
+    /// pushed at or above it starts the next overflow.
+    fn promote_overflow(&mut self) {
+        debug_assert!(self.rungs.is_empty() && !self.overflow.is_empty());
+        self.bottom.append(&mut self.overflow);
+        self.sort_bottom();
+        self.overflow_min = Time::MAX;
+        // Overflow events lie below `Time::MAX` (invariant 3).
+        self.top_start = Time(self.bottom[0].key.ts.0 + 1);
+    }
+
+    /// The large-list refill: recalibrates the bucket width from the
+    /// overflow's observed span, raises the horizon to the new rung's end,
+    /// and redistributes every overflow event into a fresh rung 0. Nothing
     /// that is currently stored re-overflows, so a far outlier is
-    /// rescanned at most once per re-prime horizon.
+    /// rescanned at most once per horizon.
     fn reprime(&mut self) {
-        debug_assert!(self.rungs.is_empty() && self.bottom.is_empty());
-        debug_assert!(!self.overflow.is_empty());
+        debug_assert!(self.rungs.is_empty() && !self.overflow.is_empty());
         let mut omin = Time::MAX;
         let mut omax = Time::ZERO;
         for ev in &self.overflow {
@@ -443,9 +518,29 @@ impl<P> Ladder<P> {
             omin.0
                 .saturating_add(width.saturating_mul(LADDER_BUCKETS as u64)),
         );
-        let events = std::mem::take(&mut self.overflow);
+        let mut events = std::mem::take(&mut self.overflow);
         self.overflow_min = Time::MAX;
-        self.spawn_rung(omin, width, events);
+        self.spawn_rung(omin, width, &mut events);
+        self.overflow = events;
+    }
+
+    /// Ends the rung-less regime (invariant 4): the near tier has outgrown
+    /// `LADDER_NEAR_MAX`, so the list is not small after all. Moves the
+    /// whole tier into one rung over `[min ts, top_start)`; from here the
+    /// split rule bounds every sort, as it does for a re-primed rung.
+    #[cold]
+    fn spill_near(&mut self) {
+        debug_assert!(self.rungs.is_empty() && !self.stage.is_empty());
+        let start = match self.bottom.last() {
+            Some(ev) => self.stage_min.ts.min(ev.key.ts),
+            None => self.stage_min.ts,
+        };
+        // Near-tier events lie below `top_start` (invariant 1).
+        let width = (self.top_start.0 - 1 - start.0) / LADDER_BUCKETS as u64 + 1;
+        let mut events = std::mem::take(&mut self.bottom);
+        events.append(&mut self.stage);
+        self.spawn_rung(start, width, &mut events);
+        self.bottom = events;
     }
 
     /// Minimum key over all tiers, without mutating the structure.
@@ -472,7 +567,12 @@ impl<P> Ladder<P> {
                 }
             }
         }
-        self.overflow.iter().map(|e| e.key).min()
+        let far = if self.overflow.is_empty() {
+            &self.never
+        } else {
+            &self.overflow
+        };
+        far.iter().map(|e| e.key).min()
     }
 
     /// Timestamp of the next event (`Time::MAX` when empty). Cheaper than
@@ -518,22 +618,29 @@ impl<P> Ladder<P> {
             .chain(self.stage.iter())
             .chain(self.rungs.iter().flat_map(|r| r.buckets.iter().flatten()))
             .chain(self.overflow.iter())
+            .chain(self.never.iter())
     }
 
     fn clear(&mut self) {
         self.bottom.clear();
         self.stage.clear();
-        while let Some(r) = self.rungs.pop() {
-            for mut b in r.buckets {
-                b.clear();
-                self.pool.push(b);
-            }
+        while let Some(mut r) = self.rungs.pop() {
+            r.buckets.iter_mut().for_each(Vec::clear);
+            self.spare.push(r.buckets);
         }
         self.overflow.clear();
         self.overflow_min = Time::MAX;
         self.top_start = Time::ZERO;
+        self.never.clear();
         self.rung_min_memo.set(Some(Time::MAX));
         self.len = 0;
+    }
+
+    /// Bucket arrays this ladder has ever allocated: live rungs plus
+    /// retired ones awaiting reuse (they are recycled, never dropped).
+    #[cfg(test)]
+    fn rung_arrays(&self) -> usize {
+        self.rungs.len() + self.spare.len()
     }
 }
 
@@ -885,6 +992,162 @@ mod tests {
         }
         assert_eq!(fel.pop().unwrap().key.ts, Time(u64::MAX / 2));
         assert!(fel.pop().is_none());
+    }
+
+    /// Bucket arrays the ladder behind `fel` has ever allocated.
+    fn rung_arrays(fel: &Fel<u64>) -> usize {
+        match &fel.repr {
+            Repr::Ladder(l) => l.rung_arrays(),
+            Repr::Heap(_) => panic!("not a ladder"),
+        }
+    }
+
+    /// Drives `fel` through `rounds` kernel rounds at a constant
+    /// `population`: ingest last round's cross-LP arrivals (`extend`), drain
+    /// below the window (`pop_below` loop; every handled event schedules a
+    /// successor 1-3 windows later, every other one by way of the next
+    /// round's arrivals), probe once more, read `next_ts`. Returns the
+    /// popped keys.
+    fn windowed_rounds(fel: &mut Fel<u64>, population: usize, rounds: u64) -> Vec<EventKey> {
+        let mut rng = crate::rng::Rng::new(population as u64);
+        let mut seq = 0u64;
+        let mut arrivals: Vec<Event<u64>> = (0..population)
+            .map(|s| ev(rng.next_below(3_000), 1, s as u64))
+            .collect();
+        let mut popped = Vec::new();
+        for round in 1..=rounds {
+            let window = Time(round * 1_000);
+            fel.extend(arrivals.drain(..));
+            while let Some(e) = fel.pop_below(window) {
+                popped.push(e.key);
+                seq += 1;
+                let next = ev(e.key.ts.0 + 1_000 + rng.next_below(2_000), 0, seq);
+                if seq.is_multiple_of(2) {
+                    arrivals.push(next);
+                } else {
+                    fel.push(next);
+                }
+            }
+            assert!(fel.pop_below(window).is_none());
+            assert!(fel.next_ts() >= window);
+            assert_eq!(fel.len() + arrivals.len(), population);
+        }
+        popped
+    }
+
+    /// The size-adaptive contract: a list that stays at or below
+    /// `LADDER_THRES` events is served by the bottom and overflow tiers
+    /// alone — through 1 000 windowed rounds it never allocates a bucket
+    /// array — while a 10 000-event list does build rungs.
+    #[test]
+    fn small_list_never_builds_a_rung_and_large_list_does() {
+        for (population, rounds, expect_rungs) in [
+            (8, 1_000, false),
+            (LADDER_THRES, 1_000, false),
+            (10_000, 20, true),
+        ] {
+            let [mut heap, mut ladder] = both();
+            assert_eq!(
+                windowed_rounds(&mut ladder, population, rounds),
+                windowed_rounds(&mut heap, population, rounds),
+                "population {population}"
+            );
+            assert_eq!(
+                rung_arrays(&ladder) > 0,
+                expect_rungs,
+                "population {population}: {} bucket arrays",
+                rung_arrays(&ladder)
+            );
+        }
+    }
+
+    /// A rung-less list that grows past `LADDER_NEAR_MAX` below its horizon
+    /// spills into a rung (invariant 4) and keeps popping in key order.
+    #[test]
+    fn near_tier_spills_into_a_rung_when_it_outgrows_its_bound() {
+        let mut fel: Fel<u64> = Fel::with_impl(FelImpl::Ladder);
+        // A small overflow: the first pop sorts it into the bottom and puts
+        // the horizon one past its latest event.
+        for t in 0..10u64 {
+            fel.push(ev(t * 100_000, 0, t));
+        }
+        assert_eq!(fel.pop().unwrap().key.ts, Time(0));
+        assert_eq!(rung_arrays(&fel), 0);
+        // Everything below the horizon is staged; the bound trips exactly
+        // when the near tier would exceed it.
+        let mut expected: Vec<u64> = (1..10u64).map(|t| t * 100_000).collect();
+        let mut rng = crate::rng::Rng::new(3);
+        for s in 0..LADDER_NEAR_MAX as u64 {
+            let ts = rng.next_below(900_000);
+            expected.push(ts);
+            fel.push(ev(ts, 1, 100 + s));
+            assert_eq!(
+                rung_arrays(&fel) > 0,
+                9 + s as usize + 1 > LADDER_NEAR_MAX,
+                "after {} staged pushes",
+                s + 1
+            );
+        }
+        expected.sort_unstable();
+        let order: Vec<u64> = std::iter::from_fn(|| fel.pop().map(|e| e.ts().0)).collect();
+        assert_eq!(order, expected);
+    }
+
+    /// Satellite of the split rule: rung churn reuses bucket arrays. A
+    /// large list driven through hundreds of re-primes and splits ends with
+    /// no more arrays than its deepest rung stack needed at once.
+    #[test]
+    fn rung_churn_recycles_bucket_arrays() {
+        let mut rng = crate::rng::Rng::new(11);
+        let mut fel: Fel<u64> = Fel::with_impl(FelImpl::Ladder);
+        for s in 0..5_000u64 {
+            fel.push(ev(rng.next_below(1_000_000), 0, s));
+        }
+        let mut arrays_after_warmup = 0;
+        for op in 0..400_000u64 {
+            let e = fel.pop().unwrap();
+            fel.push(ev(e.ts().0 + 1 + rng.next_below(1_000_000), 0, 5_000 + op));
+            if op == 100_000 {
+                arrays_after_warmup = rung_arrays(&fel);
+            }
+        }
+        assert!(arrays_after_warmup > 0);
+        assert!(
+            rung_arrays(&fel) <= arrays_after_warmup.max(LADDER_MAX_RUNGS / 4),
+            "{} arrays after warm-up, {} at the end",
+            arrays_after_warmup,
+            rung_arrays(&fel)
+        );
+    }
+
+    /// Events at `Time::MAX` (the never-firing sentinel shape) follow every
+    /// other event in key order, are invisible to bounded pops, and do not
+    /// disturb the horizon of the events below them.
+    #[test]
+    fn end_of_time_events_pop_last_in_key_order() {
+        for mut fel in both() {
+            fel.push(ev(u64::MAX, 3, 7));
+            for t in 0..100u64 {
+                fel.push(ev(t * 10, 0, t));
+            }
+            for t in 0..100u64 {
+                assert_eq!(fel.pop_below(Time::MAX).unwrap().key.ts, Time(t * 10));
+            }
+            assert!(fel.pop_below(Time::MAX).is_none());
+            assert_eq!(fel.next_ts(), Time::MAX);
+            assert_eq!(fel.len(), 1);
+            // A second sentinel with a smaller key, pushed after the horizon
+            // has moved, still precedes the first.
+            fel.push(ev(u64::MAX, 1, 9));
+            fel.push(ev(u64::MAX - 1, 0, 200));
+            assert_eq!(fel.peek_key().unwrap().ts, Time(u64::MAX - 1));
+            assert_eq!(fel.pop().unwrap().key.ts, Time(u64::MAX - 1));
+            assert_eq!(fel.peek_key().unwrap().sender_lp, LpId(1));
+            assert_eq!(fel.iter().count(), 2);
+            assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(1));
+            assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(3));
+            assert!(fel.pop().is_none());
+        }
     }
 
     #[test]

@@ -49,9 +49,6 @@ pub struct LpState<N: SimNode> {
     /// Measured processing cost of the last executed round, in nanoseconds
     /// (the default `ByLastRoundTime` scheduling metric).
     pub last_cost_ns: u64,
-    /// Number of events pending in the next window (the `ByPendingEvents`
-    /// scheduling metric, refreshed when that metric is active).
-    pub pending_events: u64,
     /// Events processed by this LP in the current round (metrics).
     pub round_events: u64,
     /// Events received from mailboxes in the current round (metrics).
@@ -84,7 +81,6 @@ impl<N: SimNode> LpState<N> {
             pending_globals: Vec::new(),
             next_ts: Time::MAX,
             last_cost_ns: 0,
-            pending_events: 0,
             round_events: 0,
             round_recv: 0,
             total_events: 0,

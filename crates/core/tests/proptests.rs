@@ -40,7 +40,23 @@ enum FelOp {
     Extend(Vec<EventKey>),
     PopBelow(u64),
     PopN(usize),
+    /// Bulk insert until the list holds this many events; with the flag set
+    /// the batch is scheduled from "now" on, as a running simulation's
+    /// arrivals are (timestamps offset by the head's).
+    FillTo(usize, Vec<EventKey>, bool),
+    /// Pop until the list holds at most this many events.
+    DrainTo(usize),
+    /// One `pop_below` at exactly the head timestamp: the failing probe
+    /// that ends every kernel round.
+    ProbeAtHead,
 }
+
+/// Populations the ladder changes regime at (`fel.rs`): an overflow of at
+/// most `LADDER_THRES` = 64 events is sorted straight into the bottom, and
+/// a rung-less near tier spills into a rung above `LADDER_NEAR_MAX` = 256.
+/// `FillTo`/`DrainTo` targets sit on and around both, so generated
+/// sequences cross each boundary in both directions again and again.
+const REGIME_POPULATIONS: [usize; 12] = [0, 3, 62, 63, 64, 65, 66, 254, 255, 256, 257, 258];
 
 /// Duplicates an event (the payload type here is `Copy`; `Event` itself is
 /// move-only because payloads generally are not).
@@ -61,13 +77,14 @@ fn ident(ev: &Event<u64>) -> (EventKey, u64) {
 /// the remaining tuple slots feed whichever operands it needs.
 fn arb_op() -> impl Strategy<Value = FelOp> {
     (
-        0u8..5,
+        0u8..10,
         arb_key(),
         proptest::collection::vec(arb_key(), 0..40),
         0u64..1_200,
         1usize..20,
+        0usize..REGIME_POPULATIONS.len(),
     )
-        .prop_map(|(sel, key, batch, bound, n)| match sel {
+        .prop_map(|(sel, key, batch, bound, n, target)| match sel {
             // Push one internal-keyed event.
             0 => FelOp::Push(key),
             // Push one external-keyed event (sentinel sender LP).
@@ -77,7 +94,16 @@ fn arb_op() -> impl Strategy<Value = FelOp> {
             // Drain everything strictly below a bound.
             3 => FelOp::PopBelow(bound),
             // Pop a few unconditionally.
-            _ => FelOp::PopN(n),
+            4 => FelOp::PopN(n),
+            // Move the population onto a regime boundary, from either side.
+            5 | 6 => FelOp::FillTo(REGIME_POPULATIONS[target], batch, sel == 6),
+            7 => FelOp::DrainTo(REGIME_POPULATIONS[target]),
+            8 => FelOp::ProbeAtHead,
+            // Push an event at `Time::MAX` (the never-firing sentinel shape).
+            _ => FelOp::Push(EventKey {
+                ts: Time::MAX,
+                ..key
+            }),
         })
 }
 
@@ -120,7 +146,10 @@ proptest! {
     /// under an arbitrary interleaving of single pushes, bulk `extend`
     /// batches (external and internal tie-break keys alike), and bounded /
     /// unbounded pops, the ladder queue must produce the exact pop sequence
-    /// of the binary-heap reference — keys *and* payloads.
+    /// of the binary-heap reference — keys *and* payloads. The sequences
+    /// dwell where the ladder changes regime (`REGIME_POPULATIONS`), probe
+    /// at the head between pushes, and carry `Time::MAX` sentinels; every
+    /// read-only view is compared after every step.
     #[test]
     fn ladder_matches_heap_reference(
         ops in proptest::collection::vec(arb_op(), 0..60)
@@ -167,6 +196,32 @@ proptest! {
                         prop_assert_eq!(l.as_ref().map(ident), h.as_ref().map(ident));
                     }
                 }
+                FelOp::FillTo(target, keys, from_now) => {
+                    // Cycle the batch's keys (`mk` makes each use unique).
+                    // The modulus keeps "now" finite when only `Time::MAX`
+                    // events (or none) are stored.
+                    let now = if from_now { heap.next_ts().0 % 1_000_000 } else { 0 };
+                    let missing = target.saturating_sub(heap.len());
+                    let batch: Vec<Event<u64>> = keys
+                        .iter()
+                        .cycle()
+                        .take(missing)
+                        .map(|k| mk(EventKey { ts: Time(now + k.ts.0), ..*k }))
+                        .collect();
+                    ladder.extend(batch.iter().map(dup));
+                    heap.extend(batch);
+                }
+                FelOp::DrainTo(target) => {
+                    while heap.len() > target {
+                        let (l, h) = (ladder.pop(), heap.pop());
+                        prop_assert_eq!(l.as_ref().map(ident), h.as_ref().map(ident));
+                    }
+                }
+                FelOp::ProbeAtHead => {
+                    let head = heap.next_ts();
+                    prop_assert!(heap.pop_below(head).is_none());
+                    prop_assert!(ladder.pop_below(head).is_none());
+                }
             }
             prop_assert_eq!(ladder.len(), heap.len());
             prop_assert_eq!(ladder.next_ts(), heap.next_ts());
@@ -175,6 +230,16 @@ proptest! {
                 ladder.count_below(Time(500)),
                 heap.count_below(Time(500))
             );
+            prop_assert_eq!(
+                ladder.count_below(Time::MAX),
+                heap.count_below(Time::MAX)
+            );
+            let stored = |fel: &Fel<u64>| {
+                let mut all: Vec<(EventKey, u64)> = fel.iter().map(ident).collect();
+                all.sort_unstable();
+                all
+            };
+            prop_assert_eq!(stored(&ladder), stored(&heap));
         }
         // Final full drain must agree too.
         loop {
