@@ -1,6 +1,6 @@
 //! Kernel perf baseline: wall-clock and events/sec per kernel, thread
-//! count, FEL backend, partitioner, and scheduling policy on the fat-tree
-//! incast workload, emitted as machine-readable JSON.
+//! count and FEL backend on the fat-tree incast workload, emitted as
+//! machine-readable JSON.
 //!
 //! ```sh
 //! cargo run --release -p unison-bench --bin bench_kernels -- \
@@ -13,16 +13,17 @@
 //!
 //! Without `--bench-json` the report prints to stdout. The committed
 //! `BENCH_kernels.json` at the repository root is one large-scale snapshot
-//! (the tier the headline acceptance ratios are defined on); numbers are
-//! machine-dependent, so compare ratios (ladder vs. heap, steal-deque vs.
-//! shared cursor, thread scaling), not absolute rates, across machines.
-//! The CI `perf-smoke` job regenerates the file as a build artifact on
-//! every run.
+//! in the older kernels-v5 schema (kept as history); numbers are
+//! machine-dependent, so compare ratios (ladder vs. heap, thread scaling),
+//! not absolute rates, across machines. The CI `perf-smoke` job regenerates
+//! the file as a build artifact on every run.
 //!
-//! Schema kernels-v5: each row carries `"repeat"` (0 for grid rows, n ≥ 1
-//! for the dedicated interleaved headline pairs — v4 emitted those
-//! indistinguishable from grid rows) and `"fused_rounds"` (how many rounds
-//! the unison kernel ran barrier-free, DESIGN.md §4.9).
+//! Schema kernels-v6: each row carries `"repeat"` (0 for grid rows, n ≥ 1
+//! for the dedicated interleaved headline pairs) and `"fused_rounds"` (how
+//! many rounds the unison kernel ran barrier-free, DESIGN.md §4.9). v5's
+//! `partitioner`, `sched`, `steals` and `affinity_hit_rate` row fields and
+//! its `steal_over_ljf_2t` headline left with the placement layer they
+//! measured (DESIGN.md §7).
 //!
 //! With `--fault-profile` (requires the `fault-profile` cargo feature,
 //! which pulls in `unison-core/fault-inject`) the report additionally
@@ -33,76 +34,47 @@
 //! the feature, the `fault_profile` field is `null`.
 
 use unison_bench::harness::{bench_json_path, fat_tree_scenario, Scale, Scenario};
-use unison_core::{
-    DataRate, FelImpl, KernelKind, PartitionMode, PartitionPipeline, RunReport, SchedConfig,
-    SchedPolicyKind, Time,
-};
+use unison_core::{DataRate, FelImpl, KernelKind, PartitionMode, RunReport, Time};
 
 /// One measured configuration.
 struct Sample {
     kernel: &'static str,
     threads: u32,
     fel: FelImpl,
-    /// Partitioner label (`auto` or a pipeline's stage chain).
-    partitioner: &'static str,
-    policy: SchedPolicyKind,
     /// 0 for grid rows (median-of-3, one row per configuration); n ≥ 1 for
     /// the dedicated interleaved headline pairs, which would otherwise be
-    /// indistinguishable from the grid rows they duplicate (kernels-v5).
+    /// indistinguishable from the grid rows they duplicate.
     repeat: u32,
     report: RunReport,
 }
 
-/// The two partitioners on the grid: the free-function reference and the
-/// staged pipeline with refinement + placement.
-fn partition_modes() -> [(&'static str, PartitionMode); 2] {
-    [
-        ("auto", PartitionMode::Auto),
-        (
-            "pipeline-refined",
-            PartitionMode::Pipeline(PartitionPipeline::refined()),
-        ),
-    ]
-}
-
 /// Median-of-3 by wall-clock: reruns the configuration and keeps the
 /// middle run, so one scheduling hiccup cannot skew the committed baseline.
-#[allow(clippy::too_many_arguments)]
 fn measure(
     scenario: &Scenario,
     name: &'static str,
     kernel: KernelKind,
     threads: u32,
     fel: FelImpl,
-    partitioner: &'static str,
-    partition: PartitionMode,
-    policy: SchedPolicyKind,
 ) -> Sample {
-    let sched = SchedConfig {
-        policy,
-        ..Default::default()
-    };
     let mut runs: Vec<RunReport> = (0..3)
         .map(|_| {
             scenario
-                .run_real_opts(kernel.clone(), partition.clone(), fel, sched)
+                .run_real_with_fel(kernel.clone(), PartitionMode::Auto, fel)
                 .kernel
         })
         .collect();
     runs.sort_by_key(|r| r.wall);
     let report = runs.swap_remove(1);
     eprintln!(
-        "bench_kernels: {name} t={threads} fel={} part={partitioner} sched={} — {:.0} events/sec",
+        "bench_kernels: {name} t={threads} fel={} — {:.0} events/sec",
         fel.name(),
-        policy.name(),
         report.events_per_sec()
     );
     Sample {
         kernel: name,
         threads,
         fel,
-        partitioner,
-        policy,
         repeat: 0,
         report,
     }
@@ -115,7 +87,7 @@ fn sample_json(s: &Sample) -> String {
     // Round-based kernels report rounds and zero grants/stalls; the async
     // kernel reports the reverse. `fused_rounds` counts the rounds the
     // unison kernel ran barrier-free (DESIGN.md §4.9); `repeat` tags the
-    // dedicated headline pairs (kernels-v5).
+    // dedicated headline pairs.
     let (grants, stalls) = r
         .async_stats
         .as_ref()
@@ -123,20 +95,16 @@ fn sample_json(s: &Sample) -> String {
         .unwrap_or((0, 0));
     format!(
         "    {{\n      \"kernel\": \"{}\",\n      \"threads\": {},\n      \
-         \"fel\": \"{}\",\n      \"partitioner\": \"{}\",\n      \
-         \"sched\": \"{}\",\n      \"repeat\": {},\n      \
+         \"fel\": \"{}\",\n      \"repeat\": {},\n      \
          \"wall_ns\": {},\n      \"events\": {},\n      \
          \"events_per_sec\": {:.0},\n      \"rounds\": {},\n      \
          \"fused_rounds\": {},\n      \
          \"grants\": {},\n      \"stalls\": {},\n      \
          \"pool_hits\": {},\n      \"pool_misses\": {},\n      \
-         \"pool_hit_rate\": {:.4},\n      \"steals\": {},\n      \
-         \"affinity_hit_rate\": {:.4}\n    }}",
+         \"pool_hit_rate\": {:.4}\n    }}",
         s.kernel,
         s.threads,
         s.fel.name(),
-        s.partitioner,
-        s.policy.name(),
         s.repeat,
         r.wall.as_nanos(),
         r.events,
@@ -148,8 +116,6 @@ fn sample_json(s: &Sample) -> String {
         r.engine.pool_hits,
         r.engine.pool_misses,
         r.engine.pool_hit_rate(),
-        r.sched.steals,
-        r.sched.affinity_hit_rate(),
     )
 }
 
@@ -185,7 +151,7 @@ fn fault_profile_json(scenario: &Scenario) -> Option<String> {
     let cfg = RunConfig {
         kernel: KernelKind::Unison { threads },
         partition: PartitionMode::Auto,
-        sched: SchedConfig::default(),
+        sched: Default::default(),
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
         fel: FelImpl::default(),
@@ -296,12 +262,9 @@ fn main() {
             KernelKind::Sequential { compat_keys: true },
             1,
             fel,
-            "auto",
-            PartitionMode::Auto,
-            SchedPolicyKind::LjfCursor,
         ));
     }
-    // FEL A/B on the default partitioner/policy.
+    // FEL A/B.
     for threads in [1u32, 2, 4] {
         for fel in [FelImpl::Ladder, FelImpl::BinaryHeap] {
             samples.push(measure(
@@ -312,9 +275,6 @@ fn main() {
                 },
                 threads,
                 fel,
-                "auto",
-                PartitionMode::Auto,
-                SchedPolicyKind::LjfCursor,
             ));
         }
     }
@@ -330,66 +290,26 @@ fn main() {
             },
             threads,
             FelImpl::Ladder,
-            "auto",
-            PartitionMode::Auto,
-            SchedPolicyKind::LjfCursor,
         ));
     }
-    // (partitioner, sched-policy) grid at the parallel thread counts, on
-    // the default (ladder) FEL. The (auto, ljf-cursor) cell already exists
-    // above; skip the duplicate.
-    for threads in [2u32, 4] {
-        for (pname, pmode) in partition_modes() {
-            for policy in [SchedPolicyKind::LjfCursor, SchedPolicyKind::StealDeque] {
-                if pname == "auto" && policy == SchedPolicyKind::LjfCursor {
-                    continue;
-                }
-                samples.push(measure(
-                    &scenario,
-                    "unison",
-                    KernelKind::Unison {
-                        threads: threads as usize,
-                    },
-                    threads,
-                    FelImpl::Ladder,
-                    pname,
-                    pmode.clone(),
-                    policy,
-                ));
-            }
-        }
-    }
 
-    // Headline ratios. Ladder+pool vs. heap backs the engine's perf claim
-    // (DESIGN.md §4.4); steal-deque vs. shared cursor backs the scheduler
-    // extension's "no regression" claim (DESIGN.md §4.5) — both on the
-    // 2-thread configuration.
-    let kernel_rate = |kernel: &str, threads: u32, fel: FelImpl, policy: SchedPolicyKind| {
+    // Headline ratio: ladder+pool vs. heap backs the engine's perf claim
+    // (DESIGN.md §4.4), on the 2-thread configuration.
+    let rate = |fel: FelImpl| {
         samples
             .iter()
-            .find(|s| {
-                s.kernel == kernel
-                    && s.threads == threads
-                    && s.fel == fel
-                    && s.partitioner == "auto"
-                    && s.policy == policy
-            })
+            .find(|s| s.kernel == "unison" && s.threads == 2 && s.fel == fel)
             .map(|s| s.report.events_per_sec())
             .unwrap_or(f64::NAN)
     };
-    let ljf = SchedPolicyKind::LjfCursor;
-    let rate = |fel: FelImpl, policy: SchedPolicyKind| kernel_rate("unison", 2, fel, policy);
-    let speedup = rate(FelImpl::Ladder, ljf) / rate(FelImpl::BinaryHeap, ljf);
-    let steal_over_ljf =
-        rate(FelImpl::Ladder, SchedPolicyKind::StealDeque) / rate(FelImpl::Ladder, ljf);
+    let speedup = rate(FelImpl::Ladder) / rate(FelImpl::BinaryHeap);
     // Thread-scaling and async headlines: the grid rows above are measured
     // minutes apart, so their ratios soak up machine drift; the headlines
     // instead come from three dedicated interleaved pairs with alternating
     // within-pair order, medians per arm — the same discipline as the
     // perf-smoke tripwires that guard them on the large tier. Each
     // dedicated run is also emitted into `runs`, tagged `"repeat": n` so
-    // it cannot be mistaken for a grid row (the kernels-v4 duplicate-row
-    // bug).
+    // it cannot be mistaken for a grid row.
     let mut headline_pair = |x_kernel: KernelKind,
                              x_name: &'static str,
                              x_threads: u32,
@@ -405,8 +325,6 @@ fn main() {
                 kernel: name,
                 threads,
                 fel: FelImpl::Ladder,
-                partitioner: "auto",
-                policy: SchedPolicyKind::LjfCursor,
                 repeat,
                 report,
             });
@@ -446,17 +364,16 @@ fn main() {
         1,
     );
     eprintln!("bench_kernels: ladder/heap speedup at 2 threads: {speedup:.3}x");
-    eprintln!("bench_kernels: steal-deque/ljf-cursor at 2 threads: {steal_over_ljf:.3}x");
     eprintln!("bench_kernels: async_cons/unison at 4 threads: {async_over_unison_4t:.3}x");
     eprintln!("bench_kernels: unison 4t over 1t: {unison_4t_over_1t:.3}x");
 
     let fault_profile = fault_profile_json(&scenario).unwrap_or_else(|| "null".into());
     let runs: Vec<String> = samples.iter().map(sample_json).collect();
     let json = format!(
-        "{{\n  \"schema\": \"unison-bench/kernels-v5\",\n  \
+        "{{\n  \"schema\": \"unison-bench/kernels-v6\",\n  \
          \"scale\": \"{}\",\n  \
          \"workload\": \"fat-tree k={} incast 0.5, 100 Gbps links, 3 us delay\",\n  \
-         \"ladder_over_heap_2t\": {:.3},\n  \"steal_over_ljf_2t\": {:.3},\n  \
+         \"ladder_over_heap_2t\": {:.3},\n  \
          \"async_over_unison_4t\": {:.3},\n  \
          \"unison_4t_over_1t\": {:.3},\n  \
          \"fault_profile\": {},\n  \
@@ -464,7 +381,6 @@ fn main() {
         scale.name(),
         scale.pick(4, 8),
         speedup,
-        steal_over_ljf,
         async_over_unison_4t,
         unison_4t_over_1t,
         fault_profile,

@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use unison_core::{
     fine_grained_partition, manual_partition, partition_below_bound, FelImpl, KernelKind,
-    LinkGraph, MetricsLevel, NodeId, Partition, PartitionMode, Partitioner, RoundRecord, RunConfig,
-    RunReport, SchedConfig, TelemetryConfig, Time,
+    LinkGraph, MetricsLevel, NodeId, Partition, PartitionMode, RoundRecord, RunConfig, RunReport,
+    SchedConfig, TelemetryConfig, Time,
 };
 use unison_netsim::{FlowReport, NetworkBuilder, QueueConfig, TransportKind};
 use unison_topology::Topology;
@@ -212,26 +212,13 @@ impl Scenario {
         partition: PartitionMode,
         fel: FelImpl,
     ) -> RealRun {
-        self.run_real_opts(kernel, partition, fel, SchedConfig::default())
-    }
-
-    /// [`Scenario::run_real_with_fel`] with an explicit scheduling
-    /// configuration — the A/B switch for the (partitioner, sched-policy)
-    /// bench matrix and the work-stealing perf-smoke tripwire.
-    pub fn run_real_opts(
-        &self,
-        kernel: KernelKind,
-        partition: PartitionMode,
-        fel: FelImpl,
-        sched: SchedConfig,
-    ) -> RealRun {
         let sim = self.builder().build();
         let res = sim
             .run_with(&RunConfig {
                 watchdog: Default::default(),
                 kernel,
                 partition,
-                sched,
+                sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
                 telemetry: profile_telemetry(),
                 fel,
@@ -283,7 +270,6 @@ pub fn partition_info(topo: &Topology, mode: &PartitionMode) -> (Partition, Vec<
         PartitionMode::Bound(b) => partition_below_bound(&graph, *b),
         PartitionMode::Manual(a) => manual_partition(&graph, a),
         PartitionMode::SingleLp => unison_core::partition::single_lp_partition(&graph),
-        PartitionMode::Pipeline(p) => p.partition(&graph),
     };
     let mut neighbors = vec![Vec::new(); partition.lp_count as usize];
     for (a, b, _) in partition.lp_channels(&graph) {

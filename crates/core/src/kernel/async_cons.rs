@@ -381,18 +381,9 @@ pub(super) fn run<N: SimNode>(
         })
         .collect();
 
-    // Static LP ownership: the placement stage's affinity hints when the
-    // partitioner produced them, contiguous blocks otherwise. Ownership is
-    // config-deterministic; results do not depend on it either way.
-    let owner: Vec<usize> = if partition.affinity.len() == lp_count {
-        partition
-            .affinity
-            .iter()
-            .map(|&a| a as usize % threads)
-            .collect()
-    } else {
-        (0..lp_count).map(|lp| lp * threads / lp_count).collect()
-    };
+    // Static LP ownership: contiguous blocks. Ownership is
+    // config-deterministic; results do not depend on it.
+    let owner: Vec<usize> = (0..lp_count).map(|lp| lp * threads / lp_count).collect();
     let mut mine: Vec<Vec<usize>> = vec![Vec::new(); threads];
     for (lp, &w) in owner.iter().enumerate() {
         mine[w].push(lp);

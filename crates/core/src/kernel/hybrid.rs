@@ -24,11 +24,9 @@
 //! decision log carries one entry per *host group* per re-sort (the
 //! [`crate::telemetry::SchedDecision::group`] field is the host id).
 //!
-//! Scheduling policies are likewise per group: `run_grouped` builds one
-//! [`crate::sched::SchedPolicy`] instance per host, sized to that host's
-//! worker count, so work stealing under
-//! [`SchedPolicyKind::StealDeque`](crate::sched::SchedPolicyKind) never
-//! crosses host boundaries — exactly the paper's "balance within a host"
+//! Claim cursors are likewise per group: `run_grouped` builds one
+//! [`crate::sched::LjfCursor`] per host, so load balancing never crosses
+//! host boundaries — exactly the paper's "balance within a host"
 //! deployment constraint.
 
 use crate::error::SimError;

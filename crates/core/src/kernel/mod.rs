@@ -34,8 +34,8 @@ use crate::lp::{LpState, PendingGlobal};
 use crate::mailbox::Mailboxes;
 use crate::metrics::{MetricsLevel, RunReport};
 use crate::partition::{
-    fine_grained_partition, manual_partition, partition_below_bound, single_lp_partition,
-    Partition, PartitionPipeline, Partitioner,
+    check_manual_assignment, fine_grained_partition, manual_partition, partition_below_bound,
+    single_lp_partition, Partition,
 };
 use crate::sched::SchedConfig;
 use crate::telemetry::TelemetryConfig;
@@ -83,7 +83,7 @@ pub enum KernelKind {
     /// thread count; requires a stop time.
     AsyncCons {
         /// Worker thread count (≥ 1). LPs are statically assigned to
-        /// workers (affinity hints when the partitioner provides them).
+        /// workers in contiguous blocks.
         threads: usize,
     },
 }
@@ -115,11 +115,6 @@ pub enum PartitionMode {
     Manual(Vec<u32>),
     /// Everything in one LP.
     SingleLp,
-    /// A staged [`PartitionPipeline`] (cut → refine → place; DESIGN.md
-    /// §4.5). `PartitionPipeline::median_cut()` reproduces [`PartitionMode::Auto`]
-    /// exactly; `PartitionPipeline::refined()` adds balance refinement and
-    /// worker-affinity placement.
-    Pipeline(PartitionPipeline),
 }
 
 /// Round-progress watchdog configuration.
@@ -181,11 +176,11 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// A sequential run with ns-3-style insertion-order tie-breaking.
-    pub fn sequential() -> Self {
+    /// The shared defaults every constructor starts from.
+    fn base(kernel: KernelKind, partition: PartitionMode) -> Self {
         RunConfig {
-            kernel: KernelKind::Sequential { compat_keys: false },
-            partition: PartitionMode::SingleLp,
+            kernel,
+            partition,
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             watchdog: WatchdogConfig::default(),
@@ -195,62 +190,34 @@ impl RunConfig {
         }
     }
 
+    /// A sequential run with ns-3-style insertion-order tie-breaking.
+    pub fn sequential() -> Self {
+        RunConfig::base(
+            KernelKind::Sequential { compat_keys: false },
+            PartitionMode::SingleLp,
+        )
+    }
+
     /// A Unison run with `threads` workers and automatic partitioning.
     pub fn unison(threads: usize) -> Self {
-        RunConfig {
-            kernel: KernelKind::Unison { threads },
-            partition: PartitionMode::Auto,
-            sched: SchedConfig::default(),
-            metrics: MetricsLevel::Summary,
-            watchdog: WatchdogConfig::default(),
-            telemetry: TelemetryConfig::default(),
-            fel: FelImpl::default(),
-            fault: FaultPlan::default(),
-        }
+        RunConfig::base(KernelKind::Unison { threads }, PartitionMode::Auto)
     }
 
     /// An asynchronous-conservative run with `threads` workers and
     /// automatic partitioning (DESIGN.md §4.8). The world must carry a
     /// stop time (`WorldBuilder::stop_at`).
     pub fn async_cons(threads: usize) -> Self {
-        RunConfig {
-            kernel: KernelKind::AsyncCons { threads },
-            partition: PartitionMode::Auto,
-            sched: SchedConfig::default(),
-            metrics: MetricsLevel::Summary,
-            watchdog: WatchdogConfig::default(),
-            telemetry: TelemetryConfig::default(),
-            fel: FelImpl::default(),
-            fault: FaultPlan::default(),
-        }
+        RunConfig::base(KernelKind::AsyncCons { threads }, PartitionMode::Auto)
     }
 
     /// A barrier-PDES run over a manual partition.
     pub fn barrier(assignment: Vec<u32>) -> Self {
-        RunConfig {
-            kernel: KernelKind::Barrier,
-            partition: PartitionMode::Manual(assignment),
-            sched: SchedConfig::default(),
-            metrics: MetricsLevel::Summary,
-            watchdog: WatchdogConfig::default(),
-            telemetry: TelemetryConfig::default(),
-            fel: FelImpl::default(),
-            fault: FaultPlan::default(),
-        }
+        RunConfig::base(KernelKind::Barrier, PartitionMode::Manual(assignment))
     }
 
     /// A null-message-PDES run over a manual partition.
     pub fn nullmsg(assignment: Vec<u32>) -> Self {
-        RunConfig {
-            kernel: KernelKind::NullMessage,
-            partition: PartitionMode::Manual(assignment),
-            sched: SchedConfig::default(),
-            metrics: MetricsLevel::Summary,
-            watchdog: WatchdogConfig::default(),
-            telemetry: TelemetryConfig::default(),
-            fel: FelImpl::default(),
-            fault: FaultPlan::default(),
-        }
+        RunConfig::base(KernelKind::NullMessage, PartitionMode::Manual(assignment))
     }
 
     /// Enables per-round profiling (input to the virtual-core model).
@@ -276,20 +243,6 @@ impl RunConfig {
     /// Disables round fusion (every round crosses the phase barriers).
     pub fn without_fusion(mut self) -> Self {
         self.sched.fusion = crate::sched::FusionConfig::off();
-        self
-    }
-
-    /// Sets the worker→core pinning policy (default off). Placement only:
-    /// pinning never affects simulation results.
-    pub fn with_pinning(mut self, pin: crate::pin::PinPolicy) -> Self {
-        self.sched.pin = pin;
-        self
-    }
-
-    /// Partitions the topology through a staged [`PartitionPipeline`]
-    /// instead of the built-in modes (DESIGN.md §4.5).
-    pub fn with_partitioner(mut self, pipeline: PartitionPipeline) -> Self {
-        self.partition = PartitionMode::Pipeline(pipeline);
         self
     }
 
@@ -408,15 +361,8 @@ pub(crate) fn build_partition<N: SimNode>(
         PartitionMode::Auto => fine_grained_partition(graph),
         PartitionMode::Bound(bound) => partition_below_bound(graph, *bound),
         PartitionMode::SingleLp => single_lp_partition(graph),
-        PartitionMode::Pipeline(pipeline) => pipeline.partition(graph),
         PartitionMode::Manual(assign) => {
-            if assign.len() != graph.node_count() {
-                return Err(KernelError::InvalidPartition(format!(
-                    "assignment covers {} nodes, world has {}",
-                    assign.len(),
-                    graph.node_count()
-                )));
-            }
+            check_manual_assignment(graph, assign).map_err(KernelError::InvalidPartition)?;
             manual_partition(graph, assign)
         }
     };

@@ -3,11 +3,9 @@
 //! Fine-grained LPs are scheduled onto a pool of worker threads each round.
 //! A round has four phases separated by atomic barriers (Fig. 7):
 //!
-//! 1. **Process events** — workers claim LPs through the configured
-//!    [`SchedPolicy`] (shared LJF cursor by default, work-stealing deques
-//!    under [`SchedPolicyKind::StealDeque`](crate::sched::SchedPolicyKind))
-//!    and execute each claimed LP's events inside the window. Cross-LP
-//!    events go to lock-free mailboxes.
+//! 1. **Process events** — workers claim LPs through their group's shared
+//!    [`LjfCursor`] and execute each claimed LP's events inside the window.
+//!    Cross-LP events go to lock-free mailboxes.
 //! 2. **Handle global events** — the main thread routes overflow events,
 //!    merges node-scheduled globals into the public LP, executes due global
 //!    events (which may mutate the topology → lookahead recompute).
@@ -43,7 +41,7 @@ use crate::mailbox::Mailboxes;
 use crate::metrics::{
     EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
 };
-use crate::sched::{order_by_estimate_into, SchedMetric, SchedPolicy};
+use crate::sched::{order_by_estimate_into, LjfCursor, SchedMetric};
 use crate::sync::{TreeBarrier, TreeWaiter};
 use crate::sync_shim::{AtomicBool, AtomicUsize, CachePadded, Ordering};
 use crate::telemetry::{SpanKind, TelContext, WorkerTel, NO_LP};
@@ -184,25 +182,11 @@ pub(super) fn run_grouped<N: SimNode>(
     }
     let initial_order = group_lps.clone();
 
-    // Per-group worker counts and each worker's slot (index among its
-    // group's workers, ascending by worker id; worker 0 is the main
-    // thread). Slots identify a worker to its group's scheduling policy.
-    let mut group_workers: Vec<usize> = vec![0; groups];
-    let mut slot_of: Vec<usize> = vec![0; threads];
-    for (w, &g) in grouping.worker_group.iter().enumerate() {
-        slot_of[w] = group_workers[g as usize];
-        group_workers[g as usize] += 1;
-    }
-    // Snapshot the placement hints: topology edits in phase 2 may mutate
-    // `partition` (lookahead recompute), so the policies must not borrow it.
-    let affinity: Vec<u32> = partition.affinity.clone();
-    // One scheduling policy per group; seeded with the initial (identity)
+    // One claim cursor per group, seeded with the initial (identity)
     // orders before any worker threads exist.
-    let policies: Vec<Box<dyn SchedPolicy>> = (0..groups)
-        .map(|g| cfg.sched.policy.build(group_workers[g].max(1)))
-        .collect();
-    for (g, order_g) in initial_order.iter().enumerate() {
-        policies[g].publish(order_g, &affinity);
+    let cursors: Vec<LjfCursor> = (0..groups).map(|_| LjfCursor::new()).collect();
+    for (cursor, order_g) in cursors.iter().zip(&initial_order) {
+        cursor.publish(order_g, &[]);
     }
 
     // Initial window.
@@ -274,7 +258,6 @@ pub(super) fn run_grouped<N: SimNode>(
     let mut worker_psm: Vec<Psm> = Vec::new();
     let mut main_psm = Psm::default();
     let main_group = grouping.worker_group[0] as usize;
-    let main_slot = slot_of[0];
 
     // Telemetry sinks: one per worker (sole writer: that worker), plus the
     // scheduler-decision log written only by the main thread in phase 4.
@@ -305,23 +288,18 @@ pub(super) fn run_grouped<N: SimNode>(
         // Spawn `threads - 1` workers; the main thread is worker 0 and also
         // runs the serial phases.
         let mut handles = Vec::new();
-        for (w, &slot) in slot_of.iter().enumerate().skip(1) {
-            let g = grouping.worker_group[w] as usize;
+        for (w, &g) in grouping.worker_group.iter().enumerate().skip(1) {
+            let g = g as usize;
             let slots = &slots;
             let plan = &plan;
             let barrier = &barrier;
-            let policies = &policies;
+            let cursors = &cursors;
             let cursor_recv = &cursor_recv;
             let stop_flag = &stop_flag;
             let mailboxes = &mailboxes;
             let failure = &failure;
             let telctx = &telctx;
             handles.push(scope.spawn(move || {
-                // Deterministic placement (default off): pin worker `w`
-                // before the first barrier arrival. The main thread (worker
-                // 0) is the caller's thread and is never pinned — the run
-                // must not mutate the caller's affinity mask.
-                cfg.sched.pin.apply(w);
                 let mut psm = Psm::default();
                 let mut tel = telctx.worker(w as u32);
                 let mut waiter = barrier.waiter(w);
@@ -351,8 +329,7 @@ pub(super) fn run_grouped<N: SimNode>(
                         process_phase(
                             slots,
                             mailboxes,
-                            &*policies[g],
-                            slot,
+                            &cursors[g],
                             &p.order[g],
                             p,
                             stop_flag,
@@ -507,15 +484,13 @@ pub(super) fn run_grouped<N: SimNode>(
                 cfg.fault.fire_phase(round, RunPhase::Process, 0);
                 if fuse {
                     // Fused round: this thread claims every group's whole
-                    // order (slot 0 of each policy); the parked workers
-                    // never contend for claims.
+                    // order; the parked workers never contend for claims.
                     let mut events = 0;
-                    for (g, policy) in policies.iter().enumerate() {
+                    for (g, cursor) in cursors.iter().enumerate() {
                         events += process_phase(
                             &slots,
                             &mailboxes,
-                            &**policy,
-                            0,
+                            cursor,
                             &p.order[g],
                             p,
                             &stop_flag,
@@ -529,8 +504,7 @@ pub(super) fn run_grouped<N: SimNode>(
                     process_phase(
                         &slots,
                         &mailboxes,
-                        &*policies[main_group],
-                        main_slot,
+                        &cursors[main_group],
                         &p.order[main_group],
                         p,
                         &stop_flag,
@@ -871,28 +845,23 @@ pub(super) fn run_grouped<N: SimNode>(
                     out.clear();
                     out.extend(group_order.iter().map(|&i| lps_of_g[i as usize]));
                 }
-                // Re-seed each group's policy with its new order (the
+                // Re-seed each group's cursor with its new order (the
                 // unconditional `begin_round` below is then a no-op for
                 // this round).
-                for (g, order_g) in plan_mut.order.iter().enumerate() {
-                    policies[g].publish(order_g, &affinity);
+                for (cursor, order_g) in cursors.iter().zip(&plan_mut.order) {
+                    cursor.publish(order_g, &[]);
                 }
                 if sched_log.enabled() {
                     // Log the LJF decision per group: the order applies
                     // from the next round (`rounds + 1`) until the next
-                    // re-sort. Estimates ride along for regret analysis,
-                    // steal/affinity counters (cumulative at decision
-                    // time) for work-stealing analysis.
+                    // re-sort. Estimates ride along for regret analysis.
                     for (g, order_g) in plan_mut.order.iter().enumerate() {
-                        let st = policies[g].stats();
                         sched_log.record(
                             rounds + 1,
                             g as u32,
                             cfg.sched.metric.name(),
                             order_g.clone(),
                             order_g.iter().map(|&l| estimates[l as usize]).collect(),
-                            st.steals,
-                            st.affinity_hits,
                         );
                     }
                     // Publish the estimates so phase-1 `lp-task` spans can
@@ -916,8 +885,8 @@ pub(super) fn run_grouped<N: SimNode>(
                 // at B0, so the plan carries the authoritative round number.
                 plan_mut.round = rounds + 1;
             }
-            for pol in policies.iter() {
-                pol.begin_round();
+            for cursor in cursors.iter() {
+                cursor.begin_round();
             }
             slots.begin_phase(); // covers the next round's phase 1
             let w_dur = t0.elapsed().as_nanos() as u64;
@@ -1008,16 +977,9 @@ pub(super) fn run_grouped<N: SimNode>(
     let mut tels = vec![main_tel];
     tels.extend(worker_tels);
     let (pool_hits, pool_misses) = mailboxes.pool_stats();
-    let mut sched_stats = SchedStats {
-        policy: cfg.sched.policy.name(),
-        ..Default::default()
+    let sched_stats = SchedStats {
+        claims: cursors.iter().map(LjfCursor::claims).sum(),
     };
-    for pol in policies.iter() {
-        let s = pol.stats();
-        sched_stats.claims += s.claims;
-        sched_stats.steals += s.steals;
-        sched_stats.affinity_hits += s.affinity_hits;
-    }
     let report = RunReport {
         kernel: format!("{kernel_name}({threads})"),
         wall,
@@ -1128,14 +1090,13 @@ fn wait_timed(
     );
 }
 
-/// Phase 1: claim LPs through the scheduling policy and execute their
+/// Phase 1: claim LPs through the group's cursor and execute their
 /// window events. Returns the number of events this worker executed.
 #[allow(clippy::too_many_arguments)]
 fn process_phase<N: SimNode>(
     slots: &LpSlots<N>,
     mailboxes: &Mailboxes<N::Payload>,
-    policy: &dyn SchedPolicy,
-    slot: usize,
+    cursor: &LjfCursor,
     order: &[u32],
     plan: &RoundPlan,
     stop_flag: &AtomicBool,
@@ -1145,11 +1106,11 @@ fn process_phase<N: SimNode>(
 ) -> u64 {
     let dir = slots.directory();
     let mut total_events: u64 = 0;
-    while let Some(i) = policy.claim(slot) {
+    while let Some(i) = cursor.claim(0) {
         let lp_idx = order[i] as usize;
-        // SAFETY: `SchedPolicy::claim` hands each position to exactly one
-        // worker per round (the exactly-once contract on the trait); phases
-        // are separated by barriers.
+        // SAFETY: `LjfCursor::claim` hands each position to exactly one
+        // worker per round (its exactly-once contract); phases are
+        // separated by barriers.
         let lp = unsafe { slots.get_mut(lp_idx) };
         // The cache is exact here: it was refreshed at the end of the last
         // receive phase (after outflow routing), and the window-planning

@@ -72,11 +72,9 @@ pub mod mailbox;
 pub mod metrics;
 pub mod partition;
 pub mod perfmodel;
-pub mod pin;
 pub mod queue;
 pub mod rng;
 pub mod sched;
-pub mod stealdeque;
 pub mod sync;
 pub mod sync_shim;
 pub mod telemetry;
@@ -99,18 +97,12 @@ pub use kernel::{run, try_run, KernelError, KernelKind, PartitionMode, RunConfig
 pub use metrics::{
     AsyncStats, EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
 };
-pub use partition::{
-    fine_grained_partition, manual_partition, partition_below_bound, BalancedRefine, CutStage,
-    MedianCut, Partition, PartitionPipeline, Partitioner, PlaceStage, RefineStage, TopoPlace,
-};
+pub use partition::{fine_grained_partition, manual_partition, partition_below_bound, Partition};
 pub use perfmodel::{CostParams, ModelResult, PerfModel};
-pub use pin::PinPolicy;
 pub use rng::Rng;
 pub use sched::{
-    scheduling_regret, FusionConfig, LjfCursor, SchedConfig, SchedMetric, SchedPolicy,
-    SchedPolicyKind, SchedPolicyStats,
+    scheduling_regret, FusionConfig, LjfCursor, SchedConfig, SchedMetric, SchedPolicyKind,
 };
-pub use stealdeque::StealDeque;
 pub use telemetry::{RunTelemetry, SchedDecision, Span, SpanKind, TelemetryConfig, WorkerSpans};
 pub use time::{DataRate, Time};
 pub use world::{SimCtx, SimCtxExt, SimNode, World, WorldBuilder};

@@ -9,19 +9,8 @@
 //! Manual (static) partitions used by the PDES baselines are expressed as an
 //! explicit node→LP assignment; their lookahead is computed the same way
 //! (minimum delay among inter-LP links).
-//!
-//! Beyond the reference algorithm, partitioning is an extension point
-//! (DESIGN.md §4.5): a [`Partitioner`] turns a [`LinkGraph`] into a
-//! [`Partition`], and the staged [`PartitionPipeline`] composes one
-//! [`CutStage`] (component discovery), any number of [`RefineStage`]s
-//! (deterministic improvement passes such as [`BalancedRefine`]), and an
-//! optional [`PlaceStage`] ([`TopoPlace`]) that attaches worker-affinity
-//! hints for the scheduler. Every stage must be deterministic: the same
-//! graph must always produce the same partition, because LP numbering feeds
-//! the §5.2 tie-breaking keys and therefore the run digests.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use crate::event::{LpId, NodeId};
 use crate::graph::LinkGraph;
@@ -39,12 +28,6 @@ pub struct Partition {
     /// Global lookahead: the minimum delay among inter-LP links, or
     /// [`Time::MAX`] when no link crosses LPs.
     pub lookahead: Time,
-    /// Worker-affinity hint per LP: a stable locality rank (LPs with nearby
-    /// ranks are topologically close and benefit from sharing a worker).
-    /// Empty when no placement stage ran — the scheduler then falls back to
-    /// schedule-order striping. Affinity is a *hint*: it may only influence
-    /// which worker executes an LP, never the simulation results.
-    pub affinity: Vec<u32>,
 }
 
 impl Partition {
@@ -182,6 +165,40 @@ pub fn partition_below_bound(graph: &LinkGraph, bound: Time) -> Partition {
     finish(graph, node_lp, lp_count)
 }
 
+/// Checks an explicit node→LP assignment against `graph`: it must cover
+/// every node and use LP ids that are dense in `0..lp_count`. An
+/// assignment is outside input (scenario files, `RunConfig`), so the check
+/// sizes nothing from the ids before they are known to be below the node
+/// count — every LP holds at least one node, so a larger id cannot be
+/// dense.
+pub(crate) fn check_manual_assignment(graph: &LinkGraph, assignment: &[u32]) -> Result<(), String> {
+    let n = graph.node_count();
+    if assignment.len() != n {
+        return Err(format!(
+            "assignment covers {} nodes, world has {n}",
+            assignment.len()
+        ));
+    }
+    let mut seen = vec![false; n];
+    for (node, &lp) in assignment.iter().enumerate() {
+        match seen.get_mut(lp as usize) {
+            Some(s) => *s = true,
+            None => {
+                return Err(format!(
+                    "node {node} is assigned to LP {lp}, but {n} nodes form at most {n} LPs"
+                ))
+            }
+        }
+    }
+    let lp_count = assignment.iter().max().map_or(0, |&m| m as usize + 1);
+    match seen[..lp_count].iter().position(|s| !s) {
+        Some(missing) => Err(format!(
+            "LP ids must be dense in 0..{lp_count}: no node is assigned to LP {missing}"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Builds a partition from an explicit node→LP assignment (the manual,
 /// static schemes used by the barrier and null-message baselines).
 ///
@@ -190,20 +207,10 @@ pub fn partition_below_bound(graph: &LinkGraph, bound: Time) -> Partition {
 /// Panics if `assignment.len()` differs from the graph's node count, or if
 /// LP ids are not dense in `0..lp_count`.
 pub fn manual_partition(graph: &LinkGraph, assignment: &[u32]) -> Partition {
-    assert_eq!(
-        assignment.len(),
-        graph.node_count(),
-        "assignment must cover every node"
-    );
-    let lp_count = assignment.iter().copied().max().map_or(0, |m| m + 1);
-    let mut seen = vec![false; lp_count as usize];
-    for &lp in assignment {
-        seen[lp as usize] = true;
+    if let Err(e) = check_manual_assignment(graph, assignment) {
+        panic!("invalid manual partition: {e}");
     }
-    assert!(
-        seen.iter().all(|s| *s),
-        "LP ids must be dense in 0..lp_count"
-    );
+    let lp_count = assignment.iter().max().map_or(0, |&m| m + 1);
     let node_lp = assignment.iter().map(|&l| LpId(l)).collect();
     finish(graph, node_lp, lp_count)
 }
@@ -225,316 +232,9 @@ fn finish(graph: &LinkGraph, node_lp: Vec<LpId>, lp_count: u32) -> Partition {
         lp_count,
         lp_nodes,
         lookahead: Time::MAX,
-        affinity: Vec::new(),
     };
     p.recompute_lookahead(graph);
     p
-}
-
-/// Turns a topology into a [`Partition`].
-///
-/// Implementations must be deterministic (same graph → same partition; LP
-/// numbering feeds the tie-breaking keys) and must produce a valid
-/// partition: dense LP ids, every node covered exactly once, `lp_nodes` in
-/// ascending node order, and a lookahead equal to the minimum cut-link
-/// delay. The property tests in `crates/core/tests/proptests.rs` check
-/// these obligations for the in-tree implementations.
-pub trait Partitioner: std::fmt::Debug + Send + Sync {
-    /// Computes the partition.
-    fn partition(&self, graph: &LinkGraph) -> Partition;
-    /// Display name (reports, bench tables).
-    fn name(&self) -> String;
-}
-
-/// Stage 1 of a [`PartitionPipeline`]: discover LPs from scratch.
-pub trait CutStage: std::fmt::Debug + Send + Sync {
-    /// Produces the initial partition.
-    fn cut(&self, graph: &LinkGraph) -> Partition;
-    /// Short stage name.
-    fn name(&self) -> &'static str;
-}
-
-/// Stage 2 of a [`PartitionPipeline`]: improve an existing partition in
-/// place. A refine stage may move nodes between LPs but must keep LP ids
-/// dense (no LP may become empty), keep `lp_nodes` consistent with
-/// `node_lp`, and leave the lookahead recomputed.
-pub trait RefineStage: std::fmt::Debug + Send + Sync {
-    /// Refines `part` in place.
-    fn refine(&self, graph: &LinkGraph, part: &mut Partition);
-    /// Short stage name.
-    fn name(&self) -> &'static str;
-}
-
-/// Stage 3 of a [`PartitionPipeline`]: assign each LP a worker-affinity
-/// hint (a stable locality rank; see [`Partition::affinity`]). Placement
-/// must not alter the partition itself.
-pub trait PlaceStage: std::fmt::Debug + Send + Sync {
-    /// Returns one rank per LP (`lp_count` entries).
-    fn place(&self, graph: &LinkGraph, part: &Partition) -> Vec<u32>;
-    /// Short stage name.
-    fn name(&self) -> &'static str;
-}
-
-/// A staged partitioner: cut → refine* → place? (DESIGN.md §4.5).
-///
-/// Stages are shared behind [`Arc`] so a pipeline can live inside the
-/// cloneable [`crate::PartitionMode`]. Equality compares *stage names* —
-/// two pipelines are equal when they are built from the same stage
-/// sequence, which is what configuration comparison needs.
-#[derive(Clone, Debug)]
-pub struct PartitionPipeline {
-    cut: Arc<dyn CutStage>,
-    refine: Vec<Arc<dyn RefineStage>>,
-    place: Option<Arc<dyn PlaceStage>>,
-}
-
-impl PartitionPipeline {
-    /// The reference pipeline: the median-delay cut alone. Produces exactly
-    /// what [`fine_grained_partition`] produces (no affinity hints).
-    pub fn median_cut() -> Self {
-        PartitionPipeline {
-            cut: Arc::new(MedianCut),
-            refine: Vec::new(),
-            place: None,
-        }
-    }
-
-    /// The full default pipeline: [`MedianCut`] → [`BalancedRefine`] →
-    /// [`TopoPlace`].
-    pub fn refined() -> Self {
-        PartitionPipeline::median_cut()
-            .with_refine(Arc::new(BalancedRefine))
-            .with_place(Arc::new(TopoPlace))
-    }
-
-    /// A pipeline starting from a custom cut stage.
-    pub fn with_cut(cut: Arc<dyn CutStage>) -> Self {
-        PartitionPipeline {
-            cut,
-            refine: Vec::new(),
-            place: None,
-        }
-    }
-
-    /// Appends a refine stage (stages run in insertion order).
-    pub fn with_refine(mut self, stage: Arc<dyn RefineStage>) -> Self {
-        self.refine.push(stage);
-        self
-    }
-
-    /// Sets the placement stage (at most one; the last call wins).
-    pub fn with_place(mut self, stage: Arc<dyn PlaceStage>) -> Self {
-        self.place = Some(stage);
-        self
-    }
-
-    /// The ordered stage names, e.g. `["median-cut", "balanced-refine",
-    /// "topo-place"]`. This is also the identity used by `PartialEq`.
-    pub fn stage_names(&self) -> Vec<&'static str> {
-        let mut names = vec![self.cut.name()];
-        names.extend(self.refine.iter().map(|s| s.name()));
-        if let Some(p) = &self.place {
-            names.push(p.name());
-        }
-        names
-    }
-}
-
-impl PartialEq for PartitionPipeline {
-    fn eq(&self, other: &Self) -> bool {
-        self.stage_names() == other.stage_names()
-    }
-}
-
-impl Eq for PartitionPipeline {}
-
-impl Partitioner for PartitionPipeline {
-    fn partition(&self, graph: &LinkGraph) -> Partition {
-        let mut p = self.cut.cut(graph);
-        for stage in &self.refine {
-            stage.refine(graph, &mut p);
-        }
-        if let Some(place) = &self.place {
-            p.affinity = place.place(graph, &p);
-            debug_assert_eq!(
-                p.affinity.len(),
-                p.lp_count as usize,
-                "placement must rank every LP"
-            );
-        }
-        p
-    }
-
-    fn name(&self) -> String {
-        self.stage_names().join("+")
-    }
-}
-
-/// The reference cut: the paper's Algorithm 1 (median-delay fine-grained
-/// partition), as a pipeline stage.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MedianCut;
-
-impl CutStage for MedianCut {
-    fn cut(&self, graph: &LinkGraph) -> Partition {
-        fine_grained_partition(graph)
-    }
-
-    fn name(&self) -> &'static str {
-        "median-cut"
-    }
-}
-
-/// K-way balance refinement: deterministic greedy node moves that shrink
-/// the heaviest LP (weight = node count) without cutting sub-median links.
-///
-/// Each pass picks the heaviest LP (lowest id on ties) and tries to move
-/// one of its nodes — in ascending node order — to an adjacent lighter LP.
-/// A move is legal only when every link from the node back into its source
-/// LP has a delay at or above the median bound (so the cut set gains no
-/// sub-bound link and the lookahead cannot shrink below the bound) and the
-/// target stays strictly below the current maximum even after gaining the
-/// node. The maximum LP weight therefore never increases — the property
-/// test `balanced_refine_never_increases_max_weight` pins this down.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BalancedRefine;
-
-impl RefineStage for BalancedRefine {
-    fn refine(&self, graph: &LinkGraph, part: &mut Partition) {
-        let n = graph.node_count();
-        let k = part.lp_count as usize;
-        if k < 2 || n == 0 {
-            return;
-        }
-        let bound = median_delay(graph)
-            .map(|m| m.max(Time(1)))
-            .unwrap_or(Time(1));
-        let adj = graph.adjacency();
-        let mut weight: Vec<u32> = part.lp_nodes.iter().map(|ns| ns.len() as u32).collect();
-        // Each move strictly shrinks some heaviest LP, so the sorted weight
-        // vector decreases lexicographically and the loop terminates; the
-        // move cap is a belt-and-suspenders bound, not a correctness need.
-        let mut moves = 0usize;
-        while moves < n {
-            // INVARIANT: k >= 2, so `weight` is non-empty.
-            let wmax = *weight.iter().max().expect("k >= 2 LPs");
-            if wmax < 2 {
-                break;
-            }
-            let mut moved = false;
-            'src: for src in 0..k {
-                if weight[src] != wmax {
-                    continue;
-                }
-                // Nodes are scanned in ascending id order: deterministic.
-                for (v, adj_v) in adj.iter().enumerate() {
-                    if part.node_lp[v].index() != src {
-                        continue;
-                    }
-                    // Never cut a sub-bound link: every edge from `v` back
-                    // into the source LP must carry at least the bound.
-                    let splits_fine_link = adj_v
-                        .iter()
-                        .any(|&(u, d)| part.node_lp[u.index()].index() == src && d < bound);
-                    if splits_fine_link {
-                        continue;
-                    }
-                    // Candidate targets: adjacent LPs that stay strictly
-                    // below the current max after gaining the node.
-                    // Lightest wins; ties go to the lowest LP id.
-                    let mut best: Option<usize> = None;
-                    for &(u, _) in adj_v {
-                        let dst = part.node_lp[u.index()].index();
-                        if dst == src || weight[dst] + 1 >= wmax {
-                            continue;
-                        }
-                        best = match best {
-                            None => Some(dst),
-                            Some(cur)
-                                if weight[dst] < weight[cur]
-                                    || (weight[dst] == weight[cur] && dst < cur) =>
-                            {
-                                Some(dst)
-                            }
-                            Some(cur) => Some(cur),
-                        };
-                    }
-                    if let Some(dst) = best {
-                        part.node_lp[v] = LpId(dst as u32);
-                        weight[src] -= 1;
-                        weight[dst] += 1;
-                        moves += 1;
-                        moved = true;
-                        break 'src;
-                    }
-                }
-            }
-            if !moved {
-                break;
-            }
-        }
-        if moves > 0 {
-            for nodes in part.lp_nodes.iter_mut() {
-                nodes.clear();
-            }
-            for (i, lp) in part.node_lp.iter().enumerate() {
-                part.lp_nodes[lp.index()].push(NodeId(i as u32));
-            }
-            part.recompute_lookahead(graph);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "balanced-refine"
-    }
-}
-
-/// Topology-locality placement: BFS over the LP channel graph from LP 0
-/// (neighbors in ascending id order, restarting at the lowest unvisited LP
-/// per component) assigns each LP its visit position as the affinity rank.
-/// Adjacent LPs get nearby ranks, so a scheduler that blocks ranks onto
-/// workers keeps cross-LP channels worker-local where possible.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TopoPlace;
-
-impl PlaceStage for TopoPlace {
-    fn place(&self, graph: &LinkGraph, part: &Partition) -> Vec<u32> {
-        let k = part.lp_count as usize;
-        let mut nbrs: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for (a, b, _) in part.lp_channels(graph) {
-            nbrs[a.index()].push(b.0);
-            nbrs[b.index()].push(a.0);
-        }
-        for l in nbrs.iter_mut() {
-            l.sort_unstable();
-            l.dedup();
-        }
-        let mut rank = vec![u32::MAX; k];
-        let mut next: u32 = 0;
-        let mut queue = VecDeque::new();
-        for start in 0..k {
-            if rank[start] != u32::MAX {
-                continue;
-            }
-            rank[start] = next;
-            next += 1;
-            queue.push_back(start);
-            while let Some(v) = queue.pop_front() {
-                for &u in &nbrs[v] {
-                    if rank[u as usize] == u32::MAX {
-                        rank[u as usize] = next;
-                        next += 1;
-                        queue.push_back(u as usize);
-                    }
-                }
-            }
-        }
-        rank
-    }
-
-    fn name(&self) -> &'static str {
-        "topo-place"
-    }
 }
 
 #[cfg(test)]
@@ -712,115 +412,5 @@ mod tests {
         assert!(p.lp_channels(&g).is_empty());
         let nodes: usize = p.lp_nodes.iter().map(|v| v.len()).sum();
         assert_eq!(nodes, 7);
-    }
-
-    #[test]
-    fn median_cut_pipeline_matches_free_function() {
-        let g = two_tier(Time(0), Time(3000));
-        let reference = fine_grained_partition(&g);
-        let p = PartitionPipeline::median_cut().partition(&g);
-        assert_eq!(p.node_lp, reference.node_lp);
-        assert_eq!(p.lookahead, reference.lookahead);
-        assert!(p.affinity.is_empty(), "no placement stage, no hints");
-    }
-
-    #[test]
-    fn balanced_refine_shrinks_heaviest_lp() {
-        // A 6-node path with one fine link (0-1) and coarse links elsewhere.
-        // Median of [1, 9, 9, 9, 9] is 9 -> bound 9: links below 9 merge.
-        // Cut yields LPs {0,1}, {2}, {3}, {4}, {5}: max weight 2. Both nodes
-        // of the heaviest LP are pinned by the fine 0-1 link (moving either
-        // would cut it), so refine must leave the partition valid and the
-        // max weight unchanged — no oscillation, no empty LPs.
-        let mut g = LinkGraph::new(6);
-        g.add_link(n(0), n(1), Time(1));
-        g.add_link(n(1), n(2), Time(9));
-        g.add_link(n(2), n(3), Time(9));
-        g.add_link(n(3), n(4), Time(9));
-        g.add_link(n(4), n(5), Time(9));
-        let mut p = fine_grained_partition(&g);
-        let max_before = p.lp_nodes.iter().map(|v| v.len()).max().unwrap();
-        BalancedRefine.refine(&g, &mut p);
-        let max_after = p.lp_nodes.iter().map(|v| v.len()).max().unwrap();
-        assert!(max_after <= max_before);
-        // Still a valid partition: every node exactly once, dense ids.
-        let covered: usize = p.lp_nodes.iter().map(|v| v.len()).sum();
-        assert_eq!(covered, 6);
-        for (lp, nodes) in p.lp_nodes.iter().enumerate() {
-            assert!(!nodes.is_empty(), "LP {lp} became empty");
-            for &node in nodes {
-                assert_eq!(p.node_lp[node.index()], LpId(lp as u32));
-            }
-        }
-    }
-
-    #[test]
-    fn balanced_refine_moves_only_coarse_boundary_nodes() {
-        // Star of coarse links around node 0, plus a fine cluster 0-1-2.
-        // Median of [1, 1, 50, 50, 50, 50] is 50 (lower median of sorted
-        // [1,1,50,50,50,50] at index 2)... delays sorted: 1,1,50,50,50,50;
-        // mid index (6-1)/2 = 2 -> 50. Bound 50: the 1ns links merge ->
-        // LP {0,1,2} plus singletons {3},{4},{5},{6}. Node 1 and 2 are
-        // pinned by their fine link to node 0; node 0 is pinned by both.
-        // The heaviest LP cannot shed, so refine must leave it intact.
-        let mut g = LinkGraph::new(7);
-        g.add_link(n(0), n(1), Time(1));
-        g.add_link(n(0), n(2), Time(1));
-        g.add_link(n(0), n(3), Time(50));
-        g.add_link(n(0), n(4), Time(50));
-        g.add_link(n(0), n(5), Time(50));
-        g.add_link(n(0), n(6), Time(50));
-        let mut p = fine_grained_partition(&g);
-        assert_eq!(p.lp_count, 5);
-        let before = p.node_lp.clone();
-        BalancedRefine.refine(&g, &mut p);
-        assert_eq!(p.node_lp, before, "pinned cluster must not be split");
-    }
-
-    #[test]
-    fn topo_place_ranks_follow_channel_locality() {
-        // Chain of 4 LPs: ranks must follow the chain from LP 0.
-        let mut g = LinkGraph::new(4);
-        g.add_link(n(0), n(1), Time(10));
-        g.add_link(n(1), n(2), Time(10));
-        g.add_link(n(2), n(3), Time(10));
-        let p = manual_partition(&g, &[0, 1, 2, 3]);
-        assert_eq!(TopoPlace.place(&g, &p), vec![0, 1, 2, 3]);
-        // Disconnected LPs each start a new BFS component, in id order.
-        let g2 = LinkGraph::new(4);
-        let p2 = manual_partition(&g2, &[0, 1, 2, 3]);
-        assert_eq!(TopoPlace.place(&g2, &p2), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn refined_pipeline_sets_affinity_and_is_deterministic() {
-        let g = two_tier(Time(0), Time(3000));
-        let pipe = PartitionPipeline::refined();
-        let p1 = pipe.partition(&g);
-        let p2 = pipe.partition(&g);
-        assert_eq!(p1.node_lp, p2.node_lp);
-        assert_eq!(p1.affinity, p2.affinity);
-        assert_eq!(p1.affinity.len(), p1.lp_count as usize);
-        // Ranks are a permutation of 0..lp_count.
-        let mut ranks = p1.affinity.clone();
-        ranks.sort_unstable();
-        assert_eq!(ranks, (0..p1.lp_count).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pipeline_identity_is_its_stage_sequence() {
-        assert_eq!(
-            PartitionPipeline::refined().stage_names(),
-            vec!["median-cut", "balanced-refine", "topo-place"]
-        );
-        assert_eq!(PartitionPipeline::refined(), PartitionPipeline::refined());
-        assert_ne!(
-            PartitionPipeline::refined(),
-            PartitionPipeline::median_cut()
-        );
-        assert_eq!(
-            PartitionPipeline::refined().name(),
-            "median-cut+balanced-refine+topo-place"
-        );
     }
 }

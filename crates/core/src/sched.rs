@@ -9,15 +9,11 @@
 //! sort runs only every *scheduling period* rounds (default
 //! `ceil(log2(n))`), exploiting the temporal locality of network loads.
 //!
-//! *How* workers claim LPs out of the published order is itself pluggable
-//! (DESIGN.md §4.5): a [`SchedPolicy`] owns the per-round claim state. The
-//! default [`LjfCursor`] reproduces the original shared claim cursor
-//! bit-for-bit; [`crate::StealDeque`] adds affinity-seeded per-worker
-//! deques with LIFO-local / FIFO-steal work stealing. Any policy must hand
-//! out each published position exactly once per round — determinism then
-//! follows because stealing only reorders *execution* of the round's fixed
-//! task set, and all cross-LP sends commit through the mailbox +
-//! tie-break-key path (proven by the digest tests in
+//! Workers claim LPs out of the published order through one shared
+//! [`LjfCursor`] per scheduling group (DESIGN.md §4.5): every position is
+//! handed out exactly once per round, and determinism does not depend on
+//! which worker gets it, because all cross-LP sends commit through the
+//! mailbox + tie-break-key path (proven by the digest tests in
 //! `crates/core/tests/sched_matrix.rs`, not asserted).
 
 use crate::sync_shim::{AtomicU64, AtomicUsize, CachePadded, Ordering};
@@ -49,89 +45,40 @@ impl SchedMetric {
     }
 }
 
-/// How workers claim LPs out of the published schedule order.
+// Benchmark compatibility: `benchmark/src/micro.rs` (frozen; a PR may not
+// edit `benchmark/`) times the claim loop as
+// `SchedPolicyKind::default().build(2)`, `.publish(&order, &[])`,
+// `.begin_round()`, `.claim(0)`. `SchedPolicyKind`, `build`'s worker count,
+// `publish`'s second slice and `claim`'s slot argument exist only to keep
+// that call shape compiling; the cursor ignores all three and the kernel
+// passes `&[]` / `0`.
+/// The one way workers claim LPs out of the published order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedPolicyKind {
-    /// The original shared claim cursor: all workers of a group pop the
-    /// next position from one atomic counter (bit-identical to the
-    /// pre-policy kernel, and the default).
+    /// The shared claim cursor ([`LjfCursor`]).
     #[default]
     LjfCursor,
-    /// Per-worker deques seeded from the partition's affinity hints (or by
-    /// striping the LJF order when no hints exist), with LIFO-local /
-    /// FIFO-steal work stealing. Results are bit-identical to
-    /// [`SchedPolicyKind::LjfCursor`]; only which worker executes each LP
-    /// changes.
-    StealDeque,
 }
 
 impl SchedPolicyKind {
-    /// Short display name, used in reports and bench tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedPolicyKind::LjfCursor => "ljf-cursor",
-            SchedPolicyKind::StealDeque => "steal-deque",
-        }
-    }
-
-    /// Builds the policy's claim state for a scheduling group of `workers`
-    /// threads.
-    pub fn build(self, workers: usize) -> Box<dyn SchedPolicy> {
-        match self {
-            SchedPolicyKind::LjfCursor => Box::new(LjfCursor::new()),
-            SchedPolicyKind::StealDeque => Box::new(crate::stealdeque::StealDeque::new(workers)),
-        }
+    /// Builds the claim cursor.
+    pub fn build(self, _workers: usize) -> LjfCursor {
+        LjfCursor::new()
     }
 }
 
-/// Cumulative claim counters of a [`SchedPolicy`] (whole-run totals).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SchedPolicyStats {
-    /// LP executions claimed (one per non-idle LP per round).
-    pub claims: u64,
-    /// Claims served from another worker's deque (always 0 for
-    /// [`LjfCursor`], which has no worker-local state).
-    pub steals: u64,
-    /// Claims served from the claiming worker's own deque (its affinity
-    /// set). Always 0 for [`LjfCursor`].
-    pub affinity_hits: u64,
-}
-
-/// Per-round claim protocol: hands out positions of the published LP order.
+/// The claim cursor: one shared atomic position counter per scheduling
+/// group.
 ///
 /// Contract (DESIGN.md §4.5): `publish` and `begin_round` are called only
 /// from the control thread's exclusive window between rounds (all workers
 /// parked at a barrier — the barrier provides the happens-before edges);
 /// `claim` is called concurrently by every worker of the group during the
-/// process phase and must return each position in `0..order.len()` to
+/// process phase and returns each position in `0..order.len()` to
 /// **exactly one** caller per round, then `None`. Which caller gets which
-/// position is unconstrained — determinism of results must not depend on
+/// position is unconstrained — determinism of results does not depend on
 /// it, because every cross-LP effect commits through the mailbox +
 /// tie-break-key path (digest-proven, see `sched_matrix.rs`).
-pub trait SchedPolicy: Send + Sync {
-    /// Policy name ([`SchedPolicyKind::name`]).
-    fn name(&self) -> &'static str;
-    /// Installs a new claim order (`order[i]` = LP index). `affinity` holds
-    /// the partition's per-LP locality ranks, or is empty when no placement
-    /// stage ran. Called from the control thread's exclusive window; also
-    /// resets the per-round state.
-    fn publish(&self, order: &[u32], affinity: &[u32]);
-    /// Resets the per-round claim state for the next round (exclusive
-    /// window; the published order stays in place).
-    fn begin_round(&self);
-    /// Claims the next position in the published order for worker `slot`
-    /// (the worker's index within its scheduling group). Returns `None`
-    /// when the round's order is exhausted.
-    fn claim(&self, slot: usize) -> Option<usize>;
-    /// Cumulative whole-run counters.
-    fn stats(&self) -> SchedPolicyStats;
-}
-
-/// The reference claim policy: one shared atomic cursor per group.
-///
-/// `claim` performs exactly the `fetch_add(1, Relaxed)` + bounds check the
-/// pre-policy kernel inlined, so runs under the default configuration are
-/// bit-identical *and* perf-identical to the original claim loop.
 pub struct LjfCursor {
     cursor: CachePadded<AtomicUsize>,
     len: AtomicUsize,
@@ -147,34 +94,28 @@ impl LjfCursor {
             claims: AtomicU64::new(0),
         }
     }
-}
 
-impl Default for LjfCursor {
-    fn default() -> Self {
-        LjfCursor::new()
-    }
-}
-
-impl SchedPolicy for LjfCursor {
-    fn name(&self) -> &'static str {
-        SchedPolicyKind::LjfCursor.name()
-    }
-
-    fn publish(&self, order: &[u32], _affinity: &[u32]) {
+    /// Installs a new claim order of `order.len()` positions and resets the
+    /// per-round state (exclusive window).
+    pub fn publish(&self, order: &[u32], _unused: &[u32]) {
         self.len.store(order.len(), Ordering::Relaxed);
         self.begin_round();
     }
 
-    fn begin_round(&self) {
-        // Exclusive window: fold the consumed prefix into the claim total
-        // (the cursor overshoots by one per worker at phase end).
+    /// Resets the per-round claim state for the next round (exclusive
+    /// window; the published order stays in place).
+    pub fn begin_round(&self) {
+        // Fold the consumed prefix into the claim total (the cursor
+        // overshoots by one per worker at phase end).
         let taken = self.cursor.swap(0, Ordering::Relaxed);
         let len = self.len.load(Ordering::Relaxed);
         self.claims
             .fetch_add(taken.min(len) as u64, Ordering::Relaxed);
     }
 
-    fn claim(&self, _slot: usize) -> Option<usize> {
+    /// Claims the next position in the published order, or `None` when the
+    /// round's order is exhausted.
+    pub fn claim(&self, _unused: usize) -> Option<usize> {
         let i = self.cursor.fetch_add(1, Ordering::Relaxed);
         if i < self.len.load(Ordering::Relaxed) {
             Some(i)
@@ -183,12 +124,16 @@ impl SchedPolicy for LjfCursor {
         }
     }
 
-    fn stats(&self) -> SchedPolicyStats {
-        SchedPolicyStats {
-            claims: self.claims.load(Ordering::Relaxed),
-            steals: 0,
-            affinity_hits: 0,
-        }
+    /// Cumulative positions claimed over the rounds folded so far (one per
+    /// LP per round).
+    pub fn claims(&self) -> u64 {
+        self.claims.load(Ordering::Relaxed)
+    }
+}
+
+impl Default for LjfCursor {
+    fn default() -> Self {
+        LjfCursor::new()
     }
 }
 
@@ -250,15 +195,9 @@ pub struct SchedConfig {
     /// Re-sort the LP order every `period` rounds. `None` = automatic:
     /// `ceil(log2(lp_count))`, minimum 1.
     pub period: Option<u32>,
-    /// Claim protocol (how workers pop LPs from the published order).
-    /// Results are bit-identical across policies; only execution placement
-    /// and wall-clock behaviour differ.
-    pub policy: SchedPolicyKind,
     /// Round fusion (barrier elision for cheap rounds; DESIGN.md §4.9).
     /// Results are bit-identical with fusion on or off.
     pub fusion: FusionConfig,
-    /// Worker→core pinning (default off; no effect on digests).
-    pub pin: crate::pin::PinPolicy,
 }
 
 impl Default for SchedConfig {
@@ -266,9 +205,7 @@ impl Default for SchedConfig {
         SchedConfig {
             metric: SchedMetric::ByLastRoundTime,
             period: None,
-            policy: SchedPolicyKind::LjfCursor,
             fusion: FusionConfig::default(),
-            pin: crate::pin::PinPolicy::Off,
         }
     }
 }
@@ -457,13 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_are_stable() {
-        assert_eq!(SchedPolicyKind::LjfCursor.name(), "ljf-cursor");
-        assert_eq!(SchedPolicyKind::StealDeque.name(), "steal-deque");
-        assert_eq!(SchedPolicyKind::default(), SchedPolicyKind::LjfCursor);
-    }
-
-    #[test]
     fn ljf_cursor_hands_out_positions_in_order_exactly_once() {
         let c = LjfCursor::new();
         c.publish(&[4, 2, 7], &[]);
@@ -478,25 +408,6 @@ mod tests {
         assert_eq!(c.claim(0), Some(2));
         assert_eq!(c.claim(0), None);
         c.begin_round(); // folds the second round into the totals
-        let stats = c.stats();
-        assert_eq!(stats.claims, 6, "3 claims per round over 2 rounds");
-        assert_eq!(stats.steals, 0);
-        assert_eq!(stats.affinity_hits, 0);
-    }
-
-    #[test]
-    fn policy_kind_builds_matching_policy() {
-        for kind in [SchedPolicyKind::LjfCursor, SchedPolicyKind::StealDeque] {
-            let p = kind.build(2);
-            assert_eq!(p.name(), kind.name());
-            p.publish(&[0, 1], &[]);
-            let mut got = Vec::new();
-            while let Some(i) = p.claim(0) {
-                got.push(i);
-            }
-            got.sort_unstable();
-            assert_eq!(got, vec![0, 1], "every position claimed exactly once");
-            assert_eq!(p.claim(1), None, "round is exhausted for every slot");
-        }
+        assert_eq!(c.claims(), 6, "3 claims per round over 2 rounds");
     }
 }

@@ -30,41 +30,37 @@
 //! 6. the mailbox node pool's take-all/splice-back freelist protocol hands
 //!    each recycled node to at most one claimant — no ABA interleaving of
 //!    racing pooled pushes and a concurrent recycle can double-claim a node
-//!    or lose a message (DESIGN.md §4.4);
-//! 7. the work-stealing deque's per-position `AtomicBool` swap admits
-//!    exactly one winner per position, so an owner and a thief racing over
-//!    the same deque cover the round's task set exactly once
-//!    (DESIGN.md §4.5).
+//!    or lose a message (DESIGN.md §4.4).
 //!
-//! Claims 8–11 back the protocol entries of `crates/core/ATOMICS.toml`
+//! Claims 7–10 back the protocol entries of `crates/core/ATOMICS.toml`
 //! (checked by `cargo xtask atomics`; each entry's `loom` key names the
 //! model covering it). They model the protocol *shapes* with raw shim
 //! atomics — same technique as claim 3 — because the concrete carriers
 //! (`Watchdog`, the kernels' stop flags and channel clocks) are crate-
 //! private runtime plumbing:
 //!
-//! 8. a Release store of a stop/abort flag publishes the stopper's
+//! 7. a Release store of a stop/abort flag publishes the stopper's
 //!    diagnostics writes to every worker that Acquire-observes the flag
 //!    (`RoundCtx::request_stop` → kernel poll sites, `watchdog.stalled`);
-//! 9. the watchdog's `Relaxed` progress word is a pure liveness heuristic —
+//! 8. the watchdog's `Relaxed` progress word is a pure liveness heuristic —
 //!    monotone under concurrent ticks, never used to guard data — while the
 //!    `stalled` Release/Acquire pair carries the stall diagnosis;
-//! 10. a channel clock advanced with `fetch_max(AcqRel)` publishes the
-//!     events appended before the advance to a receiver that Acquire-reads
-//!     a clock value at or past its promise, and concurrent advances keep
-//!     the clock monotone (`nullmsg.chan_clock`);
-//! 11. per-producer clock words stored with Release and min-reduced with
+//! 9. a channel clock advanced with `fetch_max(AcqRel)` publishes the
+//!    events appended before the advance to a receiver that Acquire-reads
+//!    a clock value at or past its promise, and concurrent advances keep
+//!    the clock monotone (`nullmsg.chan_clock`);
+//! 10. per-producer clock words stored with Release and min-reduced with
 //!     Acquire loads publish each producer's state as of the published
 //!     timestamp (`barrier.next_ts` LBTS reduction, `nullmsg.stall_clocks`);
-//! 12. the asynchronous conservative kernel's grant protocol
+//! 11. the asynchronous conservative kernel's grant protocol
 //!     (`async_cons.chan_clock`): each in-channel's sender appends events
 //!     and then raises its promise with `fetch_max(AcqRel)`; the receiver
 //!     Acquire-min-reduces all in-channel clocks into a safe bound *before*
 //!     draining, so every event strictly below the observed bound is
-//!     visible — combining the fetch_max edge of claim 10 with the
-//!     min-reduction of claim 11 (DESIGN.md §4.8).
+//!     visible — combining the fetch_max edge of claim 9 with the
+//!     min-reduction of claim 10 (DESIGN.md §4.8).
 //!
-//! 13. the hierarchical tree barrier ([`TreeBarrier`]) releases a crossing
+//! 12. the hierarchical tree barrier ([`TreeBarrier`]) releases a crossing
 //!     only after every participant arrived, elects exactly one root winner
 //!     per generation, carries the happens-before edge from every
 //!     participant's pre-barrier writes to every participant's post-barrier
@@ -85,7 +81,6 @@ use loom::thread;
 use unison_core::queue::MpscQueue;
 use unison_core::sync::{SpinBarrier, TreeBarrier};
 use unison_core::sync_shim::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use unison_core::{SchedPolicy, StealDeque};
 
 /// Claim 1: generation reuse. Two threads cross the same barrier twice with
 /// plain (non-atomic) data handed back and forth: generation 1 must order
@@ -334,7 +329,7 @@ fn barrier_poison_releases_waiters() {
     });
 }
 
-/// Claim 13: the tree barrier's release publication. Fan-in 2 with three
+/// Claim 12: the tree barrier's release publication. Fan-in 2 with three
 /// participants forces a two-level tree (two leaves + a root), so the model
 /// exercises the full protocol: the winner chain up (leaf winner's
 /// `fetch_add` at the root), the `Relaxed` arrival reset before the climb,
@@ -477,55 +472,7 @@ fn mailbox_pool_no_aba() {
     });
 }
 
-/// Claim 7: the steal-deque claim protocol. The control thread publishes a
-/// 3-position round to a 2-worker deque (single-threaded prologue, as in
-/// the kernel's exclusive inter-round window), then the owner of slot 0
-/// races a thief on slot 1, both draining until `claim` returns `None`.
-/// The per-position `swap(true, AcqRel)` must admit exactly one winner per
-/// position in every interleaving: a double-claim shows up as a duplicate,
-/// a lost position as a short union. This is the model backing the `unsafe
-/// impl Sync for StealDeque` and the kernel's exactly-once scheduling
-/// contract under work stealing (`crates/core/src/stealdeque.rs`).
-#[test]
-fn steal_deque_claims_each_position_exactly_once() {
-    loom::model(|| {
-        let deque = Arc::new(StealDeque::new(2));
-        // Exclusive prologue: seed the round before any claimant exists.
-        deque.publish(&[0, 1, 2], &[]);
-
-        let thief = {
-            let deque = Arc::clone(&deque);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(pos) = deque.claim(1) {
-                    got.push(pos);
-                }
-                got
-            })
-        };
-        let mut got = Vec::new();
-        while let Some(pos) = deque.claim(0) {
-            got.push(pos);
-        }
-        got.extend(thief.join().unwrap());
-
-        got.sort_unstable();
-        assert_eq!(
-            got,
-            [0, 1, 2],
-            "each published position must be claimed exactly once"
-        );
-        let stats = deque.stats();
-        assert_eq!(stats.claims, 3, "claim accounting must match the round");
-        assert_eq!(
-            stats.steals + stats.affinity_hits,
-            stats.claims,
-            "every claim is attributed as a steal or an affinity hit"
-        );
-    });
-}
-
-/// Claim 8: stop-flag abort handoff. The containment path writes its
+/// Claim 7: stop-flag abort handoff. The containment path writes its
 /// failure diagnostics first and then raises the flag with a Release store
 /// (`RoundCtx::request_stop`, `watchdog` abort, `nullmsg` stall report); a
 /// worker that Acquire-observes the flag must therefore see the complete
@@ -563,7 +510,7 @@ fn stop_flag_publishes_abort() {
     });
 }
 
-/// Claim 9: watchdog stall protocol. The kernel thread ticks the `Relaxed`
+/// Claim 8: watchdog stall protocol. The kernel thread ticks the `Relaxed`
 /// progress word; the monitor samples it only for equality comparison
 /// (never dereferencing anything guarded by it) and, on declaring a stall,
 /// writes its diagnosis and raises `stalled` with Release. The kernel
@@ -607,7 +554,7 @@ fn watchdog_stall_publication() {
     });
 }
 
-/// Claim 10: channel-clock publication (`nullmsg.chan_clock`). A sender
+/// Claim 9: channel-clock publication (`nullmsg.chan_clock`). A sender
 /// appends an event (plain write) and then advances the channel clock with
 /// `fetch_max(AcqRel)`; a receiver that Acquire-reads a clock value at or
 /// past the sender's promise is guaranteed to see the event. A concurrent
@@ -658,7 +605,7 @@ fn channel_clock_fetch_max_publication() {
     });
 }
 
-/// Claim 11: per-producer clock words min-reduced by a reader (the LBTS
+/// Claim 10: per-producer clock words min-reduced by a reader (the LBTS
 /// reduction over `barrier.next_ts`, and `stall_clocks` snapshots). Each
 /// producer publishes its state with a Release store of its timestamp; the
 /// reader Acquire-loads every word, takes the min, and must then see each
@@ -711,7 +658,7 @@ fn clock_word_release_acquire_publication() {
     });
 }
 
-/// Claim 12: the async-conservative grant protocol
+/// Claim 11: the async-conservative grant protocol
 /// (`async_cons.chan_clock`, DESIGN.md §4.8). Two in-channel senders each
 /// write their event payload (plain memory, standing in for the mailbox
 /// push) and then raise their channel's promise with `fetch_max(AcqRel)`.

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 
 use unison_core::sched::{ideal_makespan, lpt_makespan, order_by_estimate};
 use unison_core::{
-    fine_grained_partition, BalancedRefine, Event, EventKey, Fel, FelImpl, LinkGraph, LpId,
-    MedianCut, NodeId, PartitionPipeline, Partitioner, Rng, Time,
+    fine_grained_partition, partition_below_bound, Event, EventKey, Fel, FelImpl, LinkGraph, LpId,
+    NodeId, Rng, Time,
 };
 
 /// Builds an arbitrary multigraph on `n` nodes from raw edge tuples
@@ -293,18 +293,17 @@ proptest! {
         }
     }
 
-    /// Every pipeline partitioner output covers every node exactly once:
-    /// dense LP ids, each node in exactly one LP's node list, at the index
-    /// `node_lp` claims — for both the bare median-cut pipeline and the
-    /// refined one (with `BalancedRefine` + `TopoPlace`).
+    /// Both flood partitioners cover every node exactly once: dense LP
+    /// ids, each node in exactly one LP's node list, at the index `node_lp`
+    /// claims — for the median-delay cut and for any explicit bound.
     #[test]
     fn partitioner_covers_every_node_exactly_once(
         n in 2usize..40,
         edges in proptest::collection::vec((0usize..40, 0usize..40, 0u64..10_000), 0..120),
+        bound in 0u64..12_000,
     ) {
         let g = build_graph(n, &edges);
-        for pipeline in [PartitionPipeline::median_cut(), PartitionPipeline::refined()] {
-            let p = pipeline.partition(&g);
+        for p in [fine_grained_partition(&g), partition_below_bound(&g, Time(bound))] {
             prop_assert_eq!(p.node_lp.len(), n);
             prop_assert_eq!(p.lp_nodes.len(), p.lp_count as usize);
             let mut covered = vec![0u32; n];
@@ -316,86 +315,40 @@ proptest! {
                 }
             }
             prop_assert!(covered.iter().all(|&c| c == 1), "node covered != once");
-            if !p.affinity.is_empty() {
-                // A placement stage ran: one rank per LP, forming a
-                // permutation of 0..lp_count.
-                let mut ranks: Vec<u32> = p.affinity.clone();
-                ranks.sort_unstable();
-                let expect: Vec<u32> = (0..p.lp_count).collect();
-                prop_assert_eq!(ranks, expect);
-            }
         }
     }
 
     /// `lp_channels` is exactly the cut of the partition: one entry per
     /// unordered LP pair joined by a live link, carrying the minimum delay
     /// among that pair's links, and the global lookahead is the minimum
-    /// over the channels.
+    /// over the channels — for the median-delay cut and for any explicit
+    /// bound.
     #[test]
     fn lp_channel_lookaheads_match_min_cut_delay(
         n in 2usize..40,
         edges in proptest::collection::vec((0usize..40, 0usize..40, 0u64..10_000), 0..120),
+        bound in 0u64..12_000,
     ) {
         let g = build_graph(n, &edges);
-        let p = fine_grained_partition(&g);
-        let mut expected: std::collections::BTreeMap<(u32, u32), u64> =
-            std::collections::BTreeMap::new();
-        for (_, l) in g.live_links() {
-            let (pa, pb) = (p.lp_of(l.a), p.lp_of(l.b));
-            if pa != pb {
-                let key = (pa.0.min(pb.0), pa.0.max(pb.0));
-                let e = expected.entry(key).or_insert(u64::MAX);
-                *e = (*e).min(l.delay.0);
-            }
-        }
-        let chans = p.lp_channels(&g);
-        prop_assert_eq!(chans.len(), expected.len());
-        for (a, b, d) in chans {
-            prop_assert_eq!(expected.get(&(a.0, b.0)).copied(), Some(d.0));
-        }
-        let min_cut = expected.values().copied().min().unwrap_or(u64::MAX);
-        prop_assert_eq!(p.lookahead.0, min_cut);
-    }
-
-    /// `BalancedRefine` never increases the maximum LP weight (node count)
-    /// and never cuts a link finer than the median bound.
-    #[test]
-    fn balanced_refine_never_increases_max_lp_weight(
-        n in 2usize..40,
-        edges in proptest::collection::vec((0usize..40, 0usize..40, 0u64..10_000), 0..120),
-    ) {
-        use unison_core::{CutStage, RefineStage};
-        let g = build_graph(n, &edges);
-        let before = MedianCut.cut(&g);
-        let max_before = before.lp_nodes.iter().map(Vec::len).max().unwrap_or(0);
-        let mut after = before.clone();
-        BalancedRefine.refine(&g, &mut after);
-        let max_after = after.lp_nodes.iter().map(Vec::len).max().unwrap_or(0);
-        prop_assert!(
-            max_after <= max_before,
-            "refine grew the heaviest LP: {} -> {}", max_before, max_after
-        );
-        // Fine links (below the effective median bound) must stay intra-LP,
-        // exactly as the cut stage left them.
-        let mut delays: Vec<u64> = g.live_links().map(|(_, l)| l.delay.0).collect();
-        if !delays.is_empty() {
-            delays.sort_unstable();
-            let bound = delays[(delays.len() - 1) / 2].max(1);
+        for p in [fine_grained_partition(&g), partition_below_bound(&g, Time(bound))] {
+            let mut expected: std::collections::BTreeMap<(u32, u32), u64> =
+                std::collections::BTreeMap::new();
             for (_, l) in g.live_links() {
-                if l.delay.0 < bound {
-                    prop_assert_eq!(after.lp_of(l.a), after.lp_of(l.b));
+                let (pa, pb) = (p.lp_of(l.a), p.lp_of(l.b));
+                if pa != pb {
+                    let key = (pa.0.min(pb.0), pa.0.max(pb.0));
+                    let e = expected.entry(key).or_insert(u64::MAX);
+                    *e = (*e).min(l.delay.0);
                 }
             }
-        }
-        // The refined assignment is still a valid cover.
-        let mut covered = vec![0u32; n];
-        for (lp, nodes) in after.lp_nodes.iter().enumerate() {
-            for node in nodes {
-                covered[node.index()] += 1;
-                prop_assert_eq!(after.node_lp[node.index()], LpId(lp as u32));
+            let chans = p.lp_channels(&g);
+            prop_assert_eq!(chans.len(), expected.len());
+            for (a, b, d) in chans {
+                prop_assert_eq!(expected.get(&(a.0, b.0)).copied(), Some(d.0));
             }
+            let min_cut = expected.values().copied().min().unwrap_or(u64::MAX);
+            prop_assert_eq!(p.lookahead.0, min_cut);
         }
-        prop_assert!(covered.iter().all(|&c| c == 1));
     }
 
     /// LPT makespan bounds: at least the largest job and the mean load, at

@@ -1,23 +1,26 @@
-//! Determinism matrix over the scheduling/partitioning extension points.
+//! Determinism matrix over partition mode, thread count and scheduling
+//! metric.
 //!
 //! The §5.2 tie-breaking keys make Unison's results independent of *which
-//! worker executes which LP when* — so every (partitioner, sched-policy,
-//! thread-count, sched-metric) combination must produce bit-identical
-//! model state. This suite pins that claim for the pluggable pipeline
-//! partitioners and the work-stealing scheduler: stealing only reorders
-//! execution of a round's fixed task set, and cross-LP sends commit
-//! through the mailbox + tie-break key path.
+//! worker executes which LP when* — so every (partition, thread-count,
+//! sched-metric) combination must produce bit-identical model state: the
+//! claim cursor only decides who executes a round's fixed task set, and
+//! cross-LP sends commit through the mailbox + tie-break key path.
 //!
 //! Digests are compared only *within* one partition: the tie-break key
 //! embeds `sender_lp` and per-LP sequence numbers, so different partitions
 //! legitimately produce different (each internally deterministic) event
-//! orders. `PartitionPipeline::median_cut()` reproduces the `Auto`
-//! partition exactly, so those two are digest-compatible — also asserted.
+//! orders.
 
 use unison_core::{
-    kernel, FelImpl, FusionConfig, KernelKind, NodeId, PartitionMode, PartitionPipeline, Rng,
-    RunConfig, SchedConfig, SchedMetric, SchedPolicyKind, SimCtx, SimNode, Time, WorldBuilder,
+    kernel, FelImpl, FusionConfig, KernelKind, NodeId, PartitionMode, Rng, RunConfig, SchedConfig,
+    SchedMetric, SimCtx, SimNode, Time, WorldBuilder,
 };
+
+/// Ring size of [`world`].
+const N: usize = 12;
+/// Delay of the ring's one fine (sub-median) link, 0–1.
+const FINE: Time = Time(500);
 
 /// A token with its own deterministic randomness (the kernels.rs model).
 #[derive(Debug)]
@@ -48,10 +51,9 @@ impl SimNode for Router {
     }
 }
 
-/// A ring with one fine (sub-median) link so the refined pipeline has a
-/// non-trivial coarse structure to balance and place.
+/// A ring with one fine (sub-median) link, so the automatic partition
+/// merges one pair of nodes and cuts everything else.
 fn world() -> unison_core::World<Router> {
-    const N: usize = 12;
     let mut b = WorldBuilder::new();
     let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
     for i in 0..N {
@@ -60,7 +62,7 @@ fn world() -> unison_core::World<Router> {
         // One short link (0-1) stays intra-LP under the median bound.
         let d = |a: usize, b: usize| {
             if (a.min(b), a.max(b)) == (0, 1) {
-                Time(500)
+                FINE
             } else {
                 Time(3_000)
             }
@@ -75,7 +77,7 @@ fn world() -> unison_core::World<Router> {
         b.add_link(
             ids[i],
             ids[(i + 1) % N],
-            if i == 0 { Time(500) } else { Time(3_000) },
+            if i == 0 { FINE } else { Time(3_000) },
         );
     }
     let mut seed_rng = Rng::new(0xFEED_F00D);
@@ -123,113 +125,79 @@ fn run_fel(
     (sums, report.events)
 }
 
-fn partitioners() -> Vec<(&'static str, PartitionMode)> {
+/// The partition axis: the modes experiments actually run under.
+fn partitions() -> Vec<(&'static str, PartitionMode)> {
     vec![
         ("auto", PartitionMode::Auto),
+        // Merges across the fine link only.
+        ("bound", PartitionMode::Bound(Time(FINE.0 + 1))),
+        // Two LPs: one half of the ring each.
         (
-            "pipeline:median-cut",
-            PartitionMode::Pipeline(PartitionPipeline::median_cut()),
-        ),
-        (
-            "pipeline:refined",
-            PartitionMode::Pipeline(PartitionPipeline::refined()),
+            "manual",
+            PartitionMode::Manual((0..N).map(|i| (i >= N / 2) as u32).collect()),
         ),
     ]
 }
 
-/// The full matrix: per partitioner, every {policy} × {threads} × {metric}
-/// combination matches that partitioner's single-thread LJF reference.
+/// The full matrix: per partition, every {threads} × {metric} combination
+/// — and the hybrid kernel — matches that partition's single-thread
+/// reference.
 #[test]
-fn every_policy_thread_metric_combination_is_bit_identical() {
-    for (pname, pmode) in partitioners() {
+fn every_thread_metric_combination_is_bit_identical() {
+    for (pname, pmode) in partitions() {
         let reference = run(
             KernelKind::Unison { threads: 1 },
             pmode.clone(),
             SchedConfig::default(),
         );
         assert!(reference.1 > 0, "{pname}: reference run executed no events");
-        for policy in [SchedPolicyKind::LjfCursor, SchedPolicyKind::StealDeque] {
-            for threads in [1usize, 2, 4] {
-                for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
-                    let got = run(
-                        KernelKind::Unison { threads },
-                        pmode.clone(),
-                        SchedConfig {
-                            metric,
-                            period: Some(4),
-                            policy,
-                            ..Default::default()
-                        },
-                    );
-                    assert_eq!(
-                        reference,
-                        got,
-                        "digest mismatch: partitioner={pname} policy={} threads={threads} \
-                         metric={metric:?}",
-                        policy.name(),
-                    );
-                }
+        let sched = |metric| SchedConfig {
+            metric,
+            period: Some(4),
+            ..Default::default()
+        };
+        for threads in [1usize, 2, 4] {
+            for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
+                let got = run(KernelKind::Unison { threads }, pmode.clone(), sched(metric));
+                assert_eq!(
+                    reference, got,
+                    "digest mismatch: partition={pname} threads={threads} metric={metric:?}"
+                );
             }
         }
-    }
-}
-
-/// `PartitionPipeline::median_cut()` is the free function behind `Auto`, so
-/// the two modes are digest-compatible (same LPs → same tie-break keys).
-#[test]
-fn median_cut_pipeline_digest_matches_auto() {
-    let auto = run(
-        KernelKind::Unison { threads: 2 },
-        PartitionMode::Auto,
-        SchedConfig::default(),
-    );
-    let pipe = run(
-        KernelKind::Unison { threads: 2 },
-        PartitionMode::Pipeline(PartitionPipeline::median_cut()),
-        SchedConfig::default(),
-    );
-    assert_eq!(auto, pipe);
-}
-
-/// The hybrid kernel builds one policy per host group; stealing stays
-/// within a host and must not perturb results either.
-#[test]
-fn hybrid_kernel_is_policy_invariant() {
-    let mk = |policy| {
-        run(
+        // One claim cursor per host group; results must not notice.
+        let hybrid = run(
             KernelKind::Hybrid {
                 hosts: 2,
                 threads_per_host: 2,
             },
-            PartitionMode::Pipeline(PartitionPipeline::refined()),
-            SchedConfig {
-                metric: SchedMetric::ByLastRoundTime,
-                period: Some(4),
-                policy,
-                ..Default::default()
-            },
-        )
-    };
-    assert_eq!(
-        mk(SchedPolicyKind::LjfCursor),
-        mk(SchedPolicyKind::StealDeque)
-    );
+            pmode.clone(),
+            sched(SchedMetric::ByLastRoundTime),
+        );
+        assert_eq!(
+            reference, hybrid,
+            "digest mismatch: hybrid partition={pname}"
+        );
+    }
 }
 
 /// The asynchronous conservative kernel has no rounds to schedule, so its
-/// matrix is {partitioner} × {threads}; every cell must match the
-/// 1-thread compat-keys sequential digest exactly (DESIGN.md §4.8: keys
+/// matrix is {partition} × {threads}; every cell must match the compat-keys
+/// sequential digest under the same partition exactly (DESIGN.md §4.8: keys
 /// are preserved across channels, so the merge order *is* the sequential
-/// order regardless of partition or thread count).
+/// order regardless of thread count).
 #[test]
 fn async_cons_matrix_is_bit_identical_to_sequential() {
-    let reference = run(
-        KernelKind::Sequential { compat_keys: true },
-        PartitionMode::Auto,
-        SchedConfig::default(),
-    );
-    assert!(reference.1 > 0, "sequential reference executed no events");
-    for (pname, pmode) in partitioners() {
+    for (pname, pmode) in partitions() {
+        let reference = run(
+            KernelKind::Sequential { compat_keys: true },
+            pmode.clone(),
+            SchedConfig::default(),
+        );
+        assert!(
+            reference.1 > 0,
+            "{pname}: sequential reference executed no events"
+        );
         for threads in [1usize, 2, 4] {
             let got = run(
                 KernelKind::AsyncCons { threads },
@@ -238,7 +206,7 @@ fn async_cons_matrix_is_bit_identical_to_sequential() {
             );
             assert_eq!(
                 reference, got,
-                "digest mismatch: async_cons partitioner={pname} threads={threads}"
+                "digest mismatch: async_cons partition={pname} threads={threads}"
             );
         }
     }
@@ -265,68 +233,21 @@ fn async_cons_reports_async_stats() {
     let (_, unison) = kernel::run(world(), &RunConfig::unison(2)).unwrap();
     assert!(unison.async_stats.is_none());
     assert!(unison.rounds > 0);
-}
-
-/// Work stealing actually happens on this workload (the digest equality
-/// above is vacuous if every claim is an affinity hit), and the report
-/// surfaces the counters.
-#[test]
-fn steal_deque_reports_scheduler_activity() {
-    let (_, report) = kernel::run(
-        world(),
-        &RunConfig {
-            watchdog: Default::default(),
-            kernel: KernelKind::Unison { threads: 4 },
-            partition: PartitionMode::Pipeline(PartitionPipeline::refined()),
-            sched: SchedConfig {
-                metric: SchedMetric::ByLastRoundTime,
-                period: Some(4),
-                policy: SchedPolicyKind::StealDeque,
-                ..Default::default()
-            },
-            metrics: Default::default(),
-            telemetry: Default::default(),
-            fel: Default::default(),
-            fault: Default::default(),
-        },
-    )
-    .unwrap();
-    assert_eq!(report.sched.policy, "steal-deque");
-    assert!(report.sched.claims > 0, "no claims were attributed");
+    // Every LP's position is claimed exactly once per round.
     assert_eq!(
-        report.sched.claims,
-        report.sched.steals + report.sched.affinity_hits,
-        "every claim is either a steal or an affinity hit"
+        unison.sched.claims,
+        unison.rounds * u64::from(unison.lp_count)
     );
-    // The shared-cursor policy reports zero stealing by construction.
-    let (_, ljf) = kernel::run(
-        world(),
-        &RunConfig {
-            watchdog: Default::default(),
-            kernel: KernelKind::Unison { threads: 4 },
-            partition: PartitionMode::Auto,
-            sched: SchedConfig::default(),
-            metrics: Default::default(),
-            telemetry: Default::default(),
-            fel: Default::default(),
-            fault: Default::default(),
-        },
-    )
-    .unwrap();
-    assert_eq!(ljf.sched.policy, "ljf-cursor");
-    assert_eq!(ljf.sched.steals, 0);
-    assert_eq!(ljf.sched.affinity_hits, 0);
-    assert!(ljf.sched.claims > 0);
 }
 
 /// Round fusion is a pure scheduling optimization: for every
-/// {partitioner} × {threads} × {FEL} cell, the fusion-on digest is
+/// {partition} × {threads} × {FEL} cell, the fusion-on digest is
 /// bit-identical to the fusion-off digest (DESIGN.md §4.9 — a fused round
 /// runs the same four phases through the same mailbox commit path, just
 /// without waking the workers).
 #[test]
 fn fusion_on_off_digests_are_bit_identical() {
-    for (pname, pmode) in partitioners() {
+    for (pname, pmode) in partitions() {
         for threads in [1usize, 2, 4] {
             for fel in [FelImpl::Ladder, FelImpl::BinaryHeap] {
                 let on = run_fel(
@@ -348,7 +269,7 @@ fn fusion_on_off_digests_are_bit_identical() {
                 assert_eq!(
                     on,
                     off,
-                    "fusion changed the digest: partitioner={pname} threads={threads} \
+                    "fusion changed the digest: partition={pname} threads={threads} \
                      fel={}",
                     fel.name()
                 );

@@ -340,11 +340,11 @@ impl NetSim {
         .expect("valid default configuration")
     }
 
-    /// Runs with a full configuration — kernel, FEL backend, watchdog,
-    /// telemetry, and the pluggable partition/scheduling stages
-    /// ([`RunConfig::with_partitioner`] / [`RunConfig::with_sched`],
-    /// DESIGN.md §4.5). Every combination is bit-identical on the same
-    /// partition; the knobs trade wall clock, never results.
+    /// Runs with a full configuration — kernel, partition mode, FEL
+    /// backend, watchdog, telemetry, and the scheduling knobs
+    /// ([`RunConfig::with_sched`], DESIGN.md §4.5). Every combination is
+    /// bit-identical on the same partition; the knobs trade wall clock,
+    /// never results.
     pub fn run_with(self, cfg: &RunConfig) -> Result<SimResult, KernelError> {
         let (world, report) = kernel::run(self.world, cfg)?;
         Ok(SimResult {

@@ -20,9 +20,7 @@ use std::time::Duration;
 
 use unison_core::fault::FaultPlan;
 use unison_core::kernel::{KernelKind, PartitionMode, RunConfig};
-use unison_core::partition::PartitionPipeline;
-use unison_core::pin::PinPolicy;
-use unison_core::sched::{FusionConfig, SchedConfig, SchedMetric, SchedPolicyKind};
+use unison_core::sched::{FusionConfig, SchedConfig, SchedMetric};
 use unison_core::{DataRate, FelImpl, RunPhase, Time};
 use unison_topology::{self as topology, NodeKind, TopoLink, Topology};
 use unison_traffic::{FlowSpec, SizeDist, TrafficConfig};
@@ -263,15 +261,6 @@ pub enum PartitionSpec {
     /// One LP per topology cluster (`manual::by_cluster`) — resolved
     /// against the built topology, so the file does not hard-code sizes.
     ByCluster,
-    /// A staged partition pipeline.
-    Pipeline(PipelineSpec),
-}
-
-/// Which staged pipeline `partition = "pipeline"` uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineSpec {
-    MedianCut,
-    Refined,
 }
 
 impl PartitionSpec {
@@ -283,12 +272,6 @@ impl PartitionSpec {
             PartitionSpec::Bound(t) => PartitionMode::Bound(*t),
             PartitionSpec::Manual(v) => PartitionMode::Manual(v.clone()),
             PartitionSpec::ByCluster => PartitionMode::Manual(topology::manual::by_cluster(topo)),
-            PartitionSpec::Pipeline(PipelineSpec::MedianCut) => {
-                PartitionMode::Pipeline(PartitionPipeline::median_cut())
-            }
-            PartitionSpec::Pipeline(PipelineSpec::Refined) => {
-                PartitionMode::Pipeline(PartitionPipeline::refined())
-            }
         }
     }
 }
@@ -1138,19 +1121,28 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
             let assign = k
                 .int_array("assignment")?
                 .ok_or_else(|| k.missing("assignment"))?;
-            PartitionSpec::Manual(assign.into_iter().map(|v| v as u32).collect())
-        }
-        Some("pipeline") => {
-            let pipe = k
-                .choice(
-                    "pipeline",
-                    &[
-                        ("median_cut", PipelineSpec::MedianCut),
-                        ("refined", PipelineSpec::Refined),
-                    ],
-                )?
-                .unwrap_or(PipelineSpec::MedianCut);
-            PartitionSpec::Pipeline(pipe)
+            // Every LP holds at least one node, so an id at or above the
+            // array length can never be part of a dense assignment — and a
+            // file value must not size the kernel's per-LP tables.
+            let n = assign.len();
+            let mut lps = Vec::with_capacity(n);
+            for (i, &v) in assign.iter().enumerate() {
+                match u32::try_from(v) {
+                    Ok(lp) if (lp as usize) < n => lps.push(lp),
+                    _ => {
+                        let e = table.entry("assignment").expect("was read");
+                        return Err(serr(
+                            e.line,
+                            e.col,
+                            format!(
+                                "`assignment[{i}]` = {v} is out of range: {n} nodes form \
+                                 at most {n} LPs, numbered from 0"
+                            ),
+                        ));
+                    }
+                }
+            }
+            PartitionSpec::Manual(lps)
         }
         Some(other) => {
             let e = table.entry("partition").expect("was read");
@@ -1159,7 +1151,7 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
                 e.col,
                 format!(
                     "unknown partition `{other}` (expected auto | single_lp | by_cluster | \
-                     bound | manual | pipeline)"
+                     bound | manual)"
                 ),
             ));
         }
@@ -1174,15 +1166,6 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
         ],
     )? {
         sched.metric = metric;
-    }
-    if let Some(policy) = k.choice(
-        "sched_policy",
-        &[
-            ("ljf-cursor", SchedPolicyKind::LjfCursor),
-            ("steal-deque", SchedPolicyKind::StealDeque),
-        ],
-    )? {
-        sched.policy = policy;
     }
     if let Some(period) = k.u32("sched_period")? {
         sched.period = Some(period);
@@ -1199,12 +1182,6 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
         }
         (_, Some(th)) => sched.fusion.threshold = th,
         (Some(true) | None, None) => {}
-    }
-    if let Some(pin) = k.choice(
-        "pin",
-        &[("off", PinPolicy::Off), ("compact", PinPolicy::Compact)],
-    )? {
-        sched.pin = pin;
     }
     let fel = k
         .choice(

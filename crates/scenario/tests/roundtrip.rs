@@ -7,9 +7,7 @@
 use std::time::Duration;
 
 use unison_core::kernel::{KernelKind, PartitionMode};
-use unison_core::partition::PartitionPipeline;
-use unison_core::pin::PinPolicy;
-use unison_core::sched::{SchedMetric, SchedPolicyKind};
+use unison_core::sched::SchedMetric;
 use unison_core::{FelImpl, Time};
 use unison_scenario::{parse_scenario, QueueSpec, RoutingSpec, ScenarioSpec, TrafficPattern};
 use unison_traffic::SizeDist;
@@ -103,24 +101,10 @@ fn every_partition_variant_maps() {
             "partition = \"by_cluster\"",
             PartitionMode::Manual(unison_topology::manual::by_cluster(&topo)),
         ),
-        (
-            "partition = \"pipeline\"\npipeline = \"median_cut\"",
-            PartitionMode::Pipeline(PartitionPipeline::median_cut()),
-        ),
-        (
-            "partition = \"pipeline\"\npipeline = \"refined\"",
-            PartitionMode::Pipeline(PartitionPipeline::refined()),
-        ),
     ];
     for (part, want) in cases {
         let spec = with_run(&format!("{base}{part}"));
-        let cfg = spec.run_config(&topo);
-        // Pipelines compare by stage names (PartitionPipeline is not Eq).
-        assert_eq!(
-            format!("{:?}", cfg.partition),
-            format!("{want:?}"),
-            "for {part:?}"
-        );
+        assert_eq!(&spec.run_config(&topo).partition, want, "for {part:?}");
     }
     // An explicit per-node assignment (2 clusters of 4 hosts → node count
     // from the built topology).
@@ -140,19 +124,17 @@ fn every_partition_variant_maps() {
 fn fel_sched_and_knobs_map() {
     let spec = with_run(
         "kernel = \"unison\"\nthreads = 2\nfel = \"binary_heap\"\n\
-         sched_metric = \"by-pending-events\"\nsched_policy = \"steal-deque\"\n\
-         sched_period = 4\nfusion_threshold = 64\npin = \"compact\"\n\
+         sched_metric = \"by-pending-events\"\n\
+         sched_period = 4\nfusion_threshold = 64\n\
          watchdog_ms = 2000\nper_round_metrics = true",
     );
     let topo = spec.build_topology();
     let cfg = spec.run_config(&topo);
     assert_eq!(cfg.fel, FelImpl::BinaryHeap);
     assert_eq!(cfg.sched.metric, SchedMetric::ByPendingEvents);
-    assert_eq!(cfg.sched.policy, SchedPolicyKind::StealDeque);
     assert_eq!(cfg.sched.period, Some(4));
     assert!(cfg.sched.fusion.enabled);
     assert_eq!(cfg.sched.fusion.threshold, 64);
-    assert_eq!(cfg.sched.pin, PinPolicy::Compact);
     assert_eq!(
         cfg.watchdog.round_deadline,
         Some(Duration::from_millis(2000))
@@ -331,6 +313,28 @@ threads = 2
     // Duplicate section.
     let e = parse_scenario(&format!("{ok}[run]\nstop_us = 1\nkernel = \"barrier\"\n")).unwrap_err();
     assert!(e.msg.contains("duplicate"), "{e}");
+}
+
+/// The placement-layer keys retired with the pluggable claim policies,
+/// staged partitioners and pinning are rejected like any other unknown
+/// key or value, at their own span.
+#[test]
+fn retired_placement_keys_are_rejected_with_their_span() {
+    let head = "[topology]\nkind = \"fat_tree\"\nk = 4\n[traffic]\nload = 0.1\n\
+                [run]\nstop_us = 1000\nkernel = \"unison\"\nthreads = 2\n";
+    for (line, want) in [
+        (
+            "sched_policy = \"steal-deque\"",
+            "unknown key `sched_policy`",
+        ),
+        ("pin = \"compact\"", "unknown key `pin`"),
+        ("pipeline = \"refined\"", "unknown key `pipeline`"),
+        ("partition = \"pipeline\"", "unknown partition `pipeline`"),
+    ] {
+        let e = parse_scenario(&format!("{head}  {line}\n")).unwrap_err();
+        assert!(e.msg.contains(want), "{line}: {e}");
+        assert_eq!((e.line, e.col), (10, 3), "{line}: {e}");
+    }
 }
 
 #[test]

@@ -5,10 +5,10 @@
 
 use unison_core::{
     DataRate, FusionConfig, KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig,
-    SchedMetric, SchedPolicyKind, TelemetryConfig, Time,
+    TelemetryConfig, Time,
 };
 use unison_netsim::{NetworkBuilder, TransportKind};
-use unison_telemetry::{chrome_trace_json, json, validate_chrome_trace, Timeline};
+use unison_telemetry::{chrome_trace_json, json, validate_chrome_trace};
 use unison_topology::fat_tree;
 use unison_traffic::TrafficConfig;
 
@@ -95,64 +95,6 @@ fn trace_timestamps_are_monotone_per_worker_within_kind() {
             last = end;
         }
     }
-}
-
-/// Timeline analyzer over a work-stealing run: the decision log's
-/// cumulative steal/affinity counters must be monotone per group, never
-/// exceed the report's end-of-run totals, and vanish under the default
-/// shared-cursor policy.
-#[test]
-fn timeline_steal_counters_are_consistent_with_the_report() {
-    let report = run_profiled_sched(
-        4,
-        SchedConfig {
-            metric: SchedMetric::ByLastRoundTime,
-            period: Some(1), // log a decision every round
-            policy: SchedPolicyKind::StealDeque,
-            ..Default::default()
-        },
-    );
-    assert_eq!(report.sched.policy, "steal-deque");
-    assert!(report.sched.claims > 0, "no claims attributed");
-    let tel = report.telemetry.as_ref().expect("telemetry attached");
-    assert!(!tel.sched.is_empty(), "per-round log recorded no decisions");
-
-    // Cumulative counters never decrease within a group's decision stream.
-    let mut last: std::collections::BTreeMap<u32, (u64, u64)> = Default::default();
-    for d in &tel.sched {
-        let prev = last.entry(d.group).or_insert((0, 0));
-        assert!(
-            d.steals >= prev.0 && d.affinity_hits >= prev.1,
-            "group {} counters went backwards at round {}",
-            d.group,
-            d.round
-        );
-        *prev = (d.steals, d.affinity_hits);
-    }
-
-    // The analyzer's summary is the per-group latest — bounded by the
-    // report's end-of-run totals (later rounds may add claims after the
-    // last logged decision).
-    let summary = Timeline::new(tel).steal_summary();
-    assert!(summary.steals <= report.sched.steals);
-    assert!(summary.affinity_hits <= report.sched.affinity_hits);
-    assert_eq!(
-        report.sched.claims,
-        report.sched.steals + report.sched.affinity_hits,
-        "every claim is attributed"
-    );
-    assert_eq!(report.affinity_hit_rate(), report.sched.affinity_hit_rate());
-    assert_eq!(report.steal_count(), report.sched.steals);
-
-    // The shared LJF cursor never steals and never attributes hits.
-    let ljf = run_profiled(2);
-    assert_eq!(ljf.sched.policy, "ljf-cursor");
-    assert_eq!(ljf.sched.steals, 0);
-    assert_eq!(ljf.sched.affinity_hits, 0);
-    assert!(ljf.sched.claims > 0);
-    let ljf_tel = ljf.telemetry.as_ref().expect("telemetry attached");
-    let ljf_summary = Timeline::new(ljf_tel).steal_summary();
-    assert_eq!((ljf_summary.steals, ljf_summary.affinity_hits), (0, 0));
 }
 
 /// Consistency of the async kernel's report surface (ISSUE satellite 4):

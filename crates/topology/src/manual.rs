@@ -50,10 +50,8 @@ pub fn per_node(topo: &Topology) -> Vec<u32> {
 }
 
 /// Partition-quality helper: the fraction of topology links whose
-/// endpoints share an LP. A placement-aware partitioner (e.g.
-/// `PartitionPipeline` with its refine/place stages, DESIGN.md §4.5)
-/// should keep this high — every cut link becomes a cross-LP channel
-/// whose delay bounds the lookahead window. Returns 1.0 for a linkless
+/// endpoints share an LP. Higher is better — every cut link becomes a
+/// cross-LP channel whose delay bounds the lookahead window. Returns 1.0 for a linkless
 /// topology (nothing is cut).
 pub fn intra_lp_link_share(topo: &Topology, assignment: &[u32]) -> f64 {
     if topo.links.is_empty() {

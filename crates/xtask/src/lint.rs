@@ -111,20 +111,6 @@ fn unsafe_allowed(rel: &str) -> bool {
         // `crates/core/tests/loom_models.rs`.
         "crates/core/src/queue.rs",
         "crates/core/src/global.rs",
-        // SAFETY: `stealdeque.rs` holds the work-stealing claim state in
-        // `UnsafeCell`s under the kernel's plan-cell discipline: mutated
-        // only in the control thread's exclusive inter-round windows,
-        // shared-read during parallel phases, with per-position `AtomicBool`
-        // swaps arbitrating claims. The protocol is model-checked by
-        // `steal_deque_claims_each_position_exactly_once` in
-        // `crates/core/tests/loom_models.rs`.
-        "crates/core/src/stealdeque.rs",
-        // SAFETY: `pin.rs` contains exactly one unsafe block: the raw
-        // `sched_setaffinity` syscall (the workspace carries no libc). The
-        // asm reads a local mask array and clobbers only the registers the
-        // Linux x86_64 syscall ABI documents; it never touches simulation
-        // state.
-        "crates/core/src/pin.rs",
         "crates/loom/src/cell.rs",
     ];
     EXACT.contains(&rel)
