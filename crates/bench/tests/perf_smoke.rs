@@ -20,9 +20,9 @@
 //!    medians, ≥ 0.92x — measured 1.05–1.20x, see the test);
 //! 2. on the sequential kernel the ladder keeps a real lead over the heap
 //!    (≥ 1.05x; measured 1.2–1.45x);
-//! 3. the mailbox node pool reaches a > 90% hit rate at steady state —
-//!    i.e. after warm-up, receive-phase traffic reuses recycled nodes
-//!    instead of allocating;
+//! 3. the unison kernel's cross-LP channels serve > 99% of pushes from
+//!    retained capacity — i.e. after each channel has grown to its burst
+//!    size, sends do not allocate (measured 99.9%, see the test);
 //! 4. on the large tier (fat-tree k = 8, ≥ 10⁷ events) the barrier-free
 //!    asynchronous conservative kernel at 4 threads holds parity or
 //!    better against the Unison kernel at 4 threads (contract ≥ 1.0x,
@@ -137,9 +137,13 @@ fn ladder_beats_heap_on_sequential() {
     );
 }
 
-/// Tripwire 2: at steady state the mailbox pool must serve > 90% of
-/// pooled pushes from recycled nodes. Misses are expected only while each
-/// inbox queue grows to its steady-state depth in the first rounds.
+/// Tripwire 2: at steady state a cross-LP push must be served from its
+/// channel's retained capacity. A miss is a push that found the buffer
+/// full and grew it, which happens only while a channel grows to its
+/// largest burst: measured on this workload 445 misses in 496 126 pushes
+/// (99.9 %; the count is deterministic). A channel that lost its buffer
+/// on every drain would grow again every round and sit near 50 %, so the
+/// floor of 99 % is far from both.
 #[test]
 #[ignore = "wall-clock tripwire; run explicitly in the CI perf-smoke job"]
 fn pool_hit_rate_above_90_percent_steady_state() {
@@ -158,12 +162,12 @@ fn pool_hit_rate_above_90_percent_steady_state() {
     );
     assert!(
         engine.pool_hits + engine.pool_misses > 0,
-        "incast run produced no mailbox traffic — workload is broken"
+        "incast run produced no cross-LP traffic — workload is broken"
     );
     assert!(
-        rate > 0.9,
-        "mailbox pool hit rate fell to {:.1}% (tripwire 90%) — drained \
-         nodes are not being recycled onto the freelist",
+        rate > 0.99,
+        "channel hit rate fell to {:.1}% (tripwire 99%) — drained \
+         channels are not keeping their capacity",
         rate * 100.0
     );
 }

@@ -728,7 +728,7 @@ impl<P> Fel<P> {
     /// Bulk insert. For the ladder this is a straight routing pass (every
     /// event is appended to its tier unsorted); sorting happens lazily on
     /// pop — which is what makes the receive phase's batched
-    /// mailbox-to-FEL hand-off cheap.
+    /// channel-to-FEL hand-off cheap.
     pub fn extend(&mut self, events: impl IntoIterator<Item = Event<P>>) {
         match &mut self.repr {
             Repr::Heap(h) => h.extend(events.into_iter().map(HeapEntry)),

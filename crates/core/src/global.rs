@@ -21,12 +21,14 @@ use crate::world::SimNode;
 /// A global event body: runs on the main thread with exclusive world access.
 pub type GlobalFn<N> = Box<dyn FnOnce(&mut WorldAccess<'_, N>) + Send>;
 
-/// Kernel facilities a checkpoint needs beyond the LP slots: the in-flight
-/// cross-LP mailboxes (drained into FELs before the state is encoded) and
-/// the configured stop time. Provided by kernels whose global events run
-/// with full world access (Unison/hybrid).
+/// Kernel facilities a checkpoint needs beyond the LP slots (whose
+/// phase-owned channels carry the round kernels' in-flight events) and the
+/// configured stop time. Provided by kernels whose global events run with
+/// full world access (Unison/hybrid, async_cons).
 pub(crate) struct CkptEnv<'a, N: SimNode> {
-    pub mailboxes: &'a Mailboxes<N::Payload>,
+    /// The async-conservative kernel's lock-free mailboxes; `None` for the
+    /// round kernels. Drained into FELs before the state is encoded.
+    pub mailboxes: Option<&'a Mailboxes<N::Payload>>,
     pub stop_at: Option<Time>,
     /// The round-progress watchdog, paused for the duration of the write:
     /// checkpoint serialization runs in-round on the main thread with wall
@@ -183,7 +185,7 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
     /// Writes a deterministic checkpoint of the entire simulation state to
     /// `path` (see [`crate::checkpoint`]).
     ///
-    /// In-flight mailbox events are first drained into their destination
+    /// In-flight cross-LP events are first drained into their destination
     /// FELs — safe at any point of the global phase because FEL ordering is
     /// purely key-driven, so early delivery cannot change results. Only
     /// kernels that provide full world access to globals support this
@@ -219,7 +221,12 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
             // SAFETY: `WorldAccess::new` guarantees main-thread exclusivity
             // over every LP slot; the borrow ends each iteration.
             let lp = unsafe { self.lps.get_mut(dst) };
-            env.mailboxes.drain(dst as u32, |ev| lp.fel.push(ev));
+            // SAFETY: the same exclusivity covers `dst`'s channels — every
+            // worker is parked behind a barrier that follows its last push.
+            unsafe { self.lps.receive(dst, |_, batch| lp.fel.extend(batch)) };
+            if let Some(mailboxes) = env.mailboxes {
+                mailboxes.drain(dst as u32, |ev| lp.fel.push(ev));
+            }
             lp.refresh_next_ts();
         }
 

@@ -592,7 +592,7 @@ pub(super) fn run<N: SimNode>(
                                 merger.merge_into(&mut batch);
                                 if tel.enabled() {
                                     for ev in batch.iter() {
-                                        tel.edge(ev.key.sender_lp.0, lp_idx as u32);
+                                        tel.edge(ev.key.sender_lp.0, lp_idx as u32, 1);
                                     }
                                 }
                                 lp.fel.extend(batch.drain(..));
@@ -652,7 +652,6 @@ pub(super) fn run<N: SimNode>(
                                 lp.total_events += processed;
                                 let p_cost = t0.elapsed().as_nanos() as u64;
                                 psm.p_ns += p_cost;
-                                lp.last_cost_ns = p_cost;
                                 if processed > 0 {
                                     progressed = true;
                                     tel.span_dur(
@@ -926,7 +925,7 @@ pub(super) fn run<N: SimNode>(
                                 &mut new_globals,
                                 &mut ext_seq,
                                 Some(CkptEnv {
-                                    mailboxes: &mailboxes,
+                                    mailboxes: Some(&mailboxes),
                                     stop_at,
                                     wd: &wd,
                                     fault: &cfg.fault,
@@ -1090,7 +1089,6 @@ pub(super) fn run<N: SimNode>(
     }
     let lp_totals = LpTotals {
         events: lps.iter().map(|lp| lp.total_events).collect(),
-        cost_ns: lps.iter().map(|lp| lp.last_cost_ns).collect(),
         node_switches: lps.iter().map(|lp| lp.node_switches).collect(),
     };
     let events: u64 = lp_totals.events.iter().sum();

@@ -10,7 +10,7 @@
 //! worker threads that only ever claim LPs of their own host's partition
 //! (no load balancing across hosts — the hybrid kernel's semantic
 //! difference from plain Unison), while the round window remains global.
-//! The MPI transport is replaced by the same shared-memory mailboxes; the
+//! The MPI transport is replaced by the same shared-memory channels; the
 //! all-reduce is the main thread's reduction at the phase-4 barrier, which
 //! is exactly what `MPI_Allreduce` computes on a cluster.
 //!
@@ -48,8 +48,7 @@ pub(super) fn run<N: SimNode>(
         )
         .into());
     }
-    // Pre-compute the partition (the same one `run_grouped` will build) to
-    // derive the host assignment from LP weights.
+    // The host assignment is derived from the partition's LP weights.
     let partition = build_partition(&world, &cfg.partition)?;
     let lp_count = partition.lp_count as usize;
     let hosts = hosts.min(lp_count.max(1));
@@ -84,5 +83,5 @@ pub(super) fn run<N: SimNode>(
         worker_group,
         groups,
     };
-    run_grouped(world, cfg, threads, Some(grouping), "hybrid")
+    run_grouped(world, cfg, threads, partition, Some(grouping), "hybrid")
 }

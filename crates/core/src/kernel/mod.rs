@@ -30,8 +30,7 @@ use crate::event::{Event, EventKey, LpId, NodeId};
 use crate::fault::FaultPlan;
 use crate::fel::{Fel, FelImpl};
 use crate::global::GlobalFn;
-use crate::lp::{LpState, PendingGlobal};
-use crate::mailbox::Mailboxes;
+use crate::lp::{LpSlots, LpState, PendingGlobal};
 use crate::metrics::{MetricsLevel, RunReport};
 use crate::partition::{
     check_manual_assignment, fine_grained_partition, manual_partition, partition_below_bound,
@@ -468,9 +467,13 @@ pub(crate) fn reassemble_world<N: SimNode>(
     }
 }
 
-/// The [`SimCtx`] implementation used by the round-based kernels (Unison and
-/// the instrumented single-thread engine). Borrows disjoint fields of the
-/// current [`LpState`] so the executing node and the scheduler can coexist.
+/// The [`SimCtx`] implementation used by the round-based kernels (Unison,
+/// hybrid). Borrows disjoint fields of the current [`LpState`] so the
+/// executing node and the scheduler can coexist.
+///
+/// Built only by the process phase, for the LP `lp_id` whose claim the
+/// building thread holds — which is what lets `schedule` write `lp_id`'s
+/// outgoing channels.
 pub(crate) struct RoundCtx<'a, N: SimNode> {
     pub now: Time,
     pub self_node: NodeId,
@@ -480,8 +483,7 @@ pub(crate) struct RoundCtx<'a, N: SimNode> {
     pub seq: &'a mut u64,
     pub outflow: &'a mut Vec<Event<N::Payload>>,
     pub pending_globals: &'a mut Vec<PendingGlobal<N>>,
-    pub dir: &'a NodeDirectory,
-    pub mailboxes: Option<&'a Mailboxes<N::Payload>>,
+    pub slots: &'a LpSlots<N>,
     pub stop_flag: &'a AtomicBool,
 }
 
@@ -508,7 +510,7 @@ impl<N: SimNode> SimCtx<N> for RoundCtx<'_, N> {
             node: target,
             payload,
         };
-        let dst = self.dir.lp_of(target);
+        let dst = self.slots.directory().lp_of(target);
         if dst == self.lp_id {
             self.fel.push(ev);
             return;
@@ -522,13 +524,11 @@ impl<N: SimNode> SimCtx<N> for RoundCtx<'_, N> {
              (ends {:?}); the scheduling delay must be >= the lookahead",
             self.window_end
         );
-        match self.mailboxes {
-            Some(m) => {
-                if let Err(ev) = m.try_push(self.lp_id.0, dst.0, ev) {
-                    self.outflow.push(ev);
-                }
-            }
-            None => self.outflow.push(ev),
+        // SAFETY: this context exists only under the process-phase claim
+        // on `lp_id` (see the type's docs), and `dst` is drained only after
+        // the next barrier.
+        if let Err(ev) = unsafe { self.slots.send(self.lp_id, dst, ev) } {
+            self.outflow.push(ev);
         }
     }
 

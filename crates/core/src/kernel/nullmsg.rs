@@ -445,7 +445,6 @@ pub(super) fn run<N: SimNode>(
     }
     let lp_totals = LpTotals {
         events: lps.iter().map(|lp| lp.total_events).collect(),
-        cost_ns: vec![0; lps.len()],
         node_switches: lps.iter().map(|lp| lp.node_switches).collect(),
     };
     let events = lp_totals.events.iter().sum();

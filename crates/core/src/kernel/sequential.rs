@@ -305,7 +305,6 @@ pub(super) fn run<N: SimNode>(
     let (lps, _) = slots.into_inner();
     let mut lp_totals = LpTotals {
         events: lps.iter().map(|lp| lp.total_events).collect(),
-        cost_ns: vec![0; lp_count],
         node_switches: vec![0; lp_count],
     };
     if lp_count > 0 {

@@ -5,15 +5,22 @@
 //!
 //! 1. **Process events** — workers claim LPs through their group's shared
 //!    [`LjfCursor`] and execute each claimed LP's events inside the window.
-//!    Cross-LP events go to lock-free mailboxes.
-//! 2. **Handle global events** — the main thread routes overflow events,
-//!    merges node-scheduled globals into the public LP, executes due global
+//!    Cross-LP events go to the source LP's phase-owned channels.
+//! 2. **Handle global events** — the main thread routes overflow events
+//!    and merges node-scheduled globals into the public LP (only when a
+//!    process phase flagged such side output), then executes due global
 //!    events (which may mutate the topology → lookahead recompute).
-//! 3. **Receive events** — workers claim LPs again and drain their
-//!    mailboxes into their FELs (deterministic source order).
-//! 4. **Update window** — the main thread reduces the per-LP next-event
-//!    timestamps into the next LBTS (Eq. 2), re-sorts the LP schedule every
-//!    scheduling period, and records metrics.
+//! 3. **Receive events** — workers claim LPs again, drain their incoming
+//!    channels into their FELs (ascending source order) and fold the
+//!    claimed LPs' next-event timestamps and load into one [`RoundFold`]
+//!    per worker.
+//! 4. **Update window** — the main thread reduces the workers' folds into
+//!    the next LBTS (Eq. 2), re-sorts the LP schedule every scheduling
+//!    period, and records metrics.
+//!
+//! A round touches each LP twice, both times through its claimant: once in
+//! phase 1 and once in phase 3. The control thread walks all LPs only in
+//! re-sort rounds, for per-round profiles and when side output was flagged.
 //!
 //! Determinism: event keys are assigned from per-LP monotone counters and
 //! ordered by the §5.2 tie-breaking rule, so results are identical for any
@@ -37,13 +44,13 @@ use crate::event::{Event, EventKey, LpId, NodeId};
 use crate::fel::Fel;
 use crate::global::{CkptEnv, GlobalFn, WorldAccess};
 use crate::lp::LpSlots;
-use crate::mailbox::Mailboxes;
 use crate::metrics::{
     EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
 };
+use crate::partition::Partition;
 use crate::sched::{order_by_estimate_into, LjfCursor, SchedMetric};
 use crate::sync::{TreeBarrier, TreeWaiter};
-use crate::sync_shim::{AtomicBool, AtomicUsize, CachePadded, Ordering};
+use crate::sync_shim::{AtomicBool, AtomicU64, AtomicUsize, CachePadded, Ordering};
 use crate::telemetry::{SpanKind, TelContext, WorkerTel, NO_LP};
 use crate::time::Time;
 use crate::world::{SimNode, World};
@@ -94,6 +101,11 @@ struct RoundPlan {
     round: u64,
     /// Set when the simulation is complete.
     done: bool,
+    /// Whether this round's process phase measures each LP's cost
+    /// (`LpState::last_cost_ns`): set for the round a `ByLastRoundTime`
+    /// re-sort consumes, and always under per-round metrics or recording
+    /// telemetry. Other rounds read no per-LP clock.
+    timed: bool,
     /// Per-LP cost estimates behind the current `order`, published only
     /// when telemetry records (empty otherwise) so `lp-task` spans can
     /// carry estimate-vs-actual data.
@@ -112,6 +124,68 @@ struct PlanCell(UnsafeCell<RoundPlan>);
 // release handshake.
 unsafe impl Sync for PlanCell {}
 
+/// What one thread's receive phase learned about the LPs it claimed. Phase
+/// 4 reduces one fold per thread instead of visiting every LP.
+#[derive(Clone, Copy)]
+struct RoundFold {
+    /// Minimum next-event timestamp (`Time::MAX` when none).
+    min_next: Time,
+    /// Events processed plus events received this round.
+    load: u64,
+    /// Events received this round.
+    recv: u64,
+}
+
+impl RoundFold {
+    const EMPTY: RoundFold = RoundFold {
+        min_next: Time::MAX,
+        load: 0,
+        recv: 0,
+    };
+
+    fn merge(&mut self, other: RoundFold) {
+        self.min_next = self.min_next.min(other.min_next);
+        self.load += other.load;
+        self.recv += other.recv;
+    }
+}
+
+/// A worker's published [`RoundFold`]: stored after its receive phase, read
+/// by the main thread after B3 (the barrier orders the two).
+struct FoldSlot {
+    // PADDING: the three words are one worker's and the enclosing
+    // `CachePadded<FoldSlot>` keeps workers apart.
+    min_next: AtomicU64,
+    // PADDING: as above.
+    round_load: AtomicU64,
+    // PADDING: as above.
+    round_recv: AtomicU64,
+}
+
+impl FoldSlot {
+    fn new() -> Self {
+        FoldSlot {
+            min_next: AtomicU64::new(Time::MAX.0),
+            round_load: AtomicU64::new(0),
+            round_recv: AtomicU64::new(0),
+        }
+    }
+
+    fn publish(&self, fold: RoundFold) {
+        self.min_next.store(fold.min_next.0, Ordering::Relaxed);
+        self.round_load.store(fold.load, Ordering::Relaxed);
+        self.round_recv.store(fold.recv, Ordering::Relaxed);
+    }
+
+    fn read(&self) -> RoundFold {
+        RoundFold {
+            min_next: Time(self.min_next.load(Ordering::Relaxed)),
+            load: self.round_load.load(Ordering::Relaxed),
+            recv: self.round_recv.load(Ordering::Relaxed),
+        }
+    }
+}
+
 pub(super) fn run<N: SimNode>(
     world: World<N>,
     cfg: &RunConfig,
@@ -120,7 +194,8 @@ pub(super) fn run<N: SimNode>(
     if threads == 0 {
         return Err(KernelError::InvalidConfig("threads must be >= 1".into()).into());
     }
-    run_grouped(world, cfg, threads, None, "unison")
+    let partition = build_partition(&world, &cfg.partition)?;
+    run_grouped(world, cfg, threads, partition, None, "unison")
 }
 
 /// Shared implementation for the Unison and hybrid kernels.
@@ -128,10 +203,10 @@ pub(super) fn run_grouped<N: SimNode>(
     world: World<N>,
     cfg: &RunConfig,
     threads: usize,
+    mut partition: Partition,
     grouping: Option<Grouping>,
     kernel_name: &'static str,
 ) -> Result<(World<N>, RunReport), SimError> {
-    let mut partition = build_partition(&world, &cfg.partition)?;
     let (lps, dir, mut graph, init_globals, stop_at, restored_ext_seq) =
         build_lps(world, &partition, cfg.fel);
     let lp_count = lps.len();
@@ -151,8 +226,7 @@ pub(super) fn run_grouped<N: SimNode>(
         .into_iter()
         .map(|(a, b, _)| (a.0, b.0))
         .collect();
-    let mailboxes: Mailboxes<N::Payload> = Mailboxes::new(lp_count, &channels);
-    let slots = LpSlots::new(lps, dir);
+    let mut slots = LpSlots::with_channels(lps, dir, &channels);
 
     // Public LP. The external sequence counter continues from a restored
     // checkpoint's value (0 for a fresh world).
@@ -201,6 +275,24 @@ pub(super) fn run_grouped<N: SimNode>(
     let initial_window = public
         .next_ts()
         .min(initial_min.saturating_add(partition.lookahead));
+
+    // Telemetry sinks: one per worker (sole writer: that worker), plus the
+    // scheduler-decision log written only by the main thread in phase 4.
+    // All no-ops unless `cfg.telemetry.enabled` (see DESIGN.md §4.3).
+    let telctx = TelContext::new(&cfg.telemetry);
+    let mut main_tel = telctx.worker(0);
+    let mut sched_log = telctx.sched_log();
+    let mut worker_tels: Vec<WorkerTel> = Vec::new();
+
+    // Which rounds measure per-LP cost: the one an LJF re-sort by measured
+    // time consumes (phase 4 of round `r` re-sorts when `r` is a multiple
+    // of the period), and every round when profiles or spans record it.
+    let sched_period = cfg.sched.effective_period(lp_count) as u64;
+    let timed_always = cfg.metrics == MetricsLevel::PerRound || telctx.is_enabled();
+    let resort_by_time = cfg.sched.metric == SchedMetric::ByLastRoundTime;
+    let timed_round =
+        |round: u64| timed_always || (resort_by_time && round.is_multiple_of(sched_period));
+
     let plan = PlanCell(UnsafeCell::new(RoundPlan {
         order: initial_order,
         group_lps,
@@ -208,6 +300,7 @@ pub(super) fn run_grouped<N: SimNode>(
         window_end: initial_window,
         round: 1,
         done: initial_min == Time::MAX && public.next_ts() == Time::MAX,
+        timed: timed_round(1),
         est: Vec::new(),
     }));
 
@@ -235,8 +328,6 @@ pub(super) fn run_grouped<N: SimNode>(
         // SAFETY: no worker threads exist yet.
         last_load += unsafe { slots.get_mut(i) }.fel.count_below(initial_window) as u64;
     }
-    let mut last_recv: u64 = 0;
-    let mut last_fused = false;
     let mut fused_rounds: u64 = 0;
 
     let barrier = TreeBarrier::new(threads);
@@ -244,7 +335,13 @@ pub(super) fn run_grouped<N: SimNode>(
         .map(|_| CachePadded::new(AtomicUsize::new(0)))
         .collect();
     let stop_flag = AtomicBool::new(false);
-    let sched_period = cfg.sched.effective_period(lp_count);
+    // Raised by a process phase that left `outflow` events or pending
+    // globals on an LP; phase 2 walks the LPs only when it is up.
+    let side_output = CachePadded::new(AtomicBool::new(false));
+    // One published receive-phase fold per spawned worker (index `w - 1`).
+    let folds: Vec<CachePadded<FoldSlot>> = (1..threads)
+        .map(|_| CachePadded::new(FoldSlot::new()))
+        .collect();
 
     let mut rounds_profile: Option<Vec<RoundRecord>> = match cfg.metrics {
         MetricsLevel::PerRound => Some(Vec::new()),
@@ -256,16 +353,9 @@ pub(super) fn run_grouped<N: SimNode>(
     let started = Instant::now();
 
     let mut worker_psm: Vec<Psm> = Vec::new();
-    let mut main_psm = Psm::default();
+    // The main thread's P/S/M laps.
+    let mut clock = PhaseClock::start();
     let main_group = grouping.worker_group[0] as usize;
-
-    // Telemetry sinks: one per worker (sole writer: that worker), plus the
-    // scheduler-decision log written only by the main thread in phase 4.
-    // All no-ops unless `cfg.telemetry.enabled` (see DESIGN.md §4.3).
-    let telctx = TelContext::new(&cfg.telemetry);
-    let mut main_tel = telctx.worker(0);
-    let mut sched_log = telctx.sched_log();
-    let mut worker_tels: Vec<WorkerTel> = Vec::new();
 
     // Crash-safety plumbing (DESIGN.md §4.2): the first contained panic
     // wins the diagnostics slot; the watchdog aborts rounds that exceed
@@ -296,19 +386,18 @@ pub(super) fn run_grouped<N: SimNode>(
             let cursors = &cursors;
             let cursor_recv = &cursor_recv;
             let stop_flag = &stop_flag;
-            let mailboxes = &mailboxes;
+            let side_output = &*side_output;
+            let fold_slot = &*folds[w - 1];
             let failure = &failure;
             let telctx = &telctx;
             handles.push(scope.spawn(move || {
-                let mut psm = Psm::default();
                 let mut tel = telctx.worker(w as u32);
                 let mut waiter = barrier.waiter(w);
-                // Reusable receive-phase batch buffer (DESIGN.md §4.4).
-                let mut recv_buf: Vec<Event<N::Payload>> = Vec::new();
+                let mut clock = PhaseClock::start();
                 let mut round: u64 = 0;
                 loop {
                     // B0: plan published
-                    wait_timed(barrier, &mut waiter, &mut psm.s_ns, &mut tel, round + 1, 0);
+                    wait_lap(barrier, &mut waiter, &mut clock, &mut tel, round + 1, 0);
                     if barrier.is_poisoned() {
                         break;
                     }
@@ -322,24 +411,22 @@ pub(super) fn run_grouped<N: SimNode>(
                     round = p.round;
                     let site: Site = Cell::new((None, p.window_start));
                     let tel_start = tel.start();
-                    let t0 = Instant::now();
                     let r = catch_unwind(AssertUnwindSafe(|| {
                         #[cfg(feature = "fault-inject")]
                         cfg.fault.fire_phase(round, RunPhase::Process, w);
                         process_phase(
                             slots,
-                            mailboxes,
-                            &cursors[g],
+                            std::iter::from_fn(|| cursors[g].claim(0)),
                             &p.order[g],
                             p,
                             stop_flag,
+                            side_output,
                             &site,
                             &mut tel,
                             round,
                         )
                     }));
-                    let p_dur = t0.elapsed().as_nanos() as u64;
-                    psm.p_ns += p_dur;
+                    let p_dur = clock.lap(|psm| &mut psm.p_ns);
                     match r {
                         Ok(events) => tel.span_dur(
                             SpanKind::Process,
@@ -364,18 +451,18 @@ pub(super) fn run_grouped<N: SimNode>(
                             break;
                         }
                     }
-                    wait_timed(barrier, &mut waiter, &mut psm.s_ns, &mut tel, round, 1); // B1
+                    // B1
+                    wait_lap(barrier, &mut waiter, &mut clock, &mut tel, round, 1);
                     if barrier.is_poisoned() {
                         break;
                     }
                     // B2 (main ran globals)
-                    wait_timed(barrier, &mut waiter, &mut psm.s_ns, &mut tel, round, 2);
+                    wait_lap(barrier, &mut waiter, &mut clock, &mut tel, round, 2);
                     if barrier.is_poisoned() {
                         break;
                     }
                     let site: Site = Cell::new((None, p.window_end));
                     let tel_start = tel.start();
-                    let t0 = Instant::now();
                     let r = catch_unwind(AssertUnwindSafe(|| {
                         #[cfg(feature = "fault-inject")]
                         {
@@ -384,20 +471,26 @@ pub(super) fn run_grouped<N: SimNode>(
                         }
                         receive_phase(
                             slots,
-                            mailboxes,
-                            &cursor_recv[g],
+                            claim_positions(&cursor_recv[g], p.group_lps[g].len()),
                             &p.group_lps[g],
                             &site,
                             &mut tel,
                             round,
-                            &mut recv_buf,
                         )
                     }));
-                    let m_dur = t0.elapsed().as_nanos() as u64;
-                    psm.m_ns += m_dur;
+                    let m_dur = clock.lap(|psm| &mut psm.m_ns);
                     match r {
-                        Ok(recv) => {
-                            tel.span_dur(SpanKind::Receive, round, NO_LP, tel_start, m_dur, recv, 0)
+                        Ok(fold) => {
+                            fold_slot.publish(fold);
+                            tel.span_dur(
+                                SpanKind::Receive,
+                                round,
+                                NO_LP,
+                                tel_start,
+                                m_dur,
+                                fold.recv,
+                                0,
+                            )
                         }
                         Err(payload) => {
                             contain(
@@ -415,12 +508,13 @@ pub(super) fn run_grouped<N: SimNode>(
                     }
                     #[cfg(feature = "fault-inject")]
                     cfg.fault.fire_barrier_delay(round, w);
-                    wait_timed(barrier, &mut waiter, &mut psm.s_ns, &mut tel, round, 3); // B3
+                    // B3
+                    wait_lap(barrier, &mut waiter, &mut clock, &mut tel, round, 3);
                     if barrier.is_poisoned() {
                         break;
                     }
                 }
-                (psm, tel)
+                (clock.psm, tel)
             }));
         }
 
@@ -428,11 +522,9 @@ pub(super) fn run_grouped<N: SimNode>(
         // the main thread inside its exclusive windows, always *before* the
         // barrier that releases workers into the phase the bump covers.
         //
-        // Persistent scratch: the main thread's receive-phase batch buffer
-        // and the phase-4 LJF re-sort buffers, reused every round/period so
-        // the steady-state control loop stays off the allocator
+        // Persistent scratch: the phase-4 LJF re-sort buffers, reused every
+        // period so the steady-state control loop stays off the allocator
         // (DESIGN.md §4.4).
-        let mut main_recv_buf: Vec<Event<N::Payload>> = Vec::new();
         let mut estimates: Vec<u64> = Vec::new();
         let mut group_est: Vec<u64> = Vec::new();
         let mut group_order: Vec<u32> = Vec::new();
@@ -446,29 +538,21 @@ pub(super) fn run_grouped<N: SimNode>(
             // Round fusion (DESIGN.md §4.9): when the previous round's
             // load was below the threshold, the four barrier crossings
             // cost more than this round's events — run the round serially
-            // right here while the workers stay parked at B0. A cross-LP
-            // arrival during a fused round ends the span (the next round
-            // steps through the barrier path).
+            // right here while the workers stay parked at B0. The load
+            // predicate alone ends a fused span when work grows. With one
+            // thread there is no worker to release, so every round takes
+            // the no-barrier path.
             let fuse = fusion_on
                 && !p.done
                 && !barrier.is_poisoned()
-                && last_load <= fusion_threshold
-                && !(last_fused && last_recv > 0);
+                && (threads == 1 || last_load <= fusion_threshold);
             let round = rounds + 1;
             let window_start = p.window_start;
             let window_end = p.window_end;
             let round_tel_start = main_tel.start();
-            let round_t0 = Instant::now();
             if !fuse {
                 // B0
-                wait_timed(
-                    &barrier,
-                    &mut waiter0,
-                    &mut main_psm.s_ns,
-                    &mut main_tel,
-                    round,
-                    0,
-                );
+                wait_lap(&barrier, &mut waiter0, &mut clock, &mut main_tel, round, 0);
                 if barrier.is_poisoned() {
                     break;
                 }
@@ -478,22 +562,21 @@ pub(super) fn run_grouped<N: SimNode>(
             }
             let site: Site = Cell::new((None, window_start));
             let tel_start = main_tel.start();
-            let t0 = Instant::now();
             let r = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-inject")]
                 cfg.fault.fire_phase(round, RunPhase::Process, 0);
                 if fuse {
                     // Fused round: this thread claims every group's whole
-                    // order; the parked workers never contend for claims.
+                    // order at once; the parked workers never contend.
                     let mut events = 0;
-                    for (g, cursor) in cursors.iter().enumerate() {
+                    for (cursor, order) in cursors.iter().zip(&p.order) {
                         events += process_phase(
                             &slots,
-                            &mailboxes,
-                            cursor,
-                            &p.order[g],
+                            cursor.claim_rest(),
+                            order,
                             p,
                             &stop_flag,
+                            &side_output,
                             &site,
                             &mut main_tel,
                             round,
@@ -503,19 +586,18 @@ pub(super) fn run_grouped<N: SimNode>(
                 } else {
                     process_phase(
                         &slots,
-                        &mailboxes,
-                        &cursors[main_group],
+                        std::iter::from_fn(|| cursors[main_group].claim(0)),
                         &p.order[main_group],
                         p,
                         &stop_flag,
+                        &side_output,
                         &site,
                         &mut main_tel,
                         round,
                     )
                 }
             }));
-            let p_dur = t0.elapsed().as_nanos() as u64;
-            main_psm.p_ns += p_dur;
+            let p_dur = clock.lap(|psm| &mut psm.p_ns);
             match r {
                 Ok(events) => {
                     main_tel.span_dur(SpanKind::Process, round, NO_LP, tel_start, p_dur, events, 0)
@@ -535,14 +617,8 @@ pub(super) fn run_grouped<N: SimNode>(
                 }
             }
             if !fuse {
-                wait_timed(
-                    &barrier,
-                    &mut waiter0,
-                    &mut main_psm.s_ns,
-                    &mut main_tel,
-                    round,
-                    1,
-                ); // B1
+                // B1
+                wait_lap(&barrier, &mut waiter0, &mut clock, &mut main_tel, round, 1);
                 if barrier.is_poisoned() {
                     break;
                 }
@@ -552,7 +628,6 @@ pub(super) fn run_grouped<N: SimNode>(
             slots.begin_phase(); // covers phase 2 (workers idle until B2)
             let tel_start = main_tel.start();
             let globals_before = global_events;
-            let t0 = Instant::now();
             let mut stopped = stop_flag.load(Ordering::Acquire);
             let site: Site = Cell::new((None, window_end));
             let r = catch_unwind(AssertUnwindSafe(|| {
@@ -562,8 +637,16 @@ pub(super) fn run_grouped<N: SimNode>(
                 for c in cursor_recv.iter() {
                     c.store(0, Ordering::Relaxed);
                 }
-                // Route overflow events and merge node-scheduled globals.
-                for i in 0..lp_count {
+                // Route overflow events and merge node-scheduled globals:
+                // the LPs are walked only when some process phase reported
+                // either.
+                let walk = if side_output.load(Ordering::Relaxed) {
+                    side_output.store(false, Ordering::Relaxed);
+                    lp_count
+                } else {
+                    0
+                };
+                for i in 0..walk {
                     let (outflow, pending) = {
                         // SAFETY: workers wait at B2; main is exclusive. The
                         // borrow ends inside this block, before any other slot
@@ -626,7 +709,7 @@ pub(super) fn run_grouped<N: SimNode>(
                                 &mut new_globals,
                                 &mut ext_seq,
                                 Some(CkptEnv {
-                                    mailboxes: &mailboxes,
+                                    mailboxes: None,
                                     stop_at,
                                     wd: &wd,
                                     fault: &cfg.fault,
@@ -652,8 +735,7 @@ pub(super) fn run_grouped<N: SimNode>(
                     partition.recompute_lookahead(&graph);
                 }
             }));
-            let g_dur = t0.elapsed().as_nanos() as u64;
-            main_psm.p_ns += g_dur;
+            let g_dur = clock.lap(|psm| &mut psm.p_ns);
             if let Err(payload) = r {
                 contain(
                     &failure,
@@ -678,14 +760,8 @@ pub(super) fn run_grouped<N: SimNode>(
             );
             slots.begin_phase(); // covers phase 3 (released by B2)
             if !fuse {
-                wait_timed(
-                    &barrier,
-                    &mut waiter0,
-                    &mut main_psm.s_ns,
-                    &mut main_tel,
-                    round,
-                    2,
-                ); // B2
+                // B2
+                wait_lap(&barrier, &mut waiter0, &mut clock, &mut main_tel, round, 2);
                 if barrier.is_poisoned() {
                     break;
                 }
@@ -695,7 +771,6 @@ pub(super) fn run_grouped<N: SimNode>(
             // group serially on the main thread) ----
             let site: Site = Cell::new((None, window_end));
             let tel_start = main_tel.start();
-            let t0 = Instant::now();
             let r = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-inject")]
                 {
@@ -703,38 +778,42 @@ pub(super) fn run_grouped<N: SimNode>(
                     cfg.fault.fire_stall(round, 0);
                 }
                 if fuse {
-                    let mut recv = 0u64;
-                    for (g, cursor) in cursor_recv.iter().enumerate() {
-                        recv += receive_phase(
+                    let mut fold = RoundFold::EMPTY;
+                    for lps_of_g in &p.group_lps {
+                        fold.merge(receive_phase(
                             &slots,
-                            &mailboxes,
-                            cursor,
-                            &p.group_lps[g],
+                            0..lps_of_g.len(),
+                            lps_of_g,
                             &site,
                             &mut main_tel,
                             round,
-                            &mut main_recv_buf,
-                        );
+                        ));
                     }
-                    recv
+                    fold
                 } else {
                     receive_phase(
                         &slots,
-                        &mailboxes,
-                        &cursor_recv[main_group],
+                        claim_positions(&cursor_recv[main_group], p.group_lps[main_group].len()),
                         &p.group_lps[main_group],
                         &site,
                         &mut main_tel,
                         round,
-                        &mut main_recv_buf,
                     )
                 }
             }));
-            let m_dur = t0.elapsed().as_nanos() as u64;
-            main_psm.m_ns += m_dur;
-            match r {
-                Ok(recv) => {
-                    main_tel.span_dur(SpanKind::Receive, round, NO_LP, tel_start, m_dur, recv, 0)
+            let m_dur = clock.lap(|psm| &mut psm.m_ns);
+            let mut fold = match r {
+                Ok(fold) => {
+                    main_tel.span_dur(
+                        SpanKind::Receive,
+                        round,
+                        NO_LP,
+                        tel_start,
+                        m_dur,
+                        fold.recv,
+                        0,
+                    );
+                    fold
                 }
                 Err(payload) => {
                     contain(
@@ -749,47 +828,38 @@ pub(super) fn run_grouped<N: SimNode>(
                     );
                     break;
                 }
-            }
+            };
             if !fuse {
                 #[cfg(feature = "fault-inject")]
                 cfg.fault.fire_barrier_delay(round, 0);
-                wait_timed(
-                    &barrier,
-                    &mut waiter0,
-                    &mut main_psm.s_ns,
-                    &mut main_tel,
-                    round,
-                    3,
-                ); // B3
+                // B3
+                wait_lap(&barrier, &mut waiter0, &mut clock, &mut main_tel, round, 3);
                 if barrier.is_poisoned() {
                     break;
+                }
+                // Every worker published its fold before arriving at B3.
+                for slot in &folds {
+                    fold.merge(slot.read());
                 }
             }
 
             // ---- Phase 4: update window + schedule (main thread only) ----
             slots.begin_phase(); // covers phase 4 (workers idle until B0)
             let tel_start = main_tel.start();
-            let t0 = Instant::now();
             rounds += 1;
             if fuse {
                 fused_rounds += 1;
             }
-            let mut min_next = Time::MAX;
-            let mut load: u64 = 0;
-            let mut recv_total: u64 = 0;
-            for i in 0..lp_count {
-                // SAFETY: workers are between B3 and B0 (fused rounds: still
-                // parked at B0); main is exclusive.
-                let lp = unsafe { slots.get_mut(i) };
-                min_next = min_next.min(lp.next_ts);
-                load += lp.round_events + lp.round_recv;
-                recv_total += lp.round_recv;
-            }
+            let RoundFold {
+                min_next,
+                load,
+                recv: recv_total,
+            } = fold;
             let n_pub = public.next_ts();
             let next_window = n_pub.min(min_next.saturating_add(partition.lookahead));
             let done = stopped || (min_next == Time::MAX && n_pub == Time::MAX);
 
-            // Record this round's profile and reset per-round fields.
+            // Record this round's profile.
             if let Some(profile) = rounds_profile.as_mut() {
                 let mut rec = RoundRecord {
                     window_start,
@@ -800,7 +870,8 @@ pub(super) fn run_grouped<N: SimNode>(
                     lp_recv: Vec::with_capacity(lp_count),
                 };
                 for i in 0..lp_count {
-                    // SAFETY: main-thread exclusivity between barriers.
+                    // SAFETY: workers are between B3 and B0 (fused rounds:
+                    // still parked at B0); main is exclusive.
                     let lp = unsafe { slots.get_mut(i) };
                     rec.lp_cost_ns.push(lp.last_cost_ns as f32);
                     rec.lp_events.push(lp.round_events as u32);
@@ -810,14 +881,13 @@ pub(super) fn run_grouped<N: SimNode>(
             }
 
             // Load-adaptive scheduling: re-sort the LP order every period.
-            if !done
-                && cfg.sched.metric != SchedMetric::None
-                && rounds.is_multiple_of(sched_period as u64)
+            if !done && cfg.sched.metric != SchedMetric::None && rounds.is_multiple_of(sched_period)
             {
                 estimates.clear();
                 estimates.resize(lp_count, 0);
                 match cfg.sched.metric {
                     SchedMetric::ByLastRoundTime => {
+                        debug_assert!(p.timed, "re-sort round was not timed");
                         for (i, e) in estimates.iter_mut().enumerate() {
                             // SAFETY: main-thread exclusivity.
                             *e = unsafe { slots.get_mut(i) }.last_cost_ns;
@@ -884,13 +954,13 @@ pub(super) fn run_grouped<N: SimNode>(
                 // Fused rounds advance `rounds` while the workers stay parked
                 // at B0, so the plan carries the authoritative round number.
                 plan_mut.round = rounds + 1;
+                plan_mut.timed = timed_round(rounds + 1);
             }
             for cursor in cursors.iter() {
                 cursor.begin_round();
             }
             slots.begin_phase(); // covers the next round's phase 1
-            let w_dur = t0.elapsed().as_nanos() as u64;
-            main_psm.m_ns += w_dur;
+            let w_dur = clock.lap(|psm| &mut psm.m_ns);
             main_tel.span_dur(
                 SpanKind::WindowUpdate,
                 rounds,
@@ -903,22 +973,21 @@ pub(super) fn run_grouped<N: SimNode>(
             if fuse {
                 // A whole-round span marking that every phase of this round
                 // ran on the main thread with no barrier crossing. `a` is
-                // the round's total load, `b` the cross-LP events it drained
-                // (the round that forces the fallback).
+                // the round's total load, `b` the cross-LP events it
+                // drained. Timed off the telemetry clock alone, so a run
+                // that records nothing reads nothing.
                 main_tel.span_dur(
                     SpanKind::FusedRound,
                     rounds,
                     NO_LP,
                     round_tel_start,
-                    round_t0.elapsed().as_nanos() as u64,
+                    main_tel.start().saturating_sub(round_tel_start),
                     load,
                     recv_total,
                 );
             }
             // Feed the fusion predictor for the next round.
             last_load = load;
-            last_recv = recv_total;
-            last_fused = fuse;
             // One round completed: feed the watchdog.
             wd.tick();
         }
@@ -957,26 +1026,28 @@ pub(super) fn run_grouped<N: SimNode>(
 
     let wall = started.elapsed();
     let stalled = wd.stalled();
-    let (mut lps, _) = slots.into_inner();
     // An abort can leave cross-LP events sent in the aborted round's process
     // phase undelivered (the receive phase never ran). Deliver them now so
     // the stall diagnosis sees every LP that still has work; on a completed
-    // run the mailboxes are already empty.
-    for lp in lps.iter_mut() {
-        let id = lp.id.0;
-        mailboxes.drain(id, |ev| lp.fel.push(ev));
+    // run the channels are already empty.
+    slots.begin_phase();
+    for i in 0..lp_count {
+        // SAFETY: every worker has been joined; this thread is alone.
+        let lp = unsafe { slots.get_mut(i) };
+        // SAFETY: as above — no push can race this drain.
+        unsafe { slots.receive(i, |_, batch| lp.fel.extend(batch)) };
     }
+    let (pool_hits, pool_misses) = slots.channel_pool_stats();
+    let (lps, _) = slots.into_inner();
     let lp_totals = LpTotals {
         events: lps.iter().map(|lp| lp.total_events).collect(),
-        cost_ns: lps.iter().map(|lp| lp.last_cost_ns).collect(),
         node_switches: lps.iter().map(|lp| lp.node_switches).collect(),
     };
     let events: u64 = lp_totals.events.iter().sum();
-    let mut psm = vec![main_psm];
+    let mut psm = vec![clock.psm];
     psm.extend(worker_psm);
     let mut tels = vec![main_tel];
     tels.extend(worker_tels);
-    let (pool_hits, pool_misses) = mailboxes.pool_stats();
     let sched_stats = SchedStats {
         claims: cursors.iter().map(LjfCursor::claims).sum(),
     };
@@ -996,8 +1067,8 @@ pub(super) fn run_grouped<N: SimNode>(
         lp_totals,
         engine: EngineStats {
             fel_impl: cfg.fel,
-            pool_hits: pool_hits as u64,
-            pool_misses: pool_misses as u64,
+            pool_hits,
+            pool_misses,
         },
         sched: sched_stats,
         rounds_profile,
@@ -1063,52 +1134,88 @@ fn contain(
     barrier.poison();
 }
 
-/// Barrier wait with the blocked time charged to `s_ns` and recorded as a
-/// `barrier-wait` span (`arg` = barrier index 0–3 within `round`). The
-/// wall-clock measurement lives in [`TreeBarrier::wait_timed`].
+/// One thread's P/S/M accumulators over chained wall-clock laps: every
+/// phase boundary reads the clock once, and that reading both closes the
+/// phase before it and opens the one after.
+struct PhaseClock {
+    last: Instant,
+    psm: Psm,
+}
+
+impl PhaseClock {
+    fn start() -> Self {
+        PhaseClock {
+            last: Instant::now(),
+            psm: Psm::default(),
+        }
+    }
+
+    /// Nanoseconds since the previous lap (or the start), added to the
+    /// accumulator `into` selects.
+    #[inline]
+    fn lap(&mut self, into: fn(&mut Psm) -> &mut u64) -> u64 {
+        let now = Instant::now();
+        let ns = now.duration_since(self.last).as_nanos() as u64;
+        self.last = now;
+        *into(&mut self.psm) += ns;
+        ns
+    }
+}
+
+/// Barrier wait, with the lap it closes charged to `S` and recorded as a
+/// `barrier-wait` span (`arg` = barrier index 0–3 within `round`).
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn wait_timed(
+fn wait_lap(
     barrier: &TreeBarrier,
     waiter: &mut TreeWaiter,
-    s_ns: &mut u64,
+    clock: &mut PhaseClock,
     tel: &mut WorkerTel,
     round: u64,
     which: u64,
 ) {
     let tel_start = tel.start();
-    let before = *s_ns;
-    barrier.wait_timed(waiter, s_ns);
+    barrier.wait(waiter);
+    let waited = clock.lap(|psm| &mut psm.s_ns);
     tel.span_dur(
         SpanKind::BarrierWait,
         round,
         NO_LP,
         tel_start,
-        *s_ns - before,
+        waited,
         which,
         0,
     );
 }
 
-/// Phase 1: claim LPs through the group's cursor and execute their
-/// window events. Returns the number of events this worker executed.
+/// The receive phase's shared claim: each position in `0..len` goes to
+/// exactly one caller.
+fn claim_positions(cursor: &AtomicUsize, len: usize) -> impl Iterator<Item = usize> + '_ {
+    std::iter::from_fn(move || {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        (i < len).then_some(i)
+    })
+}
+
+/// Phase 1: execute the window events of the LPs at the claimed
+/// `positions` of `order` (each position is handed to exactly one thread
+/// per round). Returns the number of events this worker executed.
 #[allow(clippy::too_many_arguments)]
 fn process_phase<N: SimNode>(
     slots: &LpSlots<N>,
-    mailboxes: &Mailboxes<N::Payload>,
-    cursor: &LjfCursor,
+    positions: impl Iterator<Item = usize>,
     order: &[u32],
     plan: &RoundPlan,
     stop_flag: &AtomicBool,
+    side_output: &AtomicBool,
     site: &Site,
     tel: &mut WorkerTel,
     round: u64,
 ) -> u64 {
     let dir = slots.directory();
     let mut total_events: u64 = 0;
-    while let Some(i) = cursor.claim(0) {
+    for i in positions {
         let lp_idx = order[i] as usize;
-        // SAFETY: `LjfCursor::claim` hands each position to exactly one
+        // SAFETY: the claim cursor hands each position to exactly one
         // worker per round (its exactly-once contract); phases are
         // separated by barriers.
         let lp = unsafe { slots.get_mut(lp_idx) };
@@ -1119,14 +1226,16 @@ fn process_phase<N: SimNode>(
         // whose `next_ts` may scan a rung bucket.
         debug_assert_eq!(lp.next_ts, lp.fel.next_ts(), "stale next_ts cache");
         if lp.next_ts >= plan.window_end {
-            // Idle this round: skip the clock calls entirely so idle LPs
-            // record zero cost (and cost nothing).
+            // Idle this round: no clock calls, so in a timed round idle
+            // LPs record zero cost (and cost nothing).
             lp.round_events = 0;
-            lp.last_cost_ns = 0;
+            if plan.timed {
+                lp.last_cost_ns = 0;
+            }
             continue;
         }
         let tel_start = tel.start();
-        let t0 = Instant::now();
+        let t0 = plan.timed.then(Instant::now);
         let mut round_events: u64 = 0;
         while let Some(ev) = lp.fel.pop_below(plan.window_end) {
             if ev.node.0 != lp.last_node {
@@ -1146,8 +1255,7 @@ fn process_phase<N: SimNode>(
                 seq: &mut lp.seq,
                 outflow: &mut lp.outflow,
                 pending_globals: &mut lp.pending_globals,
-                dir,
-                mailboxes: Some(mailboxes),
+                slots,
                 stop_flag,
             };
             node.handle(ev.payload, &mut ctx);
@@ -1155,11 +1263,15 @@ fn process_phase<N: SimNode>(
         }
         lp.round_events = round_events;
         lp.total_events += round_events;
-        lp.last_cost_ns = t0.elapsed().as_nanos() as u64;
         total_events += round_events;
-        if tel.enabled() {
-            // `plan.est` is only published when telemetry records; 0 means
-            // "no estimate" (before the first re-sort, or metric None).
+        if !lp.outflow.is_empty() || !lp.pending_globals.is_empty() {
+            side_output.store(true, Ordering::Relaxed);
+        }
+        if let Some(t0) = t0 {
+            lp.last_cost_ns = t0.elapsed().as_nanos() as u64;
+            // Recording telemetry makes every round timed. `plan.est` is
+            // only published when telemetry records; 0 means "no estimate"
+            // (before the first re-sort, or metric None).
             let est = plan.est.get(lp_idx).copied().unwrap_or(0);
             tel.span_dur(
                 SpanKind::LpTask,
@@ -1175,48 +1287,40 @@ fn process_phase<N: SimNode>(
     total_events
 }
 
-/// Phase 3: claim LPs and drain their mailboxes into their FELs. Returns
-/// the number of events this worker received.
-///
-/// The hand-off is batched: `Mailboxes::drain_batch` appends each claimed
-/// LP's pending events (recycling the queue nodes onto their pools) into
-/// this worker's reusable `recv_buf`, and `Fel::extend` ingests the whole
-/// batch at once — no per-event closure dispatch, no per-event heap sift,
-/// and zero allocation once `recv_buf` has grown to the steady-state burst
-/// size.
-#[allow(clippy::too_many_arguments)]
+/// Phase 3: claim LPs, drain their incoming channels straight into their
+/// FELs (`Fel::extend` per non-empty channel, ascending source) and fold
+/// what phase 4 needs from each claimed LP — its next-event timestamp, its
+/// load and its receive count — so the control thread never has to visit
+/// the LPs itself.
 fn receive_phase<N: SimNode>(
     slots: &LpSlots<N>,
-    mailboxes: &Mailboxes<N::Payload>,
-    cursor: &AtomicUsize,
+    positions: impl Iterator<Item = usize>,
     group_lps: &[u32],
     site: &Site,
     tel: &mut WorkerTel,
     round: u64,
-    recv_buf: &mut Vec<Event<N::Payload>>,
-) -> u64 {
-    let mut total_recv: u64 = 0;
-    loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= group_lps.len() {
-            break;
-        }
+) -> RoundFold {
+    let mut fold = RoundFold::EMPTY;
+    for i in positions {
         let lp_idx = group_lps[i] as usize;
         site.set((Some(LpId(lp_idx as u32)), site.get().1));
         // SAFETY: unique claim via the cursor, as in `process_phase`.
         let lp = unsafe { slots.get_mut(lp_idx) };
         let tel_start = tel.start();
-        debug_assert!(recv_buf.is_empty());
-        let recv = mailboxes.drain_batch(lp_idx as u32, recv_buf) as u64;
-        if tel.enabled() {
-            for ev in recv_buf.iter() {
-                tel.edge(ev.key.sender_lp.0, lp_idx as u32);
-            }
-        }
-        lp.fel.extend(recv_buf.drain(..));
+        let fel = &mut lp.fel;
+        // SAFETY: the claim on `lp_idx` covers its incoming channels, and
+        // B1/B2 separate this drain from every push into them.
+        let recv = unsafe {
+            slots.receive(lp_idx, |src, batch| {
+                tel.edge(src, lp_idx as u32, batch.len() as u64);
+                fel.extend(batch);
+            })
+        };
         lp.round_recv = recv;
         lp.refresh_next_ts();
-        total_recv += recv;
+        fold.min_next = fold.min_next.min(lp.next_ts);
+        fold.load += lp.round_events + recv;
+        fold.recv += recv;
         if recv > 0 {
             tel.span(
                 SpanKind::MailboxFlush,
@@ -1227,5 +1331,5 @@ fn receive_phase<N: SimNode>(
             );
         }
     }
-    total_recv
+    fold
 }

@@ -5,7 +5,10 @@
 //! atomic cursor (each LP is claimed by exactly one thread per phase), so
 //! mutable access to the slots is race-free even though the container is
 //! shared. [`LpSlots`] encapsulates that pattern behind a small unsafe
-//! surface with the claim discipline documented at every call site.
+//! surface with the claim discipline documented at every call site. The
+//! same claims own the run's cross-LP channels ([`PhasedChannels`]): the
+//! claim on a source LP covers writing its outgoing channels, the claim on
+//! a destination LP covers draining its incoming ones.
 
 use std::cell::UnsafeCell;
 
@@ -14,6 +17,7 @@ use crate::sync_shim::CachePadded;
 use crate::event::{Event, LpId};
 use crate::fel::Fel;
 use crate::global::GlobalFn;
+use crate::mailbox::PhasedChannels;
 use crate::time::Time;
 use crate::world::{NodeDirectory, SimNode};
 
@@ -38,7 +42,7 @@ pub struct LpState<N: SimNode> {
     pub fel: Fel<N::Payload>,
     /// Monotone per-LP sequence counter for tie-break keys.
     pub seq: u64,
-    /// Cross-LP events without a pre-allocated mailbox (routed by the main
+    /// Cross-LP events without a pre-allocated channel (routed by the main
     /// thread between phases).
     pub outflow: Vec<Event<N::Payload>>,
     /// Global events scheduled by this LP's nodes during the current round.
@@ -46,12 +50,14 @@ pub struct LpState<N: SimNode> {
     /// Cached timestamp of the next local event (refreshed in the receive
     /// phase; input to the window computation).
     pub next_ts: Time,
-    /// Measured processing cost of the last executed round, in nanoseconds
-    /// (the default `ByLastRoundTime` scheduling metric).
+    /// Measured processing cost of the last *timed* round, in nanoseconds
+    /// (the default `ByLastRoundTime` scheduling metric). The Unison kernel
+    /// reads the clock only in rounds whose cost something consumes (the
+    /// round before an LJF re-sort, per-round profiles, telemetry).
     pub last_cost_ns: u64,
     /// Events processed by this LP in the current round (metrics).
     pub round_events: u64,
-    /// Events received from mailboxes in the current round (metrics).
+    /// Events received from other LPs in the current round (metrics).
     pub round_recv: u64,
     /// Total events processed by this LP over the whole run.
     pub total_events: u64,
@@ -121,9 +127,15 @@ impl<N: SimNode> LpState<N> {
 /// `Relaxed` ordering and never establish happens-before edges, so enabling
 /// the audit cannot mask a real race, and simulation results are
 /// bit-identical with the feature on or off.
+///
+/// Channel accesses ([`LpSlots::send`], [`LpSlots::receive`]) do not stamp:
+/// they only *check* that the calling thread's current-generation stamp is
+/// on the LP whose claim covers the channel — one relaxed load, so the
+/// event path carries no second read-modify-write.
 pub struct LpSlots<N: SimNode> {
     slots: Vec<CachePadded<UnsafeCell<LpState<N>>>>,
     directory: NodeDirectory,
+    channels: PhasedChannels<N::Payload>,
     // Padded: with the audit on, every claimant swaps its LP's owner
     // word each phase — unpadded they'd false-share across workers.
     #[cfg(feature = "claim-audit")]
@@ -161,8 +173,20 @@ fn claim_owner_id() -> u32 {
 unsafe impl<N: SimNode> Sync for LpSlots<N> {}
 
 impl<N: SimNode> LpSlots<N> {
-    /// Wraps LP states into a shared slot table.
+    /// Wraps LP states into a shared slot table without cross-LP channels
+    /// (every [`LpSlots::send`] hands its event back).
     pub fn new(lps: Vec<LpState<N>>, directory: NodeDirectory) -> Self {
+        Self::with_channels(lps, directory, &[])
+    }
+
+    /// Wraps LP states into a shared slot table with one channel per
+    /// direction of every undirected LP pair in `channels`.
+    pub fn with_channels(
+        lps: Vec<LpState<N>>,
+        directory: NodeDirectory,
+        channels: &[(u32, u32)],
+    ) -> Self {
+        let channels = PhasedChannels::new(lps.len(), channels);
         #[cfg(feature = "claim-audit")]
         let owners = (0..lps.len())
             .map(|_| CachePadded::new(std::sync::atomic::AtomicU32::new(0)))
@@ -173,6 +197,7 @@ impl<N: SimNode> LpSlots<N> {
                 .map(|lp| CachePadded::new(UnsafeCell::new(lp)))
                 .collect(),
             directory,
+            channels,
             #[cfg(feature = "claim-audit")]
             owners,
             #[cfg(feature = "claim-audit")]
@@ -191,15 +216,22 @@ impl<N: SimNode> LpSlots<N> {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
+    /// The calling thread's claim in the current phase generation:
+    /// `(generation, owner id)`; the tag is `(generation << 8) | owner`.
+    #[cfg(feature = "claim-audit")]
+    fn current_claim(&self) -> (u32, u32) {
+        // 24 bits of generation: wraps after ~16.7M phase boundaries, at
+        // which point a slot untouched for exactly 2^24 generations could
+        // alias — an accepted diagnostic limitation.
+        let generation = self.phase.load(std::sync::atomic::Ordering::Relaxed) & 0x00FF_FFFF;
+        (generation, claim_owner_id())
+    }
+
     /// Stamps the claim tag for `idx` and panics on a double claim.
     #[cfg(feature = "claim-audit")]
     fn audit_claim(&self, idx: usize) {
         use std::sync::atomic::Ordering;
-        // 24 bits of generation: wraps after ~16.7M phase boundaries, at
-        // which point a slot untouched for exactly 2^24 generations could
-        // alias — an accepted diagnostic limitation.
-        let generation = self.phase.load(Ordering::Relaxed) & 0x00FF_FFFF;
-        let me = claim_owner_id();
+        let (generation, me) = self.current_claim();
         let prev = self.owners[idx].swap((generation << 8) | me, Ordering::Relaxed);
         let (prev_gen, prev_owner) = (prev >> 8, prev & 0xFF);
         if prev_owner != 0 && prev_owner != me && prev_gen == generation {
@@ -211,6 +243,64 @@ impl<N: SimNode> LpSlots<N> {
                  begin_phase call)"
             );
         }
+    }
+
+    /// Panics unless the calling thread stamped `idx` in the current phase
+    /// generation (a load, no stamp of its own).
+    #[cfg(feature = "claim-audit")]
+    fn audit_held(&self, idx: usize, what: &str) {
+        let (generation, me) = self.current_claim();
+        let tag = self.owners[idx].load(std::sync::atomic::Ordering::Relaxed);
+        if tag != (generation << 8) | me {
+            panic!(
+                "claim-audit: {what} without the claim on LP slot {idx} in \
+                 phase generation {generation}: the slot is tagged owner {} \
+                 generation {}, the caller is owner {me}",
+                tag & 0xFF,
+                tag >> 8
+            );
+        }
+    }
+
+    /// Sends `ev` from LP `src` to LP `dst` through their channel. Returns
+    /// the event back when the pair has none (the caller then uses the
+    /// control-thread `outflow` lane).
+    ///
+    /// # Safety
+    ///
+    /// The caller must hold the process-phase claim on `src` (see
+    /// [`LpSlots::get_mut`]); `dst` is drained only after the next barrier.
+    #[inline]
+    pub unsafe fn send(
+        &self,
+        src: LpId,
+        dst: LpId,
+        ev: Event<N::Payload>,
+    ) -> Result<(), Event<N::Payload>> {
+        #[cfg(feature = "claim-audit")]
+        self.audit_held(src.index(), "channel push");
+        // SAFETY: forwarded to the caller — it holds the claim on `src`.
+        unsafe { self.channels.push(src.0, dst.0, ev) }
+    }
+
+    /// Drains the channels feeding LP `dst`: `f` gets each non-empty
+    /// channel's source LP and events, ascending source, FIFO per source.
+    /// Returns the number of events delivered.
+    ///
+    /// # Safety
+    ///
+    /// The caller must hold the receive-phase claim on `dst`, or be the
+    /// control thread while every worker is parked or joined.
+    #[inline]
+    pub unsafe fn receive(
+        &self,
+        dst: usize,
+        f: impl FnMut(u32, std::vec::Drain<'_, Event<N::Payload>>),
+    ) -> u64 {
+        #[cfg(feature = "claim-audit")]
+        self.audit_held(dst, "channel drain");
+        // SAFETY: forwarded to the caller — it holds the claim on `dst`.
+        unsafe { self.channels.drain(dst as u32, f) }
     }
 
     /// Number of LPs.
@@ -249,8 +339,15 @@ impl<N: SimNode> LpSlots<N> {
         unsafe { &mut *self.slots[idx].get() }
     }
 
+    /// The channels' `(hits, misses)` allocation profile
+    /// ([`PhasedChannels::pool_stats`]).
+    pub fn channel_pool_stats(&mut self) -> (u64, u64) {
+        self.channels.pool_stats()
+    }
+
     /// Consumes the table, returning the LP states (after all threads have
-    /// been joined).
+    /// been joined). Events still in a channel are dropped: drain with
+    /// [`LpSlots::receive`] first where they matter.
     pub fn into_inner(self) -> (Vec<LpState<N>>, NodeDirectory) {
         let lps = self
             .slots

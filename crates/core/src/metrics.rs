@@ -68,7 +68,7 @@ pub struct RoundRecord {
     pub lp_cost_ns: Vec<f32>,
     /// Events processed per LP.
     pub lp_events: Vec<u32>,
-    /// Events received from mailboxes per LP.
+    /// Events received from other LPs, per LP.
     pub lp_recv: Vec<u32>,
 }
 
@@ -111,29 +111,31 @@ impl RoundRecord {
 pub struct LpTotals {
     /// Events processed per LP.
     pub events: Vec<u64>,
-    /// Cumulative processing cost per LP, nanoseconds.
-    pub cost_ns: Vec<u64>,
     /// Locality proxy: consecutive-event node switches per LP.
     pub node_switches: Vec<u64>,
 }
 
 /// Event-engine configuration and memory behaviour of a run (DESIGN.md
-/// §4.4): which FEL implementation executed it and how well the mailbox
-/// node pool absorbed cross-LP traffic.
+/// §4.4): which FEL implementation executed it and how much of the
+/// cross-LP traffic was sent without allocating.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
     /// FEL implementation the run was configured with.
     pub fel_impl: FelImpl,
-    /// Cross-LP sends that reused a pooled mailbox node.
+    /// Cross-LP sends that did not allocate. Unison/hybrid: pushes served
+    /// from a channel's retained capacity; async_cons: pushes that reused
+    /// a pooled mailbox node.
     pub pool_hits: u64,
-    /// Cross-LP sends that had to allocate a fresh node.
+    /// Cross-LP sends that allocated. Unison/hybrid: pushes that had to
+    /// grow the channel's buffer; async_cons: pushes that allocated a
+    /// fresh node.
     pub pool_misses: u64,
 }
 
 impl EngineStats {
-    /// Fraction of cross-LP sends served from the node pool (0 when there
-    /// was no cross-LP traffic). Steady-state parallel runs should sit well
-    /// above 0.9 — the perf-smoke tripwire asserts it.
+    /// Fraction of cross-LP sends that did not allocate (0 when there was
+    /// no cross-LP traffic). Steady-state parallel runs should sit well
+    /// above 0.99 — the perf-smoke tripwire asserts it.
     pub fn pool_hit_rate(&self) -> f64 {
         let total = self.pool_hits + self.pool_misses;
         if total == 0 {
@@ -191,7 +193,7 @@ pub struct RunReport {
     pub psm_per_lp: bool,
     /// Per-LP totals.
     pub lp_totals: LpTotals,
-    /// Event-engine configuration and node-pool behaviour.
+    /// Event-engine configuration and cross-LP allocation profile.
     pub engine: EngineStats,
     /// Claim-loop activity (DESIGN.md §4.5).
     pub sched: SchedStats,

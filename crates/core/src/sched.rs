@@ -13,7 +13,7 @@
 //! [`LjfCursor`] per scheduling group (DESIGN.md §4.5): every position is
 //! handed out exactly once per round, and determinism does not depend on
 //! which worker gets it, because all cross-LP sends commit through the
-//! mailbox + tie-break-key path (proven by the digest tests in
+//! channel + tie-break-key path (proven by the digest tests in
 //! `crates/core/tests/sched_matrix.rs`, not asserted).
 
 use crate::sync_shim::{AtomicU64, AtomicUsize, CachePadded, Ordering};
@@ -77,7 +77,7 @@ impl SchedPolicyKind {
 /// process phase and returns each position in `0..order.len()` to
 /// **exactly one** caller per round, then `None`. Which caller gets which
 /// position is unconstrained — determinism of results does not depend on
-/// it, because every cross-LP effect commits through the mailbox +
+/// it, because every cross-LP effect commits through the channel +
 /// tie-break-key path (digest-proven, see `sched_matrix.rs`).
 pub struct LjfCursor {
     cursor: CachePadded<AtomicUsize>,
@@ -124,6 +124,14 @@ impl LjfCursor {
         }
     }
 
+    /// Claims every position the round has left in one step — the fused
+    /// round's single claimant pays one read-modify-write per order
+    /// instead of one per LP.
+    pub fn claim_rest(&self) -> std::ops::Range<usize> {
+        let len = self.len.load(Ordering::Relaxed);
+        self.cursor.swap(len, Ordering::Relaxed).min(len)..len
+    }
+
     /// Cumulative positions claimed over the rounds folded so far (one per
     /// LP per round).
     pub fn claims(&self) -> u64 {
@@ -146,10 +154,12 @@ impl Default for LjfCursor {
 /// crossings cost more than the round's events do, so the control thread
 /// steps through the same four phases in place — same event order,
 /// bit-identical digests — and only releases the workers again once a
-/// round is worth parallelizing. A cross-LP arrival during a fused round
-/// ends the span: the next round steps through the barrier path
-/// (single-round stepping), and fusion re-enters when the load predicate
-/// holds again.
+/// round is worth parallelizing. The load predicate is the whole fallback
+/// contract: a fused span ends with the first round whose load exceeds the
+/// threshold, and cross-LP arrivals inside a fused round do not end it
+/// (they are part of the load). A run with one thread has no worker to
+/// release, so with fusion enabled every one of its rounds takes this
+/// no-barrier path whatever its load.
 ///
 /// Fusion is a pure wall-clock optimization: the determinism proof is the
 /// kernel's own "identical for any worker count" guarantee (a fused round

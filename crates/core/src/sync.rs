@@ -198,8 +198,8 @@ struct TreeNode {
 /// fan-in [`TREE_FAN_IN`], release broadcast down from the root.
 ///
 /// Drop-in replacement for [`SpinBarrier`] in the round-based kernels,
-/// with the same poison semantics and `wait_timed` telemetry hook. The
-/// only API difference: each participant holds a [`TreeWaiter`] handle
+/// with the same poison semantics (the kernel times its waits itself, as
+/// laps of one chained clock). The only API difference: each participant holds a [`TreeWaiter`] handle
 /// (its leaf assignment plus a local generation counter), obtained once
 /// from [`TreeBarrier::waiter`].
 ///
@@ -346,18 +346,6 @@ impl TreeBarrier {
     /// Whether [`TreeBarrier::poison`] has been called.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
-    }
-
-    /// [`TreeBarrier::wait`] with the blocked wall-clock time added to
-    /// `s_ns` (the P/S/M `S` accumulator and `barrier-wait` telemetry
-    /// spans feed off this one measurement).
-    pub fn wait_timed(&self, waiter: &mut TreeWaiter, s_ns: &mut u64) -> bool {
-        // TELEMETRY: wall-clock measurement of synchronization waits.
-        let t0 = std::time::Instant::now();
-        let led = self.wait(waiter);
-        // TELEMETRY: wall-clock measurement of synchronization waits.
-        *s_ns += t0.elapsed().as_nanos() as u64;
-        led
     }
 
     /// Blocks until all participants have called `wait`. Returns `true`
@@ -634,17 +622,6 @@ mod tests {
         let mut w1 = barrier.waiter(1);
         assert!(!barrier.wait(&mut w1));
         assert!(!barrier.wait(&mut w1));
-    }
-
-    #[test]
-    fn tree_wait_timed_accumulates_and_preserves_leadership() {
-        let b = TreeBarrier::new(1);
-        let mut w = b.waiter(0);
-        let mut s = 0u64;
-        assert!(b.wait_timed(&mut w, &mut s));
-        let after_first = s;
-        assert!(b.wait_timed(&mut w, &mut s));
-        assert!(s >= after_first);
     }
 
     #[test]

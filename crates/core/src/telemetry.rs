@@ -369,13 +369,13 @@ mod imp {
             });
         }
 
-        /// Counts one cross-LP event `src → dst` in the traffic matrix.
+        /// Counts `n` cross-LP events `src → dst` in the traffic matrix.
         #[inline]
-        pub fn edge(&mut self, src: u32, dst: u32) {
+        pub fn edge(&mut self, src: u32, dst: u32, n: u64) {
             if !self.enabled {
                 return;
             }
-            *self.traffic.entry((src, dst)).or_insert(0) += 1;
+            *self.traffic.entry((src, dst)).or_insert(0) += n;
         }
 
         #[inline]
@@ -534,7 +534,7 @@ mod imp {
 
         /// No-op.
         #[inline]
-        pub fn edge(&mut self, _src: u32, _dst: u32) {}
+        pub fn edge(&mut self, _src: u32, _dst: u32, _n: u64) {}
     }
 
     /// No-op scheduler-decision sink.
@@ -575,7 +575,7 @@ mod tests {
         assert_eq!(tel.start(), 0);
         tel.span(SpanKind::Process, 1, NO_LP, 0, 5);
         tel.span_dur(SpanKind::LpTask, 1, 3, 0, 10, 5, 2);
-        tel.edge(0, 1);
+        tel.edge(0, 1, 1);
         let mut log = ctx.sched_log();
         log.record(1, 0, "by-last-round-time", vec![0], vec![1]);
         assert!(ctx.collect(vec![tel], log).is_none());
@@ -588,9 +588,8 @@ mod tests {
         let s = tel.start();
         tel.span(SpanKind::Receive, 4, NO_LP, s, 7);
         tel.span_dur(SpanKind::LpTask, 4, 9, s, 123, 7, 100);
-        tel.edge(1, 9);
-        tel.edge(1, 9);
-        tel.edge(0, 9);
+        tel.edge(1, 9, 2);
+        tel.edge(0, 9, 1);
         let mut log = ctx.sched_log();
         log.record(5, 0, "by-pending-events", vec![1, 0], vec![9, 3]);
         let t = ctx.collect(vec![tel], log).expect("enabled run collects");

@@ -2,6 +2,8 @@
 //! stamps an owner tag per slot and must panic deterministically when two
 //! threads claim the same slot in the same phase generation — the exact
 //! violation of the claim discipline that the `unsafe` contract forbids.
+//! Channel accesses check the same tags: a push needs the caller's stamp on
+//! the source LP, a drain on the destination LP.
 
 #![cfg(not(loom))]
 #![cfg(feature = "claim-audit")]
@@ -10,7 +12,7 @@ use std::sync::mpsc;
 
 use unison_core::lp::{LpSlots, LpState};
 use unison_core::world::{NodeDirectory, SimCtx, SimNode};
-use unison_core::{LpId, NodeId};
+use unison_core::{Event, EventKey, LpId, NodeId, Time};
 
 struct Nop;
 impl SimNode for Nop {
@@ -23,7 +25,15 @@ fn two_slots() -> LpSlots<Nop> {
     lp0.nodes.push(Nop);
     let lp1 = LpState::<Nop>::new(LpId(1));
     let dir = NodeDirectory::from_lp_nodes(1, &[vec![NodeId(0)], vec![]]);
-    LpSlots::new(vec![lp0, lp1], dir)
+    LpSlots::with_channels(vec![lp0, lp1], dir, &[(0, 1)])
+}
+
+fn ev() -> Event<()> {
+    Event {
+        key: EventKey::external(Time(1), 0),
+        node: NodeId(0),
+        payload: (),
+    }
 }
 
 /// Forged double claim: a helper thread claims slot 0 and keeps the claim
@@ -93,4 +103,74 @@ fn begin_phase_releases_claims() {
     });
     let (lps, _) = slots.into_inner();
     assert_eq!(lps[0].seq, 2);
+}
+
+/// The channel `0 -> 1` belongs to LP 0's claim: pushing with only LP 1
+/// stamped (or nothing stamped) is a push nobody was entitled to make.
+#[test]
+#[should_panic(expected = "channel push without the claim")]
+fn channel_push_without_the_source_claim_panics() {
+    let slots = two_slots();
+    slots.begin_phase();
+    // SAFETY: single-threaded; trivially exclusive.
+    let _ = unsafe { slots.get_mut(1) };
+    // SAFETY: never reached past the audit panic.
+    let _ = unsafe { slots.send(LpId(0), LpId(1), ev()) };
+}
+
+/// A stamp from an earlier generation is no claim either.
+#[test]
+#[should_panic(expected = "channel push without the claim")]
+fn channel_push_with_a_stale_claim_panics() {
+    let slots = two_slots();
+    slots.begin_phase();
+    // SAFETY: single-threaded; trivially exclusive.
+    let _ = unsafe { slots.get_mut(0) };
+    slots.begin_phase();
+    // SAFETY: never reached past the audit panic.
+    let _ = unsafe { slots.send(LpId(0), LpId(1), ev()) };
+}
+
+/// A helper thread claims LP 1 for the receive phase; the main thread then
+/// drains LP 1's channels in the same generation. Only the claimant may.
+#[test]
+#[should_panic(expected = "channel drain without the claim")]
+fn channel_drain_from_a_second_thread_panics() {
+    let slots = two_slots();
+    slots.begin_phase();
+    let (tx, rx) = mpsc::channel();
+    let slots = &slots;
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            // SAFETY: sole claimant of slot 1; the reference is dropped at
+            // once, the audit tag stays behind.
+            let _ = unsafe { slots.get_mut(1) };
+            tx.send(()).unwrap();
+        });
+        rx.recv().unwrap();
+        // SAFETY: never reached past the audit panic.
+        unsafe { slots.receive(1, |_, batch| drop(batch)) };
+    });
+}
+
+/// The kernel pattern: push under the source claim in one generation, drain
+/// under the destination claim in the next.
+#[test]
+fn claimed_push_then_claimed_drain_delivers() {
+    let slots = two_slots();
+    slots.begin_phase();
+    // SAFETY: single-threaded; trivially exclusive.
+    let _ = unsafe { slots.get_mut(0) };
+    // SAFETY: LP 0 is stamped by this thread in this generation.
+    unsafe { slots.send(LpId(0), LpId(1), ev()) }.unwrap();
+    // No channel `0 -> 0`: the event comes back for the outflow lane.
+    // SAFETY: as above.
+    assert!(unsafe { slots.send(LpId(0), LpId(0), ev()) }.is_err());
+    slots.begin_phase();
+    // SAFETY: as above.
+    let _ = unsafe { slots.get_mut(1) };
+    let mut got = Vec::new();
+    // SAFETY: LP 1 is stamped by this thread in this generation.
+    let n = unsafe { slots.receive(1, |src, batch| got.push((src, batch.count()))) };
+    assert_eq!((n, got), (1, vec![(0, 1)]));
 }

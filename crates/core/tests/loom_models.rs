@@ -69,6 +69,13 @@
 //!     generations — the monotone `release_gen` clock replacing the flat
 //!     barrier's sense bit (DESIGN.md §4.9);
 //!
+//! 13. the phase-owned channel hand-off (`mailbox::PhasedChannels`, DESIGN.md
+//!     §4.4): a plain, non-atomic push under the source LP's process-phase
+//!     claim is ordered before the plain drain under the destination LP's
+//!     receive-phase claim by nothing but the barrier crossing between the
+//!     phases, and the drain is ordered before the next round's push by
+//!     the crossing after it.
+//!
 //! A final, deliberately broken model double-checks the checker: weakening
 //! a publish to `Relaxed` must be reported as a data race.
 
@@ -244,6 +251,56 @@ fn mailbox_handoff_happens_before() {
         });
         assert_eq!(v, 5, "mailbox drain did not publish the payload write");
         t.join().unwrap();
+    });
+}
+
+/// Claim 13: the phased channel hand-off. The round kernels' channels are
+/// plain `Vec`s: the source LP's claimant pushes in the process phase, the
+/// destination LP's claimant drains in the receive phase, and the only
+/// synchronization between the two is the [`TreeBarrier`] crossing that
+/// separates the phases. Two rounds check both directions: push → barrier →
+/// drain (the events are visible, none is missed), and drain → barrier →
+/// next round's push (the producer may reuse the retained buffer).
+#[test]
+fn phased_channel_handoff_happens_before() {
+    loom::model(|| {
+        // spin_limit 0: always yield on a failed check so the model
+        // scheduler can run the other participant.
+        let bar = Arc::new(TreeBarrier::with_shape(2, 2, 0));
+        let chan = Arc::new(UnsafeCell::new(Vec::<u64>::new()));
+
+        let producer = {
+            let bar = Arc::clone(&bar);
+            let chan = Arc::clone(&chan);
+            thread::spawn(move || {
+                let mut w = bar.waiter(1);
+                for round in 0..2u64 {
+                    chan.with_mut(|p| {
+                        // SAFETY: process phase — only the source claimant
+                        // touches the channel; the previous drain is ordered
+                        // before this push by the crossing that ended the
+                        // last receive phase.
+                        unsafe { (*p).push(round) }
+                    });
+                    bar.wait(&mut w); // process -> receive
+                    bar.wait(&mut w); // receive -> next round's process
+                }
+            })
+        };
+
+        let mut w = bar.waiter(0);
+        for round in 0..2u64 {
+            bar.wait(&mut w); // process -> receive
+            let got = chan.with_mut(|p| {
+                // SAFETY: receive phase — only the destination claimant
+                // touches the channel; the push is ordered before this drain
+                // by the crossing above.
+                unsafe { (*p).drain(..).collect::<Vec<u64>>() }
+            });
+            assert_eq!(got, vec![round], "a pushed event was not delivered");
+            bar.wait(&mut w); // receive -> next round's process
+        }
+        producer.join().unwrap();
     });
 }
 

@@ -5,7 +5,7 @@
 //! worker executes which LP when* — so every (partition, thread-count,
 //! sched-metric) combination must produce bit-identical model state: the
 //! claim cursor only decides who executes a round's fixed task set, and
-//! cross-LP sends commit through the mailbox + tie-break key path.
+//! cross-LP sends commit through the channel + tie-break key path.
 //!
 //! Digests are compared only *within* one partition: the tie-break key
 //! embeds `sender_lp` and per-LP sequence numbers, so different partitions
@@ -29,6 +29,14 @@ struct Token {
     rng: Rng,
 }
 
+/// Folds one handled token into a node's order-sensitive checksum.
+fn fold(checksum: u64, now: Time, token: &Token) -> u64 {
+    checksum
+        .wrapping_mul(0x100000001B3)
+        .wrapping_add(now.as_nanos())
+        .wrapping_add(token.id.wrapping_mul(0x9E3779B97F4A7C15))
+}
+
 struct Router {
     neighbors: Vec<(NodeId, Time)>,
     checksum: u64,
@@ -40,11 +48,7 @@ impl SimNode for Router {
 
     fn handle(&mut self, mut token: Token, ctx: &mut dyn SimCtx<Self>) {
         self.seen += 1;
-        self.checksum = self
-            .checksum
-            .wrapping_mul(0x100000001B3)
-            .wrapping_add(ctx.now().as_nanos())
-            .wrapping_add(token.id.wrapping_mul(0x9E3779B97F4A7C15));
+        self.checksum = fold(self.checksum, ctx.now(), &token);
         let pick = token.rng.next_below(self.neighbors.len() as u64) as usize;
         let (next, delay) = self.neighbors[pick];
         ctx.schedule(delay, next, token);
@@ -243,7 +247,7 @@ fn async_cons_reports_async_stats() {
 /// Round fusion is a pure scheduling optimization: for every
 /// {partition} × {threads} × {FEL} cell, the fusion-on digest is
 /// bit-identical to the fusion-off digest (DESIGN.md §4.9 — a fused round
-/// runs the same four phases through the same mailbox commit path, just
+/// runs the same four phases through the same channel commit path, just
 /// without waking the workers).
 #[test]
 fn fusion_on_off_digests_are_bit_identical() {
@@ -288,9 +292,10 @@ fn fused_rounds_are_counted_and_profiled() {
         report.fused_rounds > 0,
         "fusion never engaged on a low-load workload (threshold too small?)"
     );
-    assert!(
-        report.fused_rounds < report.rounds,
-        "cross-LP traffic must force at least one parallel round"
+    assert_eq!(
+        report.fused_rounds, report.rounds,
+        "every round's load (~65 events) is far below the default threshold; \
+         cross-LP traffic alone must not end a fused span"
     );
     let profile = report.rounds_profile.as_ref().expect("per-round profile");
     let flagged = profile.iter().filter(|r| r.fused).count() as u64;
@@ -315,32 +320,178 @@ fn fused_rounds_are_counted_and_profiled() {
         .all(|r| !r.fused));
 }
 
-/// The fallback contract: a cross-LP send landing inside a fused window
-/// forces the *next* round back onto the parallel path (the kernel cannot
-/// prove the drained events stay cheap, so it re-engages the workers for
-/// exactly one round before re-evaluating). Pinned via the per-round
-/// profile: every fused round that drained mailbox events is followed by
-/// an unfused round, and the case actually occurs on this ring workload.
+/// The fallback contract is load only (DESIGN.md §4.9): a round fuses
+/// exactly when the round before it carried at most `threshold` events —
+/// cross-LP receives inside a fused round do not end the span, a round
+/// above the threshold does. Pinned via the per-round profile with a
+/// threshold at this ring's median load (62–74 events per round), so both
+/// sides occur.
 #[test]
-fn cross_lp_send_in_fused_window_forces_parallel_fallback() {
-    let (_, report) = kernel::run(world(), &RunConfig::unison(2).with_per_round_metrics()).unwrap();
+fn fused_span_survives_cross_lp_receives_and_ends_on_load() {
+    const THRESHOLD: u64 = 65;
+    const THREADS: usize = 2;
+    let cfg = RunConfig::unison(THREADS)
+        .with_fusion(FusionConfig {
+            enabled: true,
+            threshold: THRESHOLD,
+        })
+        .with_per_round_metrics();
+    let (_, report) = kernel::run(world(), &cfg).unwrap();
+    // The kernel's oversubscription clause: fewer cores than workers lifts
+    // the threshold, and every round fuses.
+    let lifted = std::thread::available_parallelism().is_ok_and(|c| THREADS > c.get());
     let profile = report.rounds_profile.as_ref().expect("per-round profile");
-    let mut fused_with_recv = 0u64;
+    let sum = |v: &[u32]| v.iter().map(|&x| u64::from(x)).sum::<u64>();
+    let (mut survived, mut ended) = (0u64, 0u64);
     for pair in profile.windows(2) {
-        let recv: u64 = pair[0].lp_recv.iter().map(|&r| u64::from(r)).sum();
-        if pair[0].fused && recv > 0 {
-            fused_with_recv += 1;
-            assert!(
-                !pair[1].fused,
-                "round after a fused round with {recv} cross-LP receive(s) \
-                 (window {:?}..{:?}) must fall back to the parallel path",
-                pair[0].window_start, pair[0].window_end
-            );
-        }
+        let recv = sum(&pair[0].lp_recv);
+        let load = sum(&pair[0].lp_events) + recv;
+        assert_eq!(
+            pair[1].fused,
+            lifted || load <= THRESHOLD,
+            "round after window {:?}..{:?} (load {load}, {recv} cross-LP receives, fused {})",
+            pair[0].window_start,
+            pair[0].window_end,
+            pair[0].fused
+        );
+        survived += u64::from(pair[0].fused && pair[1].fused && recv > 0);
+        ended += u64::from(pair[0].fused && !pair[1].fused);
     }
     assert!(
-        fused_with_recv > 0,
-        "vacuous test: no fused round ever drained a cross-LP send on the \
-         ring workload"
+        survived > 0,
+        "vacuous: no fused round with cross-LP receives was followed by a fused round"
     );
+    assert!(
+        lifted || ended > 0,
+        "vacuous: no fused span ended on a round above the threshold"
+    );
+}
+
+/// A node that produces both kinds of process-phase side output: events to
+/// an LP it shares no link (hence no channel) with — the `outflow` lane —
+/// and node-scheduled global events.
+struct Sider {
+    id: NodeId,
+    next: NodeId,
+    far: NodeId,
+    checksum: u64,
+    seen: u64,
+    far_sent: u64,
+    /// `(time a zero-delay global was requested, time it ran)`.
+    globals: Vec<(u64, u64)>,
+}
+
+impl SimNode for Sider {
+    type Payload = Token;
+
+    fn handle(&mut self, mut token: Token, ctx: &mut dyn SimCtx<Self>) {
+        self.seen += 1;
+        self.checksum = fold(self.checksum, ctx.now(), &token);
+        let pick = token.rng.next_below(4);
+        if pick == 0 {
+            self.far_sent += 1;
+            ctx.schedule(SIDE_HOP, self.far, token);
+            return;
+        }
+        if pick == 1 {
+            let (id, at) = (self.id, ctx.now().as_nanos());
+            ctx.schedule_global(
+                Time::ZERO,
+                Box::new(move |wa| {
+                    let ran = wa.now().as_nanos();
+                    wa.node_mut(id).globals.push((at, ran));
+                }),
+            );
+        }
+        ctx.schedule(SIDE_HOP, self.next, token);
+    }
+}
+
+/// Every hop of [`side_world`], linked or not, takes this long.
+const SIDE_HOP: Time = Time(3_000);
+const SIDE_STOP: Time = Time(600_000);
+const SIDE_TOKENS: u64 = 32;
+
+/// A ring of equal links (one LP per node); each node's `far` is the node
+/// opposite it, with which it shares no link.
+fn side_world() -> unison_core::World<Sider> {
+    let mut b = WorldBuilder::new();
+    let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
+    for i in 0..N {
+        b.add_node(Sider {
+            id: ids[i],
+            next: ids[(i + 1) % N],
+            far: ids[(i + N / 2) % N],
+            checksum: 0,
+            seen: 0,
+            far_sent: 0,
+            globals: Vec::new(),
+        });
+    }
+    for i in 0..N {
+        b.add_link(ids[i], ids[(i + 1) % N], SIDE_HOP);
+    }
+    let mut seed_rng = Rng::new(0x51DE_0077);
+    for t in 0..SIDE_TOKENS {
+        b.schedule(
+            Time::from_nanos(t % 5),
+            ids[(t as usize) % N],
+            Token {
+                id: t,
+                rng: seed_rng.fork(t),
+            },
+        );
+    }
+    b.stop_at(SIDE_STOP);
+    b.build()
+}
+
+/// Phase 2 walks the LPs only when a process phase raised the side-output
+/// flag, so the flag has to reach it in the same round: an `outflow` event
+/// must be in its destination's FEL before the receive phase computes the
+/// next window, and a zero-delay node-scheduled global must run at the end
+/// of the very window that scheduled it. One digest for 1/2/4 threads with
+/// fusion on and off.
+#[test]
+fn side_output_is_routed_in_phase_two_of_the_same_round() {
+    let mut reference = None;
+    for threads in [1usize, 2, 4] {
+        for fusion in [FusionConfig::default(), FusionConfig::off()] {
+            let cfg = RunConfig::unison(threads)
+                .with_fusion(fusion)
+                .with_per_round_metrics();
+            let (w, report) = kernel::run(side_world(), &cfg).unwrap();
+            let what = format!("threads={threads} fusion={}", fusion.enabled);
+            assert_eq!(report.lp_count as usize, N, "{what}: one LP per node");
+            // No token is ever lost or late: each hops every `SIDE_HOP`.
+            assert_eq!(
+                report.events,
+                SIDE_TOKENS * (SIDE_STOP.0 / SIDE_HOP.0),
+                "{what}: an outflow event was dropped"
+            );
+            assert!(w.nodes().map(|n| n.far_sent).sum::<u64>() > 0, "{what}");
+            let profile = report.rounds_profile.as_ref().expect("per-round profile");
+            let mut globals = 0;
+            for (at, ran) in w.nodes().flat_map(|n| n.globals.iter().copied()) {
+                globals += 1;
+                let round = profile
+                    .iter()
+                    .find(|r| r.window_start.0 <= at && at < r.window_end.0)
+                    .unwrap_or_else(|| panic!("{what}: no window holds {at}"));
+                assert_eq!(
+                    ran, round.window_end.0,
+                    "{what}: a global requested at {at} must run at the end of its own window"
+                );
+            }
+            assert!(globals > 0, "{what}: no global event ran");
+            let digest: Vec<_> = w
+                .nodes()
+                .map(|n| (n.checksum, n.seen, n.far_sent, n.globals.clone()))
+                .collect();
+            match &reference {
+                None => reference = Some(digest),
+                Some(r) => assert_eq!(r, &digest, "digest mismatch: {what}"),
+            }
+        }
+    }
 }

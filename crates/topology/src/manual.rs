@@ -49,22 +49,6 @@ pub fn per_node(topo: &Topology) -> Vec<u32> {
     (0..topo.node_count() as u32).collect()
 }
 
-/// Partition-quality helper: the fraction of topology links whose
-/// endpoints share an LP. Higher is better — every cut link becomes a
-/// cross-LP channel whose delay bounds the lookahead window. Returns 1.0 for a linkless
-/// topology (nothing is cut).
-pub fn intra_lp_link_share(topo: &Topology, assignment: &[u32]) -> f64 {
-    if topo.links.is_empty() {
-        return 1.0;
-    }
-    let intra = topo
-        .links
-        .iter()
-        .filter(|l| assignment[l.a] == assignment[l.b])
-        .count();
-    intra as f64 / topo.links.len() as f64
-}
-
 /// Sanity helper: number of hosts per LP of an assignment, used by tests
 /// and by the Table 1 harness to report balance.
 pub fn host_balance(topo: &Topology, assignment: &[u32]) -> Vec<usize> {
@@ -119,25 +103,6 @@ mod tests {
         let a = per_node(&t);
         assert_eq!(a.len(), t.node_count());
         assert!(a.iter().enumerate().all(|(i, &l)| l == i as u32));
-    }
-
-    #[test]
-    fn link_locality_brackets() {
-        let t = fat_tree(4);
-        // One LP holds everything: no link is cut.
-        let single = vec![0u32; t.node_count()];
-        assert_eq!(intra_lp_link_share(&t, &single), 1.0);
-        // One LP per node: every link is cut.
-        assert_eq!(intra_lp_link_share(&t, &per_node(&t)), 0.0);
-        // The pod partition keeps host↔edge↔aggregation links internal and
-        // cuts only the aggregation↔core layer: strictly between.
-        let pods = intra_lp_link_share(&t, &by_cluster(&t));
-        assert!(
-            pods > 0.0 && pods < 1.0,
-            "pod locality {pods} not in (0, 1)"
-        );
-        // Coarsening pods into 2 LPs can only keep more links internal.
-        assert!(intra_lp_link_share(&t, &by_cluster_group(&t, 2)) >= pods);
     }
 
     #[test]
