@@ -200,19 +200,6 @@ impl SimError {
     }
 }
 
-/// Records the *first* failure into a shared slot (later panics during the
-/// same abort are secondary — usually claim-audit fallout of the drain — and
-/// would bury the root cause).
-pub(crate) fn record_failure(
-    slot: &std::sync::Mutex<Option<FailureDiagnostics>>,
-    diag: FailureDiagnostics,
-) {
-    let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
-    if guard.is_none() {
-        *guard = Some(diag);
-    }
-}
-
 /// Renders a `catch_unwind` payload: `&str`/`String` payloads verbatim,
 /// anything else as a placeholder.
 pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {

@@ -53,7 +53,7 @@ pub struct WorldAccess<'a, N: SimNode> {
     stop: &'a mut bool,
     new_globals: &'a mut Vec<(Time, GlobalFn<N>)>,
     ext_seq: &'a mut u64,
-    ckpt: Option<CkptEnv<'a, N>>,
+    ckpt: Option<&'a CkptEnv<'a, N>>,
 }
 
 impl<'a, N: SimNode> WorldAccess<'a, N> {
@@ -75,7 +75,7 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
         stop: &'a mut bool,
         new_globals: &'a mut Vec<(Time, GlobalFn<N>)>,
         ext_seq: &'a mut u64,
-        ckpt: Option<CkptEnv<'a, N>>,
+        ckpt: Option<&'a CkptEnv<'a, N>>,
     ) -> Self {
         WorldAccess {
             now,
@@ -195,7 +195,7 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
         N: Snapshot,
         N::Payload: Snapshot,
     {
-        let env = match &self.ckpt {
+        let env = match self.ckpt {
             Some(env) => env,
             None => {
                 return Err(SnapshotError::Unsupported(

@@ -1,6 +1,6 @@
 //! The asynchronous conservative kernel (`KernelKind::AsyncCons`):
 //! barrier-free PDES with channel clocks, time-advance grants and a
-//! deterministic k-way merge (ROADMAP item 2).
+//! deterministic k-way merge (DESIGN.md §4.8).
 //!
 //! Unlike the Unison kernel there is **no round barrier**: a fixed pool of
 //! `threads` workers each owns a static set of LPs and advances every owned
@@ -34,62 +34,30 @@
 //! progress nor reach the gate; the round-progress watchdog converts that
 //! silence into [`SimError::Stalled`] with a cycle walk over the channel
 //! clocks captured at abort time (same diagnosis as the null-message
-//! kernel). A worker panic is contained: the failing worker poisons its
-//! out-channels to `u64::MAX`, raises the stop flag and wakes everyone, so
+//! kernel). A worker panic is contained: the failing worker releases its
+//! out-channels to `u64::MAX`, raises the halt flag and wakes everyone, so
 //! the run drains out with [`SimError::WorkerPanic`] diagnostics.
 
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use crate::error::{
-    panic_message, record_failure, FailureDiagnostics, RunPhase, SimError, StallDiagnostics,
-};
+use crate::error::{RunPhase, SimError};
 use crate::event::{Event, EventKey, LpId, NodeId};
 use crate::fel::Fel;
-use crate::global::{CkptEnv, GlobalFn, WorldAccess};
+use crate::global::GlobalFn;
 use crate::lp::LpSlots;
 use crate::mailbox::Mailboxes;
-use crate::metrics::{AsyncStats, EngineStats, LpTotals, Psm, RunReport, SchedStats};
-use crate::sync_shim::CachePadded;
-use crate::telemetry::{SpanKind, TelContext, WorkerTel, NO_LP};
+use crate::metrics::{AsyncStats, RunReport};
+use crate::telemetry::{SpanKind, NO_LP};
 use crate::time::Time;
 use crate::world::{NodeDirectory, SimCtx, SimNode, World};
 
-use super::watchdog::Watchdog;
-use super::{build_lps, build_partition, reassemble_world, KernelError, RunConfig};
-
-// ---------------------------------------------------------------------------
-// Wake-up plumbing
-// ---------------------------------------------------------------------------
-
-/// Wake-up channel for one worker: version counter + condvar. The version
-/// is bumped *after* the input change it publishes (under the same lock a
-/// sleeper re-checks under), so wake-ups are never lost.
-struct Waker {
-    version: Mutex<u64>,
-    cond: Condvar,
-}
-
-impl Waker {
-    fn new() -> Self {
-        Waker {
-            version: Mutex::new(0),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// Signals the owning worker that some input changed.
-    fn bump(&self) {
-        // A poisoned lock (a bumper panicked mid-bump) must not take the
-        // containment path down with it: the counter is a plain u64.
-        let mut v = self.version.lock().unwrap_or_else(|e| e.into_inner());
-        *v += 1;
-        self.cond.notify_all();
-    }
-}
+use super::harness::{
+    contained, finish, join_contained, prepare, spawn_contained, ChannelClocks, Outcome, Setup,
+    Site, Worker,
+};
+use super::RunConfig;
 
 /// Rendezvous state for the quiesced virtual-time front.
 struct GateState {
@@ -193,12 +161,9 @@ struct AsyncCtx<'a, N: SimNode> {
     seq: &'a mut u64,
     dir: &'a NodeDirectory,
     mailboxes: &'a Mailboxes<N::Payload>,
-    stop_flag: &'a AtomicBool,
     /// This LP's out-channels as `(dst LP, channel index)`, sorted by dst.
     out_pair: &'a [(u32, usize)],
-    /// Per-channel lookahead (atomic: the main thread rewrites these inside
-    /// its exclusive gate window after a topology mutation).
-    chan_la: &'a [CachePadded<AtomicU64>],
+    clocks: &'a ChannelClocks,
     /// Destination LPs sent to while processing this LP (for wake-ups).
     touched: &'a mut Vec<u32>,
 }
@@ -242,9 +207,9 @@ impl<N: SimNode> SimCtx<N> for AsyncCtx<'_, N> {
         // Causality: the send may not undercut this channel's published
         // promise — guaranteed when the delay covers the link lookahead.
         debug_assert!(
-            ts >= self.now.saturating_add(Time(
-                self.chan_la[self.out_pair[i].1].load(Ordering::Relaxed)
-            )),
+            ts >= self
+                .now
+                .saturating_add(self.clocks.lookahead(self.out_pair[i].1)),
             "cross-LP event at {ts:?} undercuts the channel lookahead \
              (sent from {:?}); the scheduling delay must be >= the link delay",
             self.now
@@ -270,21 +235,15 @@ impl<N: SimNode> SimCtx<N> for AsyncCtx<'_, N> {
              the Unison kernel"
         );
     }
-
-    fn request_stop(&mut self) {
-        self.stop_flag.store(true, Ordering::Release);
-    }
 }
 
-/// Per-worker completion record.
-struct WorkerDone {
-    psm: Psm,
-    end_time: Time,
+/// Per-worker progress counters.
+#[derive(Default)]
+struct WorkerStats {
     iterations: u64,
     grants: u64,
     stalls: u64,
     stall_wait_ns: u64,
-    tel: WorkerTel,
 }
 
 // ---------------------------------------------------------------------------
@@ -296,90 +255,14 @@ pub(super) fn run<N: SimNode>(
     cfg: &RunConfig,
     threads: usize,
 ) -> Result<(World<N>, RunReport), SimError> {
-    if threads == 0 {
-        return Err(KernelError::InvalidConfig("threads must be >= 1".into()).into());
-    }
-    let mut partition = build_partition(&world, &cfg.partition)?;
-    let channels = partition.lp_channels(&world.graph);
-    let (lps, dir, mut graph, init_globals, stop_at, restored_ext_seq) =
-        build_lps(world, &partition, cfg.fel);
+    let Setup {
+        env,
+        mut shell,
+        lps,
+        dir,
+        mut public,
+    } = prepare(world, cfg)?;
     let lp_count = lps.len();
-    if lp_count == 0 {
-        return Err(KernelError::InvalidPartition("world has no nodes".into()).into());
-    }
-    // Without a horizon, channel promises on drained FELs creep forward by
-    // one lookahead per exchange and the run never terminates (same
-    // constraint as the null-message kernel).
-    let stop = match stop_at {
-        Some(t) => t,
-        None => {
-            return Err(KernelError::InvalidConfig(
-                "the async-conservative kernel requires a stop time".into(),
-            )
-            .into())
-        }
-    };
-
-    // Directed channels: two per undirected LP pair. `chan_clock[c]` is the
-    // source's granted promise for that direction; `chan_la[c]` the link
-    // lookahead (atomic because topology globals rewrite it inside the main
-    // thread's exclusive gate window).
-    let mut chan_src: Vec<u32> = Vec::new();
-    let mut chan_dst: Vec<u32> = Vec::new();
-    let mut la_init: Vec<u64> = Vec::new();
-    for (a, b, la) in &channels {
-        chan_src.push(a.0);
-        chan_dst.push(b.0);
-        la_init.push(la.0);
-        chan_src.push(b.0);
-        chan_dst.push(a.0);
-        la_init.push(la.0);
-    }
-    let chan_count = chan_src.len();
-    // Padded: channel clocks are written by the sender and spun on by
-    // the receiver — the hottest cross-worker words in this kernel.
-    let chan_la: Vec<CachePadded<AtomicU64>> = la_init
-        .into_iter()
-        .map(|la| CachePadded::new(AtomicU64::new(la)))
-        .collect();
-    // Cache-padded: each clock is written by exactly one worker (the
-    // channel source's owner) and read by its receiver's owner every
-    // sweep; packing them 8-to-a-line would false-share every grant.
-    let chan_clock: Vec<CachePadded<AtomicU64>> = (0..chan_count)
-        .map(|_| CachePadded::new(AtomicU64::new(0)))
-        .collect();
-    let mut in_chans: Vec<Vec<usize>> = vec![Vec::new(); lp_count];
-    let mut out_chans: Vec<Vec<usize>> = vec![Vec::new(); lp_count];
-    let mut out_pair: Vec<Vec<(u32, usize)>> = vec![Vec::new(); lp_count];
-    for c in 0..chan_count {
-        out_chans[chan_src[c] as usize].push(c);
-        in_chans[chan_dst[c] as usize].push(c);
-        out_pair[chan_src[c] as usize].push((chan_dst[c], c));
-    }
-    for p in &mut out_pair {
-        p.sort_unstable_by_key(|&(d, _)| d);
-    }
-    // (src, dst) -> channel index, for the post-topology-change lookahead
-    // rewrite.
-    let mut chan_index: Vec<((u32, u32), usize)> = (0..chan_count)
-        .map(|c| ((chan_src[c], chan_dst[c]), c))
-        .collect();
-    chan_index.sort_unstable_by_key(|&(pair, _)| pair);
-
-    let pairs: Vec<(u32, u32)> = channels.iter().map(|(a, b, _)| (a.0, b.0)).collect();
-    let mailboxes: Mailboxes<N::Payload> = Mailboxes::new(lp_count, &pairs);
-    // Inbox slot of each channel at its destination, resolved once so the
-    // per-sweep drain probe is a direct index instead of a binary search.
-    let chan_slot: Vec<usize> = (0..chan_count)
-        .map(|c| {
-            mailboxes
-                .channel_slot(chan_src[c], chan_dst[c])
-                // INVARIANT: `mailboxes` was built from `pairs`, the same
-                // channel list `chan_src`/`chan_dst` were derived from, so
-                // every directed channel has an inbox slot.
-                .expect("mailboxes are built from the same channel list")
-        })
-        .collect();
 
     // Static LP ownership: contiguous blocks. Ownership is
     // config-deterministic; results do not depend on it.
@@ -388,35 +271,32 @@ pub(super) fn run<N: SimNode>(
     for (lp, &w) in owner.iter().enumerate() {
         mine[w].push(lp);
     }
-    let my_out: Vec<Vec<usize>> = (0..threads)
-        .map(|w| {
-            mine[w]
-                .iter()
-                .flat_map(|&lp| out_chans[lp].iter().copied())
-                .collect()
-        })
-        .collect();
+
+    // Channel clocks are written by the sender and polled by the receiver —
+    // the hottest cross-worker words in this kernel. One waker per worker.
+    let channels = shell.partition.lp_channels(&shell.graph);
+    let clocks = ChannelClocks::new(&channels, owner, threads);
+    let pairs: Vec<(u32, u32)> = channels.iter().map(|(a, b, _)| (a.0, b.0)).collect();
+    let mailboxes: Mailboxes<N::Payload> = Mailboxes::new(lp_count, &pairs);
+    // Each LP's out-channels as `(dst LP, channel)`, sorted by dst, and the
+    // inbox slot of each channel at its destination — resolved once so the
+    // send path is one binary search and the per-sweep drain probe a direct
+    // index.
+    let mut out_pair: Vec<Vec<(u32, usize)>> = vec![Vec::new(); lp_count];
+    let mut chan_slot: Vec<usize> = vec![0; clocks.dst.len()];
+    for (lp, pairs_of_lp) in out_pair.iter_mut().enumerate() {
+        for &c in &clocks.outs[lp] {
+            pairs_of_lp.push((clocks.dst[c], c));
+            chan_slot[c] = mailboxes
+                .channel_slot(lp as u32, clocks.dst[c])
+                // INVARIANT: `mailboxes` and `clocks` were built from the
+                // same channel list, so every directed channel has a slot.
+                .expect("mailboxes are built from the same channel list");
+        }
+        pairs_of_lp.sort_unstable_by_key(|&(d, _)| d);
+    }
 
     let slots = LpSlots::new(lps, dir);
-
-    // Public LP: init globals plus the stop global, keyed from the external
-    // sequence (continuing a restored checkpoint's counter).
-    let mut public: Fel<GlobalFn<N>> = Fel::with_impl(cfg.fel);
-    let mut ext_seq: u64 = restored_ext_seq;
-    for (ts, f) in init_globals {
-        public.push(Event {
-            key: EventKey::external(ts, ext_seq),
-            node: NodeId(u32::MAX),
-            payload: f,
-        });
-        ext_seq += 1;
-    }
-    public.push(Event {
-        key: EventKey::external(stop, ext_seq),
-        node: NodeId(u32::MAX),
-        payload: Box::new(|wa: &mut WorldAccess<'_, N>| wa.stop()),
-    });
-    ext_seq += 1;
 
     // The gate: timestamp of the next pending global. The stop global is
     // always queued, so while the run is live the gate is finite and the
@@ -431,573 +311,322 @@ pub(super) fn run<N: SimNode>(
         cond: Condvar::new(),
     };
 
-    let wakers: Vec<Waker> = (0..threads).map(|_| Waker::new()).collect();
-    let stop_flag = AtomicBool::new(false);
-
     let started = Instant::now();
-    let mut results: Vec<Option<WorkerDone>> = Vec::with_capacity(threads);
 
     // Telemetry: the main (control) thread is sink 0, workers 1..=threads.
-    let telctx = TelContext::new(&cfg.telemetry);
-    let mut main_tel = telctx.worker(0);
-    let sched_log = telctx.sched_log();
-
-    // Crash safety (DESIGN.md §4.2): first contained panic wins the slot;
-    // the watchdog aborts when neither events, grants nor gates progress
-    // within the deadline.
-    let failure: Mutex<Option<FailureDiagnostics>> = Mutex::new(None);
-    let wd = Watchdog::new();
-    // Channel promises as they stood when the watchdog fired (the abort
-    // drain overwrites the live clocks with `u64::MAX`).
-    // PADDING: written only on the abort drain — a cold failure path.
-    let stall_clocks: Vec<AtomicU64> = (0..chan_count).map(|_| AtomicU64::new(u64::MAX)).collect();
-
+    let mut main = Worker::new(&env, 0);
     let mut gates_run: u64 = 0;
-    let mut global_events: u64 = 0;
-    let mut ctl_end = Time::ZERO;
-    let mut main_psm = Psm::default();
+    let ckpt = env.ckpt(Some(&mailboxes), shell.stop_at);
 
-    std::thread::scope(|scope| {
-        if let Some(deadline) = cfg.watchdog.round_deadline {
-            let wd = &wd;
-            let wakers = &wakers;
-            let stop_flag = &stop_flag;
-            let gate = &gate;
-            let chan_clock = &chan_clock;
-            let stall_clocks = &stall_clocks;
-            scope.spawn(move || {
-                wd.monitor(deadline, || {
-                    for (snap, live) in stall_clocks.iter().zip(chan_clock.iter()) {
-                        snap.store(live.load(Ordering::Acquire), Ordering::Release);
-                    }
-                    stop_flag.store(true, Ordering::Release);
-                    for w in wakers.iter() {
-                        w.bump();
-                    }
-                    let _st = gate.state.lock().unwrap_or_else(|e| e.into_inner());
-                    gate.cond.notify_all();
-                });
-            });
-        }
+    // Abort (contained panic, or the watchdog when neither events, grants
+    // nor gates progress within the deadline): raise the halt flag, then
+    // wake every sleeper — on its waker or at the gate — to observe it.
+    let abort = || {
+        env.halt();
+        clocks.wake_all();
+        let _st = gate.state.lock().unwrap_or_else(|e| e.into_inner());
+        gate.cond.notify_all();
+    };
+
+    let results = std::thread::scope(|scope| {
+        env.spawn_monitor(scope, || {
+            clocks.snapshot();
+            abort();
+        });
 
         let mut handles = Vec::new();
         for w in 0..threads {
             let mine = &mine[w];
-            let my_out = &my_out[w];
-            let owner = &owner;
-            let chan_dst = &chan_dst;
-            let chan_la = &chan_la;
-            let chan_clock = &chan_clock;
-            let chan_slot = &chan_slot;
-            let in_chans = &in_chans;
-            let out_chans = &out_chans;
-            let out_pair = &out_pair;
-            let wakers = &wakers;
-            let gate = &gate;
-            let gate_ts = &gate_ts;
-            let stop_flag = &stop_flag;
-            let mailboxes = &mailboxes;
-            let slots = &slots;
-            let failure = &failure;
-            let wd = &wd;
-            let telctx = &telctx;
-            handles.push(scope.spawn(move || {
-                // Failure site, readable after a contained panic.
-                let iter_c: Cell<u64> = Cell::new(0);
-                let site_c: Cell<(Option<LpId>, Time)> = Cell::new((None, Time::ZERO));
-                let poison = || {
-                    for &c in my_out {
-                        chan_clock[c].store(u64::MAX, Ordering::Release);
+            let (env, clocks, chan_slot, out_pair) = (&env, &clocks, &chan_slot, &out_pair);
+            let (gate, gate_ts, mailboxes, slots) = (&gate, &gate_ts, &mailboxes, &slots);
+            // A worker that stops granting — dead or draining — releases
+            // its out-channels so no neighbor stays pinned by it.
+            let release = move || {
+                for &lp in mine {
+                    clocks.release_outs(lp);
+                }
+                abort();
+            };
+            let body = move |site: &Site| {
+                let dir = slots.directory();
+                let mut me = Worker::new(env, w + 1);
+                let mut merger: Merger<N::Payload> = Merger::new();
+                let mut batch: Vec<Event<N::Payload>> = Vec::new();
+                // Highest promise this worker has published per owned
+                // out-channel (clocks start at 0 and only rise).
+                let mut pub_cache: Vec<u64> = vec![0; clocks.dst.len()];
+                let mut touched: Vec<u32> = Vec::new();
+                let mut wake_list: Vec<usize> = Vec::new();
+                let mut stats = WorkerStats::default();
+                let mut arrived_epoch: Option<u64> = None;
+                loop {
+                    stats.iterations += 1;
+                    let iterations = stats.iterations;
+                    site.round.set(iterations);
+                    #[cfg(feature = "fault-inject")]
+                    {
+                        cfg.fault.fire_phase(iterations, RunPhase::Process, w);
+                        cfg.fault.fire_stall(iterations, w);
                     }
-                    for wk in wakers.iter() {
-                        wk.bump();
+                    // Waker version snapshot, taken *before* any input
+                    // is read: a bump between this read and the sleep
+                    // decision aborts the sleep, so an input change is
+                    // either observed by this sweep or wakes us.
+                    let v0 = clocks.wakers[w].version();
+                    // Abort drain: exit before touching any FEL so a
+                    // watchdog/panic abort leaves the stall diagnosis
+                    // intact.
+                    if env.halted() {
+                        release();
+                        break;
                     }
-                    let _st = gate.state.lock().unwrap_or_else(|e| e.into_inner());
-                    gate.cond.notify_all();
-                };
-                let body = catch_unwind(AssertUnwindSafe(|| {
-                    let dir = slots.directory();
-                    let mut psm = Psm::default();
-                    let mut tel = telctx.worker((w + 1) as u32);
-                    let mut merger: Merger<N::Payload> = Merger::new();
-                    let mut batch: Vec<Event<N::Payload>> = Vec::new();
-                    // Highest promise this worker has published per owned
-                    // out-channel (clocks start at 0 and only rise).
-                    let mut pub_cache: Vec<u64> = vec![0; chan_clock.len()];
-                    let mut touched: Vec<u32> = Vec::new();
-                    let mut wake_list: Vec<usize> = Vec::new();
-                    let mut end_time = Time::ZERO;
-                    let mut iterations: u64 = 0;
-                    let mut grants: u64 = 0;
-                    let mut stalls: u64 = 0;
-                    let mut stall_wait_ns: u64 = 0;
-                    let mut arrived_epoch: Option<u64> = None;
-                    loop {
-                        iterations += 1;
-                        iter_c.set(iterations);
-                        #[cfg(feature = "fault-inject")]
-                        {
-                            cfg.fault.fire_phase(iterations, RunPhase::Process, w);
-                            cfg.fault.fire_stall(iterations, w);
+                    let gate_now = Time(gate_ts.load(Ordering::Acquire));
+                    let mut progressed = false;
+                    let mut all_at_gate = true;
+                    for &lp_idx in mine {
+                        // SAFETY: ownership is a static disjoint
+                        // partition of the LP set; the main thread only
+                        // touches slots inside its exclusive gate window
+                        // (all workers parked). Claim-audited.
+                        let lp = unsafe { slots.get_mut(lp_idx) };
+                        // (1) Safety bound FIRST: the Acquire loads
+                        // happen before the drains, so every event below
+                        // the observed promise is already visible in the
+                        // channel queue (sender pushes, then fetch_max
+                        // Release-publishes the promise).
+                        let ins = &clocks.ins[lp_idx];
+                        let safe = clocks.safe(lp_idx);
+                        // (2) Merge in-channel deliveries (k-way,
+                        // deterministic) into the FEL, keys preserved.
+                        // The drain probes are untimed: most sweeps find
+                        // every channel empty, and two clock reads per
+                        // idle LP would dominate the probe itself.
+                        merger.begin(ins.len());
+                        for (j, &c) in ins.iter().enumerate() {
+                            mailboxes.drain_slot(lp_idx as u32, chan_slot[c], merger.run_mut(j));
                         }
-                        // Waker version snapshot, taken *before* any input
-                        // is read: a bump between this read and the sleep
-                        // decision aborts the sleep, so an input change is
-                        // either observed by this sweep or wakes us.
-                        let v0 = *wakers[w].version.lock().unwrap_or_else(|e| e.into_inner());
-                        // Abort drain: exit before touching any FEL so a
-                        // watchdog/panic abort leaves the stall diagnosis
-                        // intact.
-                        if stop_flag.load(Ordering::Acquire) {
-                            poison();
-                            break;
+                        let recv = merger.total() as u64;
+                        if recv > 0 {
+                            let lap = me.start();
+                            debug_assert!(batch.is_empty());
+                            merger.merge_into(&mut batch);
+                            if me.tel.enabled() {
+                                for ev in batch.iter() {
+                                    me.tel.edge(ev.key.sender_lp.0, lp_idx as u32, 1);
+                                }
+                            }
+                            lp.fel.extend(batch.drain(..));
+                            progressed = true;
+                            me.end(lap, SpanKind::Merge, iterations, lp_idx as u32, Some(recv));
                         }
-                        let gate_now = Time(gate_ts.load(Ordering::Acquire));
-                        let mut progressed = false;
-                        let mut all_at_gate = true;
-                        for &lp_idx in mine {
-                            // SAFETY: ownership is a static disjoint
-                            // partition of the LP set; the main thread only
-                            // touches slots inside its exclusive gate window
-                            // (all workers parked). Claim-audited.
-                            let lp = unsafe { slots.get_mut(lp_idx) };
-                            // (1) Safety bound FIRST: the Acquire loads
-                            // happen before the drains, so every event below
-                            // the observed promise is already visible in the
-                            // channel queue (sender pushes, then fetch_max
-                            // Release-publishes the promise).
-                            let ins = &in_chans[lp_idx];
-                            let mut safe = Time::MAX;
-                            for &c in ins {
-                                safe = safe.min(Time(chan_clock[c].load(Ordering::Acquire)));
+                        // (3) Advance: execute strictly below
+                        // min(safe, gate). The gate cap keeps promises
+                        // from outrunning globals that may still inject
+                        // events at the gate timestamp. `next_ts` is a
+                        // lower bound (exact for the heap, tier bound
+                        // for the ladder), so the guard never skips a
+                        // poppable event — it only skips the clock
+                        // reads when the FEL has nothing below the
+                        // limit.
+                        let limit = safe.min(gate_now);
+                        if lp.fel.next_ts() < limit {
+                            let lap = me.start();
+                            let mut processed: u64 = 0;
+                            while let Some(ev) = lp.fel.pop_below(limit) {
+                                if ev.node.0 != lp.last_node {
+                                    lp.node_switches += 1;
+                                    lp.last_node = ev.node.0;
+                                }
+                                me.end_time = me.end_time.max(ev.key.ts);
+                                site.at.set((Some(lp.id), ev.key.ts));
+                                let (owner_lp, local) = dir.locate(ev.node);
+                                debug_assert_eq!(owner_lp, lp.id);
+                                let node = &mut lp.nodes[local as usize];
+                                let mut ctx = AsyncCtx::<N> {
+                                    now: ev.key.ts,
+                                    self_node: ev.node,
+                                    lp_id: lp.id,
+                                    fel: &mut lp.fel,
+                                    seq: &mut lp.seq,
+                                    dir,
+                                    mailboxes,
+                                    out_pair: &out_pair[lp_idx],
+                                    clocks,
+                                    touched: &mut touched,
+                                };
+                                node.handle(ev.payload, &mut ctx);
+                                processed += 1;
                             }
-                            // (2) Merge in-channel deliveries (k-way,
-                            // deterministic) into the FEL, keys preserved.
-                            // The drain probes are untimed: most sweeps find
-                            // every channel empty, and two clock reads per
-                            // idle LP would dominate the probe itself.
-                            merger.begin(ins.len());
-                            for (j, &c) in ins.iter().enumerate() {
-                                mailboxes.drain_slot(
-                                    lp_idx as u32,
-                                    chan_slot[c],
-                                    merger.run_mut(j),
-                                );
+                            lp.total_events += processed;
+                            progressed |= processed > 0;
+                            let span = (processed > 0).then_some(processed);
+                            me.end(lap, SpanKind::Advance, iterations, lp_idx as u32, span);
+                        }
+                        // (4) Grants: refresh out-channel promises.
+                        // `lb` bounds every event this LP can still
+                        // process (FEL, future arrivals, gate), so
+                        // `lb + lookahead` bounds its future sends.
+                        // `fetch_max` publishes only a rise — the lazy
+                        // null message — and is monotone under races.
+                        // `pub_cache` floor-bounds the published clock
+                        // (this worker is the channel's only writer, and
+                        // the clock never decreases), so a promise at or
+                        // below the cache would be a fetch_max no-op:
+                        // skipping it drops the contended RMW — and the
+                        // timing reads — from every idle sweep.
+                        let lb = lp.fel.next_ts().min(safe).min(gate_now);
+                        let mut rose: u64 = 0;
+                        let mut lap = None;
+                        for &c in &clocks.outs[lp_idx] {
+                            let promise = lb.saturating_add(clocks.lookahead(c));
+                            if promise.0 <= pub_cache[c] {
+                                continue;
                             }
-                            let recv = merger.total() as u64;
-                            if recv > 0 {
-                                let tel_start = tel.start();
-                                let t0 = Instant::now();
-                                debug_assert!(batch.is_empty());
-                                merger.merge_into(&mut batch);
-                                if tel.enabled() {
-                                    for ev in batch.iter() {
-                                        tel.edge(ev.key.sender_lp.0, lp_idx as u32, 1);
-                                    }
-                                }
-                                lp.fel.extend(batch.drain(..));
-                                progressed = true;
-                                let m_cost = t0.elapsed().as_nanos() as u64;
-                                psm.m_ns += m_cost;
-                                tel.span_dur(
-                                    SpanKind::Merge,
-                                    iterations,
-                                    lp_idx as u32,
-                                    tel_start,
-                                    m_cost,
-                                    recv,
-                                    0,
-                                );
+                            if lap.is_none() {
+                                lap = Some(me.start());
                             }
-                            // (3) Advance: execute strictly below
-                            // min(safe, gate). The gate cap keeps promises
-                            // from outrunning globals that may still inject
-                            // events at the gate timestamp. `next_ts` is a
-                            // lower bound (exact for the heap, tier bound
-                            // for the ladder), so the guard never skips a
-                            // poppable event — it only skips the clock
-                            // reads when the FEL has nothing below the
-                            // limit.
-                            let limit = safe.min(gate_now);
-                            if lp.fel.next_ts() < limit {
-                                let tel_start = tel.start();
-                                let t0 = Instant::now();
-                                let mut processed: u64 = 0;
-                                while let Some(ev) = lp.fel.pop_below(limit) {
-                                    if ev.node.0 != lp.last_node {
-                                        lp.node_switches += 1;
-                                        lp.last_node = ev.node.0;
-                                    }
-                                    end_time = end_time.max(ev.key.ts);
-                                    site_c.set((Some(lp.id), ev.key.ts));
-                                    let (owner_lp, local) = dir.locate(ev.node);
-                                    debug_assert_eq!(owner_lp, lp.id);
-                                    let node = &mut lp.nodes[local as usize];
-                                    let mut ctx = AsyncCtx::<N> {
-                                        now: ev.key.ts,
-                                        self_node: ev.node,
-                                        lp_id: lp.id,
-                                        fel: &mut lp.fel,
-                                        seq: &mut lp.seq,
-                                        dir,
-                                        mailboxes,
-                                        stop_flag,
-                                        out_pair: &out_pair[lp_idx],
-                                        chan_la,
-                                        touched: &mut touched,
-                                    };
-                                    node.handle(ev.payload, &mut ctx);
-                                    processed += 1;
-                                }
-                                lp.total_events += processed;
-                                let p_cost = t0.elapsed().as_nanos() as u64;
-                                psm.p_ns += p_cost;
-                                if processed > 0 {
-                                    progressed = true;
-                                    tel.span_dur(
-                                        SpanKind::Advance,
-                                        iterations,
-                                        lp_idx as u32,
-                                        tel_start,
-                                        p_cost,
-                                        processed,
-                                        0,
-                                    );
-                                }
-                            }
-                            // (4) Grants: refresh out-channel promises.
-                            // `lb` bounds every event this LP can still
-                            // process (FEL, future arrivals, gate), so
-                            // `lb + lookahead` bounds its future sends.
-                            // `fetch_max` publishes only a rise — the lazy
-                            // null message — and is monotone under races.
-                            // `pub_cache` floor-bounds the published clock
-                            // (this worker is the channel's only writer, and
-                            // the clock never decreases), so a promise at or
-                            // below the cache would be a fetch_max no-op:
-                            // skipping it drops the contended RMW — and the
-                            // timing reads — from every idle sweep.
-                            let lb = lp.fel.next_ts().min(safe).min(gate_now);
-                            let mut rose: u64 = 0;
-                            let mut tel_start = 0u64;
-                            let mut t0: Option<Instant> = None;
-                            for &c in &out_chans[lp_idx] {
-                                let promise =
-                                    lb.saturating_add(Time(chan_la[c].load(Ordering::Relaxed)));
-                                if promise.0 <= pub_cache[c] {
-                                    continue;
-                                }
-                                if t0.is_none() {
-                                    tel_start = tel.start();
-                                    t0 = Some(Instant::now());
-                                }
-                                let prev = chan_clock[c].fetch_max(promise.0, Ordering::AcqRel);
-                                pub_cache[c] = promise.0;
-                                if prev < promise.0 {
-                                    rose += 1;
-                                    // A neighbor must re-check when our
-                                    // promise rose.
-                                    let ow = owner[chan_dst[c] as usize];
-                                    if ow != w && !wake_list.contains(&ow) {
-                                        wake_list.push(ow);
-                                    }
-                                }
-                            }
-                            // ... and when we sent it events (sends land on
-                            // out-channels, so every touched LP is a dst).
-                            for &t in touched.iter() {
-                                let ow = owner[t as usize];
+                            pub_cache[c] = promise.0;
+                            if clocks.promise(c, promise) {
+                                rose += 1;
+                                // A neighbor must re-check when our
+                                // promise rose.
+                                let ow = clocks.owner[clocks.dst[c] as usize];
                                 if ow != w && !wake_list.contains(&ow) {
                                     wake_list.push(ow);
                                 }
                             }
-                            touched.clear();
-                            if rose > 0 {
-                                grants += rose;
-                                progressed = true;
-                                if let Some(t0) = t0 {
-                                    let g_cost = t0.elapsed().as_nanos() as u64;
-                                    psm.m_ns += g_cost;
-                                    tel.span_dur(
-                                        SpanKind::Grant,
-                                        iterations,
-                                        lp_idx as u32,
-                                        tel_start,
-                                        g_cost,
-                                        rose,
-                                        0,
-                                    );
+                        }
+                        // ... and when we sent it events (sends land on
+                        // out-channels, so every touched LP is a dst).
+                        for &t in touched.iter() {
+                            let ow = clocks.owner[t as usize];
+                            if ow != w && !wake_list.contains(&ow) {
+                                wake_list.push(ow);
+                            }
+                        }
+                        touched.clear();
+                        if rose > 0 {
+                            stats.grants += rose;
+                            progressed = true;
+                            if let Some(lap) = lap {
+                                me.end(lap, SpanKind::Grant, iterations, lp_idx as u32, Some(rose));
+                            }
+                        }
+                        if safe < gate_now || lp.fel.next_ts() < gate_now {
+                            all_at_gate = false;
+                        }
+                    }
+                    // Wake-ups are batched per sweep, once per distinct
+                    // owner, *after* every publish they cover (a bump
+                    // issued before a later publish could be consumed
+                    // early and the publish missed — the bump-after-
+                    // publish order is what makes the version-snapshot
+                    // sleep race-free).
+                    for &ow in &wake_list {
+                        clocks.wakers[ow].bump();
+                    }
+                    wake_list.clear();
+                    if progressed {
+                        // Events, deliveries or rising grants all count
+                        // as progress; a zero-lookahead deadlock
+                        // produces none and trips the deadline.
+                        env.wd.tick();
+                        continue;
+                    }
+                    if all_at_gate {
+                        #[cfg(feature = "fault-inject")]
+                        cfg.fault.fire_barrier_delay(iterations, w);
+                        // Gate rendezvous: count this worker once per
+                        // epoch, wake the main thread when the count
+                        // completes, park until the gate moves.
+                        let lap = me.start();
+                        let mut st = gate.state.lock().unwrap_or_else(|e| e.into_inner());
+                        if Time(gate_ts.load(Ordering::Acquire)) == gate_now && !env.halted() {
+                            let epoch0 = st.epoch;
+                            if arrived_epoch != Some(epoch0) {
+                                arrived_epoch = Some(epoch0);
+                                st.arrived += 1;
+                                if st.arrived == threads {
+                                    gate.cond.notify_all();
                                 }
                             }
-                            if safe < gate_now || lp.fel.next_ts() < gate_now {
-                                all_at_gate = false;
+                            while st.epoch == epoch0 && !env.halted() {
+                                st = gate.cond.wait(st).unwrap_or_else(|e| e.into_inner());
                             }
                         }
-                        // Wake-ups are batched per sweep, once per distinct
-                        // owner, *after* every publish they cover (a bump
-                        // issued before a later publish could be consumed
-                        // early and the publish missed — the bump-after-
-                        // publish order is what makes the version-snapshot
-                        // sleep race-free).
-                        for &ow in &wake_list {
-                            wakers[ow].bump();
-                        }
-                        wake_list.clear();
-                        if progressed {
-                            // Events, deliveries or rising grants all count
-                            // as progress; a zero-lookahead deadlock
-                            // produces none and trips the deadline.
-                            wd.tick();
-                            continue;
-                        }
-                        if all_at_gate {
-                            #[cfg(feature = "fault-inject")]
-                            cfg.fault.fire_barrier_delay(iterations, w);
-                            // Gate rendezvous: count this worker once per
-                            // epoch, wake the main thread when the count
-                            // completes, park until the gate moves.
-                            let tel_start = tel.start();
-                            let t0 = Instant::now();
-                            let mut st = gate.state.lock().unwrap_or_else(|e| e.into_inner());
-                            if Time(gate_ts.load(Ordering::Acquire)) == gate_now
-                                && !stop_flag.load(Ordering::Acquire)
-                            {
-                                let epoch0 = st.epoch;
-                                if arrived_epoch != Some(epoch0) {
-                                    arrived_epoch = Some(epoch0);
-                                    st.arrived += 1;
-                                    if st.arrived == threads {
-                                        gate.cond.notify_all();
-                                    }
-                                }
-                                while st.epoch == epoch0 && !stop_flag.load(Ordering::Acquire) {
-                                    st = gate.cond.wait(st).unwrap_or_else(|e| e.into_inner());
-                                }
-                            }
-                            drop(st);
-                            let s_cost = t0.elapsed().as_nanos() as u64;
-                            psm.s_ns += s_cost;
-                            tel.span_dur(
-                                SpanKind::BarrierWait,
-                                iterations,
-                                NO_LP,
-                                tel_start,
-                                s_cost,
-                                0,
-                                0,
-                            );
-                            continue;
-                        }
-                        // (5) Stall: below the gate but blocked on neighbor
-                        // promises. Sleep unless an input changed since the
-                        // version snapshot (the bump-under-lock discipline
-                        // makes this race-free).
-                        stalls += 1;
-                        let tel_start = tel.start();
-                        let t0 = Instant::now();
-                        {
-                            let guard = wakers[w].version.lock().unwrap_or_else(|e| e.into_inner());
-                            if *guard == v0 && !stop_flag.load(Ordering::Acquire) {
-                                let _guard = wakers[w]
-                                    .cond
-                                    .wait(guard)
-                                    .unwrap_or_else(|e| e.into_inner());
-                            }
-                        }
-                        let s_cost = t0.elapsed().as_nanos() as u64;
-                        psm.s_ns += s_cost;
-                        stall_wait_ns += s_cost;
-                        tel.span_dur(
-                            SpanKind::StallWait,
-                            iterations,
-                            NO_LP,
-                            tel_start,
-                            s_cost,
-                            0,
-                            0,
-                        );
+                        drop(st);
+                        me.end(lap, SpanKind::BarrierWait, iterations, NO_LP, Some(0));
+                        continue;
                     }
-                    WorkerDone {
-                        psm,
-                        end_time,
-                        iterations,
-                        grants,
-                        stalls,
-                        stall_wait_ns,
-                        tel,
-                    }
-                }));
-                match body {
-                    Ok(done) => Some(done),
-                    Err(payload) => {
-                        let (lp, virtual_time) = site_c.get();
-                        record_failure(
-                            failure,
-                            FailureDiagnostics {
-                                kernel: "async_cons",
-                                round: iter_c.get(),
-                                phase: RunPhase::Process,
-                                lp,
-                                virtual_time,
-                                worker: w,
-                                panic_message: panic_message(payload.as_ref()),
-                            },
-                        );
-                        stop_flag.store(true, Ordering::Release);
-                        // This worker will never grant again: release its
-                        // out-channels so neighbors are not pinned by a dead
-                        // worker, then wake everyone to observe the flag.
-                        poison();
-                        None
-                    }
+                    // (5) Stall: below the gate but blocked on neighbor
+                    // promises. Sleep unless an input changed since the
+                    // version snapshot (the bump-under-lock discipline
+                    // makes this race-free).
+                    stats.stalls += 1;
+                    let lap = me.start();
+                    clocks.wakers[w].sleep_if(|v| v == v0 && !env.halted());
+                    stats.stall_wait_ns +=
+                        me.end(lap, SpanKind::StallWait, iterations, NO_LP, Some(0));
                 }
-            }));
+                (me, stats)
+            };
+            handles.push(spawn_contained(scope, env, w, None, body, release));
         }
 
         // Main thread: the gate loop. Exclusive world access holds for the
         // whole window because every worker is parked in a `gate.cond` wait
         // and the state lock is held until the gate is republished.
+        let site = Site::new(None);
+        site.phase.set(RunPhase::Global);
         loop {
-            let tel_wait = main_tel.start();
-            let t0 = Instant::now();
+            let lap = main.start();
             let mut st = gate.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if stop_flag.load(Ordering::Acquire) || st.arrived == threads {
-                    break;
-                }
+            while !env.halted() && st.arrived != threads {
                 st = gate.cond.wait(st).unwrap_or_else(|e| e.into_inner());
             }
-            let wait_ns = t0.elapsed().as_nanos() as u64;
-            main_psm.s_ns += wait_ns;
-            main_tel.span_dur(
-                SpanKind::BarrierWait,
-                gates_run + 1,
-                NO_LP,
-                tel_wait,
-                wait_ns,
-                0,
-                0,
-            );
-            if stop_flag.load(Ordering::Acquire) {
+            main.end(lap, SpanKind::BarrierWait, gates_run + 1, NO_LP, Some(0));
+            if env.halted() {
                 // Abort (panic or watchdog): release parked workers so they
-                // drain out through the stop check.
+                // drain out through the halt check.
                 st.epoch += 1;
                 st.arrived = 0;
                 gate.cond.notify_all();
                 break;
             }
             gates_run += 1;
+            site.round.set(gates_run);
             let gate_now = Time(gate_ts.load(Ordering::Acquire));
-            let stopped;
             // Invalidate the workers' claim generation for the exclusive
             // window, and again after it for the workers' next sweeps.
             slots.begin_phase();
-            let tel_start = main_tel.start();
-            let t0 = Instant::now();
-            let r = catch_unwind(AssertUnwindSafe(|| {
+            let lap = main.start();
+            let ctl_end = &mut main.end_time;
+            let due = contained(&env, &site, 0, || {
                 #[cfg(feature = "fault-inject")]
                 cfg.fault.fire_phase(gates_run, RunPhase::Global, 0);
-                let mut topology_dirty = false;
-                let mut ran: u64 = 0;
-                let mut stop_req = false;
-                // `Time::MAX` means "no global" and must not satisfy the
-                // bound; while live, the stop global keeps the FEL
-                // non-empty.
-                while !stop_req && public.next_ts() != Time::MAX && public.next_ts() <= gate_now {
-                    // INVARIANT: `next_ts != Time::MAX` implies non-empty.
-                    let g = public.pop().expect("public FEL non-empty");
-                    let now = g.key.ts;
-                    ctl_end = ctl_end.max(now);
-                    let mut stop_one = false;
-                    let mut new_globals: Vec<(Time, GlobalFn<N>)> = Vec::new();
-                    {
-                        // SAFETY: every worker is parked on `gate.cond`
-                        // under the held state lock — the main thread has
-                        // exclusive access to all LP slots.
-                        let mut wa = unsafe {
-                            WorldAccess::new(
-                                now,
-                                &slots,
-                                &mut graph,
-                                &mut partition,
-                                &mut topology_dirty,
-                                &mut stop_one,
-                                &mut new_globals,
-                                &mut ext_seq,
-                                Some(CkptEnv {
-                                    mailboxes: Some(&mailboxes),
-                                    stop_at,
-                                    wd: &wd,
-                                    fault: &cfg.fault,
-                                }),
-                            )
-                        };
-                        (g.payload)(&mut wa);
-                    }
-                    ran += 1;
-                    for (ts, f) in new_globals {
-                        public.push(Event {
-                            key: EventKey::external(ts, ext_seq),
-                            node: NodeId(u32::MAX),
-                            payload: f,
-                        });
-                        ext_seq += 1;
-                    }
-                    if stop_one {
-                        stop_req = true;
-                    }
-                }
-                if topology_dirty {
-                    partition.recompute_lookahead(&graph);
-                    // Rewrite the per-channel lookaheads from the fresh
-                    // channel map; pairs no longer connected become MAX
-                    // (their promises saturate — an unreachable channel
-                    // never constrains its receiver). Relaxed suffices: the
-                    // gate rendezvous orders these writes against every
+                // SAFETY: every worker is parked on `gate.cond` under the
+                // held state lock — the main thread has exclusive access to
+                // all LP slots.
+                let due = unsafe {
+                    public.run_due(gate_now, &slots, &mut shell, Some(&ckpt), |now| {
+                        *ctl_end = (*ctl_end).max(now);
+                        site.at.set((None, *ctl_end));
+                    })
+                };
+                if due.topology_changed {
+                    // The gate rendezvous orders the rewrite against every
                     // worker read.
-                    let fresh = partition.lp_channels(&graph);
-                    for la in chan_la.iter() {
-                        la.store(u64::MAX, Ordering::Relaxed);
-                    }
-                    for (a, b, la) in &fresh {
-                        for (s, d) in [(a.0, b.0), (b.0, a.0)] {
-                            if let Ok(i) =
-                                chan_index.binary_search_by_key(&(s, d), |&(pair, _)| pair)
-                            {
-                                chan_la[chan_index[i].1].store(la.0, Ordering::Relaxed);
-                            }
-                        }
-                    }
+                    clocks.set_lookaheads(&shell.partition.lp_channels(&shell.graph));
                 }
-                (ran, stop_req)
-            }));
-            let g_dur = t0.elapsed().as_nanos() as u64;
-            main_psm.p_ns += g_dur;
-            match r {
-                Ok((ran, stop_req)) => {
-                    global_events += ran;
-                    stopped = stop_req;
-                    main_tel.span_dur(SpanKind::Global, gates_run, NO_LP, tel_start, g_dur, ran, 0);
-                }
-                Err(payload) => {
-                    record_failure(
-                        &failure,
-                        FailureDiagnostics {
-                            kernel: "async_cons",
-                            round: gates_run,
-                            phase: RunPhase::Global,
-                            lp: None,
-                            virtual_time: ctl_end,
-                            worker: 0,
-                            panic_message: panic_message(payload.as_ref()),
-                        },
-                    );
-                    stopped = true;
-                }
-            }
+                due
+            });
+            let span = due.as_ref().map(|d| d.ran);
+            main.end(lap, SpanKind::Global, gates_run, NO_LP, span);
+            // A contained panic in a global ends the run like a stop.
+            let stopped = due.is_none_or(|d| d.stopped);
             slots.begin_phase();
             if stopped {
-                stop_flag.store(true, Ordering::Release);
+                env.halt();
             }
             // Republish the gate and release the workers.
             st.epoch += 1;
@@ -1013,45 +642,14 @@ pub(super) fn run<N: SimNode>(
             if stopped {
                 break;
             }
-            wd.tick();
+            env.wd.tick();
         }
 
-        wd.finish();
-        for (w, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(res) => results.push(res),
-                // Worker bodies are fully contained; a join error means the
-                // containment itself died. Record it — `try_run` must not
-                // panic.
-                Err(payload) => {
-                    stop_flag.store(true, Ordering::Release);
-                    for wk in wakers.iter() {
-                        wk.bump();
-                    }
-                    {
-                        let _st = gate.state.lock().unwrap_or_else(|e| e.into_inner());
-                        gate.cond.notify_all();
-                    }
-                    record_failure(
-                        &failure,
-                        FailureDiagnostics {
-                            kernel: "async_cons",
-                            round: 0,
-                            phase: RunPhase::Control,
-                            lp: None,
-                            virtual_time: Time::ZERO,
-                            worker: w,
-                            panic_message: panic_message(payload.as_ref()),
-                        },
-                    );
-                    results.push(None);
-                }
-            }
-        }
+        env.wd.finish();
+        join_contained(&env, handles, 1, abort)
     });
 
     let wall = started.elapsed();
-    let stalled = wd.stalled();
     let (mut lps, _) = slots.into_inner();
     // An abort can leave cross-LP events undelivered in their channel
     // queues. Deliver them now so the stall diagnosis sees every LP that
@@ -1061,134 +659,36 @@ pub(super) fn run<N: SimNode>(
         mailboxes.drain(id, |ev| lp.fel.push(ev));
     }
 
-    let mut psm = vec![main_psm];
-    let mut tels = vec![main_tel];
-    let mut grants: u64 = 0;
-    let mut stalls: u64 = 0;
-    let mut stall_wait_ns: Vec<u64> = Vec::with_capacity(threads);
+    let mut workers = vec![Some(main)];
+    let mut async_stats = AsyncStats {
+        gates: gates_run,
+        ..AsyncStats::default()
+    };
     let mut iterations: u64 = 0;
-    let mut end_time = ctl_end;
-    for (w, res) in results.into_iter().enumerate() {
-        match res {
-            Some(done) => {
-                grants += done.grants;
-                stalls += done.stalls;
-                stall_wait_ns.push(done.stall_wait_ns);
-                iterations = iterations.max(done.iterations);
-                end_time = end_time.max(done.end_time);
-                psm.push(done.psm);
-                tels.push(done.tel);
-            }
-            None => {
-                // Panicked worker: keep the per-worker vectors rectangular.
-                stall_wait_ns.push(0);
-                psm.push(Psm::default());
-                tels.push(telctx.worker((w + 1) as u32));
-            }
-        }
+    for res in results {
+        // A dead worker leaves an empty record.
+        let (worker, stats) = res.unzip();
+        let stats: WorkerStats = stats.unwrap_or_default();
+        async_stats.grants += stats.grants;
+        async_stats.stalls += stats.stalls;
+        async_stats.stall_wait_ns.push(stats.stall_wait_ns);
+        iterations = iterations.max(stats.iterations);
+        workers.push(worker);
     }
-    let lp_totals = LpTotals {
-        events: lps.iter().map(|lp| lp.total_events).collect(),
-        node_switches: lps.iter().map(|lp| lp.node_switches).collect(),
-    };
-    let events: u64 = lp_totals.events.iter().sum();
     let (pool_hits, pool_misses) = mailboxes.pool_stats();
-    let report = RunReport {
-        kernel: format!("async_cons({threads})"),
-        wall,
-        events,
-        global_events,
-        // No synchronization rounds exist; see `async_stats` for the
-        // kernel's own progress counters.
-        rounds: 0,
-        fused_rounds: 0,
-        lp_count: lp_count as u32,
-        threads: threads as u32,
-        lookahead: partition.lookahead,
-        end_time,
-        psm,
-        psm_per_lp: false,
-        lp_totals,
-        engine: EngineStats {
-            fel_impl: cfg.fel,
-            pool_hits: pool_hits as u64,
-            pool_misses: pool_misses as u64,
-        },
-        sched: SchedStats::default(),
-        rounds_profile: None,
-        telemetry: telctx.collect(tels, sched_log),
-        recovery: None,
-        async_stats: Some(AsyncStats {
-            grants,
-            stalls,
-            gates: gates_run,
-            stall_wait_ns,
-        }),
+    // No synchronization rounds exist (`rounds` stays 0); `async_stats`
+    // carries the kernel's own progress counters.
+    let out = Outcome {
+        label: format!("async_cons({threads})"),
+        threads,
+        global_events: public.executed,
+        pool: (pool_hits as u64, pool_misses as u64),
+        async_stats: Some(async_stats),
+        stall_round: iterations,
+        stall_bound: shell.horizon(),
+        ..Outcome::new(&env, wall, lps, workers)
     };
-    if let Some(diag) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(SimError::WorkerPanic {
-            diag,
-            partial: Box::new(report),
-        });
-    }
-    if stalled {
-        // LPs still holding work below the horizon were conservatively
-        // blocked. Walk each blocked LP's binding input channel (minimal
-        // promise in the abort-time snapshot) back to its source to expose
-        // the dependency cycle.
-        let blocked: Vec<LpId> = lps
-            .iter()
-            .filter(|lp| lp.fel.next_ts() < stop)
-            .map(|lp| lp.id)
-            .collect();
-        let mut cycle: Vec<LpId> = Vec::new();
-        if let Some(start) = blocked.first() {
-            let mut path: Vec<u32> = Vec::new();
-            let mut cur = start.0;
-            loop {
-                if let Some(pos) = path.iter().position(|&l| l == cur) {
-                    cycle = path[pos..].iter().map(|&l| LpId(l)).collect();
-                    cycle.push(LpId(cur));
-                    break;
-                }
-                path.push(cur);
-                let mut best: Option<(u64, usize)> = None;
-                for &c in &in_chans[cur as usize] {
-                    let clk = stall_clocks[c].load(Ordering::Acquire);
-                    if clk != u64::MAX && best.is_none_or(|(b, _)| clk < b) {
-                        best = Some((clk, c));
-                    }
-                }
-                match best {
-                    Some((_, c)) => cur = chan_src[c],
-                    None => break,
-                }
-            }
-        }
-        let virtual_time = lps
-            .iter()
-            .filter(|lp| lp.fel.next_ts() < stop)
-            .map(|lp| lp.fel.next_ts())
-            .fold(Time::MAX, Time::min);
-        let diag = StallDiagnostics {
-            kernel: "async_cons",
-            round: iterations,
-            deadline: cfg.watchdog.round_deadline.unwrap_or_default(),
-            virtual_time: if virtual_time == Time::MAX {
-                end_time
-            } else {
-                virtual_time
-            },
-            blocked,
-            cycle,
-        };
-        return Err(SimError::Stalled {
-            diag,
-            partial: Box::new(report),
-        });
-    }
-    let world = reassemble_world(lps, &partition, graph, stop_at);
-    Ok((world, report))
+    finish(env, shell, out, Some(&clocks))
 }
 
 #[cfg(test)]

@@ -31,10 +31,11 @@
 
 use crate::error::SimError;
 use crate::metrics::RunReport;
+use crate::partition::Partition;
 use crate::world::{SimNode, World};
 
 use super::unison::{run_grouped, Grouping};
-use super::{build_partition, KernelError, RunConfig};
+use super::RunConfig;
 
 pub(super) fn run<N: SimNode>(
     world: World<N>,
@@ -42,46 +43,39 @@ pub(super) fn run<N: SimNode>(
     hosts: usize,
     threads_per_host: usize,
 ) -> Result<(World<N>, RunReport), SimError> {
-    if hosts == 0 || threads_per_host == 0 {
-        return Err(KernelError::InvalidConfig(
-            "hybrid kernel needs hosts >= 1 and threads_per_host >= 1".into(),
-        )
-        .into());
-    }
     // The host assignment is derived from the partition's LP weights.
-    let partition = build_partition(&world, &cfg.partition)?;
-    let lp_count = partition.lp_count as usize;
-    let hosts = hosts.min(lp_count.max(1));
+    run_grouped(world, cfg, |partition: &Partition| {
+        let lp_count = partition.lp_count as usize;
+        let hosts = hosts.min(lp_count.max(1));
 
-    // Contiguous ranges balanced by node count.
-    let total_nodes: usize = partition.lp_nodes.iter().map(|v| v.len()).sum();
-    let target = (total_nodes as f64 / hosts as f64).max(1.0);
-    let mut lp_group = vec![0u32; lp_count];
-    let mut acc = 0.0f64;
-    let mut host = 0u32;
-    for (lp, nodes) in partition.lp_nodes.iter().enumerate() {
-        if acc >= target && (host as usize) < hosts - 1 {
-            host += 1;
-            acc = 0.0;
+        // Contiguous ranges balanced by node count.
+        let total_nodes: usize = partition.lp_nodes.iter().map(|v| v.len()).sum();
+        let target = (total_nodes as f64 / hosts as f64).max(1.0);
+        let mut lp_group = vec![0u32; lp_count];
+        let mut acc = 0.0f64;
+        let mut host = 0u32;
+        for (lp, nodes) in partition.lp_nodes.iter().enumerate() {
+            if acc >= target && (host as usize) < hosts - 1 {
+                host += 1;
+                acc = 0.0;
+            }
+            lp_group[lp] = host;
+            acc += nodes.len() as f64;
         }
-        lp_group[lp] = host;
-        acc += nodes.len() as f64;
-    }
-    let groups = host as usize + 1;
+        let groups = host as usize + 1;
 
-    let threads = groups * threads_per_host;
-    let mut worker_group = Vec::with_capacity(threads);
-    for g in 0..groups {
-        for _ in 0..threads_per_host {
-            worker_group.push(g as u32);
+        let mut worker_group = Vec::with_capacity(groups * threads_per_host);
+        for g in 0..groups {
+            for _ in 0..threads_per_host {
+                worker_group.push(g as u32);
+            }
         }
-    }
-    // Worker 0 (the main thread) must belong to group 0: it does, because
-    // groups are filled in order.
-    let grouping = Grouping {
-        lp_group,
-        worker_group,
-        groups,
-    };
-    run_grouped(world, cfg, threads, partition, Some(grouping), "hybrid")
+        // Worker 0 (the main thread) must belong to group 0: it does,
+        // because groups are filled in order.
+        Grouping {
+            lp_group,
+            worker_group,
+            groups,
+        }
+    })
 }

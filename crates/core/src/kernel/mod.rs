@@ -1,6 +1,6 @@
 //! Simulation kernels.
 //!
-//! Four interchangeable kernels execute a [`World`]:
+//! Six interchangeable kernels execute a [`World`]:
 //!
 //! - [`sequential`]: classic single-threaded DES (the ns-3 default kernel in
 //!   the paper's comparisons);
@@ -11,13 +11,25 @@
 //!   between neighbor LPs;
 //! - [`unison`]: the paper's kernel — automatic fine-grained partition,
 //!   load-adaptive LP scheduling on a thread pool, lock-free four-phase
-//!   rounds, deterministic tie-breaking, and public-LP global events.
+//!   rounds, deterministic tie-breaking, and public-LP global events;
+//! - [`hybrid`]: Unison inside each simulated cluster host, one global
+//!   window across hosts (§5.2);
+//! - [`async_cons`]: barrier-free conservative PDES on per-channel clocks,
+//!   deterministic at any thread count.
 //!
 //! The model code is identical for all kernels (*user transparency*): pick a
 //! kernel by configuration only.
+//!
+//! Each kernel file holds its synchronization protocol — how the safe bound
+//! is computed, how LPs map to threads — and its [`SimCtx`]. Everything else
+//! exists once, in the crate-private `harness`: the preamble (checks,
+//! partition, LP build), the public LP and global-event execution, the
+//! channel-clock table, panic containment and the watchdog hookup, and the
+//! epilogue (run report, error precedence, world reassembly).
 
 pub mod async_cons;
 pub mod barrier;
+mod harness;
 pub mod hybrid;
 pub mod nullmsg;
 pub mod sequential;
@@ -38,9 +50,6 @@ use crate::partition::{
 };
 use crate::sched::SchedConfig;
 use crate::telemetry::TelemetryConfig;
-// Shimmed so `RoundCtx` (shared with the Unison kernel) type-checks when the
-// whole crate is compiled under `--cfg loom` for model checking.
-use crate::sync_shim::{AtomicBool, Ordering};
 use crate::time::Time;
 use crate::world::{NodeDirectory, SimCtx, SimNode, World};
 
@@ -149,7 +158,8 @@ pub struct RunConfig {
     pub kernel: KernelKind,
     /// Partitioning scheme.
     pub partition: PartitionMode,
-    /// Scheduling heuristics (Unison kernel only).
+    /// Scheduling heuristics: LJF metric and period, round fusion (Unison
+    /// and hybrid kernels; the others have no scheduler).
     pub sched: SchedConfig,
     /// Instrumentation level.
     pub metrics: MetricsLevel,
@@ -484,7 +494,6 @@ pub(crate) struct RoundCtx<'a, N: SimNode> {
     pub outflow: &'a mut Vec<Event<N::Payload>>,
     pub pending_globals: &'a mut Vec<PendingGlobal<N>>,
     pub slots: &'a LpSlots<N>,
-    pub stop_flag: &'a AtomicBool,
 }
 
 impl<N: SimNode> SimCtx<N> for RoundCtx<'_, N> {
@@ -543,9 +552,5 @@ impl<N: SimNode> SimCtx<N> for RoundCtx<'_, N> {
             sender_ts: self.now,
             f,
         });
-    }
-
-    fn request_stop(&mut self) {
-        self.stop_flag.store(true, Ordering::Release);
     }
 }

@@ -32,35 +32,26 @@
 //! their own group, modeling the cluster deployment where load balancing
 //! happens within a host and only the window all-reduce is global.
 
-use std::cell::{Cell, UnsafeCell};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::cell::UnsafeCell;
 use std::time::Instant;
 
-use crate::error::{
-    panic_message, record_failure, FailureDiagnostics, RunPhase, SimError, StallDiagnostics,
-};
-use crate::event::{Event, EventKey, LpId, NodeId};
-use crate::fel::Fel;
-use crate::global::{CkptEnv, GlobalFn, WorldAccess};
+use crate::error::{RunPhase, SimError};
+use crate::event::LpId;
 use crate::lp::LpSlots;
-use crate::metrics::{
-    EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
-};
+use crate::metrics::{MetricsLevel, RoundRecord, RunReport, SchedStats};
 use crate::partition::Partition;
 use crate::sched::{order_by_estimate_into, LjfCursor, SchedMetric};
 use crate::sync::{TreeBarrier, TreeWaiter};
 use crate::sync_shim::{AtomicBool, AtomicU64, AtomicUsize, CachePadded, Ordering};
-use crate::telemetry::{SpanKind, TelContext, WorkerTel, NO_LP};
+use crate::telemetry::{SpanKind, WorkerTel, NO_LP};
 use crate::time::Time;
 use crate::world::{SimNode, World};
 
-use super::watchdog::Watchdog;
-use super::{build_lps, build_partition, reassemble_world, KernelError, RoundCtx, RunConfig};
-
-/// Failure site updated by the processing phase just before each handler
-/// runs, so a contained panic can be attributed to an LP and virtual time.
-type Site = Cell<(Option<LpId>, Time)>;
+use super::harness::{
+    charge, contained, finish, join_contained, prepare, spawn_contained, Outcome, PublicLp, RunEnv,
+    Setup, Site, Worker,
+};
+use super::{RoundCtx, RunConfig};
 
 /// How LPs and workers are grouped (single group = plain Unison; one group
 /// per simulated host = hybrid kernel).
@@ -191,63 +182,38 @@ pub(super) fn run<N: SimNode>(
     cfg: &RunConfig,
     threads: usize,
 ) -> Result<(World<N>, RunReport), SimError> {
-    if threads == 0 {
-        return Err(KernelError::InvalidConfig("threads must be >= 1".into()).into());
-    }
-    let partition = build_partition(&world, &cfg.partition)?;
-    run_grouped(world, cfg, threads, partition, None, "unison")
+    run_grouped(world, cfg, |p| {
+        Grouping::single(p.lp_count as usize, threads)
+    })
 }
 
-/// Shared implementation for the Unison and hybrid kernels.
+/// Shared implementation for the Unison and hybrid kernels: `group` maps
+/// the partition to the worker/LP grouping (and so to the thread count).
 pub(super) fn run_grouped<N: SimNode>(
     world: World<N>,
     cfg: &RunConfig,
-    threads: usize,
-    mut partition: Partition,
-    grouping: Option<Grouping>,
-    kernel_name: &'static str,
+    group: impl FnOnce(&Partition) -> Grouping,
 ) -> Result<(World<N>, RunReport), SimError> {
-    let (lps, dir, mut graph, init_globals, stop_at, restored_ext_seq) =
-        build_lps(world, &partition, cfg.fel);
+    let Setup {
+        env,
+        mut shell,
+        lps,
+        dir,
+        mut public,
+    } = prepare(world, cfg)?;
     let lp_count = lps.len();
-    if lp_count == 0 {
-        return Err(KernelError::InvalidPartition("world has no nodes".into()).into());
-    }
-    let grouping = grouping.unwrap_or_else(|| Grouping::single(lp_count, threads));
-    if grouping.worker_group.len() != threads || grouping.lp_group.len() != lp_count {
-        return Err(
-            KernelError::InvalidConfig("grouping does not match thread/LP counts".into()).into(),
-        );
-    }
+    let grouping = group(&shell.partition);
+    let threads = grouping.worker_group.len();
+    debug_assert_eq!(grouping.lp_group.len(), lp_count);
     let groups = grouping.groups;
 
-    let channels: Vec<(u32, u32)> = partition
-        .lp_channels(&graph)
+    let channels: Vec<(u32, u32)> = shell
+        .partition
+        .lp_channels(&shell.graph)
         .into_iter()
         .map(|(a, b, _)| (a.0, b.0))
         .collect();
     let mut slots = LpSlots::with_channels(lps, dir, &channels);
-
-    // Public LP. The external sequence counter continues from a restored
-    // checkpoint's value (0 for a fresh world).
-    let mut public: Fel<GlobalFn<N>> = Fel::with_impl(cfg.fel);
-    let mut ext_seq: u64 = restored_ext_seq;
-    for (ts, f) in init_globals {
-        public.push(Event {
-            key: EventKey::external(ts, ext_seq),
-            node: NodeId(u32::MAX),
-            payload: f,
-        });
-        ext_seq += 1;
-    }
-    if let Some(stop) = stop_at {
-        public.push(Event {
-            key: EventKey::external(stop, ext_seq),
-            node: NodeId(u32::MAX),
-            payload: Box::new(|wa: &mut WorldAccess<'_, N>| wa.stop()),
-        });
-        ext_seq += 1;
-    }
 
     // Static per-group LP lists and initial (identity) orders.
     let mut group_lps: Vec<Vec<u32>> = vec![Vec::new(); groups];
@@ -274,21 +240,18 @@ pub(super) fn run_grouped<N: SimNode>(
     };
     let initial_window = public
         .next_ts()
-        .min(initial_min.saturating_add(partition.lookahead));
+        .min(initial_min.saturating_add(shell.partition.lookahead));
 
     // Telemetry sinks: one per worker (sole writer: that worker), plus the
     // scheduler-decision log written only by the main thread in phase 4.
     // All no-ops unless `cfg.telemetry.enabled` (see DESIGN.md §4.3).
-    let telctx = TelContext::new(&cfg.telemetry);
-    let mut main_tel = telctx.worker(0);
-    let mut sched_log = telctx.sched_log();
-    let mut worker_tels: Vec<WorkerTel> = Vec::new();
+    let mut sched_log = env.telctx.sched_log();
 
     // Which rounds measure per-LP cost: the one an LJF re-sort by measured
     // time consumes (phase 4 of round `r` re-sorts when `r` is a multiple
     // of the period), and every round when profiles or spans record it.
     let sched_period = cfg.sched.effective_period(lp_count) as u64;
-    let timed_always = cfg.metrics == MetricsLevel::PerRound || telctx.is_enabled();
+    let timed_always = cfg.metrics == MetricsLevel::PerRound || env.telctx.is_enabled();
     let resort_by_time = cfg.sched.metric == SchedMetric::ByLastRoundTime;
     let timed_round =
         |round: u64| timed_always || (resort_by_time && round.is_multiple_of(sched_period));
@@ -334,7 +297,6 @@ pub(super) fn run_grouped<N: SimNode>(
     let cursor_recv: Vec<CachePadded<AtomicUsize>> = (0..groups)
         .map(|_| CachePadded::new(AtomicUsize::new(0)))
         .collect();
-    let stop_flag = AtomicBool::new(false);
     // Raised by a process phase that left `outflow` events or pending
     // globals on an LP; phase 2 walks the LPs only when it is up.
     let side_output = CachePadded::new(AtomicBool::new(false));
@@ -348,57 +310,33 @@ pub(super) fn run_grouped<N: SimNode>(
         MetricsLevel::Summary => None,
     };
     let mut rounds: u64 = 0;
-    let mut global_events: u64 = 0;
     let mut end_time = Time::ZERO;
     let started = Instant::now();
-
-    let mut worker_psm: Vec<Psm> = Vec::new();
-    // The main thread's P/S/M laps.
-    let mut clock = PhaseClock::start();
     let main_group = grouping.worker_group[0] as usize;
+    let ckpt = env.ckpt(None, shell.stop_at);
 
-    // Crash-safety plumbing (DESIGN.md §4.2): the first contained panic
-    // wins the diagnostics slot; the watchdog aborts rounds that exceed
-    // their wall-clock deadline. Both abort paths poison the barrier so
-    // every thread drains out at its next synchronization point.
-    let failure: Mutex<Option<FailureDiagnostics>> = Mutex::new(None);
-    let wd = Watchdog::new();
+    // Abort (contained panic or watchdog): poisoning the barrier makes
+    // every thread drain out at its next synchronization point.
+    let abort = || barrier.poison();
 
-    std::thread::scope(|scope| {
-        // Round-progress monitor (opt-in): fires when the main thread stops
-        // ticking for longer than the deadline.
-        if let Some(deadline) = cfg.watchdog.round_deadline {
-            let wd = &wd;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                wd.monitor(deadline, || barrier.poison());
-            });
-        }
+    let workers = std::thread::scope(|scope| {
+        // Fires when the main thread stops ticking for a whole deadline.
+        env.spawn_monitor(scope, abort);
 
         // Spawn `threads - 1` workers; the main thread is worker 0 and also
         // runs the serial phases.
         let mut handles = Vec::new();
         for (w, &g) in grouping.worker_group.iter().enumerate().skip(1) {
             let g = g as usize;
-            let slots = &slots;
-            let plan = &plan;
-            let barrier = &barrier;
-            let cursors = &cursors;
-            let cursor_recv = &cursor_recv;
-            let stop_flag = &stop_flag;
-            let side_output = &*side_output;
+            let (env, slots, plan, barrier) = (&env, &slots, &plan, &barrier);
+            let (cursors, cursor_recv, side_output) = (&cursors, &cursor_recv, &*side_output);
             let fold_slot = &*folds[w - 1];
-            let failure = &failure;
-            let telctx = &telctx;
-            handles.push(scope.spawn(move || {
-                let mut tel = telctx.worker(w as u32);
-                let mut waiter = barrier.waiter(w);
-                let mut clock = PhaseClock::start();
+            let body = move |site: &Site| {
+                let mut lane = Lane::new(env, barrier, site, w);
                 let mut round: u64 = 0;
                 loop {
                     // B0: plan published
-                    wait_lap(barrier, &mut waiter, &mut clock, &mut tel, round + 1, 0);
-                    if barrier.is_poisoned() {
+                    if !lane.wait(round + 1, 0) {
                         break;
                     }
                     // SAFETY: read-only access during parallel phases.
@@ -409,113 +347,45 @@ pub(super) fn run_grouped<N: SimNode>(
                     // Authoritative round number: fused rounds advance it
                     // while workers are parked, so it may jump.
                     round = p.round;
-                    let site: Site = Cell::new((None, p.window_start));
-                    let tel_start = tel.start();
-                    let r = catch_unwind(AssertUnwindSafe(|| {
+                    let process = |tel: &mut WorkerTel| {
                         #[cfg(feature = "fault-inject")]
                         cfg.fault.fire_phase(round, RunPhase::Process, w);
-                        process_phase(
-                            slots,
-                            std::iter::from_fn(|| cursors[g].claim(0)),
-                            &p.order[g],
-                            p,
-                            stop_flag,
-                            side_output,
-                            &site,
-                            &mut tel,
-                            round,
-                        )
-                    }));
-                    let p_dur = clock.lap(|psm| &mut psm.p_ns);
-                    match r {
-                        Ok(events) => tel.span_dur(
-                            SpanKind::Process,
-                            round,
-                            NO_LP,
-                            tel_start,
-                            p_dur,
-                            events,
-                            0,
-                        ),
-                        Err(payload) => {
-                            contain(
-                                failure,
-                                barrier,
-                                kernel_name,
-                                round,
-                                RunPhase::Process,
-                                &site,
-                                w,
-                                payload,
-                            );
-                            break;
-                        }
-                    }
-                    // B1
-                    wait_lap(barrier, &mut waiter, &mut clock, &mut tel, round, 1);
-                    if barrier.is_poisoned() {
+                        let claims = std::iter::from_fn(|| cursors[g].claim(0));
+                        process_phase(slots, claims, &p.order[g], p, side_output, site, tel, round)
+                    };
+                    if lane
+                        .run(RunPhase::Process, round, p.window_start, process, |&n| n)
+                        .is_none()
+                    {
                         break;
                     }
-                    // B2 (main ran globals)
-                    wait_lap(barrier, &mut waiter, &mut clock, &mut tel, round, 2);
-                    if barrier.is_poisoned() {
+                    // B1, then B2 (main ran globals in between)
+                    if !lane.wait(round, 1) || !lane.wait(round, 2) {
                         break;
                     }
-                    let site: Site = Cell::new((None, p.window_end));
-                    let tel_start = tel.start();
-                    let r = catch_unwind(AssertUnwindSafe(|| {
+                    let receive = |tel: &mut WorkerTel| {
                         #[cfg(feature = "fault-inject")]
                         {
                             cfg.fault.fire_phase(round, RunPhase::Receive, w);
                             cfg.fault.fire_stall(round, w);
                         }
-                        receive_phase(
-                            slots,
-                            claim_positions(&cursor_recv[g], p.group_lps[g].len()),
-                            &p.group_lps[g],
-                            &site,
-                            &mut tel,
-                            round,
-                        )
-                    }));
-                    let m_dur = clock.lap(|psm| &mut psm.m_ns);
-                    match r {
-                        Ok(fold) => {
-                            fold_slot.publish(fold);
-                            tel.span_dur(
-                                SpanKind::Receive,
-                                round,
-                                NO_LP,
-                                tel_start,
-                                m_dur,
-                                fold.recv,
-                                0,
-                            )
-                        }
-                        Err(payload) => {
-                            contain(
-                                failure,
-                                barrier,
-                                kernel_name,
-                                round,
-                                RunPhase::Receive,
-                                &site,
-                                w,
-                                payload,
-                            );
-                            break;
-                        }
+                        let claims = claim_positions(&cursor_recv[g], p.group_lps[g].len());
+                        receive_phase(slots, claims, &p.group_lps[g], site, tel, round)
+                    };
+                    match lane.run(RunPhase::Receive, round, p.window_end, receive, |f| f.recv) {
+                        Some(fold) => fold_slot.publish(fold),
+                        None => break,
                     }
                     #[cfg(feature = "fault-inject")]
                     cfg.fault.fire_barrier_delay(round, w);
                     // B3
-                    wait_lap(barrier, &mut waiter, &mut clock, &mut tel, round, 3);
-                    if barrier.is_poisoned() {
+                    if !lane.wait(round, 3) {
                         break;
                     }
                 }
-                (clock.psm, tel)
-            }));
+                lane.done(Time::ZERO)
+            };
+            handles.push(spawn_contained(scope, env, w, None, body, abort));
         }
 
         // Main thread control loop. Claim-audit generations are bumped by
@@ -528,7 +398,8 @@ pub(super) fn run_grouped<N: SimNode>(
         let mut estimates: Vec<u64> = Vec::new();
         let mut group_est: Vec<u64> = Vec::new();
         let mut group_order: Vec<u32> = Vec::new();
-        let mut waiter0 = barrier.waiter(0);
+        let site = Site::new(None);
+        let mut lane = Lane::new(&env, &barrier, &site, 0);
         slots.begin_phase(); // covers phase 1 of round 1
         loop {
             // SAFETY: the main thread is exclusive until its B0 arrival —
@@ -549,20 +420,12 @@ pub(super) fn run_grouped<N: SimNode>(
             let round = rounds + 1;
             let window_start = p.window_start;
             let window_end = p.window_end;
-            let round_tel_start = main_tel.start();
-            if !fuse {
-                // B0
-                wait_lap(&barrier, &mut waiter0, &mut clock, &mut main_tel, round, 0);
-                if barrier.is_poisoned() {
-                    break;
-                }
-                if p.done {
-                    break;
-                }
+            let round_tel_start = lane.me.tel.start();
+            // B0
+            if !fuse && (!lane.wait(round, 0) || p.done) {
+                break;
             }
-            let site: Site = Cell::new((None, window_start));
-            let tel_start = main_tel.start();
-            let r = catch_unwind(AssertUnwindSafe(|| {
+            let process = |tel: &mut WorkerTel| {
                 #[cfg(feature = "fault-inject")]
                 cfg.fault.fire_phase(round, RunPhase::Process, 0);
                 if fuse {
@@ -570,208 +433,73 @@ pub(super) fn run_grouped<N: SimNode>(
                     // order at once; the parked workers never contend.
                     let mut events = 0;
                     for (cursor, order) in cursors.iter().zip(&p.order) {
+                        let claims = cursor.claim_rest();
                         events += process_phase(
                             &slots,
-                            cursor.claim_rest(),
+                            claims,
                             order,
                             p,
-                            &stop_flag,
                             &side_output,
                             &site,
-                            &mut main_tel,
+                            tel,
                             round,
                         );
                     }
                     events
                 } else {
-                    process_phase(
-                        &slots,
-                        std::iter::from_fn(|| cursors[main_group].claim(0)),
-                        &p.order[main_group],
-                        p,
-                        &stop_flag,
-                        &side_output,
-                        &site,
-                        &mut main_tel,
-                        round,
-                    )
+                    let claims = std::iter::from_fn(|| cursors[main_group].claim(0));
+                    let order = &p.order[main_group];
+                    process_phase(&slots, claims, order, p, &side_output, &site, tel, round)
                 }
-            }));
-            let p_dur = clock.lap(|psm| &mut psm.p_ns);
-            match r {
-                Ok(events) => {
-                    main_tel.span_dur(SpanKind::Process, round, NO_LP, tel_start, p_dur, events, 0)
-                }
-                Err(payload) => {
-                    contain(
-                        &failure,
-                        &barrier,
-                        kernel_name,
-                        round,
-                        RunPhase::Process,
-                        &site,
-                        0,
-                        payload,
-                    );
-                    break;
-                }
+            };
+            if lane
+                .run(RunPhase::Process, round, window_start, process, |&n| n)
+                .is_none()
+            {
+                break;
             }
-            if !fuse {
-                // B1
-                wait_lap(&barrier, &mut waiter0, &mut clock, &mut main_tel, round, 1);
-                if barrier.is_poisoned() {
-                    break;
-                }
+            // B1
+            if !fuse && !lane.wait(round, 1) {
+                break;
             }
 
             // ---- Phase 2: global events (main thread only) ----
             slots.begin_phase(); // covers phase 2 (workers idle until B2)
-            let tel_start = main_tel.start();
-            let globals_before = global_events;
-            let mut stopped = stop_flag.load(Ordering::Acquire);
-            let site: Site = Cell::new((None, window_end));
-            let r = catch_unwind(AssertUnwindSafe(|| {
+            let globals = |_: &mut WorkerTel| {
                 #[cfg(feature = "fault-inject")]
                 cfg.fault.fire_phase(round, RunPhase::Global, 0);
-                let mut topology_dirty = false;
                 for c in cursor_recv.iter() {
                     c.store(0, Ordering::Relaxed);
                 }
                 // Route overflow events and merge node-scheduled globals:
                 // the LPs are walked only when some process phase reported
                 // either.
-                let walk = if side_output.load(Ordering::Relaxed) {
+                if side_output.load(Ordering::Relaxed) {
                     side_output.store(false, Ordering::Relaxed);
-                    lp_count
-                } else {
-                    0
-                };
-                for i in 0..walk {
-                    let (outflow, pending) = {
-                        // SAFETY: workers wait at B2; main is exclusive. The
-                        // borrow ends inside this block, before any other slot
-                        // is touched.
-                        let lp = unsafe { slots.get_mut(i) };
-                        if lp.outflow.is_empty() && lp.pending_globals.is_empty() {
-                            continue;
-                        }
-                        (
-                            std::mem::take(&mut lp.outflow),
-                            std::mem::take(&mut lp.pending_globals),
-                        )
-                    };
-                    for ev in outflow {
-                        let dst = slots.directory().lp_of(ev.node);
-                        // SAFETY: main-thread exclusivity; the source LP borrow
-                        // above has already ended.
-                        let dst_lp = unsafe { slots.get_mut(dst.index()) };
-                        dst_lp.fel.push(ev);
-                    }
-                    for pg in pending {
-                        public.push(Event {
-                            key: EventKey {
-                                // Clamp: globals cannot precede the end of the
-                                // window that scheduled them.
-                                ts: pg.ts.max(window_end),
-                                sender_ts: pg.sender_ts,
-                                sender_lp: LpId(i as u32),
-                                seq: ext_seq,
-                            },
-                            node: NodeId(u32::MAX),
-                            payload: pg.f,
-                        });
-                        ext_seq += 1;
-                    }
+                    // SAFETY: workers wait at B2; main is exclusive.
+                    unsafe { route_side_output(&slots, &mut public, window_end) };
                 }
-                // Execute due global events.
-                // `Time::MAX` means "no global event" — it must not satisfy the
-                // bound even when the window itself is unbounded (linkless
-                // worlds have an infinite lookahead).
-                while !stopped && public.next_ts() != Time::MAX && public.next_ts() <= window_end {
-                    // INVARIANT: `next_ts != Time::MAX` implies non-empty.
-                    let g = public.pop().expect("public FEL non-empty");
-                    let now = g.key.ts;
-                    end_time = end_time.max(now);
-                    site.set((None, now));
-                    let mut stop = false;
-                    let mut new_globals: Vec<(Time, GlobalFn<N>)> = Vec::new();
-                    {
-                        // SAFETY: workers wait at B2; the main thread holds
-                        // exclusive access to every LP slot.
-                        let mut wa = unsafe {
-                            WorldAccess::new(
-                                now,
-                                &slots,
-                                &mut graph,
-                                &mut partition,
-                                &mut topology_dirty,
-                                &mut stop,
-                                &mut new_globals,
-                                &mut ext_seq,
-                                Some(CkptEnv {
-                                    mailboxes: None,
-                                    stop_at,
-                                    wd: &wd,
-                                    fault: &cfg.fault,
-                                }),
-                            )
-                        };
-                        (g.payload)(&mut wa);
-                    }
-                    global_events += 1;
-                    for (ts, f) in new_globals {
-                        public.push(Event {
-                            key: EventKey::external(ts, ext_seq),
-                            node: NodeId(u32::MAX),
-                            payload: f,
-                        });
-                        ext_seq += 1;
-                    }
-                    if stop {
-                        stopped = true;
-                    }
+                // SAFETY: workers wait at B2; the main thread holds
+                // exclusive access to every LP slot.
+                unsafe {
+                    public.run_due(window_end, &slots, &mut shell, Some(&ckpt), |now| {
+                        end_time = end_time.max(now);
+                        site.at.set((None, now));
+                    })
                 }
-                if topology_dirty {
-                    partition.recompute_lookahead(&graph);
-                }
-            }));
-            let g_dur = clock.lap(|psm| &mut psm.p_ns);
-            if let Err(payload) = r {
-                contain(
-                    &failure,
-                    &barrier,
-                    kernel_name,
-                    round,
-                    RunPhase::Global,
-                    &site,
-                    0,
-                    payload,
-                );
+            };
+            let Some(due) = lane.run(RunPhase::Global, round, window_end, globals, |due| due.ran)
+            else {
                 break;
-            }
-            main_tel.span_dur(
-                SpanKind::Global,
-                round,
-                NO_LP,
-                tel_start,
-                g_dur,
-                global_events - globals_before,
-                0,
-            );
+            };
             slots.begin_phase(); // covers phase 3 (released by B2)
-            if !fuse {
-                // B2
-                wait_lap(&barrier, &mut waiter0, &mut clock, &mut main_tel, round, 2);
-                if barrier.is_poisoned() {
-                    break;
-                }
+            if !fuse && !lane.wait(round, 2) {
+                break;
             }
 
             // ---- Phase 3: receive (parallel; fused rounds drain every
             // group serially on the main thread) ----
-            let site: Site = Cell::new((None, window_end));
-            let tel_start = main_tel.start();
-            let r = catch_unwind(AssertUnwindSafe(|| {
+            let receive = |tel: &mut WorkerTel| {
                 #[cfg(feature = "fault-inject")]
                 {
                     cfg.fault.fire_phase(round, RunPhase::Receive, 0);
@@ -780,61 +508,26 @@ pub(super) fn run_grouped<N: SimNode>(
                 if fuse {
                     let mut fold = RoundFold::EMPTY;
                     for lps_of_g in &p.group_lps {
-                        fold.merge(receive_phase(
-                            &slots,
-                            0..lps_of_g.len(),
-                            lps_of_g,
-                            &site,
-                            &mut main_tel,
-                            round,
-                        ));
+                        let all = 0..lps_of_g.len();
+                        fold.merge(receive_phase(&slots, all, lps_of_g, &site, tel, round));
                     }
                     fold
                 } else {
-                    receive_phase(
-                        &slots,
-                        claim_positions(&cursor_recv[main_group], p.group_lps[main_group].len()),
-                        &p.group_lps[main_group],
-                        &site,
-                        &mut main_tel,
-                        round,
-                    )
+                    let lps_of_g = &p.group_lps[main_group];
+                    let claims = claim_positions(&cursor_recv[main_group], lps_of_g.len());
+                    receive_phase(&slots, claims, lps_of_g, &site, tel, round)
                 }
-            }));
-            let m_dur = clock.lap(|psm| &mut psm.m_ns);
-            let mut fold = match r {
-                Ok(fold) => {
-                    main_tel.span_dur(
-                        SpanKind::Receive,
-                        round,
-                        NO_LP,
-                        tel_start,
-                        m_dur,
-                        fold.recv,
-                        0,
-                    );
-                    fold
-                }
-                Err(payload) => {
-                    contain(
-                        &failure,
-                        &barrier,
-                        kernel_name,
-                        round,
-                        RunPhase::Receive,
-                        &site,
-                        0,
-                        payload,
-                    );
-                    break;
-                }
+            };
+            let Some(mut fold) =
+                lane.run(RunPhase::Receive, round, window_end, receive, |f| f.recv)
+            else {
+                break;
             };
             if !fuse {
                 #[cfg(feature = "fault-inject")]
                 cfg.fault.fire_barrier_delay(round, 0);
                 // B3
-                wait_lap(&barrier, &mut waiter0, &mut clock, &mut main_tel, round, 3);
-                if barrier.is_poisoned() {
+                if !lane.wait(round, 3) {
                     break;
                 }
                 // Every worker published its fold before arriving at B3.
@@ -845,7 +538,7 @@ pub(super) fn run_grouped<N: SimNode>(
 
             // ---- Phase 4: update window + schedule (main thread only) ----
             slots.begin_phase(); // covers phase 4 (workers idle until B0)
-            let tel_start = main_tel.start();
+            let tel_start = lane.me.tel.start();
             rounds += 1;
             if fuse {
                 fused_rounds += 1;
@@ -856,8 +549,8 @@ pub(super) fn run_grouped<N: SimNode>(
                 recv: recv_total,
             } = fold;
             let n_pub = public.next_ts();
-            let next_window = n_pub.min(min_next.saturating_add(partition.lookahead));
-            let done = stopped || (min_next == Time::MAX && n_pub == Time::MAX);
+            let next_window = n_pub.min(min_next.saturating_add(shell.partition.lookahead));
+            let done = due.stopped || (min_next == Time::MAX && n_pub == Time::MAX);
 
             // Record this round's profile.
             if let Some(profile) = rounds_profile.as_mut() {
@@ -960,8 +653,8 @@ pub(super) fn run_grouped<N: SimNode>(
                 cursor.begin_round();
             }
             slots.begin_phase(); // covers the next round's phase 1
-            let w_dur = clock.lap(|psm| &mut psm.m_ns);
-            main_tel.span_dur(
+            let w_dur = lane.lap(SpanKind::WindowUpdate);
+            lane.me.tel.span_dur(
                 SpanKind::WindowUpdate,
                 rounds,
                 NO_LP,
@@ -976,12 +669,12 @@ pub(super) fn run_grouped<N: SimNode>(
                 // the round's total load, `b` the cross-LP events it
                 // drained. Timed off the telemetry clock alone, so a run
                 // that records nothing reads nothing.
-                main_tel.span_dur(
+                lane.me.tel.span_dur(
                     SpanKind::FusedRound,
                     rounds,
                     NO_LP,
                     round_tel_start,
-                    main_tel.start().saturating_sub(round_tel_start),
+                    lane.me.tel.start().saturating_sub(round_tel_start),
                     load,
                     recv_total,
                 );
@@ -989,43 +682,18 @@ pub(super) fn run_grouped<N: SimNode>(
             // Feed the fusion predictor for the next round.
             last_load = load;
             // One round completed: feed the watchdog.
-            wd.tick();
+            env.wd.tick();
         }
 
         // Unblock the monitor thread (if any) before joining workers, so a
         // clean shutdown never waits out the deadline.
-        wd.finish();
-        for (i, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok((psm, tel)) => {
-                    worker_psm.push(psm);
-                    worker_tels.push(tel);
-                }
-                // Workers contain their own panics, so a join error means
-                // the containment machinery itself died (e.g. a panic in
-                // barrier bookkeeping). Record it instead of propagating —
-                // `try_run` must not panic.
-                Err(payload) => {
-                    barrier.poison();
-                    record_failure(
-                        &failure,
-                        FailureDiagnostics {
-                            kernel: kernel_name,
-                            round: rounds,
-                            phase: RunPhase::Control,
-                            lp: None,
-                            virtual_time: end_time,
-                            worker: i + 1,
-                            panic_message: panic_message(payload.as_ref()),
-                        },
-                    );
-                }
-            }
-        }
+        env.wd.finish();
+        let mut workers = vec![Some(lane.done(end_time))];
+        workers.extend(join_contained(&env, handles, 1, abort));
+        workers
     });
 
     let wall = started.elapsed();
-    let stalled = wd.stalled();
     // An abort can leave cross-LP events sent in the aborted round's process
     // phase undelivered (the receive phase never ran). Deliver them now so
     // the stall diagnosis sees every LP that still has work; on a completed
@@ -1037,154 +705,160 @@ pub(super) fn run_grouped<N: SimNode>(
         // SAFETY: as above — no push can race this drain.
         unsafe { slots.receive(i, |_, batch| lp.fel.extend(batch)) };
     }
-    let (pool_hits, pool_misses) = slots.channel_pool_stats();
+    let pool = slots.channel_pool_stats();
     let (lps, _) = slots.into_inner();
-    let lp_totals = LpTotals {
-        events: lps.iter().map(|lp| lp.total_events).collect(),
-        node_switches: lps.iter().map(|lp| lp.node_switches).collect(),
-    };
-    let events: u64 = lp_totals.events.iter().sum();
-    let mut psm = vec![clock.psm];
-    psm.extend(worker_psm);
-    let mut tels = vec![main_tel];
-    tels.extend(worker_tels);
-    let sched_stats = SchedStats {
-        claims: cursors.iter().map(LjfCursor::claims).sum(),
-    };
-    let report = RunReport {
-        kernel: format!("{kernel_name}({threads})"),
-        wall,
-        events,
-        global_events,
+    // A stalled LP is one with any event left, or undelivered overflow.
+    let out = Outcome {
+        label: format!("{}({threads})", env.kernel),
         rounds,
         fused_rounds,
-        lp_count: lp_count as u32,
-        threads: threads as u32,
-        lookahead: partition.lookahead,
-        end_time,
-        psm,
-        psm_per_lp: false,
-        lp_totals,
-        engine: EngineStats {
-            fel_impl: cfg.fel,
-            pool_hits,
-            pool_misses,
+        global_events: public.executed,
+        pool,
+        sched: SchedStats {
+            claims: cursors.iter().map(LjfCursor::claims).sum(),
         },
-        sched: sched_stats,
+        sched_log,
         rounds_profile,
-        telemetry: telctx.collect(tels, sched_log),
-        recovery: None,
-        async_stats: None,
+        stall_round: rounds,
+        ..Outcome::new(&env, wall, lps, workers)
     };
-    if let Some(diag) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(SimError::WorkerPanic {
-            diag,
-            partial: Box::new(report),
-        });
-    }
-    if stalled {
-        let blocked: Vec<LpId> = lps
-            .iter()
-            .filter(|lp| lp.fel.next_ts() != Time::MAX || !lp.outflow.is_empty())
-            .map(|lp| lp.id)
-            .collect();
-        let diag = StallDiagnostics {
-            kernel: kernel_name,
-            round: rounds,
-            deadline: cfg.watchdog.round_deadline.unwrap_or_default(),
-            virtual_time: end_time,
-            blocked,
-            cycle: Vec::new(),
-        };
-        return Err(SimError::Stalled {
-            diag,
-            partial: Box::new(report),
-        });
-    }
-    let world = reassemble_world(lps, &partition, graph, stop_at);
-    Ok((world, report))
+    finish(env, shell, out, None)
 }
 
-/// Records a contained panic's diagnostics (first failure wins) and poisons
-/// the barrier so every other thread drains out of the round loop.
-#[allow(clippy::too_many_arguments)]
-fn contain(
-    failure: &Mutex<Option<FailureDiagnostics>>,
-    barrier: &TreeBarrier,
-    kernel: &'static str,
-    round: u64,
-    phase: RunPhase,
-    site: &Site,
-    worker: usize,
-    payload: Box<dyn std::any::Any + Send>,
+/// Phase 2's LP walk: routes each LP's overflow events to their
+/// destination FELs and merges its node-scheduled globals into the public
+/// LP (none earlier than `window_end`, the end of the window that scheduled
+/// them).
+///
+/// # Safety
+///
+/// The caller must hold exclusive access to every LP slot (workers parked
+/// at a barrier).
+unsafe fn route_side_output<N: SimNode>(
+    slots: &LpSlots<N>,
+    public: &mut PublicLp<N>,
+    window_end: Time,
 ) {
-    let (lp, virtual_time) = site.get();
-    record_failure(
-        failure,
-        FailureDiagnostics {
-            kernel,
-            round,
-            phase,
-            lp,
-            virtual_time,
-            worker,
-            panic_message: panic_message(payload.as_ref()),
-        },
-    );
-    barrier.poison();
+    for i in 0..slots.len() {
+        let (outflow, pending) = {
+            // SAFETY: exclusive per this function's contract. The borrow
+            // ends inside this block, before any other slot is touched.
+            let lp = unsafe { slots.get_mut(i) };
+            if lp.outflow.is_empty() && lp.pending_globals.is_empty() {
+                continue;
+            }
+            (
+                std::mem::take(&mut lp.outflow),
+                std::mem::take(&mut lp.pending_globals),
+            )
+        };
+        for ev in outflow {
+            let dst = slots.directory().lp_of(ev.node);
+            // SAFETY: exclusive as above; the source LP borrow has ended.
+            let dst_lp = unsafe { slots.get_mut(dst.index()) };
+            dst_lp.fel.push(ev);
+        }
+        public.merge(LpId(i as u32), window_end, pending);
+    }
 }
 
-/// One thread's P/S/M accumulators over chained wall-clock laps: every
-/// phase boundary reads the clock once, and that reading both closes the
-/// phase before it and opens the one after.
-struct PhaseClock {
+/// One thread's way through the rounds: its barrier seat, failure site and
+/// accounts. Wall time is measured in chained laps: every phase boundary
+/// reads the clock once, and that reading both closes the phase before it
+/// and opens the one after.
+struct Lane<'a> {
+    env: &'a RunEnv<'a>,
+    barrier: &'a TreeBarrier,
+    waiter: TreeWaiter,
+    site: &'a Site,
+    worker: usize,
+    me: Worker,
     last: Instant,
-    psm: Psm,
 }
 
-impl PhaseClock {
-    fn start() -> Self {
-        PhaseClock {
+impl<'a> Lane<'a> {
+    fn new(env: &'a RunEnv<'a>, barrier: &'a TreeBarrier, site: &'a Site, worker: usize) -> Self {
+        Lane {
+            env,
+            barrier,
+            waiter: barrier.waiter(worker),
+            site,
+            worker,
+            me: Worker::new(env, worker),
             last: Instant::now(),
-            psm: Psm::default(),
         }
     }
 
-    /// Nanoseconds since the previous lap (or the start), added to the
-    /// accumulator `into` selects.
+    /// Nanoseconds since the previous lap (or the start), charged as a
+    /// span of `kind` would be.
     #[inline]
-    fn lap(&mut self, into: fn(&mut Psm) -> &mut u64) -> u64 {
+    fn lap(&mut self, kind: SpanKind) -> u64 {
         let now = Instant::now();
         let ns = now.duration_since(self.last).as_nanos() as u64;
         self.last = now;
-        *into(&mut self.psm) += ns;
+        charge(&mut self.me.psm, kind, ns);
         ns
     }
-}
 
-/// Barrier wait, with the lap it closes charged to `S` and recorded as a
-/// `barrier-wait` span (`arg` = barrier index 0–3 within `round`).
-#[inline]
-fn wait_lap(
-    barrier: &TreeBarrier,
-    waiter: &mut TreeWaiter,
-    clock: &mut PhaseClock,
-    tel: &mut WorkerTel,
-    round: u64,
-    which: u64,
-) {
-    let tel_start = tel.start();
-    barrier.wait(waiter);
-    let waited = clock.lap(|psm| &mut psm.s_ns);
-    tel.span_dur(
-        SpanKind::BarrierWait,
-        round,
-        NO_LP,
-        tel_start,
-        waited,
-        which,
-        0,
-    );
+    /// Crosses barrier `which` (0–3) of `round`; the lap it closes is
+    /// recorded as a `barrier-wait` span. Returns `false` once the barrier
+    /// is poisoned: the run is aborting.
+    #[inline]
+    fn wait(&mut self, round: u64, which: u64) -> bool {
+        let tel_start = self.me.tel.start();
+        self.barrier.wait(&mut self.waiter);
+        let waited = self.lap(SpanKind::BarrierWait);
+        self.me.tel.span_dur(
+            SpanKind::BarrierWait,
+            round,
+            NO_LP,
+            tel_start,
+            waited,
+            which,
+            0,
+        );
+        !self.barrier.is_poisoned()
+    }
+
+    /// Runs `phase` of `round` contained. When it completes, the lap it
+    /// closes is recorded as the phase's span, carrying `arg` of its
+    /// result. A panic is recorded at the thread's site (which starts the
+    /// phase at `virtual_time`, no LP) and poisons the barrier.
+    #[inline]
+    fn run<T>(
+        &mut self,
+        phase: RunPhase,
+        round: u64,
+        virtual_time: Time,
+        body: impl FnOnce(&mut WorkerTel) -> T,
+        arg: impl FnOnce(&T) -> u64,
+    ) -> Option<T> {
+        let kind = match phase {
+            RunPhase::Process => SpanKind::Process,
+            RunPhase::Global => SpanKind::Global,
+            RunPhase::Receive | RunPhase::Control => SpanKind::Receive,
+        };
+        self.site.round.set(round);
+        self.site.phase.set(phase);
+        self.site.at.set((None, virtual_time));
+        let tel_start = self.me.tel.start();
+        let tel = &mut self.me.tel;
+        let out = contained(self.env, self.site, self.worker, || body(tel));
+        let dur = self.lap(kind);
+        match &out {
+            Some(out) => self
+                .me
+                .tel
+                .span_dur(kind, round, NO_LP, tel_start, dur, arg(out), 0),
+            None => self.barrier.poison(),
+        }
+        out
+    }
+
+    fn done(mut self, end_time: Time) -> Worker {
+        self.me.end_time = end_time;
+        self.me
+    }
 }
 
 /// The receive phase's shared claim: each position in `0..len` goes to
@@ -1205,7 +879,6 @@ fn process_phase<N: SimNode>(
     positions: impl Iterator<Item = usize>,
     order: &[u32],
     plan: &RoundPlan,
-    stop_flag: &AtomicBool,
     side_output: &AtomicBool,
     site: &Site,
     tel: &mut WorkerTel,
@@ -1244,7 +917,7 @@ fn process_phase<N: SimNode>(
             }
             let (owner, local) = dir.locate(ev.node);
             debug_assert_eq!(owner, lp.id, "event routed to wrong LP");
-            site.set((Some(lp.id), ev.key.ts));
+            site.at.set((Some(lp.id), ev.key.ts));
             let node = &mut lp.nodes[local as usize];
             let mut ctx = RoundCtx::<N> {
                 now: ev.key.ts,
@@ -1256,7 +929,6 @@ fn process_phase<N: SimNode>(
                 outflow: &mut lp.outflow,
                 pending_globals: &mut lp.pending_globals,
                 slots,
-                stop_flag,
             };
             node.handle(ev.payload, &mut ctx);
             round_events += 1;
@@ -1303,7 +975,7 @@ fn receive_phase<N: SimNode>(
     let mut fold = RoundFold::EMPTY;
     for i in positions {
         let lp_idx = group_lps[i] as usize;
-        site.set((Some(LpId(lp_idx as u32)), site.get().1));
+        site.at.set((Some(LpId(lp_idx as u32)), site.at.get().1));
         // SAFETY: unique claim via the cursor, as in `process_phase`.
         let lp = unsafe { slots.get_mut(lp_idx) };
         let tel_start = tel.start();

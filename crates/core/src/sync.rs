@@ -108,19 +108,6 @@ impl SpinBarrier {
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// [`SpinBarrier::wait`] with the blocked wall-clock time added to
-    /// `s_ns` — the P/S/M `S` accumulator and the telemetry `barrier-wait`
-    /// spans both feed off this one measurement. The clock reads are pure
-    /// observation: they never feed back into simulation state.
-    pub fn wait_timed(&self, s_ns: &mut u64) -> bool {
-        // TELEMETRY: wall-clock measurement of synchronization waits.
-        let t0 = std::time::Instant::now();
-        let led = self.wait();
-        // TELEMETRY: wall-clock measurement of synchronization waits.
-        *s_ns += t0.elapsed().as_nanos() as u64;
-        led
-    }
-
     /// Blocks until all participants have called `wait`. Returns `true` for
     /// exactly one participant per generation (the last to arrive), or
     /// `false` immediately when the barrier is (or becomes) poisoned.
@@ -474,18 +461,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(leaders.load(std::sync::atomic::Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn wait_timed_accumulates_and_preserves_leadership() {
-        let b = SpinBarrier::new(1);
-        let mut s = 0u64;
-        // Single participant: every wait leads instantly; the accumulator
-        // only ever grows.
-        assert!(b.wait_timed(&mut s));
-        let after_first = s;
-        assert!(b.wait_timed(&mut s));
-        assert!(s >= after_first);
     }
 
     #[test]

@@ -50,10 +50,13 @@ pub trait SimCtx<N: SimNode> {
     /// Schedules a *global event*: a function that may inspect and mutate
     /// the entire world (topology changes, global statistics, progress
     /// reporting). Runs on the public LP at `now() + delay`.
+    ///
+    /// This is also the one deterministic way to end a run early: a global
+    /// event that calls [`WorldAccess::stop`](crate::global::WorldAccess::stop)
+    /// stops every kernel at the same virtual time. A node handler has no
+    /// stop call of its own — its effect would depend on how far the other
+    /// LPs had got.
     fn schedule_global(&mut self, delay: Time, f: GlobalFn<N>);
-
-    /// Requests the simulation to stop at the end of the current window.
-    fn request_stop(&mut self);
 }
 
 /// Convenience extension methods for [`SimCtx`] users.

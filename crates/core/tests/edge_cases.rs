@@ -37,24 +37,65 @@ fn one_node_world(events: u64) -> unison_core::World<Counter> {
     b.build()
 }
 
+/// A configuration for each of the six kernels, `threads` wherever the
+/// kernel takes a worker count.
+fn every_kernel(threads: usize, assignment: Vec<u32>) -> [RunConfig; 6] {
+    let hybrid = KernelKind::Hybrid {
+        hosts: 1,
+        threads_per_host: threads,
+    };
+    [
+        RunConfig::sequential(),
+        RunConfig::barrier(assignment.clone()),
+        RunConfig::nullmsg(assignment),
+        RunConfig::unison(threads),
+        RunConfig {
+            kernel: hybrid,
+            ..RunConfig::unison(threads)
+        },
+        RunConfig::async_cons(threads),
+    ]
+}
+
 #[test]
 fn empty_world_is_rejected() {
-    let mut b: WorldBuilder<Counter> = WorldBuilder::new();
-    let world = b.build();
-    let err = match kernel::run(world, &RunConfig::unison(1)) {
-        Err(e) => e,
-        Ok(_) => panic!("empty world should be rejected"),
-    };
-    assert!(matches!(err, KernelError::InvalidPartition(_)));
+    for cfg in every_kernel(1, Vec::new()) {
+        let mut b: WorldBuilder<Counter> = WorldBuilder::new();
+        b.stop_at(Time(1_000));
+        let err = match kernel::run(b.build(), &cfg) {
+            Err(e) => e,
+            Ok(_) => panic!("{}: empty world should be rejected", cfg.kernel.name()),
+        };
+        let name = cfg.kernel.name();
+        assert!(matches!(err, KernelError::InvalidPartition(_)), "{name}");
+    }
 }
 
 #[test]
 fn zero_threads_is_rejected() {
-    let err = match kernel::run(one_node_world(1), &RunConfig::unison(0)) {
-        Err(e) => e,
-        Ok(_) => panic!("0 threads should be rejected"),
-    };
-    assert!(matches!(err, KernelError::InvalidConfig(_)));
+    for cfg in every_kernel(0, vec![0]) {
+        let mut b = WorldBuilder::new();
+        b.add_node(Counter {
+            hits: 0,
+            remaining: 0,
+            gap: Time(1_000),
+        });
+        b.stop_at(Time(1_000));
+        let name = cfg.kernel.name();
+        // The LP-pinned kernels and the sequential one take no worker
+        // count: nothing to reject.
+        let counted = !matches!(
+            cfg.kernel,
+            KernelKind::Sequential { .. } | KernelKind::Barrier | KernelKind::NullMessage
+        );
+        match kernel::run(b.build(), &cfg) {
+            Err(e) => assert!(
+                counted && matches!(e, KernelError::InvalidConfig(_)),
+                "{name}"
+            ),
+            Ok(_) => assert!(!counted, "{name}: 0 threads should be rejected"),
+        }
+    }
 }
 
 #[test]

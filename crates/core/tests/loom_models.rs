@@ -41,7 +41,7 @@
 //!
 //! 7. a Release store of a stop/abort flag publishes the stopper's
 //!    diagnostics writes to every worker that Acquire-observes the flag
-//!    (`RoundCtx::request_stop` → kernel poll sites, `watchdog.stalled`);
+//!    (`RunEnv::halt` → kernel poll sites, `watchdog.stalled`);
 //! 8. the watchdog's `Relaxed` progress word is a pure liveness heuristic —
 //!    monotone under concurrent ticks, never used to guard data — while the
 //!    `stalled` Release/Acquire pair carries the stall diagnosis;
@@ -531,10 +531,10 @@ fn mailbox_pool_no_aba() {
 
 /// Claim 7: stop-flag abort handoff. The containment path writes its
 /// failure diagnostics first and then raises the flag with a Release store
-/// (`RoundCtx::request_stop`, `watchdog` abort, `nullmsg` stall report); a
-/// worker that Acquire-observes the flag must therefore see the complete
-/// diagnostics. Covers the `stop_flag` entries (all kernels) and pairs
-/// cross-file with the `mod.rs` release side in ATOMICS.toml.
+/// (`RunEnv::halt` in `kernel/harness.rs`: contained panic, `watchdog`
+/// abort, `nullmsg` stall report); a worker that Acquire-observes the flag
+/// must therefore see the complete diagnostics. Covers the harness's
+/// `stop_flag` entry in ATOMICS.toml.
 #[test]
 fn stop_flag_publishes_abort() {
     loom::model(|| {

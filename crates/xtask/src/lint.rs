@@ -25,9 +25,9 @@
 //!    measure the simulator, they never feed back into simulation state).
 //!    Elsewhere in core a line may read the clock only when covered by a
 //!    `// TELEMETRY:` comment naming it a telemetry-gated measurement —
-//!    the reviewed escape hatch for helpers like
-//!    `SpinBarrier::wait_timed`. `SystemTime` has no legitimate use
-//!    anywhere in core.
+//!    the reviewed escape hatch for a timing helper that has to live
+//!    outside `kernel/`. `SystemTime` has no legitimate use anywhere in
+//!    core.
 //! 5. **`deny-unsafe-op`** — any crate whose `src/` contains `unsafe` must
 //!    carry `#![deny(unsafe_op_in_unsafe_fn)]` in its crate root, so
 //!    `unsafe fn` bodies still require explicit `unsafe {}` blocks (which
