@@ -4,17 +4,13 @@
 //! own loop; the shared flag vocabulary now lives in one place, so a flag
 //! means the same thing — and is parsed the same way — everywhere:
 //!
-//! - `--scale quick|full|large` (with `--full` as shorthand): experiment
-//!   scale, see [`Scale`];
-//! - `--bench-json <path>`: machine-readable report destination
-//!   ([`crate::harness::bench_json_path`]);
+//! - `--scale quick|full` (with `--full` as shorthand): experiment scale,
+//!   see [`Scale`];
 //! - `--profile <dir>`: per-run Chrome-trace telemetry export
-//!   ([`crate::harness::profile_dir`]);
-//! - `--fault-profile`: the resilience-overhead section of
-//!   `bench_kernels`;
-//! - `unison-run`'s own `--check`, `--threads <n>` and `--json <path>`.
-
-use std::path::PathBuf;
+//!   ([`crate::harness::profile_dir`]).
+//!
+//! `unison-run` scans its own command line (it has a positional operand
+//! and rejects what it does not know); it shares only `--profile`.
 
 use crate::harness::Scale;
 
@@ -34,12 +30,7 @@ pub fn value_of(name: &str) -> Option<String> {
     None
 }
 
-/// [`value_of`], interpreted as a filesystem path.
-pub fn path_of(name: &str) -> Option<PathBuf> {
-    value_of(name).map(PathBuf::from)
-}
-
-/// Parses `--scale quick|full|large` (with `--full` kept as shorthand for
+/// Parses `--scale quick|full` (with `--full` kept as shorthand for
 /// `--scale full`), exiting with a usage message on an unknown value.
 pub fn scale() -> Scale {
     let mut scale = if flag("--full") {
@@ -51,10 +42,9 @@ pub fn scale() -> Scale {
         scale = match value_of("--scale").as_deref() {
             Some("quick") => Scale::Quick,
             Some("full") => Scale::Full,
-            Some("large") => Scale::Large,
             other => {
                 eprintln!(
-                    "--scale expects quick|full|large, got {:?}",
+                    "--scale expects quick|full, got {:?}",
                     other.unwrap_or("<missing>")
                 );
                 std::process::exit(2);

@@ -19,13 +19,14 @@
 //!   per run into `<dir>`;
 //! - `--json <path>` — additionally write a machine-readable report.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use unison_bench::args;
 use unison_bench::harness::{export_profile, profile_telemetry};
 use unison_core::KernelKind;
 use unison_netsim::{world_digest, NetworkBuilder};
 use unison_scenario::parse_scenario;
+use unison_telemetry::json::{obj, Value};
 
 fn usage() -> ! {
     eprintln!(
@@ -35,43 +36,73 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// The one positional operand: the scenario file path.
-fn scenario_path() -> String {
-    let value_flags = ["--threads", "--profile", "--json"];
-    let mut path = None;
-    let mut iter = std::env::args().skip(1);
-    while let Some(a) = iter.next() {
-        if value_flags.contains(&a.as_str()) {
-            iter.next();
-        } else if a == "--check" {
-        } else if a.starts_with("--") {
-            eprintln!("unison-run: unknown flag `{a}`");
-            usage();
-        } else if path.is_none() {
-            path = Some(a);
-        } else {
-            eprintln!("unison-run: more than one scenario file given");
-            usage();
-        }
-    }
-    path.unwrap_or_else(|| usage())
+/// The parsed command line. `--profile` is only checked for its operand
+/// here; the harness helpers every figure binary shares consume it.
+struct Cli {
+    path: String,
+    check: bool,
+    threads: Option<usize>,
+    json: Option<PathBuf>,
 }
 
-/// Minimal JSON string escaping (names come from scenario files).
-fn json_str(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+impl Cli {
+    /// The one scan of the process arguments. Anything it does not
+    /// understand — an unknown flag, a value flag without its operand, a
+    /// thread count that is not a positive integer, a second or missing
+    /// scenario file — is a usage error (exit 2).
+    fn parse() -> Cli {
+        let mut path = None;
+        let mut check = false;
+        let mut threads = None;
+        let mut json = None;
+        let mut args = std::env::args().skip(1).peekable();
+        while let Some(a) = args.next() {
+            let mut operand = || {
+                args.next_if(|v| !v.starts_with("--")).unwrap_or_else(|| {
+                    eprintln!("unison-run: `{a}` expects a value");
+                    usage()
+                })
+            };
+            match a.as_str() {
+                "--check" => check = true,
+                "--threads" => {
+                    let v = operand();
+                    match v.parse() {
+                        Ok(n) if n >= 1 => threads = Some(n),
+                        _ => {
+                            eprintln!(
+                                "unison-run: --threads expects a positive integer, got `{v}`"
+                            );
+                            usage();
+                        }
+                    }
+                }
+                "--json" => json = Some(PathBuf::from(operand())),
+                "--profile" => drop(operand()),
+                _ if a.starts_with("--") => {
+                    eprintln!("unison-run: unknown flag `{a}`");
+                    usage();
+                }
+                _ if path.is_none() => path = Some(a),
+                _ => {
+                    eprintln!("unison-run: more than one scenario file given");
+                    usage();
+                }
+            }
+        }
+        Cli {
+            path: path.unwrap_or_else(|| usage()),
+            check,
+            threads,
+            json,
+        }
+    }
 }
 
 fn main() -> ExitCode {
-    let path = scenario_path();
-    let src = match std::fs::read_to_string(&path) {
+    let cli = Cli::parse();
+    let path = &cli.path;
+    let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("unison-run: {path}: {e}");
@@ -88,7 +119,7 @@ fn main() -> ExitCode {
     let topo = spec.build_topology();
     let mut cfg = spec.run_config(&topo);
 
-    if args::flag("--check") {
+    if cli.check {
         println!(
             "OK {path}: `{}` on {} ({} nodes, {} links, {} hosts), kernel {:?}, stop {}",
             spec.name,
@@ -102,14 +133,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if let Some(t) = args::value_of("--threads") {
-        let threads: usize = match t.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("unison-run: --threads expects a positive integer, got `{t}`");
-                return ExitCode::from(2);
-            }
-        };
+    if let Some(threads) = cli.threads {
         cfg.kernel = match cfg.kernel {
             KernelKind::Unison { .. } => KernelKind::Unison { threads },
             KernelKind::AsyncCons { .. } => KernelKind::AsyncCons { threads },
@@ -150,26 +174,26 @@ fn main() -> ExitCode {
     println!("flows:    {}", res.flows.one_line());
     println!("digest:   {digest:016x}");
 
-    if let Some(json_path) = args::path_of("--json") {
-        let json = format!(
-            "{{\n  \"schema\": \"unison-run/v1\",\n  \"scenario\": \"{}\",\n  \
-             \"file\": \"{}\",\n  \"topology\": \"{}\",\n  \"kernel\": \"{}\",\n  \
-             \"threads\": {},\n  \"events\": {},\n  \"rounds\": {},\n  \
-             \"lp_count\": {},\n  \"wall_ns\": {},\n  \"end_time_ns\": {},\n  \
-             \"completed_flows\": {},\n  \"digest\": \"{digest:016x}\"\n}}\n",
-            json_str(&spec.name),
-            json_str(&path),
-            json_str(&topo.name),
-            json_str(&r.kernel),
-            r.threads,
-            r.events,
-            r.rounds,
-            r.lp_count,
-            r.wall.as_nanos(),
-            r.end_time.as_nanos(),
-            res.flows.completed_flows(),
-        );
-        if let Err(e) = std::fs::write(&json_path, &json) {
+    if let Some(json_path) = &cli.json {
+        let num = |n: u64| Value::Num(n as f64);
+        let text = |s: &str| Value::Str(s.to_string());
+        let json = obj(vec![
+            ("schema", text("unison-run/v1")),
+            ("scenario", text(&spec.name)),
+            ("file", text(path)),
+            ("topology", text(&topo.name)),
+            ("kernel", text(&r.kernel)),
+            ("threads", num(r.threads.into())),
+            ("events", num(r.events)),
+            ("rounds", num(r.rounds)),
+            ("lp_count", num(r.lp_count.into())),
+            ("wall_ns", num(r.wall.as_nanos() as u64)),
+            ("end_time_ns", num(r.end_time.as_nanos())),
+            ("completed_flows", num(res.flows.completed_flows())),
+            ("digest", text(&format!("{digest:016x}"))),
+        ])
+        .to_json();
+        if let Err(e) = std::fs::write(json_path, json + "\n") {
             eprintln!("unison-run: write {}: {e}", json_path.display());
             return ExitCode::FAILURE;
         }

@@ -4,9 +4,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use unison_core::{
-    fine_grained_partition, manual_partition, partition_below_bound, FelImpl, KernelKind,
-    LinkGraph, MetricsLevel, NodeId, Partition, PartitionMode, RoundRecord, RunConfig, RunReport,
-    SchedConfig, TelemetryConfig, Time,
+    fine_grained_partition, manual_partition, partition_below_bound, KernelKind, LinkGraph,
+    MetricsLevel, NodeId, Partition, PartitionMode, RoundRecord, RunConfig, RunReport, SchedConfig,
+    TelemetryConfig, Time,
 };
 use unison_netsim::{FlowReport, NetworkBuilder, QueueConfig, TransportKind};
 use unison_topology::Topology;
@@ -19,46 +19,22 @@ pub enum Scale {
     Quick,
     /// Larger topologies / longer windows (minutes).
     Full,
-    /// The ≥ 10⁷-event tier (fat-tree k = 8, shortened window): big enough
-    /// that per-event costs dominate setup, small enough for a
-    /// timeout-bounded CI job. Used by the `bench_kernels` large rows and
-    /// the async-vs-unison perf-smoke tripwire.
-    Large,
 }
 
 impl Scale {
-    /// Parses the process arguments: `--scale quick|full|large`, with
+    /// Parses the process arguments: `--scale quick|full`, with
     /// `--full` kept as shorthand for `--scale full` (see [`crate::args`]).
     pub fn from_args() -> Scale {
         crate::args::scale()
     }
 
-    /// The JSON/report label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-            Scale::Large => "large",
-        }
-    }
-
-    /// Picks between a quick and a full-size value (the large tier uses
-    /// the full-size topology; its window is set separately).
+    /// Picks between a quick and a full-size value.
     pub fn pick<T>(self, quick: T, full: T) -> T {
         match self {
             Scale::Quick => quick,
-            Scale::Full | Scale::Large => full,
+            Scale::Full => full,
         }
     }
-}
-
-/// Path given with `--bench-json <path>`, if any. When set, the
-/// `bench_kernels` baseline binary writes its machine-readable report
-/// (wall-clock, events/sec, FEL backend and pool statistics per kernel and
-/// thread count) to this file; the committed `BENCH_kernels.json` at the
-/// repository root is one such snapshot.
-pub fn bench_json_path() -> Option<PathBuf> {
-    crate::args::path_of("--bench-json")
 }
 
 /// Directory given with `--profile <dir>`, if any. When set, every kernel
@@ -67,7 +43,7 @@ pub fn bench_json_path() -> Option<PathBuf> {
 /// the directory. Open the files in Perfetto (ui.perfetto.dev) or
 /// `chrome://tracing`.
 pub fn profile_dir() -> Option<PathBuf> {
-    crate::args::path_of("--profile")
+    crate::args::value_of("--profile").map(PathBuf::from)
 }
 
 /// Telemetry configuration for harness runs: enabled iff `--profile` was
@@ -198,42 +174,6 @@ impl Scenario {
             neighbors,
         }
     }
-
-    /// Runs for real on the given kernel (wall-clock measurement).
-    pub fn run_real(&self, kernel: KernelKind, partition: PartitionMode) -> RealRun {
-        self.run_real_with_fel(kernel, partition, FelImpl::default())
-    }
-
-    /// [`Scenario::run_real`] with an explicit FEL backend — the A/B switch
-    /// used by `bench_kernels` and the perf-smoke tripwires.
-    pub fn run_real_with_fel(
-        &self,
-        kernel: KernelKind,
-        partition: PartitionMode,
-        fel: FelImpl,
-    ) -> RealRun {
-        let sim = self.builder().build();
-        let res = sim
-            .run_with(&RunConfig {
-                watchdog: Default::default(),
-                kernel,
-                partition,
-                sched: SchedConfig::default(),
-                metrics: MetricsLevel::Summary,
-                telemetry: profile_telemetry(),
-                fel,
-                fault: Default::default(),
-            })
-            // INVARIANT: bench models are closed and terminating; a crash
-            // or stall here invalidates the measurement, so aborting with
-            // the structured `SimError` text is the harness's error channel.
-            .expect("real run");
-        export_profile(&res.kernel);
-        RealRun {
-            kernel: res.kernel,
-            flows: res.flows,
-        }
-    }
 }
 
 /// Profiled execution: cost matrix + statistics + partition metadata.
@@ -248,14 +188,6 @@ pub struct ProfiledRun {
     pub partition: Partition,
     /// LP adjacency (for the null-message wavefront model).
     pub neighbors: Vec<Vec<u32>>,
-}
-
-/// A real (wall-clock) run.
-pub struct RealRun {
-    /// Kernel report.
-    pub kernel: RunReport,
-    /// Flow statistics.
-    pub flows: FlowReport,
 }
 
 /// Builds the same partition a kernel run would use, plus the LP adjacency
@@ -288,10 +220,8 @@ pub fn profile_run(scenario: &Scenario, manual: Vec<u32>) -> (ProfiledRun, Profi
 }
 
 /// The paper's §3.2 profiling workload: a k-ary fat-tree (k = 4 quick,
-/// k = 8 full and large) with the given link rate/delay and incast ratio,
-/// simulated for a few milliseconds. The large tier trades window length
-/// for the full topology so one run clears 10⁷ events without taking
-/// minutes.
+/// k = 8 full) with the given link rate/delay and incast ratio, simulated
+/// for a few milliseconds.
 pub fn fat_tree_scenario(
     scale: Scale,
     incast_ratio: f64,
@@ -299,11 +229,7 @@ pub fn fat_tree_scenario(
     delay: Time,
 ) -> Scenario {
     let k = scale.pick(4, 8);
-    let window = match scale {
-        Scale::Quick => Time::from_millis(2),
-        Scale::Full => Time::from_millis(5),
-        Scale::Large => Time::from_millis(3),
-    };
+    let window = scale.pick(Time::from_millis(2), Time::from_millis(5));
     let topo = unison_topology::fat_tree(k)
         .with_rate(rate)
         .with_delay(delay);

@@ -1,6 +1,6 @@
 //! # unison-bench
 //!
-//! Shared harness for the per-figure/per-table benchmark binaries (see
+//! Shared harness for the per-figure/per-table experiment binaries (see
 //! `src/bin/`). The pattern, following DESIGN.md §3.2: a workload is
 //! executed once per partition scheme on the instrumented single-thread
 //! engine (recording the exact per-round, per-LP cost matrix), and the

@@ -170,7 +170,9 @@ pub struct RunConfig {
     pub telemetry: TelemetryConfig,
     /// FEL implementation (default: the ladder queue). Pop order — and
     /// therefore every digest — is identical for all implementations; the
-    /// switch exists for A/B benchmarking (DESIGN.md §4.4).
+    /// field is the axis on which `phold_sparse`, `sched_matrix` and
+    /// `checkpoint_restore` hold the ladder to the binary-heap *reference*
+    /// (DESIGN.md §4.4), not a user-facing choice.
     pub fel: FelImpl,
     /// Deterministic fault-injection plan (default: empty). Inert unless
     /// the `fault-inject` cargo feature compiled the kernel hooks in; see
@@ -275,8 +277,8 @@ impl RunConfig {
         self
     }
 
-    /// Selects the FEL implementation (A/B switch; results are bit-identical
-    /// either way).
+    /// Selects the FEL implementation — how tests run the binary-heap
+    /// reference against the ladder; results are bit-identical either way.
     pub fn with_fel(mut self, fel: FelImpl) -> Self {
         self.fel = fel;
         self

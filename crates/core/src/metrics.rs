@@ -135,7 +135,8 @@ pub struct EngineStats {
 impl EngineStats {
     /// Fraction of cross-LP sends that did not allocate (0 when there was
     /// no cross-LP traffic). Steady-state parallel runs should sit well
-    /// above 0.99 — the perf-smoke tripwire asserts it.
+    /// above 0.99 — `tests/kernels.rs` asserts it on a ring, and the
+    /// repository benchmark reports it as `engine.pool_hit_rate`.
     pub fn pool_hit_rate(&self) -> f64 {
         let total = self.pool_hits + self.pool_misses;
         if total == 0 {

@@ -13,18 +13,18 @@
 //! `crates/core/tests/telemetry_observer.rs` proves runs are bit-identical
 //! with telemetry on and off.
 //!
-//! Zero-cost when disabled, twice over:
-//!
-//! - **Runtime**: with [`TelemetryConfig::enabled`] unset (the default), the
-//!   kernels install disabled sinks — every recording method checks one
-//!   `bool` and returns; no clock is read, no memory is written.
-//! - **Compile time**: without the `telemetry` cargo feature (on by
-//!   default), [`TelContext`], [`WorkerTel`], and [`SchedLog`] are
-//!   zero-sized no-ops whose inlined methods compile to nothing.
+//! Cheap when disabled: with [`TelemetryConfig::enabled`] unset (the
+//! default), the kernels install disabled sinks — every recording method
+//! checks one `bool` and returns; no clock is read, no memory is written.
+//! What recording costs when it is on is the repository benchmark's
+//! `telemetry.recording_ratio_2t` row.
 //!
 //! Span timestamps are wall-clock nanoseconds since the run's origin (the
 //! construction of the [`TelContext`]); virtual time never appears in a
 //! span's clock fields, only in its arguments.
+
+use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Telemetry configuration, part of [`crate::RunConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -212,8 +212,7 @@ impl RunTelemetry {
 
     /// Merged cross-worker traffic matrix entries, sorted by `(src, dst)`.
     pub fn traffic(&self) -> Vec<(u32, u32, u64)> {
-        let mut merged: std::collections::BTreeMap<(u32, u32), u64> =
-            std::collections::BTreeMap::new();
+        let mut merged: BTreeMap<(u32, u32), u64> = BTreeMap::new();
         for w in &self.workers {
             for &(s, d, n) in &w.traffic {
                 *merged.entry((s, d)).or_insert(0) += n;
@@ -223,346 +222,233 @@ impl RunTelemetry {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use std::collections::BTreeMap;
-    use std::time::Instant;
+/// Per-run recording context: the shared wall-clock origin plus the
+/// configuration. Created once at kernel start; hands one [`WorkerTel`]
+/// to each worker and one [`SchedLog`] to the control thread.
+pub struct TelContext {
+    origin: Instant,
+    cfg: TelemetryConfig,
+}
 
-    use super::{RunTelemetry, SchedDecision, Span, SpanKind, TelemetryConfig, WorkerSpans};
-
-    /// Per-run recording context: the shared wall-clock origin plus the
-    /// configuration. Created once at kernel start; hands one [`WorkerTel`]
-    /// to each worker and one [`SchedLog`] to the control thread.
-    pub struct TelContext {
-        origin: Instant,
-        cfg: TelemetryConfig,
-    }
-
-    impl TelContext {
-        /// Captures the run origin.
-        pub fn new(cfg: &TelemetryConfig) -> Self {
-            TelContext {
-                origin: Instant::now(),
-                cfg: *cfg,
-            }
-        }
-
-        /// Whether sinks created by this context record anything.
-        pub fn is_enabled(&self) -> bool {
-            self.cfg.enabled
-        }
-
-        /// A recording sink for `worker` (sole writer: that worker).
-        pub fn worker(&self, worker: u32) -> WorkerTel {
-            WorkerTel {
-                worker,
-                origin: self.origin,
-                enabled: self.cfg.enabled,
-                capacity: self.cfg.span_capacity,
-                spans: Vec::new(),
-                last_end: 0,
-                truncated: 0,
-                traffic: BTreeMap::new(),
-            }
-        }
-
-        /// The scheduler-decision sink (sole writer: the control thread).
-        pub fn sched_log(&self) -> SchedLog {
-            SchedLog {
-                enabled: self.cfg.enabled,
-                capacity: self.cfg.sched_capacity,
-                decisions: Vec::new(),
-                truncated: 0,
-            }
-        }
-
-        /// Merges the per-worker sinks into the run's telemetry (`None`
-        /// when recording was disabled).
-        pub fn collect(self, workers: Vec<WorkerTel>, sched: SchedLog) -> Option<RunTelemetry> {
-            if !self.cfg.enabled {
-                return None;
-            }
-            Some(RunTelemetry {
-                workers: workers.into_iter().map(WorkerTel::into_spans).collect(),
-                sched: sched.decisions,
-                sched_truncated: sched.truncated,
-            })
+impl TelContext {
+    /// Captures the run origin.
+    pub fn new(cfg: &TelemetryConfig) -> Self {
+        TelContext {
+            origin: Instant::now(),
+            cfg: *cfg,
         }
     }
 
-    /// One worker's span sink. Exactly one thread writes to it (it is moved
-    /// into the worker and moved back out at join), so recording is
-    /// lock-free by construction.
-    pub struct WorkerTel {
-        worker: u32,
-        origin: Instant,
-        enabled: bool,
-        capacity: usize,
-        spans: Vec<Span>,
-        last_end: u64,
-        truncated: u64,
-        traffic: BTreeMap<(u32, u32), u64>,
+    /// Whether sinks created by this context record anything.
+    pub fn is_enabled(&self) -> bool {
+        self.cfg.enabled
     }
 
-    impl WorkerTel {
-        /// Whether this sink records (callers may skip argument
-        /// computation when it does not).
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            self.enabled
-        }
-
-        /// Nanoseconds since the run origin — a span's start timestamp.
-        /// Returns 0 without reading the clock when disabled.
-        #[inline]
-        pub fn start(&self) -> u64 {
-            if self.enabled {
-                self.origin.elapsed().as_nanos() as u64
-            } else {
-                0
-            }
-        }
-
-        /// Records a span from `start_ns` to "now".
-        #[inline]
-        pub fn span(&mut self, kind: SpanKind, round: u64, lp: u32, start_ns: u64, arg: u64) {
-            if !self.enabled {
-                return;
-            }
-            let end = self.origin.elapsed().as_nanos() as u64;
-            self.push(Span {
-                kind,
-                round,
-                lp,
-                start_ns,
-                dur_ns: end.saturating_sub(start_ns),
-                arg,
-                arg2: 0,
-            });
-        }
-
-        /// Records a span whose duration the kernel already measured for
-        /// its own metrics (no second clock read).
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        pub fn span_dur(
-            &mut self,
-            kind: SpanKind,
-            round: u64,
-            lp: u32,
-            start_ns: u64,
-            dur_ns: u64,
-            arg: u64,
-            arg2: u64,
-        ) {
-            if !self.enabled {
-                return;
-            }
-            self.push(Span {
-                kind,
-                round,
-                lp,
-                start_ns,
-                dur_ns,
-                arg,
-                arg2,
-            });
-        }
-
-        /// Counts `n` cross-LP events `src → dst` in the traffic matrix.
-        #[inline]
-        pub fn edge(&mut self, src: u32, dst: u32, n: u64) {
-            if !self.enabled {
-                return;
-            }
-            *self.traffic.entry((src, dst)).or_insert(0) += n;
-        }
-
-        #[inline]
-        fn push(&mut self, mut span: Span) {
-            // Spans are pushed at close, so within a sink the end
-            // timestamps follow push order — an invariant the exporter
-            // tests rely on. [`Self::span_dur`] can violate it raw: its
-            // duration comes from a kernel clock pair read moments after
-            // `start()`, so a preemption gap between the two reads lands
-            // the computed end before an earlier span's. Slide such a span
-            // forward to the recorded frontier, keeping its measured
-            // duration exact (the gap is time the thread did not run).
-            let end = span.start_ns.saturating_add(span.dur_ns);
-            if end < self.last_end {
-                span.start_ns = self.last_end - span.dur_ns;
-            } else {
-                self.last_end = end;
-            }
-            if self.spans.len() < self.capacity {
-                self.spans.push(span);
-            } else {
-                self.truncated += 1;
-            }
-        }
-
-        fn into_spans(self) -> WorkerSpans {
-            WorkerSpans {
-                worker: self.worker,
-                spans: self.spans,
-                truncated: self.truncated,
-                traffic: self
-                    .traffic
-                    .into_iter()
-                    .map(|((s, d), n)| (s, d, n))
-                    .collect(),
-            }
+    /// A recording sink for `worker` (sole writer: that worker).
+    pub fn worker(&self, worker: u32) -> WorkerTel {
+        WorkerTel {
+            worker,
+            origin: self.origin,
+            enabled: self.cfg.enabled,
+            capacity: self.cfg.span_capacity,
+            spans: Vec::new(),
+            last_end: 0,
+            truncated: 0,
+            traffic: BTreeMap::new(),
         }
     }
 
-    /// The scheduler-decision sink (control thread only).
-    pub struct SchedLog {
-        enabled: bool,
-        capacity: usize,
-        decisions: Vec<SchedDecision>,
-        truncated: u64,
+    /// The scheduler-decision sink (sole writer: the control thread).
+    pub fn sched_log(&self) -> SchedLog {
+        SchedLog {
+            enabled: self.cfg.enabled,
+            capacity: self.cfg.sched_capacity,
+            decisions: Vec::new(),
+            truncated: 0,
+        }
     }
 
-    impl SchedLog {
-        /// Whether this sink records.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            self.enabled
+    /// Merges the per-worker sinks into the run's telemetry (`None`
+    /// when recording was disabled).
+    pub fn collect(self, workers: Vec<WorkerTel>, sched: SchedLog) -> Option<RunTelemetry> {
+        if !self.cfg.enabled {
+            return None;
         }
-
-        /// Appends one group's decision (capacity-bounded).
-        pub fn record(
-            &mut self,
-            round: u64,
-            group: u32,
-            metric: &'static str,
-            order: Vec<u32>,
-            estimates: Vec<u64>,
-        ) {
-            if !self.enabled {
-                return;
-            }
-            if self.decisions.len() < self.capacity {
-                self.decisions.push(SchedDecision {
-                    round,
-                    group,
-                    metric,
-                    order,
-                    estimates,
-                });
-            } else {
-                self.truncated += 1;
-            }
-        }
+        Some(RunTelemetry {
+            workers: workers.into_iter().map(WorkerTel::into_spans).collect(),
+            sched: sched.decisions,
+            sched_truncated: sched.truncated,
+        })
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    use super::{RunTelemetry, SpanKind, TelemetryConfig};
+/// One worker's span sink. Exactly one thread writes to it (it is moved
+/// into the worker and moved back out at join), so recording is
+/// lock-free by construction.
+pub struct WorkerTel {
+    worker: u32,
+    origin: Instant,
+    enabled: bool,
+    capacity: usize,
+    spans: Vec<Span>,
+    last_end: u64,
+    truncated: u64,
+    traffic: BTreeMap<(u32, u32), u64>,
+}
 
-    /// Compile-time no-op twin of the recording context (`telemetry`
-    /// feature off): zero-sized, every method inlines to nothing.
-    pub struct TelContext;
-
-    impl TelContext {
-        /// See the `telemetry`-feature twin.
-        #[inline]
-        pub fn new(_cfg: &TelemetryConfig) -> Self {
-            TelContext
-        }
-
-        /// Always `false`.
-        #[inline]
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        /// A no-op sink.
-        #[inline]
-        pub fn worker(&self, _worker: u32) -> WorkerTel {
-            WorkerTel
-        }
-
-        /// A no-op sink.
-        #[inline]
-        pub fn sched_log(&self) -> SchedLog {
-            SchedLog
-        }
-
-        /// Always `None`.
-        #[inline]
-        pub fn collect(self, _workers: Vec<WorkerTel>, _sched: SchedLog) -> Option<RunTelemetry> {
-            None
-        }
+impl WorkerTel {
+    /// Whether this sink records (callers may skip argument
+    /// computation when it does not).
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.enabled
     }
 
-    /// No-op span sink.
-    pub struct WorkerTel;
-
-    impl WorkerTel {
-        /// Always `false`.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            false
-        }
-
-        /// Always 0; never reads the clock.
-        #[inline]
-        pub fn start(&self) -> u64 {
+    /// Nanoseconds since the run origin — a span's start timestamp.
+    /// Returns 0 without reading the clock when disabled.
+    #[inline]
+    pub fn start(&self) -> u64 {
+        if self.enabled {
+            self.origin.elapsed().as_nanos() as u64
+        } else {
             0
         }
-
-        /// No-op.
-        #[inline]
-        pub fn span(&mut self, _kind: SpanKind, _round: u64, _lp: u32, _start_ns: u64, _arg: u64) {}
-
-        /// No-op.
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        pub fn span_dur(
-            &mut self,
-            _kind: SpanKind,
-            _round: u64,
-            _lp: u32,
-            _start_ns: u64,
-            _dur_ns: u64,
-            _arg: u64,
-            _arg2: u64,
-        ) {
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn edge(&mut self, _src: u32, _dst: u32, _n: u64) {}
     }
 
-    /// No-op scheduler-decision sink.
-    pub struct SchedLog;
-
-    impl SchedLog {
-        /// Always `false`.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            false
+    /// Records a span from `start_ns` to "now".
+    #[inline]
+    pub fn span(&mut self, kind: SpanKind, round: u64, lp: u32, start_ns: u64, arg: u64) {
+        if !self.enabled {
+            return;
         }
+        let end = self.origin.elapsed().as_nanos() as u64;
+        self.push(Span {
+            kind,
+            round,
+            lp,
+            start_ns,
+            dur_ns: end.saturating_sub(start_ns),
+            arg,
+            arg2: 0,
+        });
+    }
 
-        /// No-op.
-        pub fn record(
-            &mut self,
-            _round: u64,
-            _group: u32,
-            _metric: &'static str,
-            _order: Vec<u32>,
-            _estimates: Vec<u64>,
-        ) {
+    /// Records a span whose duration the kernel already measured for
+    /// its own metrics (no second clock read).
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn span_dur(
+        &mut self,
+        kind: SpanKind,
+        round: u64,
+        lp: u32,
+        start_ns: u64,
+        dur_ns: u64,
+        arg: u64,
+        arg2: u64,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        self.push(Span {
+            kind,
+            round,
+            lp,
+            start_ns,
+            dur_ns,
+            arg,
+            arg2,
+        });
+    }
+
+    /// Counts `n` cross-LP events `src → dst` in the traffic matrix.
+    #[inline]
+    pub fn edge(&mut self, src: u32, dst: u32, n: u64) {
+        if !self.enabled {
+            return;
+        }
+        *self.traffic.entry((src, dst)).or_insert(0) += n;
+    }
+
+    #[inline]
+    fn push(&mut self, mut span: Span) {
+        // Spans are pushed at close, so within a sink the end
+        // timestamps follow push order — an invariant the exporter
+        // tests rely on. [`Self::span_dur`] can violate it raw: its
+        // duration comes from a kernel clock pair read moments after
+        // `start()`, so a preemption gap between the two reads lands
+        // the computed end before an earlier span's. Slide such a span
+        // forward to the recorded frontier, keeping its measured
+        // duration exact (the gap is time the thread did not run).
+        let end = span.start_ns.saturating_add(span.dur_ns);
+        if end < self.last_end {
+            span.start_ns = self.last_end - span.dur_ns;
+        } else {
+            self.last_end = end;
+        }
+        if self.spans.len() < self.capacity {
+            self.spans.push(span);
+        } else {
+            self.truncated += 1;
+        }
+    }
+
+    fn into_spans(self) -> WorkerSpans {
+        WorkerSpans {
+            worker: self.worker,
+            spans: self.spans,
+            truncated: self.truncated,
+            traffic: self
+                .traffic
+                .into_iter()
+                .map(|((s, d), n)| (s, d, n))
+                .collect(),
         }
     }
 }
 
-pub use imp::{SchedLog, TelContext, WorkerTel};
+/// The scheduler-decision sink (control thread only).
+pub struct SchedLog {
+    enabled: bool,
+    capacity: usize,
+    decisions: Vec<SchedDecision>,
+    truncated: u64,
+}
 
-#[cfg(all(test, feature = "telemetry"))]
+impl SchedLog {
+    /// Whether this sink records.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Appends one group's decision (capacity-bounded).
+    pub fn record(
+        &mut self,
+        round: u64,
+        group: u32,
+        metric: &'static str,
+        order: Vec<u32>,
+        estimates: Vec<u64>,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        if self.decisions.len() < self.capacity {
+            self.decisions.push(SchedDecision {
+                round,
+                group,
+                metric,
+                order,
+                estimates,
+            });
+        } else {
+            self.truncated += 1;
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -92,16 +92,32 @@ const STOP: Time = Time(1_500_000); // ~500 hops per token
 
 #[test]
 fn unison_deterministic_across_thread_counts() {
-    let mut reference: Option<(Vec<(u64, u64)>, u64)> = None;
+    let mut reference = None;
     for threads in [1usize, 2, 3, 8] {
         let world = ring_world(N, DELAY, TOKENS, STOP);
         let (world, report) = kernel::run(world, &RunConfig::unison(threads)).unwrap();
-        let state = (checksums(&world), report.events);
+        // Every hop crosses an LP boundary; once a channel's buffer has
+        // grown to its round's peak, a send allocates nothing. The counts
+        // are part of the deterministic state: which thread drains a
+        // channel does not change how often its buffer grew.
+        let engine = report.engine;
+        assert!(
+            engine.pool_hit_rate() > 0.99,
+            "{} channel-buffer growths in {} cross-LP sends at {threads} threads",
+            engine.pool_misses,
+            engine.pool_hits + engine.pool_misses
+        );
+        let state = (
+            checksums(&world),
+            report.events,
+            (engine.pool_hits, engine.pool_misses),
+        );
         match &reference {
             None => reference = Some(state),
             Some(r) => {
                 assert_eq!(r.1, state.1, "event count differs at {threads} threads");
                 assert_eq!(r.0, state.0, "checksums differ at {threads} threads");
+                assert_eq!(r.2, state.2, "pool counts differ at {threads} threads");
             }
         }
     }

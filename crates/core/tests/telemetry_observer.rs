@@ -6,8 +6,6 @@
 //! thread-local buffers and takes no locks, so this holds by construction;
 //! these tests pin it against regressions.
 
-#![cfg(feature = "telemetry")]
-
 use unison_core::{
     kernel, telemetry::SpanKind, KernelKind, MetricsLevel, NodeId, PartitionMode, Rng, RunConfig,
     SchedConfig, SchedMetric, SimCtx, SimNode, TelemetryConfig, Time, WorldBuilder,

@@ -21,7 +21,7 @@ use std::time::Duration;
 use unison_core::fault::FaultPlan;
 use unison_core::kernel::{KernelKind, PartitionMode, RunConfig};
 use unison_core::sched::{FusionConfig, SchedConfig, SchedMetric};
-use unison_core::{DataRate, FelImpl, RunPhase, Time};
+use unison_core::{DataRate, RunPhase, Time};
 use unison_topology::{self as topology, NodeKind, TopoLink, Topology};
 use unison_traffic::{FlowSpec, SizeDist, TrafficConfig};
 
@@ -283,7 +283,6 @@ pub struct RunSpec {
     pub kernel: KernelKind,
     pub partition: PartitionSpec,
     pub sched: SchedConfig,
-    pub fel: FelImpl,
     pub watchdog: Option<Duration>,
     pub per_round_metrics: bool,
     pub fault: FaultPlan,
@@ -414,7 +413,6 @@ impl ScenarioSpec {
             kernel,
             partition: self.run.partition.mode(topo),
             sched: self.run.sched,
-            fel: self.run.fel,
             ..base
         };
         if let Some(deadline) = self.run.watchdog {
@@ -1183,15 +1181,6 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
         (_, Some(th)) => sched.fusion.threshold = th,
         (Some(true) | None, None) => {}
     }
-    let fel = k
-        .choice(
-            "fel",
-            &[
-                ("ladder", FelImpl::Ladder),
-                ("binary_heap", FelImpl::BinaryHeap),
-            ],
-        )?
-        .unwrap_or_default();
     let watchdog = k.u64("watchdog_ms")?.map(Duration::from_millis);
     let per_round_metrics = k.bool("per_round_metrics")?.unwrap_or(false);
     k.finish()?;
@@ -1200,7 +1189,6 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
         kernel,
         partition,
         sched,
-        fel,
         watchdog,
         per_round_metrics,
         fault: faults,

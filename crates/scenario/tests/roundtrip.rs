@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use unison_core::kernel::{KernelKind, PartitionMode};
 use unison_core::sched::SchedMetric;
-use unison_core::{FelImpl, Time};
+use unison_core::Time;
 use unison_scenario::{parse_scenario, QueueSpec, RoutingSpec, ScenarioSpec, TrafficPattern};
 use unison_traffic::SizeDist;
 
@@ -121,16 +121,15 @@ fn every_partition_variant_maps() {
 }
 
 #[test]
-fn fel_sched_and_knobs_map() {
+fn sched_and_knobs_map() {
     let spec = with_run(
-        "kernel = \"unison\"\nthreads = 2\nfel = \"binary_heap\"\n\
+        "kernel = \"unison\"\nthreads = 2\n\
          sched_metric = \"by-pending-events\"\n\
          sched_period = 4\nfusion_threshold = 64\n\
          watchdog_ms = 2000\nper_round_metrics = true",
     );
     let topo = spec.build_topology();
     let cfg = spec.run_config(&topo);
-    assert_eq!(cfg.fel, FelImpl::BinaryHeap);
     assert_eq!(cfg.sched.metric, SchedMetric::ByPendingEvents);
     assert_eq!(cfg.sched.period, Some(4));
     assert!(cfg.sched.fusion.enabled);
@@ -146,7 +145,6 @@ fn fel_sched_and_knobs_map() {
     // Defaults when the keys are absent.
     let spec = with_run("kernel = \"unison\"\nthreads = 2");
     let cfg = spec.run_config(&topo);
-    assert_eq!(cfg.fel, FelImpl::Ladder);
     assert_eq!(cfg.sched.metric, SchedMetric::ByLastRoundTime);
     assert_eq!(cfg.watchdog.round_deadline, None);
 }
@@ -316,10 +314,11 @@ threads = 2
 }
 
 /// The placement-layer keys retired with the pluggable claim policies,
-/// staged partitioners and pinning are rejected like any other unknown
-/// key or value, at their own span.
+/// staged partitioners and pinning, and the `fel` key (the event list is
+/// not a scenario choice: the heap is the ladder's test reference), are
+/// rejected like any other unknown key or value, at their own span.
 #[test]
-fn retired_placement_keys_are_rejected_with_their_span() {
+fn retired_run_keys_are_rejected_with_their_span() {
     let head = "[topology]\nkind = \"fat_tree\"\nk = 4\n[traffic]\nload = 0.1\n\
                 [run]\nstop_us = 1000\nkernel = \"unison\"\nthreads = 2\n";
     for (line, want) in [
@@ -330,6 +329,7 @@ fn retired_placement_keys_are_rejected_with_their_span() {
         ("pin = \"compact\"", "unknown key `pin`"),
         ("pipeline = \"refined\"", "unknown key `pipeline`"),
         ("partition = \"pipeline\"", "unknown partition `pipeline`"),
+        ("fel = \"binary_heap\"", "unknown key `fel`"),
     ] {
         let e = parse_scenario(&format!("{head}  {line}\n")).unwrap_err();
         assert!(e.msg.contains(want), "{line}: {e}");

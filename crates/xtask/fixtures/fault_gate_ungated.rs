@@ -5,7 +5,7 @@ fn bad_direct(plan: &FaultPlan) {
 }
 
 fn bad_even_when_another_cfg_is_nearby(plan: &FaultPlan) {
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "claim-audit")]
     let _tel = ();
     plan.fire_stall(1, 0);
 }
