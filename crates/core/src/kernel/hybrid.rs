@@ -24,10 +24,16 @@
 //! decision log carries one entry per *host group* per re-sort (the
 //! [`crate::telemetry::SchedDecision::group`] field is the host id).
 //!
-//! Claim cursors are likewise per group: `run_grouped` builds one
-//! [`crate::sched::LjfCursor`] per host, so load balancing never crosses
-//! host boundaries — exactly the paper's "balance within a host"
-//! deployment constraint.
+//! Claim cursors are likewise per group: `run_grouped` builds one pair of
+//! [`crate::sched::LjfCursor`]s (process and receive phase) per host, so
+//! load balancing never crosses host boundaries — exactly the paper's
+//! "balance within a host" deployment constraint. Inside a host each of
+//! its `threads_per_host` workers has a *home*, a contiguous block of the
+//! host's LPs it claims first. A home is to a worker what a host is to
+//! this kernel, minus the wall: both are contiguous LP ranges that keep
+//! neighbours and their channels together, but a worker whose home runs
+//! dry may claim from the next worker's home, while no worker ever claims
+//! across a host boundary.
 
 use crate::error::SimError;
 use crate::metrics::RunReport;

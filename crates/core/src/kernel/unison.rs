@@ -3,17 +3,19 @@
 //! Fine-grained LPs are scheduled onto a pool of worker threads each round.
 //! A round has four phases separated by atomic barriers (Fig. 7):
 //!
-//! 1. **Process events** — workers claim LPs through their group's shared
-//!    [`LjfCursor`] and execute each claimed LP's events inside the window.
-//!    Cross-LP events go to the source LP's phase-owned channels.
+//! 1. **Process events** — workers claim LPs through their group's
+//!    [`LjfCursor`], their own *home* segment of the order first, and
+//!    execute each claimed LP's events inside the window. Cross-LP events
+//!    go to the source LP's phase-owned channels.
 //! 2. **Handle global events** — the main thread routes overflow events
 //!    and merges node-scheduled globals into the public LP (only when a
 //!    process phase flagged such side output), then executes due global
 //!    events (which may mutate the topology → lookahead recompute).
-//! 3. **Receive events** — workers claim LPs again, drain their incoming
-//!    channels into their FELs (ascending source order) and fold the
-//!    claimed LPs' next-event timestamps and load into one [`RoundFold`]
-//!    per worker.
+//! 3. **Receive events** — workers claim LPs again, through a second
+//!    cursor with the same homes (so an LP's FEL and channels stay with
+//!    the core that processed it), drain their incoming channels into
+//!    their FELs (ascending source order) and fold the claimed LPs'
+//!    next-event timestamps and load into one [`RoundFold`] per worker.
 //! 4. **Update window** — the main thread reduces the workers' folds into
 //!    the next LBTS (Eq. 2), re-sorts the LP schedule every scheduling
 //!    period, and records metrics.
@@ -40,9 +42,9 @@ use crate::event::LpId;
 use crate::lp::LpSlots;
 use crate::metrics::{MetricsLevel, RoundRecord, RunReport, SchedStats};
 use crate::partition::Partition;
-use crate::sched::{order_by_estimate_into, LjfCursor, SchedMetric};
+use crate::sched::{home_range, sort_by_estimate, LjfCursor, SchedMetric};
 use crate::sync::{TreeBarrier, TreeWaiter};
-use crate::sync_shim::{AtomicBool, AtomicU64, AtomicUsize, CachePadded, Ordering};
+use crate::sync_shim::{AtomicBool, AtomicU64, CachePadded, Ordering};
 use crate::telemetry::{SpanKind, WorkerTel, NO_LP};
 use crate::time::Time;
 use crate::world::{SimNode, World};
@@ -77,9 +79,10 @@ impl Grouping {
 
 /// Round plan published by the main thread between rounds.
 struct RoundPlan {
-    /// Per-group LP visit order for the processing phase.
+    /// Per-group LP visit order for the processing phase: each home
+    /// segment of `group_lps`, longest estimated job first.
     order: Vec<Vec<u32>>,
-    /// Per-group LP list for the receive phase (static).
+    /// Per-group LP list for the receive phase (static, ascending LP id).
     group_lps: Vec<Vec<u32>>,
     /// Start of the current window.
     window_start: Time,
@@ -222,12 +225,31 @@ pub(super) fn run_grouped<N: SimNode>(
     }
     let initial_order = group_lps.clone();
 
-    // One claim cursor per group, seeded with the initial (identity)
-    // orders before any worker threads exist.
-    let cursors: Vec<LjfCursor> = (0..groups).map(|_| LjfCursor::new()).collect();
-    for (cursor, order_g) in cursors.iter().zip(&initial_order) {
-        cursor.publish(order_g, &[]);
-    }
+    // A worker's home is its index among its group's workers.
+    let mut group_workers = vec![0usize; groups];
+    let worker_home: Vec<usize> = grouping
+        .worker_group
+        .iter()
+        .map(|&g| {
+            group_workers[g as usize] += 1;
+            group_workers[g as usize] - 1
+        })
+        .collect();
+
+    // One claim cursor per group and parallel phase, both cut into the
+    // same homes and seeded with the static lists before any worker
+    // threads exist. The receive cursors keep that order for the whole run.
+    let seeded = || -> Vec<LjfCursor> {
+        let per_group = group_workers.iter().zip(&group_lps);
+        per_group
+            .map(|(&k, lps_of_g)| {
+                let cursor = LjfCursor::new(k);
+                cursor.publish(lps_of_g, &[]);
+                cursor
+            })
+            .collect()
+    };
+    let (cursors, recv_cursors) = (seeded(), seeded());
 
     // Initial window.
     let initial_min = {
@@ -294,9 +316,6 @@ pub(super) fn run_grouped<N: SimNode>(
     let mut fused_rounds: u64 = 0;
 
     let barrier = TreeBarrier::new(threads);
-    let cursor_recv: Vec<CachePadded<AtomicUsize>> = (0..groups)
-        .map(|_| CachePadded::new(AtomicUsize::new(0)))
-        .collect();
     // Raised by a process phase that left `outflow` events or pending
     // globals on an LP; phase 2 walks the LPs only when it is up.
     let side_output = CachePadded::new(AtomicBool::new(false));
@@ -327,9 +346,9 @@ pub(super) fn run_grouped<N: SimNode>(
         // runs the serial phases.
         let mut handles = Vec::new();
         for (w, &g) in grouping.worker_group.iter().enumerate().skip(1) {
-            let g = g as usize;
+            let (g, home) = (g as usize, worker_home[w]);
             let (env, slots, plan, barrier) = (&env, &slots, &plan, &barrier);
-            let (cursors, cursor_recv, side_output) = (&cursors, &cursor_recv, &*side_output);
+            let (cursors, recv_cursors, side_output) = (&cursors, &recv_cursors, &*side_output);
             let fold_slot = &*folds[w - 1];
             let body = move |site: &Site| {
                 let mut lane = Lane::new(env, barrier, site, w);
@@ -350,7 +369,7 @@ pub(super) fn run_grouped<N: SimNode>(
                     let process = |tel: &mut WorkerTel| {
                         #[cfg(feature = "fault-inject")]
                         cfg.fault.fire_phase(round, RunPhase::Process, w);
-                        let claims = std::iter::from_fn(|| cursors[g].claim(0));
+                        let claims = std::iter::from_fn(|| cursors[g].claim(home));
                         process_phase(slots, claims, &p.order[g], p, side_output, site, tel, round)
                     };
                     if lane
@@ -369,7 +388,7 @@ pub(super) fn run_grouped<N: SimNode>(
                             cfg.fault.fire_phase(round, RunPhase::Receive, w);
                             cfg.fault.fire_stall(round, w);
                         }
-                        let claims = claim_positions(&cursor_recv[g], p.group_lps[g].len());
+                        let claims = std::iter::from_fn(|| recv_cursors[g].claim(home));
                         receive_phase(slots, claims, &p.group_lps[g], site, tel, round)
                     };
                     match lane.run(RunPhase::Receive, round, p.window_end, receive, |f| f.recv) {
@@ -392,12 +411,10 @@ pub(super) fn run_grouped<N: SimNode>(
         // the main thread inside its exclusive windows, always *before* the
         // barrier that releases workers into the phase the bump covers.
         //
-        // Persistent scratch: the phase-4 LJF re-sort buffers, reused every
+        // Persistent scratch: the phase-4 LJF re-sort buffer, reused every
         // period so the steady-state control loop stays off the allocator
         // (DESIGN.md §4.4).
         let mut estimates: Vec<u64> = Vec::new();
-        let mut group_est: Vec<u64> = Vec::new();
-        let mut group_order: Vec<u32> = Vec::new();
         let site = Site::new(None);
         let mut lane = Lane::new(&env, &barrier, &site, 0);
         slots.begin_phase(); // covers phase 1 of round 1
@@ -468,8 +485,10 @@ pub(super) fn run_grouped<N: SimNode>(
             let globals = |_: &mut WorkerTel| {
                 #[cfg(feature = "fault-inject")]
                 cfg.fault.fire_phase(round, RunPhase::Global, 0);
-                for c in cursor_recv.iter() {
-                    c.store(0, Ordering::Relaxed);
+                if !fuse {
+                    for cursor in &recv_cursors {
+                        cursor.begin_round();
+                    }
                 }
                 // Route overflow events and merge node-scheduled globals:
                 // the LPs are walked only when some process phase reported
@@ -514,7 +533,7 @@ pub(super) fn run_grouped<N: SimNode>(
                     fold
                 } else {
                     let lps_of_g = &p.group_lps[main_group];
-                    let claims = claim_positions(&cursor_recv[main_group], lps_of_g.len());
+                    let claims = std::iter::from_fn(|| recv_cursors[main_group].claim(0));
                     receive_phase(&slots, claims, lps_of_g, &site, tel, round)
                 }
             };
@@ -597,22 +616,14 @@ pub(super) fn run_grouped<N: SimNode>(
                 }
                 // SAFETY: main-thread exclusivity between B3 and B0.
                 let plan_mut = unsafe { &mut *plan.0.get() };
-                // Allocation-free LJF: gather each group's estimates and
-                // sort into the group's published order slot, all through
-                // reused scratch buffers.
-                for (g, lps_of_g) in plan_mut.group_lps.iter().enumerate() {
-                    group_est.clear();
-                    group_est.extend(lps_of_g.iter().map(|&l| estimates[l as usize]));
-                    order_by_estimate_into(&group_est, &mut group_order);
-                    let out = &mut plan_mut.order[g];
-                    out.clear();
-                    out.extend(group_order.iter().map(|&i| lps_of_g[i as usize]));
-                }
-                // Re-seed each group's cursor with its new order (the
-                // unconditional `begin_round` below is then a no-op for
-                // this round).
-                for (cursor, order_g) in cursors.iter().zip(&plan_mut.order) {
-                    cursor.publish(order_g, &[]);
+                // Allocation-free LJF within each home: every home segment
+                // of a group's order is sorted by estimate in place, so an
+                // LP never leaves its home and the cursors' bounds stand.
+                for (out, &homes) in plan_mut.order.iter_mut().zip(&group_workers) {
+                    for home in 0..homes {
+                        let segment = home_range(out.len(), homes, home);
+                        sort_by_estimate(&mut out[segment], &estimates);
+                    }
                 }
                 if sched_log.enabled() {
                     // Log the LJF decision per group: the order applies
@@ -859,15 +870,6 @@ impl<'a> Lane<'a> {
         self.me.end_time = end_time;
         self.me
     }
-}
-
-/// The receive phase's shared claim: each position in `0..len` goes to
-/// exactly one caller.
-fn claim_positions(cursor: &AtomicUsize, len: usize) -> impl Iterator<Item = usize> + '_ {
-    std::iter::from_fn(move || {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        (i < len).then_some(i)
-    })
 }
 
 /// Phase 1: execute the window events of the LPs at the claimed

@@ -117,9 +117,11 @@ impl<N: SimNode> LpState<N> {
 ///
 /// Each slot carries an owner tag `(generation << 8) | owner_id` in a
 /// parallel atomic array. `get_mut` stamps the tag with the calling thread's
-/// owner id and the current phase generation and panics deterministically if
-/// a *different* thread already claimed the slot in the *same* generation —
-/// the double claim that would make the `unsafe` contract a lie. Kernels
+/// owner id and the current phase generation (a swap, unless a load finds
+/// the caller's own current stamp already in place) and panics
+/// deterministically if a *different* thread already claimed the slot in
+/// the *same* generation — the double claim that would make the `unsafe`
+/// contract a lie. Kernels
 /// bump the generation with [`LpSlots::begin_phase`] at every phase
 /// boundary (from inside the main-exclusive window, so the bump itself
 /// cannot race with claims). The tags are diagnostic metadata, not part of
@@ -232,7 +234,15 @@ impl<N: SimNode> LpSlots<N> {
     fn audit_claim(&self, idx: usize) {
         use std::sync::atomic::Ordering;
         let (generation, me) = self.current_claim();
-        let prev = self.owners[idx].swap((generation << 8) | me, Ordering::Relaxed);
+        let tag = (generation << 8) | me;
+        // The caller's own stamp is already there (the sequential kernel
+        // touches one slot per event): nothing to write. Another thread
+        // stamping this generation still swaps, reads this tag and panics,
+        // and this thread's next touch then reads a foreign tag and swaps.
+        if self.owners[idx].load(Ordering::Relaxed) == tag {
+            return;
+        }
+        let prev = self.owners[idx].swap(tag, Ordering::Relaxed);
         let (prev_gen, prev_owner) = (prev >> 8, prev & 0xFF);
         if prev_owner != 0 && prev_owner != me && prev_gen == generation {
             panic!(

@@ -63,6 +63,51 @@ fn forged_double_claim_panics() {
     });
 }
 
+/// A helper thread claims slot 0 in the current generation; `Err` carries
+/// its audit panic.
+fn claim_slot_0_from_a_second_thread(slots: &LpSlots<Nop>) -> std::thread::Result<()> {
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(move || {
+            // SAFETY: the callers forge a double claim on purpose; the
+            // audit panics before the reference exists.
+            let _ = unsafe { slots.get_mut(0) };
+        });
+        helper.join()
+    })
+}
+
+/// A repeat touch by the stamp's owner takes the load-only path; a second
+/// thread stamping *after* it must still see the first owner's tag and
+/// panic.
+#[test]
+fn double_claim_after_the_owners_repeat_touch_panics() {
+    let slots = two_slots();
+    slots.begin_phase();
+    for _ in 0..2 {
+        // SAFETY: sole claimant so far; the reference is dropped at once.
+        unsafe { slots.get_mut(0) }.seq += 1;
+    }
+    let forged = claim_slot_0_from_a_second_thread(&slots);
+    let msg = *forged.unwrap_err().downcast::<String>().unwrap();
+    assert!(msg.contains("double claim of LP slot 0"), "{msg}");
+}
+
+/// The other order: the second thread stamps *between* the owner's two
+/// touches. It panics itself (the owner's tag was there), and the owner's
+/// repeat touch no longer finds its own tag, so it swaps and panics too.
+#[test]
+#[should_panic(expected = "double claim")]
+fn double_claim_before_the_owners_repeat_touch_panics() {
+    let slots = two_slots();
+    slots.begin_phase();
+    // SAFETY: sole claimant so far; the reference is dropped at once.
+    unsafe { slots.get_mut(0) }.seq += 1;
+    let forged = claim_slot_0_from_a_second_thread(&slots);
+    assert!(forged.is_err(), "the second claimant was not caught");
+    // SAFETY: never reached past the audit panic.
+    let _ = unsafe { slots.get_mut(0) };
+}
+
 /// Re-claiming a slot from the same thread within one generation is the
 /// normal kernel pattern (the main thread walks all slots repeatedly in its
 /// exclusive windows) and must not panic.

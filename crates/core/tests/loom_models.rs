@@ -19,8 +19,9 @@
 //! 1. the sense-reversing barrier is reusable across generations and its
 //!    `Relaxed` count reset cannot double-count arrivals;
 //! 2. exactly one participant per generation is told it is the leader;
-//! 3. an atomic work cursor hands each slot index to exactly one claimant,
-//!    so per-slot mutable access is exclusive even with `Relaxed` claims;
+//! 3. the home-first claim cursor hands each position to exactly one
+//!    claimant, owner or thief, so per-slot mutable access is exclusive
+//!    even with `Relaxed` claims;
 //! 4. the mailbox queue's Release-push / Acquire-drain pair carries a
 //!    happens-before edge from producer writes to consumer reads;
 //! 5. poisoning the barrier releases every current and future waiter — no
@@ -86,6 +87,7 @@ use loom::sync::Arc;
 use loom::thread;
 
 use unison_core::queue::MpscQueue;
+use unison_core::sched::LjfCursor;
 use unison_core::sync::{SpinBarrier, TreeBarrier};
 use unison_core::sync_shim::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -171,37 +173,42 @@ fn barrier_leader_uniqueness() {
     });
 }
 
-/// Claim 3: the kernels' work-claiming pattern. Workers `fetch_add` a shared
-/// cursor with `Relaxed` ordering and mutate the slot at the returned index.
-/// Exclusivity comes purely from the RMW's read-modify-write atomicity —
-/// two claimants can never observe the same index — so the per-slot accesses
-/// are race-free even though the claim itself synchronizes nothing.
+/// Claim 3: the kernels' work-claiming pattern, on the real [`LjfCursor`]
+/// with two homes. Each worker bumps its own home's counter with `Relaxed`
+/// ordering and mutates the slot at the returned position; once its home is
+/// exhausted it bumps the other's. Worker 0 owns position 0 and then turns
+/// thief, racing worker 1 (the owner of positions 1 and 2) for home 1's
+/// one-position tail. Exclusivity comes purely from the RMW's atomicity on
+/// one home's counter — owner and thief can never observe the same position
+/// — so the per-slot accesses are race-free even though the claim itself
+/// synchronizes nothing, and both workers end on `None`.
 #[test]
 fn work_cursor_claim_exclusivity() {
     loom::model(|| {
         const SLOTS: usize = 3;
-        let cursor = Arc::new(AtomicUsize::new(0));
+        let cursor = Arc::new(LjfCursor::new(2));
+        cursor.publish(&[0; SLOTS], &[]); // homes 0..1 and 1..3
         let slots: Arc<Vec<UnsafeCell<u64>>> =
             Arc::new((0..SLOTS).map(|_| UnsafeCell::new(0)).collect());
 
-        let work = |cursor: Arc<AtomicUsize>, slots: Arc<Vec<UnsafeCell<u64>>>| loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= SLOTS {
-                break;
+        let work = |home: usize, cursor: Arc<LjfCursor>, slots: Arc<Vec<UnsafeCell<u64>>>| {
+            while let Some(i) = cursor.claim(home) {
+                slots[i].with_mut(|p| {
+                    // SAFETY: the claim handed position `i` to this
+                    // claimant exclusively; no other thread touches slot
+                    // `i` this phase.
+                    unsafe { *p += 1 }
+                });
             }
-            slots[i].with_mut(|p| {
-                // SAFETY: the fetch_add handed index `i` to this claimant
-                // exclusively; no other thread touches slot `i` this phase.
-                unsafe { *p += 1 }
-            });
+            assert_eq!(cursor.claim(home), None, "an exhausted round stays so");
         };
 
         let t = {
             let cursor = Arc::clone(&cursor);
             let slots = Arc::clone(&slots);
-            thread::spawn(move || work(cursor, slots))
+            thread::spawn(move || work(1, cursor, slots))
         };
-        work(Arc::clone(&cursor), Arc::clone(&slots));
+        work(0, Arc::clone(&cursor), Arc::clone(&slots));
         t.join().unwrap();
 
         for (i, s) in slots.iter().enumerate() {
@@ -212,6 +219,8 @@ fn work_cursor_claim_exclusivity() {
             });
             assert_eq!(v, 1, "slot {i} claimed {v} times, expected exactly 1");
         }
+        cursor.begin_round();
+        assert_eq!(cursor.claims(), SLOTS as u64);
     });
 }
 

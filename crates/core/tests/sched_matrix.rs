@@ -5,7 +5,9 @@
 //! worker executes which LP when* — so every (partition, thread-count,
 //! sched-metric) combination must produce bit-identical model state: the
 //! claim cursor only decides who executes a round's fixed task set, and
-//! cross-LP sends commit through the channel + tie-break key path.
+//! cross-LP sends commit through the channel + tie-break key path. The
+//! thread axis includes 3 (homes of unequal size) and, on the two-LP
+//! `manual` partition, 3 and 4 (workers whose home is empty).
 //!
 //! Digests are compared only *within* one partition: the tie-break key
 //! embeds `sender_lp` and per-LP sequence numbers, so different partitions
@@ -160,7 +162,7 @@ fn every_thread_metric_combination_is_bit_identical() {
             period: Some(4),
             ..Default::default()
         };
-        for threads in [1usize, 2, 4] {
+        for threads in [1usize, 2, 3, 4] {
             for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
                 let got = run(KernelKind::Unison { threads }, pmode.clone(), sched(metric));
                 assert_eq!(
@@ -169,7 +171,8 @@ fn every_thread_metric_combination_is_bit_identical() {
                 );
             }
         }
-        // One claim cursor per host group; results must not notice.
+        // One pair of claim cursors per host group, two homes in each;
+        // results must not notice.
         let hybrid = run(
             KernelKind::Hybrid {
                 hosts: 2,
@@ -252,7 +255,7 @@ fn async_cons_reports_async_stats() {
 #[test]
 fn fusion_on_off_digests_are_bit_identical() {
     for (pname, pmode) in partitions() {
-        for threads in [1usize, 2, 4] {
+        for threads in [1usize, 2, 3, 4] {
             for fel in [FelImpl::Ladder, FelImpl::BinaryHeap] {
                 let on = run_fel(
                     KernelKind::Unison { threads },
@@ -455,7 +458,7 @@ fn side_world() -> unison_core::World<Sider> {
 #[test]
 fn side_output_is_routed_in_phase_two_of_the_same_round() {
     let mut reference = None;
-    for threads in [1usize, 2, 4] {
+    for threads in [1usize, 2, 3, 4] {
         for fusion in [FusionConfig::default(), FusionConfig::off()] {
             let cfg = RunConfig::unison(threads)
                 .with_fusion(fusion)
@@ -493,5 +496,95 @@ fn side_output_is_routed_in_phase_two_of_the_same_round() {
                 Some(r) => assert_eq!(r, &digest, "digest mismatch: {what}"),
             }
         }
+    }
+}
+
+/// Ring size of [`skewed_world`]; its tokens never leave the first
+/// `SKEW_BUSY` nodes.
+const SKEW_N: usize = 16;
+const SKEW_BUSY: usize = 4;
+
+/// A ring of equal links (one LP per node) whose whole load sits in one
+/// home at any worker count up to four: the tokens bounce along the path
+/// `0 – 1 – 2 – 3` and every other LP stays idle for the whole run, so in
+/// each unfused round the workers of homes 1.. find nothing at home and
+/// claim out of home 0.
+fn skewed_world() -> unison_core::World<Router> {
+    let mut b = WorldBuilder::new();
+    let ids: Vec<NodeId> = (0..SKEW_N).map(|i| NodeId(i as u32)).collect();
+    for i in 0..SKEW_N {
+        let mut neighbors = Vec::new();
+        if i > 0 {
+            neighbors.push((ids[i - 1], SIDE_HOP));
+        }
+        if i + 1 < SKEW_BUSY || i >= SKEW_BUSY {
+            neighbors.push((ids[(i + 1) % SKEW_N], SIDE_HOP));
+        }
+        b.add_node(Router {
+            neighbors,
+            checksum: 0,
+            seen: 0,
+        });
+    }
+    for i in 0..SKEW_N {
+        b.add_link(ids[i], ids[(i + 1) % SKEW_N], SIDE_HOP);
+    }
+    let mut seed_rng = Rng::new(0x5EED_0017);
+    for t in 0..SIDE_TOKENS {
+        b.schedule(
+            Time::from_nanos(t % 5),
+            ids[(t as usize) % SKEW_BUSY],
+            Token {
+                id: t,
+                rng: seed_rng.fork(t),
+            },
+        );
+    }
+    b.stop_at(SIDE_STOP);
+    b.build()
+}
+
+/// Stealing out of a neighbour's home is invisible in the results: the
+/// skewed world reads the same at 2, 3 and 4 threads, under the hybrid
+/// kernel with two workers per host, with fusion on and off, as at one
+/// thread — and every LP is still claimed exactly once per round.
+#[test]
+fn a_load_that_sits_in_one_home_is_stolen_without_a_trace() {
+    let run = |cfg: &RunConfig| {
+        let (w, report) = kernel::run(skewed_world(), cfg).unwrap();
+        assert_eq!(report.lp_count as usize, SKEW_N, "one LP per node");
+        assert_eq!(
+            report.sched.claims,
+            report.rounds * u64::from(report.lp_count),
+            "{}: not one claim per LP and round",
+            report.kernel
+        );
+        let sums: Vec<(u64, u64)> = w.nodes().map(|n| (n.checksum, n.seen)).collect();
+        assert!(sums[SKEW_BUSY..].iter().all(|&(_, seen)| seen == 0));
+        (sums, report.events)
+    };
+    let reference = run(&RunConfig::unison(1));
+    assert_eq!(reference.1, SIDE_TOKENS * (SIDE_STOP.0 / SIDE_HOP.0));
+    for fusion in [FusionConfig::default(), FusionConfig::off()] {
+        for threads in [2usize, 3, 4] {
+            let got = run(&RunConfig::unison(threads).with_fusion(fusion));
+            assert_eq!(
+                reference, got,
+                "digest mismatch: threads={threads} fusion={}",
+                fusion.enabled
+            );
+        }
+        let hybrid = run(&RunConfig {
+            kernel: KernelKind::Hybrid {
+                hosts: 2,
+                threads_per_host: 2,
+            },
+            ..RunConfig::unison(1).with_fusion(fusion)
+        });
+        assert_eq!(
+            reference, hybrid,
+            "digest mismatch: hybrid fusion={}",
+            fusion.enabled
+        );
     }
 }

@@ -125,9 +125,9 @@ impl<'a> Timeline<'a> {
     /// in the log, so earlier rounds are skipped).
     ///
     /// Each group's regret replays its logged LP order against the
-    /// measured costs with `threads / groups` workers (how the hybrid
-    /// kernel splits its pool); a round's value is the cost-weighted mean
-    /// over groups.
+    /// measured costs the way the kernel claims it — home first — with
+    /// `threads / groups` workers (how the hybrid kernel splits its pool);
+    /// a round's value is the cost-weighted mean over groups.
     pub fn regret_by_round(&self, threads: usize) -> Vec<RoundRegret> {
         if self.tel.sched.is_empty() {
             return Vec::new();

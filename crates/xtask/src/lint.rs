@@ -52,8 +52,9 @@
 //!    injection site out, so production hot paths carry no fault-plan
 //!    checks. Test modules are exempt.
 //! 8. **`atomic-padding`** — atomic storage *declared* in the kernel hot
-//!    paths (`crates/core/src/kernel/`, `crates/core/src/sync.rs`) must be
-//!    wrapped in `CachePadded`, or the line must carry a `// PADDING:`
+//!    paths (`crates/core/src/kernel/`, `crates/core/src/sync.rs`,
+//!    `crates/core/src/sched.rs`) must be wrapped in `CachePadded`, or the
+//!    line must carry a `// PADDING:`
 //!    comment stating why an unpadded slot cannot false-share (cold path,
 //!    all waiters deliberately share the line, or padding already applied
 //!    at an enclosing level). Borrowed atomics (`&AtomicBool`,
@@ -192,7 +193,9 @@ const ATOMIC_TYPES: &[&str] = &[
 /// Files subject to rule 8: the kernel hot paths, where every atomic word
 /// is potentially contended by all workers every round.
 fn padding_checked(rel: &str) -> bool {
-    rel.starts_with("crates/core/src/kernel/") || rel == "crates/core/src/sync.rs"
+    rel.starts_with("crates/core/src/kernel/")
+        || rel == "crates/core/src/sync.rs"
+        || rel == "crates/core/src/sched.rs"
 }
 
 /// The significant token following the `unsafe` keyword at `(line, col)`:
