@@ -1,55 +1,34 @@
 //! Unified command-line parsing for the experiment binaries.
 //!
-//! Every figure binary historically re-scanned `std::env::args()` with its
-//! own loop; the shared flag vocabulary now lives in one place, so a flag
-//! means the same thing — and is parsed the same way — everywhere:
-//!
-//! - `--scale quick|full` (with `--full` as shorthand): experiment scale,
-//!   see [`Scale`];
-//! - `--profile <dir>`: per-run Chrome-trace telemetry export
-//!   ([`crate::harness::profile_dir`]).
+//! The figure binaries share one flag, parsed in one place so it means
+//! the same thing everywhere: `--scale quick|full` (with `--full` as
+//! shorthand), the experiment scale — see [`Scale`].
 //!
 //! `unison-run` scans its own command line (it has a positional operand
-//! and rejects what it does not know); it shares only `--profile`.
+//! and rejects what it does not know).
 
 use crate::harness::Scale;
-
-/// True iff the bare flag `name` appears anywhere on the command line.
-pub fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// The operand following `name` (the `--flag value` form), if any.
-pub fn value_of(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
 
 /// Parses `--scale quick|full` (with `--full` kept as shorthand for
 /// `--scale full`), exiting with a usage message on an unknown value.
 pub fn scale() -> Scale {
-    let mut scale = if flag("--full") {
-        Scale::Full
-    } else {
-        Scale::Quick
-    };
-    if flag("--scale") {
-        scale = match value_of("--scale").as_deref() {
-            Some("quick") => Scale::Quick,
-            Some("full") => Scale::Full,
-            other => {
-                eprintln!(
-                    "--scale expects quick|full, got {:?}",
-                    other.unwrap_or("<missing>")
-                );
-                std::process::exit(2);
-            }
+    let args: Vec<String> = std::env::args().collect();
+    let Some(at) = args.iter().position(|a| a == "--scale") else {
+        return if args.iter().any(|a| a == "--full") {
+            Scale::Full
+        } else {
+            Scale::Quick
         };
+    };
+    match args.get(at + 1).map(String::as_str) {
+        Some("quick") => Scale::Quick,
+        Some("full") => Scale::Full,
+        other => {
+            eprintln!(
+                "--scale expects quick|full, got {:?}",
+                other.unwrap_or("<missing>")
+            );
+            std::process::exit(2);
+        }
     }
-    scale
 }

@@ -7,7 +7,7 @@
 //! grained LP batching improves cache locality, the paper's §6.3 story);
 //! on a multi-core host the full parallel speedup becomes visible.
 
-use unison_bench::harness::{export_profile, header, profile_telemetry, row, Scale};
+use unison_bench::harness::{header, row, Scale};
 use unison_core::{KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig, Time};
 use unison_netsim::NetworkBuilder;
 use unison_topology::{fat_tree, manual};
@@ -42,7 +42,6 @@ fn main() {
                 partition: PartitionMode::Auto,
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
-                telemetry: Default::default(),
                 fel: Default::default(),
             },
         ),
@@ -56,10 +55,7 @@ fn main() {
     );
     let widths = [16, 12, 12, 11];
     header(&["kernel", "wall(s)", "events", "Mevents/s"], &widths);
-    for (name, mut cfg) in configs {
-        // Recording (--profile) perturbs the wall-clock numbers; without
-        // the flag this stays the disabled sink and measures undisturbed.
-        cfg.telemetry = profile_telemetry();
+    for (name, cfg) in configs {
         // Median of three runs.
         let mut walls = Vec::new();
         let mut events = 0;
@@ -69,7 +65,6 @@ fn main() {
                 .stop_at(window + Time::from_millis(1))
                 .build();
             let res = sim.run_with(&cfg).expect("run");
-            export_profile(&res.kernel);
             walls.push(res.kernel.wall.as_secs_f64());
             events = res.kernel.events;
         }

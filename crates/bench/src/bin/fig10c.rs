@@ -10,7 +10,7 @@
 //! paper opts the baselines out for the same reason). Expected shape:
 //! Unison several-fold faster (paper: >10x incl. cache effects).
 
-use unison_bench::harness::{export_profile, header, profile_telemetry, row, secs, Scale};
+use unison_bench::harness::{header, row, secs, Scale};
 use unison_core::{KernelKind, MetricsLevel, PerfModel, SchedConfig, Time};
 use unison_netsim::NetworkBuilder;
 use unison_scenario::{parse_scenario, TopoKind};
@@ -40,10 +40,8 @@ fn main() {
         // RIP routing and traffic come along via the builder.
         let mut cfg = spec.run_config_with_kernel(&topo, KernelKind::Unison { threads: 1 });
         cfg.metrics = MetricsLevel::PerRound;
-        cfg.telemetry = profile_telemetry();
         let sim = NetworkBuilder::from_scenario(&topo, &spec).build();
         let res = sim.run_with(&cfg).expect("profiled run");
-        export_profile(&res.kernel);
         let profile = res.kernel.rounds_profile.as_deref().unwrap_or(&[]);
         let model = PerfModel::new(profile);
         let seq = model.sequential().total_ns;

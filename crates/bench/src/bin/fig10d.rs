@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use unison_bench::harness::{export_profile, header, profile_telemetry, row, Scale};
+use unison_bench::harness::{header, row, Scale};
 use unison_core::WorldAccess;
 use unison_core::{KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig, Time};
 use unison_netsim::{recompute_static_routes, set_link_state, BuiltLink, NetNode, NetworkBuilder};
@@ -88,12 +88,10 @@ fn run_once(interval: Time, kernel: KernelKind, window: Time) -> (Duration, u64)
         partition: PartitionMode::Auto,
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
-        telemetry: profile_telemetry(),
         fel: Default::default(),
         fault: Default::default(),
     };
     let (_, report) = unison_core::run(world, &cfg).expect("run");
-    export_profile(&report);
     (report.wall, report.global_events)
 }
 

@@ -6,7 +6,7 @@
 //! baselines fluctuate from run to run (real-time arrival interleaving of
 //! simultaneous events).
 
-use unison_bench::harness::{export_profile, header, profile_telemetry, row, Scale};
+use unison_bench::harness::{header, row, Scale};
 use unison_core::{KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig, Time};
 use unison_netsim::{NetworkBuilder, TransportKind};
 use unison_topology::{fat_tree, manual};
@@ -30,12 +30,10 @@ fn run_epoch(kernel: KernelKind, partition: PartitionMode) -> (u64, f64) {
             partition,
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
-            telemetry: profile_telemetry(),
             fel: Default::default(),
             fault: Default::default(),
         })
         .expect("run");
-    export_profile(&res.kernel);
     (res.kernel.events, res.flows.fct_us.mean())
 }
 

@@ -9,7 +9,7 @@
 //! Expected shape: node switches (and wall time) fall as LP count rises;
 //! the paper reports ~1.5x faster at 144 LPs than at 1 LP.
 
-use unison_bench::harness::{export_profile, header, profile_telemetry, row, Scale};
+use unison_bench::harness::{header, row, Scale};
 use unison_core::{KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig, Time};
 use unison_netsim::NetworkBuilder;
 use unison_topology::{manual, torus2d};
@@ -44,12 +44,10 @@ fn main() {
                 partition: PartitionMode::Manual(manual::by_id_range(&topo, lps)),
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
-                telemetry: profile_telemetry(),
                 fel: Default::default(),
                 fault: Default::default(),
             })
             .expect("run");
-        export_profile(&res.kernel);
         row(
             &[
                 lps.to_string(),

@@ -8,9 +8,7 @@
 //! simulated time; the coarse scheme pays imbalance, the bottleneck-
 //! preserving scheme pays interleaving.
 
-use unison_bench::harness::{
-    export_profile, header, partition_info, profile_telemetry, row, Scale, Scenario,
-};
+use unison_bench::harness::{header, partition_info, row, Scale, Scenario};
 use unison_core::{DataRate, PartitionMode, PerfModel, SchedConfig, Time};
 use unison_netsim::{QueueConfig, TransportKind};
 use unison_topology::{dumbbell, manual};
@@ -92,12 +90,10 @@ fn main() {
                 partition: mode,
                 sched: SchedConfig::default(),
                 metrics: unison_core::MetricsLevel::PerRound,
-                telemetry: profile_telemetry(),
                 fel: Default::default(),
                 fault: Default::default(),
             })
             .expect("run");
-        export_profile(&res.kernel);
         let profile = res.kernel.rounds_profile.as_deref().unwrap_or(&[]);
         let t4 = PerfModel::new(profile).unison(4, SchedConfig::default());
         row(

@@ -11,7 +11,7 @@
 //! decent on the balanced 2-cluster case but visibly degraded on the
 //! 4-cluster incast-skewed RTT/throughput.
 
-use unison_bench::harness::{export_profile, profile_telemetry, Scale};
+use unison_bench::harness::Scale;
 use unison_bench::surrogate;
 use unison_core::{
     DataRate, KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig, Time,
@@ -81,12 +81,10 @@ fn main() {
                 partition: PartitionMode::SingleLp,
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
-                telemetry: profile_telemetry(),
                 fel: Default::default(),
                 fault: Default::default(),
             })
             .expect("sequential run");
-        export_profile(&seq.kernel);
         let uni = build().run(KernelKind::Unison { threads: 4 });
         let m_seq = Metrics::of(&seq);
         let m_uni = Metrics::of(&uni);

@@ -15,33 +15,37 @@
 //!   the whole corpus);
 //! - `--threads <n>` — override the worker count of the thread-scalable
 //!   kernels (unison, async_cons) without editing the file;
-//! - `--profile <dir>` — record telemetry and export one Chrome-trace JSON
-//!   per run into `<dir>`;
+//! - `--explain` — record spans and print where the wall time went: P/S/M
+//!   per worker, per-round imbalance, scheduling regret, traffic
+//!   (`unison_telemetry::write_report`, DESIGN.md §4.3);
+//! - `--profile <dir>` — record spans and write the run's Chrome-trace JSON
+//!   into `<dir>` (open it in ui.perfetto.dev or `chrome://tracing`);
 //! - `--json <path>` — additionally write a machine-readable report.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use unison_bench::harness::{export_profile, profile_telemetry};
 use unison_core::KernelKind;
 use unison_netsim::{world_digest, NetworkBuilder};
 use unison_scenario::parse_scenario;
 use unison_telemetry::json::{obj, Value};
+use unison_telemetry::{chrome_trace_json, write_report};
 
 fn usage() -> ! {
     eprintln!(
         "usage: unison-run <scenario.toml> [--check] [--threads <n>] \
-         [--profile <dir>] [--json <path>]"
+         [--explain] [--profile <dir>] [--json <path>]"
     );
     std::process::exit(2)
 }
 
-/// The parsed command line. `--profile` is only checked for its operand
-/// here; the harness helpers every figure binary shares consume it.
+/// The parsed command line.
 struct Cli {
     path: String,
     check: bool,
     threads: Option<usize>,
+    explain: bool,
+    profile: Option<PathBuf>,
     json: Option<PathBuf>,
 }
 
@@ -54,6 +58,8 @@ impl Cli {
         let mut path = None;
         let mut check = false;
         let mut threads = None;
+        let mut explain = false;
+        let mut profile = None;
         let mut json = None;
         let mut args = std::env::args().skip(1).peekable();
         while let Some(a) = args.next() {
@@ -77,8 +83,9 @@ impl Cli {
                         }
                     }
                 }
+                "--explain" => explain = true,
+                "--profile" => profile = Some(PathBuf::from(operand())),
                 "--json" => json = Some(PathBuf::from(operand())),
-                "--profile" => drop(operand()),
                 _ if a.starts_with("--") => {
                     eprintln!("unison-run: unknown flag `{a}`");
                     usage();
@@ -94,6 +101,8 @@ impl Cli {
             path: path.unwrap_or_else(|| usage()),
             check,
             threads,
+            explain,
+            profile,
             json,
         }
     }
@@ -146,7 +155,9 @@ fn main() -> ExitCode {
             }
         };
     }
-    cfg.telemetry = profile_telemetry();
+    if cli.explain || cli.profile.is_some() {
+        cfg = cfg.with_telemetry();
+    }
 
     let sim = NetworkBuilder::from_scenario(&topo, &spec).build();
     let res = match sim.run_with(&cfg) {
@@ -156,7 +167,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    export_profile(&res.kernel);
     let digest = world_digest(&res.world);
 
     let r = &res.kernel;
@@ -173,6 +183,28 @@ fn main() -> ExitCode {
     );
     println!("flows:    {}", res.flows.one_line());
     println!("digest:   {digest:016x}");
+
+    if cli.explain {
+        println!();
+        if let Err(e) = write_report(r, &mut std::io::stdout().lock()) {
+            eprintln!("unison-run: write report: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    if let (Some(dir), Some(tel)) = (&cli.profile, &r.telemetry) {
+        let slug: String = format!("{}-{}", spec.name, r.kernel)
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+            .collect();
+        let trace = dir.join(format!("{}.json", slug.trim_end_matches('-')));
+        let written = std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&trace, chrome_trace_json(tel)));
+        if let Err(e) = written {
+            eprintln!("unison-run: write {}: {e}", trace.display());
+            return ExitCode::FAILURE;
+        }
+        eprintln!("unison-run: wrote {}", trace.display());
+    }
 
     if let Some(json_path) = &cli.json {
         let num = |n: u64| Value::Num(n as f64);

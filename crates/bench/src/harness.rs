@@ -1,12 +1,8 @@
 //! Shared experiment plumbing.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use unison_core::{
-    fine_grained_partition, manual_partition, partition_below_bound, KernelKind, LinkGraph,
-    MetricsLevel, NodeId, Partition, PartitionMode, RoundRecord, RunConfig, RunReport, SchedConfig,
-    TelemetryConfig, Time,
+    fine_grained_partition, manual_partition, partition_below_bound, LinkGraph, NodeId, Partition,
+    PartitionMode, RoundRecord, RunConfig, RunReport, Time,
 };
 use unison_netsim::{FlowReport, NetworkBuilder, QueueConfig, TransportKind};
 use unison_topology::Topology;
@@ -34,52 +30,6 @@ impl Scale {
             Scale::Quick => quick,
             Scale::Full => full,
         }
-    }
-}
-
-/// Directory given with `--profile <dir>`, if any. When set, every kernel
-/// run the harness makes records telemetry and exports one Chrome-trace
-/// JSON file (`<kernel>-<seq>.json`, seq = per-process run counter) into
-/// the directory. Open the files in Perfetto (ui.perfetto.dev) or
-/// `chrome://tracing`.
-pub fn profile_dir() -> Option<PathBuf> {
-    crate::args::value_of("--profile").map(PathBuf::from)
-}
-
-/// Telemetry configuration for harness runs: enabled iff `--profile` was
-/// given (the disabled default otherwise, so figures measure undisturbed).
-pub fn profile_telemetry() -> TelemetryConfig {
-    if profile_dir().is_some() {
-        TelemetryConfig::enabled()
-    } else {
-        TelemetryConfig::default()
-    }
-}
-
-/// Per-process export counter: successive runs in one figure binary get
-/// distinct file names.
-static PROFILE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Exports a run's telemetry as Chrome-trace JSON when `--profile` is
-/// active (no-op otherwise). Prints the written path to stderr so figure
-/// stdout stays parseable.
-pub fn export_profile(report: &RunReport) {
-    let Some(dir) = profile_dir() else { return };
-    let Some(tel) = &report.telemetry else { return };
-    let seq = PROFILE_SEQ.fetch_add(1, Ordering::Relaxed);
-    let slug: String = report
-        .kernel
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect();
-    let path = dir.join(format!("{slug}-{seq:03}.json"));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("profile: create {} failed: {e}", dir.display());
-        return;
-    }
-    match std::fs::write(&path, unison_telemetry::chrome_trace_json(tel)) {
-        Ok(()) => eprintln!("profile: wrote {}", path.display()),
-        Err(e) => eprintln!("profile: write {} failed: {e}", path.display()),
     }
 }
 
@@ -151,20 +101,13 @@ impl Scenario {
         let sim = self.builder().build();
         let res = sim
             .run_with(&RunConfig {
-                watchdog: Default::default(),
-                kernel: KernelKind::Unison { threads: 1 },
                 partition: partition.clone(),
-                sched: SchedConfig::default(),
-                metrics: MetricsLevel::PerRound,
-                telemetry: profile_telemetry(),
-                fel: Default::default(),
-                fault: Default::default(),
+                ..RunConfig::unison(1).with_per_round_metrics()
             })
             // INVARIANT: bench models are closed and terminating; a crash
             // or stall here invalidates the measurement, so aborting with
             // the structured `SimError` text is the harness's error channel.
             .expect("profiled run");
-        export_profile(&res.kernel);
         let (partition, neighbors) = partition_info(&self.topo, &partition);
         ProfiledRun {
             profile: res.kernel.rounds_profile.clone().unwrap_or_default(),

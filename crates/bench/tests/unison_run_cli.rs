@@ -1,13 +1,15 @@
 //! The `unison-run` command line, driven as a process (DESIGN.md §4.10):
 //! `--check` accepts every committed scenario, a command line it does not
 //! understand is a usage error (exit 2) rather than a silently ignored
-//! flag, and the `--json` report carries the scenario's golden digest.
+//! flag, the `--json` report carries the scenario's golden digest, and
+//! `--explain`/`--profile` print the run report and write a valid trace
+//! (DESIGN.md §4.3) without moving that digest.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use unison_scenario::toml;
-use unison_telemetry::json;
+use unison_telemetry::{json, validate_chrome_trace};
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -52,6 +54,7 @@ fn command_lines_it_does_not_understand_exit_2() {
         &[quickstart, "--threads"][..],
         &[quickstart, "--json"],
         &[quickstart, "--profile", "--check"],
+        &[quickstart, "--explain", "--profile"],
         &[quickstart, "--threads", "0"],
         &[quickstart, "--no-such-flag"],
         &[quickstart, quickstart],
@@ -63,6 +66,95 @@ fn command_lines_it_does_not_understand_exit_2() {
         assert!(out.stdout.is_empty(), "{args:?} ran a simulation");
         assert!(stderr.contains("unison-run"), "{args:?}: {stderr}");
     }
+}
+
+/// The committed digest of `scenarios/quickstart.toml`.
+fn quickstart_golden() -> String {
+    let goldens = std::fs::read_to_string(corpus_dir().join("goldens.toml")).expect("goldens.toml");
+    let goldens = toml::parse(&goldens).expect("goldens.toml parses");
+    let golden = goldens
+        .iter()
+        .find(|t| t.name == "quickstart")
+        .and_then(|t| match t.get("digest") {
+            Some(toml::Value::Str(s)) => Some(s.clone()),
+            _ => None,
+        });
+    golden.expect("[quickstart] digest")
+}
+
+#[test]
+fn explain_prints_the_report_and_profile_writes_a_valid_trace() {
+    let quickstart = corpus_dir().join("quickstart.toml");
+    let traces = std::env::temp_dir().join(format!("unison-run-cli-{}-traces", std::process::id()));
+    let out = unison_run(&[
+        quickstart.to_str().expect("utf-8 path"),
+        "--threads",
+        "2",
+        "--explain",
+        "--profile",
+        traces.to_str().expect("utf-8 path"),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Recording spans does not move the result.
+    assert!(stdout.contains(&format!("digest:   {}", quickstart_golden())));
+    for section in [
+        "-- P/S/M per worker",
+        "worker   1: P ",
+        "-- load imbalance",
+        "barrier slack",
+        "-- scheduling regret",
+        "rounds covered",
+        "-- mailbox traffic",
+        "total cross-LP events",
+    ] {
+        assert!(stdout.contains(section), "no `{section}` in:\n{stdout}");
+    }
+    let mut written = 0;
+    for entry in std::fs::read_dir(&traces).expect("--profile created its directory") {
+        let path = entry.expect("readable dir entry").path();
+        let text = std::fs::read_to_string(&path).expect("trace is readable");
+        let summary = validate_chrome_trace(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        assert!(summary.durations > 0, "{path:?} holds no spans");
+        written += 1;
+    }
+    std::fs::remove_dir_all(&traces).ok();
+    assert_eq!(written, 1, "one run, one trace");
+}
+
+/// The sequential kernel has no rounds, LPs or scheduler to attribute
+/// time to: its report is the P/S/M row (all P) over a coarse timeline,
+/// not an error.
+#[test]
+fn explain_renders_a_sequential_run() {
+    let text = std::fs::read_to_string(corpus_dir().join("quickstart.toml")).expect("quickstart");
+    let file = std::env::temp_dir().join(format!("unison-run-cli-{}-seq.toml", std::process::id()));
+    let sequential = text.replace(
+        "kernel = \"unison\"\nthreads = 2",
+        "kernel = \"sequential\"",
+    );
+    assert_ne!(
+        sequential, text,
+        "quickstart.toml no longer selects unison(2)"
+    );
+    std::fs::write(&file, sequential).expect("temp scenario written");
+    let out = unison_run(&[file.to_str().expect("utf-8 path"), "--explain"]);
+    std::fs::remove_file(&file).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("== run report: sequential"), "{stdout}");
+    assert!(stdout.contains("worker   0: P "), "{stdout}");
+    assert!(stdout.contains("sync   0.00%"), "{stdout}");
+    assert!(stdout.contains("spans: "), "{stdout}");
+    assert!(stdout.contains("(no lp-task spans"), "{stdout}");
 }
 
 #[test]
@@ -86,17 +178,8 @@ fn json_report_carries_the_golden_digest() {
     assert_eq!(str_of("schema"), Some("unison-run/v1"));
     assert_eq!(str_of("scenario"), Some("quickstart"));
 
-    let goldens = std::fs::read_to_string(corpus_dir().join("goldens.toml")).expect("goldens.toml");
-    let goldens = toml::parse(&goldens).expect("goldens.toml parses");
-    let golden = goldens
-        .iter()
-        .find(|t| t.name == "quickstart")
-        .and_then(|t| match t.get("digest") {
-            Some(toml::Value::Str(s)) => Some(s.as_str()),
-            _ => None,
-        })
-        .expect("[quickstart] digest");
-    assert_eq!(str_of("digest"), Some(golden));
+    let golden = quickstart_golden();
+    assert_eq!(str_of("digest"), Some(golden.as_str()));
     // The printed line and the report agree.
     assert!(String::from_utf8_lossy(&out.stdout).contains(&format!("digest:   {golden}")));
     let events = value.get("events").and_then(json::Value::as_num);

@@ -22,7 +22,7 @@ use crate::event::{Event, EventKey, LpId, NodeId};
 use crate::fel::Fel;
 use crate::global::GlobalFn;
 use crate::lp::LpState;
-use crate::metrics::{MetricsLevel, RoundRecord, RunReport};
+use crate::metrics::RunReport;
 use crate::queue::MpscQueue;
 use crate::sync::SpinBarrier;
 use crate::telemetry::SpanKind;
@@ -33,15 +33,6 @@ use super::harness::{
     finish, join_contained, prepare, spawn_contained, Outcome, Setup, Site, Worker,
 };
 use super::RunConfig;
-
-/// Per-thread, per-round sample kept for `MetricsLevel::PerRound`.
-struct RoundSample {
-    window_start: Time,
-    window_end: Time,
-    cost_ns: f32,
-    events: u32,
-    recv: u32,
-}
 
 /// [`SimCtx`] for the LP-pinned baselines: ns-3 insertion-order keys.
 struct PinnedCtx<'a, N: SimNode> {
@@ -190,7 +181,6 @@ pub(super) fn run<N: SimNode>(
     let lp_count = lps.len();
     let lookahead = shell.partition.lookahead;
     let bound = shell.horizon();
-    let per_round = cfg.metrics == MetricsLevel::PerRound;
 
     let inboxes: Vec<MpscQueue<Event<N::Payload>>> =
         (0..lp_count).map(|_| MpscQueue::new()).collect();
@@ -219,7 +209,6 @@ pub(super) fn run<N: SimNode>(
                 // matrix.
                 let mut me = PinnedLp::new(lp, Worker::new(env, idx));
                 let lp_id = idx as u32;
-                let mut samples: Vec<RoundSample> = Vec::new();
                 let mut rounds: u64 = 0;
                 let mut last_window = Time::ZERO;
                 loop {
@@ -238,8 +227,7 @@ pub(super) fn run<N: SimNode>(
                     // Process.
                     let lap = me.worker.start();
                     let events = me.process_below(window_end, dir, inboxes, env.kernel, site);
-                    let cost = me
-                        .worker
+                    me.worker
                         .end(lap, SpanKind::Process, rounds, lp_id, Some(events));
 
                     // Watchdog: a round only counts as progress when it
@@ -264,23 +252,13 @@ pub(super) fn run<N: SimNode>(
                     me.worker
                         .end(lap, SpanKind::MailboxFlush, rounds, lp_id, Some(recv));
 
-                    if per_round {
-                        samples.push(RoundSample {
-                            window_start: min,
-                            window_end,
-                            cost_ns: cost as f32,
-                            events: events as u32,
-                            recv: recv as u32,
-                        });
-                    }
-
                     // Second barrier: next timestamps are published.
                     let lap = me.worker.start();
                     barrier.wait();
                     me.worker
                         .end(lap, SpanKind::BarrierWait, rounds, lp_id, Some(1));
                 }
-                (me.lp, me.worker, samples, rounds)
+                (me.lp, me.worker, rounds)
             };
             // The panicking LP's state is lost (mid-event), so the world is
             // not reassembled. Its `next_ts` would still bound the peers'
@@ -299,38 +277,23 @@ pub(super) fn run<N: SimNode>(
 
     let wall = started.elapsed();
     let mut lps = Vec::with_capacity(lp_count);
-    let mut samples = Vec::with_capacity(lp_count);
     let mut rounds = None;
     let workers = results
         .into_iter()
         .map(|res| {
-            res.map(|(lp, worker, s, n)| {
+            res.map(|(lp, worker, n)| {
                 lps.push(lp);
-                samples.push(s);
                 rounds.get_or_insert(n);
                 worker
             })
         })
         .collect();
     let rounds = rounds.unwrap_or(0);
-    let rounds_profile = (per_round && lps.len() == lp_count).then(|| {
-        (0..samples[0].len())
-            .map(|r| RoundRecord {
-                window_start: samples[0][r].window_start,
-                window_end: samples[0][r].window_end,
-                fused: false,
-                lp_cost_ns: samples.iter().map(|s| s[r].cost_ns).collect(),
-                lp_events: samples.iter().map(|s| s[r].events).collect(),
-                lp_recv: samples.iter().map(|s| s[r].recv).collect(),
-            })
-            .collect()
-    });
     // The shared inboxes have multiple concurrent producers, so this kernel
     // keeps the plain allocating push (no pool to report).
     let out = Outcome {
         psm_per_lp: true,
         rounds,
-        rounds_profile,
         stall_round: rounds,
         stall_bound: bound,
         ..Outcome::new(&env, wall, lps, workers)

@@ -32,7 +32,9 @@ use crate::global::{CkptEnv, GlobalFn, WorldAccess};
 use crate::graph::LinkGraph;
 use crate::lp::{LpSlots, LpState, PendingGlobal};
 use crate::mailbox::Mailboxes;
-use crate::metrics::{AsyncStats, EngineStats, LpTotals, Psm, RoundRecord, RunReport, SchedStats};
+use crate::metrics::{
+    AsyncStats, EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
+};
 use crate::partition::Partition;
 use crate::sync_shim::CachePadded;
 use crate::telemetry::{SchedLog, SpanKind, TelContext, WorkerTel};
@@ -190,7 +192,7 @@ pub(super) fn prepare<N: SimNode>(
         env: RunEnv {
             cfg,
             kernel,
-            telctx: TelContext::new(&cfg.telemetry),
+            telctx: TelContext::new(cfg.metrics == MetricsLevel::Spans),
             wd: Watchdog::new(),
             failure: Mutex::new(None),
             stop_flag: CachePadded::new(AtomicBool::new(false)),
@@ -649,29 +651,9 @@ pub(super) struct Worker {
     pub end_time: Time,
 }
 
-/// A stretch of wall time being measured ([`Worker::start`]).
-pub(super) struct Lap {
-    tel_start: u64,
-    t0: Instant,
-}
-
-/// Adds `ns` to the P/S/M accumulator spans of `kind` count towards:
-/// executing events is processing, waiting on other threads is
-/// synchronization, moving events and bounds between LPs is messaging.
-#[inline]
-pub(super) fn charge(psm: &mut Psm, kind: SpanKind, ns: u64) {
-    match kind {
-        SpanKind::Process | SpanKind::Global | SpanKind::Advance => psm.p_ns += ns,
-        SpanKind::BarrierWait | SpanKind::StallWait => psm.s_ns += ns,
-        SpanKind::Receive
-        | SpanKind::MailboxFlush
-        | SpanKind::Merge
-        | SpanKind::Grant
-        | SpanKind::WindowUpdate => psm.m_ns += ns,
-        // Nested inside a span that is already charged.
-        SpanKind::LpTask | SpanKind::FusedRound => {}
-    }
-}
+/// A stretch of wall time being measured: the clock reading that opened
+/// it ([`Worker::start`]).
+pub(super) struct Lap(Instant);
 
 impl Worker {
     /// The accounts of the thread that records into telemetry sink `id`.
@@ -685,23 +667,50 @@ impl Worker {
 
     #[inline]
     pub fn start(&self) -> Lap {
-        Lap {
-            tel_start: self.tel.start(),
-            t0: Instant::now(),
-        }
+        Lap(Instant::now())
     }
 
     /// Ends `lap`: charges it as `kind` and, given its `arg`, records it
     /// as a span of `round` on `lp`. Returns its length in nanoseconds.
     #[inline]
     pub fn end(&mut self, lap: Lap, kind: SpanKind, round: u64, lp: u32, arg: Option<u64>) -> u64 {
-        let ns = lap.t0.elapsed().as_nanos() as u64;
-        charge(&mut self.psm, kind, ns);
-        if let Some(arg) = arg {
-            self.tel
-                .span_dur(kind, round, lp, lap.tel_start, ns, arg, 0);
-        }
+        let ns = lap.0.elapsed().as_nanos() as u64;
+        self.account(kind, round, lp, lap.0, ns, arg.map(|arg| (arg, 0)));
         ns
+    }
+
+    /// Charges the `ns` measured from `t0` to the P/S/M accumulator spans
+    /// of `kind` count towards — executing events is processing, waiting on
+    /// other threads is synchronization, moving events and bounds between
+    /// LPs is messaging — and, given its arguments, records the same
+    /// stretch as a span. Every lap a thread charges goes through here, so
+    /// its charged laps sum to [`Psm::total_ns`]; a span nested inside a
+    /// lap is recorded on [`Worker::tel`] directly and charges nothing.
+    #[inline]
+    pub fn account(
+        &mut self,
+        kind: SpanKind,
+        round: u64,
+        lp: u32,
+        t0: Instant,
+        ns: u64,
+        args: Option<(u64, u64)>,
+    ) {
+        match kind {
+            SpanKind::Process | SpanKind::Global | SpanKind::Advance => self.psm.p_ns += ns,
+            SpanKind::BarrierWait | SpanKind::StallWait => self.psm.s_ns += ns,
+            SpanKind::Receive
+            | SpanKind::MailboxFlush
+            | SpanKind::Merge
+            | SpanKind::Grant
+            | SpanKind::WindowUpdate => self.psm.m_ns += ns,
+            SpanKind::LpTask | SpanKind::FusedRound => {
+                debug_assert!(false, "{kind:?} only nests inside a charged lap")
+            }
+        }
+        if let Some((arg, arg2)) = args {
+            self.tel.record(kind, round, lp, t0, ns, arg, arg2);
+        }
     }
 }
 

@@ -49,7 +49,6 @@ use crate::partition::{
     single_lp_partition, Partition,
 };
 use crate::sched::SchedConfig;
-use crate::telemetry::TelemetryConfig;
 use crate::time::Time;
 use crate::world::{NodeDirectory, SimCtx, SimNode, World};
 
@@ -161,13 +160,11 @@ pub struct RunConfig {
     /// Scheduling heuristics: LJF metric and period, round fusion (Unison
     /// and hybrid kernels; the others have no scheduler).
     pub sched: SchedConfig,
-    /// Instrumentation level.
+    /// What the run records beside its totals: nothing, the per-round
+    /// profile, or the span timeline (DESIGN.md §4.3).
     pub metrics: MetricsLevel,
     /// Round-progress watchdog (disabled by default).
     pub watchdog: WatchdogConfig,
-    /// Span/decision telemetry recording (disabled by default; see
-    /// DESIGN.md §4.3).
-    pub telemetry: TelemetryConfig,
     /// FEL implementation (default: the ladder queue). Pop order — and
     /// therefore every digest — is identical for all implementations; the
     /// field is the axis on which `phold_sparse`, `sched_matrix` and
@@ -195,7 +192,6 @@ impl RunConfig {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             watchdog: WatchdogConfig::default(),
-            telemetry: TelemetryConfig::default(),
             fel: FelImpl::default(),
             fault: FaultPlan::default(),
         }
@@ -231,7 +227,8 @@ impl RunConfig {
         RunConfig::base(KernelKind::NullMessage, PartitionMode::Manual(assignment))
     }
 
-    /// Enables per-round profiling (input to the virtual-core model).
+    /// Records the per-round profile ([`MetricsLevel::PerRound`], input to
+    /// the virtual-core model).
     pub fn with_per_round_metrics(mut self) -> Self {
         self.metrics = MetricsLevel::PerRound;
         self
@@ -264,16 +261,11 @@ impl RunConfig {
         self
     }
 
-    /// Enables span/decision telemetry recording with default capacities
-    /// (provably non-perturbing; see DESIGN.md §4.3).
+    /// Records the span timeline, scheduler-decision log and traffic
+    /// matrix ([`MetricsLevel::Spans`]; provably non-perturbing, see
+    /// DESIGN.md §4.3).
     pub fn with_telemetry(mut self) -> Self {
-        self.telemetry = TelemetryConfig::enabled();
-        self
-    }
-
-    /// Overrides the full telemetry configuration.
-    pub fn with_telemetry_config(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
+        self.metrics = MetricsLevel::Spans;
         self
     }
 

@@ -20,7 +20,7 @@ use crate::event::{Event, EventKey, LpId, NodeId};
 use crate::fel::Fel;
 use crate::global::GlobalFn;
 use crate::lp::{LpSlots, PendingGlobal};
-use crate::metrics::{Psm, RunReport};
+use crate::metrics::RunReport;
 use crate::telemetry::{SpanKind, NO_LP};
 use crate::time::Time;
 use crate::world::{SimCtx, SimNode, World};
@@ -128,12 +128,12 @@ pub(super) fn run<N: SimNode>(
     let mut now = Time::ZERO;
     let started = Instant::now();
 
-    // Telemetry is coarse here: one sink on the only thread, one Global
-    // span per instant that ran global events, and a single whole-run
-    // Process span (the sequential kernel has no rounds or phases to
-    // subdivide).
-    let mut tel = env.telctx.worker(0);
-    let run_start = tel.start();
+    // Telemetry is coarse here: one sink on the only thread, a single
+    // whole-run Process span — the one lap this kernel charges — and,
+    // nested inside it, one Global span per instant that ran global events
+    // (the sequential kernel has no rounds or phases to subdivide).
+    let mut main = Worker::new(&env, 0);
+    let tel = &mut main.tel;
 
     // The event loop is contained so a panicking model handler (or global
     // event) ends the run with a partial report built from the slots; the
@@ -151,7 +151,7 @@ pub(super) fn run<N: SimNode>(
             // N_pub). Only this instant's globals run: one of them may
             // inject a node event that precedes the next global.
             site.phase.set(RunPhase::Global);
-            let g_start = tel.start();
+            let g0 = tel.enabled().then(Instant::now);
             // SAFETY: single-threaded kernel; nothing else accesses the
             // slots. Events pulled into the kernel-private global FEL are
             // invisible to a checkpoint, so this kernel does not offer one.
@@ -161,7 +161,10 @@ pub(super) fn run<N: SimNode>(
                     site.at.set((None, ts));
                 })
             };
-            tel.span(SpanKind::Global, 0, NO_LP, g_start, due.ran);
+            if let Some(g0) = g0 {
+                let ns = g0.elapsed().as_nanos() as u64;
+                tel.record(SpanKind::Global, 0, NO_LP, g0, ns, due.ran, 0);
+            }
             site.phase.set(RunPhase::Process);
             // Sweep events a global handler injected into per-LP FELs.
             for i in 0..slots.len() {
@@ -212,19 +215,19 @@ pub(super) fn run<N: SimNode>(
     });
 
     let wall = started.elapsed();
-    tel.span(SpanKind::Process, 0, NO_LP, run_start, events);
+    let args = Some((events, 0));
+    main.account(
+        SpanKind::Process,
+        0,
+        NO_LP,
+        started,
+        wall.as_nanos() as u64,
+        args,
+    );
+    main.end_time = now;
     let (mut lps, _) = slots.into_inner();
     // One FEL, one locality stream: the run's node switches are LP 0's.
     lps[0].node_switches = node_switches;
-    let main = Worker {
-        psm: Psm {
-            p_ns: wall.as_nanos() as u64,
-            s_ns: 0,
-            m_ns: 0,
-        },
-        tel,
-        end_time: now,
-    };
     let out = Outcome {
         rounds: 1,
         global_events: public.executed,

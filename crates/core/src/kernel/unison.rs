@@ -50,8 +50,8 @@ use crate::time::Time;
 use crate::world::{SimNode, World};
 
 use super::harness::{
-    charge, contained, finish, join_contained, prepare, spawn_contained, Outcome, PublicLp, RunEnv,
-    Setup, Site, Worker,
+    contained, finish, join_contained, prepare, spawn_contained, Outcome, PublicLp, RunEnv, Setup,
+    Site, Worker,
 };
 use super::{RoundCtx, RunConfig};
 
@@ -97,8 +97,8 @@ struct RoundPlan {
     done: bool,
     /// Whether this round's process phase measures each LP's cost
     /// (`LpState::last_cost_ns`): set for the round a `ByLastRoundTime`
-    /// re-sort consumes, and always under per-round metrics or recording
-    /// telemetry. Other rounds read no per-LP clock.
+    /// re-sort consumes, and every round above `MetricsLevel::Summary`.
+    /// Other rounds read no per-LP clock.
     timed: bool,
     /// Per-LP cost estimates behind the current `order`, published only
     /// when telemetry records (empty otherwise) so `lp-task` spans can
@@ -266,14 +266,14 @@ pub(super) fn run_grouped<N: SimNode>(
 
     // Telemetry sinks: one per worker (sole writer: that worker), plus the
     // scheduler-decision log written only by the main thread in phase 4.
-    // All no-ops unless `cfg.telemetry.enabled` (see DESIGN.md §4.3).
+    // All no-ops below `MetricsLevel::Spans` (see DESIGN.md §4.3).
     let mut sched_log = env.telctx.sched_log();
 
     // Which rounds measure per-LP cost: the one an LJF re-sort by measured
     // time consumes (phase 4 of round `r` re-sorts when `r` is a multiple
     // of the period), and every round when profiles or spans record it.
     let sched_period = cfg.sched.effective_period(lp_count) as u64;
-    let timed_always = cfg.metrics == MetricsLevel::PerRound || env.telctx.is_enabled();
+    let timed_always = cfg.metrics != MetricsLevel::Summary;
     let resort_by_time = cfg.sched.metric == SchedMetric::ByLastRoundTime;
     let timed_round =
         |round: u64| timed_always || (resort_by_time && round.is_multiple_of(sched_period));
@@ -324,10 +324,8 @@ pub(super) fn run_grouped<N: SimNode>(
         .map(|_| CachePadded::new(FoldSlot::new()))
         .collect();
 
-    let mut rounds_profile: Option<Vec<RoundRecord>> = match cfg.metrics {
-        MetricsLevel::PerRound => Some(Vec::new()),
-        MetricsLevel::Summary => None,
-    };
+    let mut rounds_profile: Option<Vec<RoundRecord>> =
+        (cfg.metrics == MetricsLevel::PerRound).then(Vec::new);
     let mut rounds: u64 = 0;
     let mut end_time = Time::ZERO;
     let started = Instant::now();
@@ -437,7 +435,7 @@ pub(super) fn run_grouped<N: SimNode>(
             let round = rounds + 1;
             let window_start = p.window_start;
             let window_end = p.window_end;
-            let round_tel_start = lane.me.tel.start();
+            let round_t0 = lane.last;
             // B0
             if !fuse && (!lane.wait(round, 0) || p.done) {
                 break;
@@ -557,7 +555,6 @@ pub(super) fn run_grouped<N: SimNode>(
 
             // ---- Phase 4: update window + schedule (main thread only) ----
             slots.begin_phase(); // covers phase 4 (workers idle until B0)
-            let tel_start = lane.me.tel.start();
             rounds += 1;
             if fuse {
                 fused_rounds += 1;
@@ -664,28 +661,22 @@ pub(super) fn run_grouped<N: SimNode>(
                 cursor.begin_round();
             }
             slots.begin_phase(); // covers the next round's phase 1
-            let w_dur = lane.lap(SpanKind::WindowUpdate);
-            lane.me.tel.span_dur(
-                SpanKind::WindowUpdate,
-                rounds,
-                NO_LP,
-                tel_start,
-                w_dur,
-                window_end.0,
-                next_window.0,
-            );
-            if fuse {
-                // A whole-round span marking that every phase of this round
-                // ran on the main thread with no barrier crossing. `a` is
-                // the round's total load, `b` the cross-LP events it
-                // drained. Timed off the telemetry clock alone, so a run
-                // that records nothing reads nothing.
-                lane.me.tel.span_dur(
+            lane.lap(SpanKind::WindowUpdate, rounds, window_end.0, next_window.0);
+            if fuse && lane.me.tel.enabled() {
+                // A whole-round envelope marking that every phase of this
+                // round ran on the main thread with no barrier crossing:
+                // from the lap boundary the round opened at to the one that
+                // just closed its last phase — no clock read of its own.
+                // `arg` is the round's total load, `arg2` the cross-LP
+                // events it drained.
+                let ns = lane.last.duration_since(round_t0).as_nanos() as u64;
+                let tel = &mut lane.me.tel;
+                tel.record(
                     SpanKind::FusedRound,
                     rounds,
                     NO_LP,
-                    round_tel_start,
-                    lane.me.tel.start().saturating_sub(round_tel_start),
+                    round_t0,
+                    ns,
                     load,
                     recv_total,
                 );
@@ -776,7 +767,8 @@ unsafe fn route_side_output<N: SimNode>(
 /// One thread's way through the rounds: its barrier seat, failure site and
 /// accounts. Wall time is measured in chained laps: every phase boundary
 /// reads the clock once, and that reading both closes the phase before it
-/// and opens the one after.
+/// and opens the one after — so a thread's top-level spans tile its
+/// timeline and sum to its P/S/M total.
 struct Lane<'a> {
     env: &'a RunEnv<'a>,
     barrier: &'a TreeBarrier,
@@ -800,15 +792,15 @@ impl<'a> Lane<'a> {
         }
     }
 
-    /// Nanoseconds since the previous lap (or the start), charged as a
-    /// span of `kind` would be.
+    /// Closes the lap open since the previous one (or the start): charged
+    /// as `kind` and recorded as that span of `round`.
     #[inline]
-    fn lap(&mut self, kind: SpanKind) -> u64 {
+    fn lap(&mut self, kind: SpanKind, round: u64, arg: u64, arg2: u64) {
         let now = Instant::now();
         let ns = now.duration_since(self.last).as_nanos() as u64;
+        self.me
+            .account(kind, round, NO_LP, self.last, ns, Some((arg, arg2)));
         self.last = now;
-        charge(&mut self.me.psm, kind, ns);
-        ns
     }
 
     /// Crosses barrier `which` (0–3) of `round`; the lap it closes is
@@ -816,25 +808,15 @@ impl<'a> Lane<'a> {
     /// is poisoned: the run is aborting.
     #[inline]
     fn wait(&mut self, round: u64, which: u64) -> bool {
-        let tel_start = self.me.tel.start();
         self.barrier.wait(&mut self.waiter);
-        let waited = self.lap(SpanKind::BarrierWait);
-        self.me.tel.span_dur(
-            SpanKind::BarrierWait,
-            round,
-            NO_LP,
-            tel_start,
-            waited,
-            which,
-            0,
-        );
+        self.lap(SpanKind::BarrierWait, round, which, 0);
         !self.barrier.is_poisoned()
     }
 
-    /// Runs `phase` of `round` contained. When it completes, the lap it
-    /// closes is recorded as the phase's span, carrying `arg` of its
-    /// result. A panic is recorded at the thread's site (which starts the
-    /// phase at `virtual_time`, no LP) and poisons the barrier.
+    /// Runs `phase` of `round` contained. The lap it closes is recorded as
+    /// the phase's span, carrying `arg` of its result (0 for a panic, which
+    /// is recorded at the thread's site — it starts the phase at
+    /// `virtual_time`, no LP — and poisons the barrier).
     #[inline]
     fn run<T>(
         &mut self,
@@ -852,16 +834,11 @@ impl<'a> Lane<'a> {
         self.site.round.set(round);
         self.site.phase.set(phase);
         self.site.at.set((None, virtual_time));
-        let tel_start = self.me.tel.start();
         let tel = &mut self.me.tel;
         let out = contained(self.env, self.site, self.worker, || body(tel));
-        let dur = self.lap(kind);
-        match &out {
-            Some(out) => self
-                .me
-                .tel
-                .span_dur(kind, round, NO_LP, tel_start, dur, arg(out), 0),
-            None => self.barrier.poison(),
+        self.lap(kind, round, out.as_ref().map_or(0, arg), 0);
+        if out.is_none() {
+            self.barrier.poison();
         }
         out
     }
@@ -909,7 +886,6 @@ fn process_phase<N: SimNode>(
             }
             continue;
         }
-        let tel_start = tel.start();
         let t0 = plan.timed.then(Instant::now);
         let mut round_events: u64 = 0;
         while let Some(ev) = lp.fel.pop_below(plan.window_end) {
@@ -943,19 +919,13 @@ fn process_phase<N: SimNode>(
         }
         if let Some(t0) = t0 {
             lp.last_cost_ns = t0.elapsed().as_nanos() as u64;
-            // Recording telemetry makes every round timed. `plan.est` is
-            // only published when telemetry records; 0 means "no estimate"
-            // (before the first re-sort, or metric None).
+            // Recording spans makes every round timed, so every LP visit
+            // that did work leaves an `lp-task` span of the measured cost.
+            // `plan.est` is only published when telemetry records; 0 means
+            // "no estimate" (before the first re-sort, or metric None).
             let est = plan.est.get(lp_idx).copied().unwrap_or(0);
-            tel.span_dur(
-                SpanKind::LpTask,
-                round,
-                lp_idx as u32,
-                tel_start,
-                lp.last_cost_ns,
-                round_events,
-                est,
-            );
+            let (lp_id, cost) = (lp_idx as u32, lp.last_cost_ns);
+            tel.record(SpanKind::LpTask, round, lp_id, t0, cost, round_events, est);
         }
     }
     total_events
@@ -975,12 +945,14 @@ fn receive_phase<N: SimNode>(
     round: u64,
 ) -> RoundFold {
     let mut fold = RoundFold::EMPTY;
+    let recording = tel.enabled();
     for i in positions {
         let lp_idx = group_lps[i] as usize;
         site.at.set((Some(LpId(lp_idx as u32)), site.at.get().1));
         // SAFETY: unique claim via the cursor, as in `process_phase`.
         let lp = unsafe { slots.get_mut(lp_idx) };
-        let tel_start = tel.start();
+        // Nested inside the receive lap: timed only for its span.
+        let t0 = recording.then(Instant::now);
         let fel = &mut lp.fel;
         // SAFETY: the claim on `lp_idx` covers its incoming channels, and
         // B1/B2 separate this drain from every push into them.
@@ -995,13 +967,16 @@ fn receive_phase<N: SimNode>(
         fold.min_next = fold.min_next.min(lp.next_ts);
         fold.load += lp.round_events + recv;
         fold.recv += recv;
-        if recv > 0 {
-            tel.span(
+        if let Some(t0) = t0.filter(|_| recv > 0) {
+            let ns = t0.elapsed().as_nanos() as u64;
+            tel.record(
                 SpanKind::MailboxFlush,
                 round,
                 lp_idx as u32,
-                tel_start,
+                t0,
+                ns,
                 recv,
+                0,
             );
         }
     }

@@ -103,6 +103,6 @@ pub use rng::Rng;
 pub use sched::{
     scheduling_regret, FusionConfig, LjfCursor, SchedConfig, SchedMetric, SchedPolicyKind,
 };
-pub use telemetry::{RunTelemetry, SchedDecision, Span, SpanKind, TelemetryConfig, WorkerSpans};
+pub use telemetry::{RunTelemetry, SchedDecision, Span, SpanKind, WorkerSpans};
 pub use time::{DataRate, Time};
 pub use world::{SimCtx, SimCtxExt, SimNode, World, WorldBuilder};

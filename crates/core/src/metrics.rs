@@ -4,9 +4,8 @@
 //! decomposed into *processing* time `P` (executing events), *synchronization*
 //! time `S` (waiting for other LPs/threads at window boundaries), and
 //! *messaging* time `M` (receiving cross-LP events). Kernels record these
-//! per thread; with [`MetricsLevel::PerRound`] they additionally record each
-//! LP's processing cost per round, the input to the virtual-core performance
-//! model (`perfmodel`).
+//! per thread at every [`MetricsLevel`]; the level selects what is kept
+//! beside them.
 
 use std::time::Duration;
 
@@ -14,15 +13,23 @@ use crate::fel::FelImpl;
 use crate::telemetry::RunTelemetry;
 use crate::time::Time;
 
-/// How much instrumentation a run records.
+/// How much a run records — the one recording switch of a
+/// [`RunConfig`](crate::RunConfig) (DESIGN.md §4.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MetricsLevel {
-    /// No per-round data; only totals.
+    /// Totals only: P/S/M per thread, event and round counts.
     #[default]
     Summary,
-    /// Totals plus a per-round, per-LP cost/event profile (needed by the
-    /// virtual-core replay and Figs. 5b, 9b, 13).
+    /// Totals plus [`RunReport::rounds_profile`]: the dense per-round,
+    /// per-LP cost/event matrix the virtual-core replay (`perfmodel`)
+    /// consumes. It grows with rounds × LPs, unbounded. The round kernels'
+    /// (Unison, hybrid): the others have no round to profile and record
+    /// totals only.
     PerRound,
+    /// Totals plus [`RunReport::telemetry`]: the bounded span timeline,
+    /// scheduler-decision log and traffic matrix the profiler reads
+    /// (`unison-run --explain`, Chrome-trace export). Every kernel.
+    Spans,
 }
 
 /// P/S/M accumulators for one thread (or one LP in LP-pinned kernels).
@@ -76,33 +83,6 @@ impl RoundRecord {
     /// Sum of per-LP costs (the sequential cost of this round).
     pub fn total_cost_ns(&self) -> f64 {
         self.lp_cost_ns.iter().map(|&c| c as f64).sum()
-    }
-
-    /// Maximum per-LP cost (the barrier-kernel critical path).
-    pub fn max_cost_ns(&self) -> f64 {
-        self.lp_cost_ns.iter().fold(0.0f64, |m, &c| m.max(c as f64))
-    }
-
-    /// Load imbalance of this round: max per-LP cost over mean per-LP cost
-    /// (≥ 1). `1.0` means a perfectly balanced round; it is also returned
-    /// for degenerate rounds (no LPs, or an all-idle round with zero total
-    /// cost), which carry no imbalance information.
-    pub fn imbalance(&self) -> f64 {
-        let n = self.lp_cost_ns.len();
-        let total = self.total_cost_ns();
-        if n == 0 || total == 0.0 {
-            return 1.0;
-        }
-        self.max_cost_ns() * n as f64 / total
-    }
-
-    /// Total idle time a one-thread-per-LP barrier synchronization would
-    /// induce this round: `Σ_i (max_cost − cost_i)`, nanoseconds. This is
-    /// the slack the Unison scheduler reclaims by packing LPs onto fewer
-    /// threads (§3.2's S component, per round).
-    pub fn barrier_slack_ns(&self) -> f64 {
-        let n = self.lp_cost_ns.len() as f64;
-        n * self.max_cost_ns() - self.total_cost_ns()
     }
 }
 
@@ -186,7 +166,7 @@ pub struct RunReport {
     pub end_time: Time,
     /// P/S/M per thread (index = thread id) — or per LP for LP-pinned
     /// kernels (barrier, null message), matching the paper's methodology.
-    /// [`RunReport::psm_is_per_lp`] says which indexing applies.
+    /// [`RunReport::psm_per_lp`] says which indexing applies.
     pub psm: Vec<Psm>,
     /// `true` when [`RunReport::psm`] is indexed by LP (the LP-pinned
     /// barrier and null-message kernels); `false` when it is indexed by
@@ -198,11 +178,10 @@ pub struct RunReport {
     pub engine: EngineStats,
     /// Claim-loop activity (DESIGN.md §4.5).
     pub sched: SchedStats,
-    /// Per-round profile, when requested.
+    /// Per-round profile, at [`MetricsLevel::PerRound`].
     pub rounds_profile: Option<Vec<RoundRecord>>,
-    /// Phase/LP span timelines and the scheduler-decision log, when the run
-    /// was configured with `TelemetryConfig::enabled` (and the `telemetry`
-    /// cargo feature is on). `None` otherwise.
+    /// Phase/LP span timelines, the scheduler-decision log and the traffic
+    /// matrix, at [`MetricsLevel::Spans`]. `None` otherwise.
     pub telemetry: Option<RunTelemetry>,
     /// Rollback/retry history, when the run went through
     /// [`fault::run_resilient`](crate::fault::run_resilient). `None` for
@@ -261,44 +240,6 @@ impl RunReport {
     pub fn node_switches(&self) -> u64 {
         self.lp_totals.node_switches.iter().sum()
     }
-
-    /// Whether [`RunReport::psm`] entries are per-LP (barrier and
-    /// null-message kernels pin one thread to each LP, so thread and LP
-    /// coincide) rather than per worker thread (sequential, Unison,
-    /// hybrid — a worker executes many LPs per round).
-    pub fn psm_is_per_lp(&self) -> bool {
-        self.psm_per_lp
-    }
-
-    /// Mean per-round load imbalance (max/mean LP cost, ≥ 1).
-    ///
-    /// With a per-round profile ([`MetricsLevel::PerRound`]), this is the
-    /// mean of [`RoundRecord::imbalance`] over rounds that did work.
-    /// Without one, it falls back to the whole-run event totals per LP — a
-    /// coarser proxy (temporal imbalance within the run averages out).
-    /// Returns `1.0` when there is no usable signal at all.
-    pub fn imbalance(&self) -> f64 {
-        if let Some(profile) = &self.rounds_profile {
-            let mut sum = 0.0;
-            let mut n = 0u64;
-            for rec in profile {
-                if rec.total_cost_ns() > 0.0 {
-                    sum += rec.imbalance();
-                    n += 1;
-                }
-            }
-            if n > 0 {
-                return sum / n as f64;
-            }
-        }
-        let total: u64 = self.lp_totals.events.iter().sum();
-        let max = self.lp_totals.events.iter().copied().max().unwrap_or(0);
-        let n = self.lp_totals.events.len();
-        if n == 0 || total == 0 {
-            return 1.0;
-        }
-        max as f64 * n as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -328,7 +269,6 @@ mod tests {
             lp_recv: vec![0, 0, 0],
         };
         assert_eq!(r.total_cost_ns(), 8.0);
-        assert_eq!(r.max_cost_ns(), 5.0);
     }
 
     #[test]
@@ -348,61 +288,5 @@ mod tests {
         assert_eq!(total.p_ns, 8);
         assert_eq!(total.s_ns, 3);
         assert_eq!(total.m_ns, 1);
-    }
-
-    fn rec(costs: &[f32]) -> RoundRecord {
-        RoundRecord {
-            window_start: Time(0),
-            window_end: Time(10),
-            fused: false,
-            lp_cost_ns: costs.to_vec(),
-            lp_events: vec![0; costs.len()],
-            lp_recv: vec![0; costs.len()],
-        }
-    }
-
-    #[test]
-    fn round_imbalance_is_max_over_mean() {
-        // max 6, mean 3 → 2.0.
-        assert_eq!(rec(&[6.0, 3.0, 0.0]).imbalance(), 2.0);
-        // Perfectly balanced round.
-        assert_eq!(rec(&[4.0, 4.0]).imbalance(), 1.0);
-        // Degenerate rounds carry no signal.
-        assert_eq!(rec(&[]).imbalance(), 1.0);
-        assert_eq!(rec(&[0.0, 0.0]).imbalance(), 1.0);
-    }
-
-    #[test]
-    fn barrier_slack_is_total_idle_under_lp_pinning() {
-        // max 6: slack = (6-6) + (6-3) + (6-0) = 9.
-        assert_eq!(rec(&[6.0, 3.0, 0.0]).barrier_slack_ns(), 9.0);
-        // A balanced round has no slack.
-        assert_eq!(rec(&[4.0, 4.0]).barrier_slack_ns(), 0.0);
-        assert_eq!(rec(&[]).barrier_slack_ns(), 0.0);
-    }
-
-    #[test]
-    fn report_imbalance_prefers_profile_and_falls_back_to_totals() {
-        let mut rep = RunReport::default();
-        // No signal at all.
-        assert_eq!(rep.imbalance(), 1.0);
-        // Totals fallback: events 9,3,0 → max 9, mean 4 → 2.25.
-        rep.lp_totals.events = vec![9, 3, 0];
-        assert!((rep.imbalance() - 2.25).abs() < 1e-12);
-        // Profile takes precedence: rounds with imbalance 2.0 and 1.0
-        // (all-idle rounds are skipped).
-        rep.rounds_profile = Some(vec![rec(&[6.0, 3.0, 0.0]), rec(&[4.0, 4.0]), rec(&[0.0])]);
-        assert!((rep.imbalance() - 1.5).abs() < 1e-12);
-        // An all-idle profile falls back to totals.
-        rep.rounds_profile = Some(vec![rec(&[0.0, 0.0])]);
-        assert!((rep.imbalance() - 2.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn psm_per_lp_accessor_reflects_field() {
-        let mut rep = RunReport::default();
-        assert!(!rep.psm_is_per_lp());
-        rep.psm_per_lp = true;
-        assert!(rep.psm_is_per_lp());
     }
 }

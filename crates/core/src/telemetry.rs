@@ -13,52 +13,29 @@
 //! `crates/core/tests/telemetry_observer.rs` proves runs are bit-identical
 //! with telemetry on and off.
 //!
-//! Cheap when disabled: with [`TelemetryConfig::enabled`] unset (the
-//! default), the kernels install disabled sinks — every recording method
-//! checks one `bool` and returns; no clock is read, no memory is written.
-//! What recording costs when it is on is the repository benchmark's
-//! `telemetry.recording_ratio_2t` row.
+//! Cheap when disabled: below [`MetricsLevel::Spans`](crate::MetricsLevel)
+//! the kernels install disabled sinks — every recording method checks one
+//! `bool` and returns; no memory is written, and after the run's origin
+//! the recorder reads no clock at any level. What recording costs when it
+//! is on is the repository benchmark's `telemetry.recording_ratio_2t` row.
 //!
-//! Span timestamps are wall-clock nanoseconds since the run's origin (the
-//! construction of the [`TelContext`]); virtual time never appears in a
-//! span's clock fields, only in its arguments.
+//! One clock: a span is cut from the `Instant` pair the kernel already read
+//! to charge the same stretch to its P/S/M accumulators — `start_ns` is the
+//! first reading's distance from the run's origin (the construction of the
+//! [`TelContext`]), `dur_ns` the charged nanoseconds. Spans are pushed at
+//! close, so within a sink the end timestamps follow push order. Virtual
+//! time never appears in a span's clock fields, only in its arguments.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Telemetry configuration, part of [`crate::RunConfig`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Master switch: when `false` (the default) the kernels install
-    /// disabled sinks and record nothing.
-    pub enabled: bool,
-    /// Maximum spans retained per worker; later spans are counted in
-    /// [`WorkerSpans::truncated`] and dropped (bounded memory, the same
-    /// policy as `netsim::trace`).
-    pub span_capacity: usize,
-    /// Maximum scheduler decisions retained by the control thread.
-    pub sched_capacity: usize,
-}
+/// Maximum spans retained per worker; later spans are counted in
+/// [`WorkerSpans::truncated`] and dropped (bounded memory, the same policy
+/// as `netsim::trace`).
+pub const SPAN_CAPACITY: usize = 1 << 16;
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            span_capacity: 1 << 16,
-            sched_capacity: 1 << 12,
-        }
-    }
-}
-
-impl TelemetryConfig {
-    /// An enabled configuration with the default capacities.
-    pub fn enabled() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            ..TelemetryConfig::default()
-        }
-    }
-}
+/// Maximum scheduler decisions retained by the control thread.
+pub const SCHED_CAPACITY: usize = 1 << 12;
 
 /// `lp` value of a span that is not attributed to a single LP.
 pub const NO_LP: u32 = u32::MAX;
@@ -168,9 +145,9 @@ pub struct Span {
 pub struct WorkerSpans {
     /// Worker id (0 = the control thread).
     pub worker: u32,
-    /// Recorded spans in recording order (monotone `start_ns`).
+    /// Recorded spans in recording order (monotone end, `start_ns + dur_ns`).
     pub spans: Vec<Span>,
-    /// Spans dropped after `span_capacity` was reached.
+    /// Spans dropped after [`SPAN_CAPACITY`] was reached.
     pub truncated: u64,
     /// Mailbox traffic observed by this worker while draining in phase 3:
     /// `(src_lp, dst_lp, events)`, sorted by `(src, dst)`.
@@ -200,7 +177,7 @@ pub struct RunTelemetry {
     pub workers: Vec<WorkerSpans>,
     /// Scheduler decisions in publication order.
     pub sched: Vec<SchedDecision>,
-    /// Decisions dropped after `sched_capacity` was reached.
+    /// Decisions dropped after [`SCHED_CAPACITY`] was reached.
     pub sched_truncated: u64,
 }
 
@@ -223,25 +200,34 @@ impl RunTelemetry {
 }
 
 /// Per-run recording context: the shared wall-clock origin plus the
-/// configuration. Created once at kernel start; hands one [`WorkerTel`]
-/// to each worker and one [`SchedLog`] to the control thread.
+/// switch. Created once at kernel start; hands one [`WorkerTel`] to each
+/// worker and one [`SchedLog`] to the control thread.
 pub struct TelContext {
     origin: Instant,
-    cfg: TelemetryConfig,
+    enabled: bool,
+    span_capacity: usize,
+    sched_capacity: usize,
 }
 
 impl TelContext {
-    /// Captures the run origin.
-    pub fn new(cfg: &TelemetryConfig) -> Self {
+    /// Captures the run origin; sinks record iff `enabled`
+    /// ([`MetricsLevel::Spans`](crate::MetricsLevel)).
+    pub fn new(enabled: bool) -> Self {
+        Self::with_capacities(enabled, SPAN_CAPACITY, SCHED_CAPACITY)
+    }
+
+    fn with_capacities(enabled: bool, span_capacity: usize, sched_capacity: usize) -> Self {
         TelContext {
             origin: Instant::now(),
-            cfg: *cfg,
+            enabled,
+            span_capacity,
+            sched_capacity,
         }
     }
 
     /// Whether sinks created by this context record anything.
     pub fn is_enabled(&self) -> bool {
-        self.cfg.enabled
+        self.enabled
     }
 
     /// A recording sink for `worker` (sole writer: that worker).
@@ -249,10 +235,9 @@ impl TelContext {
         WorkerTel {
             worker,
             origin: self.origin,
-            enabled: self.cfg.enabled,
-            capacity: self.cfg.span_capacity,
+            enabled: self.enabled,
+            capacity: self.span_capacity,
             spans: Vec::new(),
-            last_end: 0,
             truncated: 0,
             traffic: BTreeMap::new(),
         }
@@ -261,8 +246,8 @@ impl TelContext {
     /// The scheduler-decision sink (sole writer: the control thread).
     pub fn sched_log(&self) -> SchedLog {
         SchedLog {
-            enabled: self.cfg.enabled,
-            capacity: self.cfg.sched_capacity,
+            enabled: self.enabled,
+            capacity: self.sched_capacity,
             decisions: Vec::new(),
             truncated: 0,
         }
@@ -271,7 +256,7 @@ impl TelContext {
     /// Merges the per-worker sinks into the run's telemetry (`None`
     /// when recording was disabled).
     pub fn collect(self, workers: Vec<WorkerTel>, sched: SchedLog) -> Option<RunTelemetry> {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return None;
         }
         Some(RunTelemetry {
@@ -291,58 +276,28 @@ pub struct WorkerTel {
     enabled: bool,
     capacity: usize,
     spans: Vec<Span>,
-    last_end: u64,
     truncated: u64,
     traffic: BTreeMap<(u32, u32), u64>,
 }
 
 impl WorkerTel {
-    /// Whether this sink records (callers may skip argument
-    /// computation when it does not).
+    /// Whether this sink records (callers skip clock reads and argument
+    /// computation that only a span would use when it does not).
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Nanoseconds since the run origin — a span's start timestamp.
-    /// Returns 0 without reading the clock when disabled.
-    #[inline]
-    pub fn start(&self) -> u64 {
-        if self.enabled {
-            self.origin.elapsed().as_nanos() as u64
-        } else {
-            0
-        }
-    }
-
-    /// Records a span from `start_ns` to "now".
-    #[inline]
-    pub fn span(&mut self, kind: SpanKind, round: u64, lp: u32, start_ns: u64, arg: u64) {
-        if !self.enabled {
-            return;
-        }
-        let end = self.origin.elapsed().as_nanos() as u64;
-        self.push(Span {
-            kind,
-            round,
-            lp,
-            start_ns,
-            dur_ns: end.saturating_sub(start_ns),
-            arg,
-            arg2: 0,
-        });
-    }
-
-    /// Records a span whose duration the kernel already measured for
-    /// its own metrics (no second clock read).
+    /// Records the stretch the kernel measured from `t0` for `dur_ns`
+    /// (capacity-bounded). The sink reads no clock of its own.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub fn span_dur(
+    pub fn record(
         &mut self,
         kind: SpanKind,
         round: u64,
         lp: u32,
-        start_ns: u64,
+        t0: Instant,
         dur_ns: u64,
         arg: u64,
         arg2: u64,
@@ -350,15 +305,19 @@ impl WorkerTel {
         if !self.enabled {
             return;
         }
-        self.push(Span {
-            kind,
-            round,
-            lp,
-            start_ns,
-            dur_ns,
-            arg,
-            arg2,
-        });
+        if self.spans.len() < self.capacity {
+            self.spans.push(Span {
+                kind,
+                round,
+                lp,
+                start_ns: t0.saturating_duration_since(self.origin).as_nanos() as u64,
+                dur_ns,
+                arg,
+                arg2,
+            });
+        } else {
+            self.truncated += 1;
+        }
     }
 
     /// Counts `n` cross-LP events `src → dst` in the traffic matrix.
@@ -368,29 +327,6 @@ impl WorkerTel {
             return;
         }
         *self.traffic.entry((src, dst)).or_insert(0) += n;
-    }
-
-    #[inline]
-    fn push(&mut self, mut span: Span) {
-        // Spans are pushed at close, so within a sink the end
-        // timestamps follow push order — an invariant the exporter
-        // tests rely on. [`Self::span_dur`] can violate it raw: its
-        // duration comes from a kernel clock pair read moments after
-        // `start()`, so a preemption gap between the two reads lands
-        // the computed end before an earlier span's. Slide such a span
-        // forward to the recorded frontier, keeping its measured
-        // duration exact (the gap is time the thread did not run).
-        let end = span.start_ns.saturating_add(span.dur_ns);
-        if end < self.last_end {
-            span.start_ns = self.last_end - span.dur_ns;
-        } else {
-            self.last_end = end;
-        }
-        if self.spans.len() < self.capacity {
-            self.spans.push(span);
-        } else {
-            self.truncated += 1;
-        }
     }
 
     fn into_spans(self) -> WorkerSpans {
@@ -453,14 +389,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_sink_records_nothing_and_reads_no_clock() {
-        let ctx = TelContext::new(&TelemetryConfig::default());
+    fn disabled_sink_records_nothing() {
+        let ctx = TelContext::new(false);
         assert!(!ctx.is_enabled());
         let mut tel = ctx.worker(0);
         assert!(!tel.enabled());
-        assert_eq!(tel.start(), 0);
-        tel.span(SpanKind::Process, 1, NO_LP, 0, 5);
-        tel.span_dur(SpanKind::LpTask, 1, 3, 0, 10, 5, 2);
+        tel.record(SpanKind::LpTask, 1, 3, Instant::now(), 10, 5, 2);
         tel.edge(0, 1, 1);
         let mut log = ctx.sched_log();
         log.record(1, 0, "by-last-round-time", vec![0], vec![1]);
@@ -469,19 +403,23 @@ mod tests {
 
     #[test]
     fn enabled_sink_records_and_collects() {
-        let ctx = TelContext::new(&TelemetryConfig::enabled());
+        let ctx = TelContext::new(true);
         let mut tel = ctx.worker(2);
-        let s = tel.start();
-        tel.span(SpanKind::Receive, 4, NO_LP, s, 7);
-        tel.span_dur(SpanKind::LpTask, 4, 9, s, 123, 7, 100);
+        let t0 = Instant::now();
+        tel.record(SpanKind::Receive, 4, NO_LP, t0, 7, 7, 0);
+        tel.record(SpanKind::LpTask, 4, 9, t0, 123, 7, 100);
         tel.edge(1, 9, 2);
         tel.edge(0, 9, 1);
         let mut log = ctx.sched_log();
         log.record(5, 0, "by-pending-events", vec![1, 0], vec![9, 3]);
+        let origin = ctx.origin;
         let t = ctx.collect(vec![tel], log).expect("enabled run collects");
         assert_eq!(t.workers.len(), 1);
         assert_eq!(t.workers[0].worker, 2);
         assert_eq!(t.span_count(), 2);
+        // One clock: the start is the kernel's own reading, re-based.
+        let start = t0.duration_since(origin).as_nanos() as u64;
+        assert_eq!(t.workers[0].spans[0].start_ns, start);
         assert_eq!(t.workers[0].spans[1].dur_ns, 123);
         assert_eq!(t.workers[0].spans[1].arg2, 100);
         assert_eq!(t.workers[0].traffic, vec![(0, 9, 1), (1, 9, 2)]);
@@ -492,40 +430,11 @@ mod tests {
     }
 
     #[test]
-    fn sink_slides_regressing_span_ends_to_the_frontier() {
-        // `span_dur` durations come from a clock pair separate from
-        // `start()`; a preemption gap between the two reads can compute an
-        // end before an already-pushed span's. The sink slides such spans
-        // forward (duration untouched) so push order == end order.
-        let ctx = TelContext::new(&TelemetryConfig::enabled());
-        let mut tel = ctx.worker(0);
-        tel.span_dur(SpanKind::Process, 1, NO_LP, 100, 50, 0, 0); // end 150
-        tel.span_dur(SpanKind::Receive, 1, NO_LP, 110, 10, 0, 0); // raw end 120
-        tel.span_dur(SpanKind::Process, 2, NO_LP, 160, 5, 0, 0); // end 165
-        let log = ctx.sched_log();
-        let t = ctx.collect(vec![tel], log).expect("enabled");
-        let spans = &t.workers[0].spans;
-        assert_eq!(spans[1].start_ns, 140, "slid to the 150 frontier");
-        assert_eq!(spans[1].dur_ns, 10, "measured duration preserved");
-        assert_eq!(spans[2].start_ns, 160, "non-regressing span untouched");
-        let mut last = 0;
-        for s in spans {
-            assert!(s.start_ns + s.dur_ns >= last);
-            last = s.start_ns + s.dur_ns;
-        }
-    }
-
-    #[test]
     fn span_capacity_truncates_and_counts() {
-        let cfg = TelemetryConfig {
-            enabled: true,
-            span_capacity: 2,
-            sched_capacity: 1,
-        };
-        let ctx = TelContext::new(&cfg);
+        let ctx = TelContext::with_capacities(true, 2, 1);
         let mut tel = ctx.worker(0);
         for r in 0..5 {
-            tel.span_dur(SpanKind::Process, r, NO_LP, 0, 1, 0, 0);
+            tel.record(SpanKind::Process, r, NO_LP, Instant::now(), 1, 0, 0);
         }
         let mut log = ctx.sched_log();
         log.record(1, 0, "none", vec![], vec![]);

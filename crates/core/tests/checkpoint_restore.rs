@@ -110,7 +110,6 @@ fn cfg(threads: usize, metric: SchedMetric) -> RunConfig {
             ..Default::default()
         },
         metrics: MetricsLevel::Summary,
-        telemetry: Default::default(),
         fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),

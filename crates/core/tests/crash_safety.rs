@@ -245,7 +245,6 @@ fn async_cons_zero_lookahead_deadlock_detected() {
         partition: PartitionMode::Manual(vec![0, 1, 2]),
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
-        telemetry: Default::default(),
         fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),
@@ -425,7 +424,6 @@ fn world_cfg(kernel: KernelKind) -> RunConfig {
         partition: PartitionMode::Auto,
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
-        telemetry: Default::default(),
         fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),

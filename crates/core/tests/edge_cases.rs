@@ -125,7 +125,6 @@ fn single_lp_barrier_kernel_degenerates_gracefully() {
         partition: PartitionMode::SingleLp,
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
-        telemetry: Default::default(),
         fel: Default::default(),
         fault: Default::default(),
     };
@@ -154,7 +153,6 @@ fn hybrid_clamps_host_count_to_lps() {
         partition: PartitionMode::Auto,
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
-        telemetry: Default::default(),
         fel: Default::default(),
     };
     // One node -> one LP -> hosts clamp to 1.
@@ -170,7 +168,6 @@ fn manual_partition_wrong_length_is_rejected() {
         partition: PartitionMode::Manual(vec![0, 1]),
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
-        telemetry: Default::default(),
         fel: Default::default(),
         fault: Default::default(),
     };

@@ -117,7 +117,6 @@ fn cfg(kernel: KernelKind) -> RunConfig {
         partition: PartitionMode::Manual(assignment()),
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
-        telemetry: Default::default(),
         fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),

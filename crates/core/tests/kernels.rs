@@ -133,7 +133,6 @@ fn unison_matches_compat_sequential_bitwise() {
             partition: PartitionMode::Auto,
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
-            telemetry: Default::default(),
             fel: Default::default(),
             fault: Default::default(),
         },
@@ -185,7 +184,6 @@ fn all_kernels_agree_on_event_totals() {
             partition: PartitionMode::Auto,
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
-            telemetry: Default::default(),
             fel: Default::default(),
         },
     )
@@ -216,7 +214,6 @@ fn hybrid_matches_unison_bitwise() {
             partition: PartitionMode::Auto,
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
-            telemetry: Default::default(),
             fel: Default::default(),
         },
     )
@@ -420,7 +417,6 @@ fn manual_partition_controls_lp_count() {
         partition: PartitionMode::Manual((0..N as u32).map(|i| i % 4).collect()),
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
-        telemetry: Default::default(),
         fel: Default::default(),
         fault: Default::default(),
     };
@@ -439,7 +435,6 @@ fn partition_bound_sweeps_granularity() {
             partition: PartitionMode::Bound(bound),
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
-            telemetry: Default::default(),
             fel: Default::default(),
             fault: Default::default(),
         };
@@ -452,17 +447,17 @@ fn partition_bound_sweeps_granularity() {
 fn psm_indexing_matches_kernel_family() {
     // The paper's methodology: LP-pinned kernels (barrier, null message)
     // report P/S/M per LP; the scheduled kernels (sequential, Unison,
-    // hybrid) report it per worker thread. `psm_is_per_lp` must say which,
+    // hybrid) report it per worker thread. `psm_per_lp` must say which,
     // and the vector length must match the claimed indexing.
     let manual: Vec<u32> = (0..N as u32).map(|i| i / 3).collect(); // 4 LPs
 
     let (_, seq) =
         kernel::run(ring_world(N, DELAY, TOKENS, STOP), &RunConfig::sequential()).unwrap();
-    assert!(!seq.psm_is_per_lp());
+    assert!(!seq.psm_per_lp);
     assert_eq!(seq.psm.len(), 1);
 
     let (_, uni) = kernel::run(ring_world(N, DELAY, TOKENS, STOP), &RunConfig::unison(2)).unwrap();
-    assert!(!uni.psm_is_per_lp());
+    assert!(!uni.psm_per_lp);
     assert_eq!(uni.psm.len(), uni.threads as usize);
 
     let (_, bar) = kernel::run(
@@ -470,7 +465,7 @@ fn psm_indexing_matches_kernel_family() {
         &RunConfig::barrier(manual.clone()),
     )
     .unwrap();
-    assert!(bar.psm_is_per_lp());
+    assert!(bar.psm_per_lp);
     assert_eq!(bar.psm.len(), bar.lp_count as usize);
     assert_eq!(bar.lp_count, 4);
 
@@ -479,7 +474,7 @@ fn psm_indexing_matches_kernel_family() {
         &RunConfig::nullmsg(manual),
     )
     .unwrap();
-    assert!(nm.psm_is_per_lp());
+    assert!(nm.psm_per_lp);
     assert_eq!(nm.psm.len(), nm.lp_count as usize);
 
     let (_, hy) = kernel::run(
@@ -494,12 +489,11 @@ fn psm_indexing_matches_kernel_family() {
             partition: PartitionMode::Auto,
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
-            telemetry: Default::default(),
             fel: Default::default(),
         },
     )
     .unwrap();
-    assert!(!hy.psm_is_per_lp());
+    assert!(!hy.psm_per_lp);
     assert_eq!(hy.psm.len(), hy.threads as usize);
 }
 

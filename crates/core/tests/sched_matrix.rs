@@ -121,7 +121,6 @@ fn run_fel(
             partition,
             sched,
             metrics: Default::default(),
-            telemetry: Default::default(),
             fel,
             fault: Default::default(),
         },

@@ -6,9 +6,10 @@
 //! thread-local buffers and takes no locks, so this holds by construction;
 //! these tests pin it against regressions.
 
+use unison_core::telemetry::{SpanKind, SPAN_CAPACITY};
 use unison_core::{
-    kernel, telemetry::SpanKind, KernelKind, MetricsLevel, NodeId, PartitionMode, Rng, RunConfig,
-    SchedConfig, SchedMetric, SimCtx, SimNode, TelemetryConfig, Time, WorldBuilder,
+    kernel, KernelKind, MetricsLevel, NodeId, PartitionMode, Rng, RunConfig, RunReport,
+    SchedConfig, SchedMetric, SimCtx, SimNode, Time, WorldBuilder,
 };
 
 /// Same token-routing model as the cross-kernel tests: per-token RNG makes
@@ -50,6 +51,10 @@ const TOKENS: u64 = 32;
 const STOP: Time = Time(900_000);
 
 fn ring_world() -> unison_core::World<Router> {
+    ring_world_until(STOP)
+}
+
+fn ring_world_until(stop: Time) -> unison_core::World<Router> {
     let mut b = WorldBuilder::new();
     let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
     for i in 0..N {
@@ -76,25 +81,30 @@ fn ring_world() -> unison_core::World<Router> {
             },
         );
     }
-    b.stop_at(STOP);
+    b.stop_at(stop);
     b.build()
 }
 
 /// The comparison digest: bit-identical runs agree on every component.
 type Digest = (Vec<(u64, u64)>, u64, u64, Time);
 
-fn run_digest(cfg: &RunConfig) -> (Digest, Option<usize>) {
-    let (world, report) = kernel::run(ring_world(), cfg).expect("run");
+fn run_until(stop: Time, cfg: &RunConfig) -> (Digest, RunReport) {
+    let (world, report) = kernel::run(ring_world_until(stop), cfg).expect("run");
     let digest = (
         world.nodes().map(|n| (n.checksum, n.seen)).collect(),
         report.events,
         report.rounds,
         report.end_time,
     );
+    (digest, report)
+}
+
+fn run_digest(cfg: &RunConfig) -> (Digest, Option<usize>) {
+    let (digest, report) = run_until(STOP, cfg);
     (digest, report.telemetry.as_ref().map(|t| t.span_count()))
 }
 
-fn unison_cfg(threads: usize, metric: SchedMetric, telemetry: TelemetryConfig) -> RunConfig {
+fn unison_cfg(threads: usize, metric: SchedMetric, metrics: MetricsLevel) -> RunConfig {
     RunConfig {
         watchdog: Default::default(),
         kernel: KernelKind::Unison { threads },
@@ -104,8 +114,7 @@ fn unison_cfg(threads: usize, metric: SchedMetric, telemetry: TelemetryConfig) -
             period: Some(4),
             ..Default::default()
         },
-        metrics: MetricsLevel::Summary,
-        telemetry,
+        metrics,
         fel: Default::default(),
         fault: Default::default(),
     }
@@ -115,9 +124,8 @@ fn unison_cfg(threads: usize, metric: SchedMetric, telemetry: TelemetryConfig) -
 fn telemetry_does_not_perturb_unison_results() {
     for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
         for threads in [1usize, 2, 4] {
-            let (off, tel_off) =
-                run_digest(&unison_cfg(threads, metric, TelemetryConfig::default()));
-            let (on, tel_on) = run_digest(&unison_cfg(threads, metric, TelemetryConfig::enabled()));
+            let (off, tel_off) = run_digest(&unison_cfg(threads, metric, MetricsLevel::Summary));
+            let (on, tel_on) = run_digest(&unison_cfg(threads, metric, MetricsLevel::Spans));
             assert_eq!(
                 off, on,
                 "telemetry changed the digest at {threads} threads under {metric:?}"
@@ -132,13 +140,12 @@ fn telemetry_does_not_perturb_unison_results() {
 #[test]
 fn telemetry_does_not_perturb_other_kernels() {
     let manual: Vec<u32> = (0..N as u32).map(|i| i / 3).collect();
-    let mk = |kernel: KernelKind, telemetry: TelemetryConfig| RunConfig {
+    let mk = |kernel: KernelKind, metrics: MetricsLevel| RunConfig {
         watchdog: Default::default(),
         kernel,
         partition: PartitionMode::Auto,
         sched: SchedConfig::default(),
-        metrics: MetricsLevel::Summary,
-        telemetry,
+        metrics,
         fel: Default::default(),
         fault: Default::default(),
     };
@@ -156,8 +163,8 @@ fn telemetry_does_not_perturb_other_kernels() {
         ),
     ];
     for (name, kind) in &kernels {
-        let (off, _) = run_digest(&mk(kind.clone(), TelemetryConfig::default()));
-        let (on, spans) = run_digest(&mk(kind.clone(), TelemetryConfig::enabled()));
+        let (off, _) = run_digest(&mk(kind.clone(), MetricsLevel::Summary));
+        let (on, spans) = run_digest(&mk(kind.clone(), MetricsLevel::Spans));
         assert_eq!(off, on, "telemetry changed the {name} digest");
         assert!(spans.expect("telemetry attached") > 0, "{name}: no spans");
     }
@@ -177,7 +184,7 @@ fn telemetry_does_not_perturb_other_kernels() {
 
 #[test]
 fn enabled_unison_run_records_every_phase_and_decisions() {
-    let cfg = unison_cfg(2, SchedMetric::ByLastRoundTime, TelemetryConfig::enabled());
+    let cfg = unison_cfg(2, SchedMetric::ByLastRoundTime, MetricsLevel::Spans);
     let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
     let tel = report.telemetry.expect("telemetry attached");
     // One sink per worker; the control thread doubles as worker 0.
@@ -214,11 +221,17 @@ fn enabled_unison_run_records_every_phase_and_decisions() {
 
 #[test]
 fn span_capacity_bounds_memory_and_counts_drops() {
-    let mut cfg = unison_cfg(2, SchedMetric::ByLastRoundTime, TelemetryConfig::enabled());
-    cfg.telemetry.span_capacity = 8;
-    let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
+    // The control thread records at least its four phase laps a round, so
+    // 20 000 rounds overflow its buffer whatever fuses.
+    const ROUNDS: u64 = 20_000;
+    const { assert!(4 * ROUNDS as usize > SPAN_CAPACITY) };
+    let long = Time(DELAY.0 * ROUNDS);
+    let metric = SchedMetric::ByLastRoundTime;
+    let (off, _) = run_until(long, &unison_cfg(2, metric, MetricsLevel::Summary));
+    let (on, report) = run_until(long, &unison_cfg(2, metric, MetricsLevel::Spans));
     let tel = report.telemetry.expect("telemetry attached");
-    let truncated: u64 = tel.workers.iter().map(|w| w.truncated).sum();
-    assert!(tel.workers.iter().all(|w| w.spans.len() <= 8));
-    assert!(truncated > 0, "a long run must overflow an 8-span buffer");
+    assert_eq!(tel.workers[0].spans.len(), SPAN_CAPACITY);
+    assert!(tel.workers.iter().all(|w| w.spans.len() <= SPAN_CAPACITY));
+    assert!(tel.workers[0].truncated > 0, "the overflow must be counted");
+    assert_eq!(off, on, "dropping spans changed the digest");
 }

@@ -333,7 +333,6 @@ impl NetSim {
             partition: PartitionMode::Auto,
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
-            telemetry: Default::default(),
             fel: Default::default(),
             fault: Default::default(),
         })

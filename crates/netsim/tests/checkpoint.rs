@@ -33,7 +33,6 @@ fn unison_cfg(threads: usize) -> RunConfig {
         partition: PartitionMode::Auto,
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
-        telemetry: Default::default(),
         fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),

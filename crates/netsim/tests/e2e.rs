@@ -86,7 +86,6 @@ fn all_kernels_complete_the_same_flows() {
             partition: PartitionMode::Manual(manual_lp.clone()),
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
-            telemetry: Default::default(),
             fel: Default::default(),
             fault: Default::default(),
         })
@@ -98,7 +97,6 @@ fn all_kernels_complete_the_same_flows() {
             partition: PartitionMode::Manual(manual_lp),
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
-            telemetry: Default::default(),
             fel: Default::default(),
             fault: Default::default(),
         })
@@ -159,7 +157,6 @@ fn unison_matches_compat_sequential_on_network() {
             partition: PartitionMode::Auto,
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
-            telemetry: Default::default(),
             fel: Default::default(),
             fault: Default::default(),
         })

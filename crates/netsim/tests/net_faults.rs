@@ -29,7 +29,6 @@ fn cfg(kernel: KernelKind, nodes: usize) -> RunConfig {
         partition: PartitionMode::Manual((0..nodes as u32).map(|i| i % 2).collect()),
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
-        telemetry: Default::default(),
         fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),

@@ -284,7 +284,6 @@ pub struct RunSpec {
     pub partition: PartitionSpec,
     pub sched: SchedConfig,
     pub watchdog: Option<Duration>,
-    pub per_round_metrics: bool,
     pub fault: FaultPlan,
 }
 
@@ -417,9 +416,6 @@ impl ScenarioSpec {
         };
         if let Some(deadline) = self.run.watchdog {
             cfg = cfg.with_watchdog(deadline);
-        }
-        if self.run.per_round_metrics {
-            cfg = cfg.with_per_round_metrics();
         }
         if !self.run.fault.is_empty() {
             cfg = cfg.with_faults(self.run.fault.clone());
@@ -1182,7 +1178,6 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
         (Some(true) | None, None) => {}
     }
     let watchdog = k.u64("watchdog_ms")?.map(Duration::from_millis);
-    let per_round_metrics = k.bool("per_round_metrics")?.unwrap_or(false);
     k.finish()?;
     Ok(RunSpec {
         stop,
@@ -1190,7 +1185,6 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
         partition,
         sched,
         watchdog,
-        per_round_metrics,
         fault: faults,
     })
 }

@@ -126,7 +126,7 @@ fn sched_and_knobs_map() {
         "kernel = \"unison\"\nthreads = 2\n\
          sched_metric = \"by-pending-events\"\n\
          sched_period = 4\nfusion_threshold = 64\n\
-         watchdog_ms = 2000\nper_round_metrics = true",
+         watchdog_ms = 2000",
     );
     let topo = spec.build_topology();
     let cfg = spec.run_config(&topo);
@@ -314,9 +314,11 @@ threads = 2
 }
 
 /// The placement-layer keys retired with the pluggable claim policies,
-/// staged partitioners and pinning, and the `fel` key (the event list is
-/// not a scenario choice: the heap is the ladder's test reference), are
-/// rejected like any other unknown key or value, at their own span.
+/// staged partitioners and pinning, the `fel` key (the event list is not a
+/// scenario choice: the heap is the ladder's test reference) and
+/// `per_round_metrics` (what a run records is the caller's choice —
+/// `unison-run --explain` — not the file's) are rejected like any other
+/// unknown key or value, at their own span.
 #[test]
 fn retired_run_keys_are_rejected_with_their_span() {
     let head = "[topology]\nkind = \"fat_tree\"\nk = 4\n[traffic]\nload = 0.1\n\
@@ -330,6 +332,10 @@ fn retired_run_keys_are_rejected_with_their_span() {
         ("pipeline = \"refined\"", "unknown key `pipeline`"),
         ("partition = \"pipeline\"", "unknown partition `pipeline`"),
         ("fel = \"binary_heap\"", "unknown key `fel`"),
+        (
+            "per_round_metrics = true",
+            "unknown key `per_round_metrics`",
+        ),
     ] {
         let e = parse_scenario(&format!("{head}  {line}\n")).unwrap_err();
         assert!(e.msg.contains(want), "{line}: {e}");

@@ -6,17 +6,18 @@
 //! consumes the merged [`unison_core::RunTelemetry`] attached to a
 //! [`unison_core::RunReport`] and provides:
 //!
-//! - [`Timeline`]: the analysis view (barrier-wait share per worker,
-//!   per-round LP costs, estimate-vs-actual scheduling regret, the mailbox
-//!   traffic matrix);
+//! - [`Timeline`]: the analysis view over what only spans hold (per-round
+//!   LP costs and imbalance, estimate-vs-actual scheduling regret, the
+//!   mailbox traffic matrix);
 //! - [`chrome_trace_json`]: Chrome-trace/Perfetto JSON export (and
 //!   [`validate_chrome_trace`], its round-trip validator);
-//! - [`write_report`]: the textual profiler (the `profile-report` binary).
+//! - [`write_report`]: the textual run report `unison-run --explain`
+//!   prints — P/S/M from the `RunReport`, the rest from the timeline.
 //!
 //! See DESIGN.md §4.3 for the observability contract: recording is
 //! provably non-perturbing (one writer per buffer, no new synchronization
-//! edges), zero-cost when disabled, and compiled out entirely without the
-//! `telemetry` cargo feature of `unison-core`.
+//! edges) and costs one branch per recording site below
+//! `MetricsLevel::Spans`.
 
 pub mod chrome;
 pub mod json;
@@ -25,4 +26,4 @@ pub mod timeline;
 
 pub use chrome::{chrome_trace_json, chrome_trace_value, validate_chrome_trace, TraceSummary};
 pub use report::{report_string, write_report};
-pub use timeline::{RoundRegret, Timeline, WorkerWait};
+pub use timeline::{RoundLoad, RoundRegret, Timeline};

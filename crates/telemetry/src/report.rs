@@ -1,13 +1,14 @@
-//! The textual profile report (`profile-report` binary output).
+//! The textual run report (what `unison-run --explain` prints).
 //!
-//! Uses the run-level helpers from `unison-core` ([`RunReport::imbalance`],
-//! [`unison_core::RoundRecord::barrier_slack_ns`]) for the load-imbalance
-//! section and the [`Timeline`] analysis for barrier-wait share, scheduling
-//! regret, and the traffic matrix.
+//! Every printed quantity has one source (DESIGN.md §4.3): where each
+//! thread's wall time went is the [`RunReport`]'s own P/S/M, the header and
+//! the progress/recovery sections are its counters, and only what the
+//! report does not hold — per-round LP costs, scheduling regret, the
+//! traffic matrix — comes from the spans, through [`Timeline`].
 
 use std::io::{self, Write};
 
-use unison_core::RunReport;
+use unison_core::{Psm, RunReport};
 
 use crate::timeline::Timeline;
 
@@ -17,7 +18,7 @@ fn ms(ns: f64) -> String {
 
 /// Writes the full profile report for one run.
 pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> {
-    writeln!(out, "== profile report: {} ==", report.kernel)?;
+    writeln!(out, "== run report: {} ==", report.kernel)?;
     // Not every kernel counts rounds: the asynchronous conservative kernel
     // is barrier-free and reports grant/stall/gate progress counters
     // instead (RunReport::async_stats), so its header swaps `rounds` for
@@ -57,14 +58,43 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
     } else {
         writeln!(
             out,
-            "threads {}   lps {}   rounds {}   events {}   wall {:.3} s",
+            "threads {}   lps {}   rounds {} ({} fused)   events {}   wall {:.3} s",
             report.threads,
             report.lp_count,
             report.rounds,
+            report.fused_rounds,
             report.events,
             report.wall.as_secs_f64()
         )?;
     }
+
+    // Where each thread's wall time went: the kernel's own accumulators,
+    // charged lap by lap from the clock readings the spans are cut from.
+    let who = if report.psm_per_lp { "lp" } else { "worker" };
+    writeln!(out)?;
+    writeln!(
+        out,
+        "-- P/S/M per {who} (processing / synchronization / messaging) --"
+    )?;
+    let row = |psm: &Psm| {
+        format!(
+            "P {:>12}   S {:>12}   M {:>12}   sync {:>6.2}%",
+            ms(psm.p_ns as f64),
+            ms(psm.s_ns as f64),
+            ms(psm.m_ns as f64),
+            psm.s_ratio() * 100.0
+        )
+    };
+    for (i, psm) in report.psm.iter().enumerate() {
+        writeln!(out, "{who} {i:>3}: {}", row(psm))?;
+    }
+    writeln!(
+        out,
+        "{:>w$}: {}",
+        "total",
+        row(&report.psm_total()),
+        w = who.len() + 4
+    )?;
 
     // Recovery history — only resilient runs (fault::run_resilient)
     // carry a log; a plain run omits the section entirely.
@@ -100,34 +130,12 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
         }
     }
 
-    // Load imbalance — from the per-round profile when present, the
-    // whole-run totals otherwise (RunReport::imbalance documents both).
-    writeln!(out)?;
-    writeln!(out, "-- load imbalance (max/mean LP cost, >= 1) --")?;
-    writeln!(out, "mean over rounds: {:.3}", report.imbalance())?;
-    if let Some(profile) = &report.rounds_profile {
-        let worked: Vec<_> = profile.iter().filter(|r| r.total_cost_ns() > 0.0).collect();
-        let max = worked.iter().map(|r| r.imbalance()).fold(1.0f64, f64::max);
-        let slack: f64 = worked.iter().map(|r| r.barrier_slack_ns()).sum();
-        writeln!(out, "max round:        {max:.3}")?;
-        writeln!(out, "rounds with work: {}/{}", worked.len(), profile.len())?;
-        writeln!(
-            out,
-            "barrier slack (idle time a one-thread-per-LP barrier would add): {}",
-            ms(slack)
-        )?;
-    } else {
-        writeln!(
-            out,
-            "(run without MetricsLevel::PerRound: whole-run event totals, no per-round detail)"
-        )?;
-    }
-
     let Some(timeline) = Timeline::from_report(report) else {
         writeln!(out)?;
         writeln!(
             out,
-            "(no telemetry recorded: enable RunConfig::telemetry for barrier-wait, regret, and traffic sections)"
+            "(no spans recorded: run at MetricsLevel::Spans — `unison-run --explain` — \
+             for the imbalance, regret and traffic sections)"
         )?;
         return Ok(());
     };
@@ -145,15 +153,34 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
     )?;
 
     writeln!(out)?;
-    writeln!(out, "-- barrier-wait share per worker --")?;
-    for w in timeline.barrier_wait() {
+    writeln!(
+        out,
+        "-- load imbalance (max/mean LP cost per round, >= 1) --"
+    )?;
+    let loads = timeline.round_loads();
+    if loads.is_empty() {
         writeln!(
             out,
-            "worker {:>3}: {:>6.2}%   ({} of {})",
-            w.worker,
-            w.share() * 100.0,
-            ms(w.barrier_ns as f64),
-            ms(w.accounted_ns as f64)
+            "(no lp-task spans: only the round kernels time each LP each round)"
+        )?;
+    } else {
+        let n = report.lp_count;
+        let (mut sum, mut max, mut max_round) = (0.0, 1.0f64, 0);
+        for r in &loads {
+            let imbalance = r.imbalance(n);
+            sum += imbalance;
+            if imbalance > max {
+                (max, max_round) = (imbalance, r.round);
+            }
+        }
+        let slack: u64 = loads.iter().map(|r| r.barrier_slack_ns(n)).sum();
+        writeln!(out, "mean over rounds: {:.3}", sum / loads.len() as f64)?;
+        writeln!(out, "max round:        {max:.3} (round {max_round})")?;
+        writeln!(out, "rounds with work: {}/{}", loads.len(), report.rounds)?;
+        writeln!(
+            out,
+            "barrier slack (idle time a one-thread-per-LP barrier would add): {}",
+            ms(slack as f64)
         )?;
     }
 
@@ -222,19 +249,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reports_without_telemetry_still_render() {
+    fn reports_without_spans_render_psm_from_the_report() {
         let mut rep = RunReport {
             kernel: "unison".into(),
+            psm: vec![Psm {
+                p_ns: 7_000_000,
+                s_ns: 2_000_000,
+                m_ns: 1_000_000,
+            }],
             ..Default::default()
         };
-        rep.lp_totals.events = vec![9, 3, 0];
         let text = report_string(&rep);
-        assert!(text.contains("load imbalance"));
-        assert!(text.contains("no telemetry recorded"));
-        // Totals fallback: 9,3,0 → 2.25.
-        assert!(text.contains("2.250"));
+        assert!(text.contains("P/S/M per worker"), "{text}");
+        let row = "P     7.000 ms   S     2.000 ms   M     1.000 ms   sync  20.00%";
+        assert!(text.contains(&format!("worker   0: {row}")), "{text}");
+        assert!(text.contains(&format!("     total: {row}")), "{text}");
+        assert!(text.contains("no spans recorded"));
+        assert!(!text.contains("load imbalance"));
         // Plain runs carry no recovery log and no recovery section.
         assert!(!text.contains("recovery"));
+        // The LP-pinned kernels' rows are LPs.
+        rep.psm_per_lp = true;
+        assert!(report_string(&rep).contains(&format!("lp   0: {row}")));
     }
 
     #[test]
@@ -270,7 +306,7 @@ mod tests {
             ..Default::default()
         };
         let text = report_string(&rep);
-        assert!(text.contains("rounds 42"));
+        assert!(text.contains("rounds 42 (0 fused)"));
         assert!(!text.contains("asynchronous progress"));
     }
 

@@ -1,10 +1,12 @@
 //! The merged analysis view over a run's telemetry.
 //!
 //! [`Timeline`] borrows the [`RunTelemetry`] a kernel attached to its
-//! [`RunReport`] and answers the profiler's questions: how much of each
-//! worker's time went to barrier waits, what each LP actually cost per
-//! round, and how much makespan the scheduler's stale estimates lost
-//! against perfect knowledge (the *regret*).
+//! [`RunReport`] and answers what only spans can: what each LP actually
+//! cost per round (and so each round's imbalance), how much makespan the
+//! scheduler's stale estimates lost against perfect knowledge (the
+//! *regret*), and who sent how much to whom. Where a thread's wall time
+//! went is not re-derived here: that is [`RunReport::psm`], charged from
+//! the same clock readings the spans were cut from.
 
 use std::collections::BTreeMap;
 
@@ -16,27 +18,31 @@ pub struct Timeline<'a> {
     tel: &'a RunTelemetry,
 }
 
-/// One worker's wall-clock accounting.
+/// One round's load across LPs, from its `lp-task` spans (LPs without
+/// one were idle: cost 0).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WorkerWait {
-    /// Worker id (0 = control thread).
-    pub worker: u32,
-    /// Nanoseconds blocked in barriers (or the CMB neighbor wait).
-    pub barrier_ns: u64,
-    /// Nanoseconds covered by top-level phase spans, barrier waits
-    /// included (nested per-LP spans are not double-counted).
-    pub accounted_ns: u64,
+pub struct RoundLoad {
+    /// Synchronization round (1-based).
+    pub round: u64,
+    /// Largest per-LP cost (the barrier-kernel critical path).
+    pub max_ns: u64,
+    /// Sum of per-LP costs (the sequential cost of this round).
+    pub total_ns: u64,
 }
 
-impl WorkerWait {
-    /// Fraction of accounted time spent waiting (0 when nothing was
-    /// accounted).
-    pub fn share(&self) -> f64 {
-        if self.accounted_ns == 0 {
-            0.0
-        } else {
-            self.barrier_ns as f64 / self.accounted_ns as f64
-        }
+impl RoundLoad {
+    /// Max per-LP cost over mean per-LP cost across `lp_count` LPs (≥ 1;
+    /// `1.0` is a perfectly balanced round).
+    pub fn imbalance(&self, lp_count: u32) -> f64 {
+        self.max_ns as f64 * f64::from(lp_count) / self.total_ns as f64
+    }
+
+    /// Total idle time a one-thread-per-LP barrier synchronization would
+    /// induce this round: `Σ_i (max − cost_i)`, nanoseconds. This is the
+    /// slack the Unison scheduler reclaims by packing LPs onto fewer
+    /// threads (§3.2's S component, per round).
+    pub fn barrier_slack_ns(&self, lp_count: u32) -> u64 {
+        self.max_ns * u64::from(lp_count) - self.total_ns
     }
 }
 
@@ -66,45 +72,6 @@ impl<'a> Timeline<'a> {
         self.tel
     }
 
-    /// Per-worker barrier-wait accounting, in worker order.
-    ///
-    /// `accounted_ns` sums only top-level spans (process, global, receive,
-    /// window-update, barrier-wait): per-LP task and mailbox-flush spans
-    /// nest inside the phase spans and would double-count.
-    pub fn barrier_wait(&self) -> Vec<WorkerWait> {
-        self.tel
-            .workers
-            .iter()
-            .map(|w| {
-                let mut wait = WorkerWait {
-                    worker: w.worker,
-                    barrier_ns: 0,
-                    accounted_ns: 0,
-                };
-                for s in &w.spans {
-                    match s.kind {
-                        SpanKind::BarrierWait | SpanKind::StallWait => {
-                            wait.barrier_ns += s.dur_ns;
-                            wait.accounted_ns += s.dur_ns;
-                        }
-                        SpanKind::Process
-                        | SpanKind::Global
-                        | SpanKind::Receive
-                        | SpanKind::WindowUpdate
-                        | SpanKind::Advance
-                        | SpanKind::Merge
-                        | SpanKind::Grant => wait.accounted_ns += s.dur_ns,
-                        // Whole-round envelopes and per-LP spans nest inside
-                        // (or around) the phase spans — counting them would
-                        // double-count.
-                        SpanKind::LpTask | SpanKind::MailboxFlush | SpanKind::FusedRound => {}
-                    }
-                }
-                wait
-            })
-            .collect()
-    }
-
     /// Measured per-LP cost by round, merged across workers:
     /// `round → (lp → cost_ns)`. LPs without a task span in a round did
     /// not run (their cost is 0, not unknown — idle LPs are skipped).
@@ -118,6 +85,19 @@ impl<'a> Timeline<'a> {
             }
         }
         rounds
+    }
+
+    /// Per-round load, for the rounds in which some LP did work.
+    pub fn round_loads(&self) -> Vec<RoundLoad> {
+        self.lp_costs_by_round()
+            .into_iter()
+            .map(|(round, costs)| RoundLoad {
+                round,
+                max_ns: costs.values().copied().max().unwrap_or(0),
+                total_ns: costs.values().sum(),
+            })
+            .filter(|r| r.total_ns > 0)
+            .collect()
     }
 
     /// Estimate-vs-actual scheduling regret per round, for rounds covered
@@ -247,14 +227,24 @@ mod tests {
     }
 
     #[test]
-    fn barrier_share_excludes_nested_spans() {
+    fn round_loads_give_imbalance_and_slack() {
         let t = tel();
-        let waits = Timeline::new(&t).barrier_wait();
-        assert_eq!(waits.len(), 1);
-        // Accounted = process 80 + barrier 20 (LpTask spans nest inside).
-        assert_eq!(waits[0].accounted_ns, 100);
-        assert_eq!(waits[0].barrier_ns, 20);
-        assert!((waits[0].share() - 0.2).abs() < 1e-12);
+        let loads = Timeline::new(&t).round_loads();
+        // Round 1: costs 60, 20 (a third LP idle) → max 60, mean 80/3.
+        assert_eq!(
+            (loads[0].round, loads[0].max_ns, loads[0].total_ns),
+            (1, 60, 80)
+        );
+        assert!((loads[0].imbalance(3) - 2.25).abs() < 1e-12);
+        // Slack = (60-60) + (60-20) + (60-0).
+        assert_eq!(loads[0].barrier_slack_ns(3), 100);
+        // A balanced round has imbalance 1 and no slack.
+        let even = RoundLoad {
+            round: 9,
+            max_ns: 4,
+            total_ns: 8,
+        };
+        assert_eq!((even.imbalance(2), even.barrier_slack_ns(2)), (1.0, 0));
     }
 
     #[test]

@@ -1,23 +1,27 @@
-//! End-to-end export test (ISSUE 3, satellite 5): run a small scenario
-//! with telemetry enabled, export the Chrome trace, and check that the
-//! emitted JSON is non-empty, validates as a trace_event array, and
-//! round-trips through the crate's own parser bit-identically.
+//! End-to-end export test: run a small scenario at `MetricsLevel::Spans`,
+//! export the Chrome trace, and check that the emitted JSON is non-empty,
+//! validates as a trace_event array, and round-trips through the crate's
+//! own parser bit-identically — and that the run report prints each
+//! thread's time from the same laps the spans were cut from.
 
-use unison_core::{
-    DataRate, FusionConfig, KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig,
-    TelemetryConfig, Time,
-};
+use unison_core::telemetry::SpanKind;
+use unison_core::{DataRate, FusionConfig, RunConfig, RunReport, SchedConfig, Time};
 use unison_netsim::{NetworkBuilder, TransportKind};
-use unison_telemetry::{chrome_trace_json, json, validate_chrome_trace};
-use unison_topology::fat_tree;
+use unison_telemetry::{chrome_trace_json, json, report_string, validate_chrome_trace};
+use unison_topology::{fat_tree, manual, Topology};
 use unison_traffic::TrafficConfig;
 
-/// A deliberately small fat-tree incast: big enough to exercise every
-/// span kind and the scheduler log, small enough for a test.
-fn run_profiled_sched(threads: usize, sched: SchedConfig) -> unison_core::RunReport {
-    let topo = fat_tree(4)
+fn topo() -> Topology {
+    fat_tree(4)
         .with_rate(DataRate::gbps(10))
-        .with_delay(Time::from_micros(3));
+        .with_delay(Time::from_micros(3))
+}
+
+/// A deliberately small fat-tree incast, recorded at `Spans`: big enough
+/// to exercise every span kind and the scheduler log, small enough for a
+/// test.
+fn run_recorded(cfg: RunConfig) -> RunReport {
+    let topo = topo();
     let traffic = TrafficConfig::incast(0.3, 0.6)
         .with_seed(7)
         .with_window(Time::ZERO, Time::from_micros(400));
@@ -26,22 +30,17 @@ fn run_profiled_sched(threads: usize, sched: SchedConfig) -> unison_core::RunRep
         .traffic(&traffic)
         .stop_at(Time::from_micros(600))
         .build();
-    sim.run_with(&RunConfig {
-        watchdog: Default::default(),
-        kernel: KernelKind::Unison { threads },
-        partition: PartitionMode::Auto,
-        sched,
-        metrics: MetricsLevel::PerRound,
-        telemetry: TelemetryConfig::enabled(),
-        fel: Default::default(),
-        fault: Default::default(),
-    })
-    .expect("scenario run")
-    .kernel
+    sim.run_with(&cfg.with_telemetry())
+        .expect("scenario run")
+        .kernel
 }
 
-fn run_profiled(threads: usize) -> unison_core::RunReport {
-    run_profiled_sched(threads, SchedConfig::default())
+fn run_profiled_sched(threads: usize, sched: SchedConfig) -> RunReport {
+    run_recorded(RunConfig::unison(threads).with_sched(sched))
+}
+
+fn run_profiled(threads: usize) -> RunReport {
+    run_recorded(RunConfig::unison(threads))
 }
 
 #[test]
@@ -80,9 +79,10 @@ fn trace_timestamps_are_monotone_per_worker_within_kind() {
     let report = run_profiled(2);
     let tel = report.telemetry.as_ref().expect("telemetry attached");
     // The recorder is one-writer-per-worker and pushes a span when it
-    // *closes*, so end timestamps never decrease within a sink (start
-    // timestamps may: an enclosing phase span starts before the nested
-    // LP-task spans it is recorded after).
+    // *closes*, cut from the clock readings that opened and closed it, so
+    // end timestamps never decrease within a sink (start timestamps may:
+    // an enclosing phase span starts before the nested LP-task spans it is
+    // recorded after).
     for w in &tel.workers {
         let mut last = 0u64;
         for s in &w.spans {
@@ -104,31 +104,8 @@ fn trace_timestamps_are_monotone_per_worker_within_kind() {
 /// Chrome trace, and the profile report renders the progress section.
 #[test]
 fn async_cons_report_and_trace_are_consistent() {
-    let topo = fat_tree(4)
-        .with_rate(DataRate::gbps(10))
-        .with_delay(Time::from_micros(3));
-    let traffic = TrafficConfig::incast(0.3, 0.6)
-        .with_seed(7)
-        .with_window(Time::ZERO, Time::from_micros(400));
-    let sim = NetworkBuilder::new(&topo)
-        .transport(TransportKind::NewReno)
-        .traffic(&traffic)
-        .stop_at(Time::from_micros(600))
-        .build();
     let threads = 2;
-    let report = sim
-        .run_with(&RunConfig {
-            watchdog: Default::default(),
-            kernel: KernelKind::AsyncCons { threads },
-            partition: PartitionMode::Auto,
-            sched: SchedConfig::default(),
-            metrics: MetricsLevel::Summary,
-            telemetry: TelemetryConfig::enabled(),
-            fel: Default::default(),
-            fault: Default::default(),
-        })
-        .expect("async scenario run")
-        .kernel;
+    let report = run_recorded(RunConfig::async_cons(threads));
 
     // The report surface: no rounds, async progress counters instead.
     assert_eq!(report.rounds, 0, "async_cons has no rounds to count");
@@ -165,7 +142,7 @@ fn async_cons_report_and_trace_are_consistent() {
     assert_eq!(parsed.to_json(), json_text, "serializer not a fixpoint");
 
     // And the profile report renders the async section.
-    let text = unison_telemetry::report_string(&report);
+    let text = report_string(&report);
     assert!(text.contains("asynchronous progress"), "{text}");
     assert!(!text.contains("rounds 0"), "stale rounds claim: {text}");
 }
@@ -231,6 +208,58 @@ fn fused_round_spans_match_the_report_counter() {
         .iter()
         .flat_map(|w| &w.spans)
         .all(|s| s.kind.name() != "fused-round"));
+}
+
+/// One lap, one report: the sync share the report prints for a thread is
+/// its `Psm`'s — on the LP-pinned kernels too, whose messaging laps
+/// (`mailbox-flush`, and nullmsg's span-less `grant`) a span-derived
+/// denominator used to miss — and on unison, whose laps are chained, a
+/// worker's top-level spans are those laps: they sum to its P/S/M total to
+/// the nanosecond.
+#[test]
+fn printed_sync_share_is_the_psm_share_and_unison_spans_sum_to_it() {
+    let pods = manual::by_cluster(&topo());
+    for cfg in [
+        RunConfig::unison(2),
+        RunConfig::barrier(pods.clone()),
+        RunConfig::nullmsg(pods),
+        RunConfig::async_cons(2),
+    ] {
+        let kernel = cfg.kernel.clone();
+        let report = run_recorded(cfg);
+        let text = report_string(&report);
+        let who = if report.psm_per_lp { "lp" } else { "worker" };
+        assert!(!report.psm.is_empty());
+        for (i, psm) in report.psm.iter().enumerate() {
+            let row = text
+                .lines()
+                .find(|l| l.starts_with(&format!("{who} {i:>3}: P ")))
+                .unwrap_or_else(|| panic!("{kernel:?}: no P/S/M row for {who} {i}:\n{text}"));
+            let share = psm.s_ns as f64 / psm.total_ns() as f64 * 100.0;
+            assert!(
+                row.ends_with(&format!("sync {share:>6.2}%")),
+                "{kernel:?}: `{row}` does not print {share:.2}%"
+            );
+        }
+    }
+
+    let report = run_profiled(2);
+    let tel = report.telemetry.as_ref().expect("telemetry attached");
+    for (w, psm) in tel.workers.iter().zip(&report.psm) {
+        assert_eq!(w.truncated, 0, "the scenario must fit the span buffer");
+        let top_level: u64 = w
+            .spans
+            .iter()
+            .filter(|s| {
+                !matches!(
+                    s.kind,
+                    SpanKind::LpTask | SpanKind::MailboxFlush | SpanKind::FusedRound
+                )
+            })
+            .map(|s| s.dur_ns)
+            .sum();
+        assert_eq!(top_level, psm.total_ns(), "worker {}", w.worker);
+    }
 }
 
 #[test]

@@ -33,7 +33,6 @@ fn main() {
             partition,
             sched: SchedConfig::default(),
             metrics: MetricsLevel::PerRound,
-            telemetry: Default::default(),
             fel: Default::default(),
             fault: Default::default(),
         })

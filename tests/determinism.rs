@@ -25,7 +25,6 @@ fn run_sched(kernel: KernelKind, sched: SchedConfig) -> SimResult {
         partition: PartitionMode::Auto,
         sched,
         metrics: MetricsLevel::Summary,
-        telemetry: Default::default(),
         fel: Default::default(),
         fault: Default::default(),
     })

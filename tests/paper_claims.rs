@@ -31,7 +31,6 @@ fn profile(
             partition: partition.clone(),
             sched: SchedConfig::default(),
             metrics: MetricsLevel::PerRound,
-            telemetry: Default::default(),
             fel: Default::default(),
             fault: Default::default(),
         })
@@ -190,7 +189,6 @@ fn claim_fine_granularity_improves_locality() {
                 partition: PartitionMode::Manual(manual::by_id_range(&topo, lps)),
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
-                telemetry: Default::default(),
                 fel: Default::default(),
                 fault: Default::default(),
             })

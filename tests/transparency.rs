@@ -31,7 +31,6 @@ fn every_kernel_runs_the_same_model() {
                 partition: PartitionMode::SingleLp,
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
-                telemetry: Default::default(),
                 fel: Default::default(),
                 fault: Default::default(),
             },
@@ -48,7 +47,6 @@ fn every_kernel_runs_the_same_model() {
                 partition: PartitionMode::Auto,
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
-                telemetry: Default::default(),
                 fel: Default::default(),
                 fault: Default::default(),
             },
