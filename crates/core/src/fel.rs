@@ -727,8 +727,7 @@ impl<P> Fel<P> {
 
     /// Bulk insert. For the ladder this is a straight routing pass (every
     /// event is appended to its tier unsorted); sorting happens lazily on
-    /// pop — which is what makes the receive phase's batched
-    /// channel-to-FEL hand-off cheap.
+    /// pop.
     pub fn extend(&mut self, events: impl IntoIterator<Item = Event<P>>) {
         match &mut self.repr {
             Repr::Heap(h) => h.extend(events.into_iter().map(HeapEntry)),

@@ -22,8 +22,8 @@ use crate::world::SimNode;
 pub type GlobalFn<N> = Box<dyn FnOnce(&mut WorldAccess<'_, N>) + Send>;
 
 /// Kernel facilities a checkpoint needs beyond the LP slots (whose
-/// phase-owned channels carry the round kernels' in-flight events) and the
-/// configured stop time. Provided by kernels whose global events run with
+/// outboxes carry the round kernels' in-flight events) and the configured
+/// stop time. Provided by kernels whose global events run with
 /// full world access (Unison/hybrid, async_cons).
 pub(crate) struct CkptEnv<'a, N: SimNode> {
     /// The async-conservative kernel's lock-free mailboxes; `None` for the
@@ -134,7 +134,7 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
         let (lp, _) = self.lps.directory().locate(target);
         // SAFETY: exclusive access per `WorldAccess::new` contract.
         let state = unsafe { self.lps.get_mut(lp.index()) };
-        state.fel.push(Event {
+        state.push(Event {
             key,
             node: target,
             payload,
@@ -217,17 +217,17 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
             )));
         }
         let lp_count = self.lps.len();
-        for dst in 0..lp_count {
-            // SAFETY: `WorldAccess::new` guarantees main-thread exclusivity
-            // over every LP slot; the borrow ends each iteration.
-            let lp = unsafe { self.lps.get_mut(dst) };
-            // SAFETY: the same exclusivity covers `dst`'s channels — every
-            // worker is parked behind a barrier that follows its last push.
-            unsafe { self.lps.receive(dst, |_, batch| lp.fel.extend(batch)) };
-            if let Some(mailboxes) = env.mailboxes {
-                mailboxes.drain(dst as u32, |ev| lp.fel.push(ev));
+        // SAFETY: `WorldAccess::new` guarantees main-thread exclusivity
+        // over every LP slot, and every worker is parked behind a barrier
+        // that follows its last send.
+        unsafe { self.lps.receive_all() };
+        if let Some(mailboxes) = env.mailboxes {
+            for dst in 0..lp_count {
+                // SAFETY: main-thread exclusivity as above; the borrow ends
+                // each iteration.
+                let lp = unsafe { self.lps.get_mut(dst) };
+                mailboxes.drain(dst as u32, |ev| lp.push(ev));
             }
-            lp.refresh_next_ts();
         }
 
         let dir = self.lps.directory();

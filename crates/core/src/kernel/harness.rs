@@ -833,7 +833,7 @@ pub(super) fn finish<N: SimNode>(
         let stuck: Vec<&LpState<N>> = out
             .lps
             .iter()
-            .filter(|lp| lp.fel.next_ts() < out.stall_bound || !lp.outflow.is_empty())
+            .filter(|lp| lp.fel.next_ts() < out.stall_bound)
             .collect();
         let blocked: Vec<LpId> = stuck.iter().map(|lp| lp.id).collect();
         // Channel-clock kernels stall *at* an event nobody may process;

@@ -475,17 +475,18 @@ pub(crate) fn reassemble_world<N: SimNode>(
 /// hybrid). Borrows disjoint fields of the current [`LpState`] so the
 /// executing node and the scheduler can coexist.
 ///
-/// Built only by the process phase, for the LP `lp_id` whose claim the
-/// building thread holds — which is what lets `schedule` write `lp_id`'s
-/// outgoing channels.
+/// Built only by the process phase, by worker `worker` for the LP `lp_id`
+/// whose claim it holds — which is what lets `schedule` append to that
+/// worker's row of outboxes.
 pub(crate) struct RoundCtx<'a, N: SimNode> {
     pub now: Time,
     pub self_node: NodeId,
     pub lp_id: LpId,
+    /// The executing worker: the outbox row cross-LP events are written to.
+    pub worker: usize,
     pub window_end: Time,
     pub fel: &'a mut Fel<N::Payload>,
     pub seq: &'a mut u64,
-    pub outflow: &'a mut Vec<Event<N::Payload>>,
     pub pending_globals: &'a mut Vec<PendingGlobal<N>>,
     pub slots: &'a LpSlots<N>,
 }
@@ -527,12 +528,10 @@ impl<N: SimNode> SimCtx<N> for RoundCtx<'_, N> {
              (ends {:?}); the scheduling delay must be >= the lookahead",
             self.window_end
         );
-        // SAFETY: this context exists only under the process-phase claim
-        // on `lp_id` (see the type's docs), and `dst` is drained only after
-        // the next barrier.
-        if let Err(ev) = unsafe { self.slots.send(self.lp_id, dst, ev) } {
-            self.outflow.push(ev);
-        }
+        // SAFETY: this context exists only on worker `worker`, under its
+        // process-phase claim on `lp_id` (see the type's docs); `dst` owns
+        // `target`, and the row is drained only after the next barrier.
+        unsafe { self.slots.send(self.lp_id, self.worker, dst, ev) };
     }
 
     fn schedule_global(&mut self, delay: Time, f: GlobalFn<N>) {

@@ -5,24 +5,28 @@
 //!
 //! 1. **Process events** — workers claim LPs through their group's
 //!    [`LjfCursor`], their own *home* segment of the order first, and
-//!    execute each claimed LP's events inside the window. Cross-LP events
-//!    go to the source LP's phase-owned channels.
-//! 2. **Handle global events** — the main thread routes overflow events
-//!    and merges node-scheduled globals into the public LP (only when a
-//!    process phase flagged such side output), then executes due global
-//!    events (which may mutate the topology → lookahead recompute).
-//! 3. **Receive events** — workers claim LPs again, through a second
-//!    cursor with the same homes (so an LP's FEL and channels stay with
-//!    the core that processed it), drain their incoming channels into
-//!    their FELs (ascending source order) and fold the claimed LPs'
-//!    next-event timestamps and load into one [`RoundFold`] per worker.
+//!    execute each claimed LP's events inside the window. A cross-LP event
+//!    is appended to the executing worker's outbox for the destination
+//!    LP's home worker ([`LpSlots::send`]). Each worker folds the visited
+//!    LPs' next-event timestamps and event counts into a [`RoundFold`].
+//! 2. **Handle global events** — the main thread merges node-scheduled
+//!    globals into the public LP (only when a process phase flagged any),
+//!    then executes due global events (which may mutate the topology →
+//!    lookahead recompute).
+//! 3. **Receive events** — each worker drains its own column of outboxes —
+//!    one buffer per sending worker — straight into the destination FELs
+//!    ([`LpSlots::receive`]) and folds the delivered events' timestamps
+//!    into its [`RoundFold`]. No LP is claimed: an LP's home is static, cut
+//!    by the same [`home_range`] as the claim cursor, and an LP that
+//!    receives nothing is not touched.
 //! 4. **Update window** — the main thread reduces the workers' folds into
 //!    the next LBTS (Eq. 2), re-sorts the LP schedule every scheduling
 //!    period, and records metrics.
 //!
-//! A round touches each LP twice, both times through its claimant: once in
-//! phase 1 and once in phase 3. The control thread walks all LPs only in
-//! re-sort rounds, for per-round profiles and when side output was flagged.
+//! A round visits each LP once, in phase 1, and again in phase 3 only per
+//! event delivered to it. The control thread walks all LPs only in re-sort
+//! rounds, for per-round profiles, when a process phase flagged pending
+//! globals, and to re-derive the minimum after a global event ran.
 //!
 //! Determinism: event keys are assigned from per-LP monotone counters and
 //! ordered by the §5.2 tie-breaking rule, so results are identical for any
@@ -80,10 +84,8 @@ impl Grouping {
 /// Round plan published by the main thread between rounds.
 struct RoundPlan {
     /// Per-group LP visit order for the processing phase: each home
-    /// segment of `group_lps`, longest estimated job first.
+    /// segment of the group's LPs, longest estimated job first.
     order: Vec<Vec<u32>>,
-    /// Per-group LP list for the receive phase (static, ascending LP id).
-    group_lps: Vec<Vec<u32>>,
     /// Start of the current window.
     window_start: Time,
     /// End of the current window (the LBTS).
@@ -118,11 +120,14 @@ struct PlanCell(UnsafeCell<RoundPlan>);
 // release handshake.
 unsafe impl Sync for PlanCell {}
 
-/// What one thread's receive phase learned about the LPs it claimed. Phase
-/// 4 reduces one fold per thread instead of visiting every LP.
+/// What one thread learned in a round: from the LPs it visited in the
+/// process phase (their next-event timestamps once processed, their event
+/// counts) and from the events it delivered in the receive phase. Phase 4
+/// reduces one fold per thread instead of visiting every LP.
 #[derive(Clone, Copy)]
 struct RoundFold {
-    /// Minimum next-event timestamp (`Time::MAX` when none).
+    /// Minimum next-event timestamp (`Time::MAX` when none): over the
+    /// visited LPs and the delivered events.
     min_next: Time,
     /// Events processed plus events received this round.
     load: u64,
@@ -144,8 +149,9 @@ impl RoundFold {
     }
 }
 
-/// A worker's published [`RoundFold`]: stored after its receive phase, read
-/// by the main thread after B3 (the barrier orders the two).
+/// A worker's published [`RoundFold`] — both phases' — stored after its
+/// receive phase, read by the main thread after B3 (the barrier orders the
+/// two).
 struct FoldSlot {
     // PADDING: the three words are one worker's and the enclosing
     // `CachePadded<FoldSlot>` keeps workers apart.
@@ -210,46 +216,44 @@ pub(super) fn run_grouped<N: SimNode>(
     debug_assert_eq!(grouping.lp_group.len(), lp_count);
     let groups = grouping.groups;
 
-    let channels: Vec<(u32, u32)> = shell
-        .partition
-        .lp_channels(&shell.graph)
-        .into_iter()
-        .map(|(a, b, _)| (a.0, b.0))
-        .collect();
-    let mut slots = LpSlots::with_channels(lps, dir, &channels);
-
-    // Static per-group LP lists and initial (identity) orders.
-    let mut group_lps: Vec<Vec<u32>> = vec![Vec::new(); groups];
+    // Initial (identity) per-group orders: each group's LPs, ascending.
+    let mut initial_order: Vec<Vec<u32>> = vec![Vec::new(); groups];
     for (lp, &g) in grouping.lp_group.iter().enumerate() {
-        group_lps[g as usize].push(lp as u32);
+        initial_order[g as usize].push(lp as u32);
     }
-    let initial_order = group_lps.clone();
 
     // A worker's home is its index among its group's workers.
-    let mut group_workers = vec![0usize; groups];
+    let mut group_workers: Vec<Vec<u32>> = vec![Vec::new(); groups];
     let worker_home: Vec<usize> = grouping
         .worker_group
         .iter()
-        .map(|&g| {
-            group_workers[g as usize] += 1;
-            group_workers[g as usize] - 1
+        .enumerate()
+        .map(|(w, &g)| {
+            group_workers[g as usize].push(w as u32);
+            group_workers[g as usize].len() - 1
         })
         .collect();
 
-    // One claim cursor per group and parallel phase, both cut into the
-    // same homes and seeded with the static lists before any worker
-    // threads exist. The receive cursors keep that order for the whole run.
-    let seeded = || -> Vec<LjfCursor> {
-        let per_group = group_workers.iter().zip(&group_lps);
-        per_group
-            .map(|(&k, lps_of_g)| {
-                let cursor = LjfCursor::new(k);
-                cursor.publish(lps_of_g, &[]);
-                cursor
-            })
-            .collect()
-    };
-    let (cursors, recv_cursors) = (seeded(), seeded());
+    // One claim cursor per group, cut into one home per worker and seeded
+    // before any worker threads exist. An LP's home worker — the column
+    // its deliveries travel in — is the owner of the segment it starts in:
+    // the phase-4 re-sort never moves an LP out of its segment.
+    let mut lp_home = vec![0u32; lp_count];
+    let cursors: Vec<LjfCursor> = initial_order
+        .iter()
+        .zip(&group_workers)
+        .map(|(lps_of_g, workers_of_g)| {
+            for (v, &w) in workers_of_g.iter().enumerate() {
+                for &lp in &lps_of_g[home_range(lps_of_g.len(), workers_of_g.len(), v)] {
+                    lp_home[lp as usize] = w;
+                }
+            }
+            let cursor = LjfCursor::new(workers_of_g.len());
+            cursor.publish(lps_of_g, &[]);
+            cursor
+        })
+        .collect();
+    let mut slots = LpSlots::with_homes(lps, dir, lp_home, threads);
 
     // Initial window.
     let initial_min = {
@@ -280,7 +284,6 @@ pub(super) fn run_grouped<N: SimNode>(
 
     let plan = PlanCell(UnsafeCell::new(RoundPlan {
         order: initial_order,
-        group_lps,
         window_start: Time::ZERO,
         window_end: initial_window,
         round: 1,
@@ -316,10 +319,10 @@ pub(super) fn run_grouped<N: SimNode>(
     let mut fused_rounds: u64 = 0;
 
     let barrier = TreeBarrier::new(threads);
-    // Raised by a process phase that left `outflow` events or pending
-    // globals on an LP; phase 2 walks the LPs only when it is up.
+    // Raised by a process phase that left pending globals on an LP; phase
+    // 2 walks the LPs only when it is up.
     let side_output = CachePadded::new(AtomicBool::new(false));
-    // One published receive-phase fold per spawned worker (index `w - 1`).
+    // One published fold per spawned worker (index `w - 1`).
     let folds: Vec<CachePadded<FoldSlot>> = (1..threads)
         .map(|_| CachePadded::new(FoldSlot::new()))
         .collect();
@@ -346,7 +349,7 @@ pub(super) fn run_grouped<N: SimNode>(
         for (w, &g) in grouping.worker_group.iter().enumerate().skip(1) {
             let (g, home) = (g as usize, worker_home[w]);
             let (env, slots, plan, barrier) = (&env, &slots, &plan, &barrier);
-            let (cursors, recv_cursors, side_output) = (&cursors, &recv_cursors, &*side_output);
+            let (cursors, side_output) = (&cursors, &*side_output);
             let fold_slot = &*folds[w - 1];
             let body = move |site: &Site| {
                 let mut lane = Lane::new(env, barrier, site, w);
@@ -368,14 +371,16 @@ pub(super) fn run_grouped<N: SimNode>(
                         #[cfg(feature = "fault-inject")]
                         cfg.fault.fire_phase(round, RunPhase::Process, w);
                         let claims = std::iter::from_fn(|| cursors[g].claim(home));
-                        process_phase(slots, claims, &p.order[g], p, side_output, site, tel, round)
+                        let order = &p.order[g];
+                        process_phase(slots, claims, order, w, p, side_output, site, tel, round)
                     };
-                    if lane
-                        .run(RunPhase::Process, round, p.window_start, process, |&n| n)
-                        .is_none()
-                    {
+                    let Some(mut fold) =
+                        lane.run(RunPhase::Process, round, p.window_start, process, |f| {
+                            f.load
+                        })
+                    else {
                         break;
-                    }
+                    };
                     // B1, then B2 (main ran globals in between)
                     if !lane.wait(round, 1) || !lane.wait(round, 2) {
                         break;
@@ -386,13 +391,13 @@ pub(super) fn run_grouped<N: SimNode>(
                             cfg.fault.fire_phase(round, RunPhase::Receive, w);
                             cfg.fault.fire_stall(round, w);
                         }
-                        let claims = std::iter::from_fn(|| recv_cursors[g].claim(home));
-                        receive_phase(slots, claims, &p.group_lps[g], site, tel, round)
+                        receive_phase(slots, w..w + 1, site, tel, round)
                     };
                     match lane.run(RunPhase::Receive, round, p.window_end, receive, |f| f.recv) {
-                        Some(fold) => fold_slot.publish(fold),
+                        Some(received) => fold.merge(received),
                         None => break,
                     }
+                    fold_slot.publish(fold);
                     #[cfg(feature = "fault-inject")]
                     cfg.fault.fire_barrier_delay(round, w);
                     // B3
@@ -446,33 +451,33 @@ pub(super) fn run_grouped<N: SimNode>(
                 if fuse {
                     // Fused round: this thread claims every group's whole
                     // order at once; the parked workers never contend.
-                    let mut events = 0;
+                    let mut fold = RoundFold::EMPTY;
                     for (cursor, order) in cursors.iter().zip(&p.order) {
                         let claims = cursor.claim_rest();
-                        events += process_phase(
+                        fold.merge(process_phase(
                             &slots,
                             claims,
                             order,
+                            0,
                             p,
                             &side_output,
                             &site,
                             tel,
                             round,
-                        );
+                        ));
                     }
-                    events
+                    fold
                 } else {
                     let claims = std::iter::from_fn(|| cursors[main_group].claim(0));
                     let order = &p.order[main_group];
-                    process_phase(&slots, claims, order, p, &side_output, &site, tel, round)
+                    process_phase(&slots, claims, order, 0, p, &side_output, &site, tel, round)
                 }
             };
-            if lane
-                .run(RunPhase::Process, round, window_start, process, |&n| n)
-                .is_none()
-            {
+            let Some(mut fold) =
+                lane.run(RunPhase::Process, round, window_start, process, |f| f.load)
+            else {
                 break;
-            }
+            };
             // B1
             if !fuse && !lane.wait(round, 1) {
                 break;
@@ -483,18 +488,12 @@ pub(super) fn run_grouped<N: SimNode>(
             let globals = |_: &mut WorkerTel| {
                 #[cfg(feature = "fault-inject")]
                 cfg.fault.fire_phase(round, RunPhase::Global, 0);
-                if !fuse {
-                    for cursor in &recv_cursors {
-                        cursor.begin_round();
-                    }
-                }
-                // Route overflow events and merge node-scheduled globals:
-                // the LPs are walked only when some process phase reported
-                // either.
+                // Merge node-scheduled globals: the LPs are walked only
+                // when some process phase reported any.
                 if side_output.load(Ordering::Relaxed) {
                     side_output.store(false, Ordering::Relaxed);
                     // SAFETY: workers wait at B2; main is exclusive.
-                    unsafe { route_side_output(&slots, &mut public, window_end) };
+                    unsafe { merge_pending_globals(&slots, &mut public, window_end) };
                 }
                 // SAFETY: workers wait at B2; the main thread holds
                 // exclusive access to every LP slot.
@@ -515,31 +514,20 @@ pub(super) fn run_grouped<N: SimNode>(
             }
 
             // ---- Phase 3: receive (parallel; fused rounds drain every
-            // group serially on the main thread) ----
+            // column serially on the main thread) ----
             let receive = |tel: &mut WorkerTel| {
                 #[cfg(feature = "fault-inject")]
                 {
                     cfg.fault.fire_phase(round, RunPhase::Receive, 0);
                     cfg.fault.fire_stall(round, 0);
                 }
-                if fuse {
-                    let mut fold = RoundFold::EMPTY;
-                    for lps_of_g in &p.group_lps {
-                        let all = 0..lps_of_g.len();
-                        fold.merge(receive_phase(&slots, all, lps_of_g, &site, tel, round));
-                    }
-                    fold
-                } else {
-                    let lps_of_g = &p.group_lps[main_group];
-                    let claims = std::iter::from_fn(|| recv_cursors[main_group].claim(0));
-                    receive_phase(&slots, claims, lps_of_g, &site, tel, round)
-                }
+                let columns = if fuse { 0..threads } else { 0..1 };
+                receive_phase(&slots, columns, &site, tel, round)
             };
-            let Some(mut fold) =
-                lane.run(RunPhase::Receive, round, window_end, receive, |f| f.recv)
-            else {
-                break;
-            };
+            match lane.run(RunPhase::Receive, round, window_end, receive, |f| f.recv) {
+                Some(received) => fold.merge(received),
+                None => break,
+            }
             if !fuse {
                 #[cfg(feature = "fault-inject")]
                 cfg.fault.fire_barrier_delay(round, 0);
@@ -558,6 +546,17 @@ pub(super) fn run_grouped<N: SimNode>(
             rounds += 1;
             if fuse {
                 fused_rounds += 1;
+            }
+            if due.ran > 0 {
+                // A global event may have scheduled into any LP after its
+                // process-phase visit folded it: re-derive the minimum from
+                // the LPs' caches, which every insertion keeps current.
+                fold.min_next = Time::MAX;
+                for i in 0..lp_count {
+                    // SAFETY: workers are between B3 and B0 (fused rounds:
+                    // still parked at B0); main is exclusive.
+                    fold.min_next = fold.min_next.min(unsafe { slots.get_mut(i) }.next_ts);
+                }
             }
             let RoundFold {
                 min_next,
@@ -616,7 +615,8 @@ pub(super) fn run_grouped<N: SimNode>(
                 // Allocation-free LJF within each home: every home segment
                 // of a group's order is sorted by estimate in place, so an
                 // LP never leaves its home and the cursors' bounds stand.
-                for (out, &homes) in plan_mut.order.iter_mut().zip(&group_workers) {
+                for (out, workers_of_g) in plan_mut.order.iter_mut().zip(&group_workers) {
+                    let homes = workers_of_g.len();
                     for home in 0..homes {
                         let segment = home_range(out.len(), homes, home);
                         sort_by_estimate(&mut out[segment], &estimates);
@@ -699,17 +699,12 @@ pub(super) fn run_grouped<N: SimNode>(
     // An abort can leave cross-LP events sent in the aborted round's process
     // phase undelivered (the receive phase never ran). Deliver them now so
     // the stall diagnosis sees every LP that still has work; on a completed
-    // run the channels are already empty.
+    // run the outboxes are already empty.
     slots.begin_phase();
-    for i in 0..lp_count {
-        // SAFETY: every worker has been joined; this thread is alone.
-        let lp = unsafe { slots.get_mut(i) };
-        // SAFETY: as above — no push can race this drain.
-        unsafe { slots.receive(i, |_, batch| lp.fel.extend(batch)) };
-    }
-    let pool = slots.channel_pool_stats();
+    // SAFETY: every worker has been joined; this thread is alone.
+    unsafe { slots.receive_all() };
+    let pool = slots.outbox_stats();
     let (lps, _) = slots.into_inner();
-    // A stalled LP is one with any event left, or undelivered overflow.
     let out = Outcome {
         label: format!("{}({threads})", env.kernel),
         rounds,
@@ -727,40 +722,25 @@ pub(super) fn run_grouped<N: SimNode>(
     finish(env, shell, out, None)
 }
 
-/// Phase 2's LP walk: routes each LP's overflow events to their
-/// destination FELs and merges its node-scheduled globals into the public
-/// LP (none earlier than `window_end`, the end of the window that scheduled
-/// them).
+/// Phase 2's LP walk: merges each LP's node-scheduled globals into the
+/// public LP (none earlier than `window_end`, the end of the window that
+/// scheduled them).
 ///
 /// # Safety
 ///
 /// The caller must hold exclusive access to every LP slot (workers parked
 /// at a barrier).
-unsafe fn route_side_output<N: SimNode>(
+unsafe fn merge_pending_globals<N: SimNode>(
     slots: &LpSlots<N>,
     public: &mut PublicLp<N>,
     window_end: Time,
 ) {
     for i in 0..slots.len() {
-        let (outflow, pending) = {
-            // SAFETY: exclusive per this function's contract. The borrow
-            // ends inside this block, before any other slot is touched.
-            let lp = unsafe { slots.get_mut(i) };
-            if lp.outflow.is_empty() && lp.pending_globals.is_empty() {
-                continue;
-            }
-            (
-                std::mem::take(&mut lp.outflow),
-                std::mem::take(&mut lp.pending_globals),
-            )
-        };
-        for ev in outflow {
-            let dst = slots.directory().lp_of(ev.node);
-            // SAFETY: exclusive as above; the source LP borrow has ended.
-            let dst_lp = unsafe { slots.get_mut(dst.index()) };
-            dst_lp.fel.push(ev);
+        // SAFETY: exclusive per this function's contract.
+        let lp = unsafe { slots.get_mut(i) };
+        if !lp.pending_globals.is_empty() {
+            public.merge(LpId(i as u32), window_end, lp.pending_globals.drain(..));
         }
-        public.merge(LpId(i as u32), window_end, pending);
     }
 }
 
@@ -849,34 +829,38 @@ impl<'a> Lane<'a> {
     }
 }
 
-/// Phase 1: execute the window events of the LPs at the claimed
-/// `positions` of `order` (each position is handed to exactly one thread
-/// per round). Returns the number of events this worker executed.
+/// Phase 1, on worker `worker`: execute the window events of the LPs at
+/// the claimed `positions` of `order` (each position is handed to exactly
+/// one thread per round). Returns the fold of the visited LPs: the minimum
+/// of their next-event timestamps once processed, and the events executed.
 #[allow(clippy::too_many_arguments)]
 fn process_phase<N: SimNode>(
     slots: &LpSlots<N>,
     positions: impl Iterator<Item = usize>,
     order: &[u32],
+    worker: usize,
     plan: &RoundPlan,
     side_output: &AtomicBool,
     site: &Site,
     tel: &mut WorkerTel,
     round: u64,
-) -> u64 {
+) -> RoundFold {
     let dir = slots.directory();
-    let mut total_events: u64 = 0;
+    let mut fold = RoundFold::EMPTY;
     for i in positions {
         let lp_idx = order[i] as usize;
         // SAFETY: the claim cursor hands each position to exactly one
         // worker per round (its exactly-once contract); phases are
         // separated by barriers.
         let lp = unsafe { slots.get_mut(lp_idx) };
-        // The cache is exact here: it was refreshed at the end of the last
-        // receive phase (after outflow routing), and the window-planning
-        // phase between never touches LP FELs. Probing the cache instead of
-        // the FEL keeps the idle-LP skip O(1) under the ladder backend,
-        // whose `next_ts` may scan a rung bucket.
+        // The cache is exact here: it was refreshed after the LP's last
+        // pop, and every insertion since — a delivery, a global event's —
+        // went through `LpState::push`. Probing the cache instead of the
+        // FEL keeps the idle-LP skip O(1) under the ladder backend, whose
+        // `next_ts` may scan a rung bucket.
         debug_assert_eq!(lp.next_ts, lp.fel.next_ts(), "stale next_ts cache");
+        // Phase 4 has read what the last receive phase counted.
+        lp.round_recv = 0;
         if lp.next_ts >= plan.window_end {
             // Idle this round: no clock calls, so in a timed round idle
             // LPs record zero cost (and cost nothing).
@@ -884,6 +868,7 @@ fn process_phase<N: SimNode>(
             if plan.timed {
                 lp.last_cost_ns = 0;
             }
+            fold.min_next = fold.min_next.min(lp.next_ts);
             continue;
         }
         let t0 = plan.timed.then(Instant::now);
@@ -901,20 +886,22 @@ fn process_phase<N: SimNode>(
                 now: ev.key.ts,
                 self_node: ev.node,
                 lp_id: lp.id,
+                worker,
                 window_end: plan.window_end,
                 fel: &mut lp.fel,
                 seq: &mut lp.seq,
-                outflow: &mut lp.outflow,
                 pending_globals: &mut lp.pending_globals,
                 slots,
             };
             node.handle(ev.payload, &mut ctx);
             round_events += 1;
         }
+        lp.refresh_next_ts();
         lp.round_events = round_events;
         lp.total_events += round_events;
-        total_events += round_events;
-        if !lp.outflow.is_empty() || !lp.pending_globals.is_empty() {
+        fold.min_next = fold.min_next.min(lp.next_ts);
+        fold.load += round_events;
+        if !lp.pending_globals.is_empty() {
             side_output.store(true, Ordering::Relaxed);
         }
         if let Some(t0) = t0 {
@@ -928,57 +915,50 @@ fn process_phase<N: SimNode>(
             tel.record(SpanKind::LpTask, round, lp_id, t0, cost, round_events, est);
         }
     }
-    total_events
+    fold
 }
 
-/// Phase 3: claim LPs, drain their incoming channels straight into their
-/// FELs (`Fel::extend` per non-empty channel, ascending source) and fold
-/// what phase 4 needs from each claimed LP — its next-event timestamp, its
-/// load and its receive count — so the control thread never has to visit
-/// the LPs itself.
+/// Phase 3: deliver the events of `columns` — a worker's own; every one in
+/// a fused round — straight into their destination FELs, and fold what
+/// phase 4 needs from the events themselves: the earliest timestamp and
+/// the count. Cost is proportional to the events received, not to the LPs.
 fn receive_phase<N: SimNode>(
     slots: &LpSlots<N>,
-    positions: impl Iterator<Item = usize>,
-    group_lps: &[u32],
+    columns: std::ops::Range<usize>,
     site: &Site,
     tel: &mut WorkerTel,
     round: u64,
 ) -> RoundFold {
     let mut fold = RoundFold::EMPTY;
-    let recording = tel.enabled();
-    for i in positions {
-        let lp_idx = group_lps[i] as usize;
-        site.at.set((Some(LpId(lp_idx as u32)), site.at.get().1));
-        // SAFETY: unique claim via the cursor, as in `process_phase`.
-        let lp = unsafe { slots.get_mut(lp_idx) };
-        // Nested inside the receive lap: timed only for its span.
-        let t0 = recording.then(Instant::now);
-        let fel = &mut lp.fel;
-        // SAFETY: the claim on `lp_idx` covers its incoming channels, and
-        // B1/B2 separate this drain from every push into them.
-        let recv = unsafe {
-            slots.receive(lp_idx, |src, batch| {
-                tel.edge(src, lp_idx as u32, batch.len() as u64);
-                fel.extend(batch);
+    // Nested inside the receive lap: timed only for its span.
+    let t0 = tel.enabled().then(Instant::now);
+    // The traffic matrix counts runs of one `(source, destination)` pair.
+    let mut run = (0u32, 0u32, 0u64);
+    for home in columns {
+        // SAFETY: `home` is this worker's own column inside a receive
+        // phase, or the control thread drains every column of a fused round
+        // while the workers are parked at B0; B1/B2 (fused: program order)
+        // separate the drain from every send.
+        fold.recv += unsafe {
+            slots.receive(home, |dst, ev| {
+                site.at.set((Some(dst), ev.key.ts));
+                fold.min_next = fold.min_next.min(ev.key.ts);
+                if t0.is_some() {
+                    let pair = (ev.key.sender_lp.0, dst.0);
+                    if pair != (run.0, run.1) {
+                        tel.edge(run.0, run.1, run.2);
+                        run = (pair.0, pair.1, 0);
+                    }
+                    run.2 += 1;
+                }
             })
         };
-        lp.round_recv = recv;
-        lp.refresh_next_ts();
-        fold.min_next = fold.min_next.min(lp.next_ts);
-        fold.load += lp.round_events + recv;
-        fold.recv += recv;
-        if let Some(t0) = t0.filter(|_| recv > 0) {
-            let ns = t0.elapsed().as_nanos() as u64;
-            tel.record(
-                SpanKind::MailboxFlush,
-                round,
-                lp_idx as u32,
-                t0,
-                ns,
-                recv,
-                0,
-            );
-        }
+    }
+    fold.load = fold.recv;
+    if let Some(t0) = t0.filter(|_| fold.recv > 0) {
+        tel.edge(run.0, run.1, run.2);
+        let ns = t0.elapsed().as_nanos() as u64;
+        tel.record(SpanKind::MailboxFlush, round, NO_LP, t0, ns, fold.recv, 0);
     }
     fold
 }

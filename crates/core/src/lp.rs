@@ -5,10 +5,15 @@
 //! atomic cursor (each LP is claimed by exactly one thread per phase), so
 //! mutable access to the slots is race-free even though the container is
 //! shared. [`LpSlots`] encapsulates that pattern behind a small unsafe
-//! surface with the claim discipline documented at every call site. The
-//! same claims own the run's cross-LP channels ([`PhasedChannels`]): the
-//! claim on a source LP covers writing its outgoing channels, the claim on
-//! a destination LP covers draining its incoming ones.
+//! surface with the claim discipline documented at every call site.
+//!
+//! The table also owns the run's cross-LP transport: W × W *outboxes*, one
+//! plain buffer per (sending worker, receiving home worker). A worker
+//! appends every cross-LP event it produces in a process phase to its own
+//! row — whichever LP it is executing, its own or a stolen one — and in the
+//! receive phase drains its own column straight into the destination FELs,
+//! touching an LP only when there is an event for it. The phase barrier
+//! between the two is the only synchronization (DESIGN.md §4.4).
 
 use std::cell::UnsafeCell;
 
@@ -17,7 +22,6 @@ use crate::sync_shim::CachePadded;
 use crate::event::{Event, LpId};
 use crate::fel::Fel;
 use crate::global::GlobalFn;
-use crate::mailbox::PhasedChannels;
 use crate::time::Time;
 use crate::world::{NodeDirectory, SimNode};
 
@@ -42,13 +46,12 @@ pub struct LpState<N: SimNode> {
     pub fel: Fel<N::Payload>,
     /// Monotone per-LP sequence counter for tie-break keys.
     pub seq: u64,
-    /// Cross-LP events without a pre-allocated channel (routed by the main
-    /// thread between phases).
-    pub outflow: Vec<Event<N::Payload>>,
     /// Global events scheduled by this LP's nodes during the current round.
     pub pending_globals: Vec<PendingGlobal<N>>,
-    /// Cached timestamp of the next local event (refreshed in the receive
-    /// phase; input to the window computation).
+    /// Cached timestamp of the next local event: refreshed after the LP's
+    /// last pop of a process phase and lowered by every [`LpState::push`],
+    /// so it is exact whenever the LP is not mid-visit (input to the window
+    /// computation and to the idle-LP skip).
     pub next_ts: Time,
     /// Measured processing cost of the last *timed* round, in nanoseconds
     /// (the default `ByLastRoundTime` scheduling metric). The Unison kernel
@@ -57,7 +60,8 @@ pub struct LpState<N: SimNode> {
     pub last_cost_ns: u64,
     /// Events processed by this LP in the current round (metrics).
     pub round_events: u64,
-    /// Events received from other LPs in the current round (metrics).
+    /// Events received from other LPs since the LP's last process-phase
+    /// visit, i.e. in the current round's receive phase (metrics).
     pub round_recv: u64,
     /// Total events processed by this LP over the whole run.
     pub total_events: u64,
@@ -83,7 +87,6 @@ impl<N: SimNode> LpState<N> {
             nodes: Vec::new(),
             fel: Fel::with_impl(fel_impl),
             seq: 0,
-            outflow: Vec::new(),
             pending_globals: Vec::new(),
             next_ts: Time::MAX,
             last_cost_ns: 0,
@@ -100,18 +103,52 @@ impl<N: SimNode> LpState<N> {
     pub fn refresh_next_ts(&mut self) {
         self.next_ts = self.fel.next_ts();
     }
+
+    /// Inserts an event that arrives from outside the LP's own handlers (a
+    /// cross-LP delivery, a global event's injection), keeping the
+    /// [`LpState::next_ts`] cache current.
+    #[inline]
+    pub fn push(&mut self, ev: Event<N::Payload>) {
+        self.next_ts = self.next_ts.min(ev.key.ts);
+        self.fel.push(ev);
+    }
 }
 
-/// A shared table of LP slots with phase-disciplined mutable access.
+/// One outbox: the in-flight events of one (sending worker, receiving home)
+/// pair, plus its allocation profile.
+struct Outbox<P> {
+    buf: Vec<Event<P>>,
+    /// Pushes that found `buf` full and had to grow it.
+    grows: u64,
+    /// Events handed to their destination LPs so far.
+    delivered: u64,
+}
+
+/// Unused outboxes between two rows of the table: at least one padded line
+/// (an outbox is its `Vec` header and two counters, whatever the payload).
+const ROW_GAP: usize = 128usize.div_ceil(std::mem::size_of::<Outbox<()>>());
+
+/// A shared table of LP slots with phase-disciplined mutable access, and
+/// the outboxes that carry events between them.
 ///
 /// # Access discipline
 ///
-/// During a parallel phase, each slot index is claimed by exactly one worker
+/// During a process phase, each slot index is claimed by exactly one worker
 /// (via an atomic cursor over a permutation of indices), giving that worker
-/// exclusive access. Between phases — separated by barriers that establish
-/// happens-before — only the main thread touches slots. All mutable access
-/// funnels through [`LpSlots::get_mut`], whose safety contract states this
-/// invariant.
+/// exclusive access; during a receive phase an LP belongs to its *home*
+/// worker (`lp_home`, a static table). Between phases — separated by
+/// barriers that establish happens-before — only the main thread touches
+/// slots. All mutable access funnels through [`LpSlots::get_mut`], whose
+/// safety contract states this invariant.
+///
+/// The outbox at (row `w`, column `h`) is written only by worker `w`, and
+/// only during a process phase ([`LpSlots::send`]); it is drained only by
+/// worker `h` during a receive phase, or by the control thread while every
+/// worker is parked — fused rounds, checkpoint and abort drains
+/// ([`LpSlots::receive`]). A barrier separates the two and carries the
+/// happens-before edge (loom model `outbox_handoff_happens_before`). The
+/// order events travel in carries no information: the FEL orders them by
+/// their keys alone.
 ///
 /// # Claim auditing (`claim-audit` feature, on by default)
 ///
@@ -130,14 +167,25 @@ impl<N: SimNode> LpState<N> {
 /// the audit cannot mask a real race, and simulation results are
 /// bit-identical with the feature on or off.
 ///
-/// Channel accesses ([`LpSlots::send`], [`LpSlots::receive`]) do not stamp:
-/// they only *check* that the calling thread's current-generation stamp is
-/// on the LP whose claim covers the channel — one relaxed load, so the
-/// event path carries no second read-modify-write.
+/// [`LpSlots::send`] does not stamp: it only *checks* that the calling
+/// thread's current-generation stamp is on the source LP — one relaxed
+/// load, so the event path carries no second read-modify-write.
+/// [`LpSlots::receive`] takes every destination through `get_mut`, and
+/// checks that the LP's home is the column being drained (one compare).
 pub struct LpSlots<N: SimNode> {
     slots: Vec<CachePadded<UnsafeCell<LpState<N>>>>,
     directory: NodeDirectory,
-    channels: PhasedChannels<N::Payload>,
+    /// Home worker of each LP: the column its deliveries travel in.
+    lp_home: Vec<u32>,
+    /// Workers, i.e. rows and columns of the outbox table.
+    workers: usize,
+    // PADDING: per writer, not per outbox. Row `w` is the `workers` cells
+    // from `w * stride`; `stride` leaves `ROW_GAP` unused cells (>= one
+    // padded line) behind every row, so two writers' `Vec` headers never
+    // share a line wherever the allocation starts, while one row stays
+    // packed for its writer and a column read touches few lines.
+    outboxes: Box<[UnsafeCell<Outbox<N::Payload>>]>,
+    stride: usize,
     // Padded: with the audit on, every claimant swaps its LP's owner
     // word each phase — unpadded they'd false-share across workers.
     #[cfg(feature = "claim-audit")]
@@ -170,25 +218,39 @@ fn claim_owner_id() -> u32 {
 
 // SAFETY: `LpSlots` hands out `&mut LpState` only through `get_mut`, whose
 // contract requires callers to hold an exclusive claim on that index (atomic
-// cursor during parallel phases, main-thread exclusivity between barriers).
-// `LpState<N>: Send` because `N: Send` and payloads are `Send`.
+// cursor during process phases, home ownership during receive phases,
+// main-thread exclusivity between barriers). An outbox is reached only
+// through `send`/`receive`, whose contracts give each cell one accessor at
+// a time with a barrier between accessors. `LpState<N>: Send` because
+// `N: Send` and payloads are `Send`; the tables are read-only.
 unsafe impl<N: SimNode> Sync for LpSlots<N> {}
 
 impl<N: SimNode> LpSlots<N> {
-    /// Wraps LP states into a shared slot table without cross-LP channels
-    /// (every [`LpSlots::send`] hands its event back).
+    /// Wraps LP states into a shared slot table for one worker (every LP's
+    /// home is worker 0).
     pub fn new(lps: Vec<LpState<N>>, directory: NodeDirectory) -> Self {
-        Self::with_channels(lps, directory, &[])
+        let lp_home = vec![0; lps.len()];
+        Self::with_homes(lps, directory, lp_home, 1)
     }
 
-    /// Wraps LP states into a shared slot table with one channel per
-    /// direction of every undirected LP pair in `channels`.
-    pub fn with_channels(
+    /// Wraps LP states into a shared slot table for `workers` workers;
+    /// `lp_home[lp]` is the worker that receives for `lp`.
+    ///
+    /// # Panics
+    ///
+    /// If `lp_home` does not name a worker below `workers` for every LP.
+    pub fn with_homes(
         lps: Vec<LpState<N>>,
         directory: NodeDirectory,
-        channels: &[(u32, u32)],
+        lp_home: Vec<u32>,
+        workers: usize,
     ) -> Self {
-        let channels = PhasedChannels::new(lps.len(), channels);
+        assert_eq!(lp_home.len(), lps.len(), "one home per LP");
+        assert!(
+            lp_home.iter().all(|&h| (h as usize) < workers),
+            "an LP's home must be one of the {workers} workers"
+        );
+        let stride = workers + ROW_GAP;
         #[cfg(feature = "claim-audit")]
         let owners = (0..lps.len())
             .map(|_| CachePadded::new(std::sync::atomic::AtomicU32::new(0)))
@@ -199,7 +261,18 @@ impl<N: SimNode> LpSlots<N> {
                 .map(|lp| CachePadded::new(UnsafeCell::new(lp)))
                 .collect(),
             directory,
-            channels,
+            lp_home,
+            workers,
+            outboxes: (0..workers * stride)
+                .map(|_| {
+                    UnsafeCell::new(Outbox {
+                        buf: Vec::new(),
+                        grows: 0,
+                        delivered: 0,
+                    })
+                })
+                .collect(),
+            stride,
             #[cfg(feature = "claim-audit")]
             owners,
             #[cfg(feature = "claim-audit")]
@@ -236,9 +309,10 @@ impl<N: SimNode> LpSlots<N> {
         let (generation, me) = self.current_claim();
         let tag = (generation << 8) | me;
         // The caller's own stamp is already there (the sequential kernel
-        // touches one slot per event): nothing to write. Another thread
-        // stamping this generation still swaps, reads this tag and panics,
-        // and this thread's next touch then reads a foreign tag and swaps.
+        // touches one slot per event, a receive phase one per delivery):
+        // nothing to write. Another thread stamping this generation still
+        // swaps, reads this tag and panics, and this thread's next touch
+        // then reads a foreign tag and swaps.
         if self.owners[idx].load(Ordering::Relaxed) == tag {
             return;
         }
@@ -272,45 +346,92 @@ impl<N: SimNode> LpSlots<N> {
         }
     }
 
-    /// Sends `ev` from LP `src` to LP `dst` through their channel. Returns
-    /// the event back when the pair has none (the caller then uses the
-    /// control-thread `outflow` lane).
+    /// Sends `ev` from LP `src`, executing on `worker`, to LP `dst`: appends
+    /// it to the outbox at (`worker`, home of `dst`). Any pair of LPs has a
+    /// lane, linked or not.
     ///
     /// # Safety
     ///
-    /// The caller must hold the process-phase claim on `src` (see
-    /// [`LpSlots::get_mut`]); `dst` is drained only after the next barrier.
+    /// The caller must be worker `worker` (the control thread in a fused
+    /// round: worker 0) inside a process phase, holding the claim on `src`
+    /// (see [`LpSlots::get_mut`]), and `dst` must own `ev.node`; the row is
+    /// drained only after the next barrier.
     #[inline]
-    pub unsafe fn send(
-        &self,
-        src: LpId,
-        dst: LpId,
-        ev: Event<N::Payload>,
-    ) -> Result<(), Event<N::Payload>> {
+    pub unsafe fn send(&self, src: LpId, worker: usize, dst: LpId, ev: Event<N::Payload>) {
         #[cfg(feature = "claim-audit")]
-        self.audit_held(src.index(), "channel push");
-        // SAFETY: forwarded to the caller — it holds the claim on `src`.
-        unsafe { self.channels.push(src.0, dst.0, ev) }
+        self.audit_held(src.index(), "outbox push");
+        #[cfg(not(feature = "claim-audit"))]
+        let _ = src;
+        let home = self.lp_home[dst.index()] as usize;
+        // SAFETY: only worker `worker` writes its row during a process
+        // phase (caller contract), so this is the only live reference. A
+        // `worker` beyond the table indexes past the last row and panics.
+        let outbox = unsafe { &mut *self.outboxes[worker * self.stride + home].get() };
+        if outbox.buf.len() == outbox.buf.capacity() {
+            outbox.grows += 1;
+        }
+        outbox.buf.push(ev);
     }
 
-    /// Drains the channels feeding LP `dst`: `f` gets each non-empty
-    /// channel's source LP and events, ascending source, FIFO per source.
-    /// Returns the number of events delivered.
+    /// Delivers every event addressed to home worker `home` — its column,
+    /// one outbox per sending worker — into the destination LPs' FELs
+    /// ([`LpState::push`]), counting it in [`LpState::round_recv`]. `f`
+    /// sees each event and its destination LP just before the insertion.
+    /// Buffers keep their capacity. Returns the number of events delivered.
     ///
     /// # Safety
     ///
-    /// The caller must hold the receive-phase claim on `dst`, or be the
-    /// control thread while every worker is parked or joined.
+    /// The caller must be worker `home` inside a receive phase, or the
+    /// control thread while every worker is parked or joined; either way
+    /// it has exclusive access to every LP whose home is `home`, and a
+    /// barrier (or join) separates this call from every send.
     #[inline]
-    pub unsafe fn receive(
-        &self,
-        dst: usize,
-        f: impl FnMut(u32, std::vec::Drain<'_, Event<N::Payload>>),
-    ) -> u64 {
-        #[cfg(feature = "claim-audit")]
-        self.audit_held(dst, "channel drain");
-        // SAFETY: forwarded to the caller — it holds the claim on `dst`.
-        unsafe { self.channels.drain(dst as u32, f) }
+    pub unsafe fn receive(&self, home: usize, mut f: impl FnMut(LpId, &Event<N::Payload>)) -> u64 {
+        let mut total = 0;
+        for row in 0..self.workers {
+            // SAFETY: outside a process phase only `home`'s drainer reaches
+            // this cell (caller contract), so this is the only live
+            // reference.
+            let outbox = unsafe { &mut *self.outboxes[row * self.stride + home].get() };
+            let n = outbox.buf.len() as u64;
+            outbox.delivered += n;
+            total += n;
+            for ev in outbox.buf.drain(..) {
+                let dst = self.directory.lp_of(ev.node);
+                #[cfg(feature = "claim-audit")]
+                if self.lp_home[dst.index()] as usize != home {
+                    panic!(
+                        "claim-audit: delivery into LP slot {} out of the \
+                         column of worker {home}, but the LP's home is worker \
+                         {}: only its home worker may receive for an LP",
+                        dst.index(),
+                        self.lp_home[dst.index()]
+                    );
+                }
+                f(dst, &ev);
+                // SAFETY: forwarded to the caller — it has exclusive access
+                // to the LPs of `home`, and `dst` is one (checked above
+                // under the audit; `send` chose the column by the same
+                // table).
+                let lp = unsafe { self.get_mut(dst.index()) };
+                lp.round_recv += 1;
+                lp.push(ev);
+            }
+        }
+        total
+    }
+
+    /// Delivers every in-flight event, column by column. Returns how many.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have exclusive access to every LP slot: the control
+    /// thread while every worker is parked or joined.
+    pub unsafe fn receive_all(&self) -> u64 {
+        (0..self.workers)
+            // SAFETY: forwarded to the caller — exclusive on every LP.
+            .map(|home| unsafe { self.receive(home, |_, _| {}) })
+            .sum()
     }
 
     /// Number of LPs.
@@ -336,9 +457,11 @@ impl<N: SimNode> LpSlots<N> {
     /// # Safety
     ///
     /// The caller must hold an exclusive claim on `idx`: either it popped
-    /// `idx` from the phase's atomic work cursor (each index is handed out
-    /// at most once per phase and phases are separated by barriers), or it
-    /// is the main thread executing between barriers while all workers wait.
+    /// `idx` from the process phase's atomic work cursor (each index is
+    /// handed out at most once per phase and phases are separated by
+    /// barriers), or it is `idx`'s home worker inside a receive phase, or
+    /// it is the main thread executing between barriers while all workers
+    /// wait.
     #[inline]
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn get_mut(&self, idx: usize) -> &mut LpState<N> {
@@ -349,15 +472,23 @@ impl<N: SimNode> LpSlots<N> {
         unsafe { &mut *self.slots[idx].get() }
     }
 
-    /// The channels' `(hits, misses)` allocation profile
-    /// ([`PhasedChannels::pool_stats`]).
-    pub fn channel_pool_stats(&mut self) -> (u64, u64) {
-        self.channels.pool_stats()
+    /// The outboxes' `(hits, misses)` allocation profile: sends served from
+    /// retained capacity, and sends that had to grow their buffer — the
+    /// steady-state allocation profile of cross-LP traffic, reported as
+    /// `RunReport::engine`. Their sum is the number of cross-LP sends.
+    pub fn outbox_stats(&mut self) -> (u64, u64) {
+        let (mut sends, mut grows) = (0, 0);
+        for cell in self.outboxes.iter_mut() {
+            let outbox = cell.get_mut();
+            sends += outbox.delivered + outbox.buf.len() as u64;
+            grows += outbox.grows;
+        }
+        (sends - grows, grows)
     }
 
     /// Consumes the table, returning the LP states (after all threads have
-    /// been joined). Events still in a channel are dropped: drain with
-    /// [`LpSlots::receive`] first where they matter.
+    /// been joined). Events still in an outbox are dropped: deliver them
+    /// with [`LpSlots::receive_all`] first where they matter.
     pub fn into_inner(self) -> (Vec<LpState<N>>, NodeDirectory) {
         let lps = self
             .slots

@@ -103,12 +103,15 @@ pub struct EngineStats {
     /// FEL implementation the run was configured with.
     pub fel_impl: FelImpl,
     /// Cross-LP sends that did not allocate. Unison/hybrid: pushes served
-    /// from a channel's retained capacity; async_cons: pushes that reused
+    /// from an outbox's retained capacity; async_cons: pushes that reused
     /// a pooled mailbox node.
     pub pool_hits: u64,
     /// Cross-LP sends that allocated. Unison/hybrid: pushes that had to
-    /// grow the channel's buffer; async_cons: pushes that allocated a
-    /// fresh node.
+    /// grow the outbox's buffer — there is one outbox per (sending worker,
+    /// receiving home), so the count depends on the thread count and on
+    /// who stole what, while `pool_hits + pool_misses`, the number of
+    /// cross-LP sends, does not; async_cons: pushes that allocated a fresh
+    /// node.
     pub pool_misses: u64,
 }
 

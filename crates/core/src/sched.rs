@@ -15,7 +15,7 @@
 //! and a neighbour's only once its own is exhausted, every position is
 //! handed out exactly once per round, and determinism does not depend on
 //! which worker gets it, because all cross-LP sends commit through the
-//! channel + tie-break-key path (proven by the digest tests in
+//! outbox + tie-break-key path (proven by the digest tests in
 //! `crates/core/tests/sched_matrix.rs`, not asserted).
 
 use std::ops::Range;
@@ -74,7 +74,7 @@ impl SchedPolicyKind {
 
 /// Positions `home` of `homes` owns out of an order of `len` positions:
 /// contiguous, equal-count (±1) segments that depend on nothing but the
-/// three numbers, so the process cursor, the receive cursor, the phase-4
+/// three numbers, so the claim cursor, the LPs' receive homes, the phase-4
 /// re-sort and the regret replay all cut an order the same way.
 pub fn home_range(len: usize, homes: usize, home: usize) -> Range<usize> {
     home * len / homes..(home + 1) * len / homes
@@ -106,7 +106,7 @@ struct Home {
 /// on one worker round after round unless that worker falls behind. Which
 /// caller gets which position is otherwise unconstrained — determinism of
 /// results does not depend on it, because every cross-LP effect commits
-/// through the channel + tie-break-key path (digest-proven, see
+/// through the outbox + tie-break-key path (digest-proven, see
 /// `sched_matrix.rs`).
 pub struct LjfCursor {
     homes: Box<[CachePadded<Home>]>,

@@ -49,8 +49,8 @@ pub enum SpanKind {
     /// Phase 2 (global events), control thread only. `arg` = global events
     /// executed this round.
     Global,
-    /// Phase 3 (mailbox drain) as seen by one worker. `arg` = events
-    /// received by this worker.
+    /// Phase 3 (outbox drain) as seen by one worker. `arg` = events
+    /// delivered by this worker.
     Receive,
     /// Phase 4 (window reduction + scheduling), control thread only.
     /// `arg` = this round's window end, `arg2` = the next window end
@@ -59,7 +59,11 @@ pub enum SpanKind {
     /// Time blocked in a phase barrier (or the null-message kernel's
     /// neighbor wait). `arg` = barrier index within the round.
     BarrierWait,
-    /// One LP's mailbox drain in phase 3. `arg` = events received.
+    /// Moving received events into FELs. Unison/hybrid: one span per
+    /// worker and round, nested in its `Receive` span, for the drain of the
+    /// worker's outbox column (no LP; absent when nothing arrived);
+    /// barrier/null-message: one LP's mailbox drain. `arg` = events
+    /// received.
     MailboxFlush,
     /// One LP's execution in phase 1. `arg` = events executed, `arg2` = the
     /// scheduler's cost estimate for this LP (0 when no estimate existed).
@@ -320,10 +324,11 @@ impl WorkerTel {
         }
     }
 
-    /// Counts `n` cross-LP events `src → dst` in the traffic matrix.
+    /// Counts `n` cross-LP events `src → dst` in the traffic matrix (an
+    /// empty run leaves no entry).
     #[inline]
     pub fn edge(&mut self, src: u32, dst: u32, n: u64) {
-        if !self.enabled {
+        if !self.enabled || n == 0 {
             return;
         }
         *self.traffic.entry((src, dst)).or_insert(0) += n;

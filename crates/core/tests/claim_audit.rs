@@ -2,8 +2,9 @@
 //! stamps an owner tag per slot and must panic deterministically when two
 //! threads claim the same slot in the same phase generation — the exact
 //! violation of the claim discipline that the `unsafe` contract forbids.
-//! Channel accesses check the same tags: a push needs the caller's stamp on
-//! the source LP, a drain on the destination LP.
+//! The outboxes lean on the same tags: a send needs the caller's stamp on
+//! the source LP, and a delivery takes its destination LP through `get_mut`
+//! after checking that the LP's home is the column being drained.
 
 #![cfg(not(loom))]
 #![cfg(feature = "claim-audit")]
@@ -20,18 +21,25 @@ impl SimNode for Nop {
     fn handle(&mut self, _p: (), _ctx: &mut dyn SimCtx<Self>) {}
 }
 
+/// Two LPs of one node each (node `i` in LP `i`) and two workers: LP `i`'s
+/// home is worker `i`.
 fn two_slots() -> LpSlots<Nop> {
-    let mut lp0 = LpState::<Nop>::new(LpId(0));
-    lp0.nodes.push(Nop);
-    let lp1 = LpState::<Nop>::new(LpId(1));
-    let dir = NodeDirectory::from_lp_nodes(1, &[vec![NodeId(0)], vec![]]);
-    LpSlots::with_channels(vec![lp0, lp1], dir, &[(0, 1)])
+    let lps = (0..2)
+        .map(|i| {
+            let mut lp = LpState::<Nop>::new(LpId(i));
+            lp.nodes.push(Nop);
+            lp
+        })
+        .collect();
+    let dir = NodeDirectory::from_lp_nodes(2, &[vec![NodeId(0)], vec![NodeId(1)]]);
+    LpSlots::with_homes(lps, dir, vec![0, 1], 2)
 }
 
-fn ev() -> Event<()> {
+/// An event for `node` at t=1.
+fn ev(node: u32) -> Event<()> {
     Event {
         key: EventKey::external(Time(1), 0),
-        node: NodeId(0),
+        node: NodeId(node),
         payload: (),
     }
 }
@@ -150,72 +158,110 @@ fn begin_phase_releases_claims() {
     assert_eq!(lps[0].seq, 2);
 }
 
-/// The channel `0 -> 1` belongs to LP 0's claim: pushing with only LP 1
-/// stamped (or nothing stamped) is a push nobody was entitled to make.
+/// A send is covered by the claim on its source LP: sending from LP 0 with
+/// only LP 1 stamped (or nothing stamped) is a send nobody was entitled to
+/// make.
 #[test]
-#[should_panic(expected = "channel push without the claim")]
-fn channel_push_without_the_source_claim_panics() {
+#[should_panic(expected = "outbox push without the claim")]
+fn send_without_the_source_claim_panics() {
     let slots = two_slots();
     slots.begin_phase();
     // SAFETY: single-threaded; trivially exclusive.
     let _ = unsafe { slots.get_mut(1) };
     // SAFETY: never reached past the audit panic.
-    let _ = unsafe { slots.send(LpId(0), LpId(1), ev()) };
+    unsafe { slots.send(LpId(0), 0, LpId(1), ev(1)) };
 }
 
 /// A stamp from an earlier generation is no claim either.
 #[test]
-#[should_panic(expected = "channel push without the claim")]
-fn channel_push_with_a_stale_claim_panics() {
+#[should_panic(expected = "outbox push without the claim")]
+fn send_with_a_stale_claim_panics() {
     let slots = two_slots();
     slots.begin_phase();
     // SAFETY: single-threaded; trivially exclusive.
     let _ = unsafe { slots.get_mut(0) };
     slots.begin_phase();
     // SAFETY: never reached past the audit panic.
-    let _ = unsafe { slots.send(LpId(0), LpId(1), ev()) };
+    unsafe { slots.send(LpId(0), 0, LpId(1), ev(1)) };
 }
 
-/// A helper thread claims LP 1 for the receive phase; the main thread then
-/// drains LP 1's channels in the same generation. Only the claimant may.
-#[test]
-#[should_panic(expected = "channel drain without the claim")]
-fn channel_drain_from_a_second_thread_panics() {
-    let slots = two_slots();
+/// Sends `ev(node)` from LP 0 on worker 0, addressed to LP `dst`, under the
+/// claim on LP 0, and opens the next phase generation.
+fn send_then_next_phase(slots: &LpSlots<Nop>, dst: u32, node: u32) {
     slots.begin_phase();
+    // SAFETY: single-threaded; trivially exclusive.
+    let _ = unsafe { slots.get_mut(0) };
+    // SAFETY: LP 0 is stamped by this thread in this generation.
+    unsafe { slots.send(LpId(0), 0, LpId(dst), ev(node)) };
+    slots.begin_phase();
+}
+
+/// A helper thread touches LP 1 in the receive generation; the main thread
+/// then delivers into LP 1 in the same generation. The delivery's `get_mut`
+/// is the second claim.
+#[test]
+#[should_panic(expected = "double claim of LP slot 1")]
+fn delivery_into_an_lp_another_thread_stamped_panics() {
+    let slots = two_slots();
+    send_then_next_phase(&slots, 1, 1);
     let (tx, rx) = mpsc::channel();
     let slots = &slots;
     std::thread::scope(|scope| {
         scope.spawn(move || {
-            // SAFETY: sole claimant of slot 1; the reference is dropped at
-            // once, the audit tag stays behind.
+            // SAFETY: sole claimant of slot 1 so far; the reference is
+            // dropped at once, the audit tag stays behind.
             let _ = unsafe { slots.get_mut(1) };
             tx.send(()).unwrap();
         });
         rx.recv().unwrap();
         // SAFETY: never reached past the audit panic.
-        unsafe { slots.receive(1, |_, batch| drop(batch)) };
+        unsafe { slots.receive(1, |_, _| {}) };
     });
 }
 
-/// The kernel pattern: push under the source claim in one generation, drain
-/// under the destination claim in the next.
+/// Only its home worker receives for an LP. An event for node 0 (LP 0, home
+/// worker 0) sent as if it were LP 1's travels in column 1; draining that
+/// column must not deliver it.
 #[test]
-fn claimed_push_then_claimed_drain_delivers() {
+fn delivery_out_of_a_foreign_column_panics() {
+    let slots = two_slots();
+    send_then_next_phase(&slots, 1, 0);
+    let forged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // SAFETY: single-threaded; the audit panics before the insertion.
+        unsafe { slots.receive(1, |_, _| {}) }
+    }));
+    let msg = *forged.unwrap_err().downcast::<String>().unwrap();
+    for part in ["LP slot 0", "column of worker 1", "home is worker 0"] {
+        assert!(msg.contains(part), "`{part}` missing from: {msg}");
+    }
+}
+
+/// The kernel pattern: send under the source claim in one generation,
+/// deliver out of the destination's home column in the next. Any pair of
+/// LPs has a lane — an LP can even send to itself.
+#[test]
+fn claimed_send_then_home_drain_delivers() {
     let slots = two_slots();
     slots.begin_phase();
     // SAFETY: single-threaded; trivially exclusive.
     let _ = unsafe { slots.get_mut(0) };
     // SAFETY: LP 0 is stamped by this thread in this generation.
-    unsafe { slots.send(LpId(0), LpId(1), ev()) }.unwrap();
-    // No channel `0 -> 0`: the event comes back for the outflow lane.
-    // SAFETY: as above.
-    assert!(unsafe { slots.send(LpId(0), LpId(0), ev()) }.is_err());
+    unsafe {
+        slots.send(LpId(0), 0, LpId(1), ev(1));
+        slots.send(LpId(0), 1, LpId(1), ev(1));
+        slots.send(LpId(0), 0, LpId(0), ev(0));
+    }
     slots.begin_phase();
-    // SAFETY: as above.
-    let _ = unsafe { slots.get_mut(1) };
     let mut got = Vec::new();
-    // SAFETY: LP 1 is stamped by this thread in this generation.
-    let n = unsafe { slots.receive(1, |src, batch| got.push((src, batch.count()))) };
-    assert_eq!((n, got), (1, vec![(0, 1)]));
+    // SAFETY: single-threaded; trivially exclusive.
+    let n = unsafe { slots.receive(1, |dst, ev| got.push((dst, ev.node))) };
+    assert_eq!((n, got), (2, vec![(LpId(1), NodeId(1)); 2]));
+    // SAFETY: as above.
+    let rest = unsafe { slots.receive_all() };
+    assert_eq!(rest, 1, "column 0 was not drained");
+    let (lps, _) = slots.into_inner();
+    for (lp, recv) in lps.iter().zip([1, 2]) {
+        assert_eq!((lp.fel.len() as u64, lp.round_recv), (recv, recv));
+        assert_eq!(lp.next_ts, Time(1), "push keeps the cache current");
+    }
 }

@@ -96,28 +96,32 @@ fn unison_deterministic_across_thread_counts() {
     for threads in [1usize, 2, 3, 8] {
         let world = ring_world(N, DELAY, TOKENS, STOP);
         let (world, report) = kernel::run(world, &RunConfig::unison(threads)).unwrap();
-        // Every hop crosses an LP boundary; once a channel's buffer has
-        // grown to its round's peak, a send allocates nothing. The counts
-        // are part of the deterministic state: which thread drains a
-        // channel does not change how often its buffer grew.
+        // Every hop crosses an LP boundary, so the number of cross-LP sends
+        // (`pool_hits + pool_misses`) is part of the deterministic state.
+        // How often an outbox had to grow is not: it depends on how many
+        // rows share the traffic. It is bounded, though — `threads²`
+        // outboxes, each doubling its way up to the largest round's burst
+        // (16 doublings is ample for this ring) — and once an outbox has
+        // reached its round's peak, a send allocates nothing.
         let engine = report.engine;
+        let sends = engine.pool_hits + engine.pool_misses;
+        assert!(
+            engine.pool_misses <= (threads * threads * 16) as u64,
+            "{} outbox growths at {threads} threads",
+            engine.pool_misses
+        );
         assert!(
             engine.pool_hit_rate() > 0.99,
-            "{} channel-buffer growths in {} cross-LP sends at {threads} threads",
-            engine.pool_misses,
-            engine.pool_hits + engine.pool_misses
+            "{} outbox growths in {sends} cross-LP sends at {threads} threads",
+            engine.pool_misses
         );
-        let state = (
-            checksums(&world),
-            report.events,
-            (engine.pool_hits, engine.pool_misses),
-        );
+        let state = (checksums(&world), report.events, sends);
         match &reference {
             None => reference = Some(state),
             Some(r) => {
                 assert_eq!(r.1, state.1, "event count differs at {threads} threads");
                 assert_eq!(r.0, state.0, "checksums differ at {threads} threads");
-                assert_eq!(r.2, state.2, "pool counts differ at {threads} threads");
+                assert_eq!(r.2, state.2, "send count differs at {threads} threads");
             }
         }
     }

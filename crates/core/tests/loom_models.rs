@@ -70,12 +70,14 @@
 //!     generations — the monotone `release_gen` clock replacing the flat
 //!     barrier's sense bit (DESIGN.md §4.9);
 //!
-//! 13. the phase-owned channel hand-off (`mailbox::PhasedChannels`, DESIGN.md
-//!     §4.4): a plain, non-atomic push under the source LP's process-phase
-//!     claim is ordered before the plain drain under the destination LP's
-//!     receive-phase claim by nothing but the barrier crossing between the
-//!     phases, and the drain is ordered before the next round's push by
-//!     the crossing after it.
+//! 13. the outbox hand-off (`lp::LpSlots`, DESIGN.md §4.4): a plain,
+//!     non-atomic push by a row's writer in the process phase is ordered
+//!     before the plain drain by the column's reader in the receive phase
+//!     by nothing but the barrier crossing between the phases; a fused
+//!     round's control thread may write row 0 and drain every column —
+//!     rows it did not write, columns it does not own — ordered after the
+//!     workers' last accesses by the crossing they are parked behind, and
+//!     before their next ones by the crossing that releases them.
 //!
 //! A final, deliberately broken model double-checks the checker: weakening
 //! a publish to `Relaxed` must be reported as a data race.
@@ -263,53 +265,79 @@ fn mailbox_handoff_happens_before() {
     });
 }
 
-/// Claim 13: the phased channel hand-off. The round kernels' channels are
-/// plain `Vec`s: the source LP's claimant pushes in the process phase, the
-/// destination LP's claimant drains in the receive phase, and the only
-/// synchronization between the two is the [`TreeBarrier`] crossing that
-/// separates the phases. Two rounds check both directions: push → barrier →
-/// drain (the events are visible, none is missed), and drain → barrier →
-/// next round's push (the producer may reuse the retained buffer).
+/// Claim 13: the outbox hand-off. The round kernels' outboxes are plain
+/// `Vec`s, one per (sending worker, receiving home): in a process phase
+/// worker `w` pushes into row `w`, in a receive phase worker `h` drains
+/// column `h`, and the only synchronization between the two is the
+/// [`TreeBarrier`] crossing that separates the phases. Two workers and a
+/// 2 × 2 table go through a fused round (the control thread alone writes
+/// row 0 and drains all four outboxes while the worker has not passed B0),
+/// a parallel round (B0, row writers, B1, column readers, B3) and a second
+/// fused round behind B3 — whose drains reach the row the worker wrote and
+/// the column the worker drained.
 #[test]
-fn phased_channel_handoff_happens_before() {
+fn outbox_handoff_happens_before() {
+    type Table = [[UnsafeCell<Vec<u64>>; 2]; 2];
+    fn push(table: &Table, row: usize, home: usize, v: u64) {
+        table[row][home].with_mut(|p| {
+            // SAFETY: process phase — only row `row`'s writer touches this
+            // outbox; its last drain is ordered before this push by the
+            // crossing that ended that receive phase or fused round.
+            unsafe { (*p).push(v) }
+        });
+    }
+    fn drain(table: &Table, row: usize, home: usize) -> Vec<u64> {
+        table[row][home].with_mut(|p| {
+            // SAFETY: receive phase — only column `home`'s reader (a fused
+            // round: the control thread, alone) touches this outbox; every
+            // push is ordered before this drain by a crossing.
+            unsafe { (*p).drain(..).collect() }
+        })
+    }
+    /// The control thread's fused round: sends `v`, `v + 1` from row 0 and
+    /// drains every column; the worker's row must be empty.
+    fn fused_round(table: &Table, v: u64) {
+        push(table, 0, 0, v);
+        push(table, 0, 1, v + 1);
+        let got: Vec<Vec<u64>> = [(0, 0), (0, 1), (1, 0), (1, 1)]
+            .iter()
+            .map(|&(row, home)| drain(table, row, home))
+            .collect();
+        assert_eq!(got, [vec![v], vec![v + 1], vec![], vec![]]);
+    }
     loom::model(|| {
         // spin_limit 0: always yield on a failed check so the model
         // scheduler can run the other participant.
         let bar = Arc::new(TreeBarrier::with_shape(2, 2, 0));
-        let chan = Arc::new(UnsafeCell::new(Vec::<u64>::new()));
+        let table: Arc<Table> =
+            Arc::new([(); 2].map(|_| [(); 2].map(|_| UnsafeCell::new(Vec::new()))));
 
-        let producer = {
+        let worker = {
             let bar = Arc::clone(&bar);
-            let chan = Arc::clone(&chan);
+            let table = Arc::clone(&table);
             thread::spawn(move || {
                 let mut w = bar.waiter(1);
-                for round in 0..2u64 {
-                    chan.with_mut(|p| {
-                        // SAFETY: process phase — only the source claimant
-                        // touches the channel; the previous drain is ordered
-                        // before this push by the crossing that ended the
-                        // last receive phase.
-                        unsafe { (*p).push(round) }
-                    });
-                    bar.wait(&mut w); // process -> receive
-                    bar.wait(&mut w); // receive -> next round's process
-                }
+                bar.wait(&mut w); // B0: parked through the first fused round
+                push(&table, 1, 0, 20);
+                push(&table, 1, 1, 21);
+                bar.wait(&mut w); // B1: process -> receive
+                assert_eq!(drain(&table, 0, 1), vec![31], "row 0 -> home 1");
+                assert_eq!(drain(&table, 1, 1), vec![21], "row 1 -> home 1");
+                bar.wait(&mut w); // B3: receive -> control thread's window
             })
         };
 
         let mut w = bar.waiter(0);
-        for round in 0..2u64 {
-            bar.wait(&mut w); // process -> receive
-            let got = chan.with_mut(|p| {
-                // SAFETY: receive phase — only the destination claimant
-                // touches the channel; the push is ordered before this drain
-                // by the crossing above.
-                unsafe { (*p).drain(..).collect::<Vec<u64>>() }
-            });
-            assert_eq!(got, vec![round], "a pushed event was not delivered");
-            bar.wait(&mut w); // receive -> next round's process
-        }
-        producer.join().unwrap();
+        fused_round(&table, 10);
+        bar.wait(&mut w); // B0
+        push(&table, 0, 0, 30);
+        push(&table, 0, 1, 31);
+        bar.wait(&mut w); // B1
+        assert_eq!(drain(&table, 0, 0), vec![30], "row 0 -> home 0");
+        assert_eq!(drain(&table, 1, 0), vec![20], "row 1 -> home 0");
+        bar.wait(&mut w); // B3
+        fused_round(&table, 40);
+        worker.join().unwrap();
     });
 }
 

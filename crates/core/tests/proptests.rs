@@ -251,6 +251,69 @@ proptest! {
         }
     }
 
+    /// The property the round kernels' transport leans on (DESIGN.md §4.4):
+    /// outboxes deliver a round's cross-LP events in whatever order rows
+    /// and columns happen to be drained, and that order must carry no
+    /// information. For both implementations: two lists fed the same
+    /// uniquely-keyed events, round by round, each round's batch in a
+    /// different permutation and followed by a `pop_below` at the same
+    /// bound, pop identical sequences — `Time::MAX` events included, and
+    /// with batches that take the list above `LADDER_NEAR_MAX` = 256.
+    #[test]
+    fn fel_pop_sequence_ignores_insertion_order(
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec(arb_key(), 0..300), 0usize..3, 0u64..1_200),
+            1..5,
+        ),
+        seed in any::<u64>(),
+    ) {
+        for imp in [FelImpl::Ladder, FelImpl::BinaryHeap] {
+            let (mut a, mut b): (Fel<u64>, Fel<u64>) = (Fel::with_impl(imp), Fel::with_impl(imp));
+            let mut rng = Rng::new(seed);
+            let mut payload = 0u64;
+            for (keys, never, bound) in &rounds {
+                let sentinels = (0..*never).map(|_| EventKey::external(Time::MAX, 0));
+                let batch: Vec<Event<u64>> = keys
+                    .iter()
+                    .copied()
+                    .chain(sentinels)
+                    .map(|mut key| {
+                        payload += 1;
+                        // Unique keys, as in the real system.
+                        key.seq = key.seq * 100_000 + payload;
+                        Event { key, node: NodeId(0), payload }
+                    })
+                    .collect();
+                // Fisher–Yates: `b` gets the batch in another order.
+                let mut shuffled: Vec<Event<u64>> = batch.iter().map(dup).collect();
+                for i in (1..shuffled.len()).rev() {
+                    shuffled.swap(i, rng.next_below(i as u64 + 1) as usize);
+                }
+                for ev in batch {
+                    a.push(ev);
+                }
+                for ev in shuffled {
+                    b.push(ev);
+                }
+                prop_assert_eq!(a.next_ts(), b.next_ts());
+                loop {
+                    let (x, y) = (a.pop_below(Time(*bound)), b.pop_below(Time(*bound)));
+                    prop_assert_eq!(x.as_ref().map(ident), y.as_ref().map(ident));
+                    if x.is_none() {
+                        break;
+                    }
+                }
+            }
+            loop {
+                let (x, y) = (a.pop(), b.pop());
+                prop_assert_eq!(x.as_ref().map(ident), y.as_ref().map(ident));
+                if x.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
     /// Partition invariants on arbitrary graphs: LP ids are dense, every
     /// link below the (effective) bound is intra-LP, and the lookahead is
     /// the minimum inter-LP link delay.

@@ -5,7 +5,7 @@
 //! worker executes which LP when* — so every (partition, thread-count,
 //! sched-metric) combination must produce bit-identical model state: the
 //! claim cursor only decides who executes a round's fixed task set, and
-//! cross-LP sends commit through the channel + tie-break key path. The
+//! cross-LP sends commit through the outbox + tie-break key path. The
 //! thread axis includes 3 (homes of unequal size) and, on the two-LP
 //! `manual` partition, 3 and 4 (workers whose home is empty).
 //!
@@ -43,6 +43,9 @@ struct Router {
     neighbors: Vec<(NodeId, Time)>,
     checksum: u64,
     seen: u64,
+    /// Wall time every event holds its executing thread for (not part of
+    /// the model's state: it only skews who gets to claim what).
+    hold: std::time::Duration,
 }
 
 impl SimNode for Router {
@@ -51,6 +54,10 @@ impl SimNode for Router {
     fn handle(&mut self, mut token: Token, ctx: &mut dyn SimCtx<Self>) {
         self.seen += 1;
         self.checksum = fold(self.checksum, ctx.now(), &token);
+        let held = std::time::Instant::now();
+        while held.elapsed() < self.hold {
+            std::hint::spin_loop();
+        }
         let pick = token.rng.next_below(self.neighbors.len() as u64) as usize;
         let (next, delay) = self.neighbors[pick];
         ctx.schedule(delay, next, token);
@@ -77,6 +84,7 @@ fn world() -> unison_core::World<Router> {
             neighbors: vec![(prev, d(i, (i + N - 1) % N)), (next, d(i, (i + 1) % N))],
             checksum: 0,
             seen: 0,
+            hold: Default::default(),
         });
     }
     for i in 0..N {
@@ -170,8 +178,8 @@ fn every_thread_metric_combination_is_bit_identical() {
                 );
             }
         }
-        // One pair of claim cursors per host group, two homes in each;
-        // results must not notice.
+        // One claim cursor per host group, two homes in each, and events
+        // crossing between the groups' columns; results must not notice.
         let hybrid = run(
             KernelKind::Hybrid {
                 hosts: 2,
@@ -249,7 +257,7 @@ fn async_cons_reports_async_stats() {
 /// Round fusion is a pure scheduling optimization: for every
 /// {partition} × {threads} × {FEL} cell, the fusion-on digest is
 /// bit-identical to the fusion-off digest (DESIGN.md §4.9 — a fused round
-/// runs the same four phases through the same channel commit path, just
+/// runs the same four phases through the same outbox commit path, just
 /// without waking the workers).
 #[test]
 fn fusion_on_off_digests_are_bit_identical() {
@@ -369,9 +377,9 @@ fn fused_span_survives_cross_lp_receives_and_ends_on_load() {
     );
 }
 
-/// A node that produces both kinds of process-phase side output: events to
-/// an LP it shares no link (hence no channel) with — the `outflow` lane —
-/// and node-scheduled global events.
+/// A node that sends to a non-neighbour LP — one it shares no link with;
+/// any pair of LPs has a lane — and produces the process phase's one side
+/// output: node-scheduled global events.
 struct Sider {
     id: NodeId,
     next: NodeId,
@@ -448,14 +456,15 @@ fn side_world() -> unison_core::World<Sider> {
     b.build()
 }
 
-/// Phase 2 walks the LPs only when a process phase raised the side-output
-/// flag, so the flag has to reach it in the same round: an `outflow` event
-/// must be in its destination's FEL before the receive phase computes the
-/// next window, and a zero-delay node-scheduled global must run at the end
-/// of the very window that scheduled it. One digest for 1/2/4 threads with
-/// fusion on and off.
+/// An LP sends to a non-neighbour LP; the event arrives in the same round's
+/// receive phase at every thread count, so it is in its destination's FEL
+/// when the next window is computed. Phase 2 walks the LPs only when a
+/// process phase raised the side-output flag, so the flag has to reach it
+/// in the same round too: a zero-delay node-scheduled global must run at
+/// the end of the very window that scheduled it. One digest for 1/2/3/4
+/// threads with fusion on and off.
 #[test]
-fn side_output_is_routed_in_phase_two_of_the_same_round() {
+fn far_sends_and_side_output_land_in_the_same_round() {
     let mut reference = None;
     for threads in [1usize, 2, 3, 4] {
         for fusion in [FusionConfig::default(), FusionConfig::off()] {
@@ -469,7 +478,7 @@ fn side_output_is_routed_in_phase_two_of_the_same_round() {
             assert_eq!(
                 report.events,
                 SIDE_TOKENS * (SIDE_STOP.0 / SIDE_HOP.0),
-                "{what}: an outflow event was dropped"
+                "{what}: an event to a non-neighbour LP was dropped"
             );
             assert!(w.nodes().map(|n| n.far_sent).sum::<u64>() > 0, "{what}");
             let profile = report.rounds_profile.as_ref().expect("per-round profile");
@@ -498,31 +507,36 @@ fn side_output_is_routed_in_phase_two_of_the_same_round() {
     }
 }
 
-/// Ring size of [`skewed_world`]; its tokens never leave the first
-/// `SKEW_BUSY` nodes.
+/// Ring size of [`skewed_world`]; its tokens never leave `SKEW_BUSY`
+/// adjacent nodes.
 const SKEW_N: usize = 16;
 const SKEW_BUSY: usize = 4;
 
 /// A ring of equal links (one LP per node) whose whole load sits in one
 /// home at any worker count up to four: the tokens bounce along the path
-/// `0 – 1 – 2 – 3` and every other LP stays idle for the whole run, so in
-/// each unfused round the workers of homes 1.. find nothing at home and
-/// claim out of home 0.
-fn skewed_world() -> unison_core::World<Router> {
+/// of the `SKEW_BUSY` nodes from `first` and every other LP stays idle for
+/// the whole run, so all cross-LP traffic travels in one column of
+/// outboxes, and in each unfused round the workers of the other homes find
+/// nothing at home and claim out of the busy one — their sends leave from
+/// rows that are not the LPs' home's. Every event at node `first` holds
+/// its thread for `hold`.
+fn skewed_world(first: usize, hold: std::time::Duration) -> unison_core::World<Router> {
     let mut b = WorldBuilder::new();
     let ids: Vec<NodeId> = (0..SKEW_N).map(|i| NodeId(i as u32)).collect();
+    let busy = first..first + SKEW_BUSY;
     for i in 0..SKEW_N {
         let mut neighbors = Vec::new();
-        if i > 0 {
-            neighbors.push((ids[i - 1], SIDE_HOP));
+        if !busy.contains(&i) || i > busy.start {
+            neighbors.push((ids[(i + SKEW_N - 1) % SKEW_N], SIDE_HOP));
         }
-        if i + 1 < SKEW_BUSY || i >= SKEW_BUSY {
+        if !busy.contains(&i) || i + 1 < busy.end {
             neighbors.push((ids[(i + 1) % SKEW_N], SIDE_HOP));
         }
         b.add_node(Router {
             neighbors,
             checksum: 0,
             seen: 0,
+            hold: if i == first { hold } else { Default::default() },
         });
     }
     for i in 0..SKEW_N {
@@ -532,7 +546,7 @@ fn skewed_world() -> unison_core::World<Router> {
     for t in 0..SIDE_TOKENS {
         b.schedule(
             Time::from_nanos(t % 5),
-            ids[(t as usize) % SKEW_BUSY],
+            ids[first + (t as usize) % SKEW_BUSY],
             Token {
                 id: t,
                 rng: seed_rng.fork(t),
@@ -543,47 +557,62 @@ fn skewed_world() -> unison_core::World<Router> {
     b.build()
 }
 
-/// Stealing out of a neighbour's home is invisible in the results: the
-/// skewed world reads the same at 2, 3 and 4 threads, under the hybrid
-/// kernel with two workers per host, with fusion on and off, as at one
-/// thread — and every LP is still claimed exactly once per round.
+/// Which worker executes an LP, and so which row of outboxes its sends
+/// leave from, is invisible in the results. Two skewed worlds — the load in
+/// the first home, where one column carries everything and the other
+/// homes' workers steal; and the load in the last home with that home's
+/// first LP holding whoever claims it (its owner, longest job first), so
+/// every other busy LP is up for theft — read the same at 1, 2, 3 and 4
+/// threads, under both metrics, under the hybrid kernel with two workers
+/// per host, with fusion on and off — and every LP is still claimed
+/// exactly once per round.
 #[test]
 fn a_load_that_sits_in_one_home_is_stolen_without_a_trace() {
-    let run = |cfg: &RunConfig| {
-        let (w, report) = kernel::run(skewed_world(), cfg).unwrap();
-        assert_eq!(report.lp_count as usize, SKEW_N, "one LP per node");
-        assert_eq!(
-            report.sched.claims,
-            report.rounds * u64::from(report.lp_count),
-            "{}: not one claim per LP and round",
-            report.kernel
-        );
-        let sums: Vec<(u64, u64)> = w.nodes().map(|n| (n.checksum, n.seen)).collect();
-        assert!(sums[SKEW_BUSY..].iter().all(|&(_, seen)| seen == 0));
-        (sums, report.events)
-    };
-    let reference = run(&RunConfig::unison(1));
-    assert_eq!(reference.1, SIDE_TOKENS * (SIDE_STOP.0 / SIDE_HOP.0));
-    for fusion in [FusionConfig::default(), FusionConfig::off()] {
-        for threads in [2usize, 3, 4] {
-            let got = run(&RunConfig::unison(threads).with_fusion(fusion));
+    let held = std::time::Duration::from_micros(20);
+    for (wname, first, hold) in [
+        ("first home", 0, Default::default()),
+        ("last home, owner held", SKEW_N - SKEW_BUSY, held),
+    ] {
+        let run = |cfg: &RunConfig| {
+            let (w, report) = kernel::run(skewed_world(first, hold), cfg).unwrap();
+            assert_eq!(report.lp_count as usize, SKEW_N, "one LP per node");
             assert_eq!(
-                reference, got,
-                "digest mismatch: threads={threads} fusion={}",
-                fusion.enabled
+                report.sched.claims,
+                report.rounds * u64::from(report.lp_count),
+                "{wname}, {}: not one claim per LP and round",
+                report.kernel
             );
+            let sums: Vec<(u64, u64)> = w.nodes().map(|n| (n.checksum, n.seen)).collect();
+            let idle = sums
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !(first..first + SKEW_BUSY).contains(i));
+            assert!(idle.into_iter().all(|(_, &(_, seen))| seen == 0));
+            (sums, report.events)
+        };
+        let reference = run(&RunConfig::unison(1));
+        assert_eq!(reference.1, SIDE_TOKENS * (SIDE_STOP.0 / SIDE_HOP.0));
+        for fusion in [FusionConfig::default(), FusionConfig::off()] {
+            for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
+                let sched = SchedConfig {
+                    metric,
+                    period: Some(4),
+                    fusion,
+                };
+                let what = format!("{wname} fusion={} metric={metric:?}", fusion.enabled);
+                for threads in [1usize, 2, 3, 4] {
+                    let got = run(&RunConfig::unison(threads).with_sched(sched));
+                    assert_eq!(reference, got, "digest mismatch: {what} threads={threads}");
+                }
+                let hybrid = run(&RunConfig {
+                    kernel: KernelKind::Hybrid {
+                        hosts: 2,
+                        threads_per_host: 2,
+                    },
+                    ..RunConfig::unison(1).with_sched(sched)
+                });
+                assert_eq!(reference, hybrid, "digest mismatch: hybrid {what}");
+            }
         }
-        let hybrid = run(&RunConfig {
-            kernel: KernelKind::Hybrid {
-                hosts: 2,
-                threads_per_host: 2,
-            },
-            ..RunConfig::unison(1).with_fusion(fusion)
-        });
-        assert_eq!(
-            reference, hybrid,
-            "digest mismatch: hybrid fusion={}",
-            fusion.enabled
-        );
     }
 }

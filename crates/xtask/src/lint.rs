@@ -10,8 +10,8 @@
 //!    contract lives in `# Safety` docs and their bodies are covered by
 //!    `unsafe_op_in_unsafe_fn` (rule 5).
 //! 2. **`unsafe-allowlist`** — `unsafe` may only appear in the audited
-//!    files that implement the claim discipline (`lp.rs`, `mailbox.rs`,
-//!    `queue.rs`, `global.rs`, `kernel/*`), the loom checker's `cell.rs`,
+//!    files that implement the claim discipline (`lp.rs`, `queue.rs`,
+//!    `global.rs`, `kernel/*`), the loom checker's `cell.rs`,
 //!    and test code. New unsafe anywhere else must be reviewed and added here.
 //! 3. **`no-hash-collections`** — `HashMap`/`HashSet` are banned in
 //!    `crates/core/src`: their iteration order is nondeterministic across
@@ -104,12 +104,6 @@ impl fmt::Display for Finding {
 fn unsafe_allowed(rel: &str) -> bool {
     const EXACT: &[&str] = &[
         "crates/core/src/lp.rs",
-        // SAFETY: `mailbox.rs` holds the phase-owned channels — plain
-        // buffers in `UnsafeCell`s whose single accessor per phase is the
-        // claimant of the source (push) or destination (drain) LP. `LpSlots`
-        // audits both against its claim tags; the barrier edge is
-        // model-checked by `phased_channel_handoff_happens_before`.
-        "crates/core/src/mailbox.rs",
         // SAFETY: `queue.rs` covers both the intrusive MPSC list and its
         // node pool — `MaybeUninit` payload slots whose init state is
         // tracked structurally (initialized iff reachable from `head`,
