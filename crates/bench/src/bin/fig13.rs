@@ -1,14 +1,16 @@
 //! Figure 13: processing-time heat maps — per-LP P under the barrier
 //! baseline vs per-thread P under Unison, summed over consecutive
-//! 100-round buckets (k-ary fat-tree, skewed traffic).
+//! 100-round buckets, for the workload `scenarios/fig13.toml` describes
+//! (`unison-run` prints its model record; this binary draws the glyphs).
 //!
 //! Expected shape: the barrier map is *striped* (the same LPs stay hot for
 //! long stretches — temporal locality of network load, the basis of the
 //! `ByLastRoundTime` metric) while the Unison map is *flat* (threads finish
 //! in unison).
 
-use unison_bench::harness::{fat_tree_manual, fat_tree_scenario, Scale};
-use unison_core::{DataRate, PartitionMode, PerfModel, SchedConfig, Time};
+use unison_core::perfmodel::mean_cv;
+use unison_netsim::NetworkBuilder;
+use unison_scenario::{parse_scenario, PartitionSpec};
 
 /// Renders one bucket row as coarse intensity glyphs.
 fn render(row: &[f64], max: f64) -> String {
@@ -27,82 +29,45 @@ fn render(row: &[f64], max: f64) -> String {
         .collect()
 }
 
+fn print_map(title: &str, buckets: &[Vec<f64>]) {
+    println!("{title}");
+    let max = buckets.iter().flatten().cloned().fold(0.0f64, f64::max);
+    for (i, b) in buckets.iter().take(40).enumerate() {
+        println!("{i:>3} |{}|", render(b, max));
+    }
+}
+
 fn main() {
-    let scale = Scale::from_args();
-    let threads = scale.pick(4, 8);
-    let scenario = fat_tree_scenario(scale, 0.6, DataRate::gbps(100), Time::from_micros(3));
-
-    // Barrier view: per-pod LP costs.
-    let base = scenario.profile(PartitionMode::Manual(fat_tree_manual(&scenario)));
-    let model_b = PerfModel::new(&base.profile);
-    let buckets_b = model_b.bucketed_costs(100);
-
-    println!("Figure 13a: barrier — P per LP (columns) per 100-round bucket (rows)");
-    let max_b = buckets_b
-        .iter()
-        .flat_map(|r| r.iter())
-        .cloned()
-        .fold(0.0f64, f64::max);
-    for (i, b) in buckets_b.iter().take(40).enumerate() {
-        println!("{i:>3} |{}|", render(b, max_b));
-    }
-
-    // Unison view: per-thread loads from the replayed LPT schedule.
-    let auto = scenario.profile(PartitionMode::Auto);
-    let profile = &auto.profile;
-    let period = SchedConfig::default().effective_period(auto.partition.lp_count as usize);
-    let mut order: Vec<u32> = (0..auto.partition.lp_count).collect();
-    let mut prev: Vec<u64> = vec![0; auto.partition.lp_count as usize];
-    let mut bucket = vec![0.0f64; threads];
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    for (r, rec) in profile.iter().enumerate() {
-        if r > 0 && r % period as usize == 0 {
-            order = unison_core::sched::order_by_estimate(&prev);
-        }
-        let mut loads = vec![0.0f64; threads];
-        for &lp in &order {
-            let (idx, _) = loads
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .expect("threads > 0");
-            loads[idx] += rec.lp_cost_ns[lp as usize] as f64;
-        }
-        for t in 0..threads {
-            bucket[t] += loads[t];
-        }
-        for (i, &c) in rec.lp_cost_ns.iter().enumerate() {
-            prev[i] = c as u64;
-        }
-        if (r + 1) % 100 == 0 {
-            rows.push(std::mem::replace(&mut bucket, vec![0.0; threads]));
-        }
-    }
-    println!("\nFigure 13b: Unison — P per thread (columns) per 100-round bucket (rows)");
-    let max_u = rows
-        .iter()
-        .flat_map(|r| r.iter())
-        .cloned()
-        .fold(0.0f64, f64::max);
-    for (i, b) in rows.iter().take(40).enumerate() {
-        println!("{i:>3} |{}|", render(b, max_u));
-    }
-    // Imbalance summary: coefficient of variation within buckets.
-    let cv = |rows: &[Vec<f64>]| {
-        let mut cv_sum = 0.0;
-        for r in rows {
-            let mean = r.iter().sum::<f64>() / r.len() as f64;
-            if mean > 0.0 {
-                let var = r.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / r.len() as f64;
-                cv_sum += var.sqrt() / mean;
-            }
-        }
-        cv_sum / rows.len().max(1) as f64
+    let spec = parse_scenario(include_str!("../../../../scenarios/fig13.toml"))
+        .expect("committed scenario parses");
+    let model = spec.model.as_ref().expect("fig13.toml has a [model] table");
+    let baseline = model.baseline.as_ref().expect("and a baseline partition");
+    let topo = spec.build_topology();
+    let profile = |partition: &PartitionSpec| {
+        NetworkBuilder::from_scenario(&topo, &spec)
+            .build()
+            .profile(partition.mode(&topo))
+            .expect("closed, terminating model")
     };
+
+    let base = profile(baseline);
+    let barrier = base.perf_model().bucketed_costs(100);
+    print_map(
+        "Figure 13a: barrier — P per LP (columns) per 100-round bucket (rows)",
+        &barrier,
+    );
+    let own = profile(&spec.run.partition);
+    let unison = own
+        .perf_model()
+        .bucketed_worker_loads(model.cores, spec.run.sched, 100);
+    print_map(
+        "\nFigure 13b: Unison — P per thread (columns) per 100-round bucket (rows)",
+        &unison,
+    );
     println!(
         "\nmean within-bucket imbalance (CV): barrier LPs = {:.2}, Unison threads = {:.2}",
-        cv(&buckets_b),
-        cv(&rows)
+        mean_cv(&barrier),
+        mean_cv(&unison)
     );
     println!("(paper: the barrier map is striped/unbalanced; the Unison map is flat)");
 }

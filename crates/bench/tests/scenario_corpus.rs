@@ -1,8 +1,8 @@
-//! The golden scenario corpus (DESIGN.md §4.10): every committed file
-//! under `scenarios/` must load, run on the Unison kernel at 1/2/4 worker
-//! threads, and reproduce its committed digest from `scenarios/goldens.toml`
-//! bit-for-bit — the executable form of the scenario contract's
-//! digest-stability guarantee.
+//! The golden scenario corpus (DESIGN.md §4.10): every row of every
+//! committed file under `scenarios/` must load, run on the Unison kernel at
+//! one worker thread — the first row of each file at 1/2/4 — and reproduce
+//! its committed digest from `scenarios/goldens.toml` bit-for-bit: the
+//! executable form of the scenario contract's digest-stability guarantee.
 //!
 //! The equivalence tests pin the other half of the contract: building a
 //! simulation through `NetworkBuilder::from_scenario` is *structurally
@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 use unison_core::{DataRate, KernelKind, Time};
 use unison_netsim::{world_digest, NetworkBuilder, QueueConfig, TcpConfig, TransportKind};
-use unison_scenario::{parse_scenario, toml, ScenarioSpec};
+use unison_scenario::{parse_rows, toml, ScenarioSpec};
 use unison_topology::{dumbbell, fat_tree_clusters, geant};
 use unison_traffic::{FlowSpec, SizeDist, TrafficConfig};
 
@@ -22,8 +22,8 @@ fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
-/// Every committed scenario, keyed by file stem.
-fn load_corpus() -> Vec<(String, ScenarioSpec)> {
+/// The rows of every committed scenario, keyed by file stem.
+fn load_corpus() -> Vec<(String, Vec<ScenarioSpec>)> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(corpus_dir()).expect("scenarios/ exists") {
         let path = entry.expect("readable dir entry").path();
@@ -39,9 +39,9 @@ fn load_corpus() -> Vec<(String, ScenarioSpec)> {
             continue;
         }
         let src = std::fs::read_to_string(&path).expect("readable scenario");
-        let spec = parse_scenario(&src)
+        let rows = parse_rows(&src)
             .unwrap_or_else(|e| panic!("scenarios/{stem}.toml failed to parse: {e}"));
-        out.push((stem, spec));
+        out.push((stem, rows.into_iter().map(|r| r.spec).collect()));
     }
     out.sort_by(|a, b| a.0.cmp(&b.0));
     assert!(
@@ -51,21 +51,23 @@ fn load_corpus() -> Vec<(String, ScenarioSpec)> {
     out
 }
 
-/// The committed goldens, keyed by scenario stem.
-fn load_goldens() -> BTreeMap<String, u64> {
+/// The committed goldens — one digest per row — keyed by scenario stem.
+fn load_goldens() -> BTreeMap<String, Vec<u64>> {
     let src = std::fs::read_to_string(corpus_dir().join("goldens.toml")).expect("goldens.toml");
     let tables = toml::parse(&src).expect("goldens.toml parses");
     tables
         .iter()
         .filter(|t| !t.name.is_empty())
         .map(|t| {
-            let hex = match t.get("digest") {
-                Some(toml::Value::Str(s)) => s.clone(),
-                other => panic!("[{}] needs digest = \"<hex>\", got {other:?}", t.name),
-            };
-            let digest = u64::from_str_radix(&hex, 16)
-                .unwrap_or_else(|e| panic!("[{}] digest `{hex}`: {e}", t.name));
-            (t.name.clone(), digest)
+            let hexes = t
+                .get_array("digest")
+                .or_else(|| t.get_array("digests"))
+                .unwrap_or_else(|| panic!("[{}] needs digest = \"<hex>\" or digests", t.name));
+            let digests = hexes.iter().map(|hex| {
+                u64::from_str_radix(hex, 16)
+                    .unwrap_or_else(|e| panic!("[{}] digest `{hex}`: {e}", t.name))
+            });
+            (t.name.clone(), digests.collect())
         })
         .collect()
 }
@@ -80,29 +82,28 @@ fn digest_at(spec: &ScenarioSpec, threads: usize) -> u64 {
     world_digest(&res.world)
 }
 
-/// Every corpus file runs at 1/2/4 threads, digests agree across thread
-/// counts, and match the committed goldens — and every golden entry still
+/// Every row of every corpus file reproduces its golden at one thread, the
+/// first row of each file also at 2 and 4 — and every golden entry still
 /// has a scenario file behind it.
 #[test]
 fn corpus_digests_are_thread_invariant_and_match_goldens() {
     let goldens = load_goldens();
     let mut seen = BTreeSet::new();
-    for (stem, spec) in load_corpus() {
-        let d1 = digest_at(&spec, 1);
+    for (stem, rows) in load_corpus() {
+        let digests: Vec<u64> = rows.iter().map(|spec| digest_at(spec, 1)).collect();
         for threads in [2usize, 4] {
             assert_eq!(
-                digest_at(&spec, threads),
-                d1,
+                digest_at(&rows[0], threads),
+                digests[0],
                 "{stem}: digest diverged at {threads} threads"
             );
         }
-        let golden = goldens.get(&stem).unwrap_or_else(|| {
-            panic!("{stem} has no entry in scenarios/goldens.toml — add digest = \"{d1:016x}\"")
-        });
+        let hex: Vec<String> = digests.iter().map(|d| format!("{d:016x}")).collect();
         assert_eq!(
-            d1, *golden,
-            "{stem}: digest {d1:016x} != committed {golden:016x} — if the model \
-             change is intentional, regenerate scenarios/goldens.toml"
+            goldens.get(&stem),
+            Some(&digests),
+            "{stem}: the rows' digests are {hex:?} — if the model change is \
+             intentional, regenerate scenarios/goldens.toml"
         );
         seen.insert(stem);
     }
@@ -114,11 +115,14 @@ fn corpus_digests_are_thread_invariant_and_match_goldens() {
     }
 }
 
-/// Loads one committed scenario by stem.
+/// Loads the first row of one committed scenario by stem.
 fn committed(stem: &str) -> ScenarioSpec {
     let src = std::fs::read_to_string(corpus_dir().join(format!("{stem}.toml")))
         .expect("committed scenario");
-    parse_scenario(&src).expect("committed scenario parses")
+    parse_rows(&src)
+        .expect("committed scenario parses")
+        .remove(0)
+        .spec
 }
 
 /// Digest of a freshly built (un-run) simulation: pins that the scenario

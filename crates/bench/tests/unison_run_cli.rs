@@ -1,7 +1,9 @@
 //! The `unison-run` command line, driven as a process (DESIGN.md §4.10):
-//! `--check` accepts every committed scenario, a command line it does not
-//! understand is a usage error (exit 2) rather than a silently ignored
-//! flag, the `--json` report carries the scenario's golden digest, and
+//! `--check` accepts every committed scenario and validates every row of a
+//! sweep, a command line it does not understand is a usage error (exit 2)
+//! rather than a silently ignored flag, a sweep file runs row by row in
+//! file order with its `[model]` record after each real run, the `--json`
+//! report (`unison-run/v2`) carries the scenario's golden digest, and
 //! `--explain`/`--profile` print the run report and write a valid trace
 //! (DESIGN.md §4.3) without moving that digest.
 
@@ -174,9 +176,17 @@ fn json_report_carries_the_golden_digest() {
     let text = std::fs::read_to_string(&report).expect("report written");
     std::fs::remove_file(&report).ok();
     let value = json::parse(&text).expect("report is JSON");
+    assert_eq!(
+        value.get("schema").and_then(json::Value::as_str),
+        Some("unison-run/v2")
+    );
+    let rows = value.get("rows").and_then(json::Value::as_arr);
+    let [value] = rows.expect("rows is an array") else {
+        panic!("a plain file is one row: {text}");
+    };
     let str_of = |key: &str| value.get(key).and_then(json::Value::as_str);
-    assert_eq!(str_of("schema"), Some("unison-run/v1"));
     assert_eq!(str_of("scenario"), Some("quickstart"));
+    assert_eq!(str_of("sweep"), Some(""));
 
     let golden = quickstart_golden();
     assert_eq!(str_of("digest"), Some(golden.as_str()));
@@ -184,4 +194,129 @@ fn json_report_carries_the_golden_digest() {
     assert!(String::from_utf8_lossy(&out.stdout).contains(&format!("digest:   {golden}")));
     let events = value.get("events").and_then(json::Value::as_num);
     assert!(events.is_some_and(|n| n > 0.0), "events = {events:?}");
+}
+
+/// A two-row sweep with a full `[model]` table, small enough for a test.
+const SWEEP: &str = r#"
+name = "cli-sweep"
+[topology]
+kind = "fat_tree"
+k = 4
+[traffic]
+pattern = "incast"
+load = 0.3
+incast_ratio = 0.0
+seed = 7
+duration_us = 300
+[run]
+stop_us = 600
+kernel = "unison"
+threads = 2
+[model]
+cores = 4
+baseline_partition = "by_cluster"
+hybrid_hosts = 2
+[sweep.traffic]
+incast_ratio = [0.0, 1.0]
+"#;
+
+fn temp_file(tag: &str, text: &str) -> PathBuf {
+    let file = std::env::temp_dir().join(format!("unison-run-cli-{}-{tag}", std::process::id()));
+    std::fs::write(&file, text).expect("temp file written");
+    file
+}
+
+#[test]
+fn a_sweep_runs_row_by_row_with_its_model_record() {
+    let file = temp_file("sweep.toml", SWEEP);
+    let report = temp_file("sweep.json", "");
+    let out = unison_run(&[
+        file.to_str().expect("utf-8 path"),
+        "--threads",
+        "1",
+        "--json",
+        report.to_str().expect("utf-8 path"),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let text = std::fs::read_to_string(&report).expect("report written");
+    std::fs::remove_file(&file).ok();
+    std::fs::remove_file(&report).ok();
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // One block per row, in file order, each on the overridden thread
+    // count, each followed by the fixed model record.
+    let blocks: Vec<&str> = stdout.split("== row ").skip(1).collect();
+    assert_eq!(blocks.len(), 2, "{stdout}");
+    let algorithms = [
+        "sequential",
+        "barrier",
+        "nullmsg",
+        "sequential",
+        "unison(4)",
+        "hybrid(2x2)",
+    ];
+    for (block, head) in blocks.iter().zip([
+        "1/2 (traffic.incast_ratio = 0)",
+        "2/2 (traffic.incast_ratio = 1)",
+    ]) {
+        assert!(block.starts_with(head), "{block}");
+        assert!(block.contains("kernel:   unison(1) — "), "{block}");
+        assert!(block.contains("node switches"), "{block}");
+        let model = block.split("model:    ").nth(1).expect("a model record");
+        let printed: Vec<&str> = model
+            .lines()
+            .skip(2)
+            .map_while(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(printed, algorithms, "{block}");
+    }
+
+    let value = json::parse(&text).expect("report is JSON");
+    let rows = value.get("rows").and_then(json::Value::as_arr);
+    let rows = rows.expect("rows is an array");
+    assert_eq!(rows.len(), 2);
+    for (row, label) in rows
+        .iter()
+        .zip(["traffic.incast_ratio = 0", "traffic.incast_ratio = 1"])
+    {
+        assert_eq!(row.get("sweep").and_then(json::Value::as_str), Some(label));
+        assert_eq!(row.get("threads").and_then(json::Value::as_num), Some(1.0));
+        let model = row.get("model").and_then(json::Value::as_arr);
+        let model = model.expect("model is an array");
+        let names: Vec<_> = model
+            .iter()
+            .map(|m| m.get("algorithm").and_then(json::Value::as_str))
+            .collect();
+        assert_eq!(names, algorithms.map(Some));
+        // The barrier pins an LP per core; unison's count is the file's.
+        let num = |m: &json::Value, key: &str| m.get(key).and_then(json::Value::as_num);
+        assert_eq!(num(&model[1], "cores"), Some(4.0));
+        assert_eq!(num(&model[1], "lp_count"), Some(4.0));
+        assert_eq!(num(&model[4], "cores"), Some(4.0));
+        assert!(num(&model[4], "alpha").is_some_and(|a| a >= 1.0 - 1e-9));
+        assert!(num(&model[0], "alpha").is_none());
+        for m in model {
+            let parts = ["p_ns", "s_ns", "m_ns"].map(|k| num(m, k).expect("a number"));
+            assert!(num(m, "t_ns").is_some_and(|t| t > 0.0));
+            assert!(parts.iter().all(|p| *p >= 0.0));
+        }
+    }
+}
+
+#[test]
+fn check_validates_every_row() {
+    let bad = SWEEP.replace("[0.0, 1.0]", "[0.0, 1.5]");
+    let file = temp_file("bad-sweep.toml", &bad);
+    let out = unison_run(&[file.to_str().expect("utf-8 path"), "--check"]);
+    std::fs::remove_file(&file).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "no row is OK until all are");
+    assert!(
+        stderr.contains("line 21, col 22: row 1 (traffic.incast_ratio = 1.5): incast_ratio 1.5"),
+        "{stderr}"
+    );
 }

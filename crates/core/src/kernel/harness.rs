@@ -800,6 +800,11 @@ pub(super) fn finish<N: SimNode>(
         psm.push(worker.psm);
         tels.push(worker.tel);
     }
+    let mut lp_neighbors = vec![Vec::new(); shell.partition.lp_count as usize];
+    for (a, b, _) in shell.partition.lp_channels(&shell.graph) {
+        lp_neighbors[a.index()].push(b.0);
+        lp_neighbors[b.index()].push(a.0);
+    }
     let report = RunReport {
         kernel: out.label,
         wall: out.wall,
@@ -821,6 +826,7 @@ pub(super) fn finish<N: SimNode>(
         },
         sched: out.sched,
         rounds_profile: out.rounds_profile,
+        lp_neighbors,
         telemetry: env.telctx.collect(tels, out.sched_log),
         recovery: None,
         async_stats: out.async_stats,

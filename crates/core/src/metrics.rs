@@ -183,6 +183,12 @@ pub struct RunReport {
     pub sched: SchedStats,
     /// Per-round profile, at [`MetricsLevel::PerRound`].
     pub rounds_profile: Option<Vec<RoundRecord>>,
+    /// LP adjacency of the partition the run used, over the links live
+    /// when it ended: `lp_neighbors[i]` lists the LPs that share a link
+    /// with LP `i`, ascending. Filled once per run; it is what
+    /// [`PerfModel::nullmsg`](crate::PerfModel::nullmsg) replays the
+    /// profile over, so nobody has to rebuild the kernel's partition.
+    pub lp_neighbors: Vec<Vec<u32>>,
     /// Phase/LP span timelines, the scheduler-decision log and the traffic
     /// matrix, at [`MetricsLevel::Spans`]. `None` otherwise.
     pub telemetry: Option<RunTelemetry>,

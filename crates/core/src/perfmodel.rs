@@ -193,8 +193,8 @@ impl<'a> PerfModel<'a> {
 
     /// Null-message synchronization with each LP pinned to its own core.
     ///
-    /// `neighbors[i]` lists the LPs adjacent to LP `i` (from
-    /// [`Partition::lp_channels`](crate::partition::Partition::lp_channels)).
+    /// `neighbors[i]` lists the LPs adjacent to LP `i` — the profiled run's
+    /// [`RunReport::lp_neighbors`](crate::metrics::RunReport::lp_neighbors).
     /// The wavefront recurrence lets an LP start its next window as soon as
     /// its *neighbors* finished the previous one, instead of waiting for the
     /// global maximum — CMB's local-synchronization advantage.
@@ -252,6 +252,40 @@ impl<'a> PerfModel<'a> {
     /// Unison replay with extra diagnostics (slowdown factor, per-round
     /// thread loads).
     pub fn unison_detailed(&self, cores: usize, sched: SchedConfig) -> UnisonModel {
+        self.replay_unison(cores, sched, |_, _| {})
+    }
+
+    /// The replayed per-worker loads summed into `bucket`-round buckets
+    /// (Fig. 13's Unison heat map): `out[bucket][worker]`, nanoseconds.
+    pub fn bucketed_worker_loads(
+        &self,
+        cores: usize,
+        sched: SchedConfig,
+        bucket: usize,
+    ) -> Vec<Vec<f64>> {
+        assert!(bucket > 0);
+        let mut out: Vec<Vec<f64>> = Vec::new();
+        self.replay_unison(cores, sched, |r, loads| {
+            if r % bucket == 0 {
+                out.push(vec![0.0; cores]);
+            }
+            // INVARIANT: round 0 pushes the first bucket (0 % bucket == 0).
+            let last = out.last_mut().expect("bucket pushed");
+            for (acc, &load) in last.iter_mut().zip(loads) {
+                *acc += load;
+            }
+        });
+        out
+    }
+
+    /// The Unison replay; `on_round(r, loads)` sees each round's per-worker
+    /// loads.
+    fn replay_unison(
+        &self,
+        cores: usize,
+        sched: SchedConfig,
+        mut on_round: impl FnMut(usize, &[f64]),
+    ) -> UnisonModel {
         assert!(cores > 0);
         let n = self.lp_count();
         let period = sched.effective_period(n) as usize;
@@ -307,6 +341,7 @@ impl<'a> PerfModel<'a> {
                 s_sum += s;
             }
             s_ratio.push((s_sum / (cores as f64 * round)) as f32);
+            on_round(r, &loads);
             for (prev, &cost) in prev_costs.iter_mut().zip(&rec.lp_cost_ns) {
                 *prev = cost as u64;
             }
@@ -407,6 +442,24 @@ impl<'a> PerfModel<'a> {
         }
         out
     }
+}
+
+/// Mean within-row coefficient of variation of `rows` (Fig. 13's imbalance
+/// summary over bucketed per-executor costs); all-zero rows count as 0.
+pub fn mean_cv(rows: &[Vec<f64>]) -> f64 {
+    let cv_sum: f64 = rows
+        .iter()
+        .map(|r| {
+            let mean = r.iter().sum::<f64>() / r.len() as f64;
+            if mean > 0.0 {
+                let var = r.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / r.len() as f64;
+                var.sqrt() / mean
+            } else {
+                0.0
+            }
+        })
+        .sum();
+    cv_sum / rows.len().max(1) as f64
 }
 
 /// Unison replay with diagnostics.
@@ -568,6 +621,18 @@ mod tests {
         let hybrid = m.hybrid(&[vec![0, 1, 2, 3]], 2);
         // LPT with exact costs on 2 threads: loads (4+1, 3+2) => 5/round.
         assert!((hybrid.total_ns - 50.0).abs() < 1e-9, "{}", hybrid.total_ns);
+    }
+
+    #[test]
+    fn bucketed_worker_loads_sum_to_p_and_balanced_rows_have_no_cv() {
+        let p = profile(10, &[&[4.0, 3.0, 2.0, 1.0]]);
+        let m = PerfModel::new(&p).with_params(zero_overhead());
+        let b = m.bucketed_worker_loads(2, SchedConfig::default(), 4);
+        assert_eq!(b.len(), 3); // 4 + 4 + 2 rounds
+        let total: f64 = b.iter().flatten().sum();
+        assert_eq!(total, m.unison(2, SchedConfig::default()).p_total());
+        assert_eq!(mean_cv(&[vec![5.0, 5.0], vec![0.0, 0.0]]), 0.0);
+        assert!((mean_cv(&[vec![1.0, 3.0]]) - 0.5).abs() < 1e-12);
     }
 
     #[test]

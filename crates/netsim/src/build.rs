@@ -9,8 +9,8 @@
 //! [`NetSim`], runs on any kernel unchanged.
 
 use unison_core::{
-    kernel, DataRate, KernelError, KernelKind, MetricsLevel, NodeId, PartitionMode, RunConfig,
-    RunReport, SchedConfig, Time, World, WorldBuilder,
+    kernel, DataRate, KernelError, KernelKind, NodeId, PartitionMode, PerfModel, RunConfig,
+    RunReport, Time, World, WorldBuilder,
 };
 use unison_topology::{NodeKind, Topology};
 use unison_traffic::{FlowSpec, TrafficConfig};
@@ -324,19 +324,34 @@ pub struct SimResult {
     pub world: World<NetNode>,
 }
 
+impl SimResult {
+    /// The virtual-core model over this run's per-round profile (empty
+    /// unless the run came from [`NetSim::profile`]).
+    pub fn perf_model(&self) -> PerfModel<'_> {
+        PerfModel::new(self.kernel.rounds_profile.as_deref().unwrap_or(&[]))
+    }
+}
+
 impl NetSim {
     /// Runs on the chosen kernel with automatic partitioning.
     pub fn run(self, kernel_kind: KernelKind) -> SimResult {
         self.run_with(&RunConfig {
-            watchdog: Default::default(),
             kernel: kernel_kind,
-            partition: PartitionMode::Auto,
-            sched: SchedConfig::default(),
-            metrics: MetricsLevel::Summary,
-            fel: Default::default(),
-            fault: Default::default(),
+            ..RunConfig::unison(1)
         })
         .expect("valid default configuration")
+    }
+
+    /// Runs on the instrumented one-thread engine under `partition`,
+    /// recording the per-round, per-LP cost matrix: the one way a
+    /// simulation becomes a [`PerfModel`] input (DESIGN.md §3.2). Replay it
+    /// with [`SimResult::perf_model`]; the null-message model's LP adjacency
+    /// is the report's `lp_neighbors`.
+    pub fn profile(self, partition: PartitionMode) -> Result<SimResult, KernelError> {
+        self.run_with(&RunConfig {
+            partition,
+            ..RunConfig::unison(1).with_per_round_metrics()
+        })
     }
 
     /// Runs with a full configuration — kernel, partition mode, FEL

@@ -61,6 +61,6 @@ pub use node::{Device, LossState, NetEvent, NetNode};
 pub use packet::{FlowId, Packet, PacketKind, MSS};
 pub use queue::{Enqueue, Queue, QueueConfig};
 pub use reconfig::{install_faults, recompute_static_routes, set_link_state, NetFault};
-pub use scenario::{build_scenario, run_scenario, world_digest};
+pub use scenario::world_digest;
 pub use tcp::{TcpConfig, TcpReceiver, TcpSender, TransportKind};
 pub use trace::{Trace, TraceBuffer, TraceEntry, TraceKind};

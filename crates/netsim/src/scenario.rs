@@ -3,20 +3,20 @@
 //! and assembling a runnable [`NetSim`].
 //!
 //! The mapping is defined to be *structurally identical* to what the
-//! hand-assembled experiment binaries build: the same `TcpConfig`
+//! hand-assembled experiment binaries built: the same `TcpConfig`
 //! constructors, the same DCTCP default-queue coupling that
 //! [`NetworkBuilder::transport`] applies, the same builder call order. The
 //! golden corpus test (`crates/bench/tests/scenario_corpus.rs`) pins this
 //! equivalence bit-for-bit via [`world_digest`].
 
-use unison_core::{KernelError, Snapshot, SnapshotWriter, World};
+use unison_core::{Snapshot, SnapshotWriter, World};
 use unison_scenario::{
     QueueSpec, RoutingSpec, ScenarioSpec, TcpProfile, TransportKindSpec, TransportSpec,
 };
 use unison_topology::Topology;
 
 use crate::app::OnOffConfig;
-use crate::build::{NetSim, NetworkBuilder, RoutingKind, SimResult};
+use crate::build::{NetworkBuilder, RoutingKind};
 use crate::node::NetNode;
 use crate::queue::QueueConfig;
 use crate::tcp::{TcpConfig, TransportKind};
@@ -143,22 +143,6 @@ impl<'a> NetworkBuilder<'a> {
         }));
         b.stop_at(spec.run.stop)
     }
-}
-
-/// Builds the runnable simulation a scenario describes (topology built
-/// internally; use [`NetworkBuilder::from_scenario`] to keep the topology).
-pub fn build_scenario(spec: &ScenarioSpec) -> NetSim {
-    let topo = spec.build_topology();
-    NetworkBuilder::from_scenario(&topo, spec).build()
-}
-
-/// Builds and runs a scenario end to end with its own `[run]`
-/// configuration. This is what `unison-run` executes.
-pub fn run_scenario(spec: &ScenarioSpec) -> Result<SimResult, KernelError> {
-    let topo = spec.build_topology();
-    let cfg = spec.run_config(&topo);
-    let sim = NetworkBuilder::from_scenario(&topo, spec).build();
-    sim.run_with(&cfg)
 }
 
 #[cfg(test)]

@@ -7,6 +7,9 @@
 //! [`ScenarioSpec`]; the spec then builds the concrete artifacts —
 //! [`ScenarioSpec::build_topology`], [`ScenarioSpec::traffic_config`],
 //! [`ScenarioSpec::run_config`] — that the netsim/bench layers consume.
+//! A paper figure is a scenario with two more tables: `[sweep.<section>]`
+//! lists make the file several rows ([`parse_rows`]), and `[model]`
+//! ([`ModelSpec`]) asks for the virtual-core replay after each real run.
 //!
 //! Parsing is strict: unknown sections and unknown keys are rejected with
 //! line/column spans, and every enum-valued key lists its accepted values
@@ -261,6 +264,26 @@ pub enum PartitionSpec {
     /// One LP per topology cluster (`manual::by_cluster`) — resolved
     /// against the built topology, so the file does not hard-code sizes.
     ByCluster,
+    /// The node-id range split into `lps` equal sub-arrays
+    /// (`manual::by_id_range`, the paper's torus scheme).
+    ByIdRange(u32),
+    /// Consecutive clusters grouped into `lps` LPs
+    /// (`manual::by_cluster_group`).
+    ByClusterGroup(u32),
+}
+
+impl fmt::Display for PartitionSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PartitionSpec::Auto => f.write_str("auto"),
+            PartitionSpec::SingleLp => f.write_str("single_lp"),
+            PartitionSpec::Bound(t) => write!(f, "bound({t})"),
+            PartitionSpec::Manual(_) => f.write_str("manual"),
+            PartitionSpec::ByCluster => f.write_str("by_cluster"),
+            PartitionSpec::ByIdRange(lps) => write!(f, "by_id_range({lps})"),
+            PartitionSpec::ByClusterGroup(lps) => write!(f, "by_cluster_group({lps})"),
+        }
+    }
 }
 
 impl PartitionSpec {
@@ -272,6 +295,12 @@ impl PartitionSpec {
             PartitionSpec::Bound(t) => PartitionMode::Bound(*t),
             PartitionSpec::Manual(v) => PartitionMode::Manual(v.clone()),
             PartitionSpec::ByCluster => PartitionMode::Manual(topology::manual::by_cluster(topo)),
+            PartitionSpec::ByIdRange(lps) => {
+                PartitionMode::Manual(topology::manual::by_id_range(topo, *lps))
+            }
+            PartitionSpec::ByClusterGroup(lps) => {
+                PartitionMode::Manual(topology::manual::by_cluster_group(topo, *lps))
+            }
         }
     }
 }
@@ -285,6 +314,25 @@ pub struct RunSpec {
     pub sched: SchedConfig,
     pub watchdog: Option<Duration>,
     pub fault: FaultPlan,
+}
+
+/// Largest `[model] cores` accepted: the replay allocates per virtual core.
+pub const MAX_MODEL_CORES: usize = 1024;
+
+/// The `[model]` section: besides its real run, the row is profiled on the
+/// instrumented one-thread engine and each algorithm's synchronization
+/// structure is replayed over `cores` virtual cores (DESIGN.md §3.2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ModelSpec {
+    /// Virtual cores of the `unison` (and `hybrid`) records.
+    pub cores: usize,
+    /// `baseline_partition`: the static partition the `sequential`,
+    /// `barrier` and `nullmsg` records are profiled under (one LP per
+    /// core). Without it only the row's own partition is profiled.
+    pub baseline: Option<PartitionSpec>,
+    /// `hybrid_hosts`: adds the `hybrid` record with this many hosts of
+    /// `cores / hybrid_hosts` workers each.
+    pub hybrid_hosts: Option<usize>,
 }
 
 /// A parsed, validated scenario.
@@ -302,6 +350,18 @@ pub struct ScenarioSpec {
     pub queue: Option<QueueSpec>,
     pub routing: RoutingSpec,
     pub run: RunSpec,
+    /// The `[model]` section, if present.
+    pub model: Option<ModelSpec>,
+}
+
+/// One row of a scenario file: the file itself, or — with `[sweep.*]`
+/// tables — the file with the swept keys set to their `i`-th values.
+#[derive(Debug, Clone)]
+pub struct ScenarioRow {
+    /// The swept `section.key = value` settings of this row, in file order
+    /// (empty without a sweep).
+    pub label: String,
+    pub spec: ScenarioSpec,
 }
 
 impl ScenarioSpec {
@@ -664,9 +724,19 @@ impl<'a> Keys<'a> {
         }
     }
 
-    /// A `<key>_us` integer read as microseconds.
+    /// A `<key>_us` number read as microseconds; a float carries the
+    /// sub-microsecond values (Fig. 5c's 0.3 µs links), to the nanosecond.
     fn time_us(&mut self, key: &'a str) -> Result<Option<Time>, ScenarioError> {
-        Ok(self.u64(key)?.map(Time::from_micros))
+        match self.entry(key) {
+            None => Ok(None),
+            Some(e) => match e.value {
+                Value::Int(n) if n >= 0 => Ok(Some(Time::from_micros(n as u64))),
+                Value::Float(f) if f >= 0.0 => {
+                    Ok(Some(Time::from_nanos((f * 1000.0).round() as u64)))
+                }
+                _ => Err(self.mismatch(e, "non-negative number")),
+            },
+        }
     }
 
     fn req_time_us(&mut self, key: &'a str) -> Result<Time, ScenarioError> {
@@ -1046,6 +1116,84 @@ fn parse_fault(table: &Table, plan: FaultPlan) -> Result<FaultPlan, ScenarioErro
     Ok(plan)
 }
 
+/// The partition values `[run] partition` and `[model] baseline_partition`
+/// share: the ones a name (plus `lps`, default `default_lps`) fully
+/// describes. `more` lists what else the caller accepts under `key`.
+fn named_partition<'a>(
+    k: &mut Keys<'a>,
+    key: &'a str,
+    lps_key: &'a str,
+    default_lps: Option<u32>,
+    more: &str,
+) -> Result<PartitionSpec, ScenarioError> {
+    let lps = |k: &mut Keys<'a>| match (k.u32(lps_key)?, default_lps) {
+        (Some(0), _) => {
+            let e = k.table.entry(lps_key).expect("was read");
+            Err(serr(e.line, e.col, format!("`{lps_key}` must be >= 1")))
+        }
+        (Some(n), _) | (None, Some(n)) => Ok(n),
+        (None, None) => Err(k.missing(lps_key)),
+    };
+    match k.req_str(key)? {
+        "auto" => Ok(PartitionSpec::Auto),
+        "single_lp" => Ok(PartitionSpec::SingleLp),
+        "by_cluster" => Ok(PartitionSpec::ByCluster),
+        "by_id_range" => Ok(PartitionSpec::ByIdRange(lps(k)?)),
+        "by_cluster_group" => Ok(PartitionSpec::ByClusterGroup(lps(k)?)),
+        other => {
+            let e = k.table.entry(key).expect("was read");
+            Err(serr(
+                e.line,
+                e.col,
+                format!(
+                    "unknown partition `{other}` (expected auto | single_lp | by_cluster | \
+                     by_id_range | by_cluster_group{more})"
+                ),
+            ))
+        }
+    }
+}
+
+fn parse_model(table: &Table) -> Result<ModelSpec, ScenarioError> {
+    let mut k = Keys::new(table);
+    let at = |key: &str, msg: String| {
+        let e = table.entry(key).expect("was read");
+        serr(e.line, e.col, msg)
+    };
+    let cores = k.req_usize("cores")?;
+    if !(1..=MAX_MODEL_CORES).contains(&cores) {
+        return Err(at(
+            "cores",
+            format!("`cores` must be in 1..={MAX_MODEL_CORES}, got {cores}"),
+        ));
+    }
+    let baseline = match k.str("baseline_partition")? {
+        None => None,
+        Some(_) => Some(named_partition(
+            &mut k,
+            "baseline_partition",
+            "baseline_lps",
+            Some(cores as u32),
+            "",
+        )?),
+    };
+    let hybrid_hosts = k.usize("hybrid_hosts")?;
+    if let Some(hosts) = hybrid_hosts {
+        if hosts == 0 || cores % hosts != 0 {
+            return Err(at(
+                "hybrid_hosts",
+                format!("`hybrid_hosts` = {hosts} must divide `cores` = {cores}"),
+            ));
+        }
+    }
+    k.finish()?;
+    Ok(ModelSpec {
+        cores,
+        baseline,
+        hybrid_hosts,
+    })
+}
+
 fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError> {
     let mut k = Keys::new(table);
     let stop = k.req_time_us("stop_us")?;
@@ -1104,12 +1252,8 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
             format!("`threads` is not valid for kernel `{kernel_name}`"),
         ));
     }
-    let partition_name = k.str("partition")?;
-    let partition = match partition_name {
+    let partition = match k.str("partition")? {
         None => default_partition,
-        Some("auto") => PartitionSpec::Auto,
-        Some("single_lp") => PartitionSpec::SingleLp,
-        Some("by_cluster") => PartitionSpec::ByCluster,
         Some("bound") => PartitionSpec::Bound(k.req_time_us("bound_us")?),
         Some("manual") => {
             let assign = k
@@ -1138,17 +1282,7 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
             }
             PartitionSpec::Manual(lps)
         }
-        Some(other) => {
-            let e = table.entry("partition").expect("was read");
-            return Err(serr(
-                e.line,
-                e.col,
-                format!(
-                    "unknown partition `{other}` (expected auto | single_lp | by_cluster | \
-                     bound | manual)"
-                ),
-            ));
-        }
+        Some(_) => named_partition(&mut k, "partition", "lps", None, " | bound | manual")?,
     };
     let mut sched = SchedConfig::default();
     if let Some(metric) = k.choice(
@@ -1189,14 +1323,164 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
     })
 }
 
+/// Largest number of rows one file may sweep.
+pub const MAX_ROWS: usize = 256;
+
 /// Parses scenario source text into a validated [`ScenarioSpec`].
 ///
 /// Strictness guarantees: every section name, key, and enum string is
 /// checked; the first violation is returned with its line/column span.
 /// Semantic checks that need the built topology (`validate`) run too, so a
-/// successfully parsed scenario is runnable as-is.
+/// successfully parsed scenario is runnable as-is. A file that sweeps more
+/// than one row is an error here — [`parse_rows`] reads those.
 pub fn parse_scenario(src: &str) -> Result<ScenarioSpec, ScenarioError> {
     let tables = toml::parse(src)?;
+    let sweep = tables.iter().find(|t| t.name.starts_with("sweep."));
+    let sweep_at = sweep.map_or((0, 0), |t| (t.line, t.col));
+    let mut rows = expand_rows(tables)?;
+    if rows.len() > 1 {
+        return Err(serr(
+            sweep_at.0,
+            sweep_at.1,
+            format!(
+                "this file sweeps {} rows; `parse_scenario` reads one — use `parse_rows`",
+                rows.len()
+            ),
+        ));
+    }
+    Ok(rows.remove(0).spec)
+}
+
+/// Parses scenario source text into its rows: one for a plain file, one per
+/// list position for a file with `[sweep.<section>]` tables. Each row is
+/// the file with every swept key replaced by its value at that position and
+/// is parsed and validated like a plain file; an error caused by a swept
+/// value carries that list element's span and the row index.
+pub fn parse_rows(src: &str) -> Result<Vec<ScenarioRow>, ScenarioError> {
+    expand_rows(toml::parse(src)?)
+}
+
+/// One `key = [v0, v1, …]` entry of a `[sweep.<section>]` table, resolved to
+/// the entry of the file it replaces.
+struct Axis<'a> {
+    /// Index of `[<section>]` in the file's tables, and of `key` in it.
+    table: usize,
+    entry: usize,
+    /// The list: its values, their spans, its own span.
+    list: &'a Entry,
+    values: &'a [Value],
+    /// `section.key`, for row labels.
+    name: String,
+}
+
+/// Zips the `[sweep.*]` lists into rows (see [`parse_rows`]).
+fn expand_rows(tables: Vec<Table>) -> Result<Vec<ScenarioRow>, ScenarioError> {
+    let (sweeps, mut tables): (Vec<Table>, Vec<Table>) = tables
+        .into_iter()
+        .partition(|t| t.name == "sweep" || t.name.starts_with("sweep."));
+    let mut axes: Vec<Axis> = Vec::new();
+    for sweep in &sweeps {
+        let section = sweep.name.strip_prefix("sweep.").unwrap_or("");
+        let target = tables
+            .iter()
+            .position(|t| !section.is_empty() && !t.is_array && t.name == section);
+        let (Some(target), false) = (target, sweep.is_array) else {
+            let msg = "must be `[sweep.<section>]`, naming a single section of this file";
+            return Err(serr(
+                sweep.line,
+                sweep.col,
+                format!("`[{}]` {msg}", sweep.name),
+            ));
+        };
+        for e in &sweep.entries {
+            let name = format!("{section}.{}", e.key);
+            let bad = |at: &Entry, msg: String| Err(serr(at.line, at.col, msg));
+            let Value::Array(values) = &e.value else {
+                let got = e.value.type_name();
+                return bad(e, format!("sweep `{name}` must be an array, got a {got}"));
+            };
+            let Some(entry) = tables[target].entries.iter().position(|b| b.key == e.key) else {
+                return bad(
+                    e,
+                    format!("sweep `{name}`: [{section}] does not set `{}`", e.key),
+                );
+            };
+            let n = values.len();
+            if n == 0 || n > MAX_ROWS {
+                return bad(
+                    e,
+                    format!("sweep `{name}` lists {n} rows; a sweep has 1..={MAX_ROWS}"),
+                );
+            }
+            if let Some(first) = axes.first().filter(|f| f.values.len() != n) {
+                let shorter = if n < first.values.len() {
+                    e
+                } else {
+                    first.list
+                };
+                return bad(
+                    shorter,
+                    format!(
+                        "sweep lists must have one length: `{}` has {}, `{name}` has {n}",
+                        first.name,
+                        first.values.len()
+                    ),
+                );
+            }
+            axes.push(Axis {
+                table: target,
+                entry,
+                list: e,
+                values,
+                name,
+            });
+        }
+    }
+    let Some(first) = axes.first() else {
+        return Ok(vec![ScenarioRow {
+            label: String::new(),
+            spec: parse_tables(&tables)?,
+        }]);
+    };
+    let mut rows = Vec::with_capacity(first.values.len());
+    for i in 0..first.values.len() {
+        let mut label = Vec::with_capacity(axes.len());
+        for axis in &axes {
+            let e = &mut tables[axis.table].entries[axis.entry];
+            e.value = axis.values[i].clone();
+            // Whatever the section parser says about this entry now points
+            // at the list element.
+            (e.line, e.col) = axis.list.items[i];
+            label.push(format!("{} = {}", axis.name, show(&axis.values[i])));
+        }
+        let label = label.join(", ");
+        let spec = parse_tables(&tables).map_err(|e| {
+            // `validate` has no span of its own: blame the row.
+            let (line, col) = if e.line == 0 {
+                first.list.items[i]
+            } else {
+                (e.line, e.col)
+            };
+            serr(line, col, format!("row {i} ({label}): {}", e.msg))
+        })?;
+        rows.push(ScenarioRow { label, spec });
+    }
+    Ok(rows)
+}
+
+/// A swept value as the file wrote it.
+fn show(v: &Value) -> String {
+    match v {
+        Value::Str(s) => format!("{s:?}"),
+        Value::Int(n) => n.to_string(),
+        Value::Float(f) => f.to_string(),
+        Value::Bool(b) => b.to_string(),
+        Value::Array(_) => "[…]".to_string(),
+    }
+}
+
+/// Parses the tables of one row — every section but `[sweep.*]`.
+fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
     let mut name = None;
     let mut topology_table = None;
     let mut traffic = None;
@@ -1204,6 +1488,7 @@ pub fn parse_scenario(src: &str) -> Result<ScenarioSpec, ScenarioError> {
     let mut queue = None;
     let mut routing = None;
     let mut run_table = None;
+    let mut model = None;
     let mut flows = Vec::new();
     let mut on_off = Vec::new();
     let mut links = Vec::new();
@@ -1212,7 +1497,7 @@ pub fn parse_scenario(src: &str) -> Result<ScenarioSpec, ScenarioError> {
     // Singleton sections may appear once; [[flow]]/[[on_off]]/[[link]]/
     // [[fault]] accumulate in file order.
     let mut seen: Vec<&str> = Vec::new();
-    for table in &tables {
+    for table in tables {
         let dup = |name: &str| -> ScenarioError {
             serr(table.line, table.col, format!("duplicate [{name}] section"))
         };
@@ -1222,7 +1507,7 @@ pub fn parse_scenario(src: &str) -> Result<ScenarioSpec, ScenarioError> {
                 name = k.str("name")?.map(str::to_string);
                 k.finish()?;
             }
-            "topology" | "traffic" | "transport" | "queue" | "routing" | "run"
+            "topology" | "traffic" | "transport" | "queue" | "routing" | "run" | "model"
                 if table.is_array =>
             {
                 return Err(serr(
@@ -1276,6 +1561,13 @@ pub fn parse_scenario(src: &str) -> Result<ScenarioSpec, ScenarioError> {
                 run_table = Some(table);
                 seen.push("run");
             }
+            "model" => {
+                if seen.contains(&"model") {
+                    return Err(dup("model"));
+                }
+                model = Some(parse_model(table)?);
+                seen.push("model");
+            }
             "flow" | "on_off" | "link" | "fault" if !table.is_array => {
                 return Err(serr(
                     table.line,
@@ -1296,7 +1588,8 @@ pub fn parse_scenario(src: &str) -> Result<ScenarioSpec, ScenarioError> {
                     table.col,
                     format!(
                         "unknown section `[{other}]` (expected topology | traffic | transport | \
-                         queue | routing | run | [[flow]] | [[on_off]] | [[link]] | [[fault]])"
+                         queue | routing | run | model | sweep.<section> | [[flow]] | [[on_off]] | \
+                         [[link]] | [[fault]])"
                     ),
                 ));
             }
@@ -1317,6 +1610,7 @@ pub fn parse_scenario(src: &str) -> Result<ScenarioSpec, ScenarioError> {
         queue,
         routing: routing.unwrap_or(RoutingSpec::StaticEcmp),
         run: parse_run(run_table, faults)?,
+        model,
     };
     spec.validate()?;
     Ok(spec)

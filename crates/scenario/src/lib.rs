@@ -54,7 +54,7 @@ pub mod ast;
 pub mod toml;
 
 pub use ast::{
-    parse_scenario, ManualLink, OnOffSpec, PartitionSpec, QueueSpec, RoutingSpec, RunSpec,
-    ScenarioError, ScenarioSpec, TcpProfile, TopoKind, TopologySpec, TrafficPattern, TrafficSpec,
-    TransportKindSpec, TransportSpec,
+    parse_rows, parse_scenario, ManualLink, ModelSpec, OnOffSpec, PartitionSpec, QueueSpec,
+    RoutingSpec, RunSpec, ScenarioError, ScenarioRow, ScenarioSpec, TcpProfile, TopoKind,
+    TopologySpec, TrafficPattern, TrafficSpec, TransportKindSpec, TransportSpec,
 };

@@ -12,7 +12,8 @@
 //! - `key = 42`, `key = -3`, `key = 1_000_000` integers,
 //! - `key = 0.5` floats, `key = true` / `key = false` booleans,
 //! - `key = [v, ...]` arrays of scalar values, which may span multiple
-//!   lines until the closing `]`.
+//!   lines until the closing `]`; every element keeps its own span
+//!   ([`Entry::items`]), so a consumer can point at one value of a list.
 //!
 //! Anything else (inline tables, dates, dotted keys) is a parse error
 //! carrying a 1-based line *and column* span, which is the right behavior
@@ -54,6 +55,9 @@ pub struct Entry {
     pub line: usize,
     /// 1-based source column of the key.
     pub col: usize,
+    /// For an array value, the 1-based (line, column) of each element, in
+    /// order; empty for a scalar.
+    pub items: Vec<(usize, usize)>,
 }
 
 /// One `[name]` / `[[name]]` table with its key-value entries in file order.
@@ -340,39 +344,52 @@ pub fn parse(src: &str) -> Result<Vec<Table>, ParseError> {
             return Err(err(lineno, colno, format!("invalid key `{key}`")));
         }
         let value_col = colno + eq + 1 + raw[eq + 1..].len() - raw[eq + 1..].trim_start().len();
-        let mut rest = raw[eq + 1..].trim().to_string();
+        let rest = raw[eq + 1..].trim();
         if rest.is_empty() {
             return Err(err(lineno, value_col, format!("missing value for `{key}`")));
         }
-        let value = if rest.starts_with('[') {
-            // Accumulate lines until the closing `]` (arrays may span lines).
-            while !rest.contains(']') {
-                if i >= lines.len() {
-                    return Err(err(lineno, value_col, "unterminated array"));
-                }
-                rest.push(' ');
-                rest.push_str(strip_comment(lines[i]).trim());
-                i += 1;
-            }
-            let body = rest.trim();
-            let Some(body) = body.strip_prefix('[').and_then(|b| b.strip_suffix(']')) else {
-                return Err(err(lineno, value_col, "trailing text after array value"));
-            };
+        let mut spans = Vec::new();
+        let value = if let Some(body) = rest.strip_prefix('[') {
+            // Walk the elements, continuing onto following lines until the
+            // closing `]`; `(line, col)` is where `cur` starts.
             let mut items = Vec::new();
-            let mut cur = body.trim();
-            while !cur.is_empty() {
-                let (v, tail) = parse_value_token(cur, lineno, value_col)?;
-                items.push(v);
-                cur = tail.trim();
-                if let Some(t) = cur.strip_prefix(',') {
-                    cur = t.trim();
-                } else if !cur.is_empty() {
-                    return Err(err(lineno, value_col, "expected `,` between array items"));
+            let (mut line, mut col, mut cur) = (lineno, value_col + 1, body);
+            let mut want_comma = false;
+            loop {
+                let trimmed = cur.trim_start();
+                col += cur.len() - trimmed.len();
+                cur = trimmed;
+                if cur.is_empty() {
+                    if i >= lines.len() {
+                        return Err(err(lineno, value_col, "unterminated array"));
+                    }
+                    cur = strip_comment(lines[i]).trim_end();
+                    i += 1;
+                    (line, col) = (i, 1);
+                } else if let Some(tail) = cur.strip_prefix(']') {
+                    if !tail.trim().is_empty() {
+                        return Err(err(line, col + 1, "trailing text after array value"));
+                    }
+                    break;
+                } else if let Some(tail) = cur.strip_prefix(',') {
+                    if !want_comma {
+                        return Err(err(line, col, "expected a value"));
+                    }
+                    want_comma = false;
+                    (col, cur) = (col + 1, tail);
+                } else if want_comma {
+                    return Err(err(line, col, "expected `,` between array items"));
+                } else {
+                    let (v, tail) = parse_value_token(cur, line, col)?;
+                    items.push(v);
+                    spans.push((line, col));
+                    want_comma = true;
+                    (col, cur) = (col + cur.len() - tail.len(), tail);
                 }
             }
             Value::Array(items)
         } else {
-            let (v, tail) = parse_value_token(&rest, lineno, value_col)?;
+            let (v, tail) = parse_value_token(rest, lineno, value_col)?;
             if !tail.trim().is_empty() {
                 return Err(err(lineno, value_col, "trailing text after value"));
             }
@@ -383,6 +400,7 @@ pub fn parse(src: &str) -> Result<Vec<Table>, ParseError> {
             value,
             line: lineno,
             col: colno,
+            items: spans,
         });
     }
     tables.push(current);
@@ -484,6 +502,21 @@ floats = [0.25, 0.75]
         // Indented header: column reflects the `[`.
         let e = parse("  [bad name]\n").unwrap_err();
         assert_eq!((e.line, e.col), (1, 3));
+    }
+
+    #[test]
+    fn array_elements_keep_their_spans() {
+        let t = &parse("k = 1\nxs = [10, \"a]\",\n   30,\n]\n").unwrap()[0];
+        assert!(t.entry("k").unwrap().items.is_empty());
+        let xs = t.entry("xs").unwrap();
+        assert_eq!(xs.items, vec![(2, 7), (2, 11), (3, 4)]);
+        // A `]` inside a string does not close the array.
+        assert_eq!(t.get_array("xs"), None);
+        assert!(matches!(&xs.value, Value::Array(v) if v[1] == Value::Str("a]".into())));
+        let e = parse("xs = [1] 2\n").unwrap_err();
+        assert!(e.msg.contains("trailing text after array"), "{e}");
+        let e = parse("xs = [, 1]\n").unwrap_err();
+        assert_eq!((e.line, e.col, e.msg.as_str()), (1, 7, "expected a value"));
     }
 
     #[test]

@@ -9,7 +9,10 @@ use std::time::Duration;
 use unison_core::kernel::{KernelKind, PartitionMode};
 use unison_core::sched::SchedMetric;
 use unison_core::Time;
-use unison_scenario::{parse_scenario, QueueSpec, RoutingSpec, ScenarioSpec, TrafficPattern};
+use unison_scenario::{
+    parse_rows, parse_scenario, ModelSpec, PartitionSpec, QueueSpec, RoutingSpec, ScenarioSpec,
+    TrafficPattern,
+};
 use unison_traffic::SizeDist;
 
 /// A minimal valid scenario with `$RUN` spliced into the `[run]` section.
@@ -100,6 +103,14 @@ fn every_partition_variant_maps() {
         (
             "partition = \"by_cluster\"",
             PartitionMode::Manual(unison_topology::manual::by_cluster(&topo)),
+        ),
+        (
+            "partition = \"by_id_range\"\nlps = 3",
+            PartitionMode::Manual(unison_topology::manual::by_id_range(&topo, 3)),
+        ),
+        (
+            "partition = \"by_cluster_group\"\nlps = 1",
+            PartitionMode::Manual(unison_topology::manual::by_cluster_group(&topo, 1)),
         ),
     ];
     for (part, want) in cases {
@@ -350,4 +361,122 @@ fn errors_carry_spans() {
     )
     .unwrap_err();
     assert_eq!((e.line, e.col), (4, 3), "{e}");
+}
+
+/// A scenario whose `[topology]`, `[run]` and `[model]` sections the sweep
+/// tests extend: `$TAIL` is appended after the `[model]` table.
+fn sweep_src(tail: &str) -> String {
+    format!(
+        "name = \"sweep\"\n\
+         [topology]\nkind = \"fat_tree_clusters\"\nclusters = 2\nhosts_per_cluster = 4\n\
+         delay_us = 3\n\
+         [traffic]\nload = 0.2\n\
+         [run]\nstop_us = 1000\nkernel = \"unison\"\nthreads = 2\n\
+         [model]\ncores = 4\n{tail}"
+    )
+}
+
+#[test]
+fn sweep_rows_are_the_file_with_each_listed_value_in_place() {
+    let src = sweep_src(
+        "baseline_partition = \"by_cluster\"\nhybrid_hosts = 2\n\
+         [sweep.topology]\nclusters = [2, 4, 8]\ndelay_us = [0.3, 3, 30]\n\
+         [sweep.model]\ncores = [2, 4,\n  8]\n",
+    );
+    let rows = parse_rows(&src).unwrap();
+    assert_eq!(rows.len(), 3);
+    for (row, (clusters, delay_ns, cores)) in
+        rows.iter()
+            .zip([(2, 300, 2), (4, 3_000, 4), (8, 30_000, 8)])
+    {
+        let topo = row.spec.build_topology();
+        assert_eq!(topo.clusters, clusters);
+        assert!(topo
+            .links
+            .iter()
+            .all(|l| l.delay == Time::from_nanos(delay_ns)));
+        assert_eq!(
+            row.spec.model,
+            Some(ModelSpec {
+                cores,
+                baseline: Some(PartitionSpec::ByCluster),
+                hybrid_hosts: Some(2),
+            })
+        );
+    }
+    assert_eq!(
+        rows[1].label,
+        "topology.clusters = 4, topology.delay_us = 3, model.cores = 4"
+    );
+    // More than one row is not what `parse_scenario` reads; the error sits
+    // on the first sweep table (line 17 of the source above).
+    let e = parse_scenario(&src).unwrap_err();
+    assert!(e.msg.contains("sweeps 3 rows"), "{e}");
+    assert_eq!((e.line, e.col), (17, 1), "{e}");
+    // A `[model]` alone changes nothing but `spec.model`; its
+    // `baseline_lps` defaults to `cores`.
+    let one = parse_scenario(&sweep_src("baseline_partition = \"by_id_range\"\n")).unwrap();
+    assert_eq!(
+        one.model.unwrap().baseline,
+        Some(PartitionSpec::ByIdRange(4))
+    );
+    assert!(with_run("kernel = \"sequential\"").model.is_none());
+}
+
+/// ROADMAP aim 3: a hostile sweep is a spanned error, never a panic. The
+/// spans are (line, col) into `sweep_src`, whose tail starts on line 15.
+#[test]
+fn hostile_sweeps_are_spanned_errors() {
+    let check = |tail: &str, want: &str, at: (usize, usize)| {
+        let e = parse_rows(&sweep_src(tail)).unwrap_err();
+        assert!(e.msg.contains(want), "{tail:?}: {e}");
+        assert_eq!((e.line, e.col), at, "{tail:?}: {e}");
+    };
+    // Unequal lengths: reported at the shorter list.
+    let two = "[sweep.topology]\nclusters = [2, 4]\n[sweep.model]\ncores = [1]\n";
+    check(two, "one length", (18, 1));
+    let one = "[sweep.topology]\nclusters = [2]\n[sweep.model]\ncores = [1, 2]\n";
+    check(one, "one length", (16, 1));
+    check("[sweep.model]\ncores = []\n", "lists 0 rows", (16, 1));
+    let long = format!("[sweep.model]\ncores = [{}]\n", "1, ".repeat(257));
+    check(&long, "lists 257 rows", (16, 1));
+    // A section or key the file does not have; a value that is no list.
+    let section = "naming a single section of this file";
+    check("[sweep.queue]\nlimit_bytes = [1]\n", section, (15, 1));
+    check("[sweep]\ncores = [1]\n", section, (15, 1));
+    check("[[sweep.model]]\ncores = [1]\n", section, (15, 1));
+    let key = "[model] does not set `hybrid_hosts`";
+    check("[sweep.model]\nhybrid_hosts = [1]\n", key, (16, 1));
+    check("[sweep.model]\ncores = 4\n", "must be an array", (16, 1));
+    // A row that fails in its section parser: the element's span — or,
+    // when the check names another key of the section, that key's.
+    let zero = "row 2 (model.cores = 0): `cores` must be in 1..=1024";
+    check("[sweep.model]\ncores = [1, 2,\n    0]\n", zero, (17, 5));
+    let text = "row 1 (model.cores = \"x\"): `cores` in [model] must be a integer";
+    check("[sweep.model]\ncores = [2, \"x\"]\n", text, (16, 13));
+    let odd = "row 1 (model.cores = 3): `hybrid_hosts` = 2 must divide `cores` = 3";
+    check(
+        "hybrid_hosts = 2\n[sweep.model]\ncores = [4, 3]\n",
+        odd,
+        (15, 1),
+    );
+    // A row that fails `validate`, which has no span of its own.
+    let stop = "row 1 (run.stop_us = 0): `stop_us` must be positive";
+    check("[sweep.run]\nstop_us = [1000, 0]\n", stop, (16, 18));
+    // `[model]` on its own.
+    check("hybrid_hosts = 3\n", "must divide `cores` = 4", (15, 1));
+    let lps = "baseline_partition = \"by_cluster_group\"\nbaseline_lps = 0\n";
+    check(lps, "`baseline_lps` must be >= 1", (16, 1));
+    let manual = "baseline_partition = \"manual\"\n";
+    check(manual, "unknown partition `manual`", (15, 1));
+    // `lps` belongs to the two partitions that take it; times are >= 0.
+    let run_with = |line: &str| {
+        let src = sweep_src("").replace("threads = 2", &format!("threads = 2\n{line}"));
+        parse_scenario(&src).unwrap_err().msg
+    };
+    assert!(run_with("lps = 2").contains("unknown key `lps`"));
+    let e = run_with("partition = \"by_id_range\"");
+    assert!(e.contains("missing required key `lps`"), "{e}");
+    let e = parse_scenario(&sweep_src("").replace("delay_us = 3", "delay_us = -0.5")).unwrap_err();
+    assert!(e.msg.contains("non-negative number"), "{e}");
 }

@@ -65,7 +65,8 @@
 //!    counter dropped next to a neighbour's hot word silently costs more
 //!    than a barrier crossing.
 //! 9. **`scenario-validate`** — every `scenarios/*.toml` file must parse
-//!    and validate against the scenario contract (DESIGN.md §4.10). The
+//!    and validate against the scenario contract (DESIGN.md §4.10), every
+//!    row of a `[sweep]` included. The
 //!    corpus is pinned by golden digests in CI, so a file that stops
 //!    parsing — or parses with a typo'd key that strict parsing would
 //!    reject — must fail the lint gate, not be discovered at run time.
@@ -585,10 +586,11 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(sources)
 }
 
-/// Rule 9 over one scenario file: the file must parse and validate against
-/// the scenario contract. `rel` is the workspace-relative path.
+/// Rule 9 over one scenario file: every row of the file must parse and
+/// validate against the scenario contract. `rel` is the workspace-relative
+/// path.
 pub fn lint_scenario_file(rel: &str, src: &str) -> Vec<Finding> {
-    match unison_scenario::parse_scenario(src) {
+    match unison_scenario::parse_rows(src) {
         Ok(_) => Vec::new(),
         Err(e) => vec![Finding {
             path: rel.to_string(),

@@ -361,4 +361,13 @@ fn invalid_scenario_files_are_flagged_with_spans() {
     assert!(f[0].msg.contains("unknown key `thread`"), "{f:?}");
     // The span points at the typo'd key, not the file head.
     assert_eq!(f[0].line, 14, "{f:?}");
+    // Every row of a sweep is checked; the span is the bad list element's.
+    let sweep = format!(
+        "{}[sweep.traffic]\nload = [0.2,\n  99]\n",
+        fixture("scenario_ok.toml")
+    );
+    let f = xtask::lint::lint_scenario_file("scenarios/fixture.toml", &sweep);
+    assert_eq!(rules_of(&f), vec!["scenario-validate"], "{f:?}");
+    assert!(f[0].msg.contains("row 1 (traffic.load = 99)"), "{f:?}");
+    assert_eq!(f[0].line, 18, "{f:?}");
 }

@@ -5,9 +5,7 @@
 //!
 //! Run with: `cargo run --release --example incast_showdown`
 
-use unison::core::{
-    KernelKind, MetricsLevel, PartitionMode, PerfModel, RunConfig, SchedConfig, Time,
-};
+use unison::core::{PartitionMode, SchedConfig, Time};
 use unison::netsim::NetworkBuilder;
 use unison::topology::{fat_tree_clusters, manual};
 use unison::traffic::TrafficConfig;
@@ -23,29 +21,18 @@ fn main() {
     // structure (this is how the paper's performance figures are
     // regenerated on a small machine — see DESIGN.md).
     let profile = |partition: PartitionMode| {
-        let sim = NetworkBuilder::new(&topo)
+        NetworkBuilder::new(&topo)
             .traffic(&traffic)
             .stop_at(Time::from_millis(4))
-            .build();
-        sim.run_with(&RunConfig {
-            watchdog: Default::default(),
-            kernel: KernelKind::Unison { threads: 1 },
-            partition,
-            sched: SchedConfig::default(),
-            metrics: MetricsLevel::PerRound,
-            fel: Default::default(),
-            fault: Default::default(),
-        })
-        .expect("profiled run")
+            .build()
+            .profile(partition)
+            .expect("profiled run")
     };
 
     let base = profile(PartitionMode::Manual(manual::by_cluster(&topo)));
     let auto = profile(PartitionMode::Auto);
-    let base_profile = base.kernel.rounds_profile.as_deref().unwrap_or(&[]);
-    let auto_profile = auto.kernel.rounds_profile.as_deref().unwrap_or(&[]);
-
-    let mb = PerfModel::new(base_profile);
-    let mu = PerfModel::new(auto_profile);
+    let mb = base.perf_model();
+    let mu = auto.perf_model();
     let seq = mb.sequential();
     let bar = mb.barrier();
     let uni = mu.unison(16, SchedConfig::default());

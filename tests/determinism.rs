@@ -1,9 +1,7 @@
 //! Workspace-level integration: the paper's determinism claims (§5.2,
 //! Fig. 11) at the full network-stack level.
 
-use unison::core::{
-    KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig, SchedMetric, Time,
-};
+use unison::core::{KernelKind, RunConfig, SchedConfig, SchedMetric, Time};
 use unison::netsim::{NetworkBuilder, SimResult, TransportKind};
 use unison::topology::fat_tree;
 use unison::traffic::{SizeDist, TrafficConfig};
@@ -20,13 +18,9 @@ fn run_sched(kernel: KernelKind, sched: SchedConfig) -> SimResult {
         .stop_at(Time::from_millis(3))
         .build();
     sim.run_with(&RunConfig {
-        watchdog: Default::default(),
         kernel,
-        partition: PartitionMode::Auto,
         sched,
-        metrics: MetricsLevel::Summary,
-        fel: Default::default(),
-        fault: Default::default(),
+        ..RunConfig::unison(1)
     })
     .expect("run")
 }

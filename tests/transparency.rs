@@ -1,7 +1,7 @@
 //! Workspace-level integration: the paper's user-transparency claim — one
 //! model, every kernel, no model changes.
 
-use unison::core::{KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig, Time};
+use unison::core::{KernelKind, RunConfig, Time};
 use unison::netsim::{NetSim, NetworkBuilder, TransportKind};
 use unison::topology::{fat_tree, manual, Topology};
 use unison::traffic::{SizeDist, TrafficConfig};
@@ -23,32 +23,16 @@ fn every_kernel_runs_the_same_model() {
     let topo = fat_tree(4);
     let pods = manual::by_cluster(&topo);
     let configs: Vec<(&str, RunConfig)> = vec![
-        (
-            "sequential",
-            RunConfig {
-                watchdog: Default::default(),
-                kernel: KernelKind::Sequential { compat_keys: false },
-                partition: PartitionMode::SingleLp,
-                sched: SchedConfig::default(),
-                metrics: MetricsLevel::Summary,
-                fel: Default::default(),
-                fault: Default::default(),
-            },
-        ),
+        ("sequential", RunConfig::sequential()),
         ("unison", RunConfig::unison(2)),
         (
             "hybrid",
             RunConfig {
-                watchdog: Default::default(),
                 kernel: KernelKind::Hybrid {
                     hosts: 2,
                     threads_per_host: 2,
                 },
-                partition: PartitionMode::Auto,
-                sched: SchedConfig::default(),
-                metrics: MetricsLevel::Summary,
-                fel: Default::default(),
-                fault: Default::default(),
+                ..RunConfig::unison(1)
             },
         ),
         ("barrier", RunConfig::barrier(pods.clone())),
