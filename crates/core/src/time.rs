@@ -234,8 +234,13 @@ impl DataRate {
         if self.0 == 0 {
             return Time::MAX;
         }
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
+        // Below 2^30 bytes the product `bytes * 8 * 10^9` fits 64 bits, and
+        // a packet always is: the 128-bit division (`__udivti3`, a call) is
+        // kept for the sizes that need it.
+        if bytes < 1 << 30 {
+            return Time((bytes as u64 * 8_000_000_000).div_ceil(self.0));
+        }
+        let ns = (bytes as u128 * 8_000_000_000).div_ceil(self.0 as u128);
         Time(ns.min(u64::MAX as u128) as u64)
     }
 }

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 
 use unison_core::sched::{ideal_makespan, lpt_makespan, order_by_estimate};
 use unison_core::{
-    fine_grained_partition, partition_below_bound, Event, EventKey, Fel, FelImpl, LinkGraph, LpId,
-    NodeId, Rng, Time,
+    fine_grained_partition, partition_below_bound, DataRate, Event, EventKey, Fel, FelImpl,
+    LinkGraph, LpId, NodeId, Rng, Time,
 };
 
 /// Builds an arbitrary multigraph on `n` nodes from raw edge tuples
@@ -444,6 +444,26 @@ proptest! {
             prop_assert!(x < bound);
             prop_assert_eq!(x, b.next_below(bound));
         }
+    }
+
+    /// `tx_time` equals the 128-bit formula it used to be, from 1 bps to
+    /// 1 Tbps, on both sides of the size where it changes width.
+    #[test]
+    fn tx_time_matches_wide_formula(
+        mantissa in 1u64..=1_000,
+        exp in 0u32..10,
+        other in any::<u32>(),
+    ) {
+        let rate = mantissa * 10u64.pow(exp);
+        for bytes in [0, 1, 64, 1_500, (1 << 30) - 1, 1 << 30, u32::MAX, other] {
+            let wide = (bytes as u128 * 8 * 1_000_000_000).div_ceil(rate as u128);
+            prop_assert_eq!(
+                DataRate::bps(rate).tx_time(bytes),
+                Time(wide.min(u64::MAX as u128) as u64),
+                "{} bytes at {} bps", bytes, rate
+            );
+        }
+        prop_assert_eq!(DataRate::bps(0).tx_time(other), Time::MAX);
     }
 
     /// Time arithmetic never panics on extreme values.

@@ -178,7 +178,7 @@ impl<'a> NetworkBuilder<'a> {
                 let routing = match self.routing {
                     RoutingKind::StaticEcmp => Routing::Static(StaticTable::default()),
                     RoutingKind::Rip { update_interval } => {
-                        Routing::Rip(RipState::new(i as u32, update_interval))
+                        Routing::Rip(RipState::new(i as u32, n, update_interval))
                     }
                 };
                 NetNode::new(NodeId(i as u32), is_host, routing, self.tcp)

@@ -14,6 +14,7 @@ use unison_stats::{Histogram, Summary};
 
 use crate::node::NetNode;
 use crate::packet::FlowId;
+use crate::snapshot::FlowMap;
 
 /// Statistics of one flow, assembled from both endpoints.
 #[derive(Clone, Debug)]
@@ -88,7 +89,7 @@ impl FlowReport {
     pub fn collect(world: &World<NetNode>) -> Self {
         let mut report = FlowReport::default();
         // Receiver completion times keyed by flow, gathered first.
-        let mut rx_done: std::collections::HashMap<FlowId, Time> = std::collections::HashMap::new();
+        let mut rx_done: FlowMap<Time> = FlowMap::default();
         for node in world.nodes() {
             for (flow, rcv) in &node.receivers {
                 if let Some(t) = rcv.completed_at {

@@ -4,8 +4,6 @@
 //! [`NetEvent`]s, which keeps the model runnable unmodified on every kernel
 //! (the paper's user-transparency property).
 
-use std::collections::HashMap;
-
 use unison_core::{
     snapshot_struct, NodeId, SimCtx, SimCtxExt, SimNode, Snapshot, SnapshotError, SnapshotReader,
     SnapshotWriter, Time,
@@ -16,7 +14,7 @@ use crate::app::{OnOffAction, OnOffApp};
 use crate::packet::{FlowId, Packet, PacketKind, RipMsg};
 use crate::queue::Queue;
 use crate::route::Routing;
-use crate::snapshot::{load_map, load_summary, save_map, save_summary};
+use crate::snapshot::{load_map, load_summary, save_map, save_summary, FlowMap};
 use crate::tcp::{TcpConfig, TcpReceiver, TcpSender};
 use crate::trace::{TraceBuffer, TraceEntry, TraceKind};
 
@@ -24,6 +22,8 @@ use crate::trace::{TraceBuffer, TraceEntry, TraceKind};
 const RIP_TRIGGER_DELAY: Time = Time::from_micros(200);
 /// RIP/UDP port used for advertisement packets.
 const RIP_PORT: u16 = 520;
+/// Source ports of locally started flows cycle through `FIRST_SPORT..=u16::MAX`.
+const FIRST_SPORT: u16 = 1_000;
 
 /// Events delivered to a [`NetNode`].
 #[derive(Debug)]
@@ -143,13 +143,13 @@ pub struct NetNode {
     /// Transport configuration for locally originated flows.
     pub tcp_cfg: TcpConfig,
     /// Active and completed senders, keyed by forward flow id.
-    pub senders: HashMap<FlowId, TcpSender>,
+    pub senders: FlowMap<TcpSender>,
     /// Active and completed receivers, keyed by forward flow id.
-    pub receivers: HashMap<FlowId, TcpReceiver>,
+    pub receivers: FlowMap<TcpReceiver>,
     /// On/Off UDP sources attached to this node.
     pub apps: Vec<OnOffApp>,
     /// UDP receive accounting, keyed by forward flow id.
-    pub udp_rx: HashMap<FlowId, UdpRx>,
+    pub udp_rx: FlowMap<UdpRx>,
     /// Packet tracing, when enabled for this node.
     pub trace: Option<TraceBuffer>,
     /// Injected loss burst, when one is active ([`LossState`]).
@@ -170,14 +170,14 @@ impl NetNode {
             devices: Vec::new(),
             routing,
             tcp_cfg,
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
+            senders: FlowMap::default(),
+            receivers: FlowMap::default(),
             apps: Vec::new(),
-            udp_rx: HashMap::new(),
+            udp_rx: FlowMap::default(),
             trace: None,
             loss: None,
             mon: NodeMonitor::default(),
-            next_sport: 1_000,
+            next_sport: FIRST_SPORT,
             out_buf: Vec::new(),
         }
     }
@@ -269,7 +269,13 @@ impl NetNode {
             self.mon.routing_drops += 1;
             return;
         }
-        let pick = (packet.ecmp_hash(self.id.0) % n as u64) as usize;
+        // One candidate (every RIP hop, every downward fat-tree hop) needs
+        // no hash: the pick is 0 either way.
+        let pick = if n == 1 {
+            0
+        } else {
+            (packet.ecmp_hash(self.id.0) % n as u64) as usize
+        };
         self.mon.forwarded += 1;
         self.send_on(buf[pick] as usize, packet, ctx);
     }
@@ -314,14 +320,37 @@ impl NetNode {
         }
     }
 
-    fn on_flow_start(&mut self, dst: u32, bytes: u64, ctx: &mut dyn SimCtx<Self>) {
-        let flow = FlowId {
+    /// Picks the identity of a new flow to `dst`: the next source port in
+    /// the cycle whose flow id this node has not used yet. Finished senders
+    /// stay in `senders` as the flow's record, so a port that wrapped round
+    /// to one of theirs is passed over like a live one's — reusing it would
+    /// replace that sender and hand its in-flight ACKs to the new flow.
+    /// `None` when all 64 536 ports to `dst` are taken.
+    fn alloc_flow(&mut self, dst: u32) -> Option<FlowId> {
+        let mut flow = FlowId {
             src: self.id.0,
             dst,
             sport: self.next_sport,
             dport: 80,
         };
-        self.next_sport = self.next_sport.wrapping_add(1).max(1_000);
+        for _ in FIRST_SPORT..=u16::MAX {
+            let after = flow.sport.wrapping_add(1).max(FIRST_SPORT);
+            if !self.senders.contains_key(&flow) {
+                self.next_sport = after;
+                return Some(flow);
+            }
+            flow.sport = after;
+        }
+        None
+    }
+
+    fn on_flow_start(&mut self, dst: u32, bytes: u64, ctx: &mut dyn SimCtx<Self>) {
+        let Some(flow) = self.alloc_flow(dst) else {
+            // Refused, not aliased; counted where a packet nobody could
+            // carry is counted.
+            self.mon.routing_drops += 1;
+            return;
+        };
         let mut sender = TcpSender::new(flow, bytes, self.tcp_cfg);
         let now = ctx.now();
         let mut out = std::mem::take(&mut self.out_buf);
@@ -503,21 +532,21 @@ impl SimNode for NetNode {
                     self.trace_event(ctx.now(), dev, TraceKind::Arrive, &packet);
                 }
                 if packet.flow.dst == self.id.0 {
-                    match packet.kind.clone() {
-                        PacketKind::Data {
+                    match &packet.kind {
+                        &PacketKind::Data {
                             seq,
                             len,
                             size,
                             retx,
                         } => self.on_data(&packet, seq, len, size, retx, ctx),
-                        PacketKind::Ack {
+                        &PacketKind::Ack {
                             ack,
                             ece,
                             echo_ts,
                             echo_retx,
                         } => self.on_ack(&packet, ack, ece, echo_ts, echo_retx, ctx),
-                        PacketKind::Rip(msg) => self.on_rip_msg(&msg, dev, ctx),
-                        PacketKind::Datagram { seq, len } => {
+                        PacketKind::Rip(msg) => self.on_rip_msg(msg, dev, ctx),
+                        &PacketKind::Datagram { seq, len } => {
                             let rx = self.udp_rx.entry(packet.flow).or_default();
                             rx.bytes += len as u64;
                             rx.pkts += 1;
@@ -681,8 +710,8 @@ impl Snapshot for NetNode {
         self.devices.save(w);
         self.routing.save(w);
         self.tcp_cfg.save(w);
-        // Socket and UDP maps are written in sorted flow order — HashMap
-        // iteration order must not leak into the canonical encoding.
+        // Socket and UDP maps are written in sorted flow order — a hash
+        // table's iteration order must not leak into the canonical encoding.
         save_map(&self.senders, w);
         save_map(&self.receivers, w);
         self.apps.save(w);
@@ -759,5 +788,127 @@ mod tests {
         assert!(!n.devices[0].up);
         n.set_device_state(0, true);
         assert!(n.devices[0].up);
+    }
+
+    fn host(id: u32) -> NetNode {
+        NetNode::new(
+            NodeId(id),
+            true,
+            Routing::Static(StaticTable::default()),
+            TcpConfig::newreno(),
+        )
+    }
+
+    fn flow(src: u32, dst: u32, sport: u16, dport: u16) -> FlowId {
+        FlowId {
+            src,
+            dst,
+            sport,
+            dport,
+        }
+    }
+
+    #[test]
+    fn encoding_is_the_parent_maps() {
+        // The bytes a node with these sockets, inserted in this (unsorted)
+        // order into std's randomly seeded maps, encoded to at commit
+        // 59cd9ba; the fixed-hash tables must sort to the same image.
+        let mut n = host(2);
+        for (f, bytes) in [
+            (flow(2, 9, 1_002, 80), 30_000u64),
+            (flow(2, 4, 1_000, 80), 1_448),
+            (flow(2, 9, 1_001, 80), 70_000),
+        ] {
+            n.senders.insert(f, TcpSender::new(f, bytes, n.tcp_cfg));
+        }
+        for (f, size) in [
+            (flow(7, 2, 1_000, 80), 5_000u64),
+            (flow(3, 2, 1_004, 80), 9_000),
+        ] {
+            n.receivers.insert(f, TcpReceiver::new(f, size));
+        }
+        n.udp_rx.insert(
+            flow(5, 2, 7_001, 7),
+            UdpRx {
+                bytes: 1_600,
+                pkts: 2,
+                max_seq: 3,
+            },
+        );
+        const PARENT: &str = concat!(
+            "020000000100000000000000000000000000000000000000000000000000000a00000000c2eb0b0000000000",
+            "c2eb0b00000000000000000000b03f0103000000000000000200000004000000e80350000200000004000000",
+            "e8035000a805000000000000000a00000000c2eb0b0000000000c2eb0b00000000000000000000b03f010000",
+            "00000048cc40000000000000f07f000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000c2eb0b000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000000ffffffffffffffff00ffffffffffffffff0000020000000900",
+            "0000e90350000200000009000000e90350007011010000000000000a00000000c2eb0b0000000000c2eb0b00",
+            "000000000000000000b03f01000000000048cc40000000000000f07f00000000000000000000000000000000",
+            "00000000000000000000000000000000000000000000c2eb0b00000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000ffffffffffffffff00ffff",
+            "ffffffffffff00000200000009000000ea0350000200000009000000ea0350003075000000000000000a0000",
+            "0000c2eb0b0000000000c2eb0b00000000000000000000b03f01000000000048cc40000000000000f07f0000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000c2eb0b0000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "000000ffffffffffffffff00ffffffffffffffff000002000000000000000300000002000000ec0350000300",
+            "000002000000ec03500028230000000000000000000000000000000000000000000000000000000000000000",
+            "0700000002000000e80350000700000002000000e80350008813000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000001000000000000000500000002000000591b07004006",
+            "0000000000000200000000000000030000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000e8030000000000000000",
+        );
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let mut w = SnapshotWriter::new();
+        n.save(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(hex(&bytes), PARENT);
+
+        let mut r = SnapshotReader::new(&bytes);
+        let back = NetNode::load(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.senders.len(), 3);
+        assert_eq!(back.senders[&flow(2, 9, 1_001, 80)].size, 70_000);
+        assert_eq!(back.receivers.len(), 2);
+        assert_eq!(back.udp_rx[&flow(5, 2, 7_001, 7)].pkts, 2);
+        let mut w = SnapshotWriter::new();
+        back.save(&mut w);
+        assert_eq!(hex(&w.into_bytes()), PARENT, "re-encoding is canonical");
+    }
+
+    #[test]
+    fn flow_allocation_passes_over_ports_in_use() {
+        let mut n = host(2);
+        let occupy = |n: &mut NetNode, dst, sport| {
+            let f = flow(2, dst, sport, 80);
+            n.senders.insert(f, TcpSender::new(f, 1, n.tcp_cfg));
+        };
+        // Normally no probing: consecutive ports, shared by all destinations.
+        assert_eq!(n.alloc_flow(9), Some(flow(2, 9, 1_000, 80)));
+        assert_eq!(n.alloc_flow(4), Some(flow(2, 4, 1_001, 80)));
+        // After a wrap the cycle restarts at 1 000, not 0 ...
+        n.next_sport = u16::MAX;
+        assert_eq!(n.alloc_flow(9), Some(flow(2, 9, u16::MAX, 80)));
+        assert_eq!(n.next_sport, 1_000);
+        // ... and passes over ports whose flow to *this* destination exists.
+        occupy(&mut n, 9, 1_000);
+        occupy(&mut n, 9, 1_001);
+        occupy(&mut n, 4, 1_002);
+        assert_eq!(n.alloc_flow(9), Some(flow(2, 9, 1_002, 80)));
+        assert_eq!(n.next_sport, 1_003);
+        // The probe itself wraps.
+        n.next_sport = u16::MAX;
+        occupy(&mut n, 9, u16::MAX);
+        occupy(&mut n, 9, 1_002);
+        assert_eq!(n.alloc_flow(9), Some(flow(2, 9, 1_003, 80)));
+        // A destination with every port taken is refused; others are not.
+        for sport in 1_000..=u16::MAX {
+            occupy(&mut n, 9, sport);
+        }
+        let before = n.next_sport;
+        assert_eq!(n.alloc_flow(9), None);
+        assert_eq!(n.next_sport, before);
+        assert_eq!(n.alloc_flow(4), Some(flow(2, 4, before, 80)));
     }
 }

@@ -12,8 +12,9 @@ use std::path::PathBuf;
 
 use unison_core::{
     checkpoint, kernel, CheckpointConfig, DataRate, KernelKind, MetricsLevel, PartitionMode,
-    RunConfig, SchedConfig, Snapshot, SnapshotWriter, Time, World,
+    RunConfig, SchedConfig, Snapshot, SnapshotError, SnapshotWriter, Time, World,
 };
+use unison_netsim::route::{RipState, Routing};
 use unison_netsim::{NetEvent, NetNode, NetworkBuilder, OnOffConfig, RoutingKind, TransportKind};
 use unison_topology::{dumbbell, fat_tree};
 use unison_traffic::{SizeDist, TrafficConfig};
@@ -171,6 +172,97 @@ fn rip_and_udp_state_round_trips() {
     };
     let (w_res, _) = kernel::try_run(resumed.world, &cfg).expect("resumed run");
     assert_eq!(digest(&w_res), ref_digest, "RIP/UDP resume diverged");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A six-host dumbbell under RIP with nothing else going on: the node
+/// state is the routing tables.
+fn rip_only_world(stop: Time) -> World<NetNode> {
+    NetworkBuilder::new(&dumbbell(
+        3,
+        3,
+        DataRate::gbps(1),
+        DataRate::mbps(300),
+        Time::from_micros(10),
+    ))
+    .routing(RoutingKind::Rip {
+        update_interval: Time::from_millis(2),
+    })
+    .stop_at(stop)
+    .build()
+    .world
+}
+
+fn rip_table(node: &NetNode) -> &RipState {
+    match &node.routing {
+        Routing::Rip(state) => state,
+        Routing::Static(_) => panic!("RIP world"),
+    }
+}
+
+#[test]
+fn rip_resume_before_convergence_is_bit_identical() {
+    // The RIP table's encoding lists the routes a node has, not how many
+    // nodes its world has. A checkpoint cut 100 us in — hosts know their
+    // switch and nothing else — restores tables shorter than the world,
+    // and the resumed run must still learn every other node and end in the
+    // uninterrupted run's state.
+    let stop = Time::from_millis(1);
+    let cut = Time::from_micros(100);
+    let (w_ref, _) = kernel::try_run(rip_only_world(stop), &unison_cfg(2)).expect("reference run");
+    let host = unison_core::NodeId(2);
+    assert!(rip_table(w_ref.node(host)).route(7).is_some(), "converged");
+
+    let dir = ckpt_dir("rip-early");
+    let ck = CheckpointConfig::new(cut, &dir);
+    let mut world = rip_only_world(stop);
+    checkpoint::schedule_checkpoints(&mut world, &ck);
+    kernel::try_run(world, &unison_cfg(2)).expect("checkpointed run");
+
+    let resumed = checkpoint::resume::<NetNode>(&ck.file_at(cut), None).expect("load checkpoint");
+    let at_cut = rip_table(resumed.world.node(host));
+    assert!(at_cut.route(0).is_some() && at_cut.route(7).is_none());
+    let cfg = RunConfig {
+        partition: PartitionMode::Manual(resumed.assignment.clone()),
+        ..unison_cfg(1)
+    };
+    let (w_res, _) = kernel::try_run(resumed.world, &cfg).expect("resumed run");
+    assert_eq!(digest(&w_res), digest(&w_ref), "early RIP resume diverged");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn forged_rip_destination_is_corrupt_not_allocated() {
+    // A dense table indexed by destination must not take its size from a
+    // checkpoint: one route key rewritten to u32::MAX would otherwise ask
+    // for 12 GB. The loader refuses the file instead.
+    let dir = ckpt_dir("rip-forged");
+    let every = Time::from_millis(1);
+    let ck = CheckpointConfig::new(every, &dir);
+    let mut world = rip_only_world(Time::from_micros(1_500));
+    checkpoint::schedule_checkpoints(&mut world, &ck);
+    let (w_end, _) = kernel::try_run(world, &unison_cfg(1)).expect("checkpointed run");
+
+    // Node 0's table as the file holds it (converged, unchanged since the
+    // cut): 8 routes of 6 bytes after an 8-byte count.
+    let mut w = SnapshotWriter::new();
+    rip_table(w_end.node(unison_core::NodeId(0))).save(&mut w);
+    let table = &w.into_bytes()[..8 + 8 * 6];
+    let path = ck.file_at(every);
+    let mut bytes = std::fs::read(&path).expect("read checkpoint");
+    let at = bytes
+        .windows(table.len())
+        .position(|w| w == table)
+        .expect("node 0's table is in the file");
+    let last_key = at + 8 + 7 * 6;
+    bytes[last_key..last_key + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write forged checkpoint");
+
+    match checkpoint::resume::<NetNode>(&path, None) {
+        Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("RIP route"), "{msg}"),
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("forged checkpoint loaded"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

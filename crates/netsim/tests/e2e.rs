@@ -554,3 +554,48 @@ fn trace_is_deterministic_across_threads() {
     };
     assert_eq!(run(1), run(3));
 }
+
+#[test]
+fn source_port_wrap_refuses_a_flow_instead_of_aliasing_one() {
+    // Two hosts, one link, and one more flow from the first to the second
+    // than there are source ports (1 000 ..= 65 535). The 64 537th flow's
+    // port wraps round to the first flow's; with one destination its flow
+    // id would be the first flow's too, and starting it would replace that
+    // flow's sender record. It is refused and counted instead.
+    use unison_topology::{NodeKind, TopoLink, Topology};
+    const PORTS: usize = 64_536;
+    let topo = Topology {
+        name: "pair".into(),
+        nodes: vec![NodeKind::Host; 2],
+        links: vec![TopoLink {
+            a: 0,
+            b: 1,
+            rate: DataRate::gbps(100),
+            delay: Time::from_micros(1),
+        }],
+        cluster_of: vec![0, 0],
+        clusters: 1,
+    };
+    // One segment each, every size its own flow's.
+    let size = |i: usize| 100 + (i % 1_000) as u64;
+    let flows = (0..=PORTS).map(|i| FlowSpec {
+        src: 0,
+        dst: 1,
+        bytes: size(i),
+        start: Time::from_nanos(200 * i as u64),
+    });
+    let sim = NetworkBuilder::new(&topo)
+        .flows(flows)
+        .stop_at(Time::from_millis(15))
+        .build();
+    let res = sim.run(KernelKind::Sequential { compat_keys: false });
+    assert_eq!(res.flows.total_flows(), PORTS as u64);
+    assert_eq!(res.flows.completed_flows(), PORTS as u64);
+    // Sorted by flow id, i.e. by source port, i.e. by start order.
+    for (i, stat) in res.flows.flows.iter().enumerate() {
+        assert_eq!(stat.flow.sport as usize, 1_000 + i);
+        assert_eq!(stat.bytes, size(i), "flow {i} carries another flow's size");
+    }
+    assert_eq!(res.flows.routing_drops, 1, "the refused start is counted");
+    assert_eq!(res.flows.bytes_delivered, (0..PORTS).map(size).sum::<u64>());
+}

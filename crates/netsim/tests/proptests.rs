@@ -2,10 +2,12 @@
 
 use proptest::prelude::*;
 
-use unison_core::Time;
-use unison_netsim::packet::{FlowId, Packet, MSS};
+use std::collections::BTreeMap;
+
+use unison_core::{Snapshot, SnapshotWriter, Time};
+use unison_netsim::packet::{FlowId, Packet, RipMsg, MSS};
 use unison_netsim::queue::{Enqueue, Queue, QueueConfig};
-use unison_netsim::route::compute_static_tables;
+use unison_netsim::route::{compute_static_tables, RipRoute, RipState, Routing, RIP_INFINITY};
 use unison_netsim::tcp::TcpReceiver;
 
 fn flow() -> FlowId {
@@ -17,7 +19,140 @@ fn flow() -> FlowId {
     }
 }
 
+/// The RIP table as it was before it went dense: a map from destination to
+/// route, under the rules `RipState` had at commit 59cd9ba. The reference
+/// the dense table is checked against.
+#[derive(Default)]
+struct RipModel(BTreeMap<u32, RipRoute>);
+
+impl RipModel {
+    fn on_advertisement(&mut self, routes: &[(u32, u8)], in_dev: u8) -> bool {
+        let mut changed = false;
+        for &(dst, metric) in routes {
+            let new_metric = metric.saturating_add(1).min(RIP_INFINITY);
+            match self.0.get_mut(&dst) {
+                Some(route) => {
+                    if route.dev == in_dev {
+                        if route.metric != new_metric {
+                            route.metric = new_metric;
+                            changed = true;
+                        }
+                    } else if new_metric < route.metric {
+                        *route = RipRoute {
+                            metric: new_metric,
+                            dev: in_dev,
+                        };
+                        changed = true;
+                    }
+                }
+                None => {
+                    if new_metric < RIP_INFINITY {
+                        let route = RipRoute {
+                            metric: new_metric,
+                            dev: in_dev,
+                        };
+                        self.0.insert(dst, route);
+                        changed = true;
+                    }
+                }
+            }
+        }
+        changed
+    }
+
+    fn on_device_down(&mut self, dev: u8) -> bool {
+        let mut changed = false;
+        for route in self.0.values_mut() {
+            if route.dev == dev && route.metric < RIP_INFINITY {
+                route.metric = RIP_INFINITY;
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    fn advertisement(&self, out_dev: u8) -> Vec<(u32, u8)> {
+        let poisoned = |r: &RipRoute| r.dev == out_dev && r.metric != 0;
+        self.0
+            .iter()
+            .map(|(&dst, r)| (dst, if poisoned(r) { RIP_INFINITY } else { r.metric }))
+            .collect()
+    }
+
+    fn lookup(&self, dst: u32) -> Option<u8> {
+        self.0
+            .get(&dst)
+            .filter(|r| r.metric < RIP_INFINITY)
+            .map(|r| r.dev)
+    }
+
+    /// What `save_map` wrote for the map, followed by the two scalars.
+    fn encoding(&self, update_interval: Time) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        (self.0.len() as u64).save(&mut w);
+        for (dst, route) in &self.0 {
+            dst.save(&mut w);
+            route.save(&mut w);
+        }
+        update_interval.save(&mut w);
+        false.save(&mut w);
+        w.into_bytes()
+    }
+}
+
 proptest! {
+    /// Any interleaving of advertisements received and devices going down
+    /// leaves the dense table indistinguishable from the map it replaced:
+    /// same `changed` flags, same advertised vectors on every device, same
+    /// lookups, same checkpoint bytes. Destinations 8 and 9 lie outside the
+    /// eight-node table the state is built with (a restored table's case).
+    #[test]
+    fn dense_rip_table_matches_map_model(
+        ops in proptest::collection::vec(
+            (
+                any::<bool>(),
+                0u8..3,
+                proptest::collection::vec((0u32..10, 0u8..18), 0..6),
+            ),
+            1..40,
+        ),
+    ) {
+        const SELF_ID: u32 = 2;
+        let interval = Time::from_millis(10);
+        let mut model = RipModel::default();
+        model.0.insert(SELF_ID, RipRoute { metric: 0, dev: u8::MAX });
+        let mut rip = Routing::Rip(RipState::new(SELF_ID, 8, interval));
+        for (down, dev, routes) in ops {
+            let Routing::Rip(state) = &mut rip else { unreachable!() };
+            if down {
+                prop_assert_eq!(state.on_device_down(dev), model.on_device_down(dev));
+            } else {
+                let msg = RipMsg { from: 7, routes };
+                prop_assert_eq!(
+                    state.on_advertisement(&msg, dev),
+                    model.on_advertisement(&msg.routes, dev)
+                );
+            }
+            for out_dev in 0..3 {
+                let adv = state.advertisement(SELF_ID, out_dev);
+                prop_assert_eq!(adv.from, SELF_ID);
+                prop_assert_eq!(adv.routes, model.advertisement(out_dev));
+            }
+            let mut w = SnapshotWriter::new();
+            state.save(&mut w);
+            prop_assert_eq!(w.into_bytes(), model.encoding(interval));
+            for dst in 0..12 {
+                prop_assert_eq!(state.route(dst), model.0.get(&dst).copied());
+            }
+            for dst in 0..12 {
+                let mut buf = [0u8; 16];
+                let n = rip.lookup(dst, &mut buf);
+                prop_assert_eq!((n == 1).then_some(buf[0]), model.lookup(dst));
+                prop_assert!(n <= 1);
+            }
+        }
+    }
+
     /// The receiver reassembles any permutation of the segments: the final
     /// cumulative ACK covers the whole flow and ACKs are monotone.
     #[test]

@@ -13,10 +13,14 @@
 //!    files that implement the claim discipline (`lp.rs`, `queue.rs`,
 //!    `global.rs`, `kernel/*`), the loom checker's `cell.rs`,
 //!    and test code. New unsafe anywhere else must be reviewed and added here.
-//! 3. **`no-hash-collections`** — `HashMap`/`HashSet` are banned in
-//!    `crates/core/src`: their iteration order is nondeterministic across
-//!    runs, which would silently break the kernel's bit-identical
-//!    determinism guarantee. Use `BTreeMap`/`BTreeSet` or dense vectors.
+//! 3. **`no-hash-collections`** — `HashMap`/`HashSet`/`RandomState` are
+//!    banned in `crates/core/src` and `crates/netsim/src`: their iteration
+//!    order is nondeterministic across runs, which would silently break
+//!    the bit-identical determinism guarantee, and in the model a
+//!    `RandomState` map puts SipHash on the per-packet path (a tenth of a
+//!    WAN run before PR 22). Use `BTreeMap`/`BTreeSet`, dense vectors, or
+//!    the model's one fixed-hash table, `FlowMap` — whose defining file,
+//!    `crates/netsim/src/snapshot.rs`, is the one exemption.
 //! 4. **`no-wall-clock`** — `Instant`/`SystemTime` are banned in
 //!    `crates/core/src` simulation paths; simulation time is
 //!    `unison_core::time::Time` only. Exceptions: `kernel/*` may use
@@ -136,6 +140,16 @@ fn instant_allowed(rel: &str) -> bool {
 
 fn in_core_src(rel: &str) -> bool {
     rel.starts_with("crates/core/src/")
+}
+
+/// Files subject to rule 3: the kernel and the network model.
+fn hash_collections_banned(rel: &str) -> bool {
+    // `snapshot.rs` defines `FlowMap`, the model's one keyed table — a
+    // `HashMap` under a fixed hasher — together with the `save_map`/
+    // `load_map` pair that keeps its iteration order out of the encoding.
+    // Everything else in the model names the alias.
+    const DEFINES_FLOW_MAP: &str = "crates/netsim/src/snapshot.rs";
+    in_core_src(rel) || (rel.starts_with("crates/netsim/src/") && rel != DEFINES_FLOW_MAP)
 }
 
 /// Files subject to rule 6: code that runs inside (or drives) the kernels,
@@ -364,22 +378,26 @@ pub fn lint_file(rel: &str, src: &str) -> Vec<Finding> {
             }
         }
 
-        if in_core_src(rel) {
+        if hash_collections_banned(rel) {
             // Rule 3: hash collections.
-            for word in ["HashMap", "HashSet"] {
+            for word in ["HashMap", "HashSet", "RandomState"] {
                 if lexer::has_token(&l.code, word) {
                     findings.push(Finding {
                         path: rel.to_string(),
                         line: i + 1,
                         rule: "no-hash-collections",
                         msg: format!(
-                            "`{word}` in core simulation code: iteration order is \
+                            "`{word}` in simulation code: iteration order is \
                              nondeterministic and breaks bit-identical replay; use \
-                             `BTreeMap`/`BTreeSet` or a dense index instead"
+                             `BTreeMap`/`BTreeSet`, a dense index, or (in netsim) \
+                             `FlowMap` instead"
                         ),
                     });
                 }
             }
+        }
+
+        if in_core_src(rel) {
             // Rule 4: wall-clock time.
             if lexer::has_token(&l.code, "SystemTime") {
                 findings.push(Finding {
