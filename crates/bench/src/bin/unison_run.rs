@@ -18,8 +18,8 @@
 //! Flags:
 //! - `--check` — parse and validate every row, no simulation (CI runs this
 //!   over the whole corpus);
-//! - `--threads <n>` — override the worker count of the thread-scalable
-//!   kernels (unison, async_cons) in every row without editing the file;
+//! - `--threads <n>` — override the worker count of the unison kernel in
+//!   every row without editing the file;
 //! - `--explain` — record spans and print where the wall time went: P/S/M
 //!   per worker, per-round imbalance, scheduling regret, traffic
 //!   (`unison_telemetry::write_report`, DESIGN.md §4.3);
@@ -155,11 +155,10 @@ fn run_row(cli: &Cli, row: &ScenarioRow, i: usize, n: usize) -> Result<Value, Ex
     if let Some(threads) = cli.threads {
         cfg.kernel = match cfg.kernel {
             KernelKind::Unison { .. } => KernelKind::Unison { threads },
-            KernelKind::AsyncCons { .. } => KernelKind::AsyncCons { threads },
             other => {
                 eprintln!(
-                    "unison-run: --threads only applies to the unison/async_cons \
-                     kernels; this scenario runs {other:?}"
+                    "unison-run: --threads only applies to the unison kernel; \
+                     this scenario runs {other:?}"
                 );
                 return Err(ExitCode::from(2));
             }

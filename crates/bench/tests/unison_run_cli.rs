@@ -320,3 +320,41 @@ fn check_validates_every_row() {
         "{stderr}"
     );
 }
+
+/// Sizes a file (or `--threads`) controls end in a spanned message and
+/// exit 1 — a failed allocation would abort the process instead. Each case
+/// is `replace this | by this | message`.
+#[test]
+fn hostile_sizes_exit_1_with_a_spanned_message() {
+    let path = corpus_dir().join("quickstart.toml");
+    let quickstart = std::fs::read_to_string(&path).expect("read");
+    for (i, case) in [
+        "threads = 2 | threads = 200000 | col 1: `threads` must be in 1..=1024",
+        "\"unison\" | \"hybrid\"\nhosts = 1000000\nthreads_per_host = 1000000 | col 1: `hosts` must",
+        "\nk = 4\n | \nk = 4000\n | col 1: this topology would have at least 16020000000 nodes",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let fields: Vec<&str> = case.split(" | ").collect();
+        assert!(quickstart.contains(fields[0]), "{case}");
+        let text = quickstart.replacen(fields[0], fields[1], 1);
+        let file = temp_file(&format!("hostile-{i}.toml"), &text);
+        for check in [&["--check"][..], &[]] {
+            let out = unison_run(&[&[file.to_str().expect("utf-8 path")], check].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{case} {check:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{case} {check:?} ran");
+            assert!(stderr.contains(fields[2]), "{case} {check:?}: {stderr}");
+        }
+        std::fs::remove_file(&file).ok();
+    }
+    // The flag reaches the kernel's own check.
+    let out = unison_run(&[path.to_str().expect("utf-8 path"), "--threads", "200000"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("200000 worker threads; at most 1024"),
+        "{stderr}"
+    );
+}

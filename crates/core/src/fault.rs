@@ -477,12 +477,11 @@ where
     let initial = policy.checkpoints.file_at(Time::ZERO);
     let mut world = checkpoint::write_initial(world, &partition, cfg.fel, &initial)?;
 
-    // Only the kernels that execute global events (Unison, hybrid, and the
-    // async-conservative kernel at its quiesced gates) can run the periodic
-    // chain; the others roll back to t = 0.
+    // Only the kernels whose global events checkpoint (Unison, hybrid) can
+    // run the periodic chain; the others roll back to t = 0.
     let with_chain = matches!(
         cfg.kernel,
-        KernelKind::Unison { .. } | KernelKind::Hybrid { .. } | KernelKind::AsyncCons { .. }
+        KernelKind::Unison { .. } | KernelKind::Hybrid { .. }
     );
     if with_chain {
         checkpoint::schedule_checkpoints(&mut world, &policy.checkpoints);
@@ -563,10 +562,6 @@ fn degrade_kernel(kernel: &mut KernelKind) -> Option<u32> {
         } if *threads_per_host > 1 => {
             *threads_per_host = (*threads_per_host / 2).max(1);
             Some(*threads_per_host as u32)
-        }
-        KernelKind::AsyncCons { threads } if *threads > 1 => {
-            *threads = (*threads / 2).max(1);
-            Some(*threads as u32)
         }
         _ => None,
     }

@@ -318,10 +318,7 @@ impl<P> Ladder<P> {
     /// keys order by `ts` first, so a staged event at or after `bound` can
     /// never precede a poppable bottom event. Arrivals that are not yet
     /// poppable therefore accumulate unsorted across calls and are merged
-    /// in one sort when the bound reaches them — under the asynchronous
-    /// kernel's trickle of small cross-LP deliveries this is the
-    /// difference between one `bottom` sort per grant window and one per
-    /// sweep (DESIGN.md §4.8).
+    /// in one sort when the bound reaches them.
     fn pop_below(&mut self, bound: Time) -> Option<Event<P>> {
         loop {
             let stage_due = !self.stage.is_empty() && self.stage_min.ts < bound;
@@ -543,41 +540,9 @@ impl<P> Ladder<P> {
         self.bottom = events;
     }
 
-    /// Minimum key over all tiers, without mutating the structure.
-    fn peek_key(&self) -> Option<EventKey> {
-        // Invariant 1: the near tier (`bottom` ∪ `stage`) precedes every
-        // rung and overflow event in time.
-        let near = match (self.bottom.last(), self.stage.is_empty()) {
-            (Some(ev), false) => Some(ev.key.min(self.stage_min)),
-            (Some(ev), true) => Some(ev.key),
-            (None, false) => Some(self.stage_min),
-            (None, true) => None,
-        };
-        if near.is_some() {
-            return near;
-        }
-        for r in self.rungs.iter().rev() {
-            if r.count > 0 {
-                // Invariant 2: the first non-empty bucket of the deepest
-                // non-empty rung holds the global minimum.
-                for b in &r.buckets[r.cur..] {
-                    if !b.is_empty() {
-                        return b.iter().map(|e| e.key).min();
-                    }
-                }
-            }
-        }
-        let far = if self.overflow.is_empty() {
-            &self.never
-        } else {
-            &self.overflow
-        };
-        far.iter().map(|e| e.key).min()
-    }
-
-    /// Timestamp of the next event (`Time::MAX` when empty). Cheaper than
-    /// [`Ladder::peek_key`]: the cached `overflow_min` avoids the overflow
-    /// scan, and bucket scans only need the minimum `ts`, not the full key.
+    /// Timestamp of the next event (`Time::MAX` when empty), without
+    /// mutating the structure: the cached `overflow_min` avoids the
+    /// overflow scan, and bucket scans only need the minimum `ts`.
     fn next_ts(&self) -> Time {
         if let Some(ev) = self.bottom.last() {
             let near = ev.key.ts;
@@ -757,15 +722,6 @@ impl<P> Fel<P> {
         }
     }
 
-    /// Key of the next event, if any.
-    #[inline]
-    pub fn peek_key(&self) -> Option<EventKey> {
-        match &self.repr {
-            Repr::Heap(h) => h.peek().map(|e| e.0.key),
-            Repr::Ladder(l) => l.peek_key(),
-        }
-    }
-
     /// Removes and returns the next event only if its timestamp is strictly
     /// below `bound`.
     #[inline]
@@ -898,7 +854,6 @@ mod tests {
     fn next_ts_of_empty_is_max() {
         for fel in both() {
             assert_eq!(fel.next_ts(), Time::MAX);
-            assert_eq!(fel.peek_key(), None);
         }
     }
 
@@ -1139,9 +1094,8 @@ mod tests {
             // has moved, still precedes the first.
             fel.push(ev(u64::MAX, 1, 9));
             fel.push(ev(u64::MAX - 1, 0, 200));
-            assert_eq!(fel.peek_key().unwrap().ts, Time(u64::MAX - 1));
+            assert_eq!(fel.next_ts(), Time(u64::MAX - 1));
             assert_eq!(fel.pop().unwrap().key.ts, Time(u64::MAX - 1));
-            assert_eq!(fel.peek_key().unwrap().sender_lp, LpId(1));
             assert_eq!(fel.iter().count(), 2);
             assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(1));
             assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(3));

@@ -13,7 +13,6 @@ use crate::event::{Event, EventKey};
 use crate::event::{LpId, NodeId};
 use crate::graph::LinkGraph;
 use crate::lp::{LpSlots, LpState};
-use crate::mailbox::Mailboxes;
 use crate::partition::Partition;
 use crate::time::Time;
 use crate::world::SimNode;
@@ -24,11 +23,8 @@ pub type GlobalFn<N> = Box<dyn FnOnce(&mut WorldAccess<'_, N>) + Send>;
 /// Kernel facilities a checkpoint needs beyond the LP slots (whose
 /// outboxes carry the round kernels' in-flight events) and the configured
 /// stop time. Provided by kernels whose global events run with
-/// full world access (Unison/hybrid, async_cons).
-pub(crate) struct CkptEnv<'a, N: SimNode> {
-    /// The async-conservative kernel's lock-free mailboxes; `None` for the
-    /// round kernels. Drained into FELs before the state is encoded.
-    pub mailboxes: Option<&'a Mailboxes<N::Payload>>,
+/// full world access (Unison/hybrid).
+pub(crate) struct CkptEnv<'a> {
     pub stop_at: Option<Time>,
     /// The round-progress watchdog, paused for the duration of the write:
     /// checkpoint serialization runs in-round on the main thread with wall
@@ -53,7 +49,7 @@ pub struct WorldAccess<'a, N: SimNode> {
     stop: &'a mut bool,
     new_globals: &'a mut Vec<(Time, GlobalFn<N>)>,
     ext_seq: &'a mut u64,
-    ckpt: Option<&'a CkptEnv<'a, N>>,
+    ckpt: Option<&'a CkptEnv<'a>>,
 }
 
 impl<'a, N: SimNode> WorldAccess<'a, N> {
@@ -75,7 +71,7 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
         stop: &'a mut bool,
         new_globals: &'a mut Vec<(Time, GlobalFn<N>)>,
         ext_seq: &'a mut u64,
-        ckpt: Option<&'a CkptEnv<'a, N>>,
+        ckpt: Option<&'a CkptEnv<'a>>,
     ) -> Self {
         WorldAccess {
             now,
@@ -221,14 +217,6 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
         // over every LP slot, and every worker is parked behind a barrier
         // that follows its last send.
         unsafe { self.lps.receive_all() };
-        if let Some(mailboxes) = env.mailboxes {
-            for dst in 0..lp_count {
-                // SAFETY: main-thread exclusivity as above; the borrow ends
-                // each iteration.
-                let lp = unsafe { self.lps.get_mut(dst) };
-                mailboxes.drain(dst as u32, |ev| lp.push(ev));
-            }
-        }
 
         let dir = self.lps.directory();
         let node_count = dir.slot.len();

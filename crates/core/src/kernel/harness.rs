@@ -9,9 +9,9 @@
 //!    slot, watchdog, halt flag).
 //! 2. [`PublicLp`] — the public FEL and the external sequence counter;
 //!    [`PublicLp::run_due`] is the one place a [`WorldAccess`] is built.
-//! 3. [`ChannelClocks`] — the CMB channel table of the null-message and
-//!    asynchronous kernels: clocks, lookaheads, wakers, the abort-time
-//!    snapshot and the blocked-LP cycle walk.
+//! 3. [`ChannelClocks`] — the CMB channel table of the null-message
+//!    kernel: clocks, lookaheads, wakers, the abort-time snapshot and the
+//!    blocked-LP cycle walk.
 //! 4. [`spawn_contained`] / [`join_contained`] / [`contained`] — the one
 //!    `catch_unwind`, the one place a [`FailureDiagnostics`] is recorded.
 //! 5. [`Worker`] and [`finish`] — per-thread P/S/M and span accounting, and
@@ -31,9 +31,8 @@ use crate::fel::Fel;
 use crate::global::{CkptEnv, GlobalFn, WorldAccess};
 use crate::graph::LinkGraph;
 use crate::lp::{LpSlots, LpState, PendingGlobal};
-use crate::mailbox::Mailboxes;
 use crate::metrics::{
-    AsyncStats, EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
+    EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
 };
 use crate::partition::Partition;
 use crate::sync_shim::CachePadded;
@@ -42,7 +41,9 @@ use crate::time::Time;
 use crate::world::{NodeDirectory, SimNode, World};
 
 use super::watchdog::Watchdog;
-use super::{build_lps, build_partition, reassemble_world, KernelError, KernelKind, RunConfig};
+use super::{
+    build_lps, build_partition, reassemble_world, KernelError, KernelKind, RunConfig, MAX_WORKERS,
+};
 
 // ---------------------------------------------------------------------------
 // 1. Preamble
@@ -82,9 +83,8 @@ pub(super) struct RunEnv<'c> {
     /// bury the root cause).
     failure: Mutex<Option<FailureDiagnostics>>,
     /// "Every thread drains out now": raised by the abort paths of the
-    /// barrier, null-message and asynchronous kernels (and by the latter's
-    /// normal stop). Padded: LP threads poll it every iteration, next to
-    /// the watchdog's progress word.
+    /// barrier and null-message kernels. Padded: LP threads poll it every
+    /// iteration, next to the watchdog's progress word.
     stop_flag: CachePadded<AtomicBool>,
 }
 
@@ -113,13 +113,8 @@ impl RunEnv<'_> {
     }
 
     /// What a checkpoint needs from the kernel (DESIGN.md §4.7).
-    pub fn ckpt<'a, N: SimNode>(
-        &'a self,
-        mailboxes: Option<&'a Mailboxes<N::Payload>>,
-        stop_at: Option<Time>,
-    ) -> CkptEnv<'a, N> {
+    pub fn ckpt(&self, stop_at: Option<Time>) -> CkptEnv<'_> {
         CkptEnv {
-            mailboxes,
             stop_at,
             wd: &self.wd,
             fault: &self.cfg.fault,
@@ -140,9 +135,9 @@ pub(super) fn prepare<N: SimNode>(
     world: World<N>,
     cfg: &RunConfig,
 ) -> Result<Setup<'_, N>, KernelError> {
-    // Per kernel: configured worker count (1 where the LP count decides; the
-    // smaller factor for hybrid, whose product is only checked for zero),
-    // whether it executes global events, whether it needs a stop time.
+    // Per kernel: configured worker count (1 where the LP count decides;
+    // hybrid's before its hosts are clamped to the LP count), whether it
+    // executes global events, whether it needs a stop time.
     let (threads, globals, needs_stop) = match cfg.kernel {
         KernelKind::Sequential { .. } => (1, true, false),
         KernelKind::Barrier => (1, false, false),
@@ -151,13 +146,19 @@ pub(super) fn prepare<N: SimNode>(
         KernelKind::Hybrid {
             hosts,
             threads_per_host,
-        } => (hosts.min(threads_per_host), true, false),
-        KernelKind::AsyncCons { threads } => (threads, true, true),
+        } => (hosts.saturating_mul(threads_per_host), true, false),
     };
     let kernel = cfg.kernel.name();
     if threads == 0 {
         return Err(KernelError::InvalidConfig(format!(
             "kernel `{kernel}` needs at least one worker thread"
+        )));
+    }
+    // The count is outside input and sizes the W × W outbox table.
+    if threads > MAX_WORKERS {
+        return Err(KernelError::InvalidConfig(format!(
+            "kernel `{kernel}` is configured with {threads} worker threads; \
+             at most {MAX_WORKERS} are supported"
         )));
     }
     if !globals && !world.init_globals.is_empty() {
@@ -290,7 +291,7 @@ impl<N: SimNode> PublicLp<N> {
         bound: Time,
         slots: &LpSlots<N>,
         shell: &mut Shell,
-        ckpt: Option<&CkptEnv<'_, N>>,
+        ckpt: Option<&CkptEnv<'_>>,
         mut on_global: impl FnMut(Time),
     ) -> Due {
         let mut due = Due {
@@ -339,11 +340,11 @@ impl<N: SimNode> PublicLp<N> {
 // 3. Channel clocks
 // ---------------------------------------------------------------------------
 
-/// Wake-up channel for one thread: version counter + condvar. The version
-/// is bumped *after* the input change it publishes, under the lock a
-/// sleeper re-checks under, so wake-ups are never lost.
+/// Wake-up channel for one thread: lock + condvar. A bump follows the
+/// input change it publishes and takes the lock a sleeper re-checks under,
+/// so wake-ups are never lost.
 pub(super) struct Waker {
-    version: Mutex<u64>,
+    lock: Mutex<()>,
     cond: Condvar,
 }
 
@@ -351,40 +352,33 @@ impl Waker {
     /// Signals the owner that some input changed.
     pub fn bump(&self) {
         // A poisoned lock (a bumper panicked mid-bump) must not take the
-        // containment path down with it: the counter is a plain u64.
-        let mut v = self.version.lock().unwrap_or_else(|e| e.into_inner());
-        *v += 1;
+        // containment path down with it: the lock guards no data.
+        let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
         self.cond.notify_all();
     }
 
-    /// The current version. Read *before* the inputs a later
-    /// [`Waker::sleep_if`] depends on: a bump between the two shows up as
-    /// a changed version.
-    pub fn version(&self) -> u64 {
-        *self.version.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Parks the owner once if `blocked` — evaluated under the version
-    /// lock, on the current version — says nothing changed.
-    pub fn sleep_if(&self, blocked: impl FnOnce(u64) -> bool) {
-        let guard = self.version.lock().unwrap_or_else(|e| e.into_inner());
-        if blocked(*guard) {
+    /// Parks the owner once if `blocked` — evaluated under the lock — says
+    /// nothing changed.
+    pub fn sleep_if(&self, blocked: impl FnOnce() -> bool) {
+        let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        if blocked() {
             let _guard = self.cond.wait(guard).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
 
-/// The directed channel table of a Chandy–Misra–Bryant kernel: two
-/// channels per connected LP pair, each with the source's *promise* ("no
-/// event earlier than t will ever arrive on this channel") and the link
-/// lookahead that bounds how far a promise may run ahead of its source.
+/// The directed channel table of the Chandy–Misra–Bryant kernel (one
+/// thread per LP): two channels per connected LP pair, each with the
+/// source's *promise* ("no event earlier than t will ever arrive on this
+/// channel") and the link lookahead that bounds how far a promise may run
+/// ahead of its source.
 pub(super) struct ChannelClocks {
     src: Vec<u32>,
     /// Destination LP of each channel.
     pub dst: Vec<u32>,
-    /// Per-channel lookahead. Atomic because topology globals rewrite it
-    /// (inside the control thread's exclusive window).
-    chan_la: Vec<CachePadded<AtomicU64>>,
+    /// Per-channel lookahead (the kernel runs no topology globals, so it
+    /// never changes).
+    chan_la: Vec<Time>,
     /// Cache-padded: each clock is written by exactly one thread (its
     /// source's) and polled by its receiver's; packed 8-to-a-line they
     /// would false-share every grant.
@@ -398,25 +392,22 @@ pub(super) struct ChannelClocks {
     pub ins: Vec<Vec<usize>>,
     /// Channels leaving each LP.
     pub outs: Vec<Vec<usize>>,
-    /// The thread that runs each LP.
-    pub owner: Vec<usize>,
-    /// One waker per thread.
+    /// One waker per LP (thread).
     pub wakers: Vec<Waker>,
 }
 
 impl ChannelClocks {
-    /// Builds the table for `channels` (one entry per connected LP pair);
-    /// `owner[lp]` is the thread, in `0..threads`, that runs `lp`.
-    pub fn new(channels: &[(LpId, LpId, Time)], owner: Vec<usize>, threads: usize) -> Self {
+    /// Builds the table of `lp_count` LPs for `channels` (one entry per
+    /// connected LP pair).
+    pub fn new(channels: &[(LpId, LpId, Time)], lp_count: usize) -> Self {
         let mut c = ChannelClocks {
             src: Vec::new(),
             dst: Vec::new(),
             chan_la: Vec::new(),
             chan_clock: Vec::new(),
             stall_clocks: Vec::new(),
-            ins: vec![Vec::new(); owner.len()],
-            outs: vec![Vec::new(); owner.len()],
-            owner,
+            ins: vec![Vec::new(); lp_count],
+            outs: vec![Vec::new(); lp_count],
             wakers: Vec::new(),
         };
         for &(a, b, la) in channels {
@@ -425,13 +416,13 @@ impl ChannelClocks {
                 c.ins[d as usize].push(c.src.len());
                 c.src.push(s);
                 c.dst.push(d);
-                c.chan_la.push(CachePadded::new(AtomicU64::new(la.0)));
+                c.chan_la.push(la);
                 c.chan_clock.push(CachePadded::new(AtomicU64::new(0)));
                 c.stall_clocks.push(AtomicU64::new(u64::MAX));
             }
         }
-        c.wakers.resize_with(threads, || Waker {
-            version: Mutex::new(0),
+        c.wakers.resize_with(lp_count, || Waker {
+            lock: Mutex::new(()),
             cond: Condvar::new(),
         });
         c
@@ -445,25 +436,7 @@ impl ChannelClocks {
 
     #[inline]
     pub fn lookahead(&self, c: usize) -> Time {
-        Time(self.chan_la[c].load(Ordering::Relaxed))
-    }
-
-    /// Rewrites every lookahead from a fresh channel map; pairs no longer
-    /// connected become `Time::MAX` (their promises saturate — an
-    /// unreachable channel never constrains its receiver). Relaxed
-    /// suffices: the caller's exclusive window orders these writes against
-    /// every reader.
-    pub fn set_lookaheads(&self, fresh: &[(LpId, LpId, Time)]) {
-        for la in &self.chan_la {
-            la.store(u64::MAX, Ordering::Relaxed);
-        }
-        for &(a, b, la) in fresh {
-            for (s, d) in [(a.0, b.0), (b.0, a.0)] {
-                if let Some(&c) = self.outs[s as usize].iter().find(|&&c| self.dst[c] == d) {
-                    self.chan_la[c].store(la.0, Ordering::Relaxed);
-                }
-            }
-        }
+        self.chan_la[c]
     }
 
     /// The safe bound of `lp`: the minimum promise over its in-channels.
@@ -493,7 +466,7 @@ impl ChannelClocks {
             self.chan_clock[c].store(u64::MAX, Ordering::Release);
         }
         for &c in &self.outs[lp] {
-            self.wakers[self.owner[self.dst[c] as usize]].bump();
+            self.wakers[self.dst[c] as usize].bump();
         }
     }
 
@@ -697,11 +670,10 @@ impl Worker {
         args: Option<(u64, u64)>,
     ) {
         match kind {
-            SpanKind::Process | SpanKind::Global | SpanKind::Advance => self.psm.p_ns += ns,
-            SpanKind::BarrierWait | SpanKind::StallWait => self.psm.s_ns += ns,
+            SpanKind::Process | SpanKind::Global => self.psm.p_ns += ns,
+            SpanKind::BarrierWait => self.psm.s_ns += ns,
             SpanKind::Receive
             | SpanKind::MailboxFlush
-            | SpanKind::Merge
             | SpanKind::Grant
             | SpanKind::WindowUpdate => self.psm.m_ns += ns,
             SpanKind::LpTask | SpanKind::FusedRound => {
@@ -737,7 +709,6 @@ pub(super) struct Outcome<N: SimNode> {
     pub sched: SchedStats,
     pub sched_log: SchedLog,
     pub rounds_profile: Option<Vec<RoundRecord>>,
-    pub async_stats: Option<AsyncStats>,
     /// Round a stall diagnosis reports.
     pub stall_round: u64,
     /// An LP with an event below this bound is blocked when the run stalls.
@@ -766,7 +737,6 @@ impl<N: SimNode> Outcome<N> {
             sched: SchedStats::default(),
             sched_log: env.telctx.sched_log(),
             rounds_profile: None,
-            async_stats: None,
             stall_round: 0,
             stall_bound: Time::MAX,
         }
@@ -829,7 +799,6 @@ pub(super) fn finish<N: SimNode>(
         lp_neighbors,
         telemetry: env.telctx.collect(tels, out.sched_log),
         recovery: None,
-        async_stats: out.async_stats,
     };
     let partial = Box::new(report);
     if let Some(diag) = env.failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
@@ -902,7 +871,7 @@ mod tests {
             env, shell, lps, ..
         } = ring(&cfg);
         let channels = shell.partition.lp_channels(&shell.graph);
-        let clocks = ChannelClocks::new(&channels, vec![0, 1, 2], 3);
+        let clocks = ChannelClocks::new(&channels, 3);
         let chan = |s: usize, d: u32| {
             let found = clocks.outs[s].iter().find(|&&c| clocks.dst[c] == d);
             *found.expect("ring neighbors share a channel")

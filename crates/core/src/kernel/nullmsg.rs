@@ -51,7 +51,7 @@ pub(super) fn run<N: SimNode>(
 
     // One thread — and so one waker — per LP.
     let channels = shell.partition.lp_channels(&shell.graph);
-    let clocks = ChannelClocks::new(&channels, (0..lp_count).collect(), lp_count);
+    let clocks = ChannelClocks::new(&channels, lp_count);
     // Per-destination inboxes (arrival order is real-time interleaved).
     let inboxes: Vec<MpscQueue<Event<N::Payload>>> =
         (0..lp_count).map(|_| MpscQueue::new()).collect();
@@ -156,12 +156,12 @@ pub(super) fn run<N: SimNode>(
 
                     if processed == 0 {
                         // No progress: sleep until an input changes. The
-                        // re-check runs under the version lock every writer
+                        // re-check runs under the waker's lock every writer
                         // bumps under, so wake-ups are never lost. The CMB
                         // analogue of a barrier wait: blocked on neighbor
                         // promises.
                         let lap = me.worker.start();
-                        clocks.wakers[idx].sleep_if(|_| {
+                        clocks.wakers[idx].sleep_if(|| {
                             clocks.safe(idx) <= safe && inboxes[idx].is_empty() && !env.halted()
                         });
                         me.worker

@@ -333,7 +333,7 @@ pub(super) fn run_grouped<N: SimNode>(
     let mut end_time = Time::ZERO;
     let started = Instant::now();
     let main_group = grouping.worker_group[0] as usize;
-    let ckpt = env.ckpt(None, shell.stop_at);
+    let ckpt = env.ckpt(shell.stop_at);
 
     // Abort (contained panic or watchdog): poisoning the barrier makes
     // every thread drain out at its next synchronization point.

@@ -94,9 +94,7 @@ pub use fel::{Fel, FelImpl};
 pub use global::{GlobalFn, WorldAccess};
 pub use graph::{LinkGraph, LinkSpec};
 pub use kernel::{run, try_run, KernelError, KernelKind, PartitionMode, RunConfig, WatchdogConfig};
-pub use metrics::{
-    AsyncStats, EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
-};
+pub use metrics::{EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats};
 pub use partition::{fine_grained_partition, manual_partition, partition_below_bound, Partition};
 pub use perfmodel::{CostParams, ModelResult, PerfModel};
 pub use rng::Rng;

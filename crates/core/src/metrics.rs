@@ -102,16 +102,14 @@ pub struct LpTotals {
 pub struct EngineStats {
     /// FEL implementation the run was configured with.
     pub fel_impl: FelImpl,
-    /// Cross-LP sends that did not allocate. Unison/hybrid: pushes served
-    /// from an outbox's retained capacity; async_cons: pushes that reused
-    /// a pooled mailbox node.
+    /// Cross-LP sends that did not allocate (Unison/hybrid; 0 elsewhere):
+    /// pushes served from an outbox's retained capacity.
     pub pool_hits: u64,
-    /// Cross-LP sends that allocated. Unison/hybrid: pushes that had to
-    /// grow the outbox's buffer — there is one outbox per (sending worker,
-    /// receiving home), so the count depends on the thread count and on
-    /// who stole what, while `pool_hits + pool_misses`, the number of
-    /// cross-LP sends, does not; async_cons: pushes that allocated a fresh
-    /// node.
+    /// Cross-LP sends that allocated (Unison/hybrid; 0 elsewhere): pushes
+    /// that had to grow the outbox's buffer — there is one outbox per
+    /// (sending worker, receiving home), so the count depends on the thread
+    /// count and on who stole what, while `pool_hits + pool_misses`, the
+    /// number of cross-LP sends, does not.
     pub pool_misses: u64,
 }
 
@@ -151,9 +149,8 @@ pub struct RunReport {
     /// Global events executed.
     pub global_events: u64,
     /// Synchronization rounds executed by the round-based kernels (1 for
-    /// the sequential kernel). The asynchronous conservative kernel has no
-    /// rounds and reports 0 here; its progress counters (grants, stalls,
-    /// gates, per-worker stall wait) live in [`RunReport::async_stats`].
+    /// the sequential kernel; the null-message kernel reports its busiest
+    /// LP's iteration count).
     pub rounds: u64,
     /// Rounds that *fused* — ran every phase on the main thread without a
     /// barrier crossing (unison round fusion, DESIGN.md §4.9). Always
@@ -197,30 +194,6 @@ pub struct RunReport {
     /// plain [`kernel::try_run`](crate::kernel::try_run) runs; `Some` with
     /// an empty record list for a resilient run that never had to recover.
     pub recovery: Option<crate::fault::RecoveryLog>,
-    /// Progress counters of the asynchronous conservative kernel, which
-    /// replaces `rounds` with grant/stall accounting. `None` for every
-    /// other kernel.
-    pub async_stats: Option<AsyncStats>,
-}
-
-/// Progress counters of the barrier-free asynchronous conservative kernel
-/// (DESIGN.md §4.8). These replace the `rounds` notion: the kernel has no
-/// global synchronization rounds, only channel-clock grants, stall waits
-/// and gate rendezvous for global events.
-#[derive(Clone, Debug, Default)]
-pub struct AsyncStats {
-    /// Time-advance grants published (out-channel promise rises — the lazy
-    /// null messages actually sent).
-    pub grants: u64,
-    /// Times a worker found no runnable work and parked on its waker.
-    pub stalls: u64,
-    /// Quiesced virtual-time fronts reached (global-event windows run by
-    /// the control thread).
-    pub gates: u64,
-    /// Wall nanoseconds each worker spent parked in stall waits (indexed
-    /// by worker; gate-rendezvous waits are counted in `Psm::s_ns`, not
-    /// here).
-    pub stall_wait_ns: Vec<u64>,
 }
 
 impl RunReport {

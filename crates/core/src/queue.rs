@@ -1,32 +1,34 @@
 //! A lock-free multi-producer single-consumer queue with node recycling.
 //!
-//! Replaces `crossbeam::queue::SegQueue` for the kernels' inboxes (the real
-//! crate is unavailable in offline builds) and is deliberately simpler: an
+//! Replaces `crossbeam::queue::SegQueue` for the inboxes of the barrier and
+//! null-message kernels (the real crate is unavailable in offline builds;
+//! the round kernels use no queue at all — their transport is the outbox
+//! table of `crate::lp::LpSlots`) and is deliberately simpler: an
 //! atomic exchange ("Treiber") stack that producers push onto with a CAS
 //! loop, which the consumer detaches wholesale and reverses, restoring
 //! per-producer FIFO order.
 //!
-//! This matches how every kernel consumes its inboxes — a full drain between
-//! synchronization points — and has the memory-ordering contract the
-//! mailboxes document: `push` is a `Release` operation and the consumer's
+//! This matches how those kernels consume their inboxes — a full drain
+//! between synchronization points — and has the memory-ordering contract a
+//! mailbox needs: `push` is a `Release` operation and the consumer's
 //! detach is an `Acquire` operation, so everything written before a `push`
 //! happens-before the closure invocation in [`MpscQueue::drain`] that
 //! receives the value. The `crates/core/tests/loom_models.rs` model
 //! `mailbox_handoff_happens_before` machine-checks that edge.
 //!
 //! Ordering across *different* producers is the physical CAS arrival order,
-//! exactly like `SegQueue`: callers that need determinism (the Unison
-//! mailboxes) keep one queue per (source, destination) pair; callers that
-//! are documented-nondeterministic (the barrier / null-message baselines)
-//! share one inbox per destination.
+//! exactly like `SegQueue`: the barrier and null-message baselines, which
+//! are documented-nondeterministic, share one inbox per destination; a
+//! caller that needs per-source order ([`crate::mailbox::Mailboxes`]) keeps
+//! one queue per (source, destination) pair.
 //!
 //! # Node pool
 //!
-//! Steady-state cross-LP traffic is the hot path of every parallel round, so
-//! the queue optionally recycles its nodes instead of round-tripping each
-//! one through the global allocator: [`MpscQueue::drain_recycle`] and
-//! [`MpscQueue::drain_into`] retire drained nodes onto an internal freelist,
-//! and [`MpscQueue::push_pooled`] reuses them. The freelist hand-out
+//! The queue optionally recycles its nodes instead of round-tripping each
+//! one through the global allocator (today only
+//! [`crate::mailbox::Mailboxes`], kept for the frozen benchmark, pushes
+//! pooled): [`MpscQueue::drain_into`] retires drained nodes onto an
+//! internal freelist, and [`MpscQueue::push_pooled`] reuses them. The freelist hand-out
 //! protocol is ABA-free by construction — a taker detaches the *entire*
 //! list with one `swap`, keeps the head node, and splices the remainder
 //! back — so a node can never be handed to two producers, and the worst
@@ -106,10 +108,9 @@ impl<T> MpscQueue<T> {
     /// Appends `value`, reusing a recycled node when the pool has one.
     ///
     /// Same ordering contract as [`MpscQueue::push`]. The pool refills via
-    /// [`MpscQueue::drain_recycle`] / [`MpscQueue::drain_into`], so a
-    /// producer that pushes at most as much as the consumer drained last
-    /// round allocates nothing in steady state. Hit/miss counts are
-    /// reported by [`MpscQueue::pool_stats`].
+    /// [`MpscQueue::drain_into`], so a producer that pushes at most as much
+    /// as the consumer drained last round allocates nothing in steady
+    /// state. Hit/miss counts are reported by [`MpscQueue::pool_stats`].
     pub fn push_pooled(&self, value: T) {
         let node = self.take_free();
         let node = if node.is_null() {
@@ -182,8 +183,8 @@ impl<T> MpscQueue<T> {
 
     /// Splices an exclusively-owned chain back onto the freelist.
     fn restore_free(&self, rest: *mut Node<T>) {
-        // Fast path: nothing was recycled since the swap (always true under
-        // the kernels' one-producer-per-phase discipline).
+        // Fast path: nothing was recycled since the swap (always true with
+        // one producer and a consumer that drains between its pushes).
         if self
             .free
             .compare_exchange(0, rest as usize, Ordering::Release, Ordering::Relaxed)
@@ -279,21 +280,6 @@ impl<T> MpscQueue<T> {
         }
     }
 
-    /// Like [`MpscQueue::drain`], but retires the nodes onto the freelist
-    /// for [`MpscQueue::push_pooled`] to reuse instead of freeing them.
-    pub fn drain_recycle(&self, mut f: impl FnMut(T)) {
-        let mut cur = self.detach_fifo();
-        while !cur.is_null() {
-            // SAFETY: exclusive ownership of the detached chain; the value
-            // is moved out exactly once, leaving the slot uninitialized —
-            // which is the freelist invariant `recycle` requires.
-            let (value, next) = unsafe { ((*cur).value.assume_init_read(), (*cur).next) };
-            self.recycle(cur);
-            cur = next;
-            f(value);
-        }
-    }
-
     /// Batched drain: detaches everything pushed so far, appends the values
     /// to `out` in per-producer FIFO order, retires the nodes onto the
     /// freelist, and returns how many values were appended.
@@ -302,8 +288,7 @@ impl<T> MpscQueue<T> {
     /// newest-first chain goes straight into `out`, then the appended slice
     /// is reversed in cache-friendly contiguous memory rather than by a
     /// second chain walk) and no per-value closure dispatch. It feeds
-    /// `Mailboxes::drain_batch` / `Fel::extend` in the kernels' receive
-    /// phase.
+    /// `Mailboxes::drain_batch`.
     pub fn drain_into(&self, out: &mut Vec<T>) -> usize {
         let start = out.len();
         // Acquire: pairs with the Release CAS in `publish`.
@@ -422,13 +407,13 @@ mod tests {
             q.push_pooled(format!("a{i}"));
         }
         assert_eq!(q.pool_stats(), (0, 10), "cold pool: all misses");
-        q.drain_recycle(drop);
+        q.drain_into(&mut Vec::new());
         for i in 0..10 {
             q.push_pooled(format!("b{i}"));
         }
         assert_eq!(q.pool_stats(), (10, 10), "warm pool: all hits");
         let mut got = Vec::new();
-        q.drain_recycle(|v| got.push(v));
+        q.drain_into(&mut got);
         assert_eq!(got, (0..10).map(|i| format!("b{i}")).collect::<Vec<_>>());
     }
 
@@ -479,7 +464,7 @@ mod tests {
         for i in 0..10 {
             q.push_pooled(vec![i; 100]);
         }
-        q.drain_recycle(drop);
+        q.drain_into(&mut Vec::new());
         for i in 0..4 {
             q.push_pooled(vec![i; 100]); // leave some pool nodes in use
         }
@@ -524,7 +509,7 @@ mod tests {
         for i in 0..100 {
             q.push_pooled(i);
         }
-        q.drain_recycle(drop);
+        q.drain_into(&mut Vec::new());
         let handles: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let q = Arc::clone(&q);
@@ -539,7 +524,7 @@ mod tests {
             h.join().unwrap();
         }
         let mut got = Vec::new();
-        q.drain_recycle(|v| got.push(v));
+        q.drain_into(&mut got);
         got.sort_unstable();
         let want: Vec<u64> = (0..PRODUCERS * PER).map(|i| 1_000_000 + i).collect();
         assert_eq!(

@@ -68,19 +68,10 @@ pub enum SpanKind {
     /// One LP's execution in phase 1. `arg` = events executed, `arg2` = the
     /// scheduler's cost estimate for this LP (0 when no estimate existed).
     LpTask,
-    /// Async-conservative kernel: one LP advanced to its channel-clock
-    /// bound (`round` = worker iteration). `arg` = events executed.
-    Advance,
-    /// Async-conservative kernel: one LP's in-channel deliveries merged
-    /// through the deterministic k-way merger. `arg` = events merged.
-    Merge,
-    /// Async-conservative kernel: out-channel promise refresh that raised
-    /// at least one channel clock. `arg` = channels whose promise rose.
+    /// Null-message kernel: one LP's refresh of its out-channel promises
+    /// (the null messages). Charged as messaging time; the kernel records
+    /// no span for it.
     Grant,
-    /// Async-conservative kernel: time parked waiting for a neighbor grant
-    /// (the barrier-free analogue of `BarrierWait`, which that kernel only
-    /// uses for gate rendezvous).
-    StallWait,
     /// Unison kernel: a whole round that *fused* — every phase ran on the
     /// main thread with no barrier crossing (DESIGN.md §4.9). Control
     /// thread only; `arg` = the round's total load (events + cross-LP
@@ -91,7 +82,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, for report iteration.
-    pub const ALL: [SpanKind; 12] = [
+    pub const ALL: [SpanKind; 9] = [
         SpanKind::Process,
         SpanKind::Global,
         SpanKind::Receive,
@@ -99,10 +90,7 @@ impl SpanKind {
         SpanKind::BarrierWait,
         SpanKind::MailboxFlush,
         SpanKind::LpTask,
-        SpanKind::Advance,
-        SpanKind::Merge,
         SpanKind::Grant,
-        SpanKind::StallWait,
         SpanKind::FusedRound,
     ];
 
@@ -116,10 +104,7 @@ impl SpanKind {
             SpanKind::BarrierWait => "barrier-wait",
             SpanKind::MailboxFlush => "mailbox-flush",
             SpanKind::LpTask => "lp-task",
-            SpanKind::Advance => "advance",
-            SpanKind::Merge => "merge",
             SpanKind::Grant => "grant",
-            SpanKind::StallWait => "stall-wait",
             SpanKind::FusedRound => "fused-round",
         }
     }

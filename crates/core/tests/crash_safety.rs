@@ -189,113 +189,6 @@ fn sequential_contains_injected_panic() {
 }
 
 #[test]
-fn async_cons_contains_injected_panic() {
-    let world = bomb_ring(8, DELAY, 3, Some(PANIC_AT), None, STOP);
-    let err = expect_worker_panic(kernel::try_run(
-        world,
-        &world_cfg(KernelKind::AsyncCons { threads: 4 }),
-    ));
-    let SimError::WorkerPanic { diag, partial } = &err else {
-        unreachable!()
-    };
-    assert_eq!(diag.kernel, "async_cons");
-    assert_eq!(diag.phase, RunPhase::Process);
-    assert!(
-        diag.panic_message.contains("injected fault"),
-        "{}",
-        diag.panic_message
-    );
-    assert!(diag.lp.is_some(), "panic site must name the executing LP");
-    assert!(diag.virtual_time >= PANIC_AT);
-    assert!(
-        partial.events > 0,
-        "partial report must carry pre-fault totals"
-    );
-    // Surviving workers drained through the poison path, not a hang — the
-    // partial report still carries the async progress counters.
-    assert!(partial.async_stats.is_some());
-}
-
-#[test]
-fn async_cons_zero_lookahead_deadlock_detected() {
-    // The same three-LP zero-delay cycle as the nullmsg case: every
-    // channel-clock grant is pinned at 0, `safe` never reaches the first
-    // event at t=5, and every worker parks in stall-wait. The watchdog
-    // must wake them and diagnose the blocked cycle.
-    let mut b = WorldBuilder::new();
-    for i in 0..3u32 {
-        b.add_node(Bomb {
-            next: NodeId((i + 1) % 3),
-            delay: Time::ZERO,
-            panic_at: None,
-            slow: None,
-            seen: 0,
-        });
-    }
-    for i in 0..3u32 {
-        b.add_link(NodeId(i), NodeId((i + 1) % 3), Time::ZERO);
-    }
-    for i in 0..3u32 {
-        b.schedule(Time(5), NodeId(i), u64::from(i));
-    }
-    b.stop_at(Time(1_000));
-    let world = b.build();
-    let cfg = RunConfig {
-        kernel: KernelKind::AsyncCons { threads: 3 },
-        partition: PartitionMode::Manual(vec![0, 1, 2]),
-        sched: SchedConfig::default(),
-        metrics: MetricsLevel::Summary,
-        fel: Default::default(),
-        watchdog: Default::default(),
-        fault: Default::default(),
-    }
-    .with_watchdog(Duration::from_millis(50));
-    match kernel::try_run(world, &cfg) {
-        Err(SimError::Stalled { diag, partial }) => {
-            assert_eq!(diag.kernel, "async_cons");
-            assert_eq!(diag.blocked.len(), 3, "all three LPs are blocked: {diag}");
-            assert!(
-                diag.cycle.len() >= 3,
-                "expected a dependency cycle, got {diag}"
-            );
-            assert_eq!(
-                diag.cycle.first(),
-                diag.cycle.last(),
-                "cycle must close on itself: {diag}"
-            );
-            assert_eq!(partial.events, 0);
-            assert_eq!(diag.virtual_time, Time(5));
-        }
-        Err(e) => panic!("expected Stalled, got {e}"),
-        Ok(_) => panic!("zero-lookahead cycle must deadlock, but the run succeeded"),
-    }
-}
-
-#[test]
-fn async_cons_requires_stop_time() {
-    // Without a stop horizon the async kernel has no finite gate and
-    // channel promises would creep forever; it must refuse to start.
-    let mut b = WorldBuilder::new();
-    b.add_node(Bomb {
-        next: NodeId(0),
-        delay: DELAY,
-        panic_at: None,
-        slow: None,
-        seen: 0,
-    });
-    b.schedule(Time::ZERO, NodeId(0), 1u64);
-    let world = b.build();
-    match kernel::try_run(world, &RunConfig::async_cons(2)) {
-        Err(SimError::Config(e)) => {
-            let msg = e.to_string();
-            assert!(msg.contains("stop"), "unhelpful message: {msg}")
-        }
-        Err(e) => panic!("expected Config error, got {e}"),
-        Ok(_) => panic!("async_cons must reject worlds without a stop time"),
-    }
-}
-
-#[test]
 fn run_wrapper_repanics_with_diagnostics() {
     let world = bomb_ring(4, DELAY, 0, Some(PANIC_AT), None, STOP);
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {

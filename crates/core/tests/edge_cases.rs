@@ -37,9 +37,9 @@ fn one_node_world(events: u64) -> unison_core::World<Counter> {
     b.build()
 }
 
-/// A configuration for each of the six kernels, `threads` wherever the
+/// A configuration for each of the five kernels, `threads` wherever the
 /// kernel takes a worker count.
-fn every_kernel(threads: usize, assignment: Vec<u32>) -> [RunConfig; 6] {
+fn every_kernel(threads: usize, assignment: Vec<u32>) -> [RunConfig; 5] {
     let hybrid = KernelKind::Hybrid {
         hosts: 1,
         threads_per_host: threads,
@@ -53,7 +53,6 @@ fn every_kernel(threads: usize, assignment: Vec<u32>) -> [RunConfig; 6] {
             kernel: hybrid,
             ..RunConfig::unison(threads)
         },
-        RunConfig::async_cons(threads),
     ]
 }
 

@@ -164,26 +164,11 @@ fn kernels() -> Vec<(String, KernelKind)> {
             },
         ));
     }
-    for threads in [1usize, 2, 4] {
-        v.push((
-            format!("async-{threads}"),
-            KernelKind::AsyncCons { threads },
-        ));
-    }
     v
 }
 
 fn is_windowed(kind: &KernelKind) -> bool {
     matches!(kind, KernelKind::Unison { .. } | KernelKind::Hybrid { .. })
-}
-
-/// The barrier-free kernel checkpoints at quiesced gates like the windowed
-/// kernels, but its per-worker "round" is an iteration counter whose
-/// virtual-time position is workload- and interleaving-dependent — so the
-/// matrix asserts recovery shape, not exact rollback coordinates, for the
-/// panic cell.
-fn is_async(kind: &KernelKind) -> bool {
-    matches!(kind, KernelKind::AsyncCons { .. })
 }
 
 /// The acceptance matrix: each fault cell recovers to the fault-free
@@ -204,11 +189,9 @@ fn fault_matrix_recovers_to_fault_free_digest() {
         cleanup(&p0);
 
         let windowed = is_windowed(&kind);
-        let asynck = is_async(&kind);
         // Sequential "rounds" are 1-based event indices; windowed kernels
-        // use the sync-round counter; the async kernel counts per-worker
-        // iterations (it reaches LATE_ROUND long before the run ends).
-        let panic_round = if windowed || asynck { LATE_ROUND } else { 50 };
+        // use the sync-round counter.
+        let panic_round = if windowed { LATE_ROUND } else { 50 };
 
         // --- worker panic ---
         let mut c = base.clone();
@@ -227,10 +210,6 @@ fn fault_matrix_recovers_to_fault_free_digest() {
                 rb.rolled_back_to > Time::ZERO,
                 "{name}: a late fault must land on a periodic checkpoint"
             );
-        } else if asynck {
-            // Iteration 60's virtual-time position is interleaving-
-            // dependent, so only the firing coordinates are pinned.
-            assert_eq!(rb.round, LATE_ROUND, "{name}");
         } else {
             assert_eq!(
                 rb.rolled_back_to,
@@ -248,7 +227,7 @@ fn fault_matrix_recovers_to_fault_free_digest() {
         let (w, rep) = fault::run_resilient(ring_world(), &c, &p).expect("recover from stall");
         assert_eq!(digest(&w), reference, "{name}: stall recovery diverged");
         let log = rep.recovery.expect("log");
-        if windowed || asynck {
+        if windowed {
             assert_eq!(log.rollback_count(), 1, "{name}: stall must roll back");
             assert_eq!(log.rollbacks[0].phase, RunPhase::Control, "{name}");
         } else {
@@ -265,7 +244,7 @@ fn fault_matrix_recovers_to_fault_free_digest() {
         let (w, rep) = fault::run_resilient(ring_world(), &c, &p).expect("recover from ckpt fail");
         assert_eq!(digest(&w), reference, "{name}: ckpt-fail recovery diverged");
         let log = rep.recovery.expect("log");
-        if windowed || asynck {
+        if windowed {
             assert_eq!(log.rollback_count(), 1, "{name}");
             let rb = &log.rollbacks[0];
             assert_eq!(

@@ -52,14 +52,10 @@
 //!    the clock monotone (`nullmsg.chan_clock`);
 //! 10. per-producer clock words stored with Release and min-reduced with
 //!     Acquire loads publish each producer's state as of the published
-//!     timestamp (`barrier.next_ts` LBTS reduction, `nullmsg.stall_clocks`);
-//! 11. the asynchronous conservative kernel's grant protocol
-//!     (`async_cons.chan_clock`): each in-channel's sender appends events
-//!     and then raises its promise with `fetch_max(AcqRel)`; the receiver
-//!     Acquire-min-reduces all in-channel clocks into a safe bound *before*
-//!     draining, so every event strictly below the observed bound is
-//!     visible — combining the fetch_max edge of claim 9 with the
-//!     min-reduction of claim 10 (DESIGN.md §4.8).
+//!     timestamp (`barrier.next_ts` LBTS reduction, `nullmsg.stall_clocks`).
+//!
+//! (Claim 11 covered the asynchronous conservative kernel's grants and went
+//! with it — DESIGN.md §7; the numbering of the later claims is kept.)
 //!
 //! 12. the hierarchical tree barrier ([`TreeBarrier`]) releases a crossing
 //!     only after every participant arrived, elects exactly one root winner
@@ -535,7 +531,7 @@ fn mailbox_pool_no_aba() {
         q.push_pooled(1);
         q.push_pooled(2);
         let mut seeded = Vec::new();
-        q.drain_recycle(|v| seeded.push(v));
+        q.drain_into(&mut seeded);
         assert_eq!(seeded, [1, 2], "warm-up drain must be FIFO");
 
         // Race: both producers contend for the 2-node freelist. Every
@@ -549,7 +545,7 @@ fn mailbox_pool_no_aba() {
         t.join().unwrap();
 
         let mut got = Vec::new();
-        q.drain_recycle(|v| got.push(v));
+        q.drain_into(&mut got);
         got.sort_unstable();
         assert_eq!(got, [3, 4], "pool race lost or duplicated a message");
 
@@ -749,74 +745,6 @@ fn clock_word_release_acquire_publication() {
         for t in producers {
             t.join().unwrap();
         }
-    });
-}
-
-/// Claim 11: the async-conservative grant protocol
-/// (`async_cons.chan_clock`, DESIGN.md §4.8). Two in-channel senders each
-/// write their event payload (plain memory, standing in for the mailbox
-/// push) and then raise their channel's promise with `fetch_max(AcqRel)`.
-/// The receiver Acquire-loads *every* in-channel clock and min-reduces
-/// them into its safe bound before touching any payload — exactly the
-/// worker loop's "compute `safe`, then drain" order. Any event timestamped
-/// strictly below the observed bound must be visible. A laggard re-grant
-/// below a channel's current promise must not regress the bound.
-#[test]
-fn channel_grant_publication() {
-    loom::model(|| {
-        let clocks = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
-        let events = Arc::new([UnsafeCell::new(0u64), UnsafeCell::new(0u64)]);
-
-        let mut senders = Vec::new();
-        for (i, promise) in [(0usize, 5u64), (1usize, 8u64)] {
-            let clocks = Arc::clone(&clocks);
-            let events = Arc::clone(&events);
-            senders.push(thread::spawn(move || {
-                events[i].with_mut(|p| {
-                    // SAFETY: written before this channel's AcqRel
-                    // fetch_max; the receiver reads it only after its
-                    // Acquire min-reduction observes a nonzero promise on
-                    // slot `i`.
-                    unsafe { *p = promise }
-                });
-                clocks[i].fetch_max(promise, Ordering::AcqRel);
-                // A duplicate lazy grant at a lower bound: `fetch_max`
-                // keeps the promise monotone.
-                clocks[i].fetch_max(promise - 1, Ordering::AcqRel);
-            }));
-        }
-
-        // Receiver: min-reduce the in-channel clocks into the safe bound,
-        // retrying until every channel has granted (the worker's stall
-        // sleep stands in for the yield loop).
-        let mut obs = [0u64; 2];
-        loop {
-            for (i, c) in clocks.iter().enumerate() {
-                obs[i] = c.load(Ordering::Acquire);
-            }
-            if obs.iter().all(|&t| t > 0) {
-                break;
-            }
-            thread::yield_now();
-        }
-        let safe = obs[0].min(obs[1]);
-        assert_eq!(safe, 5, "min-reduction over both granted promises");
-        for (i, e) in events.iter().enumerate() {
-            let seen = e.with(|p| {
-                // SAFETY: ordered after sender `i`'s payload write by the
-                // fetch_max(AcqRel) / load(Acquire) edge on its clock.
-                unsafe { *p }
-            });
-            assert_eq!(
-                seen, obs[i],
-                "every event below the observed promise must be visible"
-            );
-        }
-        for t in senders {
-            t.join().unwrap();
-        }
-        assert_eq!(clocks[0].load(Ordering::Acquire), 5);
-        assert_eq!(clocks[1].load(Ordering::Acquire), 8);
     });
 }
 

@@ -225,7 +225,6 @@ proptest! {
             }
             prop_assert_eq!(ladder.len(), heap.len());
             prop_assert_eq!(ladder.next_ts(), heap.next_ts());
-            prop_assert_eq!(ladder.peek_key(), heap.peek_key());
             prop_assert_eq!(
                 ladder.count_below(Time(500)),
                 heap.count_below(Time(500))

@@ -195,65 +195,6 @@ fn every_thread_metric_combination_is_bit_identical() {
     }
 }
 
-/// The asynchronous conservative kernel has no rounds to schedule, so its
-/// matrix is {partition} × {threads}; every cell must match the compat-keys
-/// sequential digest under the same partition exactly (DESIGN.md §4.8: keys
-/// are preserved across channels, so the merge order *is* the sequential
-/// order regardless of thread count).
-#[test]
-fn async_cons_matrix_is_bit_identical_to_sequential() {
-    for (pname, pmode) in partitions() {
-        let reference = run(
-            KernelKind::Sequential { compat_keys: true },
-            pmode.clone(),
-            SchedConfig::default(),
-        );
-        assert!(
-            reference.1 > 0,
-            "{pname}: sequential reference executed no events"
-        );
-        for threads in [1usize, 2, 4] {
-            let got = run(
-                KernelKind::AsyncCons { threads },
-                pmode.clone(),
-                SchedConfig::default(),
-            );
-            assert_eq!(
-                reference, got,
-                "digest mismatch: async_cons partition={pname} threads={threads}"
-            );
-        }
-    }
-}
-
-/// The async kernel reports grant/stall/gate progress counters instead of
-/// rounds (`rounds == 0`), with one stall-wait slot per worker.
-#[test]
-fn async_cons_reports_async_stats() {
-    let (_, report) = kernel::run(world(), &RunConfig::async_cons(4)).unwrap();
-    assert_eq!(report.kernel, "async_cons(4)");
-    assert_eq!(report.rounds, 0, "async_cons has no rounds");
-    let stats = report
-        .async_stats
-        .as_ref()
-        .expect("async_cons populates RunReport::async_stats");
-    assert!(stats.grants > 0, "no time-advance grants were issued");
-    assert_eq!(
-        stats.stall_wait_ns.len(),
-        4,
-        "one stall-wait slot per worker"
-    );
-    // Round-based kernels leave the field empty.
-    let (_, unison) = kernel::run(world(), &RunConfig::unison(2)).unwrap();
-    assert!(unison.async_stats.is_none());
-    assert!(unison.rounds > 0);
-    // Every LP's position is claimed exactly once per round.
-    assert_eq!(
-        unison.sched.claims,
-        unison.rounds * u64::from(unison.lp_count)
-    );
-}
-
 /// Round fusion is a pure scheduling optimization: for every
 /// {partition} × {threads} × {FEL} cell, the fusion-on digest is
 /// bit-identical to the fusion-off digest (DESIGN.md §4.9 — a fused round

@@ -22,10 +22,11 @@ pub const RIP_INFINITY: u8 = 16;
 /// Largest node count a RIP table is ever sized for. [`NetworkBuilder`]
 /// sizes a table from the world it builds; only a checkpoint or a packet
 /// decoded from one can name a destination the builder did not, and one
-/// at or past this bound is refused instead of allocated for.
+/// at or past this bound is refused instead of allocated for. The same
+/// constant bounds the topologies a scenario file may describe.
 ///
 /// [`NetworkBuilder`]: crate::NetworkBuilder
-pub(crate) const RIP_MAX_NODES: usize = 1 << 20;
+pub(crate) const RIP_MAX_NODES: usize = unison_scenario::ast::MAX_TOPOLOGY_NODES;
 
 /// Per-node routing state.
 #[derive(Debug)]

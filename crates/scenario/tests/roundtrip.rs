@@ -51,9 +51,10 @@ fn every_kernel_variant_maps() {
             "kernel = \"unison\"\nthreads = 3",
             KernelKind::Unison { threads: 3 },
         ),
+        // The frozen benchmark's spelling of a deleted kernel: read as unison.
         (
             "kernel = \"async_cons\"\nthreads = 2",
-            KernelKind::AsyncCons { threads: 2 },
+            KernelKind::Unison { threads: 2 },
         ),
         (
             "kernel = \"hybrid\"\nhosts = 2\nthreads_per_host = 2",
@@ -303,7 +304,7 @@ threads = 2
     // Unknown enum value, with the options listed.
     let e = parse_scenario(&ok.replace("\"unison\"", "\"warp\"")).unwrap_err();
     assert!(e.msg.contains("unknown kernel `warp`"), "{e}");
-    assert!(e.msg.contains("async_cons"), "{e}");
+    assert!(e.msg.contains("nullmsg | unison | hybrid"), "{e}");
     // Missing required key.
     let e = parse_scenario(&ok.replace("threads = 2", "")).unwrap_err();
     assert!(e.msg.contains("missing required key `threads`"), "{e}");
@@ -361,6 +362,74 @@ fn errors_carry_spans() {
     )
     .unwrap_err();
     assert_eq!((e.line, e.col), (4, 3), "{e}");
+}
+
+/// The semantic checks — the ones that compare one section with another, or
+/// with the built topology — point at the value they reject, never at
+/// line 0. Each case is `replace this | by this | error line | message`.
+#[test]
+fn semantic_errors_point_at_the_offending_value() {
+    // 1 [topology] … 5, 8, 11 [[link]] 14 [traffic] 16 [run] 19 [[flow]]
+    // 24 [[on_off]]: one key a line.
+    let ok = "[topology]\nkind = \"manual\"\nnodes = 4\nhosts = [0, 3]\n\
+              [[link]]\na = 0\nb = 1\n[[link]]\na = 1\nb = 2\n[[link]]\na = 2\nb = 3\n\
+              [traffic]\nload = 0.1\n[run]\nstop_us = 10\nkernel = \"sequential\"\n\
+              [[flow]]\nsrc = 0\ndst = 3\nbytes = 9\nstart_us = 0\n\
+              [[on_off]]\nsrc = 3\ndst = 0\nrate_mbps = 1\nmean_on_us = 1\n\
+              mean_off_us = 1\nuntil_us = 5\n";
+    parse_scenario(ok).unwrap_or_else(|e| panic!("{e}"));
+    for case in [
+        "nodes = 4 | nodes = 0 | 3 | `nodes >= 1`",
+        "hosts = [0, 3] | hosts = [0, 4] | 4 | host id 4 out of range",
+        "hosts = [0, 3] | hosts = [0, 3]\nclusters = [0] | 5 | `clusters` has 1",
+        "b = 3 | b = 7 | 13 | link 2-7 out of range",
+        "a = 2\nb = 3 | a = 0\nb = 1 | 1 | is not connected",
+        "load = 0.1 | load = 11 | 15 | load 11 out of range",
+        "load = 0.1 | load = 0.1\nincast_ratio = 2 | 16 | incast_ratio 2 out",
+        "load = 0.1 | load = 0.1\nincast_cluster = 5 | 16 | incast_cluster 5 out",
+        "stop_us = 10 | stop_us = 0 | 17 | must be positive",
+        "stop_us = 10 | stop_us = 10\npartition = \"manual\"\nassignment = [0] | 19 | 1 entries",
+        "src = 0 | src = 1 | 20 | flow src 1 is not a host",
+        "dst = 3 | dst = 9 | 21 | flow dst 9 out of range",
+        "dst = 3 | dst = 0 | 21 | src == dst",
+        "src = 3 | src = 4 | 25 | on_off src 4 out of range",
+    ] {
+        let fields: Vec<&str> = case.split(" | ").collect();
+        let (from, to, line, want) = (fields[0], fields[1], fields[2], fields[3]);
+        assert!(ok.contains(from), "{case}");
+        let e = parse_scenario(&ok.replacen(from, to, 1)).unwrap_err();
+        assert!(e.msg.contains(want), "{case}: {e}");
+        assert_eq!((e.line, e.col), (line.parse().unwrap(), 1), "{case}: {e}");
+    }
+}
+
+/// `TopoKind::size` is what a topology is bounded by before it is built,
+/// so it has to say what the builder would build.
+#[test]
+fn the_size_computed_from_the_parameters_is_the_size_built() {
+    for topology in [
+        "kind = \"fat_tree\"\nk = 2",
+        "kind = \"fat_tree\"\nk = 6",
+        "kind = \"fat_tree_clusters\"\nclusters = 3\nhosts_per_cluster = 1",
+        "kind = \"fat_tree_clusters\"\nclusters = 2\nhosts_per_cluster = 13",
+        "kind = \"spine_leaf\"\nspines = 3\nleaves = 5\nhosts_per_leaf = 2",
+        "kind = \"dumbbell\"\nsenders = 3\nreceivers = 2\nedge_rate_mbps = 10\n\
+         bottleneck_rate_mbps = 10",
+        "kind = \"bcube\"\nn = 3\nlevels = 3",
+        "kind = \"bcube\"\nn = 2\nlevels = 1",
+        "kind = \"torus2d\"\nrows = 2\ncols = 2",
+        "kind = \"torus2d\"\nrows = 2\ncols = 5",
+        "kind = \"torus2d\"\nrows = 4\ncols = 3",
+    ] {
+        let src = format!("[topology]\n{topology}\n[run]\nstop_us = 1\nkernel = \"sequential\"\n");
+        let spec = parse_scenario(&src).unwrap_or_else(|e| panic!("{topology}: {e}"));
+        let topo = spec.build_topology();
+        assert_eq!(
+            spec.topology.kind.size(),
+            Ok((topo.node_count(), topo.links.len())),
+            "{topology}"
+        );
+    }
 }
 
 /// A scenario whose `[topology]`, `[run]` and `[model]` sections the sweep

@@ -26,11 +26,9 @@ fn cat(kind: SpanKind) -> &'static str {
         | SpanKind::Global
         | SpanKind::Receive
         | SpanKind::WindowUpdate
-        | SpanKind::Advance
-        | SpanKind::Merge
         | SpanKind::Grant
         | SpanKind::FusedRound => "phase",
-        SpanKind::BarrierWait | SpanKind::StallWait => "sync",
+        SpanKind::BarrierWait => "sync",
         SpanKind::MailboxFlush => "mailbox",
         SpanKind::LpTask => "lp",
     }
@@ -44,11 +42,7 @@ fn span_args(span: &Span) -> Value {
         pairs.push(("lp", Value::Num(span.lp as f64)));
     }
     match span.kind {
-        SpanKind::Process
-        | SpanKind::Receive
-        | SpanKind::MailboxFlush
-        | SpanKind::Advance
-        | SpanKind::Merge => {
+        SpanKind::Process | SpanKind::Receive | SpanKind::MailboxFlush => {
             pairs.push(("events", Value::Num(span.arg as f64)));
         }
         SpanKind::Global => pairs.push(("globals", Value::Num(span.arg as f64))),
@@ -58,7 +52,6 @@ fn span_args(span: &Span) -> Value {
         }
         SpanKind::BarrierWait => pairs.push(("barrier", Value::Num(span.arg as f64))),
         SpanKind::Grant => pairs.push(("grants", Value::Num(span.arg as f64))),
-        SpanKind::StallWait => pairs.push(("stalls", Value::Num(span.arg as f64))),
         SpanKind::FusedRound => {
             pairs.push(("load", Value::Num(span.arg as f64)));
             pairs.push(("cross_lp_recv", Value::Num(span.arg2 as f64)));

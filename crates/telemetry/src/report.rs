@@ -19,54 +19,16 @@ fn ms(ns: f64) -> String {
 /// Writes the full profile report for one run.
 pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> {
     writeln!(out, "== run report: {} ==", report.kernel)?;
-    // Not every kernel counts rounds: the asynchronous conservative kernel
-    // is barrier-free and reports grant/stall/gate progress counters
-    // instead (RunReport::async_stats), so its header swaps `rounds` for
-    // `gates` and gains a progress section below.
-    if let Some(stats) = &report.async_stats {
-        writeln!(
-            out,
-            "threads {}   lps {}   gates {}   events {}   wall {:.3} s",
-            report.threads,
-            report.lp_count,
-            stats.gates,
-            report.events,
-            report.wall.as_secs_f64()
-        )?;
-        writeln!(out)?;
-        writeln!(out, "-- asynchronous progress (no rounds: barrier-free) --")?;
-        writeln!(
-            out,
-            "grants {}   stall cycles {}   gates {}",
-            stats.grants, stats.stalls, stats.gates
-        )?;
-        let wall_ns = report.wall.as_nanos() as f64;
-        for (w, &ns) in stats.stall_wait_ns.iter().enumerate() {
-            let share = if wall_ns > 0.0 {
-                ns as f64 / wall_ns * 100.0
-            } else {
-                0.0
-            };
-            writeln!(
-                out,
-                "worker {:>3}: stall wait {} ({:.2}% of wall)",
-                w,
-                ms(ns as f64),
-                share
-            )?;
-        }
-    } else {
-        writeln!(
-            out,
-            "threads {}   lps {}   rounds {} ({} fused)   events {}   wall {:.3} s",
-            report.threads,
-            report.lp_count,
-            report.rounds,
-            report.fused_rounds,
-            report.events,
-            report.wall.as_secs_f64()
-        )?;
-    }
+    writeln!(
+        out,
+        "threads {}   lps {}   rounds {} ({} fused)   events {}   wall {:.3} s",
+        report.threads,
+        report.lp_count,
+        report.rounds,
+        report.fused_rounds,
+        report.events,
+        report.wall.as_secs_f64()
+    )?;
 
     // Where each thread's wall time went: the kernel's own accumulators,
     // charged lap by lap from the clock readings the spans are cut from.
@@ -252,6 +214,7 @@ mod tests {
     fn reports_without_spans_render_psm_from_the_report() {
         let mut rep = RunReport {
             kernel: "unison".into(),
+            rounds: 42,
             psm: vec![Psm {
                 p_ns: 7_000_000,
                 s_ns: 2_000_000,
@@ -260,6 +223,7 @@ mod tests {
             ..Default::default()
         };
         let text = report_string(&rep);
+        assert!(text.contains("rounds 42 (0 fused)"), "{text}");
         assert!(text.contains("P/S/M per worker"), "{text}");
         let row = "P     7.000 ms   S     2.000 ms   M     1.000 ms   sync  20.00%";
         assert!(text.contains(&format!("worker   0: {row}")), "{text}");
@@ -271,43 +235,6 @@ mod tests {
         // The LP-pinned kernels' rows are LPs.
         rep.psm_per_lp = true;
         assert!(report_string(&rep).contains(&format!("lp   0: {row}")));
-    }
-
-    #[test]
-    fn async_kernel_header_swaps_rounds_for_gates() {
-        use unison_core::AsyncStats;
-
-        let rep = RunReport {
-            kernel: "async_cons(2)".into(),
-            threads: 2,
-            async_stats: Some(AsyncStats {
-                grants: 120,
-                stalls: 7,
-                gates: 3,
-                stall_wait_ns: vec![1_500_000, 0],
-            }),
-            ..Default::default()
-        };
-        let text = report_string(&rep);
-        assert!(text.contains("gates 3"), "{text}");
-        assert!(
-            !text.contains("rounds 0"),
-            "the async report must not claim a round count: {text}"
-        );
-        assert!(text.contains("asynchronous progress"));
-        assert!(text.contains("grants 120"));
-        assert!(text.contains("stall cycles 7"));
-        assert!(text.contains("worker   0: stall wait 1.500 ms"));
-
-        // Round-based kernels keep the rounds header and gain no section.
-        let rep = RunReport {
-            kernel: "unison".into(),
-            rounds: 42,
-            ..Default::default()
-        };
-        let text = report_string(&rep);
-        assert!(text.contains("rounds 42 (0 fused)"));
-        assert!(!text.contains("asynchronous progress"));
     }
 
     #[test]

@@ -97,56 +97,6 @@ fn trace_timestamps_are_monotone_per_worker_within_kind() {
     }
 }
 
-/// Consistency of the async kernel's report surface (ISSUE satellite 4):
-/// `rounds` is a round-based-kernel counter, so async_cons reports 0 there
-/// and carries its progress in `async_stats`; the telemetry stream uses
-/// the advance/merge/grant/stall-wait span kinds, exports to a valid
-/// Chrome trace, and the profile report renders the progress section.
-#[test]
-fn async_cons_report_and_trace_are_consistent() {
-    let threads = 2;
-    let report = run_recorded(RunConfig::async_cons(threads));
-
-    // The report surface: no rounds, async progress counters instead.
-    assert_eq!(report.rounds, 0, "async_cons has no rounds to count");
-    let stats = report.async_stats.as_ref().expect("async_stats attached");
-    assert!(stats.grants > 0, "a multi-LP run must issue grants");
-    assert!(stats.gates > 0, "the stop global implies at least one gate");
-    assert_eq!(
-        stats.stall_wait_ns.len(),
-        threads,
-        "one stall-wait accumulator per worker"
-    );
-
-    // The telemetry stream uses the async span vocabulary.
-    let tel = report.telemetry.as_ref().expect("telemetry attached");
-    let mut kinds: std::collections::BTreeSet<&str> = Default::default();
-    for w in &tel.workers {
-        for s in &w.spans {
-            kinds.insert(s.kind.name());
-        }
-    }
-    for needed in ["advance", "merge", "grant"] {
-        assert!(kinds.contains(needed), "no {needed} spans in {kinds:?}");
-    }
-    assert!(
-        !kinds.contains("process") && !kinds.contains("window-update"),
-        "async workers must not emit round-phase spans: {kinds:?}"
-    );
-
-    // The export path handles the new kinds end to end.
-    let json_text = chrome_trace_json(tel);
-    let summary = validate_chrome_trace(&json_text).expect("async trace must validate");
-    assert_eq!(summary.durations as usize, tel.span_count());
-    let parsed = json::parse(&json_text).expect("own parser accepts own output");
-    assert_eq!(parsed.to_json(), json_text, "serializer not a fixpoint");
-
-    // And the profile report renders the async section.
-    let text = report_string(&report);
-    assert!(text.contains("asynchronous progress"), "{text}");
-    assert!(!text.contains("rounds 0"), "stale rounds claim: {text}");
-}
-
 /// Round fusion's telemetry surface (ISSUE 9, satellite f): every fused
 /// round emits exactly one `fused-round` envelope span on the control
 /// thread, so the trace's span count for that kind equals the report's
@@ -223,7 +173,6 @@ fn printed_sync_share_is_the_psm_share_and_unison_spans_sum_to_it() {
         RunConfig::unison(2),
         RunConfig::barrier(pods.clone()),
         RunConfig::nullmsg(pods),
-        RunConfig::async_cons(2),
     ] {
         let kernel = cfg.kernel.clone();
         let report = run_recorded(cfg);

@@ -66,12 +66,12 @@ fn workspace_atomics_is_clean() {
     );
     // Sanity: the inventory actually covered the concurrent core.
     assert!(
-        summary.fields_declared >= 29,
+        summary.fields_declared >= 27,
         "only {} fields declared — inventory broken?",
         summary.fields_declared
     );
     assert!(
-        summary.sites_checked >= 80,
+        summary.sites_checked >= 78,
         "only {} call sites checked — inventory broken?",
         summary.sites_checked
     );

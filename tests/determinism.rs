@@ -2,7 +2,8 @@
 //! Fig. 11) at the full network-stack level.
 
 use unison::core::{KernelKind, RunConfig, SchedConfig, SchedMetric, Time};
-use unison::netsim::{NetworkBuilder, SimResult, TransportKind};
+use unison::netsim::{world_digest, NetworkBuilder, SimResult, TransportKind};
+use unison::scenario::parse_scenario;
 use unison::topology::fat_tree;
 use unison::traffic::{SizeDist, TrafficConfig};
 
@@ -103,4 +104,33 @@ fn hybrid_equals_unison() {
     }));
     let uni = fingerprint(&run(KernelKind::Unison { threads: 4 }));
     assert_eq!(hy, uni);
+}
+
+/// The two names the frozen benchmark still uses for a deleted kernel
+/// (DESIGN.md §7) — `RunConfig::async_cons(n)` and `kernel = "async_cons"`
+/// in a scenario — mean `unison(n)`: same digest, a report that says so,
+/// and rounds, which that kernel never had. Goes with the aliases when the
+/// benchmark is re-cut (ROADMAP item 1).
+#[test]
+fn the_async_cons_aliases_run_as_unison() {
+    let quickstart = include_str!("../scenarios/quickstart.toml");
+    let run = |src: &str, cfg: Option<RunConfig>| {
+        let spec = parse_scenario(src).expect("parses");
+        let topo = spec.build_topology();
+        let cfg = cfg.unwrap_or_else(|| spec.run_config(&topo));
+        let sim = NetworkBuilder::from_scenario(&topo, &spec).build();
+        let res = sim.run_with(&cfg).expect("run");
+        (
+            world_digest(&res.world),
+            res.kernel.kernel,
+            res.kernel.rounds,
+        )
+    };
+    let reference = run(quickstart, None);
+    assert_eq!(reference.1, "unison(2)");
+    assert!(reference.2 > 0);
+    let spelled = quickstart.replace("kernel = \"unison\"", "kernel = \"async_cons\"");
+    assert_ne!(spelled, quickstart);
+    assert_eq!(run(&spelled, None), reference);
+    assert_eq!(run(quickstart, Some(RunConfig::async_cons(2))), reference);
 }

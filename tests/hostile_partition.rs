@@ -5,8 +5,12 @@
 //!
 //! Each input goes the way `unison-run` takes it: `parse_scenario` →
 //! `NetworkBuilder::from_scenario` → `kernel::try_run`.
+//!
+//! The same holds for the other sizes a file controls — a worker count
+//! (which sizes the W × W outbox table) and a topology builder's parameters:
+//! a typed error before anything is allocated, not an aborted process.
 
-use unison::core::{kernel, KernelError, SimError};
+use unison::core::{kernel, KernelError, KernelKind, RunConfig, SimError};
 use unison::netsim::NetworkBuilder;
 use unison::scenario::{parse_scenario, ScenarioError};
 
@@ -94,6 +98,61 @@ fn kernel_rejects_hostile_assignments_without_the_scenario_layer() {
             Err(SimError::Config(KernelError::InvalidPartition(_))) => {}
             Err(e) => panic!("{last}: expected InvalidPartition, got {e}"),
             Ok(_) => panic!("{last}: hostile assignment ran to completion"),
+        }
+    }
+}
+
+/// Each case is `replace this | by this | key (or header) blamed | message`.
+#[test]
+fn sizes_a_file_controls_are_a_spanned_error() {
+    for case in [
+        "threads = 2 | threads = 200000 | threads | `threads` must be in 1..=1024",
+        "\"unison\" | \"hybrid\"\nhosts = 1000000\nthreads_per_host = 1000000 | hosts | `hosts` must",
+        "\"unison\" | \"hybrid\"\nhosts = 64\nthreads_per_host = 64 | threads_per_host | 4096 workers",
+        "\nk = 4\n | \nk = 4000\n | [topology] | at least 16020000000 nodes",
+        "\nk = 4\n | \nk = 3\n | [topology] | even `k`",
+    ] {
+        let fields: Vec<&str> = case.split(" | ").collect();
+        let (from, to, key, want) = (fields[0], fields[1], fields[2], fields[3]);
+        assert!(QUICKSTART.contains(from), "{case}");
+        let src = QUICKSTART.replacen(from, to, 1);
+        let line = src.lines().position(|l| l.starts_with(key)).expect(key) + 1;
+        match parse_scenario(&src) {
+            Err(e) => {
+                assert!(e.msg.contains(want), "{case}: {e}");
+                assert_eq!((e.line, e.col), (line, 1), "{case}: {e}");
+            }
+            Ok(_) => panic!("{case}: parsed"),
+        }
+    }
+}
+
+/// The direct API: a worker count past `kernel::MAX_WORKERS` is refused by
+/// the kernel's own preamble.
+#[test]
+fn kernel_rejects_hostile_worker_counts_without_the_scenario_layer() {
+    let spec = parse_scenario(QUICKSTART).expect("quickstart parses");
+    let topo = spec.build_topology();
+    let hybrid = |hosts, threads_per_host| RunConfig {
+        kernel: KernelKind::Hybrid {
+            hosts,
+            threads_per_host,
+        },
+        ..RunConfig::unison(1)
+    };
+    for cfg in [
+        RunConfig::unison(200_000),
+        RunConfig::unison(kernel::MAX_WORKERS + 1),
+        hybrid(1_000_000, 1_000_000),
+        hybrid(usize::MAX, 2),
+    ] {
+        let world = NetworkBuilder::from_scenario(&topo, &spec).build().world;
+        match kernel::try_run(world, &cfg) {
+            Err(SimError::Config(KernelError::InvalidConfig(m))) => {
+                assert!(m.contains("at most 1024"), "{:?}: {m}", cfg.kernel)
+            }
+            Err(e) => panic!("{:?}: expected InvalidConfig, got {e}", cfg.kernel),
+            Ok(_) => panic!("{:?}: ran to completion", cfg.kernel),
         }
     }
 }

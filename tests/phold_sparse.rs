@@ -4,7 +4,7 @@
 //! dozen LPs each hold hundreds of events. The paper's fine-grained
 //! partition also produces the opposite shape — hundreds of LPs holding a
 //! handful of events each, a few of them due per round — and that is where
-//! the engine (event lists, mailboxes, claim loop) is all of the cost. This
+//! the engine (event lists, outboxes, claim loop) is all of the cost. This
 //! suite drives that shape with a PHOLD-style model whose handler does
 //! nothing but fold what it saw into a hash and schedule one successor.
 
@@ -134,7 +134,6 @@ fn sparse_many_lp_runs_agree_across_kernels_and_event_lists() {
             KernelKind::Sequential { compat_keys: true },
             KernelKind::Unison { threads: 1 },
             KernelKind::Unison { threads: 2 },
-            KernelKind::AsyncCons { threads: 2 },
         ] {
             assert_eq!(
                 run(&kernel, fel),
