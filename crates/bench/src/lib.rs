@@ -15,7 +15,7 @@
 
 use std::io::{self, Write};
 
-use unison_core::{KernelError, ModelResult};
+use unison_core::{ModelResult, SimError};
 use unison_netsim::{NetworkBuilder, SimResult};
 use unison_scenario::{PartitionSpec, ScenarioSpec};
 use unison_stats::Summary;
@@ -66,10 +66,7 @@ impl ModelRecord {
 /// is named), then `sequential`, `unison` at `cores` under the row's own
 /// `[run]` partition and scheduler settings, and `hybrid` when
 /// `hybrid_hosts` is set. No `[model]`, no records.
-pub fn model_records(
-    topo: &Topology,
-    spec: &ScenarioSpec,
-) -> Result<Vec<ModelRecord>, KernelError> {
+pub fn model_records(topo: &Topology, spec: &ScenarioSpec) -> Result<Vec<ModelRecord>, SimError> {
     let Some(model) = &spec.model else {
         return Ok(Vec::new());
     };

@@ -468,7 +468,7 @@ where
     N: SimNode + Snapshot,
     N::Payload: Snapshot,
 {
-    let partition = kernel::build_partition(&world, &cfg.partition)?;
+    let partition = kernel::build_partition(&world.graph, &cfg.partition)?;
     let assignment: Vec<u32> = partition.node_lp.iter().map(|lp| lp.0).collect();
     let mut run_cfg = cfg.clone();
     run_cfg.partition = PartitionMode::Manual(assignment);

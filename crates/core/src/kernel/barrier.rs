@@ -22,8 +22,8 @@ use crate::event::{Event, EventKey, LpId, NodeId};
 use crate::fel::Fel;
 use crate::global::GlobalFn;
 use crate::lp::LpState;
+use crate::mailbox::Inbox;
 use crate::metrics::RunReport;
-use crate::queue::MpscQueue;
 use crate::sync::SpinBarrier;
 use crate::telemetry::SpanKind;
 use crate::time::Time;
@@ -44,7 +44,7 @@ struct PinnedCtx<'a, N: SimNode> {
     insert_seq: &'a mut u64,
     dir: &'a NodeDirectory,
     /// One shared inbox per LP; arrival order is real-time interleaved.
-    inboxes: &'a [MpscQueue<Event<N::Payload>>],
+    inboxes: &'a [Inbox<Event<N::Payload>>],
     kernel_name: &'static str,
 }
 
@@ -99,10 +99,13 @@ impl<N: SimNode> SimCtx<N> for PinnedCtx<'_, N> {
 }
 
 /// One LP as the thread pinned to it runs it (shared with the null-message
-/// kernel): its state, the FIFO insertion counter and the thread's accounts.
+/// kernel): its state, the FIFO insertion counter, the buffer its inbox is
+/// swapped into and the thread's accounts.
 pub(super) struct PinnedLp<N: SimNode> {
     pub lp: LpState<N>,
     insert_seq: u64,
+    /// Empty between receives; its capacity is the inbox's next buffer.
+    batch: Vec<Event<N::Payload>>,
     pub worker: Worker,
 }
 
@@ -111,20 +114,21 @@ impl<N: SimNode> PinnedLp<N> {
         PinnedLp {
             insert_seq: lp.fel.len() as u64,
             lp,
+            batch: Vec::new(),
             worker,
         }
     }
 
     /// Drains the shared inbox into the FEL in arrival order; returns the
     /// number of events received.
-    pub fn receive(&mut self, inbox: &MpscQueue<Event<N::Payload>>) -> u64 {
-        let mut recv: u64 = 0;
-        inbox.drain(|mut ev| {
+    pub fn receive(&mut self, inbox: &Inbox<Event<N::Payload>>) -> u64 {
+        inbox.swap(&mut self.batch);
+        let recv = self.batch.len() as u64;
+        for mut ev in self.batch.drain(..) {
             ev.key.seq = self.insert_seq;
             self.insert_seq += 1;
             self.lp.fel.push(ev);
-            recv += 1;
-        });
+        }
         recv
     }
 
@@ -133,7 +137,7 @@ impl<N: SimNode> PinnedLp<N> {
         &mut self,
         limit: Time,
         dir: &NodeDirectory,
-        inboxes: &[MpscQueue<Event<N::Payload>>],
+        inboxes: &[Inbox<Event<N::Payload>>],
         kernel_name: &'static str,
         site: &Site,
     ) -> u64 {
@@ -182,8 +186,7 @@ pub(super) fn run<N: SimNode>(
     let lookahead = shell.partition.lookahead;
     let bound = shell.horizon();
 
-    let inboxes: Vec<MpscQueue<Event<N::Payload>>> =
-        (0..lp_count).map(|_| MpscQueue::new()).collect();
+    let inboxes: Vec<Inbox<Event<N::Payload>>> = (0..lp_count).map(|_| Inbox::default()).collect();
     // PADDING: the lock-step kernel is the deliberately naive baseline the
     // paper compares against; each word has a single writer per round.
     let next_ts: Vec<AtomicU64> = lps.iter().map(|lp| AtomicU64::new(lp.next_ts.0)).collect();
@@ -289,8 +292,6 @@ pub(super) fn run<N: SimNode>(
         })
         .collect();
     let rounds = rounds.unwrap_or(0);
-    // The shared inboxes have multiple concurrent producers, so this kernel
-    // keeps the plain allocating push (no pool to report).
     let out = Outcome {
         psm_per_lp: true,
         rounds,

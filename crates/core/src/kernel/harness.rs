@@ -135,9 +135,10 @@ pub(super) fn prepare<N: SimNode>(
     world: World<N>,
     cfg: &RunConfig,
 ) -> Result<Setup<'_, N>, KernelError> {
-    // Per kernel: configured worker count (1 where the LP count decides;
-    // hybrid's before its hosts are clamped to the LP count), whether it
-    // executes global events, whether it needs a stop time.
+    // Per kernel: configured worker count (1 where the LP count decides,
+    // checked once the partition is built; hybrid's before its hosts are
+    // clamped to the LP count), whether it executes global events, whether
+    // it needs a stop time.
     let (threads, globals, needs_stop) = match cfg.kernel {
         KernelKind::Sequential { .. } => (1, true, false),
         KernelKind::Barrier => (1, false, false),
@@ -167,7 +168,16 @@ pub(super) fn prepare<N: SimNode>(
     if world.nodes.is_empty() {
         return Err(KernelError::InvalidPartition("world has no nodes".into()));
     }
-    let partition = build_partition(&world, &cfg.partition)?;
+    let partition = build_partition(&world.graph, &cfg.partition)?;
+    // The LP-pinned baselines spawn one thread per LP.
+    let lp_count = partition.lp_count as usize;
+    let pinned = matches!(cfg.kernel, KernelKind::Barrier | KernelKind::NullMessage);
+    if pinned && lp_count > MAX_WORKERS {
+        return Err(KernelError::InvalidConfig(format!(
+            "kernel `{kernel}` pins one thread to each of {lp_count} LPs; \
+             at most {MAX_WORKERS} are supported"
+        )));
+    }
     // Without a horizon, channel promises on drained FELs creep forward by
     // one lookahead per exchange and the run never terminates (ns-3's
     // null-message simulator has the same requirement).
@@ -441,7 +451,7 @@ impl ChannelClocks {
 
     /// The safe bound of `lp`: the minimum promise over its in-channels.
     /// Read *before* draining: every event below an observed promise is
-    /// then already visible in its queue (a sender pushes, then publishes).
+    /// then already visible in its inbox (a sender pushes, then publishes).
     #[inline]
     pub fn safe(&self, lp: usize) -> Time {
         let mut safe = Time::MAX;
@@ -790,7 +800,6 @@ pub(super) fn finish<N: SimNode>(
         psm_per_lp: out.psm_per_lp,
         lp_totals,
         engine: EngineStats {
-            fel_impl: env.cfg.fel,
             pool_hits: out.pool.0,
             pool_misses: out.pool.1,
         },

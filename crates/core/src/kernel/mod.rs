@@ -39,6 +39,7 @@ use crate::event::{Event, EventKey, LpId, NodeId};
 use crate::fault::FaultPlan;
 use crate::fel::{Fel, FelImpl};
 use crate::global::GlobalFn;
+use crate::graph::LinkGraph;
 use crate::lp::{LpSlots, LpState, PendingGlobal};
 use crate::metrics::{MetricsLevel, RunReport};
 use crate::partition::{
@@ -50,8 +51,9 @@ use crate::time::Time;
 use crate::world::{NodeDirectory, SimCtx, SimNode, World};
 
 /// Largest worker-thread count a run accepts (hybrid: hosts × threads per
-/// host). A configured count is outside input, and the round kernels size a
-/// W × W outbox table by it; no machine this runs on has more cores.
+/// host; barrier and null-message: the LP count, one thread each). A
+/// configured count is outside input, and the round kernels size a W × W
+/// outbox table by it; no machine this runs on has more cores.
 pub const MAX_WORKERS: usize = 1024;
 
 /// Which kernel executes the run.
@@ -346,12 +348,9 @@ pub fn try_run<N: SimNode>(
     }
 }
 
-/// Builds the configured partition for a world.
-pub(crate) fn build_partition<N: SimNode>(
-    world: &World<N>,
-    mode: &PartitionMode,
-) -> Result<Partition, KernelError> {
-    let graph = &world.graph;
+/// Builds the partition `mode` selects for a world's link graph — the one a
+/// run under that mode executes on.
+pub fn build_partition(graph: &LinkGraph, mode: &PartitionMode) -> Result<Partition, KernelError> {
     let p = match mode {
         PartitionMode::Auto => fine_grained_partition(graph),
         PartitionMode::Bound(bound) => partition_below_bound(graph, *bound),

@@ -23,8 +23,8 @@ use std::time::Instant;
 
 use crate::error::SimError;
 use crate::event::{Event, LpId};
+use crate::mailbox::Inbox;
 use crate::metrics::RunReport;
-use crate::queue::MpscQueue;
 use crate::telemetry::SpanKind;
 use crate::time::Time;
 use crate::world::{SimNode, World};
@@ -53,8 +53,7 @@ pub(super) fn run<N: SimNode>(
     let channels = shell.partition.lp_channels(&shell.graph);
     let clocks = ChannelClocks::new(&channels, lp_count);
     // Per-destination inboxes (arrival order is real-time interleaved).
-    let inboxes: Vec<MpscQueue<Event<N::Payload>>> =
-        (0..lp_count).map(|_| MpscQueue::new()).collect();
+    let inboxes: Vec<Inbox<Event<N::Payload>>> = (0..lp_count).map(|_| Inbox::default()).collect();
     let started = Instant::now();
 
     // Abort (contained panic or watchdog): raise the halt flag and bump
@@ -85,9 +84,10 @@ pub(super) fn run<N: SimNode>(
                     site.round.set(iterations);
                     // Safety bound: min over input channel clocks. Read
                     // *before* the inbox is drained: a sender pushes its
-                    // events, then raises its promise, so every event below
-                    // an observed promise is in the drain that follows. (On
-                    // a real CMB channel null messages and events share one
+                    // events, releasing the inbox lock, then raises its
+                    // promise, so the drain that follows takes the lock
+                    // after every push an observed promise covers. (On a
+                    // real CMB channel null messages and events share one
                     // FIFO; read the other way round, a promise could
                     // overtake an event it covers.)
                     let safe = clocks.safe(idx);
@@ -198,7 +198,6 @@ pub(super) fn run<N: SimNode>(
             })
         })
         .collect();
-    // Shared inboxes (multiple concurrent producers): no pool to report.
     let out = Outcome {
         psm_per_lp: true,
         rounds,

@@ -683,8 +683,12 @@ pub(super) fn run_grouped<N: SimNode>(
             }
             // Feed the fusion predictor for the next round.
             last_load = load;
-            // One round completed: feed the watchdog.
-            env.wd.tick();
+            // Watchdog: a round only counts as progress when it moved events
+            // or globals, or moved the window — an empty zero-lookahead
+            // round loop must trip the deadline, not feed it.
+            if load > 0 || due.ran > 0 || next_window > window_end {
+                env.wd.tick();
+            }
         }
 
         // Unblock the monitor thread (if any) before joining workers, so a

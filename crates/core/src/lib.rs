@@ -72,7 +72,6 @@ pub mod mailbox;
 pub mod metrics;
 pub mod partition;
 pub mod perfmodel;
-pub mod queue;
 pub mod rng;
 pub mod sched;
 pub mod sync;

@@ -9,7 +9,6 @@
 
 use std::time::Duration;
 
-use crate::fel::FelImpl;
 use crate::telemetry::RunTelemetry;
 use crate::time::Time;
 
@@ -95,13 +94,10 @@ pub struct LpTotals {
     pub node_switches: Vec<u64>,
 }
 
-/// Event-engine configuration and memory behaviour of a run (DESIGN.md
-/// §4.4): which FEL implementation executed it and how much of the
-/// cross-LP traffic was sent without allocating.
+/// Memory behaviour of a run's event engine (DESIGN.md §4.4): how much of
+/// the cross-LP traffic was sent without allocating.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
-    /// FEL implementation the run was configured with.
-    pub fel_impl: FelImpl,
     /// Cross-LP sends that did not allocate (Unison/hybrid; 0 elsewhere):
     /// pushes served from an outbox's retained capacity.
     pub pool_hits: u64,

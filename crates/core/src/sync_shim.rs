@@ -5,10 +5,10 @@
 //! re-exports resolve to the `std` types with zero overhead. Under
 //! `RUSTFLAGS="--cfg loom"` they resolve to the in-repo `loom` model
 //! checker's instrumented equivalents, so `crates/core/tests/loom_models.rs`
-//! can exhaustively explore thread interleavings of [`crate::sync::SpinBarrier`],
-//! the work cursor and the mailbox queue under the C11 memory model
-//! approximation (sequentially consistent values + vector-clock
-//! happens-before tracking).
+//! can exhaustively explore thread interleavings of the barriers
+//! ([`crate::sync::SpinBarrier`], [`crate::sync::TreeBarrier`]) and the work
+//! cursor under the C11 memory model approximation (sequentially consistent
+//! values + vector-clock happens-before tracking).
 //!
 //! The module also provides [`CachePadded`], a dependency-free replacement
 //! for `crossbeam_utils::CachePadded` (the real crate is unavailable in

@@ -285,6 +285,24 @@ fn barrier_zero_lookahead_livelock_detected() {
     // advance (window_end == min next_ts with zero lookahead). The tick
     // policy only counts rounds that execute events or move the window, so
     // the watchdog fires.
+    expect_zero_lookahead_stall(RunConfig::barrier(vec![0, 1]), "barrier");
+}
+
+#[test]
+fn unison_zero_lookahead_livelock_detected() {
+    // Same livelock under the round kernel: its rounds tick the watchdog by
+    // the barrier kernel's rule, so empty rounds do not feed it.
+    let cfg = RunConfig {
+        partition: PartitionMode::Manual(vec![0, 1]),
+        ..RunConfig::unison(2)
+    };
+    expect_zero_lookahead_stall(cfg, "unison");
+}
+
+/// Two nodes on a zero-delay link cut between two LPs, one event at t=5:
+/// every window is empty, so the run must end `Stalled` under a 50 ms
+/// watchdog.
+fn expect_zero_lookahead_stall(cfg: RunConfig, kernel_name: &str) {
     let mut b = WorldBuilder::new();
     for i in 0..2u32 {
         b.add_node(Bomb {
@@ -299,10 +317,10 @@ fn barrier_zero_lookahead_livelock_detected() {
     b.schedule(Time(5), NodeId(0), 7u64);
     b.stop_at(Time(1_000));
     let world = b.build();
-    let cfg = RunConfig::barrier(vec![0, 1]).with_watchdog(Duration::from_millis(50));
+    let cfg = cfg.with_watchdog(Duration::from_millis(50));
     match kernel::try_run(world, &cfg) {
         Err(SimError::Stalled { diag, .. }) => {
-            assert_eq!(diag.kernel, "barrier");
+            assert_eq!(diag.kernel, kernel_name);
             assert!(!diag.blocked.is_empty());
         }
         Err(e) => panic!("expected Stalled, got {e}"),

@@ -203,6 +203,26 @@ fn all_kernels_agree_on_event_totals() {
 }
 
 #[test]
+fn baseline_kernels_never_lose_an_event() {
+    // A null-message promise that overtakes the event it covers loses that
+    // event, but only in the runs whose threads interleave just so: twenty
+    // runs of each baseline on the 4-LP ring must all reach the sequential
+    // total.
+    let manual: Vec<u32> = (0..N as u32).map(|i| i / 3).collect();
+    let (_, seq) =
+        kernel::run(ring_world(N, DELAY, TOKENS, STOP), &RunConfig::sequential()).unwrap();
+    for cfg in [
+        RunConfig::barrier(manual.clone()),
+        RunConfig::nullmsg(manual),
+    ] {
+        for run in 0..20 {
+            let (_, r) = kernel::run(ring_world(N, DELAY, TOKENS, STOP), &cfg).unwrap();
+            assert_eq!(r.events, seq.events, "{} run {run}", r.kernel);
+        }
+    }
+}
+
+#[test]
 fn hybrid_matches_unison_bitwise() {
     let (w_uni, rep_uni) =
         kernel::run(ring_world(N, DELAY, TOKENS, STOP), &RunConfig::unison(4)).unwrap();

@@ -7,13 +7,13 @@
 //! ```
 //!
 //! Under `--cfg loom`, [`unison_core::sync_shim`] swaps the std atomics and
-//! spin hints used by `SpinBarrier` and `MpscQueue` for the in-repo loom
+//! spin hints used by the barriers and the claim cursor for the in-repo loom
 //! model checker's instrumented types, and each test below explores every
 //! thread interleaving (up to the CHESS-style preemption bound, see the
 //! `loom` crate docs). Without the cfg this file compiles to an empty test
 //! harness.
 //!
-//! The models cover the four load-bearing claims of the kernel's
+//! The models cover the load-bearing claims of the kernel's
 //! concurrency-safety contract (see DESIGN.md):
 //!
 //! 1. the sense-reversing barrier is reusable across generations and its
@@ -22,16 +22,14 @@
 //! 3. the home-first claim cursor hands each position to exactly one
 //!    claimant, owner or thief, so per-slot mutable access is exclusive
 //!    even with `Relaxed` claims;
-//! 4. the mailbox queue's Release-push / Acquire-drain pair carries a
-//!    happens-before edge from producer writes to consumer reads;
 //! 5. poisoning the barrier releases every current and future waiter — no
 //!    interleaving lets a worker spin past a poisoned generation — and the
 //!    Release-poison / Acquire-observe pair publishes the poisoner's
-//!    diagnostics writes (the crash-containment drain path, DESIGN.md §4.2);
-//! 6. the mailbox node pool's take-all/splice-back freelist protocol hands
-//!    each recycled node to at most one claimant — no ABA interleaving of
-//!    racing pooled pushes and a concurrent recycle can double-claim a node
-//!    or lose a message (DESIGN.md §4.4).
+//!    diagnostics writes (the crash-containment drain path, DESIGN.md §4.2).
+//!
+//! (Claims 4 and 6 covered the lock-free mailbox queue and its node pool and
+//! went with them: the LP-pinned baselines' inboxes are a `Mutex<Vec>` —
+//! DESIGN.md §4.4, §7.)
 //!
 //! Claims 7–10 back the protocol entries of `crates/core/ATOMICS.toml`
 //! (checked by `cargo xtask atomics`; each entry's `loom` key names the
@@ -84,7 +82,6 @@ use loom::cell::UnsafeCell;
 use loom::sync::Arc;
 use loom::thread;
 
-use unison_core::queue::MpscQueue;
 use unison_core::sched::LjfCursor;
 use unison_core::sync::{SpinBarrier, TreeBarrier};
 use unison_core::sync_shim::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -219,45 +216,6 @@ fn work_cursor_claim_exclusivity() {
         }
         cursor.begin_round();
         assert_eq!(cursor.claims(), SLOTS as u64);
-    });
-}
-
-/// Claim 4: the mailbox handoff. A producer writes plain data, then pushes
-/// a message through [`MpscQueue`] (Release CAS); the consumer drains
-/// (Acquire swap) and reads the data. The queue's ordering contract must
-/// carry the happens-before edge for the payload's plain memory.
-#[test]
-fn mailbox_handoff_happens_before() {
-    loom::model(|| {
-        let q = Arc::new(MpscQueue::new());
-        let data = Arc::new(UnsafeCell::new(0u64));
-
-        let t = {
-            let q = Arc::clone(&q);
-            let data = Arc::clone(&data);
-            thread::spawn(move || {
-                data.with_mut(|p| {
-                    // SAFETY: the consumer reads only after draining the
-                    // message pushed below; push/drain carry the edge.
-                    unsafe { *p = 5 }
-                });
-                q.push(7u64);
-            })
-        };
-
-        while q.is_empty() {
-            thread::yield_now();
-        }
-        let mut got = None;
-        q.drain(|v| got = Some(v));
-        assert_eq!(got, Some(7), "message lost in mailbox");
-        let v = data.with(|p| {
-            // SAFETY: ordered after the producer's write by the queue's
-            // Release-push / Acquire-drain pair.
-            unsafe { *p }
-        });
-        assert_eq!(v, 5, "mailbox drain did not publish the payload write");
-        t.join().unwrap();
     });
 }
 
@@ -507,58 +465,6 @@ fn tree_barrier_release_publication() {
             2,
             "each tree generation must elect exactly one root winner"
         );
-    });
-}
-
-/// Claim 6: freelist reuse is ABA-free. The classic hazard for a pooled
-/// Treiber-style list is: claimant A reads the freelist head, is preempted,
-/// another thread pops that node AND pushes it back (same address, new
-/// neighbours), then A's stale CAS succeeds and two claimants own one node.
-/// `take_free` is immune by construction — it removes nodes only with a
-/// whole-list `swap`, never a head CAS against a read value — but that is
-/// exactly the kind of claim a model checker should hold, not a comment.
-///
-/// The model seeds the pool with two recycled nodes, then races two pooled
-/// producers (each doing take-free / restore-splice / recycle-on-miss
-/// traffic) against each other. A double-claim would surface as a lost,
-/// duplicated, or torn message; a leak as a wrong pool-stats count.
-#[test]
-fn mailbox_pool_no_aba() {
-    loom::model(|| {
-        let q: Arc<MpscQueue<u64>> = Arc::new(MpscQueue::new());
-        // Warm the pool: two fresh allocations, drained and recycled onto
-        // the freelist. Single-threaded prologue, so order is exact FIFO.
-        q.push_pooled(1);
-        q.push_pooled(2);
-        let mut seeded = Vec::new();
-        q.drain_into(&mut seeded);
-        assert_eq!(seeded, [1, 2], "warm-up drain must be FIFO");
-
-        // Race: both producers contend for the 2-node freelist. Every
-        // interleaving of swap-take-all, CAS splice-back, and CAS recycle
-        // runs here; any stale-pointer reuse corrupts a value or the list.
-        let t = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.push_pooled(3))
-        };
-        q.push_pooled(4);
-        t.join().unwrap();
-
-        let mut got = Vec::new();
-        q.drain_into(&mut got);
-        got.sort_unstable();
-        assert_eq!(got, [3, 4], "pool race lost or duplicated a message");
-
-        // The pool is best-effort under contention: while one producer's
-        // take-all swap holds the freelist, the other may observe it empty
-        // and fall back to allocation. So the racing pair scores at least
-        // one hit (the swap holder always finds the list non-empty), and
-        // hits + misses always accounts for every push — a mismatch would
-        // mean a double-claim or a lost node.
-        let (hits, misses) = q.pool_stats();
-        assert_eq!(hits + misses, 4, "every push is exactly one hit or miss");
-        assert!(hits >= 1, "the swap-holding producer must score a pool hit");
-        assert!(misses >= 2, "the warm-up pushes always allocate");
     });
 }
 

@@ -9,8 +9,8 @@
 //! [`NetSim`], runs on any kernel unchanged.
 
 use unison_core::{
-    kernel, DataRate, KernelError, KernelKind, NodeId, PartitionMode, PerfModel, RunConfig,
-    RunReport, Time, World, WorldBuilder,
+    kernel, DataRate, KernelKind, NodeId, PartitionMode, PerfModel, RunConfig, RunReport, SimError,
+    Time, World, WorldBuilder,
 };
 use unison_topology::{NodeKind, Topology};
 use unison_traffic::{FlowSpec, TrafficConfig};
@@ -333,13 +333,14 @@ impl SimResult {
 }
 
 impl NetSim {
-    /// Runs on the chosen kernel with automatic partitioning.
+    /// Runs on the chosen kernel with automatic partitioning; panics, with
+    /// the diagnosis, where [`NetSim::run_with`] returns an error.
     pub fn run(self, kernel_kind: KernelKind) -> SimResult {
         self.run_with(&RunConfig {
             kernel: kernel_kind,
             ..RunConfig::unison(1)
         })
-        .expect("valid default configuration")
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs on the instrumented one-thread engine under `partition`,
@@ -347,7 +348,7 @@ impl NetSim {
     /// simulation becomes a [`PerfModel`] input (DESIGN.md §3.2). Replay it
     /// with [`SimResult::perf_model`]; the null-message model's LP adjacency
     /// is the report's `lp_neighbors`.
-    pub fn profile(self, partition: PartitionMode) -> Result<SimResult, KernelError> {
+    pub fn profile(self, partition: PartitionMode) -> Result<SimResult, SimError> {
         self.run_with(&RunConfig {
             partition,
             ..RunConfig::unison(1).with_per_round_metrics()
@@ -358,9 +359,10 @@ impl NetSim {
     /// backend, watchdog, telemetry, and the scheduling knobs
     /// ([`RunConfig::with_sched`], DESIGN.md §4.5). Every combination is
     /// bit-identical on the same partition; the knobs trade wall clock,
-    /// never results.
-    pub fn run_with(self, cfg: &RunConfig) -> Result<SimResult, KernelError> {
-        let (world, report) = kernel::run(self.world, cfg)?;
+    /// never results. A rejected configuration, a contained panic and a
+    /// watchdog stall all come back as a [`SimError`].
+    pub fn run_with(self, cfg: &RunConfig) -> Result<SimResult, SimError> {
+        let (world, report) = kernel::try_run(self.world, cfg)?;
         Ok(SimResult {
             flows: FlowReport::collect(&world),
             kernel: report,

@@ -1,7 +1,9 @@
 //! End-to-end network simulation tests across kernels.
 
 use unison_core::DataRate;
-use unison_core::{KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig, Time};
+use unison_core::{
+    KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig, SimError, Time,
+};
 use unison_netsim::{
     recompute_static_routes, set_link_state, NetworkBuilder, QueueConfig, RoutingKind,
     TransportKind,
@@ -476,6 +478,24 @@ fn zero_delay_host_links_merge_lps() {
         .build();
     let seq = sim.run(KernelKind::Sequential { compat_keys: false });
     assert_eq!(seq.kernel.events, res.kernel.events);
+}
+
+#[test]
+fn a_stalled_run_is_an_error_not_a_panic() {
+    // Cutting zero-delay links leaves a lookahead of 0: every barrier
+    // window is empty, and the watchdog's stall comes back as a value.
+    let topo = fat_tree(4).with_delay(Time::ZERO);
+    let cfg = RunConfig::barrier(manual::by_cluster(&topo))
+        .with_watchdog(std::time::Duration::from_millis(50));
+    let sim = NetworkBuilder::new(&topo)
+        .traffic(&small_traffic(0.15, 21))
+        .stop_at(Time::from_millis(6))
+        .build();
+    match sim.run_with(&cfg) {
+        Err(SimError::Stalled { diag, .. }) => assert_eq!(diag.kernel, "barrier"),
+        Err(e) => panic!("expected Stalled, got {e}"),
+        Ok(res) => panic!("a zero-lookahead run finished: {}", res.flows.one_line()),
+    }
 }
 
 #[test]

@@ -22,9 +22,9 @@ use std::fmt;
 use std::time::Duration;
 
 use unison_core::fault::FaultPlan;
-use unison_core::kernel::{KernelKind, PartitionMode, RunConfig, MAX_WORKERS};
+use unison_core::kernel::{build_partition, KernelKind, PartitionMode, RunConfig, MAX_WORKERS};
 use unison_core::sched::{FusionConfig, SchedConfig, SchedMetric};
-use unison_core::{DataRate, RunPhase, Time};
+use unison_core::{DataRate, LinkGraph, NodeId, RunPhase, Time};
 use unison_topology::{self as topology, NodeKind, TopoLink, Topology};
 use unison_traffic::{FlowSpec, SizeDist, TrafficConfig};
 
@@ -578,7 +578,8 @@ impl ScenarioSpec {
 
     /// The checks that need the built topology, which the section parsers
     /// cannot make on their own: node references in bounds, hosts where
-    /// hosts are required, a connected graph. Each error is reported at the
+    /// hosts are required, a connected graph, a partition the kernel can
+    /// synchronize ([`check_partition`]). Each error is reported at the
     /// table (or key) of `at` that holds the offending value.
     fn validate(&self, at: &Sources<'_>) -> Result<(), ScenarioError> {
         let topo = self.build_topology();
@@ -638,7 +639,80 @@ impl ScenarioSpec {
             let msg = format!("topology `{}` is not connected", topo.name);
             return Err(serr(at.topology.line, at.topology.col, msg));
         }
+        // What a synchronizing kernel needs of its partition, checked before
+        // the network is built. A `[model]` profiles the row's partition,
+        // and its baseline, on the round kernel.
+        let sequential = matches!(self.run.kernel, KernelKind::Sequential { .. });
+        if !sequential || self.model.is_some() {
+            // Defaulted from the kernel: blame the kernel.
+            let key = if at.run.entry("partition").is_some() {
+                "partition"
+            } else {
+                "kernel"
+            };
+            let pinned = matches!(
+                self.run.kernel,
+                KernelKind::Barrier | KernelKind::NullMessage
+            )
+            .then(|| self.run.kernel.name());
+            check_partition(&topo, &self.run.partition, pinned, at.run, key)?;
+            if let (Some(model), Some(table)) = (&self.model, at.model) {
+                if let Some(baseline) = &model.baseline {
+                    check_partition(&topo, baseline, None, table, "baseline_partition")?;
+                }
+            }
+        }
         Ok(())
+    }
+}
+
+/// Rejects a partition no synchronizing kernel can run: one that cuts a
+/// zero-delay link (the lookahead would be 0, so no window could advance;
+/// `auto` and `bound` never cut one) and, for a `pinned` kernel (one thread
+/// per LP), one with more than [`MAX_WORKERS`] LPs (its preamble makes the
+/// same check, but only after the network has been built). A malformed
+/// assignment passes: the kernel reports it.
+fn check_partition(
+    topo: &Topology,
+    spec: &PartitionSpec,
+    pinned: Option<&str>,
+    table: &Table,
+    key: &str,
+) -> Result<(), ScenarioError> {
+    let mode = spec.mode(topo);
+    if pinned.is_none() && !matches!(mode, PartitionMode::Manual(_)) {
+        return Ok(());
+    }
+    let mut graph = LinkGraph::new(topo.node_count());
+    for l in &topo.links {
+        graph.add_link(NodeId(l.a as u32), NodeId(l.b as u32), l.delay);
+    }
+    let Ok(p) = build_partition(&graph, &mode) else {
+        return Ok(());
+    };
+    let lp = |node: usize| p.lp_of(NodeId(node as u32));
+    if let Some(l) = topo
+        .links
+        .iter()
+        .find(|l| l.delay == Time::ZERO && lp(l.a) != lp(l.b))
+    {
+        let msg = format!(
+            "partition `{spec}` cuts the zero-delay link between nodes {} and {}: with \
+             a lookahead of 0 no window can advance",
+            l.a, l.b
+        );
+        return Err(err_at(table, key, msg));
+    }
+    match pinned {
+        Some(kernel) if p.lp_count as usize > MAX_WORKERS => {
+            let msg = format!(
+                "partition `{spec}` makes {} LPs and kernel `{kernel}` runs one thread \
+                 per LP; at most {MAX_WORKERS} are supported",
+                p.lp_count
+            );
+            Err(err_at(table, key, msg))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -650,6 +724,7 @@ struct Sources<'a> {
     flows: Vec<&'a Table>,
     on_off: Vec<&'a Table>,
     run: &'a Table,
+    model: Option<&'a Table>,
 }
 
 /// An error at `key` of `table` (at the section header when the key is
@@ -1437,7 +1512,13 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
         (_, Some(th)) => sched.fusion.threshold = th,
         (Some(true) | None, None) => {}
     }
-    let watchdog = k.u64("watchdog_ms")?.map(Duration::from_millis);
+    let watchdog = match k.u64("watchdog_ms")? {
+        Some(0) => {
+            let msg = "`watchdog_ms` must be positive (omit it to disable the watchdog)";
+            return Err(err_at(table, "watchdog_ms", msg));
+        }
+        ms => ms.map(Duration::from_millis),
+    };
     k.finish()?;
     Ok(RunSpec {
         stop,
@@ -1609,6 +1690,7 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
     let mut routing = None;
     let mut run_table = None;
     let mut model = None;
+    let mut model_table = None;
     let mut flows = Vec::new();
     let mut on_off = Vec::new();
     let mut links = Vec::new();
@@ -1687,6 +1769,7 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
                     return Err(dup("model"));
                 }
                 model = Some(parse_model(table)?);
+                model_table = Some(table);
                 seen.push("model");
             }
             "flow" | "on_off" | "link" | "fault" if !table.is_array => {
@@ -1741,6 +1824,7 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
         flows: flow_tables,
         on_off: on_off_tables,
         run: run_table,
+        model: model_table,
     })?;
     Ok(spec)
 }

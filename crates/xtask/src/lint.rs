@@ -10,9 +10,8 @@
 //!    contract lives in `# Safety` docs and their bodies are covered by
 //!    `unsafe_op_in_unsafe_fn` (rule 5).
 //! 2. **`unsafe-allowlist`** — `unsafe` may only appear in the audited
-//!    files that implement the claim discipline (`lp.rs`, `queue.rs`,
-//!    `global.rs`, `kernel/*`), the loom checker's `cell.rs`,
-//!    and test code. New unsafe anywhere else must be reviewed and added here.
+//!    files that implement the claim discipline (`lp.rs`, `global.rs`,
+//!    `kernel/*`), the loom checker's `cell.rs`, and test code. New unsafe anywhere else must be reviewed and added here.
 //! 3. **`no-hash-collections`** — `HashMap`/`HashSet`/`RandomState` are
 //!    banned in `crates/core/src` and `crates/netsim/src`: their iteration
 //!    order is nondeterministic across runs, which would silently break
@@ -109,13 +108,6 @@ impl fmt::Display for Finding {
 fn unsafe_allowed(rel: &str) -> bool {
     const EXACT: &[&str] = &[
         "crates/core/src/lp.rs",
-        // SAFETY: `queue.rs` covers both the intrusive MPSC list and its
-        // node pool — `MaybeUninit` payload slots whose init state is
-        // tracked structurally (initialized iff reachable from `head`,
-        // uninit iff on the freelist). The take-all/splice-back freelist
-        // protocol is model-checked by `mailbox_pool_no_aba` in
-        // `crates/core/tests/loom_models.rs`.
-        "crates/core/src/queue.rs",
         "crates/core/src/global.rs",
         "crates/loom/src/cell.rs",
     ];

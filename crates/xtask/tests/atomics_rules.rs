@@ -40,7 +40,7 @@ fn run(src_fixture: &str, manifest_fixture: &str, models: &[&str]) -> Vec<Findin
 
 /// The acceptance gate: the real workspace inventory checks clean against
 /// the real manifest, and the inventory is non-trivially large (every
-/// kernel plus the queue/deque/sync substrate is atomic-bearing).
+/// kernel plus the cursor/barrier/watchdog substrate is atomic-bearing).
 #[test]
 fn workspace_atomics_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -66,12 +66,12 @@ fn workspace_atomics_is_clean() {
     );
     // Sanity: the inventory actually covered the concurrent core.
     assert!(
-        summary.fields_declared >= 27,
+        summary.fields_declared >= 23,
         "only {} fields declared — inventory broken?",
         summary.fields_declared
     );
     assert!(
-        summary.sites_checked >= 78,
+        summary.sites_checked >= 61,
         "only {} call sites checked — inventory broken?",
         summary.sites_checked
     );
