@@ -322,9 +322,10 @@ fn check_validates_every_row() {
 }
 
 /// Sizes a file (or `--threads`) controls end in a spanned message and
-/// exit 1 — a failed allocation would abort the process instead — and so
-/// does a watchdog deadline of 0, which would stall the first round. Each
-/// case is `replace this | by this | message`.
+/// exit 1 — a failed allocation would abort the process instead, as would
+/// the routing tables of a fat-tree with 70 656 nodes (N² entries, ~20 GB)
+/// — and so does a watchdog deadline of 0, which would stall the first
+/// round. Each case is `replace this | by this | message`.
 #[test]
 fn hostile_sizes_exit_1_with_a_spanned_message() {
     let path = corpus_dir().join("quickstart.toml");
@@ -333,6 +334,7 @@ fn hostile_sizes_exit_1_with_a_spanned_message() {
         "threads = 2 | threads = 200000 | col 1: `threads` must be in 1..=1024",
         "\"unison\" | \"hybrid\"\nhosts = 1000000\nthreads_per_host = 1000000 | col 1: `hosts` must",
         "\nk = 4\n | \nk = 4000\n | col 1: this topology would have at least 16020000000 nodes",
+        "\nk = 4\n | \nk = 64\n | line 10, col 1: this topology would have 70656 nodes, and `static_ecmp`",
         "threads = 2 | threads = 2\nwatchdog_ms = 0 | col 1: `watchdog_ms` must be positive",
     ]
     .into_iter()

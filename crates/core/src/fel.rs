@@ -15,9 +15,12 @@
 //!   far-future overflow behind it, and builds nothing else. A larger list
 //!   spreads its events over fixed-width time buckets; a promoted bucket is
 //!   either sorted into the bottom or — when too large to sort cheaply —
-//!   subdivided into a finer child rung. Amortized O(1) per event on both the
-//!   kernels' windowed access pattern (many small per-LP lists) and the
-//!   sequential kernel's push-one/pop-one pattern (one large list).
+//!   subdivided into a finer child rung. An imminent push is inserted into
+//!   the bottom in place when it lands within a few places of the back (a
+//!   scan from the back), and staged unsorted for one lazy merge otherwise.
+//!   Amortized O(1) per event on both the kernels' windowed access pattern
+//!   (many small per-LP lists) and the sequential kernel's push-one/pop-one
+//!   pattern (one large list).
 //!
 //! Both implementations pop in exactly the same order — the total
 //! [`EventKey`] order — so simulation results are bit-identical regardless
@@ -90,11 +93,16 @@ const LADDER_THRES: usize = 64;
 /// the staged re-sorts stay bounded (see [`Ladder::spill_near`]).
 const LADDER_NEAR_MAX: usize = 4 * LADDER_THRES;
 
-/// Largest staged batch merged into the bottom by insertion instead of a
+/// Bound on in-place insertion into the bottom, in two places. A near-tier
+/// push while nothing is staged is inserted directly when its slot lies
+/// within this many places of the back (the scan from the back touches
+/// only the events the insert then shifts), and staged otherwise. A staged
+/// batch of at most this many events is merged by insertion instead of a
 /// re-sort: `k` insertions move about `k * n / 2` events, a re-sort costs
 /// about `n * log2(n)` comparisons and as many moves, so insertion wins up
 /// to `k` of about `2 * log2(n)` — 8 is inside that for every `n` the near
-/// tier reaches.
+/// tier reaches. Staging what lands deeper keeps a burst behind the back
+/// linear: one sort, not one `memmove` of the whole bottom per event.
 const LADDER_INSERT_MAX: usize = 8;
 
 /// Depth cap on the rung stack — a backstop against adversarial
@@ -149,7 +157,9 @@ impl<P> Rung<P> {
 ///
 /// - **near** (`bottom` ∪ `stage`): `bottom` is a small vector sorted
 ///   descending by [`EventKey`], popped from the back — the imminent
-///   events; `stage` holds unsorted recent pushes into the same range.
+///   events. A push into this range goes straight into `bottom` when its
+///   slot is within `LADDER_INSERT_MAX` places of the back and nothing is
+///   staged; otherwise it waits, unsorted, in `stage`.
 /// - **rungs**: a stack of [`Rung`]s. `rungs[0]` is the coarsest; each
 ///   deeper rung subdivides one promoted bucket of its parent, so deeper
 ///   rungs always cover *earlier* time than the shallower remainders.
@@ -190,11 +200,13 @@ impl<P> Rung<P> {
 struct Ladder<P> {
     /// Imminent events, sorted descending by key; pop from the back.
     bottom: Vec<Event<P>>,
-    /// Unsorted pushes below every rung threshold, merged into `bottom`
-    /// lazily — only when the next pop would otherwise return a later key.
-    /// Keeps batch inserts O(1) per event; the merge sort is bounded
-    /// because the split rule keeps `bottom` near `LADDER_THRES` and
-    /// invariant 4 bounds the tier when there is no rung to split into.
+    /// Unsorted near-tier pushes, merged into `bottom` lazily — only when
+    /// the next pop would otherwise return a later key. The first push to
+    /// land deeper than `LADDER_INSERT_MAX` places from the back starts it,
+    /// and every near-tier push until the merge joins it, so a burst costs
+    /// O(1) per event and one sort; the sort is bounded because the split
+    /// rule keeps `bottom` near `LADDER_THRES` and invariant 4 bounds the
+    /// tier when there is no rung to split into.
     stage: Vec<Event<P>>,
     /// Minimum key in `stage`; meaningless when `stage` is empty.
     stage_min: EventKey,
@@ -273,14 +285,38 @@ impl<P> Ladder<P> {
                 return;
             }
         }
-        // Below every rung cursor: the event is imminent — stage it for a
-        // lazy merge into the sorted bottom.
-        if self.stage.is_empty() || ev.key < self.stage_min {
-            self.stage_min = ev.key;
+        // Below every rung cursor: the event is imminent. Insert it where it
+        // belongs if that is near the back, else stage it for a lazy merge
+        // into the sorted bottom.
+        if let Some(at) = self.direct_slot(&ev.key) {
+            self.bottom.insert(at, ev);
+        } else {
+            if self.stage.is_empty() || ev.key < self.stage_min {
+                self.stage_min = ev.key;
+            }
+            self.stage.push(ev);
         }
-        self.stage.push(ev);
         if self.rungs.is_empty() && self.bottom.len() + self.stage.len() > LADDER_NEAR_MAX {
             self.spill_near();
+        }
+    }
+
+    /// Where a near-tier push with `key` goes straight into `bottom`: its
+    /// slot, found by scanning from the back, when nothing is staged and
+    /// the slot is at most `LADDER_INSERT_MAX` places from the back. `None`
+    /// stages the push. Behind a non-empty stage every push is staged:
+    /// inserting in place there too was no faster, and left the stage with
+    /// only the deep pushes, which outgrew the insertion batch nine times as
+    /// often on `wan_rip` (DESIGN.md §7).
+    #[inline]
+    fn direct_slot(&self, key: &EventKey) -> Option<usize> {
+        if !self.stage.is_empty() {
+            return None;
+        }
+        let lo = self.bottom.len().saturating_sub(LADDER_INSERT_MAX);
+        match self.bottom[lo..].iter().rposition(|e| e.key > *key) {
+            Some(i) => Some(lo + i + 1),
+            None => (lo == 0).then_some(0),
         }
     }
 
@@ -370,16 +406,20 @@ impl<P> Ladder<P> {
     }
 
     /// Merges the staged pushes into the sorted bottom. A few of them are
-    /// inserted in place (binary search plus one `memmove` each — what a
-    /// push-one/pop-one list of a few dozen events does all the time, where
-    /// a full re-sort per handful of pushes costs more than the heap's
-    /// sifts); a larger batch is appended and the whole tier re-sorted,
-    /// which keeps the allocation. The near tier is bounded (see `stage`),
-    /// so either stays small.
+    /// inserted in place, each slot found by scanning from the back — the
+    /// scan visits exactly the events the `insert` then shifts, so it never
+    /// costs more than the move it precedes, and staged events mostly land
+    /// near the back; a larger batch is appended and the whole tier
+    /// re-sorted, which keeps the allocation. The near tier is bounded (see
+    /// `stage`), so either stays small.
     fn flush_stage(&mut self) {
         if self.stage.len() <= LADDER_INSERT_MAX {
             for ev in self.stage.drain(..) {
-                let at = self.bottom.partition_point(|e| e.key > ev.key);
+                let at = self
+                    .bottom
+                    .iter()
+                    .rposition(|e| e.key > ev.key)
+                    .map_or(0, |i| i + 1);
                 self.bottom.insert(at, ev);
             }
             return;
@@ -455,9 +495,25 @@ impl<P> Ladder<P> {
                 self.spawn_rung(start, width / LADDER_BUCKETS as u64 + 1, &mut bucket);
                 continue;
             }
-            self.bottom.append(&mut r.buckets[cur]);
+            Self::move_into_bottom(&mut self.bottom, &mut r.buckets[cur]);
             self.sort_bottom();
             return;
+        }
+    }
+
+    /// Moves every event of `src` into the empty `bottom`. Swapping the
+    /// buffers costs nothing per event, but leaves `src` — a spent bucket
+    /// slot or the overflow — with `bottom`'s old buffer, so it is done only
+    /// when that buffer is no larger than the one `src` gives up; otherwise
+    /// the events are copied. (Swapping unconditionally parked the large
+    /// buffers of big promotions in spent slots: `fattree_incast` peak RSS
+    /// 25.5 → 34.6 MB at one thread.)
+    fn move_into_bottom(bottom: &mut Vec<Event<P>>, src: &mut Vec<Event<P>>) {
+        debug_assert!(bottom.is_empty());
+        if bottom.capacity() <= src.capacity() {
+            std::mem::swap(bottom, src);
+        } else {
+            bottom.append(src);
         }
     }
 
@@ -490,7 +546,7 @@ impl<P> Ladder<P> {
     /// pushed at or above it starts the next overflow.
     fn promote_overflow(&mut self) {
         debug_assert!(self.rungs.is_empty() && !self.overflow.is_empty());
-        self.bottom.append(&mut self.overflow);
+        Self::move_into_bottom(&mut self.bottom, &mut self.overflow);
         self.sort_bottom();
         self.overflow_min = Time::MAX;
         // Overflow events lie below `Time::MAX` (invariant 3).
@@ -527,11 +583,13 @@ impl<P> Ladder<P> {
     /// split rule bounds every sort, as it does for a re-primed rung.
     #[cold]
     fn spill_near(&mut self) {
-        debug_assert!(self.rungs.is_empty() && !self.stage.is_empty());
-        let start = match self.bottom.last() {
-            Some(ev) => self.stage_min.ts.min(ev.key.ts),
-            None => self.stage_min.ts,
-        };
+        debug_assert!(self.rungs.is_empty() && self.bottom.len() + self.stage.len() > 0);
+        // The tier's minimum: the bottom's back, or the staged minimum when
+        // anything is staged (a direct insert can leave the stage empty).
+        let mut start = self.bottom.last().map_or(Time::MAX, |ev| ev.key.ts);
+        if !self.stage.is_empty() {
+            start = start.min(self.stage_min.ts);
+        }
         // Near-tier events lie below `top_start` (invariant 1).
         let width = (self.top_start.0 - 1 - start.0) / LADDER_BUCKETS as u64 + 1;
         let mut events = std::mem::take(&mut self.bottom);
@@ -606,6 +664,12 @@ impl<P> Ladder<P> {
     #[cfg(test)]
     fn rung_arrays(&self) -> usize {
         self.rungs.len() + self.spare.len()
+    }
+
+    /// Events waiting in the stage.
+    #[cfg(test)]
+    fn staged(&self) -> usize {
+        self.stage.len()
     }
 }
 
@@ -690,9 +754,11 @@ impl<P> Fel<P> {
         }
     }
 
-    /// Bulk insert. For the ladder this is a straight routing pass (every
-    /// event is appended to its tier unsorted); sorting happens lazily on
-    /// pop.
+    /// Bulk insert. For the ladder this is one routing pass, each event
+    /// placed as [`Fel::push`] places it: appended unsorted to its rung
+    /// bucket or the overflow, or — when imminent — inserted into the sorted
+    /// bottom if its slot is within a few places of the back and nothing is
+    /// staged, else staged; the staged events are sorted lazily on pop.
     pub fn extend(&mut self, events: impl IntoIterator<Item = Event<P>>) {
         match &mut self.repr {
             Repr::Heap(h) => h.extend(events.into_iter().map(HeapEntry)),
@@ -948,12 +1014,98 @@ mod tests {
         assert!(fel.pop().is_none());
     }
 
-    /// Bucket arrays the ladder behind `fel` has ever allocated.
-    fn rung_arrays(fel: &Fel<u64>) -> usize {
+    /// The ladder behind `fel`.
+    fn ladder(fel: &Fel<u64>) -> &Ladder<u64> {
         match &fel.repr {
-            Repr::Ladder(l) => l.rung_arrays(),
+            Repr::Ladder(l) => l,
             Repr::Heap(_) => panic!("not a ladder"),
         }
+    }
+
+    /// Bucket arrays the ladder behind `fel` has ever allocated.
+    fn rung_arrays(fel: &Fel<u64>) -> usize {
+        ladder(fel).rung_arrays()
+    }
+
+    /// `[heap, ladder]` holding 1 000 events 1 µs apart; the first pop (which
+    /// both must agree on) re-primes the ladder's overflow into a rung and
+    /// sorts its first bucket into the bottom.
+    fn with_live_rung() -> [Fel<u64>; 2] {
+        let [mut heap, mut lad] = both();
+        for s in 0..1_000u64 {
+            heap.push(ev(s * 1_000, 0, s));
+            lad.push(ev(s * 1_000, 0, s));
+        }
+        assert_eq!(lad.pop().map(|e| e.key), heap.pop().map(|e| e.key));
+        assert!(!ladder(&lad).rungs.is_empty());
+        [heap, lad]
+    }
+
+    /// Pops both lists empty and checks they agree, returning the count.
+    fn drain_equal(heap: &mut Fel<u64>, lad: &mut Fel<u64>) -> usize {
+        let mut n = 0;
+        while let Some(h) = heap.pop() {
+            assert_eq!(lad.pop().map(|e| e.key), Some(h.key), "pop {n}");
+            n += 1;
+        }
+        assert!(lad.pop().is_none());
+        n
+    }
+
+    /// The hold regime of the near tier: driven pop-one/push-one with half
+    /// the successors 0–3 ns after the event just popped and half a rung
+    /// ahead or beyond the horizon, a ladder inserts every imminent push in
+    /// place — the stage stays empty throughout, across bucket promotions
+    /// and re-primes — and pops in the heap's order.
+    #[test]
+    fn hold_pushes_insert_in_place() {
+        let mut rng = crate::rng::Rng::new(5);
+        let [mut heap, mut lad] = with_live_rung();
+        let mut direct = 0;
+        for seq in 1_000..21_000u64 {
+            let popped = heap.pop().expect("constant population").key;
+            assert_eq!(lad.pop().map(|e| e.key), Some(popped), "hold op {seq}");
+            let delta = if rng.next_below(2) == 0 {
+                rng.next_below(4)
+            } else {
+                100_000 + rng.next_below(1_000_000)
+            };
+            let bottom = ladder(&lad).bottom.len();
+            heap.push(ev(popped.ts.0 + delta, 0, seq));
+            lad.push(ev(popped.ts.0 + delta, 0, seq));
+            direct += usize::from(ladder(&lad).bottom.len() > bottom);
+            assert_eq!(ladder(&lad).staged(), 0, "hold op {seq} staged");
+        }
+        assert!(
+            direct > 5_000,
+            "{direct} of 20 000 pushes inserted in place"
+        );
+        // Past the first rung's horizon (1 ms): the overflow was re-primed.
+        assert!(heap.next_ts() > Time(2_000_000), "{:?}", heap.next_ts());
+        assert_eq!(drain_equal(&mut heap, &mut lad), 999);
+    }
+
+    /// The burst regime: 10 000 pushes at the head's timestamp, each key
+    /// larger than the last (so each lands one place deeper behind the
+    /// back), below the deepest rung threshold. At most `LADDER_INSERT_MAX`
+    /// go in place; the rest are staged and merged by one sort, so a burst
+    /// costs no `memmove` of the bottom per event, and the pops are in key
+    /// order.
+    #[test]
+    fn a_burst_behind_the_back_is_staged_and_sorted_once() {
+        let [mut heap, mut lad] = with_live_rung();
+        let head = lad.next_ts();
+        for s in 0..10_000u64 {
+            // Sender LP 1 sorts after every set-up event at `head`.
+            heap.push(ev(head.0, 1, s));
+            lad.push(ev(head.0, 1, s));
+        }
+        let staged = ladder(&lad).staged();
+        assert!(
+            staged >= 10_000 - LADDER_INSERT_MAX,
+            "only {staged} of 10 000 staged"
+        );
+        assert_eq!(drain_equal(&mut heap, &mut lad), 10_999);
     }
 
     /// Drives `fel` through `rounds` kernel rounds at a constant

@@ -49,7 +49,19 @@ enum FelOp {
     /// One `pop_below` at exactly the head timestamp: the failing probe
     /// that ends every kernel round.
     ProbeAtHead,
+    /// `n` times: pop one event and push one `delta` after it — the
+    /// sequential kernel's push-one/pop-one pattern, which feeds the
+    /// ladder's in-place insert near the bottom's back.
+    Hold {
+        n: usize,
+        delta: u64,
+    },
 }
+
+/// `Hold` increments: same-timestamp successors (ties broken by the rest of
+/// the key), 1 ns, a few ns, around a bucket of the generated lists (tens
+/// of ns wide), and well beyond any bucket or horizon.
+const HOLD_DELTAS: [u64; 8] = [0, 0, 1, 1, 3, 40, 5_000, 1 << 40];
 
 /// Populations the ladder changes regime at (`fel.rs`): an overflow of at
 /// most `LADDER_THRES` = 64 events is sorted straight into the bottom, and
@@ -73,11 +85,26 @@ fn ident(ev: &Event<u64>) -> (EventKey, u64) {
     (ev.key, ev.payload)
 }
 
+/// Every read-only view of the two lists agrees: length, head timestamp,
+/// bounded counts and the stored events.
+fn views_agree(ladder: &Fel<u64>, heap: &Fel<u64>) {
+    prop_assert_eq!(ladder.len(), heap.len());
+    prop_assert_eq!(ladder.next_ts(), heap.next_ts());
+    prop_assert_eq!(ladder.count_below(Time(500)), heap.count_below(Time(500)));
+    prop_assert_eq!(ladder.count_below(Time::MAX), heap.count_below(Time::MAX));
+    let stored = |fel: &Fel<u64>| {
+        let mut all: Vec<(EventKey, u64)> = fel.iter().map(ident).collect();
+        all.sort_unstable();
+        all
+    };
+    prop_assert_eq!(stored(ladder), stored(heap));
+}
+
 /// One random step of the differential workload: a selector picks the op,
 /// the remaining tuple slots feed whichever operands it needs.
 fn arb_op() -> impl Strategy<Value = FelOp> {
     (
-        0u8..10,
+        0u8..11,
         arb_key(),
         proptest::collection::vec(arb_key(), 0..40),
         0u64..1_200,
@@ -99,6 +126,10 @@ fn arb_op() -> impl Strategy<Value = FelOp> {
             5 | 6 => FelOp::FillTo(REGIME_POPULATIONS[target], batch, sel == 6),
             7 => FelOp::DrainTo(REGIME_POPULATIONS[target]),
             8 => FelOp::ProbeAtHead,
+            9 => FelOp::Hold {
+                n: 4 * n,
+                delta: HOLD_DELTAS[target % HOLD_DELTAS.len()],
+            },
             // Push an event at `Time::MAX` (the never-firing sentinel shape).
             _ => FelOp::Push(EventKey {
                 ts: Time::MAX,
@@ -148,8 +179,9 @@ proptest! {
     /// unbounded pops, the ladder queue must produce the exact pop sequence
     /// of the binary-heap reference — keys *and* payloads. The sequences
     /// dwell where the ladder changes regime (`REGIME_POPULATIONS`), probe
-    /// at the head between pushes, and carry `Time::MAX` sentinels; every
-    /// read-only view is compared after every step.
+    /// at the head between pushes, hold (pop one, push one `HOLD_DELTAS`
+    /// later) and carry `Time::MAX` sentinels; every read-only view is
+    /// compared after every step, and after every push of a hold.
     #[test]
     fn ladder_matches_heap_reference(
         ops in proptest::collection::vec(arb_op(), 0..60)
@@ -222,23 +254,24 @@ proptest! {
                     prop_assert!(heap.pop_below(head).is_none());
                     prop_assert!(ladder.pop_below(head).is_none());
                 }
+                FelOp::Hold { n, delta } => {
+                    for _ in 0..n {
+                        let (l, h) = (ladder.pop(), heap.pop());
+                        prop_assert_eq!(l.as_ref().map(ident), h.as_ref().map(ident));
+                        let Some(popped) = h else { break };
+                        let ev = mk(EventKey {
+                            ts: popped.key.ts.saturating_add(Time(delta)),
+                            sender_ts: popped.key.ts,
+                            sender_lp: popped.key.sender_lp,
+                            seq: 0,
+                        });
+                        ladder.push(dup(&ev));
+                        heap.push(ev);
+                        views_agree(&ladder, &heap);
+                    }
+                }
             }
-            prop_assert_eq!(ladder.len(), heap.len());
-            prop_assert_eq!(ladder.next_ts(), heap.next_ts());
-            prop_assert_eq!(
-                ladder.count_below(Time(500)),
-                heap.count_below(Time(500))
-            );
-            prop_assert_eq!(
-                ladder.count_below(Time::MAX),
-                heap.count_below(Time::MAX)
-            );
-            let stored = |fel: &Fel<u64>| {
-                let mut all: Vec<(EventKey, u64)> = fel.iter().map(ident).collect();
-                all.sort_unstable();
-                all
-            };
-            prop_assert_eq!(stored(&ladder), stored(&heap));
+            views_agree(&ladder, &heap);
         }
         // Final full drain must agree too.
         loop {

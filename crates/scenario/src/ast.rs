@@ -404,13 +404,27 @@ pub const MAX_MODEL_CORES: usize = MAX_WORKERS;
 /// Largest topology a scenario may describe, and the bound of the model's
 /// per-node tables (`netsim::route::RIP_MAX_NODES` is this constant). A
 /// builder parameter is outside input, so the size it implies is computed
-/// and checked before anything is built.
+/// and checked before anything is built. Routing bounds the node count
+/// more tightly still ([`MAX_ROUTED_NODES`]).
 pub const MAX_TOPOLOGY_NODES: usize = 1 << 20;
 
 /// Largest link count, for the one builder whose links are not bounded by
 /// its nodes (a spine × leaf mesh): a k-ary fat-tree has under three links
 /// per node, a BCube at most eight per host.
 pub const MAX_TOPOLOGY_LINKS: usize = 8 * MAX_TOPOLOGY_NODES;
+
+/// Memory a routed topology's all-pairs state may take. Both routing kinds
+/// give every node one entry per destination before any kernel runs: static
+/// ECMP `N + 1` `u32` offsets (`compute_static_tables`), RIP one
+/// `Option<RipRoute>` of 3 bytes (`RipState::new`) — N² entries either way.
+const ROUTING_TABLE_BYTES: usize = 256 << 20;
+
+/// Largest node count of a scenario, under either routing kind: the N²
+/// entries of the wider (4-byte) table fit in `ROUTING_TABLE_BYTES`. That
+/// is 2¹³ = 8 192 nodes ≈ 256 MiB of static offsets (192 MiB of RIP
+/// routes); a `torus2d` of 256 × 256, inside [`MAX_TOPOLOGY_NODES`], would
+/// ask for ≈ 17 GB.
+pub const MAX_ROUTED_NODES: usize = (ROUTING_TABLE_BYTES / 4).isqrt();
 
 /// The `[model]` section: besides its real run, the row is profiled on the
 /// instrumented one-thread engine and each algorithm's synchronization
@@ -714,6 +728,32 @@ fn check_partition(
         }
         _ => Ok(()),
     }
+}
+
+/// Rejects a topology too large to route: either routing kind builds N²
+/// entries of per-node state before any kernel runs, so the node count is
+/// bounded by [`MAX_ROUTED_NODES`] before anything is built. Reported at the
+/// section `at` (`[routing]`, or `[topology]` when routing defaulted).
+fn check_routed_size(
+    topology: &TopologySpec,
+    routing: RoutingSpec,
+    at: &Table,
+) -> Result<(), ScenarioError> {
+    // `parse_topology` has already refused a size that is an error.
+    let nodes = topology.kind.size().map_or(0, |(nodes, _)| nodes);
+    if nodes <= MAX_ROUTED_NODES {
+        return Ok(());
+    }
+    let kind = match routing {
+        RoutingSpec::StaticEcmp => "static_ecmp",
+        RoutingSpec::Rip { .. } => "rip",
+    };
+    let msg = format!(
+        "this topology would have {nodes} nodes, and `{kind}` routing keeps an entry per \
+         node pair; at most {MAX_ROUTED_NODES} nodes ({} MiB of tables) can be routed",
+        ROUTING_TABLE_BYTES >> 20
+    );
+    Err(serr(at.line, at.col, msg))
 }
 
 /// The tables [`ScenarioSpec::validate`] reports its errors at (`flows` and
@@ -1688,6 +1728,7 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
     let mut transport = None;
     let mut queue = None;
     let mut routing = None;
+    let mut routing_table = None;
     let mut run_table = None;
     let mut model = None;
     let mut model_table = None;
@@ -1755,6 +1796,7 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
                     return Err(dup("routing"));
                 }
                 routing = Some(parse_routing(table)?);
+                routing_table = Some(table);
                 seen.push("routing");
             }
             "run" => {
@@ -1806,15 +1848,19 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
 
     let (flows, flow_tables) = flows.into_iter().unzip();
     let (on_off, on_off_tables) = on_off.into_iter().unzip();
+    let topology = parse_topology(topology_table, &links)?;
+    let routing = routing.unwrap_or(RoutingSpec::StaticEcmp);
+    // Defaulted routing: blame the topology.
+    check_routed_size(&topology, routing, routing_table.unwrap_or(topology_table))?;
     let spec = ScenarioSpec {
         name: name.unwrap_or_else(|| "unnamed".to_string()),
-        topology: parse_topology(topology_table, &links)?,
+        topology,
         traffic,
         flows,
         on_off,
         transport: transport.unwrap_or_default(),
         queue,
-        routing: routing.unwrap_or(RoutingSpec::StaticEcmp),
+        routing,
         run: parse_run(run_table, faults)?,
         model,
     };

@@ -432,6 +432,35 @@ fn the_size_computed_from_the_parameters_is_the_size_built() {
     }
 }
 
+/// Both routing kinds keep an entry per node pair (static ECMP's offsets,
+/// RIP's routes), so a routed topology is bounded by `MAX_ROUTED_NODES`
+/// before anything is built: a 64 × 128 torus is exactly at the bound, one
+/// more column is refused at `[routing]` — or at `[topology]` when the
+/// routing defaulted.
+#[test]
+fn routed_topologies_are_bounded_by_their_pair_tables() {
+    assert_eq!(unison_scenario::ast::MAX_ROUTED_NODES, 8_192);
+    let src = |cols: usize, routing: &str| {
+        format!(
+            "[topology]\nkind = \"torus2d\"\nrows = 64\ncols = {cols}\n{routing}\
+             [run]\nstop_us = 1\nkernel = \"sequential\"\n"
+        )
+    };
+    for (routing, kind, line) in [
+        ("", "static_ecmp", 1),
+        ("[routing]\nkind = \"static_ecmp\"\n", "static_ecmp", 5),
+        ("[routing]\nkind = \"rip\"\n", "rip", 5),
+    ] {
+        parse_scenario(&src(128, routing)).unwrap_or_else(|e| panic!("{kind}: {e}"));
+        let e = parse_scenario(&src(129, routing)).unwrap_err();
+        assert!(
+            e.msg.contains(&format!("8256 nodes, and `{kind}` routing")),
+            "{e}"
+        );
+        assert_eq!((e.line, e.col), (line, 1), "{e}");
+    }
+}
+
 /// A scenario whose `[topology]`, `[run]` and `[model]` sections the sweep
 /// tests extend: `$TAIL` is appended after the `[model]` table.
 fn sweep_src(tail: &str) -> String {

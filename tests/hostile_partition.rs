@@ -194,12 +194,12 @@ fn partitions_no_kernel_can_run_are_a_spanned_error() {
             [
                 (
                     "kind = \"fat_tree\"\nk = 4",
-                    "kind = \"torus2d\"\nrows = 256\ncols = 256",
+                    "kind = \"torus2d\"\nrows = 33\ncols = 32",
                 ),
                 (unison, "kernel = \"barrier\"\npartition = \"auto\""),
             ],
             "partition",
-            "partition `auto` makes 65536 LPs and kernel `barrier` runs one thread per LP",
+            "partition `auto` makes 1056 LPs and kernel `barrier` runs one thread per LP",
         ),
     ];
     for (replacements, key, want) in cases {
