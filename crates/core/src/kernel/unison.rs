@@ -21,7 +21,7 @@
 //!    receives nothing is not touched.
 //! 4. **Update window** — the main thread reduces the workers' folds into
 //!    the next LBTS (Eq. 2), re-sorts the LP schedule every scheduling
-//!    period, and records metrics.
+//!    period of parallel rounds, and records metrics.
 //!
 //! A round visits each LP once, in phase 1, and again in phase 3 only per
 //! event delivered to it. The control thread walks all LPs only in re-sort
@@ -98,9 +98,9 @@ struct RoundPlan {
     /// Set when the simulation is complete.
     done: bool,
     /// Whether this round's process phase measures each LP's cost
-    /// (`LpState::last_cost_ns`): set for the round a `ByLastRoundTime`
-    /// re-sort consumes, and every round above `MetricsLevel::Summary`.
-    /// Other rounds read no per-LP clock.
+    /// (`LpState::last_cost_ns`): set for the parallel round a
+    /// `ByLastRoundTime` re-sort consumes, and every round above
+    /// `MetricsLevel::Summary`. Other rounds read no per-LP clock.
     timed: bool,
     /// Per-LP cost estimates behind the current `order`, published only
     /// when telemetry records (empty otherwise) so `lp-task` spans can
@@ -273,25 +273,6 @@ pub(super) fn run_grouped<N: SimNode>(
     // All no-ops below `MetricsLevel::Spans` (see DESIGN.md §4.3).
     let mut sched_log = env.telctx.sched_log();
 
-    // Which rounds measure per-LP cost: the one an LJF re-sort by measured
-    // time consumes (phase 4 of round `r` re-sorts when `r` is a multiple
-    // of the period), and every round when profiles or spans record it.
-    let sched_period = cfg.sched.effective_period(lp_count) as u64;
-    let timed_always = cfg.metrics != MetricsLevel::Summary;
-    let resort_by_time = cfg.sched.metric == SchedMetric::ByLastRoundTime;
-    let timed_round =
-        |round: u64| timed_always || (resort_by_time && round.is_multiple_of(sched_period));
-
-    let plan = PlanCell(UnsafeCell::new(RoundPlan {
-        order: initial_order,
-        window_start: Time::ZERO,
-        window_end: initial_window,
-        round: 1,
-        done: initial_min == Time::MAX && public.next_ts() == Time::MAX,
-        timed: timed_round(1),
-        est: Vec::new(),
-    }));
-
     // Round fusion (DESIGN.md §4.9): disabled while a fault plan is armed,
     // so execution-point faults land on the configured worker and phase
     // (fused rounds run every phase on the main thread).
@@ -317,6 +298,40 @@ pub(super) fn run_grouped<N: SimNode>(
         last_load += unsafe { slots.get_mut(i) }.fel.count_below(initial_window) as u64;
     }
     let mut fused_rounds: u64 = 0;
+    // Whether the round after one of `load` events runs fused — with one
+    // thread there is no worker to release, so every round does. The loop
+    // tests this and the schedule below predicts with it.
+    let fuses = |load: u64| fusion_on && (threads == 1 || load <= fusion_threshold);
+
+    // Load-adaptive scheduling only pays in a *parallel* round: unfused,
+    // with some group of more than one worker. The re-sort period counts
+    // parallel rounds, and a run that has none keeps LP-id order.
+    let balances = group_workers.iter().any(|w| w.len() > 1);
+    let mut parallel_rounds: u64 = 0;
+    // Which rounds measure per-LP cost: the parallel round whose phase 4
+    // completes a period and re-sorts by measured time, and every round
+    // when profiles or spans record it. `timed` reads the parallel rounds
+    // run so far and the load of the round before the one it plans.
+    let sched_period = cfg.sched.effective_period(lp_count) as u64;
+    let timed_always = cfg.metrics != MetricsLevel::Summary;
+    let resort_by_time = cfg.sched.metric == SchedMetric::ByLastRoundTime;
+    let timed = |parallel_rounds: u64, load: u64| {
+        timed_always
+            || (resort_by_time
+                && balances
+                && !fuses(load)
+                && (parallel_rounds + 1).is_multiple_of(sched_period))
+    };
+
+    let plan = PlanCell(UnsafeCell::new(RoundPlan {
+        order: initial_order,
+        window_start: Time::ZERO,
+        window_end: initial_window,
+        round: 1,
+        done: initial_min == Time::MAX && public.next_ts() == Time::MAX,
+        timed: timed(0, last_load),
+        est: Vec::new(),
+    }));
 
     let barrier = TreeBarrier::new(threads);
     // Raised by a process phase that left pending globals on an LP; phase
@@ -412,7 +427,9 @@ pub(super) fn run_grouped<N: SimNode>(
 
         // Main thread control loop. Claim-audit generations are bumped by
         // the main thread inside its exclusive windows, always *before* the
-        // barrier that releases workers into the phase the bump covers.
+        // barrier that releases workers into the phase the bump covers —
+        // four per unfused round. A fused span is one generation: only
+        // this thread claims in it, so its stamps stay current.
         //
         // Persistent scratch: the phase-4 LJF re-sort buffer, reused every
         // period so the steady-state control loop stays off the allocator
@@ -420,7 +437,6 @@ pub(super) fn run_grouped<N: SimNode>(
         let mut estimates: Vec<u64> = Vec::new();
         let site = Site::new(None);
         let mut lane = Lane::new(&env, &barrier, &site, 0);
-        slots.begin_phase(); // covers phase 1 of round 1
         loop {
             // SAFETY: the main thread is exclusive until its B0 arrival —
             // workers are parked inside the B0 wait (it cannot complete
@@ -430,17 +446,16 @@ pub(super) fn run_grouped<N: SimNode>(
             // load was below the threshold, the four barrier crossings
             // cost more than this round's events — run the round serially
             // right here while the workers stay parked at B0. The load
-            // predicate alone ends a fused span when work grows. With one
-            // thread there is no worker to release, so every round takes
-            // the no-barrier path.
-            let fuse = fusion_on
-                && !p.done
-                && !barrier.is_poisoned()
-                && (threads == 1 || last_load <= fusion_threshold);
+            // predicate alone ends a fused span when work grows.
+            let fuse = !p.done && !barrier.is_poisoned() && fuses(last_load);
+            let parallel_round = balances && !fuse;
             let round = rounds + 1;
             let window_start = p.window_start;
             let window_end = p.window_end;
             let round_t0 = lane.last;
+            if !fuse {
+                slots.begin_phase(); // covers phase 1 (released by B0)
+            }
             // B0
             if !fuse && (!lane.wait(round, 0) || p.done) {
                 break;
@@ -484,7 +499,9 @@ pub(super) fn run_grouped<N: SimNode>(
             }
 
             // ---- Phase 2: global events (main thread only) ----
-            slots.begin_phase(); // covers phase 2 (workers idle until B2)
+            if !fuse {
+                slots.begin_phase(); // covers phase 2 (workers idle until B2)
+            }
             let globals = |_: &mut WorkerTel| {
                 #[cfg(feature = "fault-inject")]
                 cfg.fault.fire_phase(round, RunPhase::Global, 0);
@@ -508,9 +525,11 @@ pub(super) fn run_grouped<N: SimNode>(
             else {
                 break;
             };
-            slots.begin_phase(); // covers phase 3 (released by B2)
-            if !fuse && !lane.wait(round, 2) {
-                break;
+            if !fuse {
+                slots.begin_phase(); // covers phase 3 (released by B2)
+                if !lane.wait(round, 2) {
+                    break;
+                }
             }
 
             // ---- Phase 3: receive (parallel; fused rounds drain every
@@ -542,10 +561,15 @@ pub(super) fn run_grouped<N: SimNode>(
             }
 
             // ---- Phase 4: update window + schedule (main thread only) ----
-            slots.begin_phase(); // covers phase 4 (workers idle until B0)
+            if !fuse {
+                slots.begin_phase(); // covers phase 4 (workers idle until B0)
+            }
             rounds += 1;
             if fuse {
                 fused_rounds += 1;
+            }
+            if parallel_round {
+                parallel_rounds += 1;
             }
             if due.ran > 0 {
                 // A global event may have scheduled into any LP after its
@@ -588,8 +612,12 @@ pub(super) fn run_grouped<N: SimNode>(
                 profile.push(rec);
             }
 
-            // Load-adaptive scheduling: re-sort the LP order every period.
-            if !done && cfg.sched.metric != SchedMetric::None && rounds.is_multiple_of(sched_period)
+            // Load-adaptive scheduling: re-sort the LP order every period
+            // of parallel rounds.
+            if !done
+                && cfg.sched.metric != SchedMetric::None
+                && parallel_round
+                && parallel_rounds.is_multiple_of(sched_period)
             {
                 estimates.clear();
                 estimates.resize(lp_count, 0);
@@ -655,12 +683,11 @@ pub(super) fn run_grouped<N: SimNode>(
                 // Fused rounds advance `rounds` while the workers stay parked
                 // at B0, so the plan carries the authoritative round number.
                 plan_mut.round = rounds + 1;
-                plan_mut.timed = timed_round(rounds + 1);
+                plan_mut.timed = timed(parallel_rounds, load);
             }
             for cursor in cursors.iter() {
                 cursor.begin_round();
             }
-            slots.begin_phase(); // covers the next round's phase 1
             lane.lap(SpanKind::WindowUpdate, rounds, window_end.0, next_window.0);
             if fuse && lane.me.tel.enabled() {
                 // A whole-round envelope marking that every phase of this

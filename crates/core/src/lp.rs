@@ -160,8 +160,10 @@ const ROW_GAP: usize = 128usize.div_ceil(std::mem::size_of::<Outbox<()>>());
 /// the *same* generation — the double claim that would make the `unsafe`
 /// contract a lie. Kernels
 /// bump the generation with [`LpSlots::begin_phase`] at every phase
-/// boundary (from inside the main-exclusive window, so the bump itself
-/// cannot race with claims). The tags are diagnostic metadata, not part of
+/// boundary after which another thread may claim (from inside the
+/// main-exclusive window, so the bump itself cannot race with claims); a
+/// stretch in which one thread claims alone, such as the unison kernel's
+/// fused span, may be one generation. The tags are diagnostic metadata, not part of
 /// the synchronization protocol: they use plain `std` atomics with
 /// `Relaxed` ordering and never establish happens-before edges, so enabling
 /// the audit cannot mask a real race, and simulation results are

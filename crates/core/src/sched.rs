@@ -259,8 +259,9 @@ impl FusionConfig {
 pub struct SchedConfig {
     /// Estimation heuristic.
     pub metric: SchedMetric,
-    /// Re-sort the LP order every `period` rounds. `None` = automatic:
-    /// `ceil(log2(lp_count))`, minimum 1.
+    /// Re-sort the LP order every `period` parallel rounds — unfused, with
+    /// some group of more than one worker (DESIGN.md §4.5). `None` =
+    /// automatic: `ceil(log2(lp_count))`, minimum 1.
     pub period: Option<u32>,
     /// Round fusion (barrier elision for cheap rounds; DESIGN.md §4.9).
     /// Results are bit-identical with fusion on or off.

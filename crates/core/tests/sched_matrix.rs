@@ -318,6 +318,45 @@ fn fused_span_survives_cross_lp_receives_and_ends_on_load() {
     );
 }
 
+/// The claim audit across fused/parallel transitions (DESIGN.md §4.1): a
+/// fused span is one audit generation in which only the control thread
+/// claims, and the first parallel round after it opens a fresh generation
+/// before B0 releases the workers — without that bump a worker's first
+/// claim meets the control thread's stamp from the span and panics "double
+/// claim". With the threshold at this ring's median load, as above, the
+/// rounds alternate; both metrics, at `Summary` so only the rounds a
+/// re-sort consumes are timed (a debug assertion checks that the re-sort
+/// round was one). The digest is the one-thread reference's.
+#[test]
+fn claim_audit_holds_across_fused_and_parallel_rounds() {
+    const THREADS: usize = 2;
+    let lifted = std::thread::available_parallelism().is_ok_and(|c| THREADS > c.get());
+    let reference = run(
+        KernelKind::Unison { threads: 1 },
+        PartitionMode::Auto,
+        SchedConfig::default(),
+    );
+    for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
+        let sched = SchedConfig {
+            metric,
+            period: Some(2),
+            fusion: FusionConfig {
+                enabled: true,
+                threshold: 65,
+            },
+        };
+        let (w, report) = kernel::run(world(), &RunConfig::unison(THREADS).with_sched(sched))
+            .expect("audited run");
+        assert!(report.fused_rounds > 0, "{metric:?}: no fused round");
+        assert!(
+            lifted || report.fused_rounds < report.rounds,
+            "{metric:?}: no parallel round"
+        );
+        let sums: Vec<(u64, u64)> = w.nodes().map(|n| (n.checksum, n.seen)).collect();
+        assert_eq!(reference, (sums, report.events), "{metric:?}: digest");
+    }
+}
+
 /// A node that sends to a non-neighbour LP — one it shares no link with;
 /// any pair of LPs has a lane — and produces the process phase's one side
 /// output: node-scheduled global events.

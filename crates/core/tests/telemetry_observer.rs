@@ -8,8 +8,8 @@
 
 use unison_core::telemetry::{SpanKind, SPAN_CAPACITY};
 use unison_core::{
-    kernel, KernelKind, MetricsLevel, NodeId, PartitionMode, Rng, RunConfig, RunReport,
-    SchedConfig, SchedMetric, SimCtx, SimNode, Time, WorldBuilder,
+    kernel, FusionConfig, KernelKind, MetricsLevel, NodeId, PartitionMode, Rng, RunConfig,
+    RunReport, SchedConfig, SchedMetric, SimCtx, SimNode, Time, WorldBuilder,
 };
 
 /// Same token-routing model as the cross-kernel tests: per-token RNG makes
@@ -184,7 +184,10 @@ fn telemetry_does_not_perturb_other_kernels() {
 
 #[test]
 fn enabled_unison_run_records_every_phase_and_decisions() {
-    let cfg = unison_cfg(2, SchedMetric::ByLastRoundTime, MetricsLevel::Spans);
+    // Fusion off: with it on every round of this ring fuses, and a fused
+    // round neither crosses a barrier nor re-sorts.
+    let mut cfg = unison_cfg(2, SchedMetric::ByLastRoundTime, MetricsLevel::Spans);
+    cfg.sched.fusion = FusionConfig::off();
     let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
     let tel = report.telemetry.expect("telemetry attached");
     // One sink per worker; the control thread doubles as worker 0.
@@ -206,7 +209,7 @@ fn enabled_unison_run_records_every_phase_and_decisions() {
             "no {kind:?} span recorded"
         );
     }
-    // The ring re-sorts every 4 rounds (period override above); the log
+    // The ring re-sorts every 4 parallel rounds (period override above); the log
     // must hold decisions with the configured metric's name.
     assert!(!tel.sched.is_empty(), "no scheduler decisions logged");
     assert!(tel
@@ -217,6 +220,47 @@ fn enabled_unison_run_records_every_phase_and_decisions() {
     let traffic = tel.traffic();
     assert!(!traffic.is_empty(), "no traffic recorded");
     assert!(traffic.iter().all(|&(s, d, n)| s != d && n > 0));
+}
+
+/// The LJF schedule is the parallel rounds' business (DESIGN.md §4.5): its
+/// period counts rounds that are unfused and have a group of more than one
+/// worker, and only such a round's phase 4 re-sorts. One thread (fused or
+/// not), one worker per host, and an all-fused two-thread run log no
+/// decision at all; with fusion off two threads log one per completed
+/// period, except in the round that ends the run.
+#[test]
+fn only_parallel_rounds_are_scheduled() {
+    const PERIOD: u64 = 4;
+    let run = |kernel: KernelKind, fusion: FusionConfig| {
+        let mut cfg = unison_cfg(1, SchedMetric::ByLastRoundTime, MetricsLevel::Spans);
+        cfg.kernel = kernel;
+        cfg.sched.fusion = fusion;
+        cfg.sched.period = Some(PERIOD as u32);
+        let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
+        let decisions = report.telemetry.as_ref().expect("telemetry").sched.len() as u64;
+        (report, decisions)
+    };
+    let unison = |threads| KernelKind::Unison { threads };
+    let one_per_host = KernelKind::Hybrid {
+        hosts: 2,
+        threads_per_host: 1,
+    };
+    for (what, kernel, fusion) in [
+        ("1 thread", unison(1), FusionConfig::default()),
+        ("1 thread, fusion off", unison(1), FusionConfig::off()),
+        ("1 worker per host", one_per_host, FusionConfig::off()),
+    ] {
+        let (report, decisions) = run(kernel, fusion);
+        assert!(report.rounds > 2 * PERIOD, "{what}: too short to re-sort");
+        assert_eq!(decisions, 0, "{what}: a round with one claimant re-sorted");
+    }
+    let (fused, decisions) = run(unison(2), FusionConfig::default());
+    assert_eq!(fused.fused_rounds, fused.rounds, "the ring's load is low");
+    assert_eq!(decisions, 0, "an all-fused run re-sorted");
+    let (parallel, decisions) = run(unison(2), FusionConfig::off());
+    assert_eq!(parallel.fused_rounds, 0);
+    assert_eq!(decisions, (parallel.rounds - 1) / PERIOD);
+    assert!(decisions > 0);
 }
 
 #[test]

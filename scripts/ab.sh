@@ -1,34 +1,39 @@
 #!/usr/bin/env bash
-# Interleaved A/B pairs of one `unison-benchmark --one` input: the
-# repository's rule for claiming a gain as one command. Runs the parent and
-# the change PAIRS times each, alternating which side runs first, and prints
-# every pair, each side's q1/median/q3 of the `run` span (seconds) and median
-# peak RSS (MB, `VmHWM`), the change's win count, and whether the gain rule
-# holds: the change is faster in at least 9 of 10 pairs (ties count for
-# neither side) and the medians differ by more than the parent's
-# interquartile range. Quartiles are the benchmark's own (`stats.rs`: rank
-# p * (n + 1), interpolated). Exits 1 if any run's digest, event, round,
-# fused-round, completed-flow, drop or retransmit count differs from the
-# parent's first run — a faster run of another simulation proves nothing.
-# Needs cargo and git; nothing is downloaded. Timings want a quiet machine;
-# not a CI step.
+# Interleaved A/B pairs of `unison-benchmark --one` runs: the repository's
+# rule for claiming a gain as one command. Runs side A and side B PAIRS
+# times each, alternating which side runs first, and prints every pair,
+# each side's q1/median/q3 of the `run` span (seconds) and median peak RSS
+# (MB, `VmHWM`), B's win count, and whether the gain rule holds: B is
+# faster in at least 9 of 10 pairs (ties count for neither side) and the
+# medians differ by more than A's interquartile range. Quartiles are the
+# benchmark's own (`stats.rs`: rank p * (n + 1), interpolated). Exits 1 if
+# any run's digest, event, round, fused-round, completed-flow, drop or
+# retransmit count differs from A's first run — a faster run of another
+# simulation proves nothing. Needs cargo and git; nothing is downloaded.
+# Timings want a quiet machine; not a CI step.
 #
 #   scripts/ab.sh --rev <parent-revision> <input.toml> [pairs=10]
 #   scripts/ab.sh --bins <parent-binary> <change-binary> <input.toml> [pairs=10]
+#   scripts/ab.sh --inputs <binary> <inputA.toml> <inputB.toml> [pairs=10]
 #
-# With --rev the parent is built from a detached `git worktree` of the
-# revision under target/ab/<commit> (kept for the next call; remove it with
-# `git worktree remove target/ab/<commit>`) and the change is the working
-# tree's benchmark package (benchmark/target). With --bins both sides are
-# prebuilt `unison-benchmark` executables. An input is what
-# `benchmark/run.sh generate <workload> --seed N` prints; for one thread
-# edit `threads` in its [run] table, for the sequential kernel set
-# `kernel = "sequential"` and delete the `threads` line.
+# --rev and --bins compare two builds on one input, A being the parent and
+# B the change. With --rev the parent is built from a detached `git
+# worktree` of the revision under target/ab/<commit> (kept for the next
+# call; remove it with `git worktree remove target/ab/<commit>`) and the
+# change is the working tree's benchmark package (benchmark/target). With
+# --bins both sides are prebuilt `unison-benchmark` executables.
+# --inputs is the knob trial: one prebuilt executable on two inputs that
+# differ in a key that must not change the simulation, e.g. `sched_metric`
+# in the [run] table. An input is what `benchmark/run.sh generate
+# <workload> --seed N` prints; for one thread edit `threads` in its [run]
+# table, for the sequential kernel set `kernel = "sequential"` and delete
+# the `threads` line.
 set -euo pipefail
 
 usage() {
     echo "usage: scripts/ab.sh --rev <parent-revision> <input.toml> [pairs=10]" >&2
     echo "       scripts/ab.sh --bins <parent-binary> <change-binary> <input.toml> [pairs=10]" >&2
+    echo "       scripts/ab.sh --inputs <binary> <inputA.toml> <inputB.toml> [pairs=10]" >&2
     exit 2
 }
 
@@ -36,12 +41,14 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 build() { # build <manifest> <target-dir>
     cargo build --quiet --release --offline --manifest-path "$1" --target-dir "$2"
 }
+name_a=parent
+name_b=change
 case ${1:-} in
     --rev)
         (( $# == 3 || $# == 4 )) || usage
-        input=$3
+        input_a=$3
         pairs=${4:-10}
-        [[ -f $input ]] || usage
+        [[ -f $input_a ]] || usage
         commit=$(git -C "$root" rev-parse --verify "$2^{commit}")
         tree=$root/target/ab/$commit
         if [[ ! -d $tree ]]; then
@@ -56,18 +63,30 @@ case ${1:-} in
         (( $# == 4 || $# == 5 )) || usage
         bin_a=$2
         bin_b=$3
-        input=$4
+        input_a=$4
         pairs=${5:-10}
-        [[ -x $bin_a && -x $bin_b && -f $input ]] || usage
+        [[ -x $bin_a && -x $bin_b && -f $input_a ]] || usage
+        ;;
+    --inputs)
+        (( $# == 4 || $# == 5 )) || usage
+        bin_a=$2
+        bin_b=$2
+        input_a=$3
+        input_b=$4
+        pairs=${5:-10}
+        [[ -x $bin_a && -f $input_a && -f $input_b ]] || usage
+        name_a=A
+        name_b=B
         ;;
     *) usage ;;
 esac
+input_b=${input_b:-$input_a}
 [[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
 
 # One run: "<run span s> <VmHWM kB> <identity>", identity being the digest
 # and the counts that must not move.
-run_one() {
-    "$1" --one < "$input" | awk '
+run_one() { # run_one <binary> <input>
+    "$1" --one < "$2" | awk '
         function field(key,    s) {
             if (!match($0, "\"" key "\":\"?[0-9a-f.]+")) return "?"
             s = substr($0, RSTART, RLENGTH)
@@ -84,30 +103,37 @@ run_one() {
         }'
 }
 
-echo "parent: $bin_a"
-echo "change: $bin_b"
-echo "input:  $input, $pairs pairs"
-printf '%4s  %-6s  %10s  %10s  %8s\n' pair first parent_s change_s change
+if [[ $1 == --inputs ]]; then
+    echo "binary: $bin_a"
+    echo "A: $input_a"
+    echo "B: $input_b"
+    echo "$pairs pairs"
+else
+    echo "$name_a: $bin_a"
+    echo "$name_b: $bin_b"
+    echo "input:  $input_a, $pairs pairs"
+fi
+printf '%4s  %-6s  %10s  %10s  %8s\n' pair first "${name_a}_s" "${name_b}_s" "$name_b"
 results=$(mktemp)
 trap 'rm -f "$results"' EXIT
 reference=""
 mismatch=0
 for (( i = 1; i <= pairs; i++ )); do
     if (( i % 2 )); then
-        first=parent
-        a=$(run_one "$bin_a")
-        b=$(run_one "$bin_b")
+        first=$name_a
+        a=$(run_one "$bin_a" "$input_a")
+        b=$(run_one "$bin_b" "$input_b")
     else
-        first=change
-        b=$(run_one "$bin_b")
-        a=$(run_one "$bin_a")
+        first=$name_b
+        b=$(run_one "$bin_b" "$input_b")
+        a=$(run_one "$bin_a" "$input_a")
     fi
     read -r ta ka ida <<< "$a"
     read -r tb kb idb <<< "$b"
     [[ -n $reference ]] || reference=$ida
     for id in "$ida" "$idb"; do
         if [[ $id != "$reference" ]]; then
-            echo "pair $i: identity differs: $id (parent's first run: $reference)" >&2
+            echo "pair $i: identity differs: $id ($name_a's first run: $reference)" >&2
             mismatch=1
         fi
     done
@@ -117,7 +143,7 @@ for (( i = 1; i <= pairs; i++ )); do
 done
 echo "identity: $reference"
 
-awk '
+awk -v na="$name_a" -v nb="$name_b" '
     function quantile(v, n, p,    rank, lo, hi, frac) {
         rank = p * (n + 1)
         lo = int(rank); if (lo < 1) lo = 1; if (lo > n) lo = n
@@ -135,14 +161,14 @@ awk '
         sort(ta, n); sort(tb, n); sort(ka, n); sort(kb, n)
         qa1 = quantile(ta, n, 0.25); qa2 = quantile(ta, n, 0.5); qa3 = quantile(ta, n, 0.75)
         qb1 = quantile(tb, n, 0.25); qb2 = quantile(tb, n, 0.5); qb3 = quantile(tb, n, 0.75)
-        printf "parent run s q1/median/q3 %.4f/%.4f/%.4f, peak RSS median %.1f MB\n",
-            qa1, qa2, qa3, quantile(ka, n, 0.5) / 1024
-        printf "change run s q1/median/q3 %.4f/%.4f/%.4f, peak RSS median %.1f MB\n",
-            qb1, qb2, qb3, quantile(kb, n, 0.5) / 1024
-        printf "change faster in %d/%d pairs; median %+.1f%%, gap %.4f s vs parent IQR %.4f s\n",
-            wins, n, 100 * (qb2 - qa2) / qa2, qa2 - qb2, qa3 - qa1
+        printf "%s run s q1/median/q3 %.4f/%.4f/%.4f, peak RSS median %.1f MB\n",
+            na, qa1, qa2, qa3, quantile(ka, n, 0.5) / 1024
+        printf "%s run s q1/median/q3 %.4f/%.4f/%.4f, peak RSS median %.1f MB\n",
+            nb, qb1, qb2, qb3, quantile(kb, n, 0.5) / 1024
+        printf "%s faster in %d/%d pairs; median %+.1f%%, gap %.4f s vs %s IQR %.4f s\n",
+            nb, wins, n, 100 * (qb2 - qa2) / qa2, qa2 - qb2, na, qa3 - qa1
         met = (10 * wins >= 9 * n) && (qa2 - qb2 > qa3 - qa1)
-        printf "gain rule (>= 9/10 pairs and gap > parent IQR): %s\n", met ? "met" : "not met"
+        printf "gain rule (>= 9/10 pairs and gap > %s IQR): %s\n", na, met ? "met" : "not met"
     }' "$results"
 if (( mismatch )); then
     echo "the two sides did not run the same simulation (identity differs above)" >&2

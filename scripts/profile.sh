@@ -3,8 +3,9 @@
 # profile tables are this output). Builds the benchmark package with debug
 # info into target/profile, builds scripts/samp.c (a SIGALRM sampler, 100 us
 # of wall time a sample) with the system cc, runs the input N times under
-# it and prints the samples' shares by out-of-line function, by inline chain,
-# and by innermost repository file:line, file and crate. Needs cargo,
+# it and prints the samples' shares outside the executable by shared object
+# (libm.so.6, libc.so.6, [vdso]), then inside it by out-of-line function, by
+# inline chain, and by innermost repository file:line, file and crate. Needs cargo,
 # cc, addr2line and a quiet machine; nothing is downloaded. Not a CI step.
 #
 #   scripts/profile.sh <input.toml> [runs=3] [rows=25]
@@ -37,15 +38,19 @@ for (( i = 1; i <= runs; i++ )); do
         awk -v i="$i" '{ printf "run %d: digest %s, run span %.3f s\n", i, $1, ($3 - $2) / 1e9 }'
 done
 
-# One line per distinct address: "<count> <offset>"; offset 0 is everything
-# outside the executable.
-sort "$work/samples" | uniq -c | awk '{ print $1, $2 }' > "$work/counts"
+# One line per distinct address, "<count> <offset>", and per object outside
+# the executable, "<count> 0 <object>".
+sort "$work/samples" | uniq -c | awk '{ print $1, $2, $3 }' > "$work/counts"
 total=$(wc -l < "$work/samples")
-outside=$(awk '$2 == "0" { print $1 }' "$work/counts")
-awk -v total="$total" -v outside="${outside:-0}" -v input="$input" -v runs="$runs" 'BEGIN {
-    printf "input %s, %d run(s), %d samples, %.2f %% outside the executable (libc, vdso, kernel)\n",
-        input, runs, total, 100 * outside / total
-}'
+awk -v total="$total" -v input="$input" -v runs="$runs" '
+    $2 == "0" { outside += $1 }
+    END {
+        printf "input %s, %d run(s), %d samples, %.2f %% outside the executable\n",
+            input, runs, total, 100 * outside / total
+    }' "$work/counts"
+echo
+echo "== outside the executable, by object (% of all $total samples; a thread in the kernel counts where it entered)"
+awk -v total="$total" '$2 == "0" { printf "%6.2f  %s\n", 100 * $1 / total, $3 }' "$work/counts" | sort -rn
 
 # addr2line prints, per address, "0x<addr>" and then one (function, file:line)
 # pair per frame of the inline chain, innermost first. Fold each address into

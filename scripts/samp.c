@@ -1,20 +1,34 @@
 /* Sampling profiler for scripts/profile.sh: LD_PRELOAD this into a process
  * and every 100 us of wall time SIGALRM records the interrupted instruction
- * pointer; at exit the samples are appended to $SAMP_OUT, one hex offset
- * into the main executable per line (0 = outside it: libc, vdso, kernel).
- * x86-64 Linux only. No unwinding: a sample names the function it fell in,
- * and `addr2line -i` recovers that function's inline chain. */
+ * pointer; at exit the samples are appended to $SAMP_OUT, one line each:
+ * a hex offset into the main executable, or "0 <object>" for a sample
+ * outside it, <object> being the file name of the executable mapping it
+ * fell in (libm.so.6, libc.so.6, [vdso]; [anon] for a mapping without a
+ * file, ? for none). A sample taken while a thread was in the kernel names
+ * the user-space instruction that entered it. x86-64 Linux only. No
+ * unwinding: a sample names the function it fell in, and `addr2line -i`
+ * recovers that function's inline chain. */
 #define _GNU_SOURCE
 #include <link.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
 #define MAX_SAMPLES (1u << 22)
 static unsigned long samples[MAX_SAMPLES], base, end;
 static unsigned count;
+
+/* The process's executable mappings, read at exit (every library the run
+ * used is still mapped then). */
+#define MAX_MAPS 256
+static struct {
+    unsigned long lo, hi;
+    char name[64];
+} maps[MAX_MAPS];
+static int nmaps;
 
 static void on_alarm(int sig, siginfo_t *si, void *ctx) {
     (void)sig, (void)si;
@@ -33,6 +47,38 @@ static int main_object(struct dl_phdr_info *info, size_t size, void *data) {
     return 1;
 }
 
+/* Lines of /proc/self/maps: "lo-hi perms offset dev inode [path]". */
+static void read_maps(void) {
+    FILE *f = fopen("/proc/self/maps", "r");
+    if (!f)
+        return;
+    char line[512];
+    while (nmaps < MAX_MAPS && fgets(line, sizeof line, f)) {
+        unsigned long lo, hi;
+        char perms[8];
+        int path = 0;
+        if (sscanf(line, "%lx-%lx %7s %*s %*s %*s %n", &lo, &hi, perms, &path) < 3 || !path ||
+            !strchr(perms, 'x'))
+            continue;
+        line[strcspn(line, "\n")] = 0;
+        const char *name = line + path, *slash = strrchr(name, '/');
+        if (slash)
+            name = slash + 1;
+        maps[nmaps].lo = lo;
+        maps[nmaps].hi = hi;
+        snprintf(maps[nmaps].name, sizeof maps[nmaps].name, "%s", *name ? name : "[anon]");
+        nmaps++;
+    }
+    fclose(f);
+}
+
+static const char *object_of(unsigned long ip) {
+    for (int i = 0; i < nmaps; i++)
+        if (ip >= maps[i].lo && ip < maps[i].hi)
+            return maps[i].name;
+    return "?";
+}
+
 __attribute__((constructor)) static void start(void) {
     dl_iterate_phdr(main_object, NULL);
     struct sigaction sa = {.sa_sigaction = on_alarm, .sa_flags = SA_SIGINFO | SA_RESTART};
@@ -48,8 +94,13 @@ __attribute__((destructor)) static void stop(void) {
     FILE *out = path ? fopen(path, "a") : NULL;
     if (!out)
         return;
+    read_maps();
     unsigned n = count < MAX_SAMPLES ? count : MAX_SAMPLES;
-    for (unsigned i = 0; i < n; i++)
-        fprintf(out, "%lx\n", samples[i] >= base && samples[i] < end ? samples[i] - base : 0ul);
+    for (unsigned i = 0; i < n; i++) {
+        if (samples[i] >= base && samples[i] < end)
+            fprintf(out, "%lx\n", samples[i] - base);
+        else
+            fprintf(out, "0 %s\n", object_of(samples[i]));
+    }
     fclose(out);
 }
