@@ -98,8 +98,8 @@ pub fn model_records(topo: &Topology, spec: &ScenarioSpec) -> Result<Vec<ModelRe
         ..ModelRecord::new(&run, partition, unison.result)
     });
     if let Some(hosts) = model.hybrid_hosts {
-        // The hybrid kernel's own grouping: contiguous LP ranges of equal
-        // size, one per simulated host.
+        // The modelled hosts: contiguous LP ranges of equal count (the
+        // last may be shorter), one per simulated host.
         let lps = run.kernel.lp_count;
         let per = lps.div_ceil(hosts as u32).max(1);
         let groups: Vec<Vec<u32>> = (0..lps)

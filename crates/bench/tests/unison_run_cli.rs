@@ -332,7 +332,8 @@ fn hostile_sizes_exit_1_with_a_spanned_message() {
     let quickstart = std::fs::read_to_string(&path).expect("read");
     for (i, case) in [
         "threads = 2 | threads = 200000 | col 1: `threads` must be in 1..=1024",
-        "\"unison\" | \"hybrid\"\nhosts = 1000000\nthreads_per_host = 1000000 | col 1: `hosts` must",
+        "kind = \"fat_tree\"\nk = 4 | kind = \"fat_tree_clusters\"\nclusters = 0\nhosts_per_cluster = 4 | line 12, col 1: `clusters` must be >= 1",
+        "kind = \"fat_tree\"\nk = 4 | kind = \"fat_tree_clusters\"\nclusters = 2\nhosts_per_cluster = 4\n[sweep.topology]\nclusters = [0, 4] | line 15, col 13: row 0 (topology.clusters = 0): `clusters` must be >= 1",
         "\nk = 4\n | \nk = 4000\n | col 1: this topology would have at least 16020000000 nodes",
         "\nk = 4\n | \nk = 64\n | line 10, col 1: this topology would have 70656 nodes, and `static_ecmp`",
         "threads = 2 | threads = 2\nwatchdog_ms = 0 | col 1: `watchdog_ms` must be positive",

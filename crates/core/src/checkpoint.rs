@@ -11,8 +11,8 @@
 //!
 //! Checkpoints are taken by a self-rescheduling global event installed with
 //! [`schedule_checkpoints`]; they execute on the public LP of the Unison
-//! (or hybrid) kernel, where the main thread holds exclusive world access
-//! between round phases. The baselines cannot take checkpoints (barrier and
+//! kernel, where the main thread holds exclusive world access between
+//! round phases. The baselines cannot take checkpoints (barrier and
 //! null-message reject global events; the sequential kernel keeps its
 //! events in a kernel-private list), but a saved image *resumes* under the
 //! sequential compat-keys kernel as well.
@@ -472,7 +472,7 @@ impl CheckpointConfig {
 /// Installs the self-rescheduling checkpoint chain on a built world: a
 /// global event at `cfg.every` writes a checkpoint file and schedules the
 /// next one. Requires a kernel that executes global events with full world
-/// access (Unison/hybrid).
+/// access (Unison).
 pub fn schedule_checkpoints<N>(world: &mut World<N>, cfg: &CheckpointConfig)
 where
     N: SimNode + Snapshot,

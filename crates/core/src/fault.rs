@@ -54,10 +54,10 @@ use crate::world::{SimNode, World};
 /// One injectable fault, addressed by deterministic run coordinates.
 ///
 /// "Round" is the kernel's synchronization round for the round-based
-/// kernels (Unison, hybrid, barrier, null-message; the first round is 1)
+/// kernels (Unison, barrier, null-message; the first round is 1)
 /// and the 1-based node-event index for the sequential kernel, which has no
 /// rounds. "Worker" is the kernel's worker index; worker 0 always exists
-/// (it is the main thread in the Unison and hybrid kernels), so plans
+/// (it is the main thread in the Unison kernel), so plans
 /// keyed to worker 0 are valid at every thread count.
 #[derive(Clone, Debug)]
 pub enum FaultKind {
@@ -343,10 +343,9 @@ pub struct RecoveryPolicy {
     /// `backoff_base * 2^n` before resuming (default 10 ms).
     pub backoff_base: Duration,
     /// Rebuild the pool *degraded* on retry: each rollback halves the
-    /// worker count (Unison) or the per-host worker count (hybrid), never
-    /// below 1 — the "failed worker stays dead" model. Thread count does
-    /// not affect results, so degraded replays stay digest-identical
-    /// (default off).
+    /// Unison worker count, never below 1 — the "failed worker stays dead"
+    /// model. Thread count does not affect results, so degraded replays
+    /// stay digest-identical (default off).
     pub degrade: bool,
 }
 
@@ -437,9 +436,9 @@ impl RecoveryLog {
 ///
 /// 1. pins the partition (LP identity is part of the deterministic
 ///    tie-break keys, so every attempt must use the same assignment);
-/// 2. writes an initial checkpoint at t = 0 and — for the Unison and
-///    hybrid kernels, the ones that execute global events — installs the
-///    periodic checkpoint chain of `policy.checkpoints`;
+/// 2. writes an initial checkpoint at t = 0 and — for the Unison kernel,
+///    the one that executes global events — installs the periodic
+///    checkpoint chain of `policy.checkpoints`;
 /// 3. runs [`kernel::try_run`]; on [`SimError::WorkerPanic`] or
 ///    [`SimError::Stalled`] it rolls back to the newest *usable* checkpoint
 ///    (corrupt files are skipped, older ones tried), optionally degrades
@@ -477,12 +476,9 @@ where
     let initial = policy.checkpoints.file_at(Time::ZERO);
     let mut world = checkpoint::write_initial(world, &partition, cfg.fel, &initial)?;
 
-    // Only the kernels whose global events checkpoint (Unison, hybrid) can
-    // run the periodic chain; the others roll back to t = 0.
-    let with_chain = matches!(
-        cfg.kernel,
-        KernelKind::Unison { .. } | KernelKind::Hybrid { .. }
-    );
+    // Only the kernel whose global events checkpoint (Unison) can run the
+    // periodic chain; the others roll back to t = 0.
+    let with_chain = matches!(cfg.kernel, KernelKind::Unison { .. });
     if with_chain {
         checkpoint::schedule_checkpoints(&mut world, &policy.checkpoints);
     }
@@ -556,12 +552,6 @@ fn degrade_kernel(kernel: &mut KernelKind) -> Option<u32> {
         KernelKind::Unison { threads } if *threads > 1 => {
             *threads = (*threads / 2).max(1);
             Some(*threads as u32)
-        }
-        KernelKind::Hybrid {
-            threads_per_host, ..
-        } if *threads_per_host > 1 => {
-            *threads_per_host = (*threads_per_host / 2).max(1);
-            Some(*threads_per_host as u32)
         }
         _ => None,
     }
@@ -693,12 +683,6 @@ mod tests {
         assert_eq!(degrade_kernel(&mut k), Some(2));
         assert_eq!(degrade_kernel(&mut k), Some(1));
         assert_eq!(degrade_kernel(&mut k), None, "floor at 1 worker");
-        let mut k = KernelKind::Hybrid {
-            hosts: 2,
-            threads_per_host: 2,
-        };
-        assert_eq!(degrade_kernel(&mut k), Some(1));
-        assert_eq!(degrade_kernel(&mut k), None);
         let mut k = KernelKind::Sequential { compat_keys: true };
         assert_eq!(degrade_kernel(&mut k), None, "no pool to shrink");
     }

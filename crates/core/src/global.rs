@@ -23,7 +23,7 @@ pub type GlobalFn<N> = Box<dyn FnOnce(&mut WorldAccess<'_, N>) + Send>;
 /// Kernel facilities a checkpoint needs beyond the LP slots (whose
 /// outboxes carry the round kernels' in-flight events) and the configured
 /// stop time. Provided by kernels whose global events run with
-/// full world access (Unison/hybrid).
+/// full world access (Unison).
 pub(crate) struct CkptEnv<'a> {
     pub stop_at: Option<Time>,
     /// The round-progress watchdog, paused for the duration of the write:
@@ -185,7 +185,7 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
     /// FELs — safe at any point of the global phase because FEL ordering is
     /// purely key-driven, so early delivery cannot change results. Only
     /// kernels that provide full world access to globals support this
-    /// (Unison/hybrid); elsewhere it returns [`SnapshotError::Unsupported`].
+    /// (Unison); elsewhere it returns [`SnapshotError::Unsupported`].
     pub fn write_checkpoint(&mut self, path: &std::path::Path) -> Result<(), SnapshotError>
     where
         N: Snapshot,
@@ -196,7 +196,7 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
             None => {
                 return Err(SnapshotError::Unsupported(
                     "this kernel does not expose checkpoint state; \
-                     checkpoints require the Unison or hybrid kernel"
+                     checkpoints require the Unison kernel"
                         .into(),
                 ))
             }

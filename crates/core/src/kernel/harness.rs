@@ -136,18 +136,13 @@ pub(super) fn prepare<N: SimNode>(
     cfg: &RunConfig,
 ) -> Result<Setup<'_, N>, KernelError> {
     // Per kernel: configured worker count (1 where the LP count decides,
-    // checked once the partition is built; hybrid's before its hosts are
-    // clamped to the LP count), whether it executes global events, whether
-    // it needs a stop time.
+    // checked once the partition is built), whether it executes global
+    // events, whether it needs a stop time.
     let (threads, globals, needs_stop) = match cfg.kernel {
         KernelKind::Sequential { .. } => (1, true, false),
         KernelKind::Barrier => (1, false, false),
         KernelKind::NullMessage => (1, false, true),
         KernelKind::Unison { threads } => (threads, true, false),
-        KernelKind::Hybrid {
-            hosts,
-            threads_per_host,
-        } => (hosts.saturating_mul(threads_per_host), true, false),
     };
     let kernel = cfg.kernel.name();
     if threads == 0 {

@@ -1,6 +1,6 @@
 //! Simulation kernels.
 //!
-//! Five interchangeable kernels execute a [`World`]:
+//! Four interchangeable kernels execute a [`World`]:
 //!
 //! - [`sequential`]: classic single-threaded DES (the ns-3 default kernel in
 //!   the paper's comparisons);
@@ -11,9 +11,7 @@
 //!   between neighbor LPs;
 //! - [`unison`]: the paper's kernel — automatic fine-grained partition,
 //!   load-adaptive LP scheduling on a thread pool, lock-free four-phase
-//!   rounds, deterministic tie-breaking, and public-LP global events;
-//! - [`hybrid`]: Unison inside each simulated cluster host, one global
-//!   window across hosts (§5.2).
+//!   rounds, deterministic tie-breaking, and public-LP global events.
 //!
 //! The model code is identical for all kernels (*user transparency*): pick a
 //! kernel by configuration only.
@@ -27,7 +25,6 @@
 
 pub mod barrier;
 mod harness;
-pub mod hybrid;
 pub mod nullmsg;
 pub mod sequential;
 pub mod unison;
@@ -50,8 +47,8 @@ use crate::sched::SchedConfig;
 use crate::time::Time;
 use crate::world::{NodeDirectory, SimCtx, SimNode, World};
 
-/// Largest worker-thread count a run accepts (hybrid: hosts × threads per
-/// host; barrier and null-message: the LP count, one thread each). A
+/// Largest worker-thread count a run accepts (barrier and null-message:
+/// the LP count, one thread each). A
 /// configured count is outside input, and the round kernels size a W × W
 /// outbox table by it; no machine this runs on has more cores.
 pub const MAX_WORKERS: usize = 1024;
@@ -76,16 +73,6 @@ pub enum KernelKind {
         /// adaptively each round.
         threads: usize,
     },
-    /// The hybrid distributed kernel (§5.2): the topology is first divided
-    /// into `hosts` coarse partitions synchronized with the barrier
-    /// algorithm; inside each host a Unison instance runs `threads_per_host`
-    /// workers over a fine-grained sub-partition.
-    Hybrid {
-        /// Number of simulated cluster hosts.
-        hosts: usize,
-        /// Unison worker threads per host.
-        threads_per_host: usize,
-    },
 }
 
 impl KernelKind {
@@ -97,7 +84,6 @@ impl KernelKind {
             KernelKind::Barrier => "barrier",
             KernelKind::NullMessage => "nullmsg",
             KernelKind::Unison { .. } => "unison",
-            KernelKind::Hybrid { .. } => "hybrid",
         }
     }
 }
@@ -149,8 +135,8 @@ pub struct RunConfig {
     pub kernel: KernelKind,
     /// Partitioning scheme.
     pub partition: PartitionMode,
-    /// Scheduling heuristics: LJF metric and period, round fusion (Unison
-    /// and hybrid kernels; the others have no scheduler).
+    /// Scheduling heuristics: LJF metric and period, round fusion (the
+    /// Unison kernel; the others have no scheduler).
     pub sched: SchedConfig,
     /// What the run records beside its totals: nothing, the per-round
     /// profile, or the span timeline (DESIGN.md §4.3).
@@ -235,7 +221,7 @@ impl RunConfig {
         self
     }
 
-    /// Overrides the round-fusion configuration (Unison/hybrid kernels;
+    /// Overrides the round-fusion configuration (Unison kernel;
     /// DESIGN.md §4.9). Results are bit-identical with fusion on or off —
     /// only barrier-crossing counts and wall-clock change.
     pub fn with_fusion(mut self, fusion: crate::sched::FusionConfig) -> Self {
@@ -341,10 +327,6 @@ pub fn try_run<N: SimNode>(
         KernelKind::Barrier => barrier::run(world, cfg),
         KernelKind::NullMessage => nullmsg::run(world, cfg),
         KernelKind::Unison { threads } => unison::run(world, cfg, *threads),
-        KernelKind::Hybrid {
-            hosts,
-            threads_per_host,
-        } => hybrid::run(world, cfg, *hosts, *threads_per_host),
     }
 }
 
@@ -462,8 +444,7 @@ pub(crate) fn reassemble_world<N: SimNode>(
     }
 }
 
-/// The [`SimCtx`] implementation used by the round-based kernels (Unison,
-/// hybrid). Borrows disjoint fields of the current [`LpState`] so the
+/// The [`SimCtx`] implementation used by the Unison kernel. Borrows disjoint fields of the current [`LpState`] so the
 /// executing node and the scheduler can coexist.
 ///
 /// Built only by the process phase, by worker `worker` for the LP `lp_id`

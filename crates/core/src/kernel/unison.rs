@@ -3,8 +3,8 @@
 //! Fine-grained LPs are scheduled onto a pool of worker threads each round.
 //! A round has four phases separated by atomic barriers (Fig. 7):
 //!
-//! 1. **Process events** — workers claim LPs through their group's
-//!    [`LjfCursor`], their own *home* segment of the order first, and
+//! 1. **Process events** — workers claim LPs through the [`LjfCursor`],
+//!    their own *home* segment of the order first, and
 //!    execute each claimed LP's events inside the window. A cross-LP event
 //!    is appended to the executing worker's outbox for the destination
 //!    LP's home worker ([`LpSlots::send`]). Each worker folds the visited
@@ -32,11 +32,6 @@
 //! ordered by the §5.2 tie-breaking rule, so results are identical for any
 //! worker count (including 1) and identical to the compat-keys sequential
 //! kernel.
-//!
-//! The same machinery also powers the *hybrid* kernel (§5.2): LPs are
-//! grouped into simulated hosts and each host's workers only claim LPs of
-//! their own group, modeling the cluster deployment where load balancing
-//! happens within a host and only the window all-reduce is global.
 
 use std::cell::UnsafeCell;
 use std::time::Instant;
@@ -45,7 +40,6 @@ use crate::error::{RunPhase, SimError};
 use crate::event::LpId;
 use crate::lp::LpSlots;
 use crate::metrics::{MetricsLevel, RoundRecord, RunReport, SchedStats};
-use crate::partition::Partition;
 use crate::sched::{home_range, sort_by_estimate, LjfCursor, SchedMetric};
 use crate::sync::{TreeBarrier, TreeWaiter};
 use crate::sync_shim::{AtomicBool, AtomicU64, CachePadded, Ordering};
@@ -59,33 +53,11 @@ use super::harness::{
 };
 use super::{RoundCtx, RunConfig};
 
-/// How LPs and workers are grouped (single group = plain Unison; one group
-/// per simulated host = hybrid kernel).
-pub(super) struct Grouping {
-    /// Group of each LP.
-    pub lp_group: Vec<u32>,
-    /// Group of each worker thread (worker 0 is the main thread).
-    pub worker_group: Vec<u32>,
-    /// Number of groups.
-    pub groups: usize,
-}
-
-impl Grouping {
-    /// Everything in one group with `threads` workers.
-    pub fn single(lp_count: usize, threads: usize) -> Self {
-        Grouping {
-            lp_group: vec![0; lp_count],
-            worker_group: vec![0; threads],
-            groups: 1,
-        }
-    }
-}
-
 /// Round plan published by the main thread between rounds.
 struct RoundPlan {
-    /// Per-group LP visit order for the processing phase: each home
-    /// segment of the group's LPs, longest estimated job first.
-    order: Vec<Vec<u32>>,
+    /// LP visit order for the processing phase: each home segment of the
+    /// LPs, longest estimated job first.
+    order: Vec<u32>,
     /// Start of the current window.
     window_start: Time,
     /// End of the current window (the LBTS).
@@ -191,18 +163,6 @@ pub(super) fn run<N: SimNode>(
     cfg: &RunConfig,
     threads: usize,
 ) -> Result<(World<N>, RunReport), SimError> {
-    run_grouped(world, cfg, |p| {
-        Grouping::single(p.lp_count as usize, threads)
-    })
-}
-
-/// Shared implementation for the Unison and hybrid kernels: `group` maps
-/// the partition to the worker/LP grouping (and so to the thread count).
-pub(super) fn run_grouped<N: SimNode>(
-    world: World<N>,
-    cfg: &RunConfig,
-    group: impl FnOnce(&Partition) -> Grouping,
-) -> Result<(World<N>, RunReport), SimError> {
     let Setup {
         env,
         mut shell,
@@ -211,48 +171,19 @@ pub(super) fn run_grouped<N: SimNode>(
         mut public,
     } = prepare(world, cfg)?;
     let lp_count = lps.len();
-    let grouping = group(&shell.partition);
-    let threads = grouping.worker_group.len();
-    debug_assert_eq!(grouping.lp_group.len(), lp_count);
-    let groups = grouping.groups;
 
-    // Initial (identity) per-group orders: each group's LPs, ascending.
-    let mut initial_order: Vec<Vec<u32>> = vec![Vec::new(); groups];
-    for (lp, &g) in grouping.lp_group.iter().enumerate() {
-        initial_order[g as usize].push(lp as u32);
-    }
-
-    // A worker's home is its index among its group's workers.
-    let mut group_workers: Vec<Vec<u32>> = vec![Vec::new(); groups];
-    let worker_home: Vec<usize> = grouping
-        .worker_group
-        .iter()
-        .enumerate()
-        .map(|(w, &g)| {
-            group_workers[g as usize].push(w as u32);
-            group_workers[g as usize].len() - 1
-        })
-        .collect();
-
-    // One claim cursor per group, cut into one home per worker and seeded
-    // before any worker threads exist. An LP's home worker — the column
-    // its deliveries travel in — is the owner of the segment it starts in:
-    // the phase-4 re-sort never moves an LP out of its segment.
+    // The claim cursor over the initial (identity) order, cut into one home
+    // per worker and seeded before any worker threads exist. An LP's home
+    // worker — the column its deliveries travel in — is the owner of the
+    // segment it starts in: the phase-4 re-sort never moves an LP out of
+    // its segment.
+    let initial_order: Vec<u32> = (0..lp_count as u32).collect();
     let mut lp_home = vec![0u32; lp_count];
-    let cursors: Vec<LjfCursor> = initial_order
-        .iter()
-        .zip(&group_workers)
-        .map(|(lps_of_g, workers_of_g)| {
-            for (v, &w) in workers_of_g.iter().enumerate() {
-                for &lp in &lps_of_g[home_range(lps_of_g.len(), workers_of_g.len(), v)] {
-                    lp_home[lp as usize] = w;
-                }
-            }
-            let cursor = LjfCursor::new(workers_of_g.len());
-            cursor.publish(lps_of_g, &[]);
-            cursor
-        })
-        .collect();
+    for w in 0..threads {
+        lp_home[home_range(lp_count, threads, w)].fill(w as u32);
+    }
+    let cursor = LjfCursor::new(threads);
+    cursor.publish(&initial_order, &[]);
     let mut slots = LpSlots::with_homes(lps, dir, lp_home, threads);
 
     // Initial window.
@@ -273,11 +204,15 @@ pub(super) fn run_grouped<N: SimNode>(
     // All no-ops below `MetricsLevel::Spans` (see DESIGN.md §4.3).
     let mut sched_log = env.telctx.sched_log();
 
-    // Round fusion (DESIGN.md §4.9): disabled while a fault plan is armed,
-    // so execution-point faults land on the configured worker and phase
-    // (fused rounds run every phase on the main thread).
+    // Round fusion (DESIGN.md §4.9). With the fault hooks compiled in, an
+    // armed plan disables it so execution-point faults land on the
+    // configured worker and phase (fused rounds run every phase on the main
+    // thread); without them the plan is inert and changes nothing.
     let fusion = cfg.sched.fusion;
+    #[cfg(feature = "fault-inject")]
     let fusion_on = fusion.enabled && cfg.fault.is_empty();
+    #[cfg(not(feature = "fault-inject"))]
+    let fusion_on = fusion.enabled;
     // Oversubscription clause (DESIGN.md §4.9): when the run asks for more
     // workers than the machine has cores, parallel rounds only time-slice —
     // serializing them on the control thread is strictly cheaper, so lift
@@ -304,9 +239,9 @@ pub(super) fn run_grouped<N: SimNode>(
     let fuses = |load: u64| fusion_on && (threads == 1 || load <= fusion_threshold);
 
     // Load-adaptive scheduling only pays in a *parallel* round: unfused,
-    // with some group of more than one worker. The re-sort period counts
-    // parallel rounds, and a run that has none keeps LP-id order.
-    let balances = group_workers.iter().any(|w| w.len() > 1);
+    // with more than one worker. The re-sort period counts parallel
+    // rounds, and a run that has none keeps LP-id order.
+    let balances = threads > 1;
     let mut parallel_rounds: u64 = 0;
     // Which rounds measure per-LP cost: the parallel round whose phase 4
     // completes a period and re-sorts by measured time, and every round
@@ -347,7 +282,6 @@ pub(super) fn run_grouped<N: SimNode>(
     let mut rounds: u64 = 0;
     let mut end_time = Time::ZERO;
     let started = Instant::now();
-    let main_group = grouping.worker_group[0] as usize;
     let ckpt = env.ckpt(shell.stop_at);
 
     // Abort (contained panic or watchdog): poisoning the barrier makes
@@ -361,10 +295,9 @@ pub(super) fn run_grouped<N: SimNode>(
         // Spawn `threads - 1` workers; the main thread is worker 0 and also
         // runs the serial phases.
         let mut handles = Vec::new();
-        for (w, &g) in grouping.worker_group.iter().enumerate().skip(1) {
-            let (g, home) = (g as usize, worker_home[w]);
+        for w in 1..threads {
             let (env, slots, plan, barrier) = (&env, &slots, &plan, &barrier);
-            let (cursors, side_output) = (&cursors, &*side_output);
+            let (cursor, side_output) = (&cursor, &*side_output);
             let fold_slot = &*folds[w - 1];
             let body = move |site: &Site| {
                 let mut lane = Lane::new(env, barrier, site, w);
@@ -385,9 +318,8 @@ pub(super) fn run_grouped<N: SimNode>(
                     let process = |tel: &mut WorkerTel| {
                         #[cfg(feature = "fault-inject")]
                         cfg.fault.fire_phase(round, RunPhase::Process, w);
-                        let claims = std::iter::from_fn(|| cursors[g].claim(home));
-                        let order = &p.order[g];
-                        process_phase(slots, claims, order, w, p, side_output, site, tel, round)
+                        let claims = std::iter::from_fn(|| cursor.claim(w));
+                        process_phase(slots, claims, w, p, side_output, site, tel, round)
                     };
                     let Some(mut fold) =
                         lane.run(RunPhase::Process, round, p.window_start, process, |f| {
@@ -463,29 +395,14 @@ pub(super) fn run_grouped<N: SimNode>(
             let process = |tel: &mut WorkerTel| {
                 #[cfg(feature = "fault-inject")]
                 cfg.fault.fire_phase(round, RunPhase::Process, 0);
+                // Fused round: this thread claims the whole order at once;
+                // the parked workers never contend.
                 if fuse {
-                    // Fused round: this thread claims every group's whole
-                    // order at once; the parked workers never contend.
-                    let mut fold = RoundFold::EMPTY;
-                    for (cursor, order) in cursors.iter().zip(&p.order) {
-                        let claims = cursor.claim_rest();
-                        fold.merge(process_phase(
-                            &slots,
-                            claims,
-                            order,
-                            0,
-                            p,
-                            &side_output,
-                            &site,
-                            tel,
-                            round,
-                        ));
-                    }
-                    fold
+                    let claims = cursor.claim_rest();
+                    process_phase(&slots, claims, 0, p, &side_output, &site, tel, round)
                 } else {
-                    let claims = std::iter::from_fn(|| cursors[main_group].claim(0));
-                    let order = &p.order[main_group];
-                    process_phase(&slots, claims, order, 0, p, &side_output, &site, tel, round)
+                    let claims = std::iter::from_fn(|| cursor.claim(0));
+                    process_phase(&slots, claims, 0, p, &side_output, &site, tel, round)
                 }
             };
             let Some(mut fold) =
@@ -641,28 +558,23 @@ pub(super) fn run_grouped<N: SimNode>(
                 // SAFETY: main-thread exclusivity between B3 and B0.
                 let plan_mut = unsafe { &mut *plan.0.get() };
                 // Allocation-free LJF within each home: every home segment
-                // of a group's order is sorted by estimate in place, so an
-                // LP never leaves its home and the cursors' bounds stand.
-                for (out, workers_of_g) in plan_mut.order.iter_mut().zip(&group_workers) {
-                    let homes = workers_of_g.len();
-                    for home in 0..homes {
-                        let segment = home_range(out.len(), homes, home);
-                        sort_by_estimate(&mut out[segment], &estimates);
-                    }
+                // of the order is sorted by estimate in place, so an LP
+                // never leaves its home and the cursor's bounds stand.
+                let order = &mut plan_mut.order;
+                for home in 0..threads {
+                    let segment = home_range(order.len(), threads, home);
+                    sort_by_estimate(&mut order[segment], &estimates);
                 }
                 if sched_log.enabled() {
-                    // Log the LJF decision per group: the order applies
-                    // from the next round (`rounds + 1`) until the next
-                    // re-sort. Estimates ride along for regret analysis.
-                    for (g, order_g) in plan_mut.order.iter().enumerate() {
-                        sched_log.record(
-                            rounds + 1,
-                            g as u32,
-                            cfg.sched.metric.name(),
-                            order_g.clone(),
-                            order_g.iter().map(|&l| estimates[l as usize]).collect(),
-                        );
-                    }
+                    // Log the LJF decision: the order applies from the next
+                    // round (`rounds + 1`) until the next re-sort. Estimates
+                    // ride along for regret analysis.
+                    sched_log.record(
+                        rounds + 1,
+                        cfg.sched.metric.name(),
+                        order.clone(),
+                        order.iter().map(|&l| estimates[l as usize]).collect(),
+                    );
                     // Publish the estimates so phase-1 `lp-task` spans can
                     // carry estimate-vs-actual arguments.
                     plan_mut.est.clear();
@@ -685,9 +597,7 @@ pub(super) fn run_grouped<N: SimNode>(
                 plan_mut.round = rounds + 1;
                 plan_mut.timed = timed(parallel_rounds, load);
             }
-            for cursor in cursors.iter() {
-                cursor.begin_round();
-            }
+            cursor.begin_round();
             lane.lap(SpanKind::WindowUpdate, rounds, window_end.0, next_window.0);
             if fuse && lane.me.tel.enabled() {
                 // A whole-round envelope marking that every phase of this
@@ -743,7 +653,7 @@ pub(super) fn run_grouped<N: SimNode>(
         global_events: public.executed,
         pool,
         sched: SchedStats {
-            claims: cursors.iter().map(LjfCursor::claims).sum(),
+            claims: cursor.claims(),
         },
         sched_log,
         rounds_profile,
@@ -861,14 +771,14 @@ impl<'a> Lane<'a> {
 }
 
 /// Phase 1, on worker `worker`: execute the window events of the LPs at
-/// the claimed `positions` of `order` (each position is handed to exactly
-/// one thread per round). Returns the fold of the visited LPs: the minimum
-/// of their next-event timestamps once processed, and the events executed.
+/// the claimed `positions` of the plan's order (each position is handed to
+/// exactly one thread per round). Returns the fold of the visited LPs: the
+/// minimum of their next-event timestamps once processed, and the events
+/// executed.
 #[allow(clippy::too_many_arguments)]
 fn process_phase<N: SimNode>(
     slots: &LpSlots<N>,
     positions: impl Iterator<Item = usize>,
-    order: &[u32],
     worker: usize,
     plan: &RoundPlan,
     side_output: &AtomicBool,
@@ -879,7 +789,7 @@ fn process_phase<N: SimNode>(
     let dir = slots.directory();
     let mut fold = RoundFold::EMPTY;
     for i in positions {
-        let lp_idx = order[i] as usize;
+        let lp_idx = plan.order[i] as usize;
         // SAFETY: the claim cursor hands each position to exactly one
         // worker per round (its exactly-once contract); phases are
         // separated by barriers.

@@ -13,8 +13,7 @@
 //! - the fine-grained partitioner (Algorithm 1, [`fine_grained_partition`])
 //!   and manual/static partitions for the baselines;
 //! - four kernels ([`kernel::run`]): sequential DES, barrier PDES,
-//!   null-message PDES, and the Unison kernel (plus the hybrid distributed
-//!   kernel of §5.2);
+//!   null-message PDES, and the Unison kernel;
 //! - load-adaptive scheduling ([`sched`]), P/S/M metrics ([`metrics`]), and
 //!   the virtual-core performance replay ([`perfmodel`]).
 //!

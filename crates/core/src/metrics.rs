@@ -21,9 +21,8 @@ pub enum MetricsLevel {
     Summary,
     /// Totals plus [`RunReport::rounds_profile`]: the dense per-round,
     /// per-LP cost/event matrix the virtual-core replay (`perfmodel`)
-    /// consumes. It grows with rounds × LPs, unbounded. The round kernels'
-    /// (Unison, hybrid): the others have no round to profile and record
-    /// totals only.
+    /// consumes. It grows with rounds × LPs, unbounded. The Unison kernel
+    /// only: the others have no round to profile and record totals only.
     PerRound,
     /// Totals plus [`RunReport::telemetry`]: the bounded span timeline,
     /// scheduler-decision log and traffic matrix the profiler reads
@@ -98,10 +97,10 @@ pub struct LpTotals {
 /// the cross-LP traffic was sent without allocating.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
-    /// Cross-LP sends that did not allocate (Unison/hybrid; 0 elsewhere):
+    /// Cross-LP sends that did not allocate (Unison; 0 elsewhere):
     /// pushes served from an outbox's retained capacity.
     pub pool_hits: u64,
-    /// Cross-LP sends that allocated (Unison/hybrid; 0 elsewhere): pushes
+    /// Cross-LP sends that allocated (Unison; 0 elsewhere): pushes
     /// that had to grow the outbox's buffer — there is one outbox per
     /// (sending worker, receiving home), so the count depends on the thread
     /// count and on who stole what, while `pool_hits + pool_misses`, the
@@ -166,7 +165,7 @@ pub struct RunReport {
     pub psm: Vec<Psm>,
     /// `true` when [`RunReport::psm`] is indexed by LP (the LP-pinned
     /// barrier and null-message kernels); `false` when it is indexed by
-    /// worker thread (sequential, Unison, hybrid).
+    /// worker thread (sequential, Unison).
     pub psm_per_lp: bool,
     /// Per-LP totals.
     pub lp_totals: LpTotals,

@@ -2,8 +2,8 @@
 //!
 //! The paper's performance evaluation ran on 24–144 physical cores. This
 //! reproduction targets machines where that parallelism may not exist (the
-//! reference environment has a single core), so parallel wall-clock speedup
-//! cannot be measured directly. Instead, a run is first executed with the
+//! reference environment has two cores), so parallel wall-clock speedup
+//! beyond two threads cannot be measured directly. Instead, a run is first executed with the
 //! instrumented single-thread engine (`MetricsLevel::PerRound`), producing
 //! the exact per-round, per-LP processing-cost matrix `P_i(r)` plus message
 //! counts. This module then *replays* the synchronization structure of each
@@ -363,14 +363,14 @@ impl<'a> PerfModel<'a> {
         }
     }
 
-    /// The hybrid kernel (§5.2) over `groups` simulated hosts: within each
-    /// host, its LPs are LPT-scheduled onto `threads_per_host` workers;
+    /// The paper's hybrid kernel (§5.2) over `groups` simulated hosts:
+    /// within each host, its LPs are LPT-scheduled onto `per_host` workers;
     /// across hosts the round is a barrier (the window all-reduce), so the
     /// round time is the slowest host's makespan plus the all-reduce cost.
-    pub fn hybrid(&self, groups: &[Vec<u32>], threads_per_host: usize) -> ModelResult {
-        assert!(threads_per_host > 0);
+    pub fn hybrid(&self, groups: &[Vec<u32>], per_host: usize) -> ModelResult {
+        assert!(per_host > 0);
         assert!(!groups.is_empty());
-        let total_threads = groups.len() * threads_per_host;
+        let total_threads = groups.len() * per_host;
         let mut psm = vec![Psm::default(); total_threads];
         let mut s_ratio = Vec::with_capacity(self.profile.len());
         let mut total = 0.0f64;
@@ -378,7 +378,7 @@ impl<'a> PerfModel<'a> {
             let mut round_max = 0.0f64;
             let mut loads_all: Vec<f64> = Vec::with_capacity(total_threads);
             for group in groups {
-                let mut loads = vec![0.0f64; threads_per_host];
+                let mut loads = vec![0.0f64; per_host];
                 // LPT within the host: longest actual cost first (the
                 // kernel sorts by estimate; exact costs keep the model
                 // conservative in the host's favor).
@@ -395,10 +395,10 @@ impl<'a> PerfModel<'a> {
                         .iter()
                         .enumerate()
                         // INVARIANT: loads are finite sums of finite costs;
-                        // `loads` has `threads_per_host > 0` entries.
+                        // `loads` has `per_host > 0` entries.
                         .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
                         // INVARIANT: `loads` is non-empty.
-                        .expect("threads_per_host > 0");
+                        .expect("per_host > 0");
                     loads[idx] += rec.lp_cost_ns[lp as usize] as f64;
                 }
                 round_max = round_max.max(loads.iter().cloned().fold(0.0, f64::max));
@@ -416,7 +416,7 @@ impl<'a> PerfModel<'a> {
             s_ratio.push((s_sum / (total_threads as f64 * round)) as f32);
         }
         ModelResult {
-            algorithm: format!("hybrid({}x{})", groups.len(), threads_per_host),
+            algorithm: format!("hybrid({}x{})", groups.len(), per_host),
             cores: total_threads,
             total_ns: total,
             psm,

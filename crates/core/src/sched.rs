@@ -9,10 +9,9 @@
 //! sort runs only every *scheduling period* rounds (default
 //! `ceil(log2(n))`), exploiting the temporal locality of network loads.
 //!
-//! Workers claim LPs out of the published order through their scheduling
-//! group's [`LjfCursor`] (DESIGN.md §4.5): the order is cut into one
-//! contiguous *home* segment per worker, a worker claims its own home first
-//! and a neighbour's only once its own is exhausted, every position is
+//! Workers claim LPs out of the published order through the [`LjfCursor`]
+//! (DESIGN.md §4.5): the order is cut into one contiguous *home* segment
+//! per worker, a worker claims its own home first and a neighbour's only once its own is exhausted, every position is
 //! handed out exactly once per round, and determinism does not depend on
 //! which worker gets it, because all cross-LP sends commit through the
 //! outbox + tie-break-key path (proven by the digest tests in
@@ -66,7 +65,7 @@ pub enum SchedPolicyKind {
 }
 
 impl SchedPolicyKind {
-    /// Builds the claim cursor for a group of `workers` workers.
+    /// Builds the claim cursor for `workers` workers.
     pub fn build(self, workers: usize) -> LjfCursor {
         LjfCursor::new(workers)
     }
@@ -91,16 +90,15 @@ struct Home {
     end: AtomicUsize,
 }
 
-/// The claim cursor of one scheduling group: one position counter per
-/// worker, each over that worker's *home* segment
-/// ([`home_range`]) of the published order.
+/// The claim cursor: one position counter per worker, each over that
+/// worker's *home* segment ([`home_range`]) of the published order.
 ///
 /// Contract (DESIGN.md §4.5): `publish` and `begin_round` are called only
 /// from the control thread's exclusive window between rounds (all workers
 /// parked at a barrier — the barrier provides the happens-before edges);
-/// `claim` is called concurrently by every worker of the group during a
-/// parallel phase and returns each position in `0..order.len()` to
-/// **exactly one** caller per round, then `None`. A caller gets the
+/// `claim` is called concurrently by every worker during a parallel phase
+/// and returns each position in `0..order.len()` to **exactly one** caller
+/// per round, then `None`. A caller gets the
 /// positions of its own home in ascending order first and those of the
 /// homes after it (wrapping) only once its own is exhausted, so an LP stays
 /// on one worker round after round unless that worker falls behind. Which
@@ -116,7 +114,7 @@ pub struct LjfCursor {
 }
 
 impl LjfCursor {
-    /// A cursor for a group of `workers` workers (at least one home), with
+    /// A cursor for `workers` workers (at least one home), with
     /// no published order yet.
     pub fn new(workers: usize) -> Self {
         LjfCursor {
@@ -202,8 +200,7 @@ impl LjfCursor {
     }
 }
 
-/// Round-fusion configuration for the Unison/hybrid kernels
-/// (DESIGN.md §4.9).
+/// Round-fusion configuration for the Unison kernel (DESIGN.md §4.9).
 ///
 /// A *fused* round is executed serially by the control thread while the
 /// workers stay parked at the round's first barrier: when the previous
@@ -260,7 +257,7 @@ pub struct SchedConfig {
     /// Estimation heuristic.
     pub metric: SchedMetric,
     /// Re-sort the LP order every `period` parallel rounds — unfused, with
-    /// some group of more than one worker (DESIGN.md §4.5). `None` =
+    /// more than one worker (DESIGN.md §4.5). `None` =
     /// automatic: `ceil(log2(lp_count))`, minimum 1.
     pub period: Option<u32>,
     /// Round fusion (barrier elision for cheap rounds; DESIGN.md §4.9).

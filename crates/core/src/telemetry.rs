@@ -59,7 +59,7 @@ pub enum SpanKind {
     /// Time blocked in a phase barrier (or the null-message kernel's
     /// neighbor wait). `arg` = barrier index within the round.
     BarrierWait,
-    /// Moving received events into FELs. Unison/hybrid: one span per
+    /// Moving received events into FELs. Unison: one span per
     /// worker and round, nested in its `Receive` span, for the drain of the
     /// worker's outbox column (no LP; absent when nothing arrived);
     /// barrier/null-message: one LP's mailbox drain. `arg` = events
@@ -143,13 +143,11 @@ pub struct WorkerSpans {
     pub traffic: Vec<(u32, u32, u64)>,
 }
 
-/// One scheduler decision: the LJF order published for a group.
+/// One scheduler decision: the LJF order published by a re-sort.
 #[derive(Clone, Debug)]
 pub struct SchedDecision {
     /// First round the order applies to.
     pub round: u64,
-    /// Scheduling group (0 for plain Unison; host id for the hybrid kernel).
-    pub group: u32,
     /// Name of the estimate heuristic ([`crate::SchedMetric::name`]).
     pub metric: &'static str,
     /// LP visit order, longest estimate first.
@@ -348,11 +346,10 @@ impl SchedLog {
         self.enabled
     }
 
-    /// Appends one group's decision (capacity-bounded).
+    /// Appends one decision (capacity-bounded).
     pub fn record(
         &mut self,
         round: u64,
-        group: u32,
         metric: &'static str,
         order: Vec<u32>,
         estimates: Vec<u64>,
@@ -363,7 +360,6 @@ impl SchedLog {
         if self.decisions.len() < self.capacity {
             self.decisions.push(SchedDecision {
                 round,
-                group,
                 metric,
                 order,
                 estimates,
@@ -387,7 +383,7 @@ mod tests {
         tel.record(SpanKind::LpTask, 1, 3, Instant::now(), 10, 5, 2);
         tel.edge(0, 1, 1);
         let mut log = ctx.sched_log();
-        log.record(1, 0, "by-last-round-time", vec![0], vec![1]);
+        log.record(1, "by-last-round-time", vec![0], vec![1]);
         assert!(ctx.collect(vec![tel], log).is_none());
     }
 
@@ -401,7 +397,7 @@ mod tests {
         tel.edge(1, 9, 2);
         tel.edge(0, 9, 1);
         let mut log = ctx.sched_log();
-        log.record(5, 0, "by-pending-events", vec![1, 0], vec![9, 3]);
+        log.record(5, "by-pending-events", vec![1, 0], vec![9, 3]);
         let origin = ctx.origin;
         let t = ctx.collect(vec![tel], log).expect("enabled run collects");
         assert_eq!(t.workers.len(), 1);
@@ -427,8 +423,8 @@ mod tests {
             tel.record(SpanKind::Process, r, NO_LP, Instant::now(), 1, 0, 0);
         }
         let mut log = ctx.sched_log();
-        log.record(1, 0, "none", vec![], vec![]);
-        log.record(2, 0, "none", vec![], vec![]);
+        log.record(1, "none", vec![], vec![]);
+        log.record(2, "none", vec![], vec![]);
         let t = ctx.collect(vec![tel], log).expect("enabled");
         assert_eq!(t.workers[0].spans.len(), 2);
         assert_eq!(t.workers[0].truncated, 3);

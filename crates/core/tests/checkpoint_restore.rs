@@ -294,30 +294,6 @@ fn sequential_kernel_reports_checkpoint_unsupported() {
 }
 
 #[test]
-fn hybrid_kernel_supports_checkpoints() {
-    let dir = ckpt_dir("hybrid");
-    let ck = CheckpointConfig::new(EVERY, &dir);
-    let mut world = ring_world(STOP);
-    checkpoint::schedule_checkpoints(&mut world, &ck);
-    let hy = RunConfig {
-        kernel: KernelKind::Hybrid {
-            hosts: 2,
-            threads_per_host: 2,
-        },
-        fault: Default::default(),
-        ..cfg(1, SchedMetric::ByLastRoundTime)
-    };
-    let (w_hy, _) = kernel::try_run(world, &hy).unwrap();
-    let latest = checkpoint::latest_checkpoint(&dir).unwrap();
-    assert!(latest.is_some(), "hybrid run must have written checkpoints");
-    // And its digest matches a plain unison run of the same world.
-    let (w_ref, _) =
-        kernel::try_run(ring_world(STOP), &cfg(2, SchedMetric::ByLastRoundTime)).unwrap();
-    assert_eq!(digest(&w_hy), digest(&w_ref));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn corrupt_checkpoint_is_a_structured_error() {
     let dir = ckpt_dir("corrupt");
     let path = dir.join("ckpt-00000000000000000001.bin");

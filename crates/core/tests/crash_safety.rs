@@ -127,23 +127,6 @@ fn unison_contains_injected_panic() {
 }
 
 #[test]
-fn hybrid_contains_injected_panic() {
-    let world = bomb_ring(8, DELAY, 5, Some(PANIC_AT), None, STOP);
-    let err = expect_worker_panic(kernel::try_run(
-        world,
-        &world_cfg(KernelKind::Hybrid {
-            hosts: 2,
-            threads_per_host: 2,
-        }),
-    ));
-    let SimError::WorkerPanic { diag, .. } = &err else {
-        unreachable!()
-    };
-    assert_eq!(diag.kernel, "hybrid");
-    assert_eq!(diag.phase, RunPhase::Process);
-}
-
-#[test]
 fn barrier_contains_injected_panic() {
     let world = bomb_ring(4, DELAY, 3, Some(PANIC_AT), None, STOP);
     let cfg = RunConfig::barrier((0..4).collect());
@@ -328,7 +311,7 @@ fn expect_zero_lookahead_stall(cfg: RunConfig, kernel_name: &str) {
     }
 }
 
-/// Unison/hybrid configuration helper over an auto partition.
+/// Unison configuration helper over an auto partition.
 fn world_cfg(kernel: KernelKind) -> RunConfig {
     RunConfig {
         kernel,

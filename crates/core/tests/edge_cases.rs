@@ -37,22 +37,14 @@ fn one_node_world(events: u64) -> unison_core::World<Counter> {
     b.build()
 }
 
-/// A configuration for each of the five kernels, `threads` wherever the
+/// A configuration for each of the four kernels, `threads` wherever the
 /// kernel takes a worker count.
-fn every_kernel(threads: usize, assignment: Vec<u32>) -> [RunConfig; 5] {
-    let hybrid = KernelKind::Hybrid {
-        hosts: 1,
-        threads_per_host: threads,
-    };
+fn every_kernel(threads: usize, assignment: Vec<u32>) -> [RunConfig; 4] {
     [
         RunConfig::sequential(),
         RunConfig::barrier(assignment.clone()),
         RunConfig::nullmsg(assignment),
         RunConfig::unison(threads),
-        RunConfig {
-            kernel: hybrid,
-            ..RunConfig::unison(threads)
-        },
     ]
 }
 
@@ -141,25 +133,6 @@ fn more_threads_than_lps_is_fine() {
 }
 
 #[test]
-fn hybrid_clamps_host_count_to_lps() {
-    let cfg = RunConfig {
-        watchdog: Default::default(),
-        kernel: KernelKind::Hybrid {
-            hosts: 16,
-            threads_per_host: 1,
-        },
-        fault: Default::default(),
-        partition: PartitionMode::Auto,
-        sched: SchedConfig::default(),
-        metrics: MetricsLevel::Summary,
-        fel: Default::default(),
-    };
-    // One node -> one LP -> hosts clamp to 1.
-    let (_, report) = kernel::run(one_node_world(5), &cfg).unwrap();
-    assert_eq!(report.events, 5);
-}
-
-#[test]
 fn manual_partition_wrong_length_is_rejected() {
     let cfg = RunConfig {
         watchdog: Default::default(),
@@ -190,14 +163,6 @@ fn kernel_names_are_stable() {
     assert_eq!(KernelKind::Barrier.name(), "barrier");
     assert_eq!(KernelKind::NullMessage.name(), "nullmsg");
     assert_eq!(KernelKind::Unison { threads: 4 }.name(), "unison");
-    assert_eq!(
-        KernelKind::Hybrid {
-            hosts: 2,
-            threads_per_host: 2
-        }
-        .name(),
-        "hybrid"
-    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The fault-injection acceptance matrix (DESIGN.md §4.7).
 //!
 //! {worker panic, mailbox stall, checkpoint-write failure} ×
-//! {sequential, unison, hybrid} × {1, 2, 4 threads}: every recovered
+//! {sequential, unison} × {1, 2, 4 threads}: every recovered
 //! [`fault::run_resilient`] run must be digest-identical to the fault-free
 //! run — and to a plain [`kernel::try_run`] under the same pinned
 //! partition — with the rollback recorded in the `RecoveryLog`. Fault
@@ -155,20 +155,11 @@ fn kernels() -> Vec<(String, KernelKind)> {
     for threads in [1usize, 2, 4] {
         v.push((format!("unison-{threads}"), KernelKind::Unison { threads }));
     }
-    for tph in [1usize, 2] {
-        v.push((
-            format!("hybrid-2x{tph}"),
-            KernelKind::Hybrid {
-                hosts: 2,
-                threads_per_host: tph,
-            },
-        ));
-    }
     v
 }
 
 fn is_windowed(kind: &KernelKind) -> bool {
-    matches!(kind, KernelKind::Unison { .. } | KernelKind::Hybrid { .. })
+    matches!(kind, KernelKind::Unison { .. })
 }
 
 /// The acceptance matrix: each fault cell recovers to the fault-free

@@ -176,26 +176,9 @@ fn all_kernels_agree_on_event_totals() {
         &RunConfig::nullmsg(manual),
     )
     .unwrap();
-    let (_, hy) = kernel::run(
-        ring_world(N, DELAY, TOKENS, STOP),
-        &RunConfig {
-            watchdog: Default::default(),
-            kernel: KernelKind::Hybrid {
-                hosts: 2,
-                threads_per_host: 2,
-            },
-            fault: Default::default(),
-            partition: PartitionMode::Auto,
-            sched: SchedConfig::default(),
-            metrics: MetricsLevel::Summary,
-            fel: Default::default(),
-        },
-    )
-    .unwrap();
     assert_eq!(seq.events, uni.events);
     assert_eq!(seq.events, bar.events);
     assert_eq!(seq.events, nm.events);
-    assert_eq!(seq.events, hy.events);
     assert!(
         seq.events > TOKENS * 100,
         "workload too small to be meaningful"
@@ -220,30 +203,6 @@ fn baseline_kernels_never_lose_an_event() {
             assert_eq!(r.events, seq.events, "{} run {run}", r.kernel);
         }
     }
-}
-
-#[test]
-fn hybrid_matches_unison_bitwise() {
-    let (w_uni, rep_uni) =
-        kernel::run(ring_world(N, DELAY, TOKENS, STOP), &RunConfig::unison(4)).unwrap();
-    let (w_hy, rep_hy) = kernel::run(
-        ring_world(N, DELAY, TOKENS, STOP),
-        &RunConfig {
-            watchdog: Default::default(),
-            kernel: KernelKind::Hybrid {
-                hosts: 2,
-                threads_per_host: 2,
-            },
-            fault: Default::default(),
-            partition: PartitionMode::Auto,
-            sched: SchedConfig::default(),
-            metrics: MetricsLevel::Summary,
-            fel: Default::default(),
-        },
-    )
-    .unwrap();
-    assert_eq!(rep_uni.events, rep_hy.events);
-    assert_eq!(checksums(&w_uni), checksums(&w_hy));
 }
 
 #[test]
@@ -470,8 +429,8 @@ fn partition_bound_sweeps_granularity() {
 #[test]
 fn psm_indexing_matches_kernel_family() {
     // The paper's methodology: LP-pinned kernels (barrier, null message)
-    // report P/S/M per LP; the scheduled kernels (sequential, Unison,
-    // hybrid) report it per worker thread. `psm_per_lp` must say which,
+    // report P/S/M per LP; the scheduled kernels (sequential, Unison)
+    // report it per worker thread. `psm_per_lp` must say which,
     // and the vector length must match the claimed indexing.
     let manual: Vec<u32> = (0..N as u32).map(|i| i / 3).collect(); // 4 LPs
 
@@ -500,25 +459,6 @@ fn psm_indexing_matches_kernel_family() {
     .unwrap();
     assert!(nm.psm_per_lp);
     assert_eq!(nm.psm.len(), nm.lp_count as usize);
-
-    let (_, hy) = kernel::run(
-        ring_world(N, DELAY, TOKENS, STOP),
-        &RunConfig {
-            watchdog: Default::default(),
-            kernel: KernelKind::Hybrid {
-                hosts: 2,
-                threads_per_host: 2,
-            },
-            fault: Default::default(),
-            partition: PartitionMode::Auto,
-            sched: SchedConfig::default(),
-            metrics: MetricsLevel::Summary,
-            fel: Default::default(),
-        },
-    )
-    .unwrap();
-    assert!(!hy.psm_per_lp);
-    assert_eq!(hy.psm.len(), hy.threads as usize);
 }
 
 #[test]

@@ -153,8 +153,7 @@ fn partitions() -> Vec<(&'static str, PartitionMode)> {
 }
 
 /// The full matrix: per partition, every {threads} × {metric} combination
-/// — and the hybrid kernel — matches that partition's single-thread
-/// reference.
+/// matches that partition's single-thread reference.
 #[test]
 fn every_thread_metric_combination_is_bit_identical() {
     for (pname, pmode) in partitions() {
@@ -178,20 +177,6 @@ fn every_thread_metric_combination_is_bit_identical() {
                 );
             }
         }
-        // One claim cursor per host group, two homes in each, and events
-        // crossing between the groups' columns; results must not notice.
-        let hybrid = run(
-            KernelKind::Hybrid {
-                hosts: 2,
-                threads_per_host: 2,
-            },
-            pmode.clone(),
-            sched(SchedMetric::ByLastRoundTime),
-        );
-        assert_eq!(
-            reference, hybrid,
-            "digest mismatch: hybrid partition={pname}"
-        );
     }
 }
 
@@ -543,9 +528,8 @@ fn skewed_world(first: usize, hold: std::time::Duration) -> unison_core::World<R
 /// homes' workers steal; and the load in the last home with that home's
 /// first LP holding whoever claims it (its owner, longest job first), so
 /// every other busy LP is up for theft — read the same at 1, 2, 3 and 4
-/// threads, under both metrics, under the hybrid kernel with two workers
-/// per host, with fusion on and off — and every LP is still claimed
-/// exactly once per round.
+/// threads, under both metrics, with fusion on and off — and every LP is
+/// still claimed exactly once per round.
 #[test]
 fn a_load_that_sits_in_one_home_is_stolen_without_a_trace() {
     let held = std::time::Duration::from_micros(20);
@@ -584,14 +568,6 @@ fn a_load_that_sits_in_one_home_is_stolen_without_a_trace() {
                     let got = run(&RunConfig::unison(threads).with_sched(sched));
                     assert_eq!(reference, got, "digest mismatch: {what} threads={threads}");
                 }
-                let hybrid = run(&RunConfig {
-                    kernel: KernelKind::Hybrid {
-                        hosts: 2,
-                        threads_per_host: 2,
-                    },
-                    ..RunConfig::unison(1).with_sched(sched)
-                });
-                assert_eq!(reference, hybrid, "digest mismatch: hybrid {what}");
             }
         }
     }

@@ -149,25 +149,11 @@ fn telemetry_does_not_perturb_other_kernels() {
         fel: Default::default(),
         fault: Default::default(),
     };
-    let kernels = [
-        (
-            "sequential(compat)",
-            KernelKind::Sequential { compat_keys: true },
-        ),
-        (
-            "hybrid",
-            KernelKind::Hybrid {
-                hosts: 2,
-                threads_per_host: 2,
-            },
-        ),
-    ];
-    for (name, kind) in &kernels {
-        let (off, _) = run_digest(&mk(kind.clone(), MetricsLevel::Summary));
-        let (on, spans) = run_digest(&mk(kind.clone(), MetricsLevel::Spans));
-        assert_eq!(off, on, "telemetry changed the {name} digest");
-        assert!(spans.expect("telemetry attached") > 0, "{name}: no spans");
-    }
+    let compat = KernelKind::Sequential { compat_keys: true };
+    let (off, _) = run_digest(&mk(compat.clone(), MetricsLevel::Summary));
+    let (on, spans) = run_digest(&mk(compat, MetricsLevel::Spans));
+    assert_eq!(off, on, "telemetry changed the sequential(compat) digest");
+    assert!(spans.expect("telemetry attached") > 0, "no compat spans");
     // LP-pinned kernels use a manual partition (LP identity is part of
     // their event order); totals still must not move.
     for cfg_of in [RunConfig::barrier, RunConfig::nullmsg] {
@@ -223,41 +209,33 @@ fn enabled_unison_run_records_every_phase_and_decisions() {
 }
 
 /// The LJF schedule is the parallel rounds' business (DESIGN.md §4.5): its
-/// period counts rounds that are unfused and have a group of more than one
-/// worker, and only such a round's phase 4 re-sorts. One thread (fused or
-/// not), one worker per host, and an all-fused two-thread run log no
-/// decision at all; with fusion off two threads log one per completed
+/// period counts rounds that are unfused and have more than one worker,
+/// and only such a round's phase 4 re-sorts. One thread (fused or not) and
+/// an all-fused two-thread run log no decision at all; with fusion off two threads log one per completed
 /// period, except in the round that ends the run.
 #[test]
 fn only_parallel_rounds_are_scheduled() {
     const PERIOD: u64 = 4;
-    let run = |kernel: KernelKind, fusion: FusionConfig| {
-        let mut cfg = unison_cfg(1, SchedMetric::ByLastRoundTime, MetricsLevel::Spans);
-        cfg.kernel = kernel;
+    let run = |threads: usize, fusion: FusionConfig| {
+        let mut cfg = unison_cfg(threads, SchedMetric::ByLastRoundTime, MetricsLevel::Spans);
         cfg.sched.fusion = fusion;
         cfg.sched.period = Some(PERIOD as u32);
         let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
         let decisions = report.telemetry.as_ref().expect("telemetry").sched.len() as u64;
         (report, decisions)
     };
-    let unison = |threads| KernelKind::Unison { threads };
-    let one_per_host = KernelKind::Hybrid {
-        hosts: 2,
-        threads_per_host: 1,
-    };
-    for (what, kernel, fusion) in [
-        ("1 thread", unison(1), FusionConfig::default()),
-        ("1 thread, fusion off", unison(1), FusionConfig::off()),
-        ("1 worker per host", one_per_host, FusionConfig::off()),
+    for (what, fusion) in [
+        ("1 thread", FusionConfig::default()),
+        ("1 thread, fusion off", FusionConfig::off()),
     ] {
-        let (report, decisions) = run(kernel, fusion);
+        let (report, decisions) = run(1, fusion);
         assert!(report.rounds > 2 * PERIOD, "{what}: too short to re-sort");
         assert_eq!(decisions, 0, "{what}: a round with one claimant re-sorted");
     }
-    let (fused, decisions) = run(unison(2), FusionConfig::default());
+    let (fused, decisions) = run(2, FusionConfig::default());
     assert_eq!(fused.fused_rounds, fused.rounds, "the ring's load is low");
     assert_eq!(decisions, 0, "an all-fused run re-sorted");
-    let (parallel, decisions) = run(unison(2), FusionConfig::off());
+    let (parallel, decisions) = run(2, FusionConfig::off());
     assert_eq!(parallel.fused_rounds, 0);
     assert_eq!(decisions, (parallel.rounds - 1) / PERIOD);
     assert!(decisions > 0);

@@ -21,10 +21,9 @@
 use std::fmt;
 use std::time::Duration;
 
-use unison_core::fault::FaultPlan;
 use unison_core::kernel::{build_partition, KernelKind, PartitionMode, RunConfig, MAX_WORKERS};
 use unison_core::sched::{FusionConfig, SchedConfig, SchedMetric};
-use unison_core::{DataRate, LinkGraph, NodeId, RunPhase, Time};
+use unison_core::{DataRate, LinkGraph, NodeId, Time};
 use unison_topology::{self as topology, NodeKind, TopoLink, Topology};
 use unison_traffic::{FlowSpec, SizeDist, TrafficConfig};
 
@@ -393,7 +392,6 @@ pub struct RunSpec {
     pub partition: PartitionSpec,
     pub sched: SchedConfig,
     pub watchdog: Option<Duration>,
-    pub fault: FaultPlan,
 }
 
 /// Largest `[model] cores` accepted: the replay allocates per virtual core,
@@ -431,7 +429,7 @@ pub const MAX_ROUTED_NODES: usize = (ROUTING_TABLE_BYTES / 4).isqrt();
 /// structure is replayed over `cores` virtual cores (DESIGN.md §3.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSpec {
-    /// Virtual cores of the `unison` (and `hybrid`) records.
+    /// Virtual cores of the `unison` (and modelled `hybrid`) records.
     pub cores: usize,
     /// `baseline_partition`: the static partition the `sequential`,
     /// `barrier` and `nullmsg` records are profiled under (one LP per
@@ -583,9 +581,6 @@ impl ScenarioSpec {
         };
         if let Some(deadline) = self.run.watchdog {
             cfg = cfg.with_watchdog(deadline);
-        }
-        if !self.run.fault.is_empty() {
-            cfg = cfg.with_faults(self.run.fault.clone());
         }
         cfg
     }
@@ -1017,10 +1012,17 @@ fn parse_topology(
         "fat_tree" => TopoKind::FatTree {
             k: k.req_usize("k")?,
         },
-        "fat_tree_clusters" => TopoKind::FatTreeClusters {
-            clusters: k.req_usize("clusters")?,
-            hosts_per_cluster: k.req_usize("hosts_per_cluster")?,
-        },
+        "fat_tree_clusters" => {
+            // The builder spreads the core layer over the clusters.
+            let clusters = k.req_usize("clusters")?;
+            if clusters == 0 {
+                return Err(err_at(table, "clusters", "`clusters` must be >= 1"));
+            }
+            TopoKind::FatTreeClusters {
+                clusters,
+                hosts_per_cluster: k.req_usize("hosts_per_cluster")?,
+            }
+        }
         "spine_leaf" => TopoKind::SpineLeaf {
             spines: k.req_usize("spines")?,
             leaves: k.req_usize("leaves")?,
@@ -1301,53 +1303,6 @@ fn parse_routing(table: &Table) -> Result<RoutingSpec, ScenarioError> {
     Ok(spec)
 }
 
-fn parse_fault(table: &Table, plan: FaultPlan) -> Result<FaultPlan, ScenarioError> {
-    let mut k = Keys::new(table);
-    let kind = k.req_str("kind")?;
-    let plan = match kind {
-        "worker_panic" => {
-            let round = k.req_int("round")?.max(0) as u64;
-            let phase = k
-                .choice(
-                    "phase",
-                    &[
-                        ("process", RunPhase::Process),
-                        ("global", RunPhase::Global),
-                        ("receive", RunPhase::Receive),
-                        ("control", RunPhase::Control),
-                    ],
-                )?
-                .unwrap_or(RunPhase::Process);
-            let worker = k.req_usize("worker")?;
-            plan.worker_panic(round, phase, worker)
-        }
-        "mailbox_stall" => plan.mailbox_stall(
-            k.req_int("round")?.max(0) as u64,
-            k.req_usize("worker")?,
-            k.req_int("millis")?.max(0) as u64,
-        ),
-        "barrier_delay" => plan.barrier_delay(
-            k.req_int("round")?.max(0) as u64,
-            k.req_usize("worker")?,
-            k.req_int("millis")?.max(0) as u64,
-        ),
-        "checkpoint_fail" => plan.checkpoint_fail(k.req_time_us("at_us")?),
-        "alloc_fail" => plan.alloc_fail(k.req_int("round")?.max(0) as u64, k.req_usize("worker")?),
-        other => {
-            return Err(err_at(
-                table,
-                "kind",
-                format!(
-                    "unknown fault kind `{other}` (expected worker_panic | mailbox_stall | \
-                     barrier_delay | checkpoint_fail | alloc_fail)"
-                ),
-            ));
-        }
-    };
-    k.finish()?;
-    Ok(plan)
-}
-
 /// The partition values `[run] partition` and `[model] baseline_partition`
 /// share: the ones a name (plus `lps`, default `default_lps`) fully
 /// describes. `more` lists what else the caller accepts under `key`.
@@ -1422,22 +1377,13 @@ fn parse_model(table: &Table) -> Result<ModelSpec, ScenarioError> {
     })
 }
 
-fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError> {
+fn parse_run(table: &Table) -> Result<RunSpec, ScenarioError> {
     let mut k = Keys::new(table);
     let stop = k.req_time_us("stop_us")?;
     if stop == Time::ZERO {
         return Err(err_at(table, "stop_us", "`stop_us` must be positive"));
     }
     let kernel_name = k.req_str("kernel")?;
-    // A worker count sizes the kernel's tables: bounded here, at its key.
-    let workers = |k: &mut Keys<'_>, key: &'static str| -> Result<usize, ScenarioError> {
-        let n = k.req_usize(key)?;
-        if !(1..=MAX_WORKERS).contains(&n) {
-            let msg = format!("`{key}` must be in 1..={MAX_WORKERS}, got {n}");
-            return Err(err_at(table, key, msg));
-        }
-        Ok(n)
-    };
     let (kernel, default_partition) = match kernel_name {
         "sequential" => (
             KernelKind::Sequential { compat_keys: false },
@@ -1455,30 +1401,15 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
         // deleted after losing its trial (DESIGN.md §7); the spelling is
         // read as `unison` until the next benchmark PR drops the
         // configuration, and is not listed among the accepted values.
-        "unison" | "async_cons" => (
-            KernelKind::Unison {
-                threads: workers(&mut k, "threads")?,
-            },
-            PartitionSpec::Auto,
-        ),
-        "hybrid" => {
-            let hosts = workers(&mut k, "hosts")?;
-            let threads_per_host = workers(&mut k, "threads_per_host")?;
-            if hosts * threads_per_host > MAX_WORKERS {
-                let msg = format!(
-                    "`hosts` x `threads_per_host` = {} workers; at most {MAX_WORKERS} \
-                     are supported",
-                    hosts * threads_per_host
-                );
-                return Err(err_at(table, "threads_per_host", msg));
+        "unison" | "async_cons" => {
+            // A worker count sizes the kernel's tables: bounded here, at
+            // its key.
+            let threads = k.req_usize("threads")?;
+            if !(1..=MAX_WORKERS).contains(&threads) {
+                let msg = format!("`threads` must be in 1..={MAX_WORKERS}, got {threads}");
+                return Err(err_at(table, "threads", msg));
             }
-            (
-                KernelKind::Hybrid {
-                    hosts,
-                    threads_per_host,
-                },
-                PartitionSpec::Auto,
-            )
+            (KernelKind::Unison { threads }, PartitionSpec::Auto)
         }
         other => {
             return Err(err_at(
@@ -1486,7 +1417,7 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
                 "kernel",
                 format!(
                     "unknown kernel `{other}` (expected sequential | sequential_compat | \
-                     barrier | nullmsg | unison | hybrid)"
+                     barrier | nullmsg | unison)"
                 ),
             ));
         }
@@ -1566,7 +1497,6 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
         partition,
         sched,
         watchdog,
-        fault: faults,
     })
 }
 
@@ -1735,10 +1665,9 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
     let mut flows = Vec::new();
     let mut on_off = Vec::new();
     let mut links = Vec::new();
-    let mut faults = FaultPlan::new();
 
-    // Singleton sections may appear once; [[flow]]/[[on_off]]/[[link]]/
-    // [[fault]] accumulate in file order.
+    // Singleton sections may appear once; [[flow]]/[[on_off]]/[[link]]
+    // accumulate in file order.
     let mut seen: Vec<&str> = Vec::new();
     for table in tables {
         let dup = |name: &str| -> ScenarioError {
@@ -1814,7 +1743,7 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
                 model_table = Some(table);
                 seen.push("model");
             }
-            "flow" | "on_off" | "link" | "fault" if !table.is_array => {
+            "flow" | "on_off" | "link" if !table.is_array => {
                 return Err(serr(
                     table.line,
                     table.col,
@@ -1827,7 +1756,6 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
             "flow" => flows.push((parse_flow(table)?, table)),
             "on_off" => on_off.push((parse_on_off(table)?, table)),
             "link" => links.push((parse_link(table)?, table)),
-            "fault" => faults = parse_fault(table, faults)?,
             other => {
                 return Err(serr(
                     table.line,
@@ -1835,7 +1763,7 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
                     format!(
                         "unknown section `[{other}]` (expected topology | traffic | transport | \
                          queue | routing | run | model | sweep.<section> | [[flow]] | [[on_off]] | \
-                         [[link]] | [[fault]])"
+                         [[link]])"
                     ),
                 ));
             }
@@ -1861,7 +1789,7 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
         transport: transport.unwrap_or_default(),
         queue,
         routing,
-        run: parse_run(run_table, faults)?,
+        run: parse_run(run_table)?,
         model,
     };
     spec.validate(&Sources {

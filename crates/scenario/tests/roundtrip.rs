@@ -56,13 +56,6 @@ fn every_kernel_variant_maps() {
             "kernel = \"async_cons\"\nthreads = 2",
             KernelKind::Unison { threads: 2 },
         ),
-        (
-            "kernel = \"hybrid\"\nhosts = 2\nthreads_per_host = 2",
-            KernelKind::Hybrid {
-                hosts: 2,
-                threads_per_host: 2,
-            },
-        ),
     ];
     for (run, want) in cases {
         let spec = with_run(run);
@@ -159,34 +152,6 @@ fn sched_and_knobs_map() {
     let cfg = spec.run_config(&topo);
     assert_eq!(cfg.sched.metric, SchedMetric::ByLastRoundTime);
     assert_eq!(cfg.watchdog.round_deadline, None);
-}
-
-#[test]
-fn faults_ride_along() {
-    let src = r#"
-[topology]
-kind = "fat_tree"
-k = 4
-[traffic]
-load = 0.1
-[run]
-stop_us = 1000
-kernel = "unison"
-threads = 2
-[[fault]]
-kind = "worker_panic"
-round = 3
-phase = "receive"
-worker = 1
-[[fault]]
-kind = "checkpoint_fail"
-at_us = 500
-"#;
-    let spec = parse_scenario(src).unwrap();
-    assert_eq!(spec.run.fault.specs().len(), 2);
-    let topo = spec.build_topology();
-    let cfg = spec.run_config(&topo);
-    assert_eq!(cfg.fault.specs().len(), 2);
 }
 
 #[test]
@@ -304,7 +269,7 @@ threads = 2
     // Unknown enum value, with the options listed.
     let e = parse_scenario(&ok.replace("\"unison\"", "\"warp\"")).unwrap_err();
     assert!(e.msg.contains("unknown kernel `warp`"), "{e}");
-    assert!(e.msg.contains("nullmsg | unison | hybrid"), "{e}");
+    assert!(e.msg.contains("nullmsg | unison)"), "{e}");
     // Missing required key.
     let e = parse_scenario(&ok.replace("threads = 2", "")).unwrap_err();
     assert!(e.msg.contains("missing required key `threads`"), "{e}");
@@ -327,10 +292,12 @@ threads = 2
 
 /// The placement-layer keys retired with the pluggable claim policies,
 /// staged partitioners and pinning, the `fel` key (the event list is not a
-/// scenario choice: the heap is the ladder's test reference) and
+/// scenario choice: the heap is the ladder's test reference),
 /// `per_round_metrics` (what a run records is the caller's choice —
-/// `unison-run --explain` — not the file's) are rejected like any other
-/// unknown key or value, at their own span.
+/// `unison-run --explain` — not the file's), the in-process hybrid kernel
+/// with its `hosts` key, and `[[fault]]` (the plan is inert without the
+/// `fault-inject` hooks, which `unison-run` does not compile) are rejected
+/// like any other unknown key, value or section, at their own span.
 #[test]
 fn retired_run_keys_are_rejected_with_their_span() {
     let head = "[topology]\nkind = \"fat_tree\"\nk = 4\n[traffic]\nload = 0.1\n\
@@ -348,11 +315,18 @@ fn retired_run_keys_are_rejected_with_their_span() {
             "per_round_metrics = true",
             "unknown key `per_round_metrics`",
         ),
+        ("hosts = 2", "unknown key `hosts`"),
+        ("[[fault]]", "unknown section `[fault]`"),
     ] {
         let e = parse_scenario(&format!("{head}  {line}\n")).unwrap_err();
         assert!(e.msg.contains(want), "{line}: {e}");
         assert_eq!((e.line, e.col), (10, 3), "{line}: {e}");
     }
+    let hybrid = head.replace("kernel = \"unison\"", "  kernel = \"hybrid\"");
+    let e = parse_scenario(&hybrid).unwrap_err();
+    assert!(e.msg.contains("unknown kernel `hybrid`"), "{e}");
+    assert!(e.msg.contains("nullmsg | unison)"), "{e}");
+    assert_eq!((e.line, e.col), (8, 3), "{e}");
 }
 
 #[test]

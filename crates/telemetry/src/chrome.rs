@@ -119,7 +119,6 @@ pub fn chrome_trace_value(tel: &RunTelemetry) -> Value {
                 "args",
                 obj(vec![
                     ("round", Value::Num(d.round as f64)),
-                    ("group", Value::Num(d.group as f64)),
                     ("metric", Value::Str(d.metric.into())),
                     (
                         "order",
@@ -245,7 +244,6 @@ mod tests {
             ],
             sched: vec![SchedDecision {
                 round: 2,
-                group: 0,
                 metric: "by-last-round-time",
                 order: vec![4, 0],
                 estimates: vec![10, 1],

@@ -51,8 +51,7 @@ impl RoundLoad {
 pub struct RoundRegret {
     /// Synchronization round (1-based).
     pub round: u64,
-    /// Makespan of the order the kernel used over the ideal makespan,
-    /// cost-weighted across scheduling groups.
+    /// Makespan of the order the kernel used over the ideal makespan.
     pub regret: f64,
 }
 
@@ -104,21 +103,10 @@ impl<'a> Timeline<'a> {
     /// by a logged decision (the kernel's pre-decision static order is not
     /// in the log, so earlier rounds are skipped).
     ///
-    /// Each group's regret replays its logged LP order against the
-    /// measured costs the way the kernel claims it — home first — with
-    /// `threads / groups` workers (how the hybrid kernel splits its pool);
-    /// a round's value is the cost-weighted mean over groups.
+    /// A round replays the latest decision at or before it against the
+    /// measured costs the way the kernel claims it — home first — on
+    /// `threads` workers.
     pub fn regret_by_round(&self, threads: usize) -> Vec<RoundRegret> {
-        if self.tel.sched.is_empty() {
-            return Vec::new();
-        }
-        let groups: Vec<u32> = {
-            let mut g: Vec<u32> = self.tel.sched.iter().map(|d| d.group).collect();
-            g.sort_unstable();
-            g.dedup();
-            g
-        };
-        let per_group_threads = (threads / groups.len().max(1)).max(1);
         let lp_ceiling = self
             .tel
             .sched
@@ -129,36 +117,21 @@ impl<'a> Timeline<'a> {
             .unwrap_or(0);
         let mut out = Vec::new();
         for (round, costs) in self.lp_costs_by_round() {
-            let mut weighted = 0.0;
-            let mut weight = 0.0;
-            for &g in &groups {
-                // Latest decision for this group at or before `round`.
-                let Some(decision) = self
-                    .tel
-                    .sched
-                    .iter()
-                    .rfind(|d| d.group == g && d.round <= round)
-                else {
-                    continue;
-                };
-                let size = lp_ceiling.max(costs.keys().map(|&l| l as usize + 1).max().unwrap_or(0));
-                let mut actual = vec![0.0f64; size];
-                let mut total = 0.0;
-                for &lp in &decision.order {
-                    let c = costs.get(&lp).copied().unwrap_or(0) as f64;
-                    actual[lp as usize] = c;
-                    total += c;
-                }
-                if total <= 0.0 {
-                    continue;
-                }
-                weighted += scheduling_regret(&decision.order, &actual, per_group_threads) * total;
-                weight += total;
+            let Some(decision) = self.tel.sched.iter().rfind(|d| d.round <= round) else {
+                continue;
+            };
+            let size = lp_ceiling.max(costs.keys().map(|&l| l as usize + 1).max().unwrap_or(0));
+            let mut actual = vec![0.0f64; size];
+            let mut total = 0.0;
+            for &lp in &decision.order {
+                let c = costs.get(&lp).copied().unwrap_or(0) as f64;
+                actual[lp as usize] = c;
+                total += c;
             }
-            if weight > 0.0 {
+            if total > 0.0 {
                 out.push(RoundRegret {
                     round,
-                    regret: weighted / weight,
+                    regret: scheduling_regret(&decision.order, &actual, threads.max(1)),
                 });
             }
         }
@@ -209,14 +182,12 @@ mod tests {
             sched: vec![
                 SchedDecision {
                     round: 1,
-                    group: 0,
                     metric: "by-last-round-time",
                     order: vec![0, 1],
                     estimates: vec![60, 20],
                 },
                 SchedDecision {
                     round: 3,
-                    group: 0,
                     metric: "by-last-round-time",
                     order: vec![1, 0],
                     estimates: vec![10, 70],

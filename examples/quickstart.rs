@@ -52,10 +52,6 @@ fn main() {
         KernelKind::Sequential { compat_keys: false },
         KernelKind::Sequential { compat_keys: true },
         KernelKind::Unison { threads: 4 },
-        KernelKind::Hybrid {
-            hosts: 2,
-            threads_per_host: 2,
-        },
     ] {
         let sim = NetworkBuilder::from_scenario(&topo, &spec).build();
         let r = sim

@@ -6,7 +6,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! - [`core`]: simulation kernels (sequential DES, barrier PDES, null-message
-//!   PDES, the Unison kernel and the hybrid distributed kernel), the
+//!   PDES and the Unison kernel), the
 //!   fine-grained partitioner, the load-adaptive scheduler, P/S/M metrics and
 //!   the virtual-core performance model.
 //! - [`netsim`]: the packet-level network model stack (links, queues, routing,

@@ -111,10 +111,9 @@ fn kernel_rejects_hostile_assignments_without_the_scenario_layer() {
 fn sizes_a_file_controls_are_a_spanned_error() {
     for case in [
         "threads = 2 | threads = 200000 | threads | `threads` must be in 1..=1024",
-        "\"unison\" | \"hybrid\"\nhosts = 1000000\nthreads_per_host = 1000000 | hosts | `hosts` must",
-        "\"unison\" | \"hybrid\"\nhosts = 64\nthreads_per_host = 64 | threads_per_host | 4096 workers",
         "\nk = 4\n | \nk = 4000\n | [topology] | at least 16020000000 nodes",
         "\nk = 4\n | \nk = 3\n | [topology] | even `k`",
+        "kind = \"fat_tree\"\nk = 4 | kind = \"fat_tree_clusters\"\nclusters = 0\nhosts_per_cluster = 4 | clusters | `clusters` must be >= 1",
     ] {
         let fields: Vec<&str> = case.split(" | ").collect();
         let (from, to, key, want) = (fields[0], fields[1], fields[2], fields[3]);
@@ -129,6 +128,23 @@ fn sizes_a_file_controls_are_a_spanned_error() {
             Ok(_) => panic!("{case}: parsed"),
         }
     }
+    // A swept value is blamed at its list element, with its row.
+    let clusters = "kind = \"fat_tree_clusters\"\nclusters = 2\nhosts_per_cluster = 4\n\
+                    [sweep.topology]\nclusters = [4, 0]";
+    let src = QUICKSTART.replacen("kind = \"fat_tree\"\nk = 4", clusters, 1);
+    let line = src
+        .lines()
+        .position(|l| l.ends_with("[4, 0]"))
+        .expect("sweep")
+        + 1;
+    match parse_scenario(&src) {
+        Err(e) => {
+            let want = "row 1 (topology.clusters = 0): `clusters` must be >= 1";
+            assert!(e.msg.contains(want), "{e}");
+            assert_eq!((e.line, e.col), (line, 16), "{e}");
+        }
+        Ok(_) => panic!("a sweep row with no clusters parsed"),
+    }
 }
 
 /// The direct API: a worker count past `kernel::MAX_WORKERS` is refused by
@@ -137,18 +153,10 @@ fn sizes_a_file_controls_are_a_spanned_error() {
 fn kernel_rejects_hostile_worker_counts_without_the_scenario_layer() {
     let spec = parse_scenario(QUICKSTART).expect("quickstart parses");
     let topo = spec.build_topology();
-    let hybrid = |hosts, threads_per_host| RunConfig {
-        kernel: KernelKind::Hybrid {
-            hosts,
-            threads_per_host,
-        },
-        ..RunConfig::unison(1)
-    };
     for cfg in [
         RunConfig::unison(200_000),
         RunConfig::unison(kernel::MAX_WORKERS + 1),
-        hybrid(1_000_000, 1_000_000),
-        hybrid(usize::MAX, 2),
+        RunConfig::unison(usize::MAX),
     ] {
         let world = NetworkBuilder::from_scenario(&topo, &spec).build().world;
         match kernel::try_run(world, &cfg) {

@@ -25,16 +25,6 @@ fn every_kernel_runs_the_same_model() {
     let configs: Vec<(&str, RunConfig)> = vec![
         ("sequential", RunConfig::sequential()),
         ("unison", RunConfig::unison(2)),
-        (
-            "hybrid",
-            RunConfig {
-                kernel: KernelKind::Hybrid {
-                    hosts: 2,
-                    threads_per_host: 2,
-                },
-                ..RunConfig::unison(1)
-            },
-        ),
         ("barrier", RunConfig::barrier(pods.clone())),
         ("nullmsg", RunConfig::nullmsg(pods)),
     ];
