@@ -1,40 +1,24 @@
-//! Deterministic fault injection and the self-healing resilient driver
-//! (DESIGN.md §4.7).
+//! The self-healing resilient driver (DESIGN.md §4.7).
 //!
-//! PR 2 made worker failures *containable* (`try_run` returns a structured
-//! [`SimError`] instead of hanging or aborting the process); this module
-//! makes them *survivable* and — equally important — *testable*:
-//!
-//! - [`FaultPlan`] describes runtime faults at exact, reproducible points
-//!   in the kernel's deterministic round/phase structure: a worker panic at
-//!   round R in phase P, a mailbox-delivery stall, a barrier-arrival delay,
-//!   a checkpoint-write failure, a simulated allocation failure in the FEL
-//!   layer. Because the trigger coordinates (round, phase, worker, virtual
-//!   time) are part of the deterministic execution structure, the same plan
-//!   fires identically at 1, 2, or 4 threads.
-//! - [`run_resilient`] wraps [`kernel::try_run`]: it pins the partition,
-//!   writes an initial (t = 0) checkpoint, installs the periodic checkpoint
-//!   chain, and on any *contained* failure rolls back to the newest usable
-//!   checkpoint (skipping corrupt files), optionally degrades the thread
-//!   pool, sleeps an exponential backoff, and retries — recording every
-//!   rollback in a [`RecoveryLog`] surfaced via
-//!   [`RunReport::recovery`](crate::metrics::RunReport::recovery).
+//! [`kernel::try_run`] makes worker failures *containable*: a panic in any
+//! phase, or a round that stops making progress under the watchdog, comes
+//! back as a structured [`SimError`] instead of hanging or aborting the
+//! process. This module makes them *survivable*: [`run_resilient`] pins the
+//! partition, writes an initial (t = 0) checkpoint, installs the periodic
+//! checkpoint chain, and on any contained failure rolls back to the newest
+//! usable checkpoint (skipping corrupt files), optionally degrades the
+//! thread pool, sleeps an exponential backoff, and retries — recording every
+//! rollback in the [`RecoveryLog`] it returns beside the world and report.
 //!
 //! Checkpoints are bit-deterministic (DESIGN.md §4.2) and thread-count
 //! invariance is a core kernel property, so a recovered run — even one that
 //! finished on fewer workers than it started with — produces a final world
-//! digest bit-identical to the run that never failed. The fault matrix
-//! (`crates/core/tests/fault_matrix.rs`) pins exactly that.
-//!
-//! The injection call sites in the kernels compile to nothing unless the
-//! `fault-inject` cargo feature is on (enforced by xtask lint rule
-//! `fault-gate`); the plan type and the resilient driver are always
-//! available, so production code can call [`run_resilient`] without
-//! carrying any hook code in its hot paths.
+//! digest bit-identical to the run that never failed. The kernels carry no
+//! injection hooks: faults come from the model (a handler that panics or
+//! sleeps, a `Snapshot::save` that fails), and the fault matrix
+//! (`crates/core/tests/fault_matrix.rs`) pins the recovery contract with
+//! exactly such faults.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 // Instant is waived for this file by xtask lint (recovery wall-cost
 // accounting happens between attempts, never on a simulation hot path).
@@ -46,284 +30,6 @@ use crate::kernel::{self, KernelKind, PartitionMode, RunConfig};
 use crate::metrics::RunReport;
 use crate::time::Time;
 use crate::world::{SimNode, World};
-
-// ---------------------------------------------------------------------------
-// Fault plans
-// ---------------------------------------------------------------------------
-
-/// One injectable fault, addressed by deterministic run coordinates.
-///
-/// "Round" is the kernel's synchronization round for the round-based
-/// kernels (Unison, barrier, null-message; the first round is 1)
-/// and the 1-based node-event index for the sequential kernel, which has no
-/// rounds. "Worker" is the kernel's worker index; worker 0 always exists
-/// (it is the main thread in the Unison kernel), so plans
-/// keyed to worker 0 are valid at every thread count.
-#[derive(Clone, Debug)]
-pub enum FaultKind {
-    /// Panic on `worker` at the start of `phase` in `round` — the fault the
-    /// containment layer turns into [`SimError::WorkerPanic`].
-    WorkerPanic {
-        /// Synchronization round (sequential: node-event index), 1-based.
-        round: u64,
-        /// Phase within the round the panic fires in.
-        phase: RunPhase,
-        /// Worker index the panic fires on.
-        worker: usize,
-    },
-    /// Suspend `worker` for `millis` of wall time at the start of its
-    /// receive (mailbox-drain) phase in `round` — long enough, under a
-    /// tight [`WatchdogConfig`](crate::kernel::WatchdogConfig), to trip the
-    /// round-progress watchdog into [`SimError::Stalled`].
-    MailboxStall {
-        /// Synchronization round, 1-based.
-        round: u64,
-        /// Worker index to suspend.
-        worker: usize,
-        /// Wall-clock suspension in milliseconds.
-        millis: u64,
-    },
-    /// Suspend `worker` for `millis` just before its end-of-round barrier
-    /// arrival in `round` (a late-arrival fault: every other worker spins).
-    BarrierDelay {
-        /// Synchronization round, 1-based.
-        round: u64,
-        /// Worker index to delay.
-        worker: usize,
-        /// Wall-clock delay in milliseconds.
-        millis: u64,
-    },
-    /// Fail the first checkpoint write whose virtual time is `>= at` with a
-    /// simulated I/O error. The checkpoint chain treats a failed write as a
-    /// contained panic (`RunPhase::Global`), so this exercises the
-    /// "safety net itself failed" recovery path.
-    CheckpointFail {
-        /// Earliest virtual time at which a checkpoint write fails.
-        at: Time,
-    },
-    /// Simulated out-of-memory: the next FEL insertion on `worker` after
-    /// the start of `round`'s process phase panics, as a failing
-    /// allocation in the event-engine layer would. The arm persists until
-    /// that insertion happens (which LPs a worker claims in any one round
-    /// is workload-dependent); a worker that never inserts again leaves
-    /// the fault unfired.
-    AllocFail {
-        /// Synchronization round, 1-based.
-        round: u64,
-        /// Worker index whose next FEL push fails.
-        worker: usize,
-    },
-}
-
-/// A [`FaultKind`] plus its fire-once latch.
-///
-/// The latch is shared across clones of the plan (and therefore across
-/// [`run_resilient`] retry attempts): each fault fires exactly once per
-/// plan lifetime, so a recovered run does not re-hit the same fault on
-/// replay — the semantics of a transient fault.
-#[derive(Clone, Debug)]
-pub struct FaultSpec {
-    /// What to inject and where.
-    pub kind: FaultKind,
-    armed: Arc<AtomicBool>,
-}
-
-impl FaultSpec {
-    fn new(kind: FaultKind) -> Self {
-        FaultSpec {
-            kind,
-            armed: Arc::new(AtomicBool::new(true)),
-        }
-    }
-
-    /// Consumes the latch; `true` exactly once per plan lifetime.
-    #[cfg(feature = "fault-inject")]
-    fn take(&self) -> bool {
-        self.armed.swap(false, Ordering::Relaxed)
-    }
-
-    /// Whether this fault has not fired yet.
-    pub fn armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
-    }
-}
-
-/// A deterministic fault-injection plan, attached to a run via
-/// [`RunConfig::with_faults`](crate::kernel::RunConfig::with_faults).
-///
-/// The default (empty) plan injects nothing. With the `fault-inject` cargo
-/// feature off, plans are inert: the kernel call sites that would consult
-/// them are compiled out.
-#[derive(Clone, Debug, Default)]
-pub struct FaultPlan {
-    specs: Vec<FaultSpec>,
-}
-
-impl FaultPlan {
-    /// An empty plan (injects nothing).
-    pub fn new() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Adds a [`FaultKind::WorkerPanic`].
-    pub fn worker_panic(mut self, round: u64, phase: RunPhase, worker: usize) -> Self {
-        self.specs.push(FaultSpec::new(FaultKind::WorkerPanic {
-            round,
-            phase,
-            worker,
-        }));
-        self
-    }
-
-    /// Adds a [`FaultKind::MailboxStall`].
-    pub fn mailbox_stall(mut self, round: u64, worker: usize, millis: u64) -> Self {
-        self.specs.push(FaultSpec::new(FaultKind::MailboxStall {
-            round,
-            worker,
-            millis,
-        }));
-        self
-    }
-
-    /// Adds a [`FaultKind::BarrierDelay`].
-    pub fn barrier_delay(mut self, round: u64, worker: usize, millis: u64) -> Self {
-        self.specs.push(FaultSpec::new(FaultKind::BarrierDelay {
-            round,
-            worker,
-            millis,
-        }));
-        self
-    }
-
-    /// Adds a [`FaultKind::CheckpointFail`].
-    pub fn checkpoint_fail(mut self, at: Time) -> Self {
-        self.specs
-            .push(FaultSpec::new(FaultKind::CheckpointFail { at }));
-        self
-    }
-
-    /// Adds a [`FaultKind::AllocFail`].
-    pub fn alloc_fail(mut self, round: u64, worker: usize) -> Self {
-        self.specs
-            .push(FaultSpec::new(FaultKind::AllocFail { round, worker }));
-        self
-    }
-
-    /// Whether the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// The planned faults, in insertion order.
-    pub fn specs(&self) -> &[FaultSpec] {
-        &self.specs
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Injection hooks (compiled only under the `fault-inject` feature)
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "fault-inject")]
-thread_local! {
-    /// Armed by `fire_phase` when an `AllocFail` matches the current
-    /// worker's process phase; consumed by that thread's next `Fel::push`
-    /// via [`alloc_check`], however many rounds later that happens (which
-    /// LPs a worker claims in any one round is workload-dependent).
-    /// Thread-local (not a process global) so concurrently running
-    /// simulations — e.g. parallel tests — never see each other's
-    /// injected failures.
-    static ALLOC_ARMED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Simulated allocation-failure point, called from `Fel::push` (gated).
-/// Panics exactly once after an [`FaultKind::AllocFail`] armed this thread.
-#[cfg(feature = "fault-inject")]
-pub(crate) fn alloc_check() {
-    ALLOC_ARMED.with(|c| {
-        if c.replace(false) {
-            panic!("injected fault: allocation failure in FEL push");
-        }
-    });
-}
-
-#[cfg(feature = "fault-inject")]
-impl FaultPlan {
-    /// Phase-entry hook: fires matching [`FaultKind::WorkerPanic`] faults
-    /// and arms matching [`FaultKind::AllocFail`] faults (process phase
-    /// only). Called by the kernels at the start of each phase.
-    pub(crate) fn fire_phase(&self, round: u64, phase: RunPhase, worker: usize) {
-        for s in &self.specs {
-            match s.kind {
-                FaultKind::WorkerPanic {
-                    round: r,
-                    phase: p,
-                    worker: w,
-                } if r == round && p == phase && w == worker && s.take() => {
-                    panic!(
-                        "injected fault: worker {worker} panic in round {round} \
-                         ({phase} phase)"
-                    );
-                }
-                FaultKind::AllocFail {
-                    round: r,
-                    worker: w,
-                } if phase == RunPhase::Process && r == round && w == worker && s.take() => {
-                    ALLOC_ARMED.with(|c| c.set(true));
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Receive-phase hook: suspends the calling worker when a
-    /// [`FaultKind::MailboxStall`] matches.
-    pub(crate) fn fire_stall(&self, round: u64, worker: usize) {
-        for s in &self.specs {
-            if let FaultKind::MailboxStall {
-                round: r,
-                worker: w,
-                millis,
-            } = s.kind
-            {
-                if r == round && w == worker && s.take() {
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-            }
-        }
-    }
-
-    /// Pre-barrier hook: suspends the calling worker just before its
-    /// end-of-round barrier arrival when a [`FaultKind::BarrierDelay`]
-    /// matches.
-    pub(crate) fn fire_barrier_delay(&self, round: u64, worker: usize) {
-        for s in &self.specs {
-            if let FaultKind::BarrierDelay {
-                round: r,
-                worker: w,
-                millis,
-            } = s.kind
-            {
-                if r == round && w == worker && s.take() {
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-            }
-        }
-    }
-
-    /// Checkpoint-write hook: `true` (fail this write) for the first write
-    /// whose virtual time reaches a planned [`FaultKind::CheckpointFail`].
-    pub(crate) fn fire_ckpt_fail(&self, now: Time) -> bool {
-        for s in &self.specs {
-            if let FaultKind::CheckpointFail { at } = s.kind {
-                if now >= at && s.take() {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Recovery policy and log
@@ -408,8 +114,7 @@ pub struct RollbackRecord {
     pub backoff: Duration,
 }
 
-/// Rollback history of a resilient run, surfaced as
-/// [`RunReport::recovery`](crate::metrics::RunReport::recovery).
+/// Rollback history of a resilient run, returned by [`run_resilient`].
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryLog {
     /// Every rollback, in order.
@@ -445,9 +150,10 @@ impl RecoveryLog {
 ///    the worker pool, sleeps an exponential backoff and retries, up to
 ///    `policy.max_retries` rollbacks.
 ///
-/// On success the returned report carries `Some(RecoveryLog)` — empty if no
-/// failure happened. Configuration errors, checkpoint I/O errors and
-/// exhausted retry budgets are returned as the original [`SimError`].
+/// On success it returns the world, the final attempt's report and the
+/// [`RecoveryLog`] — empty if no failure happened. Configuration errors,
+/// checkpoint I/O errors and exhausted retry budgets are returned as the
+/// original [`SimError`].
 ///
 /// Checkpoints are bit-deterministic and results are thread-count
 /// invariant, so a recovered run is digest-identical to one that never
@@ -462,7 +168,7 @@ pub fn run_resilient<N>(
     world: World<N>,
     cfg: &RunConfig,
     policy: &RecoveryPolicy,
-) -> Result<(World<N>, RunReport), SimError>
+) -> Result<(World<N>, RunReport, RecoveryLog), SimError>
 where
     N: SimNode + Snapshot,
     N::Payload: Snapshot,
@@ -488,10 +194,7 @@ where
     loop {
         let attempt_start = Instant::now();
         match kernel::try_run(world, &run_cfg) {
-            Ok((w, mut report)) => {
-                report.recovery = Some(log);
-                return Ok((w, report));
-            }
+            Ok((w, report)) => return Ok((w, report, log)),
             Err(err @ (SimError::WorkerPanic { .. } | SimError::Stalled { .. })) => {
                 if attempt >= policy.max_retries {
                     return Err(err);
@@ -593,89 +296,9 @@ where
     })
 }
 
-/// The checkpoint files a resilient run would consider for rollback, in
-/// ascending virtual-time order (a thin public re-export of the scan
-/// [`select_rollback`] uses, handy for tests and operational tooling).
-pub fn rollback_candidates(policy: &RecoveryPolicy) -> Result<Vec<PathBuf>, SimError> {
-    Ok(checkpoint::list_checkpoints(&policy.checkpoints.dir)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plan_builder_collects_specs_in_order() {
-        let plan = FaultPlan::new()
-            .worker_panic(3, RunPhase::Process, 0)
-            .mailbox_stall(2, 1, 50)
-            .barrier_delay(4, 0, 10)
-            .checkpoint_fail(Time(1_000))
-            .alloc_fail(5, 0);
-        assert_eq!(plan.specs().len(), 5);
-        assert!(!plan.is_empty());
-        assert!(plan.specs().iter().all(|s| s.armed()));
-        assert!(matches!(
-            plan.specs()[0].kind,
-            FaultKind::WorkerPanic { round: 3, .. }
-        ));
-        assert!(matches!(
-            plan.specs()[3].kind,
-            FaultKind::CheckpointFail { at: Time(1_000) }
-        ));
-    }
-
-    #[test]
-    fn clones_share_the_fire_once_latch() {
-        let plan = FaultPlan::new().worker_panic(1, RunPhase::Process, 0);
-        let clone = plan.clone();
-        assert!(plan.specs()[0].armed());
-        assert!(clone.specs()[0].armed());
-        // Consuming through one clone disarms the other (shared Arc).
-        plan.specs()[0].armed.store(false, Ordering::Relaxed);
-        assert!(!clone.specs()[0].armed());
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn fire_phase_panics_once_at_exact_coordinates() {
-        let plan = FaultPlan::new().worker_panic(2, RunPhase::Receive, 1);
-        // Wrong round / phase / worker: no effect.
-        plan.fire_phase(1, RunPhase::Receive, 1);
-        plan.fire_phase(2, RunPhase::Process, 1);
-        plan.fire_phase(2, RunPhase::Receive, 0);
-        assert!(plan.specs()[0].armed());
-        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.fire_phase(2, RunPhase::Receive, 1);
-        }));
-        assert!(hit.is_err());
-        // Fire-once: the same coordinates are inert afterwards.
-        plan.fire_phase(2, RunPhase::Receive, 1);
-        assert!(!plan.specs()[0].armed());
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn alloc_fail_arms_thread_local_and_fires_on_next_push() {
-        let plan = FaultPlan::new().alloc_fail(1, 0);
-        plan.fire_phase(1, RunPhase::Process, 0);
-        assert!(!plan.specs()[0].armed(), "arming consumes the latch");
-        // The arm persists across later phase entries until a push happens.
-        plan.fire_phase(2, RunPhase::Process, 0);
-        let hit = std::panic::catch_unwind(alloc_check);
-        assert!(hit.is_err(), "armed alloc_check must panic");
-        // The panic consumed the thread-local: the next check is clean.
-        alloc_check();
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn ckpt_fail_fires_on_first_write_at_or_after_time() {
-        let plan = FaultPlan::new().checkpoint_fail(Time(500));
-        assert!(!plan.fire_ckpt_fail(Time(499)));
-        assert!(plan.fire_ckpt_fail(Time(512)), "clamped write times match");
-        assert!(!plan.fire_ckpt_fail(Time(512)), "fires only once");
-    }
 
     #[test]
     fn degrade_halves_down_to_one_worker() {

@@ -739,15 +739,8 @@ impl<P> Fel<P> {
     }
 
     /// Inserts an event.
-    ///
-    /// The FEL insert is the simulator's allocation chokepoint, which makes
-    /// it the natural site for the simulated-OOM fault hook: an armed
-    /// [`crate::fault::FaultKind::AllocFail`] panics here as if the backing
-    /// allocation had failed (compiled out without `fault-inject`).
     #[inline]
     pub fn push(&mut self, ev: Event<P>) {
-        #[cfg(feature = "fault-inject")]
-        crate::fault::alloc_check();
         match &mut self.repr {
             Repr::Heap(h) => h.push(HeapEntry(ev)),
             Repr::Ladder(l) => l.push(ev),

@@ -31,9 +31,6 @@ pub(crate) struct CkptEnv<'a> {
     /// cost proportional to state size (and disk speed), which the deadline
     /// must not count as a stall (DESIGN.md §4.7).
     pub wd: &'a crate::kernel::watchdog::Watchdog,
-    /// The run's fault plan, for the injected checkpoint-write failure.
-    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
-    pub fault: &'a crate::fault::FaultPlan,
 }
 
 /// Exclusive, whole-world view handed to global events.
@@ -205,13 +202,6 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
         // deadline; suspend the watchdog until the write resolves. Every
         // return path below must go through `unpause`.
         env.wd.pause();
-        #[cfg(feature = "fault-inject")]
-        if env.fault.fire_ckpt_fail(self.now) {
-            env.wd.unpause();
-            return Err(SnapshotError::Io(std::io::Error::other(
-                "injected fault: checkpoint write failure",
-            )));
-        }
         let lp_count = self.lps.len();
         // SAFETY: `WorldAccess::new` guarantees main-thread exclusivity
         // over every LP slot, and every worker is parked behind a barrier

@@ -117,7 +117,6 @@ impl RunEnv<'_> {
         CkptEnv {
             stop_at,
             wd: &self.wd,
-            fault: &self.cfg.fault,
         }
     }
 
@@ -802,7 +801,6 @@ pub(super) fn finish<N: SimNode>(
         rounds_profile: out.rounds_profile,
         lp_neighbors,
         telemetry: env.telctx.collect(tels, out.sched_log),
-        recovery: None,
     };
     let partial = Box::new(report);
     if let Some(diag) = env.failure.into_inner().unwrap_or_else(|e| e.into_inner()) {

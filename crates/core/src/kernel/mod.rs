@@ -33,7 +33,6 @@ pub(crate) mod watchdog;
 use crate::error::SimError;
 
 use crate::event::{Event, EventKey, LpId, NodeId};
-use crate::fault::FaultPlan;
 use crate::fel::{Fel, FelImpl};
 use crate::global::GlobalFn;
 use crate::graph::LinkGraph;
@@ -149,10 +148,6 @@ pub struct RunConfig {
     /// `checkpoint_restore` hold the ladder to the binary-heap *reference*
     /// (DESIGN.md §4.4), not a user-facing choice.
     pub fel: FelImpl,
-    /// Deterministic fault-injection plan (default: empty). Inert unless
-    /// the `fault-inject` cargo feature compiled the kernel hooks in; see
-    /// DESIGN.md §4.7.
-    pub fault: FaultPlan,
 }
 
 impl Default for RunConfig {
@@ -171,7 +166,6 @@ impl RunConfig {
             metrics: MetricsLevel::Summary,
             watchdog: WatchdogConfig::default(),
             fel: FelImpl::default(),
-            fault: FaultPlan::default(),
         }
     }
 
@@ -254,14 +248,6 @@ impl RunConfig {
     /// reference against the ladder; results are bit-identical either way.
     pub fn with_fel(mut self, fel: FelImpl) -> Self {
         self.fel = fel;
-        self
-    }
-
-    /// Attaches a deterministic fault-injection plan (DESIGN.md §4.7).
-    /// Without the `fault-inject` cargo feature the plan is carried but
-    /// never consulted — the kernel hooks are compiled out.
-    pub fn with_faults(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
         self
     }
 }

@@ -189,10 +189,6 @@ pub(super) fn run<N: SimNode>(
         }
         let (lp_id, local) = dir.locate(ev.node);
         site.at.set((Some(lp_id), now));
-        // Sequential runs have no sync rounds; the fault plan's "round" is
-        // the 1-based node-event index, which is just as reproducible.
-        #[cfg(feature = "fault-inject")]
-        cfg.fault.fire_phase(events + 1, RunPhase::Process, 0);
         // SAFETY: single-threaded kernel; exclusive by construction.
         let lp = unsafe { slots.get_mut(lp_id.index()) };
         let node = &mut lp.nodes[local as usize];

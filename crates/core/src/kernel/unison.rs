@@ -204,15 +204,8 @@ pub(super) fn run<N: SimNode>(
     // All no-ops below `MetricsLevel::Spans` (see DESIGN.md §4.3).
     let mut sched_log = env.telctx.sched_log();
 
-    // Round fusion (DESIGN.md §4.9). With the fault hooks compiled in, an
-    // armed plan disables it so execution-point faults land on the
-    // configured worker and phase (fused rounds run every phase on the main
-    // thread); without them the plan is inert and changes nothing.
+    // Round fusion (DESIGN.md §4.9).
     let fusion = cfg.sched.fusion;
-    #[cfg(feature = "fault-inject")]
-    let fusion_on = fusion.enabled && cfg.fault.is_empty();
-    #[cfg(not(feature = "fault-inject"))]
-    let fusion_on = fusion.enabled;
     // Oversubscription clause (DESIGN.md §4.9): when the run asks for more
     // workers than the machine has cores, parallel rounds only time-slice —
     // serializing them on the control thread is strictly cheaper, so lift
@@ -236,7 +229,7 @@ pub(super) fn run<N: SimNode>(
     // Whether the round after one of `load` events runs fused — with one
     // thread there is no worker to release, so every round does. The loop
     // tests this and the schedule below predicts with it.
-    let fuses = |load: u64| fusion_on && (threads == 1 || load <= fusion_threshold);
+    let fuses = |load: u64| fusion.enabled && (threads == 1 || load <= fusion_threshold);
 
     // Load-adaptive scheduling only pays in a *parallel* round: unfused,
     // with more than one worker. The re-sort period counts parallel
@@ -316,8 +309,6 @@ pub(super) fn run<N: SimNode>(
                     // while workers are parked, so it may jump.
                     round = p.round;
                     let process = |tel: &mut WorkerTel| {
-                        #[cfg(feature = "fault-inject")]
-                        cfg.fault.fire_phase(round, RunPhase::Process, w);
                         let claims = std::iter::from_fn(|| cursor.claim(w));
                         process_phase(slots, claims, w, p, side_output, site, tel, round)
                     };
@@ -332,21 +323,13 @@ pub(super) fn run<N: SimNode>(
                     if !lane.wait(round, 1) || !lane.wait(round, 2) {
                         break;
                     }
-                    let receive = |tel: &mut WorkerTel| {
-                        #[cfg(feature = "fault-inject")]
-                        {
-                            cfg.fault.fire_phase(round, RunPhase::Receive, w);
-                            cfg.fault.fire_stall(round, w);
-                        }
-                        receive_phase(slots, w..w + 1, site, tel, round)
-                    };
+                    let receive =
+                        |tel: &mut WorkerTel| receive_phase(slots, w..w + 1, site, tel, round);
                     match lane.run(RunPhase::Receive, round, p.window_end, receive, |f| f.recv) {
                         Some(received) => fold.merge(received),
                         None => break,
                     }
                     fold_slot.publish(fold);
-                    #[cfg(feature = "fault-inject")]
-                    cfg.fault.fire_barrier_delay(round, w);
                     // B3
                     if !lane.wait(round, 3) {
                         break;
@@ -393,8 +376,6 @@ pub(super) fn run<N: SimNode>(
                 break;
             }
             let process = |tel: &mut WorkerTel| {
-                #[cfg(feature = "fault-inject")]
-                cfg.fault.fire_phase(round, RunPhase::Process, 0);
                 // Fused round: this thread claims the whole order at once;
                 // the parked workers never contend.
                 if fuse {
@@ -420,8 +401,6 @@ pub(super) fn run<N: SimNode>(
                 slots.begin_phase(); // covers phase 2 (workers idle until B2)
             }
             let globals = |_: &mut WorkerTel| {
-                #[cfg(feature = "fault-inject")]
-                cfg.fault.fire_phase(round, RunPhase::Global, 0);
                 // Merge node-scheduled globals: the LPs are walked only
                 // when some process phase reported any.
                 if side_output.load(Ordering::Relaxed) {
@@ -452,11 +431,6 @@ pub(super) fn run<N: SimNode>(
             // ---- Phase 3: receive (parallel; fused rounds drain every
             // column serially on the main thread) ----
             let receive = |tel: &mut WorkerTel| {
-                #[cfg(feature = "fault-inject")]
-                {
-                    cfg.fault.fire_phase(round, RunPhase::Receive, 0);
-                    cfg.fault.fire_stall(round, 0);
-                }
                 let columns = if fuse { 0..threads } else { 0..1 };
                 receive_phase(&slots, columns, &site, tel, round)
             };
@@ -465,8 +439,6 @@ pub(super) fn run<N: SimNode>(
                 None => break,
             }
             if !fuse {
-                #[cfg(feature = "fault-inject")]
-                cfg.fault.fire_barrier_delay(round, 0);
                 // B3
                 if !lane.wait(round, 3) {
                     break;

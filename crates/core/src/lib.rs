@@ -85,9 +85,7 @@ pub use checkpoint::{
 };
 pub use error::{FailureDiagnostics, RunPhase, SimError, StallDiagnostics};
 pub use event::{Event, EventKey, LpId, NodeId};
-pub use fault::{
-    run_resilient, FaultKind, FaultPlan, FaultSpec, RecoveryLog, RecoveryPolicy, RollbackRecord,
-};
+pub use fault::{run_resilient, RecoveryLog, RecoveryPolicy, RollbackRecord};
 pub use fel::{Fel, FelImpl};
 pub use global::{GlobalFn, WorldAccess};
 pub use graph::{LinkGraph, LinkSpec};

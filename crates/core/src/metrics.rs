@@ -184,11 +184,6 @@ pub struct RunReport {
     /// Phase/LP span timelines, the scheduler-decision log and the traffic
     /// matrix, at [`MetricsLevel::Spans`]. `None` otherwise.
     pub telemetry: Option<RunTelemetry>,
-    /// Rollback/retry history, when the run went through
-    /// [`fault::run_resilient`](crate::fault::run_resilient). `None` for
-    /// plain [`kernel::try_run`](crate::kernel::try_run) runs; `Some` with
-    /// an empty record list for a resilient run that never had to recover.
-    pub recovery: Option<crate::fault::RecoveryLog>,
 }
 
 impl RunReport {

@@ -218,9 +218,7 @@ impl LjfCursor {
 /// Fusion is a pure wall-clock optimization: the determinism proof is the
 /// kernel's own "identical for any worker count" guarantee (a fused round
 /// is exactly the 1-worker round), machine-pinned by the fusion digest
-/// matrix in `sched_matrix.rs`. It is disabled automatically while a
-/// fault-injection plan is armed, so execution-point faults keep landing
-/// on the configured worker and phase.
+/// matrix in `sched_matrix.rs`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FusionConfig {
     /// Master switch (default: on).

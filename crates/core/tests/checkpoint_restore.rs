@@ -112,7 +112,6 @@ fn cfg(threads: usize, metric: SchedMetric) -> RunConfig {
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
         watchdog: Default::default(),
-        fault: Default::default(),
     }
 }
 

@@ -320,6 +320,5 @@ fn world_cfg(kernel: KernelKind) -> RunConfig {
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
         watchdog: Default::default(),
-        fault: Default::default(),
     }
 }

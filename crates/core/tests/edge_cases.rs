@@ -117,7 +117,6 @@ fn single_lp_barrier_kernel_degenerates_gracefully() {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
-        fault: Default::default(),
     };
     let (_, report) = kernel::run(world, &cfg).unwrap();
     assert_eq!(report.events, 25);
@@ -141,7 +140,6 @@ fn manual_partition_wrong_length_is_rejected() {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
-        fault: Default::default(),
     };
     let err = match kernel::run(one_node_world(1), &cfg) {
         Err(e) => e,

@@ -138,7 +138,6 @@ fn unison_matches_compat_sequential_bitwise() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             fel: Default::default(),
-            fault: Default::default(),
         },
     )
     .unwrap();
@@ -401,7 +400,6 @@ fn manual_partition_controls_lp_count() {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
-        fault: Default::default(),
     };
     let (_, report) = kernel::run(ring_world(N, DELAY, TOKENS, STOP), &cfg).unwrap();
     assert_eq!(report.lp_count, 4);
@@ -419,7 +417,6 @@ fn partition_bound_sweeps_granularity() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             fel: Default::default(),
-            fault: Default::default(),
         };
         let (_, report) = kernel::run(ring_world(N, DELAY, TOKENS, STOP), &cfg).unwrap();
         assert_eq!(report.lp_count, expect, "bound {bound:?}");

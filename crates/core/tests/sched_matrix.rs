@@ -130,7 +130,6 @@ fn run_fel(
             sched,
             metrics: Default::default(),
             fel,
-            fault: Default::default(),
         },
     )
     .unwrap();

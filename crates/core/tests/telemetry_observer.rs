@@ -116,7 +116,6 @@ fn unison_cfg(threads: usize, metric: SchedMetric, metrics: MetricsLevel) -> Run
         },
         metrics,
         fel: Default::default(),
-        fault: Default::default(),
     }
 }
 
@@ -147,7 +146,6 @@ fn telemetry_does_not_perturb_other_kernels() {
         sched: SchedConfig::default(),
         metrics,
         fel: Default::default(),
-        fault: Default::default(),
     };
     let compat = KernelKind::Sequential { compat_keys: true };
     let (off, _) = run_digest(&mk(compat.clone(), MetricsLevel::Summary));

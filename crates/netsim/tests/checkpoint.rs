@@ -36,7 +36,6 @@ fn unison_cfg(threads: usize) -> RunConfig {
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
         watchdog: Default::default(),
-        fault: Default::default(),
     }
 }
 

@@ -89,7 +89,6 @@ fn all_kernels_complete_the_same_flows() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             fel: Default::default(),
-            fault: Default::default(),
         })
         .unwrap();
     let nm = build()
@@ -100,7 +99,6 @@ fn all_kernels_complete_the_same_flows() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             fel: Default::default(),
-            fault: Default::default(),
         })
         .unwrap();
     assert_eq!(seq.flows.total_flows(), uni.flows.total_flows());
@@ -160,7 +158,6 @@ fn unison_matches_compat_sequential_on_network() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             fel: Default::default(),
-            fault: Default::default(),
         })
         .unwrap();
     let uni = build().run(KernelKind::Unison { threads: 4 });

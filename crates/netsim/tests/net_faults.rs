@@ -31,7 +31,6 @@ fn cfg(kernel: KernelKind, nodes: usize) -> RunConfig {
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
         watchdog: Default::default(),
-        fault: Default::default(),
     }
 }
 

@@ -817,6 +817,18 @@ impl<'a> Keys<'a> {
         )
     }
 
+    /// A value whose conversion to `unit` does not fit in 64 bits.
+    fn too_large(&self, e: &Entry, unit: &str) -> ScenarioError {
+        serr(
+            e.line,
+            e.col,
+            format!(
+                "`{}` in {} is too large: it overflows 64-bit {unit}",
+                e.key, self.section
+            ),
+        )
+    }
+
     fn missing(&self, key: &str) -> ScenarioError {
         serr(
             self.table.line,
@@ -837,20 +849,6 @@ impl<'a> Keys<'a> {
 
     fn req_str(&mut self, key: &'a str) -> Result<&'a str, ScenarioError> {
         self.str(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    fn int(&mut self, key: &'a str) -> Result<Option<i64>, ScenarioError> {
-        match self.entry(key) {
-            None => Ok(None),
-            Some(e) => match &e.value {
-                Value::Int(n) => Ok(Some(*n)),
-                _ => Err(self.mismatch(e, "integer")),
-            },
-        }
-    }
-
-    fn req_int(&mut self, key: &'a str) -> Result<i64, ScenarioError> {
-        self.int(key)?.ok_or_else(|| self.missing(key))
     }
 
     fn usize(&mut self, key: &'a str) -> Result<Option<usize>, ScenarioError> {
@@ -913,7 +911,10 @@ impl<'a> Keys<'a> {
         match self.entry(key) {
             None => Ok(None),
             Some(e) => match e.value {
-                Value::Int(n) if n >= 0 => Ok(Some(Time::from_micros(n as u64))),
+                Value::Int(n) if n >= 0 => match (n as u64).checked_mul(1_000) {
+                    Some(ns) => Ok(Some(Time::from_nanos(ns))),
+                    None => Err(self.too_large(e, "nanoseconds")),
+                },
                 Value::Float(f) if f >= 0.0 => {
                     Ok(Some(Time::from_nanos((f * 1000.0).round() as u64)))
                 }
@@ -928,7 +929,21 @@ impl<'a> Keys<'a> {
 
     /// A `<key>_mbps` integer read as a data rate.
     fn rate_mbps(&mut self, key: &'a str) -> Result<Option<DataRate>, ScenarioError> {
-        Ok(self.u64(key)?.map(DataRate::mbps))
+        match self.entry(key) {
+            None => Ok(None),
+            Some(e) => match e.value {
+                Value::Int(n) if n >= 0 => match (n as u64).checked_mul(1_000_000) {
+                    Some(bps) => Ok(Some(DataRate::bps(bps))),
+                    None => Err(self.too_large(e, "bits per second")),
+                },
+                Value::Int(_) => Err(self.mismatch(e, "non-negative integer")),
+                _ => Err(self.mismatch(e, "integer")),
+            },
+        }
+    }
+
+    fn req_rate_mbps(&mut self, key: &'a str) -> Result<DataRate, ScenarioError> {
+        self.rate_mbps(key)?.ok_or_else(|| self.missing(key))
     }
 
     /// An array of non-negative integers.
@@ -1031,8 +1046,8 @@ fn parse_topology(
         "dumbbell" => TopoKind::Dumbbell {
             senders: k.req_usize("senders")?,
             receivers: k.req_usize("receivers")?,
-            edge_rate: DataRate::mbps(k.req_int("edge_rate_mbps")?.max(0) as u64),
-            bottleneck_rate: DataRate::mbps(k.req_int("bottleneck_rate_mbps")?.max(0) as u64),
+            edge_rate: k.req_rate_mbps("edge_rate_mbps")?,
+            bottleneck_rate: k.req_rate_mbps("bottleneck_rate_mbps")?,
         },
         "bcube" => TopoKind::BCube {
             n: k.req_usize("n")?,
@@ -1199,7 +1214,7 @@ fn parse_flow(table: &Table) -> Result<FlowSpec, ScenarioError> {
     let flow = FlowSpec {
         src: k.req_usize("src")?,
         dst: k.req_usize("dst")?,
-        bytes: k.req_int("bytes")?.max(0) as u64,
+        bytes: k.req_usize("bytes")? as u64,
         start: k.req_time_us("start_us")?,
     };
     k.finish()?;
@@ -1211,7 +1226,7 @@ fn parse_on_off(table: &Table) -> Result<OnOffSpec, ScenarioError> {
     let spec = OnOffSpec {
         src: k.req_usize("src")?,
         dst: k.req_usize("dst")? as u32,
-        rate: DataRate::mbps(k.req_int("rate_mbps")?.max(0) as u64),
+        rate: k.req_rate_mbps("rate_mbps")?,
         pkt_bytes: k.u32("pkt_bytes")?.unwrap_or(1448),
         mean_on: k.req_time_us("mean_on_us")?,
         mean_off: k.req_time_us("mean_off_us")?,

@@ -295,9 +295,9 @@ threads = 2
 /// scenario choice: the heap is the ladder's test reference),
 /// `per_round_metrics` (what a run records is the caller's choice —
 /// `unison-run --explain` — not the file's), the in-process hybrid kernel
-/// with its `hosts` key, and `[[fault]]` (the plan is inert without the
-/// `fault-inject` hooks, which `unison-run` does not compile) are rejected
-/// like any other unknown key, value or section, at their own span.
+/// with its `hosts` key, and `[[fault]]` (faults come from the model, not
+/// the kernel) are rejected like any other unknown key, value or section,
+/// at their own span.
 #[test]
 fn retired_run_keys_are_rejected_with_their_span() {
     let head = "[topology]\nkind = \"fat_tree\"\nk = 4\n[traffic]\nload = 0.1\n\
@@ -366,6 +366,7 @@ fn semantic_errors_point_at_the_offending_value() {
         "src = 0 | src = 1 | 20 | flow src 1 is not a host",
         "dst = 3 | dst = 9 | 21 | flow dst 9 out of range",
         "dst = 3 | dst = 0 | 21 | src == dst",
+        "bytes = 9 | bytes = -9 | 22 | non-negative integer",
         "src = 3 | src = 4 | 25 | on_off src 4 out of range",
     ] {
         let fields: Vec<&str> = case.split(" | ").collect();
@@ -374,6 +375,42 @@ fn semantic_errors_point_at_the_offending_value() {
         let e = parse_scenario(&ok.replacen(from, to, 1)).unwrap_err();
         assert!(e.msg.contains(want), "{case}: {e}");
         assert_eq!((e.line, e.col), (line.parse().unwrap(), 1), "{case}: {e}");
+    }
+}
+
+/// Rates and times are converted to bits per second and nanoseconds in 64
+/// bits: a negative rate is refused like any other negative integer, and a
+/// value whose conversion overflows is a spanned error, not a wrapped or
+/// panicking multiplication.
+#[test]
+fn unit_conversions_are_checked() {
+    let dumbbell = "[topology]\nkind = \"dumbbell\"\nsenders = 2\nreceivers = 2\n\
+                    edge_rate_mbps = 10\nbottleneck_rate_mbps = 10\n\
+                    [run]\nstop_us = 1\nkernel = \"sequential\"\n";
+    parse_scenario(dumbbell).unwrap_or_else(|e| panic!("{e}"));
+    for (from, to, line, want) in [
+        (
+            "edge_rate_mbps = 10",
+            "edge_rate_mbps = -5",
+            5,
+            "non-negative integer",
+        ),
+        (
+            "bottleneck_rate_mbps = 10",
+            "bottleneck_rate_mbps = 9223372036854775807",
+            6,
+            "overflows 64-bit bits per second",
+        ),
+        (
+            "stop_us = 1",
+            "stop_us = 9223372036854775807",
+            8,
+            "overflows 64-bit nanoseconds",
+        ),
+    ] {
+        let e = parse_scenario(&dumbbell.replacen(from, to, 1)).unwrap_err();
+        assert!(e.msg.contains(want), "{to}: {e}");
+        assert_eq!((e.line, e.col), (line, 1), "{to}: {e}");
     }
 }
 

@@ -1,10 +1,10 @@
 //! The textual run report (what `unison-run --explain` prints).
 //!
 //! Every printed quantity has one source (DESIGN.md §4.3): where each
-//! thread's wall time went is the [`RunReport`]'s own P/S/M, the header and
-//! the progress/recovery sections are its counters, and only what the
-//! report does not hold — per-round LP costs, scheduling regret, the
-//! traffic matrix — comes from the spans, through [`Timeline`].
+//! thread's wall time went is the [`RunReport`]'s own P/S/M, the header is
+//! its counters, and only what the report does not hold — per-round LP
+//! costs, scheduling regret, the traffic matrix — comes from the spans,
+//! through [`Timeline`].
 
 use std::io::{self, Write};
 
@@ -57,40 +57,6 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
         row(&report.psm_total()),
         w = who.len() + 4
     )?;
-
-    // Recovery history — only resilient runs (fault::run_resilient)
-    // carry a log; a plain run omits the section entirely.
-    if let Some(log) = &report.recovery {
-        writeln!(out)?;
-        writeln!(out, "-- recovery (resilient driver rollbacks) --")?;
-        if log.rollbacks.is_empty() {
-            writeln!(out, "no failures: the run completed on the first attempt")?;
-        } else {
-            writeln!(
-                out,
-                "rollbacks: {}   wall lost to failures: {:.3} s",
-                log.rollback_count(),
-                log.total_recovery_wall.as_secs_f64()
-            )?;
-            for (i, rb) in log.rollbacks.iter().enumerate() {
-                writeln!(
-                    out,
-                    "#{i}: {} at round {} ({:?}) -> rolled back to t={}ns \
-                     (~{} rounds lost, {} corrupt checkpoint(s) skipped{})",
-                    rb.fault,
-                    rb.round,
-                    rb.phase,
-                    rb.rolled_back_to.as_nanos(),
-                    rb.rounds_lost,
-                    rb.skipped_corrupt,
-                    match rb.degraded_threads {
-                        Some(t) => format!(", degraded to {t} threads"),
-                        None => String::new(),
-                    }
-                )?;
-            }
-        }
-    }
 
     let Some(timeline) = Timeline::from_report(report) else {
         writeln!(out)?;
@@ -230,46 +196,8 @@ mod tests {
         assert!(text.contains(&format!("     total: {row}")), "{text}");
         assert!(text.contains("no spans recorded"));
         assert!(!text.contains("load imbalance"));
-        // Plain runs carry no recovery log and no recovery section.
-        assert!(!text.contains("recovery"));
         // The LP-pinned kernels' rows are LPs.
         rep.psm_per_lp = true;
         assert!(report_string(&rep).contains(&format!("lp   0: {row}")));
-    }
-
-    #[test]
-    fn recovery_section_renders_rollbacks() {
-        use std::time::Duration;
-        use unison_core::{RecoveryLog, RollbackRecord, RunPhase, Time};
-
-        let mut rep = RunReport {
-            kernel: "unison".into(),
-            ..Default::default()
-        };
-        rep.recovery = Some(RecoveryLog {
-            rollbacks: vec![RollbackRecord {
-                fault: "worker 1 panicked in round 60 (Process)".into(),
-                round: 60,
-                phase: RunPhase::Process,
-                rolled_back_to: Time(50_000),
-                rounds_lost: 10,
-                wall_cost: Duration::from_millis(3),
-                skipped_corrupt: 1,
-                degraded_threads: Some(2),
-                backoff: Duration::from_millis(1),
-            }],
-            total_recovery_wall: Duration::from_millis(4),
-        });
-        let text = report_string(&rep);
-        assert!(text.contains("recovery (resilient driver rollbacks)"));
-        assert!(text.contains("rolled back to t=50000ns"));
-        assert!(text.contains("1 corrupt checkpoint(s) skipped"));
-        assert!(text.contains("degraded to 2 threads"));
-
-        // An untroubled resilient run still gets the section, with the
-        // explicit no-failures line.
-        rep.recovery = Some(RecoveryLog::default());
-        let text = report_string(&rep);
-        assert!(text.contains("no failures"));
     }
 }

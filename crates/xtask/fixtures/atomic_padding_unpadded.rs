@@ -1,4 +1,4 @@
-//! Fixture: unpadded atomics declared in kernel hot-path code (rule 8).
+//! Fixture: unpadded atomics declared in kernel hot-path code (rule 7).
 //! Fed through `lint_file` as `crates/core/src/kernel/fixture.rs`.
 
 use crate::sync_shim::{AtomicBool, AtomicU64, AtomicUsize, CachePadded};

@@ -1,6 +1,6 @@
 //! The workspace lint rules (see `cargo xtask lint`).
 //!
-//! Nine rules, motivated by the kernel's concurrency-, crash-safety-, and
+//! Eight rules, motivated by the kernel's concurrency-, crash-safety-, and
 //! reproducibility contracts (DESIGN.md):
 //!
 //! 1. **`safety-comment`** — every `unsafe` block or `unsafe impl` must be
@@ -45,16 +45,7 @@
 //!    either a documented invariant or an error. Test modules (everything
 //!    at and below a `#[cfg(test)]`-style attribute, by the bottom-of-file
 //!    convention) are exempt.
-//! 7. **`fault-gate`** — calls to the fault-injection hooks (`fire_phase`,
-//!    `fire_stall`, `fire_barrier_delay`, `fire_ckpt_fail`,
-//!    `alloc_check`) anywhere in `crates/core/src` outside `fault.rs`
-//!    itself must be covered by a `#[cfg(feature = "fault-inject")]`
-//!    attribute — either directly on the statement or on an enclosing
-//!    block/item the attribute opens. This pins the resilience contract's
-//!    zero-cost clause (DESIGN.md §4.7): default builds compile every
-//!    injection site out, so production hot paths carry no fault-plan
-//!    checks. Test modules are exempt.
-//! 8. **`atomic-padding`** — atomic storage *declared* in the kernel hot
+//! 7. **`atomic-padding`** — atomic storage *declared* in the kernel hot
 //!    paths (`crates/core/src/kernel/`, `crates/core/src/sync.rs`,
 //!    `crates/core/src/sched.rs`) must be wrapped in `CachePadded`, or the
 //!    line must carry a `// PADDING:`
@@ -67,7 +58,7 @@
 //!    round-fusion work introduced (DESIGN.md §4.9): a new per-worker
 //!    counter dropped next to a neighbour's hot word silently costs more
 //!    than a barrier crossing.
-//! 9. **`scenario-validate`** — every `scenarios/*.toml` file must parse
+//! 8. **`scenario-validate`** — every `scenarios/*.toml` file must parse
 //!    and validate against the scenario contract (DESIGN.md §4.10), every
 //!    row of a `[sweep]` included. The
 //!    corpus is pinned by golden digests in CI, so a file that stops
@@ -158,24 +149,7 @@ fn unwrap_allowed(rel: &str) -> bool {
     EXACT.contains(&rel)
 }
 
-/// The fault-injection hook names covered by rule 7. Calling any of these
-/// is how a kernel consults the run's `FaultPlan`, so each call site must
-/// be compiled out of default builds.
-const FAULT_HOOKS: &[&str] = &[
-    "fire_phase",
-    "fire_stall",
-    "fire_barrier_delay",
-    "fire_ckpt_fail",
-    "alloc_check",
-];
-
-/// Files subject to rule 7: core sources, minus `fault.rs` itself (the
-/// hooks' definitions and their unit tests live there, behind the feature).
-fn fault_gate_checked(rel: &str) -> bool {
-    in_core_src(rel) && rel != "crates/core/src/fault.rs"
-}
-
-/// The atomic type names covered by rule 8.
+/// The atomic type names covered by rule 7.
 const ATOMIC_TYPES: &[&str] = &[
     "AtomicBool",
     "AtomicU8",
@@ -191,7 +165,7 @@ const ATOMIC_TYPES: &[&str] = &[
     "AtomicPtr",
 ];
 
-/// Files subject to rule 8: the kernel hot paths, where every atomic word
+/// Files subject to rule 7: the kernel hot paths, where every atomic word
 /// is potentially contended by all workers every round.
 fn padding_checked(rel: &str) -> bool {
     rel.starts_with("crates/core/src/kernel/")
@@ -265,75 +239,16 @@ fn is_method_call(code: &str, col: usize) -> bool {
 /// with forward slashes; it decides which rules apply.
 pub fn lint_file(rel: &str, src: &str) -> Vec<Finding> {
     let lines = lexer::scan(src);
-    // Raw lines, for rule 7: the feature name sits inside a string literal,
-    // which `Line::code` strips to bare delimiters.
-    let raw: Vec<&str> = src.lines().collect();
     let mut findings = Vec::new();
     let mut reported_allowlist = false;
     // Rule 6 exempts test modules; by repo convention a `#[cfg(test)]` (or
     // `#[cfg(all(test, not(loom)))]`) attribute starts the bottom-of-file
     // test module, so everything after it is test code.
     let mut in_tests = false;
-    // Rule 7 gate tracker: `gate_pending` marks the code line right below a
-    // `#[cfg(feature = "fault-inject")]` attribute; if that line opens more
-    // braces than it closes, the whole brace-balanced region it opens stays
-    // gated (`gated_above` holds the depth the region returns to).
-    let mut depth: i32 = 0;
-    let mut gate_pending = false;
-    let mut gated_above: Option<i32> = None;
 
     for (i, l) in lines.iter().enumerate() {
         if l.code.contains("#[cfg(") && lexer::has_token(&l.code, "test") {
             in_tests = true;
-        }
-
-        // Rule 7: fault-injection hooks must be feature-gated out of
-        // default builds.
-        if fault_gate_checked(rel) && !in_tests && !gate_pending && gated_above.is_none() {
-            for hook in FAULT_HOOKS {
-                if lexer::has_token(&l.code, hook) {
-                    findings.push(Finding {
-                        path: rel.to_string(),
-                        line: i + 1,
-                        rule: "fault-gate",
-                        msg: format!(
-                            "fault-injection hook `{hook}` outside a \
-                             `#[cfg(feature = \"fault-inject\")]` gate: hooks must be \
-                             compiled out of default builds (DESIGN.md §4.7)"
-                        ),
-                    });
-                }
-            }
-        }
-        // Rule 7 bookkeeping (independent of whether the rule applies, so
-        // the tracker is warm if a file mixes gated/ungated regions).
-        let net: i32 = l
-            .code
-            .chars()
-            .map(|c| match c {
-                '{' => 1,
-                '}' => -1,
-                _ => 0,
-            })
-            .sum();
-        let is_gate_attr = l.is_attr_only()
-            && lexer::has_token(&l.code, "feature")
-            && raw.get(i).is_some_and(|r| r.contains("fault-inject"));
-        if is_gate_attr {
-            gate_pending = true;
-        } else if !l.code.trim().is_empty() && gate_pending {
-            // This code line is the attribute's target; a net brace opening
-            // extends the gate to the whole region it opens.
-            if net > 0 {
-                gated_above = Some(depth);
-            }
-            gate_pending = false;
-        }
-        depth += net;
-        if let Some(d) = gated_above {
-            if depth <= d {
-                gated_above = None;
-            }
         }
         for col in lexer::find_tokens(&l.code, "unsafe") {
             // Rule 2: allow-list.
@@ -441,7 +356,7 @@ pub fn lint_file(rel: &str, src: &str) -> Vec<Finding> {
             }
         }
 
-        // Rule 8: atomics declared on the kernel hot paths must be
+        // Rule 7: atomics declared on the kernel hot paths must be
         // cache-padded (or carry a reviewed `// PADDING:` justification).
         if padding_checked(rel) && !in_tests && !lexer::has_token(&l.code, "CachePadded") {
             let toks = lexer::tokenize_code(&l.code);
@@ -596,7 +511,7 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(sources)
 }
 
-/// Rule 9 over one scenario file: every row of the file must parse and
+/// Rule 8 over one scenario file: every row of the file must parse and
 /// validate against the scenario contract. `rel` is the workspace-relative
 /// path.
 pub fn lint_scenario_file(rel: &str, src: &str) -> Vec<Finding> {
@@ -615,7 +530,7 @@ pub fn lint_scenario_file(rel: &str, src: &str) -> Vec<Finding> {
     }
 }
 
-/// Collects and checks every `.toml` under `<root>/scenarios/` (rule 9).
+/// Collects and checks every `.toml` under `<root>/scenarios/` (rule 8).
 /// Returns the findings and the number of scenario files checked.
 fn lint_scenarios(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
     let dir = root.join("scenarios");
@@ -648,7 +563,7 @@ fn lint_scenarios(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
 }
 
 /// Runs all rules over every `.rs` file under `root`, plus the scenario
-/// corpus check (rule 9) over `scenarios/*.toml`.
+/// corpus check (rule 8) over `scenarios/*.toml`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
     let sources = collect_sources(root)?;
     let mut findings = Vec::new();

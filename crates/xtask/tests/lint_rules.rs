@@ -259,46 +259,10 @@ fn comments_strings_and_identifiers_never_false_positive() {
 }
 
 #[test]
-fn ungated_fault_hooks_are_flagged() {
-    let f = lint_file(
-        "crates/core/src/kernel/fixture.rs",
-        &fixture("fault_gate_ungated.rs"),
-    );
-    assert_eq!(
-        rules_of(&f),
-        vec!["fault-gate", "fault-gate", "fault-gate"],
-        "{f:?}"
-    );
-    assert!(f[0].msg.contains("fire_phase"), "{f:?}");
-    assert!(f[1].msg.contains("fire_stall"), "{f:?}");
-    assert!(f[2].msg.contains("alloc_check"), "{f:?}");
-}
-
-#[test]
-fn gated_fault_hooks_pass() {
-    // Statement gates, block gates, gated `if`, and test-module usage.
-    let f = lint_file(
-        "crates/core/src/kernel/fixture.rs",
-        &fixture("fault_gate_ok.rs"),
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn fault_gate_exempts_fault_rs_and_non_core() {
-    // The hooks' own definitions (fault.rs) and code outside core are free
-    // to name them ungated.
-    for rel in ["crates/core/src/fault.rs", "crates/bench/src/fixture.rs"] {
-        let f = lint_file(rel, &fixture("fault_gate_ungated.rs"));
-        assert!(f.is_empty(), "{rel}: {f:?}");
-    }
-}
-
-#[test]
 fn string_line_continuations_keep_line_numbers_aligned() {
     // Regression: a `\` line continuation inside a string literal used to
     // swallow the newline in the lexer, shifting every later finding's
-    // line number (and breaking the raw-line alignment rule 7 relies on).
+    // line number.
     let src = "fn f() -> &'static str {\n    \"a multi-line \\\n     literal\"\n}\nfn g(m: &HashMap<u32, u32>) {}\n";
     let f = lint_file("crates/core/src/fixture.rs", src);
     assert_eq!(rules_of(&f), vec!["no-hash-collections"], "{f:?}");

@@ -1,7 +1,7 @@
 //! Workspace-level integration: the paper's determinism claims (§5.2,
 //! Fig. 11) at the full network-stack level.
 
-use unison::core::{FaultPlan, KernelKind, RunConfig, RunPhase, SchedConfig, SchedMetric, Time};
+use unison::core::{KernelKind, RunConfig, SchedConfig, SchedMetric, Time};
 use unison::netsim::{world_digest, NetworkBuilder, SimResult, TransportKind};
 use unison::scenario::parse_scenario;
 use unison::topology::fat_tree;
@@ -94,24 +94,6 @@ fn compat_sequential_equals_unison() {
     let seq = fingerprint(&run(KernelKind::Sequential { compat_keys: true }));
     let uni = fingerprint(&run(KernelKind::Unison { threads: 3 }));
     assert_eq!(seq, uni);
-}
-
-/// This package builds the core without its `fault-inject` hooks, so a
-/// fault plan is carried but never consulted — and must not change how the
-/// run executes either: the same rounds fuse, to the same digest.
-#[test]
-fn an_inert_fault_plan_leaves_fusion_on() {
-    let spec = parse_scenario(include_str!("../scenarios/quickstart.toml")).expect("parses");
-    let topo = spec.build_topology();
-    let run = |cfg: &RunConfig| {
-        let sim = NetworkBuilder::from_scenario(&topo, &spec).build();
-        let res = sim.run_with(cfg).expect("run");
-        (world_digest(&res.world), res.kernel.fused_rounds)
-    };
-    let plain = run(&RunConfig::unison(2));
-    let plan = FaultPlan::new().worker_panic(3, RunPhase::Process, 1);
-    assert!(plain.1 > 0, "some quickstart rounds fuse");
-    assert_eq!(run(&RunConfig::unison(2).with_faults(plan)), plain);
 }
 
 /// The two names the frozen benchmark still uses for a deleted kernel

@@ -12,10 +12,11 @@ use std::path::Path;
 use unison::scenario::parse_scenario;
 
 /// Values that sit on a boundary of some key's type or range.
-const HOSTILE: [&str; 20] = [
+const HOSTILE: [&str; 21] = [
     "-1",
     "0",
     "18446744073709551615",
+    "9223372036854775807",
     "9999999999999999999999",
     "1e308",
     "-1e308",
