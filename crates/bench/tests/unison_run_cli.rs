@@ -337,6 +337,7 @@ fn hostile_sizes_exit_1_with_a_spanned_message() {
         "\nk = 4\n | \nk = 4000\n | col 1: this topology would have at least 16020000000 nodes",
         "\nk = 4\n | \nk = 64\n | line 10, col 1: this topology would have 70656 nodes, and `static_ecmp`",
         "threads = 2 | threads = 2\nwatchdog_ms = 0 | col 1: `watchdog_ms` must be positive",
+        "\nk = 4\n | \nk = 4\nrate_mbps = 18000000000000\n | line 15, col 1: this traffic would generate about",
     ]
     .into_iter()
     .enumerate()

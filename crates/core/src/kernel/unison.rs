@@ -8,7 +8,8 @@
 //!    execute each claimed LP's events inside the window. A cross-LP event
 //!    is appended to the executing worker's outbox for the destination
 //!    LP's home worker ([`LpSlots::send`]). Each worker folds the visited
-//!    LPs' next-event timestamps and event counts into a [`RoundFold`].
+//!    LPs' next-event timestamps, event counts and largest per-LP count
+//!    into a [`RoundFold`].
 //! 2. **Handle global events** — the main thread merges node-scheduled
 //!    globals into the public LP (only when a process phase flagged any),
 //!    then executes due global events (which may mutate the topology →
@@ -20,13 +21,15 @@
 //!    by the same [`home_range`] as the claim cursor, and an LP that
 //!    receives nothing is not touched.
 //! 4. **Update window** — the main thread reduces the workers' folds into
-//!    the next LBTS (Eq. 2), re-sorts the LP schedule every scheduling
-//!    period of parallel rounds, and records metrics.
+//!    the next LBTS (Eq. 2), re-orders the LPs every scheduling period of
+//!    parallel rounds — heavy LPs first, the rest by LP id
+//!    ([`order_home`]) — and records metrics.
 //!
 //! A round visits each LP once, in phase 1, and again in phase 3 only per
-//! event delivered to it. The control thread walks all LPs only in re-sort
-//! rounds, for per-round profiles, when a process phase flagged pending
-//! globals, and to re-derive the minimum after a global event ran.
+//! event delivered to it. The control thread walks all LPs only in the
+//! periods whose order has or had a heavy LP, for per-round profiles and
+//! spans, when a process phase flagged pending globals, and to re-derive
+//! the minimum after a global event ran.
 //!
 //! Determinism: event keys are assigned from per-LP monotone counters and
 //! ordered by the §5.2 tie-breaking rule, so results are identical for any
@@ -40,7 +43,7 @@ use crate::error::{RunPhase, SimError};
 use crate::event::LpId;
 use crate::lp::LpSlots;
 use crate::metrics::{MetricsLevel, RoundRecord, RunReport, SchedStats};
-use crate::sched::{home_range, sort_by_estimate, LjfCursor, SchedMetric};
+use crate::sched::{heavy_above, home_range, order_home, LjfCursor, SchedMetric};
 use crate::sync::{TreeBarrier, TreeWaiter};
 use crate::sync_shim::{AtomicBool, AtomicU64, CachePadded, Ordering};
 use crate::telemetry::{SpanKind, WorkerTel, NO_LP};
@@ -56,7 +59,7 @@ use super::{RoundCtx, RunConfig};
 /// Round plan published by the main thread between rounds.
 struct RoundPlan {
     /// LP visit order for the processing phase: each home segment of the
-    /// LPs, longest estimated job first.
+    /// LPs, its heavy LPs first and the rest by LP id ([`order_home`]).
     order: Vec<u32>,
     /// Start of the current window.
     window_start: Time,
@@ -69,10 +72,10 @@ struct RoundPlan {
     round: u64,
     /// Set when the simulation is complete.
     done: bool,
-    /// Whether this round's process phase measures each LP's cost
-    /// (`LpState::last_cost_ns`): set for the parallel round a
-    /// `ByLastRoundTime` re-sort consumes, and every round above
-    /// `MetricsLevel::Summary`. Other rounds read no per-LP clock.
+    /// Whether the process phase measures each LP's cost
+    /// (`LpState::last_cost_ns`): above `MetricsLevel::Summary` only, for
+    /// per-round profiles and `lp-task` spans. The scheduler estimates from
+    /// event counts, so a `Summary` run reads no per-LP clock.
     timed: bool,
     /// Per-LP cost estimates behind the current `order`, published only
     /// when telemetry records (empty otherwise) so `lp-task` spans can
@@ -105,6 +108,9 @@ struct RoundFold {
     load: u64,
     /// Events received this round.
     recv: u64,
+    /// The most events one visited LP processed this round: phase 4 skips
+    /// the re-order's LP walk when even this LP is not heavy.
+    max_lp: u64,
 }
 
 impl RoundFold {
@@ -112,12 +118,14 @@ impl RoundFold {
         min_next: Time::MAX,
         load: 0,
         recv: 0,
+        max_lp: 0,
     };
 
     fn merge(&mut self, other: RoundFold) {
         self.min_next = self.min_next.min(other.min_next);
         self.load += other.load;
         self.recv += other.recv;
+        self.max_lp = self.max_lp.max(other.max_lp);
     }
 }
 
@@ -125,13 +133,15 @@ impl RoundFold {
 /// receive phase, read by the main thread after B3 (the barrier orders the
 /// two).
 struct FoldSlot {
-    // PADDING: the three words are one worker's and the enclosing
+    // PADDING: the four words are one worker's and the enclosing
     // `CachePadded<FoldSlot>` keeps workers apart.
     min_next: AtomicU64,
     // PADDING: as above.
     round_load: AtomicU64,
     // PADDING: as above.
     round_recv: AtomicU64,
+    // PADDING: as above.
+    round_max_lp: AtomicU64,
 }
 
 impl FoldSlot {
@@ -140,6 +150,7 @@ impl FoldSlot {
             min_next: AtomicU64::new(Time::MAX.0),
             round_load: AtomicU64::new(0),
             round_recv: AtomicU64::new(0),
+            round_max_lp: AtomicU64::new(0),
         }
     }
 
@@ -147,6 +158,7 @@ impl FoldSlot {
         self.min_next.store(fold.min_next.0, Ordering::Relaxed);
         self.round_load.store(fold.load, Ordering::Relaxed);
         self.round_recv.store(fold.recv, Ordering::Relaxed);
+        self.round_max_lp.store(fold.max_lp, Ordering::Relaxed);
     }
 
     fn read(&self) -> RoundFold {
@@ -154,6 +166,7 @@ impl FoldSlot {
             min_next: Time(self.min_next.load(Ordering::Relaxed)),
             load: self.round_load.load(Ordering::Relaxed),
             recv: self.round_recv.load(Ordering::Relaxed),
+            max_lp: self.round_max_lp.load(Ordering::Relaxed),
         }
     }
 }
@@ -175,7 +188,7 @@ pub(super) fn run<N: SimNode>(
     // The claim cursor over the initial (identity) order, cut into one home
     // per worker and seeded before any worker threads exist. An LP's home
     // worker — the column its deliveries travel in — is the owner of the
-    // segment it starts in: the phase-4 re-sort never moves an LP out of
+    // segment it starts in: the phase-4 re-order never moves an LP out of
     // its segment.
     let initial_order: Vec<u32> = (0..lp_count as u32).collect();
     let mut lp_home = vec![0u32; lp_count];
@@ -227,29 +240,19 @@ pub(super) fn run<N: SimNode>(
     }
     let mut fused_rounds: u64 = 0;
     // Whether the round after one of `load` events runs fused — with one
-    // thread there is no worker to release, so every round does. The loop
-    // tests this and the schedule below predicts with it.
+    // thread there is no worker to release, so every round does.
     let fuses = |load: u64| fusion.enabled && (threads == 1 || load <= fusion_threshold);
 
     // Load-adaptive scheduling only pays in a *parallel* round: unfused,
-    // with more than one worker. The re-sort period counts parallel
+    // with more than one worker. The re-order period counts parallel
     // rounds, and a run that has none keeps LP-id order.
     let balances = threads > 1;
     let mut parallel_rounds: u64 = 0;
-    // Which rounds measure per-LP cost: the parallel round whose phase 4
-    // completes a period and re-sorts by measured time, and every round
-    // when profiles or spans record it. `timed` reads the parallel rounds
-    // run so far and the load of the round before the one it plans.
     let sched_period = cfg.sched.effective_period(lp_count) as u64;
-    let timed_always = cfg.metrics != MetricsLevel::Summary;
-    let resort_by_time = cfg.sched.metric == SchedMetric::ByLastRoundTime;
-    let timed = |parallel_rounds: u64, load: u64| {
-        timed_always
-            || (resort_by_time
-                && balances
-                && !fuses(load)
-                && (parallel_rounds + 1).is_multiple_of(sched_period))
-    };
+    // Whether the published order puts any heavy LP first. While it does
+    // not, it is LP-id order, and a period with no heavy LP leaves it so
+    // without walking the LPs.
+    let mut heavy_first = false;
 
     let plan = PlanCell(UnsafeCell::new(RoundPlan {
         order: initial_order,
@@ -257,7 +260,7 @@ pub(super) fn run<N: SimNode>(
         window_end: initial_window,
         round: 1,
         done: initial_min == Time::MAX && public.next_ts() == Time::MAX,
-        timed: timed(0, last_load),
+        timed: cfg.metrics != MetricsLevel::Summary,
         est: Vec::new(),
     }));
 
@@ -346,9 +349,9 @@ pub(super) fn run<N: SimNode>(
         // four per unfused round. A fused span is one generation: only
         // this thread claims in it, so its stamps stay current.
         //
-        // Persistent scratch: the phase-4 LJF re-sort buffer, reused every
-        // period so the steady-state control loop stays off the allocator
-        // (DESIGN.md §4.4).
+        // Persistent scratch: the phase-4 re-order's estimate buffer, reused
+        // every period so the steady-state control loop stays off the
+        // allocator (DESIGN.md §4.4).
         let mut estimates: Vec<u64> = Vec::new();
         let site = Site::new(None);
         let mut lane = Lane::new(&env, &barrier, &site, 0);
@@ -475,6 +478,7 @@ pub(super) fn run<N: SimNode>(
                 min_next,
                 load,
                 recv: recv_total,
+                max_lp,
             } = fold;
             let n_pub = public.next_ts();
             let next_window = n_pub.min(min_next.saturating_add(shell.partition.lookahead));
@@ -501,46 +505,48 @@ pub(super) fn run<N: SimNode>(
                 profile.push(rec);
             }
 
-            // Load-adaptive scheduling: re-sort the LP order every period
-            // of parallel rounds.
+            // Load-adaptive scheduling: re-order the LPs every period of
+            // parallel rounds — in each home its heavy LPs first, the rest
+            // by LP id (DESIGN.md §4.5). By event counts the round's
+            // processed total and its largest per-LP count are in the
+            // fold: with no heavy LP now or in the published order, that
+            // order already is LP-id order and no LP is walked. The
+            // decision log (`Spans`) records every period's order.
             if !done
                 && cfg.sched.metric != SchedMetric::None
                 && parallel_round
                 && parallel_rounds.is_multiple_of(sched_period)
+                && (heavy_first
+                    || sched_log.enabled()
+                    || cfg.sched.metric != SchedMetric::ByLastRoundTime
+                    || max_lp > heavy_above(load - recv_total, threads))
             {
                 estimates.clear();
                 estimates.resize(lp_count, 0);
-                match cfg.sched.metric {
-                    SchedMetric::ByLastRoundTime => {
-                        debug_assert!(p.timed, "re-sort round was not timed");
-                        for (i, e) in estimates.iter_mut().enumerate() {
-                            // SAFETY: main-thread exclusivity.
-                            *e = unsafe { slots.get_mut(i) }.last_cost_ns;
-                        }
-                    }
-                    SchedMetric::ByPendingEvents => {
-                        for (i, e) in estimates.iter_mut().enumerate() {
-                            // SAFETY: main-thread exclusivity.
-                            let lp = unsafe { slots.get_mut(i) };
-                            *e = lp.fel.count_below(next_window) as u64;
-                        }
-                    }
-                    SchedMetric::None => unreachable!(),
+                for (i, e) in estimates.iter_mut().enumerate() {
+                    // SAFETY: main-thread exclusivity between B3 and B0.
+                    let lp = unsafe { slots.get_mut(i) };
+                    *e = match cfg.sched.metric {
+                        SchedMetric::ByLastRoundTime => lp.round_events,
+                        SchedMetric::ByPendingEvents => lp.fel.count_below(next_window) as u64,
+                        SchedMetric::None => unreachable!(),
+                    };
                 }
+                let bound = heavy_above(estimates.iter().sum(), threads);
+                heavy_first = estimates.iter().any(|&e| e > bound);
                 // SAFETY: main-thread exclusivity between B3 and B0.
                 let plan_mut = unsafe { &mut *plan.0.get() };
-                // Allocation-free LJF within each home: every home segment
-                // of the order is sorted by estimate in place, so an LP
-                // never leaves its home and the cursor's bounds stand.
+                // In place within each home segment, so an LP never leaves
+                // its home and the cursor's bounds stand.
                 let order = &mut plan_mut.order;
                 for home in 0..threads {
                     let segment = home_range(order.len(), threads, home);
-                    sort_by_estimate(&mut order[segment], &estimates);
+                    order_home(&mut order[segment], &estimates, bound);
                 }
                 if sched_log.enabled() {
-                    // Log the LJF decision: the order applies from the next
-                    // round (`rounds + 1`) until the next re-sort. Estimates
-                    // ride along for regret analysis.
+                    // Log the decision: the order applies from the next
+                    // round (`rounds + 1`) until the next re-order.
+                    // Estimates ride along for regret analysis.
                     sched_log.record(
                         rounds + 1,
                         cfg.sched.metric.name(),
@@ -567,7 +573,6 @@ pub(super) fn run<N: SimNode>(
                 // Fused rounds advance `rounds` while the workers stay parked
                 // at B0, so the plan carries the authoritative round number.
                 plan_mut.round = rounds + 1;
-                plan_mut.timed = timed(parallel_rounds, load);
             }
             cursor.begin_round();
             lane.lap(SpanKind::WindowUpdate, rounds, window_end.0, next_window.0);
@@ -814,6 +819,7 @@ fn process_phase<N: SimNode>(
         lp.total_events += round_events;
         fold.min_next = fold.min_next.min(lp.next_ts);
         fold.load += round_events;
+        fold.max_lp = fold.max_lp.max(round_events);
         if !lp.pending_globals.is_empty() {
             side_output.store(true, Ordering::Relaxed);
         }
@@ -822,7 +828,7 @@ fn process_phase<N: SimNode>(
             // Recording spans makes every round timed, so every LP visit
             // that did work leaves an `lp-task` span of the measured cost.
             // `plan.est` is only published when telemetry records; 0 means
-            // "no estimate" (before the first re-sort, or metric None).
+            // "no estimate" (before the first re-order, or metric None).
             let est = plan.est.get(lp_idx).copied().unwrap_or(0);
             let (lp_id, cost) = (lp_idx as u32, lp.last_cost_ns);
             tel.record(SpanKind::LpTask, round, lp_id, t0, cost, round_events, est);

@@ -53,12 +53,13 @@ pub struct LpState<N: SimNode> {
     /// so it is exact whenever the LP is not mid-visit (input to the window
     /// computation and to the idle-LP skip).
     pub next_ts: Time,
-    /// Measured processing cost of the last *timed* round, in nanoseconds
-    /// (the default `ByLastRoundTime` scheduling metric). The Unison kernel
-    /// reads the clock only in rounds whose cost something consumes (the
-    /// round before an LJF re-sort, per-round profiles, telemetry).
+    /// Measured processing cost of the LP's last visit, in nanoseconds. The
+    /// Unison kernel reads this clock only above `MetricsLevel::Summary`,
+    /// for per-round profiles and `lp-task` spans; its scheduler estimates
+    /// from [`LpState::round_events`] instead.
     pub last_cost_ns: u64,
-    /// Events processed by this LP in the current round (metrics).
+    /// Events processed by this LP in the current round (metrics, and the
+    /// default `ByLastRoundTime` scheduling estimate).
     pub round_events: u64,
     /// Events received from other LPs since the LP's last process-phase
     /// visit, i.e. in the current round's receive phase (metrics).

@@ -2,12 +2,15 @@
 //!
 //! Each round, LPs must be distributed over the worker threads so that the
 //! threads finish "in unison". Minimizing the makespan of n jobs on T
-//! identical machines is NP-hard (multiway number partitioning); Unison uses
-//! the *longest-job-first* (LPT) approximation: sort LPs by estimated
+//! identical machines is NP-hard (multiway number partitioning); the paper
+//! uses the *longest-job-first* (LPT) approximation: sort LPs by estimated
 //! processing time, and let idle threads always grab the longest remaining
-//! LP. The estimate comes from one of the [`SchedMetric`] heuristics; the
-//! sort runs only every *scheduling period* rounds (default
-//! `ceil(log2(n))`), exploiting the temporal locality of network loads.
+//! LP. The kernel keeps the part of LPT that bounds the makespan and drops
+//! the rest ([`order_home`]): only the LPs heavy enough to stretch a round
+//! go first, longest first, and every other LP keeps its LP-id place. The
+//! estimate comes from one of the [`SchedMetric`] heuristics; the order is
+//! rebuilt only every *scheduling period* rounds (default `ceil(log2(n))`),
+//! exploiting the temporal locality of network loads.
 //!
 //! Workers claim LPs out of the published order through the [`LjfCursor`]
 //! (DESIGN.md §4.5): the order is cut into one contiguous *home* segment
@@ -17,6 +20,7 @@
 //! outbox + tie-break-key path (proven by the digest tests in
 //! `crates/core/tests/sched_matrix.rs`, not asserted).
 
+use std::cmp::Reverse;
 use std::ops::Range;
 
 use crate::sync_shim::{AtomicU64, AtomicUsize, CachePadded, Ordering};
@@ -24,8 +28,11 @@ use crate::sync_shim::{AtomicU64, AtomicUsize, CachePadded, Ordering};
 /// Heuristic used to estimate the next-round processing time of an LP.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedMetric {
-    /// Use the measured processing time of the previous round (the paper's
-    /// default: constant-time, accurate under temporal locality).
+    /// Use the processing time of the previous parallel round (the paper's
+    /// default: constant-time, accurate under temporal locality), estimated
+    /// as the events the LP handled in that round. That is its time up to
+    /// the round's per-event cost, which is the same for every LP and so
+    /// cannot change the order; no per-LP clock is read for it.
     #[default]
     ByLastRoundTime,
     /// Count events pending in the next window (linear in FEL size, usable
@@ -74,7 +81,7 @@ impl SchedPolicyKind {
 /// Positions `home` of `homes` owns out of an order of `len` positions:
 /// contiguous, equal-count (±1) segments that depend on nothing but the
 /// three numbers, so the claim cursor, the LPs' receive homes, the phase-4
-/// re-sort and the regret replay all cut an order the same way.
+/// re-order and the regret replay all cut an order the same way.
 pub fn home_range(len: usize, homes: usize, home: usize) -> Range<usize> {
     home * len / homes..(home + 1) * len / homes
 }
@@ -254,7 +261,7 @@ impl FusionConfig {
 pub struct SchedConfig {
     /// Estimation heuristic.
     pub metric: SchedMetric,
-    /// Re-sort the LP order every `period` parallel rounds — unfused, with
+    /// Re-order the LPs every `period` parallel rounds — unfused, with
     /// more than one worker (DESIGN.md §4.5). `None` =
     /// automatic: `ceil(log2(lp_count))`, minimum 1.
     pub period: Option<u32>,
@@ -312,12 +319,38 @@ pub fn order_by_estimate_into(estimates: &[u64], order: &mut Vec<u32>) {
 
 /// Sorts `lps` longest estimated job first (`estimates` is indexed by LP
 /// id), ties by LP id — what [`order_by_estimate`] does to the whole id
-/// range and the kernel's re-sort does to each home segment.
+/// range (the paper's LPT order, which the performance model replays).
 pub fn sort_by_estimate(lps: &mut [u32], estimates: &[u64]) {
     lps.sort_unstable_by(|&a, &b| {
         estimates[b as usize]
             .cmp(&estimates[a as usize])
             .then(a.cmp(&b))
+    });
+}
+
+/// The estimate above which an LP is *heavy* on `workers` workers: Σ/(3W),
+/// where Σ (`total`) is the sum of every LP's estimate.
+///
+/// Home-first claiming with stealing never leaves a worker idle while an LP
+/// is unclaimed, so the LP that ends a round started no later than
+/// (Σ − p)/W, p being its own cost. If that LP is light it ends the round
+/// within Σ/(3W) of the balanced finish — LPT's 4/3 bound — whatever the
+/// order of the light LPs. Only the heavy ones need to go first.
+pub fn heavy_above(total: u64, workers: usize) -> u64 {
+    total / (3 * workers.max(1) as u64)
+}
+
+/// Orders one home segment of a parallel round (DESIGN.md §4.5): the LPs
+/// whose estimate exceeds `heavy_above` ([`heavy_above`]) first, estimate
+/// descending with ties by LP id, then every other LP by LP id. An LP
+/// exactly at the bound is light. With no heavy LP this is LP-id order, so
+/// a segment visits its LPs in memory order except for the few that could
+/// stretch the round.
+pub fn order_home(lps: &mut [u32], estimates: &[u64], heavy_above: u64) {
+    // Light LPs share the key 0, below every heavy estimate (> bound ≥ 0).
+    lps.sort_unstable_by_key(|&lp| {
+        let e = estimates[lp as usize];
+        (Reverse(if e > heavy_above { e } else { 0 }), lp)
     });
 }
 
@@ -442,6 +475,55 @@ mod tests {
         order_by_estimate_into(&[3], &mut buf);
         assert_eq!(buf, vec![0]);
         assert!(buf.capacity() >= 16, "capacity is retained for reuse");
+    }
+
+    #[test]
+    fn order_home_keeps_every_lp_once() {
+        let est = [0, 40, 3, 40, 9, 0, 55, 1];
+        for bound in [0, 2, 8, 39, 40, 100] {
+            let mut seg: Vec<u32> = vec![7, 2, 5, 0, 6, 3, 1, 4];
+            order_home(&mut seg, &est, bound);
+            let mut sorted = seg.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..8).collect::<Vec<_>>(), "bound {bound}");
+        }
+    }
+
+    #[test]
+    fn order_home_puts_heavy_lps_first_descending_then_the_rest_by_id() {
+        let est = [0, 40, 3, 40, 9, 0, 55, 1];
+        let mut seg: Vec<u32> = (0..8).rev().collect();
+        order_home(&mut seg, &est, 8);
+        // Heavy: 6 (55), then 1 and 3 (40, tie by id), then 4 (9).
+        assert_eq!(seg, vec![6, 1, 3, 4, 0, 2, 5, 7]);
+        // A segment of a larger id range orders only its own LPs.
+        let mut seg = vec![7, 6, 5, 4];
+        order_home(&mut seg, &est, 8);
+        assert_eq!(seg, vec![6, 4, 5, 7]);
+    }
+
+    #[test]
+    fn an_lp_exactly_at_the_bound_is_light() {
+        // Σ = 12 on two workers: the bound is 12 / 6 = 2; LP 1 (2) is
+        // light, LP 2 (3) heavy.
+        let est = [1, 2, 3, 6];
+        let bound = heavy_above(est.iter().sum(), 2);
+        assert_eq!(bound, 2);
+        let mut seg = vec![0, 1, 2, 3];
+        order_home(&mut seg, &est, bound);
+        assert_eq!(seg, vec![3, 2, 0, 1]);
+        // Σ = 13: the bound is ⌊13/6⌋ = 2, and 2 < 13/6 stays light.
+        assert_eq!(heavy_above(13, 2), 2);
+        assert_eq!(heavy_above(5, 0), 1, "no worker counts as one");
+    }
+
+    #[test]
+    fn with_no_heavy_lp_the_order_is_the_identity() {
+        let est = [5, 1, 4, 4, 0, 6];
+        let bound = heavy_above(est.iter().sum(), 1); // 20 / 3 = 6
+        let mut seg: Vec<u32> = vec![3, 5, 0, 4, 1, 2];
+        order_home(&mut seg, &est, bound);
+        assert_eq!(seg, (0..6).collect::<Vec<_>>());
     }
 
     #[test]

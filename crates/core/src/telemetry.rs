@@ -143,17 +143,19 @@ pub struct WorkerSpans {
     pub traffic: Vec<(u32, u32, u64)>,
 }
 
-/// One scheduler decision: the LJF order published by a re-sort.
+/// One scheduler decision: the order published by a phase-4 re-order.
 #[derive(Clone, Debug)]
 pub struct SchedDecision {
     /// First round the order applies to.
     pub round: u64,
     /// Name of the estimate heuristic ([`crate::SchedMetric::name`]).
     pub metric: &'static str,
-    /// LP visit order, longest estimate first.
+    /// LP visit order: in each home segment the heavy LPs first, longest
+    /// estimate first, then the rest by LP id.
     pub order: Vec<u32>,
     /// Estimates aligned with `order` (`estimates[i]` is the estimate of LP
-    /// `order[i]`, in the metric's unit: ns or pending events).
+    /// `order[i]`, in the metric's unit: events handled last round or
+    /// pending events).
     pub estimates: Vec<u64>,
 }
 

@@ -308,9 +308,9 @@ fn fused_span_survives_cross_lp_receives_and_ends_on_load() {
 /// before B0 releases the workers — without that bump a worker's first
 /// claim meets the control thread's stamp from the span and panics "double
 /// claim". With the threshold at this ring's median load, as above, the
-/// rounds alternate; both metrics, at `Summary` so only the rounds a
-/// re-sort consumes are timed (a debug assertion checks that the re-sort
-/// round was one). The digest is the one-thread reference's.
+/// rounds alternate; both metrics, at `Summary`, where no round reads a
+/// per-LP clock and the re-order runs on event counts (or pending events)
+/// alone. The digest is the one-thread reference's.
 #[test]
 fn claim_audit_holds_across_fused_and_parallel_rounds() {
     const THREADS: usize = 2;

@@ -239,6 +239,35 @@ fn only_parallel_rounds_are_scheduled() {
     assert!(decisions > 0);
 }
 
+/// Event-count estimates make the schedule a function of the simulation
+/// alone (DESIGN.md §4.5): two runs of one configuration log the same
+/// decisions — round, order and estimates — at 2 and at 3 threads. With
+/// measured time as the estimate the orders differed from run to run.
+#[test]
+fn the_schedule_is_a_function_of_the_simulation() {
+    for threads in [2, 3] {
+        let decisions = || {
+            let mut cfg = unison_cfg(threads, SchedMetric::ByLastRoundTime, MetricsLevel::Spans);
+            cfg.sched.fusion = FusionConfig::off();
+            let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
+            let tel = report.telemetry.expect("telemetry attached");
+            let log = tel.sched.into_iter();
+            log.map(|d| (d.round, d.order, d.estimates))
+                .collect::<Vec<_>>()
+        };
+        let first = decisions();
+        assert!(
+            first.iter().any(|(_, order, _)| !order.is_sorted()),
+            "vacuous at {threads} threads: no decision put a heavy LP first"
+        );
+        assert_eq!(
+            first,
+            decisions(),
+            "two runs scheduled differently at {threads} threads"
+        );
+    }
+}
+
 #[test]
 fn span_capacity_bounds_memory_and_counts_drops() {
     // The control thread records at least its four phase laps a round, so

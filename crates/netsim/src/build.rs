@@ -9,8 +9,8 @@
 //! [`NetSim`], runs on any kernel unchanged.
 
 use unison_core::{
-    kernel, DataRate, KernelKind, NodeId, PartitionMode, PerfModel, RunConfig, RunReport, SimError,
-    Time, World, WorldBuilder,
+    kernel, KernelKind, NodeId, PartitionMode, PerfModel, RunConfig, RunReport, SimError, Time,
+    World, WorldBuilder,
 };
 use unison_topology::{NodeKind, Topology};
 use unison_traffic::{FlowSpec, TrafficConfig};
@@ -115,7 +115,7 @@ impl<'a> NetworkBuilder<'a> {
     /// Generates flows from a traffic description (host rate is taken from
     /// the first host-attached link of the topology).
     pub fn traffic(mut self, cfg: &TrafficConfig) -> Self {
-        let host_rate = self.host_rate();
+        let host_rate = self.topo.host_rate();
         self.flows.extend(cfg.generate(self.topo, host_rate));
         self
     }
@@ -152,18 +152,6 @@ impl<'a> NetworkBuilder<'a> {
     pub fn stop_at(mut self, stop: Time) -> Self {
         self.stop = Some(stop);
         self
-    }
-
-    /// Bandwidth of the first host-attached link (used to scale traffic).
-    pub fn host_rate(&self) -> DataRate {
-        self.topo
-            .links
-            .iter()
-            .find(|l| {
-                self.topo.nodes[l.a] == NodeKind::Host || self.topo.nodes[l.b] == NodeKind::Host
-            })
-            .map(|l| l.rate)
-            .unwrap_or(DataRate::gbps(10))
     }
 
     /// Builds the runnable simulation.

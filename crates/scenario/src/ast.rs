@@ -424,6 +424,14 @@ const ROUTING_TABLE_BYTES: usize = 256 << 20;
 /// ask for ≈ 17 GB.
 pub const MAX_ROUTED_NODES: usize = (ROUTING_TABLE_BYTES / 4).isqrt();
 
+/// Largest flow count a `[traffic]` section may ask the generator for, in
+/// expectation ([`TrafficConfig::expected_flows`]: hosts × load × host rate
+/// × window / mean flow size). The generator allocates every flow before
+/// the run, so a rate, load or window that converts without overflow can
+/// still ask for billions of them. 2²² (≈ 134 MB of flow specs) is 141×
+/// the largest committed scenario's count (`quickstart.toml`, ≈ 29 740).
+pub const MAX_GENERATED_FLOWS: usize = 1 << 22;
+
 /// The `[model]` section: besides its real run, the row is profiled on the
 /// instrumented one-thread engine and each algorithm's synchronization
 /// structure is replayed over `cores` virtual cores (DESIGN.md §3.2).
@@ -603,6 +611,18 @@ impl ScenarioSpec {
                         topo.clusters
                     ),
                 ));
+            }
+            let rate = topo.host_rate();
+            let flows = t.to_config().expected_flows(&topo, rate);
+            if flows > MAX_GENERATED_FLOWS as f64 {
+                let msg = format!(
+                    "this traffic would generate about {flows:.3e} flows ({} hosts at load {} \
+                     of {rate} for {} µs); at most {MAX_GENERATED_FLOWS} can be generated",
+                    topo.host_count(),
+                    t.load,
+                    t.duration.as_nanos() / 1_000
+                );
+                return Err(serr(table.line, table.col, msg));
             }
         }
         for (f, table) in self.flows.iter().zip(&at.flows) {

@@ -472,6 +472,28 @@ fn routed_topologies_are_bounded_by_their_pair_tables() {
     }
 }
 
+/// The traffic generator allocates every flow before the run, and its flow
+/// count is proportional to the host rate, the load and the window: a rate
+/// that converts without overflow (1.8 · 10¹⁹ b/s) would still ask for
+/// billions of flows, so the expected count is bounded at `[traffic]`.
+#[test]
+fn generated_traffic_is_bounded_at_its_section() {
+    assert_eq!(unison_scenario::ast::MAX_GENERATED_FLOWS, 1 << 22);
+    let src = |rate_mbps: u64| {
+        format!(
+            "[topology]\nkind = \"fat_tree\"\nk = 4\nrate_mbps = {rate_mbps}\n\
+             [traffic]\npattern = \"incast\"\nload = 0.3\nincast_ratio = 0.5\n\
+             duration_us = 1500\n[run]\nstop_us = 2000\nkernel = \"sequential\"\n"
+        )
+    };
+    // 16 hosts × 0.3 × 10¹¹ b/s × 1.5 ms / (8 × ~1.7 MB): a few hundred.
+    parse_scenario(&src(100_000)).unwrap_or_else(|e| panic!("{e}"));
+    let e = parse_scenario(&src(18_000_000_000_000)).unwrap_err();
+    assert_eq!((e.line, e.col), (5, 1), "{e}");
+    assert!(e.msg.contains("this traffic would generate about"), "{e}");
+    assert!(e.msg.contains("at most 4194304 can be generated"), "{e}");
+}
+
 /// A scenario whose `[topology]`, `[run]` and `[model]` sections the sweep
 /// tests extend: `$TAIL` is appended after the `[model]` table.
 fn sweep_src(tail: &str) -> String {

@@ -8,6 +8,7 @@
 
 use std::io::{self, Write};
 
+use unison_core::sched::home_range;
 use unison_core::{Psm, RunReport};
 
 use crate::timeline::Timeline;
@@ -121,7 +122,7 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
     if regrets.is_empty() {
         writeln!(
             out,
-            "(no decision log: kernel has no scheduler, or no re-sort happened)"
+            "(no decision log: kernel has no scheduler, or no re-order happened)"
         )?;
     } else {
         let mean = regrets.iter().map(|r| r.regret).sum::<f64>() / regrets.len() as f64;
@@ -160,7 +161,38 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
         }
         writeln!(out, "total cross-LP events: {total}")?;
     }
+
+    // The receive phase cannot steal: each worker drains its own column,
+    // the events bound for the LPs of its home.
+    if report.threads > 1 && !report.psm_per_lp && !traffic.is_empty() {
+        writeln!(out)?;
+        writeln!(
+            out,
+            "-- receive columns (events delivered per home column; no stealing) --"
+        )?;
+        let columns = receive_columns(&traffic, report.lp_count as usize, report.threads as usize);
+        for (w, n) in columns.iter().enumerate() {
+            writeln!(out, "column {w:>3}: {n}")?;
+        }
+        let max = columns.iter().copied().max().unwrap_or(0);
+        let mean = columns.iter().sum::<u64>() as f64 / columns.len() as f64;
+        writeln!(out, "max/mean: {:.3}", max as f64 / mean)?;
+    }
     Ok(())
+}
+
+/// Events delivered into each of `threads` home columns: an edge's
+/// destination LP belongs to the home [`home_range`] cuts it into.
+fn receive_columns(traffic: &[(u32, u32, u64)], lp_count: usize, threads: usize) -> Vec<u64> {
+    let mut columns = vec![0u64; threads];
+    for &(_, dst, n) in traffic {
+        let home =
+            (0..threads).find(|&w| home_range(lp_count, threads, w).contains(&(dst as usize)));
+        if let Some(w) = home {
+            columns[w] += n;
+        }
+    }
+    columns
 }
 
 /// [`write_report`] into a string (panics only on formatter failure, which
@@ -175,6 +207,8 @@ pub fn report_string(report: &RunReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unison_core::telemetry::WorkerSpans;
+    use unison_core::RunTelemetry;
 
     #[test]
     fn reports_without_spans_render_psm_from_the_report() {
@@ -196,8 +230,38 @@ mod tests {
         assert!(text.contains(&format!("     total: {row}")), "{text}");
         assert!(text.contains("no spans recorded"));
         assert!(!text.contains("load imbalance"));
+        assert!(!text.contains("receive columns"));
         // The LP-pinned kernels' rows are LPs.
         rep.psm_per_lp = true;
         assert!(report_string(&rep).contains(&format!("lp   0: {row}")));
+    }
+
+    #[test]
+    fn receive_columns_sum_the_traffic_by_destination_home() {
+        // Five LPs on two workers: homes {0, 1} and {2, 3, 4}.
+        let traffic = vec![(4, 0, 7), (2, 1, 3), (0, 3, 2), (1, 4, 1), (3, 2, 5)];
+        let rep = RunReport {
+            kernel: "unison(2)".into(),
+            threads: 2,
+            lp_count: 5,
+            telemetry: Some(RunTelemetry {
+                workers: vec![WorkerSpans {
+                    worker: 0,
+                    spans: Vec::new(),
+                    truncated: 0,
+                    traffic,
+                }],
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let text = report_string(&rep);
+        assert!(text.contains("column   0: 10\ncolumn   1: 8\n"), "{text}");
+        assert!(text.contains("max/mean: 1.111"), "{text}");
+        assert_eq!(
+            receive_columns(&[(0, 9, 4), (1, 2, 1)], 5, 2),
+            vec![0, 1],
+            "an LP outside the id range has no column"
+        );
     }
 }

@@ -78,6 +78,16 @@ impl Topology {
         self.nodes.iter().filter(|k| **k == NodeKind::Host).count()
     }
 
+    /// Bandwidth of the first host-attached link, 10 Gb/s when no link
+    /// touches a host: the access rate generated traffic is scaled by.
+    pub fn host_rate(&self) -> DataRate {
+        self.links
+            .iter()
+            .find(|l| self.nodes[l.a] == NodeKind::Host || self.nodes[l.b] == NodeKind::Host)
+            .map(|l| l.rate)
+            .unwrap_or(DataRate::gbps(10))
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()

@@ -124,6 +124,25 @@ impl TrafficConfig {
         self
     }
 
+    /// Per-host flow arrival rate (flows per second) that offers `load` of
+    /// `host_rate` with this size distribution.
+    fn arrivals_per_sec(&self, host_rate: DataRate) -> f64 {
+        self.load * host_rate.as_bps() as f64 / (8.0 * self.size_dist.mean_bytes().max(1.0))
+    }
+
+    /// How many flows [`TrafficConfig::generate`] draws for `topo` at
+    /// `host_rate`, in expectation: hosts × per-host arrival rate × window
+    /// (hosts × load × host rate × duration / (8 × mean flow bytes)).
+    /// Computed without generating anything, so a caller can bound the
+    /// allocation a configuration asks for before it is made.
+    pub fn expected_flows(&self, topo: &Topology, host_rate: DataRate) -> f64 {
+        let hosts = topo.host_count();
+        if hosts < 2 || self.load == 0.0 {
+            return 0.0;
+        }
+        hosts as f64 * self.arrivals_per_sec(host_rate) * self.duration.as_secs_f64()
+    }
+
     /// Generates the flow list for `topo`, assuming every host's access
     /// link runs at `host_rate`. Flows are sorted by arrival time; the
     /// result is a deterministic function of (topology, config).
@@ -137,10 +156,7 @@ impl TrafficConfig {
         if hosts.len() < 2 || self.load == 0.0 {
             return Vec::new();
         }
-        let mean_bytes = self.size_dist.mean_bytes().max(1.0);
-        // Per-host flow arrival rate (flows/sec) for the target load.
-        let rate_fps = self.load * host_rate.as_bps() as f64 / (8.0 * mean_bytes);
-        let mean_gap_ns = 1e9 / rate_fps.max(1e-12);
+        let mean_gap_ns = 1e9 / self.arrivals_per_sec(host_rate).max(1e-12);
         let victim_cluster = self
             .incast_cluster
             .unwrap_or_else(|| topo.clusters.saturating_sub(1));

@@ -10,12 +10,15 @@
 //! ([`event_costs`]), which makes the replay deterministic.
 
 use unison::core::perfmodel::mean_cv;
+use unison::core::sched::{
+    heavy_above, home_first_makespan, home_range, order_home, sort_by_estimate,
+};
 use unison::core::{
     DataRate, KernelKind, PartitionMode, PerfModel, RoundRecord, RunConfig, SchedConfig,
     SchedMetric, Time,
 };
-use unison::netsim::{NetworkBuilder, SimResult};
-use unison::topology::{bcube, fat_tree, fat_tree_clusters, manual, torus2d, Topology};
+use unison::netsim::{NetworkBuilder, RoutingKind, SimResult};
+use unison::topology::{bcube, chinanet, fat_tree, fat_tree_clusters, manual, torus2d, Topology};
 use unison::traffic::{SizeDist, TrafficConfig};
 
 fn profile(
@@ -263,6 +266,78 @@ fn claim_load_adaptive_scheduling_beats_none() {
         with <= without,
         "scheduling should not hurt: with {with}, without {without}"
     );
+}
+
+/// The summed home-first makespan (`sched::home_first_makespan`) of a
+/// profile's rounds on `threads` workers, each round's homes ordered by
+/// `order` from the round before's event counts and every LP costing its
+/// own event count: `order(segment, estimates, bound)` rearranges one home
+/// segment, `bound` being the round's `sched::heavy_above`.
+fn replay_orders(
+    profile: &[RoundRecord],
+    threads: usize,
+    order: impl Fn(&mut [u32], &[u64], u64),
+) -> f64 {
+    let mut total = 0.0;
+    for pair in profile.windows(2) {
+        let estimates: Vec<u64> = pair[0].lp_events.iter().map(|&e| e as u64).collect();
+        let actual: Vec<f64> = pair[1].lp_events.iter().map(|&e| e as f64).collect();
+        let bound = heavy_above(estimates.iter().sum(), threads);
+        let mut lps: Vec<u32> = (0..estimates.len() as u32).collect();
+        for home in 0..threads {
+            order(
+                &mut lps[home_range(estimates.len(), threads, home)],
+                &estimates,
+                bound,
+            );
+        }
+        total += home_first_makespan(&lps, &actual, threads);
+    }
+    total
+}
+
+#[test]
+fn claim_heavy_first_order_keeps_ljf_balance_at_every_worker_count() {
+    // DESIGN.md §4.5: a parallel round orders each home heavy LPs first
+    // (estimate above Σ/(3W)), the rest by LP id. Replayed over this repo's
+    // own per-round loads, that stays within 2 % of the paper's full
+    // longest-job-first order at 2–24 workers, while plain LP-id order
+    // falls further behind on each profile.
+    let (topo, traffic, stop) = fat_tree_incast(0.5);
+    let fat_tree = profile(&topo, &traffic, PartitionMode::Auto, stop);
+    let rip = TrafficConfig::random_uniform(0.5)
+        .with_seed(7)
+        .with_sizes(SizeDist::WebSearch)
+        .with_window(Time::from_millis(20), Time::from_millis(20));
+    let china = NetworkBuilder::new(&chinanet())
+        .traffic(&rip)
+        .routing(RoutingKind::Rip {
+            update_interval: Time::from_millis(10),
+        })
+        .stop_at(Time::from_millis(45))
+        .build()
+        .profile(PartitionMode::Auto)
+        .expect("profiled run");
+    for (name, run) in [("fat-tree", &fat_tree), ("ChinaNet", &china)] {
+        let rounds = run.kernel.rounds_profile.as_deref().unwrap_or(&[]);
+        assert!(rounds.len() > 50, "{name}: {} rounds", rounds.len());
+        let mut lp_id_worst = 1.0f64;
+        for threads in [2, 4, 8, 16, 24] {
+            let ljf = replay_orders(rounds, threads, |lps, est, _| sort_by_estimate(lps, est));
+            let heavy_first = replay_orders(rounds, threads, order_home);
+            let lp_id = replay_orders(rounds, threads, |_, _, _| {});
+            assert!(
+                heavy_first <= ljf * 1.02,
+                "{name} at {threads} workers: heavy-first {heavy_first} vs LJF {ljf}"
+            );
+            lp_id_worst = lp_id_worst.max(lp_id / ljf);
+        }
+        assert!(
+            lp_id_worst > 1.02,
+            "{name}: LP-id order is within 2 % of LJF everywhere ({lp_id_worst:.4}), \
+             so this profile cannot tell the orders apart"
+        );
+    }
 }
 
 #[test]
