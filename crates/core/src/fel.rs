@@ -13,7 +13,9 @@
 //!   & Goh's ladder queue). A list of at most a bucket's worth of events is a
 //!   small sorted bottom tier (popped O(1) from the back) with an unsorted
 //!   far-future overflow behind it, and builds nothing else. A larger list
-//!   spreads its events over fixed-width time buckets; a promoted bucket is
+//!   spreads its events over fixed-width time buckets, each a chain of
+//!   16-event chunks from a pool the ladder recycles, so no bucket regrows
+//!   and the memory held follows the events held; a promoted bucket is
 //!   either sorted into the bottom or — when too large to sort cheaply —
 //!   subdivided into a finer child rung. An imminent push is inserted into
 //!   the bottom in place when it lands within a few places of the back (a
@@ -90,7 +92,8 @@ const LADDER_THRES: usize = 64;
 
 /// Bound on the near tier (`bottom` + `stage`) while no rung exists: a list
 /// that outgrows it is not small after all, and is spilled into one rung so
-/// the staged re-sorts stay bounded (see [`Ladder::spill_near`]).
+/// the staged re-sorts stay bounded (see [`Ladder::spill_near`]). Also the
+/// largest overflow buffer a re-prime keeps (see [`Ladder::reprime`]).
 const LADDER_NEAR_MAX: usize = 4 * LADDER_THRES;
 
 /// Bound on in-place insertion into the bottom, in two places. A near-tier
@@ -110,6 +113,187 @@ const LADDER_INSERT_MAX: usize = 8;
 /// workloads bottom out at width 1 long before this.
 const LADDER_MAX_RUNGS: usize = 16;
 
+/// Events per rung-bucket chunk, and every chunk buffer's exact capacity. A
+/// bucket is a chain of chunks, so it never reallocates; a chunk is small
+/// enough that the one partial chunk of each non-empty bucket costs little
+/// (32 or 64 events measured more memory on `fattree_incast`, DESIGN.md
+/// §7).
+const LADDER_CHUNK: usize = 16;
+
+/// "No slot": the end of a bucket's chain of full chunks.
+const NIL: u32 = u32::MAX;
+
+/// A rung bucket, or the overflow of the large-list regime: a chain of
+/// chunks. The newest chunk, `open`, sits in the bucket itself and is
+/// filled in place, so a push costs what a `Vec` push costs; it holds
+/// 1..=`LADDER_CHUNK` events while the bucket is non-empty, and no buffer
+/// at all while the bucket is empty. The older chunks hang off `full`
+/// ([`Chunks::slots`]), each holding exactly `LADDER_CHUNK` events.
+struct Bucket<P> {
+    open: Vec<Event<P>>,
+    full: u32,
+}
+
+impl<P> Bucket<P> {
+    const EMPTY: Self = Bucket {
+        open: Vec::new(),
+        full: NIL,
+    };
+}
+
+/// A full chunk parked on a bucket's chain, or a free slot (no buffer).
+struct Slot<P> {
+    events: Vec<Event<P>>,
+    /// The next (older) full chunk of the same bucket.
+    next: u32,
+}
+
+/// A ladder's chunk storage: the pool of empty chunk buffers and the slots
+/// that chain full chunks behind their bucket's open one. A bucket takes
+/// a buffer from the pool when it starts a chunk and gives every buffer
+/// back when it is emptied; the pool allocates only when it is empty and
+/// never shrinks, so it holds at most the ladder's peak chunk count:
+/// ⌈chunked events / `LADDER_CHUNK`⌉ plus one partial chunk per non-empty
+/// bucket.
+struct Chunks<P> {
+    /// Empty chunk buffers, each of capacity `LADDER_CHUNK`.
+    pool: Vec<Vec<Event<P>>>,
+    /// Full chunks, chained per bucket, and free slots.
+    slots: Vec<Slot<P>>,
+    /// The free slots' indices. A stack, not a list threaded through the
+    /// slots: taking a slot then reads no slot, and filling it is a store.
+    free: Vec<u32>,
+}
+
+impl<P> Chunks<P> {
+    /// Appends `ev` to bucket `b`.
+    #[inline]
+    fn push(&mut self, b: &mut Bucket<P>, ev: Event<P>) {
+        if b.open.len() == b.open.capacity() {
+            self.rotate(b);
+        }
+        b.open.push(ev);
+    }
+
+    /// Gives bucket `b` an empty open chunk from the pool: its first, or the
+    /// next one after parking the full one on its chain.
+    #[inline(never)]
+    fn rotate(&mut self, b: &mut Bucket<P>) {
+        let fresh = self
+            .pool
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(LADDER_CHUNK));
+        let events = std::mem::replace(&mut b.open, fresh);
+        if events.capacity() == 0 {
+            // The bucket was empty: nothing to park.
+            return;
+        }
+        let slot = Slot {
+            events,
+            next: b.full,
+        };
+        b.full = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
+            }
+            None => {
+                // INVARIANT: a `u32` index of 16-event chunks addresses 2^36
+                // events, beyond any memory this ladder can hold.
+                let i = u32::try_from(self.slots.len()).expect("slot index fits u32");
+                self.slots.push(slot);
+                i
+            }
+        };
+    }
+
+    /// Empties bucket `b`, open chunk first: `each` empties every chunk's
+    /// buffer (draining, appending or clearing it), which then goes back to
+    /// the pool — before the next chunk is handed over, so a split's child
+    /// rung fills the chunks its parent bucket just gave up.
+    fn empty(&mut self, b: &mut Bucket<P>, mut each: impl FnMut(&mut Self, &mut Vec<Event<P>>)) {
+        let mut open = std::mem::take(&mut b.open);
+        if open.capacity() == 0 {
+            return;
+        }
+        each(self, &mut open);
+        self.give(open);
+        let mut i = std::mem::replace(&mut b.full, NIL);
+        while i != NIL {
+            let mut events = std::mem::take(&mut self.slots[i as usize].events);
+            each(self, &mut events);
+            self.give(events);
+            self.free.push(i);
+            i = self.slots[i as usize].next;
+        }
+    }
+
+    /// Returns an emptied chunk buffer to the pool.
+    #[inline]
+    fn give(&mut self, buf: Vec<Event<P>>) {
+        debug_assert!(buf.is_empty() && buf.capacity() == LADDER_CHUNK);
+        self.pool.push(buf);
+    }
+
+    /// The full chunks of a bucket whose chain starts at `full`, newest
+    /// first.
+    fn chain(&self, full: u32) -> impl Iterator<Item = &Slot<P>> {
+        std::iter::successors(self.slots.get(full as usize), |s| {
+            self.slots.get(s.next as usize)
+        })
+    }
+
+    /// The events of bucket `b`, in storage order.
+    fn events<'a>(&'a self, b: &'a Bucket<P>) -> impl Iterator<Item = &'a Event<P>> {
+        b.open
+            .iter()
+            .chain(self.chain(b.full).flat_map(|s| &s.events))
+    }
+
+    /// Events in bucket `b`.
+    fn len(&self, b: &Bucket<P>) -> usize {
+        b.open.len() + LADDER_CHUNK * self.chain(b.full).count()
+    }
+}
+
+/// What only a large list needs, allocated with a ladder's first rung and
+/// kept from then on, so that a list that stays small carries one pointer
+/// for the rung machinery instead of its state.
+struct Large<P> {
+    /// The chunks of the rung buckets and of `overflow`, and their pool.
+    chunks: Chunks<P>,
+    /// Bucket arrays of retired rungs, reused by the next rung. Every
+    /// bucket is empty and holds no chunk: a retired array keeps no event
+    /// storage. Boxed as the rung holds them, so moving one between the
+    /// two is a pointer move, not a 1 KiB copy or an allocation.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<Buckets<P>>>,
+    /// The far-future events pushed while a rung existed and the ladder's
+    /// overflow vector was full.
+    overflow: Bucket<P>,
+}
+
+impl<P> Large<P> {
+    /// The large-list state in `slot`, allocated on first use.
+    #[inline]
+    fn of(slot: &mut Option<Box<Self>>) -> &mut Self {
+        slot.get_or_insert_with(Self::boxed)
+    }
+
+    #[cold]
+    fn boxed() -> Box<Self> {
+        Box::new(Large {
+            chunks: Chunks {
+                pool: Vec::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
+            },
+            spare: Vec::new(),
+            overflow: Bucket::EMPTY,
+        })
+    }
+}
+
 /// One rung: `LADDER_BUCKETS` fixed-width time buckets with a drain cursor.
 struct Rung<P> {
     /// Inclusive lower time bound of bucket 0.
@@ -125,8 +309,11 @@ struct Rung<P> {
     /// The buckets. `buckets[i]` holds events with
     /// `start + i*width <= ts < start + (i+1)*width` (the last bucket also
     /// absorbs the saturated remainder near `u64::MAX`).
-    buckets: Vec<Vec<Event<P>>>,
+    buckets: Box<Buckets<P>>,
 }
+
+/// A rung's bucket array.
+type Buckets<P> = [Bucket<P>; LADDER_BUCKETS];
 
 impl<P> Rung<P> {
     /// Lower time bound of the not-yet-promoted region: pushes at or above
@@ -149,6 +336,14 @@ impl<P> Rung<P> {
     fn bucket_of(&self, ts: Time) -> usize {
         (((ts.0 - self.start.0) / self.width) as usize).min(LADDER_BUCKETS - 1)
     }
+
+    /// Files `ev` (at or after the threshold) into its bucket.
+    #[inline]
+    fn put(&mut self, chunks: &mut Chunks<P>, ev: Event<P>) {
+        let idx = self.bucket_of(ev.key.ts);
+        self.count += 1;
+        chunks.push(&mut self.buckets[idx], ev);
+    }
 }
 
 /// The multi-rung ladder queue (see module docs and DESIGN.md §4.4).
@@ -162,13 +357,20 @@ impl<P> Rung<P> {
 ///   staged; otherwise it waits, unsorted, in `stage`.
 /// - **rungs**: a stack of [`Rung`]s. `rungs[0]` is the coarsest; each
 ///   deeper rung subdivides one promoted bucket of its parent, so deeper
-///   rungs always cover *earlier* time than the shallower remainders.
+///   rungs always cover *earlier* time than the shallower remainders. A
+///   bucket is a chain of fixed-size chunks from the ladder's pool
+///   ([`Chunks`]), so no bucket ever regrows, and the memory the rungs
+///   hold follows the events they hold.
 /// - **overflow**: unsorted far-future events at or beyond `top_start`
-///   (the horizon), with a cached minimum timestamp.
+///   (the horizon), with a cached minimum timestamp. They go into a plain
+///   vector (`overflow`), which grows only while no rung exists; in the
+///   large-list regime, what its retained capacity cannot take goes into a
+///   chunk chain (`large.overflow`), so a large list's overflow never
+///   regrows either.
 ///
 /// The rungs exist only while the list is large. The split rule
 /// (`LADDER_THRES`) decides it, on every tier: an overflow no larger than
-/// the threshold is sorted straight into the bottom (no rung, no bucket —
+/// the threshold is sorted straight into the bottom (no rung, no chunk —
 /// the per-LP lists of a fine-grained partition live here and the structure
 /// is a sorted vector with an unsorted tail); a larger one is spread over
 /// a rung, and a promoted bucket above the threshold is subdivided into a
@@ -212,18 +414,19 @@ struct Ladder<P> {
     stage_min: EventKey,
     /// Rung stack: `[0]` coarsest, last = deepest (earliest remaining).
     rungs: Vec<Rung<P>>,
-    /// Far-future tier: unsorted events at or beyond the horizon.
+    /// The rungs' chunks, their retired bucket arrays and the overflow's
+    /// chunk chain; `None` until the first rung is built.
+    large: Option<Box<Large<P>>>,
+    /// Far-future tier: unsorted events at or beyond the horizon. It grows
+    /// only while no rung exists; the rest of the tier is `large.overflow`.
     overflow: Vec<Event<P>>,
-    /// Cached minimum timestamp in `overflow` (`Time::MAX` when empty).
+    /// Cached minimum timestamp of the far-future tier (`Time::MAX` when
+    /// empty).
     overflow_min: Time,
     /// The horizon: pushes at or above it go to the overflow.
     top_start: Time,
     /// Events at `Time::MAX`, unsorted (invariant 5).
     never: Vec<Event<P>>,
-    /// Bucket arrays of retired rungs (every bucket empty, capacity
-    /// retained), reused by the next rung: steady-state rung churn
-    /// allocates nothing.
-    spare: Vec<Vec<Vec<Event<P>>>>,
     /// Memoized minimum timestamp stored in any rung (`Time::MAX` when the
     /// rungs are empty); `None` when stale. [`Ladder::next_ts`] is called
     /// once per LP per round by the kernels' window planning, and without
@@ -247,11 +450,11 @@ impl<P> Ladder<P> {
                 seq: u64::MAX,
             },
             rungs: Vec::new(),
+            large: None,
             overflow: Vec::new(),
             overflow_min: Time::MAX,
             top_start: Time::ZERO,
             never: Vec::new(),
-            spare: Vec::new(),
             rung_min_memo: std::cell::Cell::new(Some(Time::MAX)),
             len: 0,
         }
@@ -267,7 +470,14 @@ impl<P> Ladder<P> {
                 return;
             }
             self.overflow_min = self.overflow_min.min(ts);
-            self.overflow.push(ev);
+            if self.rungs.is_empty() || self.overflow.len() < self.overflow.capacity() {
+                self.overflow.push(ev);
+            } else {
+                let Large {
+                    chunks, overflow, ..
+                } = Large::of(&mut self.large);
+                chunks.push(overflow, ev);
+            }
             return;
         }
         // Coarsest-first walk: each deeper rung covers an earlier range
@@ -275,9 +485,7 @@ impl<P> Ladder<P> {
         // `ts` is the right one. The stack is almost always 1-2 deep.
         for r in &mut self.rungs {
             if ts >= r.threshold() {
-                let idx = r.bucket_of(ts);
-                r.count += 1;
-                r.buckets[idx].push(ev);
+                r.put(&mut Large::of(&mut self.large).chunks, ev);
                 // A push can only lower the rung minimum, so the memo
                 // stays exact without a rescan.
                 self.rung_min_memo
@@ -444,15 +652,17 @@ impl<P> Ladder<P> {
             if r.count > 0 {
                 // INVARIANT: `count > 0` implies a non-empty bucket at or
                 // after `cur` (invariant 2), so the cursor stays in bounds.
-                while r.buckets[r.cur].is_empty() {
+                while r.buckets[r.cur].open.is_empty() {
                     r.cur += 1;
                 }
                 return r.threshold();
             }
+            // A spent rung holds no chunk: each bucket gave its chunks back
+            // to the pool when it was promoted.
+            debug_assert!(r.buckets.iter().all(|b| b.open.capacity() == 0));
             // INVARIANT: the `last_mut()` above guarantees a rung.
             let r = self.rungs.pop().expect("rung stack non-empty");
-            debug_assert!(r.buckets.iter().all(Vec::is_empty));
-            self.spare.push(r.buckets);
+            Large::of(&mut self.large).spare.push(r.buckets);
         }
         self.overflow_min
     }
@@ -470,7 +680,12 @@ impl<P> Ladder<P> {
             self.settle();
             let depth = self.rungs.len();
             let Some(ri) = depth.checked_sub(1) else {
-                if self.overflow.len() <= LADDER_THRES {
+                let chunked = self
+                    .large
+                    .as_deref()
+                    .map_or(0, |l| l.chunks.len(&l.overflow));
+                let far = self.overflow.len() + chunked;
+                if far <= LADDER_THRES {
                     self.promote_overflow();
                     return;
                 }
@@ -479,74 +694,105 @@ impl<P> Ladder<P> {
             };
             let r = &mut self.rungs[ri];
             let (start, width, cur) = (r.threshold(), r.width, r.cur);
-            r.count -= r.buckets[cur].len();
+            let mut bucket = std::mem::replace(&mut r.buckets[cur], Bucket::EMPTY);
+            let len = Large::of(&mut self.large).chunks.len(&bucket);
+            r.count -= len;
             // The promoted bucket held the rung minimum (invariant 2).
             self.rung_min_memo.set(None);
             // Advance the cursor *before* anything re-enters this range:
             // pushes into it now fall through to the child rung or bottom.
             r.cur += 1;
-            if r.buckets[cur].len() > LADDER_THRES && width > 1 && depth < LADDER_MAX_RUNGS {
-                // The one buffer that is not recycled: a bucket too big to
-                // sort is too big to keep idle in a spent slot until its
-                // rung retires (measured on `wan_rip`: 160 MB peak RSS
-                // against 56 MB), so splitting frees it — one free per
-                // split, never per event.
-                let mut bucket = std::mem::take(&mut r.buckets[cur]);
-                self.spawn_rung(start, width / LADDER_BUCKETS as u64 + 1, &mut bucket);
+            if len > LADDER_THRES && width > 1 && depth < LADDER_MAX_RUNGS {
+                // The split: the bucket's chunks go back to the pool as the
+                // child rung fills its own.
+                let width = width / LADDER_BUCKETS as u64 + 1;
+                self.spawn_rung(start, width, &mut Vec::new(), &mut bucket);
                 continue;
             }
-            Self::move_into_bottom(&mut self.bottom, &mut r.buckets[cur]);
+            self.bucket_into_bottom(&mut bucket);
             self.sort_bottom();
             return;
         }
     }
 
-    /// Moves every event of `src` into the empty `bottom`. Swapping the
-    /// buffers costs nothing per event, but leaves `src` — a spent bucket
-    /// slot or the overflow — with `bottom`'s old buffer, so it is done only
-    /// when that buffer is no larger than the one `src` gives up; otherwise
-    /// the events are copied. (Swapping unconditionally parked the large
-    /// buffers of big promotions in spent slots: `fattree_incast` peak RSS
-    /// 25.5 → 34.6 MB at one thread.)
-    fn move_into_bottom(bottom: &mut Vec<Event<P>>, src: &mut Vec<Event<P>>) {
-        debug_assert!(bottom.is_empty());
-        if bottom.capacity() <= src.capacity() {
-            std::mem::swap(bottom, src);
-        } else {
-            bottom.append(src);
+    /// Moves the events of bucket `b` (a promoted bucket, the overflow's
+    /// chunks) into `bottom` and gives its chunks back to the pool. A
+    /// one-chunk bucket whose buffer is at least as large as the empty
+    /// bottom's *becomes* the bottom — no copy — and the bottom's old
+    /// buffer joins the pool in its place (or is freed when it is smaller
+    /// than a chunk). Otherwise the events are appended. The condition
+    /// keeps a bottom that has grown past a chunk where it is: swapping it
+    /// into the pool would park a large buffer there while the bottom
+    /// regrew (DESIGN.md §7).
+    fn bucket_into_bottom(&mut self, b: &mut Bucket<P>) {
+        if b.open.is_empty() {
+            return;
         }
+        let chunks = &mut Large::of(&mut self.large).chunks;
+        if b.full == NIL && self.bottom.is_empty() && self.bottom.capacity() <= LADDER_CHUNK {
+            std::mem::swap(&mut self.bottom, &mut b.open);
+            let old = std::mem::take(&mut b.open);
+            if old.capacity() == LADDER_CHUNK {
+                chunks.give(old);
+            }
+            return;
+        }
+        let bottom = &mut self.bottom;
+        chunks.empty(b, |_, chunk| bottom.append(chunk));
     }
 
     /// Pushes a new deepest rung covering `LADDER_BUCKETS` buckets of
-    /// `width` ns from `start` and drains `events` into them.
-    fn spawn_rung(&mut self, start: Time, width: u64, events: &mut Vec<Event<P>>) {
-        let buckets = self
+    /// `width` ns from `start`, and drains `events` and bucket `b` into it.
+    fn spawn_rung(
+        &mut self,
+        start: Time,
+        width: u64,
+        events: &mut Vec<Event<P>>,
+        b: &mut Bucket<P>,
+    ) {
+        let large = Large::of(&mut self.large);
+        let buckets = large
             .spare
             .pop()
-            .unwrap_or_else(|| (0..LADDER_BUCKETS).map(|_| Vec::new()).collect());
-        let mut rung = Rung {
+            .unwrap_or_else(|| Box::new([const { Bucket::EMPTY }; LADDER_BUCKETS]));
+        self.rungs.push(Rung {
             start,
             width,
             cur: 0,
-            count: events.len(),
+            count: 0,
             buckets,
-        };
+        });
+        // INVARIANT: the rung was just pushed.
+        let rung = self.rungs.last_mut().expect("rung just pushed");
         for ev in events.drain(..) {
-            let idx = rung.bucket_of(ev.key.ts);
-            rung.buckets[idx].push(ev);
+            rung.put(&mut large.chunks, ev);
         }
+        large.chunks.empty(b, |chunks, chunk| {
+            for ev in chunk.drain(..) {
+                rung.put(chunks, ev);
+            }
+        });
         self.rung_min_memo.set(None);
-        self.rungs.push(rung);
     }
 
     /// The small-list refill: the whole overflow is no larger than a
     /// bucket the split rule would sort, so sort it straight into the
-    /// bottom and raise the horizon to one past its latest event. No rung,
-    /// no bucket; what is pushed below the new horizon is staged, what is
+    /// bottom and raise the horizon to one past its latest event. No rung
+    /// is built; what is pushed below the new horizon is staged, what is
     /// pushed at or above it starts the next overflow.
     fn promote_overflow(&mut self) {
-        debug_assert!(self.rungs.is_empty() && !self.overflow.is_empty());
-        Self::move_into_bottom(&mut self.bottom, &mut self.overflow);
+        debug_assert!(self.rungs.is_empty() && self.bottom.is_empty());
+        let mut chunked = self.take_overflow_chunks();
+        self.bucket_into_bottom(&mut chunked);
+        // Swapping the buffers costs nothing per event, but leaves the
+        // overflow with the bottom's old buffer, so it is done only when
+        // that buffer is no larger than the one the overflow gives up:
+        // neither buffer grows by a promotion.
+        if self.bottom.is_empty() && self.bottom.capacity() <= self.overflow.capacity() {
+            std::mem::swap(&mut self.bottom, &mut self.overflow);
+        } else {
+            self.bottom.append(&mut self.overflow);
+        }
         self.sort_bottom();
         self.overflow_min = Time::MAX;
         // Overflow events lie below `Time::MAX` (invariant 3).
@@ -558,13 +804,23 @@ impl<P> Ladder<P> {
     /// and redistributes every overflow event into a fresh rung 0. Nothing
     /// that is currently stored re-overflows, so a far outlier is
     /// rescanned at most once per horizon.
+    ///
+    /// The drained overflow vector is kept only when it is near-tier
+    /// sized. A larger one grew while no rung existed — the list's first
+    /// fill, or a small list that grew — and in the rung regime it would
+    /// sit idle at that size, as what it cannot take goes into chunks.
     fn reprime(&mut self) {
-        debug_assert!(self.rungs.is_empty() && !self.overflow.is_empty());
+        debug_assert!(self.rungs.is_empty());
+        let mut chunked = self.take_overflow_chunks();
         let mut omin = Time::MAX;
         let mut omax = Time::ZERO;
-        for ev in &self.overflow {
-            omin = omin.min(ev.key.ts);
-            omax = omax.max(ev.key.ts);
+        let parked = self.large.as_deref().into_iter();
+        let parked = parked.flat_map(|l| l.chunks.chain(chunked.full).map(|s| &s.events));
+        for events in [&self.overflow, &chunked.open].into_iter().chain(parked) {
+            for ev in events {
+                omin = omin.min(ev.key.ts);
+                omax = omax.max(ev.key.ts);
+            }
         }
         let width = ((omax.0 - omin.0) / LADDER_BUCKETS as u64) + 1;
         self.top_start = Time(
@@ -573,8 +829,18 @@ impl<P> Ladder<P> {
         );
         let mut events = std::mem::take(&mut self.overflow);
         self.overflow_min = Time::MAX;
-        self.spawn_rung(omin, width, &mut events);
-        self.overflow = events;
+        self.spawn_rung(omin, width, &mut events, &mut chunked);
+        if events.capacity() <= LADDER_NEAR_MAX {
+            self.overflow = events;
+        }
+    }
+
+    /// Takes the overflow's chunk chain out of the large-list state (an
+    /// empty bucket when there is none).
+    fn take_overflow_chunks(&mut self) -> Bucket<P> {
+        self.large.as_deref_mut().map_or(Bucket::EMPTY, |l| {
+            std::mem::replace(&mut l.overflow, Bucket::EMPTY)
+        })
     }
 
     /// Ends the rung-less regime (invariant 4): the near tier has outgrown
@@ -594,13 +860,18 @@ impl<P> Ladder<P> {
         let width = (self.top_start.0 - 1 - start.0) / LADDER_BUCKETS as u64 + 1;
         let mut events = std::mem::take(&mut self.bottom);
         events.append(&mut self.stage);
-        self.spawn_rung(start, width, &mut events);
+        let mut none = Bucket::EMPTY;
+        self.spawn_rung(start, width, &mut events, &mut none);
         self.bottom = events;
     }
 
     /// Timestamp of the next event (`Time::MAX` when empty), without
     /// mutating the structure: the cached `overflow_min` avoids the
-    /// overflow scan, and bucket scans only need the minimum `ts`.
+    /// overflow scan, and bucket scans only need the minimum `ts`. The
+    /// answers that read no rung — the sequential kernel asks its event
+    /// list and its (mostly empty) global list once per event — are
+    /// inlined; the rung scan is [`Ladder::next_ts_in_rungs`].
+    #[inline]
     fn next_ts(&self) -> Time {
         if let Some(ev) = self.bottom.last() {
             let near = ev.key.ts;
@@ -613,22 +884,32 @@ impl<P> Ladder<P> {
         if !self.stage.is_empty() {
             return self.stage_min.ts;
         }
+        if self.rungs.is_empty() {
+            return self.overflow_min;
+        }
+        self.next_ts_in_rungs()
+    }
+
+    /// [`Ladder::next_ts`] with an empty near tier and a rung: the rung
+    /// minimum (memoized) or the overflow's.
+    fn next_ts_in_rungs(&self) -> Time {
         let rung_min = self.rung_min_memo.get().unwrap_or_else(|| {
-            let mut m = Time::MAX;
-            'scan: for r in self.rungs.iter().rev() {
-                if r.count > 0 {
-                    for b in &r.buckets[r.cur..] {
-                        if !b.is_empty() {
-                            // Invariant 2: the first non-empty bucket of the
-                            // deepest non-empty rung holds the rung minimum.
-                            // INVARIANT: non-empty bucket — `min` yields a
-                            // value.
-                            m = b.iter().map(|e| e.key.ts).min().expect("non-empty bucket");
-                            break 'scan;
-                        }
-                    }
-                }
-            }
+            // Invariant 2: the first non-empty bucket of the deepest
+            // non-empty rung holds the rung minimum.
+            let first = self
+                .rungs
+                .iter()
+                .rev()
+                .flat_map(|r| &r.buckets[r.cur..])
+                .find(|b| !b.open.is_empty());
+            let m = match (first, self.large.as_deref()) {
+                (Some(b), Some(large)) => large
+                    .chunks
+                    .events(b)
+                    .map(|e| e.key.ts)
+                    .fold(Time::MAX, Time::min),
+                _ => Time::MAX,
+            };
             self.rung_min_memo.set(Some(m));
             m
         });
@@ -636,20 +917,29 @@ impl<P> Ladder<P> {
     }
 
     fn iter(&self) -> impl Iterator<Item = &Event<P>> {
+        let chunked = self.large.as_deref().into_iter().flat_map(|large| {
+            let rungs = self.rungs.iter().flat_map(|r| r.buckets.iter());
+            rungs
+                .chain([&large.overflow])
+                .flat_map(|b| large.chunks.events(b))
+        });
         self.bottom
             .iter()
             .chain(self.stage.iter())
-            .chain(self.rungs.iter().flat_map(|r| r.buckets.iter().flatten()))
             .chain(self.overflow.iter())
+            .chain(chunked)
             .chain(self.never.iter())
     }
 
     fn clear(&mut self) {
         self.bottom.clear();
         self.stage.clear();
-        while let Some(mut r) = self.rungs.pop() {
-            r.buckets.iter_mut().for_each(Vec::clear);
-            self.spare.push(r.buckets);
+        if let Some(large) = self.large.as_deref_mut() {
+            let rungs = self.rungs.iter_mut().flat_map(|r| r.buckets.iter_mut());
+            for b in rungs.chain([&mut large.overflow]) {
+                large.chunks.empty(b, |_, chunk| chunk.clear());
+            }
+            large.spare.extend(self.rungs.drain(..).map(|r| r.buckets));
         }
         self.overflow.clear();
         self.overflow_min = Time::MAX;
@@ -659,11 +949,91 @@ impl<P> Ladder<P> {
         self.len = 0;
     }
 
-    /// Bucket arrays this ladder has ever allocated: live rungs plus
-    /// retired ones awaiting reuse (they are recycled, never dropped).
+    /// The buckets that hold chunks (the rungs' and the overflow's), with
+    /// the large-list state they draw on.
     #[cfg(test)]
-    fn rung_arrays(&self) -> usize {
-        self.rungs.len() + self.spare.len()
+    fn chunked_buckets(&self) -> impl Iterator<Item = (&Large<P>, &Bucket<P>)> {
+        self.large.as_deref().into_iter().flat_map(|large| {
+            let rungs = self.rungs.iter().flat_map(|r| r.buckets.iter());
+            rungs
+                .chain([&large.overflow])
+                .filter(|b| !b.open.is_empty())
+                .map(move |b| (large, b))
+        })
+    }
+
+    /// Chunk buffers this ladder holds: in buckets and in the pool (they
+    /// are recycled, never dropped).
+    #[cfg(test)]
+    fn chunks_made(&self) -> usize {
+        let in_buckets: usize = self
+            .chunked_buckets()
+            .map(|(l, b)| 1 + l.chunks.chain(b.full).count())
+            .sum();
+        in_buckets + self.large.as_deref().map_or(0, |l| l.chunks.pool.len())
+    }
+
+    /// The chunk bound the present contents give: ⌈chunked events /
+    /// `LADDER_CHUNK`⌉ plus one partial chunk per non-empty bucket.
+    #[cfg(test)]
+    fn chunk_bound(&self) -> usize {
+        let events: usize = self.chunked_buckets().map(|(l, b)| l.chunks.len(b)).sum();
+        events.div_ceil(LADDER_CHUNK) + self.chunked_buckets().count()
+    }
+
+    /// Checks the chunk structure: every buffer has `LADDER_CHUNK`
+    /// capacity, pooled buffers are empty, a non-empty bucket's open chunk
+    /// holds 1..=`LADDER_CHUNK` events and its parked ones exactly
+    /// `LADDER_CHUNK`, an empty bucket holds no buffer, every slot is on
+    /// exactly one bucket's chain or free (and then holds no buffer),
+    /// promoted buckets are empty, each rung's `count` is what its buckets
+    /// hold, and a ladder without its large-list state has no rung.
+    #[cfg(test)]
+    fn check_chunks(&self) {
+        let Some(large) = self.large.as_deref() else {
+            assert!(self.rungs.is_empty(), "a rung without chunk storage");
+            return;
+        };
+        let chunks = &large.chunks;
+        let mut seen = vec![false; chunks.slots.len()];
+        let mut visit = |i: u32| {
+            let seen = std::mem::replace(&mut seen[i as usize], true);
+            assert!(!seen, "slot {i} twice");
+            &chunks.slots[i as usize]
+        };
+        let rungs = self.rungs.iter().flat_map(|r| r.buckets.iter());
+        let spare = large.spare.iter().flat_map(|a| a.iter());
+        for b in rungs.chain(spare).chain([&large.overflow]) {
+            if b.open.is_empty() {
+                assert_eq!(
+                    (b.open.capacity(), b.full),
+                    (0, NIL),
+                    "empty bucket holds a chunk"
+                );
+                continue;
+            }
+            assert_eq!(b.open.capacity(), LADDER_CHUNK);
+            let mut i = b.full;
+            while i != NIL {
+                let s = visit(i);
+                let shape = (s.events.len(), s.events.capacity());
+                assert_eq!(shape, (LADDER_CHUNK, LADDER_CHUNK), "parked slot {i}");
+                i = s.next;
+            }
+        }
+        for &i in &chunks.free {
+            let s = visit(i);
+            assert_eq!(s.events.capacity(), 0, "free slot {i} holds a buffer");
+        }
+        assert!(seen.iter().all(|&s| s), "a slot is on no chain");
+        for r in &self.rungs {
+            assert!(r.buckets[..r.cur].iter().all(|b| b.open.is_empty()));
+            let held: usize = r.buckets.iter().map(|b| chunks.len(b)).sum();
+            assert_eq!(held, r.count);
+        }
+        for buf in &chunks.pool {
+            assert!(buf.is_empty() && buf.capacity() == LADDER_CHUNK);
+        }
     }
 
     /// Events waiting in the stage.
@@ -1015,9 +1385,9 @@ mod tests {
         }
     }
 
-    /// Bucket arrays the ladder behind `fel` has ever allocated.
-    fn rung_arrays(fel: &Fel<u64>) -> usize {
-        ladder(fel).rung_arrays()
+    /// Chunks the ladder behind `fel` has allocated.
+    fn chunks_made(fel: &Fel<u64>) -> usize {
+        ladder(fel).chunks_made()
     }
 
     /// `[heap, ladder]` holding 1 000 events 1 µs apart; the first pop (which
@@ -1137,7 +1507,7 @@ mod tests {
     /// The size-adaptive contract: a list that stays at or below
     /// `LADDER_THRES` events is served by the bottom and overflow tiers
     /// alone — through 1 000 windowed rounds it never allocates a bucket
-    /// array — while a 10 000-event list does build rungs.
+    /// chunk — while a 10 000-event list does build rungs.
     #[test]
     fn small_list_never_builds_a_rung_and_large_list_does() {
         for (population, rounds, expect_rungs) in [
@@ -1152,10 +1522,10 @@ mod tests {
                 "population {population}"
             );
             assert_eq!(
-                rung_arrays(&ladder) > 0,
+                chunks_made(&ladder) > 0,
                 expect_rungs,
-                "population {population}: {} bucket arrays",
-                rung_arrays(&ladder)
+                "population {population}: {} chunks",
+                chunks_made(&ladder)
             );
         }
     }
@@ -1171,7 +1541,7 @@ mod tests {
             fel.push(ev(t * 100_000, 0, t));
         }
         assert_eq!(fel.pop().unwrap().key.ts, Time(0));
-        assert_eq!(rung_arrays(&fel), 0);
+        assert_eq!(chunks_made(&fel), 0);
         // Everything below the horizon is staged; the bound trips exactly
         // when the near tier would exceed it.
         let mut expected: Vec<u64> = (1..10u64).map(|t| t * 100_000).collect();
@@ -1181,7 +1551,7 @@ mod tests {
             expected.push(ts);
             fel.push(ev(ts, 1, 100 + s));
             assert_eq!(
-                rung_arrays(&fel) > 0,
+                chunks_made(&fel) > 0,
                 9 + s as usize + 1 > LADDER_NEAR_MAX,
                 "after {} staged pushes",
                 s + 1
@@ -1192,31 +1562,77 @@ mod tests {
         assert_eq!(order, expected);
     }
 
-    /// Satellite of the split rule: rung churn reuses bucket arrays. A
-    /// large list driven through hundreds of re-primes and splits ends with
-    /// no more arrays than its deepest rung stack needed at once.
+    /// The chunk pool's memory bound, under a seeded random mix of batches,
+    /// pops, bounded drains, holds with near and far successors, bursts at
+    /// one instant and clears: after every step the chunk structure is
+    /// intact (`check_chunks`), and the chunks allocated never exceed the
+    /// peak the chunked contents have called for — ⌈chunked events /
+    /// `LADDER_CHUNK`⌉ plus one partial chunk per non-empty bucket — by
+    /// more than one rung's worth of partial chunks, the transient of a
+    /// split (the parent's chunks are freed as the child fills its own).
     #[test]
-    fn rung_churn_recycles_bucket_arrays() {
-        let mut rng = crate::rng::Rng::new(11);
-        let mut fel: Fel<u64> = Fel::with_impl(FelImpl::Ladder);
-        for s in 0..5_000u64 {
-            fel.push(ev(rng.next_below(1_000_000), 0, s));
-        }
-        let mut arrays_after_warmup = 0;
-        for op in 0..400_000u64 {
-            let e = fel.pop().unwrap();
-            fel.push(ev(e.ts().0 + 1 + rng.next_below(1_000_000), 0, 5_000 + op));
-            if op == 100_000 {
-                arrays_after_warmup = rung_arrays(&fel);
+    fn chunk_pool_stays_within_the_peak_chunk_bound() {
+        let mut rng = crate::rng::Rng::new(36);
+        let [mut heap, mut lad] = both();
+        let mut seq = 0u64;
+        let mut push_both = |heap: &mut Fel<u64>, lad: &mut Fel<u64>, ts: u64| {
+            seq += 1;
+            heap.push(ev(ts, (seq % 3) as u32, seq));
+            lad.push(ev(ts, (seq % 3) as u32, seq));
+        };
+        let mut peak = 0;
+        for step in 0..600 {
+            let now = heap.next_ts().0 % (1 << 40);
+            match rng.next_below(8) {
+                0 | 1 => {
+                    for _ in 0..rng.next_below(1_000) {
+                        push_both(&mut heap, &mut lad, now + rng.next_below(1_000_001));
+                    }
+                }
+                2 => {
+                    for _ in 0..rng.next_below(1_500) {
+                        assert_eq!(lad.pop().map(|e| e.key), heap.pop().map(|e| e.key));
+                    }
+                }
+                3 => {
+                    let bound = Time(now + rng.next_below(200_000));
+                    while let Some(h) = heap.pop_below(bound) {
+                        assert_eq!(lad.pop_below(bound).map(|e| e.key), Some(h.key));
+                    }
+                    assert!(lad.pop_below(bound).is_none());
+                }
+                4 | 5 => {
+                    for _ in 0..rng.next_below(2_000) {
+                        let Some(h) = heap.pop() else { break };
+                        assert_eq!(lad.pop().map(|e| e.key), Some(h.key));
+                        let spread = [3, 1_000, 2_000_000][rng.next_below(3) as usize];
+                        push_both(&mut heap, &mut lad, h.key.ts.0 + rng.next_below(spread + 1));
+                    }
+                }
+                6 => {
+                    for _ in 0..rng.next_below(300) {
+                        push_both(&mut heap, &mut lad, now + 5_000);
+                    }
+                }
+                _ => {
+                    if rng.next_below(20) == 0 {
+                        heap.clear();
+                        lad.clear();
+                    }
+                }
             }
+            let l = ladder(&lad);
+            l.check_chunks();
+            peak = peak.max(l.chunk_bound());
+            assert!(
+                l.chunks_made() <= peak + LADDER_BUCKETS + 1,
+                "step {step}: {} chunks made, peak bound {peak}",
+                l.chunks_made()
+            );
         }
-        assert!(arrays_after_warmup > 0);
-        assert!(
-            rung_arrays(&fel) <= arrays_after_warmup.max(LADDER_MAX_RUNGS / 4),
-            "{} arrays after warm-up, {} at the end",
-            arrays_after_warmup,
-            rung_arrays(&fel)
-        );
+        assert!(peak > 100, "the rungs held only {peak} chunks' worth");
+        drain_equal(&mut heap, &mut lad);
+        ladder(&lad).check_chunks();
     }
 
     /// Events at `Time::MAX` (the never-firing sentinel shape) follow every

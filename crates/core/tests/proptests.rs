@@ -56,6 +56,16 @@ enum FelOp {
         n: usize,
         delta: u64,
     },
+    /// `n` events `at` ns after the head, spread over `spread + 1`
+    /// consecutive nanoseconds — inside one bucket of any rung the
+    /// generated lists build, so the bucket's chunk chain grows by whole
+    /// and partial chunks (`BURST_SIZES`); a zero spread lands them all
+    /// at one instant, the width-1 floor where no split can help.
+    Burst {
+        n: usize,
+        at: u64,
+        spread: u64,
+    },
 }
 
 /// `Hold` increments: same-timestamp successors (ties broken by the rest of
@@ -69,6 +79,15 @@ const HOLD_DELTAS: [u64; 8] = [0, 0, 1, 1, 3, 40, 5_000, 1 << 40];
 /// `FillTo`/`DrainTo` targets sit on and around both, so generated
 /// sequences cross each boundary in both directions again and again.
 const REGIME_POPULATIONS: [usize; 12] = [0, 3, 62, 63, 64, 65, 66, 254, 255, 256, 257, 258];
+
+/// `Burst` sizes around the ladder's chunk (16 events) and split threshold
+/// (64): one chunk short of full, full, one over, two full plus one, a
+/// bucket just past the split rule, and one that splits into many chunks.
+const BURST_SIZES: [usize; 6] = [15, 16, 17, 33, 65, 300];
+
+/// `Burst` spreads: one instant, a few ns (a split of a multi-chunk
+/// bucket, then single-chunk promotions into the bottom), tens of ns.
+const BURST_SPREADS: [u64; 4] = [0, 1, 3, 40];
 
 /// Duplicates an event (the payload type here is `Copy`; `Event` itself is
 /// move-only because payloads generally are not).
@@ -104,7 +123,7 @@ fn views_agree(ladder: &Fel<u64>, heap: &Fel<u64>) {
 /// the remaining tuple slots feed whichever operands it needs.
 fn arb_op() -> impl Strategy<Value = FelOp> {
     (
-        0u8..11,
+        0u8..12,
         arb_key(),
         proptest::collection::vec(arb_key(), 0..40),
         0u64..1_200,
@@ -129,6 +148,11 @@ fn arb_op() -> impl Strategy<Value = FelOp> {
             9 => FelOp::Hold {
                 n: 4 * n,
                 delta: HOLD_DELTAS[target % HOLD_DELTAS.len()],
+            },
+            10 => FelOp::Burst {
+                n: BURST_SIZES[target % BURST_SIZES.len()],
+                at: bound,
+                spread: BURST_SPREADS[n % BURST_SPREADS.len()],
             },
             // Push an event at `Time::MAX` (the never-firing sentinel shape).
             _ => FelOp::Push(EventKey {
@@ -180,8 +204,10 @@ proptest! {
     /// of the binary-heap reference — keys *and* payloads. The sequences
     /// dwell where the ladder changes regime (`REGIME_POPULATIONS`), probe
     /// at the head between pushes, hold (pop one, push one `HOLD_DELTAS`
-    /// later) and carry `Time::MAX` sentinels; every read-only view is
-    /// compared after every step, and after every push of a hold.
+    /// later), burst (`BURST_SIZES` events inside one bucket width: the
+    /// ladder's chunk chains, splits and single-chunk promotions) and
+    /// carry `Time::MAX` sentinels; every read-only view is compared after
+    /// every step, and after every push of a hold.
     #[test]
     fn ladder_matches_heap_reference(
         ops in proptest::collection::vec(arb_op(), 0..60)
@@ -253,6 +279,21 @@ proptest! {
                     let head = heap.next_ts();
                     prop_assert!(heap.pop_below(head).is_none());
                     prop_assert!(ladder.pop_below(head).is_none());
+                }
+                FelOp::Burst { n, at, spread } => {
+                    // As `FillTo`: finite "now" even when only `Time::MAX`
+                    // events (or none) are stored.
+                    let base = heap.next_ts().0 % 1_000_000 + at;
+                    for i in 0..n as u64 {
+                        let ev = mk(EventKey {
+                            ts: Time(base + i * 7 % (spread + 1)),
+                            sender_ts: Time(base),
+                            sender_lp: LpId((i % 8) as u32),
+                            seq: i,
+                        });
+                        ladder.push(dup(&ev));
+                        heap.push(ev);
+                    }
                 }
                 FelOp::Hold { n, delta } => {
                     for _ in 0..n {

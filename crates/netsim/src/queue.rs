@@ -7,9 +7,7 @@
 
 use std::collections::VecDeque;
 
-use unison_core::{
-    snapshot_struct, Rng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, Time,
-};
+use unison_core::{Rng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, Time};
 
 use crate::packet::Packet;
 
@@ -190,6 +188,12 @@ impl Queue {
         self.bytes += packet.bytes;
         self.accepted += 1;
         self.packets.push_back(packet);
+        debug_assert!(
+            self.bytes <= self.config.limit_bytes(),
+            "queue holds {} bytes above its {}-byte limit",
+            self.bytes,
+            self.config.limit_bytes()
+        );
         Enqueue::Accepted
     }
 
@@ -197,7 +201,29 @@ impl Queue {
     pub fn dequeue(&mut self) -> Option<Packet> {
         let p = self.packets.pop_front()?;
         self.bytes -= p.bytes;
+        debug_assert!(
+            self.byte_count_matches_packets(),
+            "{} bytes queued in {} packets",
+            self.bytes,
+            self.packets.len()
+        );
         Some(p)
+    }
+
+    /// The byte count is zero exactly when no packet is queued.
+    fn byte_count_matches_packets(&self) -> bool {
+        (self.bytes == 0) == self.packets.is_empty()
+    }
+}
+
+impl QueueConfig {
+    /// The hard byte limit, above which every policy drops.
+    fn limit_bytes(&self) -> u32 {
+        match *self {
+            QueueConfig::DropTail { limit_bytes } | QueueConfig::Red { limit_bytes, .. } => {
+                limit_bytes
+            }
+        }
     }
 }
 
@@ -244,17 +270,45 @@ impl Snapshot for QueueConfig {
     }
 }
 
-snapshot_struct!(Queue {
-    config,
-    packets,
-    bytes,
-    avg,
-    count,
-    rng,
-    drops,
-    marks,
-    accepted
-});
+impl Snapshot for Queue {
+    fn save(&self, w: &mut SnapshotWriter) {
+        self.config.save(w);
+        self.packets.save(w);
+        self.bytes.save(w);
+        self.avg.save(w);
+        self.count.save(w);
+        self.rng.save(w);
+        self.drops.save(w);
+        self.marks.save(w);
+        self.accepted.save(w);
+    }
+
+    /// Loads the fields in `save`'s order. An image whose byte count
+    /// disagrees with its packets — non-zero bytes and no packet, or the
+    /// reverse — is corrupt: the restored queue would break the invariant
+    /// `enqueue`/`dequeue` keep.
+    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let queue = Queue {
+            config: Snapshot::load(r)?,
+            packets: Snapshot::load(r)?,
+            bytes: Snapshot::load(r)?,
+            avg: Snapshot::load(r)?,
+            count: Snapshot::load(r)?,
+            rng: Snapshot::load(r)?,
+            drops: Snapshot::load(r)?,
+            marks: Snapshot::load(r)?,
+            accepted: Snapshot::load(r)?,
+        };
+        if !queue.byte_count_matches_packets() {
+            return Err(SnapshotError::Corrupt(format!(
+                "queue image holds {} bytes in {} packets",
+                queue.bytes,
+                queue.packets.len()
+            )));
+        }
+        Ok(queue)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -297,6 +351,28 @@ mod tests {
         assert_eq!(q.dequeue().unwrap().sent_at, Time(0));
         assert_eq!(q.dequeue().unwrap().sent_at, Time(1));
         assert_eq!(q.bytes(), 1000);
+    }
+
+    /// A queue image round-trips; one whose byte count disagrees with its
+    /// packets loads as corrupt instead of restoring a broken queue.
+    #[test]
+    fn restore_checks_the_byte_count_against_the_packets() {
+        let image = |q: &Queue| {
+            let mut w = SnapshotWriter::new();
+            q.save(&mut w);
+            w.into_bytes()
+        };
+        let mut q = Queue::new(QueueConfig::DropTail { limit_bytes: 2500 }, 1);
+        assert_eq!(q.enqueue(pkt(1000, false), Time(0)), Enqueue::Accepted);
+        let bytes = image(&q);
+        let back = Queue::load(&mut SnapshotReader::new(&bytes)).expect("consistent image");
+        assert_eq!((back.bytes(), back.len()), (1000, 1));
+        for (bytes, packets) in [(0, 1), (1000, 0)] {
+            q.bytes = bytes;
+            q.packets.truncate(packets);
+            let err = Queue::load(&mut SnapshotReader::new(&image(&q))).map(|_| ());
+            assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+        }
     }
 
     #[test]

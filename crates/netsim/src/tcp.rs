@@ -201,6 +201,21 @@ impl TcpSender {
         self.snd_nxt - self.snd_una
     }
 
+    /// The sequence-space invariant `snd_una ≤ snd_nxt ≤ size`, checked in
+    /// debug builds after every transition that moves either pointer
+    /// (`transmit`, `on_ack`, `on_rto`).
+    #[inline]
+    fn debug_check_seq(&self) {
+        debug_assert!(
+            self.snd_una <= self.snd_nxt && self.snd_nxt <= self.size,
+            "flow {:?}: snd_una {} snd_nxt {} size {}",
+            self.flow,
+            self.snd_una,
+            self.snd_nxt,
+            self.size
+        );
+    }
+
     fn ecn_capable(&self) -> bool {
         self.cfg.kind == TransportKind::Dctcp
     }
@@ -231,6 +246,7 @@ impl TcpSender {
                 break;
             }
         }
+        self.debug_check_seq();
     }
 
     /// Retransmits the first unacknowledged segment.
@@ -343,6 +359,7 @@ impl TcpSender {
                 self.completed_at = Some(now);
                 up.completed = true;
                 up.rearm_rto = false;
+                self.debug_check_seq();
                 return up;
             }
         } else if self.flight() > 0 {
@@ -408,6 +425,7 @@ impl TcpSender {
         self.rto =
             Time::from_nanos((self.rto.as_nanos()).saturating_mul(2)).min(Time::from_secs(60));
         self.rto_gen += 1;
+        self.debug_check_seq();
         true
     }
 }

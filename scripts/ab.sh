@@ -2,8 +2,9 @@
 # Interleaved A/B pairs of `unison-benchmark --one` runs: the repository's
 # rule for claiming a gain as one command. Runs side A and side B PAIRS
 # times each, alternating which side runs first, and prints every pair,
-# each side's q1/median/q3 of the `run` span (seconds) and median peak RSS
-# (MB, `VmHWM`), B's win count, and whether the gain rule holds: B is
+# each side's q1/median/q3 of the `run` span (seconds) and of peak RSS (MB,
+# `VmHWM`, what the benchmark's `peak_rss_mb` reads), B's win count in
+# both, and whether the gain rule holds on time: B is
 # faster in at least 9 of 10 pairs (ties count for neither side) and the
 # medians differ by more than A's interquartile range. Quartiles are the
 # benchmark's own (`stats.rs`: rank p * (n + 1), interpolated). Exits 1 if
@@ -155,18 +156,24 @@ awk -v na="$name_a" -v nb="$name_b" '
         for (i = 2; i <= n; i++)
             for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
     }
-    { ta[NR] = $1; ka[NR] = $2; tb[NR] = $3; kb[NR] = $4; wins += ($3 < $1) }
+    {
+        ta[NR] = $1; ka[NR] = $2; tb[NR] = $3; kb[NR] = $4
+        wins += ($3 < $1); lower += ($4 < $2)
+    }
     END {
         n = NR
         sort(ta, n); sort(tb, n); sort(ka, n); sort(kb, n)
         qa1 = quantile(ta, n, 0.25); qa2 = quantile(ta, n, 0.5); qa3 = quantile(ta, n, 0.75)
         qb1 = quantile(tb, n, 0.25); qb2 = quantile(tb, n, 0.5); qb3 = quantile(tb, n, 0.75)
-        printf "%s run s q1/median/q3 %.4f/%.4f/%.4f, peak RSS median %.1f MB\n",
-            na, qa1, qa2, qa3, quantile(ka, n, 0.5) / 1024
-        printf "%s run s q1/median/q3 %.4f/%.4f/%.4f, peak RSS median %.1f MB\n",
-            nb, qb1, qb2, qb3, quantile(kb, n, 0.5) / 1024
+        ma = quantile(ka, n, 0.5); mb = quantile(kb, n, 0.5)
+        printf "%s run s q1/median/q3 %.4f/%.4f/%.4f, peak RSS MB q1/median/q3 %.1f/%.1f/%.1f\n",
+            na, qa1, qa2, qa3, quantile(ka, n, 0.25) / 1024, ma / 1024, quantile(ka, n, 0.75) / 1024
+        printf "%s run s q1/median/q3 %.4f/%.4f/%.4f, peak RSS MB q1/median/q3 %.1f/%.1f/%.1f\n",
+            nb, qb1, qb2, qb3, quantile(kb, n, 0.25) / 1024, mb / 1024, quantile(kb, n, 0.75) / 1024
         printf "%s faster in %d/%d pairs; median %+.1f%%, gap %.4f s vs %s IQR %.4f s\n",
             nb, wins, n, 100 * (qb2 - qa2) / qa2, qa2 - qb2, na, qa3 - qa1
+        printf "%s peaked lower in %d/%d pairs; median peak RSS %+.1f%%\n",
+            nb, lower, n, 100 * (mb - ma) / ma
         met = (10 * wins >= 9 * n) && (qa2 - qb2 > qa3 - qa1)
         printf "gain rule (>= 9/10 pairs and gap > %s IQR): %s\n", na, met ? "met" : "not met"
     }' "$results"
