@@ -249,8 +249,8 @@ fn run_row(cli: &Cli, row: &ScenarioRow, i: usize, n: usize) -> Result<Value, Ex
             ("round_s_ratio_mean", opt(rounds.map(|r| r.0))),
             ("round_s_ratio_min", opt(rounds.map(|r| r.1))),
             ("round_s_ratio_max", opt(rounds.map(|r| r.2))),
-            ("alpha", opt(r.alpha)),
-            ("sched_cost_ns", opt(r.sched_cost_ns)),
+            ("alpha", opt(m.alpha)),
+            ("sched_cost_ns", opt(m.sched_cost_ns)),
         ])
     });
     Ok(obj(vec![

@@ -15,6 +15,7 @@
 
 use std::io::{self, Write};
 
+use unison_core::sched::home_range;
 use unison_core::{ModelResult, SimError};
 use unison_netsim::{NetworkBuilder, SimResult};
 use unison_scenario::{PartitionSpec, ScenarioSpec};
@@ -25,17 +26,14 @@ use unison_topology::Topology;
 pub struct ModelRecord {
     /// The replay: algorithm label (`sequential`, `barrier`, `nullmsg`,
     /// `unison(c)`, `hybrid(hxt)`), virtual cores, modelled wall time T,
-    /// per-executor P/S/M and the per-round S/T series.
+    /// per-executor P/S/M, the per-round S/T series and, for `unison`, α
+    /// and the modelled cost of re-sorting.
     pub result: ModelResult,
     /// The partition the profile was recorded under, as the file names it.
     pub partition: String,
     /// LPs and events of the profiled run (deterministic per partition).
     pub lp_count: u32,
     pub events: u64,
-    /// Slowdown factor α against a scheduler with exact knowledge, and the
-    /// modelled cost of re-sorting, nanoseconds (the `unison` record only).
-    pub alpha: Option<f64>,
-    pub sched_cost_ns: Option<f64>,
 }
 
 impl ModelRecord {
@@ -45,8 +43,6 @@ impl ModelRecord {
             partition: partition.to_string(),
             lp_count: run.kernel.lp_count,
             events: run.kernel.events,
-            alpha: None,
-            sched_cost_ns: None,
         }
     }
 
@@ -91,20 +87,14 @@ pub fn model_records(topo: &Topology, spec: &ScenarioSpec) -> Result<Vec<ModelRe
     let run = profile(partition)?;
     let m = run.perf_model();
     out.push(ModelRecord::new(&run, partition, m.sequential()));
-    let unison = m.unison_detailed(model.cores, spec.run.sched);
-    out.push(ModelRecord {
-        alpha: Some(unison.slowdown),
-        sched_cost_ns: Some(unison.sched_cost_ns),
-        ..ModelRecord::new(&run, partition, unison.result)
-    });
+    let unison = m.unison(model.cores, spec.run.sched);
+    out.push(ModelRecord::new(&run, partition, unison));
     if let Some(hosts) = model.hybrid_hosts {
-        // The modelled hosts: contiguous LP ranges of equal count (the
-        // last may be shorter), one per simulated host.
-        let lps = run.kernel.lp_count;
-        let per = lps.div_ceil(hosts as u32).max(1);
-        let groups: Vec<Vec<u32>> = (0..lps)
-            .step_by(per as usize)
-            .map(|lo| (lo..(lo + per).min(lps)).collect())
+        // The modelled hosts: the kernel's own home cut of the LP ids,
+        // one contiguous equal-count (±1) range per simulated host.
+        let lps = run.kernel.lp_count as usize;
+        let groups: Vec<Vec<u32>> = (0..hosts)
+            .map(|h| home_range(lps, hosts, h).map(|lp| lp as u32).collect())
             .collect();
         let hybrid = m.hybrid(&groups, model.cores / hosts);
         out.push(ModelRecord::new(&run, partition, hybrid));
@@ -156,8 +146,8 @@ pub fn write_records(records: &[ModelRecord], out: &mut impl Write) -> io::Resul
             opt(r
                 .round_s_ratio()
                 .map(|(mean, min, max)| format!("{mean:.4}/{min:.4}/{max:.4}"))),
-            opt(r.alpha.map(|a| format!("{a:.4}"))),
-            opt(r.sched_cost_ns.map(secs)),
+            opt(m.alpha.map(|a| format!("{a:.4}"))),
+            opt(m.sched_cost_ns.map(secs)),
         )?;
     }
     Ok(())

@@ -306,6 +306,45 @@ fn a_sweep_runs_row_by_row_with_its_model_record() {
     }
 }
 
+/// The modelled hosts are the hosts asked for: 132 LPs over 16 hosts is
+/// 16 hosts of one worker each (8 or 9 LPs apiece), where ranges of
+/// `⌈132/16⌉ = 9` LPs would have made 15.
+#[test]
+fn hybrid_models_every_host_it_is_asked_for() {
+    let scenario = r#"
+name = "cli-hybrid-hosts"
+[topology]
+kind = "fat_tree_clusters"
+clusters = 16
+hosts_per_cluster = 4
+[traffic]
+pattern = "incast"
+load = 0.3
+incast_ratio = 0.0
+seed = 21
+duration_us = 50
+[run]
+stop_us = 100
+kernel = "unison"
+threads = 1
+[model]
+cores = 16
+hybrid_hosts = 16
+"#;
+    let file = temp_file("hybrid-hosts.toml", scenario);
+    let out = unison_run(&[file.to_str().expect("utf-8 path")]);
+    std::fs::remove_file(&file).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let hybrid = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("hybrid("))
+        .unwrap_or_else(|| panic!("no hybrid record:\n{stdout}"));
+    let columns: Vec<&str> = hybrid.split_whitespace().collect();
+    assert_eq!(columns[..3], ["hybrid(16x1)", "auto", "132"], "{hybrid}");
+    assert_eq!(columns[4], "16", "cores: {hybrid}");
+}
+
 #[test]
 fn check_validates_every_row() {
     let bad = SWEEP.replace("[0.0, 1.0]", "[0.0, 1.5]");

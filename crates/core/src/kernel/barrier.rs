@@ -220,18 +220,19 @@ pub(super) fn run<N: SimNode>(
                     for a in next_ts.iter() {
                         min = min.min(Time(a.load(Ordering::Acquire)));
                     }
+                    let window_end = min.saturating_add(lookahead).min(bound);
+                    let (last, next) = (last_window.0, window_end.0);
+                    me.worker
+                        .lap(SpanKind::WindowUpdate, rounds, lp_id, last, next);
                     if min >= bound || min == Time::MAX || env.halted() {
                         break;
                     }
-                    let window_end = min.saturating_add(lookahead).min(bound);
                     rounds += 1;
                     site.round.set(rounds);
 
                     // Process.
-                    let lap = me.worker.start();
                     let events = me.process_below(window_end, dir, inboxes, env.kernel, site);
-                    me.worker
-                        .end(lap, SpanKind::Process, rounds, lp_id, Some(events));
+                    me.worker.lap(SpanKind::Process, rounds, lp_id, events, 0);
 
                     // Watchdog: a round only counts as progress when it
                     // executed events or moved the window — an empty
@@ -243,23 +244,17 @@ pub(super) fn run<N: SimNode>(
                     last_window = window_end;
 
                     // Synchronize: everyone must finish sending first.
-                    let lap = me.worker.start();
                     barrier.wait();
-                    me.worker
-                        .end(lap, SpanKind::BarrierWait, rounds, lp_id, Some(0));
+                    me.worker.lap(SpanKind::BarrierWait, rounds, lp_id, 0, 0);
 
                     // Receive: drain the shared inbox in arrival order.
-                    let lap = me.worker.start();
                     let recv = me.receive(&inboxes[idx]);
                     next_ts[idx].store(me.lp.fel.next_ts().0, Ordering::Release);
-                    me.worker
-                        .end(lap, SpanKind::MailboxFlush, rounds, lp_id, Some(recv));
+                    me.worker.lap(SpanKind::Receive, rounds, lp_id, recv, 0);
 
                     // Second barrier: next timestamps are published.
-                    let lap = me.worker.start();
                     barrier.wait();
-                    me.worker
-                        .end(lap, SpanKind::BarrierWait, rounds, lp_id, Some(1));
+                    me.worker.lap(SpanKind::BarrierWait, rounds, lp_id, 1, 0);
                 }
                 (me.lp, me.worker, rounds)
             };

@@ -14,9 +14,10 @@
 //!    blocked-LP cycle walk.
 //! 4. [`spawn_contained`] / [`join_contained`] / [`contained`] — the one
 //!    `catch_unwind`, the one place a [`FailureDiagnostics`] is recorded.
-//! 5. [`Worker`] and [`finish`] — per-thread P/S/M and span accounting, and
-//!    the epilogue: per-LP totals, the [`RunReport`], error precedence (a
-//!    contained panic outranks a watchdog stall) and world reassembly.
+//! 5. [`Worker`] and [`finish`] — per-thread P/S/M and span accounting (one
+//!    chain of laps per thread), and the epilogue: per-LP totals, the
+//!    [`RunReport`], error precedence (a contained panic outranks a
+//!    watchdog stall) and world reassembly.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -621,72 +622,52 @@ pub(super) fn join_contained<T>(
 
 /// One thread's accounts: its P/S/M accumulators (§3.2 of the paper), its
 /// telemetry sink and how far it got. Handed back when the thread is done.
+///
+/// Wall time is measured in one chain of laps: every boundary reads the
+/// clock once, and that reading closes the lap before it and opens the one
+/// after ([`Worker::lap`]). So a thread's laps tile its timeline from the
+/// worker's creation to its last boundary and sum to its [`Psm`].
 pub(super) struct Worker {
-    pub psm: Psm,
+    psm: Psm,
     pub tel: WorkerTel,
     /// Latest virtual time this thread executed.
     pub end_time: Time,
+    /// The reading that closed the last lap and opened the current one.
+    pub last: Instant,
 }
 
-/// A stretch of wall time being measured: the clock reading that opened
-/// it ([`Worker::start`]).
-pub(super) struct Lap(Instant);
-
 impl Worker {
-    /// The accounts of the thread that records into telemetry sink `id`.
+    /// The accounts of the thread that records into telemetry sink `id`;
+    /// its first lap opens now.
     pub fn new(env: &RunEnv<'_>, id: usize) -> Self {
         Worker {
             psm: Psm::default(),
             tel: env.telctx.worker(id as u32),
             end_time: Time::ZERO,
+            last: Instant::now(),
         }
     }
 
+    /// Closes the open lap and opens the next: charges it to the P/S/M
+    /// accumulator its `kind` counts towards — executing events is
+    /// processing, waiting on other threads is synchronization, moving
+    /// events and bounds between LPs is messaging — and records it as that
+    /// span of `round` on `lp`. A span nested inside a lap is recorded on
+    /// [`Worker::tel`] directly and charges nothing.
     #[inline]
-    pub fn start(&self) -> Lap {
-        Lap(Instant::now())
-    }
-
-    /// Ends `lap`: charges it as `kind` and, given its `arg`, records it
-    /// as a span of `round` on `lp`. Returns its length in nanoseconds.
-    #[inline]
-    pub fn end(&mut self, lap: Lap, kind: SpanKind, round: u64, lp: u32, arg: Option<u64>) -> u64 {
-        let ns = lap.0.elapsed().as_nanos() as u64;
-        self.account(kind, round, lp, lap.0, ns, arg.map(|arg| (arg, 0)));
-        ns
-    }
-
-    /// Charges the `ns` measured from `t0` to the P/S/M accumulator spans
-    /// of `kind` count towards — executing events is processing, waiting on
-    /// other threads is synchronization, moving events and bounds between
-    /// LPs is messaging — and, given its arguments, records the same
-    /// stretch as a span. Every lap a thread charges goes through here, so
-    /// its charged laps sum to [`Psm::total_ns`]; a span nested inside a
-    /// lap is recorded on [`Worker::tel`] directly and charges nothing.
-    #[inline]
-    pub fn account(
-        &mut self,
-        kind: SpanKind,
-        round: u64,
-        lp: u32,
-        t0: Instant,
-        ns: u64,
-        args: Option<(u64, u64)>,
-    ) {
+    pub fn lap(&mut self, kind: SpanKind, round: u64, lp: u32, arg: u64, arg2: u64) {
+        let now = Instant::now();
+        let ns = now.duration_since(self.last).as_nanos() as u64;
         match kind {
             SpanKind::Process | SpanKind::Global => self.psm.p_ns += ns,
             SpanKind::BarrierWait => self.psm.s_ns += ns,
-            SpanKind::Receive
-            | SpanKind::MailboxFlush
-            | SpanKind::Grant
-            | SpanKind::WindowUpdate => self.psm.m_ns += ns,
-            SpanKind::LpTask | SpanKind::FusedRound => {
-                debug_assert!(false, "{kind:?} only nests inside a charged lap")
+            SpanKind::Receive | SpanKind::WindowUpdate => self.psm.m_ns += ns,
+            SpanKind::LpTask | SpanKind::MailboxFlush | SpanKind::FusedRound => {
+                debug_assert!(false, "{kind:?} only nests inside a lap")
             }
         }
-        if let Some((arg, arg2)) = args {
-            self.tel.record(kind, round, lp, t0, ns, arg, arg2);
-        }
+        self.tel.record(kind, round, lp, self.last, ns, arg, arg2);
+        self.last = now;
     }
 }
 

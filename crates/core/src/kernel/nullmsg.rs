@@ -93,11 +93,8 @@ pub(super) fn run<N: SimNode>(
                     let safe = clocks.safe(idx);
 
                     // Receive every delivered event (messaging time).
-                    let lap = me.worker.start();
                     let recv = me.receive(&inboxes[idx]);
-                    let span = (recv > 0).then_some(recv);
-                    me.worker
-                        .end(lap, SpanKind::MailboxFlush, iterations, lp_id, span);
+                    me.worker.lap(SpanKind::Receive, iterations, lp_id, recv, 0);
 
                     // Abort drain: exit *before* processing anything further,
                     // so a watchdog/panic abort leaves every FEL (and hence
@@ -108,17 +105,14 @@ pub(super) fn run<N: SimNode>(
                     }
 
                     // Process events strictly below the limit.
-                    let lap = me.worker.start();
-                    let processed =
-                        me.process_below(safe.min(bound), dir, inboxes, env.kernel, site);
-                    let span = (processed > 0).then_some(processed);
+                    let limit = safe.min(bound);
+                    let processed = me.process_below(limit, dir, inboxes, env.kernel, site);
                     me.worker
-                        .end(lap, SpanKind::Process, iterations, lp_id, span);
+                        .lap(SpanKind::Process, iterations, lp_id, processed, 0);
 
                     // Null messages: refresh output promises. `lb` is a lower
                     // bound on the timestamp of anything this LP may still
                     // process, hence `lb + lookahead` bounds future sends.
-                    let lap = me.worker.start();
                     let next = me.lp.fel.next_ts();
                     let lb = next.min(safe);
                     let finished = safe >= bound && next >= bound;
@@ -147,7 +141,8 @@ pub(super) fn run<N: SimNode>(
                     if progressed {
                         env.wd.tick();
                     }
-                    me.worker.end(lap, SpanKind::Grant, iterations, lp_id, None);
+                    me.worker
+                        .lap(SpanKind::WindowUpdate, iterations, lp_id, limit.0, lb.0);
 
                     if finished || env.halted() {
                         clocks.release_outs(idx);
@@ -160,12 +155,11 @@ pub(super) fn run<N: SimNode>(
                         // bumps under, so wake-ups are never lost. The CMB
                         // analogue of a barrier wait: blocked on neighbor
                         // promises.
-                        let lap = me.worker.start();
                         clocks.wakers[idx].sleep_if(|| {
                             clocks.safe(idx) <= safe && inboxes[idx].is_empty() && !env.halted()
                         });
                         me.worker
-                            .end(lap, SpanKind::BarrierWait, iterations, lp_id, Some(0));
+                            .lap(SpanKind::BarrierWait, iterations, lp_id, 0, 0);
                     }
                 }
                 (me.lp, me.worker, iterations)

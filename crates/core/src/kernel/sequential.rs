@@ -128,12 +128,12 @@ pub(super) fn run<N: SimNode>(
     let mut now = Time::ZERO;
     let started = Instant::now();
 
-    // Telemetry is coarse here: one sink on the only thread, a single
-    // whole-run Process span — the one lap this kernel charges — and,
-    // nested inside it, one Global span per instant that ran global events
-    // (the sequential kernel has no rounds or phases to subdivide).
+    // The only thread's laps: Process up to each instant that runs global
+    // events and Global over it (the sequential kernel has no rounds or
+    // phases to subdivide). `lapped` counts the events the Process laps
+    // closed so far carried.
     let mut main = Worker::new(&env, 0);
-    let tel = &mut main.tel;
+    let mut lapped: u64 = 0;
 
     // The event loop is contained so a panicking model handler (or global
     // event) ends the run with a partial report built from the slots; the
@@ -150,8 +150,9 @@ pub(super) fn run<N: SimNode>(
             // matching the windowed kernels (a window never extends past
             // N_pub). Only this instant's globals run: one of them may
             // inject a node event that precedes the next global.
+            main.lap(SpanKind::Process, 0, NO_LP, events - lapped, 0);
+            lapped = events;
             site.phase.set(RunPhase::Global);
-            let g0 = tel.enabled().then(Instant::now);
             // SAFETY: single-threaded kernel; nothing else accesses the
             // slots. Events pulled into the kernel-private global FEL are
             // invisible to a checkpoint, so this kernel does not offer one.
@@ -161,10 +162,7 @@ pub(super) fn run<N: SimNode>(
                     site.at.set((None, ts));
                 })
             };
-            if let Some(g0) = g0 {
-                let ns = g0.elapsed().as_nanos() as u64;
-                tel.record(SpanKind::Global, 0, NO_LP, g0, ns, due.ran, 0);
-            }
+            main.lap(SpanKind::Global, 0, NO_LP, due.ran, 0);
             site.phase.set(RunPhase::Process);
             // Sweep events a global handler injected into per-LP FELs.
             for i in 0..slots.len() {
@@ -211,15 +209,7 @@ pub(super) fn run<N: SimNode>(
     });
 
     let wall = started.elapsed();
-    let args = Some((events, 0));
-    main.account(
-        SpanKind::Process,
-        0,
-        NO_LP,
-        started,
-        wall.as_nanos() as u64,
-        args,
-    );
+    main.lap(SpanKind::Process, 0, NO_LP, events - lapped, 0);
     main.end_time = now;
     let (mut lps, _) = slots.into_inner();
     // One FEL, one locality stream: the run's node switches are LP 0's.

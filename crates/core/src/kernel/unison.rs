@@ -370,7 +370,7 @@ pub(super) fn run<N: SimNode>(
             let round = rounds + 1;
             let window_start = p.window_start;
             let window_end = p.window_end;
-            let round_t0 = lane.last;
+            let round_t0 = lane.me.last;
             if !fuse {
                 slots.begin_phase(); // covers phase 1 (released by B0)
             }
@@ -575,7 +575,9 @@ pub(super) fn run<N: SimNode>(
                 plan_mut.round = rounds + 1;
             }
             cursor.begin_round();
-            lane.lap(SpanKind::WindowUpdate, rounds, window_end.0, next_window.0);
+            let (end, next) = (window_end.0, next_window.0);
+            lane.me
+                .lap(SpanKind::WindowUpdate, rounds, NO_LP, end, next);
             if fuse && lane.me.tel.enabled() {
                 // A whole-round envelope marking that every phase of this
                 // round ran on the main thread with no barrier crossing:
@@ -583,7 +585,7 @@ pub(super) fn run<N: SimNode>(
                 // just closed its last phase — no clock read of its own.
                 // `arg` is the round's total load, `arg2` the cross-LP
                 // events it drained.
-                let ns = lane.last.duration_since(round_t0).as_nanos() as u64;
+                let ns = lane.me.last.duration_since(round_t0).as_nanos() as u64;
                 let tel = &mut lane.me.tel;
                 tel.record(
                     SpanKind::FusedRound,
@@ -663,10 +665,7 @@ unsafe fn merge_pending_globals<N: SimNode>(
 }
 
 /// One thread's way through the rounds: its barrier seat, failure site and
-/// accounts. Wall time is measured in chained laps: every phase boundary
-/// reads the clock once, and that reading both closes the phase before it
-/// and opens the one after — so a thread's top-level spans tile its
-/// timeline and sum to its P/S/M total.
+/// accounts. Every phase boundary is one lap of the thread's [`Worker`].
 struct Lane<'a> {
     env: &'a RunEnv<'a>,
     barrier: &'a TreeBarrier,
@@ -674,7 +673,6 @@ struct Lane<'a> {
     site: &'a Site,
     worker: usize,
     me: Worker,
-    last: Instant,
 }
 
 impl<'a> Lane<'a> {
@@ -686,19 +684,7 @@ impl<'a> Lane<'a> {
             site,
             worker,
             me: Worker::new(env, worker),
-            last: Instant::now(),
         }
-    }
-
-    /// Closes the lap open since the previous one (or the start): charged
-    /// as `kind` and recorded as that span of `round`.
-    #[inline]
-    fn lap(&mut self, kind: SpanKind, round: u64, arg: u64, arg2: u64) {
-        let now = Instant::now();
-        let ns = now.duration_since(self.last).as_nanos() as u64;
-        self.me
-            .account(kind, round, NO_LP, self.last, ns, Some((arg, arg2)));
-        self.last = now;
     }
 
     /// Crosses barrier `which` (0–3) of `round`; the lap it closes is
@@ -707,7 +693,7 @@ impl<'a> Lane<'a> {
     #[inline]
     fn wait(&mut self, round: u64, which: u64) -> bool {
         self.barrier.wait(&mut self.waiter);
-        self.lap(SpanKind::BarrierWait, round, which, 0);
+        self.me.lap(SpanKind::BarrierWait, round, NO_LP, which, 0);
         !self.barrier.is_poisoned()
     }
 
@@ -734,7 +720,8 @@ impl<'a> Lane<'a> {
         self.site.at.set((None, virtual_time));
         let tel = &mut self.me.tel;
         let out = contained(self.env, self.site, self.worker, || body(tel));
-        self.lap(kind, round, out.as_ref().map_or(0, arg), 0);
+        self.me
+            .lap(kind, round, NO_LP, out.as_ref().map_or(0, arg), 0);
         if out.is_none() {
             self.barrier.poison();
         }

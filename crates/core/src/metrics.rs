@@ -58,6 +58,16 @@ impl Psm {
     }
 }
 
+impl std::iter::Sum for Psm {
+    fn sum<I: Iterator<Item = Psm>>(iter: I) -> Psm {
+        iter.fold(Psm::default(), |a, b| Psm {
+            p_ns: a.p_ns + b.p_ns,
+            s_ns: a.s_ns + b.s_ns,
+            m_ns: a.m_ns + b.m_ns,
+        })
+    }
+}
+
 /// One round's load profile across LPs.
 #[derive(Clone, Debug)]
 pub struct RoundRecord {
@@ -199,13 +209,7 @@ impl RunReport {
 
     /// Aggregate P/S/M over all threads.
     pub fn psm_total(&self) -> Psm {
-        let mut total = Psm::default();
-        for p in &self.psm {
-            total.p_ns += p.p_ns;
-            total.s_ns += p.s_ns;
-            total.m_ns += p.m_ns;
-        }
-        total
+        self.psm.iter().copied().sum()
     }
 
     /// Total node switches (locality proxy) over all LPs.

@@ -6,17 +6,23 @@
 //! beyond two threads cannot be measured directly. Instead, a run is first executed with the
 //! instrumented single-thread engine (`MetricsLevel::PerRound`), producing
 //! the exact per-round, per-LP processing-cost matrix `P_i(r)` plus message
-//! counts. This module then *replays* the synchronization structure of each
-//! algorithm over that matrix for any number of virtual cores:
+//! counts, from which an LP's messaging cost is `M_i(r) = recv_i(r) ×
+//! per_msg_ns`. This module then *replays* the synchronization structure of
+//! each algorithm over that matrix for any number of virtual cores:
 //!
 //! - **sequential**: `T = Σ_r Σ_i P_i(r)`;
-//! - **barrier** (LP pinned per core): `T = Σ_r (max_i(P_i(r) + M_i(r)) + C_bar)`;
 //! - **null message** (local sync): wavefront recurrence
 //!   `t_i(r) = max(t_i(r-1), max_{j∈nbr(i)} t_j(r-1)) + P_i(r) + M_i(r)`;
-//! - **Unison** (T workers, load-adaptive): `T = Σ_r (LPT-makespan + C_round)`,
-//!   where the LPT order follows the configured scheduling metric exactly as
-//!   the real kernel would (estimates from the previous round, re-sorted
-//!   every scheduling period).
+//! - **barriered** algorithms, one round loop ([`PerfModel::replay`]) that
+//!   differs only in where each LP runs and in the round's fixed cost `C`:
+//!   `T = Σ_r (max_e Σ_{i on e} (P_i(r) + M_i(r)) + C)`, every executor `e`
+//!   charged the P and M of its own LPs and S for the rest of the round.
+//!   **Barrier** pins LP `i` to core `i` (`C_bar`); **Unison** (T workers,
+//!   load-adaptive) LPT-places the LPs in the order the configured
+//!   scheduling metric gives, exactly as the real kernel would (estimates
+//!   from the previous round, re-sorted every scheduling period;
+//!   `C_round` + the re-sort); **hybrid** LPT-places each host's LPs on
+//!   that host's workers by their exact cost (`C_bar + C_round`).
 //!
 //! Because every quantity the figures report (total time, per-round S/T
 //! ratio, per-thread P/S/M, slowdown factor α, speedup curves, crossover
@@ -25,7 +31,9 @@
 //! nanoseconds inherit this machine's single-core event rate.
 
 use crate::metrics::{Psm, RoundRecord};
-use crate::sched::{ideal_makespan, order_by_estimate, SchedConfig, SchedMetric};
+use crate::sched::{
+    ideal_makespan, ideal_order, lpt_assign, order_by_estimate, SchedConfig, SchedMetric,
+};
 
 /// Modeled fixed costs, all in nanoseconds.
 ///
@@ -74,38 +82,49 @@ pub struct ModelResult {
     pub psm: Vec<Psm>,
     /// Per-round synchronization share `S/T ∈ [0,1]` (mean over executors).
     pub s_ratio_per_round: Vec<f32>,
+    /// Unison only: the slowdown factor α, Σ actual round time / Σ
+    /// idealistic round time (Fig. 12c's metric).
+    pub alpha: Option<f64>,
+    /// Unison only: the modelled cost of re-sorting, nanoseconds.
+    pub sched_cost_ns: Option<f64>,
 }
 
 impl ModelResult {
+    fn new(algorithm: String, total_ns: f64, psm: Vec<Psm>, s_ratio_per_round: Vec<f32>) -> Self {
+        ModelResult {
+            algorithm,
+            cores: psm.len(),
+            total_ns,
+            psm,
+            s_ratio_per_round,
+            alpha: None,
+            sched_cost_ns: None,
+        }
+    }
+
+    /// P/S/M summed over the executors.
+    pub fn psm_sum(&self) -> Psm {
+        self.psm.iter().copied().sum()
+    }
+
     /// Aggregate S/(P+S+M) over the whole run.
     pub fn s_ratio(&self) -> f64 {
-        let (mut p, mut s, mut m) = (0u64, 0u64, 0u64);
-        for x in &self.psm {
-            p += x.p_ns;
-            s += x.s_ns;
-            m += x.m_ns;
-        }
-        let t = p + s + m;
-        if t == 0 {
-            0.0
-        } else {
-            s as f64 / t as f64
-        }
+        self.psm_sum().s_ratio()
     }
 
     /// Aggregate P over executors, nanoseconds.
     pub fn p_total(&self) -> f64 {
-        self.psm.iter().map(|x| x.p_ns as f64).sum()
+        self.psm_sum().p_ns as f64
     }
 
     /// Aggregate S over executors, nanoseconds.
     pub fn s_total(&self) -> f64 {
-        self.psm.iter().map(|x| x.s_ns as f64).sum()
+        self.psm_sum().s_ns as f64
     }
 
     /// Aggregate M over executors, nanoseconds.
     pub fn m_total(&self) -> f64 {
-        self.psm.iter().map(|x| x.m_ns as f64).sum()
+        self.psm_sum().m_ns as f64
     }
 }
 
@@ -143,52 +162,63 @@ impl<'a> PerfModel<'a> {
     /// Sequential execution: one core processes every event; no S, no M.
     pub fn sequential(&self) -> ModelResult {
         let total: f64 = self.profile.iter().map(|r| r.total_cost_ns()).sum();
-        ModelResult {
-            algorithm: "sequential".into(),
-            cores: 1,
-            total_ns: total,
-            psm: vec![Psm {
-                p_ns: total as u64,
-                s_ns: 0,
-                m_ns: 0,
-            }],
-            s_ratio_per_round: Vec::new(),
+        let psm = Psm {
+            p_ns: total as u64,
+            ..Psm::default()
+        };
+        ModelResult::new("sequential".into(), total, vec![psm], Vec::new())
+    }
+
+    /// The barriered round loop. Each round, LP `i` costs its measured P
+    /// and its receives' M; `plan(r, rec, busy, owner)` sees each LP's P+M
+    /// in `busy`, puts every LP on one of the `executors` (`owner[i]`) and
+    /// returns the round's fixed cost. The round lasts the slowest
+    /// executor's P+M plus that cost; each executor is charged the P and M
+    /// of its own LPs and waits out the rest of the round as S.
+    fn replay(
+        &self,
+        algorithm: String,
+        executors: usize,
+        mut plan: impl FnMut(usize, &RoundRecord, &[f64], &mut [usize]) -> f64,
+    ) -> ModelResult {
+        let n = self.lp_count();
+        let mut psm = vec![Psm::default(); executors];
+        let mut s_ratio = Vec::with_capacity(self.profile.len());
+        let mut total = 0.0f64;
+        let mut owner = vec![0; n];
+        for (r, rec) in self.profile.iter().enumerate() {
+            let p = |i: usize| rec.lp_cost_ns[i] as f64;
+            let m = |i: usize| rec.lp_recv[i] as f64 * self.params.per_msg_ns;
+            let busy: Vec<f64> = (0..n).map(|i| p(i) + m(i)).collect();
+            let fixed = plan(r, rec, &busy, &mut owner);
+            let mut charged = vec![(0.0f64, 0.0f64); executors];
+            for (i, &e) in owner.iter().enumerate() {
+                charged[e].0 += p(i);
+                charged[e].1 += m(i);
+            }
+            let round = charged.iter().map(|(p, m)| p + m).fold(0.0, f64::max) + fixed;
+            total += round;
+            let mut s_sum = 0.0f64;
+            for (x, (p, m)) in psm.iter_mut().zip(charged) {
+                let s = round - (p + m);
+                x.p_ns += p as u64;
+                x.m_ns += m as u64;
+                x.s_ns += s as u64;
+                s_sum += s;
+            }
+            s_ratio.push((s_sum / (executors as f64 * round)) as f32);
         }
+        ModelResult::new(algorithm, total, psm, s_ratio)
     }
 
     /// Barrier synchronization with each LP pinned to its own core.
     pub fn barrier(&self) -> ModelResult {
-        let n = self.lp_count();
-        let mut psm = vec![Psm::default(); n];
-        let mut s_ratio = Vec::with_capacity(self.profile.len());
-        let mut total = 0.0f64;
-        for rec in self.profile {
-            let mut round_max = 0.0f64;
-            let mut busy: Vec<f64> = Vec::with_capacity(n);
-            for i in 0..n {
-                let b = rec.lp_cost_ns[i] as f64 + rec.lp_recv[i] as f64 * self.params.per_msg_ns;
-                round_max = round_max.max(b);
-                busy.push(b);
+        self.replay("barrier".into(), self.lp_count(), |_, _, _, owner| {
+            for (i, e) in owner.iter_mut().enumerate() {
+                *e = i;
             }
-            let round = round_max + self.params.barrier_ns;
-            total += round;
-            let mut s_sum = 0.0f64;
-            for i in 0..n {
-                psm[i].p_ns += rec.lp_cost_ns[i] as f64 as u64;
-                psm[i].m_ns += (rec.lp_recv[i] as f64 * self.params.per_msg_ns) as u64;
-                let s = round - busy[i];
-                psm[i].s_ns += s as u64;
-                s_sum += s;
-            }
-            s_ratio.push((s_sum / (n as f64 * round)) as f32);
-        }
-        ModelResult {
-            algorithm: "barrier".into(),
-            cores: n,
-            total_ns: total,
-            psm,
-            s_ratio_per_round: s_ratio,
-        }
+            self.params.barrier_ns
+        })
     }
 
     /// Null-message synchronization with each LP pinned to its own core.
@@ -235,74 +265,53 @@ impl<'a> PerfModel<'a> {
         for (i, x) in psm.iter_mut().enumerate() {
             x.s_ns += (total - t[i]) as u64;
         }
-        ModelResult {
-            algorithm: "nullmsg".into(),
-            cores: n,
-            total_ns: total,
-            psm,
-            s_ratio_per_round: s_ratio,
-        }
+        ModelResult::new("nullmsg".into(), total, psm, s_ratio)
     }
 
-    /// Unison with `cores` workers and the given scheduling configuration.
+    /// Unison with `cores` workers and the given scheduling configuration,
+    /// with its slowdown factor α and modelled scheduler cost.
     pub fn unison(&self, cores: usize, sched: SchedConfig) -> ModelResult {
-        self.unison_detailed(cores, sched).result
+        self.replay_unison(cores, sched, |_| {})
     }
 
-    /// Unison replay with extra diagnostics (slowdown factor, per-round
-    /// thread loads).
-    pub fn unison_detailed(&self, cores: usize, sched: SchedConfig) -> UnisonModel {
-        self.replay_unison(cores, sched, |_, _| {})
-    }
-
-    /// The replayed per-worker loads summed into `bucket`-round buckets
-    /// (Fig. 13's Unison heat map): `out[bucket][worker]`, nanoseconds.
+    /// The replayed per-worker loads (P+M) summed into `bucket`-round
+    /// buckets (Fig. 13's Unison heat map): `out[bucket][worker]`,
+    /// nanoseconds.
     pub fn bucketed_worker_loads(
         &self,
         cores: usize,
         sched: SchedConfig,
         bucket: usize,
     ) -> Vec<Vec<f64>> {
-        assert!(bucket > 0);
-        let mut out: Vec<Vec<f64>> = Vec::new();
-        self.replay_unison(cores, sched, |r, loads| {
-            if r % bucket == 0 {
-                out.push(vec![0.0; cores]);
-            }
-            // INVARIANT: round 0 pushes the first bucket (0 % bucket == 0).
-            let last = out.last_mut().expect("bucket pushed");
-            for (acc, &load) in last.iter_mut().zip(loads) {
-                *acc += load;
-            }
-        });
-        out
+        let mut rows = Vec::with_capacity(self.profile.len());
+        self.replay_unison(cores, sched, |loads| rows.push(loads));
+        bucketed(rows, bucket)
     }
 
-    /// The Unison replay; `on_round(r, loads)` sees each round's per-worker
-    /// loads.
+    /// The Unison plan: LPT over the metric's order, re-sorted on the
+    /// period boundary exactly as the kernel does; `on_round` sees each
+    /// round's per-worker loads.
     fn replay_unison(
         &self,
         cores: usize,
         sched: SchedConfig,
-        mut on_round: impl FnMut(usize, &[f64]),
-    ) -> UnisonModel {
+        mut on_round: impl FnMut(Vec<f64>),
+    ) -> ModelResult {
         assert!(cores > 0);
         let n = self.lp_count();
         let period = sched.effective_period(n) as usize;
         let mut order: Vec<u32> = (0..n as u32).collect();
-        let mut psm = vec![Psm::default(); cores];
-        let mut s_ratio = Vec::with_capacity(self.profile.len());
-        let mut total = 0.0f64;
-        let mut ideal_total = 0.0f64;
-        let mut sched_cost_total = 0.0f64;
-        let mut prev_costs: Vec<u64> = vec![0; n];
-        for (r, rec) in self.profile.iter().enumerate() {
-            // Re-sort on the period boundary using the metric's estimates,
-            // exactly as the kernel does.
+        let (mut ideal_total, mut sched_total) = (0.0f64, 0.0f64);
+        let label = format!("unison({cores})");
+        let mut result = self.replay(label, cores, |r, rec, busy, owner| {
             let mut sched_cost = 0.0;
             if r > 0 && r % period == 0 && sched.metric != SchedMetric::None {
                 let estimates: Vec<u64> = match sched.metric {
-                    SchedMetric::ByLastRoundTime => prev_costs.clone(),
+                    SchedMetric::ByLastRoundTime => self.profile[r - 1]
+                        .lp_cost_ns
+                        .iter()
+                        .map(|&c| c as u64)
+                        .collect(),
                     SchedMetric::ByPendingEvents => {
                         rec.lp_events.iter().map(|&e| e as u64).collect()
                     }
@@ -311,137 +320,69 @@ impl<'a> PerfModel<'a> {
                 order = order_by_estimate(&estimates);
                 sched_cost = self.params.sched_per_lp_ns * n as f64;
             }
-            let actual: Vec<f64> = (0..n)
-                .map(|i| rec.lp_cost_ns[i] as f64 + rec.lp_recv[i] as f64 * self.params.per_msg_ns)
-                .collect();
-            // Replay LPT: greedy longest-estimate-first onto least-loaded.
-            let mut loads = vec![0.0f64; cores];
-            for &lp in &order {
-                let (idx, _) = loads
-                    .iter()
-                    .enumerate()
-                    // INVARIANT: loads are finite sums of finite profiled
-                    // costs; `loads` has `cores > 0` entries.
-                    .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    // INVARIANT: `loads` has `cores > 0` entries.
-                    .expect("cores > 0");
-                loads[idx] += actual[lp as usize];
-            }
-            let makespan = loads.iter().cloned().fold(0.0, f64::max);
-            let round = makespan + self.params.unison_round_ns + sched_cost;
-            total += round;
-            sched_cost_total += sched_cost;
-            ideal_total += ideal_makespan(&actual, cores) + self.params.unison_round_ns;
-            let mut s_sum = 0.0f64;
-            for (t, &load) in loads.iter().enumerate() {
-                let p = load;
-                let s = round - load;
-                psm[t].p_ns += p as u64;
-                psm[t].s_ns += s as u64;
-                s_sum += s;
-            }
-            s_ratio.push((s_sum / (cores as f64 * round)) as f32);
-            on_round(r, &loads);
-            for (prev, &cost) in prev_costs.iter_mut().zip(&rec.lp_cost_ns) {
-                *prev = cost as u64;
-            }
-        }
-        UnisonModel {
-            result: ModelResult {
-                algorithm: format!("unison({cores})"),
-                cores,
-                total_ns: total,
-                psm,
-                s_ratio_per_round: s_ratio,
-            },
-            slowdown: if ideal_total > 0.0 {
-                total / ideal_total
-            } else {
-                1.0
-            },
-            sched_cost_ns: sched_cost_total,
-        }
+            on_round(lpt_assign(&order, busy, cores, owner));
+            ideal_total += ideal_makespan(busy, cores) + self.params.unison_round_ns;
+            sched_total += sched_cost;
+            self.params.unison_round_ns + sched_cost
+        });
+        result.alpha = Some(if ideal_total > 0.0 {
+            result.total_ns / ideal_total
+        } else {
+            1.0
+        });
+        result.sched_cost_ns = Some(sched_total);
+        result
     }
 
-    /// The paper's hybrid kernel (§5.2) over `groups` simulated hosts:
-    /// within each host, its LPs are LPT-scheduled onto `per_host` workers;
-    /// across hosts the round is a barrier (the window all-reduce), so the
-    /// round time is the slowest host's makespan plus the all-reduce cost.
+    /// The paper's hybrid kernel (§5.2) over `groups` simulated hosts, which
+    /// partition the LPs: each host LPT-places its own LPs, longest P+M
+    /// first (exact costs keep the model conservative in the host's favor),
+    /// on its `per_host` workers; across hosts the round is a barrier (the
+    /// window all-reduce), so it costs both fixed costs.
     pub fn hybrid(&self, groups: &[Vec<u32>], per_host: usize) -> ModelResult {
         assert!(per_host > 0);
         assert!(!groups.is_empty());
-        let total_threads = groups.len() * per_host;
-        let mut psm = vec![Psm::default(); total_threads];
-        let mut s_ratio = Vec::with_capacity(self.profile.len());
-        let mut total = 0.0f64;
-        for rec in self.profile {
-            let mut round_max = 0.0f64;
-            let mut loads_all: Vec<f64> = Vec::with_capacity(total_threads);
-            for group in groups {
-                let mut loads = vec![0.0f64; per_host];
-                // LPT within the host: longest actual cost first (the
-                // kernel sorts by estimate; exact costs keep the model
-                // conservative in the host's favor).
-                let mut lps: Vec<u32> = group.clone();
-                lps.sort_by(|&a, &b| {
-                    rec.lp_cost_ns[b as usize]
-                        // INVARIANT: profiled costs are finite u64 counters.
-                        .partial_cmp(&rec.lp_cost_ns[a as usize])
-                        // INVARIANT: see above — total order on finite costs.
-                        .expect("finite costs")
-                });
-                for lp in lps {
-                    let (idx, _) = loads
-                        .iter()
-                        .enumerate()
-                        // INVARIANT: loads are finite sums of finite costs;
-                        // `loads` has `per_host > 0` entries.
-                        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                        // INVARIANT: `loads` is non-empty.
-                        .expect("per_host > 0");
-                    loads[idx] += rec.lp_cost_ns[lp as usize] as f64;
+        let label = format!("hybrid({}x{per_host})", groups.len());
+        let mut order = Vec::new();
+        self.replay(label, groups.len() * per_host, |_, _, busy, owner| {
+            for (h, group) in groups.iter().enumerate() {
+                order.clone_from(group);
+                ideal_order(&mut order, busy);
+                lpt_assign(&order, busy, per_host, owner);
+                for &lp in group {
+                    owner[lp as usize] += h * per_host;
                 }
-                round_max = round_max.max(loads.iter().cloned().fold(0.0, f64::max));
-                loads_all.extend(loads);
             }
-            let round = round_max + self.params.barrier_ns + self.params.unison_round_ns;
-            total += round;
-            let mut s_sum = 0.0;
-            for (t, &load) in loads_all.iter().enumerate() {
-                psm[t].p_ns += load as u64;
-                let s = round - load;
-                psm[t].s_ns += s as u64;
-                s_sum += s;
-            }
-            s_ratio.push((s_sum / (total_threads as f64 * round)) as f32);
-        }
-        ModelResult {
-            algorithm: format!("hybrid({}x{})", groups.len(), per_host),
-            cores: total_threads,
-            total_ns: total,
-            psm,
-            s_ratio_per_round: s_ratio,
-        }
+            self.params.barrier_ns + self.params.unison_round_ns
+        })
     }
 
     /// Sums per-LP costs into `bucket`-round buckets (Fig. 13 heat maps).
     /// Returns `out[bucket][lp]` in nanoseconds.
     pub fn bucketed_costs(&self, bucket: usize) -> Vec<Vec<f64>> {
-        assert!(bucket > 0);
-        let n = self.lp_count();
-        let mut out: Vec<Vec<f64>> = Vec::new();
-        for (r, rec) in self.profile.iter().enumerate() {
-            if r % bucket == 0 {
-                out.push(vec![0.0; n]);
-            }
-            // INVARIANT: round 0 pushes the first bucket (0 % bucket == 0).
-            let last = out.last_mut().expect("bucket pushed");
-            for (acc, &cost) in last.iter_mut().zip(&rec.lp_cost_ns) {
-                *acc += cost as f64;
-            }
-        }
-        out
+        let rows = self
+            .profile
+            .iter()
+            .map(|rec| rec.lp_cost_ns.iter().map(|&c| c as f64).collect());
+        bucketed(rows, bucket)
     }
+}
+
+/// Sums consecutive `bucket`-round runs of per-round rows.
+fn bucketed(rows: impl IntoIterator<Item = Vec<f64>>, bucket: usize) -> Vec<Vec<f64>> {
+    assert!(bucket > 0);
+    let mut out: Vec<Vec<f64>> = Vec::new();
+    for (r, row) in rows.into_iter().enumerate() {
+        match out.last_mut() {
+            Some(sum) if r % bucket != 0 => {
+                for (acc, x) in sum.iter_mut().zip(row) {
+                    *acc += x;
+                }
+            }
+            _ => out.push(row),
+        }
+    }
+    out
 }
 
 /// Mean within-row coefficient of variation of `rows` (Fig. 13's imbalance
@@ -460,17 +401,6 @@ pub fn mean_cv(rows: &[Vec<f64>]) -> f64 {
         })
         .sum();
     cv_sum / rows.len().max(1) as f64
-}
-
-/// Unison replay with diagnostics.
-pub struct UnisonModel {
-    /// The plain model result.
-    pub result: ModelResult,
-    /// Slowdown factor α: Σ actual round time / Σ idealistic round time
-    /// (Fig. 12c's metric).
-    pub slowdown: f64,
-    /// Total modeled scheduler cost.
-    pub sched_cost_ns: f64,
 }
 
 #[cfg(test)]
@@ -597,8 +527,11 @@ mod tests {
     fn slowdown_factor_at_least_one() {
         let p = profile(40, &[&[5.0, 1.0, 9.0, 2.0], &[2.0, 8.0, 1.0, 3.0]]);
         let m = PerfModel::new(&p).with_params(zero_overhead());
-        let d = m.unison_detailed(2, SchedConfig::default());
-        assert!(d.slowdown >= 1.0 - 1e-9, "alpha = {}", d.slowdown);
+        let alpha = m
+            .unison(2, SchedConfig::default())
+            .alpha
+            .expect("unison has α");
+        assert!(alpha >= 1.0 - 1e-9, "alpha = {alpha}");
     }
 
     #[test]

@@ -354,19 +354,19 @@ pub fn order_home(lps: &mut [u32], estimates: &[u64], heavy_above: u64) {
     });
 }
 
-/// Evaluates an LPT (longest-estimated-job-first, greedy to least-loaded
-/// thread) schedule: jobs are *ordered* by `estimates` but *cost* their
-/// actual times. Returns the makespan in the same unit as `actual`.
+/// Places the LPs of `order`, in turn, on the least-loaded of `threads`
+/// threads (the first of them on a tie) — the paper's LPT schedule,
+/// *ordered* by whatever `order` was sorted by but *costing* each LP its
+/// actual time in `actual`. Writes each LP's thread into `owner` (indexed
+/// by LP id) and returns the threads' loads, in the unit of `actual`.
 ///
 /// This mirrors what the running kernel does physically (idle threads pop
-/// the longest remaining LP) and is the round recurrence used by the
+/// the longest remaining LP) and is the round recurrence of the
 /// virtual-core performance model.
-pub fn lpt_makespan(order: &[u32], actual: &[f64], threads: usize) -> f64 {
+pub fn lpt_assign(order: &[u32], actual: &[f64], threads: usize, owner: &mut [usize]) -> Vec<f64> {
     debug_assert!(threads > 0);
-    // A tiny binary heap over (load, thread) — threads is small (<= 64ish).
     let mut loads = vec![0.0f64; threads.max(1)];
     for &lp in order {
-        // Index of least-loaded thread.
         let (idx, _) = loads
             .iter()
             .enumerate()
@@ -376,16 +376,22 @@ pub fn lpt_makespan(order: &[u32], actual: &[f64], threads: usize) -> f64 {
             // INVARIANT: `loads` is non-empty (threads.max(1) entries).
             .expect("threads > 0");
         loads[idx] += actual[lp as usize];
+        owner[lp as usize] = idx;
     }
-    loads.iter().cloned().fold(0.0, f64::max)
+    loads
 }
 
-/// The idealistic makespan: LPT with *exact* knowledge of the actual costs
-/// (sorting by the actual processing time). Used as the denominator of the
-/// slowdown factor α in Fig. 12c.
-pub fn ideal_makespan(actual: &[f64], threads: usize) -> f64 {
-    let mut order: Vec<u32> = (0..actual.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
+/// The makespan of the [`lpt_assign`] schedule.
+pub fn lpt_makespan(order: &[u32], actual: &[f64], threads: usize) -> f64 {
+    let mut owner = vec![0; actual.len()];
+    let loads = lpt_assign(order, actual, threads, &mut owner);
+    loads.into_iter().fold(0.0, f64::max)
+}
+
+/// Sorts `lps` longest *actual* cost first, ties by LP id: the order of a
+/// scheduler with exact knowledge of the costs.
+pub fn ideal_order(lps: &mut [u32], actual: &[f64]) {
+    lps.sort_unstable_by(|&a, &b| {
         actual[b as usize]
             // INVARIANT: profiled costs are finite (ns counters cast to f64).
             .partial_cmp(&actual[a as usize])
@@ -393,6 +399,13 @@ pub fn ideal_makespan(actual: &[f64], threads: usize) -> f64 {
             .unwrap()
             .then(a.cmp(&b))
     });
+}
+
+/// The idealistic makespan: LPT in the [`ideal_order`] of every LP. Used
+/// as the denominator of the slowdown factor α in Fig. 12c.
+pub fn ideal_makespan(actual: &[f64], threads: usize) -> f64 {
+    let mut order: Vec<u32> = (0..actual.len() as u32).collect();
+    ideal_order(&mut order, actual);
     lpt_makespan(&order, actual, threads)
 }
 

@@ -22,9 +22,11 @@
 //! One clock: a span is cut from the `Instant` pair the kernel already read
 //! to charge the same stretch to its P/S/M accumulators — `start_ns` is the
 //! first reading's distance from the run's origin (the construction of the
-//! [`TelContext`]), `dur_ns` the charged nanoseconds. Spans are pushed at
-//! close, so within a sink the end timestamps follow push order. Virtual
-//! time never appears in a span's clock fields, only in its arguments.
+//! [`TelContext`]), `dur_ns` the charged nanoseconds. A thread's laps are
+//! chained (each boundary is one reading), so its lap spans are contiguous.
+//! Spans are pushed at close, so within a sink the end timestamps follow
+//! push order. Virtual time never appears in a span's clock fields, only in
+//! its arguments.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -41,37 +43,44 @@ pub const SCHED_CAPACITY: usize = 1 << 12;
 pub const NO_LP: u32 = u32::MAX;
 
 /// What a [`Span`] measures. The `arg`/`arg2` fields are kind-specific.
+///
+/// Every kind but [`LpTask`](SpanKind::LpTask),
+/// [`MailboxFlush`](SpanKind::MailboxFlush) and
+/// [`FusedRound`](SpanKind::FusedRound) is a *lap*: a thread's laps tile
+/// its timeline and sum to its P/S/M total; the other three nest inside
+/// laps and charge nothing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SpanKind {
-    /// Phase 1 (claim + execute window events) as seen by one worker.
-    /// `arg` = events executed by this worker.
+    /// Executing window events: unison's phase 1 as seen by one worker, an
+    /// LP-pinned thread's processing step, or the sequential kernel's run
+    /// between two instants of global events. `arg` = events executed.
     Process,
-    /// Phase 2 (global events), control thread only. `arg` = global events
-    /// executed this round.
+    /// Global events: unison's phase 2 (control thread only), or one
+    /// instant of them in the sequential kernel. `arg` = global events
+    /// executed.
     Global,
-    /// Phase 3 (outbox drain) as seen by one worker. `arg` = events
-    /// delivered by this worker.
+    /// Moving received events into FELs: unison's phase 3 as seen by one
+    /// worker, or an LP-pinned thread's inbox drain. `arg` = events
+    /// delivered.
     Receive,
-    /// Phase 4 (window reduction + scheduling), control thread only.
-    /// `arg` = this round's window end, `arg2` = the next window end
-    /// (virtual-time nanoseconds).
+    /// Computing the next safe bound. Unison: phase 4 (window reduction +
+    /// scheduling), control thread only, `arg` = this round's window end,
+    /// `arg2` = the next window end. Barrier: the LBTS scan, `arg` = the
+    /// last window end, `arg2` = the next. Null message: the promise
+    /// refresh (the null messages), `arg` = the bound it processed below,
+    /// `arg2` = the bound its promises start from. Virtual-time
+    /// nanoseconds.
     WindowUpdate,
     /// Time blocked in a phase barrier (or the null-message kernel's
     /// neighbor wait). `arg` = barrier index within the round.
     BarrierWait,
-    /// Moving received events into FELs. Unison: one span per
-    /// worker and round, nested in its `Receive` span, for the drain of the
-    /// worker's outbox column (no LP; absent when nothing arrived);
-    /// barrier/null-message: one LP's mailbox drain. `arg` = events
+    /// Unison: one worker's drain of its outbox column, nested in its
+    /// `Receive` lap (no LP; absent when nothing arrived). `arg` = events
     /// received.
     MailboxFlush,
     /// One LP's execution in phase 1. `arg` = events executed, `arg2` = the
     /// scheduler's cost estimate for this LP (0 when no estimate existed).
     LpTask,
-    /// Null-message kernel: one LP's refresh of its out-channel promises
-    /// (the null messages). Charged as messaging time; the kernel records
-    /// no span for it.
-    Grant,
     /// Unison kernel: a whole round that *fused* — every phase ran on the
     /// main thread with no barrier crossing (DESIGN.md §4.9). Control
     /// thread only; `arg` = the round's total load (events + cross-LP
@@ -82,7 +91,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, for report iteration.
-    pub const ALL: [SpanKind; 9] = [
+    pub const ALL: [SpanKind; 8] = [
         SpanKind::Process,
         SpanKind::Global,
         SpanKind::Receive,
@@ -90,7 +99,6 @@ impl SpanKind {
         SpanKind::BarrierWait,
         SpanKind::MailboxFlush,
         SpanKind::LpTask,
-        SpanKind::Grant,
         SpanKind::FusedRound,
     ];
 
@@ -104,7 +112,6 @@ impl SpanKind {
             SpanKind::BarrierWait => "barrier-wait",
             SpanKind::MailboxFlush => "mailbox-flush",
             SpanKind::LpTask => "lp-task",
-            SpanKind::Grant => "grant",
             SpanKind::FusedRound => "fused-round",
         }
     }

@@ -26,7 +26,6 @@ fn cat(kind: SpanKind) -> &'static str {
         | SpanKind::Global
         | SpanKind::Receive
         | SpanKind::WindowUpdate
-        | SpanKind::Grant
         | SpanKind::FusedRound => "phase",
         SpanKind::BarrierWait => "sync",
         SpanKind::MailboxFlush => "mailbox",
@@ -51,7 +50,6 @@ fn span_args(span: &Span) -> Value {
             pairs.push(("next_window_end_ns", Value::Num(span.arg2 as f64)));
         }
         SpanKind::BarrierWait => pairs.push(("barrier", Value::Num(span.arg as f64))),
-        SpanKind::Grant => pairs.push(("grants", Value::Num(span.arg as f64))),
         SpanKind::FusedRound => {
             pairs.push(("load", Value::Num(span.arg as f64)));
             pairs.push(("cross_lp_recv", Value::Num(span.arg2 as f64)));

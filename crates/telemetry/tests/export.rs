@@ -160,16 +160,16 @@ fn fused_round_spans_match_the_report_counter() {
         .all(|s| s.kind.name() != "fused-round"));
 }
 
-/// One lap, one report: the sync share the report prints for a thread is
-/// its `Psm`'s — on the LP-pinned kernels too, whose messaging laps
-/// (`mailbox-flush`, and nullmsg's span-less `grant`) a span-derived
-/// denominator used to miss — and on unison, whose laps are chained, a
-/// worker's top-level spans are those laps: they sum to its P/S/M total to
-/// the nanosecond.
+/// One lap, one report, in every kernel: the sync share the report prints
+/// for a thread is its `Psm`'s, and the thread's laps — every span but the
+/// nested `lp-task`, `mailbox-flush` and `fused-round` — tile its timeline
+/// (each starts where the one before it ended) and sum to its P/S/M total
+/// to the nanosecond.
 #[test]
-fn printed_sync_share_is_the_psm_share_and_unison_spans_sum_to_it() {
+fn printed_sync_share_is_the_psm_share_and_every_kernels_laps_tile_and_sum_to_it() {
     let pods = manual::by_cluster(&topo());
     for cfg in [
+        RunConfig::sequential(),
         RunConfig::unison(2),
         RunConfig::barrier(pods.clone()),
         RunConfig::nullmsg(pods),
@@ -190,24 +190,33 @@ fn printed_sync_share_is_the_psm_share_and_unison_spans_sum_to_it() {
                 "{kernel:?}: `{row}` does not print {share:.2}%"
             );
         }
-    }
 
-    let report = run_profiled(2);
-    let tel = report.telemetry.as_ref().expect("telemetry attached");
-    for (w, psm) in tel.workers.iter().zip(&report.psm) {
-        assert_eq!(w.truncated, 0, "the scenario must fit the span buffer");
-        let top_level: u64 = w
-            .spans
-            .iter()
-            .filter(|s| {
-                !matches!(
-                    s.kind,
-                    SpanKind::LpTask | SpanKind::MailboxFlush | SpanKind::FusedRound
-                )
-            })
-            .map(|s| s.dur_ns)
-            .sum();
-        assert_eq!(top_level, psm.total_ns(), "worker {}", w.worker);
+        let tel = report.telemetry.as_ref().expect("telemetry attached");
+        assert_eq!(tel.workers.len(), report.psm.len(), "{kernel:?}");
+        for (w, psm) in tel.workers.iter().zip(&report.psm) {
+            let who = format!("{kernel:?} thread {}", w.worker);
+            assert_eq!(
+                w.truncated, 0,
+                "{who}: the scenario must fit the span buffer"
+            );
+            let laps: Vec<_> = w
+                .spans
+                .iter()
+                .filter(|s| {
+                    !matches!(
+                        s.kind,
+                        SpanKind::LpTask | SpanKind::MailboxFlush | SpanKind::FusedRound
+                    )
+                })
+                .collect();
+            assert!(!laps.is_empty(), "{who}: no lap");
+            for pair in laps.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                assert_eq!(a.start_ns + a.dur_ns, b.start_ns, "{who}: {a:?} then {b:?}");
+            }
+            let sum: u64 = laps.iter().map(|s| s.dur_ns).sum();
+            assert_eq!(sum, psm.total_ns(), "{who}");
+        }
     }
 }
 

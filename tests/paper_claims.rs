@@ -257,7 +257,7 @@ fn claim_load_adaptive_scheduling_beats_none() {
             metric,
             ..Default::default()
         };
-        model.unison_detailed(8, sched).slowdown
+        model.unison(8, sched).alpha.expect("unison has α")
     };
     let with = alpha(SchedMetric::ByLastRoundTime);
     let without = alpha(SchedMetric::None);
