@@ -59,7 +59,7 @@ fn main() {
     let own = profile(&spec.run.partition);
     let unison = own
         .perf_model()
-        .bucketed_worker_loads(model.cores, spec.run.sched, 100);
+        .bucketed_worker_loads(model.cores, model.sched, 100);
     print_map(
         "\nFigure 13b: Unison — P per thread (columns) per 100-round bucket (rows)",
         &unison,

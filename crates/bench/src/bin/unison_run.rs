@@ -5,7 +5,7 @@
 //! ```
 //!
 //! The scenario file carries the whole experiment — topology, traffic,
-//! transport, queues, routing, kernel, partitioning, scheduling —
+//! transport, queues, routing, kernel, partitioning, the model to replay —
 //! so two invocations of the same file produce bit-identical final model
 //! state; the digest printed at the end is the proof, and the golden
 //! corpus test pins it for every committed file under `scenarios/`.

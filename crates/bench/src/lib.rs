@@ -59,8 +59,8 @@ impl ModelRecord {
 
 /// Profiles `spec` as its `[model]` table asks and replays every algorithm:
 /// `sequential`, `barrier` and `nullmsg` on the baseline partition (when one
-/// is named), then `sequential`, `unison` at `cores` under the row's own
-/// `[run]` partition and scheduler settings, and `hybrid` when
+/// is named), then `sequential` and `unison` at `cores` under the row's own
+/// `[run]` partition and the `[model]` scheduler settings, and `hybrid` when
 /// `hybrid_hosts` is set. No `[model]`, no records.
 pub fn model_records(topo: &Topology, spec: &ScenarioSpec) -> Result<Vec<ModelRecord>, SimError> {
     let Some(model) = &spec.model else {
@@ -87,7 +87,7 @@ pub fn model_records(topo: &Topology, spec: &ScenarioSpec) -> Result<Vec<ModelRe
     let run = profile(partition)?;
     let m = run.perf_model();
     out.push(ModelRecord::new(&run, partition, m.sequential()));
-    let unison = m.unison(model.cores, spec.run.sched);
+    let unison = m.unison(model.cores, model.sched);
     out.push(ModelRecord::new(&run, partition, unison));
     if let Some(hosts) = model.hybrid_hosts {
         // The modelled hosts: the kernel's own home cut of the LP ids,

@@ -108,7 +108,7 @@ impl RunEnv<'_> {
         scope: &'scope Scope<'scope, '_>,
         abort: impl FnOnce() + Send + 'scope,
     ) {
-        if let Some(deadline) = self.cfg.watchdog.round_deadline {
+        if let Some(deadline) = self.cfg.watchdog {
             scope.spawn(move || self.wd.monitor(deadline, abort));
         }
     }
@@ -804,7 +804,7 @@ pub(super) fn finish<N: SimNode>(
         let diag = StallDiagnostics {
             kernel: env.kernel,
             round: out.stall_round,
-            deadline: env.cfg.watchdog.round_deadline.unwrap_or_default(),
+            deadline: env.cfg.watchdog.unwrap_or_default(),
             virtual_time,
             cycle: clocks.map_or_else(Vec::new, |c| c.stall_cycle(&blocked)),
             blocked,

@@ -30,8 +30,9 @@ pub mod sequential;
 pub mod unison;
 pub(crate) mod watchdog;
 
-use crate::error::SimError;
+use std::time::Duration;
 
+use crate::error::SimError;
 use crate::event::{Event, EventKey, LpId, NodeId};
 use crate::fel::{Fel, FelImpl};
 use crate::global::GlobalFn;
@@ -42,7 +43,6 @@ use crate::partition::{
     check_manual_assignment, fine_grained_partition, manual_partition, partition_below_bound,
     single_lp_partition, Partition,
 };
-use crate::sched::SchedConfig;
 use crate::time::Time;
 use crate::world::{NodeDirectory, SimCtx, SimNode, World};
 
@@ -101,32 +101,6 @@ pub enum PartitionMode {
     SingleLp,
 }
 
-/// Round-progress watchdog configuration.
-///
-/// When `round_deadline` is set, the parallel kernels spawn a monitor
-/// thread that aborts the run (via barrier poisoning / waker bumping) when
-/// no synchronization round completes — and no null-message progress is
-/// made — within the deadline, returning [`SimError::Stalled`] with a
-/// diagnosis instead of hanging. Disabled by default: a deadline turns
-/// wall-clock pauses (e.g. a suspended laptop) into run failures, so it is
-/// opt-in. The sequential kernel ignores the watchdog (a single thread
-/// cannot be preempted between events; see DESIGN.md §4.2).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Maximum wall-clock time a synchronization round may take before the
-    /// run is aborted as stalled. `None` disables the watchdog.
-    pub round_deadline: Option<std::time::Duration>,
-}
-
-impl WatchdogConfig {
-    /// A watchdog with the given per-round deadline.
-    pub fn deadline(d: std::time::Duration) -> Self {
-        WatchdogConfig {
-            round_deadline: Some(d),
-        }
-    }
-}
-
 /// Full run configuration.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
@@ -134,14 +108,22 @@ pub struct RunConfig {
     pub kernel: KernelKind,
     /// Partitioning scheme.
     pub partition: PartitionMode,
-    /// Scheduling heuristics: LJF metric and period, round fusion (the
-    /// Unison kernel; the others have no scheduler).
-    pub sched: SchedConfig,
+    /// Round fusion (the Unison kernel; default on): a round after one of
+    /// at most [`FUSION_THRESHOLD`](crate::sched::FUSION_THRESHOLD) events
+    /// runs on the control thread with no barrier crossing (DESIGN.md
+    /// §4.9). Results are bit-identical with fusion on or off — only
+    /// barrier-crossing counts and wall-clock change.
+    pub fusion: bool,
     /// What the run records beside its totals: nothing, the per-round
     /// profile, or the span timeline (DESIGN.md §4.3).
     pub metrics: MetricsLevel,
-    /// Round-progress watchdog (disabled by default).
-    pub watchdog: WatchdogConfig,
+    /// Round-progress watchdog: the wall-clock time a synchronization round
+    /// may take before a parallel kernel aborts the run as stalled, with
+    /// [`SimError::Stalled`] and a diagnosis instead of a hang (DESIGN.md
+    /// §4.2). `None`, the default, disables it: a deadline turns
+    /// wall-clock pauses (a suspended laptop) into run failures. The
+    /// sequential kernel ignores it.
+    pub watchdog: Option<Duration>,
     /// FEL implementation (default: the ladder queue). Pop order — and
     /// therefore every digest — is identical for all implementations; the
     /// field is the axis on which `phold_sparse`, `sched_matrix` and
@@ -162,9 +144,9 @@ impl RunConfig {
         RunConfig {
             kernel,
             partition,
-            sched: SchedConfig::default(),
+            fusion: true,
             metrics: MetricsLevel::Summary,
-            watchdog: WatchdogConfig::default(),
+            watchdog: None,
             fel: FelImpl::default(),
         }
     }
@@ -209,30 +191,16 @@ impl RunConfig {
         self
     }
 
-    /// Overrides the scheduling configuration.
-    pub fn with_sched(mut self, sched: SchedConfig) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// Overrides the round-fusion configuration (Unison kernel;
-    /// DESIGN.md §4.9). Results are bit-identical with fusion on or off —
-    /// only barrier-crossing counts and wall-clock change.
-    pub fn with_fusion(mut self, fusion: crate::sched::FusionConfig) -> Self {
-        self.sched.fusion = fusion;
-        self
-    }
-
     /// Disables round fusion (every round crosses the phase barriers).
     pub fn without_fusion(mut self) -> Self {
-        self.sched.fusion = crate::sched::FusionConfig::off();
+        self.fusion = false;
         self
     }
 
     /// Enables the round-progress watchdog with the given per-round
     /// wall-clock deadline.
-    pub fn with_watchdog(mut self, round_deadline: std::time::Duration) -> Self {
-        self.watchdog = WatchdogConfig::deadline(round_deadline);
+    pub fn with_watchdog(mut self, round_deadline: Duration) -> Self {
+        self.watchdog = Some(round_deadline);
         self
     }
 

@@ -43,7 +43,7 @@ use crate::error::{RunPhase, SimError};
 use crate::event::LpId;
 use crate::lp::LpSlots;
 use crate::metrics::{MetricsLevel, RoundRecord, RunReport, SchedStats};
-use crate::sched::{heavy_above, home_range, order_home, LjfCursor, SchedMetric};
+use crate::sched::{auto_period, heavy_above, home_range, order_home, LjfCursor, FUSION_THRESHOLD};
 use crate::sync::{TreeBarrier, TreeWaiter};
 use crate::sync_shim::{AtomicBool, AtomicU64, CachePadded, Ordering};
 use crate::telemetry::{SpanKind, WorkerTel, NO_LP};
@@ -217,20 +217,18 @@ pub(super) fn run<N: SimNode>(
     // All no-ops below `MetricsLevel::Spans` (see DESIGN.md §4.3).
     let mut sched_log = env.telctx.sched_log();
 
-    // Round fusion (DESIGN.md §4.9).
-    let fusion = cfg.sched.fusion;
-    // Oversubscription clause (DESIGN.md §4.9): when the run asks for more
-    // workers than the machine has cores, parallel rounds only time-slice —
-    // serializing them on the control thread is strictly cheaper, so lift
-    // the load threshold entirely. Deterministic per machine and
-    // digest-neutral: fusion never changes the event order, only who runs
-    // the phases (pinned by the fusion on/off digest matrix).
-    let fusion_threshold = if std::thread::available_parallelism().is_ok_and(|c| threads > c.get())
-    {
-        u64::MAX
-    } else {
-        fusion.threshold
-    };
+    // Round fusion (DESIGN.md §4.9), with its oversubscription clause: when
+    // the run asks for more workers than the machine has cores, parallel
+    // rounds only time-slice — serializing them on the control thread is
+    // strictly cheaper, so lift the load threshold entirely. Deterministic
+    // per machine and digest-neutral: fusion never changes the event order,
+    // only who runs the phases (pinned by the fusion on/off digest matrix).
+    let effective_threshold =
+        if std::thread::available_parallelism().is_ok_and(|c| threads > c.get()) {
+            u64::MAX
+        } else {
+            FUSION_THRESHOLD
+        };
     // Entry-predicate seed for round 1: the pending event count below the
     // initial window stands in for "the previous round's load".
     let mut last_load: u64 = 0;
@@ -241,14 +239,14 @@ pub(super) fn run<N: SimNode>(
     let mut fused_rounds: u64 = 0;
     // Whether the round after one of `load` events runs fused — with one
     // thread there is no worker to release, so every round does.
-    let fuses = |load: u64| fusion.enabled && (threads == 1 || load <= fusion_threshold);
+    let fuses = |load: u64| cfg.fusion && (threads == 1 || load <= effective_threshold);
 
     // Load-adaptive scheduling only pays in a *parallel* round: unfused,
     // with more than one worker. The re-order period counts parallel
     // rounds, and a run that has none keeps LP-id order.
     let balances = threads > 1;
     let mut parallel_rounds: u64 = 0;
-    let sched_period = cfg.sched.effective_period(lp_count) as u64;
+    let sched_period = auto_period(lp_count) as u64;
     // Whether the published order puts any heavy LP first. While it does
     // not, it is LP-id order, and a period with no heavy LP leaves it so
     // without walking the LPs.
@@ -507,31 +505,22 @@ pub(super) fn run<N: SimNode>(
 
             // Load-adaptive scheduling: re-order the LPs every period of
             // parallel rounds — in each home its heavy LPs first, the rest
-            // by LP id (DESIGN.md §4.5). By event counts the round's
-            // processed total and its largest per-LP count are in the
-            // fold: with no heavy LP now or in the published order, that
-            // order already is LP-id order and no LP is walked. The
-            // decision log (`Spans`) records every period's order.
+            // by LP id, estimated by last parallel round's event counts
+            // (DESIGN.md §4.5). The round's processed total and its largest
+            // per-LP count are in the fold: with no heavy LP now or in the
+            // published order, that order already is LP-id order and no LP
+            // is walked. The decision log (`Spans`) records every period's
+            // order.
             if !done
-                && cfg.sched.metric != SchedMetric::None
                 && parallel_round
                 && parallel_rounds.is_multiple_of(sched_period)
                 && (heavy_first
                     || sched_log.enabled()
-                    || cfg.sched.metric != SchedMetric::ByLastRoundTime
                     || max_lp > heavy_above(load - recv_total, threads))
             {
                 estimates.clear();
-                estimates.resize(lp_count, 0);
-                for (i, e) in estimates.iter_mut().enumerate() {
-                    // SAFETY: main-thread exclusivity between B3 and B0.
-                    let lp = unsafe { slots.get_mut(i) };
-                    *e = match cfg.sched.metric {
-                        SchedMetric::ByLastRoundTime => lp.round_events,
-                        SchedMetric::ByPendingEvents => lp.fel.count_below(next_window) as u64,
-                        SchedMetric::None => unreachable!(),
-                    };
-                }
+                // SAFETY: main-thread exclusivity between B3 and B0.
+                estimates.extend((0..lp_count).map(|i| unsafe { slots.get_mut(i) }.round_events));
                 let bound = heavy_above(estimates.iter().sum(), threads);
                 heavy_first = estimates.iter().any(|&e| e > bound);
                 // SAFETY: main-thread exclusivity between B3 and B0.
@@ -549,7 +538,6 @@ pub(super) fn run<N: SimNode>(
                     // Estimates ride along for regret analysis.
                     sched_log.record(
                         rounds + 1,
-                        cfg.sched.metric.name(),
                         order.clone(),
                         order.iter().map(|&l| estimates[l as usize]).collect(),
                     );

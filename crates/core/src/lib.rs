@@ -89,14 +89,12 @@ pub use fault::{run_resilient, RecoveryLog, RecoveryPolicy, RollbackRecord};
 pub use fel::{Fel, FelImpl};
 pub use global::{GlobalFn, WorldAccess};
 pub use graph::{LinkGraph, LinkSpec};
-pub use kernel::{run, try_run, KernelError, KernelKind, PartitionMode, RunConfig, WatchdogConfig};
+pub use kernel::{run, try_run, KernelError, KernelKind, PartitionMode, RunConfig};
 pub use metrics::{EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats};
 pub use partition::{fine_grained_partition, manual_partition, partition_below_bound, Partition};
 pub use perfmodel::{CostParams, ModelResult, PerfModel};
 pub use rng::Rng;
-pub use sched::{
-    scheduling_regret, FusionConfig, LjfCursor, SchedConfig, SchedMetric, SchedPolicyKind,
-};
+pub use sched::{scheduling_regret, LjfCursor, SchedConfig, SchedMetric, SchedPolicyKind};
 pub use telemetry::{RunTelemetry, SchedDecision, Span, SpanKind, WorkerSpans};
 pub use time::{DataRate, Time};
 pub use world::{SimCtx, SimCtxExt, SimNode, World, WorldBuilder};

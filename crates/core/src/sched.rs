@@ -8,9 +8,11 @@
 //! LP. The kernel keeps the part of LPT that bounds the makespan and drops
 //! the rest ([`order_home`]): only the LPs heavy enough to stretch a round
 //! go first, longest first, and every other LP keeps its LP-id place. The
-//! estimate comes from one of the [`SchedMetric`] heuristics; the order is
-//! rebuilt only every *scheduling period* rounds (default `ceil(log2(n))`),
-//! exploiting the temporal locality of network loads.
+//! estimate is each LP's event count in the last parallel round, and the
+//! order is rebuilt only every *scheduling period* ([`auto_period`],
+//! `ceil(log2(n))`) parallel rounds, exploiting the temporal locality of
+//! network loads. The paper's other heuristics ([`SchedMetric`]) and other
+//! periods are inputs of the virtual-core model only ([`SchedConfig`]).
 //!
 //! Workers claim LPs out of the published order through the [`LjfCursor`]
 //! (DESIGN.md §4.5): the order is cut into one contiguous *home* segment
@@ -25,14 +27,14 @@ use std::ops::Range;
 
 use crate::sync_shim::{AtomicU64, AtomicUsize, CachePadded, Ordering};
 
-/// Heuristic used to estimate the next-round processing time of an LP.
+/// Heuristic the virtual-core model uses to estimate the next-round
+/// processing time of an LP (the paper's Fig. 12c alternatives).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedMetric {
-    /// Use the processing time of the previous parallel round (the paper's
-    /// default: constant-time, accurate under temporal locality), estimated
-    /// as the events the LP handled in that round. That is its time up to
-    /// the round's per-event cost, which is the same for every LP and so
-    /// cannot change the order; no per-LP clock is read for it.
+    /// Use the processing time of the previous round (the paper's default:
+    /// constant-time, accurate under temporal locality). The kernel runs
+    /// this one alone, estimated as the events the LP handled in the last
+    /// parallel round.
     #[default]
     ByLastRoundTime,
     /// Count events pending in the next window (linear in FEL size, usable
@@ -44,8 +46,7 @@ pub enum SchedMetric {
 }
 
 impl SchedMetric {
-    /// Short display name, used in reports and the telemetry
-    /// scheduler-decision log.
+    /// Short display name, as a scenario's `[model] sched_metric` spells it.
     pub fn name(self) -> &'static str {
         match self {
             SchedMetric::ByLastRoundTime => "by-last-round-time",
@@ -207,86 +208,47 @@ impl LjfCursor {
     }
 }
 
-/// Round-fusion configuration for the Unison kernel (DESIGN.md §4.9).
+/// Round fusion (DESIGN.md §4.9): the Unison kernel runs a round *fused*
+/// when the previous round's total load (events processed + events
+/// received) is at or below this bound.
 ///
-/// A *fused* round is executed serially by the control thread while the
-/// workers stay parked at the round's first barrier: when the previous
-/// round's load is below [`FusionConfig::threshold`], the four barrier
-/// crossings cost more than the round's events do, so the control thread
-/// steps through the same four phases in place — same event order,
-/// bit-identical digests — and only releases the workers again once a
-/// round is worth parallelizing. The load predicate is the whole fallback
+/// A fused round is executed serially by the control thread while the
+/// workers stay parked at the round's first barrier: below this load the
+/// four barrier crossings cost more than the round's events do, so the
+/// control thread steps through the same four phases in place — same event
+/// order, bit-identical digests — and only releases the workers again once
+/// a round is worth parallelizing. The load predicate is the whole fallback
 /// contract: a fused span ends with the first round whose load exceeds the
-/// threshold, and cross-LP arrivals inside a fused round do not end it
-/// (they are part of the load). A run with one thread has no worker to
-/// release, so with fusion enabled every one of its rounds takes this
-/// no-barrier path whatever its load.
+/// bound, and cross-LP arrivals inside a fused round do not end it (they
+/// are part of the load). A run with one thread has no worker to release,
+/// so with fusion enabled every one of its rounds takes this no-barrier
+/// path whatever its load. The value (512) approximates the break-even
+/// point where four barrier crossings at spin-then-yield cost rival the
+/// events' execution time.
 ///
 /// Fusion is a pure wall-clock optimization: the determinism proof is the
 /// kernel's own "identical for any worker count" guarantee (a fused round
 /// is exactly the 1-worker round), machine-pinned by the fusion digest
-/// matrix in `sched_matrix.rs`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FusionConfig {
-    /// Master switch (default: on).
-    pub enabled: bool,
-    /// Fuse the next round when the previous round's total load (events
-    /// processed + events received) is at or below this bound. The default
-    /// (512) approximates the break-even point where four barrier
-    /// crossings at spin-then-yield cost rival the events' execution time.
-    pub threshold: u64,
-}
+/// matrix in `sched_matrix.rs`. `RunConfig::fusion` switches it off.
+pub const FUSION_THRESHOLD: u64 = 512;
 
-impl Default for FusionConfig {
-    fn default() -> Self {
-        FusionConfig {
-            enabled: true,
-            threshold: 512,
-        }
-    }
-}
-
-impl FusionConfig {
-    /// A disabled configuration (every round crosses the barriers).
-    pub fn off() -> Self {
-        FusionConfig {
-            enabled: false,
-            threshold: 0,
-        }
-    }
-}
-
-/// Scheduling configuration for the Unison kernel.
-#[derive(Clone, Copy, Debug)]
+/// The scheduler the virtual-core model replays (`PerfModel::unison`; a
+/// scenario's `[model] sched_metric` / `sched_period`). The kernel runs the
+/// default alone: last parallel round's event counts, re-ordered every
+/// [`auto_period`] parallel rounds (DESIGN.md §4.5).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedConfig {
     /// Estimation heuristic.
     pub metric: SchedMetric,
-    /// Re-order the LPs every `period` parallel rounds — unfused, with
-    /// more than one worker (DESIGN.md §4.5). `None` =
-    /// automatic: `ceil(log2(lp_count))`, minimum 1.
+    /// Re-order the LPs every `period` rounds. `None` = automatic:
+    /// [`auto_period`] of the LP count.
     pub period: Option<u32>,
-    /// Round fusion (barrier elision for cheap rounds; DESIGN.md §4.9).
-    /// Results are bit-identical with fusion on or off.
-    pub fusion: FusionConfig,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        SchedConfig {
-            metric: SchedMetric::ByLastRoundTime,
-            period: None,
-            fusion: FusionConfig::default(),
-        }
-    }
 }
 
 impl SchedConfig {
     /// The effective scheduling period for `lp_count` LPs.
     pub fn effective_period(&self, lp_count: usize) -> u32 {
-        match self.period {
-            Some(p) => p.max(1),
-            None => auto_period(lp_count),
-        }
+        self.period.map_or(auto_period(lp_count), |p| p.max(1))
     }
 }
 

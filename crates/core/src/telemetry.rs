@@ -155,14 +155,11 @@ pub struct WorkerSpans {
 pub struct SchedDecision {
     /// First round the order applies to.
     pub round: u64,
-    /// Name of the estimate heuristic ([`crate::SchedMetric::name`]).
-    pub metric: &'static str,
     /// LP visit order: in each home segment the heavy LPs first, longest
     /// estimate first, then the rest by LP id.
     pub order: Vec<u32>,
     /// Estimates aligned with `order` (`estimates[i]` is the estimate of LP
-    /// `order[i]`, in the metric's unit: events handled last round or
-    /// pending events).
+    /// `order[i]`: the events it handled in the last parallel round).
     pub estimates: Vec<u64>,
 }
 
@@ -356,20 +353,13 @@ impl SchedLog {
     }
 
     /// Appends one decision (capacity-bounded).
-    pub fn record(
-        &mut self,
-        round: u64,
-        metric: &'static str,
-        order: Vec<u32>,
-        estimates: Vec<u64>,
-    ) {
+    pub fn record(&mut self, round: u64, order: Vec<u32>, estimates: Vec<u64>) {
         if !self.enabled {
             return;
         }
         if self.decisions.len() < self.capacity {
             self.decisions.push(SchedDecision {
                 round,
-                metric,
                 order,
                 estimates,
             });
@@ -392,7 +382,7 @@ mod tests {
         tel.record(SpanKind::LpTask, 1, 3, Instant::now(), 10, 5, 2);
         tel.edge(0, 1, 1);
         let mut log = ctx.sched_log();
-        log.record(1, "by-last-round-time", vec![0], vec![1]);
+        log.record(1, vec![0], vec![1]);
         assert!(ctx.collect(vec![tel], log).is_none());
     }
 
@@ -406,7 +396,7 @@ mod tests {
         tel.edge(1, 9, 2);
         tel.edge(0, 9, 1);
         let mut log = ctx.sched_log();
-        log.record(5, "by-pending-events", vec![1, 0], vec![9, 3]);
+        log.record(5, vec![1, 0], vec![9, 3]);
         let origin = ctx.origin;
         let t = ctx.collect(vec![tel], log).expect("enabled run collects");
         assert_eq!(t.workers.len(), 1);
@@ -432,8 +422,8 @@ mod tests {
             tel.record(SpanKind::Process, r, NO_LP, Instant::now(), 1, 0, 0);
         }
         let mut log = ctx.sched_log();
-        log.record(1, "none", vec![], vec![]);
-        log.record(2, "none", vec![], vec![]);
+        log.record(1, vec![], vec![]);
+        log.record(2, vec![], vec![]);
         let t = ctx.collect(vec![tel], log).expect("enabled");
         assert_eq!(t.workers[0].spans.len(), 2);
         assert_eq!(t.workers[0].truncated, 3);

@@ -3,7 +3,7 @@
 //! The acceptance bar: a run resumed from a mid-flight checkpoint must
 //! produce an event-trace digest (order-sensitive per-node checksums plus
 //! totals) bit-identical to the uninterrupted run — at any worker thread
-//! count, under both scheduling metrics. LP identity is part of the
+//! count, with round fusion on and off. LP identity is part of the
 //! deterministic tie-break keys, so every run here (checkpointed,
 //! uninterrupted, resumed) uses the same fixed manual partition; only the
 //! thread count varies.
@@ -12,8 +12,7 @@ use std::path::PathBuf;
 
 use unison_core::{
     checkpoint, kernel, snapshot_struct, CheckpointConfig, FelImpl, KernelKind, MetricsLevel,
-    NodeId, PartitionMode, Rng, RunConfig, SchedConfig, SchedMetric, SimCtx, SimError, SimNode,
-    Time, WorldBuilder,
+    NodeId, PartitionMode, Rng, RunConfig, SimCtx, SimError, SimNode, Time, WorldBuilder,
 };
 
 /// A token with its own deterministic randomness (same model as the
@@ -100,15 +99,11 @@ fn assignment() -> Vec<u32> {
     (0..N as u32).map(|i| i / 3).collect()
 }
 
-fn cfg(threads: usize, metric: SchedMetric) -> RunConfig {
+fn cfg(threads: usize) -> RunConfig {
     RunConfig {
         kernel: KernelKind::Unison { threads },
         partition: PartitionMode::Manual(assignment()),
-        sched: SchedConfig {
-            metric,
-            period: Some(4),
-            ..Default::default()
-        },
+        fusion: true,
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
         watchdog: Default::default(),
@@ -132,44 +127,44 @@ fn ckpt_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn resume_is_bit_identical_across_threads_and_metrics() {
-    for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
-        // Reference: uninterrupted, no checkpoints.
-        let (w_ref, rep_ref) = kernel::try_run(ring_world(STOP), &cfg(2, metric)).unwrap();
-        let ref_digest = digest(&w_ref);
+fn resume_is_bit_identical_across_threads_and_fusion() {
+    // Reference: uninterrupted, no checkpoints.
+    let (w_ref, rep_ref) = kernel::try_run(ring_world(STOP), &cfg(2)).unwrap();
+    let ref_digest = digest(&w_ref);
 
-        // Checkpointed run: same digest, and it leaves files behind.
-        let dir = ckpt_dir(&format!("det-{metric:?}"));
-        let ck = CheckpointConfig::new(EVERY, &dir);
-        let mut world = ring_world(STOP);
-        checkpoint::schedule_checkpoints(&mut world, &ck);
-        let (w_ck, rep_ck) = kernel::try_run(world, &cfg(2, metric)).unwrap();
-        assert_eq!(digest(&w_ck), ref_digest, "checkpointing changed results");
-        assert_eq!(rep_ck.events, rep_ref.events);
+    // Checkpointed run: same digest, and it leaves files behind.
+    let dir = ckpt_dir("det");
+    let ck = CheckpointConfig::new(EVERY, &dir);
+    let mut world = ring_world(STOP);
+    checkpoint::schedule_checkpoints(&mut world, &ck);
+    let (w_ck, rep_ck) = kernel::try_run(world, &cfg(2)).unwrap();
+    assert_eq!(digest(&w_ck), ref_digest, "checkpointing changed results");
+    assert_eq!(rep_ck.events, rep_ref.events);
 
-        // Resume from EVERY checkpoint, at every thread count, under the
-        // same partition: bit-identical final state.
-        for t in [150_000u64, 300_000, 450_000] {
-            let path = ck.file_at(Time(t));
-            assert!(path.exists(), "missing checkpoint {path:?}");
-            for threads in [1usize, 2, 4] {
-                let resumed = checkpoint::resume::<Router>(&path, None).unwrap();
-                assert_eq!(resumed.time, Time(t));
-                assert_eq!(resumed.assignment, assignment());
-                let rcfg = RunConfig {
-                    partition: PartitionMode::Manual(resumed.assignment.clone()),
-                    ..cfg(threads, metric)
-                };
-                let (w_res, _) = kernel::try_run(resumed.world, &rcfg).unwrap();
-                assert_eq!(
-                    digest(&w_res),
-                    ref_digest,
-                    "resume from t={t} at {threads} threads diverged ({metric:?})"
-                );
+    // Resume from EVERY checkpoint, at every thread count, under the same
+    // partition: bit-identical final state. Every round of this ring fuses
+    // with fusion on; the fusion-off resumes cross the barriers.
+    for t in [150_000u64, 300_000, 450_000] {
+        let path = ck.file_at(Time(t));
+        assert!(path.exists(), "missing checkpoint {path:?}");
+        for (threads, fusion) in [(1usize, true), (2, true), (4, true), (2, false), (4, false)] {
+            let resumed = checkpoint::resume::<Router>(&path, None).unwrap();
+            assert_eq!(resumed.time, Time(t));
+            assert_eq!(resumed.assignment, assignment());
+            let rcfg = RunConfig {
+                partition: PartitionMode::Manual(resumed.assignment.clone()),
+                fusion,
+                ..cfg(threads)
+            };
+            let (w_res, rep_res) = kernel::try_run(resumed.world, &rcfg).unwrap();
+            let what = format!("resume from t={t} at {threads} threads, fusion {fusion}");
+            assert_eq!(digest(&w_res), ref_digest, "{what} diverged");
+            if !fusion {
+                assert_eq!(rep_res.fused_rounds, 0, "{what}: a round fused");
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -178,8 +173,7 @@ fn resume_is_bit_identical_across_fel_impls() {
     // canonically sorted by key before encoding, DESIGN.md §4.4): a
     // checkpoint written by a heap-FEL run must resume under a ladder-FEL
     // run to the exact same digest, and vice versa.
-    let metric = SchedMetric::ByLastRoundTime;
-    let (w_ref, _) = kernel::try_run(ring_world(STOP), &cfg(2, metric)).unwrap();
+    let (w_ref, _) = kernel::try_run(ring_world(STOP), &cfg(2)).unwrap();
     let ref_digest = digest(&w_ref);
 
     for (writer, resumer) in [
@@ -192,7 +186,7 @@ fn resume_is_bit_identical_across_fel_impls() {
         checkpoint::schedule_checkpoints(&mut world, &ck);
         let wcfg = RunConfig {
             fel: writer,
-            ..cfg(2, metric)
+            ..cfg(2)
         };
         let (w_ck, _) = kernel::try_run(world, &wcfg).unwrap();
         assert_eq!(
@@ -210,7 +204,7 @@ fn resume_is_bit_identical_across_fel_impls() {
                 let rcfg = RunConfig {
                     partition: PartitionMode::Manual(resumed.assignment.clone()),
                     fel: resumer,
-                    ..cfg(threads, metric)
+                    ..cfg(threads)
                 };
                 let (w_res, _) = kernel::try_run(resumed.world, &rcfg).unwrap();
                 assert_eq!(
@@ -232,7 +226,7 @@ fn resumed_run_with_chain_writes_later_checkpoints() {
     let ck = CheckpointConfig::new(EVERY, &dir);
     let mut world = ring_world(STOP);
     checkpoint::schedule_checkpoints(&mut world, &ck);
-    let (w_ref, _) = kernel::try_run(world, &cfg(2, SchedMetric::ByLastRoundTime)).unwrap();
+    let (w_ref, _) = kernel::try_run(world, &cfg(2)).unwrap();
     let ref_digest = digest(&w_ref);
 
     // Resume from the FIRST checkpoint with the chain re-installed: the
@@ -245,7 +239,7 @@ fn resumed_run_with_chain_writes_later_checkpoints() {
     let resumed = checkpoint::resume::<Router>(&first, Some(&ck)).unwrap();
     let rcfg = RunConfig {
         partition: PartitionMode::Manual(resumed.assignment.clone()),
-        ..cfg(4, SchedMetric::ByLastRoundTime)
+        ..cfg(4)
     };
     let (w_chain, _) = kernel::try_run(resumed.world, &rcfg).unwrap();
     assert_eq!(digest(&w_chain), ref_digest, "chained resume diverged");
@@ -255,7 +249,7 @@ fn resumed_run_with_chain_writes_later_checkpoints() {
     assert_eq!(resumed.time, Time(450_000));
     let rcfg = RunConfig {
         partition: PartitionMode::Manual(resumed.assignment.clone()),
-        ..cfg(1, SchedMetric::ByLastRoundTime)
+        ..cfg(1)
     };
     let (w_res, _) = kernel::try_run(resumed.world, &rcfg).unwrap();
     assert_eq!(
@@ -276,7 +270,7 @@ fn sequential_kernel_reports_checkpoint_unsupported() {
     checkpoint::schedule_checkpoints(&mut world, &ck);
     let seq = RunConfig {
         kernel: KernelKind::Sequential { compat_keys: true },
-        ..cfg(1, SchedMetric::None)
+        ..cfg(1)
     };
     match kernel::try_run(world, &seq) {
         Err(SimError::WorkerPanic { diag, .. }) => {

@@ -10,8 +10,8 @@
 use std::time::Duration;
 
 use unison_core::{
-    kernel, KernelKind, MetricsLevel, NodeId, PartitionMode, RunConfig, RunPhase, SchedConfig,
-    SimCtx, SimError, SimNode, Time, WorldBuilder,
+    kernel, KernelKind, MetricsLevel, NodeId, PartitionMode, RunConfig, RunPhase, SimCtx, SimError,
+    SimNode, Time, WorldBuilder,
 };
 
 /// A forwarding node with injectable faults: panic at/after a virtual time,
@@ -316,7 +316,7 @@ fn world_cfg(kernel: KernelKind) -> RunConfig {
     RunConfig {
         kernel,
         partition: PartitionMode::Auto,
-        sched: SchedConfig::default(),
+        fusion: true,
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
         watchdog: Default::default(),

@@ -1,8 +1,8 @@
 //! Edge cases and failure-injection for the kernels and configuration.
 
 use unison_core::{
-    kernel, KernelError, KernelKind, MetricsLevel, NodeId, PartitionMode, RunConfig, SchedConfig,
-    SimCtx, SimCtxExt, SimNode, Time, WorldBuilder,
+    kernel, KernelError, KernelKind, MetricsLevel, NodeId, PartitionMode, RunConfig, SimCtx,
+    SimCtxExt, SimNode, Time, WorldBuilder,
 };
 
 struct Counter {
@@ -114,7 +114,7 @@ fn single_lp_barrier_kernel_degenerates_gracefully() {
         watchdog: Default::default(),
         kernel: KernelKind::Barrier,
         partition: PartitionMode::SingleLp,
-        sched: SchedConfig::default(),
+        fusion: true,
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
     };
@@ -137,7 +137,7 @@ fn manual_partition_wrong_length_is_rejected() {
         watchdog: Default::default(),
         kernel: KernelKind::Unison { threads: 1 },
         partition: PartitionMode::Manual(vec![0, 1]),
-        sched: SchedConfig::default(),
+        fusion: true,
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
     };

@@ -20,9 +20,8 @@ use std::time::Duration;
 
 use unison_core::{
     fault, kernel, snapshot_struct, CheckpointConfig, KernelKind, MetricsLevel, NodeId,
-    PartitionMode, RecoveryLog, RecoveryPolicy, Rng, RunConfig, RunPhase, SchedConfig, SimCtx,
-    SimError, SimNode, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, Time, World,
-    WorldBuilder,
+    PartitionMode, RecoveryLog, RecoveryPolicy, Rng, RunConfig, RunPhase, SimCtx, SimError,
+    SimNode, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, Time, World, WorldBuilder,
 };
 
 /// The checkpoint-suite model: a token with its own deterministic
@@ -202,7 +201,7 @@ fn cfg(kernel: KernelKind) -> RunConfig {
     RunConfig {
         kernel,
         partition: PartitionMode::Manual(assignment()),
-        sched: SchedConfig::default(),
+        fusion: true,
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
         watchdog: Default::default(),

@@ -8,8 +8,8 @@
 //! allowed to differ for the insertion-order baselines.
 
 use unison_core::{
-    kernel, KernelKind, MetricsLevel, NodeId, PartitionMode, Rng, RunConfig, SchedConfig,
-    SchedMetric, SimCtx, SimNode, Time, WorldBuilder,
+    kernel, KernelKind, MetricsLevel, NodeId, PartitionMode, Rng, RunConfig, SimCtx, SimNode, Time,
+    WorldBuilder,
 };
 
 /// A token with its own deterministic randomness.
@@ -135,7 +135,7 @@ fn unison_matches_compat_sequential_bitwise() {
             watchdog: Default::default(),
             kernel: KernelKind::Sequential { compat_keys: true },
             partition: PartitionMode::Auto,
-            sched: SchedConfig::default(),
+            fusion: true,
             metrics: MetricsLevel::Summary,
             fel: Default::default(),
         },
@@ -217,21 +217,21 @@ fn stop_time_is_exclusive_bound() {
     assert!(report.end_time <= Time(10_000));
 }
 
+/// Round fusion only decides who runs a round's phases: with it off, every
+/// round crosses the barriers, claims out of homes and re-orders on its
+/// schedule, and the results are the fused run's.
 #[test]
-fn scheduling_metrics_do_not_change_results() {
+fn fusion_off_does_not_change_results() {
     let base = {
         let (w, _) =
             kernel::run(ring_world(N, DELAY, TOKENS, STOP), &RunConfig::unison(2)).unwrap();
         checksums(&w)
     };
-    for metric in [SchedMetric::ByPendingEvents, SchedMetric::None] {
-        let cfg = RunConfig::unison(2).with_sched(SchedConfig {
-            metric,
-            period: Some(4),
-            ..Default::default()
-        });
-        let (w, _) = kernel::run(ring_world(N, DELAY, TOKENS, STOP), &cfg).unwrap();
-        assert_eq!(checksums(&w), base, "metric {metric:?} changed results");
+    for threads in [2, 4] {
+        let cfg = RunConfig::unison(threads).without_fusion();
+        let (w, report) = kernel::run(ring_world(N, DELAY, TOKENS, STOP), &cfg).unwrap();
+        assert_eq!(report.fused_rounds, 0, "{threads} threads: a round fused");
+        assert_eq!(checksums(&w), base, "{threads} threads without fusion");
     }
 }
 
@@ -397,7 +397,7 @@ fn manual_partition_controls_lp_count() {
         watchdog: Default::default(),
         kernel: KernelKind::Unison { threads: 2 },
         partition: PartitionMode::Manual((0..N as u32).map(|i| i % 4).collect()),
-        sched: SchedConfig::default(),
+        fusion: true,
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
     };
@@ -414,7 +414,7 @@ fn partition_bound_sweeps_granularity() {
             watchdog: Default::default(),
             kernel: KernelKind::Unison { threads: 1 },
             partition: PartitionMode::Bound(bound),
-            sched: SchedConfig::default(),
+            fusion: true,
             metrics: MetricsLevel::Summary,
             fel: Default::default(),
         };

@@ -1,9 +1,9 @@
-//! Determinism matrix over partition mode, thread count and scheduling
-//! metric.
+//! Determinism matrix over partition mode, thread count, FEL and round
+//! fusion.
 //!
 //! The §5.2 tie-breaking keys make Unison's results independent of *which
-//! worker executes which LP when* — so every (partition, thread-count,
-//! sched-metric) combination must produce bit-identical model state: the
+//! worker executes which LP when* — so every (partition, thread-count, FEL,
+//! fusion) combination must produce bit-identical model state: the
 //! claim cursor only decides who executes a round's fixed task set, and
 //! cross-LP sends commit through the outbox + tie-break key path. The
 //! thread axis includes 3 (homes of unequal size) and, on the two-LP
@@ -14,9 +14,10 @@
 //! legitimately produce different (each internally deterministic) event
 //! orders.
 
+use unison_core::sched::FUSION_THRESHOLD;
 use unison_core::{
-    kernel, FelImpl, FusionConfig, KernelKind, NodeId, PartitionMode, Rng, RunConfig, SchedConfig,
-    SchedMetric, SimCtx, SimNode, Time, WorldBuilder,
+    kernel, FelImpl, KernelKind, NodeId, PartitionMode, Rng, RunConfig, SimCtx, SimNode, Time,
+    WorldBuilder,
 };
 
 /// Ring size of [`world`].
@@ -64,9 +65,16 @@ impl SimNode for Router {
     }
 }
 
-/// A ring with one fine (sub-median) link, so the automatic partition
-/// merges one pair of nodes and cuts everything else.
+/// [`ring`] with 32 tokens: 62–74 events a round, far below
+/// [`FUSION_THRESHOLD`].
 fn world() -> unison_core::World<Router> {
+    ring(32)
+}
+
+/// A ring with one fine (sub-median) link, so the automatic partition
+/// merges one pair of nodes and cuts everything else, carrying `tokens`
+/// tokens (a round's load is about 2 × `tokens` events).
+fn ring(tokens: u64) -> unison_core::World<Router> {
     let mut b = WorldBuilder::new();
     let ids: Vec<NodeId> = (0..N).map(|i| NodeId(i as u32)).collect();
     for i in 0..N {
@@ -95,7 +103,7 @@ fn world() -> unison_core::World<Router> {
         );
     }
     let mut seed_rng = Rng::new(0xFEED_F00D);
-    for t in 0..32u64 {
+    for t in 0..tokens {
         b.schedule(
             Time::from_nanos(t % 5),
             ids[(t as usize) % N],
@@ -111,30 +119,11 @@ fn world() -> unison_core::World<Router> {
 
 type Digest = (Vec<(u64, u64)>, u64);
 
-fn run(kernel_kind: KernelKind, partition: PartitionMode, sched: SchedConfig) -> Digest {
-    run_fel(kernel_kind, partition, sched, FelImpl::default())
-}
-
-fn run_fel(
-    kernel_kind: KernelKind,
-    partition: PartitionMode,
-    sched: SchedConfig,
-    fel: FelImpl,
-) -> Digest {
-    let (w, report) = kernel::run(
-        world(),
-        &RunConfig {
-            watchdog: Default::default(),
-            kernel: kernel_kind,
-            partition,
-            sched,
-            metrics: Default::default(),
-            fel,
-        },
-    )
-    .unwrap();
+/// Runs [`world`] under `cfg`: its digest and fused-round count.
+fn run(cfg: &RunConfig) -> (Digest, u64) {
+    let (w, report) = kernel::run(world(), cfg).unwrap();
     let sums: Vec<(u64, u64)> = w.nodes().map(|n| (n.checksum, n.seen)).collect();
-    (sums, report.events)
+    ((sums, report.events), report.fused_rounds)
 }
 
 /// The partition axis: the modes experiments actually run under.
@@ -151,67 +140,40 @@ fn partitions() -> Vec<(&'static str, PartitionMode)> {
     ]
 }
 
-/// The full matrix: per partition, every {threads} × {metric} combination
-/// matches that partition's single-thread reference.
+/// The full matrix: per partition, every {threads} × {FEL} × {fusion}
+/// combination matches that partition's single-thread reference. Every
+/// round of this low-load ring fuses when fusion is on, so the fusion-off
+/// cells are the ones that cross the barriers, claim out of homes and
+/// re-order (DESIGN.md §4.9 — a fused round runs the same four phases
+/// through the same outbox commit path, just without waking the workers).
 #[test]
-fn every_thread_metric_combination_is_bit_identical() {
+fn every_thread_fel_fusion_combination_is_bit_identical() {
     for (pname, pmode) in partitions() {
-        let reference = run(
-            KernelKind::Unison { threads: 1 },
-            pmode.clone(),
-            SchedConfig::default(),
-        );
-        assert!(reference.1 > 0, "{pname}: reference run executed no events");
-        let sched = |metric| SchedConfig {
-            metric,
-            period: Some(4),
-            ..Default::default()
+        let base = RunConfig {
+            partition: pmode,
+            ..RunConfig::unison(1)
         };
-        for threads in [1usize, 2, 3, 4] {
-            for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
-                let got = run(KernelKind::Unison { threads }, pmode.clone(), sched(metric));
-                assert_eq!(
-                    reference, got,
-                    "digest mismatch: partition={pname} threads={threads} metric={metric:?}"
-                );
-            }
-        }
-    }
-}
-
-/// Round fusion is a pure scheduling optimization: for every
-/// {partition} × {threads} × {FEL} cell, the fusion-on digest is
-/// bit-identical to the fusion-off digest (DESIGN.md §4.9 — a fused round
-/// runs the same four phases through the same outbox commit path, just
-/// without waking the workers).
-#[test]
-fn fusion_on_off_digests_are_bit_identical() {
-    for (pname, pmode) in partitions() {
+        let (reference, _) = run(&base);
+        assert!(reference.1 > 0, "{pname}: reference run executed no events");
         for threads in [1usize, 2, 3, 4] {
             for fel in [FelImpl::Ladder, FelImpl::BinaryHeap] {
-                let on = run_fel(
-                    KernelKind::Unison { threads },
-                    pmode.clone(),
-                    SchedConfig::default(),
-                    fel,
-                );
-                let off = run_fel(
-                    KernelKind::Unison { threads },
-                    pmode.clone(),
-                    SchedConfig {
-                        fusion: FusionConfig::off(),
-                        ..Default::default()
-                    },
-                    fel,
-                );
-                assert!(on.1 > 0, "{pname}: run executed no events");
-                assert_eq!(
-                    on,
-                    off,
-                    "fusion changed the digest: partition={pname} threads={threads} \
-                     fel={}",
-                    fel.name()
-                );
+                for fusion in [true, false] {
+                    let cfg = RunConfig {
+                        kernel: KernelKind::Unison { threads },
+                        fusion,
+                        ..base.clone()
+                    }
+                    .with_fel(fel);
+                    let what = format!(
+                        "partition={pname} threads={threads} fel={} fusion={fusion}",
+                        fel.name()
+                    );
+                    let (got, fused) = run(&cfg);
+                    assert_eq!(reference, got, "digest mismatch: {what}");
+                    if !fusion {
+                        assert_eq!(fused, 0, "{what}: a round fused");
+                    }
+                }
             }
         }
     }
@@ -255,23 +217,21 @@ fn fused_rounds_are_counted_and_profiled() {
         .all(|r| !r.fused));
 }
 
+/// Tokens that put [`ring`]'s round loads around [`FUSION_THRESHOLD`]
+/// (about 2.06 events a token and round: 498–530 events a round), so
+/// rounds on both sides of it occur.
+const AT_THRESHOLD: u64 = FUSION_THRESHOLD / 2 - 8;
+
 /// The fallback contract is load only (DESIGN.md §4.9): a round fuses
-/// exactly when the round before it carried at most `threshold` events —
-/// cross-LP receives inside a fused round do not end the span, a round
-/// above the threshold does. Pinned via the per-round profile with a
-/// threshold at this ring's median load (62–74 events per round), so both
-/// sides occur.
+/// exactly when the round before it carried at most [`FUSION_THRESHOLD`]
+/// events — cross-LP receives inside a fused round do not end the span, a
+/// round above the threshold does. Pinned via the per-round profile of a
+/// ring sized so that both sides occur.
 #[test]
 fn fused_span_survives_cross_lp_receives_and_ends_on_load() {
-    const THRESHOLD: u64 = 65;
     const THREADS: usize = 2;
-    let cfg = RunConfig::unison(THREADS)
-        .with_fusion(FusionConfig {
-            enabled: true,
-            threshold: THRESHOLD,
-        })
-        .with_per_round_metrics();
-    let (_, report) = kernel::run(world(), &cfg).unwrap();
+    let cfg = RunConfig::unison(THREADS).with_per_round_metrics();
+    let (_, report) = kernel::run(ring(AT_THRESHOLD), &cfg).unwrap();
     // The kernel's oversubscription clause: fewer cores than workers lifts
     // the threshold, and every round fuses.
     let lifted = std::thread::available_parallelism().is_ok_and(|c| THREADS > c.get());
@@ -283,7 +243,7 @@ fn fused_span_survives_cross_lp_receives_and_ends_on_load() {
         let load = sum(&pair[0].lp_events) + recv;
         assert_eq!(
             pair[1].fused,
-            lifted || load <= THRESHOLD,
+            lifted || load <= FUSION_THRESHOLD,
             "round after window {:?}..{:?} (load {load}, {recv} cross-LP receives, fused {})",
             pair[0].window_start,
             pair[0].window_end,
@@ -307,38 +267,27 @@ fn fused_span_survives_cross_lp_receives_and_ends_on_load() {
 /// claims, and the first parallel round after it opens a fresh generation
 /// before B0 releases the workers — without that bump a worker's first
 /// claim meets the control thread's stamp from the span and panics "double
-/// claim". With the threshold at this ring's median load, as above, the
-/// rounds alternate; both metrics, at `Summary`, where no round reads a
-/// per-LP clock and the re-order runs on event counts (or pending events)
-/// alone. The digest is the one-thread reference's.
+/// claim". On the ring sized around the threshold, as above, the rounds
+/// alternate; at `Summary`, where no round reads a per-LP clock and the
+/// re-order runs on event counts alone. The digest is the one-thread
+/// reference's.
 #[test]
 fn claim_audit_holds_across_fused_and_parallel_rounds() {
     const THREADS: usize = 2;
     let lifted = std::thread::available_parallelism().is_ok_and(|c| THREADS > c.get());
-    let reference = run(
-        KernelKind::Unison { threads: 1 },
-        PartitionMode::Auto,
-        SchedConfig::default(),
-    );
-    for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
-        let sched = SchedConfig {
-            metric,
-            period: Some(2),
-            fusion: FusionConfig {
-                enabled: true,
-                threshold: 65,
-            },
-        };
-        let (w, report) = kernel::run(world(), &RunConfig::unison(THREADS).with_sched(sched))
-            .expect("audited run");
-        assert!(report.fused_rounds > 0, "{metric:?}: no fused round");
-        assert!(
-            lifted || report.fused_rounds < report.rounds,
-            "{metric:?}: no parallel round"
-        );
+    let digest = |cfg: &RunConfig| {
+        let (w, report) = kernel::run(ring(AT_THRESHOLD), cfg).expect("audited run");
         let sums: Vec<(u64, u64)> = w.nodes().map(|n| (n.checksum, n.seen)).collect();
-        assert_eq!(reference, (sums, report.events), "{metric:?}: digest");
-    }
+        ((sums, report.events), report)
+    };
+    let (reference, _) = digest(&RunConfig::unison(1));
+    let (got, report) = digest(&RunConfig::unison(THREADS));
+    assert!(report.fused_rounds > 0, "no fused round");
+    assert!(
+        lifted || report.fused_rounds < report.rounds,
+        "no parallel round"
+    );
+    assert_eq!(reference, got, "digest");
 }
 
 /// A node that sends to a non-neighbour LP — one it shares no link with;
@@ -431,12 +380,13 @@ fn side_world() -> unison_core::World<Sider> {
 fn far_sends_and_side_output_land_in_the_same_round() {
     let mut reference = None;
     for threads in [1usize, 2, 3, 4] {
-        for fusion in [FusionConfig::default(), FusionConfig::off()] {
-            let cfg = RunConfig::unison(threads)
-                .with_fusion(fusion)
-                .with_per_round_metrics();
+        for fusion in [true, false] {
+            let cfg = RunConfig {
+                fusion,
+                ..RunConfig::unison(threads).with_per_round_metrics()
+            };
             let (w, report) = kernel::run(side_world(), &cfg).unwrap();
-            let what = format!("threads={threads} fusion={}", fusion.enabled);
+            let what = format!("threads={threads} fusion={fusion}");
             assert_eq!(report.lp_count as usize, N, "{what}: one LP per node");
             // No token is ever lost or late: each hops every `SIDE_HOP`.
             assert_eq!(
@@ -527,8 +477,8 @@ fn skewed_world(first: usize, hold: std::time::Duration) -> unison_core::World<R
 /// homes' workers steal; and the load in the last home with that home's
 /// first LP holding whoever claims it (its owner, longest job first), so
 /// every other busy LP is up for theft — read the same at 1, 2, 3 and 4
-/// threads, under both metrics, with fusion on and off — and every LP is
-/// still claimed exactly once per round.
+/// threads with fusion on and off — and every LP is still claimed exactly
+/// once per round.
 #[test]
 fn a_load_that_sits_in_one_home_is_stolen_without_a_trace() {
     let held = std::time::Duration::from_micros(20);
@@ -555,18 +505,14 @@ fn a_load_that_sits_in_one_home_is_stolen_without_a_trace() {
         };
         let reference = run(&RunConfig::unison(1));
         assert_eq!(reference.1, SIDE_TOKENS * (SIDE_STOP.0 / SIDE_HOP.0));
-        for fusion in [FusionConfig::default(), FusionConfig::off()] {
-            for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
-                let sched = SchedConfig {
-                    metric,
-                    period: Some(4),
+        for fusion in [true, false] {
+            for threads in [1usize, 2, 3, 4] {
+                let got = run(&RunConfig {
                     fusion,
-                };
-                let what = format!("{wname} fusion={} metric={metric:?}", fusion.enabled);
-                for threads in [1usize, 2, 3, 4] {
-                    let got = run(&RunConfig::unison(threads).with_sched(sched));
-                    assert_eq!(reference, got, "digest mismatch: {what} threads={threads}");
-                }
+                    ..RunConfig::unison(threads)
+                });
+                let what = format!("{wname} fusion={fusion} threads={threads}");
+                assert_eq!(reference, got, "digest mismatch: {what}");
             }
         }
     }

@@ -2,14 +2,15 @@
 //! non-perturbing*. A run with recording enabled must produce a result
 //! digest (order-sensitive per-node checksums + event totals + end time)
 //! bit-identical to the same run with recording disabled — at 1, 2, and 4
-//! worker threads, under both scheduling metrics. The recorder writes only
+//! worker threads, and with round fusion off at 2 and 4. The recorder writes only
 //! thread-local buffers and takes no locks, so this holds by construction;
 //! these tests pin it against regressions.
 
+use unison_core::sched::auto_period;
 use unison_core::telemetry::{SpanKind, SPAN_CAPACITY};
 use unison_core::{
-    kernel, FusionConfig, KernelKind, MetricsLevel, NodeId, PartitionMode, Rng, RunConfig,
-    RunReport, SchedConfig, SchedMetric, SimCtx, SimNode, Time, WorldBuilder,
+    kernel, KernelKind, MetricsLevel, NodeId, PartitionMode, Rng, RunConfig, RunReport, SimCtx,
+    SimNode, Time, WorldBuilder,
 };
 
 /// Same token-routing model as the cross-kernel tests: per-token RNG makes
@@ -104,34 +105,34 @@ fn run_digest(cfg: &RunConfig) -> (Digest, Option<usize>) {
     (digest, report.telemetry.as_ref().map(|t| t.span_count()))
 }
 
-fn unison_cfg(threads: usize, metric: SchedMetric, metrics: MetricsLevel) -> RunConfig {
+fn unison_cfg(threads: usize, fusion: bool, metrics: MetricsLevel) -> RunConfig {
     RunConfig {
         watchdog: Default::default(),
         kernel: KernelKind::Unison { threads },
         partition: PartitionMode::Auto,
-        sched: SchedConfig {
-            metric,
-            period: Some(4),
-            ..Default::default()
-        },
+        fusion,
         metrics,
         fel: Default::default(),
     }
 }
 
+/// Every round of this ring fuses with fusion on, so the fusion-off cells
+/// are the ones whose workers cross barriers and whose phase 4 re-orders.
 #[test]
 fn telemetry_does_not_perturb_unison_results() {
-    for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
-        for threads in [1usize, 2, 4] {
-            let (off, tel_off) = run_digest(&unison_cfg(threads, metric, MetricsLevel::Summary));
-            let (on, tel_on) = run_digest(&unison_cfg(threads, metric, MetricsLevel::Spans));
-            assert_eq!(
-                off, on,
-                "telemetry changed the digest at {threads} threads under {metric:?}"
-            );
-            assert!(tel_off.is_none(), "disabled run must not attach telemetry");
-            let spans = tel_on.expect("enabled run attaches telemetry");
-            assert!(spans > 0, "enabled run recorded no spans");
+    for (threads, fusion) in [(1usize, true), (2, true), (4, true), (2, false), (4, false)] {
+        let what = format!("{threads} threads, fusion {fusion}");
+        let (off, rep_off) = run_until(STOP, &unison_cfg(threads, fusion, MetricsLevel::Summary));
+        let (on, rep_on) = run_until(STOP, &unison_cfg(threads, fusion, MetricsLevel::Spans));
+        assert_eq!(off, on, "telemetry changed the digest at {what}");
+        assert!(
+            rep_off.telemetry.is_none(),
+            "disabled run must not attach telemetry"
+        );
+        let spans = rep_on.telemetry.as_ref().map(|t| t.span_count());
+        assert!(spans.expect("enabled run attaches telemetry") > 0, "{what}");
+        if !fusion {
+            assert_eq!(rep_off.fused_rounds + rep_on.fused_rounds, 0, "{what}");
         }
     }
 }
@@ -143,7 +144,7 @@ fn telemetry_does_not_perturb_other_kernels() {
         watchdog: Default::default(),
         kernel,
         partition: PartitionMode::Auto,
-        sched: SchedConfig::default(),
+        fusion: true,
         metrics,
         fel: Default::default(),
     };
@@ -170,8 +171,7 @@ fn telemetry_does_not_perturb_other_kernels() {
 fn enabled_unison_run_records_every_phase_and_decisions() {
     // Fusion off: with it on every round of this ring fuses, and a fused
     // round neither crosses a barrier nor re-sorts.
-    let mut cfg = unison_cfg(2, SchedMetric::ByLastRoundTime, MetricsLevel::Spans);
-    cfg.sched.fusion = FusionConfig::off();
+    let cfg = unison_cfg(2, false, MetricsLevel::Spans);
     let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
     let tel = report.telemetry.expect("telemetry attached");
     // One sink per worker; the control thread doubles as worker 0.
@@ -193,13 +193,10 @@ fn enabled_unison_run_records_every_phase_and_decisions() {
             "no {kind:?} span recorded"
         );
     }
-    // The ring re-sorts every 4 parallel rounds (period override above); the log
-    // must hold decisions with the configured metric's name.
+    // The ring re-sorts every `ceil(log2(12))` = 4 parallel rounds; each
+    // decision orders every LP.
     assert!(!tel.sched.is_empty(), "no scheduler decisions logged");
-    assert!(tel
-        .sched
-        .iter()
-        .all(|d| d.metric == "by-last-round-time" && d.order.len() == N));
+    assert!(tel.sched.iter().all(|d| d.order.len() == N));
     // Cross-LP tokens produce mailbox traffic with real sender attribution.
     let traffic = tel.traffic();
     assert!(!traffic.is_empty(), "no traffic recorded");
@@ -210,32 +207,29 @@ fn enabled_unison_run_records_every_phase_and_decisions() {
 /// period counts rounds that are unfused and have more than one worker,
 /// and only such a round's phase 4 re-sorts. One thread (fused or not) and
 /// an all-fused two-thread run log no decision at all; with fusion off two threads log one per completed
-/// period, except in the round that ends the run.
+/// period ([`auto_period`] of the LP count), except in the round that
+/// ends the run.
 #[test]
 fn only_parallel_rounds_are_scheduled() {
-    const PERIOD: u64 = 4;
-    let run = |threads: usize, fusion: FusionConfig| {
-        let mut cfg = unison_cfg(threads, SchedMetric::ByLastRoundTime, MetricsLevel::Spans);
-        cfg.sched.fusion = fusion;
-        cfg.sched.period = Some(PERIOD as u32);
+    let period = u64::from(auto_period(N));
+    let run = |threads: usize, fusion: bool| {
+        let cfg = unison_cfg(threads, fusion, MetricsLevel::Spans);
         let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
+        assert_eq!(report.lp_count as usize, N, "one LP per node");
         let decisions = report.telemetry.as_ref().expect("telemetry").sched.len() as u64;
         (report, decisions)
     };
-    for (what, fusion) in [
-        ("1 thread", FusionConfig::default()),
-        ("1 thread, fusion off", FusionConfig::off()),
-    ] {
+    for (what, fusion) in [("1 thread", true), ("1 thread, fusion off", false)] {
         let (report, decisions) = run(1, fusion);
-        assert!(report.rounds > 2 * PERIOD, "{what}: too short to re-sort");
+        assert!(report.rounds > 2 * period, "{what}: too short to re-sort");
         assert_eq!(decisions, 0, "{what}: a round with one claimant re-sorted");
     }
-    let (fused, decisions) = run(2, FusionConfig::default());
+    let (fused, decisions) = run(2, true);
     assert_eq!(fused.fused_rounds, fused.rounds, "the ring's load is low");
     assert_eq!(decisions, 0, "an all-fused run re-sorted");
-    let (parallel, decisions) = run(2, FusionConfig::off());
+    let (parallel, decisions) = run(2, false);
     assert_eq!(parallel.fused_rounds, 0);
-    assert_eq!(decisions, (parallel.rounds - 1) / PERIOD);
+    assert_eq!(decisions, (parallel.rounds - 1) / period);
     assert!(decisions > 0);
 }
 
@@ -247,8 +241,7 @@ fn only_parallel_rounds_are_scheduled() {
 fn the_schedule_is_a_function_of_the_simulation() {
     for threads in [2, 3] {
         let decisions = || {
-            let mut cfg = unison_cfg(threads, SchedMetric::ByLastRoundTime, MetricsLevel::Spans);
-            cfg.sched.fusion = FusionConfig::off();
+            let cfg = unison_cfg(threads, false, MetricsLevel::Spans);
             let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
             let tel = report.telemetry.expect("telemetry attached");
             let log = tel.sched.into_iter();
@@ -275,9 +268,8 @@ fn span_capacity_bounds_memory_and_counts_drops() {
     const ROUNDS: u64 = 20_000;
     const { assert!(4 * ROUNDS as usize > SPAN_CAPACITY) };
     let long = Time(DELAY.0 * ROUNDS);
-    let metric = SchedMetric::ByLastRoundTime;
-    let (off, _) = run_until(long, &unison_cfg(2, metric, MetricsLevel::Summary));
-    let (on, report) = run_until(long, &unison_cfg(2, metric, MetricsLevel::Spans));
+    let (off, _) = run_until(long, &unison_cfg(2, true, MetricsLevel::Summary));
+    let (on, report) = run_until(long, &unison_cfg(2, true, MetricsLevel::Spans));
     let tel = report.telemetry.expect("telemetry attached");
     assert_eq!(tel.workers[0].spans.len(), SPAN_CAPACITY);
     assert!(tel.workers.iter().all(|w| w.spans.len() <= SPAN_CAPACITY));

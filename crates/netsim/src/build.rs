@@ -344,9 +344,9 @@ impl NetSim {
     }
 
     /// Runs with a full configuration — kernel, partition mode, FEL
-    /// backend, watchdog, telemetry, and the scheduling knobs
-    /// ([`RunConfig::with_sched`], DESIGN.md §4.5). Every combination is
-    /// bit-identical on the same partition; the knobs trade wall clock,
+    /// backend, watchdog, telemetry, and round fusion
+    /// ([`RunConfig::without_fusion`], DESIGN.md §4.9). Every combination
+    /// is bit-identical on the same partition; the knobs trade wall clock,
     /// never results. A rejected configuration, a contained panic and a
     /// watchdog stall all come back as a [`SimError`].
     pub fn run_with(self, cfg: &RunConfig) -> Result<SimResult, SimError> {

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use unison_core::{
     checkpoint, kernel, CheckpointConfig, DataRate, KernelKind, MetricsLevel, PartitionMode,
-    RunConfig, SchedConfig, Snapshot, SnapshotError, SnapshotWriter, Time, World,
+    RunConfig, Snapshot, SnapshotError, SnapshotWriter, Time, World,
 };
 use unison_netsim::route::{RipState, Routing};
 use unison_netsim::{NetEvent, NetNode, NetworkBuilder, OnOffConfig, RoutingKind, TransportKind};
@@ -32,7 +32,7 @@ fn unison_cfg(threads: usize) -> RunConfig {
     RunConfig {
         kernel: KernelKind::Unison { threads },
         partition: PartitionMode::Auto,
-        sched: SchedConfig::default(),
+        fusion: true,
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
         watchdog: Default::default(),

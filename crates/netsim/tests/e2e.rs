@@ -1,9 +1,7 @@
 //! End-to-end network simulation tests across kernels.
 
 use unison_core::DataRate;
-use unison_core::{
-    KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig, SimError, Time,
-};
+use unison_core::{KernelKind, MetricsLevel, PartitionMode, RunConfig, SimError, Time};
 use unison_netsim::{
     recompute_static_routes, set_link_state, NetworkBuilder, QueueConfig, RoutingKind,
     TransportKind,
@@ -86,7 +84,7 @@ fn all_kernels_complete_the_same_flows() {
             watchdog: Default::default(),
             kernel: KernelKind::Barrier,
             partition: PartitionMode::Manual(manual_lp.clone()),
-            sched: SchedConfig::default(),
+            fusion: true,
             metrics: MetricsLevel::Summary,
             fel: Default::default(),
         })
@@ -96,7 +94,7 @@ fn all_kernels_complete_the_same_flows() {
             watchdog: Default::default(),
             kernel: KernelKind::NullMessage,
             partition: PartitionMode::Manual(manual_lp),
-            sched: SchedConfig::default(),
+            fusion: true,
             metrics: MetricsLevel::Summary,
             fel: Default::default(),
         })
@@ -155,7 +153,7 @@ fn unison_matches_compat_sequential_on_network() {
             watchdog: Default::default(),
             kernel: KernelKind::Sequential { compat_keys: true },
             partition: PartitionMode::Auto,
-            sched: SchedConfig::default(),
+            fusion: true,
             metrics: MetricsLevel::Summary,
             fel: Default::default(),
         })

@@ -6,9 +6,7 @@
 //! the sequential kernel, every Unison thread count and every rerun, and
 //! the transport visibly rides out each failure.
 
-use unison_core::{
-    kernel, DataRate, KernelKind, MetricsLevel, PartitionMode, RunConfig, SchedConfig, Time,
-};
+use unison_core::{kernel, DataRate, KernelKind, MetricsLevel, PartitionMode, RunConfig, Time};
 use unison_netsim::{
     install_faults, world_digest as digest, FlowReport, NetFault, NetSim, NetworkBuilder,
 };
@@ -27,7 +25,7 @@ fn cfg(kernel: KernelKind, nodes: usize) -> RunConfig {
     RunConfig {
         kernel,
         partition: PartitionMode::Manual((0..nodes as u32).map(|i| i % 2).collect()),
-        sched: SchedConfig::default(),
+        fusion: true,
         metrics: MetricsLevel::Summary,
         fel: Default::default(),
         watchdog: Default::default(),

@@ -22,7 +22,7 @@ use std::fmt;
 use std::time::Duration;
 
 use unison_core::kernel::{build_partition, KernelKind, PartitionMode, RunConfig, MAX_WORKERS};
-use unison_core::sched::{FusionConfig, SchedConfig, SchedMetric};
+use unison_core::sched::{SchedConfig, SchedMetric};
 use unison_core::{DataRate, LinkGraph, NodeId, Time};
 use unison_topology::{self as topology, NodeKind, TopoLink, Topology};
 use unison_traffic::{FlowSpec, SizeDist, TrafficConfig};
@@ -390,7 +390,6 @@ pub struct RunSpec {
     pub stop: Time,
     pub kernel: KernelKind,
     pub partition: PartitionSpec,
-    pub sched: SchedConfig,
     pub watchdog: Option<Duration>,
 }
 
@@ -446,6 +445,10 @@ pub struct ModelSpec {
     /// `hybrid_hosts`: adds the `hybrid` record with this many hosts of
     /// `cores / hybrid_hosts` workers each.
     pub hybrid_hosts: Option<usize>,
+    /// `sched_metric` / `sched_period`: the scheduler the `unison` record
+    /// replays (default: the kernel's own, last round's load re-sorted
+    /// every `ceil(log2(#lp))` rounds).
+    pub sched: SchedConfig,
 }
 
 /// A parsed, validated scenario.
@@ -580,17 +583,12 @@ impl ScenarioSpec {
     /// Like [`ScenarioSpec::run_config`] but with the kernel replaced —
     /// the corpus test uses this to sweep thread counts over one file.
     pub fn run_config_with_kernel(&self, topo: &Topology, kernel: KernelKind) -> RunConfig {
-        let base = RunConfig::sequential();
-        let mut cfg = RunConfig {
+        RunConfig {
             kernel,
             partition: self.run.partition.mode(topo),
-            sched: self.run.sched,
-            ..base
-        };
-        if let Some(deadline) = self.run.watchdog {
-            cfg = cfg.with_watchdog(deadline);
+            watchdog: self.run.watchdog,
+            ..RunConfig::sequential()
         }
-        cfg
     }
 
     /// The checks that need the built topology, which the section parsers
@@ -1404,11 +1402,27 @@ fn parse_model(table: &Table) -> Result<ModelSpec, ScenarioError> {
             ));
         }
     }
+    let metrics = [
+        SchedMetric::ByLastRoundTime,
+        SchedMetric::ByPendingEvents,
+        SchedMetric::None,
+    ];
+    let metric = k.choice("sched_metric", &metrics.map(|m| (m.name(), m)))?;
+    let period = k.u32("sched_period")?;
+    if period == Some(0) {
+        let msg = "`sched_period` must be positive (omit it for the automatic period)";
+        return Err(err_at(table, "sched_period", msg));
+    }
     k.finish()?;
+    let sched = SchedConfig {
+        metric: metric.unwrap_or_default(),
+        period,
+    };
     Ok(ModelSpec {
         cores,
         baseline,
         hybrid_hosts,
+        sched,
     })
 }
 
@@ -1492,32 +1506,6 @@ fn parse_run(table: &Table) -> Result<RunSpec, ScenarioError> {
         }
         Some(_) => named_partition(&mut k, "partition", "lps", None, " | bound | manual")?,
     };
-    let mut sched = SchedConfig::default();
-    if let Some(metric) = k.choice(
-        "sched_metric",
-        &[
-            ("by-last-round-time", SchedMetric::ByLastRoundTime),
-            ("by-pending-events", SchedMetric::ByPendingEvents),
-            ("none", SchedMetric::None),
-        ],
-    )? {
-        sched.metric = metric;
-    }
-    if let Some(period) = k.u32("sched_period")? {
-        sched.period = Some(period);
-    }
-    match (k.bool("fusion")?, k.u64("fusion_threshold")?) {
-        (Some(false), None) => sched.fusion = FusionConfig::off(),
-        (Some(false), Some(_)) => {
-            return Err(err_at(
-                table,
-                "fusion_threshold",
-                "`fusion_threshold` conflicts with `fusion = false`",
-            ));
-        }
-        (_, Some(th)) => sched.fusion.threshold = th,
-        (Some(true) | None, None) => {}
-    }
     let watchdog = match k.u64("watchdog_ms")? {
         Some(0) => {
             let msg = "`watchdog_ms` must be positive (omit it to disable the watchdog)";
@@ -1530,7 +1518,6 @@ fn parse_run(table: &Table) -> Result<RunSpec, ScenarioError> {
         stop,
         kernel,
         partition,
-        sched,
         watchdog,
     })
 }

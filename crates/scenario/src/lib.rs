@@ -12,7 +12,7 @@
 //! - [`ScenarioSpec::build_topology`] → `unison_topology::Topology`,
 //! - [`ScenarioSpec::traffic_config`] → `unison_traffic::TrafficConfig`,
 //! - [`ScenarioSpec::run_config`] → `unison_core::RunConfig` (kernel,
-//!   partition, scheduling, watchdog),
+//!   partition, watchdog),
 //! - the transport/queue/routing specs, mapped onto netsim types by
 //!   `NetworkBuilder::from_scenario` in `unison-netsim` (that crate sits
 //!   above this one in the dependency graph).

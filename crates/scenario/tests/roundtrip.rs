@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use unison_core::kernel::{KernelKind, PartitionMode};
-use unison_core::sched::SchedMetric;
+use unison_core::sched::{SchedConfig, SchedMetric};
 use unison_core::Time;
 use unison_scenario::{
     parse_rows, parse_scenario, ModelSpec, PartitionSpec, QueueSpec, RoutingSpec, ScenarioSpec,
@@ -126,32 +126,50 @@ fn every_partition_variant_maps() {
 }
 
 #[test]
-fn sched_and_knobs_map() {
-    let spec = with_run(
-        "kernel = \"unison\"\nthreads = 2\n\
-         sched_metric = \"by-pending-events\"\n\
-         sched_period = 4\nfusion_threshold = 64\n\
-         watchdog_ms = 2000",
-    );
+fn run_knobs_map_and_the_scheduler_is_a_model_input() {
+    let spec = with_run("kernel = \"unison\"\nthreads = 2\nwatchdog_ms = 2000");
     let topo = spec.build_topology();
     let cfg = spec.run_config(&topo);
-    assert_eq!(cfg.sched.metric, SchedMetric::ByPendingEvents);
-    assert_eq!(cfg.sched.period, Some(4));
-    assert!(cfg.sched.fusion.enabled);
-    assert_eq!(cfg.sched.fusion.threshold, 64);
-    assert_eq!(
-        cfg.watchdog.round_deadline,
-        Some(Duration::from_millis(2000))
-    );
-
-    let spec = with_run("kernel = \"unison\"\nthreads = 2\nfusion = false");
-    let cfg = spec.run_config(&topo);
-    assert!(!cfg.sched.fusion.enabled);
+    assert_eq!(cfg.watchdog, Some(Duration::from_millis(2000)));
+    assert!(cfg.fusion, "a scenario cannot turn fusion off");
     // Defaults when the keys are absent.
     let spec = with_run("kernel = \"unison\"\nthreads = 2");
-    let cfg = spec.run_config(&topo);
-    assert_eq!(cfg.sched.metric, SchedMetric::ByLastRoundTime);
-    assert_eq!(cfg.watchdog.round_deadline, None);
+    assert_eq!(spec.run_config(&topo).watchdog, None);
+
+    // The kernel runs one scheduler: its old `[run]` knobs are unknown
+    // keys, reported at the key (line 13, right after `threads`).
+    for line in [
+        "sched_metric = \"none\"",
+        "sched_period = 4",
+        "fusion = false",
+    ] {
+        let key = line.split(' ').next().unwrap();
+        let src = sweep_src("").replace("threads = 2", &format!("threads = 2\n{line}"));
+        let e = parse_scenario(&src).unwrap_err();
+        assert!(
+            e.msg.contains(&format!("unknown key `{key}`")),
+            "{line}: {e}"
+        );
+        assert_eq!((e.line, e.col), (13, 1), "{line}: {e}");
+    }
+
+    // The model replays whichever scheduler `[model]` names.
+    let model = |tail: &str| {
+        parse_scenario(&sweep_src(tail))
+            .unwrap()
+            .model
+            .unwrap()
+            .sched
+    };
+    assert_eq!(model(""), SchedConfig::default());
+    assert_eq!(
+        model("sched_metric = \"by-pending-events\"\nsched_period = 4\n"),
+        SchedConfig {
+            metric: SchedMetric::ByPendingEvents,
+            period: Some(4),
+        }
+    );
+    assert_eq!(model("sched_metric = \"none\"\n").metric, SchedMetric::None);
 }
 
 #[test]
@@ -532,6 +550,7 @@ fn sweep_rows_are_the_file_with_each_listed_value_in_place() {
                 cores,
                 baseline: Some(PartitionSpec::ByCluster),
                 hybrid_hosts: Some(2),
+                sched: SchedConfig::default(),
             })
         );
     }
@@ -598,6 +617,14 @@ fn hostile_sweeps_are_spanned_errors() {
     check("hybrid_hosts = 3\n", "must divide `cores` = 4", (15, 1));
     let lps = "baseline_partition = \"by_cluster_group\"\nbaseline_lps = 0\n";
     check(lps, "`baseline_lps` must be >= 1", (16, 1));
+    let period = "baseline_partition = \"by_cluster\"\nsched_period = 0\n";
+    check(period, "`sched_period` must be positive", (16, 1));
+    let metric = "sched_metric = \"fastest\"\n";
+    check(
+        metric,
+        "must be one of by-last-round-time | by-pending-events | none",
+        (15, 1),
+    );
     let manual = "baseline_partition = \"manual\"\n";
     check(manual, "unknown partition `manual`", (15, 1));
     // `lps` belongs to the two partitions that take it; times are >= 0.

@@ -117,7 +117,6 @@ pub fn chrome_trace_value(tel: &RunTelemetry) -> Value {
                 "args",
                 obj(vec![
                     ("round", Value::Num(d.round as f64)),
-                    ("metric", Value::Str(d.metric.into())),
                     (
                         "order",
                         Value::Arr(d.order.iter().map(|&l| Value::Num(l as f64)).collect()),
@@ -242,7 +241,6 @@ mod tests {
             ],
             sched: vec![SchedDecision {
                 round: 2,
-                metric: "by-last-round-time",
                 order: vec![4, 0],
                 estimates: vec![10, 1],
             }],
@@ -272,10 +270,6 @@ mod tests {
         // Decision for round 2 anchors at round 1's window-update (100 ns).
         assert_eq!(instant.get("ts").and_then(Value::as_num), Some(0.1));
         let args = instant.get("args").unwrap();
-        assert_eq!(
-            args.get("metric").and_then(Value::as_str),
-            Some("by-last-round-time")
-        );
         assert_eq!(args.get("order").unwrap().as_arr().unwrap().len(), 2);
     }
 

@@ -182,13 +182,11 @@ mod tests {
             sched: vec![
                 SchedDecision {
                     round: 1,
-                    metric: "by-last-round-time",
                     order: vec![0, 1],
                     estimates: vec![60, 20],
                 },
                 SchedDecision {
                     round: 3,
-                    metric: "by-last-round-time",
                     order: vec![1, 0],
                     estimates: vec![10, 70],
                 },

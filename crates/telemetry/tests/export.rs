@@ -5,7 +5,7 @@
 //! thread's time from the same laps the spans were cut from.
 
 use unison_core::telemetry::SpanKind;
-use unison_core::{DataRate, FusionConfig, RunConfig, RunReport, SchedConfig, Time};
+use unison_core::{DataRate, RunConfig, RunReport, Time};
 use unison_netsim::{NetworkBuilder, TransportKind};
 use unison_telemetry::{chrome_trace_json, json, report_string, validate_chrome_trace};
 use unison_topology::{fat_tree, manual, Topology};
@@ -33,10 +33,6 @@ fn run_recorded(cfg: RunConfig) -> RunReport {
     sim.run_with(&cfg.with_telemetry())
         .expect("scenario run")
         .kernel
-}
-
-fn run_profiled_sched(threads: usize, sched: SchedConfig) -> RunReport {
-    run_recorded(RunConfig::unison(threads).with_sched(sched))
 }
 
 fn run_profiled(threads: usize) -> RunReport {
@@ -97,31 +93,16 @@ fn trace_timestamps_are_monotone_per_worker_within_kind() {
     }
 }
 
-/// Round fusion's telemetry surface (ISSUE 9, satellite f): every fused
-/// round emits exactly one `fused-round` envelope span on the control
-/// thread, so the trace's span count for that kind equals the report's
-/// `fused_rounds` counter — and the envelope carries its load/drain args
-/// through the Chrome export.
+/// Round fusion's telemetry surface: every fused round emits exactly one
+/// `fused-round` envelope span on the control thread, so the trace's span
+/// count for that kind equals the report's `fused_rounds` counter — and the
+/// envelope carries its load/drain args through the Chrome export.
 #[test]
 fn fused_round_spans_match_the_report_counter() {
-    // An unbounded threshold makes the fusion predicate pass on every
-    // round that is not a forced fallback, so the counter is non-zero on
-    // any multi-round run.
-    let report = run_profiled_sched(
-        2,
-        SchedConfig {
-            fusion: FusionConfig {
-                enabled: true,
-                threshold: u64::MAX,
-            },
-            ..Default::default()
-        },
-    );
+    // Every round of this small incast stays below the fusion threshold.
+    let report = run_profiled(2);
     assert!(report.rounds > 0);
-    assert!(
-        report.fused_rounds > 0,
-        "an unbounded threshold must fuse at least the first round"
-    );
+    assert!(report.fused_rounds > 0, "no round fused");
     let tel = report.telemetry.as_ref().expect("telemetry attached");
     let fused_spans: usize = tel
         .workers
@@ -144,13 +125,7 @@ fn fused_round_spans_match_the_report_counter() {
     assert_eq!(parsed.to_json(), json_text, "serializer not a fixpoint");
 
     // Fusion off: no counter, no spans.
-    let off = run_profiled_sched(
-        2,
-        SchedConfig {
-            fusion: FusionConfig::off(),
-            ..Default::default()
-        },
-    );
+    let off = run_recorded(RunConfig::unison(2).without_fusion());
     assert_eq!(off.fused_rounds, 0);
     let off_tel = off.telemetry.as_ref().expect("telemetry attached");
     assert!(off_tel

@@ -15,26 +15,23 @@
 #
 #   scripts/ab.sh --rev <parent-revision> <input.toml> [pairs=10]
 #   scripts/ab.sh --bins <parent-binary> <change-binary> <input.toml> [pairs=10]
-#   scripts/ab.sh --inputs <binary> <inputA.toml> <inputB.toml> [pairs=10]
 #
-# --rev and --bins compare two builds on one input, A being the parent and
-# B the change. With --rev the parent is built from a detached `git
-# worktree` of the revision under target/ab/<commit> (kept for the next
-# call; remove it with `git worktree remove target/ab/<commit>`) and the
-# change is the working tree's benchmark package (benchmark/target). With
-# --bins both sides are prebuilt `unison-benchmark` executables.
-# --inputs is the knob trial: one prebuilt executable on two inputs that
-# differ in a key that must not change the simulation, e.g. `sched_metric`
-# in the [run] table. An input is what `benchmark/run.sh generate
-# <workload> --seed N` prints; for one thread edit `threads` in its [run]
-# table, for the sequential kernel set `kernel = "sequential"` and delete
-# the `threads` line.
+# Both compare two builds on one input, A being the parent and B the
+# change. With --rev the parent is built from a detached `git worktree` of
+# the revision under target/ab/<commit> (kept for the next call; remove it
+# with `git worktree remove target/ab/<commit>`) and the change is the
+# working tree's benchmark package (benchmark/target). With --bins both
+# sides are prebuilt `unison-benchmark` executables — e.g. a build of the
+# working tree with a one-line patch, to try a kernel alternative the
+# configuration no longer offers. An input is what `benchmark/run.sh
+# generate <workload> --seed N` prints; for one thread edit `threads` in
+# its [run] table, for the sequential kernel set `kernel = "sequential"`
+# and delete the `threads` line.
 set -euo pipefail
 
 usage() {
     echo "usage: scripts/ab.sh --rev <parent-revision> <input.toml> [pairs=10]" >&2
     echo "       scripts/ab.sh --bins <parent-binary> <change-binary> <input.toml> [pairs=10]" >&2
-    echo "       scripts/ab.sh --inputs <binary> <inputA.toml> <inputB.toml> [pairs=10]" >&2
     exit 2
 }
 
@@ -47,9 +44,9 @@ name_b=change
 case ${1:-} in
     --rev)
         (( $# == 3 || $# == 4 )) || usage
-        input_a=$3
+        input=$3
         pairs=${4:-10}
-        [[ -f $input_a ]] || usage
+        [[ -f $input ]] || usage
         commit=$(git -C "$root" rev-parse --verify "$2^{commit}")
         tree=$root/target/ab/$commit
         if [[ ! -d $tree ]]; then
@@ -64,24 +61,12 @@ case ${1:-} in
         (( $# == 4 || $# == 5 )) || usage
         bin_a=$2
         bin_b=$3
-        input_a=$4
+        input=$4
         pairs=${5:-10}
-        [[ -x $bin_a && -x $bin_b && -f $input_a ]] || usage
-        ;;
-    --inputs)
-        (( $# == 4 || $# == 5 )) || usage
-        bin_a=$2
-        bin_b=$2
-        input_a=$3
-        input_b=$4
-        pairs=${5:-10}
-        [[ -x $bin_a && -f $input_a && -f $input_b ]] || usage
-        name_a=A
-        name_b=B
+        [[ -x $bin_a && -x $bin_b && -f $input ]] || usage
         ;;
     *) usage ;;
 esac
-input_b=${input_b:-$input_a}
 [[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
 
 # One run: "<run span s> <VmHWM kB> <identity>", identity being the digest
@@ -104,16 +89,9 @@ run_one() { # run_one <binary> <input>
         }'
 }
 
-if [[ $1 == --inputs ]]; then
-    echo "binary: $bin_a"
-    echo "A: $input_a"
-    echo "B: $input_b"
-    echo "$pairs pairs"
-else
-    echo "$name_a: $bin_a"
-    echo "$name_b: $bin_b"
-    echo "input:  $input_a, $pairs pairs"
-fi
+echo "$name_a: $bin_a"
+echo "$name_b: $bin_b"
+echo "input:  $input, $pairs pairs"
 printf '%4s  %-6s  %10s  %10s  %8s\n' pair first "${name_a}_s" "${name_b}_s" "$name_b"
 results=$(mktemp)
 trap 'rm -f "$results"' EXIT
@@ -122,12 +100,12 @@ mismatch=0
 for (( i = 1; i <= pairs; i++ )); do
     if (( i % 2 )); then
         first=$name_a
-        a=$(run_one "$bin_a" "$input_a")
-        b=$(run_one "$bin_b" "$input_b")
+        a=$(run_one "$bin_a" "$input")
+        b=$(run_one "$bin_b" "$input")
     else
         first=$name_b
-        b=$(run_one "$bin_b" "$input_b")
-        a=$(run_one "$bin_a" "$input_a")
+        b=$(run_one "$bin_b" "$input")
+        a=$(run_one "$bin_a" "$input")
     fi
     read -r ta ka ida <<< "$a"
     read -r tb kb idb <<< "$b"

@@ -1,13 +1,13 @@
 //! Workspace-level integration: the paper's determinism claims (§5.2,
 //! Fig. 11) at the full network-stack level.
 
-use unison::core::{KernelKind, RunConfig, SchedConfig, SchedMetric, Time};
+use unison::core::{KernelKind, RunConfig, Time};
 use unison::netsim::{world_digest, NetworkBuilder, SimResult, TransportKind};
 use unison::scenario::parse_scenario;
 use unison::topology::fat_tree;
 use unison::traffic::{SizeDist, TrafficConfig};
 
-fn run_sched(kernel: KernelKind, sched: SchedConfig) -> SimResult {
+fn run_with_fusion(kernel: KernelKind, fusion: bool) -> SimResult {
     let topo = fat_tree(4);
     let traffic = TrafficConfig::incast(0.3, 0.3)
         .with_seed(1234)
@@ -20,14 +20,14 @@ fn run_sched(kernel: KernelKind, sched: SchedConfig) -> SimResult {
         .build();
     sim.run_with(&RunConfig {
         kernel,
-        sched,
+        fusion,
         ..RunConfig::unison(1)
     })
     .expect("run")
 }
 
 fn run(kernel: KernelKind) -> SimResult {
-    run_sched(kernel, SchedConfig::default())
+    run_with_fusion(kernel, true)
 }
 
 /// Everything observable, bit-exact: events, drops, retransmits, mean-RTT
@@ -67,25 +67,24 @@ fn unison_identical_across_thread_counts_and_repetitions() {
 
 /// §3.4 user-transparency at full-stack level: the load-adaptive scheduler
 /// only reorders *when* LPs run inside a phase, never *what* they compute.
-/// For each scheduling metric, the event-trace digest must be identical
-/// across 1/2/4 worker threads — and identical between the metrics, since
-/// both must reduce to the same deterministic event order.
+/// With round fusion off every round crosses the barriers, claims out of
+/// homes and re-orders on its schedule (with it on, a run with more
+/// threads than cores fuses every round), and the event-trace digest must
+/// still be the one-thread run's at 2, 3 and 4 worker threads.
 #[test]
-fn scheduling_metrics_identical_across_thread_counts() {
+fn fusion_off_identical_across_thread_counts() {
     let reference = fingerprint(&run(KernelKind::Unison { threads: 1 }));
-    for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
-        for threads in [1usize, 2, 4] {
-            let sched = SchedConfig {
-                metric,
-                period: Some(4),
-                ..Default::default()
-            };
-            assert_eq!(
-                fingerprint(&run_sched(KernelKind::Unison { threads }, sched)),
-                reference,
-                "metric {metric:?} with {threads} thread(s) changed results"
-            );
-        }
+    for threads in [2usize, 3, 4] {
+        let res = run_with_fusion(KernelKind::Unison { threads }, false);
+        assert_eq!(
+            res.kernel.fused_rounds, 0,
+            "{threads} threads: a round fused"
+        );
+        assert_eq!(
+            fingerprint(&res),
+            reference,
+            "{threads} threads without fusion changed results"
+        );
     }
 }
 
