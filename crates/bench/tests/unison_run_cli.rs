@@ -364,7 +364,8 @@ fn check_validates_every_row() {
 /// exit 1 — a failed allocation would abort the process instead, as would
 /// the routing tables of a fat-tree with 70 656 nodes (N² entries, ~20 GB)
 /// — and so does a watchdog deadline of 0, which would stall the first
-/// round. Each case is `replace this | by this | message`.
+/// round, and a retired kernel name. Each case is `replace this | by this |
+/// message`.
 #[test]
 fn hostile_sizes_exit_1_with_a_spanned_message() {
     let path = corpus_dir().join("quickstart.toml");
@@ -377,6 +378,7 @@ fn hostile_sizes_exit_1_with_a_spanned_message() {
         "\nk = 4\n | \nk = 64\n | line 10, col 1: this topology would have 70656 nodes, and `static_ecmp`",
         "threads = 2 | threads = 2\nwatchdog_ms = 0 | col 1: `watchdog_ms` must be positive",
         "\nk = 4\n | \nk = 4\nrate_mbps = 18000000000000\n | line 15, col 1: this traffic would generate about",
+        "kernel = \"unison\"\nthreads = 2 | kernel = \"nullmsg\" | line 23, col 1: unknown kernel `nullmsg` (expected sequential | sequential_compat | unison)",
     ]
     .into_iter()
     .enumerate()

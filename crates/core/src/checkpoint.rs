@@ -12,10 +12,9 @@
 //! Checkpoints are taken by a self-rescheduling global event installed with
 //! [`schedule_checkpoints`]; they execute on the public LP of the Unison
 //! kernel, where the main thread holds exclusive world access between
-//! round phases. The baselines cannot take checkpoints (barrier and
-//! null-message reject global events; the sequential kernel keeps its
-//! events in a kernel-private list), but a saved image *resumes* under the
-//! sequential compat-keys kernel as well.
+//! round phases. The sequential kernel cannot take checkpoints (it keeps
+//! its events in a kernel-private list), but a saved image *resumes* under
+//! its compat-keys mode as well.
 //!
 //! Serialization is a hand-rolled little-endian binary format (no external
 //! dependencies): models implement [`Snapshot`] for their node and payload

@@ -24,8 +24,8 @@ use crate::time::Time;
 /// Which part of a synchronization round a failure happened in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RunPhase {
-    /// Executing node events (Unison phase 1, or the per-LP event loop of
-    /// the barrier/null-message/sequential kernels).
+    /// Executing node events (Unison phase 1, or the sequential kernel's
+    /// event loop).
     Process,
     /// Executing a global event on the public LP.
     Global,
@@ -94,9 +94,6 @@ pub struct StallDiagnostics {
     pub virtual_time: Time,
     /// LPs that still had pending work but could not advance.
     pub blocked: Vec<LpId>,
-    /// A blocking dependency cycle among the stalled LPs, when one was
-    /// identified (null-message kernel: a zero-lookahead channel cycle).
-    pub cycle: Vec<LpId>,
 }
 
 impl fmt::Display for StallDiagnostics {
@@ -109,10 +106,6 @@ impl fmt::Display for StallDiagnostics {
         if !self.blocked.is_empty() {
             let ids: Vec<String> = self.blocked.iter().map(|l| l.0.to_string()).collect();
             write!(f, "; blocked LPs: [{}]", ids.join(", "))?;
-        }
-        if !self.cycle.is_empty() {
-            let ids: Vec<String> = self.cycle.iter().map(|l| l.0.to_string()).collect();
-            write!(f, "; dependency cycle: {}", ids.join(" -> "))?;
         }
         Ok(())
     }
@@ -136,7 +129,7 @@ pub enum SimError {
     /// The round-progress watchdog saw no progress within its deadline and
     /// aborted the run.
     Stalled {
-        /// Stall diagnosis (blocked LPs, dependency cycle when found).
+        /// Stall diagnosis (the blocked LPs).
         diag: StallDiagnostics,
         /// Totals accumulated up to the abort.
         partial: Box<RunReport>,
@@ -235,18 +228,17 @@ mod tests {
     }
 
     #[test]
-    fn stall_diagnostics_display_mentions_cycle() {
+    fn stall_diagnostics_display_mentions_blocked_lps() {
         let d = StallDiagnostics {
-            kernel: "nullmsg",
+            kernel: "unison",
             round: 0,
             deadline: Duration::from_millis(50),
             virtual_time: Time(5),
             blocked: vec![LpId(0), LpId(1)],
-            cycle: vec![LpId(0), LpId(1), LpId(0)],
         };
         let s = d.to_string();
-        assert!(s.contains("blocked LPs"), "{s}");
-        assert!(s.contains("0 -> 1 -> 0"), "{s}");
+        assert!(s.contains("after round 0 (t=5"), "{s}");
+        assert!(s.contains("blocked LPs: [0, 1]"), "{s}");
     }
 
     #[test]

@@ -161,9 +161,9 @@ impl RecoveryLog {
 ///
 /// Limitations (DESIGN.md §4.7): worlds carrying *user* global events
 /// cannot be checkpointed (closures do not serialize) and are rejected
-/// with [`SimError::Checkpoint`]; the sequential, barrier and null-message
-/// kernels take no mid-run checkpoints (no global-event execution), so
-/// recovery under them restarts from the initial image.
+/// with [`SimError::Checkpoint`]; the sequential kernel takes no mid-run
+/// checkpoints (its events live in a kernel-private list), so recovery
+/// under it restarts from the initial image.
 pub fn run_resilient<N>(
     world: World<N>,
     cfg: &RunConfig,

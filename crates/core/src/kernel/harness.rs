@@ -1,28 +1,24 @@
 //! The kernel harness: everything a kernel does that is *not* its
 //! synchronization protocol, written once (DESIGN.md §4.2).
 //!
-//! Every kernel is a caller of these five pieces and keeps only how it
+//! Every kernel is a caller of these four pieces and keeps only how it
 //! computes the safe bound, how it maps LPs to threads, and its `SimCtx`:
 //!
 //! 1. [`prepare`] — the preamble: configuration checks, partition, LP build,
 //!    the seeded [`PublicLp`] and the [`RunEnv`] (telemetry context, failure
-//!    slot, watchdog, halt flag).
+//!    slot, watchdog).
 //! 2. [`PublicLp`] — the public FEL and the external sequence counter;
 //!    [`PublicLp::run_due`] is the one place a [`WorldAccess`] is built.
-//! 3. [`ChannelClocks`] — the CMB channel table of the null-message
-//!    kernel: clocks, lookaheads, wakers, the abort-time snapshot and the
-//!    blocked-LP cycle walk.
-//! 4. [`spawn_contained`] / [`join_contained`] / [`contained`] — the one
+//! 3. [`spawn_contained`] / [`join_contained`] / [`contained`] — the one
 //!    `catch_unwind`, the one place a [`FailureDiagnostics`] is recorded.
-//! 5. [`Worker`] and [`finish`] — per-thread P/S/M and span accounting (one
+//! 4. [`Worker`] and [`finish`] — per-thread P/S/M and span accounting (one
 //!    chain of laps per thread), and the epilogue: per-LP totals, the
 //!    [`RunReport`], error precedence (a contained panic outranks a
 //!    watchdog stall) and world reassembly.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
@@ -36,7 +32,6 @@ use crate::metrics::{
     EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
 };
 use crate::partition::Partition;
-use crate::sync_shim::CachePadded;
 use crate::telemetry::{SchedLog, SpanKind, TelContext, WorkerTel};
 use crate::time::Time;
 use crate::world::{NodeDirectory, SimNode, World};
@@ -55,13 +50,6 @@ pub(super) struct Shell {
     pub partition: Partition,
     pub graph: LinkGraph,
     pub stop_at: Option<Time>,
-}
-
-impl Shell {
-    /// The stop time as an exclusive processing bound.
-    pub fn horizon(&self) -> Time {
-        self.stop_at.unwrap_or(Time::MAX)
-    }
 }
 
 /// Everything [`prepare`] hands a kernel.
@@ -83,24 +71,9 @@ pub(super) struct RunEnv<'c> {
     /// secondary — usually claim-audit fallout of the drain — and would
     /// bury the root cause).
     failure: Mutex<Option<FailureDiagnostics>>,
-    /// "Every thread drains out now": raised by the abort paths of the
-    /// barrier and null-message kernels. Padded: LP threads poll it every
-    /// iteration, next to the watchdog's progress word.
-    stop_flag: CachePadded<AtomicBool>,
 }
 
 impl RunEnv<'_> {
-    /// Tells every thread to drain out.
-    pub fn halt(&self) {
-        self.stop_flag.store(true, Ordering::Release);
-    }
-
-    /// Whether [`RunEnv::halt`] was called.
-    #[inline]
-    pub fn halted(&self) -> bool {
-        self.stop_flag.load(Ordering::Acquire)
-    }
-
     /// Spawns the round-progress monitor when the watchdog is enabled; it
     /// calls `abort` once if no [`Watchdog::tick`] arrives for a deadline.
     pub fn spawn_monitor<'scope>(
@@ -135,14 +108,9 @@ pub(super) fn prepare<N: SimNode>(
     world: World<N>,
     cfg: &RunConfig,
 ) -> Result<Setup<'_, N>, KernelError> {
-    // Per kernel: configured worker count (1 where the LP count decides,
-    // checked once the partition is built), whether it executes global
-    // events, whether it needs a stop time.
-    let (threads, globals, needs_stop) = match cfg.kernel {
-        KernelKind::Sequential { .. } => (1, true, false),
-        KernelKind::Barrier => (1, false, false),
-        KernelKind::NullMessage => (1, false, true),
-        KernelKind::Unison { threads } => (threads, true, false),
+    let threads = match cfg.kernel {
+        KernelKind::Sequential { .. } => 1,
+        KernelKind::Unison { threads } => threads,
     };
     let kernel = cfg.kernel.name();
     if threads == 0 {
@@ -157,30 +125,10 @@ pub(super) fn prepare<N: SimNode>(
              at most {MAX_WORKERS} are supported"
         )));
     }
-    if !globals && !world.init_globals.is_empty() {
-        return Err(KernelError::GlobalEventsUnsupported(kernel));
-    }
     if world.nodes.is_empty() {
         return Err(KernelError::InvalidPartition("world has no nodes".into()));
     }
     let partition = build_partition(&world.graph, &cfg.partition)?;
-    // The LP-pinned baselines spawn one thread per LP.
-    let lp_count = partition.lp_count as usize;
-    let pinned = matches!(cfg.kernel, KernelKind::Barrier | KernelKind::NullMessage);
-    if pinned && lp_count > MAX_WORKERS {
-        return Err(KernelError::InvalidConfig(format!(
-            "kernel `{kernel}` pins one thread to each of {lp_count} LPs; \
-             at most {MAX_WORKERS} are supported"
-        )));
-    }
-    // Without a horizon, channel promises on drained FELs creep forward by
-    // one lookahead per exchange and the run never terminates (ns-3's
-    // null-message simulator has the same requirement).
-    if needs_stop && world.stop_at.is_none() {
-        return Err(KernelError::InvalidConfig(format!(
-            "kernel `{kernel}` requires a stop time"
-        )));
-    }
     let (lps, dir, graph, init_globals, stop_at, ext_seq) = build_lps(world, &partition, cfg.fel);
     let mut public = PublicLp {
         fel: Fel::with_impl(cfg.fel),
@@ -201,7 +149,6 @@ pub(super) fn prepare<N: SimNode>(
             telctx: TelContext::new(cfg.metrics == MetricsLevel::Spans),
             wd: Watchdog::new(),
             failure: Mutex::new(None),
-            stop_flag: CachePadded::new(AtomicBool::new(false)),
         },
         shell: Shell {
             partition,
@@ -342,185 +289,11 @@ impl<N: SimNode> PublicLp<N> {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Channel clocks
-// ---------------------------------------------------------------------------
-
-/// Wake-up channel for one thread: lock + condvar. A bump follows the
-/// input change it publishes and takes the lock a sleeper re-checks under,
-/// so wake-ups are never lost.
-pub(super) struct Waker {
-    lock: Mutex<()>,
-    cond: Condvar,
-}
-
-impl Waker {
-    /// Signals the owner that some input changed.
-    pub fn bump(&self) {
-        // A poisoned lock (a bumper panicked mid-bump) must not take the
-        // containment path down with it: the lock guards no data.
-        let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.cond.notify_all();
-    }
-
-    /// Parks the owner once if `blocked` — evaluated under the lock — says
-    /// nothing changed.
-    pub fn sleep_if(&self, blocked: impl FnOnce() -> bool) {
-        let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        if blocked() {
-            let _guard = self.cond.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// The directed channel table of the Chandy–Misra–Bryant kernel (one
-/// thread per LP): two channels per connected LP pair, each with the
-/// source's *promise* ("no event earlier than t will ever arrive on this
-/// channel") and the link lookahead that bounds how far a promise may run
-/// ahead of its source.
-pub(super) struct ChannelClocks {
-    src: Vec<u32>,
-    /// Destination LP of each channel.
-    pub dst: Vec<u32>,
-    /// Per-channel lookahead (the kernel runs no topology globals, so it
-    /// never changes).
-    chan_la: Vec<Time>,
-    /// Cache-padded: each clock is written by exactly one thread (its
-    /// source's) and polled by its receiver's; packed 8-to-a-line they
-    /// would false-share every grant.
-    chan_clock: Vec<CachePadded<AtomicU64>>,
-    /// The promises as they stood when the watchdog fired: the abort drain
-    /// overwrites the live clocks with `u64::MAX`, so the stall diagnosis
-    /// walks this snapshot instead.
-    // PADDING: written only by the watchdog's abort hook — a cold path.
-    stall_clocks: Vec<AtomicU64>,
-    /// Channels arriving at each LP.
-    pub ins: Vec<Vec<usize>>,
-    /// Channels leaving each LP.
-    pub outs: Vec<Vec<usize>>,
-    /// One waker per LP (thread).
-    pub wakers: Vec<Waker>,
-}
-
-impl ChannelClocks {
-    /// Builds the table of `lp_count` LPs for `channels` (one entry per
-    /// connected LP pair).
-    pub fn new(channels: &[(LpId, LpId, Time)], lp_count: usize) -> Self {
-        let mut c = ChannelClocks {
-            src: Vec::new(),
-            dst: Vec::new(),
-            chan_la: Vec::new(),
-            chan_clock: Vec::new(),
-            stall_clocks: Vec::new(),
-            ins: vec![Vec::new(); lp_count],
-            outs: vec![Vec::new(); lp_count],
-            wakers: Vec::new(),
-        };
-        for &(a, b, la) in channels {
-            for (s, d) in [(a.0, b.0), (b.0, a.0)] {
-                c.outs[s as usize].push(c.src.len());
-                c.ins[d as usize].push(c.src.len());
-                c.src.push(s);
-                c.dst.push(d);
-                c.chan_la.push(la);
-                c.chan_clock.push(CachePadded::new(AtomicU64::new(0)));
-                c.stall_clocks.push(AtomicU64::new(u64::MAX));
-            }
-        }
-        c.wakers.resize_with(lp_count, || Waker {
-            lock: Mutex::new(()),
-            cond: Condvar::new(),
-        });
-        c
-    }
-
-    pub fn wake_all(&self) {
-        for w in &self.wakers {
-            w.bump();
-        }
-    }
-
-    #[inline]
-    pub fn lookahead(&self, c: usize) -> Time {
-        self.chan_la[c]
-    }
-
-    /// The safe bound of `lp`: the minimum promise over its in-channels.
-    /// Read *before* draining: every event below an observed promise is
-    /// then already visible in its inbox (a sender pushes, then publishes).
-    #[inline]
-    pub fn safe(&self, lp: usize) -> Time {
-        let mut safe = Time::MAX;
-        for &c in &self.ins[lp] {
-            safe = safe.min(Time(self.chan_clock[c].load(Ordering::Acquire)));
-        }
-        safe
-    }
-
-    /// Publishes `promise` on channel `c` — the null message. Monotone
-    /// under races; returns whether the clock rose.
-    #[inline]
-    pub fn promise(&self, c: usize, promise: Time) -> bool {
-        self.chan_clock[c].fetch_max(promise.0, Ordering::AcqRel) < promise.0
-    }
-
-    /// Releases the out-channels of an LP that will never promise again
-    /// (finished, draining, or dead) so no neighbor's bound stays pinned
-    /// by it, and wakes their receivers.
-    pub fn release_outs(&self, lp: usize) {
-        for &c in &self.outs[lp] {
-            self.chan_clock[c].store(u64::MAX, Ordering::Release);
-        }
-        for &c in &self.outs[lp] {
-            self.wakers[self.dst[c] as usize].bump();
-        }
-    }
-
-    /// Copies the live promises aside for the stall diagnosis. Called by
-    /// the watchdog's abort hook, before the drain releases them.
-    pub fn snapshot(&self) {
-        for (snap, live) in self.stall_clocks.iter().zip(&self.chan_clock) {
-            snap.store(live.load(Ordering::Acquire), Ordering::Release);
-        }
-    }
-
-    /// Walks from the first blocked LP along each LP's *binding* input
-    /// channel (the minimal promise in the abort-time snapshot) back to its
-    /// source until an LP repeats: with zero lookahead on a cycle, every
-    /// LP on it pins its successor's bound. Empty when the walk dead-ends.
-    fn stall_cycle(&self, blocked: &[LpId]) -> Vec<LpId> {
-        let Some(start) = blocked.first() else {
-            return Vec::new();
-        };
-        let mut path: Vec<u32> = Vec::new();
-        let mut cur = start.0;
-        loop {
-            if let Some(pos) = path.iter().position(|&l| l == cur) {
-                let mut cycle: Vec<LpId> = path[pos..].iter().map(|&l| LpId(l)).collect();
-                cycle.push(LpId(cur));
-                return cycle;
-            }
-            path.push(cur);
-            let mut best: Option<(u64, usize)> = None;
-            for &c in &self.ins[cur as usize] {
-                let clk = self.stall_clocks[c].load(Ordering::Acquire);
-                if clk != u64::MAX && best.is_none_or(|(b, _)| clk < b) {
-                    best = Some((clk, c));
-                }
-            }
-            match best {
-                Some((_, c)) => cur = self.src[c],
-                None => return Vec::new(),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 4. Containment
+// 3. Containment
 // ---------------------------------------------------------------------------
 
 /// Where a thread is, kept current so a contained panic can say where it
-/// happened: the round (or iteration), the phase, and the LP and virtual
+/// happened: the round, the phase, and the LP and virtual
 /// time of the event being executed.
 pub(super) struct Site {
     pub round: Cell<u64>,
@@ -529,11 +302,11 @@ pub(super) struct Site {
 }
 
 impl Site {
-    pub fn new(lp: Option<LpId>) -> Self {
+    pub fn new() -> Self {
         Site {
             round: Cell::new(0),
             phase: Cell::new(RunPhase::Process),
-            at: Cell::new((lp, Time::ZERO)),
+            at: Cell::new((None, Time::ZERO)),
         }
     }
 }
@@ -566,19 +339,18 @@ pub(super) fn contained<T>(
 }
 
 /// Spawns worker `worker` with its body contained. A panicking body
-/// records its [`Site`] (which starts at `lp`), runs `on_panic` — the
+/// records its [`Site`], runs `on_panic` — the
 /// kernel's abort hook: release whatever peers could block on — and joins
 /// as `None`.
 pub(super) fn spawn_contained<'scope, T: Send + 'scope>(
     scope: &'scope Scope<'scope, '_>,
     env: &'scope RunEnv<'_>,
     worker: usize,
-    lp: Option<LpId>,
     body: impl FnOnce(&Site) -> T + Send + 'scope,
     on_panic: impl FnOnce() + Send + 'scope,
 ) -> ScopedJoinHandle<'scope, Option<T>> {
     scope.spawn(move || {
-        let site = Site::new(lp);
+        let site = Site::new();
         let out = contained(env, &site, worker, || body(&site));
         if out.is_none() {
             on_panic();
@@ -617,7 +389,7 @@ pub(super) fn join_contained<T>(
 }
 
 // ---------------------------------------------------------------------------
-// 5. Epilogue
+// 4. Epilogue
 // ---------------------------------------------------------------------------
 
 /// One thread's accounts: its P/S/M accumulators (§3.2 of the paper), its
@@ -682,7 +454,6 @@ pub(super) struct Outcome<N: SimNode> {
     /// One record per thread, by telemetry sink id; `None` for a thread
     /// that died.
     pub workers: Vec<Option<Worker>>,
-    pub psm_per_lp: bool,
     pub threads: usize,
     pub rounds: u64,
     pub fused_rounds: u64,
@@ -696,8 +467,6 @@ pub(super) struct Outcome<N: SimNode> {
     pub rounds_profile: Option<Vec<RoundRecord>>,
     /// Round a stall diagnosis reports.
     pub stall_round: u64,
-    /// An LP with an event below this bound is blocked when the run stalls.
-    pub stall_bound: Time,
 }
 
 impl<N: SimNode> Outcome<N> {
@@ -713,7 +482,6 @@ impl<N: SimNode> Outcome<N> {
             lps,
             threads: workers.len(),
             workers,
-            psm_per_lp: false,
             rounds: 0,
             fused_rounds: 0,
             global_events: 0,
@@ -723,7 +491,6 @@ impl<N: SimNode> Outcome<N> {
             sched_log: env.telctx.sched_log(),
             rounds_profile: None,
             stall_round: 0,
-            stall_bound: Time::MAX,
         }
     }
 }
@@ -732,14 +499,12 @@ impl<N: SimNode> Outcome<N> {
 /// rectangular: a dead thread contributes an empty record), then returns
 /// [`SimError::WorkerPanic`] if a panic was contained — even when the
 /// watchdog also fired, since a stall that follows a panic is its fallout —
-/// [`SimError::Stalled`] with the blocked LPs (and, given `clocks`, their
-/// dependency cycle) if the watchdog fired, and the reassembled world
-/// otherwise.
+/// [`SimError::Stalled`] with the blocked LPs — those with a pending event —
+/// if the watchdog fired, and the reassembled world otherwise.
 pub(super) fn finish<N: SimNode>(
     env: RunEnv<'_>,
     shell: Shell,
     out: Outcome<N>,
-    clocks: Option<&ChannelClocks>,
 ) -> Result<(World<N>, RunReport), SimError> {
     let stalled = env.wd.stalled();
     let lp_totals = LpTotals {
@@ -772,7 +537,6 @@ pub(super) fn finish<N: SimNode>(
         lookahead: shell.partition.lookahead,
         end_time,
         psm,
-        psm_per_lp: out.psm_per_lp,
         lp_totals,
         engine: EngineStats {
             pool_hits: out.pool.0,
@@ -788,25 +552,18 @@ pub(super) fn finish<N: SimNode>(
         return Err(SimError::WorkerPanic { diag, partial });
     }
     if stalled {
-        let stuck: Vec<&LpState<N>> = out
+        let blocked = out
             .lps
             .iter()
-            .filter(|lp| lp.fel.next_ts() < out.stall_bound)
+            .filter(|lp| lp.fel.next_ts() != Time::MAX)
+            .map(|lp| lp.id)
             .collect();
-        let blocked: Vec<LpId> = stuck.iter().map(|lp| lp.id).collect();
-        // Channel-clock kernels stall *at* an event nobody may process;
-        // the round kernels report how far the windows got.
-        let next = stuck.iter().map(|lp| lp.fel.next_ts()).min();
-        let virtual_time = match (clocks, next) {
-            (Some(_), Some(ts)) if ts != Time::MAX => ts,
-            _ => end_time,
-        };
+        // How far the windows got.
         let diag = StallDiagnostics {
             kernel: env.kernel,
             round: out.stall_round,
             deadline: env.cfg.watchdog.unwrap_or_default(),
-            virtual_time,
-            cycle: clocks.map_or_else(Vec::new, |c| c.stall_cycle(&blocked)),
+            virtual_time: end_time,
             blocked,
         };
         return Err(SimError::Stalled { diag, partial });
@@ -827,8 +584,8 @@ mod tests {
         fn handle(&mut self, _: (), _: &mut dyn SimCtx<Self>) {}
     }
 
-    /// Three nodes on a zero-delay ring, one LP each, each with an event at
-    /// t=5 and a stop at t=1000 — prepared, not run.
+    /// Three nodes on a zero-delay ring, each with an event at t=5 and a
+    /// stop at t=1000 — prepared, not run.
     fn ring(cfg: &RunConfig) -> Setup<'_, Idle> {
         let mut b = WorldBuilder::new();
         for _ in 0..3 {
@@ -848,57 +605,20 @@ mod tests {
     }
 
     #[test]
-    fn stall_diagnosis_names_the_blocked_lps_and_their_cycle() {
-        let cfg = RunConfig::nullmsg(vec![0, 1, 2]);
-        let Setup {
-            env, shell, lps, ..
-        } = ring(&cfg);
-        let channels = shell.partition.lp_channels(&shell.graph);
-        let clocks = ChannelClocks::new(&channels, 3);
-        let chan = |s: usize, d: u32| {
-            let found = clocks.outs[s].iter().find(|&&c| clocks.dst[c] == d);
-            *found.expect("ring neighbors share a channel")
-        };
-        // With zero lookahead no promise can rise past 0 and nobody may
-        // process t=5. Raise one in-channel of each LP so the binding one
-        // is unambiguous: 0 waits on 2, 2 on 1, 1 on 0.
-        for (s, d) in [(1, 0), (0, 2), (2, 1)] {
-            assert!(clocks.promise(chan(s, d), Time(7)));
-        }
-        assert!((0..3).all(|lp| clocks.safe(lp) == Time::ZERO));
-        stall(&env, || clocks.snapshot());
-        // The drain releases the live clocks; the walk uses the snapshot.
-        (0..3).for_each(|lp| clocks.release_outs(lp));
-
-        let workers = (0..3).map(|id| Some(Worker::new(&env, id))).collect();
-        let out = Outcome {
-            stall_bound: shell.horizon(),
-            ..Outcome::new(&env, Duration::ZERO, lps, workers)
-        };
-        match finish(env, shell, out, Some(&clocks)) {
-            Err(SimError::Stalled { diag, .. }) => {
-                assert_eq!(diag.blocked, [LpId(0), LpId(1), LpId(2)]);
-                assert_eq!(diag.cycle, [LpId(0), LpId(2), LpId(1), LpId(0)]);
-                assert_eq!(diag.virtual_time, Time(5));
-            }
-            other => panic!("expected Stalled, got {:?}", other.map(|(_, r)| r)),
-        }
-    }
-
-    #[test]
     fn panic_outranks_stall_and_a_dead_worker_leaves_an_empty_record() {
         let cfg = RunConfig::unison(3).with_telemetry();
         let Setup {
             env, shell, lps, ..
         } = ring(&cfg);
-        let site = Site::new(Some(LpId(1)));
+        let site = Site::new();
+        site.at.set((Some(LpId(1)), Time::ZERO));
         site.round.set(4);
         assert!(contained(&env, &site, 1, || panic!("boom")).is_none());
         stall(&env, || {});
 
         let workers = vec![Some(Worker::new(&env, 0)), None, Some(Worker::new(&env, 2))];
         let out = Outcome::new(&env, Duration::ZERO, lps, workers);
-        match finish(env, shell, out, None) {
+        match finish(env, shell, out) {
             Err(SimError::WorkerPanic { diag, partial }) => {
                 assert_eq!((diag.worker, diag.round, diag.lp), (1, 4, Some(LpId(1))));
                 assert_eq!(diag.panic_message, "boom");

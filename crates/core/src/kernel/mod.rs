@@ -1,31 +1,30 @@
 //! Simulation kernels.
 //!
-//! Four interchangeable kernels execute a [`World`]:
+//! Two interchangeable kernels execute a [`World`]:
 //!
 //! - [`sequential`]: classic single-threaded DES (the ns-3 default kernel in
-//!   the paper's comparisons);
-//! - [`barrier`]: conservative PDES with a static partition, one thread per
-//!   LP, and global barrier synchronization per window (ns-3's distributed
-//!   simulator);
-//! - [`nullmsg`]: conservative PDES with Chandy–Misra–Bryant null messages
-//!   between neighbor LPs;
+//!   the paper's comparisons), and the bit-exact reference of the other;
 //! - [`unison`]: the paper's kernel — automatic fine-grained partition,
 //!   load-adaptive LP scheduling on a thread pool, lock-free four-phase
 //!   rounds, deterministic tie-breaking, and public-LP global events.
 //!
-//! The model code is identical for all kernels (*user transparency*): pick a
-//! kernel by configuration only.
+//! The paper's PDES baselines (ns-3's barrier and null-message simulators)
+//! are not kernels here: their numbers come from the virtual-core model,
+//! [`PerfModel::barrier`](crate::PerfModel::barrier) and
+//! [`PerfModel::nullmsg`](crate::PerfModel::nullmsg), replayed over a
+//! Unison profile of the baseline partition (DESIGN.md §1).
+//!
+//! The model code is identical for both kernels (*user transparency*): pick
+//! a kernel by configuration only.
 //!
 //! Each kernel file holds its synchronization protocol — how the safe bound
 //! is computed, how LPs map to threads — and its [`SimCtx`]. Everything else
 //! exists once, in the crate-private `harness`: the preamble (checks,
-//! partition, LP build), the public LP and global-event execution, the
-//! channel-clock table, panic containment and the watchdog hookup, and the
-//! epilogue (run report, error precedence, world reassembly).
+//! partition, LP build), the public LP and global-event execution, panic
+//! containment and the watchdog hookup, and the epilogue (run report, error
+//! precedence, world reassembly).
 
-pub mod barrier;
 mod harness;
-pub mod nullmsg;
 pub mod sequential;
 pub mod unison;
 pub(crate) mod watchdog;
@@ -46,10 +45,9 @@ use crate::partition::{
 use crate::time::Time;
 use crate::world::{NodeDirectory, SimCtx, SimNode, World};
 
-/// Largest worker-thread count a run accepts (barrier and null-message:
-/// the LP count, one thread each). A
-/// configured count is outside input, and the round kernels size a W × W
-/// outbox table by it; no machine this runs on has more cores.
+/// Largest worker-thread count a run accepts. A configured count is
+/// outside input, and the Unison kernel sizes a W × W outbox table by it;
+/// no machine this runs on has more cores.
 pub const MAX_WORKERS: usize = 1024;
 
 /// Which kernel executes the run.
@@ -62,10 +60,6 @@ pub enum KernelKind {
         /// Use Unison-compatible tie-break keys.
         compat_keys: bool,
     },
-    /// Barrier-synchronized PDES, one thread pinned per LP.
-    Barrier,
-    /// Null-message (CMB) PDES, one thread pinned per LP.
-    NullMessage,
     /// The Unison kernel with a worker pool of `threads`.
     Unison {
         /// Worker thread count (≥ 1). LPs are scheduled onto these threads
@@ -80,8 +74,6 @@ impl KernelKind {
         match self {
             KernelKind::Sequential { compat_keys: false } => "sequential",
             KernelKind::Sequential { compat_keys: true } => "sequential(compat)",
-            KernelKind::Barrier => "barrier",
-            KernelKind::NullMessage => "nullmsg",
             KernelKind::Unison { .. } => "unison",
         }
     }
@@ -95,7 +87,8 @@ pub enum PartitionMode {
     /// Flood across links with delay strictly below the bound (granularity
     /// sweeps, Fig. 12a).
     Bound(Time),
-    /// Explicit node → LP assignment (the baselines' manual schemes).
+    /// Explicit node → LP assignment (the baselines' manual schemes, run on
+    /// Unison to profile the partition the model replays).
     Manual(Vec<u32>),
     /// Everything in one LP.
     SingleLp,
@@ -118,7 +111,7 @@ pub struct RunConfig {
     /// profile, or the span timeline (DESIGN.md §4.3).
     pub metrics: MetricsLevel,
     /// Round-progress watchdog: the wall-clock time a synchronization round
-    /// may take before a parallel kernel aborts the run as stalled, with
+    /// may take before the Unison kernel aborts the run as stalled, with
     /// [`SimError::Stalled`] and a diagnosis instead of a hang (DESIGN.md
     /// §4.2). `None`, the default, disables it: a deadline turns
     /// wall-clock pauses (a suspended laptop) into run failures. The
@@ -174,16 +167,6 @@ impl RunConfig {
         RunConfig::unison(threads)
     }
 
-    /// A barrier-PDES run over a manual partition.
-    pub fn barrier(assignment: Vec<u32>) -> Self {
-        RunConfig::base(KernelKind::Barrier, PartitionMode::Manual(assignment))
-    }
-
-    /// A null-message-PDES run over a manual partition.
-    pub fn nullmsg(assignment: Vec<u32>) -> Self {
-        RunConfig::base(KernelKind::NullMessage, PartitionMode::Manual(assignment))
-    }
-
     /// Records the per-round profile ([`MetricsLevel::PerRound`], input to
     /// the virtual-core model).
     pub fn with_per_round_metrics(mut self) -> Self {
@@ -223,9 +206,6 @@ impl RunConfig {
 /// Errors surfaced before a run starts.
 #[derive(Debug, PartialEq, Eq)]
 pub enum KernelError {
-    /// The chosen baseline kernel cannot execute global events (topology
-    /// changes etc.); only Unison and the sequential kernel support them.
-    GlobalEventsUnsupported(&'static str),
     /// A partition parameter is inconsistent with the world.
     InvalidPartition(String),
     /// A kernel parameter is out of range.
@@ -235,9 +215,6 @@ pub enum KernelError {
 impl std::fmt::Display for KernelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            KernelError::GlobalEventsUnsupported(k) => {
-                write!(f, "kernel `{k}` does not support global events; use Unison")
-            }
             KernelError::InvalidPartition(m) => write!(f, "invalid partition: {m}"),
             KernelError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
         }
@@ -278,8 +255,6 @@ pub fn try_run<N: SimNode>(
 ) -> Result<(World<N>, RunReport), SimError> {
     match &cfg.kernel {
         KernelKind::Sequential { compat_keys } => sequential::run(world, cfg, *compat_keys),
-        KernelKind::Barrier => barrier::run(world, cfg),
-        KernelKind::NullMessage => nullmsg::run(world, cfg),
         KernelKind::Unison { threads } => unison::run(world, cfg, *threads),
     }
 }

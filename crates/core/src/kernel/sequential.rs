@@ -138,7 +138,7 @@ pub(super) fn run<N: SimNode>(
     // The event loop is contained so a panicking model handler (or global
     // event) ends the run with a partial report built from the slots; the
     // site is updated just before each handler/global runs.
-    let site = Site::new(None);
+    let site = Site::new();
     contained(&env, &site, 0, || loop {
         let next_ev = fel.next_ts();
         let next_pub = public.next_ts();
@@ -219,5 +219,5 @@ pub(super) fn run<N: SimNode>(
         global_events: public.executed,
         ..Outcome::new(&env, wall, lps, vec![Some(main)])
     };
-    finish(env, shell, out, None)
+    finish(env, shell, out)
 }

@@ -338,7 +338,7 @@ pub(super) fn run<N: SimNode>(
                 }
                 lane.done(Time::ZERO)
             };
-            handles.push(spawn_contained(scope, env, w, None, body, abort));
+            handles.push(spawn_contained(scope, env, w, body, abort));
         }
 
         // Main thread control loop. Claim-audit generations are bumped by
@@ -351,7 +351,7 @@ pub(super) fn run<N: SimNode>(
         // every period so the steady-state control loop stays off the
         // allocator (DESIGN.md §4.4).
         let mut estimates: Vec<u64> = Vec::new();
-        let site = Site::new(None);
+        let site = Site::new();
         let mut lane = Lane::new(&env, &barrier, &site, 0);
         loop {
             // SAFETY: the main thread is exclusive until its B0 arrival —
@@ -627,7 +627,7 @@ pub(super) fn run<N: SimNode>(
         stall_round: rounds,
         ..Outcome::new(&env, wall, lps, workers)
     };
-    finish(env, shell, out, None)
+    finish(env, shell, out)
 }
 
 /// Phase 2's LP walk: merges each LP's node-scheduled globals into the

@@ -1,13 +1,13 @@
 //! The round-progress watchdog (DESIGN.md §4.2).
 //!
 //! A kernel that enables the watchdog spawns one monitor thread inside its
-//! worker scope. Kernel threads bump a shared progress counter whenever the
-//! run advances (a round completes, an LP processes events, a null-message
-//! promise rises). The monitor sleeps on a condvar in short slices; when the
+//! worker scope. The control thread bumps a shared progress counter
+//! whenever a round advances the run (moves events or globals, or moves
+//! the window). The monitor sleeps on a condvar in short slices; when the
 //! counter stops changing for the configured wall-clock deadline it marks
-//! the run stalled and invokes the kernel's abort hook (barrier poisoning /
-//! waker bumping), which makes every kernel thread drain out so the run can
-//! return [`crate::error::SimError::Stalled`] instead of hanging.
+//! the run stalled and invokes the kernel's abort hook (barrier poisoning),
+//! which makes every kernel thread drain out so the run can return
+//! [`crate::error::SimError::Stalled`] instead of hanging.
 //!
 //! Wall-clock readings here are `Instant`-based, which is legal in
 //! `kernel/*` (xtask lint rule 4): they measure the simulator, never the

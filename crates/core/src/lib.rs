@@ -12,10 +12,10 @@
 //!   code is identical under every kernel (*user transparency*);
 //! - the fine-grained partitioner (Algorithm 1, [`fine_grained_partition`])
 //!   and manual/static partitions for the baselines;
-//! - four kernels ([`kernel::run`]): sequential DES, barrier PDES,
-//!   null-message PDES, and the Unison kernel;
+//! - two kernels ([`kernel::run`]): sequential DES and the Unison kernel;
 //! - load-adaptive scheduling ([`sched`]), P/S/M metrics ([`metrics`]), and
-//!   the virtual-core performance replay ([`perfmodel`]).
+//!   the virtual-core performance replay ([`perfmodel`]), which is where
+//!   the barrier and null-message PDES baselines come from.
 //!
 //! # Example: user transparency
 //!

@@ -1,85 +1,45 @@
-//! Locked inboxes: the cross-LP transport of the LP-pinned baselines.
+//! Locked per-LP-pair mailboxes, kept for the frozen benchmark only.
 //!
-//! The barrier and null-message kernels pin one thread to each LP and give
-//! every LP one `Inbox`: a `Vec` behind a mutex. A sender appends under
-//! the lock; the destination's thread swaps the whole batch out for a spare
-//! buffer it owns (`Inbox::swap`), so in steady state neither side
-//! allocates. The lock's release/acquire pair is the happens-before edge
-//! from a send to the drain that receives it — and, in the null-message
-//! kernel, the reason an event is visible to any receiver that has seen a
-//! promise its sender raised after sending it (DESIGN.md §4.2). Events from
-//! different senders arrive in the order the senders took the lock, which
-//! is real-time interleaving: the baselines are nondeterministic by design.
-//! The round kernels need no lock — their phases already separate every
-//! writer from every reader, so their transport is the plain per-worker-pair
-//! outbox table owned by [`crate::lp::LpSlots`] (DESIGN.md §4.4).
+//! No kernel uses this module. The Unison kernel needs no lock — its phases
+//! already separate every writer from every reader, so its transport is the
+//! plain per-worker-pair outbox table owned by [`crate::lp::LpSlots`]
+//! (DESIGN.md §4.4). [`Mailboxes`] — [`Mailboxes::new`],
+//! [`Mailboxes::try_push`] and [`Mailboxes::drain_batch`] — is what
+//! `benchmark/src/micro.rs:84–162` times as `mailbox.*`; it goes when the
+//! benchmark is re-cut (ROADMAP item 1).
 //!
-//! [`Mailboxes`] is kept for the frozen benchmark: no kernel uses it. What
-//! is left of it — [`Mailboxes::new`], [`Mailboxes::try_push`] and
-//! [`Mailboxes::drain_batch`] — is what `benchmark/src/micro.rs:84–126`
-//! times as `mailbox.*`, and goes when the benchmark is re-cut (ROADMAP
-//! item 1).
+//! Each directed LP pair has one `Vec` behind a mutex. A sender appends
+//! under the lock and the receiver moves the whole batch out under it; the
+//! lock's release/acquire pair is the happens-before edge from a send to
+//! the drain that receives it.
 
 use std::sync::{Mutex, MutexGuard};
 
 use crate::event::Event;
 
-/// A multi-producer inbox drained whole by one consumer (see module docs).
-pub(crate) struct Inbox<T>(Mutex<Vec<T>>);
+/// One directed LP pair's mailbox.
+type Inbox<P> = Mutex<Vec<Event<P>>>;
 
-impl<T> Default for Inbox<T> {
-    fn default() -> Self {
-        Inbox(Mutex::new(Vec::new()))
-    }
-}
-
-impl<T> Inbox<T> {
-    fn lock(&self) -> MutexGuard<'_, Vec<T>> {
-        // A poisoned lock (a producer panicked mid-push) still guards a
-        // valid `Vec`; containment must not take the drain down with it.
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Appends `value`. Callable from any thread.
-    pub fn push(&self, value: T) {
-        self.lock().push(value);
-    }
-
-    /// Exchanges everything pushed so far, in arrival order, for `spare`,
-    /// which must be empty: its capacity becomes the inbox's next buffer.
-    pub fn swap(&self, spare: &mut Vec<T>) {
-        debug_assert!(spare.is_empty(), "swapping a non-empty spare buffer");
-        std::mem::swap(&mut *self.lock(), spare);
-    }
-
-    /// Moves everything pushed so far, in arrival order, to the end of
-    /// `out`; the inbox keeps its capacity.
-    pub fn append_to(&self, out: &mut Vec<T>) {
-        out.append(&mut self.lock());
-    }
-
-    /// Whether nothing is pending, read under the lock.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-}
-
-/// Per-LP-pair mailboxes, indexed by destination LP (kept for the frozen
-/// benchmark, see module docs).
+/// Per-LP-pair mailboxes, indexed by destination LP (see module docs).
 pub struct Mailboxes<P> {
     /// `inboxes[dst]` = mailboxes feeding LP `dst`, sorted by source LP id.
-    inboxes: Vec<Vec<(u32, Inbox<Event<P>>)>>,
+    inboxes: Vec<Vec<(u32, Inbox<P>)>>,
+}
+
+/// Locks one mailbox. A poisoned lock (a producer panicked mid-push) still
+/// guards a valid `Vec`.
+fn lock<T>(inbox: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
+    inbox.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl<P> Mailboxes<P> {
     /// Builds mailboxes from the undirected LP channel list (both directions
     /// are created for every channel).
     pub fn new(lp_count: usize, channels: &[(u32, u32)]) -> Self {
-        let mut inboxes: Vec<Vec<(u32, Inbox<Event<P>>)>> =
-            (0..lp_count).map(|_| Vec::new()).collect();
+        let mut inboxes: Vec<Vec<(u32, Inbox<P>)>> = (0..lp_count).map(|_| Vec::new()).collect();
         for &(a, b) in channels {
-            inboxes[b as usize].push((a, Inbox::default()));
-            inboxes[a as usize].push((b, Inbox::default()));
+            inboxes[b as usize].push((a, Mutex::default()));
+            inboxes[a as usize].push((b, Mutex::default()));
         }
         for inbox in &mut inboxes {
             inbox.sort_unstable_by_key(|(src, _)| *src);
@@ -95,7 +55,7 @@ impl<P> Mailboxes<P> {
         let inbox = &self.inboxes[dst as usize];
         match inbox.binary_search_by_key(&src, |(s, _)| *s) {
             Ok(i) => {
-                inbox[i].1.push(ev);
+                lock(&inbox[i].1).push(ev);
                 Ok(())
             }
             Err(_) => Err(ev),
@@ -108,7 +68,7 @@ impl<P> Mailboxes<P> {
     pub fn drain_batch(&self, dst: u32, out: &mut Vec<Event<P>>) -> usize {
         let start = out.len();
         for (_, inbox) in &self.inboxes[dst as usize] {
-            inbox.append_to(out);
+            out.append(&mut lock(inbox));
         }
         out.len() - start
     }
@@ -130,27 +90,34 @@ mod tests {
 
     #[test]
     fn concurrent_producers_lose_nothing() {
-        // The consumer drains while the producers push, as an LP thread
-        // does: every value arrives exactly once, each producer's in order.
-        const PRODUCERS: u64 = 4;
+        // The consumer drains while the producers push: every event arrives
+        // exactly once, each producer's in order.
+        const PRODUCERS: u32 = 4;
         const PER: u64 = 1_000;
-        let inbox = Inbox::default();
+        let chans: Vec<(u32, u32)> = (0..PRODUCERS).map(|p| (p, PRODUCERS)).collect();
+        let m: Mailboxes<u32> = Mailboxes::new(PRODUCERS as usize + 1, &chans);
         let mut got = Vec::new();
         std::thread::scope(|s| {
             for p in 0..PRODUCERS {
-                let inbox = &inbox;
-                s.spawn(move || (p * PER..(p + 1) * PER).for_each(|v| inbox.push(v)));
+                let m = &m;
+                s.spawn(move || {
+                    for seq in 0..PER {
+                        m.try_push(p, PRODUCERS, ev(u64::from(p), seq)).unwrap();
+                    }
+                });
             }
-            let mut batch = Vec::new();
-            while got.len() < (PRODUCERS * PER) as usize {
-                inbox.swap(&mut batch);
-                got.append(&mut batch);
+            while got.len() < (u64::from(PRODUCERS) * PER) as usize {
+                m.drain_batch(PRODUCERS, &mut got);
             }
         });
-        assert!(inbox.is_empty());
+        assert_eq!(m.drain_batch(PRODUCERS, &mut got), 0);
         for p in 0..PRODUCERS {
-            let seq: Vec<u64> = got.iter().copied().filter(|v| v / PER == p).collect();
-            assert_eq!(seq, (p * PER..(p + 1) * PER).collect::<Vec<_>>());
+            let seq: Vec<u64> = got
+                .iter()
+                .filter(|e| e.key.ts == Time(u64::from(p)))
+                .map(|e| e.key.seq)
+                .collect();
+            assert_eq!(seq, (0..PER).collect::<Vec<_>>());
         }
     }
 

@@ -22,15 +22,16 @@ pub enum MetricsLevel {
     /// Totals plus [`RunReport::rounds_profile`]: the dense per-round,
     /// per-LP cost/event matrix the virtual-core replay (`perfmodel`)
     /// consumes. It grows with rounds × LPs, unbounded. The Unison kernel
-    /// only: the others have no round to profile and record totals only.
+    /// only: the sequential kernel has no round to profile and records
+    /// totals only.
     PerRound,
     /// Totals plus [`RunReport::telemetry`]: the bounded span timeline,
     /// scheduler-decision log and traffic matrix the profiler reads
-    /// (`unison-run --explain`, Chrome-trace export). Every kernel.
+    /// (`unison-run --explain`, Chrome-trace export). Both kernels.
     Spans,
 }
 
-/// P/S/M accumulators for one thread (or one LP in LP-pinned kernels).
+/// P/S/M accumulators for one thread.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Psm {
     /// Nanoseconds spent processing events (phases 1–2).
@@ -153,13 +154,12 @@ pub struct RunReport {
     pub events: u64,
     /// Global events executed.
     pub global_events: u64,
-    /// Synchronization rounds executed by the round-based kernels (1 for
-    /// the sequential kernel; the null-message kernel reports its busiest
-    /// LP's iteration count).
+    /// Synchronization rounds executed by the Unison kernel (1 for the
+    /// sequential kernel).
     pub rounds: u64,
     /// Rounds that *fused* — ran every phase on the main thread without a
     /// barrier crossing (unison round fusion, DESIGN.md §4.9). Always
-    /// `<= rounds`; 0 for kernels without fusion or with fusion disabled.
+    /// `<= rounds`; 0 for the sequential kernel or with fusion disabled.
     pub fused_rounds: u64,
     /// Number of LPs.
     pub lp_count: u32,
@@ -169,14 +169,8 @@ pub struct RunReport {
     pub lookahead: Time,
     /// Virtual time reached when the run ended.
     pub end_time: Time,
-    /// P/S/M per thread (index = thread id) — or per LP for LP-pinned
-    /// kernels (barrier, null message), matching the paper's methodology.
-    /// [`RunReport::psm_per_lp`] says which indexing applies.
+    /// P/S/M per worker thread (index = thread id).
     pub psm: Vec<Psm>,
-    /// `true` when [`RunReport::psm`] is indexed by LP (the LP-pinned
-    /// barrier and null-message kernels); `false` when it is indexed by
-    /// worker thread (sequential, Unison).
-    pub psm_per_lp: bool,
     /// Per-LP totals.
     pub lp_totals: LpTotals,
     /// Event-engine configuration and cross-LP allocation profile.
@@ -189,7 +183,7 @@ pub struct RunReport {
     /// when it ended: `lp_neighbors[i]` lists the LPs that share a link
     /// with LP `i`, ascending. Filled once per run; it is what
     /// [`PerfModel::nullmsg`](crate::PerfModel::nullmsg) replays the
-    /// profile over, so nobody has to rebuild the kernel's partition.
+    /// profile over, so nobody has to rebuild the run's partition.
     pub lp_neighbors: Vec<Vec<u32>>,
     /// Phase/LP span timelines, the scheduler-decision log and the traffic
     /// matrix, at [`MetricsLevel::Spans`]. `None` otherwise.

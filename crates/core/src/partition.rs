@@ -38,8 +38,10 @@ impl Partition {
     }
 
     /// Sorted, deduplicated list of LP pairs joined by at least one live
-    /// link, with the per-pair minimum delay (the channel lookahead used by
-    /// the null-message kernel and for mailbox pre-allocation).
+    /// link, with the per-pair minimum delay (the channel lookahead). The
+    /// run report's LP adjacency,
+    /// [`RunReport::lp_neighbors`](crate::RunReport::lp_neighbors), is
+    /// built from it.
     pub fn lp_channels(&self, graph: &LinkGraph) -> Vec<(LpId, LpId, Time)> {
         let mut chans: Vec<(u32, u32, Time)> = Vec::new();
         for (_, l) in graph.live_links() {
@@ -200,7 +202,8 @@ pub(crate) fn check_manual_assignment(graph: &LinkGraph, assignment: &[u32]) -> 
 }
 
 /// Builds a partition from an explicit node→LP assignment (the manual,
-/// static schemes used by the barrier and null-message baselines).
+/// static schemes of the barrier and null-message baselines, which the
+/// Unison kernel runs to profile the partition the model replays).
 ///
 /// # Panics
 ///

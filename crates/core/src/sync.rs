@@ -1,33 +1,40 @@
-//! Thread synchronization primitives for the phase-driven kernels.
+//! Thread synchronization primitives for the phase-driven kernel.
 //!
 //! The Unison kernel separates the four phases of a round with barriers
-//! implemented using atomic operations (§5.1). This sense-reversing barrier
-//! spins briefly and then yields, which behaves well both on dedicated cores
-//! (short waits stay in user space) and on oversubscribed machines (yielding
-//! lets the other workers run).
+//! implemented using atomic operations (§5.1). [`TreeBarrier`] is the only
+//! barrier a kernel crosses; the flat [`SpinBarrier`] is kept for the
+//! frozen benchmark (`benchmark/src/micro.rs:84–162`) and goes with ROADMAP
+//! item 1. Both spin briefly and then yield, which behaves well both on
+//! dedicated cores (short waits stay in user space) and on oversubscribed
+//! machines (yielding lets the other workers run).
 //!
 //! All atomics go through [`crate::sync_shim`], so under
-//! `RUSTFLAGS="--cfg loom"` the barrier runs on the in-repo loom model
+//! `RUSTFLAGS="--cfg loom"` the barriers run on the in-repo loom model
 //! checker's instrumented types; `crates/core/tests/loom_models.rs`
 //! exhaustively verifies generation reuse, leader uniqueness and the
-//! happens-before edge the barrier promises.
+//! happens-before edge the barriers promise.
 
 use crate::sync_shim::{
     spin_loop, yield_now, AtomicBool, AtomicU64, AtomicUsize, CachePadded, Ordering,
 };
 
-/// How many failed spins of [`SpinBarrier::wait`] stay in user space
+/// How many failed spins of a barrier `wait` stay in user space
 /// (`spin_loop` hints) before each subsequent retry yields the CPU with
 /// `std::thread::yield_now`.
 ///
 /// The default favours dedicated cores: phase hand-offs in the Unison
 /// kernel are typically shorter than a scheduler quantum, so a short
 /// user-space spin wins. On heavily oversubscribed machines construct the
-/// barrier with [`SpinBarrier::with_spin_limit`] and a lower value (0 =
+/// barrier with [`TreeBarrier::with_spin_limit`] and a lower value (0 =
 /// always yield).
 pub const SPIN_YIELD_THRESHOLD: u32 = 64;
 
 /// A reusable sense-reversing barrier over atomics.
+///
+/// No kernel uses it: the Unison kernel crosses [`TreeBarrier`]. It is kept
+/// only because `benchmark/src/micro.rs:84–162` times it (and uses it as a
+/// start gate), and goes with ROADMAP item 1, together with loom claims 1,
+/// 2 and 5.
 ///
 /// # Memory ordering
 ///
@@ -55,8 +62,8 @@ pub const SPIN_YIELD_THRESHOLD: u32 = 64;
 /// [`SpinBarrier::poison`] marks the barrier permanently broken. Every
 /// participant currently spinning in `wait` — and every later caller —
 /// returns immediately (with `false`) instead of waiting for stragglers.
-/// This is the drain path used by the kernels' panic containment and the
-/// round-progress watchdog: when one worker dies, the survivors must fall
+/// This is the drain path a kernel's panic containment and round-progress
+/// watchdog use (on [`TreeBarrier`], same contract): when one worker dies, the survivors must fall
 /// out of the round loop instead of spinning on a generation that can never
 /// complete. A poisoned barrier never recovers; callers are expected to
 /// check [`SpinBarrier::is_poisoned`] after each `wait` and stop

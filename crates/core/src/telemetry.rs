@@ -51,28 +51,23 @@ pub const NO_LP: u32 = u32::MAX;
 /// laps and charge nothing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SpanKind {
-    /// Executing window events: unison's phase 1 as seen by one worker, an
-    /// LP-pinned thread's processing step, or the sequential kernel's run
-    /// between two instants of global events. `arg` = events executed.
+    /// Executing window events: unison's phase 1 as seen by one worker, or
+    /// the sequential kernel's run between two instants of global events.
+    /// `arg` = events executed.
     Process,
     /// Global events: unison's phase 2 (control thread only), or one
     /// instant of them in the sequential kernel. `arg` = global events
     /// executed.
     Global,
     /// Moving received events into FELs: unison's phase 3 as seen by one
-    /// worker, or an LP-pinned thread's inbox drain. `arg` = events
-    /// delivered.
+    /// worker. `arg` = events delivered.
     Receive,
-    /// Computing the next safe bound. Unison: phase 4 (window reduction +
-    /// scheduling), control thread only, `arg` = this round's window end,
-    /// `arg2` = the next window end. Barrier: the LBTS scan, `arg` = the
-    /// last window end, `arg2` = the next. Null message: the promise
-    /// refresh (the null messages), `arg` = the bound it processed below,
-    /// `arg2` = the bound its promises start from. Virtual-time
-    /// nanoseconds.
+    /// Computing the next safe bound: unison's phase 4 (window reduction +
+    /// scheduling), control thread only. `arg` = this round's window end,
+    /// `arg2` = the next window end, in virtual-time nanoseconds.
     WindowUpdate,
-    /// Time blocked in a phase barrier (or the null-message kernel's
-    /// neighbor wait). `arg` = barrier index within the round.
+    /// Time blocked in a phase barrier. `arg` = barrier index within the
+    /// round.
     BarrierWait,
     /// Unison: one worker's drain of its outbox column, nested in its
     /// `Receive` lap (no LP; absent when nothing arrived). `arg` = events

@@ -1,6 +1,6 @@
 //! Crash-safety integration tests (DESIGN.md §4.2).
 //!
-//! Injects panics and stalls into every kernel and asserts that `try_run`
+//! Injects panics and stalls into both kernels and asserts that `try_run`
 //! returns a structured [`SimError`] — with accurate diagnostics and a
 //! partial report — instead of hanging or tearing down the process. These
 //! tests are the PR's acceptance gate: a regression here typically means a
@@ -127,38 +127,6 @@ fn unison_contains_injected_panic() {
 }
 
 #[test]
-fn barrier_contains_injected_panic() {
-    let world = bomb_ring(4, DELAY, 3, Some(PANIC_AT), None, STOP);
-    let cfg = RunConfig::barrier((0..4).collect());
-    let err = expect_worker_panic(kernel::try_run(world, &cfg));
-    let SimError::WorkerPanic { diag, partial } = &err else {
-        unreachable!()
-    };
-    assert_eq!(diag.kernel, "barrier");
-    assert_eq!(diag.phase, RunPhase::Process);
-    // One LP per node under the identity assignment: the faulty node is LP 3.
-    assert_eq!(diag.lp, Some(unison_core::LpId(3)));
-    assert_eq!(diag.worker, 3);
-    assert!(diag.virtual_time >= PANIC_AT);
-    assert!(partial.events > 0);
-}
-
-#[test]
-fn nullmsg_contains_injected_panic() {
-    let world = bomb_ring(4, DELAY, 2, Some(PANIC_AT), None, STOP);
-    let cfg = RunConfig::nullmsg((0..4).collect());
-    let err = expect_worker_panic(kernel::try_run(world, &cfg));
-    let SimError::WorkerPanic { diag, partial } = &err else {
-        unreachable!()
-    };
-    assert_eq!(diag.kernel, "nullmsg");
-    assert_eq!(diag.phase, RunPhase::Process);
-    assert_eq!(diag.lp, Some(unison_core::LpId(2)));
-    assert!(diag.virtual_time >= PANIC_AT);
-    assert!(partial.events > 0);
-}
-
-#[test]
 fn sequential_contains_injected_panic() {
     let world = bomb_ring(4, DELAY, 1, Some(PANIC_AT), None, STOP);
     let err = expect_worker_panic(kernel::try_run(world, &RunConfig::sequential()));
@@ -217,75 +185,12 @@ fn watchdog_does_not_fire_on_healthy_runs() {
 }
 
 #[test]
-fn nullmsg_zero_lookahead_deadlock_detected() {
-    // Three LPs joined by zero-delay links: every channel promise is pinned
-    // at 0, nobody can process, and without a watchdog the CMB kernel would
-    // sleep forever. The watchdog must diagnose the blocked cycle.
-    let mut b = WorldBuilder::new();
-    for i in 0..3u32 {
-        b.add_node(Bomb {
-            next: NodeId((i + 1) % 3),
-            delay: Time::ZERO,
-            panic_at: None,
-            slow: None,
-            seen: 0,
-        });
-    }
-    for i in 0..3u32 {
-        b.add_link(NodeId(i), NodeId((i + 1) % 3), Time::ZERO);
-    }
-    for i in 0..3u32 {
-        b.schedule(Time(5), NodeId(i), u64::from(i));
-    }
-    b.stop_at(Time(1_000));
-    let world = b.build();
-    let cfg = RunConfig::nullmsg(vec![0, 1, 2]).with_watchdog(Duration::from_millis(50));
-    match kernel::try_run(world, &cfg) {
-        Err(SimError::Stalled { diag, partial }) => {
-            assert_eq!(diag.kernel, "nullmsg");
-            assert_eq!(diag.blocked.len(), 3, "all three LPs are blocked: {diag}");
-            assert!(
-                diag.cycle.len() >= 3,
-                "expected a dependency cycle, got {diag}"
-            );
-            assert_eq!(
-                diag.cycle.first(),
-                diag.cycle.last(),
-                "cycle must close on itself: {diag}"
-            );
-            // Nothing was ever safe to process.
-            assert_eq!(partial.events, 0);
-            assert_eq!(diag.virtual_time, Time(5));
-        }
-        Err(e) => panic!("expected Stalled, got {e}"),
-        Ok(_) => panic!("zero-lookahead cycle must deadlock, but the run succeeded"),
-    }
-}
-
-#[test]
-fn barrier_zero_lookahead_livelock_detected() {
-    // The barrier kernel spins through empty rounds when the window cannot
-    // advance (window_end == min next_ts with zero lookahead). The tick
-    // policy only counts rounds that execute events or move the window, so
-    // the watchdog fires.
-    expect_zero_lookahead_stall(RunConfig::barrier(vec![0, 1]), "barrier");
-}
-
-#[test]
 fn unison_zero_lookahead_livelock_detected() {
-    // Same livelock under the round kernel: its rounds tick the watchdog by
-    // the barrier kernel's rule, so empty rounds do not feed it.
-    let cfg = RunConfig {
-        partition: PartitionMode::Manual(vec![0, 1]),
-        ..RunConfig::unison(2)
-    };
-    expect_zero_lookahead_stall(cfg, "unison");
-}
-
-/// Two nodes on a zero-delay link cut between two LPs, one event at t=5:
-/// every window is empty, so the run must end `Stalled` under a 50 ms
-/// watchdog.
-fn expect_zero_lookahead_stall(cfg: RunConfig, kernel_name: &str) {
+    // Two nodes on a zero-delay link cut between two LPs, one event at t=5:
+    // the window cannot advance past the event (window end == min next_ts
+    // with zero lookahead), so every round is empty. Rounds tick the
+    // watchdog only when they execute events or move the window, so the
+    // run must end `Stalled` under a 50 ms watchdog.
     let mut b = WorldBuilder::new();
     for i in 0..2u32 {
         b.add_node(Bomb {
@@ -299,12 +204,15 @@ fn expect_zero_lookahead_stall(cfg: RunConfig, kernel_name: &str) {
     b.add_link(NodeId(0), NodeId(1), Time::ZERO);
     b.schedule(Time(5), NodeId(0), 7u64);
     b.stop_at(Time(1_000));
-    let world = b.build();
-    let cfg = cfg.with_watchdog(Duration::from_millis(50));
-    match kernel::try_run(world, &cfg) {
+    let cfg = RunConfig {
+        partition: PartitionMode::Manual(vec![0, 1]),
+        ..RunConfig::unison(2)
+    }
+    .with_watchdog(Duration::from_millis(50));
+    match kernel::try_run(b.build(), &cfg) {
         Err(SimError::Stalled { diag, .. }) => {
-            assert_eq!(diag.kernel, kernel_name);
-            assert!(!diag.blocked.is_empty());
+            assert_eq!(diag.kernel, "unison");
+            assert_eq!(diag.blocked, [unison_core::LpId(0)]);
         }
         Err(e) => panic!("expected Stalled, got {e}"),
         Ok(_) => panic!("zero-lookahead livelock must be detected"),

@@ -37,20 +37,15 @@ fn one_node_world(events: u64) -> unison_core::World<Counter> {
     b.build()
 }
 
-/// A configuration for each of the four kernels, `threads` wherever the
-/// kernel takes a worker count.
-fn every_kernel(threads: usize, assignment: Vec<u32>) -> [RunConfig; 4] {
-    [
-        RunConfig::sequential(),
-        RunConfig::barrier(assignment.clone()),
-        RunConfig::nullmsg(assignment),
-        RunConfig::unison(threads),
-    ]
+/// A configuration for each of the two kernels, `threads` where the kernel
+/// takes a worker count.
+fn every_kernel(threads: usize) -> [RunConfig; 2] {
+    [RunConfig::sequential(), RunConfig::unison(threads)]
 }
 
 #[test]
 fn empty_world_is_rejected() {
-    for cfg in every_kernel(1, Vec::new()) {
+    for cfg in every_kernel(1) {
         let mut b: WorldBuilder<Counter> = WorldBuilder::new();
         b.stop_at(Time(1_000));
         let err = match kernel::run(b.build(), &cfg) {
@@ -64,7 +59,7 @@ fn empty_world_is_rejected() {
 
 #[test]
 fn zero_threads_is_rejected() {
-    for cfg in every_kernel(0, vec![0]) {
+    for cfg in every_kernel(0) {
         let mut b = WorldBuilder::new();
         b.add_node(Counter {
             hits: 0,
@@ -73,12 +68,8 @@ fn zero_threads_is_rejected() {
         });
         b.stop_at(Time(1_000));
         let name = cfg.kernel.name();
-        // The LP-pinned kernels and the sequential one take no worker
-        // count: nothing to reject.
-        let counted = !matches!(
-            cfg.kernel,
-            KernelKind::Sequential { .. } | KernelKind::Barrier | KernelKind::NullMessage
-        );
+        // The sequential kernel takes no worker count: nothing to reject.
+        let counted = !matches!(cfg.kernel, KernelKind::Sequential { .. });
         match kernel::run(b.build(), &cfg) {
             Err(e) => assert!(
                 counted && matches!(e, KernelError::InvalidConfig(_)),
@@ -105,22 +96,6 @@ fn run_without_stop_time_drains_all_events() {
         assert_eq!(report.events, 57, "kernel {}", report.kernel);
         assert_eq!(world.node(NodeId(0)).hits, 57);
     }
-}
-
-#[test]
-fn single_lp_barrier_kernel_degenerates_gracefully() {
-    let world = one_node_world(25);
-    let cfg = RunConfig {
-        watchdog: Default::default(),
-        kernel: KernelKind::Barrier,
-        partition: PartitionMode::SingleLp,
-        fusion: true,
-        metrics: MetricsLevel::Summary,
-        fel: Default::default(),
-    };
-    let (_, report) = kernel::run(world, &cfg).unwrap();
-    assert_eq!(report.events, 25);
-    assert_eq!(report.lp_count, 1);
 }
 
 #[test]
@@ -158,8 +133,6 @@ fn kernel_names_are_stable() {
         KernelKind::Sequential { compat_keys: true }.name(),
         "sequential(compat)"
     );
-    assert_eq!(KernelKind::Barrier.name(), "barrier");
-    assert_eq!(KernelKind::NullMessage.name(), "nullmsg");
     assert_eq!(KernelKind::Unison { threads: 4 }.name(), "unison");
 }
 

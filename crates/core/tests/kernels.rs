@@ -2,10 +2,10 @@
 //!
 //! K tokens wander a graph; each token carries its own RNG, so the *set* of
 //! events (timestamps, nodes) is independent of execution order — event
-//! totals must match across every kernel. Per-node checksums are
-//! order-sensitive, so they must match *bitwise* between deterministic
+//! totals must match across every kernel and partition. Per-node checksums
+//! are order-sensitive, so they must match *bitwise* between deterministic
 //! executions (Unison at any thread count, compat-keys sequential) and are
-//! allowed to differ for the insertion-order baselines.
+//! allowed to differ under insertion-order tie-breaking.
 
 use unison_core::{
     kernel, KernelKind, MetricsLevel, NodeId, PartitionMode, Rng, RunConfig, SimCtx, SimNode, Time,
@@ -160,48 +160,15 @@ fn unison_repeated_runs_identical() {
 #[test]
 fn all_kernels_agree_on_event_totals() {
     // Token events are order-independent as a set, so totals must match
-    // even for the nondeterministic baselines.
-    let manual: Vec<u32> = (0..N as u32).map(|i| i / 3).collect(); // 4 LPs
+    // even under insertion-order tie-breaks.
     let (_, seq) =
         kernel::run(ring_world(N, DELAY, TOKENS, STOP), &RunConfig::sequential()).unwrap();
     let (_, uni) = kernel::run(ring_world(N, DELAY, TOKENS, STOP), &RunConfig::unison(2)).unwrap();
-    let (_, bar) = kernel::run(
-        ring_world(N, DELAY, TOKENS, STOP),
-        &RunConfig::barrier(manual.clone()),
-    )
-    .unwrap();
-    let (_, nm) = kernel::run(
-        ring_world(N, DELAY, TOKENS, STOP),
-        &RunConfig::nullmsg(manual),
-    )
-    .unwrap();
     assert_eq!(seq.events, uni.events);
-    assert_eq!(seq.events, bar.events);
-    assert_eq!(seq.events, nm.events);
     assert!(
         seq.events > TOKENS * 100,
         "workload too small to be meaningful"
     );
-}
-
-#[test]
-fn baseline_kernels_never_lose_an_event() {
-    // A null-message promise that overtakes the event it covers loses that
-    // event, but only in the runs whose threads interleave just so: twenty
-    // runs of each baseline on the 4-LP ring must all reach the sequential
-    // total.
-    let manual: Vec<u32> = (0..N as u32).map(|i| i / 3).collect();
-    let (_, seq) =
-        kernel::run(ring_world(N, DELAY, TOKENS, STOP), &RunConfig::sequential()).unwrap();
-    for cfg in [
-        RunConfig::barrier(manual.clone()),
-        RunConfig::nullmsg(manual),
-    ] {
-        for run in 0..20 {
-            let (_, r) = kernel::run(ring_world(N, DELAY, TOKENS, STOP), &cfg).unwrap();
-            assert_eq!(r.events, seq.events, "{} run {run}", r.kernel);
-        }
-    }
 }
 
 #[test]
@@ -250,43 +217,6 @@ fn per_round_metrics_align_with_totals() {
     // Fine-grained partition of a uniform ring: one LP per node.
     assert_eq!(report.lp_count as usize, N);
     assert_eq!(report.lookahead, DELAY);
-}
-
-#[test]
-fn baseline_kernels_reject_global_events() {
-    let mut b = WorldBuilder::<Router>::new();
-    b.add_node(Router {
-        neighbors: vec![(NodeId(0), Time(1))],
-        checksum: 0,
-        seen: 0,
-    });
-    b.schedule_global(Time(5), Box::new(|wa| wa.stop()));
-    b.stop_at(Time(10));
-    let world = b.build();
-    let err = match kernel::run(world, &RunConfig::barrier(vec![0])) {
-        Err(e) => e,
-        Ok(_) => panic!("barrier kernel accepted global events"),
-    };
-    assert!(matches!(
-        err,
-        unison_core::KernelError::GlobalEventsUnsupported("barrier")
-    ));
-}
-
-#[test]
-fn nullmsg_requires_stop_time() {
-    let mut b = WorldBuilder::<Router>::new();
-    b.add_node(Router {
-        neighbors: vec![(NodeId(0), Time(1))],
-        checksum: 0,
-        seen: 0,
-    });
-    let world = b.build();
-    let err = match kernel::run(world, &RunConfig::nullmsg(vec![0])) {
-        Err(e) => e,
-        Ok(_) => panic!("nullmsg kernel accepted a world without stop time"),
-    };
-    assert!(matches!(err, unison_core::KernelError::InvalidConfig(_)));
 }
 
 #[test]
@@ -425,37 +355,14 @@ fn partition_bound_sweeps_granularity() {
 
 #[test]
 fn psm_indexing_matches_kernel_family() {
-    // The paper's methodology: LP-pinned kernels (barrier, null message)
-    // report P/S/M per LP; the scheduled kernels (sequential, Unison)
-    // report it per worker thread. `psm_per_lp` must say which,
-    // and the vector length must match the claimed indexing.
-    let manual: Vec<u32> = (0..N as u32).map(|i| i / 3).collect(); // 4 LPs
-
+    // Both kernels report P/S/M per worker thread: one for the sequential
+    // kernel, `threads` for Unison.
     let (_, seq) =
         kernel::run(ring_world(N, DELAY, TOKENS, STOP), &RunConfig::sequential()).unwrap();
-    assert!(!seq.psm_per_lp);
     assert_eq!(seq.psm.len(), 1);
 
     let (_, uni) = kernel::run(ring_world(N, DELAY, TOKENS, STOP), &RunConfig::unison(2)).unwrap();
-    assert!(!uni.psm_per_lp);
     assert_eq!(uni.psm.len(), uni.threads as usize);
-
-    let (_, bar) = kernel::run(
-        ring_world(N, DELAY, TOKENS, STOP),
-        &RunConfig::barrier(manual.clone()),
-    )
-    .unwrap();
-    assert!(bar.psm_per_lp);
-    assert_eq!(bar.psm.len(), bar.lp_count as usize);
-    assert_eq!(bar.lp_count, 4);
-
-    let (_, nm) = kernel::run(
-        ring_world(N, DELAY, TOKENS, STOP),
-        &RunConfig::nullmsg(manual),
-    )
-    .unwrap();
-    assert!(nm.psm_per_lp);
-    assert_eq!(nm.psm.len(), nm.lp_count as usize);
 }
 
 #[test]

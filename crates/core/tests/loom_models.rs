@@ -27,33 +27,28 @@
 //!    Release-poison / Acquire-observe pair publishes the poisoner's
 //!    diagnostics writes (the crash-containment drain path, DESIGN.md §4.2).
 //!
+//! No kernel crosses the sense-reversing [`SpinBarrier`] any more (the
+//! Unison kernel crosses the [`TreeBarrier`]); it is kept for the frozen
+//! benchmark's `sync.spin_barrier_*` micro-benchmark, and claims 1, 2 and 5
+//! stay only as long as it does (ROADMAP item 1).
+//!
 //! (Claims 4 and 6 covered the lock-free mailbox queue and its node pool and
-//! went with them: the LP-pinned baselines' inboxes are a `Mutex<Vec>` —
-//! DESIGN.md §4.4, §7.)
+//! went with them — DESIGN.md §4.4, §7.)
 //!
-//! Claims 7–10 back the protocol entries of `crates/core/ATOMICS.toml`
+//! Claim 8 backs the watchdog entries of `crates/core/ATOMICS.toml`
 //! (checked by `cargo xtask atomics`; each entry's `loom` key names the
-//! model covering it). They model the protocol *shapes* with raw shim
-//! atomics — same technique as claim 3 — because the concrete carriers
-//! (`Watchdog`, the kernels' stop flags and channel clocks) are crate-
-//! private runtime plumbing:
+//! model covering it). It models the protocol *shape* with raw shim
+//! atomics — same technique as claim 3 — because the concrete carrier
+//! (`Watchdog`) is crate-private runtime plumbing:
 //!
-//! 7. a Release store of a stop/abort flag publishes the stopper's
-//!    diagnostics writes to every worker that Acquire-observes the flag
-//!    (`RunEnv::halt` → kernel poll sites, `watchdog.stalled`);
 //! 8. the watchdog's `Relaxed` progress word is a pure liveness heuristic —
 //!    monotone under concurrent ticks, never used to guard data — while the
-//!    `stalled` Release/Acquire pair carries the stall diagnosis;
-//! 9. a channel clock advanced with `fetch_max(AcqRel)` publishes the
-//!    events appended before the advance to a receiver that Acquire-reads
-//!    a clock value at or past its promise, and concurrent advances keep
-//!    the clock monotone (`nullmsg.chan_clock`);
-//! 10. per-producer clock words stored with Release and min-reduced with
-//!     Acquire loads publish each producer's state as of the published
-//!     timestamp (`barrier.next_ts` LBTS reduction, `nullmsg.stall_clocks`).
+//!    `stalled` Release/Acquire pair carries the stall diagnosis.
 //!
-//! (Claim 11 covered the asynchronous conservative kernel's grants and went
-//! with it — DESIGN.md §7; the numbering of the later claims is kept.)
+//! (Claims 7, 9, 10 and 11 covered the stop flag and channel clocks of the
+//! LP-pinned baseline kernels and the asynchronous conservative kernel's
+//! grants, and went with those kernels — DESIGN.md §7; the numbering of the
+//! later claims is kept.)
 //!
 //! 12. the hierarchical tree barrier ([`TreeBarrier`]) releases a crossing
 //!     only after every participant arrived, elects exactly one root winner
@@ -219,7 +214,7 @@ fn work_cursor_claim_exclusivity() {
     });
 }
 
-/// Claim 13: the outbox hand-off. The round kernels' outboxes are plain
+/// Claim 13: the outbox hand-off. The Unison kernel's outboxes are plain
 /// `Vec`s, one per (sending worker, receiving home): in a process phase
 /// worker `w` pushes into row `w`, in a receive phase worker `h` drains
 /// column `h`, and the only synchronization between the two is the
@@ -468,44 +463,6 @@ fn tree_barrier_release_publication() {
     });
 }
 
-/// Claim 7: stop-flag abort handoff. The containment path writes its
-/// failure diagnostics first and then raises the flag with a Release store
-/// (`RunEnv::halt` in `kernel/harness.rs`: contained panic, `watchdog`
-/// abort, `nullmsg` stall report); a worker that Acquire-observes the flag
-/// must therefore see the complete diagnostics. Covers the harness's
-/// `stop_flag` entry in ATOMICS.toml.
-#[test]
-fn stop_flag_publishes_abort() {
-    loom::model(|| {
-        let stop = Arc::new(AtomicBool::new(false));
-        let diagnostics = Arc::new(UnsafeCell::new(0u32));
-
-        let stopper = {
-            let stop = Arc::clone(&stop);
-            let diagnostics = Arc::clone(&diagnostics);
-            thread::spawn(move || {
-                diagnostics.with_mut(|p| {
-                    // SAFETY: written before the Release store below; the
-                    // worker reads only after Acquire-observing the flag.
-                    unsafe { *p = 0xDEAD }
-                });
-                stop.store(true, Ordering::Release);
-            })
-        };
-
-        while !stop.load(Ordering::Acquire) {
-            thread::yield_now();
-        }
-        let seen = diagnostics.with(|p| {
-            // SAFETY: ordered after the stopper's write by the
-            // Release-store / Acquire-load edge on `stop`.
-            unsafe { *p }
-        });
-        assert_eq!(seen, 0xDEAD, "abort observer must see full diagnostics");
-        stopper.join().unwrap();
-    });
-}
-
 /// Claim 8: watchdog stall protocol. The kernel thread ticks the `Relaxed`
 /// progress word; the monitor samples it only for equality comparison
 /// (never dereferencing anything guarded by it) and, on declaring a stall,
@@ -547,110 +504,6 @@ fn watchdog_stall_publication() {
         });
         assert_eq!(seen, 7, "stall observer must see the diagnosis");
         monitor.join().unwrap();
-    });
-}
-
-/// Claim 9: channel-clock publication (`nullmsg.chan_clock`). A sender
-/// appends an event (plain write) and then advances the channel clock with
-/// `fetch_max(AcqRel)`; a receiver that Acquire-reads a clock value at or
-/// past the sender's promise is guaranteed to see the event. A concurrent
-/// lower `fetch_max` from another sender must neither regress the clock
-/// nor disturb the edge.
-#[test]
-fn channel_clock_fetch_max_publication() {
-    loom::model(|| {
-        let clock = Arc::new(AtomicU64::new(0));
-        let event = Arc::new(UnsafeCell::new(0u64));
-
-        let sender = {
-            let clock = Arc::clone(&clock);
-            let event = Arc::clone(&event);
-            thread::spawn(move || {
-                event.with_mut(|p| {
-                    // SAFETY: written before the AcqRel fetch_max publishes
-                    // promise 5; the receiver reads only at clock >= 5.
-                    unsafe { *p = 42 }
-                });
-                clock.fetch_max(5, Ordering::AcqRel);
-            })
-        };
-        let laggard = {
-            let clock = Arc::clone(&clock);
-            thread::spawn(move || {
-                // A slower channel's smaller promise: must not regress.
-                clock.fetch_max(3, Ordering::AcqRel);
-            })
-        };
-
-        while clock.load(Ordering::Acquire) < 5 {
-            thread::yield_now();
-        }
-        let seen = event.with(|p| {
-            // SAFETY: ordered after the sender's write by the
-            // fetch_max(AcqRel) / load(Acquire) edge at value >= 5.
-            unsafe { *p }
-        });
-        assert_eq!(seen, 42, "clock promise must publish the event");
-        sender.join().unwrap();
-        laggard.join().unwrap();
-        assert_eq!(
-            clock.load(Ordering::Acquire),
-            5,
-            "concurrent fetch_max must keep the clock at the maximum"
-        );
-    });
-}
-
-/// Claim 10: per-producer clock words min-reduced by a reader (the LBTS
-/// reduction over `barrier.next_ts`, and `stall_clocks` snapshots). Each
-/// producer publishes its state with a Release store of its timestamp; the
-/// reader Acquire-loads every word, takes the min, and must then see each
-/// producer's writes as of its published time.
-#[test]
-fn clock_word_release_acquire_publication() {
-    loom::model(|| {
-        let clocks = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
-        let states = Arc::new([UnsafeCell::new(0u64), UnsafeCell::new(0u64)]);
-
-        let mut producers = Vec::new();
-        for (i, ts) in [(0usize, 10u64), (1usize, 20u64)] {
-            let clocks = Arc::clone(&clocks);
-            let states = Arc::clone(&states);
-            producers.push(thread::spawn(move || {
-                states[i].with_mut(|p| {
-                    // SAFETY: written before this producer's Release store;
-                    // the reader touches it only after Acquire-loading a
-                    // nonzero timestamp for slot `i`.
-                    unsafe { *p = ts }
-                });
-                clocks[i].store(ts, Ordering::Release);
-            }));
-        }
-
-        // Reader: wait for both clock words, then min-reduce (the LBTS).
-        let mut ts = [0u64; 2];
-        for (i, c) in clocks.iter().enumerate() {
-            loop {
-                ts[i] = c.load(Ordering::Acquire);
-                if ts[i] != 0 {
-                    break;
-                }
-                thread::yield_now();
-            }
-        }
-        let lbts = ts[0].min(ts[1]);
-        assert_eq!(lbts, 10, "min-reduction over published timestamps");
-        for (i, s) in states.iter().enumerate() {
-            let seen = s.with(|p| {
-                // SAFETY: ordered after producer `i`'s write by the
-                // Release-store / Acquire-load edge on its clock word.
-                unsafe { *p }
-            });
-            assert_eq!(seen, ts[i], "state as of the published timestamp");
-        }
-        for t in producers {
-            t.join().unwrap();
-        }
     });
 }
 

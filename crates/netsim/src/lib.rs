@@ -17,8 +17,10 @@
 //!   crashes, loss bursts ([`reconfig`]).
 //!
 //! The model is kernel-agnostic: a built [`NetSim`] runs unmodified on the
-//! sequential kernel, the barrier/null-message PDES baselines, or Unison —
-//! which is the paper's user-transparency claim, demonstrated in Rust.
+//! sequential kernel or on Unison, under any partition — which is the
+//! paper's user-transparency claim, demonstrated in Rust. The barrier and
+//! null-message PDES baselines are replays of a Unison profile of their
+//! partition ([`NetSim::profile`], [`SimResult::perf_model`]).
 //!
 //! # Example
 //!

@@ -671,21 +671,12 @@ impl ScenarioSpec {
         // and its baseline, on the round kernel.
         let sequential = matches!(self.run.kernel, KernelKind::Sequential { .. });
         if !sequential || self.model.is_some() {
-            // Defaulted from the kernel: blame the kernel.
-            let key = if at.run.entry("partition").is_some() {
-                "partition"
-            } else {
-                "kernel"
-            };
-            let pinned = matches!(
-                self.run.kernel,
-                KernelKind::Barrier | KernelKind::NullMessage
-            )
-            .then(|| self.run.kernel.name());
-            check_partition(&topo, &self.run.partition, pinned, at.run, key)?;
+            // Only a manual partition can fail, and no kernel defaults to
+            // one: it was set at `partition`.
+            check_partition(&topo, &self.run.partition, at.run, "partition")?;
             if let (Some(model), Some(table)) = (&self.model, at.model) {
                 if let Some(baseline) = &model.baseline {
-                    check_partition(&topo, baseline, None, table, "baseline_partition")?;
+                    check_partition(&topo, baseline, table, "baseline_partition")?;
                 }
             }
         }
@@ -695,19 +686,16 @@ impl ScenarioSpec {
 
 /// Rejects a partition no synchronizing kernel can run: one that cuts a
 /// zero-delay link (the lookahead would be 0, so no window could advance;
-/// `auto` and `bound` never cut one) and, for a `pinned` kernel (one thread
-/// per LP), one with more than [`MAX_WORKERS`] LPs (its preamble makes the
-/// same check, but only after the network has been built). A malformed
-/// assignment passes: the kernel reports it.
+/// `auto` and `bound` never cut one). A malformed assignment passes: the
+/// kernel reports it.
 fn check_partition(
     topo: &Topology,
     spec: &PartitionSpec,
-    pinned: Option<&str>,
     table: &Table,
     key: &str,
 ) -> Result<(), ScenarioError> {
     let mode = spec.mode(topo);
-    if pinned.is_none() && !matches!(mode, PartitionMode::Manual(_)) {
+    if !matches!(mode, PartitionMode::Manual(_)) {
         return Ok(());
     }
     let mut graph = LinkGraph::new(topo.node_count());
@@ -730,17 +718,7 @@ fn check_partition(
         );
         return Err(err_at(table, key, msg));
     }
-    match pinned {
-        Some(kernel) if p.lp_count as usize > MAX_WORKERS => {
-            let msg = format!(
-                "partition `{spec}` makes {} LPs and kernel `{kernel}` runs one thread \
-                 per LP; at most {MAX_WORKERS} are supported",
-                p.lp_count
-            );
-            Err(err_at(table, key, msg))
-        }
-        _ => Ok(()),
-    }
+    Ok(())
 }
 
 /// Rejects a topology too large to route: either routing kind builds N²
@@ -1442,8 +1420,6 @@ fn parse_run(table: &Table) -> Result<RunSpec, ScenarioError> {
             KernelKind::Sequential { compat_keys: true },
             PartitionSpec::SingleLp,
         ),
-        "barrier" => (KernelKind::Barrier, PartitionSpec::ByCluster),
-        "nullmsg" => (KernelKind::NullMessage, PartitionSpec::ByCluster),
         // Benchmark compatibility: `benchmark/src/workloads.rs:112` (frozen;
         // a PR may not edit `benchmark/`) still writes `kernel =
         // "async_cons"` into its `async_cons_2t` inputs. That kernel was
@@ -1465,8 +1441,7 @@ fn parse_run(table: &Table) -> Result<RunSpec, ScenarioError> {
                 table,
                 "kernel",
                 format!(
-                    "unknown kernel `{other}` (expected sequential | sequential_compat | \
-                     barrier | nullmsg | unison)"
+                    "unknown kernel `{other}` (expected sequential | sequential_compat | unison)"
                 ),
             ));
         }

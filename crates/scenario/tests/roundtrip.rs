@@ -45,8 +45,6 @@ fn every_kernel_variant_maps() {
             "kernel = \"sequential_compat\"",
             KernelKind::Sequential { compat_keys: true },
         ),
-        ("kernel = \"barrier\"", KernelKind::Barrier),
-        ("kernel = \"nullmsg\"", KernelKind::NullMessage),
         (
             "kernel = \"unison\"\nthreads = 3",
             KernelKind::Unison { threads: 3 },
@@ -73,14 +71,6 @@ fn kernel_default_partitions() {
 
     let uni = with_run("kernel = \"unison\"\nthreads = 2");
     assert_eq!(uni.run_config(&topo).partition, PartitionMode::Auto);
-
-    // barrier/nullmsg default to one LP per topology cluster.
-    let bar = with_run("kernel = \"barrier\"");
-    let mode = bar.run_config(&topo).partition;
-    let PartitionMode::Manual(assign) = mode else {
-        panic!("expected manual partition, got {mode:?}");
-    };
-    assert_eq!(assign, unison_topology::manual::by_cluster(&topo));
 }
 
 #[test]
@@ -287,7 +277,11 @@ threads = 2
     // Unknown enum value, with the options listed.
     let e = parse_scenario(&ok.replace("\"unison\"", "\"warp\"")).unwrap_err();
     assert!(e.msg.contains("unknown kernel `warp`"), "{e}");
-    assert!(e.msg.contains("nullmsg | unison)"), "{e}");
+    assert!(
+        e.msg
+            .contains("(expected sequential | sequential_compat | unison)"),
+        "{e}"
+    );
     // Missing required key.
     let e = parse_scenario(&ok.replace("threads = 2", "")).unwrap_err();
     assert!(e.msg.contains("missing required key `threads`"), "{e}");
@@ -295,7 +289,8 @@ threads = 2
     let e = parse_scenario(&ok.replace("threads = 2", "threads = \"two\"")).unwrap_err();
     assert!(e.msg.contains("must be a"), "{e}");
     // `threads` on a kernel that has none.
-    let e = parse_scenario(&ok.replace("kernel = \"unison\"", "kernel = \"barrier\"")).unwrap_err();
+    let e =
+        parse_scenario(&ok.replace("kernel = \"unison\"", "kernel = \"sequential\"")).unwrap_err();
     assert!(e.msg.contains("not valid for kernel"), "{e}");
     // Semantic validation: flow endpoints must be hosts.
     let e = parse_scenario(&format!(
@@ -304,7 +299,10 @@ threads = 2
     .unwrap_err();
     assert!(e.msg.contains("is not a host"), "{e}");
     // Duplicate section.
-    let e = parse_scenario(&format!("{ok}[run]\nstop_us = 1\nkernel = \"barrier\"\n")).unwrap_err();
+    let e = parse_scenario(&format!(
+        "{ok}[run]\nstop_us = 1\nkernel = \"sequential\"\n"
+    ))
+    .unwrap_err();
     assert!(e.msg.contains("duplicate"), "{e}");
 }
 
@@ -313,9 +311,10 @@ threads = 2
 /// scenario choice: the heap is the ladder's test reference),
 /// `per_round_metrics` (what a run records is the caller's choice —
 /// `unison-run --explain` — not the file's), the in-process hybrid kernel
-/// with its `hosts` key, and `[[fault]]` (faults come from the model, not
-/// the kernel) are rejected like any other unknown key, value or section,
-/// at their own span.
+/// with its `hosts` key, the LP-pinned `barrier` and `nullmsg` kernels
+/// (their numbers come from the model: `[model] baseline_partition`), and
+/// `[[fault]]` (faults come from the model, not the kernel) are rejected
+/// like any other unknown key, value or section, at their own span.
 #[test]
 fn retired_run_keys_are_rejected_with_their_span() {
     let head = "[topology]\nkind = \"fat_tree\"\nk = 4\n[traffic]\nload = 0.1\n\
@@ -340,11 +339,17 @@ fn retired_run_keys_are_rejected_with_their_span() {
         assert!(e.msg.contains(want), "{line}: {e}");
         assert_eq!((e.line, e.col), (10, 3), "{line}: {e}");
     }
-    let hybrid = head.replace("kernel = \"unison\"", "  kernel = \"hybrid\"");
-    let e = parse_scenario(&hybrid).unwrap_err();
-    assert!(e.msg.contains("unknown kernel `hybrid`"), "{e}");
-    assert!(e.msg.contains("nullmsg | unison)"), "{e}");
-    assert_eq!((e.line, e.col), (8, 3), "{e}");
+    for kernel in ["hybrid", "barrier", "nullmsg"] {
+        let retired = head.replace("kernel = \"unison\"", &format!("  kernel = \"{kernel}\""));
+        let e = parse_scenario(&retired).unwrap_err();
+        assert!(e.msg.contains(&format!("unknown kernel `{kernel}`")), "{e}");
+        assert!(
+            e.msg
+                .contains("(expected sequential | sequential_compat | unison)"),
+            "{e}"
+        );
+        assert_eq!((e.line, e.col), (8, 3), "{kernel}: {e}");
+    }
 }
 
 #[test]

@@ -33,11 +33,10 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
 
     // Where each thread's wall time went: the kernel's own accumulators,
     // charged lap by lap from the clock readings the spans are cut from.
-    let who = if report.psm_per_lp { "lp" } else { "worker" };
     writeln!(out)?;
     writeln!(
         out,
-        "-- P/S/M per {who} (processing / synchronization / messaging) --"
+        "-- P/S/M per worker (processing / synchronization / messaging) --"
     )?;
     let row = |psm: &Psm| {
         format!(
@@ -49,15 +48,9 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
         )
     };
     for (i, psm) in report.psm.iter().enumerate() {
-        writeln!(out, "{who} {i:>3}: {}", row(psm))?;
+        writeln!(out, "worker {i:>3}: {}", row(psm))?;
     }
-    writeln!(
-        out,
-        "{:>w$}: {}",
-        "total",
-        row(&report.psm_total()),
-        w = who.len() + 4
-    )?;
+    writeln!(out, "     total: {}", row(&report.psm_total()))?;
 
     let Some(timeline) = Timeline::from_report(report) else {
         writeln!(out)?;
@@ -90,7 +83,7 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
     if loads.is_empty() {
         writeln!(
             out,
-            "(no lp-task spans: only the round kernels time each LP each round)"
+            "(no lp-task spans: only the Unison kernel times each LP each round)"
         )?;
     } else {
         let n = report.lp_count;
@@ -149,7 +142,7 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
     if traffic.is_empty() {
         writeln!(
             out,
-            "(no cross-LP traffic recorded: single LP, or kernel without sender attribution)"
+            "(no cross-LP traffic recorded: single LP, or the sequential kernel)"
         )?;
     } else {
         let total: u64 = traffic.iter().map(|&(_, _, n)| n).sum();
@@ -164,7 +157,7 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
 
     // The receive phase cannot steal: each worker drains its own column,
     // the events bound for the LPs of its home.
-    if report.threads > 1 && !report.psm_per_lp && !traffic.is_empty() {
+    if report.threads > 1 && !traffic.is_empty() {
         writeln!(out)?;
         writeln!(
             out,
@@ -212,7 +205,7 @@ mod tests {
 
     #[test]
     fn reports_without_spans_render_psm_from_the_report() {
-        let mut rep = RunReport {
+        let rep = RunReport {
             kernel: "unison".into(),
             rounds: 42,
             psm: vec![Psm {
@@ -231,9 +224,6 @@ mod tests {
         assert!(text.contains("no spans recorded"));
         assert!(!text.contains("load imbalance"));
         assert!(!text.contains("receive columns"));
-        // The LP-pinned kernels' rows are LPs.
-        rep.psm_per_lp = true;
-        assert!(report_string(&rep).contains(&format!("lp   0: {row}")));
     }
 
     #[test]

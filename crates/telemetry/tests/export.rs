@@ -8,7 +8,7 @@ use unison_core::telemetry::SpanKind;
 use unison_core::{DataRate, RunConfig, RunReport, Time};
 use unison_netsim::{NetworkBuilder, TransportKind};
 use unison_telemetry::{chrome_trace_json, json, report_string, validate_chrome_trace};
-use unison_topology::{fat_tree, manual, Topology};
+use unison_topology::{fat_tree, Topology};
 use unison_traffic::TrafficConfig;
 
 fn topo() -> Topology {
@@ -135,30 +135,23 @@ fn fused_round_spans_match_the_report_counter() {
         .all(|s| s.kind.name() != "fused-round"));
 }
 
-/// One lap, one report, in every kernel: the sync share the report prints
+/// One lap, one report, in both kernels: the sync share the report prints
 /// for a thread is its `Psm`'s, and the thread's laps — every span but the
 /// nested `lp-task`, `mailbox-flush` and `fused-round` — tile its timeline
 /// (each starts where the one before it ended) and sum to its P/S/M total
 /// to the nanosecond.
 #[test]
 fn printed_sync_share_is_the_psm_share_and_every_kernels_laps_tile_and_sum_to_it() {
-    let pods = manual::by_cluster(&topo());
-    for cfg in [
-        RunConfig::sequential(),
-        RunConfig::unison(2),
-        RunConfig::barrier(pods.clone()),
-        RunConfig::nullmsg(pods),
-    ] {
+    for cfg in [RunConfig::sequential(), RunConfig::unison(2)] {
         let kernel = cfg.kernel.clone();
         let report = run_recorded(cfg);
         let text = report_string(&report);
-        let who = if report.psm_per_lp { "lp" } else { "worker" };
         assert!(!report.psm.is_empty());
         for (i, psm) in report.psm.iter().enumerate() {
             let row = text
                 .lines()
-                .find(|l| l.starts_with(&format!("{who} {i:>3}: P ")))
-                .unwrap_or_else(|| panic!("{kernel:?}: no P/S/M row for {who} {i}:\n{text}"));
+                .find(|l| l.starts_with(&format!("worker {i:>3}: P ")))
+                .unwrap_or_else(|| panic!("{kernel:?}: no P/S/M row for worker {i}:\n{text}"));
             let share = psm.s_ns as f64 / psm.total_ns() as f64 * 100.0;
             assert!(
                 row.ends_with(&format!("sync {share:>6.2}%")),

@@ -39,7 +39,7 @@ fn run(src_fixture: &str, manifest_fixture: &str, models: &[&str]) -> Vec<Findin
 }
 
 /// The acceptance gate: the real workspace inventory checks clean against
-/// the real manifest, and the inventory is non-trivially large (every
+/// the real manifest, and the inventory is non-trivially large (the Unison
 /// kernel plus the cursor/barrier/watchdog substrate is atomic-bearing).
 #[test]
 fn workspace_atomics_is_clean() {
@@ -66,12 +66,12 @@ fn workspace_atomics_is_clean() {
     );
     // Sanity: the inventory actually covered the concurrent core.
     assert!(
-        summary.fields_declared >= 22,
+        summary.fields_declared >= 19,
         "only {} fields declared — inventory broken?",
         summary.fields_declared
     );
     assert!(
-        summary.sites_checked >= 59,
+        summary.sites_checked >= 50,
         "only {} call sites checked — inventory broken?",
         summary.sites_checked
     );

@@ -5,10 +5,10 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! - [`core`]: simulation kernels (sequential DES, barrier PDES, null-message
-//!   PDES and the Unison kernel), the
+//! - [`core`]: simulation kernels (sequential DES and the Unison kernel), the
 //!   fine-grained partitioner, the load-adaptive scheduler, P/S/M metrics and
-//!   the virtual-core performance model.
+//!   the virtual-core performance model (where the barrier and null-message
+//!   PDES baselines come from).
 //! - [`netsim`]: the packet-level network model stack (links, queues, routing,
 //!   TCP NewReno / DCTCP, applications, flow monitoring).
 //! - [`topology`]: topology builders (fat-tree, BCube, torus, spine-leaf,

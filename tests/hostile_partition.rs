@@ -7,16 +7,14 @@
 //! `NetworkBuilder::from_scenario` → `kernel::try_run`.
 //!
 //! The same holds for the other sizes a file controls — a worker count
-//! (which sizes the W × W outbox table), the LP count of a kernel that pins
-//! a thread to each LP, and a topology builder's parameters: a typed error
-//! before anything is allocated, not an aborted process. And a partition no
-//! synchronizing kernel can advance (one that cuts a zero-delay link) is a
-//! spanned error, not a hang.
+//! (which sizes the W × W outbox table) and a topology builder's
+//! parameters: a typed error before anything is allocated, not an aborted
+//! process. And a partition no synchronizing kernel can advance (one that
+//! cuts a zero-delay link) is a spanned error, not a hang.
 
-use unison::core::{kernel, DataRate, KernelError, KernelKind, RunConfig, SimError, Time};
+use unison::core::{kernel, KernelError, RunConfig, SimError};
 use unison::netsim::NetworkBuilder;
 use unison::scenario::{parse_scenario, ScenarioError};
-use unison::topology::torus2d;
 
 const QUICKSTART: &str = include_str!("../scenarios/quickstart.toml");
 
@@ -169,24 +167,15 @@ fn kernel_rejects_hostile_worker_counts_without_the_scenario_layer() {
     }
 }
 
-/// A partition no synchronizing kernel can run is refused at the `kernel`
-/// key when the partition is that kernel's default, at `partition`
-/// otherwise. Each case is `(replacements, key blamed, message)`.
+/// A partition no synchronizing kernel can run is refused at the key that
+/// names it: `[run] partition`, or `[model] baseline_partition`, which the
+/// model profiles on Unison. Each case is `(replacements, key blamed,
+/// message)`.
 #[test]
 fn partitions_no_kernel_can_run_are_a_spanned_error() {
     let zero_delay = ("\nk = 4\n", "\nk = 4\ndelay_us = 0\n");
     let unison = "kernel = \"unison\"\nthreads = 2";
     let cases = [
-        (
-            [zero_delay, (unison, "kernel = \"barrier\"")],
-            "kernel",
-            "partition `by_cluster` cuts the zero-delay link",
-        ),
-        (
-            [zero_delay, (unison, "kernel = \"nullmsg\"")],
-            "kernel",
-            "partition `by_cluster` cuts the zero-delay link",
-        ),
         (
             [
                 zero_delay,
@@ -200,14 +189,15 @@ fn partitions_no_kernel_can_run_are_a_spanned_error() {
         ),
         (
             [
+                zero_delay,
                 (
-                    "kind = \"fat_tree\"\nk = 4",
-                    "kind = \"torus2d\"\nrows = 33\ncols = 32",
+                    unison,
+                    "kernel = \"unison\"\nthreads = 2\n\n[model]\ncores = 4\n\
+                     baseline_partition = \"by_cluster\"",
                 ),
-                (unison, "kernel = \"barrier\"\npartition = \"auto\""),
             ],
-            "partition",
-            "partition `auto` makes 1056 LPs and kernel `barrier` runs one thread per LP",
+            "baseline_partition",
+            "partition `by_cluster` cuts the zero-delay link between nodes 4 and 1",
         ),
     ];
     for (replacements, key, want) in cases {
@@ -228,33 +218,4 @@ fn partitions_no_kernel_can_run_are_a_spanned_error() {
     // The same zero-delay topology is fine where nothing is cut.
     let auto = QUICKSTART.replacen(zero_delay.0, zero_delay.1, 1);
     parse_scenario(&auto).expect("`auto` never cuts a zero-delay link");
-}
-
-/// The direct API: the LP-pinned kernels refuse more LPs than
-/// `kernel::MAX_WORKERS` once the partition is built.
-#[test]
-fn kernel_rejects_more_pinned_lps_than_workers() {
-    // 33 x 32 nodes, one LP each under `auto`.
-    let topo = torus2d(33, 32, DataRate::gbps(10), Time::from_micros(1));
-    for kind in [KernelKind::Barrier, KernelKind::NullMessage] {
-        let cfg = RunConfig {
-            kernel: kind,
-            ..RunConfig::unison(1)
-        };
-        let world = NetworkBuilder::new(&topo)
-            .stop_at(Time::from_micros(10))
-            .build()
-            .world;
-        match kernel::try_run(world, &cfg) {
-            Err(SimError::Config(KernelError::InvalidConfig(m))) => {
-                assert!(
-                    m.contains("1056 LPs; at most 1024"),
-                    "{:?}: {m}",
-                    cfg.kernel
-                )
-            }
-            Err(e) => panic!("{:?}: expected InvalidConfig, got {e}", cfg.kernel),
-            Ok(_) => panic!("{:?}: ran to completion", cfg.kernel),
-        }
-    }
 }

@@ -3,7 +3,7 @@
 
 use unison::core::{KernelKind, RunConfig, Time};
 use unison::netsim::{NetSim, NetworkBuilder, TransportKind};
-use unison::topology::{fat_tree, manual, Topology};
+use unison::topology::{fat_tree, Topology};
 use unison::traffic::{SizeDist, TrafficConfig};
 
 fn build(topo: &Topology) -> NetSim {
@@ -21,12 +21,9 @@ fn build(topo: &Topology) -> NetSim {
 #[test]
 fn every_kernel_runs_the_same_model() {
     let topo = fat_tree(4);
-    let pods = manual::by_cluster(&topo);
     let configs: Vec<(&str, RunConfig)> = vec![
         ("sequential", RunConfig::sequential()),
         ("unison", RunConfig::unison(2)),
-        ("barrier", RunConfig::barrier(pods.clone())),
-        ("nullmsg", RunConfig::nullmsg(pods)),
     ];
     let mut events = Vec::new();
     for (name, cfg) in configs {
