@@ -151,10 +151,12 @@ struct Slot<P> {
 /// A ladder's chunk storage: the pool of empty chunk buffers and the slots
 /// that chain full chunks behind their bucket's open one. A bucket takes
 /// a buffer from the pool when it starts a chunk and gives every buffer
-/// back when it is emptied; the pool allocates only when it is empty and
-/// never shrinks, so it holds at most the ladder's peak chunk count:
-/// ⌈chunked events / `LADDER_CHUNK`⌉ plus one partial chunk per non-empty
-/// bucket.
+/// back when it is emptied; the pool allocates only when it is empty, so
+/// while the list stays large it holds at most the ladder's peak chunk
+/// count: ⌈chunked events / `LADDER_CHUNK`⌉ plus one partial chunk per
+/// non-empty bucket. When the list becomes small again every buffer is
+/// back in the pool, and the pool frees them all
+/// ([`Ladder::promote_overflow`]).
 struct Chunks<P> {
     /// Empty chunk buffers, each of capacity `LADDER_CHUNK`.
     pool: Vec<Vec<Event<P>>>,
@@ -258,7 +260,9 @@ impl<P> Chunks<P> {
 
 /// What only a large list needs, allocated with a ladder's first rung and
 /// kept from then on, so that a list that stays small carries one pointer
-/// for the rung machinery instead of its state.
+/// for the rung machinery instead of its state. A list that becomes small
+/// again keeps the box, its slot table and its spare bucket arrays (a few
+/// KiB), but not its chunk buffers.
 struct Large<P> {
     /// The chunks of the rung buckets and of `overflow`, and their pool.
     chunks: Chunks<P>,
@@ -368,7 +372,9 @@ impl<P> Rung<P> {
 ///   chunk chain (`large.overflow`), so a large list's overflow never
 ///   regrows either.
 ///
-/// The rungs exist only while the list is large. The split rule
+/// The rungs exist only while the list is large, and so does their chunk
+/// memory: the refill that finds the list small again frees the chunk
+/// pool ([`Ladder::promote_overflow`]). The split rule
 /// (`LADDER_THRES`) decides it, on every tier: an overflow no larger than
 /// the threshold is sorted straight into the bottom (no rung, no chunk —
 /// the per-LP lists of a fine-grained partition live here and the structure
@@ -780,6 +786,13 @@ impl<P> Ladder<P> {
     /// bottom and raise the horizon to one past its latest event. No rung
     /// is built; what is pushed below the new horizon is staged, what is
     /// pushed at or above it starts the next overflow.
+    ///
+    /// Every rung is spent and the overflow's chunks are in the bottom, so
+    /// each chunk buffer the ladder made is back in the pool: the pool
+    /// frees them, and the next spill or re-prime allocates its chunks
+    /// again. A pool kept through the small regime holds each ladder's
+    /// burst high-water for the rest of the run, while the allocator shares
+    /// freed buffers among all ladders (DESIGN.md §4.4, §7).
     fn promote_overflow(&mut self) {
         debug_assert!(self.rungs.is_empty() && self.bottom.is_empty());
         let mut chunked = self.take_overflow_chunks();
@@ -797,6 +810,14 @@ impl<P> Ladder<P> {
         self.overflow_min = Time::MAX;
         // Overflow events lie below `Time::MAX` (invariant 3).
         self.top_start = Time(self.bottom[0].key.ts.0 + 1);
+        if let Some(large) = self.large.as_deref_mut() {
+            debug_assert_eq!(
+                large.chunks.free.len(),
+                large.chunks.slots.len(),
+                "a parked chunk"
+            );
+            large.chunks.pool.clear();
+        }
     }
 
     /// The large-list refill: recalibrates the bucket width from the
@@ -1633,6 +1654,52 @@ mod tests {
         assert!(peak > 100, "the rungs held only {peak} chunks' worth");
         drain_equal(&mut heap, &mut lad);
         ladder(&lad).check_chunks();
+    }
+
+    /// A ladder that is small again holds no chunk: grown past
+    /// `LADDER_NEAR_MAX` it builds rungs, and once it has drained to
+    /// `LADDER_THRES` events — all beyond the rungs' horizon — the refill
+    /// that finds every rung spent frees every chunk buffer. The next burst
+    /// builds them again. Three cycles, with the chunk structure checked
+    /// and the pops matched with the heap after every step.
+    #[test]
+    fn a_ladder_small_again_frees_its_chunks() {
+        let mut rng = crate::rng::Rng::new(40);
+        let [mut heap, mut lad] = both();
+        let mut seq = 0u64;
+        let mut push_both = |heap: &mut Fel<u64>, lad: &mut Fel<u64>, ts: u64| {
+            seq += 1;
+            heap.push(ev(ts, (seq % 3) as u32, seq));
+            lad.push(ev(ts, (seq % 3) as u32, seq));
+        };
+        let pop_both = |heap: &mut Fel<u64>, lad: &mut Fel<u64>| {
+            assert_eq!(lad.pop().map(|e| e.key), heap.pop().map(|e| e.key));
+            ladder(lad).check_chunks();
+        };
+        for cycle in 0..3u64 {
+            let base = cycle * 10_000_000;
+            for _ in 0..4 * LADDER_NEAR_MAX {
+                push_both(&mut heap, &mut lad, base + rng.next_below(1_000_000));
+            }
+            pop_both(&mut heap, &mut lad);
+            assert!(!ladder(&lad).rungs.is_empty(), "cycle {cycle}: no rung");
+            // Beyond the rung's horizon: the far tier, chunked while the
+            // rung exists.
+            for i in 0..LADDER_THRES as u64 {
+                push_both(&mut heap, &mut lad, base + 5_000_000 + i * 1_000);
+            }
+            while heap.len() > LADDER_THRES {
+                pop_both(&mut heap, &mut lad);
+            }
+            assert!(chunks_made(&lad) > 0, "cycle {cycle}: pool freed early");
+            pop_both(&mut heap, &mut lad);
+            assert!(ladder(&lad).rungs.is_empty());
+            assert_eq!(chunks_made(&lad), 0, "cycle {cycle}: chunks kept");
+            while !heap.is_empty() {
+                pop_both(&mut heap, &mut lad);
+            }
+        }
+        assert!(lad.pop().is_none());
     }
 
     /// Events at `Time::MAX` (the never-firing sentinel shape) follow every

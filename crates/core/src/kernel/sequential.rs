@@ -180,6 +180,7 @@ pub(super) fn run<N: SimNode>(
 
         // INVARIANT: `next_ev < Time::MAX` implies the FEL is non-empty.
         let ev = fel.pop().expect("FEL non-empty");
+        debug_assert!(ev.key.ts >= now, "popped {:?} at {now:?}", ev.key);
         now = ev.key.ts;
         if ev.node.0 != last_node {
             node_switches += 1;

@@ -766,7 +766,18 @@ fn process_phase<N: SimNode>(
         }
         let t0 = plan.timed.then(Instant::now);
         let mut round_events: u64 = 0;
+        // Per-LP virtual time is monotone: nothing an LP pops in this
+        // visit precedes the window or the event popped before it.
+        let mut prev = None;
         while let Some(ev) = lp.fel.pop_below(plan.window_end) {
+            debug_assert!(
+                ev.key.ts >= plan.window_start && prev.is_none_or(|k| ev.key > k),
+                "LP {} popped {:?} after {prev:?} in the window from {:?}",
+                lp.id.0,
+                ev.key,
+                plan.window_start
+            );
+            prev = Some(ev.key);
             if ev.node.0 != lp.last_node {
                 lp.node_switches += 1;
                 lp.last_node = ev.node.0;

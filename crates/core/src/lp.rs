@@ -391,6 +391,14 @@ impl<N: SimNode> LpSlots<N> {
     #[inline]
     pub unsafe fn receive(&self, home: usize, mut f: impl FnMut(LpId, &Event<N::Payload>)) -> u64 {
         let mut total = 0;
+        // Neither the phase generation nor the calling thread changes
+        // within one call, so neither does the caller's claim tag: read it
+        // once, not once per delivery.
+        #[cfg(feature = "claim-audit")]
+        let tag = {
+            let (generation, me) = self.current_claim();
+            (generation << 8) | me
+        };
         for row in 0..self.workers {
             // SAFETY: outside a process phase only `home`'s drainer reaches
             // this cell (caller contract), so this is the only live
@@ -412,11 +420,19 @@ impl<N: SimNode> LpSlots<N> {
                     );
                 }
                 f(dst, &ev);
+                // `get_mut`'s audit: its first step, the load-compare
+                // against the caller's own tag, with the tag read once per
+                // call; a slot this thread has not stamped in this phase
+                // takes the whole audit (swap, double-claim panic).
+                #[cfg(feature = "claim-audit")]
+                if self.owners[dst.index()].load(std::sync::atomic::Ordering::Relaxed) != tag {
+                    self.audit_claim(dst.index());
+                }
                 // SAFETY: forwarded to the caller — it has exclusive access
                 // to the LPs of `home`, and `dst` is one (checked above
-                // under the audit; `send` chose the column by the same
-                // table).
-                let lp = unsafe { self.get_mut(dst.index()) };
+                // under the audit, which also stamps the claim; `send`
+                // chose the column by the same table).
+                let lp = unsafe { &mut *self.slots[dst.index()].get() };
                 lp.round_recv += 1;
                 lp.push(ev);
             }

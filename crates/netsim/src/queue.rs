@@ -72,6 +72,13 @@ impl QueueConfig {
     }
 }
 
+/// The packet capacity a drained queue keeps: a queue that empties with a
+/// larger buffer shrinks it to this. A burst's buffer would otherwise stay
+/// at its high-water for the rest of the run, and with one queue per
+/// device the run's peak memory would be the sum of every queue's burst,
+/// not the packets queued at once (DESIGN.md §4.11, §7).
+const DRAINED_CAPACITY: usize = 64;
+
 /// An egress FIFO with a configurable drop/mark policy.
 #[derive(Debug)]
 pub struct Queue {
@@ -197,8 +204,16 @@ impl Queue {
         Enqueue::Accepted
     }
 
-    /// Dequeues the head packet.
+    /// Dequeues the head packet. Draining the queue shrinks its buffer to
+    /// `DRAINED_CAPACITY`: capacity is not simulation state, so no
+    /// decision, statistic or snapshot byte depends on it.
     pub fn dequeue(&mut self) -> Option<Packet> {
+        // Shrunk while the last packet is still queued, so the popped one
+        // goes straight to the caller instead of waiting out the
+        // reallocation on the stack.
+        if self.packets.len() == 1 && self.packets.capacity() > DRAINED_CAPACITY {
+            self.packets.shrink_to(DRAINED_CAPACITY);
+        }
         let p = self.packets.pop_front()?;
         self.bytes -= p.bytes;
         debug_assert!(
@@ -442,6 +457,47 @@ mod tests {
             let _ = q.enqueue(pkt(1500, false), Time(0));
         }
         assert!(q.bytes() <= 10_000);
+    }
+
+    /// A drained queue gives its burst buffer back, and nothing it decides
+    /// depends on that: bursts of 1 000 packets through a DCTCP queue
+    /// (ECN-capable packets marked, the others dropped above K, every one
+    /// dropped at the byte limit) drain to `DRAINED_CAPACITY` slots, and
+    /// the dequeued packets and the drop, mark and accepted counts equal
+    /// those of a queue whose buffer is held at its high-water.
+    #[test]
+    fn a_drained_queue_shrinks_and_decides_as_one_that_never_shrinks() {
+        let config = QueueConfig::dctcp(600_000, 30_000);
+        let mut q = Queue::new(config, 3);
+        let mut kept = Queue::new(config, 3);
+        let counts = |q: &Queue| (q.drops, q.marks, q.accepted);
+        let shown = |p: Option<Packet>| format!("{p:?}");
+        for burst in 0..3u64 {
+            for i in 0..1_000u64 {
+                let now = Time(burst * 1_000_000 + i);
+                let p = pkt(1500, i % 3 != 0);
+                assert_eq!(q.enqueue(p.clone(), now), kept.enqueue(p, now));
+                if i % 4 == 0 {
+                    assert_eq!(shown(q.dequeue()), shown(kept.dequeue()));
+                }
+            }
+            assert!(
+                q.len() > DRAINED_CAPACITY,
+                "burst {burst}: {} queued",
+                q.len()
+            );
+            let high_water = kept.packets.capacity();
+            while let Some(p) = kept.dequeue() {
+                kept.packets.reserve(high_water);
+                assert_eq!(shown(q.dequeue()), shown(Some(p)));
+            }
+            assert!(q.is_empty());
+            assert!(q.packets.capacity() <= DRAINED_CAPACITY, "burst {burst}");
+            assert!(kept.packets.capacity() >= high_water);
+            assert_eq!(counts(&q), counts(&kept), "burst {burst}");
+        }
+        let (drops, marks, accepted) = counts(&q);
+        assert!(drops > 0 && marks > 0 && accepted > 0, "{:?}", counts(&q));
     }
 
     #[test]
