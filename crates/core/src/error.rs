@@ -134,18 +134,6 @@ pub enum SimError {
         /// Totals accumulated up to the abort.
         partial: Box<RunReport>,
     },
-    /// Reading or decoding a checkpoint failed.
-    Checkpoint(crate::checkpoint::SnapshotError),
-    /// A checkpoint file existed but its bytes failed validation (bad
-    /// magic, truncation, out-of-range references). Distinguished from
-    /// [`SimError::Checkpoint`] so callers — and
-    /// [`fault::run_resilient`](crate::fault::run_resilient), which skips
-    /// corrupt files and falls back to an older checkpoint — can tell
-    /// "disk said no" from "bytes are lying".
-    CorruptSnapshot {
-        /// Human-readable description of the validation failure.
-        detail: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -154,10 +142,6 @@ impl fmt::Display for SimError {
             SimError::Config(e) => write!(f, "{e}"),
             SimError::WorkerPanic { diag, .. } => write!(f, "{diag}"),
             SimError::Stalled { diag, .. } => write!(f, "watchdog: {diag}"),
-            SimError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
-            SimError::CorruptSnapshot { detail } => {
-                write!(f, "corrupt snapshot: {detail}")
-            }
         }
     }
 }
@@ -167,17 +151,6 @@ impl std::error::Error for SimError {}
 impl From<KernelError> for SimError {
     fn from(e: KernelError) -> Self {
         SimError::Config(e)
-    }
-}
-
-impl From<crate::checkpoint::SnapshotError> for SimError {
-    fn from(e: crate::checkpoint::SnapshotError) -> Self {
-        match e {
-            crate::checkpoint::SnapshotError::Corrupt(detail) => {
-                SimError::CorruptSnapshot { detail }
-            }
-            other => SimError::Checkpoint(other),
-        }
     }
 }
 

@@ -1216,19 +1216,13 @@ impl<P> Fel<P> {
     }
 
     /// Iterates over all stored events in *unspecified* order (heap/tier
-    /// order).
-    ///
-    /// Checkpointing sorts the yielded events by key before writing them, so
-    /// the on-disk image is independent of both the storage layout and the
-    /// configured [`FelImpl`] (DESIGN.md §4.4: canonical snapshot order).
-    pub fn iter(&self) -> impl Iterator<Item = &Event<P>> {
-        // Unify the two iterator types through a boxed trait object; the
-        // callers (checkpointing, diagnostics, `count_below`) are cold.
-        let it: Box<dyn Iterator<Item = &Event<P>>> = match &self.repr {
+    /// order); the unit tests' view of what a list holds.
+    #[cfg(test)]
+    fn iter(&self) -> Box<dyn Iterator<Item = &Event<P>> + '_> {
+        match &self.repr {
             Repr::Heap(h) => Box::new(h.iter().map(|e| &e.0)),
             Repr::Ladder(l) => Box::new(l.iter()),
-        };
-        it
+        }
     }
 
     /// Drops all events (used on kernel teardown).

@@ -8,30 +8,16 @@
 //! never extends past the next global event; the kernel executes global
 //! events on the main thread with exclusive access to the entire world.
 
-use crate::checkpoint::{self, Snapshot, SnapshotError};
 use crate::event::{Event, EventKey};
 use crate::event::{LpId, NodeId};
 use crate::graph::LinkGraph;
-use crate::lp::{LpSlots, LpState};
+use crate::lp::LpSlots;
 use crate::partition::Partition;
 use crate::time::Time;
 use crate::world::SimNode;
 
 /// A global event body: runs on the main thread with exclusive world access.
 pub type GlobalFn<N> = Box<dyn FnOnce(&mut WorldAccess<'_, N>) + Send>;
-
-/// Kernel facilities a checkpoint needs beyond the LP slots (whose
-/// outboxes carry the round kernels' in-flight events) and the configured
-/// stop time. Provided by kernels whose global events run with
-/// full world access (Unison).
-pub(crate) struct CkptEnv<'a> {
-    pub stop_at: Option<Time>,
-    /// The round-progress watchdog, paused for the duration of the write:
-    /// checkpoint serialization runs in-round on the main thread with wall
-    /// cost proportional to state size (and disk speed), which the deadline
-    /// must not count as a stall (DESIGN.md §4.7).
-    pub wd: &'a crate::kernel::watchdog::Watchdog,
-}
 
 /// Exclusive, whole-world view handed to global events.
 ///
@@ -46,7 +32,6 @@ pub struct WorldAccess<'a, N: SimNode> {
     stop: &'a mut bool,
     new_globals: &'a mut Vec<(Time, GlobalFn<N>)>,
     ext_seq: &'a mut u64,
-    ckpt: Option<&'a CkptEnv<'a>>,
 }
 
 impl<'a, N: SimNode> WorldAccess<'a, N> {
@@ -68,7 +53,6 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
         stop: &'a mut bool,
         new_globals: &'a mut Vec<(Time, GlobalFn<N>)>,
         ext_seq: &'a mut u64,
-        ckpt: Option<&'a CkptEnv<'a>>,
     ) -> Self {
         WorldAccess {
             now,
@@ -79,7 +63,6 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
             stop,
             new_globals,
             ext_seq,
-            ckpt,
         }
     }
 
@@ -173,85 +156,5 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
     /// The partition (read-only; the LP structure is fixed for the run).
     pub fn partition(&self) -> &Partition {
         self.partition
-    }
-
-    /// Writes a deterministic checkpoint of the entire simulation state to
-    /// `path` (see [`crate::checkpoint`]).
-    ///
-    /// In-flight cross-LP events are first drained into their destination
-    /// FELs — safe at any point of the global phase because FEL ordering is
-    /// purely key-driven, so early delivery cannot change results. Only
-    /// kernels that provide full world access to globals support this
-    /// (Unison); elsewhere it returns [`SnapshotError::Unsupported`].
-    pub fn write_checkpoint(&mut self, path: &std::path::Path) -> Result<(), SnapshotError>
-    where
-        N: Snapshot,
-        N::Payload: Snapshot,
-    {
-        let env = match self.ckpt {
-            Some(env) => env,
-            None => {
-                return Err(SnapshotError::Unsupported(
-                    "this kernel does not expose checkpoint state; \
-                     checkpoints require the Unison kernel"
-                        .into(),
-                ))
-            }
-        };
-        // Serialization + disk write can exceed any reasonable round
-        // deadline; suspend the watchdog until the write resolves. Every
-        // return path below must go through `unpause`.
-        env.wd.pause();
-        let lp_count = self.lps.len();
-        // SAFETY: `WorldAccess::new` guarantees main-thread exclusivity
-        // over every LP slot, and every worker is parked behind a barrier
-        // that follows its last send.
-        unsafe { self.lps.receive_all() };
-
-        let dir = self.lps.directory();
-        let node_count = dir.slot.len();
-        let mut assignment = vec![0u32; node_count];
-        for (i, (lp, _)) in dir.slot.iter().enumerate() {
-            assignment[i] = lp.0;
-        }
-
-        let mut lp_seqs = Vec::with_capacity(lp_count);
-        let mut events: Vec<&Event<N::Payload>> = Vec::new();
-        let mut node_refs: Vec<Option<&N>> = (0..node_count).map(|_| None).collect();
-        for i in 0..lp_count {
-            // SAFETY: main-thread exclusivity as above; the `&mut` is
-            // immediately reborrowed immutably, and each iteration touches a
-            // distinct slot, so the collected references never alias.
-            let lp: &LpState<N> = unsafe { self.lps.get_mut(i) };
-            lp_seqs.push(lp.seq);
-            events.extend(lp.fel.iter());
-            for (local, node) in lp.nodes.iter().enumerate() {
-                let id = self.partition.lp_nodes[i][local];
-                node_refs[id.index()] = Some(node);
-            }
-        }
-        events.sort_unstable_by_key(|e| e.key);
-        let nodes: Vec<&N> = node_refs
-            .into_iter()
-            // INVARIANT: every node id is owned by exactly one LP (directory
-            // construction), so the loop above filled each entry.
-            .map(|n| n.expect("every node captured"))
-            .collect();
-
-        let img = checkpoint::StateImage::<N> {
-            time: self.now,
-            stop_at: env.stop_at,
-            ext_seq: *self.ext_seq,
-            assignment,
-            graph: self.graph,
-            lp_seqs,
-            events,
-            nodes,
-        };
-        let bytes = checkpoint::encode_state(&img);
-        let written = std::fs::write(path, bytes);
-        env.wd.unpause();
-        written?;
-        Ok(())
     }
 }

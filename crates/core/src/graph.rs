@@ -98,22 +98,6 @@ impl LinkGraph {
         self.links[idx].delay = delay;
     }
 
-    /// Returns the spec of a link slot (whether alive or not).
-    pub fn link(&self, idx: usize) -> LinkSpec {
-        self.links[idx]
-    }
-
-    /// Whether a link slot is currently alive.
-    pub fn is_alive(&self, idx: usize) -> bool {
-        self.alive[idx]
-    }
-
-    /// Total number of link slots, including tombstoned ones. Checkpointing
-    /// saves every slot so that stable link ids survive a restore.
-    pub fn slot_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// Iterates over live links as `(index, spec)`.
     pub fn live_links(&self) -> impl Iterator<Item = (usize, LinkSpec)> + '_ {
         self.links

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use crate::error::{panic_message, FailureDiagnostics, RunPhase, SimError, StallDiagnostics};
 use crate::event::{Event, EventKey, LpId, NodeId};
 use crate::fel::Fel;
-use crate::global::{CkptEnv, GlobalFn, WorldAccess};
+use crate::global::{GlobalFn, WorldAccess};
 use crate::graph::LinkGraph;
 use crate::lp::{LpSlots, LpState, PendingGlobal};
 use crate::metrics::{
@@ -86,14 +86,6 @@ impl RunEnv<'_> {
         }
     }
 
-    /// What a checkpoint needs from the kernel (DESIGN.md §4.7).
-    pub fn ckpt(&self, stop_at: Option<Time>) -> CkptEnv<'_> {
-        CkptEnv {
-            stop_at,
-            wd: &self.wd,
-        }
-    }
-
     fn record(&self, diag: FailureDiagnostics) {
         let mut slot = self.failure.lock().unwrap_or_else(|e| e.into_inner());
         if slot.is_none() {
@@ -129,10 +121,10 @@ pub(super) fn prepare<N: SimNode>(
         return Err(KernelError::InvalidPartition("world has no nodes".into()));
     }
     let partition = build_partition(&world.graph, &cfg.partition)?;
-    let (lps, dir, graph, init_globals, stop_at, ext_seq) = build_lps(world, &partition, cfg.fel);
+    let (lps, dir, graph, init_globals, stop_at) = build_lps(world, &partition, cfg.fel);
     let mut public = PublicLp {
         fel: Fel::with_impl(cfg.fel),
-        ext_seq,
+        ext_seq: 0,
         executed: 0,
     };
     for (ts, f) in init_globals {
@@ -168,8 +160,7 @@ pub(super) fn prepare<N: SimNode>(
 /// The public LP (§4.2 of the paper): the FEL of global events and the
 /// external sequence counter their keys — and the keys of the events they
 /// inject — are drawn from. Seeded by [`prepare`] with the world's initial
-/// globals and a stop event at the stop time; the counter continues a
-/// restored checkpoint's value.
+/// globals and a stop event at the stop time.
 pub(super) struct PublicLp<N: SimNode> {
     fel: Fel<GlobalFn<N>>,
     ext_seq: u64,
@@ -243,7 +234,6 @@ impl<N: SimNode> PublicLp<N> {
         bound: Time,
         slots: &LpSlots<N>,
         shell: &mut Shell,
-        ckpt: Option<&CkptEnv<'_>>,
         mut on_global: impl FnMut(Time),
     ) -> Due {
         let mut due = Due {
@@ -270,7 +260,6 @@ impl<N: SimNode> PublicLp<N> {
                         &mut due.stopped,
                         &mut new_globals,
                         &mut self.ext_seq,
-                        ckpt,
                     )
                 };
                 (g.payload)(&mut wa);
@@ -651,9 +640,7 @@ mod tests {
         let mut seen = Vec::new();
         for expect in [1, 0] {
             // SAFETY: no other thread exists.
-            let due = unsafe {
-                public.run_due(Time::MAX, &slots, &mut shell, None, |now| seen.push(now))
-            };
+            let due = unsafe { public.run_due(Time::MAX, &slots, &mut shell, |t| seen.push(t)) };
             assert_eq!((due.ran, due.stopped), (expect, false));
         }
         assert_eq!((seen, public.next_ts()), (vec![Time(7)], Time::MAX));

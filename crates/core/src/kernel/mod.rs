@@ -119,8 +119,8 @@ pub struct RunConfig {
     pub watchdog: Option<Duration>,
     /// FEL implementation (default: the ladder queue). Pop order — and
     /// therefore every digest — is identical for all implementations; the
-    /// field is the axis on which `phold_sparse`, `sched_matrix` and
-    /// `checkpoint_restore` hold the ladder to the binary-heap *reference*
+    /// field is the axis on which `phold_sparse` and `sched_matrix` hold
+    /// the ladder to the binary-heap *reference*
     /// (DESIGN.md §4.4), not a user-facing choice.
     pub fel: FelImpl,
 }
@@ -275,15 +275,14 @@ pub fn build_partition(graph: &LinkGraph, mode: &PartitionMode) -> Result<Partit
 }
 
 /// Everything a kernel needs from a dismantled world: per-LP states, the
-/// node directory, the link graph, pending global events, the stop time,
-/// and the starting external sequence number (non-zero after a restore).
+/// node directory, the link graph, pending global events and the stop
+/// time.
 pub(crate) type BuiltLps<N> = (
     Vec<LpState<N>>,
     NodeDirectory,
     crate::graph::LinkGraph,
     Vec<(Time, GlobalFn<N>)>,
     Option<Time>,
-    u64,
 );
 
 /// Distributes a world's nodes and initial events into per-LP states.
@@ -298,8 +297,6 @@ pub(crate) fn build_lps<N: SimNode>(
         init_events,
         init_globals,
         stop_at,
-        restored_lp_seqs,
-        restored_ext_seq,
     } = world;
     let directory = NodeDirectory::from_lp_nodes(nodes.len(), &partition.lp_nodes);
     let mut lps: Vec<LpState<N>> = (0..partition.lp_count)
@@ -316,28 +313,11 @@ pub(crate) fn build_lps<N: SimNode>(
         let (lp, _) = directory.locate(ev.node);
         lps[lp.index()].fel.push(ev);
     }
-    // Checkpoint restore: sequence counters continue where the saved run
-    // stopped, so post-resume events get the same tie-break keys the
-    // uninterrupted run would have assigned. The caller is responsible for
-    // resuming under the saved partition (LP counts must line up).
-    if let Some(seqs) = restored_lp_seqs {
-        assert_eq!(
-            seqs.len(),
-            lps.len(),
-            "restored world must run under its original partition \
-             (checkpoint had {} LPs, this partition has {})",
-            seqs.len(),
-            lps.len()
-        );
-        for (lp, seq) in lps.iter_mut().zip(seqs) {
-            lp.seq = seq;
-        }
-    }
     for lp in &mut lps {
         lp.refresh_next_ts();
     }
     let globals = init_globals.into_iter().map(|g| (g.ts, g.f)).collect();
-    (lps, directory, graph, globals, stop_at, restored_ext_seq)
+    (lps, directory, graph, globals, stop_at)
 }
 
 /// Reassembles a [`World`] from finished LP states (nodes return to their
@@ -368,8 +348,6 @@ pub(crate) fn reassemble_world<N: SimNode>(
         init_events: Vec::new(),
         init_globals: Vec::new(),
         stop_at,
-        restored_lp_seqs: None,
-        restored_ext_seq: 0,
     }
 }
 

@@ -112,10 +112,9 @@ pub(super) fn run<N: SimNode>(
             fel.push(ev);
         }
     }
-    // Compat-key sequence counters continue from restored values (all zero
-    // for a fresh world), so a checkpointed run resumed here assigns the
-    // same tie-break keys it would have uninterrupted.
-    let mut seqs: Vec<u64> = lps.iter().map(|lp| lp.seq).collect();
+    // Compat-key sequence counters, one per LP, as the Unison kernel keeps
+    // them.
+    let mut seqs: Vec<u64> = vec![0; lps.len()];
     let slots = LpSlots::new(lps, dir.clone());
     // Single-threaded kernel: the whole run is one claim-audit phase with
     // one owner, so one generation bump up front suffices.
@@ -154,10 +153,9 @@ pub(super) fn run<N: SimNode>(
             lapped = events;
             site.phase.set(RunPhase::Global);
             // SAFETY: single-threaded kernel; nothing else accesses the
-            // slots. Events pulled into the kernel-private global FEL are
-            // invisible to a checkpoint, so this kernel does not offer one.
+            // slots.
             let due = unsafe {
-                public.run_due(next_pub, &slots, &mut shell, None, |ts| {
+                public.run_due(next_pub, &slots, &mut shell, |ts| {
                     now = ts;
                     site.at.set((None, ts));
                 })

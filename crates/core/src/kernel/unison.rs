@@ -276,7 +276,6 @@ pub(super) fn run<N: SimNode>(
     let mut rounds: u64 = 0;
     let mut end_time = Time::ZERO;
     let started = Instant::now();
-    let ckpt = env.ckpt(shell.stop_at);
 
     // Abort (contained panic or watchdog): poisoning the barrier makes
     // every thread drain out at its next synchronization point.
@@ -412,7 +411,7 @@ pub(super) fn run<N: SimNode>(
                 // SAFETY: workers wait at B2; the main thread holds
                 // exclusive access to every LP slot.
                 unsafe {
-                    public.run_due(window_end, &slots, &mut shell, Some(&ckpt), |now| {
+                    public.run_due(window_end, &slots, &mut shell, |now| {
                         end_time = end_time.max(now);
                         site.at.set((None, now));
                     })

@@ -25,11 +25,6 @@ pub(crate) struct Watchdog {
     progress: AtomicU64,
     /// Set by the monitor when the deadline expired.
     stalled: AtomicBool, // PADDING: cold; see `progress`.
-    /// Round-deadline suspension: while non-zero, the monitor treats every
-    /// poll slice as progress. Raised around in-round work whose wall cost
-    /// is legitimately unbounded (checkpoint serialization to disk), so a
-    /// slow disk cannot masquerade as a stalled round (DESIGN.md §4.7).
-    paused: AtomicBool, // PADDING: cold; see `progress`.
     /// Run-finished latch, so the monitor exits promptly at run end.
     done: Mutex<bool>,
     cond: Condvar,
@@ -40,27 +35,9 @@ impl Watchdog {
         Watchdog {
             progress: AtomicU64::new(0),
             stalled: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
             done: Mutex::new(false),
             cond: Condvar::new(),
         }
-    }
-
-    /// Suspends the round deadline (checkpoint writes, etc.). The monitor
-    /// resets its deadline on every poll slice that observes the pause, so
-    /// arbitrarily slow paused work never fires the watchdog. Only the
-    /// kernel control thread pauses, so a plain flag (no nesting count)
-    /// suffices.
-    pub fn pause(&self) {
-        self.paused.store(true, Ordering::Relaxed);
-    }
-
-    /// Re-arms the round deadline after [`Watchdog::pause`]; also counts as
-    /// progress, so the deadline restarts from "now" rather than from the
-    /// last pre-pause tick.
-    pub fn unpause(&self) {
-        self.paused.store(false, Ordering::Relaxed);
-        self.tick();
     }
 
     /// Records progress (cheap: one relaxed RMW).
@@ -103,7 +80,7 @@ impl Watchdog {
                 return false;
             }
             let cur = self.progress.load(Ordering::Relaxed);
-            if cur != last || self.paused.load(Ordering::Relaxed) {
+            if cur != last {
                 last = cur;
                 last_change = Instant::now();
             } else if last_change.elapsed() >= deadline {
@@ -157,24 +134,6 @@ mod tests {
             assert!(fired.load(Ordering::Relaxed));
             assert!(wd.stalled());
             wd.finish(); // idempotent after firing
-        });
-    }
-
-    #[test]
-    fn paused_silence_does_not_fire() {
-        // Regression for the checkpoint false positive: a pause that
-        // outlives the deadline several times over must not abort the run,
-        // and the deadline restarts from the unpause, not the last tick.
-        let wd = Watchdog::new();
-        std::thread::scope(|s| {
-            let h = s.spawn(|| wd.monitor(Duration::from_millis(30), || {}));
-            wd.tick();
-            wd.pause();
-            std::thread::sleep(Duration::from_millis(150));
-            wd.unpause();
-            wd.finish();
-            assert!(!h.join().unwrap(), "paused silence must not fire");
-            assert!(!wd.stalled());
         });
     }
 

@@ -15,7 +15,11 @@
 //! - two kernels ([`kernel::run`]): sequential DES and the Unison kernel;
 //! - load-adaptive scheduling ([`sched`]), P/S/M metrics ([`metrics`]), and
 //!   the virtual-core performance replay ([`perfmodel`]), which is where
-//!   the barrier and null-message PDES baselines come from.
+//!   the barrier and null-message PDES baselines come from;
+//! - failure containment: [`kernel::try_run`] ends a run whose model
+//!   panics, or whose rounds stall past the watchdog, with a [`SimError`]
+//!   and a partial report — nothing is checkpointed or retried;
+//! - the canonical state encoding ([`Snapshot`]) that golden digests hash.
 //!
 //! # Example: user transparency
 //!
@@ -58,10 +62,8 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod checkpoint;
 pub mod error;
 pub mod event;
-pub mod fault;
 pub mod fel;
 pub mod global;
 pub mod graph;
@@ -73,19 +75,15 @@ pub mod partition;
 pub mod perfmodel;
 pub mod rng;
 pub mod sched;
+pub mod snapshot;
 pub mod sync;
 pub mod sync_shim;
 pub mod telemetry;
 pub mod time;
 pub mod world;
 
-pub use checkpoint::{
-    latest_checkpoint, list_checkpoints, resume, schedule_checkpoints, CheckpointConfig, Resumed,
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
-};
 pub use error::{FailureDiagnostics, RunPhase, SimError, StallDiagnostics};
 pub use event::{Event, EventKey, LpId, NodeId};
-pub use fault::{run_resilient, RecoveryLog, RecoveryPolicy, RollbackRecord};
 pub use fel::{Fel, FelImpl};
 pub use global::{GlobalFn, WorldAccess};
 pub use graph::{LinkGraph, LinkSpec};
@@ -95,6 +93,7 @@ pub use partition::{fine_grained_partition, manual_partition, partition_below_bo
 pub use perfmodel::{CostParams, ModelResult, PerfModel};
 pub use rng::Rng;
 pub use sched::{scheduling_regret, LjfCursor, SchedConfig, SchedMetric, SchedPolicyKind};
+pub use snapshot::{Snapshot, SnapshotWriter};
 pub use telemetry::{RunTelemetry, SchedDecision, Span, SpanKind, WorkerSpans};
 pub use time::{DataRate, Time};
 pub use world::{SimCtx, SimCtxExt, SimNode, World, WorldBuilder};

@@ -145,7 +145,7 @@ const ROW_GAP: usize = 128usize.div_ceil(std::mem::size_of::<Outbox<()>>());
 /// The outbox at (row `w`, column `h`) is written only by worker `w`, and
 /// only during a process phase ([`LpSlots::send`]); it is drained only by
 /// worker `h` during a receive phase, or by the control thread while every
-/// worker is parked — fused rounds, checkpoint and abort drains
+/// worker is parked — fused rounds and abort drains
 /// ([`LpSlots::receive`]). A barrier separates the two and carries the
 /// happens-before edge (loom model `outbox_handoff_happens_before`). The
 /// order events travel in carries no information: the FEL orders them by

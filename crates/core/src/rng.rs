@@ -44,14 +44,9 @@ impl Rng {
         Rng { s }
     }
 
-    /// Returns the raw 256-bit generator state (for checkpointing).
+    /// Returns the raw 256-bit generator state (its snapshot encoding).
     pub fn state(&self) -> [u64; 4] {
         self.s
-    }
-
-    /// Rebuilds a generator from a previously captured [`Rng::state`].
-    pub fn from_state(s: [u64; 4]) -> Self {
-        Rng { s }
     }
 
     /// Derives an independent child generator; used to give each node or

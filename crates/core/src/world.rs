@@ -85,13 +85,6 @@ pub struct World<N: SimNode> {
     pub(crate) init_events: Vec<Event<N::Payload>>,
     pub(crate) init_globals: Vec<InitGlobal<N>>,
     pub(crate) stop_at: Option<Time>,
-    /// Per-LP sequence counters restored from a checkpoint (`None` for a
-    /// fresh world). Applied by the kernel's LP build when the partition's
-    /// LP count matches.
-    pub(crate) restored_lp_seqs: Option<Vec<u64>>,
-    /// Starting value of the kernel's external sequence counter (non-zero
-    /// only for worlds restored from a checkpoint).
-    pub(crate) restored_ext_seq: u64,
 }
 
 impl<N: SimNode> World<N> {
@@ -129,28 +122,6 @@ impl<N: SimNode> World<N> {
     /// changes this way after `NetworkBuilder`-style builders finish).
     pub fn add_global_event(&mut self, ts: Time, f: GlobalFn<N>) {
         self.init_globals.push(InitGlobal { ts, f });
-    }
-
-    /// Assembles a world from checkpoint state: `init_events` carry their
-    /// original tie-break keys, and the saved sequence counters resume where
-    /// the checkpointed run left off.
-    pub(crate) fn restored(
-        nodes: Vec<N>,
-        graph: LinkGraph,
-        init_events: Vec<Event<N::Payload>>,
-        stop_at: Option<Time>,
-        lp_seqs: Vec<u64>,
-        ext_seq: u64,
-    ) -> Self {
-        World {
-            nodes,
-            graph,
-            init_events,
-            init_globals: Vec::new(),
-            stop_at,
-            restored_lp_seqs: Some(lp_seqs),
-            restored_ext_seq: ext_seq,
-        }
     }
 }
 
@@ -260,8 +231,6 @@ impl<N: SimNode> WorldBuilder<N> {
             init_events: std::mem::take(&mut self.init_events),
             init_globals: std::mem::take(&mut self.init_globals),
             stop_at: self.stop_at,
-            restored_lp_seqs: None,
-            restored_ext_seq: 0,
         }
     }
 }

@@ -127,6 +127,42 @@ fn unison_contains_injected_panic() {
 }
 
 #[test]
+fn contained_panic_site_is_invariant_across_threads_and_fusion() {
+    // The token reaches node 3 at 3·DELAY + k·8·DELAY; the first such
+    // arrival at or after PANIC_AT is where the fault fires, whatever
+    // executes it.
+    let first = (0..)
+        .map(|k| Time(3 * DELAY.0 + k * 8 * DELAY.0))
+        .find(|&t| t >= PANIC_AT)
+        .unwrap();
+    let mut sites = Vec::new();
+    for fusion in [true, false] {
+        for threads in [1, 2, 4] {
+            let world = bomb_ring(8, DELAY, 3, Some(PANIC_AT), None, STOP);
+            let cfg = RunConfig {
+                fusion,
+                ..world_cfg(KernelKind::Unison { threads })
+            };
+            let err = expect_worker_panic(kernel::try_run(world, &cfg));
+            let SimError::WorkerPanic { diag, .. } = err else {
+                unreachable!()
+            };
+            assert_eq!(diag.phase, RunPhase::Process);
+            assert_eq!(
+                diag.virtual_time, first,
+                "threads={threads} fusion={fusion}"
+            );
+            assert!(diag.lp.is_some(), "threads={threads} fusion={fusion}");
+            sites.push((threads, fusion, diag.lp, diag.virtual_time));
+        }
+    }
+    let (_, _, lp, t) = sites[0];
+    for &(threads, fusion, l, v) in &sites {
+        assert_eq!((l, v), (lp, t), "threads={threads} fusion={fusion}");
+    }
+}
+
+#[test]
 fn sequential_contains_injected_panic() {
     let world = bomb_ring(4, DELAY, 1, Some(PANIC_AT), None, STOP);
     let err = expect_worker_panic(kernel::try_run(world, &RunConfig::sequential()));
@@ -137,6 +173,38 @@ fn sequential_contains_injected_panic() {
     assert_eq!(diag.phase, RunPhase::Process);
     assert!(diag.virtual_time >= PANIC_AT);
     assert!(partial.events > 0);
+}
+
+#[test]
+fn panic_in_a_user_global_event_is_contained_in_the_global_phase() {
+    const AT: Time = Time(20_500);
+    for cfg in [
+        RunConfig::sequential(),
+        RunConfig::unison(1),
+        RunConfig::unison(2),
+    ] {
+        let mut world = bomb_ring(4, DELAY, 0, None, None, STOP);
+        world.add_global_event(
+            AT,
+            Box::new(|wa| panic!("injected global fault t={}", wa.now())),
+        );
+        let name = cfg.kernel.name();
+        let err = expect_worker_panic(kernel::try_run(world, &cfg));
+        let SimError::WorkerPanic { diag, partial } = err else {
+            unreachable!()
+        };
+        assert_eq!(diag.kernel, name);
+        assert_eq!(diag.phase, RunPhase::Global, "{name}");
+        assert_eq!(diag.virtual_time, AT, "{name}");
+        assert_eq!(diag.lp, None, "{name}: a global runs on no LP");
+        assert!(
+            diag.panic_message.contains("injected global fault"),
+            "{name}: {}",
+            diag.panic_message
+        );
+        // The ring hopped every DELAY up to the global.
+        assert!(partial.events >= AT.0 / DELAY.0, "{name}");
+    }
 }
 
 #[test]

@@ -104,19 +104,14 @@ fn ident(ev: &Event<u64>) -> (EventKey, u64) {
     (ev.key, ev.payload)
 }
 
-/// Every read-only view of the two lists agrees: length, head timestamp,
-/// bounded counts and the stored events.
+/// Every read-only view of the two lists agrees: length, head timestamp
+/// and bounded counts. The stored events themselves are compared by the
+/// pops, down to the final drain.
 fn views_agree(ladder: &Fel<u64>, heap: &Fel<u64>) {
     prop_assert_eq!(ladder.len(), heap.len());
     prop_assert_eq!(ladder.next_ts(), heap.next_ts());
     prop_assert_eq!(ladder.count_below(Time(500)), heap.count_below(Time(500)));
     prop_assert_eq!(ladder.count_below(Time::MAX), heap.count_below(Time::MAX));
-    let stored = |fel: &Fel<u64>| {
-        let mut all: Vec<(EventKey, u64)> = fel.iter().map(ident).collect();
-        all.sort_unstable();
-        all
-    };
-    prop_assert_eq!(stored(ladder), stored(heap));
 }
 
 /// One random step of the differential workload: a selector picks the op,

@@ -5,8 +5,7 @@
 //! (the paper's user-transparency property).
 
 use unison_core::{
-    snapshot_struct, NodeId, SimCtx, SimCtxExt, SimNode, Snapshot, SnapshotError, SnapshotReader,
-    SnapshotWriter, Time,
+    snapshot_struct, NodeId, SimCtx, SimCtxExt, SimNode, Snapshot, SnapshotWriter, Time,
 };
 use unison_stats::Summary;
 
@@ -14,7 +13,7 @@ use crate::app::{OnOffAction, OnOffApp};
 use crate::packet::{FlowId, Packet, PacketKind, RipMsg};
 use crate::queue::Queue;
 use crate::route::Routing;
-use crate::snapshot::{load_map, load_summary, save_map, save_summary, FlowMap};
+use crate::snapshot::{save_map, save_summary, FlowMap};
 use crate::tcp::{TcpConfig, TcpReceiver, TcpSender};
 use crate::trace::{TraceBuffer, TraceEntry, TraceKind};
 
@@ -612,57 +611,6 @@ impl SimNode for NetNode {
     }
 }
 
-impl Snapshot for NetEvent {
-    fn save(&self, w: &mut SnapshotWriter) {
-        match self {
-            NetEvent::Arrive { dev, packet } => {
-                w.u8(0);
-                dev.save(w);
-                packet.save(w);
-            }
-            NetEvent::TxDone { dev } => {
-                w.u8(1);
-                dev.save(w);
-            }
-            NetEvent::FlowStart { dst, bytes } => {
-                w.u8(2);
-                dst.save(w);
-                bytes.save(w);
-            }
-            NetEvent::Rto { flow } => {
-                w.u8(3);
-                flow.save(w);
-            }
-            NetEvent::RipTick => w.u8(4),
-            NetEvent::RipTriggered => w.u8(5),
-            NetEvent::AppTick { app } => {
-                w.u8(6);
-                app.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => NetEvent::Arrive {
-                dev: u8::load(r)?,
-                packet: Packet::load(r)?,
-            },
-            1 => NetEvent::TxDone { dev: u8::load(r)? },
-            2 => NetEvent::FlowStart {
-                dst: u32::load(r)?,
-                bytes: u64::load(r)?,
-            },
-            3 => NetEvent::Rto {
-                flow: FlowId::load(r)?,
-            },
-            4 => NetEvent::RipTick,
-            5 => NetEvent::RipTriggered,
-            6 => NetEvent::AppTick { app: u16::load(r)? },
-            t => return Err(SnapshotError::Corrupt(format!("invalid net event {t}"))),
-        })
-    }
-}
-
 snapshot_struct!(Device {
     peer,
     peer_dev,
@@ -682,63 +630,59 @@ snapshot_struct!(UdpRx {
 
 impl Snapshot for NodeMonitor {
     fn save(&self, w: &mut SnapshotWriter) {
-        save_summary(&self.rtt_ns, w);
-        save_summary(&self.queue_delay_ns, w);
-        self.routing_drops.save(w);
-        self.burst_drops.save(w);
-        self.rto_fires.save(w);
-        self.flows_started.save(w);
-        self.forwarded.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(NodeMonitor {
-            rtt_ns: load_summary(r)?,
-            queue_delay_ns: load_summary(r)?,
-            routing_drops: u64::load(r)?,
-            burst_drops: u64::load(r)?,
-            rto_fires: u64::load(r)?,
-            flows_started: u64::load(r)?,
-            forwarded: u64::load(r)?,
-        })
+        let Self {
+            rtt_ns,
+            queue_delay_ns,
+            routing_drops,
+            burst_drops,
+            rto_fires,
+            flows_started,
+            forwarded,
+        } = self;
+        save_summary(rtt_ns, w);
+        save_summary(queue_delay_ns, w);
+        routing_drops.save(w);
+        burst_drops.save(w);
+        rto_fires.save(w);
+        flows_started.save(w);
+        forwarded.save(w);
     }
 }
 
 impl Snapshot for NetNode {
     fn save(&self, w: &mut SnapshotWriter) {
-        self.id.save(w);
-        self.is_host.save(w);
-        self.devices.save(w);
-        self.routing.save(w);
-        self.tcp_cfg.save(w);
+        let Self {
+            id,
+            is_host,
+            devices,
+            routing,
+            tcp_cfg,
+            senders,
+            receivers,
+            apps,
+            udp_rx,
+            trace,
+            loss,
+            mon,
+            next_sport,
+            out_buf,
+        } = self;
+        id.save(w);
+        is_host.save(w);
+        devices.save(w);
+        routing.save(w);
+        tcp_cfg.save(w);
         // Socket and UDP maps are written in sorted flow order — a hash
         // table's iteration order must not leak into the canonical encoding.
-        save_map(&self.senders, w);
-        save_map(&self.receivers, w);
-        self.apps.save(w);
-        save_map(&self.udp_rx, w);
-        self.trace.save(w);
-        self.loss.save(w);
-        self.mon.save(w);
-        self.next_sport.save(w);
-        self.out_buf.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(NetNode {
-            id: NodeId::load(r)?,
-            is_host: bool::load(r)?,
-            devices: Vec::load(r)?,
-            routing: Routing::load(r)?,
-            tcp_cfg: TcpConfig::load(r)?,
-            senders: load_map(r)?,
-            receivers: load_map(r)?,
-            apps: Vec::load(r)?,
-            udp_rx: load_map(r)?,
-            trace: Option::load(r)?,
-            loss: Option::load(r)?,
-            mon: NodeMonitor::load(r)?,
-            next_sport: u16::load(r)?,
-            out_buf: Vec::load(r)?,
-        })
+        save_map(senders, w);
+        save_map(receivers, w);
+        apps.save(w);
+        save_map(udp_rx, w);
+        trace.save(w);
+        loss.save(w);
+        mon.save(w);
+        next_sport.save(w);
+        out_buf.save(w);
     }
 }
 
@@ -864,17 +808,6 @@ mod tests {
         n.save(&mut w);
         let bytes = w.into_bytes();
         assert_eq!(hex(&bytes), PARENT);
-
-        let mut r = SnapshotReader::new(&bytes);
-        let back = NetNode::load(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.senders.len(), 3);
-        assert_eq!(back.senders[&flow(2, 9, 1_001, 80)].size, 70_000);
-        assert_eq!(back.receivers.len(), 2);
-        assert_eq!(back.udp_rx[&flow(5, 2, 7_001, 7)].pkts, 2);
-        let mut w = SnapshotWriter::new();
-        back.save(&mut w);
-        assert_eq!(hex(&w.into_bytes()), PARENT, "re-encoding is canonical");
     }
 
     #[test]

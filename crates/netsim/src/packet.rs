@@ -5,7 +5,7 @@
 //! carries its flow identity, a TCP-like header variant, its wire size and
 //! ECN state.
 
-use unison_core::{snapshot_struct, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, Time};
+use unison_core::{snapshot_struct, Snapshot, SnapshotWriter, Time};
 
 /// Flow identity: a 4-tuple over node ids and ports.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -223,28 +223,6 @@ impl Snapshot for PacketKind {
                 len.save(w);
             }
         }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => PacketKind::Data {
-                seq: u64::load(r)?,
-                len: u32::load(r)?,
-                size: u64::load(r)?,
-                retx: bool::load(r)?,
-            },
-            1 => PacketKind::Ack {
-                ack: u64::load(r)?,
-                ece: bool::load(r)?,
-                echo_ts: Time::load(r)?,
-                echo_retx: bool::load(r)?,
-            },
-            2 => PacketKind::Rip(Box::new(RipMsg::load(r)?)),
-            3 => PacketKind::Datagram {
-                seq: u64::load(r)?,
-                len: u32::load(r)?,
-            },
-            t => return Err(SnapshotError::Corrupt(format!("invalid packet kind {t}"))),
-        })
     }
 }
 

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use unison_core::{Rng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, Time};
+use unison_core::{snapshot_struct, Rng, Snapshot, SnapshotWriter, Time};
 
 use crate::packet::Packet;
 
@@ -267,63 +267,19 @@ impl Snapshot for QueueConfig {
             }
         }
     }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => QueueConfig::DropTail {
-                limit_bytes: u32::load(r)?,
-            },
-            1 => QueueConfig::Red {
-                limit_bytes: u32::load(r)?,
-                min_th: u32::load(r)?,
-                max_th: u32::load(r)?,
-                max_p: f64::load(r)?,
-                w_q: f64::load(r)?,
-                mark_ecn: bool::load(r)?,
-            },
-            t => return Err(SnapshotError::Corrupt(format!("invalid queue config {t}"))),
-        })
-    }
 }
 
-impl Snapshot for Queue {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.config.save(w);
-        self.packets.save(w);
-        self.bytes.save(w);
-        self.avg.save(w);
-        self.count.save(w);
-        self.rng.save(w);
-        self.drops.save(w);
-        self.marks.save(w);
-        self.accepted.save(w);
-    }
-
-    /// Loads the fields in `save`'s order. An image whose byte count
-    /// disagrees with its packets — non-zero bytes and no packet, or the
-    /// reverse — is corrupt: the restored queue would break the invariant
-    /// `enqueue`/`dequeue` keep.
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let queue = Queue {
-            config: Snapshot::load(r)?,
-            packets: Snapshot::load(r)?,
-            bytes: Snapshot::load(r)?,
-            avg: Snapshot::load(r)?,
-            count: Snapshot::load(r)?,
-            rng: Snapshot::load(r)?,
-            drops: Snapshot::load(r)?,
-            marks: Snapshot::load(r)?,
-            accepted: Snapshot::load(r)?,
-        };
-        if !queue.byte_count_matches_packets() {
-            return Err(SnapshotError::Corrupt(format!(
-                "queue image holds {} bytes in {} packets",
-                queue.bytes,
-                queue.packets.len()
-            )));
-        }
-        Ok(queue)
-    }
-}
+snapshot_struct!(Queue {
+    config,
+    packets,
+    bytes,
+    avg,
+    count,
+    rng,
+    drops,
+    marks,
+    accepted
+});
 
 #[cfg(test)]
 mod tests {
@@ -366,28 +322,6 @@ mod tests {
         assert_eq!(q.dequeue().unwrap().sent_at, Time(0));
         assert_eq!(q.dequeue().unwrap().sent_at, Time(1));
         assert_eq!(q.bytes(), 1000);
-    }
-
-    /// A queue image round-trips; one whose byte count disagrees with its
-    /// packets loads as corrupt instead of restoring a broken queue.
-    #[test]
-    fn restore_checks_the_byte_count_against_the_packets() {
-        let image = |q: &Queue| {
-            let mut w = SnapshotWriter::new();
-            q.save(&mut w);
-            w.into_bytes()
-        };
-        let mut q = Queue::new(QueueConfig::DropTail { limit_bytes: 2500 }, 1);
-        assert_eq!(q.enqueue(pkt(1000, false), Time(0)), Enqueue::Accepted);
-        let bytes = image(&q);
-        let back = Queue::load(&mut SnapshotReader::new(&bytes)).expect("consistent image");
-        assert_eq!((back.bytes(), back.len()), (1000, 1));
-        for (bytes, packets) in [(0, 1), (1000, 0)] {
-            q.bytes = bytes;
-            q.packets.truncate(packets);
-            let err = Queue::load(&mut SnapshotReader::new(&image(&q))).map(|_| ());
-            assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! change, and an infinity metric of 16 — matching ns-3's RIP model closely
 //! enough for the paper's WAN and convergence experiments.
 
-use unison_core::{snapshot_struct, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, Time};
+use unison_core::{snapshot_struct, Snapshot, SnapshotWriter, Time};
 
 use crate::packet::RipMsg;
 
@@ -20,9 +20,9 @@ use crate::packet::RipMsg;
 pub const RIP_INFINITY: u8 = 16;
 
 /// Largest node count a RIP table is ever sized for. [`NetworkBuilder`]
-/// sizes a table from the world it builds; only a checkpoint or a packet
-/// decoded from one can name a destination the builder did not, and one
-/// at or past this bound is refused instead of allocated for. The same
+/// sizes a table from the world it builds; only a hand-made advertisement
+/// can name a destination the builder did not, and one at or past this
+/// bound is refused instead of allocated for. The same
 /// constant bounds the topologies a scenario file may describe.
 ///
 /// [`NetworkBuilder`]: crate::NetworkBuilder
@@ -233,10 +233,9 @@ impl RipState {
     /// Records the first route to `dst`; false when `dst` is refused.
     ///
     /// A built world's table already spans every node, so `dst` has a slot.
-    /// A table restored from a checkpoint spans only the destinations it
-    /// had learned by then (the encoding lists routes, not the node count)
-    /// and takes the rest of its world's slots here — up to
-    /// [`RIP_MAX_NODES`], never to wherever a forged packet points.
+    /// A table built for fewer nodes than an advertisement names takes the
+    /// missing slots here — up to [`RIP_MAX_NODES`], never to wherever a
+    /// forged packet points.
     fn learn(&mut self, dst: u32, metric: u8, dev: u8) -> bool {
         let slot = dst as usize;
         if slot >= RIP_MAX_NODES {
@@ -272,34 +271,18 @@ snapshot_struct!(RipRoute { metric, dev });
 /// route in ascending `dst` — absent destinations are not written.
 impl Snapshot for RipState {
     fn save(&self, w: &mut SnapshotWriter) {
-        (self.routes().count() as u64).save(w);
+        let Self {
+            table,
+            update_interval,
+            triggered_pending,
+        } = self;
+        (table.iter().flatten().count() as u64).save(w);
         for (dst, route) in self.routes() {
             dst.save(w);
             route.save(w);
         }
-        self.update_interval.save(w);
-        self.triggered_pending.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let n = usize::load(r)?;
-        let mut table = Vec::new();
-        for _ in 0..n {
-            let dst = u32::load(r)? as usize;
-            // Ascending keys are the canonical order, and make `dst` the
-            // only thing that sizes the table — so it is what gets bounded.
-            if dst < table.len() || dst >= RIP_MAX_NODES {
-                return Err(SnapshotError::Corrupt(format!(
-                    "RIP route to {dst}: out of order, or beyond {RIP_MAX_NODES} nodes"
-                )));
-            }
-            table.resize(dst, None);
-            table.push(Some(RipRoute::load(r)?));
-        }
-        Ok(RipState {
-            table,
-            update_interval: Time::load(r)?,
-            triggered_pending: bool::load(r)?,
-        })
+        update_interval.save(w);
+        triggered_pending.save(w);
     }
 }
 
@@ -314,13 +297,6 @@ impl Snapshot for Routing {
                 w.u8(1);
                 s.save(w);
             }
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.u8()? {
-            0 => Ok(Routing::Static(StaticTable::load(r)?)),
-            1 => Ok(Routing::Rip(RipState::load(r)?)),
-            t => Err(SnapshotError::Corrupt(format!("invalid routing tag {t}"))),
         }
     }
 }
@@ -513,46 +489,6 @@ mod tests {
         state.save(&mut w);
         let bytes = w.into_bytes();
         assert_eq!(hex(&bytes), PARENT);
-
-        let mut r = SnapshotReader::new(&bytes);
-        let back = RipState::load(&mut r).unwrap();
-        r.finish().unwrap();
-        for dst in 0..8 {
-            assert_eq!(back.route(dst), state.route(dst), "dst {dst}");
-        }
-        assert_eq!(back.route(1), None);
-        assert_eq!(back.route(4).unwrap().metric, RIP_INFINITY);
-        let mut w = SnapshotWriter::new();
-        back.save(&mut w);
-        assert_eq!(hex(&w.into_bytes()), PARENT, "re-encoding is canonical");
-    }
-
-    #[test]
-    fn load_refuses_keys_that_would_size_the_table() {
-        let encode = |keys: &[u32]| {
-            let mut w = SnapshotWriter::new();
-            (keys.len() as u64).save(&mut w);
-            for k in keys {
-                k.save(&mut w);
-                RipRoute { metric: 1, dev: 0 }.save(&mut w);
-            }
-            Time::from_millis(10).save(&mut w);
-            false.save(&mut w);
-            w.into_bytes()
-        };
-        let load = |keys: &[u32]| RipState::load(&mut SnapshotReader::new(&encode(keys)));
-        assert!(load(&[0, 7, RIP_MAX_NODES as u32 - 1]).is_ok());
-        for bad in [
-            &[0, u32::MAX][..],
-            &[RIP_MAX_NODES as u32],
-            &[3, 3],
-            &[5, 2],
-        ] {
-            assert!(
-                matches!(load(bad), Err(SnapshotError::Corrupt(_))),
-                "keys {bad:?} must be refused"
-            );
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use unison_core::{snapshot_struct, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, Time};
+use unison_core::{snapshot_struct, Snapshot, SnapshotWriter, Time};
 
 use crate::packet::{FlowId, Packet, MSS};
 
@@ -437,15 +437,6 @@ impl Snapshot for TransportKind {
             TransportKind::Dctcp => 1,
         });
     }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.u8()? {
-            0 => Ok(TransportKind::NewReno),
-            1 => Ok(TransportKind::Dctcp),
-            t => Err(SnapshotError::Corrupt(format!(
-                "invalid transport kind {t}"
-            ))),
-        }
-    }
 }
 
 snapshot_struct!(TcpConfig {
@@ -465,15 +456,6 @@ impl Snapshot for CcState {
                 w.u8(1);
                 recover.save(w);
             }
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.u8()? {
-            0 => Ok(CcState::Open),
-            1 => Ok(CcState::FastRecovery {
-                recover: u64::load(r)?,
-            }),
-            t => Err(SnapshotError::Corrupt(format!("invalid cc state {t}"))),
         }
     }
 }

@@ -6,9 +6,7 @@
 //! execution and stays deterministic. [`Trace::collect`] merges the
 //! buffers into one global, time-ordered log after the run.
 
-use unison_core::{
-    snapshot_struct, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, Time, World,
-};
+use unison_core::{snapshot_struct, Snapshot, SnapshotWriter, Time, World};
 
 use crate::node::NetNode;
 use crate::packet::FlowId;
@@ -85,14 +83,6 @@ impl Snapshot for TraceKind {
             TraceKind::TxStart => 1,
             TraceKind::Drop => 2,
         });
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.u8()? {
-            0 => Ok(TraceKind::Arrive),
-            1 => Ok(TraceKind::TxStart),
-            2 => Ok(TraceKind::Drop),
-            t => Err(SnapshotError::Corrupt(format!("invalid trace kind {t}"))),
-        }
     }
 }
 

@@ -104,8 +104,8 @@ proptest! {
     /// Any interleaving of advertisements received and devices going down
     /// leaves the dense table indistinguishable from the map it replaced:
     /// same `changed` flags, same advertised vectors on every device, same
-    /// lookups, same checkpoint bytes. Destinations 8 and 9 lie outside the
-    /// eight-node table the state is built with (a restored table's case).
+    /// lookups, same snapshot bytes. Destinations 8 and 9 lie outside the
+    /// eight-node table the state is built with.
     #[test]
     fn dense_rip_table_matches_map_model(
         ops in proptest::collection::vec(

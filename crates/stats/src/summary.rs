@@ -115,21 +115,9 @@ impl Summary {
     }
 
     /// The raw accumulator state `(count, mean, m2, min, max, sum)`, for
-    /// bit-exact serialization of a mid-stream summary.
+    /// a bit-exact encoding of a mid-stream summary.
     pub fn to_raw_parts(&self) -> (u64, f64, f64, f64, f64, f64) {
         (self.count, self.mean, self.m2, self.min, self.max, self.sum)
-    }
-
-    /// Rebuilds a summary from [`Summary::to_raw_parts`] output.
-    pub fn from_raw_parts(count: u64, mean: f64, m2: f64, min: f64, max: f64, sum: f64) -> Self {
-        Summary {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-            sum,
-        }
     }
 }
 
@@ -177,21 +165,6 @@ mod tests {
         assert!((a.variance() - all.variance()).abs() < 1e-9);
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn raw_parts_roundtrip_mid_stream() {
-        let mut s = Summary::new();
-        for x in [1.5, -2.0, 7.25] {
-            s.add(x);
-        }
-        let (count, mean, m2, min, max, sum) = s.to_raw_parts();
-        let mut r = Summary::from_raw_parts(count, mean, m2, min, max, sum);
-        s.add(4.0);
-        r.add(4.0);
-        assert_eq!(s.count(), r.count());
-        assert_eq!(s.mean().to_bits(), r.mean().to_bits());
-        assert_eq!(s.variance().to_bits(), r.variance().to_bits());
     }
 
     #[test]

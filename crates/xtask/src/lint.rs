@@ -113,12 +113,7 @@ fn unsafe_allowed(rel: &str) -> bool {
 /// behind the run's telemetry switch and feeds only the observability
 /// report, never simulation state.
 fn instant_allowed(rel: &str) -> bool {
-    rel.starts_with("crates/core/src/kernel/")
-        || rel == "crates/core/src/telemetry.rs"
-        // `fault.rs` measures recovery wall cost (rollback + backoff) for
-        // the RecoveryLog — like telemetry, those readings report on the
-        // simulator and never feed simulation state.
-        || rel == "crates/core/src/fault.rs"
+    rel.starts_with("crates/core/src/kernel/") || rel == "crates/core/src/telemetry.rs"
 }
 
 fn in_core_src(rel: &str) -> bool {
@@ -128,8 +123,8 @@ fn in_core_src(rel: &str) -> bool {
 /// Files subject to rule 3: the kernel and the network model.
 fn hash_collections_banned(rel: &str) -> bool {
     // `snapshot.rs` defines `FlowMap`, the model's one keyed table — a
-    // `HashMap` under a fixed hasher — together with the `save_map`/
-    // `load_map` pair that keeps its iteration order out of the encoding.
+    // `HashMap` under a fixed hasher — together with `save_map`, which
+    // keeps its iteration order out of the encoding.
     // Everything else in the model names the alias.
     const DEFINES_FLOW_MAP: &str = "crates/netsim/src/snapshot.rs";
     in_core_src(rel) || (rel.starts_with("crates/netsim/src/") && rel != DEFINES_FLOW_MAP)

@@ -66,12 +66,12 @@ fn workspace_atomics_is_clean() {
     );
     // Sanity: the inventory actually covered the concurrent core.
     assert!(
-        summary.fields_declared >= 19,
+        summary.fields_declared >= 18,
         "only {} fields declared — inventory broken?",
         summary.fields_declared
     );
     assert!(
-        summary.sites_checked >= 50,
+        summary.sites_checked >= 48,
         "only {} call sites checked — inventory broken?",
         summary.sites_checked
     );
