@@ -8,7 +8,7 @@
 //! `ByLastRoundTime` metric) while the Unison map is *flat* (threads finish
 //! in unison).
 
-use unison_core::perfmodel::mean_cv;
+use unison_core::mean_cv;
 use unison_netsim::NetworkBuilder;
 use unison_scenario::{parse_scenario, PartitionSpec};
 

@@ -154,18 +154,6 @@ impl From<KernelError> for SimError {
     }
 }
 
-impl SimError {
-    /// The partial run report, for the abort variants that carry one.
-    pub fn partial_report(&self) -> Option<&RunReport> {
-        match self {
-            SimError::WorkerPanic { partial, .. } | SimError::Stalled { partial, .. } => {
-                Some(partial)
-            }
-            _ => None,
-        }
-    }
-}
-
 /// Renders a `catch_unwind` payload: `&str`/`String` payloads verbatim,
 /// anything else as a placeholder.
 pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {

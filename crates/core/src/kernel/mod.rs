@@ -2,9 +2,9 @@
 //!
 //! Two interchangeable kernels execute a [`World`]:
 //!
-//! - [`sequential`]: classic single-threaded DES (the ns-3 default kernel in
+//! - `sequential`: classic single-threaded DES (the ns-3 default kernel in
 //!   the paper's comparisons), and the bit-exact reference of the other;
-//! - [`unison`]: the paper's kernel — automatic fine-grained partition,
+//! - `unison`: the paper's kernel — automatic fine-grained partition,
 //!   load-adaptive LP scheduling on a thread pool, lock-free four-phase
 //!   rounds, deterministic tie-breaking, and public-LP global events.
 //!
@@ -25,8 +25,8 @@
 //! precedence, world reassembly).
 
 mod harness;
-pub mod sequential;
-pub mod unison;
+mod sequential;
+mod unison;
 pub(crate) mod watchdog;
 
 use std::time::Duration;

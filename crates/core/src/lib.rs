@@ -13,13 +13,34 @@
 //! - the fine-grained partitioner (Algorithm 1, [`fine_grained_partition`])
 //!   and manual/static partitions for the baselines;
 //! - two kernels ([`kernel::run`]): sequential DES and the Unison kernel;
-//! - load-adaptive scheduling ([`sched`]), P/S/M metrics ([`metrics`]), and
-//!   the virtual-core performance replay ([`perfmodel`]), which is where
-//!   the barrier and null-message PDES baselines come from;
+//! - load-adaptive scheduling ([`sched`]), P/S/M metrics ([`RunReport`],
+//!   [`Psm`]), and the virtual-core performance replay ([`PerfModel`]),
+//!   which is where the barrier and null-message PDES baselines come from;
 //! - failure containment: [`kernel::try_run`] ends a run whose model
 //!   panics, or whose rounds stall past the watchdog, with a [`SimError`]
 //!   and a partial report — nothing is checkpointed or retried;
 //! - the canonical state encoding ([`Snapshot`]) that golden digests hash.
+//!
+//! # Public surface
+//!
+//! Model code names items of the crate root only. Every other module is
+//! private, so the compiler's dead-code lint sees the kernel's internals.
+//! Five modules stay public, each because a path outside the crate names
+//! it:
+//!
+//! - [`kernel`]: `kernel::run`, `kernel::MAX_WORKERS` and
+//!   `kernel::build_partition`, which the scenario layer checks a
+//!   partition with before any run;
+//! - [`sched`]: the scheduler's ordering and makespan functions, which the
+//!   run report (`unison-telemetry`), the figure binaries and the paper
+//!   claims replay;
+//! - [`telemetry`]: the span and scheduler-decision records that
+//!   `unison-telemetry` exports as traces;
+//! - [`sync`] and [`mailbox`]: the barriers and the per-pair mailbox that
+//!   the repository benchmark's micro rows time (the barriers are also
+//!   the loom models' subject);
+//! - `sync_shim`, under `--cfg loom` only: the atomics the loom models
+//!   build their harnesses from.
 //!
 //! # Example: user transparency
 //!
@@ -62,25 +83,28 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod error;
-pub mod event;
-pub mod fel;
-pub mod global;
-pub mod graph;
+mod error;
+mod event;
+mod fel;
+mod global;
+mod graph;
 pub mod kernel;
-pub mod lp;
+mod lp;
 pub mod mailbox;
-pub mod metrics;
-pub mod partition;
-pub mod perfmodel;
-pub mod rng;
+mod metrics;
+mod partition;
+mod perfmodel;
+mod rng;
 pub mod sched;
-pub mod snapshot;
+mod snapshot;
 pub mod sync;
+#[cfg(loom)]
 pub mod sync_shim;
+#[cfg(not(loom))]
+mod sync_shim;
 pub mod telemetry;
-pub mod time;
-pub mod world;
+mod time;
+mod world;
 
 pub use error::{FailureDiagnostics, RunPhase, SimError, StallDiagnostics};
 pub use event::{Event, EventKey, LpId, NodeId};
@@ -89,10 +113,10 @@ pub use global::{GlobalFn, WorldAccess};
 pub use graph::{LinkGraph, LinkSpec};
 pub use kernel::{run, try_run, KernelError, KernelKind, PartitionMode, RunConfig};
 pub use metrics::{EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats};
-pub use partition::{fine_grained_partition, manual_partition, partition_below_bound, Partition};
-pub use perfmodel::{CostParams, ModelResult, PerfModel};
+pub use partition::{fine_grained_partition, partition_below_bound, Partition};
+pub use perfmodel::{mean_cv, CostParams, ModelResult, PerfModel};
 pub use rng::Rng;
-pub use sched::{scheduling_regret, LjfCursor, SchedConfig, SchedMetric, SchedPolicyKind};
+pub use sched::{scheduling_regret, SchedConfig, SchedMetric, SchedPolicyKind};
 pub use snapshot::{Snapshot, SnapshotWriter};
 pub use telemetry::{RunTelemetry, SchedDecision, Span, SpanKind, WorkerSpans};
 pub use time::{DataRate, Time};

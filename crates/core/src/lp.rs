@@ -75,11 +75,6 @@ pub struct LpState<N: SimNode> {
 }
 
 impl<N: SimNode> LpState<N> {
-    /// Creates an empty LP with the default FEL implementation.
-    pub fn new(id: LpId) -> Self {
-        Self::with_fel(id, crate::fel::FelImpl::default())
-    }
-
     /// Creates an empty LP whose FEL is backed by `fel_impl`
     /// (`RunConfig::fel`).
     pub fn with_fel(id: LpId, fel_impl: crate::fel::FelImpl) -> Self {
@@ -151,7 +146,7 @@ const ROW_GAP: usize = 128usize.div_ceil(std::mem::size_of::<Outbox<()>>());
 /// order events travel in carries no information: the FEL orders them by
 /// their keys alone.
 ///
-/// # Claim auditing (`claim-audit` feature, on by default)
+/// # Claim auditing
 ///
 /// Each slot carries an owner tag `(generation << 8) | owner_id` in a
 /// parallel atomic array. `get_mut` stamps the tag with the calling thread's
@@ -166,9 +161,8 @@ const ROW_GAP: usize = 128usize.div_ceil(std::mem::size_of::<Outbox<()>>());
 /// stretch in which one thread claims alone, such as the unison kernel's
 /// fused span, may be one generation. The tags are diagnostic metadata, not part of
 /// the synchronization protocol: they use plain `std` atomics with
-/// `Relaxed` ordering and never establish happens-before edges, so enabling
-/// the audit cannot mask a real race, and simulation results are
-/// bit-identical with the feature on or off.
+/// `Relaxed` ordering and never establish happens-before edges, so the
+/// audit cannot mask a real race and no simulation result depends on it.
 ///
 /// [`LpSlots::send`] does not stamp: it only *checks* that the calling
 /// thread's current-generation stamp is on the source LP — one relaxed
@@ -189,11 +183,9 @@ pub struct LpSlots<N: SimNode> {
     // packed for its writer and a column read touches few lines.
     outboxes: Box<[UnsafeCell<Outbox<N::Payload>>]>,
     stride: usize,
-    // Padded: with the audit on, every claimant swaps its LP's owner
-    // word each phase — unpadded they'd false-share across workers.
-    #[cfg(feature = "claim-audit")]
+    // Padded: every claimant swaps its LP's owner word each phase —
+    // unpadded they'd false-share across workers.
     owners: Vec<CachePadded<std::sync::atomic::AtomicU32>>,
-    #[cfg(feature = "claim-audit")]
     phase: std::sync::atomic::AtomicU32,
 }
 
@@ -202,7 +194,6 @@ pub struct LpSlots<N: SimNode> {
 /// share an id and a double claim between them would go unreported — an
 /// accepted diagnostic limitation (the kernels spawn at most one thread
 /// per core).
-#[cfg(feature = "claim-audit")]
 fn claim_owner_id() -> u32 {
     use std::sync::atomic::{AtomicU32, Ordering};
     static NEXT: AtomicU32 = AtomicU32::new(0);
@@ -254,7 +245,6 @@ impl<N: SimNode> LpSlots<N> {
             "an LP's home must be one of the {workers} workers"
         );
         let stride = workers + ROW_GAP;
-        #[cfg(feature = "claim-audit")]
         let owners = (0..lps.len())
             .map(|_| CachePadded::new(std::sync::atomic::AtomicU32::new(0)))
             .collect();
@@ -276,9 +266,7 @@ impl<N: SimNode> LpSlots<N> {
                 })
                 .collect(),
             stride,
-            #[cfg(feature = "claim-audit")]
             owners,
-            #[cfg(feature = "claim-audit")]
             phase: std::sync::atomic::AtomicU32::new(0),
         }
     }
@@ -286,17 +274,15 @@ impl<N: SimNode> LpSlots<N> {
     /// Advances the claim-audit phase generation. Call from a context that
     /// is exclusive with respect to all claimants (the main thread between
     /// barriers); claims stamped with an older generation are thereby
-    /// released. No-op with the `claim-audit` feature disabled.
+    /// released.
     #[inline]
     pub fn begin_phase(&self) {
-        #[cfg(feature = "claim-audit")]
         self.phase
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// The calling thread's claim in the current phase generation:
     /// `(generation, owner id)`; the tag is `(generation << 8) | owner`.
-    #[cfg(feature = "claim-audit")]
     fn current_claim(&self) -> (u32, u32) {
         // 24 bits of generation: wraps after ~16.7M phase boundaries, at
         // which point a slot untouched for exactly 2^24 generations could
@@ -306,7 +292,6 @@ impl<N: SimNode> LpSlots<N> {
     }
 
     /// Stamps the claim tag for `idx` and panics on a double claim.
-    #[cfg(feature = "claim-audit")]
     fn audit_claim(&self, idx: usize) {
         use std::sync::atomic::Ordering;
         let (generation, me) = self.current_claim();
@@ -334,7 +319,6 @@ impl<N: SimNode> LpSlots<N> {
 
     /// Panics unless the calling thread stamped `idx` in the current phase
     /// generation (a load, no stamp of its own).
-    #[cfg(feature = "claim-audit")]
     fn audit_held(&self, idx: usize, what: &str) {
         let (generation, me) = self.current_claim();
         let tag = self.owners[idx].load(std::sync::atomic::Ordering::Relaxed);
@@ -361,10 +345,7 @@ impl<N: SimNode> LpSlots<N> {
     /// drained only after the next barrier.
     #[inline]
     pub unsafe fn send(&self, src: LpId, worker: usize, dst: LpId, ev: Event<N::Payload>) {
-        #[cfg(feature = "claim-audit")]
         self.audit_held(src.index(), "outbox push");
-        #[cfg(not(feature = "claim-audit"))]
-        let _ = src;
         let home = self.lp_home[dst.index()] as usize;
         // SAFETY: only worker `worker` writes its row during a process
         // phase (caller contract), so this is the only live reference. A
@@ -394,7 +375,6 @@ impl<N: SimNode> LpSlots<N> {
         // Neither the phase generation nor the calling thread changes
         // within one call, so neither does the caller's claim tag: read it
         // once, not once per delivery.
-        #[cfg(feature = "claim-audit")]
         let tag = {
             let (generation, me) = self.current_claim();
             (generation << 8) | me
@@ -409,7 +389,6 @@ impl<N: SimNode> LpSlots<N> {
             total += n;
             for ev in outbox.buf.drain(..) {
                 let dst = self.directory.lp_of(ev.node);
-                #[cfg(feature = "claim-audit")]
                 if self.lp_home[dst.index()] as usize != home {
                     panic!(
                         "claim-audit: delivery into LP slot {} out of the \
@@ -424,14 +403,13 @@ impl<N: SimNode> LpSlots<N> {
                 // against the caller's own tag, with the tag read once per
                 // call; a slot this thread has not stamped in this phase
                 // takes the whole audit (swap, double-claim panic).
-                #[cfg(feature = "claim-audit")]
                 if self.owners[dst.index()].load(std::sync::atomic::Ordering::Relaxed) != tag {
                     self.audit_claim(dst.index());
                 }
                 // SAFETY: forwarded to the caller — it has exclusive access
-                // to the LPs of `home`, and `dst` is one (checked above
-                // under the audit, which also stamps the claim; `send`
-                // chose the column by the same table).
+                // to the LPs of `home`, and `dst` is one (checked above by
+                // the audit, which also stamps the claim; `send` chose the
+                // column by the same table).
                 let lp = unsafe { &mut *self.slots[dst.index()].get() };
                 lp.round_recv += 1;
                 lp.push(ev);
@@ -459,12 +437,6 @@ impl<N: SimNode> LpSlots<N> {
         self.slots.len()
     }
 
-    /// Whether the table is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// The node → (LP, local slot) directory.
     #[inline]
     pub fn directory(&self) -> &NodeDirectory {
@@ -484,7 +456,6 @@ impl<N: SimNode> LpSlots<N> {
     #[inline]
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn get_mut(&self, idx: usize) -> &mut LpState<N> {
-        #[cfg(feature = "claim-audit")]
         self.audit_claim(idx);
         // SAFETY: forwarded to the caller — the function's contract requires
         // an exclusive claim on `idx`, making this the only live reference.
@@ -520,9 +491,20 @@ impl<N: SimNode> LpSlots<N> {
 
 #[cfg(test)]
 mod tests {
+    //! The slot table, and the claim auditor: `get_mut` stamps an owner tag
+    //! per slot and must panic deterministically when two threads claim the
+    //! same slot in the same phase generation — the exact violation of the
+    //! claim discipline that the `unsafe` contract forbids. The outboxes
+    //! lean on the same tags: a send needs the caller's stamp on the source
+    //! LP, and a delivery takes its destination LP through `get_mut` after
+    //! checking that the LP's home is the column being drained.
+
+    use std::sync::mpsc;
+
     use super::*;
-    use crate::event::NodeId;
-    use crate::world::{SimCtx, SimNode};
+    use crate::event::{EventKey, NodeId};
+    use crate::fel::FelImpl;
+    use crate::world::SimCtx;
 
     struct Nop;
     impl SimNode for Nop {
@@ -532,9 +514,9 @@ mod tests {
 
     #[test]
     fn slots_roundtrip() {
-        let mut lp0 = LpState::<Nop>::new(LpId(0));
+        let mut lp0 = LpState::<Nop>::with_fel(LpId(0), FelImpl::default());
         lp0.nodes.push(Nop);
-        let lp1 = LpState::<Nop>::new(LpId(1));
+        let lp1 = LpState::<Nop>::with_fel(LpId(1), FelImpl::default());
         let dir = NodeDirectory::from_lp_nodes(1, &[vec![NodeId(0)], vec![]]);
         let slots = LpSlots::new(vec![lp0, lp1], dir);
         assert_eq!(slots.len(), 2);
@@ -545,5 +527,250 @@ mod tests {
         let (lps, dir) = slots.into_inner();
         assert_eq!(lps[0].seq, 42);
         assert_eq!(dir.lp_of(NodeId(0)), LpId(0));
+    }
+
+    /// Two LPs of one node each (node `i` in LP `i`) and two workers: LP `i`'s
+    /// home is worker `i`.
+    fn two_slots() -> LpSlots<Nop> {
+        let lps = (0..2)
+            .map(|i| {
+                let mut lp = LpState::<Nop>::with_fel(LpId(i), FelImpl::default());
+                lp.nodes.push(Nop);
+                lp
+            })
+            .collect();
+        let dir = NodeDirectory::from_lp_nodes(2, &[vec![NodeId(0)], vec![NodeId(1)]]);
+        LpSlots::with_homes(lps, dir, vec![0, 1], 2)
+    }
+
+    /// An event for `node` at t=1.
+    fn ev(node: u32) -> Event<()> {
+        Event {
+            key: EventKey::external(Time(1), 0),
+            node: NodeId(node),
+            payload: (),
+        }
+    }
+
+    /// Forged double claim: a helper thread claims slot 0 and keeps the claim
+    /// (no phase boundary), then the main thread claims the same slot in the
+    /// same generation. The auditor must panic with a "double claim" message.
+    #[test]
+    #[should_panic(expected = "double claim")]
+    fn forged_double_claim_panics() {
+        let slots = two_slots();
+        slots.begin_phase();
+        let (tx, rx) = mpsc::channel();
+        let slots = &slots;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                // SAFETY: this claim itself is legitimate (no other claimant
+                // yet); the reference is dropped immediately, so no aliasing
+                // ever occurs — the *audit tag* is what stays behind.
+                let lp = unsafe { slots.get_mut(0) };
+                lp.seq += 1;
+                tx.send(()).unwrap();
+            });
+            rx.recv().unwrap();
+            // Same generation, different thread: the contract violation. The
+            // auditor fires before any aliased reference can be produced.
+            // SAFETY: never reached past the audit panic.
+            let _ = unsafe { slots.get_mut(0) };
+        });
+    }
+
+    /// A helper thread claims slot 0 in the current generation; `Err` carries
+    /// its audit panic.
+    fn claim_slot_0_from_a_second_thread(slots: &LpSlots<Nop>) -> std::thread::Result<()> {
+        std::thread::scope(|scope| {
+            let helper = scope.spawn(move || {
+                // SAFETY: the callers forge a double claim on purpose; the
+                // audit panics before the reference exists.
+                let _ = unsafe { slots.get_mut(0) };
+            });
+            helper.join()
+        })
+    }
+
+    /// A repeat touch by the stamp's owner takes the load-only path; a second
+    /// thread stamping *after* it must still see the first owner's tag and
+    /// panic.
+    #[test]
+    fn double_claim_after_the_owners_repeat_touch_panics() {
+        let slots = two_slots();
+        slots.begin_phase();
+        for _ in 0..2 {
+            // SAFETY: sole claimant so far; the reference is dropped at once.
+            unsafe { slots.get_mut(0) }.seq += 1;
+        }
+        let forged = claim_slot_0_from_a_second_thread(&slots);
+        let msg = *forged.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("double claim of LP slot 0"), "{msg}");
+    }
+
+    /// The other order: the second thread stamps *between* the owner's two
+    /// touches. It panics itself (the owner's tag was there), and the owner's
+    /// repeat touch no longer finds its own tag, so it swaps and panics too.
+    #[test]
+    #[should_panic(expected = "double claim")]
+    fn double_claim_before_the_owners_repeat_touch_panics() {
+        let slots = two_slots();
+        slots.begin_phase();
+        // SAFETY: sole claimant so far; the reference is dropped at once.
+        unsafe { slots.get_mut(0) }.seq += 1;
+        let forged = claim_slot_0_from_a_second_thread(&slots);
+        assert!(forged.is_err(), "the second claimant was not caught");
+        // SAFETY: never reached past the audit panic.
+        let _ = unsafe { slots.get_mut(0) };
+    }
+
+    /// Re-claiming a slot from the same thread within one generation is the
+    /// normal kernel pattern (the main thread walks all slots repeatedly in its
+    /// exclusive windows) and must not panic.
+    #[test]
+    fn same_owner_reclaim_is_allowed() {
+        let slots = two_slots();
+        slots.begin_phase();
+        for _ in 0..3 {
+            // SAFETY: single-threaded; trivially exclusive.
+            unsafe { slots.get_mut(0) }.seq += 1;
+            // SAFETY: as above.
+            unsafe { slots.get_mut(1) }.seq += 1;
+        }
+        // SAFETY: as above.
+        assert_eq!(unsafe { slots.get_mut(0) }.seq, 3);
+    }
+
+    /// A phase boundary releases all claims: a claim from generation g does not
+    /// conflict with a different thread's claim in generation g+1.
+    #[test]
+    fn begin_phase_releases_claims() {
+        let slots = two_slots();
+        slots.begin_phase();
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // SAFETY: sole claimant in this generation; reference dropped
+                // before the phase boundary below.
+                unsafe { slots.get_mut(0) }.seq += 1;
+                tx.send(()).unwrap();
+            });
+            rx.recv().unwrap();
+            slots.begin_phase();
+            // SAFETY: new generation — the previous claim is released and the
+            // barrier-equivalent (thread join above via channel + scope) orders
+            // the accesses.
+            unsafe { slots.get_mut(0) }.seq += 1;
+        });
+        let (lps, _) = slots.into_inner();
+        assert_eq!(lps[0].seq, 2);
+    }
+
+    /// A send is covered by the claim on its source LP: sending from LP 0 with
+    /// only LP 1 stamped (or nothing stamped) is a send nobody was entitled to
+    /// make.
+    #[test]
+    #[should_panic(expected = "outbox push without the claim")]
+    fn send_without_the_source_claim_panics() {
+        let slots = two_slots();
+        slots.begin_phase();
+        // SAFETY: single-threaded; trivially exclusive.
+        let _ = unsafe { slots.get_mut(1) };
+        // SAFETY: never reached past the audit panic.
+        unsafe { slots.send(LpId(0), 0, LpId(1), ev(1)) };
+    }
+
+    /// A stamp from an earlier generation is no claim either.
+    #[test]
+    #[should_panic(expected = "outbox push without the claim")]
+    fn send_with_a_stale_claim_panics() {
+        let slots = two_slots();
+        slots.begin_phase();
+        // SAFETY: single-threaded; trivially exclusive.
+        let _ = unsafe { slots.get_mut(0) };
+        slots.begin_phase();
+        // SAFETY: never reached past the audit panic.
+        unsafe { slots.send(LpId(0), 0, LpId(1), ev(1)) };
+    }
+
+    /// Sends `ev(node)` from LP 0 on worker 0, addressed to LP `dst`, under the
+    /// claim on LP 0, and opens the next phase generation.
+    fn send_then_next_phase(slots: &LpSlots<Nop>, dst: u32, node: u32) {
+        slots.begin_phase();
+        // SAFETY: single-threaded; trivially exclusive.
+        let _ = unsafe { slots.get_mut(0) };
+        // SAFETY: LP 0 is stamped by this thread in this generation.
+        unsafe { slots.send(LpId(0), 0, LpId(dst), ev(node)) };
+        slots.begin_phase();
+    }
+
+    /// A helper thread touches LP 1 in the receive generation; the main thread
+    /// then delivers into LP 1 in the same generation. The delivery's `get_mut`
+    /// is the second claim.
+    #[test]
+    #[should_panic(expected = "double claim of LP slot 1")]
+    fn delivery_into_an_lp_another_thread_stamped_panics() {
+        let slots = two_slots();
+        send_then_next_phase(&slots, 1, 1);
+        let (tx, rx) = mpsc::channel();
+        let slots = &slots;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                // SAFETY: sole claimant of slot 1 so far; the reference is
+                // dropped at once, the audit tag stays behind.
+                let _ = unsafe { slots.get_mut(1) };
+                tx.send(()).unwrap();
+            });
+            rx.recv().unwrap();
+            // SAFETY: never reached past the audit panic.
+            unsafe { slots.receive(1, |_, _| {}) };
+        });
+    }
+
+    /// Only its home worker receives for an LP. An event for node 0 (LP 0, home
+    /// worker 0) sent as if it were LP 1's travels in column 1; draining that
+    /// column must not deliver it.
+    #[test]
+    fn delivery_out_of_a_foreign_column_panics() {
+        let slots = two_slots();
+        send_then_next_phase(&slots, 1, 0);
+        let forged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // SAFETY: single-threaded; the audit panics before the insertion.
+            unsafe { slots.receive(1, |_, _| {}) }
+        }));
+        let msg = *forged.unwrap_err().downcast::<String>().unwrap();
+        for part in ["LP slot 0", "column of worker 1", "home is worker 0"] {
+            assert!(msg.contains(part), "`{part}` missing from: {msg}");
+        }
+    }
+
+    /// The kernel pattern: send under the source claim in one generation,
+    /// deliver out of the destination's home column in the next. Any pair of
+    /// LPs has a lane — an LP can even send to itself.
+    #[test]
+    fn claimed_send_then_home_drain_delivers() {
+        let slots = two_slots();
+        slots.begin_phase();
+        // SAFETY: single-threaded; trivially exclusive.
+        let _ = unsafe { slots.get_mut(0) };
+        // SAFETY: LP 0 is stamped by this thread in this generation.
+        unsafe {
+            slots.send(LpId(0), 0, LpId(1), ev(1));
+            slots.send(LpId(0), 1, LpId(1), ev(1));
+            slots.send(LpId(0), 0, LpId(0), ev(0));
+        }
+        slots.begin_phase();
+        let mut got = Vec::new();
+        // SAFETY: single-threaded; trivially exclusive.
+        let n = unsafe { slots.receive(1, |dst, ev| got.push((dst, ev.node))) };
+        assert_eq!((n, got), (2, vec![(LpId(1), NodeId(1)); 2]));
+        // SAFETY: as above.
+        let rest = unsafe { slots.receive_all() };
+        assert_eq!(rest, 1, "column 0 was not drained");
+        let (lps, _) = slots.into_inner();
+        for (lp, recv) in lps.iter().zip([1, 2]) {
+            assert_eq!((lp.fel.len() as u64, lp.round_recv), (recv, recv));
+            assert_eq!(lp.next_ts, Time(1), "push keeps the cache current");
+        }
     }
 }

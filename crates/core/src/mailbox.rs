@@ -2,7 +2,7 @@
 //!
 //! No kernel uses this module. The Unison kernel needs no lock — its phases
 //! already separate every writer from every reader, so its transport is the
-//! plain per-worker-pair outbox table owned by [`crate::lp::LpSlots`]
+//! plain per-worker-pair outbox table owned by `LpSlots`
 //! (DESIGN.md §4.4). [`Mailboxes`] — [`Mailboxes::new`],
 //! [`Mailboxes::try_push`] and [`Mailboxes::drain_batch`] — is what
 //! `benchmark/src/micro.rs:84–162` times as `mailbox.*`; it goes when the

@@ -11,7 +11,7 @@
 /// # Examples
 ///
 /// ```
-/// use unison_core::rng::Rng;
+/// use unison_core::Rng;
 ///
 /// let mut a = Rng::new(42);
 /// let mut b = Rng::new(42);
@@ -102,13 +102,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Returns a uniform integer in `[lo, hi]` (inclusive).
-    #[inline]
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Samples an exponential distribution with the given mean.
     #[inline]
     pub fn next_exp(&mut self, mean: f64) -> f64 {
@@ -176,20 +169,6 @@ mod tests {
                 assert!(r.next_below(bound) < bound);
             }
         }
-    }
-
-    #[test]
-    fn range_inclusive() {
-        let mut r = Rng::new(5);
-        let mut seen_lo = false;
-        let mut seen_hi = false;
-        for _ in 0..1_000 {
-            let x = r.next_range(10, 12);
-            assert!((10..=12).contains(&x));
-            seen_lo |= x == 10;
-            seen_hi |= x == 12;
-        }
-        assert!(seen_lo && seen_hi);
     }
 
     #[test]

@@ -325,7 +325,12 @@ pub fn order_home(lps: &mut [u32], estimates: &[u64], heavy_above: u64) {
 /// This mirrors what the running kernel does physically (idle threads pop
 /// the longest remaining LP) and is the round recurrence of the
 /// virtual-core performance model.
-pub fn lpt_assign(order: &[u32], actual: &[f64], threads: usize, owner: &mut [usize]) -> Vec<f64> {
+pub(crate) fn lpt_assign(
+    order: &[u32],
+    actual: &[f64],
+    threads: usize,
+    owner: &mut [usize],
+) -> Vec<f64> {
     debug_assert!(threads > 0);
     let mut loads = vec![0.0f64; threads.max(1)];
     for &lp in order {
@@ -343,7 +348,7 @@ pub fn lpt_assign(order: &[u32], actual: &[f64], threads: usize, owner: &mut [us
     loads
 }
 
-/// The makespan of the [`lpt_assign`] schedule.
+/// The makespan of the `lpt_assign` schedule.
 pub fn lpt_makespan(order: &[u32], actual: &[f64], threads: usize) -> f64 {
     let mut owner = vec![0; actual.len()];
     let loads = lpt_assign(order, actual, threads, &mut owner);
@@ -352,7 +357,7 @@ pub fn lpt_makespan(order: &[u32], actual: &[f64], threads: usize) -> f64 {
 
 /// Sorts `lps` longest *actual* cost first, ties by LP id: the order of a
 /// scheduler with exact knowledge of the costs.
-pub fn ideal_order(lps: &mut [u32], actual: &[f64]) {
+pub(crate) fn ideal_order(lps: &mut [u32], actual: &[f64]) {
     lps.sort_unstable_by(|&a, &b| {
         actual[b as usize]
             // INVARIANT: profiled costs are finite (ns counters cast to f64).
@@ -363,7 +368,7 @@ pub fn ideal_order(lps: &mut [u32], actual: &[f64]) {
     });
 }
 
-/// The idealistic makespan: LPT in the [`ideal_order`] of every LP. Used
+/// The idealistic makespan: LPT in the `ideal_order` of every LP. Used
 /// as the denominator of the slowdown factor α in Fig. 12c.
 pub fn ideal_makespan(actual: &[f64], threads: usize) -> f64 {
     let mut order: Vec<u32> = (0..actual.len() as u32).collect();

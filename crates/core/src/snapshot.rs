@@ -239,10 +239,10 @@ impl Snapshot for Rng {
 #[macro_export]
 macro_rules! snapshot_struct {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::snapshot::Snapshot for $ty {
-            fn save(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+        impl $crate::Snapshot for $ty {
+            fn save(&self, w: &mut $crate::SnapshotWriter) {
                 let Self { $($field),+ } = self;
-                $( $crate::snapshot::Snapshot::save($field, w); )+
+                $( $crate::Snapshot::save($field, w); )+
             }
         }
     };

@@ -8,7 +8,7 @@
 //! dedicated cores (short waits stay in user space) and on oversubscribed
 //! machines (yielding lets the other workers run).
 //!
-//! All atomics go through [`crate::sync_shim`], so under
+//! All atomics go through `crate::sync_shim`, so under
 //! `RUSTFLAGS="--cfg loom"` the barriers run on the in-repo loom model
 //! checker's instrumented types; `crates/core/tests/loom_models.rs`
 //! exhaustively verifies generation reuse, leader uniqueness and the
@@ -27,7 +27,7 @@ use crate::sync_shim::{
 /// user-space spin wins. On heavily oversubscribed machines construct the
 /// barrier with [`TreeBarrier::with_spin_limit`] and a lower value (0 =
 /// always yield).
-pub const SPIN_YIELD_THRESHOLD: u32 = 64;
+pub(crate) const SPIN_YIELD_THRESHOLD: u32 = 64;
 
 /// A reusable sense-reversing barrier over atomics.
 ///
@@ -83,7 +83,7 @@ pub struct SpinBarrier {
 
 impl SpinBarrier {
     /// Creates a barrier for `threads` participants with the default
-    /// [`SPIN_YIELD_THRESHOLD`].
+    /// `SPIN_YIELD_THRESHOLD`.
     pub fn new(threads: usize) -> Self {
         Self::with_spin_limit(threads, SPIN_YIELD_THRESHOLD)
     }
@@ -167,7 +167,7 @@ impl SpinBarrier {
 /// actually runs (≤ 4 workers collapse to a single root node; 16 workers
 /// need two levels) while still splitting the arrival cache line once the
 /// flat counter would become a global hot word.
-pub const TREE_FAN_IN: usize = 4;
+pub(crate) const TREE_FAN_IN: usize = 4;
 
 /// One combining node of the arrival tree. Each node owns its own cache
 /// line (the whole node is stored `CachePadded`), so arrivals at different
@@ -189,7 +189,7 @@ struct TreeNode {
 }
 
 /// A hierarchical sense-free tree barrier: cache-padded arrival nodes with
-/// fan-in [`TREE_FAN_IN`], release broadcast down from the root.
+/// fan-in `TREE_FAN_IN`, release broadcast down from the root.
 ///
 /// Drop-in replacement for [`SpinBarrier`] in the round-based kernels,
 /// with the same poison semantics (the kernel times its waits itself, as
@@ -241,7 +241,7 @@ struct TreeNode {
 /// both leaf and inner nodes.
 pub struct TreeBarrier {
     threads: usize,
-    /// Combining fan-in ([`TREE_FAN_IN`] in production; loom models shrink
+    /// Combining fan-in (`TREE_FAN_IN` in production; loom models shrink
     /// it to force multi-level trees with few threads).
     fan_in: usize,
     /// All tree nodes, leaves first (node 0..leaves), then each level up,
@@ -260,7 +260,7 @@ pub struct TreeWaiter {
 
 impl TreeBarrier {
     /// Creates a tree barrier for `threads` participants with the default
-    /// [`SPIN_YIELD_THRESHOLD`].
+    /// `SPIN_YIELD_THRESHOLD`.
     pub fn new(threads: usize) -> Self {
         Self::with_spin_limit(threads, SPIN_YIELD_THRESHOLD)
     }
@@ -274,7 +274,7 @@ impl TreeBarrier {
     /// Creates a tree barrier with an explicit fan-in. Only tests and loom
     /// models should need this: a small fan-in forces a multi-level tree
     /// with few participants, which is what the model checker has to
-    /// explore (production code always uses [`TREE_FAN_IN`]).
+    /// explore (production code always uses `TREE_FAN_IN`).
     #[doc(hidden)]
     pub fn with_shape(threads: usize, fan_in: usize, spin_limit: u32) -> Self {
         assert!(threads > 0);

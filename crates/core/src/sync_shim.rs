@@ -17,14 +17,14 @@
 #[cfg(not(loom))]
 pub use std::hint::spin_loop;
 #[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 #[cfg(not(loom))]
 pub use std::thread::yield_now;
 
 #[cfg(loom)]
 pub use loom::hint::spin_loop;
 #[cfg(loom)]
-pub use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 #[cfg(loom)]
 pub use loom::thread::yield_now;
 

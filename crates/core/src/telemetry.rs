@@ -5,7 +5,7 @@
 //! from their hot loops; merging, analysis, and Chrome-trace export live in
 //! the `unison-telemetry` crate. The discipline mirrors `netsim::trace`:
 //! **one writer per worker**, bounded buffers, no shared mutation. A worker
-//! only ever touches its own [`WorkerTel`], which the kernel moves back to
+//! only ever touches its own `WorkerTel`, which the kernel moves back to
 //! the control thread after the final barrier; the scheduler-decision log is
 //! written exclusively by the control thread inside its serial phase-4
 //! window. Telemetry therefore introduces no new synchronization edges and
@@ -22,7 +22,7 @@
 //! One clock: a span is cut from the `Instant` pair the kernel already read
 //! to charge the same stretch to its P/S/M accumulators — `start_ns` is the
 //! first reading's distance from the run's origin (the construction of the
-//! [`TelContext`]), `dur_ns` the charged nanoseconds. A thread's laps are
+//! `TelContext`), `dur_ns` the charged nanoseconds. A thread's laps are
 //! chained (each boundary is one reading), so its lap spans are contiguous.
 //! Spans are pushed at close, so within a sink the end timestamps follow
 //! push order. Virtual time never appears in a span's clock fields, only in
@@ -37,7 +37,7 @@ use std::time::Instant;
 pub const SPAN_CAPACITY: usize = 1 << 16;
 
 /// Maximum scheduler decisions retained by the control thread.
-pub const SCHED_CAPACITY: usize = 1 << 12;
+pub(crate) const SCHED_CAPACITY: usize = 1 << 12;
 
 /// `lp` value of a span that is not attributed to a single LP.
 pub const NO_LP: u32 = u32::MAX;
@@ -165,7 +165,7 @@ pub struct RunTelemetry {
     pub workers: Vec<WorkerSpans>,
     /// Scheduler decisions in publication order.
     pub sched: Vec<SchedDecision>,
-    /// Decisions dropped after [`SCHED_CAPACITY`] was reached.
+    /// Decisions dropped after `SCHED_CAPACITY` was reached.
     pub sched_truncated: u64,
 }
 
@@ -188,9 +188,9 @@ impl RunTelemetry {
 }
 
 /// Per-run recording context: the shared wall-clock origin plus the
-/// switch. Created once at kernel start; hands one [`WorkerTel`] to each
-/// worker and one [`SchedLog`] to the control thread.
-pub struct TelContext {
+/// switch. Created once at kernel start; hands one `WorkerTel` to each
+/// worker and one `SchedLog` to the control thread.
+pub(crate) struct TelContext {
     origin: Instant,
     enabled: bool,
     span_capacity: usize,
@@ -211,11 +211,6 @@ impl TelContext {
             span_capacity,
             sched_capacity,
         }
-    }
-
-    /// Whether sinks created by this context record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// A recording sink for `worker` (sole writer: that worker).
@@ -258,7 +253,7 @@ impl TelContext {
 /// One worker's span sink. Exactly one thread writes to it (it is moved
 /// into the worker and moved back out at join), so recording is
 /// lock-free by construction.
-pub struct WorkerTel {
+pub(crate) struct WorkerTel {
     worker: u32,
     origin: Instant,
     enabled: bool,
@@ -333,7 +328,7 @@ impl WorkerTel {
 }
 
 /// The scheduler-decision sink (control thread only).
-pub struct SchedLog {
+pub(crate) struct SchedLog {
     enabled: bool,
     capacity: usize,
     decisions: Vec<SchedDecision>,
@@ -371,7 +366,6 @@ mod tests {
     #[test]
     fn disabled_sink_records_nothing() {
         let ctx = TelContext::new(false);
-        assert!(!ctx.is_enabled());
         let mut tel = ctx.worker(0);
         assert!(!tel.enabled());
         tel.record(SpanKind::LpTask, 1, 3, Instant::now(), 10, 5, 2);

@@ -185,14 +185,6 @@ impl<N: SimNode> WorldBuilder<N> {
         id
     }
 
-    /// Adds a node built from its future id (for nodes that store their id).
-    pub fn add_node_with(&mut self, f: impl FnOnce(NodeId) -> N) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(f(id));
-        self.graph.ensure_nodes(self.nodes.len());
-        id
-    }
-
     /// Declares a stateless link between `a` and `b` with propagation
     /// `delay`, returning its stable link id. The kernel uses links only for
     /// partitioning and lookahead; the model is responsible for actually

@@ -22,7 +22,7 @@
 //!    `crates/netsim/src/snapshot.rs`, is the one exemption.
 //! 4. **`no-wall-clock`** — `Instant`/`SystemTime` are banned in
 //!    `crates/core/src` simulation paths; simulation time is
-//!    `unison_core::time::Time` only. Exceptions: `kernel/*` may use
+//!    `unison_core::Time` only. Exceptions: `kernel/*` may use
 //!    `Instant` for the wall-clock P/S/M metrics in `RunReport`, and
 //!    `telemetry.rs` (the span recorder) is allow-listed wholesale (those
 //!    measure the simulator, they never feed back into simulation state).

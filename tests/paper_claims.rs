@@ -9,12 +9,11 @@
 //! flip a comparison, per-LP costs are taken as event counts
 //! ([`event_costs`]), which makes the replay deterministic.
 
-use unison::core::perfmodel::mean_cv;
 use unison::core::sched::{
     heavy_above, home_first_makespan, home_range, order_home, sort_by_estimate,
 };
 use unison::core::{
-    DataRate, KernelKind, PartitionMode, PerfModel, RoundRecord, RunConfig, SchedConfig,
+    mean_cv, DataRate, KernelKind, PartitionMode, PerfModel, RoundRecord, RunConfig, SchedConfig,
     SchedMetric, Time,
 };
 use unison::netsim::{NetworkBuilder, RoutingKind, SimResult};
