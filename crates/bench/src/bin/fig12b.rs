@@ -67,7 +67,7 @@ fn main() {
         println!(
             "{name:>12}  {:>6}  {:>14}  {:>12.3}  {:>14.6}",
             res.kernel.lp_count,
-            res.kernel.node_switches(),
+            res.kernel.node_switches,
             res.kernel.wall.as_secs_f64(),
             t4.total_ns / 1e9
         );

@@ -21,7 +21,7 @@
 //! - `--threads <n>` — override the worker count of the unison kernel in
 //!   every row without editing the file;
 //! - `--explain` — record spans and print where the wall time went: P/S/M
-//!   per worker, per-round imbalance, scheduling regret, traffic
+//!   per worker, per-round imbalance, traffic, receive columns
 //!   (`unison_telemetry::write_report`, DESIGN.md §4.3);
 //! - `--profile <dir>` — record spans and write the run's Chrome-trace JSON
 //!   into `<dir>` (open it in ui.perfetto.dev or `chrome://tracing`);
@@ -194,13 +194,7 @@ fn run_row(cli: &Cli, row: &ScenarioRow, i: usize, n: usize) -> Result<Value, Ex
     );
     println!(
         "kernel:   {} — {} events, {} rounds, {} LPs, lookahead {}, wall {:?}, {} node switches",
-        r.kernel,
-        r.events,
-        r.rounds,
-        r.lp_count,
-        r.lookahead,
-        r.wall,
-        r.node_switches()
+        r.kernel, r.events, r.rounds, r.lp_count, r.lookahead, r.wall, r.node_switches
     );
     println!("flows:    {}", res.flows.one_line());
     println!("digest:   {digest:016x}");
@@ -264,7 +258,7 @@ fn run_row(cli: &Cli, row: &ScenarioRow, i: usize, n: usize) -> Result<Value, Ex
         ("lp_count", num(r.lp_count.into())),
         ("wall_ns", num(r.wall.as_nanos() as u64)),
         ("end_time_ns", num(r.end_time.as_nanos())),
-        ("node_switches", num(r.node_switches())),
+        ("node_switches", num(r.node_switches)),
         ("completed_flows", num(res.flows.completed_flows())),
         ("digest", text(&format!("{digest:016x}"))),
         ("model", Value::Arr(model.collect())),

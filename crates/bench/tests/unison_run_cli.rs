@@ -108,11 +108,9 @@ fn explain_prints_the_report_and_profile_writes_a_valid_trace() {
         "-- P/S/M per worker",
         "worker   1: P ",
         "-- load imbalance",
-        "barrier slack",
-        "-- scheduling regret",
-        "rounds covered",
         "-- mailbox traffic",
         "total cross-LP events",
+        "-- receive columns",
     ] {
         assert!(stdout.contains(section), "no `{section}` in:\n{stdout}");
     }

@@ -28,11 +28,9 @@ use crate::fel::Fel;
 use crate::global::{GlobalFn, WorldAccess};
 use crate::graph::LinkGraph;
 use crate::lp::{LpSlots, LpState, PendingGlobal};
-use crate::metrics::{
-    EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
-};
+use crate::metrics::{EngineStats, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats};
 use crate::partition::Partition;
-use crate::telemetry::{SchedLog, SpanKind, TelContext, WorkerTel};
+use crate::telemetry::{SpanKind, TelContext, WorkerTel};
 use crate::time::Time;
 use crate::world::{NodeDirectory, SimNode, World};
 
@@ -452,7 +450,6 @@ pub(super) struct Outcome<N: SimNode> {
     /// Cross-LP sends served without / with an allocation.
     pub pool: (u64, u64),
     pub sched: SchedStats,
-    pub sched_log: SchedLog,
     pub rounds_profile: Option<Vec<RoundRecord>>,
     /// Round a stall diagnosis reports.
     pub stall_round: u64,
@@ -477,7 +474,6 @@ impl<N: SimNode> Outcome<N> {
             end_time: Time::ZERO,
             pool: (0, 0),
             sched: SchedStats::default(),
-            sched_log: env.telctx.sched_log(),
             rounds_profile: None,
             stall_round: 0,
         }
@@ -496,10 +492,6 @@ pub(super) fn finish<N: SimNode>(
     out: Outcome<N>,
 ) -> Result<(World<N>, RunReport), SimError> {
     let stalled = env.wd.stalled();
-    let lp_totals = LpTotals {
-        events: out.lps.iter().map(|lp| lp.total_events).collect(),
-        node_switches: out.lps.iter().map(|lp| lp.node_switches).collect(),
-    };
     let mut end_time = out.end_time;
     let mut psm = Vec::with_capacity(out.workers.len());
     let mut tels = Vec::with_capacity(out.workers.len());
@@ -517,7 +509,7 @@ pub(super) fn finish<N: SimNode>(
     let report = RunReport {
         kernel: out.label,
         wall: out.wall,
-        events: lp_totals.events.iter().sum(),
+        events: out.lps.iter().map(|lp| lp.total_events).sum(),
         global_events: out.global_events,
         rounds: out.rounds,
         fused_rounds: out.fused_rounds,
@@ -526,7 +518,7 @@ pub(super) fn finish<N: SimNode>(
         lookahead: shell.partition.lookahead,
         end_time,
         psm,
-        lp_totals,
+        node_switches: out.lps.iter().map(|lp| lp.node_switches).sum(),
         engine: EngineStats {
             pool_hits: out.pool.0,
             pool_misses: out.pool.1,
@@ -534,7 +526,7 @@ pub(super) fn finish<N: SimNode>(
         sched: out.sched,
         rounds_profile: out.rounds_profile,
         lp_neighbors,
-        telemetry: env.telctx.collect(tels, out.sched_log),
+        telemetry: env.telctx.collect(tels),
     };
     let partial = Box::new(report);
     if let Some(diag) = env.failure.into_inner().unwrap_or_else(|e| e.into_inner()) {

@@ -187,9 +187,9 @@ impl RunConfig {
         self
     }
 
-    /// Records the span timeline, scheduler-decision log and traffic
-    /// matrix ([`MetricsLevel::Spans`]; provably non-perturbing, see
-    /// DESIGN.md §4.3).
+    /// Records the span timeline and traffic matrix
+    /// ([`MetricsLevel::Spans`]; provably non-perturbing, see DESIGN.md
+    /// §4.3).
     pub fn with_telemetry(mut self) -> Self {
         self.metrics = MetricsLevel::Spans;
         self

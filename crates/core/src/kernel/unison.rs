@@ -27,9 +27,10 @@
 //!
 //! A round visits each LP once, in phase 1, and again in phase 3 only per
 //! event delivered to it. The control thread walks all LPs only in the
-//! periods whose order has or had a heavy LP, for per-round profiles and
-//! spans, when a process phase flagged pending globals, and to re-derive
-//! the minimum after a global event ran.
+//! periods whose order has or had a heavy LP, for per-round profiles,
+//! when a process phase flagged pending globals, and to re-derive the
+//! minimum after a global event ran. Whether spans are recorded changes
+//! none of these walks.
 //!
 //! Determinism: event keys are assigned from per-LP monotone counters and
 //! ordered by the §5.2 tie-breaking rule, so results are identical for any
@@ -77,10 +78,6 @@ struct RoundPlan {
     /// per-round profiles and `lp-task` spans. The scheduler estimates from
     /// event counts, so a `Summary` run reads no per-LP clock.
     timed: bool,
-    /// Per-LP cost estimates behind the current `order`, published only
-    /// when telemetry records (empty otherwise) so `lp-task` spans can
-    /// carry estimate-vs-actual data.
-    est: Vec<u64>,
 }
 
 /// Shared cell for the round plan.
@@ -212,11 +209,6 @@ pub(super) fn run<N: SimNode>(
         .next_ts()
         .min(initial_min.saturating_add(shell.partition.lookahead));
 
-    // Telemetry sinks: one per worker (sole writer: that worker), plus the
-    // scheduler-decision log written only by the main thread in phase 4.
-    // All no-ops below `MetricsLevel::Spans` (see DESIGN.md §4.3).
-    let mut sched_log = env.telctx.sched_log();
-
     // Round fusion (DESIGN.md §4.9), with its oversubscription clause: when
     // the run asks for more workers than the machine has cores, parallel
     // rounds only time-slice — serializing them on the control thread is
@@ -259,7 +251,6 @@ pub(super) fn run<N: SimNode>(
         round: 1,
         done: initial_min == Time::MAX && public.next_ts() == Time::MAX,
         timed: cfg.metrics != MetricsLevel::Summary,
-        est: Vec::new(),
     }));
 
     let barrier = TreeBarrier::new(threads);
@@ -508,14 +499,11 @@ pub(super) fn run<N: SimNode>(
             // (DESIGN.md §4.5). The round's processed total and its largest
             // per-LP count are in the fold: with no heavy LP now or in the
             // published order, that order already is LP-id order and no LP
-            // is walked. The decision log (`Spans`) records every period's
-            // order.
+            // is walked.
             if !done
                 && parallel_round
                 && parallel_rounds.is_multiple_of(sched_period)
-                && (heavy_first
-                    || sched_log.enabled()
-                    || max_lp > heavy_above(load - recv_total, threads))
+                && (heavy_first || max_lp > heavy_above(load - recv_total, threads))
             {
                 estimates.clear();
                 // SAFETY: main-thread exclusivity between B3 and B0.
@@ -530,20 +518,6 @@ pub(super) fn run<N: SimNode>(
                 for home in 0..threads {
                     let segment = home_range(order.len(), threads, home);
                     order_home(&mut order[segment], &estimates, bound);
-                }
-                if sched_log.enabled() {
-                    // Log the decision: the order applies from the next
-                    // round (`rounds + 1`) until the next re-order.
-                    // Estimates ride along for regret analysis.
-                    sched_log.record(
-                        rounds + 1,
-                        order.clone(),
-                        order.iter().map(|&l| estimates[l as usize]).collect(),
-                    );
-                    // Publish the estimates so phase-1 `lp-task` spans can
-                    // carry estimate-vs-actual arguments.
-                    plan_mut.est.clear();
-                    plan_mut.est.extend_from_slice(&estimates);
                 }
             }
 
@@ -621,7 +595,6 @@ pub(super) fn run<N: SimNode>(
         sched: SchedStats {
             claims: cursor.claims(),
         },
-        sched_log,
         rounds_profile,
         stall_round: rounds,
         ..Outcome::new(&env, wall, lps, workers)
@@ -812,11 +785,8 @@ fn process_phase<N: SimNode>(
             lp.last_cost_ns = t0.elapsed().as_nanos() as u64;
             // Recording spans makes every round timed, so every LP visit
             // that did work leaves an `lp-task` span of the measured cost.
-            // `plan.est` is only published when telemetry records; 0 means
-            // "no estimate" (before the first re-order, or metric None).
-            let est = plan.est.get(lp_idx).copied().unwrap_or(0);
             let (lp_id, cost) = (lp_idx as u32, lp.last_cost_ns);
-            tel.record(SpanKind::LpTask, round, lp_id, t0, cost, round_events, est);
+            tel.record(SpanKind::LpTask, round, lp_id, t0, cost, round_events, 0);
         }
     }
     fold

@@ -112,12 +112,12 @@ pub use fel::{Fel, FelImpl};
 pub use global::{GlobalFn, WorldAccess};
 pub use graph::{LinkGraph, LinkSpec};
 pub use kernel::{run, try_run, KernelError, KernelKind, PartitionMode, RunConfig};
-pub use metrics::{EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats};
+pub use metrics::{EngineStats, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats};
 pub use partition::{fine_grained_partition, partition_below_bound, Partition};
 pub use perfmodel::{mean_cv, CostParams, ModelResult, PerfModel};
 pub use rng::Rng;
-pub use sched::{scheduling_regret, SchedConfig, SchedMetric, SchedPolicyKind};
+pub use sched::{SchedConfig, SchedMetric, SchedPolicyKind};
 pub use snapshot::{Snapshot, SnapshotWriter};
-pub use telemetry::{RunTelemetry, SchedDecision, Span, SpanKind, WorkerSpans};
+pub use telemetry::{RunTelemetry, Span, SpanKind, WorkerSpans};
 pub use time::{DataRate, Time};
 pub use world::{SimCtx, SimCtxExt, SimNode, World, WorldBuilder};

@@ -25,9 +25,9 @@ pub enum MetricsLevel {
     /// only: the sequential kernel has no round to profile and records
     /// totals only.
     PerRound,
-    /// Totals plus [`RunReport::telemetry`]: the bounded span timeline,
-    /// scheduler-decision log and traffic matrix the profiler reads
-    /// (`unison-run --explain`, Chrome-trace export). Both kernels.
+    /// Totals plus [`RunReport::telemetry`]: the bounded span timeline and
+    /// traffic matrix the profiler reads (`unison-run --explain`,
+    /// Chrome-trace export). Both kernels.
     Spans,
 }
 
@@ -93,15 +93,6 @@ impl RoundRecord {
     pub fn total_cost_ns(&self) -> f64 {
         self.lp_cost_ns.iter().map(|&c| c as f64).sum()
     }
-}
-
-/// Per-LP totals over a run.
-#[derive(Clone, Debug, Default)]
-pub struct LpTotals {
-    /// Events processed per LP.
-    pub events: Vec<u64>,
-    /// Locality proxy: consecutive-event node switches per LP.
-    pub node_switches: Vec<u64>,
 }
 
 /// Memory behaviour of a run's event engine (DESIGN.md §4.4): how much of
@@ -171,8 +162,9 @@ pub struct RunReport {
     pub end_time: Time,
     /// P/S/M per worker thread (index = thread id).
     pub psm: Vec<Psm>,
-    /// Per-LP totals.
-    pub lp_totals: LpTotals,
+    /// Locality proxy: consecutive events at different nodes, summed over
+    /// the LPs.
+    pub node_switches: u64,
     /// Event-engine configuration and cross-LP allocation profile.
     pub engine: EngineStats,
     /// Claim-loop activity (DESIGN.md §4.5).
@@ -185,8 +177,8 @@ pub struct RunReport {
     /// [`PerfModel::nullmsg`](crate::PerfModel::nullmsg) replays the
     /// profile over, so nobody has to rebuild the run's partition.
     pub lp_neighbors: Vec<Vec<u32>>,
-    /// Phase/LP span timelines, the scheduler-decision log and the traffic
-    /// matrix, at [`MetricsLevel::Spans`]. `None` otherwise.
+    /// Phase/LP span timelines and the traffic matrix, at
+    /// [`MetricsLevel::Spans`]. `None` otherwise.
     pub telemetry: Option<RunTelemetry>,
 }
 
@@ -204,11 +196,6 @@ impl RunReport {
     /// Aggregate P/S/M over all threads.
     pub fn psm_total(&self) -> Psm {
         self.psm.iter().copied().sum()
-    }
-
-    /// Total node switches (locality proxy) over all LPs.
-    pub fn node_switches(&self) -> u64 {
-        self.lp_totals.node_switches.iter().sum()
     }
 }
 

@@ -82,7 +82,7 @@ impl SchedPolicyKind {
 /// Positions `home` of `homes` owns out of an order of `len` positions:
 /// contiguous, equal-count (±1) segments that depend on nothing but the
 /// three numbers, so the claim cursor, the LPs' receive homes, the phase-4
-/// re-order and the regret replay all cut an order the same way.
+/// re-order and [`home_first_makespan`] all cut an order the same way.
 pub fn home_range(len: usize, homes: usize, home: usize) -> Range<usize> {
     home * len / homes..(home + 1) * len / homes
 }
@@ -408,24 +408,6 @@ pub fn home_first_makespan(order: &[u32], actual: &[f64], threads: usize) -> f64
     loads.iter().cloned().fold(0.0, f64::max)
 }
 
-/// Estimate-vs-actual *scheduling regret* for one round: the makespan of
-/// the home-first schedule the kernel actually ran (each home *ordered* by
-/// the stale estimates behind `order` but its LPs *costing* their measured
-/// times in `actual`) over the idealistic makespan with exact knowledge of
-/// the costs and no homes.
-///
-/// `1.0` means the stale estimates and the homes lost nothing. Values are
-/// usually ≥ 1, but can dip slightly below: LPT with exact knowledge is
-/// itself only a 4/3-approximation, so a "misordered" schedule can get
-/// lucky. Returns `1.0` for rounds with zero total cost.
-pub fn scheduling_regret(order: &[u32], actual: &[f64], threads: usize) -> f64 {
-    let ideal = ideal_makespan(actual, threads);
-    if ideal <= 0.0 {
-        return 1.0;
-    }
-    home_first_makespan(order, actual, threads) / ideal
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,20 +516,6 @@ mod tests {
         let actual = vec![2.0, 3.0, 4.0];
         let order = order_by_estimate(&[2, 3, 4]);
         assert_eq!(lpt_makespan(&order, &actual, 1), 9.0);
-    }
-
-    #[test]
-    fn regret_is_one_with_perfect_estimates_and_grows_when_stale() {
-        let actual = vec![10.0, 1.0, 1.0, 1.0];
-        let perfect = order_by_estimate(&[10, 1, 1, 1]);
-        assert_eq!(scheduling_regret(&perfect, &actual, 2), 1.0);
-        // Inverted estimates: the big job lands last, on top of an
-        // already-loaded thread → makespan 11 vs ideal 10.
-        let inverted = order_by_estimate(&[1, 2, 3, 4]);
-        let r = scheduling_regret(&inverted, &actual, 2);
-        assert!((r - 1.1).abs() < 1e-12, "regret {r}");
-        // Zero-cost rounds have no regret signal.
-        assert_eq!(scheduling_regret(&perfect, &[0.0; 4], 2), 1.0);
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! Run telemetry: per-worker phase timelines, per-LP task spans, and the
-//! scheduler-decision log (DESIGN.md §4.3).
+//! Run telemetry: per-worker phase timelines, per-LP task spans and the
+//! mailbox traffic matrix (DESIGN.md §4.3).
 //!
 //! The recording side lives in `unison-core` so the kernels can write spans
 //! from their hot loops; merging, analysis, and Chrome-trace export live in
 //! the `unison-telemetry` crate. The discipline mirrors `netsim::trace`:
 //! **one writer per worker**, bounded buffers, no shared mutation. A worker
 //! only ever touches its own `WorkerTel`, which the kernel moves back to
-//! the control thread after the final barrier; the scheduler-decision log is
-//! written exclusively by the control thread inside its serial phase-4
-//! window. Telemetry therefore introduces no new synchronization edges and
-//! cannot perturb simulation results — the observer-effect test in
+//! the control thread after the final barrier. Telemetry therefore
+//! introduces no new synchronization edges, and no scheduling decision
+//! reads whether it records (only whether to take a span's clock reading
+//! does), so it cannot perturb simulation results or the control path
+//! that produced them — the observer-effect test in
 //! `crates/core/tests/telemetry_observer.rs` proves runs are bit-identical
 //! with telemetry on and off.
 //!
@@ -35,9 +36,6 @@ use std::time::Instant;
 /// [`WorkerSpans::truncated`] and dropped (bounded memory, the same policy
 /// as `netsim::trace`).
 pub const SPAN_CAPACITY: usize = 1 << 16;
-
-/// Maximum scheduler decisions retained by the control thread.
-pub(crate) const SCHED_CAPACITY: usize = 1 << 12;
 
 /// `lp` value of a span that is not attributed to a single LP.
 pub const NO_LP: u32 = u32::MAX;
@@ -73,8 +71,7 @@ pub enum SpanKind {
     /// `Receive` lap (no LP; absent when nothing arrived). `arg` = events
     /// received.
     MailboxFlush,
-    /// One LP's execution in phase 1. `arg` = events executed, `arg2` = the
-    /// scheduler's cost estimate for this LP (0 when no estimate existed).
+    /// One LP's execution in phase 1. `arg` = events executed.
     LpTask,
     /// Unison kernel: a whole round that *fused* — every phase ran on the
     /// main thread with no barrier crossing (DESIGN.md §4.9). Control
@@ -145,28 +142,11 @@ pub struct WorkerSpans {
     pub traffic: Vec<(u32, u32, u64)>,
 }
 
-/// One scheduler decision: the order published by a phase-4 re-order.
-#[derive(Clone, Debug)]
-pub struct SchedDecision {
-    /// First round the order applies to.
-    pub round: u64,
-    /// LP visit order: in each home segment the heavy LPs first, longest
-    /// estimate first, then the rest by LP id.
-    pub order: Vec<u32>,
-    /// Estimates aligned with `order` (`estimates[i]` is the estimate of LP
-    /// `order[i]`: the events it handled in the last parallel round).
-    pub estimates: Vec<u64>,
-}
-
 /// Everything a run recorded, attached to [`crate::RunReport::telemetry`].
 #[derive(Clone, Debug, Default)]
 pub struct RunTelemetry {
     /// Per-worker span buffers (index = worker id).
     pub workers: Vec<WorkerSpans>,
-    /// Scheduler decisions in publication order.
-    pub sched: Vec<SchedDecision>,
-    /// Decisions dropped after `SCHED_CAPACITY` was reached.
-    pub sched_truncated: u64,
 }
 
 impl RunTelemetry {
@@ -189,27 +169,25 @@ impl RunTelemetry {
 
 /// Per-run recording context: the shared wall-clock origin plus the
 /// switch. Created once at kernel start; hands one `WorkerTel` to each
-/// worker and one `SchedLog` to the control thread.
+/// worker.
 pub(crate) struct TelContext {
     origin: Instant,
     enabled: bool,
     span_capacity: usize,
-    sched_capacity: usize,
 }
 
 impl TelContext {
     /// Captures the run origin; sinks record iff `enabled`
     /// ([`MetricsLevel::Spans`](crate::MetricsLevel)).
     pub fn new(enabled: bool) -> Self {
-        Self::with_capacities(enabled, SPAN_CAPACITY, SCHED_CAPACITY)
+        Self::with_capacity(enabled, SPAN_CAPACITY)
     }
 
-    fn with_capacities(enabled: bool, span_capacity: usize, sched_capacity: usize) -> Self {
+    fn with_capacity(enabled: bool, span_capacity: usize) -> Self {
         TelContext {
             origin: Instant::now(),
             enabled,
             span_capacity,
-            sched_capacity,
         }
     }
 
@@ -226,26 +204,14 @@ impl TelContext {
         }
     }
 
-    /// The scheduler-decision sink (sole writer: the control thread).
-    pub fn sched_log(&self) -> SchedLog {
-        SchedLog {
-            enabled: self.enabled,
-            capacity: self.sched_capacity,
-            decisions: Vec::new(),
-            truncated: 0,
-        }
-    }
-
     /// Merges the per-worker sinks into the run's telemetry (`None`
     /// when recording was disabled).
-    pub fn collect(self, workers: Vec<WorkerTel>, sched: SchedLog) -> Option<RunTelemetry> {
+    pub fn collect(self, workers: Vec<WorkerTel>) -> Option<RunTelemetry> {
         if !self.enabled {
             return None;
         }
         Some(RunTelemetry {
             workers: workers.into_iter().map(WorkerTel::into_spans).collect(),
-            sched: sched.decisions,
-            sched_truncated: sched.truncated,
         })
     }
 }
@@ -327,38 +293,6 @@ impl WorkerTel {
     }
 }
 
-/// The scheduler-decision sink (control thread only).
-pub(crate) struct SchedLog {
-    enabled: bool,
-    capacity: usize,
-    decisions: Vec<SchedDecision>,
-    truncated: u64,
-}
-
-impl SchedLog {
-    /// Whether this sink records.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Appends one decision (capacity-bounded).
-    pub fn record(&mut self, round: u64, order: Vec<u32>, estimates: Vec<u64>) {
-        if !self.enabled {
-            return;
-        }
-        if self.decisions.len() < self.capacity {
-            self.decisions.push(SchedDecision {
-                round,
-                order,
-                estimates,
-            });
-        } else {
-            self.truncated += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,9 +304,7 @@ mod tests {
         assert!(!tel.enabled());
         tel.record(SpanKind::LpTask, 1, 3, Instant::now(), 10, 5, 2);
         tel.edge(0, 1, 1);
-        let mut log = ctx.sched_log();
-        log.record(1, vec![0], vec![1]);
-        assert!(ctx.collect(vec![tel], log).is_none());
+        assert!(ctx.collect(vec![tel]).is_none());
     }
 
     #[test]
@@ -381,13 +313,11 @@ mod tests {
         let mut tel = ctx.worker(2);
         let t0 = Instant::now();
         tel.record(SpanKind::Receive, 4, NO_LP, t0, 7, 7, 0);
-        tel.record(SpanKind::LpTask, 4, 9, t0, 123, 7, 100);
+        tel.record(SpanKind::WindowUpdate, 4, NO_LP, t0, 123, 7, 100);
         tel.edge(1, 9, 2);
         tel.edge(0, 9, 1);
-        let mut log = ctx.sched_log();
-        log.record(5, vec![1, 0], vec![9, 3]);
         let origin = ctx.origin;
-        let t = ctx.collect(vec![tel], log).expect("enabled run collects");
+        let t = ctx.collect(vec![tel]).expect("enabled run collects");
         assert_eq!(t.workers.len(), 1);
         assert_eq!(t.workers[0].worker, 2);
         assert_eq!(t.span_count(), 2);
@@ -398,26 +328,18 @@ mod tests {
         assert_eq!(t.workers[0].spans[1].arg2, 100);
         assert_eq!(t.workers[0].traffic, vec![(0, 9, 1), (1, 9, 2)]);
         assert_eq!(t.traffic(), vec![(0, 9, 1), (1, 9, 2)]);
-        assert_eq!(t.sched.len(), 1);
-        assert_eq!(t.sched[0].order, vec![1, 0]);
-        assert_eq!(t.sched_truncated, 0);
     }
 
     #[test]
     fn span_capacity_truncates_and_counts() {
-        let ctx = TelContext::with_capacities(true, 2, 1);
+        let ctx = TelContext::with_capacity(true, 2);
         let mut tel = ctx.worker(0);
         for r in 0..5 {
             tel.record(SpanKind::Process, r, NO_LP, Instant::now(), 1, 0, 0);
         }
-        let mut log = ctx.sched_log();
-        log.record(1, vec![], vec![]);
-        log.record(2, vec![], vec![]);
-        let t = ctx.collect(vec![tel], log).expect("enabled");
+        let t = ctx.collect(vec![tel]).expect("enabled");
         assert_eq!(t.workers[0].spans.len(), 2);
         assert_eq!(t.workers[0].truncated, 3);
-        assert_eq!(t.sched.len(), 1);
-        assert_eq!(t.sched_truncated, 1);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! thread-local buffers and takes no locks, so this holds by construction;
 //! these tests pin it against regressions.
 
-use unison_core::sched::auto_period;
+use std::collections::BTreeMap;
+
+use unison_core::sched::{auto_period, heavy_above, home_range, order_home};
 use unison_core::telemetry::{SpanKind, SPAN_CAPACITY};
 use unison_core::{
     kernel, KernelKind, MetricsLevel, NodeId, PartitionMode, Rng, RunConfig, RunReport, SimCtx,
@@ -155,9 +157,9 @@ fn telemetry_does_not_perturb_other_kernels() {
 }
 
 #[test]
-fn enabled_unison_run_records_every_phase_and_decisions() {
+fn enabled_unison_run_records_every_phase_and_the_traffic() {
     // Fusion off: with it on every round of this ring fuses, and a fused
-    // round neither crosses a barrier nor re-sorts.
+    // round crosses no barrier.
     let cfg = unison_cfg(2, false, MetricsLevel::Spans);
     let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
     let tel = report.telemetry.expect("telemetry attached");
@@ -180,22 +182,70 @@ fn enabled_unison_run_records_every_phase_and_decisions() {
             "no {kind:?} span recorded"
         );
     }
-    // The ring re-sorts every `ceil(log2(12))` = 4 parallel rounds; each
-    // decision orders every LP.
-    assert!(!tel.sched.is_empty(), "no scheduler decisions logged");
-    assert!(tel.sched.iter().all(|d| d.order.len() == N));
     // Cross-LP tokens produce mailbox traffic with real sender attribution.
     let traffic = tel.traffic();
     assert!(!traffic.is_empty(), "no traffic recorded");
     assert!(traffic.iter().all(|&(s, d, n)| s != d && n > 0));
 }
 
+/// `(round, lp, events)` of every `lp-task` span, merged across workers
+/// and sorted: what each LP did in each round, whoever ran it.
+fn lp_tasks(report: &RunReport) -> Vec<(u64, u32, u64)> {
+    let tel = report.telemetry.as_ref().expect("telemetry attached");
+    let mut tasks: Vec<_> = tel
+        .workers
+        .iter()
+        .flat_map(|w| &w.spans)
+        .filter(|s| s.kind == SpanKind::LpTask)
+        .map(|s| (s.round, s.lp, s.arg))
+        .collect();
+    tasks.sort_unstable();
+    tasks
+}
+
+/// The rounds in which some worker visited the LPs of some home segment
+/// out of the order `published(round)` gives that segment. A worker claims
+/// its own home's positions and then those of the homes after it, each
+/// home's in published order, so the `lp-task` spans it records for one
+/// home follow that home's order, whoever else took a position in it.
+fn rounds_off_order(report: &RunReport, published: impl Fn(u64) -> Vec<u32>) -> Vec<u64> {
+    let threads = report.threads as usize;
+    let tel = report.telemetry.as_ref().expect("telemetry attached");
+    let mut visits: BTreeMap<(u64, u32), Vec<u32>> = BTreeMap::new();
+    for w in &tel.workers {
+        for s in w.spans.iter().filter(|s| s.kind == SpanKind::LpTask) {
+            visits.entry((s.round, w.worker)).or_default().push(s.lp);
+        }
+    }
+    let mut off: Vec<u64> = visits
+        .into_iter()
+        .filter(|((round, _), lps)| {
+            let order = published(*round);
+            (0..threads).any(|home| {
+                let segment = &order[home_range(N, threads, home)];
+                let mut rest = segment.iter();
+                !lps.iter()
+                    .filter(|lp| segment.contains(lp))
+                    .all(|lp| rest.any(|x| x == lp))
+            })
+        })
+        .map(|((round, _), _)| round)
+        .collect();
+    off.dedup();
+    off
+}
+
+fn lp_id_order(_round: u64) -> Vec<u32> {
+    (0..N as u32).collect()
+}
+
 /// The LJF schedule is the parallel rounds' business (DESIGN.md §4.5): its
 /// period counts rounds that are unfused and have more than one worker,
-/// and only such a round's phase 4 re-sorts. One thread (fused or not) and
-/// an all-fused two-thread run log no decision at all; with fusion off two threads log one per completed
-/// period ([`auto_period`] of the LP count), except in the round that
-/// ends the run.
+/// and only such a round's phase 4 re-sorts. The ring has LPs that a
+/// two-worker round counts as heavy, yet one thread (fused or not) and an
+/// all-fused two-thread run visit every home in LP-id order every round;
+/// with fusion off two threads put a heavy LP first, from the round after
+/// the first completed period ([`auto_period`] of the LP count) on.
 #[test]
 fn only_parallel_rounds_are_scheduled() {
     let period = u64::from(auto_period(N));
@@ -203,47 +253,86 @@ fn only_parallel_rounds_are_scheduled() {
         let cfg = unison_cfg(threads, fusion, MetricsLevel::Spans);
         let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
         assert_eq!(report.lp_count as usize, N, "one LP per node");
-        let decisions = report.telemetry.as_ref().expect("telemetry").sched.len() as u64;
-        (report, decisions)
+        report
     };
     for (what, fusion) in [("1 thread", true), ("1 thread, fusion off", false)] {
-        let (report, decisions) = run(1, fusion);
+        let report = run(1, fusion);
         assert!(report.rounds > 2 * period, "{what}: too short to re-sort");
-        assert_eq!(decisions, 0, "{what}: a round with one claimant re-sorted");
+        let mut per_round: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for (round, _, events) in lp_tasks(&report) {
+            per_round.entry(round).or_default().push(events);
+        }
+        assert!(
+            per_round
+                .values()
+                .any(|e| e.iter().any(|&n| n > heavy_above(e.iter().sum(), 2))),
+            "{what}: vacuous, no LP is ever heavy on two workers"
+        );
+        let off = rounds_off_order(&report, lp_id_order);
+        assert!(
+            off.is_empty(),
+            "{what}: a one-claimant round re-sorted: {off:?}"
+        );
     }
-    let (fused, decisions) = run(2, true);
+    let fused = run(2, true);
     assert_eq!(fused.fused_rounds, fused.rounds, "the ring's load is low");
-    assert_eq!(decisions, 0, "an all-fused run re-sorted");
-    let (parallel, decisions) = run(2, false);
+    let off = rounds_off_order(&fused, lp_id_order);
+    assert!(off.is_empty(), "an all-fused run re-sorted: {off:?}");
+    let parallel = run(2, false);
     assert_eq!(parallel.fused_rounds, 0);
-    assert_eq!(decisions, (parallel.rounds - 1) / period);
-    assert!(decisions > 0);
+    let off = rounds_off_order(&parallel, lp_id_order);
+    assert!(!off.is_empty(), "no parallel round put a heavy LP first");
+    assert!(off[0] > period, "re-sorted before the first period ended");
 }
 
 /// Event-count estimates make the schedule a function of the simulation
-/// alone (DESIGN.md §4.5): two runs of one configuration log the same
-/// decisions — round, order and estimates — at 2 and at 3 threads. With
-/// measured time as the estimate the orders differed from run to run.
+/// alone (DESIGN.md §4.5). What each LP did in each round is the same in
+/// two runs and at 2 and 3 threads, and phase 4 re-orders each home by
+/// [`order_home`] over the counts of every period's last round: replaying
+/// that from the spans gives the order every worker visited each home in.
+/// With measured time as the estimate the orders differed from run to run.
 #[test]
 fn the_schedule_is_a_function_of_the_simulation() {
+    let period = u64::from(auto_period(N));
+    let run = |threads: usize| {
+        let cfg = unison_cfg(threads, false, MetricsLevel::Spans);
+        kernel::run(ring_world(), &cfg).expect("run").1
+    };
+    let tasks_at_2 = lp_tasks(&run(2));
     for threads in [2, 3] {
-        let decisions = || {
-            let cfg = unison_cfg(threads, false, MetricsLevel::Spans);
-            let (_, report) = kernel::run(ring_world(), &cfg).expect("run");
-            let tel = report.telemetry.expect("telemetry attached");
-            let log = tel.sched.into_iter();
-            log.map(|d| (d.round, d.order, d.estimates))
-                .collect::<Vec<_>>()
-        };
-        let first = decisions();
-        assert!(
-            first.iter().any(|(_, order, _)| !order.is_sorted()),
-            "vacuous at {threads} threads: no decision put a heavy LP first"
-        );
+        let report = run(threads);
+        let tasks = lp_tasks(&report);
         assert_eq!(
-            first,
-            decisions(),
-            "two runs scheduled differently at {threads} threads"
+            tasks,
+            lp_tasks(&run(threads)),
+            "two runs at {threads} threads"
+        );
+        assert_eq!(tasks, tasks_at_2, "{threads} threads against 2");
+
+        // The order published for each round, replayed from the counts.
+        let mut orders = vec![lp_id_order(0)];
+        for round in 1..report.rounds {
+            let mut order = orders[orders.len() - 1].clone();
+            if round % period == 0 {
+                let mut estimates = vec![0u64; N];
+                for &(_, lp, events) in tasks.iter().filter(|t| t.0 == round) {
+                    estimates[lp as usize] = events;
+                }
+                let bound = heavy_above(estimates.iter().sum(), threads);
+                for home in 0..threads {
+                    order_home(&mut order[home_range(N, threads, home)], &estimates, bound);
+                }
+            }
+            orders.push(order);
+        }
+        assert!(
+            orders.iter().any(|order| !order.is_sorted()),
+            "vacuous at {threads} threads: no order put a heavy LP first"
+        );
+        let off = rounds_off_order(&report, |round| orders[round as usize - 1].clone());
+        assert!(
+            off.is_empty(),
+            "{threads} threads left the replayed order: {off:?}"
         );
     }
 }

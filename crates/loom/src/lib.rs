@@ -8,7 +8,7 @@
 //!
 //! # What it checks
 //!
-//! [`model`] runs a closure under **every thread interleaving** (up to a
+//! [`model()`] runs a closure under **every thread interleaving** (up to a
 //! CHESS-style preemption bound, default
 //! [`model::DEFAULT_PREEMPTION_BOUND`], override with `LOOM_MAX_PREEMPTIONS`;
 //! blocking switches are always fully explored). Within each execution it

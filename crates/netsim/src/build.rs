@@ -1,7 +1,7 @@
 //! Building a runnable simulation from a topology + traffic description.
 //!
 //! [`NetworkBuilder`] converts a kernel-agnostic
-//! [`Topology`](unison_topology::Topology) into a [`World`] of
+//! [`Topology`] into a [`World`] of
 //! [`NetNode`]s: devices are attached pairwise per link, routing tables are
 //! computed (or RIP is seeded), queue disciplines are instantiated with
 //! deterministic per-queue seeds, application flows become initial

@@ -1,6 +1,6 @@
 //! The netsim half of the scenario contract (DESIGN.md §4.10): mapping a
 //! parsed [`ScenarioSpec`] onto the concrete transport/queue/routing types
-//! and assembling a runnable [`NetSim`].
+//! and assembling a runnable [`NetSim`](crate::NetSim).
 //!
 //! The mapping is defined to be *structurally identical* to what the
 //! hand-assembled experiment binaries built: the same `TcpConfig`

@@ -5,7 +5,7 @@
 //! re-implements the small API subset the workspace's property tests
 //! use, with the same source-level surface:
 //!
-//! - [`Strategy`] with `prop_map`, implemented for integer/float ranges
+//! - [`Strategy`](strategy::Strategy) with `prop_map`, implemented for integer/float ranges
 //!   and 2/3/4-tuples of strategies
 //! - [`any`] for primitive types
 //! - [`collection::vec`]

@@ -5,9 +5,7 @@
 //!
 //! - every [`Span`] becomes a complete duration event (`"ph":"X"`) on the
 //!   track of its recording worker (`tid` = worker id, `pid` = 0);
-//! - every worker gets a `thread_name` metadata event (`"ph":"M"`);
-//! - every scheduler decision becomes a global instant event (`"ph":"i"`)
-//!   anchored at the window-update span that published it.
+//! - every worker gets a `thread_name` metadata event (`"ph":"M"`).
 //!
 //! Timestamps are microseconds since the run origin (the format's unit),
 //! with nanosecond precision kept in the fraction.
@@ -54,10 +52,7 @@ fn span_args(span: &Span) -> Value {
             pairs.push(("load", Value::Num(span.arg as f64)));
             pairs.push(("cross_lp_recv", Value::Num(span.arg2 as f64)));
         }
-        SpanKind::LpTask => {
-            pairs.push(("events", Value::Num(span.arg as f64)));
-            pairs.push(("estimate", Value::Num(span.arg2 as f64)));
-        }
+        SpanKind::LpTask => pairs.push(("events", Value::Num(span.arg as f64))),
     }
     obj(pairs)
 }
@@ -91,43 +86,6 @@ pub fn chrome_trace_value(tel: &RunTelemetry) -> Value {
                 ("args", span_args(span)),
             ]));
         }
-    }
-    // A decision published for round r was computed in the window-update
-    // phase of round r-1; anchor the instant there (run origin otherwise —
-    // decisions themselves carry no clock, by design).
-    let window_start_of = |round: u64| -> u64 {
-        tel.workers
-            .iter()
-            .flat_map(|w| &w.spans)
-            .find(|s| s.kind == SpanKind::WindowUpdate && s.round == round)
-            .map(|s| s.start_ns)
-            .unwrap_or(0)
-    };
-    for d in &tel.sched {
-        let ts = window_start_of(d.round.saturating_sub(1));
-        events.push(obj(vec![
-            ("name", Value::Str("sched-decision".into())),
-            ("cat", Value::Str("sched".into())),
-            ("ph", Value::Str("i".into())),
-            ("s", Value::Str("g".into())),
-            ("ts", us(ts)),
-            ("pid", Value::Num(0.0)),
-            ("tid", Value::Num(0.0)),
-            (
-                "args",
-                obj(vec![
-                    ("round", Value::Num(d.round as f64)),
-                    (
-                        "order",
-                        Value::Arr(d.order.iter().map(|&l| Value::Num(l as f64)).collect()),
-                    ),
-                    (
-                        "estimates",
-                        Value::Arr(d.estimates.iter().map(|&e| Value::Num(e as f64)).collect()),
-                    ),
-                ]),
-            ),
-        ]));
     }
     Value::Arr(events)
 }
@@ -200,7 +158,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unison_core::telemetry::{SchedDecision, WorkerSpans};
+    use unison_core::telemetry::WorkerSpans;
 
     fn span(kind: SpanKind, round: u64, lp: u32, start: u64, dur: u64) -> Span {
         Span {
@@ -239,12 +197,6 @@ mod tests {
                     traffic: vec![(0, 4, 11)],
                 },
             ],
-            sched: vec![SchedDecision {
-                round: 2,
-                order: vec![4, 0],
-                estimates: vec![10, 1],
-            }],
-            sched_truncated: 0,
         }
     }
 
@@ -252,25 +204,11 @@ mod tests {
     fn export_validates_and_counts() {
         let json = chrome_trace_json(&sample());
         let s = validate_chrome_trace(&json).expect("valid trace");
-        // 2 metadata + 7 duration + 1 instant.
+        // 2 metadata + 7 duration, nothing else.
         assert_eq!(s.metadata, 2);
         assert_eq!(s.durations, 7);
-        assert_eq!(s.instants, 1);
-        assert_eq!(s.events, 10);
-    }
-
-    #[test]
-    fn sched_instant_is_anchored_at_prior_window_update() {
-        let v = chrome_trace_value(&sample());
-        let arr = v.as_arr().unwrap();
-        let instant = arr
-            .iter()
-            .find(|e| e.get("ph").and_then(Value::as_str) == Some("i"))
-            .unwrap();
-        // Decision for round 2 anchors at round 1's window-update (100 ns).
-        assert_eq!(instant.get("ts").and_then(Value::as_num), Some(0.1));
-        let args = instant.get("args").unwrap();
-        assert_eq!(args.get("order").unwrap().as_arr().unwrap().len(), 2);
+        assert_eq!(s.instants, 0);
+        assert_eq!(s.events, 9);
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! Every printed quantity has one source (DESIGN.md §4.3): where each
 //! thread's wall time went is the [`RunReport`]'s own P/S/M, the header is
 //! its counters, and only what the report does not hold — per-round LP
-//! costs, scheduling regret, the traffic matrix — comes from the spans,
-//! through [`Timeline`].
+//! costs and the traffic matrix — comes from the spans. Everything printed
+//! is measured; what-ifs are the performance model's.
 
+use std::collections::BTreeMap;
 use std::io::{self, Write};
 
 use unison_core::sched::home_range;
+use unison_core::telemetry::{RunTelemetry, SpanKind};
 use unison_core::{Psm, RunReport};
-
-use crate::timeline::Timeline;
 
 fn ms(ns: f64) -> String {
     format!("{:.3} ms", ns / 1e6)
@@ -52,26 +52,23 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
     }
     writeln!(out, "     total: {}", row(&report.psm_total()))?;
 
-    let Some(timeline) = Timeline::from_report(report) else {
+    let Some(tel) = &report.telemetry else {
         writeln!(out)?;
         writeln!(
             out,
             "(no spans recorded: run at MetricsLevel::Spans — `unison-run --explain` — \
-             for the imbalance, regret and traffic sections)"
+             for the imbalance and traffic sections)"
         )?;
         return Ok(());
     };
-    let tel = timeline.telemetry();
     let truncated: u64 = tel.workers.iter().map(|w| w.truncated).sum();
     writeln!(out)?;
     writeln!(
         out,
-        "spans: {} across {} workers ({} truncated)   sched decisions: {} ({} truncated)",
+        "spans: {} across {} workers ({} truncated)",
         tel.span_count(),
         tel.workers.len(),
-        truncated,
-        tel.sched.len(),
-        tel.sched_truncated
+        truncated
     )?;
 
     writeln!(out)?;
@@ -79,7 +76,7 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
         out,
         "-- load imbalance (max/mean LP cost per round, >= 1) --"
     )?;
-    let loads = timeline.round_loads();
+    let loads = round_loads(tel);
     if loads.is_empty() {
         writeln!(
             out,
@@ -95,42 +92,9 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
                 (max, max_round) = (imbalance, r.round);
             }
         }
-        let slack: u64 = loads.iter().map(|r| r.barrier_slack_ns(n)).sum();
         writeln!(out, "mean over rounds: {:.3}", sum / loads.len() as f64)?;
         writeln!(out, "max round:        {max:.3} (round {max_round})")?;
         writeln!(out, "rounds with work: {}/{}", loads.len(), report.rounds)?;
-        writeln!(
-            out,
-            "barrier slack (idle time a one-thread-per-LP barrier would add): {}",
-            ms(slack as f64)
-        )?;
-    }
-
-    writeln!(out)?;
-    writeln!(
-        out,
-        "-- scheduling regret (estimate-vs-actual LPT makespan ratio) --"
-    )?;
-    let regrets = timeline.regret_by_round(report.threads.max(1) as usize);
-    if regrets.is_empty() {
-        writeln!(
-            out,
-            "(no decision log: kernel has no scheduler, or no re-order happened)"
-        )?;
-    } else {
-        let mean = regrets.iter().map(|r| r.regret).sum::<f64>() / regrets.len() as f64;
-        let (max_round, max) = regrets
-            .iter()
-            .map(|r| (r.round, r.regret))
-            .fold((0, 0.0f64), |acc, r| if r.1 > acc.1 { r } else { acc });
-        writeln!(
-            out,
-            "mean {:.4}   max {:.4} (round {})   rounds covered: {}",
-            mean,
-            max,
-            max_round,
-            regrets.len()
-        )?;
     }
 
     writeln!(out)?;
@@ -138,7 +102,7 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
         out,
         "-- mailbox traffic (events src -> dst, heaviest 10) --"
     )?;
-    let traffic = timeline.traffic_heaviest_first();
+    let traffic = traffic_heaviest_first(tel);
     if traffic.is_empty() {
         writeln!(
             out,
@@ -174,6 +138,51 @@ pub fn write_report(report: &RunReport, out: &mut impl Write) -> io::Result<()> 
     Ok(())
 }
 
+/// One round's load across LPs, from its `lp-task` spans (LPs without
+/// one were idle: cost 0).
+#[derive(Debug, PartialEq, Eq)]
+struct RoundLoad {
+    round: u64,
+    /// Largest per-LP cost.
+    max_ns: u64,
+    /// Sum of per-LP costs (the sequential cost of this round).
+    total_ns: u64,
+}
+
+impl RoundLoad {
+    /// Max per-LP cost over mean per-LP cost across `lp_count` LPs (≥ 1;
+    /// `1.0` is a perfectly balanced round).
+    fn imbalance(&self, lp_count: u32) -> f64 {
+        self.max_ns as f64 * f64::from(lp_count) / self.total_ns as f64
+    }
+}
+
+/// Per-round load across all workers' `lp-task` spans (one per LP that
+/// ran in the round), for the rounds in which some LP took measurable time.
+fn round_loads(tel: &RunTelemetry) -> Vec<RoundLoad> {
+    let mut rounds: BTreeMap<u64, RoundLoad> = BTreeMap::new();
+    for s in tel.workers.iter().flat_map(|w| &w.spans) {
+        if s.kind == SpanKind::LpTask {
+            let r = rounds.entry(s.round).or_insert(RoundLoad {
+                round: s.round,
+                max_ns: 0,
+                total_ns: 0,
+            });
+            r.max_ns = r.max_ns.max(s.dur_ns);
+            r.total_ns += s.dur_ns;
+        }
+    }
+    rounds.into_values().filter(|r| r.total_ns > 0).collect()
+}
+
+/// The merged mailbox traffic matrix `(src_lp, dst_lp, events)`, heaviest
+/// edges first (ties by `(src, dst)` for determinism).
+fn traffic_heaviest_first(tel: &RunTelemetry) -> Vec<(u32, u32, u64)> {
+    let mut t = tel.traffic();
+    t.sort_by(|a, b| b.2.cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
+    t
+}
+
 /// Events delivered into each of `threads` home columns: an edge's
 /// destination LP belongs to the home [`home_range`] cuts it into.
 fn receive_columns(traffic: &[(u32, u32, u64)], lp_count: usize, threads: usize) -> Vec<u64> {
@@ -200,8 +209,72 @@ pub fn report_string(report: &RunReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unison_core::telemetry::WorkerSpans;
-    use unison_core::RunTelemetry;
+    use unison_core::telemetry::{Span, WorkerSpans};
+
+    fn lp_task(round: u64, lp: u32, dur_ns: u64) -> Span {
+        Span {
+            kind: SpanKind::LpTask,
+            round,
+            lp,
+            start_ns: 0,
+            dur_ns,
+            arg: 0,
+            arg2: 0,
+        }
+    }
+
+    fn worker(worker: u32, spans: Vec<Span>, traffic: Vec<(u32, u32, u64)>) -> WorkerSpans {
+        WorkerSpans {
+            worker,
+            spans,
+            truncated: 0,
+            traffic,
+        }
+    }
+
+    #[test]
+    fn round_loads_merge_workers_and_skip_idle_rounds() {
+        let tel = RunTelemetry {
+            workers: vec![
+                worker(0, vec![lp_task(1, 0, 60), lp_task(2, 0, 0)], vec![]),
+                worker(1, vec![lp_task(1, 1, 20)], vec![]),
+            ],
+        };
+        // Round 1: LP 0 cost 60 on one worker, LP 1 cost 20 on the other
+        // (a third LP idle) → max 60, mean 80/3. Round 2 took no
+        // measurable time.
+        let loads = round_loads(&tel);
+        assert_eq!(
+            loads,
+            vec![RoundLoad {
+                round: 1,
+                max_ns: 60,
+                total_ns: 80
+            }]
+        );
+        assert!((loads[0].imbalance(3) - 2.25).abs() < 1e-12);
+        let even = RoundLoad {
+            round: 9,
+            max_ns: 4,
+            total_ns: 8,
+        };
+        assert_eq!(even.imbalance(2), 1.0, "a balanced round");
+    }
+
+    #[test]
+    fn traffic_merges_workers_and_sorts_heaviest_first() {
+        let tel = RunTelemetry {
+            workers: vec![
+                worker(0, vec![], vec![(0, 1, 5), (2, 0, 12)]),
+                worker(1, vec![], vec![(0, 1, 4), (1, 0, 9)]),
+            ],
+        };
+        // (0, 1) sums to 9 across the workers and ties (1, 0) by id.
+        assert_eq!(
+            traffic_heaviest_first(&tel),
+            vec![(2, 0, 12), (0, 1, 9), (1, 0, 9)]
+        );
+    }
 
     #[test]
     fn reports_without_spans_render_psm_from_the_report() {
@@ -235,13 +308,7 @@ mod tests {
             threads: 2,
             lp_count: 5,
             telemetry: Some(RunTelemetry {
-                workers: vec![WorkerSpans {
-                    worker: 0,
-                    spans: Vec::new(),
-                    truncated: 0,
-                    traffic,
-                }],
-                ..Default::default()
+                workers: vec![worker(0, Vec::new(), traffic)],
             }),
             ..Default::default()
         };

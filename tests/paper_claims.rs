@@ -233,7 +233,7 @@ fn claim_fine_granularity_improves_locality() {
                 ..RunConfig::unison(1)
             })
             .expect("run");
-        res.kernel.node_switches()
+        res.kernel.node_switches
     };
     let coarse = switches_at(1);
     let medium = switches_at(6);
