@@ -449,12 +449,7 @@ impl<P> Ladder<P> {
         Ladder {
             bottom: Vec::with_capacity(capacity),
             stage: Vec::new(),
-            stage_min: EventKey {
-                ts: Time::MAX,
-                sender_ts: Time::MAX,
-                sender_lp: crate::event::LpId(u32::MAX),
-                seq: u64::MAX,
-            },
+            stage_min: EventKey::MAX,
             rungs: Vec::new(),
             large: None,
             overflow: Vec::new(),
@@ -1241,12 +1236,7 @@ mod tests {
 
     fn ev(ts: u64, lp: u32, seq: u64) -> Event<u64> {
         Event {
-            key: EventKey {
-                ts: Time(ts),
-                sender_ts: Time(ts.saturating_sub(1)),
-                sender_lp: LpId(lp),
-                seq,
-            },
+            key: EventKey::new(Time(ts), Time(ts.saturating_sub(1)), LpId(lp), seq),
             node: NodeId(0),
             payload: ts.wrapping_mul(1000).wrapping_add(seq),
         }
@@ -1288,9 +1278,9 @@ mod tests {
             fel.push(ev(7, 2, 9));
             fel.push(ev(7, 1, 3));
             fel.push(ev(7, 1, 2));
-            assert_eq!(fel.pop().unwrap().key.seq, 2);
-            assert_eq!(fel.pop().unwrap().key.seq, 3);
-            assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(2));
+            assert_eq!(fel.pop().unwrap().key.seq(), 2);
+            assert_eq!(fel.pop().unwrap().key.seq(), 3);
+            assert_eq!(fel.pop().unwrap().key.sender_lp(), LpId(2));
         }
     }
 
@@ -1719,8 +1709,8 @@ mod tests {
             assert_eq!(fel.next_ts(), Time(u64::MAX - 1));
             assert_eq!(fel.pop().unwrap().key.ts, Time(u64::MAX - 1));
             assert_eq!(fel.iter().count(), 2);
-            assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(1));
-            assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(3));
+            assert_eq!(fel.pop().unwrap().key.sender_lp(), LpId(1));
+            assert_eq!(fel.pop().unwrap().key.sender_lp(), LpId(3));
             assert!(fel.pop().is_none());
         }
     }
@@ -1751,7 +1741,7 @@ mod tests {
             for _ in 0..20 {
                 fel.pop();
             }
-            let mut seqs: Vec<u64> = fel.iter().map(|e| e.key.seq).collect();
+            let mut seqs: Vec<u64> = fel.iter().map(|e| e.key.seq()).collect();
             seqs.sort_unstable();
             assert_eq!(seqs.len(), 180);
             seqs.dedup();

@@ -100,12 +100,7 @@ impl<'a, N: SimNode> WorldAccess<'a, N> {
     /// assigns keys from a dedicated monotone sequence).
     pub fn schedule(&mut self, ts: Time, target: NodeId, payload: N::Payload) {
         assert!(ts >= self.now, "cannot schedule into the past");
-        let key = EventKey {
-            ts,
-            sender_ts: self.now,
-            sender_lp: LpId::EXTERNAL,
-            seq: *self.ext_seq,
-        };
+        let key = EventKey::new(ts, self.now, LpId::EXTERNAL, *self.ext_seq);
         *self.ext_seq += 1;
         let (lp, _) = self.lps.directory().locate(target);
         // SAFETY: exclusive access per `WorldAccess::new` contract.

@@ -180,7 +180,7 @@ pub(super) struct Due {
 
 impl<N: SimNode> PublicLp<N> {
     fn push(&mut self, key: EventKey, f: GlobalFn<N>) {
-        debug_assert_eq!(key.seq, self.ext_seq);
+        debug_assert_eq!(key.seq(), self.ext_seq);
         self.ext_seq += 1;
         self.fel.push(Event {
             key,
@@ -205,12 +205,7 @@ impl<N: SimNode> PublicLp<N> {
         pending: impl IntoIterator<Item = PendingGlobal<N>>,
     ) {
         for pg in pending {
-            let key = EventKey {
-                ts: pg.ts.max(floor),
-                sender_ts: pg.sender_ts,
-                sender_lp: lp,
-                seq: self.ext_seq,
-            };
+            let key = EventKey::new(pg.ts.max(floor), pg.sender_ts, lp, self.ext_seq);
             self.push(key, pg.f);
         }
     }
@@ -636,5 +631,37 @@ mod tests {
             assert_eq!((due.ran, due.stopped), (expect, false));
         }
         assert_eq!((seen, public.next_ts()), (vec![Time(7)], Time::MAX));
+    }
+
+    #[test]
+    fn an_exhausted_sequence_is_a_contained_panic_not_a_wrapped_key() {
+        let cfg = RunConfig::unison(1);
+        let Setup {
+            env,
+            shell,
+            mut lps,
+            ..
+        } = ring(&cfg);
+        // The ring's one LP after its 2^40-th send: no sequence number is
+        // left for the next key.
+        lps[0].seq = crate::event::MAX_SEQ + 1;
+        let site = Site::new();
+        site.at.set((Some(LpId(0)), Time(5)));
+        let lp = &lps[0];
+        let send = || EventKey::new(Time(6), Time(5), lp.id, lp.seq);
+        assert!(contained(&env, &site, 0, send).is_none());
+
+        let out = Outcome::new(&env, Duration::ZERO, lps, vec![Some(Worker::new(&env, 0))]);
+        match finish(env, shell, out) {
+            Err(SimError::WorkerPanic { diag, .. }) => {
+                assert_eq!((diag.lp, diag.virtual_time), (Some(LpId(0)), Time(5)));
+                assert_eq!(
+                    diag.panic_message,
+                    "LP 0 has scheduled 1099511627775 events, every sequence number an \
+                     event key can carry"
+                );
+            }
+            other => panic!("expected WorkerPanic, got {:?}", other.map(|(_, r)| r)),
+        }
     }
 }

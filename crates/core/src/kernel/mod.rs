@@ -32,7 +32,7 @@ pub(crate) mod watchdog;
 use std::time::Duration;
 
 use crate::error::SimError;
-use crate::event::{Event, EventKey, LpId, NodeId};
+use crate::event::{Event, EventKey, LpId, NodeId, MAX_LPS};
 use crate::fel::{Fel, FelImpl};
 use crate::global::GlobalFn;
 use crate::graph::LinkGraph;
@@ -271,7 +271,20 @@ pub fn build_partition(graph: &LinkGraph, mode: &PartitionMode) -> Result<Partit
             manual_partition(graph, assign)
         }
     };
+    check_lp_count(p.lp_count as usize)?;
     Ok(p)
+}
+
+/// An event key names its sender LP in 24 bits (DESIGN.md §4.4), so a
+/// partition into more LPs than [`EventKey`] can name is refused before
+/// the run rather than wrapping inside it.
+fn check_lp_count(lps: usize) -> Result<(), KernelError> {
+    if lps > MAX_LPS {
+        return Err(KernelError::InvalidPartition(format!(
+            "{lps} LPs; event keys name at most {MAX_LPS}"
+        )));
+    }
+    Ok(())
 }
 
 /// Everything a kernel needs from a dismantled world: per-LP states, the
@@ -381,12 +394,7 @@ impl<N: SimNode> SimCtx<N> for RoundCtx<'_, N> {
 
     fn schedule(&mut self, delay: Time, target: NodeId, payload: N::Payload) {
         let ts = self.now.saturating_add(delay);
-        let key = EventKey {
-            ts,
-            sender_ts: self.now,
-            sender_lp: self.lp_id,
-            seq: *self.seq,
-        };
+        let key = EventKey::new(ts, self.now, self.lp_id, *self.seq);
         *self.seq += 1;
         let ev = Event {
             key,
@@ -424,5 +432,21 @@ impl<N: SimNode> SimCtx<N> for RoundCtx<'_, N> {
             sender_ts: self.now,
             f,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_lp_bound_is_enforced_at_the_boundary() {
+        assert_eq!(check_lp_count(MAX_LPS), Ok(()));
+        assert_eq!(
+            check_lp_count(MAX_LPS + 1),
+            Err(KernelError::InvalidPartition(
+                "16777216 LPs; event keys name at most 16777215".into()
+            ))
+        );
     }
 }

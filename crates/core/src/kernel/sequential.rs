@@ -55,24 +55,14 @@ impl<N: SimNode> SimCtx<N> for SeqCtx<'_, N> {
         let key = if self.compat {
             let lp = self.lp_id;
             let seq = &mut self.seqs[lp.index()];
-            let k = EventKey {
-                ts,
-                sender_ts: self.now,
-                sender_lp: lp,
-                seq: *seq,
-            };
+            let k = EventKey::new(ts, self.now, lp, *seq);
             *seq += 1;
             k
         } else {
             // ns-3 semantics: FIFO among simultaneous events, global
             // insertion counter.
             let seq = &mut self.seqs[0];
-            let k = EventKey {
-                ts,
-                sender_ts: Time::ZERO,
-                sender_lp: LpId(0),
-                seq: *seq,
-            };
+            let k = EventKey::new(ts, Time::ZERO, LpId(0), *seq);
             *seq += 1;
             k
         };

@@ -818,7 +818,7 @@ fn receive_phase<N: SimNode>(
                 site.at.set((Some(dst), ev.key.ts));
                 fold.min_next = fold.min_next.min(ev.key.ts);
                 if t0.is_some() {
-                    let pair = (ev.key.sender_lp.0, dst.0);
+                    let pair = (ev.key.sender_lp().0, dst.0);
                     if pair != (run.0, run.1) {
                         tel.edge(run.0, run.1, run.2);
                         run = (pair.0, pair.1, 0);

@@ -115,7 +115,7 @@ mod tests {
             let seq: Vec<u64> = got
                 .iter()
                 .filter(|e| e.key.ts == Time(u64::from(p)))
-                .map(|e| e.key.seq)
+                .map(|e| e.key.seq())
                 .collect();
             assert_eq!(seq, (0..PER).collect::<Vec<_>>());
         }

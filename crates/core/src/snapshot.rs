@@ -186,16 +186,12 @@ impl Snapshot for LpId {
 
 impl Snapshot for EventKey {
     fn save(&self, w: &mut SnapshotWriter) {
-        let EventKey {
-            ts,
-            sender_ts,
-            sender_lp,
-            seq,
-        } = self;
-        ts.save(w);
-        sender_ts.save(w);
-        sender_lp.save(w);
-        seq.save(w);
+        // The parts, not the packed word: 28 bytes whatever the in-memory
+        // layout, since golden digests rest on them (DESIGN.md §4.7).
+        self.ts.save(w);
+        self.sender_ts.save(w);
+        self.sender_lp().save(w);
+        self.seq().save(w);
     }
 }
 
@@ -256,6 +252,33 @@ mod tests {
         let mut w = SnapshotWriter::new();
         v.save(&mut w);
         w.into_bytes()
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// An event key encodes as `(ts, sender_ts, sender_lp: u32, seq: u64)`,
+    /// 28 bytes, whatever its in-memory packing: the bytes of an LP key and
+    /// an external key as the unpacked struct wrote them at commit
+    /// `af9c50a`.
+    #[test]
+    fn event_keys_encode_as_the_parent_struct() {
+        let lp = EventKey::new(
+            Time(1_000_000_007),
+            Time(999_999_000),
+            LpId(0xAB_CDEF),
+            0xFF_1234_5678,
+        );
+        assert_eq!(
+            hex(&encode(&lp)),
+            "07ca9a3b0000000018c69a3b00000000efcdab0078563412ff000000"
+        );
+        let external = EventKey::external(Time(42), 7);
+        assert_eq!(
+            hex(&encode(&external)),
+            "2a000000000000000000000000000000ffffffff0700000000000000"
+        );
     }
 
     #[test]

@@ -115,12 +115,7 @@ impl Hold {
     fn push(&mut self, ts: u64) {
         self.seq += 1;
         self.fel.push(Event {
-            key: EventKey {
-                ts: Time(ts),
-                sender_ts: self.now,
-                sender_lp: LpId(0),
-                seq: self.seq,
-            },
+            key: EventKey::new(Time(ts), self.now, LpId(0), self.seq),
             node: NodeId(0),
             payload: self.seq,
         });

@@ -24,12 +24,8 @@ fn build_graph(n: usize, edges: &[(usize, usize, u64)]) -> LinkGraph {
 }
 
 fn arb_key() -> impl Strategy<Value = EventKey> {
-    (0u64..1_000, 0u64..1_000, 0u32..8, 0u64..10_000).prop_map(|(ts, sts, lp, seq)| EventKey {
-        ts: Time(ts),
-        sender_ts: Time(sts),
-        sender_lp: LpId(lp),
-        seq,
-    })
+    (0u64..1_000, 0u64..1_000, 0u32..8, 0u64..10_000)
+        .prop_map(|(ts, sts, lp, seq)| EventKey::new(Time(ts), Time(sts), LpId(lp), seq))
 }
 
 /// One step of the differential FEL workload.
@@ -129,7 +125,7 @@ fn arb_op() -> impl Strategy<Value = FelOp> {
             // Push one internal-keyed event.
             0 => FelOp::Push(key),
             // Push one external-keyed event (sentinel sender LP).
-            1 => FelOp::PushExternal(key.ts.0, key.seq),
+            1 => FelOp::PushExternal(key.ts.0, key.seq()),
             // Bulk insert a batch (the receive-phase path).
             2 => FelOp::Extend(batch),
             // Drain everything strictly below a bound.
@@ -150,10 +146,12 @@ fn arb_op() -> impl Strategy<Value = FelOp> {
                 spread: BURST_SPREADS[n % BURST_SPREADS.len()],
             },
             // Push an event at `Time::MAX` (the never-firing sentinel shape).
-            _ => FelOp::Push(EventKey {
-                ts: Time::MAX,
-                ..key
-            }),
+            _ => FelOp::Push(EventKey::new(
+                Time::MAX,
+                key.sender_ts,
+                key.sender_lp(),
+                key.seq(),
+            )),
         })
 }
 
@@ -216,7 +214,7 @@ proptest! {
             // DESIGN.md §4.1); disambiguate generated duplicates the same
             // way, since pop order among *equal* keys is unspecified in
             // both implementations.
-            key.seq = key.seq * 100_000 + payload;
+            key = EventKey::new(key.ts, key.sender_ts, key.sender_lp(), key.seq() * 100_000 + payload);
             Event { key, node: NodeId(0), payload }
         };
         for op in ops {
@@ -259,7 +257,7 @@ proptest! {
                         .iter()
                         .cycle()
                         .take(missing)
-                        .map(|k| mk(EventKey { ts: Time(now + k.ts.0), ..*k }))
+                        .map(|&k| mk(EventKey::new(Time(now + k.ts.0), k.sender_ts, k.sender_lp(), k.seq())))
                         .collect();
                     ladder.extend(batch.iter().map(dup));
                     heap.extend(batch);
@@ -280,12 +278,12 @@ proptest! {
                     // events (or none) are stored.
                     let base = heap.next_ts().0 % 1_000_000 + at;
                     for i in 0..n as u64 {
-                        let ev = mk(EventKey {
-                            ts: Time(base + i * 7 % (spread + 1)),
-                            sender_ts: Time(base),
-                            sender_lp: LpId((i % 8) as u32),
-                            seq: i,
-                        });
+                        let ev = mk(EventKey::new(
+                            Time(base + i * 7 % (spread + 1)),
+                            Time(base),
+                            LpId((i % 8) as u32),
+                            i,
+                        ));
                         ladder.push(dup(&ev));
                         heap.push(ev);
                     }
@@ -295,12 +293,12 @@ proptest! {
                         let (l, h) = (ladder.pop(), heap.pop());
                         prop_assert_eq!(l.as_ref().map(ident), h.as_ref().map(ident));
                         let Some(popped) = h else { break };
-                        let ev = mk(EventKey {
-                            ts: popped.key.ts.saturating_add(Time(delta)),
-                            sender_ts: popped.key.ts,
-                            sender_lp: popped.key.sender_lp,
-                            seq: 0,
-                        });
+                        let ev = mk(EventKey::new(
+                            popped.key.ts.saturating_add(Time(delta)),
+                            popped.key.ts,
+                            popped.key.sender_lp(),
+                            0,
+                        ));
                         ladder.push(dup(&ev));
                         heap.push(ev);
                         views_agree(&ladder, &heap);
@@ -348,7 +346,7 @@ proptest! {
                     .map(|mut key| {
                         payload += 1;
                         // Unique keys, as in the real system.
-                        key.seq = key.seq * 100_000 + payload;
+                        key = EventKey::new(key.ts, key.sender_ts, key.sender_lp(), key.seq() * 100_000 + payload);
                         Event { key, node: NodeId(0), payload }
                     })
                     .collect();

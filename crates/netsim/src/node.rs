@@ -195,7 +195,7 @@ impl NetNode {
                 dev,
                 kind,
                 flow: packet.flow,
-                bytes: packet.bytes,
+                bytes: packet.bytes(),
                 backlog,
             });
         }
@@ -208,7 +208,7 @@ impl NetNode {
             self.trace_event(ctx.now(), dev_idx as u8, TraceKind::TxStart, &packet);
         }
         let dev = &mut self.devices[dev_idx];
-        let tx = dev.rate.tx_time(packet.bytes);
+        let tx = dev.rate.tx_time(packet.bytes());
         if tx == Time::MAX {
             // Zero-rate link: black-hole the packet.
             self.mon.routing_drops += 1;
@@ -475,7 +475,6 @@ impl NetNode {
             }
             let Some(rip) = self.rip_state() else { return };
             let msg = rip.advertisement(id, dev_idx as u8);
-            let bytes = 32 + 4 * msg.routes.len() as u32;
             let peer = self.devices[dev_idx].peer;
             let packet = Packet {
                 flow: FlowId {
@@ -485,11 +484,9 @@ impl NetNode {
                     dport: RIP_PORT,
                 },
                 kind: PacketKind::Rip(Box::new(msg)),
-                bytes,
                 ecn_capable: false,
                 ecn_ce: false,
                 sent_at: now,
-                enqueued_at: now,
             };
             self.send_on(dev_idx, packet, ctx);
         }
@@ -560,10 +557,10 @@ impl SimNode for NetNode {
                 let now = ctx.now();
                 let d = &mut self.devices[dev as usize];
                 d.busy = false;
-                if let Some(p) = d.queue.dequeue() {
+                if let Some((p, enqueued_at)) = d.queue.dequeue() {
                     self.mon
                         .queue_delay_ns
-                        .add(now.saturating_sub(p.enqueued_at).as_nanos() as f64);
+                        .add(now.saturating_sub(enqueued_at).as_nanos() as f64);
                     self.transmit(dev as usize, p, ctx);
                 }
             }

@@ -2,8 +2,11 @@
 //!
 //! Packets are metadata-only (no payload bytes are materialized), as is
 //! standard for performance-oriented packet-level simulation: a packet
-//! carries its flow identity, a TCP-like header variant, its wire size and
-//! ECN state.
+//! carries its flow identity, a TCP-like header variant, its send time and
+//! ECN state. Its wire size follows from its kind ([`Packet::bytes`]), and
+//! it carries no per-hop state: the queue a packet waits in keeps its
+//! enqueue time (DESIGN.md §4.11). 48 bytes, so an in-flight
+//! `Event<NetEvent>` is 88.
 
 use unison_core::{snapshot_struct, Snapshot, SnapshotWriter, Time};
 
@@ -26,6 +29,10 @@ pub const MSS: u32 = 1448;
 pub const HEADER_BYTES: u32 = 52;
 /// Wire size of a pure ACK.
 pub const ACK_BYTES: u32 = 64;
+/// Wire size of a RIP advertisement with no routes.
+const RIP_HEADER_BYTES: u32 = 32;
+/// Wire bytes each route adds to a RIP advertisement.
+const RIP_ROUTE_BYTES: u32 = 4;
 
 /// Transport-level content of a packet.
 #[derive(Clone, Debug)]
@@ -81,16 +88,12 @@ pub struct Packet {
     pub flow: FlowId,
     /// Transport content.
     pub kind: PacketKind,
-    /// Bytes on the wire (headers included).
-    pub bytes: u32,
     /// ECN-capable transport (ECT set).
     pub ecn_capable: bool,
     /// Congestion-experienced mark.
     pub ecn_ce: bool,
     /// Time the packet left its source's transport layer.
     pub sent_at: Time,
-    /// Time the packet was enqueued at the current hop (queue-delay stats).
-    pub enqueued_at: Time,
 }
 
 impl Packet {
@@ -113,11 +116,9 @@ impl Packet {
                 size,
                 retx,
             },
-            bytes: len + HEADER_BYTES,
             ecn_capable,
             ecn_ce: false,
             sent_at: now,
-            enqueued_at: now,
         }
     }
 
@@ -143,11 +144,9 @@ impl Packet {
                 echo_ts,
                 echo_retx,
             },
-            bytes: ACK_BYTES,
             ecn_capable: false,
             ecn_ce: false,
             sent_at: now,
-            enqueued_at: now,
         }
     }
 
@@ -156,11 +155,21 @@ impl Packet {
         Packet {
             flow,
             kind: PacketKind::Datagram { seq, len },
-            bytes: len + HEADER_BYTES,
             ecn_capable: false,
             ecn_ce: false,
             sent_at: now,
-            enqueued_at: now,
+        }
+    }
+
+    /// Bytes on the wire, headers included: a data segment or datagram is
+    /// its payload plus [`HEADER_BYTES`], an ACK [`ACK_BYTES`], a RIP
+    /// advertisement 32 bytes plus 4 per route.
+    #[inline]
+    pub fn bytes(&self) -> u32 {
+        match &self.kind {
+            PacketKind::Data { len, .. } | PacketKind::Datagram { len, .. } => len + HEADER_BYTES,
+            PacketKind::Ack { .. } => ACK_BYTES,
+            PacketKind::Rip(msg) => RIP_HEADER_BYTES + RIP_ROUTE_BYTES * msg.routes.len() as u32,
         }
     }
 
@@ -226,15 +235,26 @@ impl Snapshot for PacketKind {
     }
 }
 
-snapshot_struct!(Packet {
-    flow,
-    kind,
-    bytes,
-    ecn_capable,
-    ecn_ce,
-    sent_at,
-    enqueued_at
-});
+impl Snapshot for Packet {
+    /// Writes the derived wire size between the kind and the ECN flags, the
+    /// order golden digests rest on (DESIGN.md §4.7); a queue writes the
+    /// packet's enqueue time after it.
+    fn save(&self, w: &mut SnapshotWriter) {
+        let Packet {
+            flow,
+            kind,
+            ecn_capable,
+            ecn_ce,
+            sent_at,
+        } = self;
+        flow.save(w);
+        kind.save(w);
+        self.bytes().save(w);
+        ecn_capable.save(w);
+        ecn_ce.save(w);
+        sent_at.save(w);
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -252,7 +272,7 @@ mod tests {
     #[test]
     fn data_wire_size_includes_header() {
         let p = Packet::data(flow(), 0, MSS, 10_000, false, true, Time::ZERO);
-        assert_eq!(p.bytes, 1500);
+        assert_eq!(p.bytes(), 1500);
     }
 
     #[test]
@@ -262,7 +282,24 @@ mod tests {
         assert_eq!(p.flow.dst, 1);
         assert_eq!(p.flow.sport, 200);
         assert_eq!(p.flow.dport, 100);
-        assert_eq!(p.bytes, ACK_BYTES);
+        assert_eq!(p.bytes(), ACK_BYTES);
+    }
+
+    #[test]
+    fn wire_size_follows_the_kind() {
+        assert_eq!(Packet::datagram(flow(), 3, 1_000, Time(1)).bytes(), 1_052);
+        let rip = |routes: usize| Packet {
+            flow: flow(),
+            kind: PacketKind::Rip(Box::new(RipMsg {
+                from: 1,
+                routes: vec![(0, 1); routes],
+            })),
+            ecn_capable: false,
+            ecn_ce: false,
+            sent_at: Time::ZERO,
+        };
+        assert_eq!(rip(0).bytes(), 32);
+        assert_eq!(rip(3).bytes(), 44);
     }
 
     #[test]

@@ -79,11 +79,26 @@ impl QueueConfig {
 /// not the packets queued at once (DESIGN.md §4.11, §7).
 const DRAINED_CAPACITY: usize = 64;
 
+/// A queued packet and the time it was enqueued, which only the queue
+/// needs (queue-delay stats): the packet itself carries no per-hop state.
+#[derive(Debug)]
+struct Queued {
+    packet: Packet,
+    enqueued_at: Time,
+}
+
+// The packet, then the enqueue time: the order golden digests rest on
+// (DESIGN.md §4.7).
+snapshot_struct!(Queued {
+    packet,
+    enqueued_at
+});
+
 /// An egress FIFO with a configurable drop/mark policy.
 #[derive(Debug)]
 pub struct Queue {
     config: QueueConfig,
-    packets: VecDeque<Packet>,
+    packets: VecDeque<Queued>,
     bytes: u32,
     /// RED EWMA of the queue length in bytes.
     avg: f64,
@@ -132,9 +147,10 @@ impl Queue {
 
     /// Attempts to enqueue `packet` at time `now`.
     pub fn enqueue(&mut self, mut packet: Packet, now: Time) -> Enqueue {
+        let bytes = packet.bytes();
         match self.config {
             QueueConfig::DropTail { limit_bytes } => {
-                if self.bytes + packet.bytes > limit_bytes {
+                if self.bytes + bytes > limit_bytes {
                     self.drops += 1;
                     return Enqueue::Dropped;
                 }
@@ -147,7 +163,7 @@ impl Queue {
                 w_q,
                 mark_ecn,
             } => {
-                if self.bytes + packet.bytes > limit_bytes {
+                if self.bytes + bytes > limit_bytes {
                     self.drops += 1;
                     return Enqueue::Dropped;
                 }
@@ -191,10 +207,12 @@ impl Queue {
                 }
             }
         }
-        packet.enqueued_at = now;
-        self.bytes += packet.bytes;
+        self.bytes += bytes;
         self.accepted += 1;
-        self.packets.push_back(packet);
+        self.packets.push_back(Queued {
+            packet,
+            enqueued_at: now,
+        });
         debug_assert!(
             self.bytes <= self.config.limit_bytes(),
             "queue holds {} bytes above its {}-byte limit",
@@ -204,25 +222,29 @@ impl Queue {
         Enqueue::Accepted
     }
 
-    /// Dequeues the head packet. Draining the queue shrinks its buffer to
-    /// `DRAINED_CAPACITY`: capacity is not simulation state, so no
-    /// decision, statistic or snapshot byte depends on it.
-    pub fn dequeue(&mut self) -> Option<Packet> {
+    /// Dequeues the head packet and the time it was enqueued. Draining the
+    /// queue shrinks its buffer to `DRAINED_CAPACITY`: capacity is not
+    /// simulation state, so no decision, statistic or snapshot byte depends
+    /// on it.
+    pub fn dequeue(&mut self) -> Option<(Packet, Time)> {
         // Shrunk while the last packet is still queued, so the popped one
         // goes straight to the caller instead of waiting out the
         // reallocation on the stack.
         if self.packets.len() == 1 && self.packets.capacity() > DRAINED_CAPACITY {
             self.packets.shrink_to(DRAINED_CAPACITY);
         }
-        let p = self.packets.pop_front()?;
-        self.bytes -= p.bytes;
+        let Queued {
+            packet,
+            enqueued_at,
+        } = self.packets.pop_front()?;
+        self.bytes -= packet.bytes();
         debug_assert!(
             self.byte_count_matches_packets(),
             "{} bytes queued in {} packets",
             self.bytes,
             self.packets.len()
         );
-        Some(p)
+        Some((packet, enqueued_at))
     }
 
     /// The byte count is zero exactly when no packet is queued.
@@ -287,7 +309,7 @@ mod tests {
     use crate::packet::{FlowId, Packet};
 
     fn pkt(bytes: u32, ecn: bool) -> Packet {
-        let mut p = Packet::data(
+        Packet::data(
             FlowId {
                 src: 0,
                 dst: 1,
@@ -300,9 +322,7 @@ mod tests {
             false,
             ecn,
             Time::ZERO,
-        );
-        p.bytes = bytes;
-        p
+        )
     }
 
     #[test]
@@ -319,8 +339,8 @@ mod tests {
             assert_eq!(q.enqueue(p, Time(0)), Enqueue::Accepted);
         }
         assert_eq!(q.bytes(), 3000);
-        assert_eq!(q.dequeue().unwrap().sent_at, Time(0));
-        assert_eq!(q.dequeue().unwrap().sent_at, Time(1));
+        assert_eq!(q.dequeue().unwrap().0.sent_at, Time(0));
+        assert_eq!(q.dequeue().unwrap().0.sent_at, Time(1));
         assert_eq!(q.bytes(), 1000);
     }
 
@@ -346,7 +366,7 @@ mod tests {
         assert_eq!(q.marks, 1);
         let _ = q.dequeue();
         let _ = q.dequeue();
-        let marked = q.dequeue().unwrap();
+        let (marked, _) = q.dequeue().unwrap();
         assert!(marked.ecn_ce);
     }
 
@@ -405,7 +425,7 @@ mod tests {
         let mut q = Queue::new(config, 3);
         let mut kept = Queue::new(config, 3);
         let counts = |q: &Queue| (q.drops, q.marks, q.accepted);
-        let shown = |p: Option<Packet>| format!("{p:?}");
+        let shown = |p: Option<(Packet, Time)>| format!("{p:?}");
         for burst in 0..3u64 {
             for i in 0..1_000u64 {
                 let now = Time(burst * 1_000_000 + i);
@@ -443,6 +463,57 @@ mod tests {
             1,
         );
         assert_eq!(q.enqueue(pkt(1000, false), Time(500)), Enqueue::Accepted);
-        assert_eq!(q.dequeue().unwrap().enqueued_at, Time(500));
+        assert_eq!(q.dequeue().unwrap().1, Time(500));
+    }
+
+    /// A queue holding a CE-marked data segment, an ACK and a RIP
+    /// advertisement encodes to the bytes it had when every packet carried
+    /// its wire size and enqueue time (commit `af9c50a`): the derived size
+    /// is written where the field was, the entry's enqueue time after the
+    /// packet.
+    #[test]
+    fn encoding_is_the_parent_packets() {
+        use crate::packet::{PacketKind, RipMsg};
+        let flow = FlowId {
+            src: 3,
+            dst: 9,
+            sport: 1_001,
+            dport: 80,
+        };
+        let mut q = Queue::new(QueueConfig::dctcp(100_000, 30_000), 11);
+        let mut data = Packet::data(flow, 1_448, 1_448, 10_000, true, true, Time(100));
+        data.ecn_ce = true;
+        q.enqueue(data, Time(150));
+        let ack = Packet::ack(flow, 2_896, true, Time(90), false, Time(200));
+        q.enqueue(ack, Time(250));
+        let rip = Packet {
+            flow: FlowId {
+                src: 9,
+                dst: 3,
+                sport: 520,
+                dport: 520,
+            },
+            kind: PacketKind::Rip(Box::new(RipMsg {
+                from: 9,
+                routes: vec![(1, 1), (2, 2), (5, 16)],
+            })),
+            ecn_capable: false,
+            ecn_ce: false,
+            sent_at: Time(300),
+        };
+        q.enqueue(rip, Time(320));
+        const PARENT: &str = concat!(
+            "01a08601003075000030750000000000000000f03f000000000000f03f01030000000000000003000000",
+            "09000000e903500000a805000000000000a8050000102700000000000001dc0500000101640000000000",
+            "0000960000000000000009000000030000005000e90301500b000000000000015a000000000000000040",
+            "0000000000c800000000000000fa000000000000000900000003000000080208020209000000030000",
+            "00000000000100000001020000000205000000102c00000000002c010000000000004001000000000000",
+            "480600000000000000709840000000009d3080237d64f550a1136b7ad25c2a436d129b6e30be56a3f06d",
+            "2e2799622e81000000000000000000000000000000000300000000000000",
+        );
+        let mut w = SnapshotWriter::new();
+        q.save(&mut w);
+        let hex: String = w.into_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PARENT);
     }
 }

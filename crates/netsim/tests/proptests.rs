@@ -190,13 +190,13 @@ proptest! {
         let mut model: std::collections::VecDeque<u32> = Default::default();
         for (enq, bytes) in ops {
             if enq {
-                let mut p = Packet::data(flow(), 0, bytes.saturating_sub(52).max(1), 1 << 20, false, false, Time::ZERO);
-                p.bytes = bytes;
+                // `bytes` is at least 64, so the segment's wire size is `bytes`.
+                let p = Packet::data(flow(), 0, bytes - 52, 1 << 20, false, false, Time::ZERO);
                 if q.enqueue(p, Time::ZERO) == Enqueue::Accepted {
                     model.push_back(bytes);
                 }
             } else {
-                let popped = q.dequeue().map(|p| p.bytes);
+                let popped = q.dequeue().map(|(p, _)| p.bytes());
                 prop_assert_eq!(popped, model.pop_front());
             }
             let expect: u32 = model.iter().sum();

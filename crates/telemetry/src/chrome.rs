@@ -57,9 +57,9 @@ fn span_args(span: &Span) -> Value {
     obj(pairs)
 }
 
-/// Builds the trace_event array as a [`Value`] (callers usually want
-/// [`chrome_trace_json`]).
-pub fn chrome_trace_value(tel: &RunTelemetry) -> Value {
+/// Builds the trace_event array as a [`Value`], which
+/// [`chrome_trace_json`] serializes.
+fn chrome_trace_value(tel: &RunTelemetry) -> Value {
     let mut events = Vec::new();
     for w in &tel.workers {
         let name = if w.worker == 0 {

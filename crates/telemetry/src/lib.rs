@@ -21,5 +21,5 @@ pub mod chrome;
 pub mod json;
 pub mod report;
 
-pub use chrome::{chrome_trace_json, chrome_trace_value, validate_chrome_trace, TraceSummary};
+pub use chrome::{chrome_trace_json, validate_chrome_trace, TraceSummary};
 pub use report::{report_string, write_report};

@@ -4,9 +4,10 @@
 # times each, alternating which side runs first, and prints every pair,
 # each side's q1/median/q3 of the `run` span (seconds) and of peak RSS (MB,
 # `VmHWM`, what the benchmark's `peak_rss_mb` reads), B's win count in
-# both, and whether the gain rule holds on time: B is
-# faster in at least 9 of 10 pairs (ties count for neither side) and the
-# medians differ by more than A's interquartile range. Quartiles are the
+# both, and whether the gain rule holds, once on time and once on peak
+# RSS: B is lower in at least 9 of 10 pairs (ties count for neither side)
+# and the medians differ by more than A's interquartile range of that
+# metric. Quartiles are the
 # benchmark's own (`stats.rs`: rank p * (n + 1), interpolated). Exits 1 if
 # any run's digest, event, round, fused-round, completed-flow, drop or
 # retransmit count differs from A's first run — a faster run of another
@@ -143,17 +144,20 @@ awk -v na="$name_a" -v nb="$name_b" '
         sort(ta, n); sort(tb, n); sort(ka, n); sort(kb, n)
         qa1 = quantile(ta, n, 0.25); qa2 = quantile(ta, n, 0.5); qa3 = quantile(ta, n, 0.75)
         qb1 = quantile(tb, n, 0.25); qb2 = quantile(tb, n, 0.5); qb3 = quantile(tb, n, 0.75)
-        ma = quantile(ka, n, 0.5); mb = quantile(kb, n, 0.5)
+        ka1 = quantile(ka, n, 0.25); ma = quantile(ka, n, 0.5); ka3 = quantile(ka, n, 0.75)
+        kb1 = quantile(kb, n, 0.25); mb = quantile(kb, n, 0.5); kb3 = quantile(kb, n, 0.75)
         printf "%s run s q1/median/q3 %.4f/%.4f/%.4f, peak RSS MB q1/median/q3 %.1f/%.1f/%.1f\n",
-            na, qa1, qa2, qa3, quantile(ka, n, 0.25) / 1024, ma / 1024, quantile(ka, n, 0.75) / 1024
+            na, qa1, qa2, qa3, ka1 / 1024, ma / 1024, ka3 / 1024
         printf "%s run s q1/median/q3 %.4f/%.4f/%.4f, peak RSS MB q1/median/q3 %.1f/%.1f/%.1f\n",
-            nb, qb1, qb2, qb3, quantile(kb, n, 0.25) / 1024, mb / 1024, quantile(kb, n, 0.75) / 1024
+            nb, qb1, qb2, qb3, kb1 / 1024, mb / 1024, kb3 / 1024
         printf "%s faster in %d/%d pairs; median %+.1f%%, gap %.4f s vs %s IQR %.4f s\n",
             nb, wins, n, 100 * (qb2 - qa2) / qa2, qa2 - qb2, na, qa3 - qa1
-        printf "%s peaked lower in %d/%d pairs; median peak RSS %+.1f%%\n",
-            nb, lower, n, 100 * (mb - ma) / ma
-        met = (10 * wins >= 9 * n) && (qa2 - qb2 > qa3 - qa1)
-        printf "gain rule (>= 9/10 pairs and gap > %s IQR): %s\n", na, met ? "met" : "not met"
+        printf "%s peaked lower in %d/%d pairs; median peak RSS %+.1f%%, gap %.2f MB vs %s IQR %.2f MB\n",
+            nb, lower, n, 100 * (mb - ma) / ma, (ma - mb) / 1024, na, (ka3 - ka1) / 1024
+        time_met = (10 * wins >= 9 * n) && (qa2 - qb2 > qa3 - qa1)
+        rss_met = (10 * lower >= 9 * n) && (ma - mb > ka3 - ka1)
+        printf "gain rule on time (>= 9/10 pairs and gap > %s IQR): %s\n", na, time_met ? "met" : "not met"
+        printf "gain rule on peak RSS (>= 9/10 pairs and gap > %s IQR): %s\n", na, rss_met ? "met" : "not met"
     }' "$results"
 if (( mismatch )); then
     echo "the two sides did not run the same simulation (identity differs above)" >&2
