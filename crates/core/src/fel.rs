@@ -93,7 +93,8 @@ const LADDER_THRES: usize = 64;
 /// Bound on the near tier (`bottom` + `stage`) while no rung exists: a list
 /// that outgrows it is not small after all, and is spilled into one rung so
 /// the staged re-sorts stay bounded (see [`Ladder::spill_near`]). Also the
-/// largest overflow buffer a re-prime keeps (see [`Ladder::reprime`]).
+/// largest near-tier buffer a refill keeps (see [`Ladder::refill`]) and
+/// the largest overflow buffer a re-prime keeps (see [`Ladder::reprime`]).
 const LADDER_NEAR_MAX: usize = 4 * LADDER_THRES;
 
 /// Bound on in-place insertion into the bottom, in two places. A near-tier
@@ -151,15 +152,17 @@ struct Slot<P> {
 /// A ladder's chunk storage: the pool of empty chunk buffers and the slots
 /// that chain full chunks behind their bucket's open one. A bucket takes
 /// a buffer from the pool when it starts a chunk and gives every buffer
-/// back when it is emptied; the pool allocates only when it is empty, so
-/// while the list stays large it holds at most the ladder's peak chunk
-/// count: ⌈chunked events / `LADDER_CHUNK`⌉ plus one partial chunk per
-/// non-empty bucket. When the list becomes small again every buffer is
-/// back in the pool, and the pool frees them all
-/// ([`Ladder::promote_overflow`]).
+/// back when it is emptied; the pool allocates only when it is empty, and
+/// never holds more buffers than are lent (the pool rule), so the ladder
+/// holds at most twice the chunks its buckets use. When the list becomes
+/// small again no chunk is lent, and the pool is empty.
 struct Chunks<P> {
-    /// Empty chunk buffers, each of capacity `LADDER_CHUNK`.
+    /// Empty chunk buffers, each of capacity `LADDER_CHUNK`; never more
+    /// than `lent`.
     pool: Vec<Vec<Event<P>>>,
+    /// Chunk buffers out of the pool: the open and parked chunks of every
+    /// bucket.
+    lent: usize,
     /// Full chunks, chained per bucket, and free slots.
     slots: Vec<Slot<P>>,
     /// The free slots' indices. A stack, not a list threaded through the
@@ -185,6 +188,7 @@ impl<P> Chunks<P> {
             .pool
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(LADDER_CHUNK));
+        self.lent += 1;
         let events = std::mem::replace(&mut b.open, fresh);
         if events.capacity() == 0 {
             // The bucket was empty: nothing to park.
@@ -230,11 +234,17 @@ impl<P> Chunks<P> {
         }
     }
 
-    /// Returns an emptied chunk buffer to the pool.
+    /// Takes back a lent chunk, as the emptied buffer `buf` (freed when it
+    /// is not of chunk capacity), and trims the pool to the chunks still
+    /// lent: one return frees at most two buffers.
     #[inline]
     fn give(&mut self, buf: Vec<Event<P>>) {
-        debug_assert!(buf.is_empty() && buf.capacity() == LADDER_CHUNK);
-        self.pool.push(buf);
+        debug_assert!(buf.is_empty());
+        self.lent -= 1;
+        if buf.capacity() == LADDER_CHUNK {
+            self.pool.push(buf);
+        }
+        self.pool.truncate(self.lent);
     }
 
     /// The full chunks of a bucket whose chain starts at `full`, newest
@@ -289,6 +299,7 @@ impl<P> Large<P> {
         Box::new(Large {
             chunks: Chunks {
                 pool: Vec::new(),
+                lent: 0,
                 slots: Vec::new(),
                 free: Vec::new(),
             },
@@ -373,8 +384,10 @@ impl<P> Rung<P> {
 ///   regrows either.
 ///
 /// The rungs exist only while the list is large, and so does their chunk
-/// memory: the refill that finds the list small again frees the chunk
-/// pool ([`Ladder::promote_overflow`]). The split rule
+/// memory: the pool never holds more empty chunks than the buckets hold
+/// (the pool rule, [`Chunks`]), so when the list is small again it holds
+/// none; and a refill frees a near-tier buffer that a burst grew past
+/// `LADDER_NEAR_MAX` (the near-tier rule, [`Ladder::refill`]). The split rule
 /// (`LADDER_THRES`) decides it, on every tier: an overflow no larger than
 /// the threshold is sorted straight into the bottom (no rung, no chunk —
 /// the per-LP lists of a fine-grained partition live here and the structure
@@ -675,8 +688,17 @@ impl<P> Ladder<P> {
     /// into the bottom, or re-primes a rung from a large one. Caller
     /// guarantees the near tier is empty and an event below `Time::MAX`
     /// is stored.
+    ///
+    /// A near-tier buffer that a burst grew past `LADDER_NEAR_MAX` is
+    /// freed first (the near-tier rule): the tier is empty, and a rung
+    /// refills it a bucket at a time.
     fn refill(&mut self) {
         debug_assert!(self.bottom.is_empty() && self.stage.is_empty());
+        for near in [&mut self.bottom, &mut self.stage] {
+            if near.capacity() > LADDER_NEAR_MAX {
+                *near = Vec::new();
+            }
+        }
         loop {
             self.settle();
             let depth = self.rungs.len();
@@ -720,11 +742,11 @@ impl<P> Ladder<P> {
     /// chunks) into `bottom` and gives its chunks back to the pool. A
     /// one-chunk bucket whose buffer is at least as large as the empty
     /// bottom's *becomes* the bottom — no copy — and the bottom's old
-    /// buffer joins the pool in its place (or is freed when it is smaller
-    /// than a chunk). Otherwise the events are appended. The condition
-    /// keeps a bottom that has grown past a chunk where it is: swapping it
-    /// into the pool would park a large buffer there while the bottom
-    /// regrew (DESIGN.md §7).
+    /// buffer is given back in its place (and freed when it is smaller
+    /// than a chunk or the pool is full). Otherwise the events are
+    /// appended. The condition keeps a bottom that has grown past a chunk
+    /// where it is: swapping it into the pool would park a large buffer
+    /// there while the bottom regrew (DESIGN.md §7).
     fn bucket_into_bottom(&mut self, b: &mut Bucket<P>) {
         if b.open.is_empty() {
             return;
@@ -732,10 +754,7 @@ impl<P> Ladder<P> {
         let chunks = &mut Large::of(&mut self.large).chunks;
         if b.full == NIL && self.bottom.is_empty() && self.bottom.capacity() <= LADDER_CHUNK {
             std::mem::swap(&mut self.bottom, &mut b.open);
-            let old = std::mem::take(&mut b.open);
-            if old.capacity() == LADDER_CHUNK {
-                chunks.give(old);
-            }
+            chunks.give(std::mem::take(&mut b.open));
             return;
         }
         let bottom = &mut self.bottom;
@@ -783,11 +802,11 @@ impl<P> Ladder<P> {
     /// pushed at or above it starts the next overflow.
     ///
     /// Every rung is spent and the overflow's chunks are in the bottom, so
-    /// each chunk buffer the ladder made is back in the pool: the pool
-    /// frees them, and the next spill or re-prime allocates its chunks
-    /// again. A pool kept through the small regime holds each ladder's
-    /// burst high-water for the rest of the run, while the allocator shares
-    /// freed buffers among all ladders (DESIGN.md §4.4, §7).
+    /// no chunk is lent and, by the pool rule, the pool is empty: the next
+    /// spill or re-prime allocates its chunks again. A pool kept through
+    /// the small regime would hold each ladder's burst high-water for the
+    /// rest of the run, while the allocator shares freed buffers among all
+    /// ladders (DESIGN.md §4.4, §7).
     fn promote_overflow(&mut self) {
         debug_assert!(self.rungs.is_empty() && self.bottom.is_empty());
         let mut chunked = self.take_overflow_chunks();
@@ -805,14 +824,10 @@ impl<P> Ladder<P> {
         self.overflow_min = Time::MAX;
         // Overflow events lie below `Time::MAX` (invariant 3).
         self.top_start = Time(self.bottom[0].key.ts.0 + 1);
-        if let Some(large) = self.large.as_deref_mut() {
-            debug_assert_eq!(
-                large.chunks.free.len(),
-                large.chunks.slots.len(),
-                "a parked chunk"
-            );
-            large.chunks.pool.clear();
-        }
+        debug_assert!(self
+            .large
+            .as_deref()
+            .is_none_or(|l| l.chunks.pool.is_empty() && l.chunks.lent == 0));
     }
 
     /// The large-list refill: recalibrates the bucket width from the
@@ -978,8 +993,7 @@ impl<P> Ladder<P> {
         })
     }
 
-    /// Chunk buffers this ladder holds: in buckets and in the pool (they
-    /// are recycled, never dropped).
+    /// Chunk buffers this ladder holds: in buckets and in the pool.
     #[cfg(test)]
     fn chunks_made(&self) -> usize {
         let in_buckets: usize = self
@@ -1056,6 +1070,13 @@ impl<P> Ladder<P> {
     #[cfg(test)]
     fn staged(&self) -> usize {
         self.stage.len()
+    }
+
+    /// The chunk pool's (length, lent count).
+    #[cfg(test)]
+    fn pool_and_lent(&self) -> (usize, usize) {
+        let chunks = self.large.as_deref().map(|l| &l.chunks);
+        chunks.map_or((0, 0), |c| (c.pool.len(), c.lent))
     }
 }
 
@@ -1570,11 +1591,13 @@ mod tests {
     /// The chunk pool's memory bound, under a seeded random mix of batches,
     /// pops, bounded drains, holds with near and far successors, bursts at
     /// one instant and clears: after every step the chunk structure is
-    /// intact (`check_chunks`), and the chunks allocated never exceed the
-    /// peak the chunked contents have called for — ⌈chunked events /
-    /// `LADDER_CHUNK`⌉ plus one partial chunk per non-empty bucket — by
-    /// more than one rung's worth of partial chunks, the transient of a
-    /// split (the parent's chunks are freed as the child fills its own).
+    /// intact (`check_chunks`), `lent` counts exactly the chunk buffers
+    /// outside the pool and the pool holds no more than that (the pool
+    /// rule), and the chunks allocated never exceed the peak the chunked
+    /// contents have called for — ⌈chunked events / `LADDER_CHUNK`⌉ plus
+    /// one partial chunk per non-empty bucket — by more than one rung's
+    /// worth of partial chunks, the transient of a split (the parent's
+    /// chunks are freed as the child fills its own).
     #[test]
     fn chunk_pool_stays_within_the_peak_chunk_bound() {
         let mut rng = crate::rng::Rng::new(36);
@@ -1628,6 +1651,9 @@ mod tests {
             }
             let l = ladder(&lad);
             l.check_chunks();
+            let (pool, lent) = l.pool_and_lent();
+            assert!(pool <= lent, "step {step}: {pool} pooled, {lent} lent");
+            assert_eq!(lent, l.chunks_made() - pool, "step {step}: lent miscounted");
             peak = peak.max(l.chunk_bound());
             assert!(
                 l.chunks_made() <= peak + LADDER_BUCKETS + 1,
@@ -1684,6 +1710,65 @@ mod tests {
             }
         }
         assert!(lad.pop().is_none());
+    }
+
+    /// A hold that shrinks while its rung lives keeps only what it uses:
+    /// 2¹⁴ events held for 2¹⁴ cycles, a burst of 1 000 pushes at the head
+    /// (staged behind the bottom's back, past `LADDER_NEAR_MAX`), then
+    /// pop-two/push-one down to 2⁸ events. A rung still exists at the end,
+    /// yet the pool holds no more than the chunks the buckets use — not
+    /// the thousand the large hold needed — and the near tier's buffers
+    /// are back within `LADDER_NEAR_MAX`. Pops match the heap throughout.
+    #[test]
+    fn a_shrinking_hold_keeps_only_the_chunks_it_lends() {
+        let mut rng = crate::rng::Rng::new(46);
+        let [mut heap, mut lad] = both();
+        let mut seq = 0u64;
+        let mut push_both = |heap: &mut Fel<u64>, lad: &mut Fel<u64>, ts: u64| {
+            seq += 1;
+            heap.push(ev(ts, (seq % 3) as u32, seq));
+            lad.push(ev(ts, (seq % 3) as u32, seq));
+        };
+        let pop_both = |heap: &mut Fel<u64>, lad: &mut Fel<u64>| {
+            let h = heap.pop().expect("a hold is never empty").key;
+            assert_eq!(lad.pop().map(|e| e.key), Some(h));
+            h.ts.0
+        };
+        for _ in 0..1 << 14 {
+            push_both(&mut heap, &mut lad, rng.next_below(1_000_000));
+        }
+        for _ in 0..1 << 14 {
+            let now = pop_both(&mut heap, &mut lad);
+            push_both(&mut heap, &mut lad, now + 1 + rng.next_below(1_000_000));
+        }
+        let head = pop_both(&mut heap, &mut lad);
+        for _ in 0..1_000 {
+            push_both(&mut heap, &mut lad, head);
+        }
+        assert!(
+            ladder(&lad).staged() > LADDER_NEAR_MAX,
+            "the burst went in place"
+        );
+        let peak = chunks_made(&lad);
+        while heap.len() > 1 << 8 {
+            pop_both(&mut heap, &mut lad);
+            let now = pop_both(&mut heap, &mut lad);
+            push_both(&mut heap, &mut lad, now + 1 + rng.next_below(1_000_000));
+        }
+        let l = ladder(&lad);
+        l.check_chunks();
+        assert!(!l.rungs.is_empty(), "the rung retired");
+        let (pool, lent) = l.pool_and_lent();
+        assert!(
+            pool <= lent,
+            "{pool} chunks pooled for {lent} lent (the hold made {peak})"
+        );
+        let near = (l.bottom.capacity(), l.stage.capacity());
+        assert!(
+            near.0 <= LADDER_NEAR_MAX && near.1 <= LADDER_NEAR_MAX,
+            "near-tier capacities {near:?}"
+        );
+        assert_eq!(drain_equal(&mut heap, &mut lad), 1 << 8);
     }
 
     /// Events at `Time::MAX` (the never-firing sentinel shape) follow every

@@ -5,8 +5,17 @@
 //! canonical `Snapshot` encoding of every node — is bit-identical across
 //! the sequential kernel, every Unison thread count and every rerun, and
 //! the transport visibly rides out each failure.
+//!
+//! A final state has every device queue drained, so each run also takes a
+//! digest mid-run, from a global event at an instant when a host's queue
+//! holds packets: queued packets' encoding is pinned too.
 
-use unison_core::{kernel, DataRate, KernelKind, MetricsLevel, PartitionMode, RunConfig, Time};
+use std::sync::{Arc, Mutex};
+
+use unison_core::{
+    kernel, DataRate, KernelKind, MetricsLevel, PartitionMode, RunConfig, Snapshot, SnapshotWriter,
+    Time,
+};
 use unison_netsim::{
     install_faults, world_digest as digest, FlowReport, NetFault, NetSim, NetworkBuilder,
 };
@@ -55,23 +64,62 @@ fn sim_with(faults: &[NetFault]) -> NetSim {
     sim
 }
 
+/// The mid-run probe's instant: 4 µs after flow 20 starts, inside every
+/// fault window but the loss burst's (which has ended), while its sender's
+/// first window still waits in the host's device queue.
+const PROBE_AT: Time = Time::from_micros(2_004);
+
+/// FNV-1a over every node's snapshot, written into `w` in id order: the
+/// `world_digest` encoding, for nodes a global event visits one at a time.
+fn fnv1a(w: SnapshotWriter) -> u64 {
+    w.into_bytes()
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
 /// Runs one faulted scenario on every kernel and pins the invariants:
-/// identical digest everywhere, and the caller's model-level checks hold.
-fn run_matrix(faults: &[NetFault], mut check: impl FnMut(&FlowReport)) -> u64 {
+/// identical final digest everywhere, the mid-run digest taken at
+/// `PROBE_AT` equal to `mid` everywhere (with packets queued when it is
+/// taken), and the caller's model-level checks hold. Returns the final
+/// digest.
+fn run_matrix(faults: &[NetFault], mid: u64, mut check: impl FnMut(&FlowReport)) -> u64 {
     let n = sim_with(faults).world.node_count();
     let kernels = [
         KernelKind::Sequential { compat_keys: false },
+        KernelKind::Sequential { compat_keys: true },
         KernelKind::Unison { threads: 1 },
         KernelKind::Unison { threads: 2 },
         KernelKind::Unison { threads: 4 },
     ];
     let mut golden = None;
     for k in kernels {
-        let sim = sim_with(faults);
+        let mut sim = sim_with(faults);
+        let probe = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&probe);
+        sim.world.add_global_event(
+            PROBE_AT,
+            Box::new(move |wa| {
+                let mut w = SnapshotWriter::new();
+                let mut queued = 0;
+                wa.for_each_node(|_, node| {
+                    queued += node.devices.iter().map(|d| d.queue.len()).sum::<usize>();
+                    node.save(&mut w);
+                });
+                *slot.lock().expect("probe slot") = Some((fnv1a(w), queued));
+            }),
+        );
         let (world, _) = kernel::try_run(sim.world, &cfg(k.clone(), n)).expect("faulted run");
         let report = FlowReport::collect(&world);
         check(&report);
         let d = digest(&world);
+        let mut w = SnapshotWriter::new();
+        world.nodes().for_each(|node| node.save(&mut w));
+        assert_eq!(fnv1a(w), d, "the probe's encoding is not world_digest's");
+        let (probed, queued) = probe.lock().expect("probe slot").expect("the probe fired");
+        assert!(queued > 0, "kernel {k:?}: no packet queued at the probe");
+        assert_eq!(probed, mid, "kernel {k:?}: mid-run digest {probed:#018x}");
         match golden {
             None => golden = Some(d),
             Some(g) => assert_eq!(d, g, "kernel {k:?} diverged: {}", report.one_line()),
@@ -87,10 +135,10 @@ fn link_flap_reroutes_and_is_digest_invariant() {
         down_at: Time::from_millis(1),
         up_at: Time::from_millis(4),
     }];
-    let faulted = run_matrix(&flap, |r| {
+    let faulted = run_matrix(&flap, 0x65d8_c712_634f_274a, |r| {
         assert_eq!(r.completed_flows(), 40, "{}", r.one_line());
     });
-    let clean = run_matrix(&[], |r| {
+    let clean = run_matrix(&[], 0x5a02_4f11_b05d_1358, |r| {
         assert_eq!(r.completed_flows(), 40, "{}", r.one_line());
     });
     assert_ne!(faulted, clean, "the flap must actually perturb the run");
@@ -105,7 +153,7 @@ fn node_crash_and_recovery_keeps_flows_completing() {
         at: Time::from_millis(1),
         recover_at: Time::from_millis(4),
     }];
-    run_matrix(&crash, |r| {
+    run_matrix(&crash, 0x9129_c45a_1f3c_adcf, |r| {
         assert_eq!(r.completed_flows(), 40, "{}", r.one_line());
     });
 }
@@ -119,7 +167,7 @@ fn loss_burst_drops_deterministically_and_tcp_recovers() {
         period: 7,
     }];
     let mut drop_counts = Vec::new();
-    run_matrix(&burst, |r| {
+    run_matrix(&burst, 0xd8df_111c_dd1b_84d4, |r| {
         assert!(r.burst_drops > 0, "burst never fired: {}", r.one_line());
         assert!(r.retransmits > 0, "losses must force retransmits");
         assert_eq!(r.completed_flows(), 40, "{}", r.one_line());
