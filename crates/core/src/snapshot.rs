@@ -42,6 +42,13 @@ impl SnapshotWriter {
         self.buf
     }
 
+    /// Removes and yields the bytes written so far, keeping the buffer's
+    /// capacity for the next encoding: a digest that hashes one value's
+    /// encoding at a time holds the largest of them, not their sum.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, u8> {
+        self.buf.drain(..)
+    }
+
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -26,14 +26,19 @@ use crate::tcp::{TcpConfig, TransportKind};
 /// monitor — changes the hash. This is the digest the golden corpus and
 /// the fault-axis tests pin; its encoding is part of the scenario
 /// contract's digest-stability guarantee.
+///
+/// FNV-1a is a stream over the bytes, so each node's encoding is hashed as
+/// soon as it is written and its buffer reused for the next node: the
+/// digest holds the largest node's encoding, never the world's
+/// (DESIGN.md §4.7).
 pub fn world_digest(world: &World<NetNode>) -> u64 {
     let mut w = SnapshotWriter::new();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
     for n in world.nodes() {
         n.save(&mut w);
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in w.into_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        for b in w.drain() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
     }
     h
 }

@@ -10,8 +10,6 @@
 //! estimation. DCTCP layers the ECN-fraction estimator (`alpha`) and the
 //! proportional window reduction `cwnd *= 1 - alpha/2` on top.
 
-use std::collections::BTreeMap;
-
 use unison_core::{snapshot_struct, Snapshot, SnapshotWriter, Time};
 
 use crate::packet::{FlowId, Packet, MSS};
@@ -497,7 +495,7 @@ snapshot_struct!(TcpReceiver {
 });
 
 /// What the receiver wants sent back after a data arrival.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AckInfo {
     /// Cumulative next expected byte.
     pub ack: u64,
@@ -517,7 +515,7 @@ pub struct TcpReceiver {
     /// Expected flow size.
     pub size: u64,
     rcv_nxt: u64,
-    ooo: BTreeMap<u64, u32>,
+    ooo: SegmentRuns,
     /// Payload bytes received (including duplicates).
     pub bytes_rx: u64,
     /// First data arrival.
@@ -533,7 +531,7 @@ impl TcpReceiver {
             flow,
             size,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
+            ooo: SegmentRuns::default(),
             bytes_rx: 0,
             first_rx: None,
             completed_at: None,
@@ -560,19 +558,9 @@ impl TcpReceiver {
         let end = seq + len as u64;
         if end > self.rcv_nxt {
             if seq <= self.rcv_nxt {
-                self.rcv_nxt = end;
-                // Drain contiguous out-of-order segments.
-                while let Some((&s, &l)) = self.ooo.first_key_value() {
-                    if s <= self.rcv_nxt {
-                        self.ooo.remove(&s);
-                        self.rcv_nxt = self.rcv_nxt.max(s + l as u64);
-                    } else {
-                        break;
-                    }
-                }
+                self.rcv_nxt = self.ooo.drain_to(end);
             } else {
-                let entry = self.ooo.entry(seq).or_insert(len);
-                *entry = (*entry).max(len);
+                self.ooo.insert(seq, len);
             }
         }
         if self.completed_at.is_none() && self.rcv_nxt >= self.size {
@@ -583,6 +571,133 @@ impl TcpReceiver {
             ece: ce,
             echo_ts: sent_at,
             echo_retx: retx,
+        }
+    }
+}
+
+/// A receiver's out-of-order data: the entries of a map from segment start
+/// to the longest length that arrived there, kept as runs of back-to-back
+/// segments of one length.
+///
+/// A sender cuts a flow into segments `[k·MSS, min((k+1)·MSS, size))` and
+/// retransmits along the same cuts, so the segments buffered behind one
+/// hole are consecutive: one run `(start, len, count)` stands for the
+/// entries `start + i·len ↦ len`, `i < count`, and a receiver holds one
+/// 16-byte run per hole where a `BTreeMap<u64, u32>` held a B-tree node per
+/// eleven segments. Any other `(seq, len)` keeps the map's semantics: a new
+/// key is inserted, a present one keeps the larger length, and a run is
+/// split where a key lands on or between its entries. The encoding is the
+/// map's, entry by entry.
+#[derive(Debug, Default)]
+struct SegmentRuns {
+    /// Ordered by key: every entry of a run lies below the next run's.
+    runs: Vec<Run>,
+}
+
+/// `count ≥ 1` entries `start + i·len ↦ len`; a zero `len` has `count == 1`.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    start: u64,
+    len: u32,
+    count: u32,
+}
+
+impl Run {
+    /// The key of entry `i`; `key(count)` is where the last entry ends.
+    fn key(&self, i: u32) -> u64 {
+        self.start + u64::from(i) * u64::from(self.len)
+    }
+
+    /// `self` followed by `next` as one run, when `next` starts where
+    /// `self` ends with entries of the same length. (Two zero-length runs
+    /// never qualify: they would share their key, and a key already in a
+    /// run never reaches a join.)
+    fn joined(&self, next: &Run) -> Option<Run> {
+        let count = self.count.checked_add(next.count)?;
+        (self.len == next.len && self.key(self.count) == next.start)
+            .then_some(Run { count, ..*self })
+    }
+}
+
+impl SegmentRuns {
+    /// Inserts the entry `seq ↦ len`, or raises the entry at `seq` to `len`.
+    fn insert(&mut self, seq: u64, len: u32) {
+        let at = self.runs.partition_point(|r| r.key(r.count - 1) < seq);
+        let new = Run {
+            start: seq,
+            len,
+            count: 1,
+        };
+        match self.runs.get(at).copied() {
+            Some(r) if r.start <= seq => {
+                // `seq` is one of r's keys, or lies between two of them.
+                let off = seq - r.start;
+                let (i, on_entry) = match u64::from(r.len) {
+                    0 => (0, true),
+                    l => ((off / l) as u32, off.is_multiple_of(l)),
+                };
+                if on_entry && len <= r.len {
+                    return;
+                }
+                let before = Run {
+                    count: if on_entry { i } else { i + 1 },
+                    ..r
+                };
+                let after = Run {
+                    start: r.key(i + 1),
+                    count: r.count - i - 1,
+                    ..r
+                };
+                let pieces = [before, new, after];
+                self.runs
+                    .splice(at..=at, pieces.into_iter().filter(|p| p.count > 0));
+            }
+            next => {
+                // A new key between runs `at - 1` and `at`: it extends the
+                // one, the other or bridges both when it fits back to back.
+                let with_prev = at.checked_sub(1).and_then(|p| self.runs[p].joined(&new));
+                let with_next = next.and_then(|n| with_prev.unwrap_or(new).joined(&n));
+                match (with_prev, with_next) {
+                    (Some(_), Some(bridge)) => {
+                        self.runs[at - 1] = bridge;
+                        self.runs.remove(at);
+                    }
+                    (Some(p), None) => self.runs[at - 1] = p,
+                    (None, Some(n)) => self.runs[at] = n,
+                    (None, None) => self.runs.insert(at, new),
+                }
+            }
+        }
+    }
+
+    /// Delivers every entry that `rcv_nxt` reaches, in key order, and
+    /// returns the next expected byte after them. A run's entries are back
+    /// to back, so a run whose first entry is reached is delivered whole.
+    fn drain_to(&mut self, mut rcv_nxt: u64) -> u64 {
+        let mut reached = 0;
+        for r in &self.runs {
+            if r.start > rcv_nxt {
+                break;
+            }
+            rcv_nxt = rcv_nxt.max(r.key(r.count));
+            reached += 1;
+        }
+        self.runs.drain(..reached);
+        rcv_nxt
+    }
+}
+
+impl Snapshot for SegmentRuns {
+    /// The encoding of the `BTreeMap<u64, u32>` the runs stand for: the
+    /// entry count, then every `(seq, len)` in key order.
+    fn save(&self, w: &mut SnapshotWriter) {
+        let entries: u64 = self.runs.iter().map(|r| u64::from(r.count)).sum();
+        entries.save(w);
+        for r in &self.runs {
+            for i in 0..r.count {
+                r.key(i).save(w);
+                r.len.save(w);
+            }
         }
     }
 }

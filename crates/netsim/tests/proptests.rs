@@ -4,11 +4,11 @@ use proptest::prelude::*;
 
 use std::collections::BTreeMap;
 
-use unison_core::{Snapshot, SnapshotWriter, Time};
+use unison_core::{snapshot_struct, Snapshot, SnapshotWriter, Time};
 use unison_netsim::packet::{FlowId, Packet, RipMsg, MSS};
 use unison_netsim::queue::{Enqueue, Queue, QueueConfig};
 use unison_netsim::route::{compute_static_tables, RipRoute, RipState, Routing, RIP_INFINITY};
-use unison_netsim::tcp::TcpReceiver;
+use unison_netsim::tcp::{AckInfo, TcpReceiver};
 
 fn flow() -> FlowId {
     FlowId {
@@ -100,6 +100,118 @@ impl RipModel {
     }
 }
 
+/// The receiver as it was before its out-of-order buffer became segment
+/// runs: the same fields, the buffer a map from segment start to the
+/// longest length that arrived there. The reference the runs are checked
+/// against.
+struct MapReceiver {
+    flow: FlowId,
+    size: u64,
+    rcv_nxt: u64,
+    ooo: BTreeMap<u64, u32>,
+    bytes_rx: u64,
+    first_rx: Option<Time>,
+    completed_at: Option<Time>,
+}
+
+snapshot_struct!(MapReceiver {
+    flow,
+    size,
+    rcv_nxt,
+    ooo,
+    bytes_rx,
+    first_rx,
+    completed_at
+});
+
+impl MapReceiver {
+    fn new(size: u64) -> Self {
+        MapReceiver {
+            flow: flow(),
+            size,
+            rcv_nxt: 0,
+            ooo: BTreeMap::new(),
+            bytes_rx: 0,
+            first_rx: None,
+            completed_at: None,
+        }
+    }
+
+    fn on_data(&mut self, seq: u64, len: u32, sent_at: Time, now: Time) -> AckInfo {
+        self.first_rx.get_or_insert(now);
+        self.bytes_rx += len as u64;
+        let end = seq + len as u64;
+        if end > self.rcv_nxt {
+            if seq <= self.rcv_nxt {
+                self.rcv_nxt = end;
+                while let Some((&s, &l)) = self.ooo.first_key_value() {
+                    if s <= self.rcv_nxt {
+                        self.ooo.remove(&s);
+                        self.rcv_nxt = self.rcv_nxt.max(s + l as u64);
+                    } else {
+                        break;
+                    }
+                }
+            } else {
+                let entry = self.ooo.entry(seq).or_insert(len);
+                *entry = (*entry).max(len);
+            }
+        }
+        if self.completed_at.is_none() && self.rcv_nxt >= self.size {
+            self.completed_at = Some(now);
+        }
+        AckInfo {
+            ack: self.rcv_nxt,
+            ece: false,
+            echo_ts: sent_at,
+            echo_retx: false,
+        }
+    }
+}
+
+fn encoding(v: &impl Snapshot) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    v.save(&mut w);
+    w.into_bytes()
+}
+
+/// A receiver and its map reference, fed the same arrivals.
+struct RunsAndMap {
+    rcv: TcpReceiver,
+    reference: MapReceiver,
+    arrivals: u64,
+}
+
+impl RunsAndMap {
+    fn new(size: u64) -> Self {
+        RunsAndMap {
+            rcv: TcpReceiver::new(flow(), size),
+            reference: MapReceiver::new(size),
+            arrivals: 0,
+        }
+    }
+
+    /// Delivers `(seq, len)` to both, asserts that they send the same ACK
+    /// and encode to the same bytes, and returns the ACK.
+    fn deliver(&mut self, seq: u64, len: u32) -> u64 {
+        let i = self.arrivals;
+        self.arrivals += 1;
+        let (sent, now) = (Time(i), Time(i + 1));
+        let ack = self.rcv.on_data(seq, len, false, sent, false, now);
+        assert_eq!(
+            ack,
+            self.reference.on_data(seq, len, sent, now),
+            "arrival {i}: ({seq}, {len})"
+        );
+        assert_eq!(
+            encoding(&self.rcv),
+            encoding(&self.reference),
+            "arrival {i}: ({seq}, {len})"
+        );
+        ack.ack
+    }
+}
+
 proptest! {
     /// Any interleaving of advertisements received and devices going down
     /// leaves the dense table indistinguishable from the map it replaced:
@@ -179,6 +291,69 @@ proptest! {
         }
         prop_assert_eq!(last_ack, size);
         prop_assert!(rcv.completed_at.is_some());
+    }
+
+    /// Segments cut the way the sender cuts them — `[k·MSS, min((k+1)·MSS,
+    /// size))` — arriving as a lossy sender delivers them: new segments in
+    /// order, some lost, retransmissions of the segment the receiver waits
+    /// for and duplicates of earlier ones. The segment runs answer with the
+    /// map's ACK and encode to its bytes after every arrival.
+    #[test]
+    fn segment_runs_match_the_map_on_aligned_segments(
+        segments in 1u64..80,
+        tail in 1u32..=MSS,
+        ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..250),
+    ) {
+        let size = (segments - 1) * MSS as u64 + tail as u64;
+        let segment = |k: u64| {
+            let seq = k * MSS as u64;
+            (seq, (size - seq).min(MSS as u64) as u32)
+        };
+        let mut both = RunsAndMap::new(size);
+        let mut next = 0u64;
+        let mut ack = 0u64;
+        for (kind, x) in ops {
+            let k = match kind {
+                // A new segment, lost one time in four.
+                0..=4 => {
+                    let k = next.min(segments - 1);
+                    next += 1;
+                    if x % 4 == 0 {
+                        continue;
+                    }
+                    k
+                }
+                // The retransmission of the segment the receiver waits for.
+                5 | 6 => (ack / MSS as u64).min(segments - 1),
+                // A duplicate of any segment sent so far.
+                _ => x % next.clamp(1, segments),
+            };
+            let (seq, len) = segment(k);
+            ack = both.deliver(seq, len);
+        }
+    }
+
+    /// Arbitrary, overlapping `(seq, len)` arrivals on a 5-byte grid, so
+    /// that back-to-back runs form and keys land on, between and beside
+    /// their entries — among them a repeated `seq` with a longer `len`, and
+    /// empty segments. The segment runs keep the map's semantics.
+    #[test]
+    fn segment_runs_match_the_map_on_arbitrary_segments(
+        ops in proptest::collection::vec((0u64..120, 0usize..6, 0u8..4), 1..200),
+    ) {
+        const LENS: [u32; 6] = [0, 5, 10, 10, 15, 20];
+        let mut both = RunsAndMap::new(600);
+        let mut last = (0u64, 0u32);
+        for (slot, l, how) in ops {
+            last = match how {
+                // The previous arrival's key again, longer.
+                0 => (last.0, last.1 + LENS[l]),
+                // Back to back after the previous arrival, same length.
+                1 => (last.0 + last.1 as u64, last.1),
+                _ => (5 * slot, LENS[l]),
+            };
+            both.deliver(last.0, last.1);
+        }
     }
 
     /// Queue byte accounting is exact under arbitrary enqueue/dequeue

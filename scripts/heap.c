@@ -6,6 +6,21 @@
  *
  *   P <peak live bytes> <blocks live at the peak> <untracked blocks>
  *
+ * one line of CLOCK_MONOTONIC readings, in nanoseconds, of when this
+ * library was loaded, when the live bytes last reached their peak and when
+ * the process exited, so a caller can place the peak among the process's
+ * own timestamps:
+ *
+ *   T <loaded> <peak> <exit>
+ *
+ * one line for the resident set's peak (ru_maxrss, the kernel's VmHWM,
+ * which counts memory the allocator keeps after a free and this tracker's
+ * own tables too): its final value in kB and the interval, between two
+ * allocator calls, in which it last rose — each call reads it, and so
+ * does the exit:
+ *
+ *   R <peak kB> <after> <by>
+ *
  * and one line per requested size that had blocks live at the peak:
  *
  *   H <size> <blocks of that size at the peak> <their bytes>
@@ -27,6 +42,8 @@
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <sys/resource.h>
+#include <time.h>
 #include <unistd.h>
 #include <errno.h>
 
@@ -59,7 +76,35 @@ static uint32_t dirty[SIZE_SLOTS];
 static unsigned long ndirty;
 
 static unsigned long live_bytes, peak_bytes, peak_blocks;
+static unsigned long long loaded_ns, peak_ns;
 static pthread_mutex_t lock = PTHREAD_MUTEX_INITIALIZER;
+
+static unsigned long long now_ns(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (unsigned long long)ts.tv_sec * 1000000000ull + (unsigned long long)ts.tv_nsec;
+}
+
+__attribute__((constructor)) static void start(void) {
+    loaded_ns = now_ns();
+}
+
+/* The resident set's peak and when it last rose: after the previous
+ * reading and by this one. Called under the lock after every call. */
+static long rss_peak_kb;
+static unsigned long long rss_read_ns, rss_after_ns, rss_by_ns;
+
+static void watch_rss(void) {
+    struct rusage ru;
+    getrusage(RUSAGE_SELF, &ru);
+    unsigned long long t = now_ns();
+    if (ru.ru_maxrss > rss_peak_kb) {
+        rss_peak_kb = ru.ru_maxrss;
+        rss_after_ns = rss_read_ns;
+        rss_by_ns = t;
+    }
+    rss_read_ns = t;
+}
 
 static size_t hash(uintptr_t x, unsigned bits) {
     return (size_t)((x * 0x9e3779b97f4a7c15ull) >> (64 - bits));
@@ -108,6 +153,7 @@ static void count(struct row *r, int up) {
         ndirty = 0;
         peak_bytes = live_bytes;
         peak_blocks = live_blocks;
+        peak_ns = now_ns();
     }
 }
 
@@ -155,6 +201,7 @@ void *malloc(size_t size) {
     pthread_mutex_lock(&lock);
     void *p = __libc_malloc(size);
     track(p, size);
+    watch_rss();
     pthread_mutex_unlock(&lock);
     return p;
 }
@@ -163,6 +210,7 @@ void *calloc(size_t n, size_t size) {
     pthread_mutex_lock(&lock);
     void *p = __libc_calloc(n, size);
     track(p, n * size); /* calloc failed (p == NULL) if this overflowed */
+    watch_rss();
     pthread_mutex_unlock(&lock);
     return p;
 }
@@ -171,6 +219,7 @@ void *memalign(size_t align, size_t size) {
     pthread_mutex_lock(&lock);
     void *p = __libc_memalign(align, size);
     track(p, size);
+    watch_rss();
     pthread_mutex_unlock(&lock);
     return p;
 }
@@ -195,6 +244,7 @@ void *realloc(void *ptr, size_t size) {
         untrack(ptr);
         track(p, size);
     }
+    watch_rss();
     pthread_mutex_unlock(&lock);
     return p;
 }
@@ -203,6 +253,7 @@ void free(void *ptr) {
     pthread_mutex_lock(&lock);
     untrack(ptr);
     __libc_free(ptr);
+    watch_rss();
     pthread_mutex_unlock(&lock);
 }
 
@@ -217,6 +268,11 @@ __attribute__((destructor)) static void stop(void) {
     char line[128];
     int len = snprintf(line, sizeof line, "P %lu %lu %lu\n", peak_bytes, peak_blocks, untracked);
     ssize_t written = write(fd, line, len);
+    watch_rss();
+    len = snprintf(line, sizeof line, "T %llu %llu %llu\n", loaded_ns, peak_ns, rss_read_ns);
+    written = write(fd, line, len);
+    len = snprintf(line, sizeof line, "R %ld %llu %llu\n", rss_peak_kb, rss_after_ns, rss_by_ns);
+    written = write(fd, line, len);
     for (size_t i = 0; i < SIZE_SLOTS; i++) {
         struct row *r = &rows[i];
         if (!r->used || !r->peak_count)
