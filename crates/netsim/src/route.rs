@@ -2,15 +2,18 @@
 //! distance-vector routing.
 //!
 //! Static tables are computed once (and recomputed on demand after topology
-//! changes) from a global adjacency snapshot: one BFS per destination; all
-//! equal-cost next hops are kept and a per-flow hash picks among them
-//! (ECMP). The table layout is CSR-packed to stay compact at torus scales
-//! (thousands of nodes).
+//! changes) from a global adjacency snapshot: one BFS per column — every
+//! node but a leaf host, which shares its switch's column; all equal-cost
+//! next hops are kept and a per-flow hash picks among them (ECMP). The
+//! table layout is CSR-packed by column to stay compact at torus and
+//! fat-tree scales (thousands of nodes).
 //!
 //! RIP is the classic distance-vector protocol with split horizon and
 //! poisoned reverse, periodic full advertisements, triggered updates on
 //! change, and an infinity metric of 16 — matching ns-3's RIP model closely
 //! enough for the paper's WAN and convergence experiments.
+
+use std::sync::Arc;
 
 use unison_core::{snapshot_struct, Snapshot, SnapshotWriter, Time};
 
@@ -54,36 +57,88 @@ impl Routing {
     }
 }
 
-/// CSR-packed per-destination next-hop candidates.
+/// One node's static ECMP candidates, by *column* (DESIGN.md §4.11).
+///
+/// A *leaf* is a node with exactly one live device whose peer (its
+/// *switch*) has more than one, and whose switch's device is the only live
+/// one pointing back at it — a host under its ToR. Every other node roots a
+/// column of its own, and a leaf shares its switch's. That is exact: a leaf
+/// `h` reaches everything through its switch `t` and is reached only from
+/// it, so for any node `v` other than `h` and `t`, `dist_h(v) = dist_t(v) +
+/// 1`, and `v`'s ECMP candidates towards `h` are its candidates towards `t`,
+/// in the same order. Only `t` tells them apart: it reaches `h` over its
+/// one device towards `h`, which the shared map keeps beside `h`'s column.
+/// A leaf's own candidates towards any node it reaches are its one device,
+/// so it keeps one bit per column.
 #[derive(Debug, Clone, Default)]
 pub struct StaticTable {
-    offsets: Vec<u32>,
-    devs: Vec<u8>,
+    /// The node this table routes from.
+    node: u32,
+    /// Per destination node: its column and, for a leaf, the device its
+    /// switch reaches it over. One map shared by every table of a
+    /// computation.
+    cols: Arc<[(u32, u8)]>,
+    rows: Rows,
+}
+
+/// A [`StaticTable`]'s candidates per column.
+#[derive(Debug, Clone)]
+enum Rows {
+    /// A leaf's: its one device, towards each column whose bit is set in
+    /// `reach`.
+    Leaf { dev: u8, reach: Box<[u64]> },
+    /// Any other node's: `offsets[c]..offsets[c + 1]` indexes column `c`'s
+    /// candidates in `devs`. Its own column `own` has none: a destination
+    /// there is the node itself or one of its leaves.
+    Columns {
+        own: u32,
+        offsets: Vec<u32>,
+        devs: Vec<u8>,
+    },
+}
+
+impl Default for Rows {
+    fn default() -> Self {
+        Rows::Columns {
+            own: 0,
+            offsets: Vec::new(),
+            devs: Vec::new(),
+        }
+    }
 }
 
 impl StaticTable {
-    /// Builds from per-destination candidate lists.
-    pub fn from_candidates(per_dst: &[Vec<u8>]) -> Self {
-        let mut offsets = Vec::with_capacity(per_dst.len() + 1);
-        let mut devs = Vec::new();
-        offsets.push(0u32);
-        for cands in per_dst {
-            devs.extend_from_slice(cands);
-            offsets.push(devs.len() as u32);
-        }
-        StaticTable { offsets, devs }
+    /// Candidate devices for `dst` (up to 16).
+    #[inline]
+    pub fn lookup(&self, dst: u32, buf: &mut [u8; 16]) -> usize {
+        let row = self.row(dst);
+        let n = row.len().min(16);
+        buf[..n].copy_from_slice(&row[..n]);
+        n
     }
 
-    /// Candidate devices for `dst` (up to 16).
-    pub fn lookup(&self, dst: u32, buf: &mut [u8; 16]) -> usize {
-        let d = dst as usize;
-        if d + 1 >= self.offsets.len() {
-            return 0;
+    /// Every candidate device for `dst`, in adjacency order: none for
+    /// itself, for an unknown node or for one it cannot reach. Always
+    /// inlined: it is the per-packet path of `Routing::lookup`.
+    #[inline(always)]
+    fn row(&self, dst: u32) -> &[u8] {
+        if dst == self.node {
+            return &[];
         }
-        let (lo, hi) = (self.offsets[d] as usize, self.offsets[d + 1] as usize);
-        let n = (hi - lo).min(16);
-        buf[..n].copy_from_slice(&self.devs[lo..lo + n]);
-        n
+        let Some((col, leaf_dev)) = self.cols.get(dst as usize) else {
+            return &[];
+        };
+        let c = *col as usize;
+        match &self.rows {
+            Rows::Leaf { dev, reach } if reach[c / 64] >> (c % 64) & 1 == 1 => {
+                std::slice::from_ref(dev)
+            }
+            Rows::Leaf { .. } => &[],
+            Rows::Columns { own, .. } if *col == *own => std::slice::from_ref(leaf_dev),
+            Rows::Columns { offsets, devs, .. } => {
+                &devs[offsets[c] as usize..offsets[c + 1] as usize]
+            }
+        }
     }
 }
 
@@ -91,21 +146,68 @@ impl StaticTable {
 /// `(peer node, local device index)` per *live* device.
 pub fn compute_static_tables(adj: &[Vec<(u32, u8)>]) -> Vec<StaticTable> {
     let n = adj.len();
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    // Iterating destinations in ascending order lets each node's CSR table
-    // be appended directly (dst-major), avoiding O(n²) temporary vectors.
-    let mut tables: Vec<StaticTable> = (0..n)
-        .map(|_| StaticTable {
-            offsets: vec![0],
-            devs: Vec::new(),
+    // Per node: how many live devices point at it, and from which node the
+    // last of them.
+    let mut into = vec![(0u32, u32::MAX); n];
+    for (v, links) in adj.iter().enumerate() {
+        for &(peer, _) in links {
+            let e = &mut into[peer as usize];
+            *e = (e.0 + 1, v as u32);
+        }
+    }
+    let switch_of: Vec<Option<usize>> = (0..n)
+        .map(|h| match adj[h][..] {
+            [(t, _)] if into[h] == (1, t) && adj[t as usize].len() > 1 => Some(t as usize),
+            _ => None,
         })
         .collect();
-    for dst in 0..n {
-        dist.iter_mut().for_each(|d| *d = u32::MAX);
-        dist[dst] = 0;
+    // Columns in ascending order of their roots. A leaf's switch has more
+    // than one live device, so it is a root.
+    let mut cols = vec![(0u32, 0u8); n];
+    let mut roots = Vec::new();
+    for (v, t) in switch_of.iter().enumerate() {
+        if t.is_none() {
+            cols[v].0 = roots.len() as u32;
+            roots.push(v);
+        }
+    }
+    for (h, t) in switch_of.iter().enumerate() {
+        if let &Some(t) = t {
+            let &(_, dev) = adj[t]
+                .iter()
+                .find(|&&(peer, _)| peer as usize == h)
+                .expect("a leaf's one in-link is its switch's device");
+            cols[h] = (cols[t].0, dev);
+        }
+    }
+    let mut rows: Vec<Rows> = switch_of
+        .iter()
+        .enumerate()
+        .map(|(v, t)| match t {
+            Some(_) => Rows::Leaf {
+                dev: adj[v][0].1,
+                reach: vec![0; roots.len().div_ceil(64)].into(),
+            },
+            None => {
+                let mut offsets = Vec::with_capacity(roots.len() + 1);
+                offsets.push(0);
+                Rows::Columns {
+                    own: cols[v].0,
+                    offsets,
+                    devs: Vec::new(),
+                }
+            }
+        })
+        .collect();
+    // Iterating columns in ascending order lets each node's CSR table be
+    // appended directly (column-major).
+    let mut dist = vec![u32::MAX; n];
+    let mut queue = std::collections::VecDeque::new();
+    for (c, &root) in roots.iter().enumerate() {
+        dist.fill(u32::MAX);
+        dist[root] = 0;
         queue.clear();
-        queue.push_back(dst);
+        queue.push_back(root);
         while let Some(v) = queue.pop_front() {
             for &(u, _) in &adj[v] {
                 if dist[u as usize] == u32::MAX {
@@ -114,18 +216,40 @@ pub fn compute_static_tables(adj: &[Vec<(u32, u8)>]) -> Vec<StaticTable> {
                 }
             }
         }
-        for (node, table) in tables.iter_mut().enumerate() {
-            if node != dst && dist[node] != u32::MAX {
-                for &(peer, dev) in &adj[node] {
-                    if dist[peer as usize] + 1 == dist[node] {
-                        table.devs.push(dev);
+        for (node, rows) in rows.iter_mut().enumerate() {
+            match rows {
+                Rows::Leaf { reach, .. } => {
+                    if dist[node] != u32::MAX {
+                        reach[c / 64] |= 1 << (c % 64);
                     }
                 }
+                Rows::Columns { offsets, devs, .. } => {
+                    if node != root && dist[node] != u32::MAX {
+                        for &(peer, dev) in &adj[node] {
+                            if dist[peer as usize] + 1 == dist[node] {
+                                devs.push(dev);
+                            }
+                        }
+                    }
+                    offsets.push(devs.len() as u32);
+                }
             }
-            table.offsets.push(table.devs.len() as u32);
         }
     }
-    tables
+    let cols: Arc<[(u32, u8)]> = cols.into();
+    rows.into_iter()
+        .enumerate()
+        .map(|(v, mut rows)| {
+            if let Rows::Columns { devs, .. } = &mut rows {
+                devs.shrink_to_fit();
+            }
+            StaticTable {
+                node: v as u32,
+                cols: Arc::clone(&cols),
+                rows,
+            }
+        })
+        .collect()
 }
 
 /// One RIP route.
@@ -263,7 +387,35 @@ impl RipState {
     }
 }
 
-snapshot_struct!(StaticTable { offsets, devs });
+/// Encoded as the per-destination table it stands for: `N + 1` offsets
+/// and every destination's candidates in destination order, so the bytes
+/// do not depend on how the rows are shared. A default table (no world)
+/// writes two empty vectors.
+impl Snapshot for StaticTable {
+    fn save(&self, w: &mut SnapshotWriter) {
+        let Self {
+            node: _,
+            cols,
+            rows: _,
+        } = self;
+        let n = cols.len() as u32;
+        let mut end = 0u32;
+        if n == 0 {
+            0u64.save(w);
+        } else {
+            (n as u64 + 1).save(w);
+            end.save(w);
+            for dst in 0..n {
+                end += self.row(dst).len() as u32;
+                end.save(w);
+            }
+        }
+        (end as u64).save(w);
+        for dst in 0..n {
+            w.bytes(self.row(dst));
+        }
+    }
+}
 
 snapshot_struct!(RipRoute { metric, dev });
 

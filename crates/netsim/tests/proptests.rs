@@ -7,7 +7,9 @@ use std::collections::BTreeMap;
 use unison_core::{snapshot_struct, Snapshot, SnapshotWriter, Time};
 use unison_netsim::packet::{FlowId, Packet, RipMsg, MSS};
 use unison_netsim::queue::{Enqueue, Queue, QueueConfig};
-use unison_netsim::route::{compute_static_tables, RipRoute, RipState, Routing, RIP_INFINITY};
+use unison_netsim::route::{
+    compute_static_tables, RipRoute, RipState, Routing, StaticTable, RIP_INFINITY,
+};
 use unison_netsim::tcp::{AckInfo, TcpReceiver};
 
 fn flow() -> FlowId {
@@ -452,5 +454,202 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// The static tables as they were before leaves shared their switch's
+/// column: one BFS and one CSR row per destination, under the rules
+/// `compute_static_tables` had at commit 4729ea8. The reference the column
+/// tables are checked against.
+#[derive(Default)]
+struct PerDestinationTable {
+    offsets: Vec<u32>,
+    devs: Vec<u8>,
+}
+
+snapshot_struct!(PerDestinationTable { offsets, devs });
+
+impl PerDestinationTable {
+    fn row(&self, dst: u32) -> &[u8] {
+        let d = dst as usize;
+        if d + 1 >= self.offsets.len() {
+            return &[];
+        }
+        &self.devs[self.offsets[d] as usize..self.offsets[d + 1] as usize]
+    }
+}
+
+fn per_destination_tables(adj: &[Vec<(u32, u8)>]) -> Vec<PerDestinationTable> {
+    let n = adj.len();
+    let mut dist = vec![u32::MAX; n];
+    let mut queue = std::collections::VecDeque::new();
+    let mut tables: Vec<PerDestinationTable> = (0..n)
+        .map(|_| PerDestinationTable {
+            offsets: vec![0],
+            devs: Vec::new(),
+        })
+        .collect();
+    for dst in 0..n {
+        dist.iter_mut().for_each(|d| *d = u32::MAX);
+        dist[dst] = 0;
+        queue.clear();
+        queue.push_back(dst);
+        while let Some(v) = queue.pop_front() {
+            for &(u, _) in &adj[v] {
+                if dist[u as usize] == u32::MAX {
+                    dist[u as usize] = dist[v] + 1;
+                    queue.push_back(u as usize);
+                }
+            }
+        }
+        for (node, table) in tables.iter_mut().enumerate() {
+            if node != dst && dist[node] != u32::MAX {
+                for &(peer, dev) in &adj[node] {
+                    if dist[peer as usize] + 1 == dist[node] {
+                        table.devs.push(dev);
+                    }
+                }
+            }
+            table.offsets.push(table.devs.len() as u32);
+        }
+    }
+    tables
+}
+
+/// The live adjacency of `n` nodes joined by `links`, numbering each
+/// node's devices in link order as `NetworkBuilder` does. Each cut
+/// `(link, how)` takes link `link % links.len()` down at both ends
+/// (`how` 0), at its first end only (1), at its second end only (2), or
+/// takes every link of its first end down (3). A one-sided cut is what
+/// `NetNode::set_device_state` on one node leaves behind.
+fn live_adjacency(n: usize, links: &[(usize, usize)], cuts: &[(usize, u8)]) -> Vec<Vec<(u32, u8)>> {
+    let mut up = vec![[true, true]; links.len()];
+    for &(link, how) in cuts {
+        if links.is_empty() {
+            break;
+        }
+        let i = link % links.len();
+        match how {
+            0 => up[i] = [false, false],
+            1 => up[i][0] = false,
+            2 => up[i][1] = false,
+            _ => {
+                let dead = links[i].0;
+                for (j, &(a, b)) in links.iter().enumerate() {
+                    if a == dead || b == dead {
+                        up[j] = [false, false];
+                    }
+                }
+            }
+        }
+    }
+    let mut devices = vec![0u8; n];
+    let mut adj: Vec<Vec<(u32, u8)>> = vec![Vec::new(); n];
+    for (&(a, b), up) in links.iter().zip(&up) {
+        let (da, db) = (devices[a], devices[b]);
+        devices[a] += 1;
+        devices[b] += 1;
+        if up[0] {
+            adj[a].push((b as u32, da));
+        }
+        if up[1] {
+            adj[b].push((a as u32, db));
+        }
+    }
+    adj
+}
+
+/// The adjacency of a k-ary fat tree, cut as [`live_adjacency`] says.
+fn fat_tree_adjacency(k: usize, cuts: &[(usize, u8)]) -> Vec<Vec<(u32, u8)>> {
+    let topo = unison_topology::fat_tree(k);
+    let links: Vec<(usize, usize)> = topo.links.iter().map(|l| (l.a, l.b)).collect();
+    live_adjacency(topo.node_count(), &links, cuts)
+}
+
+/// Asserts that the column tables of `adj` give every `(node, dst)` —
+/// and one destination past the last node — the per-destination table's
+/// candidates in the same order, and encode to the same bytes.
+fn assert_static_tables_match(adj: &[Vec<(u32, u8)>]) {
+    let tables = compute_static_tables(adj);
+    let reference = per_destination_tables(adj);
+    assert_eq!(tables.len(), reference.len());
+    let mut buf = [0u8; 16];
+    for (node, (table, want)) in tables.iter().zip(&reference).enumerate() {
+        for dst in 0..=adj.len() as u32 {
+            let row = want.row(dst);
+            let got = table.lookup(dst, &mut buf);
+            assert_eq!(
+                &buf[..got],
+                &row[..row.len().min(16)],
+                "node {node} towards {dst}"
+            );
+        }
+        assert_eq!(encoding(table), encoding(want), "node {node}'s encoding");
+    }
+}
+
+#[test]
+fn static_tables_match_the_per_destination_tables_on_fat_trees() {
+    for k in [4, 8] {
+        assert_static_tables_match(&fat_tree_adjacency(k, &[]));
+    }
+    // A default table (a node built before its routes) encodes as the
+    // default per-destination table did.
+    assert_eq!(
+        encoding(&StaticTable::default()),
+        encoding(&PerDestinationTable::default())
+    );
+    assert_eq!(StaticTable::default().lookup(0, &mut [0; 16]), 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    /// Switches joined by random (possibly parallel) links, hosts hanging
+    /// off them (several per switch), two-node components and isolated
+    /// nodes, under random cuts — both ends, one end, or a whole node —
+    /// and a random relabelling of the node ids: the column tables agree
+    /// with the per-destination tables everywhere.
+    #[test]
+    fn static_tables_match_the_per_destination_tables(
+        switches in 1usize..10,
+        fabric in proptest::collection::vec((0usize..10, 0usize..10), 0..20),
+        hosts in proptest::collection::vec(0usize..10, 0..24),
+        loners in (0usize..3, 0usize..3),
+        cuts in proptest::collection::vec((0usize..64, 0u8..4), 0..6),
+        relabel in any::<u64>(),
+    ) {
+        let (pairs, isolated) = loners;
+        let n = switches + hosts.len() + 2 * pairs + isolated;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| (i as u64 ^ relabel).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut label = vec![0; n];
+        for (new, &old) in order.iter().enumerate() {
+            label[old] = new;
+        }
+        let mut links: Vec<(usize, usize)> = fabric
+            .iter()
+            .map(|&(a, b)| (a % switches, b % switches))
+            .filter(|(a, b)| a != b)
+            .collect();
+        for (i, &s) in hosts.iter().enumerate() {
+            links.push((switches + i, s % switches));
+        }
+        let first_pair = switches + hosts.len();
+        for p in 0..pairs {
+            links.push((first_pair + 2 * p, first_pair + 2 * p + 1));
+        }
+        let links: Vec<(usize, usize)> =
+            links.iter().map(|&(a, b)| (label[a], label[b])).collect();
+        assert_static_tables_match(&live_adjacency(n, &links, &cuts));
+    }
+
+    /// Fat trees with k = 4 and k = 8 under random cuts — a host's link,
+    /// a fabric link, one end of a link, a whole switch.
+    #[test]
+    fn static_tables_match_the_per_destination_tables_on_cut_fat_trees(
+        big in any::<bool>(),
+        cuts in proptest::collection::vec((0usize..384, 0u8..4), 1..5),
+    ) {
+        assert_static_tables_match(&fat_tree_adjacency(if big { 8 } else { 4 }, &cuts));
     }
 }

@@ -14,8 +14,10 @@
 //!
 //! Differences from the real crate: sampling is derived from a fixed
 //! per-test seed (fully deterministic, no `PROPTEST_*` env handling) and
-//! failing cases are **not shrunk** — the assertion message reports the
-//! case index so a failure can be replayed by running the test again.
+//! failing cases are **not shrunk** — a failing case panics with the
+//! test's name, the case index and the sampled inputs (`Debug`), after the
+//! assertion's own message, so a failure can be replayed by running the
+//! test again.
 
 pub mod strategy {
     use crate::test_runner::TestRng;
@@ -286,9 +288,10 @@ pub mod prelude {
 }
 
 /// Assert a condition inside a property test. Plain `assert!` semantics:
-/// this mini-proptest does not shrink, so the panic carries the original
-/// condition text (the per-test RNG stream is deterministic, making every
-/// failure replayable by re-running the test).
+/// this mini-proptest does not shrink; [`proptest!`] catches the panic and
+/// re-raises it naming the test, the case and its inputs (the per-test RNG
+/// stream is deterministic, making every failure replayable by re-running
+/// the test).
 #[macro_export]
 macro_rules! prop_assert {
     ($cond:expr) => {
@@ -317,6 +320,26 @@ macro_rules! prop_assert_ne {
     ($a:expr, $b:expr, $($fmt:tt)*) => {
         assert_ne!($a, $b, $($fmt)*);
     };
+}
+
+/// Re-raises the panic `payload` of `test`'s case `case`, whose sampled
+/// inputs were `inputs` (`name = value`), naming all three.
+#[doc(hidden)]
+pub fn fail_case(
+    test: &str,
+    case: u32,
+    inputs: &[String],
+    payload: Box<dyn std::any::Any + Send>,
+) -> ! {
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("(a non-string panic)");
+    panic!(
+        "property {test} failed at case {case}: {message}\n  inputs: {}",
+        inputs.join(", ")
+    )
 }
 
 /// Define property tests. Supports the standard forms:
@@ -353,13 +376,24 @@ macro_rules! __proptest_items {
         #[allow(unused_variables)]
         fn $name() {
             let __cfg: $crate::ProptestConfig = $cfg;
+            let __test = concat!(module_path!(), "::", stringify!($name));
             for __case in 0..__cfg.cases {
-                let mut __rng = $crate::test_runner::TestRng::for_case(
-                    concat!(module_path!(), "::", stringify!($name)),
-                    __case,
-                );
-                $(let $arg = $crate::strategy::Strategy::sample(&($strat), &mut __rng);)+
-                $body
+                let __outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(|| {
+                    let mut __rng = $crate::test_runner::TestRng::for_case(__test, __case);
+                    $(let $arg = $crate::strategy::Strategy::sample(&($strat), &mut __rng);)+
+                    $body
+                }));
+                if let Err(__payload) = __outcome {
+                    // The body may have consumed its inputs; sampling is a
+                    // function of the case, so draw them again to name them.
+                    let mut __rng = $crate::test_runner::TestRng::for_case(__test, __case);
+                    let __inputs = [$(format!(
+                        "{} = {:?}",
+                        stringify!($arg),
+                        $crate::strategy::Strategy::sample(&($strat), &mut __rng),
+                    )),+];
+                    $crate::fail_case(__test, __case, &__inputs, __payload);
+                }
             }
         }
         $crate::__proptest_items! { ($cfg); $($rest)* }
@@ -393,6 +427,34 @@ mod tests {
         };
         assert_eq!(sample(3), sample(3));
         assert_ne!(sample(3), sample(4));
+    }
+
+    /// How many times `fails_at_case_3`'s body has run.
+    static CALLS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// Fails on its fourth body run, i.e. at case 3.
+        fn fails_at_case_3(x in 0u32..1_000, v in crate::collection::vec(0u8..4, 0..3)) {
+            let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            prop_assert!(call != 3, "body run {}", call);
+        }
+    }
+
+    #[test]
+    fn a_failing_property_names_the_test_the_case_and_the_inputs() {
+        let payload = std::panic::catch_unwind(fails_at_case_3).expect_err("case 3 fails");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        let mut rng = TestRng::for_case("proptest::tests::fails_at_case_3", 3);
+        let x = (0u32..1_000).sample(&mut rng);
+        let v = crate::collection::vec(0u8..4, 0..3).sample(&mut rng);
+        assert_eq!(
+            message,
+            &format!(
+                "property proptest::tests::fails_at_case_3 failed at case 3: body run 3\n  \
+                 inputs: x = {x}, v = {v:?}"
+            )
+        );
     }
 
     proptest! {

@@ -410,17 +410,20 @@ pub const MAX_TOPOLOGY_NODES: usize = 1 << 20;
 /// per node, a BCube at most eight per host.
 pub const MAX_TOPOLOGY_LINKS: usize = 8 * MAX_TOPOLOGY_NODES;
 
-/// Memory a routed topology's all-pairs state may take. Both routing kinds
-/// give every node one entry per destination before any kernel runs: static
-/// ECMP `N + 1` `u32` offsets (`compute_static_tables`), RIP one
-/// `Option<RipRoute>` of 3 bytes (`RipState::new`) — N² entries either way.
+/// Memory a routed topology's all-pairs state may take. RIP gives every
+/// node one `Option<RipRoute>` of 3 bytes per destination (`RipState::new`)
+/// before any kernel runs. Static ECMP gives every node but a leaf host
+/// `S + 1` `u32` offsets, `S` the number of columns — non-leaf nodes, as
+/// `compute_static_tables` counts them — so `N·(S + 1)` at most, and N²
+/// entries on a topology without leaves, such as a torus: the bound is that
+/// worst case.
 const ROUTING_TABLE_BYTES: usize = 256 << 20;
 
 /// Largest node count of a scenario, under either routing kind: the N²
 /// entries of the wider (4-byte) table fit in `ROUTING_TABLE_BYTES`. That
-/// is 2¹³ = 8 192 nodes ≈ 256 MiB of static offsets (192 MiB of RIP
-/// routes); a `torus2d` of 256 × 256, inside [`MAX_TOPOLOGY_NODES`], would
-/// ask for ≈ 17 GB.
+/// is 2¹³ = 8 192 nodes ≈ 256 MiB of static offsets on a leafless topology
+/// (192 MiB of RIP routes); a `torus2d` of 256 × 256, inside
+/// [`MAX_TOPOLOGY_NODES`], would ask for ≈ 17 GB.
 pub const MAX_ROUTED_NODES: usize = (ROUTING_TABLE_BYTES / 4).isqrt();
 
 /// Largest flow count a `[traffic]` section may ask the generator for, in
@@ -721,8 +724,9 @@ fn check_partition(
     Ok(())
 }
 
-/// Rejects a topology too large to route: either routing kind builds N²
-/// entries of per-node state before any kernel runs, so the node count is
+/// Rejects a topology too large to route: either routing kind can build N²
+/// entries of per-node state before any kernel runs (static ECMP on a
+/// topology without leaves, RIP always), so the node count is
 /// bounded by [`MAX_ROUTED_NODES`] before anything is built. Reported at the
 /// section `at` (`[routing]`, or `[topology]` when routing defaulted).
 fn check_routed_size(

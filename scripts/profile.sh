@@ -4,9 +4,13 @@
 # info into target/profile, builds scripts/samp.c (a SIGALRM sampler, 100 us
 # of wall time a sample) with the system cc, runs the input N times under
 # it and prints the samples' shares outside the executable by shared object
-# (libm.so.6, libc.so.6, [vdso]), then inside it by out-of-line function, by
-# inline chain, and by innermost repository file:line, file and crate. Needs cargo,
-# cc, addr2line and a quiet machine; nothing is downloaded. Not a CI step.
+# (libm.so.6, libc.so.6, [vdso]) and, for each object `ldd` finds, by the
+# nearest exported symbol at or below the sample (`nm -D`: a sample in an
+# unexported function, such as glibc's memmove variants, counts under the
+# exported symbol before it), then inside the executable by out-of-line
+# function, by inline chain, and by innermost repository file:line, file and
+# crate. Needs cargo, cc, addr2line, nm, ldd and a quiet machine; nothing is
+# downloaded. Not a CI step.
 #
 #   scripts/profile.sh <input.toml> [runs=3] [rows=25]
 #
@@ -38,9 +42,9 @@ for (( i = 1; i <= runs; i++ )); do
         awk -v i="$i" '{ printf "run %d: digest %s, run span %.3f s\n", i, $1, ($3 - $2) / 1e9 }'
 done
 
-# One line per distinct address, "<count> <offset>", and per object outside
-# the executable, "<count> 0 <object>".
-sort "$work/samples" | uniq -c | awk '{ print $1, $2, $3 }' > "$work/counts"
+# One line per distinct address, "<count> <offset>" inside the executable and
+# "<count> 0 <object> <offset in object>" outside it.
+sort "$work/samples" | uniq -c | awk '{ print $1, $2, $3, $4 }' > "$work/counts"
 total=$(wc -l < "$work/samples")
 awk -v total="$total" -v input="$input" -v runs="$runs" '
     $2 == "0" { outside += $1 }
@@ -50,7 +54,35 @@ awk -v total="$total" -v input="$input" -v runs="$runs" '
     }' "$work/counts"
 echo
 echo "== outside the executable, by object (% of all $total samples; a thread in the kernel counts where it entered)"
-awk -v total="$total" '$2 == "0" { printf "%6.2f  %s\n", 100 * $1 / total, $3 }' "$work/counts" | sort -rn
+awk -v total="$total" '
+    $2 == "0" { n[$3] += $1 }
+    END { for (o in n) printf "%6.2f  %s\n", 100 * n[o] / total, o }
+' "$work/counts" | sort -rn
+
+echo
+echo "== outside the executable, by object and nearest exported symbol at or below the sample"
+echo "   (nm -D; % of all $total samples; an unexported function counts under the exported symbol before it)"
+ldd "$bin" | awk '$2 == "=>" && $3 ~ /^\// { print $1, $3 }' | while read -r object path; do
+    nm -D --defined-only "$path" 2>/dev/null |
+        awk 'NF == 3 && $2 ~ /^[TtWwiI]$/ { sub(/@.*/, "", $3); print $1, $3 }' | sort -u > "$work/syms"
+    awk -v object="$object" -v total="$total" -v syms="$work/syms" '
+        function hex(s,    i, v) {
+            v = 0
+            for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
+            return v
+        }
+        BEGIN { while ((getline line < syms) > 0) { split(line, f, " "); k++; addr[k] = hex(f[1]); name[k] = f[2] } }
+        $2 == "0" && $3 == object && $4 != "?" {
+            a = hex($4); lo = 1; hi = k; best = 0
+            while (lo <= hi) {
+                mid = int((lo + hi) / 2)
+                if (addr[mid] <= a) { best = mid; lo = mid + 1 } else hi = mid - 1
+            }
+            sum[best ? name[best] : "(below every exported symbol)"] += $1
+        }
+        END { for (s in sum) printf "%6.2f  %s: %s\n", 100 * sum[s] / total, object, s }
+    ' "$work/counts"
+done | sort -rn | awk -v rows="$rows" 'NR <= rows'
 
 # addr2line prints, per address, "0x<addr>" and then one (function, file:line)
 # pair per frame of the inline chain, innermost first. Fold each address into

@@ -1,10 +1,13 @@
 /* Sampling profiler for scripts/profile.sh: LD_PRELOAD this into a process
  * and every 100 us of wall time SIGALRM records the interrupted instruction
  * pointer; at exit the samples are appended to $SAMP_OUT, one line each:
- * a hex offset into the main executable, or "0 <object>" for a sample
- * outside it, <object> being the file name of the executable mapping it
- * fell in (libm.so.6, libc.so.6, [vdso]; [anon] for a mapping without a
- * file, ? for none). A sample taken while a thread was in the kernel names
+ * a hex offset into the main executable, or "0 <object> <offset>" for a
+ * sample outside it, <object> being the file name of the executable mapping
+ * it fell in (libm.so.6, libc.so.6, [vdso]; [anon] for a mapping without a
+ * file, ? for none) and <offset> the hex address within that object as its
+ * symbol table counts it (the sample less the object's load base; ? when no
+ * loaded object's executable segment holds it), so `nm -D` can name the
+ * exported symbol it follows. A sample taken while a thread was in the kernel names
  * the user-space instruction that entered it. x86-64 Linux only. No
  * unwinding: a sample names the function it fell in, and `addr2line -i`
  * recovers that function's inline chain. */
@@ -72,6 +75,36 @@ static void read_maps(void) {
     fclose(f);
 }
 
+/* Every loaded object's executable segments with its load base, read at
+ * exit like the mappings. */
+#define MAX_SEGS 512
+static struct {
+    unsigned long lo, hi, base;
+} segs[MAX_SEGS];
+static int nsegs;
+
+static int object_segments(struct dl_phdr_info *info, size_t size, void *data) {
+    (void)size, (void)data;
+    for (int i = 0; i < info->dlpi_phnum && nsegs < MAX_SEGS; i++)
+        if (info->dlpi_phdr[i].p_type == PT_LOAD && (info->dlpi_phdr[i].p_flags & PF_X)) {
+            segs[nsegs].lo = info->dlpi_addr + info->dlpi_phdr[i].p_vaddr;
+            segs[nsegs].hi = segs[nsegs].lo + info->dlpi_phdr[i].p_memsz;
+            segs[nsegs].base = info->dlpi_addr;
+            nsegs++;
+        }
+    return 0;
+}
+
+/* Writes the offset of `ip` within its object as a hex string, or "?". */
+static void offset_in_object(unsigned long ip, char *buf, size_t len) {
+    for (int i = 0; i < nsegs; i++)
+        if (ip >= segs[i].lo && ip < segs[i].hi) {
+            snprintf(buf, len, "%lx", ip - segs[i].base);
+            return;
+        }
+    snprintf(buf, len, "?");
+}
+
 static const char *object_of(unsigned long ip) {
     for (int i = 0; i < nmaps; i++)
         if (ip >= maps[i].lo && ip < maps[i].hi)
@@ -95,12 +128,16 @@ __attribute__((destructor)) static void stop(void) {
     if (!out)
         return;
     read_maps();
+    dl_iterate_phdr(object_segments, NULL);
     unsigned n = count < MAX_SAMPLES ? count : MAX_SAMPLES;
+    char offset[32];
     for (unsigned i = 0; i < n; i++) {
-        if (samples[i] >= base && samples[i] < end)
+        if (samples[i] >= base && samples[i] < end) {
             fprintf(out, "%lx\n", samples[i] - base);
-        else
-            fprintf(out, "0 %s\n", object_of(samples[i]));
+        } else {
+            offset_in_object(samples[i], offset, sizeof offset);
+            fprintf(out, "0 %s %s\n", object_of(samples[i]), offset);
+        }
     }
     fclose(out);
 }
