@@ -358,9 +358,59 @@ fn check_validates_every_row() {
     );
 }
 
+/// `--check` prices static ECMP by the tables it would build: a k = 34 fat
+/// tree (11 271 nodes, 9 826 of them leaf hosts) is 1 445 columns, about
+/// 81 MB, and is admitted. RIP keeps an entry per node pair and refuses
+/// it, and a 100 × 100 torus has no leaves and is refused under either.
+/// Only `--check` runs here: nothing is routed.
+#[test]
+fn check_prices_static_ecmp_by_the_tables_it_builds() {
+    let check = |tag: &str, topology: &str, routing: &str| {
+        let text = format!(
+            "[topology]\n{topology}\n{routing}[run]\nstop_us = 1\nkernel = \"sequential\"\n"
+        );
+        let file = temp_file(&format!("priced-{tag}.toml"), &text);
+        let out = unison_run(&[file.to_str().expect("utf-8 path"), "--check"]);
+        std::fs::remove_file(&file).ok();
+        out
+    };
+    let fat_tree = "kind = \"fat_tree\"\nk = 34";
+    let out = check("k34", fat_tree, "[routing]\nkind = \"static_ecmp\"\n");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("(11271 nodes,"), "{stdout}");
+    for (tag, topology, routing, message) in [
+        (
+            "k34-rip",
+            fat_tree,
+            "[routing]\nkind = \"rip\"\n",
+            "line 4, col 1: this topology would have 11271 nodes, and `rip` routing keeps \
+             an entry per node pair, 508141764 bytes of tables",
+        ),
+        (
+            "torus",
+            "kind = \"torus2d\"\nrows = 100\ncols = 100",
+            "",
+            "line 1, col 1: this topology would have 10000 nodes, and `static_ecmp` routing \
+             would build 800120000 bytes of tables for its 10000 columns (0 nodes are leaves)",
+        ),
+    ] {
+        let out = check(tag, topology, routing);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{tag}");
+        assert!(stderr.contains(message), "{tag}: {stderr}");
+    }
+}
+
 /// Sizes a file (or `--threads`) controls end in a spanned message and
 /// exit 1 — a failed allocation would abort the process instead, as would
-/// the routing tables of a fat-tree with 70 656 nodes (N² entries, ~20 GB)
+/// the routing tables of a fat-tree with 70 656 nodes (priced at 1.8 GB)
 /// — and so does a watchdog deadline of 0, which would stall the first
 /// round, and a retired kernel name. Each case is `replace this | by this |
 /// message`.

@@ -5,7 +5,8 @@
 //! node's encoding (`unison_netsim::world_digest`) then pins a run's final
 //! state bit for bit. The format is hand-rolled little-endian binary with no
 //! external dependencies. It is write-only: nothing decodes it, so it needs
-//! no version, framing or validation.
+//! no version, framing or validation, and the writer hashes each byte as it
+//! is written instead of keeping it.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -13,50 +14,47 @@ use crate::event::{EventKey, LpId, NodeId};
 use crate::rng::Rng;
 use crate::time::{DataRate, Time};
 
-/// Append-only little-endian byte sink for [`Snapshot::save`].
-#[derive(Default)]
+/// FNV-1a-64 offset basis: the state before any byte.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a-64 prime.
+const FNV_PRIME: u64 = 0x100_0000_01B3;
+
+/// The sink of [`Snapshot::save`]: an FNV-1a-64 hash of the little-endian
+/// bytes written to it. Nothing decodes an encoding, so nothing keeps one;
+/// [`finish`](Self::finish) is the digest of every byte written so far.
 pub struct SnapshotWriter {
-    buf: Vec<u8>,
+    state: u64,
+}
+
+impl Default for SnapshotWriter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SnapshotWriter {
-    /// Creates an empty writer.
+    /// Creates a writer that has seen no bytes.
     pub fn new() -> Self {
-        SnapshotWriter { buf: Vec::new() }
+        SnapshotWriter { state: FNV_OFFSET }
     }
 
-    /// Appends raw bytes.
+    /// Folds raw bytes into the hash.
     #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
+        for &v in b {
+            self.u8(v);
+        }
     }
 
-    /// Appends one byte.
+    /// Folds one byte into the hash.
     #[inline]
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.state = (self.state ^ v as u64).wrapping_mul(FNV_PRIME);
     }
 
-    /// Consumes the writer, returning the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Removes and yields the bytes written so far, keeping the buffer's
-    /// capacity for the next encoding: a digest that hashes one value's
-    /// encoding at a time holds the largest of them, not their sum.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, u8> {
-        self.buf.drain(..)
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    /// The FNV-1a-64 hash of every byte written so far.
+    pub fn finish(&self) -> u64 {
+        self.state
     }
 }
 
@@ -227,7 +225,11 @@ impl Snapshot for Rng {
 ///
 /// let mut w = unison_core::SnapshotWriter::new();
 /// unison_core::Snapshot::save(&Stats { count: 3, mean: 0.5 }, &mut w);
-/// assert_eq!(w.len(), 16);
+/// // The same 16 bytes, `count` then `mean`, written by hand:
+/// let mut want = unison_core::SnapshotWriter::new();
+/// want.bytes(&3u64.to_le_bytes());
+/// want.bytes(&0.5f64.to_bits().to_le_bytes());
+/// assert_eq!(w.finish(), want.finish());
 /// ```
 ///
 /// ```compile_fail
@@ -255,14 +257,38 @@ macro_rules! snapshot_struct {
 mod tests {
     use super::*;
 
-    fn encode<T: Snapshot>(v: &T) -> Vec<u8> {
+    fn digest<T: Snapshot>(v: &T) -> u64 {
         let mut w = SnapshotWriter::new();
         v.save(&mut w);
-        w.into_bytes()
+        w.finish()
     }
 
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    /// The digest of an expected encoding, written byte for byte.
+    fn fnv(bytes: &[u8]) -> u64 {
+        let mut w = SnapshotWriter::new();
+        w.bytes(bytes);
+        w.finish()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit"))
+            .collect()
+    }
+
+    /// The writer is FNV-1a-64: the published test vectors of the
+    /// algorithm, so a changed constant fails here and not only in a golden.
+    #[test]
+    fn the_writer_is_fnv1a_64() {
+        assert_eq!(fnv(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut w = SnapshotWriter::new();
+        for &b in b"foobar" {
+            w.u8(b);
+        }
+        assert_eq!(w.finish(), fnv(b"foobar"));
     }
 
     /// An event key encodes as `(ts, sender_ts, sender_lp: u32, seq: u64)`,
@@ -278,36 +304,41 @@ mod tests {
             0xFF_1234_5678,
         );
         assert_eq!(
-            hex(&encode(&lp)),
-            "07ca9a3b0000000018c69a3b00000000efcdab0078563412ff000000"
+            digest(&lp),
+            fnv(&unhex(
+                "07ca9a3b0000000018c69a3b00000000efcdab0078563412ff000000"
+            ))
         );
         let external = EventKey::external(Time(42), 7);
         assert_eq!(
-            hex(&encode(&external)),
-            "2a000000000000000000000000000000ffffffff0700000000000000"
+            digest(&external),
+            fnv(&unhex(
+                "2a000000000000000000000000000000ffffffff0700000000000000"
+            ))
         );
     }
 
     #[test]
     fn primitives_are_little_endian_and_length_prefixed() {
-        assert_eq!(encode(&0xDEAD_BEEFu32), [0xEF, 0xBE, 0xAD, 0xDE]);
-        assert_eq!(encode(&-1i64), [0xFF; 8]);
-        assert_eq!(encode(&true), [1]);
-        assert_eq!(encode(&Time(42)), encode(&42u64));
-        assert_eq!(encode(&None::<u32>), [0]);
-        assert_eq!(encode(&Some(7u8)), [1, 7]);
-        let s = encode(&String::from("hé"));
-        assert_eq!(&s[..8], &3u64.to_le_bytes());
-        assert_eq!(&s[8..], "hé".as_bytes());
-        let v = encode(&vec![1u16, 2]);
-        assert_eq!(v, [2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0]);
+        assert_eq!(digest(&0xDEAD_BEEFu32), fnv(&[0xEF, 0xBE, 0xAD, 0xDE]));
+        assert_eq!(digest(&-1i64), fnv(&[0xFF; 8]));
+        assert_eq!(digest(&true), fnv(&[1]));
+        assert_eq!(digest(&Time(42)), digest(&42u64));
+        assert_eq!(digest(&None::<u32>), fnv(&[0]));
+        assert_eq!(digest(&Some(7u8)), fnv(&[1, 7]));
+        let s = [&3u64.to_le_bytes()[..], "hé".as_bytes()].concat();
+        assert_eq!(digest(&String::from("hé")), fnv(&s));
+        assert_eq!(
+            digest(&vec![1u16, 2]),
+            fnv(&[2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0])
+        );
     }
 
     #[test]
     fn f64_is_bit_exact() {
         let nan = f64::from_bits(0x7FF8_0000_0000_1234);
-        assert_eq!(encode(&nan), encode(&0x7FF8_0000_0000_1234u64));
-        assert_ne!(encode(&0.0f64), encode(&-0.0f64));
+        assert_eq!(digest(&nan), digest(&0x7FF8_0000_0000_1234u64));
+        assert_ne!(digest(&0.0f64), digest(&-0.0f64));
     }
 
     #[test]
@@ -318,18 +349,18 @@ mod tests {
         let mut b = BTreeMap::new();
         b.insert(1u32, Time(10));
         b.insert(3u32, Time(30));
-        assert_eq!(encode(&a), encode(&b));
+        assert_eq!(digest(&a), digest(&b));
         let d: VecDeque<u64> = [5u64, 6, 7].into_iter().collect();
-        assert_eq!(encode(&d), encode(&vec![5u64, 6, 7]));
+        assert_eq!(digest(&d), digest(&vec![5u64, 6, 7]));
     }
 
     #[test]
     fn rng_encoding_tracks_its_stream_position() {
         let mut rng = Rng::new(99);
-        let before = encode(&rng);
-        assert_eq!(before, encode(&Rng::new(99)));
+        let before = digest(&rng);
+        assert_eq!(before, digest(&Rng::new(99)));
         rng.next_u64();
-        assert_ne!(encode(&rng), before);
+        assert_ne!(digest(&rng), before);
     }
 
     #[test]
@@ -339,12 +370,13 @@ mod tests {
             b: Option<Time>,
         }
         snapshot_struct!(Inner { a, b });
-        let bytes = encode(&Inner {
+        let got = digest(&Inner {
             a: 9,
             b: Some(Time(3)),
         });
-        let mut want = encode(&9u64);
-        want.extend(encode(&Some(Time(3))));
-        assert_eq!(bytes, want);
+        let mut want = SnapshotWriter::new();
+        9u64.save(&mut want);
+        Some(Time(3)).save(&mut want);
+        assert_eq!(got, want.finish());
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The recording side lives in `unison-core` so the kernels can write spans
 //! from their hot loops; merging, analysis, and Chrome-trace export live in
-//! the `unison-telemetry` crate. The discipline mirrors `netsim::trace`:
-//! **one writer per worker**, bounded buffers, no shared mutation. A worker
+//! the `unison-telemetry` crate. The discipline is **one writer per
+//! worker**, bounded buffers, no shared mutation. A worker
 //! only ever touches its own `WorkerTel`, which the kernel moves back to
 //! the control thread after the final barrier. Telemetry therefore
 //! introduces no new synchronization edges, and no scheduling decision
@@ -33,8 +33,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Maximum spans retained per worker; later spans are counted in
-/// [`WorkerSpans::truncated`] and dropped (bounded memory, the same policy
-/// as `netsim::trace`).
+/// [`WorkerSpans::truncated`] and dropped (bounded memory).
 pub const SPAN_CAPACITY: usize = 1 << 16;
 
 /// `lp` value of a span that is not attributed to a single LP.

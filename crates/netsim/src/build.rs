@@ -57,8 +57,6 @@ pub struct NetworkBuilder<'a> {
     routing: RoutingKind,
     flows: Vec<FlowSpec>,
     on_off: Vec<(usize, OnOffConfig)>,
-    trace_nodes: Vec<usize>,
-    trace_capacity: usize,
     stop: Option<Time>,
 }
 
@@ -75,8 +73,6 @@ impl<'a> NetworkBuilder<'a> {
             routing: RoutingKind::StaticEcmp,
             flows: Vec::new(),
             on_off: Vec::new(),
-            trace_nodes: Vec::new(),
-            trace_capacity: 100_000,
             stop: None,
         }
     }
@@ -132,19 +128,6 @@ impl<'a> NetworkBuilder<'a> {
         sources: impl IntoIterator<Item = (usize, OnOffConfig)>,
     ) -> Self {
         self.on_off.extend(sources);
-        self
-    }
-
-    /// Enables packet tracing on the given nodes (bounded per-node buffers;
-    /// see [`Trace::collect`](crate::trace::Trace::collect)).
-    pub fn trace_nodes(mut self, nodes: impl IntoIterator<Item = usize>) -> Self {
-        self.trace_nodes.extend(nodes);
-        self
-    }
-
-    /// Overrides the per-node trace buffer capacity.
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 
@@ -239,9 +222,6 @@ impl<'a> NetworkBuilder<'a> {
             }
         }
 
-        for &t in &self.trace_nodes {
-            nodes[t].trace = Some(crate::trace::TraceBuffer::new(self.trace_capacity));
-        }
         // Attach On/Off applications before the nodes move into the world.
         let mut app_ticks: Vec<(usize, u16)> = Vec::new();
         for (src, cfg) in &self.on_off {

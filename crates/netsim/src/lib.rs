@@ -54,7 +54,6 @@ pub mod route;
 pub mod scenario;
 pub(crate) mod snapshot;
 pub mod tcp;
-pub mod trace;
 
 pub use app::{OnOffAction, OnOffApp, OnOffConfig};
 pub use build::{BuiltLink, NetSim, NetworkBuilder, RoutingKind, SimResult};
@@ -65,4 +64,3 @@ pub use queue::{Enqueue, Queue, QueueConfig};
 pub use reconfig::{install_faults, recompute_static_routes, set_link_state, NetFault};
 pub use scenario::world_digest;
 pub use tcp::{TcpConfig, TcpReceiver, TcpSender, TransportKind};
-pub use trace::{Trace, TraceBuffer, TraceEntry, TraceKind};

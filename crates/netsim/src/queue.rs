@@ -307,6 +307,7 @@ snapshot_struct!(Queue {
 mod tests {
     use super::*;
     use crate::packet::{FlowId, Packet};
+    use crate::snapshot::{digest, digest_of_hex};
 
     fn pkt(bytes: u32, ecn: bool) -> Packet {
         Packet::data(
@@ -511,9 +512,6 @@ mod tests {
             "480600000000000000709840000000009d3080237d64f550a1136b7ad25c2a436d129b6e30be56a3f06d",
             "2e2799622e81000000000000000000000000000000000300000000000000",
         );
-        let mut w = SnapshotWriter::new();
-        q.save(&mut w);
-        let hex: String = w.into_bytes().iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, PARENT);
+        assert_eq!(digest(&q), digest_of_hex(PARENT));
     }
 }

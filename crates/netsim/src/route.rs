@@ -456,6 +456,7 @@ impl Snapshot for Routing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{digest, digest_of_hex};
 
     /// Line: 0 - 1 - 2, plus a parallel 0 - 3 - 2 path.
     fn diamond() -> Vec<Vec<(u32, u8)>> {
@@ -606,10 +607,6 @@ mod tests {
         assert_eq!(Routing::Rip(r).lookup(5, &mut buf), 0);
     }
 
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
     /// Node 0 of six: the self route, 2 and 3 learned on different devices,
     /// 4 learned and then poisoned by its next hop, 1 and 5 never heard of.
     fn fixture_state() -> RipState {
@@ -636,11 +633,7 @@ mod tests {
             "8096980000000000",
             "01",
         );
-        let state = fixture_state();
-        let mut w = SnapshotWriter::new();
-        state.save(&mut w);
-        let bytes = w.into_bytes();
-        assert_eq!(hex(&bytes), PARENT);
+        assert_eq!(digest(&fixture_state()), digest_of_hex(PARENT));
     }
 
     #[test]

@@ -27,20 +27,14 @@ use crate::tcp::{TcpConfig, TransportKind};
 /// the fault-axis tests pin; its encoding is part of the scenario
 /// contract's digest-stability guarantee.
 ///
-/// FNV-1a is a stream over the bytes, so each node's encoding is hashed as
-/// soon as it is written and its buffer reused for the next node: the
-/// digest holds the largest node's encoding, never the world's
-/// (DESIGN.md §4.7).
+/// The writer is the hash: each byte is folded in as it is written, so the
+/// digest keeps no encoding, of a node or of the world (DESIGN.md §4.7).
 pub fn world_digest(world: &World<NetNode>) -> u64 {
     let mut w = SnapshotWriter::new();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
     for n in world.nodes() {
         n.save(&mut w);
-        for b in w.drain() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
     }
-    h
+    w.finish()
 }
 
 /// Maps a `[transport]` spec onto a [`TcpConfig`]: pick the base profile

@@ -67,6 +67,25 @@ pub(crate) fn save_summary(s: &Summary, w: &mut SnapshotWriter) {
     sum.save(w);
 }
 
+/// The digest of `v`'s encoding.
+#[cfg(test)]
+pub(crate) fn digest(v: &impl Snapshot) -> u64 {
+    let mut w = SnapshotWriter::new();
+    v.save(&mut w);
+    w.finish()
+}
+
+/// The digest of an expected encoding given in hex: a test that pins a
+/// value's bytes compares it with [`digest`], and a wrong byte fails it.
+#[cfg(test)]
+pub(crate) fn digest_of_hex(hex: &str) -> u64 {
+    let mut w = SnapshotWriter::new();
+    for i in (0..hex.len()).step_by(2) {
+        w.u8(u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit"));
+    }
+    w.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,12 +104,17 @@ mod tests {
         m.insert(flow(5), 50u64);
         let mut w = SnapshotWriter::new();
         save_map(&m, &mut w);
-        let bytes = w.into_bytes();
         // len, then (12-byte key, 8-byte value) for sports 1, 5, 9 in order.
-        assert_eq!(&bytes[16..18], &1u16.to_le_bytes());
-        assert_eq!(&bytes[36..38], &5u16.to_le_bytes());
-        assert_eq!(&bytes[56..58], &9u16.to_le_bytes());
-        assert_eq!(bytes.len(), 8 + 3 * 20);
+        let want = concat!(
+            "0300000000000000",
+            "010000000200000001005000",
+            "0a00000000000000",
+            "010000000200000005005000",
+            "3200000000000000",
+            "010000000200000009005000",
+            "5a00000000000000",
+        );
+        assert_eq!(w.finish(), digest_of_hex(want));
     }
 
     #[test]

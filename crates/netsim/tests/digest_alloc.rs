@@ -1,19 +1,21 @@
-//! `world_digest` holds one node's encoding at a time (DESIGN.md §4.7).
+//! `world_digest` holds no encoding (DESIGN.md §4.7): the writer is the
+//! hash, so all the digest allocates is the sorted key vector `save_map`
+//! builds for one socket or UDP map at a time.
 //!
 //! A counting global allocator over `System` tracks the live bytes of the
 //! one thread that asks for it (the test harness runs tests in parallel
 //! threads of one process) and their peak. A k = 4 fat tree runs an incast
 //! until the receiver's ToR queue holds packets and the receiver holds
 //! segments out of order — the state whose encodings are largest — and the
-//! digest of that world may then peak below twice its largest node's
-//! encoding. A digest that encodes the whole world before hashing it peaks
-//! at the world's encoding, several times that.
+//! digest of that world may then peak at no more than one `&FlowId` per
+//! entry of the largest flow map of any node. A writer that buffers a
+//! node's encoding, or the world's, peaks far above that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use unison_core::{KernelKind, Snapshot, SnapshotWriter, Time};
-use unison_netsim::{world_digest, NetworkBuilder, QueueConfig, TcpConfig};
+use unison_core::{KernelKind, Time};
+use unison_netsim::{world_digest, FlowId, NetworkBuilder, QueueConfig, TcpConfig};
 use unison_topology::fat_tree;
 use unison_traffic::FlowSpec;
 
@@ -76,7 +78,7 @@ fn peak_live<R>(f: impl FnOnce() -> R) -> (R, i64) {
 }
 
 #[test]
-fn the_digest_holds_one_node_encoding_at_a_time() {
+fn the_digest_holds_one_sorted_key_vector_at_a_time() {
     // Fifteen hosts send 200 kB each to host 0 at once: their windows
     // overflow the 60 kB queues on the way, and the segments behind each
     // drop arrive out of order. The run stops while both are so.
@@ -115,26 +117,19 @@ fn the_digest_holds_one_node_encoding_at_a_time() {
         "no receiver holds data past its next expected byte"
     );
 
-    let encodings: Vec<usize> = world
+    let largest_map = world
         .nodes()
-        .map(|n| {
-            let mut w = SnapshotWriter::new();
-            n.save(&mut w);
-            w.len()
-        })
-        .collect();
-    let largest = *encodings.iter().max().expect("a fat tree has nodes") as i64;
-    let whole: i64 = encodings.iter().map(|&l| l as i64).sum();
-    assert!(
-        whole > 3 * largest,
-        "the world ({whole} B) must dwarf its largest node ({largest} B) for the bound to mean anything"
-    );
+        .map(|n| n.senders.len().max(n.receivers.len()).max(n.udp_rx.len()))
+        .max()
+        .expect("a fat tree has nodes");
+    assert!(largest_map > 1, "no node holds more than one flow");
+    let bound = (std::mem::size_of::<&FlowId>() * largest_map) as i64;
 
     let (digest, peak) = peak_live(|| world_digest(&world));
     assert!(
-        peak < 2 * largest,
-        "world_digest peaked at {peak} live bytes; its largest node encodes to {largest} B \
-         and the world to {whole} B"
+        peak <= bound,
+        "world_digest peaked at {peak} live bytes; the largest sorted key vector it needs \
+         is {bound} B ({largest_map} flows)"
     );
     assert_eq!(
         digest,

@@ -488,64 +488,6 @@ fn torus_nodes_route_and_terminate() {
 }
 
 #[test]
-fn packet_trace_reconstructs_flow_path() {
-    use unison_netsim::{Trace, TraceKind};
-    let topo = fat_tree(4).with_rate(DataRate::gbps(10));
-    let hosts = topo.hosts();
-    let flow_spec = FlowSpec {
-        src: hosts[0],
-        dst: hosts[15],
-        bytes: 10_000,
-        start: Time::ZERO,
-    };
-    let sim = NetworkBuilder::new(&topo)
-        .flows([flow_spec])
-        .trace_nodes(0..topo.node_count())
-        .stop_at(Time::from_millis(20))
-        .build();
-    let res = sim.run(KernelKind::Unison { threads: 2 });
-    assert_eq!(res.flows.completed_flows(), 1);
-    let trace = Trace::collect(&res.world);
-    assert!(trace.truncated == 0);
-    let flow = res.flows.flows[0].flow;
-    let path = trace.path_of(flow);
-    // Inter-pod route: src host, edge, agg, core, agg, edge, dst host.
-    assert_eq!(path.len(), 7, "path {path:?}");
-    assert_eq!(path[0], flow.src);
-    assert_eq!(*path.last().unwrap(), flow.dst);
-    // Arrivals strictly ordered in time along the path.
-    let entries = trace.flow(flow);
-    assert!(entries.windows(2).all(|w| w[0].ts <= w[1].ts));
-    // The data direction saw at least ceil(10000/1448)=7 segments at the
-    // destination.
-    let dst_arrivals = entries
-        .iter()
-        .filter(|e| e.kind == TraceKind::Arrive && e.node == flow.dst)
-        .count();
-    assert!(dst_arrivals >= 7, "dst arrivals {dst_arrivals}");
-}
-
-#[test]
-fn trace_is_deterministic_across_threads() {
-    use unison_netsim::Trace;
-    let topo = fat_tree(4);
-    let run = |threads| {
-        let sim = NetworkBuilder::new(&topo)
-            .traffic(&small_traffic(0.1, 44))
-            .trace_nodes([0usize, 1, 2, 3])
-            .stop_at(Time::from_millis(3))
-            .build();
-        let res = sim.run(KernelKind::Unison { threads });
-        let t = Trace::collect(&res.world);
-        t.entries
-            .iter()
-            .map(|e| (e.ts, e.node, e.kind as u8, e.flow, e.bytes))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(run(1), run(3));
-}
-
-#[test]
 fn source_port_wrap_refuses_a_flow_instead_of_aliasing_one() {
     // Two hosts, one link, and one more flow from the first to the second
     // than there are source ports (1 000 ..= 65 535). The 64 537th flow's

@@ -69,16 +69,6 @@ fn sim_with(faults: &[NetFault]) -> NetSim {
 /// first window still waits in the host's device queue.
 const PROBE_AT: Time = Time::from_micros(2_004);
 
-/// FNV-1a over every node's snapshot, written into `w` in id order: the
-/// `world_digest` encoding, for nodes a global event visits one at a time.
-fn fnv1a(w: SnapshotWriter) -> u64 {
-    w.into_bytes()
-        .into_iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-        })
-}
-
 /// Runs one faulted scenario on every kernel and pins the invariants:
 /// identical final digest everywhere, the mid-run digest taken at
 /// `PROBE_AT` equal to `mid` everywhere (with packets queued when it is
@@ -107,7 +97,7 @@ fn run_matrix(faults: &[NetFault], mid: u64, mut check: impl FnMut(&FlowReport))
                     queued += node.devices.iter().map(|d| d.queue.len()).sum::<usize>();
                     node.save(&mut w);
                 });
-                *slot.lock().expect("probe slot") = Some((fnv1a(w), queued));
+                *slot.lock().expect("probe slot") = Some((w.finish(), queued));
             }),
         );
         let (world, _) = kernel::try_run(sim.world, &cfg(k.clone(), n)).expect("faulted run");
@@ -116,7 +106,7 @@ fn run_matrix(faults: &[NetFault], mid: u64, mut check: impl FnMut(&FlowReport))
         let d = digest(&world);
         let mut w = SnapshotWriter::new();
         world.nodes().for_each(|node| node.save(&mut w));
-        assert_eq!(fnv1a(w), d, "the probe's encoding is not world_digest's");
+        assert_eq!(w.finish(), d, "the probe's encoding is not world_digest's");
         let (probed, queued) = probe.lock().expect("probe slot").expect("the probe fired");
         assert!(queued > 0, "kernel {k:?}: no packet queued at the probe");
         assert_eq!(probed, mid, "kernel {k:?}: mid-run digest {probed:#018x}");

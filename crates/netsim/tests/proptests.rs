@@ -88,8 +88,9 @@ impl RipModel {
             .map(|r| r.dev)
     }
 
-    /// What `save_map` wrote for the map, followed by the two scalars.
-    fn encoding(&self, update_interval: Time) -> Vec<u8> {
+    /// The digest of what `save_map` wrote for the map, followed by the
+    /// two scalars.
+    fn digest(&self, update_interval: Time) -> u64 {
         let mut w = SnapshotWriter::new();
         (self.0.len() as u64).save(&mut w);
         for (dst, route) in &self.0 {
@@ -98,7 +99,7 @@ impl RipModel {
         }
         update_interval.save(&mut w);
         false.save(&mut w);
-        w.into_bytes()
+        w.finish()
     }
 }
 
@@ -171,10 +172,10 @@ impl MapReceiver {
     }
 }
 
-fn encoding(v: &impl Snapshot) -> Vec<u8> {
+fn digest(v: &impl Snapshot) -> u64 {
     let mut w = SnapshotWriter::new();
     v.save(&mut w);
-    w.into_bytes()
+    w.finish()
 }
 
 /// A receiver and its map reference, fed the same arrivals.
@@ -206,8 +207,8 @@ impl RunsAndMap {
             "arrival {i}: ({seq}, {len})"
         );
         assert_eq!(
-            encoding(&self.rcv),
-            encoding(&self.reference),
+            digest(&self.rcv),
+            digest(&self.reference),
             "arrival {i}: ({seq}, {len})"
         );
         ack.ack
@@ -254,7 +255,7 @@ proptest! {
             }
             let mut w = SnapshotWriter::new();
             state.save(&mut w);
-            prop_assert_eq!(w.into_bytes(), model.encoding(interval));
+            prop_assert_eq!(w.finish(), model.digest(interval));
             for dst in 0..12 {
                 prop_assert_eq!(state.route(dst), model.0.get(&dst).copied());
             }
@@ -584,7 +585,7 @@ fn assert_static_tables_match(adj: &[Vec<(u32, u8)>]) {
                 "node {node} towards {dst}"
             );
         }
-        assert_eq!(encoding(table), encoding(want), "node {node}'s encoding");
+        assert_eq!(digest(table), digest(want), "node {node}'s encoding");
     }
 }
 
@@ -596,8 +597,8 @@ fn static_tables_match_the_per_destination_tables_on_fat_trees() {
     // A default table (a node built before its routes) encodes as the
     // default per-destination table did.
     assert_eq!(
-        encoding(&StaticTable::default()),
-        encoding(&PerDestinationTable::default())
+        digest(&StaticTable::default()),
+        digest(&PerDestinationTable::default())
     );
     assert_eq!(StaticTable::default().lookup(0, &mut [0; 16]), 0);
 }

@@ -185,6 +185,80 @@ impl TopoKind {
             } => (nodes, links.len()),
         })
     }
+
+    /// Leaves of the topology [`ScenarioSpec::build_topology`] would build,
+    /// from the parameters alone: nodes with one link whose peer has more
+    /// than one. They are static ECMP's leaves (`netsim::route::
+    /// StaticTable`), which share their peer's column and keep one bit per
+    /// column instead of a row of offsets. Meaningful for the parameters
+    /// [`size`](Self::size) accepts; the fixed WAN maps count as nothing.
+    pub fn leaves(&self) -> usize {
+        // `count` nodes with `links` links each, whose peers have `peer`.
+        let leaves_if = |count: usize, links: usize, peer: usize| {
+            if links == 1 && peer > 1 {
+                count
+            } else {
+                0
+            }
+        };
+        // `FatTreeShape::build`: hosts under edge switches of
+        // `hosts_per_rack + racks` links, and cores of one link per pod
+        // under aggregation switches of `2 · racks`.
+        let fat_tree = |pods: usize, racks: usize, hosts_per_rack: usize| {
+            let hosts = pods.saturating_mul(racks).saturating_mul(hosts_per_rack);
+            leaves_if(hosts, 1, hosts_per_rack.saturating_add(racks))
+                + leaves_if(racks.saturating_mul(racks), pods, racks.saturating_mul(2))
+        };
+        match *self {
+            TopoKind::FatTree { k } => fat_tree(k, k / 2, k / 2),
+            TopoKind::FatTreeClusters {
+                clusters,
+                hosts_per_cluster,
+            } => {
+                let racks = hosts_per_cluster.div_ceil(4).max(2);
+                fat_tree(clusters, racks, hosts_per_cluster.div_ceil(racks).max(1))
+            }
+            TopoKind::SpineLeaf {
+                spines,
+                leaves: switches,
+                hosts_per_leaf,
+            } => {
+                // A leaf switch's links, and those of its peer if it has
+                // one link (a spine, or a host).
+                let down = hosts_per_leaf.saturating_add(spines);
+                let up = if spines == 1 { switches } else { 1 };
+                leaves_if(switches.saturating_mul(hosts_per_leaf), 1, down)
+                    + leaves_if(switches, down, up)
+                    + leaves_if(spines, switches, down)
+            }
+            TopoKind::Dumbbell {
+                senders, receivers, ..
+            } => {
+                let (a, b) = (senders.saturating_add(1), receivers.saturating_add(1));
+                leaves_if(senders, 1, a)
+                    + leaves_if(receivers, 1, b)
+                    + leaves_if(1, a, b)
+                    + leaves_if(1, b, a)
+            }
+            // Hosts have a link per level; switches have `n >= 2`.
+            TopoKind::BCube { n, levels } => leaves_if(n.saturating_pow(levels as u32), levels, n),
+            // Every node has a neighbour across and one down.
+            TopoKind::Torus2d { .. } | TopoKind::Geant | TopoKind::Chinanet => 0,
+            TopoKind::Manual {
+                nodes, ref links, ..
+            } => {
+                // (links, last peer) per node.
+                let mut ends = vec![(0usize, 0usize); nodes];
+                for l in links.iter().filter(|l| l.a < nodes && l.b < nodes) {
+                    ends[l.a] = (ends[l.a].0 + 1, l.b);
+                    ends[l.b] = (ends[l.b].0 + 1, l.a);
+                }
+                ends.iter()
+                    .filter(|&&(links, peer)| links == 1 && ends[peer].0 > 1)
+                    .count()
+            }
+        }
+    }
 }
 
 /// One `[[link]]` of a manual topology.
@@ -410,20 +484,15 @@ pub const MAX_TOPOLOGY_NODES: usize = 1 << 20;
 /// per node, a BCube at most eight per host.
 pub const MAX_TOPOLOGY_LINKS: usize = 8 * MAX_TOPOLOGY_NODES;
 
-/// Memory a routed topology's all-pairs state may take. RIP gives every
-/// node one `Option<RipRoute>` of 3 bytes per destination (`RipState::new`)
-/// before any kernel runs. Static ECMP gives every node but a leaf host
-/// `S + 1` `u32` offsets, `S` the number of columns — non-leaf nodes, as
-/// `compute_static_tables` counts them — so `N·(S + 1)` at most, and N²
-/// entries on a topology without leaves, such as a torus: the bound is that
-/// worst case.
+/// Memory a routed topology's tables may take, built before any kernel
+/// runs. What each routing kind is priced at is `check_routed_size`'s.
 const ROUTING_TABLE_BYTES: usize = 256 << 20;
 
-/// Largest node count of a scenario, under either routing kind: the N²
-/// entries of the wider (4-byte) table fit in `ROUTING_TABLE_BYTES`. That
-/// is 2¹³ = 8 192 nodes ≈ 256 MiB of static offsets on a leafless topology
-/// (192 MiB of RIP routes); a `torus2d` of 256 × 256, inside
-/// [`MAX_TOPOLOGY_NODES`], would ask for ≈ 17 GB.
+/// Largest node count of a scenario routed by RIP, which gives every node
+/// an `Option<RipRoute>` per destination (`RipState::new`): N² entries,
+/// priced at 4 bytes, fit in `ROUTING_TABLE_BYTES`. That is 2¹³ = 8 192
+/// nodes; a `torus2d` of 256 × 256, inside [`MAX_TOPOLOGY_NODES`], would
+/// ask for ≈ 17 GB.
 pub const MAX_ROUTED_NODES: usize = (ROUTING_TABLE_BYTES / 4).isqrt();
 
 /// Largest flow count a `[traffic]` section may ask the generator for, in
@@ -724,30 +793,59 @@ fn check_partition(
     Ok(())
 }
 
-/// Rejects a topology too large to route: either routing kind can build N²
-/// entries of per-node state before any kernel runs (static ECMP on a
-/// topology without leaves, RIP always), so the node count is
-/// bounded by [`MAX_ROUTED_NODES`] before anything is built. Reported at the
-/// section `at` (`[routing]`, or `[topology]` when routing defaulted).
+/// Rejects a topology too large to route, by the bytes of the tables its
+/// routing builds before any kernel runs. Reported at the section `at`
+/// (`[routing]`, or `[topology]` when routing defaulted).
+///
+/// RIP keeps an entry per node pair: at most [`MAX_ROUTED_NODES`] nodes.
+/// Static ECMP (`netsim::route::compute_static_tables`) keeps a column per
+/// node that is not a leaf ([`TopoKind::leaves`]), `S` of them. Each of
+/// those nodes keeps `S + 1` `u32` offsets and, per column, at most one
+/// candidate device per link it has; each leaf keeps `⌈S/64⌉` words of
+/// column bits; and all share a column map of 8 bytes per node. A fat tree
+/// of k = 34 prices at 81 MB; a leafless topology such as a torus at about
+/// 8N², so 5 791 nodes at most.
 fn check_routed_size(
     topology: &TopologySpec,
     routing: RoutingSpec,
     at: &Table,
 ) -> Result<(), ScenarioError> {
     // `parse_topology` has already refused a size that is an error.
-    let nodes = topology.kind.size().map_or(0, |(nodes, _)| nodes);
-    if nodes <= MAX_ROUTED_NODES {
-        return Ok(());
-    }
-    let kind = match routing {
-        RoutingSpec::StaticEcmp => "static_ecmp",
-        RoutingSpec::Rip { .. } => "rip",
+    let (nodes, links) = topology.kind.size().unwrap_or((0, 0));
+    let msg = match routing {
+        RoutingSpec::StaticEcmp => {
+            let leaves = topology.kind.leaves();
+            let columns = nodes.saturating_sub(leaves);
+            // Every link end but a leaf's is a non-leaf node's.
+            let candidates = columns.saturating_mul((2 * links).saturating_sub(leaves));
+            let priced = columns
+                .saturating_mul(4 * (columns + 1))
+                .saturating_add(candidates)
+                .saturating_add(leaves.saturating_mul(8 * columns.div_ceil(64)))
+                .saturating_add(8 * nodes);
+            if priced <= ROUTING_TABLE_BYTES {
+                return Ok(());
+            }
+            format!(
+                "this topology would have {nodes} nodes, and `static_ecmp` routing would \
+                 build {priced} bytes of tables for its {columns} columns ({leaves} nodes \
+                 are leaves); at most {ROUTING_TABLE_BYTES} bytes ({} MiB) can be routed",
+                ROUTING_TABLE_BYTES >> 20
+            )
+        }
+        RoutingSpec::Rip { .. } => {
+            if nodes <= MAX_ROUTED_NODES {
+                return Ok(());
+            }
+            format!(
+                "this topology would have {nodes} nodes, and `rip` routing keeps an entry \
+                 per node pair, {} bytes of tables; at most {MAX_ROUTED_NODES} nodes ({} MiB \
+                 of tables) can be routed",
+                nodes.saturating_mul(nodes).saturating_mul(4),
+                ROUTING_TABLE_BYTES >> 20
+            )
+        }
     };
-    let msg = format!(
-        "this topology would have {nodes} nodes, and `{kind}` routing keeps an entry per \
-         node pair; at most {MAX_ROUTED_NODES} nodes ({} MiB of tables) can be routed",
-        ROUTING_TABLE_BYTES >> 20
-    );
     Err(serr(at.line, at.col, msg))
 }
 

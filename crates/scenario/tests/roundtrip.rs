@@ -466,11 +466,88 @@ fn the_size_computed_from_the_parameters_is_the_size_built() {
     }
 }
 
-/// Both routing kinds keep an entry per node pair (static ECMP's offsets,
-/// RIP's routes), so a routed topology is bounded by `MAX_ROUTED_NODES`
+/// Leaves by `compute_static_tables`' definition, counted on a built
+/// topology: nodes with one link whose peer has more than one.
+fn leaves_built(topo: &unison_topology::Topology) -> usize {
+    let mut links = vec![0usize; topo.node_count()];
+    for l in &topo.links {
+        links[l.a] += 1;
+        links[l.b] += 1;
+    }
+    topo.links
+        .iter()
+        .flat_map(|l| [(l.a, l.b), (l.b, l.a)])
+        .filter(|&(h, t)| links[h] == 1 && links[t] > 1)
+        .count()
+}
+
+/// `TopoKind::leaves` prices static ECMP before anything is built, so it
+/// has to count the leaves the builder builds, degenerate shapes included.
+#[test]
+fn the_leaves_computed_from_the_parameters_are_the_leaves_built() {
+    for (topology, leaves) in [
+        ("kind = \"fat_tree\"\nk = 2", 2),
+        ("kind = \"fat_tree\"\nk = 6", 54),
+        (
+            "kind = \"fat_tree_clusters\"\nclusters = 3\nhosts_per_cluster = 1",
+            6,
+        ),
+        // One pod: its cores hang off one aggregation switch each.
+        (
+            "kind = \"fat_tree_clusters\"\nclusters = 1\nhosts_per_cluster = 13",
+            16 + 16,
+        ),
+        (
+            "kind = \"spine_leaf\"\nspines = 3\nleaves = 5\nhosts_per_leaf = 2",
+            10,
+        ),
+        (
+            "kind = \"spine_leaf\"\nspines = 1\nleaves = 4\nhosts_per_leaf = 0",
+            4,
+        ),
+        (
+            "kind = \"spine_leaf\"\nspines = 2\nleaves = 1\nhosts_per_leaf = 3",
+            5,
+        ),
+        (
+            "kind = \"spine_leaf\"\nspines = 0\nleaves = 1\nhosts_per_leaf = 1",
+            0,
+        ),
+        (
+            "kind = \"dumbbell\"\nsenders = 3\nreceivers = 2\nedge_rate_mbps = 10\n\
+             bottleneck_rate_mbps = 10",
+            5,
+        ),
+        (
+            "kind = \"dumbbell\"\nsenders = 0\nreceivers = 2\nedge_rate_mbps = 10\n\
+             bottleneck_rate_mbps = 10",
+            3,
+        ),
+        ("kind = \"bcube\"\nn = 3\nlevels = 3", 0),
+        ("kind = \"bcube\"\nn = 3\nlevels = 1", 3),
+        ("kind = \"torus2d\"\nrows = 2\ncols = 2", 0),
+        ("kind = \"torus2d\"\nrows = 4\ncols = 3", 0),
+        (
+            "kind = \"manual\"\nnodes = 4\n[[link]]\na = 0\nb = 1\n[[link]]\na = 1\nb = 2\n\
+             [[link]]\na = 2\nb = 3\n[[link]]\na = 2\nb = 3",
+            1,
+        ),
+    ] {
+        let src = format!("[topology]\n{topology}\n[run]\nstop_us = 1\nkernel = \"sequential\"\n");
+        let spec = parse_scenario(&src).unwrap_or_else(|e| panic!("{topology}: {e}"));
+        let built = leaves_built(&spec.build_topology());
+        assert_eq!(built, leaves, "{topology}");
+        assert_eq!(spec.topology.kind.leaves(), leaves, "{topology}");
+    }
+}
+
+/// RIP keeps an entry per node pair, so it is bounded by `MAX_ROUTED_NODES`
 /// before anything is built: a 64 × 128 torus is exactly at the bound, one
-/// more column is refused at `[routing]` — or at `[topology]` when the
-/// routing defaulted.
+/// more column is refused. Static ECMP is priced by the tables it builds: a
+/// row of offsets and at most a candidate per link end for each column,
+/// which on a leafless torus is about 8N² bytes — 64 × 90 fits in 256 MiB,
+/// 64 × 91 does not. Both are refused at `[routing]`, or at `[topology]`
+/// when the routing defaulted.
 #[test]
 fn routed_topologies_are_bounded_by_their_pair_tables() {
     assert_eq!(unison_scenario::ast::MAX_ROUTED_NODES, 8_192);
@@ -480,17 +557,29 @@ fn routed_topologies_are_bounded_by_their_pair_tables() {
              [run]\nstop_us = 1\nkernel = \"sequential\"\n"
         )
     };
-    for (routing, kind, line) in [
-        ("", "static_ecmp", 1),
-        ("[routing]\nkind = \"static_ecmp\"\n", "static_ecmp", 5),
-        ("[routing]\nkind = \"rip\"\n", "rip", 5),
+    // 5 824 nodes: 5 824 · 5 825 offsets, 4 · 5 824 candidates per column
+    // and the 8-byte column map.
+    let static_ecmp = "5824 nodes, and `static_ecmp` routing would build 271421696 bytes";
+    for (routing, fits, refused, line, msg) in [
+        ("", 90, 91, 1, static_ecmp),
+        (
+            "[routing]\nkind = \"static_ecmp\"\n",
+            90,
+            91,
+            5,
+            static_ecmp,
+        ),
+        (
+            "[routing]\nkind = \"rip\"\n",
+            128,
+            129,
+            5,
+            "8256 nodes, and `rip` routing",
+        ),
     ] {
-        parse_scenario(&src(128, routing)).unwrap_or_else(|e| panic!("{kind}: {e}"));
-        let e = parse_scenario(&src(129, routing)).unwrap_err();
-        assert!(
-            e.msg.contains(&format!("8256 nodes, and `{kind}` routing")),
-            "{e}"
-        );
+        parse_scenario(&src(fits, routing)).unwrap_or_else(|e| panic!("{msg}: {e}"));
+        let e = parse_scenario(&src(refused, routing)).unwrap_err();
+        assert!(e.msg.contains(msg), "{e}");
         assert_eq!((e.line, e.col), (line, 1), "{e}");
     }
 }
