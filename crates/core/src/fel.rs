@@ -18,8 +18,9 @@
 //!   and the memory held follows the events held; a promoted bucket is
 //!   either sorted into the bottom or — when too large to sort cheaply —
 //!   subdivided into a finer child rung. An imminent push is inserted into
-//!   the bottom in place when it lands within a few places of the back (a
-//!   scan from the back), and staged unsorted for one lazy merge otherwise.
+//!   the bottom in place when it lands fewer than `LADDER_INSERT_WINDOW`
+//!   places from the back (a scan from the back), and staged unsorted for
+//!   one lazy merge otherwise.
 //!   Amortized O(1) per event on both the kernels' windowed access pattern
 //!   (many small per-LP lists) and the sequential kernel's push-one/pop-one
 //!   pattern (one large list).
@@ -97,17 +98,32 @@ const LADDER_THRES: usize = 64;
 /// the largest overflow buffer a re-prime keeps (see [`Ladder::reprime`]).
 const LADDER_NEAR_MAX: usize = 4 * LADDER_THRES;
 
-/// Bound on in-place insertion into the bottom, in two places. A near-tier
-/// push while nothing is staged is inserted directly when its slot lies
-/// within this many places of the back (the scan from the back touches
-/// only the events the insert then shifts), and staged otherwise. A staged
-/// batch of at most this many events is merged by insertion instead of a
-/// re-sort: `k` insertions move about `k * n / 2` events, a re-sort costs
-/// about `n * log2(n)` comparisons and as many moves, so insertion wins up
-/// to `k` of about `2 * log2(n)` — 8 is inside that for every `n` the near
-/// tier reaches. Staging what lands deeper keeps a burst behind the back
-/// linear: one sort, not one `memmove` of the whole bottom per event.
-const LADDER_INSERT_MAX: usize = 8;
+/// The in-place window: a near-tier push while nothing is staged is
+/// inserted straight into the bottom when its slot lies fewer than this
+/// many places from the back, and staged otherwise (see
+/// [`Ladder::direct_slot`]). The scan from the back touches only the events
+/// the insert then shifts, in one contiguous `memmove`; a staged push costs
+/// a third buffer per list and, at the merge, the same scan and shift or a
+/// share of a re-sort. Staging what lands deeper keeps a burst behind the
+/// back linear: one sort, not one `memmove` of the whole bottom per event.
+///
+/// Set from the traffic, not from a cost model. At 8, 87 % of
+/// `dumbbell_dctcp`'s sequential pushes were staged, landing 9.2 places
+/// deep on average, and every `phold_torus` list kept a stage buffer; at
+/// 16 the staged pushes fall by half and to 529 a run. A sweep over 8, 16,
+/// 32 and 64 lowered `phold_torus` peak RSS at every window from 16 up
+/// and at none of 8, and resolved no run-time difference, so the window
+/// is the smallest that takes the stage off the small lists
+/// (EXPERIMENTS.md "The near tier inserts in place").
+const LADDER_INSERT_WINDOW: usize = 16;
+
+/// The merge batch: a stage of at most this many events is merged by
+/// back-scan insertion (see [`Ladder::flush_stage`]); a larger one is
+/// appended and the whole bottom re-sorted once, so a burst of any size
+/// costs one sort. At 16, with the window at 16, no whole-bottom re-sort is
+/// left on `dumbbell_dctcp` and `phold_torus` (23 670 and 1 788 a run at 8);
+/// the same sweep told no larger batch apart from it.
+const LADDER_MERGE_MAX: usize = 16;
 
 /// Depth cap on the rung stack — a backstop against adversarial
 /// distributions; widths shrink by `LADDER_BUCKETS`x per level, so real
@@ -368,8 +384,8 @@ impl<P> Rung<P> {
 /// - **near** (`bottom` ∪ `stage`): `bottom` is a small vector sorted
 ///   descending by [`EventKey`], popped from the back — the imminent
 ///   events. A push into this range goes straight into `bottom` when its
-///   slot is within `LADDER_INSERT_MAX` places of the back and nothing is
-///   staged; otherwise it waits, unsorted, in `stage`.
+///   slot is fewer than `LADDER_INSERT_WINDOW` places from the back and
+///   nothing is staged; otherwise it waits, unsorted, in `stage`.
 /// - **rungs**: a stack of [`Rung`]s. `rungs[0]` is the coarsest; each
 ///   deeper rung subdivides one promoted bucket of its parent, so deeper
 ///   rungs always cover *earlier* time than the shallower remainders. A
@@ -423,7 +439,7 @@ struct Ladder<P> {
     bottom: Vec<Event<P>>,
     /// Unsorted near-tier pushes, merged into `bottom` lazily — only when
     /// the next pop would otherwise return a later key. The first push to
-    /// land deeper than `LADDER_INSERT_MAX` places from the back starts it,
+    /// land outside the window (`LADDER_INSERT_WINDOW`) starts it,
     /// and every near-tier push until the merge joins it, so a burst costs
     /// O(1) per event and one sort; the sort is bounded because the split
     /// rule keeps `bottom` near `LADDER_THRES` and invariant 4 bounds the
@@ -525,17 +541,18 @@ impl<P> Ladder<P> {
 
     /// Where a near-tier push with `key` goes straight into `bottom`: its
     /// slot, found by scanning from the back, when nothing is staged and
-    /// the slot is at most `LADDER_INSERT_MAX` places from the back. `None`
-    /// stages the push. Behind a non-empty stage every push is staged:
-    /// inserting in place there too was no faster, and left the stage with
-    /// only the deep pushes, which outgrew the insertion batch nine times as
-    /// often on `wan_rip` (DESIGN.md §7).
+    /// the slot is fewer than `LADDER_INSERT_WINDOW` places from the back
+    /// (or the bottom is no longer than the window). `None` stages the
+    /// push. Behind a non-empty stage every push is staged: inserting in
+    /// place there too was no faster with a window of 8, nor with both
+    /// bounds at 16, where it staged 86 % fewer of `dumbbell_dctcp`'s
+    /// sequential pushes and ran that cell 1.5 % slower (DESIGN.md §7).
     #[inline]
     fn direct_slot(&self, key: &EventKey) -> Option<usize> {
         if !self.stage.is_empty() {
             return None;
         }
-        let lo = self.bottom.len().saturating_sub(LADDER_INSERT_MAX);
+        let lo = self.bottom.len().saturating_sub(LADDER_INSERT_WINDOW);
         match self.bottom[lo..].iter().rposition(|e| e.key > *key) {
             Some(i) => Some(lo + i + 1),
             None => (lo == 0).then_some(0),
@@ -627,15 +644,16 @@ impl<P> Ladder<P> {
         Some(self.never.swap_remove(i))
     }
 
-    /// Merges the staged pushes into the sorted bottom. A few of them are
-    /// inserted in place, each slot found by scanning from the back — the
-    /// scan visits exactly the events the `insert` then shifts, so it never
-    /// costs more than the move it precedes, and staged events mostly land
-    /// near the back; a larger batch is appended and the whole tier
-    /// re-sorted, which keeps the allocation. The near tier is bounded (see
-    /// `stage`), so either stays small.
+    /// Merges the staged pushes into the sorted bottom. Up to
+    /// `LADDER_MERGE_MAX` of them are inserted in place, each slot found by
+    /// scanning from the back — the scan visits exactly the events the
+    /// `insert` then shifts, so it never costs more than the move it
+    /// precedes, and staged events mostly land near the back; a larger
+    /// batch is appended and the whole tier re-sorted, which keeps the
+    /// allocation. The near tier is bounded (see `stage`), so either stays
+    /// small.
     fn flush_stage(&mut self) {
-        if self.stage.len() <= LADDER_INSERT_MAX {
+        if self.stage.len() <= LADDER_MERGE_MAX {
             for ev in self.stage.drain(..) {
                 let at = self
                     .bottom
@@ -1474,12 +1492,46 @@ mod tests {
         assert_eq!(drain_equal(&mut heap, &mut lad), 999);
     }
 
+    /// The window reaches past the depth the traffic lands at: on a small
+    /// list's live bottom, an imminent push that lands 9 to
+    /// `LADDER_INSERT_WINDOW - 1` places from the back (9.2 is where
+    /// `dumbbell_dctcp`'s sequential pushes land on average; depth 9 is
+    /// tried whatever the window) goes in place at exactly that depth, the
+    /// stage stays empty, and the pops are the heap's.
+    #[test]
+    fn pushes_within_the_window_insert_in_place() {
+        let [mut heap, mut lad] = both();
+        for s in 0..LADDER_THRES as u64 {
+            heap.push(ev(s * 1_000, 0, s));
+            lad.push(ev(s * 1_000, 0, s));
+        }
+        // The first pop sorts the whole overflow into the bottom.
+        assert_eq!(lad.pop().map(|e| e.key), heap.pop().map(|e| e.key));
+        let depths = 9..LADDER_INSERT_WINDOW.max(10);
+        for (seq, depth) in depths.clone().enumerate() {
+            let bottom = &ladder(&lad).bottom;
+            assert!(bottom.len() > depth, "bottom of {}", bottom.len());
+            // Sender LP 1 sorts right after the `depth`-th event to pop.
+            let ts = bottom[bottom.len() - depth].key.ts.0;
+            heap.push(ev(ts, 1, seq as u64));
+            lad.push(ev(ts, 1, seq as u64));
+            let bottom = &ladder(&lad).bottom;
+            assert_eq!(ladder(&lad).staged(), 0, "depth {depth} staged");
+            let at = bottom[bottom.len() - 1 - depth].key;
+            assert_eq!((at.ts.0, at.sender_lp()), (ts, LpId(1)), "depth {depth}");
+        }
+        assert_eq!(
+            drain_equal(&mut heap, &mut lad),
+            LADDER_THRES - 1 + depths.len()
+        );
+    }
+
     /// The burst regime: 10 000 pushes at the head's timestamp, each key
     /// larger than the last (so each lands one place deeper behind the
-    /// back), below the deepest rung threshold. At most `LADDER_INSERT_MAX`
-    /// go in place; the rest are staged and merged by one sort, so a burst
-    /// costs no `memmove` of the bottom per event, and the pops are in key
-    /// order.
+    /// back), below the deepest rung threshold. Fewer than
+    /// `LADDER_INSERT_WINDOW` go in place; the rest are staged and merged by
+    /// one sort, so a burst costs no `memmove` of the bottom per event, and
+    /// the pops are in key order.
     #[test]
     fn a_burst_behind_the_back_is_staged_and_sorted_once() {
         let [mut heap, mut lad] = with_live_rung();
@@ -1491,7 +1543,7 @@ mod tests {
         }
         let staged = ladder(&lad).staged();
         assert!(
-            staged >= 10_000 - LADDER_INSERT_MAX,
+            staged > 10_000 - LADDER_INSERT_WINDOW,
             "only {staged} of 10 000 staged"
         );
         assert_eq!(drain_equal(&mut heap, &mut lad), 10_999);

@@ -62,6 +62,14 @@ enum FelOp {
         at: u64,
         spread: u64,
     },
+    /// Push one key that exactly `depth` stored events precede: it lands
+    /// `depth` places from the bottom's back, on either side of the
+    /// ladder's in-place window (`LADDER_INSERT_WINDOW`) at every value
+    /// the window has been measured with, and stages behind a deeper push
+    /// as the sequential kernel's traffic does.
+    Behind {
+        depth: usize,
+    },
 }
 
 /// `Hold` increments: same-timestamp successors (ties broken by the rest of
@@ -80,6 +88,10 @@ const REGIME_POPULATIONS: [usize; 12] = [0, 3, 62, 63, 64, 65, 66, 254, 255, 256
 /// (64): one chunk short of full, full, one over, two full plus one, a
 /// bucket just past the split rule, and one that splits into many chunks.
 const BURST_SIZES: [usize; 6] = [15, 16, 17, 33, 65, 300];
+
+/// Deepest `Behind` push: the widest in-place window the near tier has
+/// been measured with (8, 16, 32, 64).
+const BEHIND_MAX: u64 = 64;
 
 /// `Burst` spreads: one instant, a few ns (a split of a multi-chunk
 /// bucket, then single-chunk promotions into the bottom), tens of ns.
@@ -114,7 +126,7 @@ fn views_agree(ladder: &Fel<u64>, heap: &Fel<u64>) {
 /// the remaining tuple slots feed whichever operands it needs.
 fn arb_op() -> impl Strategy<Value = FelOp> {
     (
-        0u8..12,
+        0u8..13,
         arb_key(),
         proptest::collection::vec(arb_key(), 0..40),
         0u64..1_200,
@@ -144,6 +156,9 @@ fn arb_op() -> impl Strategy<Value = FelOp> {
                 n: BURST_SIZES[target % BURST_SIZES.len()],
                 at: bound,
                 spread: BURST_SPREADS[n % BURST_SPREADS.len()],
+            },
+            11 => FelOp::Behind {
+                depth: (key.seq() % BEHIND_MAX + 1) as usize,
             },
             // Push an event at `Time::MAX` (the never-firing sentinel shape).
             _ => FelOp::Push(EventKey::new(
@@ -207,9 +222,13 @@ proptest! {
     ) {
         let mut ladder: Fel<u64> = Fel::with_impl(FelImpl::Ladder);
         let mut heap: Fel<u64> = Fel::with_impl(FelImpl::BinaryHeap);
-        let mut payload = 0u64;
+        let payload = std::cell::Cell::new(0u64);
+        let next_payload = || {
+            payload.set(payload.get() + 1);
+            payload.get()
+        };
         let mut mk = |mut key: EventKey| {
-            payload += 1;
+            let payload = next_payload();
             // Keys in the real system are unique (per-sender seq counters,
             // DESIGN.md §4.1); disambiguate generated duplicates the same
             // way, since pop order among *equal* keys is unspecified in
@@ -284,6 +303,22 @@ proptest! {
                             LpId((i % 8) as u32),
                             i,
                         ));
+                        ladder.push(dup(&ev));
+                        heap.push(ev);
+                    }
+                }
+                FelOp::Behind { depth } => {
+                    // The reference alone pops the `depth` earliest events
+                    // and takes them back; the new key sorts right after
+                    // the last of them (one more in its sequence number),
+                    // unless that key is stored already.
+                    let earliest: Vec<Event<u64>> = (0..depth).map_while(|_| heap.pop()).collect();
+                    let next = heap.pop();
+                    let after = earliest.last().map(|e| e.key);
+                    heap.extend(earliest.into_iter().chain(next.as_ref().map(dup)));
+                    let key = after.map(|a| EventKey::new(a.ts, a.sender_ts, a.sender_lp(), a.seq() + 1));
+                    if let Some(key) = key.filter(|&k| next.is_none_or(|n| n.key != k)) {
+                        let ev = Event { key, node: NodeId(0), payload: next_payload() };
                         ladder.push(dup(&ev));
                         heap.push(ev);
                     }

@@ -8,10 +8,30 @@
 # RSS: B is lower in at least 9 of 10 pairs (ties count for neither side)
 # and the medians differ by more than A's interquartile range of that
 # metric. Quartiles are the
-# benchmark's own (`stats.rs`: rank p * (n + 1), interpolated). Exits 1 if
-# any run's digest, event, round, fused-round, completed-flow, drop or
-# retransmit count differs from A's first run — a faster run of another
-# simulation proves nothing. Needs cargo and git; nothing is downloaded.
+# benchmark's own (`stats.rs`: rank p * (n + 1), interpolated).
+#
+# The run times are also read as the benchmark reports them, relative to
+# the machine's speed: before each pair, side A's `--reference` runs the
+# benchmark's fixed reference computation (`benchmark/src/reference.rs`)
+# once in a fresh process, and both runs of the pair are scaled by
+# 0.23 s / that reference's seconds (0.23 s is the reference's nominal
+# time, `reference::NOMINAL_S`). The normalized quartiles and a second
+# time verdict follow the raw ones; win counts are the same in both, as
+# one reference scales both sides of a pair. The benchmark scales by the
+# median reference of an invocation; one per pair follows a drifting
+# machine more closely.
+#
+# Each run's cpu/wall ratio (`run_cpu_s` over the `run` span) shows
+# whether it had its CPUs to itself: about 1 for one thread, 1.7-2.0 for
+# two threads on two CPUs, about 1 for two threads time-sliced on one. A
+# one-thread run whose wall time exceeds its CPU time by more than 10 %
+# waited for a CPU, and is flagged `!` (CPU time counts 10 ms clock ticks,
+# so the test allows it one tick). The medians of each side's ratios are
+# printed after the pairs.
+#
+# Exits 1 if any run's digest, event, round, fused-round, completed-flow,
+# drop or retransmit count differs from A's first run — a faster run of
+# another simulation proves nothing. Needs cargo and git; nothing is downloaded.
 # Timings want a quiet machine; not a CI step.
 #
 #   scripts/ab.sh --rev <parent-revision> <input.toml> [pairs=10]
@@ -70,8 +90,8 @@ case ${1:-} in
 esac
 [[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
 
-# One run: "<run span s> <VmHWM kB> <identity>", identity being the digest
-# and the counts that must not move.
+# One run: "<run span s> <VmHWM kB> <run CPU s> <threads> <identity>",
+# identity being the digest and the counts that must not move.
 run_one() { # run_one <binary> <input>
     "$1" --one < "$2" | awk '
         function field(key,    s) {
@@ -83,8 +103,9 @@ run_one() { # run_one <binary> <input>
         {
             match($0, /"name":"run","start_ns":[0-9]+,"end_ns":[0-9]+/)
             split(substr($0, RSTART, RLENGTH), f, /[:,]/)
-            printf "%.6f %s digest=%s events=%s rounds=%s fused=%s completed=%s drops=%s retx=%s\n",
-                (f[6] - f[4]) / 1e9, field("vm_hwm_kb"), field("digest"), field("events"),
+            printf "%.6f %s %s %s digest=%s events=%s rounds=%s fused=%s completed=%s drops=%s retx=%s\n",
+                (f[6] - f[4]) / 1e9, field("vm_hwm_kb"), field("run_cpu_s"), field("threads"),
+                field("digest"), field("events"),
                 field("rounds"), field("fused_rounds"), field("completed_flows"),
                 field("drops"), field("retx")
         }'
@@ -93,12 +114,21 @@ run_one() { # run_one <binary> <input>
 echo "$name_a: $bin_a"
 echo "$name_b: $bin_b"
 echo "input:  $input, $pairs pairs"
-printf '%4s  %-6s  %10s  %10s  %8s\n' pair first "${name_a}_s" "${name_b}_s" "$name_b"
+printf '%4s  %-6s  %7s  %10s  %10s  %8s  %12s  %12s\n' pair first ref_s "${name_a}_s" "${name_b}_s" \
+    "$name_b" "${name_a}_cpu/w" "${name_b}_cpu/w"
 results=$(mktemp)
 trap 'rm -f "$results"' EXIT
 reference=""
 mismatch=0
+# cpu/wall of a run, with a `!` when a one-thread run waited for a CPU.
+ratio() { # ratio <wall s> <cpu s> <threads>
+    awk -v w="$1" -v c="$2" -v n="$3" 'BEGIN {
+        printf "%.2f%s", c / w, (n == 1 && w > 1.1 * (c + 0.01)) ? "!" : ""
+    }'
+}
+
 for (( i = 1; i <= pairs; i++ )); do
+    ref=$("$bin_a" --reference)
     if (( i % 2 )); then
         first=$name_a
         a=$(run_one "$bin_a" "$input")
@@ -108,8 +138,8 @@ for (( i = 1; i <= pairs; i++ )); do
         b=$(run_one "$bin_b" "$input")
         a=$(run_one "$bin_a" "$input")
     fi
-    read -r ta ka ida <<< "$a"
-    read -r tb kb idb <<< "$b"
+    read -r ta ka ca threads_a ida <<< "$a"
+    read -r tb kb cb threads_b idb <<< "$b"
     [[ -n $reference ]] || reference=$ida
     for id in "$ida" "$idb"; do
         if [[ $id != "$reference" ]]; then
@@ -117,9 +147,10 @@ for (( i = 1; i <= pairs; i++ )); do
             mismatch=1
         fi
     done
-    echo "$ta $ka $tb $kb" >> "$results"
-    printf '%4d  %-6s  %10.4f  %10.4f  %+7.1f%%\n' "$i" "$first" "$ta" "$tb" \
-        "$(awk -v a="$ta" -v b="$tb" 'BEGIN { print 100 * (b - a) / a }')"
+    echo "$ta $ka $tb $kb $ref $ca $cb" >> "$results"
+    printf '%4d  %-6s  %7.4f  %10.4f  %10.4f  %+7.1f%%  %12s  %12s\n' "$i" "$first" "$ref" "$ta" "$tb" \
+        "$(awk -v a="$ta" -v b="$tb" 'BEGIN { print 100 * (b - a) / a }')" \
+        "$(ratio "$ta" "$ca" "$threads_a")" "$(ratio "$tb" "$cb" "$threads_b")"
 done
 echo "identity: $reference"
 
@@ -137,11 +168,15 @@ awk -v na="$name_a" -v nb="$name_b" '
     }
     {
         ta[NR] = $1; ka[NR] = $2; tb[NR] = $3; kb[NR] = $4
+        # Normalized to the reference nominal 0.23 s (reference::NOMINAL_S).
+        norm_a[NR] = $1 * 0.23 / $5; norm_b[NR] = $3 * 0.23 / $5
+        ra[NR] = $6 / $1; rb[NR] = $7 / $3
         wins += ($3 < $1); lower += ($4 < $2)
     }
     END {
         n = NR
         sort(ta, n); sort(tb, n); sort(ka, n); sort(kb, n)
+        sort(norm_a, n); sort(norm_b, n); sort(ra, n); sort(rb, n)
         qa1 = quantile(ta, n, 0.25); qa2 = quantile(ta, n, 0.5); qa3 = quantile(ta, n, 0.75)
         qb1 = quantile(tb, n, 0.25); qb2 = quantile(tb, n, 0.5); qb3 = quantile(tb, n, 0.75)
         ka1 = quantile(ka, n, 0.25); ma = quantile(ka, n, 0.5); ka3 = quantile(ka, n, 0.75)
@@ -158,6 +193,15 @@ awk -v na="$name_a" -v nb="$name_b" '
         rss_met = (10 * lower >= 9 * n) && (ma - mb > ka3 - ka1)
         printf "gain rule on time (>= 9/10 pairs and gap > %s IQR): %s\n", na, time_met ? "met" : "not met"
         printf "gain rule on peak RSS (>= 9/10 pairs and gap > %s IQR): %s\n", na, rss_met ? "met" : "not met"
+        na1 = quantile(norm_a, n, 0.25); na2 = quantile(norm_a, n, 0.5); na3 = quantile(norm_a, n, 0.75)
+        nb1 = quantile(norm_b, n, 0.25); nb2 = quantile(norm_b, n, 0.5); nb3 = quantile(norm_b, n, 0.75)
+        printf "normalized: %s run s q1/median/q3 %.4f/%.4f/%.4f, %s %.4f/%.4f/%.4f\n",
+            na, na1, na2, na3, nb, nb1, nb2, nb3
+        printf "normalized: %s median %+.1f%%, gap %.4f s vs %s IQR %.4f s\n",
+            nb, 100 * (nb2 - na2) / na2, na2 - nb2, na, na3 - na1
+        norm_met = (10 * wins >= 9 * n) && (na2 - nb2 > na3 - na1)
+        printf "gain rule on normalized time (>= 9/10 pairs and gap > %s IQR): %s\n", na, norm_met ? "met" : "not met"
+        printf "cpu/wall median %s %.2f, %s %.2f\n", na, quantile(ra, n, 0.5), nb, quantile(rb, n, 0.5)
     }' "$results"
 if (( mismatch )); then
     echo "the two sides did not run the same simulation (identity differs above)" >&2
