@@ -412,8 +412,9 @@ fn check_prices_static_ecmp_by_the_tables_it_builds() {
 /// exit 1 — a failed allocation would abort the process instead, as would
 /// the routing tables of a fat-tree with 70 656 nodes (priced at 1.8 GB)
 /// — and so does a watchdog deadline of 0, which would stall the first
-/// round, and a retired kernel name. Each case is `replace this | by this |
-/// message`.
+/// round, a retired kernel name, and a deleted section or key (UDP On/Off
+/// sources, a `[transport]` field override). Each case is `replace this |
+/// by this | message`.
 #[test]
 fn hostile_sizes_exit_1_with_a_spanned_message() {
     let path = corpus_dir().join("quickstart.toml");
@@ -427,6 +428,8 @@ fn hostile_sizes_exit_1_with_a_spanned_message() {
         "threads = 2 | threads = 2\nwatchdog_ms = 0 | col 1: `watchdog_ms` must be positive",
         "\nk = 4\n | \nk = 4\nrate_mbps = 18000000000000\n | line 15, col 1: this traffic would generate about",
         "kernel = \"unison\"\nthreads = 2 | kernel = \"nullmsg\" | line 23, col 1: unknown kernel `nullmsg` (expected sequential | sequential_compat | unison)",
+        "threads = 2 | threads = 2\n[[on_off]]\nsrc = 0 | line 25, col 1: unknown section `[on_off]`",
+        "threads = 2 | threads = 2\n[transport]\n  init_cwnd = 4 | line 26, col 3: unknown key `init_cwnd`",
     ]
     .into_iter()
     .enumerate()

@@ -15,7 +15,6 @@ use unison_core::{
 use unison_topology::{NodeKind, Topology};
 use unison_traffic::{FlowSpec, TrafficConfig};
 
-use crate::app::{OnOffApp, OnOffConfig};
 use crate::flowmon::FlowReport;
 use crate::node::{Device, NetEvent, NetNode};
 use crate::queue::{Queue, QueueConfig};
@@ -56,7 +55,6 @@ pub struct NetworkBuilder<'a> {
     queue: QueueConfig,
     routing: RoutingKind,
     flows: Vec<FlowSpec>,
-    on_off: Vec<(usize, OnOffConfig)>,
     stop: Option<Time>,
 }
 
@@ -72,7 +70,6 @@ impl<'a> NetworkBuilder<'a> {
             },
             routing: RoutingKind::StaticEcmp,
             flows: Vec::new(),
-            on_off: Vec::new(),
             stop: None,
         }
     }
@@ -119,15 +116,6 @@ impl<'a> NetworkBuilder<'a> {
     /// Adds explicit flows.
     pub fn flows(mut self, flows: impl IntoIterator<Item = FlowSpec>) -> Self {
         self.flows.extend(flows);
-        self
-    }
-
-    /// Attaches On/Off UDP sources (`(source node, config)` pairs).
-    pub fn on_off_sources(
-        mut self,
-        sources: impl IntoIterator<Item = (usize, OnOffConfig)>,
-    ) -> Self {
-        self.on_off.extend(sources);
         self
     }
 
@@ -222,13 +210,6 @@ impl<'a> NetworkBuilder<'a> {
             }
         }
 
-        // Attach On/Off applications before the nodes move into the world.
-        let mut app_ticks: Vec<(usize, u16)> = Vec::new();
-        for (src, cfg) in &self.on_off {
-            let idx = nodes[*src].apps.len() as u16;
-            nodes[*src].apps.push(OnOffApp::new(cfg.clone()));
-            app_ticks.push((*src, idx));
-        }
         let mut wb: WorldBuilder<NetNode> = WorldBuilder::new();
         let rip = matches!(self.routing, RoutingKind::Rip { .. });
         for node in nodes {
@@ -256,9 +237,6 @@ impl<'a> NetworkBuilder<'a> {
                     bytes: f.bytes,
                 },
             );
-        }
-        for (src, app) in app_ticks {
-            wb.schedule(Time(1), NodeId(src as u32), NetEvent::AppTick { app });
         }
         if let Some(stop) = self.stop {
             wb.stop_at(stop);

@@ -76,12 +76,6 @@ pub struct FlowReport {
     pub rto_fires: u64,
     /// Payload bytes delivered in order at receivers.
     pub bytes_delivered: u64,
-    /// UDP datagrams delivered.
-    pub udp_pkts: u64,
-    /// UDP payload bytes delivered.
-    pub udp_bytes: u64,
-    /// UDP datagrams emitted by On/Off sources.
-    pub udp_sent: u64,
 }
 
 impl FlowReport {
@@ -99,13 +93,6 @@ impl FlowReport {
             }
         }
         for node in world.nodes() {
-            for rx in node.udp_rx.values() {
-                report.udp_pkts += rx.pkts;
-                report.udp_bytes += rx.bytes;
-            }
-            for app in &node.apps {
-                report.udp_sent += app.sent;
-            }
             report.rtt_ns.merge(&node.mon.rtt_ns);
             report.queue_delay_ns.merge(&node.mon.queue_delay_ns);
             report.routing_drops += node.mon.routing_drops;

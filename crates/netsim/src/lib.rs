@@ -43,7 +43,6 @@
 //! assert!(result.kernel.events > 0);
 //! ```
 
-pub mod app;
 pub mod build;
 pub mod flowmon;
 pub mod node;
@@ -55,7 +54,6 @@ pub mod scenario;
 pub(crate) mod snapshot;
 pub mod tcp;
 
-pub use app::{OnOffAction, OnOffApp, OnOffConfig};
 pub use build::{BuiltLink, NetSim, NetworkBuilder, RoutingKind, SimResult};
 pub use flowmon::{FlowReport, FlowStat};
 pub use node::{Device, LossState, NetEvent, NetNode};

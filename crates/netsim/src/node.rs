@@ -9,7 +9,6 @@ use unison_core::{
 };
 use unison_stats::Summary;
 
-use crate::app::{OnOffAction, OnOffApp};
 use crate::packet::{FlowId, Packet, PacketKind, RipMsg};
 use crate::queue::Queue;
 use crate::route::Routing;
@@ -54,11 +53,6 @@ pub enum NetEvent {
     RipTick,
     /// RIP triggered-update timer.
     RipTriggered,
-    /// On/Off UDP application tick.
-    AppTick {
-        /// Index into the node's application list.
-        app: u16,
-    },
 }
 
 /// One attachment point (NIC port) of a node.
@@ -97,17 +91,6 @@ pub struct LossState {
 
 snapshot_struct!(LossState { period, counter });
 
-/// Receiver-side accounting of one UDP flow.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct UdpRx {
-    /// Payload bytes received.
-    pub bytes: u64,
-    /// Datagrams received.
-    pub pkts: u64,
-    /// Highest sequence number seen (gap-based loss estimation).
-    pub max_seq: u64,
-}
-
 /// Per-node measurement shard (merged globally by
 /// [`FlowReport`](crate::flowmon::FlowReport)).
 #[derive(Debug, Default)]
@@ -144,10 +127,6 @@ pub struct NetNode {
     pub senders: FlowMap<TcpSender>,
     /// Active and completed receivers, keyed by forward flow id.
     pub receivers: FlowMap<TcpReceiver>,
-    /// On/Off UDP sources attached to this node.
-    pub apps: Vec<OnOffApp>,
-    /// UDP receive accounting, keyed by forward flow id.
-    pub udp_rx: FlowMap<UdpRx>,
     /// Injected loss burst, when one is active ([`LossState`]).
     pub loss: Option<LossState>,
     /// Measurement shard.
@@ -168,8 +147,6 @@ impl NetNode {
             tcp_cfg,
             senders: FlowMap::default(),
             receivers: FlowMap::default(),
-            apps: Vec::new(),
-            udp_rx: FlowMap::default(),
             loss: None,
             mon: NodeMonitor::default(),
             next_sport: FIRST_SPORT,
@@ -504,12 +481,6 @@ impl SimNode for NetNode {
                             echo_retx,
                         } => self.on_ack(&packet, ack, ece, echo_ts, echo_retx, ctx),
                         PacketKind::Rip(msg) => self.on_rip_msg(msg, dev, ctx),
-                        &PacketKind::Datagram { seq, len } => {
-                            let rx = self.udp_rx.entry(packet.flow).or_default();
-                            rx.bytes += len as u64;
-                            rx.pkts += 1;
-                            rx.max_seq = rx.max_seq.max(seq);
-                        }
                     }
                 } else {
                     self.route_and_send(packet, ctx);
@@ -542,30 +513,6 @@ impl SimNode for NetNode {
                     rip.triggered_pending = false;
                 }
             }
-            NetEvent::AppTick { app } => {
-                let now = ctx.now();
-                let Some(a) = self.apps.get_mut(app as usize) else {
-                    return;
-                };
-                match a.tick(now) {
-                    OnOffAction::Send { seq, len, next } => {
-                        let flow = FlowId {
-                            src: self.id.0,
-                            dst: a.cfg.dst,
-                            // Port 7000+idx distinguishes concurrent apps.
-                            sport: 7_000 + app,
-                            dport: 7,
-                        };
-                        let pkt = Packet::datagram(flow, seq, len, now);
-                        ctx.schedule_self(next, NetEvent::AppTick { app });
-                        self.route_and_send(pkt, ctx);
-                    }
-                    OnOffAction::Idle { next } => {
-                        ctx.schedule_self(next, NetEvent::AppTick { app });
-                    }
-                    OnOffAction::Done => {}
-                }
-            }
         }
     }
 }
@@ -579,12 +526,6 @@ snapshot_struct!(Device {
     busy,
     up,
     link_id
-});
-
-snapshot_struct!(UdpRx {
-    bytes,
-    pkts,
-    max_seq
 });
 
 impl Snapshot for NodeMonitor {
@@ -618,8 +559,6 @@ impl Snapshot for NetNode {
             tcp_cfg,
             senders,
             receivers,
-            apps,
-            udp_rx,
             loss,
             mon,
             next_sport,
@@ -630,14 +569,16 @@ impl Snapshot for NetNode {
         devices.save(w);
         routing.save(w);
         tcp_cfg.save(w);
-        // Socket and UDP maps are written in sorted flow order — a hash
-        // table's iteration order must not leak into the canonical encoding.
+        // Socket maps are written in sorted flow order — a hash table's
+        // iteration order must not leak into the canonical encoding.
         save_map(senders, w);
         save_map(receivers, w);
-        apps.save(w);
-        save_map(udp_rx, w);
-        // The `None` tag of the deleted packet-trace buffer: every golden
-        // digest was taken with this byte, so it stays until they re-pin.
+        // The empty lengths of the deleted UDP On/Off source list and UDP
+        // receive map, then the `None` tag of the deleted packet-trace
+        // buffer: every golden digest was taken with these bytes, so they
+        // stay until the digests re-pin (ROADMAP items 2 and 10(b)).
+        0u64.save(w);
+        0u64.save(w);
         0u8.save(w);
         loss.save(w);
         mon.save(w);
@@ -732,14 +673,6 @@ mod tests {
         ] {
             n.receivers.insert(f, TcpReceiver::new(f, size));
         }
-        n.udp_rx.insert(
-            flow(5, 2, 7_001, 7),
-            UdpRx {
-                bytes: 1_600,
-                pkts: 2,
-                max_seq: 3,
-            },
-        );
         const PARENT: &str = concat!(
             "020000000100000000000000000000000000000000000000000000000000000a00000000c2eb0b0000000000",
             "c2eb0b00000000000000000000b03f0103000000000000000200000004000000e80350000200000004000000",
@@ -764,8 +697,19 @@ mod tests {
             "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
             "00000000000000000000000000000000000000000000000000000000e8030000000000000000",
         );
-        // The byte the deleted trace buffer's `None` wrote is still there.
-        assert_eq!(digest(&n), digest_of_hex(PARENT));
+        // Up to commit 6d7d3ef the node also held one UDP receive entry
+        // (flow 5 -> 2, ports 7 001 -> 7; 1 600 bytes, 2 packets, max seq 3).
+        // Its map of one becomes the empty map's length; the empty On/Off
+        // source list before it and the byte the deleted trace buffer's
+        // `None` wrote after it are still there.
+        const UDP_MAP_OF_ONE: &str = concat!(
+            "0100000000000000",
+            "0500000002000000591b0700",
+            "400600000000000002000000000000000300000000000000",
+        );
+        assert_eq!(PARENT.matches(UDP_MAP_OF_ONE).count(), 1);
+        let expected = PARENT.replacen(UDP_MAP_OF_ONE, "0000000000000000", 1);
+        assert_eq!(digest(&n), digest_of_hex(&expected));
     }
 
     #[test]

@@ -63,13 +63,6 @@ pub enum PacketKind {
     },
     /// A RIP distance-vector advertisement.
     Rip(Box<RipMsg>),
-    /// A connectionless UDP datagram (no ACKs, no retransmission).
-    Datagram {
-        /// Sequence number within the flow (loss accounting).
-        seq: u64,
-        /// Payload length.
-        len: u32,
-    },
 }
 
 /// A RIP advertisement: `(destination node, metric)` pairs.
@@ -150,24 +143,12 @@ impl Packet {
         }
     }
 
-    /// Builds a UDP datagram for `flow`.
-    pub fn datagram(flow: FlowId, seq: u64, len: u32, now: Time) -> Self {
-        Packet {
-            flow,
-            kind: PacketKind::Datagram { seq, len },
-            ecn_capable: false,
-            ecn_ce: false,
-            sent_at: now,
-        }
-    }
-
-    /// Bytes on the wire, headers included: a data segment or datagram is
-    /// its payload plus [`HEADER_BYTES`], an ACK [`ACK_BYTES`], a RIP
+    /// Bytes on the wire, headers included: a data segment is its payload plus [`HEADER_BYTES`], an ACK [`ACK_BYTES`], a RIP
     /// advertisement 32 bytes plus 4 per route.
     #[inline]
     pub fn bytes(&self) -> u32 {
         match &self.kind {
-            PacketKind::Data { len, .. } | PacketKind::Datagram { len, .. } => len + HEADER_BYTES,
+            PacketKind::Data { len, .. } => len + HEADER_BYTES,
             PacketKind::Ack { .. } => ACK_BYTES,
             PacketKind::Rip(msg) => RIP_HEADER_BYTES + RIP_ROUTE_BYTES * msg.routes.len() as u32,
         }
@@ -226,11 +207,6 @@ impl Snapshot for PacketKind {
                 w.u8(2);
                 msg.save(w);
             }
-            PacketKind::Datagram { seq, len } => {
-                w.u8(3);
-                seq.save(w);
-                len.save(w);
-            }
         }
     }
 }
@@ -287,7 +263,6 @@ mod tests {
 
     #[test]
     fn wire_size_follows_the_kind() {
-        assert_eq!(Packet::datagram(flow(), 3, 1_000, Time(1)).bytes(), 1_052);
         let rip = |routes: usize| Packet {
             flow: flow(),
             kind: PacketKind::Rip(Box::new(RipMsg {

@@ -15,7 +15,6 @@ use unison_scenario::{
 };
 use unison_topology::Topology;
 
-use crate::app::OnOffConfig;
 use crate::build::{NetworkBuilder, RoutingKind};
 use crate::node::NetNode;
 use crate::queue::QueueConfig;
@@ -37,10 +36,10 @@ pub fn world_digest(world: &World<NetNode>) -> u64 {
     w.finish()
 }
 
-/// Maps a `[transport]` spec onto a [`TcpConfig`]: pick the base profile
-/// the hand-written binaries use, then apply field overrides.
+/// Maps a `[transport]` spec onto a [`TcpConfig`]: the profile the
+/// hand-written binaries use for that transport.
 pub fn tcp_config_of(spec: &TransportSpec) -> TcpConfig {
-    let mut cfg = match (spec.kind, spec.profile) {
+    match (spec.kind, spec.profile) {
         (TransportKindSpec::NewReno, TcpProfile::Default) => TcpConfig::newreno(),
         (TransportKindSpec::NewReno, TcpProfile::Dcn) => TcpConfig::newreno_dcn(),
         (TransportKindSpec::Dctcp, TcpProfile::Default) => TcpConfig::dctcp(),
@@ -48,23 +47,7 @@ pub fn tcp_config_of(spec: &TransportSpec) -> TcpConfig {
             kind: TransportKind::Dctcp,
             ..TcpConfig::newreno_dcn()
         },
-    };
-    if let Some(w) = spec.init_cwnd {
-        cfg.init_cwnd = w;
     }
-    if let Some(t) = spec.min_rto {
-        cfg.min_rto = t;
-    }
-    if let Some(t) = spec.initial_rto {
-        cfg.initial_rto = t;
-    }
-    if let Some(g) = spec.dctcp_g {
-        cfg.dctcp_g = g;
-    }
-    if let Some(lt) = spec.limited_transmit {
-        cfg.limited_transmit = lt;
-    }
-    cfg
 }
 
 /// Maps a `[queue]` spec onto a [`QueueConfig`].
@@ -114,7 +97,7 @@ impl<'a> NetworkBuilder<'a> {
         let mut b = NetworkBuilder::new(topo);
         if spec.transport.kind == TransportKindSpec::Dctcp {
             // Establish the DCTCP default-queue coupling first, then let an
-            // explicit [queue] or tcp override refine it.
+            // explicit [queue] replace it.
             b = b.transport(TransportKind::Dctcp);
         }
         b = b.tcp_config(tcp_config_of(&spec.transport));
@@ -126,20 +109,6 @@ impl<'a> NetworkBuilder<'a> {
             b = b.traffic(&traffic);
         }
         b = b.flows(spec.flows.iter().copied());
-        b = b.on_off_sources(spec.on_off.iter().map(|o| {
-            (
-                o.src,
-                OnOffConfig {
-                    dst: o.dst,
-                    rate: o.rate,
-                    pkt_bytes: o.pkt_bytes,
-                    mean_on: o.mean_on,
-                    mean_off: o.mean_off,
-                    until: o.until,
-                    seed: o.seed,
-                },
-            )
-        }));
         b.stop_at(spec.run.stop)
     }
 }
@@ -180,7 +149,7 @@ threads = 2
     }
 
     #[test]
-    fn transport_overrides_apply() {
+    fn transport_profile_applies() {
         let spec = parse_scenario(
             r#"
 [topology]
@@ -189,13 +158,6 @@ k = 4
 [transport]
 kind = "newreno"
 profile = "dcn"
-init_cwnd = 4
-limited_transmit = false
-[[flow]]
-src = 8
-dst = 9
-bytes = 10000
-start_us = 1
 [run]
 stop_us = 1000
 kernel = "sequential"
@@ -205,7 +167,5 @@ kernel = "sequential"
         let tcp = tcp_config_of(&spec.transport);
         assert_eq!(tcp.kind, TransportKind::NewReno);
         assert_eq!(tcp.min_rto, Time::from_millis(1));
-        assert_eq!(tcp.init_cwnd, 4);
-        assert!(!tcp.limited_transmit);
     }
 }

@@ -119,7 +119,7 @@ fn the_digest_holds_one_sorted_key_vector_at_a_time() {
 
     let largest_map = world
         .nodes()
-        .map(|n| n.senders.len().max(n.receivers.len()).max(n.udp_rx.len()))
+        .map(|n| n.senders.len().max(n.receivers.len()))
         .max()
         .expect("a fat tree has nodes");
     assert!(largest_map > 1, "no node holds more than one flow");

@@ -290,108 +290,6 @@ fn link_failure_reroutes_with_static_recompute() {
 }
 
 #[test]
-fn udp_onoff_burst_floods_and_tcp_survives() {
-    use unison_netsim::OnOffConfig;
-    // A DDoS-flavored scenario: 6 On/Off UDP sources flood one victim
-    // through the dumbbell bottleneck while 2 TCP flows share the path.
-    let topo = dumbbell(
-        8,
-        8,
-        DataRate::gbps(1),
-        DataRate::gbps(1),
-        Time::from_micros(20),
-    );
-    let hosts = topo.hosts();
-    let sources: Vec<_> = (0..6)
-        .map(|i| {
-            (
-                hosts[i],
-                OnOffConfig {
-                    dst: hosts[8] as u32,
-                    rate: DataRate::mbps(700),
-                    pkt_bytes: 1_000,
-                    mean_on: Time::from_micros(400),
-                    mean_off: Time::from_micros(400),
-                    until: Time::from_millis(20),
-                    seed: 100 + i as u64,
-                },
-            )
-        })
-        .collect();
-    let tcp_flows = [
-        FlowSpec {
-            src: hosts[6],
-            dst: hosts[14],
-            bytes: 100_000,
-            start: Time::from_micros(100),
-        },
-        FlowSpec {
-            src: hosts[7],
-            dst: hosts[15],
-            bytes: 100_000,
-            start: Time::from_micros(200),
-        },
-    ];
-    let sim = NetworkBuilder::new(&topo)
-        .tcp_config(unison_netsim::TcpConfig::newreno_dcn())
-        .flows(tcp_flows)
-        .on_off_sources(sources)
-        // Horizon past the 200 ms initial RTO: a flow whose whole first
-        // window drowns in the flood recovers only after that timeout.
-        .stop_at(Time::from_millis(400))
-        .build();
-    let res = sim.run(KernelKind::Unison { threads: 2 });
-    // The flood ran: datagrams were emitted and (mostly) delivered; the
-    // 3:1 oversubscription at the bottleneck must drop some.
-    assert!(
-        res.flows.udp_sent > 2_000,
-        "udp sent {}",
-        res.flows.udp_sent
-    );
-    assert!(res.flows.udp_pkts > 0);
-    assert!(
-        res.flows.udp_pkts < res.flows.udp_sent,
-        "overload must lose datagrams: {} of {}",
-        res.flows.udp_pkts,
-        res.flows.udp_sent
-    );
-    // TCP flows complete despite the hostile background.
-    assert_eq!(res.flows.completed_flows(), 2, "{}", res.flows.one_line());
-}
-
-#[test]
-fn udp_results_deterministic_across_threads() {
-    use unison_netsim::OnOffConfig;
-    let topo = fat_tree(4);
-    let hosts = topo.hosts();
-    let run = |threads| {
-        let sources: Vec<_> = (0..4)
-            .map(|i| {
-                (
-                    hosts[i],
-                    OnOffConfig {
-                        dst: hosts[15 - i] as u32,
-                        rate: DataRate::gbps(2),
-                        pkt_bytes: 1_200,
-                        mean_on: Time::from_micros(200),
-                        mean_off: Time::from_micros(200),
-                        until: Time::from_millis(2),
-                        seed: 7 + i as u64,
-                    },
-                )
-            })
-            .collect();
-        let sim = NetworkBuilder::new(&topo)
-            .on_off_sources(sources)
-            .stop_at(Time::from_millis(4))
-            .build();
-        let res = sim.run(KernelKind::Unison { threads });
-        (res.kernel.events, res.flows.udp_sent, res.flows.udp_pkts)
-    };
-    assert_eq!(run(1), run(4));
-}
-
-#[test]
 fn bcube_hosts_relay_traffic() {
     // In BCube, hosts have one port per level and forward other hosts'
     // packets; static ECMP routing must exploit both ports.

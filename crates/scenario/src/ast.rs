@@ -326,8 +326,8 @@ pub enum TransportKindSpec {
     Dctcp,
 }
 
-/// Which base parameter profile `[transport]` starts from before field
-/// overrides: WAN-scale RTOs (`default`) or datacenter RTOs (`dcn`).
+/// Which parameter profile `[transport]` selects: WAN-scale RTOs
+/// (`default`) or datacenter RTOs (`dcn`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpProfile {
     Default,
@@ -336,15 +336,10 @@ pub enum TcpProfile {
 
 /// The `[transport]` section. Pure data — the netsim layer maps it onto
 /// `TcpConfig` (`NetworkBuilder::from_scenario`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportSpec {
     pub kind: TransportKindSpec,
     pub profile: TcpProfile,
-    pub init_cwnd: Option<u32>,
-    pub min_rto: Option<Time>,
-    pub initial_rto: Option<Time>,
-    pub dctcp_g: Option<f64>,
-    pub limited_transmit: Option<bool>,
 }
 
 impl Default for TransportSpec {
@@ -352,11 +347,6 @@ impl Default for TransportSpec {
         TransportSpec {
             kind: TransportKindSpec::NewReno,
             profile: TcpProfile::Default,
-            init_cwnd: None,
-            min_rto: None,
-            initial_rto: None,
-            dctcp_g: None,
-            limited_transmit: None,
         }
     }
 }
@@ -387,20 +377,6 @@ pub enum QueueSpec {
 pub enum RoutingSpec {
     StaticEcmp,
     Rip { update_interval: Time },
-}
-
-/// One `[[on_off]]` background source. Pure data — maps onto netsim's
-/// `OnOffConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OnOffSpec {
-    pub src: usize,
-    pub dst: u32,
-    pub rate: DataRate,
-    pub pkt_bytes: u32,
-    pub mean_on: Time,
-    pub mean_off: Time,
-    pub until: Time,
-    pub seed: u64,
 }
 
 /// The `partition = ...` selection of the `[run]` section.
@@ -532,8 +508,6 @@ pub struct ScenarioSpec {
     pub traffic: Option<TrafficSpec>,
     /// Explicit `[[flow]]` injections (in addition to `[traffic]`).
     pub flows: Vec<FlowSpec>,
-    /// `[[on_off]]` background sources.
-    pub on_off: Vec<OnOffSpec>,
     pub transport: TransportSpec,
     pub queue: Option<QueueSpec>,
     pub routing: RoutingSpec,
@@ -713,14 +687,6 @@ impl ScenarioSpec {
                 return Err(err_at(table, "dst", format!("flow src == dst ({})", f.src)));
             }
         }
-        for (o, table) in self.on_off.iter().zip(&at.on_off) {
-            for (role, id) in [("src", o.src), ("dst", o.dst as usize)] {
-                if id >= n {
-                    let msg = format!("on_off {role} {id} out of range ({n} nodes)");
-                    return Err(err_at(table, role, msg));
-                }
-            }
-        }
         if let PartitionSpec::Manual(assign) = &self.run.partition {
             if assign.len() != n {
                 return Err(err_at(
@@ -849,13 +815,12 @@ fn check_routed_size(
     Err(serr(at.line, at.col, msg))
 }
 
-/// The tables [`ScenarioSpec::validate`] reports its errors at (`flows` and
-/// `on_off` in the order of the spec's lists).
+/// The tables [`ScenarioSpec::validate`] reports its errors at (`flows` in
+/// the order of the spec's list).
 struct Sources<'a> {
     topology: &'a Table,
     traffic: Option<&'a Table>,
     flows: Vec<&'a Table>,
-    on_off: Vec<&'a Table>,
     run: &'a Table,
     model: Option<&'a Table>,
 }
@@ -1319,22 +1284,6 @@ fn parse_flow(table: &Table) -> Result<FlowSpec, ScenarioError> {
     Ok(flow)
 }
 
-fn parse_on_off(table: &Table) -> Result<OnOffSpec, ScenarioError> {
-    let mut k = Keys::new(table);
-    let spec = OnOffSpec {
-        src: k.req_usize("src")?,
-        dst: k.req_usize("dst")? as u32,
-        rate: k.req_rate_mbps("rate_mbps")?,
-        pkt_bytes: k.u32("pkt_bytes")?.unwrap_or(1448),
-        mean_on: k.req_time_us("mean_on_us")?,
-        mean_off: k.req_time_us("mean_off_us")?,
-        until: k.req_time_us("until_us")?,
-        seed: k.u64("seed")?.unwrap_or(1),
-    };
-    k.finish()?;
-    Ok(spec)
-}
-
 fn parse_transport(table: &Table) -> Result<TransportSpec, ScenarioError> {
     let mut k = Keys::new(table);
     let spec = TransportSpec {
@@ -1353,11 +1302,6 @@ fn parse_transport(table: &Table) -> Result<TransportSpec, ScenarioError> {
                 &[("default", TcpProfile::Default), ("dcn", TcpProfile::Dcn)],
             )?
             .unwrap_or(TcpProfile::Default),
-        init_cwnd: k.u32("init_cwnd")?,
-        min_rto: k.time_us("min_rto_us")?,
-        initial_rto: k.time_us("initial_rto_us")?,
-        dctcp_g: k.float("dctcp_g")?,
-        limited_transmit: k.bool("limited_transmit")?,
     };
     k.finish()?;
     Ok(spec)
@@ -1762,11 +1706,10 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
     let mut model = None;
     let mut model_table = None;
     let mut flows = Vec::new();
-    let mut on_off = Vec::new();
     let mut links = Vec::new();
 
-    // Singleton sections may appear once; [[flow]]/[[on_off]]/[[link]]
-    // accumulate in file order.
+    // Singleton sections may appear once; [[flow]]/[[link]] accumulate in
+    // file order.
     let mut seen: Vec<&str> = Vec::new();
     for table in tables {
         let dup = |name: &str| -> ScenarioError {
@@ -1842,7 +1785,7 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
                 model_table = Some(table);
                 seen.push("model");
             }
-            "flow" | "on_off" | "link" if !table.is_array => {
+            "flow" | "link" if !table.is_array => {
                 return Err(serr(
                     table.line,
                     table.col,
@@ -1853,7 +1796,6 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
                 ));
             }
             "flow" => flows.push((parse_flow(table)?, table)),
-            "on_off" => on_off.push((parse_on_off(table)?, table)),
             "link" => links.push((parse_link(table)?, table)),
             other => {
                 return Err(serr(
@@ -1861,8 +1803,7 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
                     table.col,
                     format!(
                         "unknown section `[{other}]` (expected topology | traffic | transport | \
-                         queue | routing | run | model | sweep.<section> | [[flow]] | [[on_off]] | \
-                         [[link]])"
+                         queue | routing | run | model | sweep.<section> | [[flow]] | [[link]])"
                     ),
                 ));
             }
@@ -1874,7 +1815,6 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
     let run_table = run_table.ok_or_else(|| serr(1, 1, "scenario is missing its [run] section"))?;
 
     let (flows, flow_tables) = flows.into_iter().unzip();
-    let (on_off, on_off_tables) = on_off.into_iter().unzip();
     let topology = parse_topology(topology_table, &links)?;
     let routing = routing.unwrap_or(RoutingSpec::StaticEcmp);
     // Defaulted routing: blame the topology.
@@ -1884,7 +1824,6 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
         topology,
         traffic,
         flows,
-        on_off,
         transport: transport.unwrap_or_default(),
         queue,
         routing,
@@ -1895,7 +1834,6 @@ fn parse_tables(tables: &[Table]) -> Result<ScenarioSpec, ScenarioError> {
         topology: topology_table,
         traffic: traffic_table,
         flows: flow_tables,
-        on_off: on_off_tables,
         run: run_table,
         model: model_table,
     })?;

@@ -312,9 +312,11 @@ threads = 2
 /// `per_round_metrics` (what a run records is the caller's choice —
 /// `unison-run --explain` — not the file's), the in-process hybrid kernel
 /// with its `hosts` key, the LP-pinned `barrier` and `nullmsg` kernels
-/// (their numbers come from the model: `[model] baseline_partition`), and
-/// `[[fault]]` (faults come from the model, not the kernel) are rejected
-/// like any other unknown key, value or section, at their own span.
+/// (their numbers come from the model: `[model] baseline_partition`),
+/// `[[fault]]` (faults come from the model, not the kernel), `[[on_off]]`
+/// (UDP On/Off sources left the model) and the `[transport]` overrides of
+/// single `TcpConfig` fields (a transport is its kind and profile) are
+/// rejected like any other unknown key, value or section, at their own span.
 #[test]
 fn retired_run_keys_are_rejected_with_their_span() {
     let head = "[topology]\nkind = \"fat_tree\"\nk = 4\n[traffic]\nload = 0.1\n\
@@ -334,10 +336,28 @@ fn retired_run_keys_are_rejected_with_their_span() {
         ),
         ("hosts = 2", "unknown key `hosts`"),
         ("[[fault]]", "unknown section `[fault]`"),
+        ("[[on_off]]", "unknown section `[on_off]`"),
     ] {
         let e = parse_scenario(&format!("{head}  {line}\n")).unwrap_err();
         assert!(e.msg.contains(want), "{line}: {e}");
         assert_eq!((e.line, e.col), (10, 3), "{line}: {e}");
+    }
+    let transport = format!("{head}[transport]\nkind = \"dctcp\"\nprofile = \"dcn\"\n");
+    parse_scenario(&transport).unwrap_or_else(|e| panic!("{e}"));
+    for key in [
+        "init_cwnd = 4",
+        "min_rto_us = 200",
+        "initial_rto_us = 1000",
+        "dctcp_g = 0.0625",
+        "limited_transmit = false",
+    ] {
+        let e = parse_scenario(&format!("{transport}  {key}\n")).unwrap_err();
+        let name = key.split(' ').next().unwrap();
+        assert!(
+            e.msg.contains(&format!("unknown key `{name}`")),
+            "{key}: {e}"
+        );
+        assert_eq!((e.line, e.col), (13, 3), "{key}: {e}");
     }
     for kernel in ["hybrid", "barrier", "nullmsg"] {
         let retired = head.replace("kernel = \"unison\"", &format!("  kernel = \"{kernel}\""));
@@ -366,14 +386,12 @@ fn errors_carry_spans() {
 /// line 0. Each case is `replace this | by this | error line | message`.
 #[test]
 fn semantic_errors_point_at_the_offending_value() {
-    // 1 [topology] … 5, 8, 11 [[link]] 14 [traffic] 16 [run] 19 [[flow]]
-    // 24 [[on_off]]: one key a line.
+    // 1 [topology] … 5, 8, 11 [[link]] 14 [traffic] 16 [run] 19 [[flow]]:
+    // one key a line.
     let ok = "[topology]\nkind = \"manual\"\nnodes = 4\nhosts = [0, 3]\n\
               [[link]]\na = 0\nb = 1\n[[link]]\na = 1\nb = 2\n[[link]]\na = 2\nb = 3\n\
               [traffic]\nload = 0.1\n[run]\nstop_us = 10\nkernel = \"sequential\"\n\
-              [[flow]]\nsrc = 0\ndst = 3\nbytes = 9\nstart_us = 0\n\
-              [[on_off]]\nsrc = 3\ndst = 0\nrate_mbps = 1\nmean_on_us = 1\n\
-              mean_off_us = 1\nuntil_us = 5\n";
+              [[flow]]\nsrc = 0\ndst = 3\nbytes = 9\nstart_us = 0\n";
     parse_scenario(ok).unwrap_or_else(|e| panic!("{e}"));
     for case in [
         "nodes = 4 | nodes = 0 | 3 | `nodes >= 1`",
@@ -390,7 +408,6 @@ fn semantic_errors_point_at_the_offending_value() {
         "dst = 3 | dst = 9 | 21 | flow dst 9 out of range",
         "dst = 3 | dst = 0 | 21 | src == dst",
         "bytes = 9 | bytes = -9 | 22 | non-negative integer",
-        "src = 3 | src = 4 | 25 | on_off src 4 out of range",
     ] {
         let fields: Vec<&str> = case.split(" | ").collect();
         let (from, to, line, want) = (fields[0], fields[1], fields[2], fields[3]);

@@ -22,10 +22,9 @@ fn main() {
     let reno_dcn = TransportSpec {
         kind: TransportKindSpec::NewReno,
         profile: TcpProfile::Dcn,
-        ..TransportSpec::default()
     };
     let mut deep_droptail = dctcp.clone();
-    deep_droptail.transport = reno_dcn.clone();
+    deep_droptail.transport = reno_dcn;
     deep_droptail.queue = Some(QueueSpec::DropTail {
         limit_bytes: 400_000,
     });
